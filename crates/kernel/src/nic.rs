@@ -68,6 +68,17 @@
 //! [`BufferPool`]. The legacy `Bytes` APIs (`send_tx`, `tx_burst*`,
 //! `drain_tx*`) remain; their consuming side detaches pooled slabs
 //! (documented, off the fast path) exactly like the legacy rx API.
+//!
+//! ## What costs a syscall
+//!
+//! Nothing here does. Every ring operation the NIC makes is the
+//! non-blocking flavour (`try_send` / `try_recv`), so no thread ever
+//! parks on an rx or tx ring, and the channel shim notifies only a
+//! parked peer: an inject, a burst, a transmit and a drain are each one
+//! short critical section on the ring's mutex and never enter the
+//! kernel. (A `Condvar` notify is a futex syscall whether or not anyone
+//! waits; before the shim counted its waiters, each of those four paid
+//! one per frame.)
 
 use std::fmt;
 use std::ops::Deref;

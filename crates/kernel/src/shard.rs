@@ -77,6 +77,26 @@
 //!    [`WorkerPool::completed`], [`WorkerPool::in_flight_on`],
 //!    [`WorkerPool::ring_high_water`]).
 //!
+//! ## What costs a syscall
+//!
+//! Parking, and waking a peer that is parked — nothing else. A worker
+//! parks when its ring is empty, a producer when it is full, `flush`
+//! while live work is in flight, `quiesce` while workers have yet to
+//! reach the barrier, a worker at the barrier until release. The rings
+//! (the crossbeam shim) and the gate both count their waiters under the
+//! lock the waiter takes before it waits, and a notifier that reads
+//! zero there skips its `Condvar` notify — on Linux an unconditional
+//! `FUTEX_WAKE`. So `submit` to a busy worker, a `retire` with nobody
+//! in `flush`, and every ring pop are an uncontended critical section
+//! and no more; `submit` to an idle worker pays one wake, which is the
+//! hand-off itself. Every notify is issued after the notifier has let
+//! go of the lock: a thread woken under it can preempt the notifier,
+//! run into the lock and park a second time, and whether it does is
+//! the scheduler's choice — cost that varies from run to run. A parked
+//! flusher is woken whenever *a* shard's count reaches zero, not only
+//! when the last one does: waking it for the last shard alone is one
+//! more condition and measured no better (`crates/bench/NOTES.md`).
+//!
 //! The barrier-and-meters contract, runnable:
 //!
 //! ```
@@ -278,6 +298,15 @@ struct GateState {
     /// [`WorkerPool::reset_ring_high_water`] to start a new observation
     /// window.
     ring_hwm: Vec<usize>,
+    /// Threads inside [`WorkerPool::flush`]'s wait on `drained`.
+    flushers: usize,
+    /// Whether the quiescer is inside its wait on `arrived` (quiescers
+    /// are serialised, so there is at most one).
+    quiescer_waiting: bool,
+    /// Notifies issued on `drained` / `arrived` — read by the
+    /// wake-accounting tests.
+    drained_wakes: u64,
+    arrived_wakes: u64,
 }
 
 struct Gate {
@@ -300,6 +329,10 @@ impl Gate {
                 dead: vec![false; workers],
                 in_flight: vec![0; workers],
                 ring_hwm: vec![0; workers],
+                flushers: 0,
+                quiescer_waiting: false,
+                drained_wakes: 0,
+                arrived_wakes: 0,
             }),
             resume: Condvar::new(),
             arrived: Condvar::new(),
@@ -335,7 +368,9 @@ impl Gate {
         // retire) one late item on the fresh ring — that retirement must
         // not underflow the new window's count.
         st.in_flight[shard] = st.in_flight[shard].saturating_sub(1);
-        if st.in_flight[shard] == 0 {
+        let wake = st.in_flight[shard] == 0 && st.flush_wake_due();
+        drop(st);
+        if wake {
             self.drained.notify_all();
         }
     }
@@ -343,7 +378,11 @@ impl Gate {
     fn park(&self, target: u64) {
         let mut st = self.lock();
         st.parked += 1;
-        self.arrived.notify_all();
+        if st.quiesce_wake_due() {
+            drop(st);
+            self.arrived.notify_all();
+            st = self.lock();
+        }
         while st.released < target {
             st = self.resume.wait(st).unwrap_or_else(|e| e.into_inner());
         }
@@ -352,12 +391,36 @@ impl Gate {
     fn mark_dead(&self, shard: usize) {
         let mut st = self.lock();
         st.dead[shard] = true;
-        self.arrived.notify_all();
-        self.drained.notify_all();
+        let (quiescer, flushers) = (st.quiesce_wake_due(), st.flush_wake_due());
+        drop(st);
+        if quiescer {
+            self.arrived.notify_all();
+        }
+        if flushers {
+            self.drained.notify_all();
+        }
     }
 }
 
 impl GateState {
+    /// True — and counted — when a `flush` caller is parked on
+    /// `drained`: a `Condvar` notify is a futex syscall whether or not
+    /// anyone waits, and a shard's count reaches zero on nearly every
+    /// item of a lightly loaded pool. The caller notifies *after* it
+    /// releases the state lock (see "What costs a syscall" above).
+    fn flush_wake_due(&mut self) -> bool {
+        let due = self.flushers > 0;
+        self.drained_wakes += u64::from(due);
+        due
+    }
+
+    /// Likewise for the quiescer parked on `arrived`.
+    fn quiesce_wake_due(&mut self) -> bool {
+        let due = self.quiescer_waiting;
+        self.arrived_wakes += u64::from(due);
+        due
+    }
+
     fn dead_count(&self) -> usize {
         self.dead.iter().filter(|d| **d).count()
     }
@@ -711,11 +774,13 @@ impl<T: Send + 'static> WorkerPool<T> {
     pub fn flush(&self) {
         let mut st = self.gate.lock();
         while st.live_in_flight() > 0 {
+            st.flushers += 1;
             st = self
                 .gate
                 .drained
                 .wait(st)
                 .unwrap_or_else(|e| e.into_inner());
+            st.flushers -= 1;
         }
     }
 
@@ -758,11 +823,13 @@ impl<T: Send + 'static> WorkerPool<T> {
         {
             let mut st = self.gate.lock();
             while st.parked + st.dead_count() < self.slots.len() {
+                st.quiescer_waiting = true;
                 st = self
                     .gate
                     .arrived
                     .wait(st)
                     .unwrap_or_else(|e| e.into_inner());
+                st.quiescer_waiting = false;
             }
         }
         let out = f();
@@ -770,8 +837,8 @@ impl<T: Send + 'static> WorkerPool<T> {
             let mut st = self.gate.lock();
             st.parked = 0;
             st.released = target;
-            self.gate.resume.notify_all();
         }
+        self.gate.resume.notify_all();
         out
     }
 
@@ -1460,6 +1527,108 @@ mod tests {
         }
         pool.flush();
         pool.shutdown();
+    }
+
+    /// What the wake-accounting tests' handlers block on until the test
+    /// opens it, so a flusher or quiescer is parked for certain.
+    type Latch = Arc<(Mutex<bool>, Condvar)>;
+
+    fn await_open(latch: &Latch) {
+        let (lock, cv) = &**latch;
+        let mut open = lock.lock().unwrap();
+        while !*open {
+            open = cv.wait(open).unwrap();
+        }
+    }
+
+    fn open(latch: &Latch) {
+        let (lock, cv) = &**latch;
+        *lock.lock().unwrap() = true;
+        cv.notify_all();
+    }
+
+    /// One worker whose handler blocks on `latch`, then panics on 255.
+    fn latched_pool(latch: &Latch) -> WorkerPool<u8> {
+        let latch = Arc::clone(latch);
+        WorkerPool::start(ShardSpec::new(1), move |_| {
+            let latch = Arc::clone(&latch);
+            Box::new(move |n: u8| {
+                await_open(&latch);
+                if n == 255 {
+                    panic!("injected fault");
+                }
+            })
+        })
+    }
+
+    fn spin_until(pool: &WorkerPool<u8>, cond: impl Fn(&GateState) -> bool) {
+        while !cond(&pool.gate.lock()) {
+            std::thread::yield_now();
+        }
+    }
+
+    #[test]
+    fn retiring_with_nobody_parked_never_notifies() {
+        let pool = WorkerPool::start(ShardSpec::new(2), |_| Box::new(|_: u8| {}));
+        for n in 0..1000usize {
+            pool.submit(n % 2, 0).unwrap();
+        }
+        // Not `flush`: parking there is what earns a notify.
+        while pool.total_completed() < 1000 {
+            std::thread::yield_now();
+        }
+        pool.flush(); // nothing in flight: returns without parking
+        let st = pool.gate.lock();
+        assert_eq!((st.drained_wakes, st.arrived_wakes), (0, 0));
+    }
+
+    #[test]
+    fn a_parked_flush_is_woken_once_by_the_retire_that_drains_the_shard() {
+        let latch = Latch::default();
+        let pool = latched_pool(&latch);
+        pool.submit(0, 0).unwrap();
+        std::thread::scope(|s| {
+            s.spawn(|| pool.flush());
+            spin_until(&pool, |st| st.flushers == 1);
+            open(&latch);
+        });
+        let st = pool.gate.lock();
+        assert_eq!((st.drained_wakes, st.flushers), (1, 0));
+        assert_eq!(st.arrived_wakes, 0);
+    }
+
+    #[test]
+    fn a_parked_quiesce_is_woken_once_by_the_worker_reaching_the_barrier() {
+        let latch = Latch::default();
+        let pool = latched_pool(&latch);
+        pool.submit(0, 0).unwrap();
+        std::thread::scope(|s| {
+            s.spawn(|| pool.quiesce(|| {}));
+            spin_until(&pool, |st| st.quiescer_waiting);
+            open(&latch);
+        });
+        let st = pool.gate.lock();
+        assert_eq!((st.arrived_wakes, st.quiescer_waiting), (1, false));
+        assert_eq!(st.drained_wakes, 0, "nobody was in flush");
+    }
+
+    #[test]
+    fn a_dying_worker_releases_a_parked_flush_and_a_parked_quiesce() {
+        let latch = Latch::default();
+        let pool = latched_pool(&latch);
+        pool.submit(0, 255).unwrap(); // poison, held at the latch
+        pool.submit(0, 0).unwrap(); // stranded behind it: never retires
+        std::thread::scope(|s| {
+            s.spawn(|| pool.flush());
+            s.spawn(|| pool.quiesce(|| {}));
+            spin_until(&pool, |st| st.flushers == 1 && st.quiescer_waiting);
+            open(&latch);
+        });
+        // The poison's retire leaves one item in flight and wakes
+        // nobody; only the death can release either waiter.
+        let st = pool.gate.lock();
+        assert_eq!((st.drained_wakes, st.arrived_wakes), (1, 1));
+        assert_eq!((st.flushers, st.quiescer_waiting), (0, false));
     }
 
     #[test]

@@ -434,6 +434,13 @@ impl Capsule {
     /// receptacles, interceptor chains are preserved, and `old` is
     /// destroyed. If `old` was active, `new` is activated.
     ///
+    /// The order is what makes [`Quiescence::PerEdge`] loss-free under
+    /// concurrent calls: (1) bind `new`'s outgoing receptacles, (2)
+    /// retarget the incoming edges to `new`, (3) unbind `old`'s outgoing
+    /// receptacles. At every instant a call entering through an
+    /// incoming edge lands in a component whose outputs are bound — an
+    /// unbound pass-through component would swallow it and answer `Ok`.
+    ///
     /// # Errors
     ///
     /// Fails if `new` lacks an interface or receptacle that the current
@@ -460,41 +467,63 @@ impl Capsule {
             new_comp.core().query_interface(rec.interface)?;
         }
 
-        // Incoming edges: point the sources at `new`.
-        for rec in records.iter().filter(|r| r.dst == old) {
+        let wrapped = |raw: &InterfaceRef, chain: &Option<Arc<InterceptorChain>>| match chain {
+            Some(chain) => self
+                .runtime
+                .interceptors()
+                .wrap_with(raw.clone(), Arc::clone(chain)),
+            None => Ok(raw.clone()),
+        };
+        // Where an outgoing edge of `old` leads once it is `new`'s
+        // (component and raw interface): a self-loop's far end is `new`
+        // itself.
+        let far_end = |rec: &BindingRecord| {
+            if rec.dst == old {
+                Ok((new, new_comp.core().query_interface(rec.interface)?))
+            } else {
+                Ok((rec.dst, rec.raw.clone()))
+            }
+        };
+
+        // 1. Outgoing edges first: bind `new`'s receptacles while
+        //    nothing can reach it yet.
+        for rec in records.iter().filter(|r| r.src == old) {
+            new_comp.core().bind_receptacle(
+                &rec.receptacle,
+                &rec.label,
+                wrapped(&far_end(rec)?.1, &rec.chain)?,
+            )?;
+        }
+
+        // 2. Incoming edges: point the sources at the fully wired
+        //    `new`. Each rebind waits out the calls still on its edge,
+        //    so when the loop ends nothing is inside `old`.
+        for rec in records.iter().filter(|r| r.dst == old && r.src != old) {
             let raw_new = new_comp.core().query_interface(rec.interface)?;
-            let effective = match &rec.chain {
-                Some(chain) => self
-                    .runtime
-                    .interceptors()
-                    .wrap_with(raw_new.clone(), Arc::clone(chain))?,
-                None => raw_new.clone(),
-            };
             let src = self.component(rec.src)?;
-            src.core()
-                .rebind_receptacle(&rec.receptacle, old, &rec.label, effective)?;
+            src.core().rebind_receptacle(
+                &rec.receptacle,
+                old,
+                &rec.label,
+                wrapped(&raw_new, &rec.chain)?,
+            )?;
             self.arch.update_binding(rec.id, |r| {
                 r.dst = new;
                 r.raw = raw_new;
             })?;
         }
 
-        // Outgoing edges: recreate them from `new`'s receptacles.
+        // 3. Only now release `old`'s outgoing side.
         for rec in records.iter().filter(|r| r.src == old) {
-            let effective = match &rec.chain {
-                Some(chain) => self
-                    .runtime
-                    .interceptors()
-                    .wrap_with(rec.raw.clone(), Arc::clone(chain))?,
-                None => rec.raw.clone(),
-            };
-            new_comp
-                .core()
-                .bind_receptacle(&rec.receptacle, &rec.label, effective)?;
             old_comp
                 .core()
                 .unbind_receptacle(&rec.receptacle, rec.dst, &rec.label)?;
-            self.arch.update_binding(rec.id, |r| r.src = new)?;
+            let (dst, raw) = far_end(rec)?;
+            self.arch.update_binding(rec.id, |r| {
+                r.src = new;
+                r.dst = dst;
+                r.raw = raw;
+            })?;
         }
 
         // Life-cycle handover.
@@ -788,6 +817,97 @@ mod tests {
             LifecycleState::Active
         );
         assert_eq!(capsule.arch().binding_count(), 2);
+    }
+
+    #[test]
+    fn per_edge_replace_under_concurrent_calls_loses_nothing() {
+        // Regression: incoming edges were retargeted before `new`'s
+        // outgoing receptacles were bound, so a concurrent call landed
+        // in an unbound Adder — which answers `Ok` and forwards nothing.
+        let rt = runtime_with_wrappers();
+        let capsule = Capsule::new("t", &rt);
+        let (aid, mut mid, _, _) = pipeline(&capsule);
+        let sink = Adder::make(0);
+        let sink_id = capsule.adopt(sink.clone()).unwrap();
+        capsule.bind_simple(mid, "out", sink_id, ISINK).unwrap();
+        for id in [aid, mid, sink_id] {
+            capsule.activate(id).unwrap();
+        }
+        let swapping = std::sync::atomic::AtomicBool::new(true);
+        let accepted = std::thread::scope(|s| {
+            let pusher = s.spawn(|| {
+                let mut accepted = 0u64;
+                while swapping.load(Ordering::SeqCst) {
+                    call(&capsule, aid, 0).unwrap();
+                    accepted += 1;
+                }
+                accepted
+            });
+            for _ in 0..2000 {
+                let next = capsule.adopt(Adder::make(10)).unwrap();
+                capsule.replace(mid, next, Quiescence::PerEdge).unwrap();
+                mid = next;
+            }
+            swapping.store(false, Ordering::SeqCst);
+            pusher.join().unwrap()
+        });
+        assert_eq!(sink.seen.load(Ordering::Relaxed), accepted);
+        assert_eq!(capsule.arch().binding_count(), 2);
+    }
+
+    #[test]
+    fn replace_carries_a_self_loop_over_to_the_new_component() {
+        struct Echo {
+            core: ComponentCore,
+            depth: AtomicU64,
+            again: Receptacle<dyn INumberSink>,
+        }
+        impl INumberSink for Echo {
+            // Calls itself once through `again`, then stops.
+            fn accept(&self, n: u64) -> Result<u64> {
+                if self.depth.fetch_add(1, Ordering::Relaxed) % 2 == 1 {
+                    return Ok(n);
+                }
+                self.again
+                    .with_bound(|me| me.accept(n + 1))
+                    .unwrap_or(Ok(n))
+            }
+        }
+        impl Component for Echo {
+            fn core(&self) -> &ComponentCore {
+                &self.core
+            }
+            fn publish(self: Arc<Self>, reg: &Registrar<'_>) {
+                let me: Arc<dyn INumberSink> = self.clone();
+                reg.expose(ISINK, &me);
+                reg.receptacle(&self.again);
+            }
+        }
+        let echo = || {
+            Arc::new(Echo {
+                core: ComponentCore::new(ComponentDescriptor::new(
+                    "captest.Echo",
+                    Version::new(1, 0, 0),
+                )),
+                depth: AtomicU64::new(0),
+                again: Receptacle::single("again", ISINK),
+            })
+        };
+        let rt = runtime_with_wrappers();
+        let capsule = Capsule::new("t", &rt);
+        let old = capsule.adopt(echo()).unwrap();
+        capsule.bind_simple(old, "again", old, ISINK).unwrap();
+        assert_eq!(call(&capsule, old, 0).unwrap(), 1);
+
+        let fresh = echo();
+        let new = capsule.adopt(fresh.clone()).unwrap();
+        capsule.replace(old, new, Quiescence::PerEdge).unwrap();
+        assert_eq!(call(&capsule, new, 0).unwrap(), 1, "loops through itself");
+        assert_eq!(fresh.depth.load(Ordering::Relaxed), 2, "not through `old`");
+        let [rec] = &capsule.arch().binding_records()[..] else {
+            panic!("one binding");
+        };
+        assert_eq!((rec.src, rec.dst), (new, new));
     }
 
     #[test]

@@ -4,11 +4,13 @@
 //! of a frame *in place* — no reallocation, no re-serialisation — and
 //! patch the IPv4 header checksum and the TCP/UDP checksum with RFC
 //! 1624 incremental updates, so a valid frame stays valid and an
-//! unset UDP checksum (zero) stays unset.
+//! unset UDP checksum (zero) stays unset. Zero means "unset" on UDP
+//! only, and only as the sender wrote the field: on TCP it is a sum
+//! like any other.
 
 use std::net::Ipv4Addr;
 
-use netkit_packet::checksum::incremental_update;
+use netkit_packet::checksum::fold;
 use netkit_packet::headers::proto;
 use netkit_packet::packet::Packet;
 
@@ -33,15 +35,14 @@ fn wr16(b: &mut [u8], off: usize, v: u16) {
     b[off..off + 2].copy_from_slice(&v.to_be_bytes());
 }
 
-/// Patches a checksum field at `off` for one changed 16-bit word,
-/// unless the field is zero (UDP "no checksum") or `skip_zero` is
-/// false for the protocol in hand.
-fn patch_checksum(b: &mut [u8], off: usize, old_word: u16, new_word: u16) {
-    let cur = rd16(b, off);
-    if cur == 0 {
-        return; // checksum not in use (UDP) / not maintained by the producer
-    }
-    wr16(b, off, incremental_update(cur, old_word, new_word));
+/// The checksum `cur` after every `(old, new)` word change, as one RFC
+/// 1624 update: `HC' = ~(~HC + Σ(~m + m'))`. One fold over all the
+/// words, so no intermediate value is ever read back as a field.
+fn patched_checksum(cur: u16, words: &[(u16, u16)]) -> u16 {
+    let sum = words.iter().fold(u32::from(!cur), |sum, &(old, new)| {
+        sum + u32::from(!old) + u32::from(new)
+    });
+    !fold(sum)
 }
 
 /// Rewrites one endpoint (address and, for UDP/TCP, port) of an
@@ -79,9 +80,12 @@ pub fn rewrite_ipv4_endpoint(
     frame[addr_off..addr_off + 4].copy_from_slice(&octets);
     // IPv4 header checksum: two address words changed.
     let ip_ck = ETH_LEN + 10;
-    let cur = rd16(frame, ip_ck);
-    let cur = incremental_update(cur, old_hi, new_hi);
-    wr16(frame, ip_ck, incremental_update(cur, old_lo, new_lo));
+    let addr_words = [(old_hi, new_hi), (old_lo, new_lo)];
+    wr16(
+        frame,
+        ip_ck,
+        patched_checksum(rd16(frame, ip_ck), &addr_words),
+    );
 
     // L4: port + pseudo-header address words feed the L4 checksum.
     let l4_ck = match protocol {
@@ -96,9 +100,15 @@ pub fn rewrite_ipv4_endpoint(
         };
         let old_port = rd16(frame, port_off);
         wr16(frame, port_off, new_port);
-        patch_checksum(frame, ck, old_hi, new_hi);
-        patch_checksum(frame, ck, old_lo, new_lo);
-        patch_checksum(frame, ck, old_port, new_port);
+        let udp = protocol == proto::UDP;
+        let cur = rd16(frame, ck);
+        // "In use" is decided once, on the field as it arrived.
+        if !(udp && cur == 0) {
+            let [hi, lo] = addr_words;
+            let new = patched_checksum(cur, &[hi, lo, (old_port, new_port)]);
+            // RFC 768: a UDP sum that comes out zero travels as all ones.
+            wr16(frame, ck, if udp && new == 0 { 0xffff } else { new });
+        }
     }
     pkt.meta.rss_hash = None;
     true
@@ -107,7 +117,7 @@ pub fn rewrite_ipv4_endpoint(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use netkit_packet::checksum::verify;
+    use netkit_packet::checksum::{sum_words, verify};
     use netkit_packet::flow::FlowKey;
     use netkit_packet::headers::Ipv4Header;
     use netkit_packet::packet::PacketBuilder;
@@ -152,6 +162,120 @@ mod tests {
             53,
         ));
         assert_eq!(FlowKey::from_packet(&pkt), Some(before));
+    }
+
+    const L4: usize = ETH_LEN + 20;
+
+    fn l4_checksum_offset(frame: &[u8]) -> usize {
+        match frame[ETH_LEN + 9] {
+            proto::UDP => L4 + 6,
+            _ => L4 + 16,
+        }
+    }
+
+    /// The TCP/UDP checksum recomputed from scratch: pseudo-header plus
+    /// segment, the field itself taken as zero.
+    fn full_l4_checksum(frame: &[u8]) -> u16 {
+        let protocol = frame[ETH_LEN + 9];
+        let segment = &frame[L4..ETH_LEN + usize::from(rd16(frame, ETH_LEN + 2))];
+        let sum = sum_words(&frame[ETH_LEN + 12..L4]) // both addresses
+            + u32::from(protocol)
+            + segment.len() as u32
+            + sum_words(segment)
+            - u32::from(rd16(frame, l4_checksum_offset(frame)));
+        match !fold(sum) {
+            0 if protocol == proto::UDP => 0xffff,
+            ck => ck,
+        }
+    }
+
+    /// A frame the way a real sender emits it: L4 checksum filled in
+    /// (`PacketBuilder` leaves the field zero).
+    fn checksummed(mut pkt: Packet) -> Packet {
+        let ck = full_l4_checksum(pkt.data());
+        let off = l4_checksum_offset(pkt.data());
+        wr16(pkt.data_mut(), off, ck);
+        pkt
+    }
+
+    #[test]
+    fn tcp_checksum_survives_an_intermediate_sum_of_zero() {
+        // Regression: the three changed words were patched one at a
+        // time, re-reading the field before each and taking zero for
+        // "no checksum". Craft the new address so that folding in its
+        // first word alone brings the TCP checksum to exactly 0x0000;
+        // the other two words then went unpatched.
+        let mut pkt = checksummed(
+            PacketBuilder::tcp_v4("10.0.0.1", "10.9.9.9", 40_000, 443)
+                .payload(b"intermediate zero")
+                .build(),
+        );
+        let frame = pkt.data();
+        let hc = rd16(frame, l4_checksum_offset(frame));
+        let old_hi = rd16(frame, ETH_LEN + 12);
+        let new_hi = !fold(u32::from(!hc) + u32::from(!old_hi));
+        assert_eq!(patched_checksum(hc, &[(old_hi, new_hi)]), 0);
+        let [a, b] = new_hi.to_be_bytes();
+        assert!(rewrite_ipv4_endpoint(
+            &mut pkt,
+            RewriteSide::Src,
+            Ipv4Addr::new(a, b, 2, 1),
+            61_000,
+        ));
+        let frame = pkt.data();
+        assert_eq!(
+            rd16(frame, l4_checksum_offset(frame)),
+            full_l4_checksum(frame)
+        );
+    }
+
+    #[test]
+    fn unset_udp_checksum_stays_unset_and_a_zero_tcp_field_does_not() {
+        let rewrite = |mut pkt: Packet| {
+            assert!(rewrite_ipv4_endpoint(
+                &mut pkt,
+                RewriteSide::Dst,
+                "192.0.2.7".parse().unwrap(),
+                8080,
+            ));
+            rd16(pkt.data(), l4_checksum_offset(pkt.data()))
+        };
+        let udp = PacketBuilder::udp_v4("10.0.0.1", "10.9.9.9", 5000, 53).build();
+        assert_eq!(rewrite(udp), 0);
+        let tcp = PacketBuilder::tcp_v4("10.0.0.1", "10.9.9.9", 5000, 53).build();
+        assert_ne!(rewrite(tcp), 0, "zero is a sum on TCP: patched like one");
+    }
+
+    mod prop {
+        use super::*;
+        use proptest::prelude::*;
+
+        proptest! {
+            /// Incremental ≡ full recomputation, both protocols, both
+            /// sides, any tuple.
+            #[test]
+            fn incremental_l4_checksum_equals_full_recomputation(
+                tcp in any::<bool>(),
+                src_side in any::<bool>(),
+                old in (any::<u32>(), any::<u32>(), any::<u16>(), any::<u16>()),
+                new in (any::<u32>(), any::<u16>()),
+                payload in proptest::collection::vec(any::<u8>(), 0..64),
+            ) {
+                let (src, dst, sport, dport) = old;
+                let (src, dst) = (Ipv4Addr::from(src).to_string(), Ipv4Addr::from(dst).to_string());
+                let builder = if tcp {
+                    PacketBuilder::tcp_v4(&src, &dst, sport, dport)
+                } else {
+                    PacketBuilder::udp_v4(&src, &dst, sport, dport)
+                };
+                let mut pkt = checksummed(builder.payload(&payload).build());
+                let side = if src_side { RewriteSide::Src } else { RewriteSide::Dst };
+                prop_assert!(rewrite_ipv4_endpoint(&mut pkt, side, Ipv4Addr::from(new.0), new.1));
+                let frame = pkt.data();
+                prop_assert!(verify(&frame[ETH_LEN..L4]), "ipv4 header checksum");
+                prop_assert_eq!(rd16(frame, l4_checksum_offset(frame)), full_l4_checksum(frame));
+            }
+        }
     }
 
     #[test]

@@ -6,6 +6,12 @@
 //! Disconnection semantics match crossbeam: `recv` fails once every
 //! sender is gone and the queue is drained; `send` fails once every
 //! receiver is gone.
+//!
+//! Like the real crate, an operation enters the kernel only to park
+//! (nothing to receive, or no room to send) or to wake a peer that is
+//! parked: the waiter counts live in the mutex-protected state beside
+//! the queue, and a push or pop that finds them zero skips its
+//! `Condvar` notify — on Linux an unconditional `FUTEX_WAKE`.
 
 #![warn(missing_docs)]
 
@@ -13,22 +19,67 @@
 pub mod channel {
     use std::collections::VecDeque;
     use std::fmt;
-    use std::sync::atomic::{AtomicUsize, Ordering};
-    use std::sync::{Arc, Condvar, Mutex, PoisonError};
+    use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
     use std::time::Duration;
 
+    /// Everything the channel's peers agree on, under one mutex: the
+    /// notifier reads the waiter counts under the same lock the waiter
+    /// raised them under, so "nobody is parked" is never stale.
+    struct State<T> {
+        queue: VecDeque<T>,
+        senders: usize,
+        receivers: usize,
+        /// Receivers inside a `not_empty` wait.
+        recv_parked: usize,
+        /// Senders inside a `not_full` wait.
+        send_parked: usize,
+        /// Condvar notifies issued for a push or a pop (not the
+        /// disconnect broadcasts) — read by the wake-accounting tests.
+        wakes: u64,
+    }
+
     struct Chan<T> {
-        queue: Mutex<VecDeque<T>>,
+        state: Mutex<State<T>>,
         not_empty: Condvar,
         not_full: Condvar,
         capacity: Option<usize>,
-        senders: AtomicUsize,
-        receivers: AtomicUsize,
     }
 
     impl<T> Chan<T> {
-        fn lock(&self) -> std::sync::MutexGuard<'_, VecDeque<T>> {
-            self.queue.lock().unwrap_or_else(PoisonError::into_inner)
+        fn lock(&self) -> MutexGuard<'_, State<T>> {
+            self.state.lock().unwrap_or_else(PoisonError::into_inner)
+        }
+
+        /// Queues `msg` and wakes a receiver only if one is parked:
+        /// `Condvar::notify_one` is a futex syscall whether or not
+        /// anyone waits, so the steady state must not reach it.
+        fn push(&self, mut st: MutexGuard<'_, State<T>>, msg: T) {
+            st.queue.push_back(msg);
+            let wake = st.recv_parked > 0;
+            st.wakes += u64::from(wake);
+            drop(st);
+            if wake {
+                self.not_empty.notify_one();
+            }
+        }
+
+        /// Takes the oldest message, waking a sender only if one is
+        /// parked on a full queue.
+        fn pop<'a>(&self, mut st: MutexGuard<'a, State<T>>) -> Result<T, MutexGuard<'a, State<T>>> {
+            let Some(msg) = st.queue.pop_front() else {
+                return Err(st);
+            };
+            let wake = st.send_parked > 0;
+            st.wakes += u64::from(wake);
+            drop(st);
+            if wake {
+                self.not_full.notify_one();
+            }
+            Ok(msg)
+        }
+
+        fn is_full(&self, st: &State<T>) -> bool {
+            self.capacity.is_some_and(|cap| st.queue.len() >= cap)
         }
     }
 
@@ -175,12 +226,17 @@ pub mod channel {
 
     fn with_capacity<T>(capacity: Option<usize>) -> (Sender<T>, Receiver<T>) {
         let chan = Arc::new(Chan {
-            queue: Mutex::new(VecDeque::new()),
+            state: Mutex::new(State {
+                queue: VecDeque::new(),
+                senders: 1,
+                receivers: 1,
+                recv_parked: 0,
+                send_parked: 0,
+                wakes: 0,
+            }),
             not_empty: Condvar::new(),
             not_full: Condvar::new(),
             capacity,
-            senders: AtomicUsize::new(1),
-            receivers: AtomicUsize::new(1),
         });
         (
             Sender {
@@ -197,25 +253,23 @@ pub mod channel {
         ///
         /// Returns the message if every receiver has been dropped.
         pub fn send(&self, msg: T) -> Result<(), SendError<T>> {
-            let mut q = self.chan.lock();
+            let mut st = self.chan.lock();
             loop {
-                if self.chan.receivers.load(Ordering::SeqCst) == 0 {
+                if st.receivers == 0 {
                     return Err(SendError(msg));
                 }
-                match self.chan.capacity {
-                    Some(cap) if q.len() >= cap => {
-                        q = self
-                            .chan
-                            .not_full
-                            .wait(q)
-                            .unwrap_or_else(PoisonError::into_inner);
-                    }
-                    _ => break,
+                if !self.chan.is_full(&st) {
+                    break;
                 }
+                st.send_parked += 1;
+                st = self
+                    .chan
+                    .not_full
+                    .wait(st)
+                    .unwrap_or_else(PoisonError::into_inner);
+                st.send_parked -= 1;
             }
-            q.push_back(msg);
-            drop(q);
-            self.chan.not_empty.notify_one();
+            self.chan.push(st, msg);
             Ok(())
         }
 
@@ -226,35 +280,31 @@ pub mod channel {
         /// [`TrySendError::Full`] when a bounded channel is at capacity,
         /// [`TrySendError::Disconnected`] when every receiver is gone.
         pub fn try_send(&self, msg: T) -> Result<(), TrySendError<T>> {
-            let mut q = self.chan.lock();
-            if self.chan.receivers.load(Ordering::SeqCst) == 0 {
+            let st = self.chan.lock();
+            if st.receivers == 0 {
                 return Err(TrySendError::Disconnected(msg));
             }
-            if let Some(cap) = self.chan.capacity {
-                if q.len() >= cap {
-                    return Err(TrySendError::Full(msg));
-                }
+            if self.chan.is_full(&st) {
+                return Err(TrySendError::Full(msg));
             }
-            q.push_back(msg);
-            drop(q);
-            self.chan.not_empty.notify_one();
+            self.chan.push(st, msg);
             Ok(())
         }
 
         /// Number of messages currently queued.
         pub fn len(&self) -> usize {
-            self.chan.lock().len()
+            self.chan.lock().queue.len()
         }
 
         /// True when nothing is queued.
         pub fn is_empty(&self) -> bool {
-            self.chan.lock().is_empty()
+            self.chan.lock().queue.is_empty()
         }
     }
 
     impl<T> Clone for Sender<T> {
         fn clone(&self) -> Self {
-            self.chan.senders.fetch_add(1, Ordering::SeqCst);
+            self.chan.lock().senders += 1;
             Self {
                 chan: Arc::clone(&self.chan),
             }
@@ -263,9 +313,14 @@ pub mod channel {
 
     impl<T> Drop for Sender<T> {
         fn drop(&mut self) {
-            if self.chan.senders.fetch_sub(1, Ordering::SeqCst) == 1 {
-                // Last sender: wake blocked receivers so they observe
-                // disconnection.
+            // Count and broadcast under the queue lock: a receiver that
+            // has seen `senders != 0` still holds the lock until its
+            // wait releases it, so it is parked — and woken — before
+            // the last sender can be seen gone. Unconditional: a
+            // disconnect is not the steady state.
+            let mut st = self.chan.lock();
+            st.senders -= 1;
+            if st.senders == 0 {
                 self.chan.not_empty.notify_all();
             }
         }
@@ -284,21 +339,22 @@ pub mod channel {
         ///
         /// Fails when the channel is empty and every sender is gone.
         pub fn recv(&self) -> Result<T, RecvError> {
-            let mut q = self.chan.lock();
+            let mut st = self.chan.lock();
             loop {
-                if let Some(msg) = q.pop_front() {
-                    drop(q);
-                    self.chan.not_full.notify_one();
-                    return Ok(msg);
-                }
-                if self.chan.senders.load(Ordering::SeqCst) == 0 {
+                st = match self.chan.pop(st) {
+                    Ok(msg) => return Ok(msg),
+                    Err(st) => st,
+                };
+                if st.senders == 0 {
                     return Err(RecvError);
                 }
-                q = self
+                st.recv_parked += 1;
+                st = self
                     .chan
                     .not_empty
-                    .wait(q)
+                    .wait(st)
                     .unwrap_or_else(PoisonError::into_inner);
+                st.recv_parked -= 1;
             }
         }
 
@@ -310,16 +366,10 @@ pub mod channel {
         /// [`TryRecvError::Disconnected`] when additionally no sender
         /// remains.
         pub fn try_recv(&self) -> Result<T, TryRecvError> {
-            let mut q = self.chan.lock();
-            if let Some(msg) = q.pop_front() {
-                drop(q);
-                self.chan.not_full.notify_one();
-                return Ok(msg);
-            }
-            if self.chan.senders.load(Ordering::SeqCst) == 0 {
-                Err(TryRecvError::Disconnected)
-            } else {
-                Err(TryRecvError::Empty)
+            match self.chan.pop(self.chan.lock()) {
+                Ok(msg) => Ok(msg),
+                Err(st) if st.senders == 0 => Err(TryRecvError::Disconnected),
+                Err(_) => Err(TryRecvError::Empty),
             }
         }
 
@@ -332,43 +382,44 @@ pub mod channel {
         /// with no senders left.
         pub fn recv_timeout(&self, timeout: Duration) -> Result<T, RecvTimeoutError> {
             let deadline = std::time::Instant::now() + timeout;
-            let mut q = self.chan.lock();
+            let mut st = self.chan.lock();
             loop {
-                if let Some(msg) = q.pop_front() {
-                    drop(q);
-                    self.chan.not_full.notify_one();
-                    return Ok(msg);
-                }
-                if self.chan.senders.load(Ordering::SeqCst) == 0 {
+                st = match self.chan.pop(st) {
+                    Ok(msg) => return Ok(msg),
+                    Err(st) => st,
+                };
+                if st.senders == 0 {
                     return Err(RecvTimeoutError::Disconnected);
                 }
                 let now = std::time::Instant::now();
                 if now >= deadline {
                     return Err(RecvTimeoutError::Timeout);
                 }
-                let (guard, _res) = self
+                st.recv_parked += 1;
+                st = self
                     .chan
                     .not_empty
-                    .wait_timeout(q, deadline - now)
-                    .unwrap_or_else(PoisonError::into_inner);
-                q = guard;
+                    .wait_timeout(st, deadline - now)
+                    .unwrap_or_else(PoisonError::into_inner)
+                    .0;
+                st.recv_parked -= 1;
             }
         }
 
         /// Number of messages currently queued.
         pub fn len(&self) -> usize {
-            self.chan.lock().len()
+            self.chan.lock().queue.len()
         }
 
         /// True when nothing is queued.
         pub fn is_empty(&self) -> bool {
-            self.chan.lock().is_empty()
+            self.chan.lock().queue.is_empty()
         }
     }
 
     impl<T> Clone for Receiver<T> {
         fn clone(&self) -> Self {
-            self.chan.receivers.fetch_add(1, Ordering::SeqCst);
+            self.chan.lock().receivers += 1;
             Self {
                 chan: Arc::clone(&self.chan),
             }
@@ -377,9 +428,10 @@ pub mod channel {
 
     impl<T> Drop for Receiver<T> {
         fn drop(&mut self) {
-            if self.chan.receivers.fetch_sub(1, Ordering::SeqCst) == 1 {
-                // Last receiver: wake blocked senders so they observe
-                // disconnection.
+            // Under the queue lock, for the reason `Sender::drop` gives.
+            let mut st = self.chan.lock();
+            st.receivers -= 1;
+            if st.receivers == 0 {
                 self.chan.not_full.notify_all();
             }
         }
@@ -444,6 +496,162 @@ pub mod channel {
             let got: Vec<i32> = (0..100).map(|_| rx.recv().unwrap()).collect();
             h.join().unwrap();
             assert_eq!(got, (0..100).collect::<Vec<_>>());
+        }
+
+        /// Spins until `parked` reads 1 — the peer is inside its wait
+        /// (the count rises under the lock the wait releases).
+        fn await_parked<T>(chan: &Chan<T>, parked: fn(&State<T>) -> usize) {
+            while parked(&chan.lock()) != 1 {
+                std::thread::yield_now();
+            }
+        }
+
+        #[test]
+        fn ring_operations_with_no_parked_peer_never_notify() {
+            let (tx, rx) = bounded(4);
+            for i in 0..10_000u32 {
+                tx.try_send(i).unwrap();
+                assert_eq!(rx.try_recv(), Ok(i));
+            }
+            // Failing and blocking-capable flavours that do not block.
+            for i in 0..4 {
+                tx.send(i).unwrap();
+            }
+            assert!(tx.try_send(9).unwrap_err().is_full());
+            for i in 0..4 {
+                assert_eq!(rx.recv(), Ok(i));
+            }
+            assert_eq!(rx.try_recv(), Err(TryRecvError::Empty));
+            assert_eq!(
+                rx.recv_timeout(Duration::from_millis(1)),
+                Err(RecvTimeoutError::Timeout)
+            );
+            assert_eq!(tx.chan.lock().wakes, 0);
+        }
+
+        #[test]
+        fn a_parked_receiver_costs_one_wake_per_park() {
+            const PARKS: u64 = 200;
+            let (tx, rx) = unbounded::<u64>();
+            let (ack_tx, ack_rx) = unbounded::<u64>();
+            let consumer = std::thread::spawn(move || {
+                while let Ok(n) = rx.recv() {
+                    ack_tx.send(n).unwrap();
+                }
+            });
+            for n in 0..PARKS {
+                await_parked(&tx.chan, |st| st.recv_parked);
+                tx.send(n).unwrap();
+                assert_eq!(ack_rx.recv(), Ok(n));
+            }
+            assert_eq!(tx.chan.lock().wakes, PARKS);
+            await_parked(&tx.chan, |st| st.recv_parked);
+            drop(tx); // disconnect broadcast: wakes the park, not counted
+            consumer.join().unwrap();
+        }
+
+        #[test]
+        fn a_sender_parked_on_a_full_channel_is_woken_by_recv() {
+            let (tx, rx) = bounded(1);
+            tx.send(1).unwrap();
+            let producer = {
+                let tx = tx.clone();
+                std::thread::spawn(move || tx.send(2))
+            };
+            await_parked(&tx.chan, |st| st.send_parked);
+            assert_eq!(rx.try_recv(), Ok(1));
+            producer.join().unwrap().unwrap();
+            assert_eq!(rx.recv(), Ok(2));
+            let st = tx.chan.lock();
+            assert_eq!((st.wakes, st.send_parked, st.recv_parked), (1, 0, 0));
+        }
+
+        #[test]
+        fn a_sender_parked_on_a_full_channel_sees_the_last_receiver_go() {
+            let (tx, rx) = bounded(1);
+            tx.send(1).unwrap();
+            let producer = {
+                let tx = tx.clone();
+                std::thread::spawn(move || tx.send(2))
+            };
+            await_parked(&tx.chan, |st| st.send_parked);
+            drop(rx);
+            assert_eq!(producer.join().unwrap(), Err(SendError(2)));
+        }
+
+        /// Runs `body` on a thread of its own and fails the test if it
+        /// has not returned by `deadline` — a lost wake-up is a hang,
+        /// and a hang must fail rather than stall the suite.
+        fn within(deadline: Duration, body: impl FnOnce() + Send + 'static) {
+            let (done_tx, done_rx) = unbounded();
+            let runner = std::thread::spawn(move || {
+                body();
+                let _ = done_tx.send(());
+            });
+            match done_rx.recv_timeout(deadline) {
+                // A body that panicked drops `done_tx`: the join surfaces it.
+                Ok(()) | Err(RecvTimeoutError::Disconnected) => runner.join().unwrap(),
+                Err(RecvTimeoutError::Timeout) => panic!("no progress within {deadline:?}"),
+            }
+        }
+
+        /// Races `block` (a blocking call on one endpoint) against the
+        /// drop of the other endpoint, `ROUNDS` times, on two standing
+        /// threads so the two land within the same few hundred
+        /// nanoseconds; every blocked call must come back disconnected.
+        fn race_drop_against<E, D, R>(
+            split: fn(Sender<u8>, Receiver<u8>) -> (E, D),
+            block: fn(E) -> R,
+            disconnected: R,
+        ) where
+            E: Send + 'static,
+            D: Send + 'static,
+            R: Send + PartialEq + fmt::Debug + 'static,
+        {
+            const ROUNDS: usize = 100_000;
+            within(Duration::from_secs(120), move || {
+                let (block_tx, block_rx) = unbounded::<E>();
+                let (drop_tx, drop_rx) = unbounded::<D>();
+                let (out_tx, out_rx) = unbounded();
+                let blocker = std::thread::spawn(move || {
+                    while let Ok(end) = block_rx.recv() {
+                        out_tx.send(block(end)).unwrap();
+                    }
+                });
+                let dropper = std::thread::spawn(move || while drop_rx.recv().is_ok() {});
+                for _ in 0..ROUNDS {
+                    let (tx, rx) = bounded(1);
+                    tx.send(0).unwrap(); // full: a second `send` blocks
+                    let (blocked, dropped) = split(tx, rx);
+                    block_tx.send(blocked).unwrap();
+                    drop_tx.send(dropped).unwrap();
+                    assert_eq!(out_rx.recv().unwrap(), disconnected);
+                }
+                drop((block_tx, drop_tx));
+                blocker.join().unwrap();
+                dropper.join().unwrap();
+            });
+        }
+
+        #[test]
+        fn last_sender_drop_never_strands_a_blocking_recv() {
+            // Regression: the drop used to count down and broadcast
+            // without the queue lock, so a `recv` between its
+            // `senders != 0` check and its wait missed the only wake it
+            // would ever get — a worker thread that never exits.
+            race_drop_against(
+                |tx, rx| (rx, tx),
+                |rx| {
+                    assert_eq!(rx.recv(), Ok(0));
+                    rx.recv()
+                },
+                Err(RecvError),
+            );
+        }
+
+        #[test]
+        fn last_receiver_drop_never_strands_a_blocking_send() {
+            race_drop_against(|tx, rx| (tx, rx), |tx| tx.send(1), Err(SendError(1)));
         }
     }
 }
