@@ -653,9 +653,12 @@ impl ClickRouter {
                     next,
                     dropped,
                 } => {
+                    // Port-less UDP/TCP is a fragment: passed through,
+                    // like the component NAT does.
                     let translatable = FlowKey::from_packet(&pkt).filter(|k| {
                         matches!(k.dst, std::net::IpAddr::V4(d) if d != *external_ip)
                             && (k.protocol == proto::UDP || k.protocol == proto::TCP)
+                            && (k.src_port, k.dst_port) != (0, 0)
                     });
                     if let Some(key) = translatable {
                         let mut bindings = bindings.lock();

@@ -279,7 +279,8 @@ impl MonolithicStatefulEdge {
     }
 
     /// The entire stateful data path in one function: meter → track →
-    /// translate. Returns the allocated external port on delivery.
+    /// translate. Returns the allocated external port on delivery (0
+    /// for a fragment, which is delivered untranslated).
     ///
     /// # Errors
     ///
@@ -314,7 +315,12 @@ impl MonolithicStatefulEdge {
             st.stats.table_full += 1;
             return Err(EdgeDropReason::TableFull);
         }
-        // 4. Source NAT with a sequential pool.
+        // 4. Source NAT with a sequential pool. Port-less UDP/TCP is a
+        // fragment: delivered untranslated, like the component NAT.
+        if (key.src_port, key.dst_port) == (0, 0) {
+            st.stats.delivered += 1;
+            return Ok(0);
+        }
         let ext_port = match st.bindings.get(&key) {
             Some(&p) => p,
             None => {

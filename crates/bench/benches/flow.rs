@@ -6,7 +6,8 @@
 //!
 //! * `flow_table/*` — the shared substrate: canonical-key lookups on a
 //!   warm table (`lookup_hit`, the steady-state cost every stateful
-//!   element pays per packet) and inserts against a full table
+//!   element pays per packet — the hash comes precomputed, as it does
+//!   from the packet's flow record) and inserts against a full table
 //!   (`insert_evict`: LRU unlink + reuse, the churn worst case);
 //! * `conntrack/*` — 32-packet batches through `ConnTracker`:
 //!   `batch_established` (one warm flow, pure table hits) vs
@@ -68,15 +69,18 @@ fn bench_flow_table(c: &mut Criterion) {
 
     // Steady state: a warm 4096-entry table, hits only.
     let mut table: FlowTable<u64> = FlowTable::new(4096, u64::MAX);
-    let keys: Vec<FlowKey> = (0..4096u16)
+    let keys: Vec<(u64, FlowKey)> = (0..4096u16)
         .map(|i| {
-            FlowKey::from_packet(&flow_packet(i / 256 + 1, i % 256 + 1))
+            let key = FlowKey::from_packet(&flow_packet(i / 256 + 1, i % 256 + 1))
                 .unwrap()
-                .canonical()
+                .canonical();
+            (key.rss_hash(), key)
         })
         .collect();
-    for (now, key) in keys.iter().enumerate() {
-        *table.get_or_insert_with(*key, now as u64, || 0).value += 1;
+    for (now, (hash, key)) in keys.iter().enumerate() {
+        *table
+            .get_or_insert_with(*hash, *key, now as u64, || 0)
+            .value += 1;
     }
     let mut now = keys.len() as u64;
     let mut cursor = 0usize;
@@ -85,7 +89,8 @@ fn bench_flow_table(c: &mut Criterion) {
         b.iter(|| {
             cursor = (cursor + 1) % keys.len();
             now += 1;
-            criterion::black_box(table.get_mut(&keys[cursor], now).is_some())
+            let (hash, key) = &keys[cursor];
+            criterion::black_box(table.get_mut(*hash, key, now).is_some())
         })
     });
     assert_eq!(
@@ -107,7 +112,7 @@ fn bench_flow_table(c: &mut Criterion) {
             ))
             .unwrap()
             .canonical();
-            let admission = table.get_or_insert_with(key, now, || 0);
+            let admission = table.get_or_insert_with(key.rss_hash(), key, now, || 0);
             criterion::black_box(admission.evicted.is_some())
         })
     });

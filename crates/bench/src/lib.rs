@@ -280,6 +280,63 @@ mod tests {
     }
 
     #[test]
+    fn stateful_edge_contenders_agree_on_a_trace_with_fragments() {
+        // Four whole datagrams, then one datagram in three fragments,
+        // through a five-port pool. The contenders share the frame
+        // parse, so all of them see the fragments as one port-less flow:
+        // everything is delivered, the fragments cost no port (four in
+        // use, not five or seven), and no payload byte is rewritten.
+        let fragment = |offset, more, fill: u8| {
+            PacketBuilder::udp_v4("10.0.0.5", "203.0.113.9", 6_000, 443)
+                .fragment(offset, more)
+                .payload(&[fill; 24])
+                .build()
+        };
+        let trace = || -> Vec<Packet> {
+            (5_001..=5_004)
+                .map(edge_packet)
+                .chain([
+                    fragment(0, true, 0xa1),
+                    fragment(4, true, 0xb2),
+                    fragment(7, false, 0xc3),
+                ])
+                .collect()
+        };
+
+        let (mut pipe, _binding) = netkit_stateful_edge(5).unwrap();
+        pipe.dispatch(trace().into_iter().collect());
+        assert_eq!((pipe.stats().accepted, pipe.stats().dropped), (7, 0));
+
+        let click = ClickRouter::compile(&click_stateful_edge_config(5)).unwrap();
+        for pkt in trace() {
+            click.push("guard", pkt);
+        }
+        assert_eq!(click.count("sink"), Some(7));
+        assert_eq!(click.stateful_drops("nat"), Some(0));
+
+        let mono = monolithic_stateful_edge(5);
+        for mut pkt in trace() {
+            let wire = pkt.data().to_vec();
+            let fragmented =
+                pkt.ipv4().unwrap().more_fragments || pkt.ipv4().unwrap().fragment_offset != 0;
+            mono.process(&mut pkt).unwrap();
+            assert_eq!(
+                pkt.data() == wire,
+                fragmented,
+                "only whole datagrams are rewritten"
+            );
+        }
+        assert_eq!(mono.ports_in_use(), 4);
+
+        // A sixth whole flow still finds the fifth port everywhere.
+        pipe.dispatch(std::iter::once(edge_packet(5_005)).collect());
+        assert_eq!((pipe.stats().accepted, pipe.stats().dropped), (8, 0));
+        click.push("guard", edge_packet(5_005));
+        assert_eq!(click.count("sink"), Some(8));
+        assert!(mono.process(&mut edge_packet(5_005)).is_ok());
+    }
+
+    #[test]
     fn routing_table_spreads_ports() {
         let table = routing_table(512, 4);
         let hit = table.lookup("10.0.7.9".parse().unwrap()).unwrap();

@@ -46,15 +46,21 @@
 //! A NIC built [`Nic::with_buffer_pool`] leases every rx frame buffer
 //! from a [`BufferPool`] — the paper's buffer-management CF — instead
 //! of allocating it: [`Nic::inject_rx_frame`] copies the wire bytes
-//! into a pooled slab (the simulated DMA write), computes the flow's
-//! RSS hash *once* (what the hardware RSS engine does), steers the
-//! frame to its queue through the indirection table, and remembers the
-//! hash. The worker side drains with [`Nic::rx_burst_batch`], which
+//! into a pooled slab (the simulated DMA write), parses the flow tuple
+//! *once* (what the hardware RSS engine does), steers the frame to its
+//! queue through the indirection table, and remembers what the parse
+//! found. The worker side drains with [`Nic::rx_burst_batch`], which
 //! materialises each frame as a [`Packet`] **around the same pooled
-//! slab** (no copy) with `meta.rss_hash` pre-stamped (no re-parse,
-//! ever, downstream). When the packet is eventually dropped at the end
-//! of its run-to-completion pass, the slab returns to the pool — so in
-//! steady state the rx path allocates nothing per frame.
+//! slab** (no copy) with `meta.rss_hash` and the parse-once record
+//! `meta.flow` pre-stamped. **The rx parse is the only parse**: the
+//! steering layer reads the hash, the stateful elements read the
+//! record (`netkit_packet::flow::ParsedFlow` — tuple, TCP flags,
+//! fragment marker, table hash), and nothing downstream looks at the
+//! headers again. Frames from the legacy `Bytes` injection paths
+//! (`inject_rx`, `inject_rx_rss`) are parsed at materialisation
+//! instead — still once. When the packet is eventually dropped at
+//! the end of its run-to-completion pass, the slab returns to the pool
+//! — so in steady state the rx path allocates nothing per frame.
 //!
 //! ## The zero-copy tx fast path
 //!
@@ -88,7 +94,7 @@ use std::sync::Arc;
 use bytes::{Bytes, BytesMut};
 use crossbeam::channel::{bounded, Receiver, Sender};
 use netkit_packet::batch::PacketBatch;
-use netkit_packet::flow::FlowKey;
+use netkit_packet::flow::{steering_hash, FlowKey, ParsedFlow};
 use netkit_packet::packet::Packet;
 use netkit_packet::pool::{BufferPool, PooledBuf};
 use netkit_packet::steer::BucketMap;
@@ -162,12 +168,13 @@ impl FrameBuf {
 }
 
 /// An rx frame in flight between the wire side and a worker: the bytes
-/// (pool-leased on the fast path) plus the RSS hash the "hardware"
-/// computed at injection, carried along so materialisation never
-/// re-parses.
+/// (pool-leased on the fast path) plus what the "hardware" parsed at
+/// injection — the RSS hash and, for IPv4, the flow record — carried
+/// along so materialisation never re-parses.
 struct RxFrame {
     buf: FrameBuf,
     rss: Option<u64>,
+    flow: Option<ParsedFlow>,
 }
 
 impl RxFrame {
@@ -175,19 +182,32 @@ impl RxFrame {
         self.buf.into_bytes()
     }
 
-    /// Materialises the frame as an rss-stamped packet. Pooled buffers
-    /// move in without copying; a missing hash (legacy injection paths)
-    /// is computed here — once, at materialisation.
+    /// Materialises the frame as a stamped packet. Pooled buffers move
+    /// in without copying. A frame that rode the ring without a record
+    /// (legacy injection paths; IPv6 and non-IP frames, where the
+    /// attempt is an ethertype compare) is parsed here — once, at
+    /// materialisation. A caller-chosen steering hash
+    /// ([`Nic::inject_rx_rss`]) is kept as `rss_hash`; the record's own
+    /// hash is what flow tables use.
     fn into_packet(self) -> Packet {
         let mut pkt = match self.buf {
             FrameBuf::Shared(b) => Packet::new(BytesMut::from(&b[..])),
             FrameBuf::Pooled(b) => Packet::from_pooled(b),
         };
-        pkt.meta.rss_hash = self
-            .rss
-            .or_else(|| FlowKey::from_packet(&pkt).map(|k| k.rss_hash()));
+        pkt.meta.flow = self.flow;
+        pkt.meta.rss_hash = self.rss;
+        if self.flow.is_none() {
+            stamp_unparsed(&mut pkt);
+        }
         pkt
     }
+}
+
+/// The materialisation-time parse of a frame that carries no record.
+#[cold]
+fn stamp_unparsed(pkt: &mut Packet) {
+    pkt.meta.flow = ParsedFlow::from_frame(pkt.data());
+    pkt.meta.rss_hash = pkt.meta.rss_hash.or_else(|| steering_hash(pkt));
 }
 
 /// A transmit frame drained off a tx ring by the wire side
@@ -371,6 +391,7 @@ impl Nic {
             RxFrame {
                 buf: FrameBuf::Shared(frame),
                 rss: None,
+                flow: None,
             },
         )
     }
@@ -388,21 +409,27 @@ impl Nic {
             RxFrame {
                 buf: FrameBuf::Shared(frame),
                 rss: Some(hash),
+                flow: None,
             },
         )
     }
 
-    /// The full hardware rx path in one call: computes the flow's RSS
-    /// hash from the wire bytes (once — the hash then travels with the
-    /// frame), copies them into a buffer leased from the attached
-    /// [`BufferPool`] (the simulated DMA write; plain heap without a
-    /// pool), and steers the frame through the indirection table
-    /// (non-flow frames follow bucket 0, the same rule as
-    /// `netkit_packet::steer::bucket_of_packet` — and a single-queue
-    /// NIC behaves identically however many shards the host software
-    /// runs). Returns `false` and counts a drop if the ring is full.
+    /// The full hardware rx path in one call: parses the flow tuple
+    /// from the wire bytes (once — the RSS hash and the IPv4 flow
+    /// record then travel with the frame), copies them into a buffer
+    /// leased from the attached [`BufferPool`] (the simulated DMA
+    /// write; plain heap without a pool), and steers the frame through
+    /// the indirection table (non-flow frames follow bucket 0, the
+    /// same rule as `netkit_packet::steer::bucket_of_packet` — and a
+    /// single-queue NIC behaves identically however many shards the
+    /// host software runs). Returns `false` and counts a drop if the
+    /// ring is full.
     pub fn inject_rx_frame(&self, frame: &[u8]) -> bool {
-        let rss = FlowKey::from_frame(frame).map(|k| k.rss_hash());
+        let flow = ParsedFlow::from_frame(frame);
+        let rss = match flow {
+            Some(f) => Some(f.hash()),
+            None => FlowKey::from_frame(frame).map(|k| k.rss_hash()),
+        };
         let queue = {
             let map = self.steering.read();
             match rss {
@@ -418,7 +445,7 @@ impl Nic {
             }
             None => FrameBuf::Shared(Bytes::copy_from_slice(frame)),
         };
-        self.inject_into(queue, RxFrame { buf, rss })
+        self.inject_into(queue, RxFrame { buf, rss, flow })
     }
 
     /// Takes the next received frame, scanning queues in index order
@@ -480,9 +507,10 @@ impl Nic {
     /// [`Packet`]s. Pool-leased frame buffers move into the packets
     /// without copying (and return to the pool when the packets drop);
     /// frames from the legacy `Bytes` injection paths are copied once.
-    /// Every materialised packet carries `meta.rss_hash` — the hash
-    /// computed at injection when available, else parsed here, exactly
-    /// once — so no downstream steering decision re-parses headers.
+    /// Every materialised packet carries `meta.rss_hash` and, for
+    /// IPv4, the `meta.flow` record — from the parse at injection when
+    /// available, else parsed here, exactly once — so no steering
+    /// decision and no stateful element downstream re-parses headers.
     /// Returns the number of packets appended (0 for unknown queues).
     pub fn rx_burst_batch(&self, queue: usize, max: usize, batch: &mut PacketBatch) -> usize {
         let Some(ring) = self.rx.get(queue) else {

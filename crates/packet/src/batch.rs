@@ -205,7 +205,8 @@ impl PacketBatch {
     }
 
     /// Stamps every packet's
-    /// [`rss_hash`](crate::packet::PacketMeta::rss_hash) from its parsed
+    /// [`rss_hash`](crate::packet::PacketMeta::rss_hash) and parse-once
+    /// [`flow`](crate::packet::PacketMeta::flow) record from its parsed
     /// flow tuple (see [`crate::flow::stamp_rss`]); already-stamped
     /// packets are untouched. Do this once at batch construction when
     /// frames did not come through an RSS-stamping NIC path — every

@@ -1,30 +1,66 @@
-//! Flow identification and per-flow state tables.
+//! Flow identification: the 5-tuple key, the RSS hash, and the
+//! parse-once flow record.
 //!
 //! Stratum 3 operates on "pre-selected packet flows in application-
 //! specific ways" (paper §3). [`FlowKey`] is the classic 5-tuple;
-//! [`FlowTable`] holds per-flow state with TTL-based soft expiry and
-//! bounded capacity.
+//! [`ParsedFlow`] is the compact record of one IPv4 frame's tuple that
+//! the rx path stamps into
+//! [`PacketMeta::flow`](crate::packet::PacketMeta::flow) so that no
+//! element downstream parses the frame again. (The bounded per-flow
+//! state tables live with their users, in `netkit_router::flow`.)
+//!
+//! # The parse-once contract
+//!
+//! * **Who stamps.** Whoever materialises a packet: the NIC rx path
+//!   (`Nic::inject_rx_frame` parses the wire bytes once; the record
+//!   rides the rx ring into the [`Packet`]) and [`stamp_rss`] /
+//!   `PacketBatch::stamp_rss` for packets built in software.
+//! * **Who reads.** Anyone, through [`ParsedFlow::of`] (IPv4 only) or
+//!   [`FlowView::of`] (any family): the stamped record, else one parse.
+//! * **Who must keep it true.** Anyone who rewrites the tuple bytes of
+//!   a stamped packet patches the record in the same breath
+//!   ([`ParsedFlow::with_endpoint`]) or clears it — the router's
+//!   `rewrite_ipv4_endpoint` is the one such writer today. TTL and
+//!   DSCP edits leave the tuple alone and need do nothing.
+//! * **What carries no record.** IPv6 and non-IP frames (the record is
+//!   IPv4-only to stay within 24 bytes per packet): readers fall back
+//!   to the general [`FlowKey::from_frame`] parse.
+//!
+//! A flow table's hash always comes from the record or the key
+//! ([`ParsedFlow::hash`] ≡ [`FlowKey::rss_hash`]), never from
+//! [`PacketMeta::rss_hash`](crate::packet::PacketMeta::rss_hash): that
+//! field is a *steering* decision which a driver or test may have
+//! stamped with any value.
 
-use std::collections::HashMap;
 use std::fmt;
 use std::hash::{Hash, Hasher};
-use std::net::IpAddr;
+use std::net::{IpAddr, Ipv4Addr};
 
-use parking_lot::Mutex;
-
-use crate::headers::{proto, EtherType};
+use crate::headers::{
+    proto, EtherType, EthernetHeader, Ipv4Header, Ipv6Header, TcpFlags, TcpHeader, UdpHeader,
+};
 use crate::packet::Packet;
 
-/// Legacy annotation key for the RSS flow hash.
-///
-/// Superseded by the dedicated
-/// [`PacketMeta::rss_hash`](crate::packet::PacketMeta::rss_hash) field:
-/// `annotate(RSS_ANNOTATION, h)` and `annotation(RSS_ANNOTATION)` are
-/// shimmed onto that field, so old callers keep working, but new code
-/// should read and write the field directly (no string compare, no
-/// table walk).
-#[deprecated(note = "use PacketMeta::rss_hash directly")]
-pub const RSS_ANNOTATION: &str = "rss";
+#[cfg(debug_assertions)]
+thread_local! {
+    static PARSES: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
+}
+
+/// Frame parses ([`FlowKey::from_frame`] / [`ParsedFlow::from_frame`]
+/// calls) made on this thread so far. Debug builds only — the counter
+/// exists so tests can pin "no element parses after rx"; release
+/// builds carry nothing.
+#[cfg(debug_assertions)]
+#[doc(hidden)]
+pub fn parses_on_this_thread() -> u64 {
+    PARSES.with(std::cell::Cell::get)
+}
+
+#[inline]
+fn note_parse() {
+    #[cfg(debug_assertions)]
+    PARSES.with(|c| c.set(c.get() + 1));
+}
 
 /// The shard a packet steers to under `shards` receive queues with the
 /// **identity** bucket table: the driver-stamped
@@ -51,25 +87,36 @@ pub fn shard_of(pkt: &Packet, shards: usize) -> usize {
     if shards <= 1 {
         return 0;
     }
-    let hash = pkt
-        .meta
-        .rss_hash
-        .or_else(|| FlowKey::from_packet(pkt).map(|k| k.rss_hash()));
-    match hash {
+    match steering_hash(pkt) {
         Some(h) => crate::steer::bucket_of(h) % shards,
         None => 0,
     }
 }
 
+/// The hash a packet steers (and is sketch-metered) by: the stamped
+/// [`PacketMeta::rss_hash`](crate::packet::PacketMeta::rss_hash) when
+/// present, else the flow's own hash (from the record, or one parse —
+/// not stamped back). `None` for frames with no flow identity.
+pub fn steering_hash(pkt: &Packet) -> Option<u64> {
+    pkt.meta
+        .rss_hash
+        .or_else(|| FlowView::of(pkt).map(|v| v.hash))
+}
+
 /// Stamps [`PacketMeta::rss_hash`](crate::packet::PacketMeta::rss_hash)
-/// from the packet's parsed flow tuple, if not already stamped — the
-/// software analogue of the hash a multi-queue NIC computes in hardware
-/// on rx. Returns the stamp. Call once at materialisation (NIC rx /
-/// batch construction); every later [`shard_of`] is then a modulo, not
-/// a parse.
+/// — and, for IPv4, the parse-once record
+/// [`PacketMeta::flow`](crate::packet::PacketMeta::flow) — from the
+/// packet's flow tuple, if not already stamped: the software analogue
+/// of what a multi-queue NIC computes in hardware on rx. Returns the
+/// hash. Call once at materialisation (NIC rx / batch construction);
+/// every later [`shard_of`] is then a modulo and every stateful
+/// element reads the record, not the frame.
 pub fn stamp_rss(pkt: &mut Packet) -> Option<u64> {
     if pkt.meta.rss_hash.is_none() {
-        pkt.meta.rss_hash = FlowKey::from_packet(pkt).map(|k| k.rss_hash());
+        if pkt.meta.flow.is_none() {
+            pkt.meta.flow = ParsedFlow::from_frame(pkt.data());
+        }
+        pkt.meta.rss_hash = FlowView::of(pkt).map(|v| v.hash);
     }
     pkt.meta.rss_hash
 }
@@ -122,7 +169,9 @@ pub struct FlowKey {
 
 impl FlowKey {
     /// Extracts the 5-tuple from a frame, if it is IPv4/IPv6 carrying
-    /// UDP or TCP (other traffic yields ports of zero).
+    /// UDP or TCP (other traffic yields ports of zero). Always a parse
+    /// of the frame bytes — elements on the packet path read the
+    /// stamped record through [`FlowView::of`] instead.
     pub fn from_packet(pkt: &Packet) -> Option<FlowKey> {
         Self::from_frame(pkt.data())
     }
@@ -130,34 +179,19 @@ impl FlowKey {
     /// Extracts the 5-tuple from raw frame bytes (Ethernet header
     /// first) — the parse a NIC's RSS engine performs on the wire side,
     /// before any [`Packet`] exists.
+    ///
+    /// An IPv4 **fragment** (more-fragments set or a non-zero offset)
+    /// is port-less, as RSS hardware treats it: only the first fragment
+    /// carries an L4 header at all, so keying any of them by "ports"
+    /// would scatter one datagram over several flows. All fragments of
+    /// a datagram share the 3-tuple key (ports zero).
     pub fn from_frame(frame: &[u8]) -> Option<FlowKey> {
-        use crate::headers::{EthernetHeader, Ipv4Header, Ipv6Header, TcpHeader, UdpHeader};
         let eth = EthernetHeader::parse(frame).ok()?;
         let l3 = frame.get(EthernetHeader::LEN..)?;
         match eth.ethertype {
-            EtherType::Ipv4 => {
-                let ip = Ipv4Header::parse(l3).ok()?;
-                let l4 = l3.get(ip.header_len..)?;
-                let (src_port, dst_port) = match ip.protocol {
-                    proto::UDP => {
-                        let udp = UdpHeader::parse(l4).ok()?;
-                        (udp.src_port, udp.dst_port)
-                    }
-                    proto::TCP => {
-                        let tcp = TcpHeader::parse(l4).ok()?;
-                        (tcp.src_port, tcp.dst_port)
-                    }
-                    _ => (0, 0),
-                };
-                Some(FlowKey {
-                    src: IpAddr::V4(ip.src),
-                    dst: IpAddr::V4(ip.dst),
-                    protocol: ip.protocol,
-                    src_port,
-                    dst_port,
-                })
-            }
+            EtherType::Ipv4 => parse_ipv4(l3).map(|f| f.key()),
             EtherType::Ipv6 => {
+                note_parse();
                 let ip = Ipv6Header::parse(l3).ok()?;
                 Some(FlowKey {
                     src: IpAddr::V6(ip.src),
@@ -190,24 +224,22 @@ impl FlowKey {
     /// the same shard or single-writer per-shard flow tables would see
     /// half a connection each.
     pub fn canonical(&self) -> FlowKey {
-        if (self.dst, self.dst_port) < (self.src, self.src_port) {
-            FlowKey {
-                src: self.dst,
-                dst: self.src,
-                protocol: self.protocol,
-                src_port: self.dst_port,
-                dst_port: self.src_port,
-            }
-        } else {
-            *self
-        }
+        self.canonical_with_direction().0
     }
 
     /// [`Self::canonical`] plus which direction this tuple was:
     /// [`FlowDirection::Forward`] if it already was canonical,
     /// [`FlowDirection::Reverse`] if the endpoints were swapped.
     pub fn canonical_with_direction(&self) -> (FlowKey, FlowDirection) {
-        if (self.dst, self.dst_port) < (self.src, self.src_port) {
+        let swap = match (self.src, self.dst) {
+            // Every packet of the IPv4 path asks: two integer compares,
+            // the same order `IpAddr`'s octet-wise `Ord` gives.
+            (IpAddr::V4(src), IpAddr::V4(dst)) => {
+                (u32::from(dst), self.dst_port) < (u32::from(src), self.src_port)
+            }
+            _ => (self.dst, self.dst_port) < (self.src, self.src_port),
+        };
+        if swap {
             (
                 FlowKey {
                     src: self.dst,
@@ -240,34 +272,25 @@ impl FlowKey {
     /// flow→queue placement decisions are reproducible — the property
     /// the sharded dataplane's differential tests rely on.
     pub fn rss_hash(&self) -> u64 {
-        const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-        const PRIME: u64 = 0x0000_0100_0000_01b3;
-        fn eat(mut h: u64, bytes: &[u8]) -> u64 {
-            for &b in bytes {
-                h ^= b as u64;
-                h = h.wrapping_mul(PRIME);
+        fn octets(ip: IpAddr) -> ([u8; 16], usize) {
+            match ip {
+                IpAddr::V4(a) => {
+                    let mut buf = [0u8; 16];
+                    buf[..4].copy_from_slice(&a.octets());
+                    (buf, 4)
+                }
+                IpAddr::V6(a) => (a.octets(), 16),
             }
-            h
         }
         let c = self.canonical();
-        let mut h = OFFSET;
-        h = match c.src {
-            IpAddr::V4(a) => eat(h, &a.octets()),
-            IpAddr::V6(a) => eat(h, &a.octets()),
-        };
-        h = match c.dst {
-            IpAddr::V4(a) => eat(h, &a.octets()),
-            IpAddr::V6(a) => eat(h, &a.octets()),
-        };
-        h = eat(h, &[c.protocol]);
-        h = eat(h, &c.src_port.to_be_bytes());
-        h = eat(h, &c.dst_port.to_be_bytes());
-        // fmix64 finaliser (murmur3): full avalanche into the low bits.
-        h ^= h >> 33;
-        h = h.wrapping_mul(0xff51_afd7_ed55_8ccd);
-        h ^= h >> 33;
-        h = h.wrapping_mul(0xc4ce_b9fe_1a85_ec53);
-        h ^ (h >> 33)
+        let (src, src_len) = octets(c.src);
+        let (dst, dst_len) = octets(c.dst);
+        tuple_hash(
+            &src[..src_len],
+            &dst[..dst_len],
+            c.protocol,
+            (c.src_port, c.dst_port),
+        )
     }
 
     /// The RSS bucket this flow hashes to (see
@@ -305,121 +328,263 @@ impl fmt::Display for FlowKey {
     }
 }
 
-struct FlowEntry<T> {
-    value: T,
-    last_seen_ns: u64,
+/// FNV-1a over an **already canonical** tuple encoding (source
+/// endpoint sorted first), finished with murmur3's fmix64 — the one
+/// hash behind [`FlowKey::rss_hash`] and [`ParsedFlow::hash`].
+fn tuple_hash(src: &[u8], dst: &[u8], protocol: u8, (src_port, dst_port): (u16, u16)) -> u64 {
+    const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+    const PRIME: u64 = 0x0000_0100_0000_01b3;
+    fn eat(mut h: u64, bytes: &[u8]) -> u64 {
+        for &b in bytes {
+            h ^= b as u64;
+            h = h.wrapping_mul(PRIME);
+        }
+        h
+    }
+    let mut h = eat(eat(OFFSET, src), dst);
+    h = eat(h, &[protocol]);
+    h = eat(h, &src_port.to_be_bytes());
+    h = eat(h, &dst_port.to_be_bytes());
+    // fmix64 finaliser (murmur3): full avalanche into the low bits.
+    h ^= h >> 33;
+    h = h.wrapping_mul(0xff51_afd7_ed55_8ccd);
+    h ^= h >> 33;
+    h = h.wrapping_mul(0xc4ce_b9fe_1a85_ec53);
+    h ^ (h >> 33)
 }
 
-/// A bounded, soft-state table of per-flow values.
+/// The parse-once record: one IPv4 frame's flow tuple **as on the
+/// wire**, its TCP flags, a fragment marker and the tuple's
+/// [`FlowKey::rss_hash`] — everything the stateful elements ask of a
+/// frame, produced by one [`Self::from_frame`] and carried in
+/// [`PacketMeta::flow`](crate::packet::PacketMeta::flow). See the
+/// [module docs](self) for who stamps, reads and maintains it.
 ///
-/// Entries expire `ttl_ns` after their last touch; when full, the
-/// least-recently-seen entry is evicted.
+/// IPv4 only, and 24 bytes: every [`Packet`] and every frame in a NIC
+/// ring carries one, so its size is resident memory on workloads that
+/// never look at it.
 ///
-/// # Examples
-///
-/// ```
-/// use netkit_packet::flow::{FlowKey, FlowTable};
-/// use std::net::IpAddr;
-///
-/// let table: FlowTable<u32> = FlowTable::new(2, 1_000);
-/// let key = FlowKey {
-///     src: "10.0.0.1".parse::<IpAddr>().unwrap(),
-///     dst: "10.0.0.2".parse::<IpAddr>().unwrap(),
-///     protocol: 17, src_port: 1, dst_port: 2,
-/// };
-/// table.insert(key, 7, 0);
-/// assert_eq!(table.get(&key, 500), Some(7));
-/// assert_eq!(table.get(&key, 5_000), None); // expired
-/// ```
-pub struct FlowTable<T> {
-    entries: Mutex<HashMap<FlowKey, FlowEntry<T>>>,
-    max_entries: usize,
-    ttl_ns: u64,
+/// Two records are equal when they describe the same frame: tuple,
+/// flags and fragment marker. The hash is a function of the tuple and
+/// takes no part (a rewritten record may not have recomputed it yet).
+#[derive(Clone, Copy, Debug)]
+pub struct ParsedFlow {
+    /// `key().rss_hash()`, valid while `hashed`.
+    hash: u64,
+    src: Ipv4Addr,
+    dst: Ipv4Addr,
+    src_port: u16,
+    dst_port: u16,
+    protocol: u8,
+    /// The TCP flags byte; meaningful only for unfragmented TCP.
+    tcp_flags: u8,
+    fragment: bool,
+    /// False after [`ParsedFlow::with_endpoint`] until someone asks
+    /// for the hash: the element behind a NAT is usually a counter.
+    hashed: bool,
 }
 
-impl<T: Clone> FlowTable<T> {
-    /// Creates a table bounded to `max_entries` with soft TTL `ttl_ns`.
-    pub fn new(max_entries: usize, ttl_ns: u64) -> Self {
-        Self {
-            entries: Mutex::new(HashMap::new()),
-            max_entries,
-            ttl_ns,
-        }
+impl PartialEq for ParsedFlow {
+    fn eq(&self, other: &Self) -> bool {
+        let parts = |f: &Self| {
+            (
+                f.src,
+                f.dst,
+                f.src_port,
+                f.dst_port,
+                f.protocol,
+                f.tcp_flags,
+                f.fragment,
+            )
+        };
+        parts(self) == parts(other)
     }
+}
 
-    /// Inserts or refreshes an entry at time `now_ns`, evicting the
-    /// least-recently-seen entry if the table is full.
-    pub fn insert(&self, key: FlowKey, value: T, now_ns: u64) {
-        let mut entries = self.entries.lock();
-        if entries.len() >= self.max_entries && !entries.contains_key(&key) {
-            if let Some(oldest) = entries
-                .iter()
-                .min_by_key(|(_, e)| e.last_seen_ns)
-                .map(|(k, _)| *k)
-            {
-                entries.remove(&oldest);
-            }
+impl Eq for ParsedFlow {}
+
+const _: () = assert!(std::mem::size_of::<Option<ParsedFlow>>() <= 32);
+
+/// Parses the IPv4 tuple out of the L3 bytes, hash not yet computed
+/// ([`ParsedFlow::from_frame`] does that; [`FlowKey::from_frame`] does
+/// not need it).
+fn parse_ipv4(l3: &[u8]) -> Option<ParsedFlow> {
+    note_parse();
+    let ip = Ipv4Header::parse(l3).ok()?;
+    let fragment = ip.more_fragments || ip.fragment_offset != 0;
+    let (src_port, dst_port, tcp_flags) = match ip.protocol {
+        _ if fragment => (0, 0, 0),
+        proto::UDP => {
+            let udp = UdpHeader::parse(l3.get(ip.header_len..)?).ok()?;
+            (udp.src_port, udp.dst_port, 0)
         }
-        entries.insert(
-            key,
-            FlowEntry {
-                value,
-                last_seen_ns: now_ns,
-            },
-        );
-    }
+        proto::TCP => {
+            let tcp = TcpHeader::parse(l3.get(ip.header_len..)?).ok()?;
+            (tcp.src_port, tcp.dst_port, tcp.flags.0)
+        }
+        _ => (0, 0, 0),
+    };
+    Some(ParsedFlow {
+        hash: 0,
+        src: ip.src,
+        dst: ip.dst,
+        src_port,
+        dst_port,
+        protocol: ip.protocol,
+        tcp_flags,
+        fragment,
+        hashed: false,
+    })
+}
 
-    /// Fetches the entry and refreshes its timestamp, honouring the TTL.
-    pub fn get(&self, key: &FlowKey, now_ns: u64) -> Option<T> {
-        let mut entries = self.entries.lock();
-        let entry = entries.get_mut(key)?;
-        if now_ns.saturating_sub(entry.last_seen_ns) > self.ttl_ns {
-            entries.remove(key);
+impl ParsedFlow {
+    /// Parses an Ethernet + IPv4 frame into its record — the one parse
+    /// of a frame's life. `None` for anything else (IPv6, ARP, a frame
+    /// whose headers do not verify).
+    pub fn from_frame(frame: &[u8]) -> Option<ParsedFlow> {
+        let eth = EthernetHeader::parse(frame).ok()?;
+        if eth.ethertype != EtherType::Ipv4 {
             return None;
         }
-        entry.last_seen_ns = now_ns;
-        Some(entry.value.clone())
+        parse_ipv4(frame.get(EthernetHeader::LEN..)?).map(ParsedFlow::rehashed)
     }
 
-    /// Fetches or creates the entry, returning the value.
-    pub fn get_or_insert_with(&self, key: FlowKey, now_ns: u64, make: impl FnOnce() -> T) -> T {
-        if let Some(v) = self.get(&key, now_ns) {
-            return v;
+    /// The packet's record: the stamped one, else a parse.
+    pub fn of(pkt: &Packet) -> Option<ParsedFlow> {
+        pkt.meta.flow.or_else(|| Self::from_frame(pkt.data()))
+    }
+
+    fn rehashed(mut self) -> ParsedFlow {
+        let src = (u32::from(self.src), self.src_port);
+        let dst = (u32::from(self.dst), self.dst_port);
+        // Same order as `FlowKey::canonical`.
+        let (lo, hi) = if dst < src { (dst, src) } else { (src, dst) };
+        self.hash = tuple_hash(
+            &lo.0.to_be_bytes(),
+            &hi.0.to_be_bytes(),
+            self.protocol,
+            (lo.1, hi.1),
+        );
+        self.hashed = true;
+        self
+    }
+
+    /// The tuple as a [`FlowKey`] (wire orientation, not canonical).
+    pub fn key(&self) -> FlowKey {
+        FlowKey {
+            src: IpAddr::V4(self.src),
+            dst: IpAddr::V4(self.dst),
+            protocol: self.protocol,
+            src_port: self.src_port,
+            dst_port: self.dst_port,
         }
-        let v = make();
-        self.insert(key, v.clone(), now_ns);
-        v
     }
 
-    /// Drops every entry older than the TTL; returns how many were
-    /// removed.
-    pub fn expire(&self, now_ns: u64) -> usize {
-        let mut entries = self.entries.lock();
-        let before = entries.len();
-        entries.retain(|_, e| now_ns.saturating_sub(e.last_seen_ns) <= self.ttl_ns);
-        before - entries.len()
+    /// `self.key().rss_hash()` — computed by the parse, so reading it
+    /// is free on every packet the rx path stamped and nobody rewrote.
+    pub fn hash(&self) -> u64 {
+        if self.hashed {
+            self.hash
+        } else {
+            self.rehashed().hash
+        }
     }
 
-    /// Live entry count.
-    pub fn len(&self) -> usize {
-        self.entries.lock().len()
+    /// Source address.
+    pub fn src(&self) -> Ipv4Addr {
+        self.src
     }
 
-    /// True if no flows are tracked.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
+    /// Destination address.
+    pub fn dst(&self) -> Ipv4Addr {
+        self.dst
+    }
+
+    /// Source port (0 when the protocol has none, or on a fragment).
+    pub fn src_port(&self) -> u16 {
+        self.src_port
+    }
+
+    /// Destination port (0 when the protocol has none, or on a
+    /// fragment).
+    pub fn dst_port(&self) -> u16 {
+        self.dst_port
+    }
+
+    /// The TCP flags of an unfragmented TCP segment.
+    pub fn tcp_flags(&self) -> Option<TcpFlags> {
+        (self.protocol == proto::TCP && !self.fragment).then_some(TcpFlags(self.tcp_flags))
+    }
+
+    /// True for any fragment of a fragmented datagram (more-fragments
+    /// set, or a non-zero offset): port-less, and left alone by the
+    /// elements that rewrite ports.
+    pub fn is_fragment(&self) -> bool {
+        self.fragment
+    }
+
+    /// True when the frame carries ports an L4 rewriter may touch:
+    /// unfragmented UDP or TCP.
+    pub fn has_ports(&self) -> bool {
+        !self.fragment && (self.protocol == proto::UDP || self.protocol == proto::TCP)
+    }
+
+    /// The record after one endpoint of the frame was rewritten to
+    /// `ip:port` — what a fresh parse of the rewritten frame yields.
+    /// The port applies only where the frame
+    /// [has ports](Self::has_ports) to rewrite. The 13-byte tuple is
+    /// rehashed by whoever next calls [`Self::hash`], not here.
+    /// `source` picks the endpoint: the source one, else the
+    /// destination.
+    pub fn with_endpoint(mut self, source: bool, ip: Ipv4Addr, port: u16) -> ParsedFlow {
+        let port = if self.has_ports() { Some(port) } else { None };
+        if source {
+            self.src = ip;
+            self.src_port = port.unwrap_or(self.src_port);
+        } else {
+            self.dst = ip;
+            self.dst_port = port.unwrap_or(self.dst_port);
+        }
+        self.hashed = false;
+        self
+    }
+
+    fn view(&self) -> FlowView {
+        FlowView {
+            key: self.key(),
+            hash: self.hash(),
+            tcp_flags: self.tcp_flags(),
+        }
     }
 }
 
-impl<T> fmt::Debug for FlowTable<T> {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "FlowTable({} entries, max {}, ttl {}ns)",
-            self.entries.lock().len(),
-            self.max_entries,
-            self.ttl_ns
-        )
+/// What a stateful element needs to know of a packet's flow, whatever
+/// the address family: the tuple, its table hash, the TCP flags.
+/// [`Self::of`] is the one way elements obtain it.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+pub struct FlowView {
+    /// The tuple as on the wire (not canonical).
+    pub key: FlowKey,
+    /// `key.rss_hash()` — the flow-table hash.
+    pub hash: u64,
+    /// TCP flags, for an unfragmented IPv4 TCP segment.
+    pub tcp_flags: Option<TcpFlags>,
+}
+
+impl FlowView {
+    /// The packet's flow: from the stamped [`ParsedFlow`] when there
+    /// is one (no parse), else from one parse of the frame — the
+    /// record parse for IPv4, the general [`FlowKey::from_frame`] for
+    /// everything else. `None` for frames with no flow identity.
+    pub fn of(pkt: &Packet) -> Option<FlowView> {
+        match ParsedFlow::of(pkt) {
+            Some(flow) => Some(flow.view()),
+            None => FlowKey::from_frame(pkt.data()).map(|key| FlowView {
+                key,
+                hash: key.rss_hash(),
+                tcp_flags: None,
+            }),
+        }
     }
 }
 
@@ -619,21 +784,6 @@ mod tests {
     }
 
     #[test]
-    fn legacy_rss_annotation_shims_onto_the_field() {
-        #[allow(deprecated)]
-        const KEY: &str = RSS_ANNOTATION;
-        let mut pkt = PacketBuilder::udp_v4("10.0.0.1", "10.0.0.2", 1234, 80).build();
-        // Old-style writers land on the new field…
-        pkt.meta.annotate("rss", 42);
-        assert_eq!(pkt.meta.rss_hash, Some(42));
-        // …and old-style readers see field writes.
-        pkt.meta.rss_hash = Some(43);
-        assert_eq!(pkt.meta.annotation(KEY), Some(43));
-        // The shimmed key never occupies a table slot.
-        assert!(pkt.meta.annotations().is_empty());
-    }
-
-    #[test]
     fn from_frame_agrees_with_from_packet() {
         let pkt = PacketBuilder::udp_v4("10.1.2.3", "10.4.5.6", 1111, 2222).build();
         assert_eq!(FlowKey::from_frame(pkt.data()), FlowKey::from_packet(&pkt));
@@ -643,50 +793,131 @@ mod tests {
         assert_eq!(FlowKey::from_frame(&[]), None);
     }
 
-    #[test]
-    fn lru_eviction_when_full() {
-        let table: FlowTable<u32> = FlowTable::new(2, u64::MAX);
-        table.insert(key(1), 1, 100);
-        table.insert(key(2), 2, 200);
-        table.insert(key(3), 3, 300); // evicts key(1)
-        assert_eq!(table.len(), 2);
-        assert_eq!(table.get(&key(1), 300), None);
-        assert_eq!(table.get(&key(2), 300), Some(2));
-        assert_eq!(table.get(&key(3), 300), Some(3));
+    /// One UDP datagram cut into three IPv4 fragments: the first
+    /// carries the UDP header, the others only payload bytes (chosen so
+    /// that, misread as ports, they differ per fragment).
+    fn fragments() -> [Packet; 3] {
+        let frag = |offset, more, fill: u8| {
+            PacketBuilder::udp_v4("10.0.0.1", "203.0.113.9", 5000, 53)
+                .fragment(offset, more)
+                .payload(&[fill; 24])
+                .build()
+        };
+        [
+            frag(0, true, 0xa1),
+            frag(4, true, 0xb2),
+            frag(7, false, 0xc3),
+        ]
     }
 
     #[test]
-    fn get_refreshes_recency() {
-        let table: FlowTable<u32> = FlowTable::new(2, u64::MAX);
-        table.insert(key(1), 1, 100);
-        table.insert(key(2), 2, 200);
-        table.get(&key(1), 500); // key(1) is now the most recent
-        table.insert(key(3), 3, 600); // evicts key(2)
-        assert!(table.get(&key(1), 600).is_some());
-        assert!(table.get(&key(2), 600).is_none());
+    fn fragments_of_one_datagram_are_port_less_and_share_hash_and_shard() {
+        let frags = fragments();
+        let keys: Vec<FlowKey> = frags
+            .iter()
+            .map(|p| FlowKey::from_packet(p).unwrap())
+            .collect();
+        for (pkt, key) in frags.iter().zip(&keys) {
+            assert_eq!((key.src_port, key.dst_port), (0, 0), "{key}");
+            assert_eq!(key.protocol, proto::UDP);
+            let flow = ParsedFlow::from_frame(pkt.data()).unwrap();
+            assert!(flow.is_fragment() && !flow.has_ports());
+            assert_eq!(flow.key(), *key);
+            assert_eq!(flow.hash(), key.rss_hash());
+        }
+        assert!(keys.iter().all(|k| *k == keys[0]));
+        for shards in [2usize, 3, 4, 8] {
+            let shard = shard_of(&frags[0], shards);
+            assert!(frags.iter().all(|p| shard_of(p, shards) == shard));
+        }
+        // The unfragmented datagram of the same endpoints keeps its
+        // ports: only fragments are port-less.
+        let whole = PacketBuilder::udp_v4("10.0.0.1", "203.0.113.9", 5000, 53).build();
+        let flow = ParsedFlow::from_frame(whole.data()).unwrap();
+        assert!(!flow.is_fragment() && flow.has_ports());
+        assert_eq!((flow.src_port(), flow.dst_port()), (5000, 53));
     }
 
     #[test]
-    fn soft_ttl_expiry() {
-        let table: FlowTable<u32> = FlowTable::new(8, 1_000);
-        table.insert(key(1), 1, 0);
-        table.insert(key(2), 2, 900);
-        assert_eq!(table.expire(1_500), 1, "key(1) aged out");
-        assert_eq!(table.len(), 1);
+    fn a_fragmented_tcp_segment_reports_no_flags() {
+        use crate::headers::TcpFlags;
+        let syn = PacketBuilder::tcp_v4("10.0.0.1", "10.9.9.9", 5000, 80).tcp_flags(TcpFlags::SYN);
+        let whole = ParsedFlow::from_frame(syn.clone().build().data()).unwrap();
+        assert_eq!(whole.tcp_flags(), Some(TcpFlags::SYN));
+        // The same segment as a first fragment: header present, unread.
+        let frag = ParsedFlow::from_frame(syn.fragment(0, true).build().data()).unwrap();
+        assert!(frag.is_fragment());
+        assert_eq!(frag.tcp_flags(), None);
+        assert_eq!((frag.src_port(), frag.dst_port()), (0, 0));
     }
 
     #[test]
-    fn get_or_insert_with_creates_once() {
-        let table: FlowTable<u32> = FlowTable::new(8, u64::MAX);
-        let mut made = 0;
-        let v1 = table.get_or_insert_with(key(1), 0, || {
-            made += 1;
-            42
-        });
-        let v2 = table.get_or_insert_with(key(1), 10, || {
-            made += 1;
-            7
-        });
-        assert_eq!((v1, v2, made), (42, 42, 1));
+    fn the_record_is_the_key_the_hash_and_the_flags_in_one_parse() {
+        use crate::headers::TcpFlags;
+        let pkt = PacketBuilder::tcp_v4("10.9.9.9", "10.0.0.1", 443, 50_000)
+            .tcp_flags(TcpFlags::SYN | TcpFlags::ACK)
+            .build();
+        let key = FlowKey::from_packet(&pkt).unwrap();
+        let flow = ParsedFlow::from_frame(pkt.data()).unwrap();
+        assert_eq!(flow.key(), key, "wire orientation, not canonical");
+        assert_eq!(flow.hash(), key.rss_hash());
+        assert_eq!(flow.tcp_flags(), Some(TcpFlags::SYN | TcpFlags::ACK));
+        assert_eq!(
+            flow.view(),
+            FlowView {
+                key,
+                hash: key.rss_hash(),
+                tcp_flags: flow.tcp_flags(),
+            }
+        );
+        // UDP carries no flags; IPv6 and non-IP frames carry no record
+        // but still have a view (or none at all).
+        let udp = PacketBuilder::udp_v4("10.0.0.1", "10.0.0.2", 1, 2).build();
+        assert_eq!(
+            ParsedFlow::from_frame(udp.data()).unwrap().tcp_flags(),
+            None
+        );
+        let v6 = PacketBuilder::udp_v6("2001:db8::1", "2001:db8::2", 1, 2).build();
+        assert_eq!(ParsedFlow::of(&v6), None);
+        let k6 = FlowKey::from_packet(&v6).unwrap();
+        assert_eq!(
+            FlowView::of(&v6).map(|v| (v.key, v.hash)),
+            Some((k6, k6.rss_hash()))
+        );
+        assert_eq!(FlowView::of(&Packet::from_slice(&[0u8; 14])), None);
+    }
+
+    #[test]
+    fn of_reads_the_stamp_and_with_endpoint_matches_a_fresh_parse() {
+        let mut pkt = PacketBuilder::udp_v4("10.0.0.1", "10.0.0.2", 1234, 80).build();
+        assert_eq!(pkt.meta.flow, None);
+        stamp_rss(&mut pkt);
+        let stamped = pkt.meta.flow.expect("stamp_rss stamps the record too");
+        assert_eq!(Some(stamped), ParsedFlow::from_frame(pkt.data()));
+        assert_eq!(pkt.meta.rss_hash, Some(stamped.hash()));
+        // `of` trusts the stamp: it does not look at the bytes.
+        let other = PacketBuilder::udp_v4("10.7.7.7", "10.0.0.2", 9, 80).build();
+        pkt.meta.flow = ParsedFlow::from_frame(other.data());
+        assert_eq!(ParsedFlow::of(&pkt), pkt.meta.flow);
+        // Patching an endpoint equals parsing the frame that has it.
+        let rewritten = PacketBuilder::udp_v4("192.0.2.1", "10.0.0.2", 61_000, 80).build();
+        let patched = stamped.with_endpoint(true, "192.0.2.1".parse().unwrap(), 61_000);
+        let fresh = ParsedFlow::from_frame(rewritten.data()).unwrap();
+        assert_eq!((patched, patched.hash()), (fresh, fresh.hash()));
+    }
+
+    #[cfg(debug_assertions)]
+    #[test]
+    fn the_parse_counter_counts_frame_parses_only() {
+        let mut pkt = PacketBuilder::udp_v4("10.0.0.1", "10.0.0.2", 1234, 80).build();
+        let before = parses_on_this_thread();
+        stamp_rss(&mut pkt);
+        assert_eq!(parses_on_this_thread(), before + 1);
+        // Every read of a stamped packet is free.
+        let _ = (ParsedFlow::of(&pkt), FlowView::of(&pkt), shard_of(&pkt, 4));
+        stamp_rss(&mut pkt);
+        assert_eq!(parses_on_this_thread(), before + 1);
+        let _ = FlowKey::from_packet(&pkt);
+        assert_eq!(parses_on_this_thread(), before + 2);
     }
 }

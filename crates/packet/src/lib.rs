@@ -13,7 +13,8 @@
 //!   update.
 //! * [`pool`] — the buffer-management CF engine (fixed-slab pools with
 //!   recycling and resources-meta-model accounting).
-//! * [`flow`] — 5-tuple flow keys and bounded soft-state flow tables.
+//! * [`flow`] — 5-tuple flow keys, the RSS hash, and the parse-once flow
+//!   record ([`flow::ParsedFlow`]) the rx path stamps into every packet.
 //! * [`steer`] — the bucketized RSS steering layer: the 256-entry
 //!   bucket → shard indirection table ([`steer::BucketMap`]) every
 //!   steering surface shares, and the per-bucket load meters

@@ -560,11 +560,7 @@ impl FlowSketch {
     /// unstamped), weight = frame length. Non-flow frames (no hash)
     /// are not recorded.
     pub fn record_packet(&self, pkt: &Packet) {
-        let hash = pkt
-            .meta
-            .rss_hash
-            .or_else(|| crate::flow::FlowKey::from_packet(pkt).map(|k| k.rss_hash()));
-        if let Some(h) = hash {
+        if let Some(h) = crate::flow::steering_hash(pkt) {
             self.record(h, pkt.len() as u64);
         }
     }

@@ -53,11 +53,7 @@ pub fn bucket_of(hash: u64) -> usize {
 /// flow identity (ARP, malformed frames) deterministically use
 /// bucket 0, so non-flow traffic migrates with bucket 0's assignment.
 pub fn bucket_of_packet(pkt: &Packet) -> usize {
-    let hash = pkt
-        .meta
-        .rss_hash
-        .or_else(|| crate::flow::FlowKey::from_packet(pkt).map(|k| k.rss_hash()));
-    match hash {
+    match crate::flow::steering_hash(pkt) {
         Some(h) => bucket_of(h),
         None => 0,
     }

@@ -353,7 +353,7 @@
 //!
 //! Stateful elements ([`crate::flow`]: `ConnTracker`, `Nat44`,
 //! `L4LoadBalancer`) are ordinary `IPacketPush` components — the batch
-//! contract above applies unchanged — plus four rules of their own:
+//! contract above applies unchanged — plus five rules of their own:
 //!
 //! * **Identity is canonical.** Per-flow state is keyed by
 //!   [`FlowKey::canonical`](netkit_packet::flow::FlowKey::canonical),
@@ -362,12 +362,22 @@
 //!   directions land on the same shard. Under the sharded runtime
 //!   each replica's table therefore has exactly one writer — elements
 //!   need no cross-shard coherence, ever.
+//! * **Read the flow, do not parse it.** The rx path parsed the frame
+//!   once and stamped the result into `PacketMeta::flow`; a stateful
+//!   element obtains tuple, TCP flags and table hash through
+//!   [`FlowView::of`](netkit_packet::flow::FlowView::of) (or
+//!   [`ParsedFlow::of`](netkit_packet::flow::ParsedFlow::of) when it
+//!   only serves IPv4), and an element that rewrites the tuple goes
+//!   through [`rewrite_ipv4_endpoint`](crate::flow::rewrite_ipv4_endpoint),
+//!   which keeps the record true. Contract: `netkit_packet::flow`.
 //! * **Pass-through with a sink mode.** An element tracks (or
 //!   rewrites) and forwards on its `out` receptacle; with `out`
 //!   unbound it accepts and drops — the tap deployment the doctest
-//!   below uses. Frames without a flow identity (non-IP, fragments)
-//!   pass through untracked and are counted, never dropped for
-//!   statefulness' sake.
+//!   below uses. Frames without a flow identity (non-IP) pass
+//!   through untracked and are counted, never dropped for
+//!   statefulness' sake; IPv4 fragments are port-less — tracked by
+//!   their 3-tuple, passed through by the elements that rewrite
+//!   ports.
 //! * **State is bounded, and eviction is observable.** Tables
 //!   allocate at construction and never grow
 //!   (`FlowTable::footprint_bytes` is a constant; `tests/flow_soak.rs`

@@ -10,7 +10,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use netkit_packet::batch::PacketBatch;
-use netkit_packet::flow::FlowKey;
+use netkit_packet::flow::FlowView;
 use netkit_packet::packet::Packet;
 use opencom::component::{Component, ComponentCore, Registrar};
 use opencom::error::{Error, Result};
@@ -83,7 +83,7 @@ impl IPacketPush for ClassifierEngine {
     fn push(&self, mut pkt: Packet) -> PushResult {
         let dscp = Self::dscp_of(&pkt);
         pkt.meta.dscp = Some(dscp);
-        let flow = FlowKey::from_packet(&pkt);
+        let flow = FlowView::of(&pkt).map(|v| v.key);
         let label: Option<String> = {
             let filters = self.filters.read();
             flow.as_ref().and_then(|f| {
@@ -133,7 +133,7 @@ impl IPacketPush for ClassifierEngine {
                 let pkt = &mut batch.packets_mut()[idx];
                 let dscp = Self::dscp_of(pkt);
                 pkt.meta.dscp = Some(dscp);
-                let flow = FlowKey::from_packet(pkt);
+                let flow = FlowView::of(pkt).map(|v| v.key);
                 let label = flow.as_ref().and_then(|f| {
                     filters
                         .iter()

@@ -5,8 +5,8 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use netkit_packet::batch::PacketBatch;
-use netkit_packet::flow::{FlowDirection, FlowKey};
-use netkit_packet::headers::{proto, EthernetHeader, Ipv4Header, TcpFlags, TcpHeader};
+use netkit_packet::flow::{FlowDirection, FlowKey, FlowView};
+use netkit_packet::headers::TcpFlags;
 use netkit_packet::packet::Packet;
 use opencom::component::{Component, ComponentCore, Registrar};
 use opencom::receptacle::Receptacle;
@@ -125,23 +125,6 @@ impl ConnInfo {
     }
 }
 
-/// Parses the TCP flags out of an Ethernet+IPv4+TCP frame, if that is
-/// what the frame is. Shared with [`Guard`](super::Guard)'s SYN arm.
-pub(super) fn tcp_flags(pkt: &Packet) -> Option<TcpFlags> {
-    let frame = pkt.data();
-    let eth = EthernetHeader::parse(frame).ok()?;
-    if eth.ethertype != netkit_packet::headers::EtherType::Ipv4 {
-        return None;
-    }
-    let l3 = frame.get(EthernetHeader::LEN..)?;
-    let ip = Ipv4Header::parse(l3).ok()?;
-    if ip.protocol != proto::TCP {
-        return None;
-    }
-    let tcp = TcpHeader::parse(l3.get(ip.header_len..)?).ok()?;
-    Some(tcp.flags)
-}
-
 /// Pass-through connection-tracking element.
 ///
 /// Tracks every UDP/TCP flow through a bounded per-shard
@@ -154,6 +137,9 @@ pub(super) fn tcp_flags(pkt: &Packet) -> Option<TcpFlags> {
 /// take `&self`; in the sharded dataplane the canonical RSS hash pins
 /// a flow's packets to one worker, so the lock is uncontended by
 /// construction (see the [module docs](super)).
+///
+/// Per packet the tracker reads the flow ([`FlowView::of`] — the
+/// record the rx path stamped, no parse) and probes its table once.
 pub struct ConnTracker {
     core: ComponentCore,
     out: Receptacle<dyn IPacketPush>,
@@ -172,6 +158,15 @@ pub struct ConnTracker {
     /// [`Self::sweep`] this many ticks after its last packet.
     /// `u64::MAX` disables.
     syn_timeout: u64,
+}
+
+/// Per-call tallies, flushed once per push or per batch
+/// ([`ConnTracker::flush_counts`]).
+#[derive(Default)]
+struct TrackCounts {
+    untracked: u64,
+    /// Net movement of the half-open gauge.
+    half_open: i64,
 }
 
 /// How far [`ConnTracker`] scans from the LRU end for a half-open
@@ -230,57 +225,62 @@ impl ConnTracker {
     /// Retires an evicted entry's contribution to the half-open gauge.
     fn retire_gauge(&self, corpse: &ConnInfo) {
         if corpse.is_half_open() {
-            // Saturating: gauge transitions and evictions are all
-            // under the table lock, so this never actually underflows.
+            self.add_half_open(-1);
+        }
+    }
+
+    /// Moves the half-open gauge by `delta`. Saturating: transitions
+    /// and evictions all happen under the table lock, so the gauge
+    /// never actually underflows.
+    fn add_half_open(&self, delta: i64) {
+        if delta != 0 {
             let _ = self
                 .half_open
                 .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |v| {
-                    Some(v.saturating_sub(1))
+                    Some(v.saturating_add_signed(delta))
                 });
         }
     }
 
-    fn track(&self, table: &mut FlowTable<ConnInfo>, pkt: &Packet) {
-        let Some(key) = FlowKey::from_packet(pkt) else {
-            self.untracked.fetch_add(1, Ordering::Relaxed);
+    /// Adds a call's local tallies to the shared counters — one atomic
+    /// per touched counter per push or per *batch*.
+    fn flush_counts(&self, counts: TrackCounts) {
+        if counts.untracked > 0 {
+            self.untracked
+                .fetch_add(counts.untracked, Ordering::Relaxed);
+        }
+        self.add_half_open(counts.half_open);
+    }
+
+    fn track(&self, table: &mut FlowTable<ConnInfo>, pkt: &Packet, counts: &mut TrackCounts) {
+        let Some(flow) = FlowView::of(pkt) else {
+            counts.untracked += 1;
             return;
         };
-        let (ckey, dir) = key.canonical_with_direction();
+        let (ckey, dir) = flow.key.canonical_with_direction();
         let now = self.clock.advance(pkt.meta.timestamp_ns);
-        let flags = tcp_flags(pkt);
         let bytes = pkt.len() as u64;
-        // Eviction pressure prefers half-open victims: when the table
-        // is full and this packet will insert, sacrifice a nearby
-        // half-open entry (bounded tail scan) before LRU takes an
-        // established connection — under a SYN flood the attack evicts
-        // itself, not the legitimate traffic.
-        if table.len() == table.capacity() && table.peek(&ckey).is_none() {
-            if let Some((_, corpse)) =
-                table.evict_where_bounded(HALF_OPEN_EVICT_SCAN, |info, _| info.is_half_open())
-            {
-                self.retire_gauge(&corpse);
-            }
-        }
-        let admission = table.get_or_insert_with(ckey, now, ConnInfo::default);
+        // One probe finds the entry or makes room for it. Eviction
+        // pressure prefers half-open victims: when the table is full
+        // and this packet inserts, a nearby half-open entry (bounded
+        // tail scan) goes before LRU takes an established connection —
+        // under a SYN flood the attack evicts itself, not the
+        // legitimate traffic.
+        let admission = table.get_or_insert_preferring(
+            flow.hash,
+            ckey,
+            now,
+            ConnInfo::default,
+            HALF_OPEN_EVICT_SCAN,
+            |info, _| info.is_half_open(),
+        );
         let was_half_open = !admission.created && admission.value.is_half_open();
-        admission.value.observe(dir, bytes, flags);
+        admission.value.observe(dir, bytes, flow.tcp_flags);
         let is_half_open = admission.value.is_half_open();
         if let Some((_, corpse)) = &admission.evicted {
-            self.retire_gauge(corpse);
+            counts.half_open -= i64::from(corpse.is_half_open());
         }
-        match (was_half_open, is_half_open) {
-            (false, true) => {
-                self.half_open.fetch_add(1, Ordering::Relaxed);
-            }
-            (true, false) => {
-                let _ = self
-                    .half_open
-                    .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |v| {
-                        Some(v.saturating_sub(1))
-                    });
-            }
-            _ => {}
-        }
+        counts.half_open += i64::from(is_half_open) - i64::from(was_half_open);
     }
 
     /// Tracked connection count.
@@ -296,7 +296,10 @@ impl ConnTracker {
     /// A tracked connection's state, looked up by either direction's
     /// tuple.
     pub fn info(&self, key: &FlowKey) -> Option<ConnInfo> {
-        self.table.lock().peek(&key.canonical()).copied()
+        self.table
+            .lock()
+            .peek(key.rss_hash(), &key.canonical())
+            .copied()
     }
 
     /// Lifetime table counters (insertions, evictions, hits, misses).
@@ -370,7 +373,9 @@ impl ConnTracker {
 
 impl IPacketPush for ConnTracker {
     fn push(&self, pkt: Packet) -> PushResult {
-        self.track(&mut self.table.lock(), &pkt);
+        let mut counts = TrackCounts::default();
+        self.track(&mut self.table.lock(), &pkt, &mut counts);
+        self.flush_counts(counts);
         match self.out.with_bound(|next| next.push(pkt)) {
             Some(result) => result,
             None => Ok(()), // sink mode
@@ -379,13 +384,15 @@ impl IPacketPush for ConnTracker {
 
     fn push_batch(&self, batch: PacketBatch) -> BatchResult {
         let n = batch.len();
+        let mut counts = TrackCounts::default();
         {
             // One lock for the whole burst.
             let mut table = self.table.lock();
             for pkt in &batch {
-                self.track(&mut table, pkt);
+                self.track(&mut table, pkt, &mut counts);
             }
         }
+        self.flush_counts(counts);
         match self.out.with_bound(|next| next.push_batch(batch)) {
             Some(result) => result,
             None => BatchResult::ok(n), // sink mode
@@ -421,6 +428,7 @@ impl fmt::Debug for ConnTracker {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use netkit_packet::headers::proto;
     use netkit_packet::packet::PacketBuilder;
 
     fn udp(src: &str, dst: &str, sport: u16, dport: u16) -> Packet {

@@ -37,7 +37,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use netkit_packet::batch::PacketBatch;
-use netkit_packet::flow::FlowKey;
+use netkit_packet::flow::{steering_hash, FlowView, ParsedFlow};
 use netkit_packet::packet::Packet;
 use netkit_packet::sketch::FlowSketch;
 use opencom::component::{Component, ComponentCore, Registrar};
@@ -47,7 +47,7 @@ use parking_lot::Mutex;
 use crate::api::{BatchResult, IPacketPush, PushError, PushResult, IPACKET_PUSH};
 use crate::elements::element_core;
 
-use super::conntrack::{tcp_flags, ConnTracker};
+use super::conntrack::ConnTracker;
 use super::table::{FlowClock, FlowTable};
 
 /// [`Guard`] policy knobs.
@@ -235,7 +235,7 @@ impl Guard {
         // Established traffic (and SYN+ACK replies) is untouched —
         // the flood pays, the handshakes that complete do not.
         if self.syn_armed() {
-            if let Some(flags) = tcp_flags(pkt) {
+            if let Some(flags) = ParsedFlow::of(pkt).and_then(|f| f.tcp_flags()) {
                 if flags.syn() && !flags.ack() {
                     let spent = self.syn_spent.fetch_add(1, Ordering::Relaxed);
                     if spent >= self.cfg.syn_budget {
@@ -245,11 +245,7 @@ impl Guard {
                 }
             }
         }
-        let hash = pkt
-            .meta
-            .rss_hash
-            .or_else(|| FlowKey::from_packet(pkt).map(|k| k.rss_hash()));
-        let Some(hash) = hash else {
+        let Some(hash) = steering_hash(pkt) else {
             // Non-flow frames (ARP, malformed) are not sketch-metered
             // and cannot be heavy: pass.
             counts.passed += 1;
@@ -263,8 +259,10 @@ impl Guard {
             counts.passed += 1;
             return Ok(());
         }
-        // Heavy flow: spend its per-window byte budget.
-        let Some(key) = FlowKey::from_packet(pkt) else {
+        // Heavy flow: spend its per-window byte budget, keyed by the
+        // flow itself (the sketch key above is the *steering* hash,
+        // which a driver may have chosen freely).
+        let Some(flow) = FlowView::of(pkt) else {
             // Hash-stamped but unparseable: cannot key a budget; pass.
             counts.passed += 1;
             return Ok(());
@@ -273,16 +271,17 @@ impl Guard {
         let window = self.window.load(Ordering::Relaxed);
         let bytes = pkt.len() as u64;
         let mut table = self.table.lock();
-        let admission =
-            table.get_or_insert_with(key.canonical(), now, || GuardFlow { spent: 0, window });
-        let flow = admission.value;
-        if flow.window != window {
+        let admission = table.get_or_insert_with(flow.hash, flow.key.canonical(), now, || {
+            GuardFlow { spent: 0, window }
+        });
+        let budget = admission.value;
+        if budget.window != window {
             // Stale stamp = budget refilled at the last retire.
-            flow.window = window;
-            flow.spent = 0;
+            budget.window = window;
+            budget.spent = 0;
         }
-        if flow.spent.saturating_add(bytes) <= self.cfg.window_budget {
-            flow.spent += bytes;
+        if budget.spent.saturating_add(bytes) <= self.cfg.window_budget {
+            budget.spent += bytes;
             counts.budgeted += 1;
             Ok(())
         } else {

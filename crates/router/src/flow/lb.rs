@@ -7,8 +7,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use netkit_packet::batch::PacketBatch;
-use netkit_packet::flow::FlowKey;
-use netkit_packet::headers::proto;
+use netkit_packet::flow::{FlowKey, ParsedFlow};
 use netkit_packet::packet::Packet;
 use opencom::component::{Component, ComponentCore, Registrar};
 use opencom::receptacle::Receptacle;
@@ -53,6 +52,15 @@ struct BackendSlot {
     draining: bool,
     packets: u64,
     flows: u64,
+}
+
+/// Per-call tallies, flushed once per push or per batch
+/// ([`L4LoadBalancer::flush_counts`]).
+#[derive(Default)]
+struct LbCounts {
+    balanced: u64,
+    returned: u64,
+    passthrough: u64,
 }
 
 struct LbInner {
@@ -203,31 +211,49 @@ impl L4LoadBalancer {
         )
     }
 
-    /// Balances one packet in place. `Ok(true)` = rewritten.
-    fn balance(&self, inner: &mut LbInner, pkt: &mut Packet) -> Result<bool, PushError> {
-        let Some(key) = FlowKey::from_packet(pkt) else {
-            return Ok(false);
-        };
-        let (IpAddr::V4(src4), IpAddr::V4(dst4)) = (key.src, key.dst) else {
-            return Ok(false);
-        };
-        if key.protocol != proto::UDP && key.protocol != proto::TCP {
-            return Ok(false);
+    /// Adds a call's local tallies to the lifetime counters — one
+    /// atomic add per touched counter per push or per *batch*.
+    fn flush_counts(&self, counts: LbCounts) {
+        for (counter, n) in [
+            (&self.balanced, counts.balanced),
+            (&self.returned, counts.returned),
+            (&self.passthrough, counts.passthrough),
+        ] {
+            if n > 0 {
+                counter.fetch_add(n, Ordering::Relaxed);
+            }
         }
+    }
+
+    /// Balances one packet in place, tallying the outcome into
+    /// `counts`. `Err` = dropped with that verdict.
+    fn balance(
+        &self,
+        inner: &mut LbInner,
+        pkt: &mut Packet,
+        counts: &mut LbCounts,
+    ) -> Result<(), PushError> {
+        // IPv4 with real ports only; fragments pass through like any
+        // other port-less frame.
+        let Some(flow) = ParsedFlow::of(pkt).filter(ParsedFlow::has_ports) else {
+            counts.passthrough += 1;
+            return Ok(());
+        };
         let now = self.clock.advance(pkt.meta.timestamp_ns);
-        if dst4 == self.vip && key.dst_port == self.vport {
+        let (key, hash) = (flow.key(), flow.hash());
+        let ckey = key.canonical();
+        if flow.dst() == self.vip && flow.dst_port() == self.vport {
             // Client → VIP: pick (or recall) a backend, DNAT to it.
-            let ckey = key.canonical();
-            let sticky = inner.table.get_mut(&ckey, now).copied();
+            let sticky = inner.table.get_mut(hash, &ckey, now).copied();
             let valid = sticky.filter(|id| inner.backend_pos(*id).is_some());
             let id = match valid {
                 Some(id) => id,
                 None => {
-                    let Some(id) = inner.pick(key.rss_hash()) else {
+                    let Some(id) = inner.pick(hash) else {
                         return Err(PushError::Veto("lb: no live backends".into()));
                     };
                     // Stick the client↔VIP flow…
-                    let adm = inner.table.get_or_insert_with(ckey, now, || id);
+                    let adm = inner.table.get_or_insert_with(hash, ckey, now, || id);
                     let was_new = adm.created;
                     *adm.value = id;
                     let evicted = adm.evicted;
@@ -250,7 +276,10 @@ impl L4LoadBalancer {
                         dst_port: bport,
                     }
                     .canonical();
-                    let adm = inner.table.get_or_insert_with(reply_key, now, || id);
+                    let adm =
+                        inner
+                            .table
+                            .get_or_insert_with(reply_key.rss_hash(), reply_key, now, || id);
                     *adm.value = id;
                     id
                 }
@@ -259,21 +288,23 @@ impl L4LoadBalancer {
             inner.backends[pos].packets += 1;
             let (bip, bport) = (inner.backends[pos].ip, inner.backends[pos].port);
             rewrite_ipv4_endpoint(pkt, RewriteSide::Dst, bip, bport);
-            self.balanced.fetch_add(1, Ordering::Relaxed);
-            return Ok(true);
+            counts.balanced += 1;
+            return Ok(());
         }
         // Backend → client reply: restore the VIP as the source.
-        let ckey = key.canonical();
-        if let Some(id) = inner.table.get_mut(&ckey, now).copied() {
+        if let Some(id) = inner.table.get_mut(hash, &ckey, now).copied() {
             if let Some(pos) = inner.backend_pos(id) {
-                if inner.backends[pos].ip == src4 && inner.backends[pos].port == key.src_port {
+                if inner.backends[pos].ip == flow.src()
+                    && inner.backends[pos].port == flow.src_port()
+                {
                     rewrite_ipv4_endpoint(pkt, RewriteSide::Src, self.vip, self.vport);
-                    self.returned.fetch_add(1, Ordering::Relaxed);
-                    return Ok(true);
+                    counts.returned += 1;
+                    return Ok(());
                 }
             }
         }
-        Ok(false)
+        counts.passthrough += 1;
+        Ok(())
     }
 
     fn forward_one(&self, pkt: Packet) -> PushResult {
@@ -286,37 +317,27 @@ impl L4LoadBalancer {
 
 impl IPacketPush for L4LoadBalancer {
     fn push(&self, mut pkt: Packet) -> PushResult {
-        let verdict = {
-            let mut inner = self.inner.lock();
-            self.balance(&mut inner, &mut pkt)
-        };
-        match verdict {
-            Ok(rewritten) => {
-                if !rewritten {
-                    self.passthrough.fetch_add(1, Ordering::Relaxed);
-                }
-                self.forward_one(pkt)
-            }
-            Err(e) => Err(e),
-        }
+        let mut counts = LbCounts::default();
+        let verdict = self.balance(&mut self.inner.lock(), &mut pkt, &mut counts);
+        self.flush_counts(counts);
+        verdict?;
+        self.forward_one(pkt)
     }
 
     fn push_batch(&self, batch: PacketBatch) -> BatchResult {
         let n = batch.len();
         let mut batch = batch;
         let mut failures: Vec<(usize, PushError)> = Vec::new();
+        let mut counts = LbCounts::default();
         {
             let mut inner = self.inner.lock();
             for (i, pkt) in batch.packets_mut().iter_mut().enumerate() {
-                match self.balance(&mut inner, pkt) {
-                    Ok(true) => {}
-                    Ok(false) => {
-                        self.passthrough.fetch_add(1, Ordering::Relaxed);
-                    }
-                    Err(e) => failures.push((i, e)),
+                if let Err(e) = self.balance(&mut inner, pkt, &mut counts) {
+                    failures.push((i, e));
                 }
             }
         }
+        self.flush_counts(counts);
         if failures.is_empty() {
             return match self.out.with_bound(|next| next.push_batch(batch)) {
                 Some(result) => result,
@@ -390,9 +411,10 @@ mod tests {
 
     fn backend_of(lb: &L4LoadBalancer, client: u16) -> Ipv4Addr {
         let mut pkt = to_vip(client);
-        let mut inner = lb.inner.lock();
-        assert!(lb.balance(&mut inner, &mut pkt).unwrap());
-        drop(inner);
+        let mut counts = LbCounts::default();
+        lb.balance(&mut lb.inner.lock(), &mut pkt, &mut counts)
+            .unwrap();
+        assert_eq!(counts.balanced, 1);
         match FlowKey::from_packet(&pkt).unwrap().dst {
             IpAddr::V4(ip) => ip,
             _ => unreachable!(),
@@ -415,9 +437,10 @@ mod tests {
         let lb = lb();
         let backend = backend_of(&lb, 7001);
         let mut reply = PacketBuilder::udp_v4(&backend.to_string(), "10.0.0.9", 8080, 7001).build();
-        let mut inner = lb.inner.lock();
-        assert!(lb.balance(&mut inner, &mut reply).unwrap());
-        drop(inner);
+        let mut counts = LbCounts::default();
+        lb.balance(&mut lb.inner.lock(), &mut reply, &mut counts)
+            .unwrap();
+        assert_eq!(counts.returned, 1);
         let key = FlowKey::from_packet(&reply).unwrap();
         assert_eq!(key.src.to_string(), VIP);
         assert_eq!(key.src_port, 80);

@@ -12,7 +12,9 @@
 //!   hashes the canonical (sorted-endpoint) tuple, so both directions
 //!   of a connection steer to one shard, and each shard's table is
 //!   touched by exactly one worker — no per-lookup synchronisation is
-//!   needed, the table is plain mutable state.
+//!   needed, the table is plain mutable state. Its index is probed
+//!   with that same hash, handed in by the caller — no element hashes
+//!   a key on the packet path (layout in the [`FlowTable`] docs).
 //! * [`ConnTracker`] — new / established / closing connection state
 //!   with per-direction packet and byte counters.
 //! * [`Nat44`] — source NAT with deterministic port-block allocation
@@ -24,6 +26,31 @@
 //!   lock-free sketch read admits benign flows untouched, flows past
 //!   the byte threshold spend a per-window budget, and a
 //!   [`ConnTracker`]-fed SYN defence arms under half-open pressure.
+//!
+//! # Parse once, probe once
+//!
+//! No element here parses a frame it was handed by the rx path. The
+//! NIC (or `stamp_rss` for software-built packets) parses each frame
+//! once into a [`ParsedFlow`](netkit_packet::flow::ParsedFlow) record
+//! — tuple as on the wire, TCP flags, fragment marker, and the
+//! tuple's `rss_hash` — carried in `PacketMeta::flow`. Elements read
+//! it through [`ParsedFlow::of`](netkit_packet::flow::ParsedFlow::of)
+//! (NAT, load balancer: IPv4 only) or
+//! [`FlowView::of`](netkit_packet::flow::FlowView::of) (guard,
+//! conntrack, classifier: any family), which fall back to one parse
+//! only for a packet nobody stamped. [`rewrite_ipv4_endpoint`] patches
+//! the record when it rewrites the tuple, so the element after a NAT
+//! reads the translated tuple, again without parsing. The table hash
+//! is always the record's (or `FlowKey::rss_hash` of a key built
+//! here), never `PacketMeta::rss_hash`: that one is a steering
+//! decision and may be anything a driver chose.
+//!
+//! Each element then probes its table **once** per packet on the hit
+//! path, and adds to its shared counters once per batch.
+//!
+//! IPv4 **fragments** are port-less (all fragments of a datagram share
+//! one 3-tuple key, hash and shard): conntrack and the guard track
+//! them as such, NAT and the load balancer pass them through.
 //!
 //! # State across rebalances
 //!

@@ -6,8 +6,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use netkit_packet::batch::PacketBatch;
-use netkit_packet::flow::FlowKey;
-use netkit_packet::headers::proto;
+use netkit_packet::flow::{FlowKey, ParsedFlow};
 use netkit_packet::packet::Packet;
 use opencom::component::{Component, ComponentCore, Registrar};
 use opencom::receptacle::Receptacle;
@@ -16,7 +15,6 @@ use parking_lot::Mutex;
 use crate::api::{BatchResult, IPacketPush, PushError, PushResult, IPACKET_PUSH};
 use crate::elements::element_core;
 
-use super::conntrack::tcp_flags;
 use super::rewrite::{rewrite_ipv4_endpoint, RewriteSide};
 use super::table::{FlowClock, FlowTable};
 
@@ -105,7 +103,9 @@ impl NatInner {
             }
             NatEntry::Reverse { pair, .. } => pair,
         };
-        if let Some(NatEntry::Forward { ext_port, .. }) = self.table.remove(&pair_key) {
+        if let Some(NatEntry::Forward { ext_port, .. }) =
+            self.table.remove(pair_key.rss_hash(), &pair_key)
+        {
             self.release(cfg, ext_port);
         }
     }
@@ -160,6 +160,13 @@ impl NatInner {
 /// with no binding. Non-IPv4 and port-less frames pass through
 /// untouched.
 ///
+/// Per packet the NAT reads the stamped flow record
+/// ([`ParsedFlow::of`] — no parse) and an outbound hit costs one table
+/// probe; the rewrite keeps the record true for whatever runs next.
+/// IPv4 fragments pass through untouched (counted `passthrough`): only
+/// a first fragment carries ports at all, and translating some
+/// fragments of a datagram but not others would break reassembly.
+///
 /// Bindings are reclaimed three ways: LRU pressure in the bounded
 /// table (eviction unlinks the pair and frees the port), an observed
 /// TCP RST in either direction (immediate teardown — the connection is
@@ -183,6 +190,7 @@ pub struct Nat44 {
     cfg: Nat44Config,
     inner: Mutex<NatInner>,
     clock: FlowClock,
+    // Lifetime counters, fed from per-call `Nat44Stats` tallies.
     translated_out: AtomicU64,
     translated_in: AtomicU64,
     passthrough: AtomicU64,
@@ -241,7 +249,7 @@ impl Nat44 {
     /// bound to, if any.
     pub fn binding(&self, key: &FlowKey) -> Option<u16> {
         let inner = self.inner.lock();
-        match inner.table.peek(&key.canonical()) {
+        match inner.table.peek(key.rss_hash(), &key.canonical()) {
             Some(NatEntry::Forward { ext_port, .. }) => Some(*ext_port),
             _ => None,
         }
@@ -267,68 +275,77 @@ impl Nat44 {
         before - inner.used_count
     }
 
-    /// Translates one packet in place. `Ok(true)` = translated,
-    /// `Ok(false)` = passed through untouched.
-    fn translate(&self, inner: &mut NatInner, pkt: &mut Packet) -> Result<bool, PushError> {
-        let Some(key) = FlowKey::from_packet(pkt) else {
-            return Ok(false);
-        };
-        // Only IPv4 traffic with real ports is translated.
-        let (IpAddr::V4(_src4), IpAddr::V4(dst4)) = (key.src, key.dst) else {
-            return Ok(false);
-        };
-        if key.protocol != proto::UDP && key.protocol != proto::TCP {
-            return Ok(false);
+    /// Adds a call's local tallies to the lifetime counters — one
+    /// atomic add per touched counter per push or per *batch*.
+    fn flush_counts(&self, counts: Nat44Stats) {
+        for (counter, n) in [
+            (&self.translated_out, counts.translated_out),
+            (&self.translated_in, counts.translated_in),
+            (&self.passthrough, counts.passthrough),
+            (&self.exhausted, counts.exhausted),
+            (&self.unbound, counts.unbound),
+        ] {
+            if n > 0 {
+                counter.fetch_add(n, Ordering::Relaxed);
+            }
         }
+    }
+
+    /// Translates one packet in place, tallying the outcome into
+    /// `counts`. `Err` = dropped with that verdict.
+    fn translate(
+        &self,
+        inner: &mut NatInner,
+        pkt: &mut Packet,
+        counts: &mut Nat44Stats,
+    ) -> Result<(), PushError> {
+        // Only IPv4 traffic with real ports is translated.
+        let Some(flow) = ParsedFlow::of(pkt).filter(ParsedFlow::has_ports) else {
+            counts.passthrough += 1;
+            return Ok(());
+        };
         let now = self.clock.advance(pkt.meta.timestamp_ns);
         // An RST in either direction kills the connection: translate
         // the packet (the peer still needs to see it), then tear the
         // binding down and return the port to the pool immediately.
-        let rst = key.protocol == proto::TCP && tcp_flags(pkt).is_some_and(|f| f.rst());
-        if dst4 == self.cfg.external_ip {
+        let rst = flow.tcp_flags().is_some_and(|f| f.rst());
+        let (key, hash) = (flow.key(), flow.hash());
+        let ckey = key.canonical();
+        if flow.dst() == self.cfg.external_ip {
             // Inbound: restore the inside endpoint from the binding.
-            let ckey = key.canonical();
-            let entry = inner.table.get_mut(&ckey, now).copied();
+            let entry = inner.table.get_mut(hash, &ckey, now).copied();
             let Some(NatEntry::Reverse {
                 inside_ip,
                 inside_port,
                 pair,
             }) = entry
             else {
-                self.unbound.fetch_add(1, Ordering::Relaxed);
+                counts.unbound += 1;
                 return Err(PushError::Veto("nat44: no binding".into()));
             };
             // Keep the pair's lifetimes coupled.
-            inner.table.get_mut(&pair, now);
+            inner.table.get_mut(pair.rss_hash(), &pair, now);
             rewrite_ipv4_endpoint(pkt, RewriteSide::Dst, inside_ip, inside_port);
-            self.translated_in.fetch_add(1, Ordering::Relaxed);
+            counts.translated_in += 1;
             if rst {
-                if let Some(e) = inner.table.remove(&ckey) {
+                if let Some(e) = inner.table.remove(hash, &ckey) {
                     inner.unlink(&self.cfg, e);
                 }
             }
-            return Ok(true);
+            return Ok(());
         }
-        // Outbound: find or create the binding.
-        let ckey = key.canonical();
-        let existing = match inner.table.get_mut(&ckey, now).copied() {
-            Some(NatEntry::Forward { ext_port, .. }) => Some(ext_port),
+        // Outbound: find or create the binding — one probe on a hit.
+        let ext_port = match inner.table.get_mut(hash, &ckey, now).copied() {
+            Some(NatEntry::Forward { ext_port, .. }) => ext_port,
             Some(NatEntry::Reverse { .. }) => {
                 // Tuple collision with an outside key — treat as
                 // unservable rather than corrupt the binding.
                 return Err(PushError::Veto("nat44: tuple collision".into()));
             }
-            None => None,
-        };
-        let ext_port = match existing {
-            Some(p) => p,
             None => {
-                let Some(ext_port) = inner.alloc(&self.cfg, key.rss_hash()) else {
-                    self.exhausted.fetch_add(1, Ordering::Relaxed);
+                let Some(ext_port) = inner.alloc(&self.cfg, hash) else {
+                    counts.exhausted += 1;
                     return Err(PushError::Exhausted("nat44 external-port pool"));
-                };
-                let IpAddr::V4(src4) = key.src else {
-                    unreachable!("checked above")
                 };
                 // The outside flow as the remote peer will send it:
                 // remote endpoint -> external_ip:ext_port.
@@ -342,18 +359,21 @@ impl Nat44 {
                 .canonical();
                 let fwd = inner
                     .table
-                    .get_or_insert_with(ckey, now, || NatEntry::Forward {
+                    .get_or_insert_with(hash, ckey, now, || NatEntry::Forward {
                         ext_port,
                         pair: reverse_key,
                     });
                 let fwd_evicted = fwd.evicted;
-                let rev = inner
-                    .table
-                    .get_or_insert_with(reverse_key, now, || NatEntry::Reverse {
-                        inside_ip: src4,
-                        inside_port: key.src_port,
+                let rev = inner.table.get_or_insert_with(
+                    reverse_key.rss_hash(),
+                    reverse_key,
+                    now,
+                    || NatEntry::Reverse {
+                        inside_ip: flow.src(),
+                        inside_port: flow.src_port(),
                         pair: ckey,
-                    });
+                    },
+                );
                 let rev_evicted = rev.evicted;
                 for (_, corpse) in fwd_evicted.into_iter().chain(rev_evicted) {
                     inner.unlink(&self.cfg, corpse);
@@ -362,13 +382,13 @@ impl Nat44 {
             }
         };
         rewrite_ipv4_endpoint(pkt, RewriteSide::Src, self.cfg.external_ip, ext_port);
-        self.translated_out.fetch_add(1, Ordering::Relaxed);
+        counts.translated_out += 1;
         if rst {
-            if let Some(e) = inner.table.remove(&ckey) {
+            if let Some(e) = inner.table.remove(hash, &ckey) {
                 inner.unlink(&self.cfg, e);
             }
         }
-        Ok(true)
+        Ok(())
     }
 
     fn forward_one(&self, pkt: Packet) -> PushResult {
@@ -381,38 +401,28 @@ impl Nat44 {
 
 impl IPacketPush for Nat44 {
     fn push(&self, mut pkt: Packet) -> PushResult {
-        let verdict = {
-            let mut inner = self.inner.lock();
-            self.translate(&mut inner, &mut pkt)
-        };
-        match verdict {
-            Ok(translated) => {
-                if !translated {
-                    self.passthrough.fetch_add(1, Ordering::Relaxed);
-                }
-                self.forward_one(pkt)
-            }
-            Err(e) => Err(e),
-        }
+        let mut counts = Nat44Stats::default();
+        let verdict = self.translate(&mut self.inner.lock(), &mut pkt, &mut counts);
+        self.flush_counts(counts);
+        verdict?;
+        self.forward_one(pkt)
     }
 
     fn push_batch(&self, batch: PacketBatch) -> BatchResult {
         let n = batch.len();
         let mut batch = batch;
         let mut failures: Vec<(usize, PushError)> = Vec::new();
+        let mut counts = Nat44Stats::default();
         {
             // One lock for the whole burst.
             let mut inner = self.inner.lock();
             for (i, pkt) in batch.packets_mut().iter_mut().enumerate() {
-                match self.translate(&mut inner, pkt) {
-                    Ok(true) => {}
-                    Ok(false) => {
-                        self.passthrough.fetch_add(1, Ordering::Relaxed);
-                    }
-                    Err(e) => failures.push((i, e)),
+                if let Err(e) = self.translate(&mut inner, pkt, &mut counts) {
+                    failures.push((i, e));
                 }
             }
         }
+        self.flush_counts(counts);
         if failures.is_empty() {
             // Hot path: the whole (rewritten-in-place) batch moves on.
             return match self.out.with_bound(|next| next.push_batch(batch)) {

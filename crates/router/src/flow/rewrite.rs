@@ -7,6 +7,13 @@
 //! unset UDP checksum (zero) stays unset. Zero means "unset" on UDP
 //! only, and only as the sender wrote the field: on TCP it is a sum
 //! like any other.
+//!
+//! The rewrite is also the one place that changes a stamped packet's
+//! tuple, so it keeps the parse-once record
+//! ([`PacketMeta::flow`](netkit_packet::packet::PacketMeta::flow))
+//! true: the record is patched with the new endpoint (its hash is
+//! recomputed by the next reader that wants it), so the next element
+//! still reads instead of parsing.
 
 use std::net::Ipv4Addr;
 
@@ -48,7 +55,12 @@ fn patched_checksum(cur: u16, words: &[(u16, u16)]) -> u16 {
 /// Rewrites one endpoint (address and, for UDP/TCP, port) of an
 /// Ethernet + IPv4 frame in place, patching the IPv4 and L4 checksums
 /// incrementally. Clears the packet's stamped RSS hash — the tuple
-/// changed, so any prior steering decision is stale.
+/// changed, so any prior steering decision is stale — and patches the
+/// stamped flow record, if any, to what a fresh parse would now find.
+///
+/// A non-first IPv4 fragment (fragment offset ≠ 0) has no L4 header:
+/// only its address is rewritten, its payload bytes are never read as
+/// a port or a checksum.
 ///
 /// Returns `false` (frame untouched) if the frame is not IPv4 or is
 /// too short for its own headers.
@@ -87,10 +99,12 @@ pub fn rewrite_ipv4_endpoint(
         patched_checksum(rd16(frame, ip_ck), &addr_words),
     );
 
-    // L4: port + pseudo-header address words feed the L4 checksum.
+    // L4: port + pseudo-header address words feed the L4 checksum —
+    // where there is an L4 header, i.e. not past the first fragment.
+    let first = rd16(frame, ETH_LEN + 6) & 0x1fff == 0;
     let l4_ck = match protocol {
-        proto::UDP if frame.len() >= l4 + 8 => Some(l4 + 6),
-        proto::TCP if frame.len() >= l4 + 20 => Some(l4 + 16),
+        proto::UDP if first && frame.len() >= l4 + 8 => Some(l4 + 6),
+        proto::TCP if first && frame.len() >= l4 + 20 => Some(l4 + 16),
         _ => None,
     };
     if let Some(ck) = l4_ck {
@@ -111,6 +125,9 @@ pub fn rewrite_ipv4_endpoint(
         }
     }
     pkt.meta.rss_hash = None;
+    if let Some(flow) = pkt.meta.flow {
+        pkt.meta.flow = Some(flow.with_endpoint(side == RewriteSide::Src, new_ip, new_port));
+    }
     true
 }
 
@@ -118,7 +135,7 @@ pub fn rewrite_ipv4_endpoint(
 mod tests {
     use super::*;
     use netkit_packet::checksum::{sum_words, verify};
-    use netkit_packet::flow::FlowKey;
+    use netkit_packet::flow::{FlowKey, ParsedFlow};
     use netkit_packet::headers::Ipv4Header;
     use netkit_packet::packet::PacketBuilder;
 
@@ -132,9 +149,12 @@ mod tests {
             "192.0.2.1".parse().unwrap(),
             61_000,
         ));
-        // Stamp cleared: the tuple changed.
+        // Steering stamp cleared: the tuple changed.
         assert_eq!(pkt.meta.rss_hash, None);
         let key = FlowKey::from_packet(&pkt).expect("still parses (checksum valid)");
+        // The flow record is patched, not dropped.
+        let record = pkt.meta.flow.expect("record kept");
+        assert_eq!((record.key(), record.hash()), (key, key.rss_hash()));
         assert_eq!(key.src.to_string(), "192.0.2.1");
         assert_eq!(key.src_port, 61_000);
         assert_eq!(key.dst.to_string(), "10.9.9.9");
@@ -275,7 +295,76 @@ mod tests {
                 prop_assert!(verify(&frame[ETH_LEN..L4]), "ipv4 header checksum");
                 prop_assert_eq!(rd16(frame, l4_checksum_offset(frame)), full_l4_checksum(frame));
             }
+
+            /// The carried record after a rewrite ≡ a fresh parse of
+            /// the rewritten frame: any protocol, fragments included,
+            /// either side, twice in a row (NAT then load balancer).
+            #[test]
+            fn the_record_follows_the_rewrite(
+                protocol in prop_oneof![Just(proto::TCP), Just(proto::UDP), Just(1u8)],
+                fragment in prop_oneof![3 => Just((0u16, false)), 1 => (0u16..32, any::<bool>())],
+                old in (any::<u32>(), any::<u32>(), any::<u16>(), any::<u16>()),
+                first in (any::<bool>(), any::<u32>(), any::<u16>()),
+                second in (any::<bool>(), any::<u32>(), any::<u16>()),
+            ) {
+                let (src, dst, sport, dport) = old;
+                let (src, dst) = (Ipv4Addr::from(src).to_string(), Ipv4Addr::from(dst).to_string());
+                let builder = if protocol == proto::TCP {
+                    PacketBuilder::tcp_v4(&src, &dst, sport, dport)
+                } else {
+                    PacketBuilder::udp_v4(&src, &dst, sport, dport)
+                };
+                let mut pkt = builder
+                    .fragment(fragment.0, fragment.1)
+                    .payload_len(24)
+                    .build();
+                if protocol == 1 {
+                    // ICMP: same bytes, another protocol number.
+                    let l3 = pkt.l3_mut();
+                    l3[9] = 1;
+                    l3[10..12].fill(0);
+                    let ck = netkit_packet::checksum::internet_checksum(&l3[..20]);
+                    l3[10..12].copy_from_slice(&ck.to_be_bytes());
+                }
+                netkit_packet::flow::stamp_rss(&mut pkt);
+                prop_assert!(pkt.meta.flow.is_some());
+                for (src_side, ip, port) in [first, second] {
+                    let side = if src_side { RewriteSide::Src } else { RewriteSide::Dst };
+                    prop_assert!(rewrite_ipv4_endpoint(&mut pkt, side, Ipv4Addr::from(ip), port));
+                    let fresh = ParsedFlow::from_frame(pkt.data());
+                    prop_assert!(fresh.is_some(), "a rewritten frame still parses");
+                    prop_assert_eq!(pkt.meta.flow, fresh);
+                    prop_assert_eq!(pkt.meta.flow.map(|f| f.hash()), fresh.map(|f| f.hash()));
+                    prop_assert_eq!(pkt.meta.rss_hash, None);
+                }
+            }
         }
+    }
+
+    #[test]
+    fn a_non_first_fragment_keeps_its_payload_bytes() {
+        // Regression: the bytes after the IP header of a middle
+        // fragment were read as a UDP header — "port" and "checksum"
+        // overwritten in what is really payload.
+        let mut frag = PacketBuilder::udp_v4("10.0.0.1", "10.9.9.9", 5000, 53)
+            .fragment(4, true)
+            .payload(&[0xb2; 24])
+            .build();
+        netkit_packet::flow::stamp_rss(&mut frag);
+        let before = frag.data().to_vec();
+        assert!(rewrite_ipv4_endpoint(
+            &mut frag,
+            RewriteSide::Src,
+            "192.0.2.1".parse().unwrap(),
+            61_000,
+        ));
+        let after = frag.data();
+        assert_eq!(after[L4..], before[L4..], "payload untouched");
+        assert_eq!(after[ETH_LEN + 12..ETH_LEN + 16], [192, 0, 2, 1]);
+        assert!(verify(&after[ETH_LEN..L4]));
+        // The record follows the address and stays port-less.
+        assert_eq!(frag.meta.flow, ParsedFlow::from_frame(frag.data()));
+        assert_eq!(frag.meta.flow.unwrap().src_port(), 0);
     }
 
     #[test]

@@ -1,15 +1,33 @@
-//! The per-shard flow table: bounded capacity, O(1) LRU, slab-backed.
+//! The per-shard flow table: bounded capacity, O(1) LRU, slab-backed,
+//! indexed by a hash the caller already has.
 //!
-//! Unlike the legacy shared
-//! [`netkit_packet::flow::FlowTable`] (mutex + O(n) eviction scan),
-//! this table is built for the single-writer per-shard deployment: all
+//! The table is built for the single-writer per-shard deployment: all
 //! methods take `&mut self`, eviction is O(1) via an intrusive LRU
 //! list, and **no allocation happens after construction** — the slab,
 //! free list, and index are all sized for `capacity` up front, which
 //! is what lets a million distinct flows stream through a bounded
 //! table with zero steady-state allocation growth.
+//!
+//! # The index
+//!
+//! Lookups take the flow's precomputed 64-bit hash
+//! ([`ParsedFlow::hash`](netkit_packet::flow::ParsedFlow::hash) ≡
+//! [`FlowKey::rss_hash`], computed once by the rx parse) next to the
+//! key, so a probe hashes nothing. The index is one open-addressed
+//! `Vec<u64>`, a power of two of at least `2 × capacity` buckets
+//! (load ≤ ½), each bucket `(tag << 32) | (slot + 1)` (zero: empty):
+//! the hash's low bits pick the home bucket, its high 32 bits are the
+//! tag, `slot` names the slab entry. A probe walks linearly from home, compares tags,
+//! and only on a tag hit compares the full key in the slab. Deletion
+//! shifts the rest of the cluster back one bucket (slots remember
+//! their hash, so each follower's home is known), so there are no
+//! tombstones and nothing ever needs rehashing.
+//!
+//! The hash is not keyed: a sender who crafts tuples that collide in
+//! the low bits can lengthen one cluster (bounded by the table's
+//! capacity; the tag still spares the key compares). The table trades
+//! that for not hashing 40 bytes twice per packet per element.
 
-use std::collections::HashMap;
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -58,8 +76,26 @@ impl FlowClock {
     }
 }
 
+/// An empty index bucket. Zero, so the index is allocated zeroed: the
+/// allocator hands out untouched pages and construction writes none of
+/// them.
+const EMPTY: u64 = 0;
+
+/// The index bucket for `slot` under `hash`: the tag in the high half,
+/// `slot + 1` in the low half (never [`EMPTY`]).
+fn bucket(hash: u64, slot: u32) -> u64 {
+    (hash & !(u32::MAX as u64)) | (slot as u64 + 1)
+}
+
+/// The slot an occupied index bucket names.
+fn slot_of(bucket: u64) -> u32 {
+    bucket as u32 - 1
+}
+
 struct Slot<T> {
     key: FlowKey,
+    /// The hash the entry was inserted under (its home bucket and tag).
+    hash: u64,
     value: T,
     last_seen: u64,
     generation: u64,
@@ -104,7 +140,11 @@ pub struct Admission<'a, T> {
 /// [canonical](netkit_packet::flow::FlowKey::canonical) so both
 /// directions of a connection share one entry; the table itself does
 /// not canonicalise (elements do, because they also need the
-/// direction).
+/// direction). Every keyed method takes the key's hash as well: any
+/// function of the key will do as long as one key always comes with
+/// one hash — elements pass the flow's
+/// [`rss_hash`](netkit_packet::flow::FlowKey::rss_hash), which is the
+/// same for both orientations and already computed by the rx parse.
 ///
 /// # Single-writer contract
 ///
@@ -118,10 +158,22 @@ pub struct Admission<'a, T> {
 ///
 /// All storage — slot slab, free list, hash index — is allocated at
 /// construction for `capacity` entries and never grows or shrinks:
-/// [`footprint_bytes`](Self::footprint_bytes) is a constant. When the
-/// table is full, inserting evicts the least-recently-used entry.
+/// [`footprint_bytes`](Self::footprint_bytes) is the constant
+///
+/// ```text
+/// size_of::<Self>() + capacity × (size_of::<Option<Slot<T>>>() + 4) + buckets × 8
+/// ```
+///
+/// where `buckets` is the next power of two at or above
+/// `2 × capacity` (the index: 8 bytes a bucket, so 16–32 bytes per
+/// entry of capacity). When the table is full, inserting evicts the
+/// least-recently-used entry.
 pub struct FlowTable<T> {
-    index: HashMap<FlowKey, u32>,
+    /// Open-addressed index: [`EMPTY`] or [`bucket`]`(hash, slot)`.
+    index: Vec<u64>,
+    /// `index.len() - 1` (the length is a power of two).
+    mask: usize,
+    len: usize,
     slots: Vec<Option<Slot<T>>>,
     free: Vec<u32>,
     /// Most-recently-used slot.
@@ -131,12 +183,6 @@ pub struct FlowTable<T> {
     idle_timeout: u64,
     generation: u64,
     stats: FlowTableStats,
-    /// The index's construction-time capacity. `HashMap::capacity()`
-    /// reports `items + growth_left`, which dips as delete tombstones
-    /// eat headroom and recovers on in-place rehash — the allocation
-    /// itself never moves. Footprint accounting uses this stable
-    /// figure instead.
-    index_reserve: usize,
 }
 
 impl<T> FlowTable<T> {
@@ -147,14 +193,12 @@ impl<T> FlowTable<T> {
         let capacity = capacity.clamp(1, (u32::MAX - 1) as usize);
         let mut slots = Vec::with_capacity(capacity);
         slots.resize_with(capacity, || None);
-        // 2× headroom keeps the live count at or below half the
-        // map's growth limit, so delete churn is absorbed by
-        // in-place rehashing (tombstone cleanup) instead of a
-        // capacity doubling — the index never reallocates.
-        let index: HashMap<FlowKey, u32> = HashMap::with_capacity(capacity * 2);
-        let index_reserve = index.capacity();
+        // Load ≤ ½: probes stay short and always meet an empty bucket.
+        let buckets = (capacity * 2).next_power_of_two();
         Self {
-            index,
+            index: vec![EMPTY; buckets],
+            mask: buckets - 1,
+            len: 0,
             slots,
             free: (0..capacity as u32).rev().collect(),
             head: NIL,
@@ -162,18 +206,17 @@ impl<T> FlowTable<T> {
             idle_timeout,
             generation: 0,
             stats: FlowTableStats::default(),
-            index_reserve,
         }
     }
 
     /// Live entry count.
     pub fn len(&self) -> usize {
-        self.index.len()
+        self.len
     }
 
     /// True if no flows are tracked.
     pub fn is_empty(&self) -> bool {
-        self.index.is_empty()
+        self.len == 0
     }
 
     /// Maximum entry count.
@@ -201,18 +244,65 @@ impl<T> FlowTable<T> {
         self.stats
     }
 
-    /// The constant memory footprint in bytes.
-    ///
-    /// The index term is the construction-time reserve (see
-    /// `index_reserve`), taken `max` against the live capacity so a
-    /// reallocation — which the 2× headroom is designed to rule out —
-    /// would still show up as growth.
+    /// The constant memory footprint in bytes (formula: see
+    /// [the type docs](Self#memory)). Computed from the live
+    /// capacities, so a reallocation — which nothing here can cause —
+    /// would show up as growth.
     pub fn footprint_bytes(&self) -> usize {
         std::mem::size_of::<Self>()
             + self.slots.capacity() * std::mem::size_of::<Option<Slot<T>>>()
             + self.free.capacity() * std::mem::size_of::<u32>()
-            + self.index_reserve.max(self.index.capacity())
-                * (std::mem::size_of::<FlowKey>() + std::mem::size_of::<u32>())
+            + self.index.capacity() * std::mem::size_of::<u64>()
+    }
+
+    /// Probes for `key`: its index bucket and slot, if present.
+    fn find(&self, hash: u64, key: &FlowKey) -> Option<(usize, u32)> {
+        let tag = hash >> 32;
+        let mut pos = hash as usize & self.mask;
+        loop {
+            let b = self.index[pos];
+            if b == EMPTY {
+                return None;
+            }
+            let slot = slot_of(b);
+            if b >> 32 == tag && self.slot(slot).key == *key {
+                return Some((pos, slot));
+            }
+            pos = (pos + 1) & self.mask;
+        }
+    }
+
+    /// Files `slot` under `hash` in the first empty bucket from home.
+    fn index_insert(&mut self, hash: u64, slot: u32) {
+        let mut pos = hash as usize & self.mask;
+        while self.index[pos] != EMPTY {
+            pos = (pos + 1) & self.mask;
+        }
+        self.index[pos] = bucket(hash, slot);
+        self.len += 1;
+    }
+
+    /// Empties bucket `pos` and closes the gap: each follower in the
+    /// cluster moves back if that keeps it at or after its home
+    /// (backward-shift deletion — no tombstone is left behind).
+    fn index_remove(&mut self, mut pos: usize) {
+        let mut next = (pos + 1) & self.mask;
+        loop {
+            let b = self.index[next];
+            if b == EMPTY {
+                break;
+            }
+            let home = self.slot(slot_of(b)).hash as usize & self.mask;
+            // Cyclic distances from the follower's home: it may move
+            // into the gap only if the gap is not before its home.
+            if (next.wrapping_sub(home) & self.mask) >= (next.wrapping_sub(pos) & self.mask) {
+                self.index[pos] = b;
+                pos = next;
+            }
+            next = (next + 1) & self.mask;
+        }
+        self.index[pos] = EMPTY;
+        self.len -= 1;
     }
 
     fn slot(&self, idx: u32) -> &Slot<T> {
@@ -270,9 +360,18 @@ impl<T> FlowTable<T> {
 
     /// Removes slot `idx`, returning its key and value.
     fn evict_slot(&mut self, idx: u32) -> (FlowKey, T) {
+        let mut pos = self.slot(idx).hash as usize & self.mask;
+        while slot_of(self.index[pos]) != idx {
+            pos = (pos + 1) & self.mask;
+        }
+        self.evict_at(pos, idx)
+    }
+
+    /// Removes slot `idx`, known to be filed in index bucket `pos`.
+    fn evict_at(&mut self, pos: usize, idx: u32) -> (FlowKey, T) {
+        self.index_remove(pos);
         self.unlink(idx);
         let slot = self.slots[idx as usize].take().expect("live slot");
-        self.index.remove(&slot.key);
         self.free.push(idx);
         (slot.key, slot.value)
     }
@@ -280,8 +379,8 @@ impl<T> FlowTable<T> {
     /// Looks up a live entry, refreshing its recency. An idle-expired
     /// entry is treated as absent (it stays in place until reclaimed
     /// by [`expire_idle`](Self::expire_idle) or LRU pressure).
-    pub fn get_mut(&mut self, key: &FlowKey, now: u64) -> Option<&mut T> {
-        let idx = *self.index.get(key)?;
+    pub fn get_mut(&mut self, hash: u64, key: &FlowKey, now: u64) -> Option<&mut T> {
+        let (_, idx) = self.find(hash, key)?;
         if self.is_idle(idx, now) {
             self.stats.misses += 1;
             return None;
@@ -293,13 +392,14 @@ impl<T> FlowTable<T> {
 
     /// Looks up without touching recency or honouring the idle
     /// timeout — pure inspection.
-    pub fn peek(&self, key: &FlowKey) -> Option<&T> {
-        self.index.get(key).map(|&idx| &self.slot(idx).value)
+    pub fn peek(&self, hash: u64, key: &FlowKey) -> Option<&T> {
+        self.find(hash, key).map(|(_, idx)| &self.slot(idx).value)
     }
 
     /// The generation stamped on an entry at its creation.
-    pub fn entry_generation(&self, key: &FlowKey) -> Option<u64> {
-        self.index.get(key).map(|&idx| self.slot(idx).generation)
+    pub fn entry_generation(&self, hash: u64, key: &FlowKey) -> Option<u64> {
+        self.find(hash, key)
+            .map(|(_, idx)| self.slot(idx).generation)
     }
 
     /// Fetches the entry for `key`, creating it with `init` on a miss
@@ -309,17 +409,36 @@ impl<T> FlowTable<T> {
     /// dependent state.
     pub fn get_or_insert_with(
         &mut self,
+        hash: u64,
         key: FlowKey,
         now: u64,
         init: impl FnOnce() -> T,
     ) -> Admission<'_, T> {
+        self.get_or_insert_preferring(hash, key, now, init, 0, |_, _| false)
+    }
+
+    /// [`get_or_insert_with`](Self::get_or_insert_with) with a say in
+    /// who makes room: when the insert finds the table full, the
+    /// victim is picked as by
+    /// [`evict_where_bounded`](Self::evict_where_bounded)`(scan, prefer)`
+    /// and only failing that is it the LRU tail. One probe serves the
+    /// hit, the miss and the decision whether room is needed at all.
+    pub fn get_or_insert_preferring(
+        &mut self,
+        hash: u64,
+        key: FlowKey,
+        now: u64,
+        init: impl FnOnce() -> T,
+        scan: usize,
+        prefer: impl FnMut(&T, u64) -> bool,
+    ) -> Admission<'_, T> {
         let generation = self.generation;
         let mut evicted = None;
-        if let Some(&idx) = self.index.get(&key) {
+        if let Some((pos, idx)) = self.find(hash, &key) {
             if self.is_idle(idx, now) {
                 // Same key, stale state: replace, surfacing the corpse.
                 self.stats.idle_evictions += 1;
-                evicted = Some(self.evict_slot(idx));
+                evicted = Some(self.evict_at(pos, idx));
             } else {
                 self.touch(idx, now);
                 self.stats.hits += 1;
@@ -334,21 +453,25 @@ impl<T> FlowTable<T> {
         }
         self.stats.misses += 1;
         if self.free.is_empty() {
-            let victim = self.tail;
-            debug_assert_ne!(victim, NIL, "full table has an LRU tail");
-            self.stats.lru_evictions += 1;
-            evicted = Some(self.evict_slot(victim));
+            evicted = self.evict_where_bounded(scan, prefer);
+            if evicted.is_none() {
+                let victim = self.tail;
+                debug_assert_ne!(victim, NIL, "full table has an LRU tail");
+                self.stats.lru_evictions += 1;
+                evicted = Some(self.evict_slot(victim));
+            }
         }
         let idx = self.free.pop().expect("capacity >= 1");
         self.slots[idx as usize] = Some(Slot {
             key,
+            hash,
             value: init(),
             last_seen: now,
             generation,
             prev: NIL,
             next: NIL,
         });
-        self.index.insert(key, idx);
+        self.index_insert(hash, idx);
         self.push_front(idx);
         self.stats.insertions += 1;
         Admission {
@@ -360,9 +483,9 @@ impl<T> FlowTable<T> {
     }
 
     /// Removes an entry, returning its value.
-    pub fn remove(&mut self, key: &FlowKey) -> Option<T> {
-        let idx = *self.index.get(key)?;
-        Some(self.evict_slot(idx).1)
+    pub fn remove(&mut self, hash: u64, key: &FlowKey) -> Option<T> {
+        let (pos, idx) = self.find(hash, key)?;
+        Some(self.evict_at(pos, idx).1)
     }
 
     /// Reclaims every idle-expired entry (walking from the LRU end, so
@@ -462,42 +585,42 @@ mod tests {
     #[test]
     fn insert_lookup_remove() {
         let mut t: FlowTable<u32> = FlowTable::new(4, u64::MAX);
-        let a = t.get_or_insert_with(key(1), 10, || 7);
+        let a = t.get_or_insert_with(key(1).rss_hash(), key(1), 10, || 7);
         assert!(a.created);
         assert_eq!(*a.value, 7);
-        assert_eq!(t.get_mut(&key(1), 11).copied(), Some(7));
-        *t.get_mut(&key(1), 12).unwrap() = 8;
-        assert_eq!(t.peek(&key(1)).copied(), Some(8));
-        assert_eq!(t.remove(&key(1)), Some(8));
+        assert_eq!(t.get_mut(key(1).rss_hash(), &key(1), 11).copied(), Some(7));
+        *t.get_mut(key(1).rss_hash(), &key(1), 12).unwrap() = 8;
+        assert_eq!(t.peek(key(1).rss_hash(), &key(1)).copied(), Some(8));
+        assert_eq!(t.remove(key(1).rss_hash(), &key(1)), Some(8));
         assert!(t.is_empty());
-        assert_eq!(t.remove(&key(1)), None);
+        assert_eq!(t.remove(key(1).rss_hash(), &key(1)), None);
     }
 
     #[test]
     fn lru_eviction_is_oldest_first_and_surfaced() {
         let mut t: FlowTable<u32> = FlowTable::new(2, u64::MAX);
-        t.get_or_insert_with(key(1), 10, || 1);
-        t.get_or_insert_with(key(2), 20, || 2);
+        t.get_or_insert_with(key(1).rss_hash(), key(1), 10, || 1);
+        t.get_or_insert_with(key(2).rss_hash(), key(2), 20, || 2);
         // Touch key(1): key(2) becomes the LRU victim.
-        t.get_mut(&key(1), 30);
-        let a = t.get_or_insert_with(key(3), 40, || 3);
+        t.get_mut(key(1).rss_hash(), &key(1), 30);
+        let a = t.get_or_insert_with(key(3).rss_hash(), key(3), 40, || 3);
         assert_eq!(a.evicted, Some((key(2), 2)));
         assert_eq!(t.len(), 2);
-        assert!(t.peek(&key(1)).is_some());
-        assert!(t.peek(&key(3)).is_some());
+        assert!(t.peek(key(1).rss_hash(), &key(1)).is_some());
+        assert!(t.peek(key(3).rss_hash(), &key(3)).is_some());
         assert_eq!(t.stats().lru_evictions, 1);
     }
 
     #[test]
     fn idle_expiry_hides_then_reclaims() {
         let mut t: FlowTable<u32> = FlowTable::new(4, 100);
-        t.get_or_insert_with(key(1), 0, || 1);
-        t.get_or_insert_with(key(2), 90, || 2);
+        t.get_or_insert_with(key(1).rss_hash(), key(1), 0, || 1);
+        t.get_or_insert_with(key(2).rss_hash(), key(2), 90, || 2);
         // key(1) is idle at t=150; lookups treat it as gone…
-        assert_eq!(t.get_mut(&key(1), 150), None);
-        assert_eq!(t.get_mut(&key(2), 150).copied(), Some(2));
+        assert_eq!(t.get_mut(key(1).rss_hash(), &key(1), 150), None);
+        assert_eq!(t.get_mut(key(2).rss_hash(), &key(2), 150).copied(), Some(2));
         // …an insert over it surfaces the corpse…
-        let a = t.get_or_insert_with(key(1), 150, || 10);
+        let a = t.get_or_insert_with(key(1).rss_hash(), key(1), 150, || 10);
         assert!(a.created);
         assert_eq!(a.evicted, Some((key(1), 1)));
         // …and expire_idle sweeps the rest once they age out.
@@ -509,13 +632,13 @@ mod tests {
     #[test]
     fn generation_stamps_entries_at_creation() {
         let mut t: FlowTable<u32> = FlowTable::new(4, u64::MAX);
-        t.get_or_insert_with(key(1), 0, || 1);
-        assert_eq!(t.entry_generation(&key(1)), Some(0));
+        t.get_or_insert_with(key(1).rss_hash(), key(1), 0, || 1);
+        assert_eq!(t.entry_generation(key(1).rss_hash(), &key(1)), Some(0));
         t.bump_generation();
-        t.get_or_insert_with(key(2), 1, || 2);
-        assert_eq!(t.entry_generation(&key(2)), Some(1));
+        t.get_or_insert_with(key(2).rss_hash(), key(2), 1, || 2);
+        assert_eq!(t.entry_generation(key(2).rss_hash(), &key(2)), Some(1));
         // An existing entry keeps its birth generation.
-        let a = t.get_or_insert_with(key(1), 2, || 99);
+        let a = t.get_or_insert_with(key(1).rss_hash(), key(1), 2, || 99);
         assert!(!a.created);
         assert_eq!(a.generation, 0);
     }
@@ -525,7 +648,7 @@ mod tests {
         let mut t: FlowTable<u64> = FlowTable::new(64, u64::MAX);
         let before = t.footprint_bytes();
         for n in 0..10_000u16 {
-            t.get_or_insert_with(key(n), n as u64, || n as u64);
+            t.get_or_insert_with(key(n).rss_hash(), key(n), n as u64, || n as u64);
         }
         assert_eq!(t.len(), 64);
         assert_eq!(t.footprint_bytes(), before);

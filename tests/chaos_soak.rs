@@ -24,12 +24,19 @@
 //! elephant flow demonstrably resumes after recovery, and the batch
 //! pool stops allocating once the post-recovery steady state is warm.
 //!
+//! The dead window is **deterministic**: the doomed worker holds its
+//! last breath until the driver has queued one more round behind the
+//! batch it dies on (see [`CrashInjector::die`]), so the corpse's ring
+//! always strands a descriptor and `drops.dead_worker > 0` never
+//! depends on whether the loop's 1-ms tick or the driver's next
+//! dispatch wins the race to the dead shard.
+//!
 //! One seeded round runs by default; `NETKIT_CHAOS_SOAK=1` extends the
 //! soak to several rounds with distinct seeds (CI runs the extended
 //! variant in release mode).
 
 use std::collections::HashSet;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -88,13 +95,41 @@ struct CrashInjector {
     plan: Arc<FaultPlan>,
     crash_lost: Arc<AtomicU64>,
     inner: GlobalRecorder,
+    window: Arc<DeadWindow>,
+}
+
+/// The handshake that makes the dead window deterministic: the doomed
+/// worker raises `dying` and waits for `fed`, which the driver raises
+/// once it has queued one more round behind the doomed batch.
+#[derive(Default)]
+struct DeadWindow {
+    dying: AtomicBool,
+    fed: AtomicBool,
+}
+
+impl CrashInjector {
+    /// Files the `lost` packets the panic takes down, then dies — but
+    /// only once the driver has queued another round into this worker's
+    /// ring. The worker is still alive while it waits, so that round is
+    /// accepted and steered here, and the respawn must account its
+    /// descriptor as a dead-worker drop: one dispatch always meets the
+    /// corpse, however the control loop's tick falls.
+    fn die(&self, lost: u64) -> ! {
+        self.crash_lost.fetch_add(lost, Ordering::SeqCst);
+        self.window.dying.store(true, Ordering::SeqCst);
+        let deadline = Instant::now() + Duration::from_secs(60);
+        while !self.window.fed.load(Ordering::SeqCst) {
+            assert!(Instant::now() < deadline, "driver never fed the corpse");
+            std::thread::yield_now();
+        }
+        panic!("injected crash fault");
+    }
 }
 
 impl IPacketPush for CrashInjector {
     fn push(&self, pkt: Packet) -> PushResult {
         if self.plan.should_panic() {
-            self.crash_lost.fetch_add(1, Ordering::SeqCst);
-            panic!("injected crash fault");
+            self.die(1);
         }
         self.inner.push(pkt)
     }
@@ -105,9 +140,7 @@ impl IPacketPush for CrashInjector {
         let mut result = BatchResult::with_capacity(total);
         for (i, pkt) in pkts.into_iter().enumerate() {
             if self.plan.should_panic() {
-                self.crash_lost
-                    .fetch_add((total - i) as u64, Ordering::SeqCst);
-                panic!("injected crash fault");
+                self.die((total - i) as u64);
             }
             result.record(self.inner.push(pkt));
         }
@@ -169,6 +202,7 @@ fn assert_per_flow_monotone(log: &[(u16, u16)], ports: &[u16]) {
 fn chaos_round(seed: u64) -> u64 {
     let log: Arc<Mutex<Vec<(u16, u16)>>> = Arc::new(Mutex::new(Vec::new()));
     let crash_lost = Arc::new(AtomicU64::new(0));
+    let window = Arc::new(DeadWindow::default());
     // The crash fires on the n-th packet *through the victim shard's
     // ingress* — mid-run, while the elephant is flowing. The respawned
     // replica is built from the same factory with the same plan; the
@@ -176,8 +210,12 @@ fn chaos_round(seed: u64) -> u64 {
     let plan = Arc::new(FaultPlan::new(FaultConfig::new(seed).panic_on_nth(150)));
     let rm = Arc::new(ResourceManager::new());
     let pipe = {
-        let (log, crash_lost, plan) =
-            (Arc::clone(&log), Arc::clone(&crash_lost), Arc::clone(&plan));
+        let (log, crash_lost, plan, window) = (
+            Arc::clone(&log),
+            Arc::clone(&crash_lost),
+            Arc::clone(&plan),
+            Arc::clone(&window),
+        );
         ShardedPipeline::build(
             &format!("chaos-{seed}"),
             ShardSpec::new(WORKERS),
@@ -194,6 +232,7 @@ fn chaos_round(seed: u64) -> u64 {
                         plan: Arc::clone(&plan),
                         crash_lost: Arc::clone(&crash_lost),
                         inner: recorder,
+                        window: Arc::clone(&window),
                     })
                 } else {
                     Arc::new(recorder)
@@ -263,6 +302,23 @@ fn chaos_round(seed: u64) -> u64 {
         let batch = traffic_round(&mut seq);
         dispatched += batch.len() as u64;
         pipe.dispatch(batch);
+        if !window.fed.load(Ordering::SeqCst) {
+            // A flush would wait on the doomed worker while it waits
+            // on us, so until the corpse is fed the round is awaited
+            // through the books: everything delivered or dropped, or
+            // the crash ledger written and `dying` raised.
+            while !window.dying.load(Ordering::SeqCst)
+                && log.lock().len() as u64 + pipe.drop_stats().total() < dispatched
+            {
+                std::thread::yield_now();
+            }
+            if window.dying.load(Ordering::SeqCst) {
+                let batch = traffic_round(&mut seq);
+                dispatched += batch.len() as u64;
+                pipe.dispatch(batch);
+                window.fed.store(true, Ordering::SeqCst);
+            }
+        }
         pipe.flush();
         std::thread::sleep(Duration::from_micros(300));
     }
