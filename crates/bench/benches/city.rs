@@ -5,9 +5,9 @@
 //! inside out:
 //!
 //! * `solo_hop` — the raw cost of one packet-hop through a
-//!   [`SoloPipeline`](netkit_router::shard::SoloPipeline) hosting the
-//!   full stateful chain (conntrack → heavy-hitter guard → collector):
-//!   RSS split, sketch metering, per-shard graph execution. This is
+//!   [`ShardedPipeline`] on the inline executor hosting the full
+//!   stateful chain (conntrack → heavy-hitter guard → collector): RSS
+//!   split, sketch metering, per-shard graph execution. This is
 //!   the per-hop floor every simulated node pays; its inverse is the
 //!   engine's ideal packet-hops/second on this host.
 //! * `small_city` — one complete seeded dozen-node city
@@ -29,16 +29,16 @@ use std::sync::Arc;
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion, Throughput};
 
-use netkit_kernel::shard::ShardSpec;
+use netkit_kernel::shard::{InlinePool, ShardSpec};
 use netkit_packet::batch::PacketBatch;
 use netkit_packet::packet::{Packet, PacketBuilder};
-use netkit_packet::sketch::{FlowSketch, SketchConfig};
 use netkit_router::api::{IPacketPush, IPACKET_PUSH};
 use netkit_router::flow::{ConnTracker, Guard, GuardConfig};
-use netkit_router::shard::{ShardGraph, SoloPipeline};
+use netkit_router::shard::{fresh_sketches, ShardGraph, ShardedPipeline};
 use netkit_sim::pipeline::{EgressCollector, PipelineNode};
 use netkit_sim::scenario::{run_city, CityConfig};
 use opencom::meta::resources::ResourceManager;
+use parking_lot::Mutex;
 
 const BATCH: usize = 32;
 const BATCHES_PER_ITER: usize = 64;
@@ -49,41 +49,35 @@ fn flow_packet(flow: u64) -> Packet {
         .build()
 }
 
-/// A two-shard solo pipeline with the city node's stateful chain.
-fn solo_chain() -> (SoloPipeline, Vec<Arc<EgressCollector>>) {
+/// A two-shard inline-executor pipeline with the city node's stateful
+/// chain.
+fn solo_chain() -> (ShardedPipeline<InlinePool>, Vec<Arc<EgressCollector>>) {
     let rm = Arc::new(ResourceManager::new());
-    let shards = 2;
-    let sketches: Vec<Arc<FlowSketch>> = (0..shards)
-        .map(|_| Arc::new(FlowSketch::new(SketchConfig::default())))
-        .collect();
-    let mut egress = Vec::new();
+    let spec = ShardSpec::new(2);
+    let sketches = fresh_sketches(spec);
+    let egress = Arc::new(Mutex::new(Vec::new()));
     let pipe = {
-        let egress = &mut egress;
-        let sketches = sketches.clone();
-        SoloPipeline::build_with_sketches(
-            "e15-solo",
-            ShardSpec::new(shards),
-            rm,
-            sketches.clone(),
-            move |shard| {
-                let (capsule, _rt) = PipelineNode::shard_capsule();
-                let tracker = ConnTracker::new();
-                let guard = Guard::with_tracker(
-                    Arc::clone(&sketches[shard]),
-                    tracker.clone(),
-                    GuardConfig::default(),
-                );
-                let collector = EgressCollector::new();
-                let gid = capsule.adopt(guard.clone())?;
-                let cid = capsule.adopt(collector.clone())?;
-                capsule.bind_simple(gid, "out", cid, IPACKET_PUSH)?;
-                egress.push(collector);
-                let entry: Arc<dyn IPacketPush> = guard;
-                Ok(ShardGraph::new(capsule, entry).with_components(vec![gid, cid]))
-            },
-        )
-        .expect("solo pipeline builds")
+        let egress = Arc::clone(&egress);
+        let guard_sketches = sketches.clone();
+        ShardedPipeline::build_with_sketches("e15-solo", spec, rm, sketches, move |shard| {
+            let (capsule, _rt) = PipelineNode::shard_capsule();
+            let tracker = ConnTracker::new();
+            let guard = Guard::with_tracker(
+                Arc::clone(&guard_sketches[shard]),
+                tracker.clone(),
+                GuardConfig::default(),
+            );
+            let collector = EgressCollector::new();
+            let gid = capsule.adopt(guard.clone())?;
+            let cid = capsule.adopt(collector.clone())?;
+            capsule.bind_simple(gid, "out", cid, IPACKET_PUSH)?;
+            egress.lock().push(collector);
+            let entry: Arc<dyn IPacketPush> = guard;
+            Ok(ShardGraph::new(capsule, entry).with_components(vec![gid, cid]))
+        })
+        .expect("inline pipeline builds")
     };
+    let egress = egress.lock().clone();
     (pipe, egress)
 }
 
@@ -92,7 +86,7 @@ fn bench_solo_hop(c: &mut Criterion) {
     group.throughput(Throughput::Elements((BATCH * BATCHES_PER_ITER) as u64));
     group.measurement_time(std::time::Duration::from_secs(1));
 
-    let (mut pipe, egress) = solo_chain();
+    let (pipe, egress) = solo_chain();
     let bursts: Vec<Vec<Packet>> = (0..BATCHES_PER_ITER)
         .map(|b| {
             (0..BATCH)

@@ -173,7 +173,7 @@ pub fn routing_table(n: usize, ports: u16) -> RoutingTable {
 pub fn netkit_stateful_edge(
     pool: u16,
 ) -> Result<(
-    netkit_router::shard::SoloPipeline,
+    netkit_router::shard::ShardedPipeline<netkit_kernel::shard::InlinePool>,
     netkit_router::desc::DescBinding,
 )> {
     let profile = netkit_services::edge::EdgeProfile {
@@ -259,7 +259,7 @@ mod tests {
         // contract behind the stateful-edge bench series.
         let flows: Vec<u16> = (5_001..=5_006).collect();
 
-        let (mut pipe, _binding) = netkit_stateful_edge(4).unwrap();
+        let (pipe, _binding) = netkit_stateful_edge(4).unwrap();
         pipe.dispatch(flows.iter().map(|&f| edge_packet(f)).collect());
         assert_eq!((pipe.stats().accepted, pipe.stats().dropped), (4, 2));
 
@@ -303,7 +303,7 @@ mod tests {
                 .collect()
         };
 
-        let (mut pipe, _binding) = netkit_stateful_edge(5).unwrap();
+        let (pipe, _binding) = netkit_stateful_edge(5).unwrap();
         pipe.dispatch(trace().into_iter().collect());
         assert_eq!((pipe.stats().accepted, pipe.stats().dropped), (7, 0));
 

@@ -21,6 +21,20 @@
 //! [`WorkerPool::submit_fanout`] is the matching batched publish: one
 //! gate transaction per dispatch instead of one per sub-batch.
 //!
+//! ## The executor seam
+//!
+//! The sharded pipeline above this module does not name
+//! [`WorkerPool`]; it is generic over [`ShardExecutor`] — the dozen
+//! calls it makes on its pool (submit, fan-out, flush, quiesce, the
+//! meters, liveness, respawn, shutdown). [`WorkerPool`] implements the
+//! trait with its inherent methods; [`InlinePool`] implements it by
+//! running each shard's handler on the submitting thread, in call
+//! order — the deterministic executor the simulator drives. The
+//! pipeline, its control and recovery turns and its patch applier are
+//! therefore one body of code with two placements, and the type
+//! parameter is resolved at compile time: the threaded hot path makes
+//! the calls it made before the seam existed.
+//!
 //! ## The epoch quiesce protocol
 //!
 //! Reflective reconfiguration (the architecture meta-model's
@@ -1054,6 +1068,289 @@ impl<T: Send + 'static> fmt::Debug for WorkerPool<T> {
     }
 }
 
+/// Who runs a shard's job — the one thing the threaded dataplane and
+/// the deterministic simulator differ in (see "The executor seam" in
+/// the module docs). Two implementations: [`WorkerPool`] (one thread
+/// and one ring per shard — every method here is its inherent method
+/// of the same name) and [`InlinePool`] (the caller's thread, in call
+/// order). Each method's contract is the one documented on
+/// [`WorkerPool`]; what [`InlinePool`] makes of it is on its type docs.
+pub trait ShardExecutor<T>: Sized {
+    /// Whether shards run in parallel with the submitter, buffered by
+    /// rings. A caller sizing per-job storage provisions for several
+    /// jobs in flight per shard when this is `true`; when `false` a job
+    /// has run to completion before its `submit` returns, so at most
+    /// one exists at a time.
+    const PARALLEL: bool;
+
+    /// See [`WorkerPool::start`].
+    fn start<F>(spec: ShardSpec, factory: F) -> Self
+    where
+        F: FnMut(usize) -> ShardHandler<T>;
+
+    /// See [`WorkerPool::submit`].
+    ///
+    /// # Errors
+    ///
+    /// Returns the item if `shard` is out of range or its worker died.
+    fn submit(&self, shard: usize, item: T) -> Result<(), T>;
+
+    /// See [`WorkerPool::try_submit_tagged`].
+    ///
+    /// # Errors
+    ///
+    /// Returns the item and why it bounced.
+    fn try_submit_tagged(&self, shard: usize, item: T) -> Result<(), (T, SubmitRejection)>;
+
+    /// See [`WorkerPool::submit_fanout`].
+    fn submit_fanout<I, F, R>(&self, shards: I, job_for: F, on_reject: R) -> usize
+    where
+        I: Iterator<Item = usize> + Clone,
+        F: FnMut(usize) -> T,
+        R: FnMut(usize, T);
+
+    /// See [`WorkerPool::flush`].
+    fn flush(&self);
+
+    /// See [`WorkerPool::quiesce`].
+    fn quiesce<R>(&self, f: impl FnOnce() -> R) -> R;
+
+    /// See [`WorkerPool::epoch`].
+    fn epoch(&self) -> u64;
+
+    /// See [`WorkerPool::in_flight_on`].
+    fn in_flight_on(&self, shard: usize) -> Option<usize>;
+
+    /// See [`WorkerPool::ring_high_water`].
+    fn ring_high_water(&self, shard: usize) -> Option<usize>;
+
+    /// See [`WorkerPool::reset_ring_high_water`].
+    fn reset_ring_high_water(&self);
+
+    /// See [`WorkerPool::worker_alive`].
+    fn worker_alive(&self, shard: usize) -> Option<bool>;
+
+    /// See [`WorkerPool::respawn`].
+    fn respawn(
+        &self,
+        shard: usize,
+        handler: ShardHandler<T>,
+        on_stranded: impl FnMut(T),
+    ) -> Option<usize>;
+
+    /// See [`WorkerPool::shutdown`].
+    fn shutdown(self);
+}
+
+impl<T: Send + 'static> ShardExecutor<T> for WorkerPool<T> {
+    const PARALLEL: bool = true;
+
+    fn start<F>(spec: ShardSpec, factory: F) -> Self
+    where
+        F: FnMut(usize) -> ShardHandler<T>,
+    {
+        WorkerPool::start(spec, factory)
+    }
+
+    fn submit(&self, shard: usize, item: T) -> Result<(), T> {
+        WorkerPool::submit(self, shard, item)
+    }
+
+    fn try_submit_tagged(&self, shard: usize, item: T) -> Result<(), (T, SubmitRejection)> {
+        WorkerPool::try_submit_tagged(self, shard, item)
+    }
+
+    fn submit_fanout<I, F, R>(&self, shards: I, job_for: F, on_reject: R) -> usize
+    where
+        I: Iterator<Item = usize> + Clone,
+        F: FnMut(usize) -> T,
+        R: FnMut(usize, T),
+    {
+        WorkerPool::submit_fanout(self, shards, job_for, on_reject)
+    }
+
+    fn flush(&self) {
+        WorkerPool::flush(self);
+    }
+
+    fn quiesce<R>(&self, f: impl FnOnce() -> R) -> R {
+        WorkerPool::quiesce(self, f)
+    }
+
+    fn epoch(&self) -> u64 {
+        WorkerPool::epoch(self)
+    }
+
+    fn in_flight_on(&self, shard: usize) -> Option<usize> {
+        WorkerPool::in_flight_on(self, shard)
+    }
+
+    fn ring_high_water(&self, shard: usize) -> Option<usize> {
+        WorkerPool::ring_high_water(self, shard)
+    }
+
+    fn reset_ring_high_water(&self) {
+        WorkerPool::reset_ring_high_water(self);
+    }
+
+    fn worker_alive(&self, shard: usize) -> Option<bool> {
+        WorkerPool::worker_alive(self, shard)
+    }
+
+    fn respawn(
+        &self,
+        shard: usize,
+        handler: ShardHandler<T>,
+        on_stranded: impl FnMut(T),
+    ) -> Option<usize> {
+        WorkerPool::respawn(self, shard, handler, on_stranded)
+    }
+
+    fn shutdown(self) {
+        WorkerPool::shutdown(self);
+    }
+}
+
+/// The deterministic executor: every shard's handler runs **on the
+/// submitting thread, in call order**. No threads, no rings, nothing to
+/// wait for — so a pipeline built on it replays bit-for-bit, which is
+/// what lets a discrete-event simulator host thousands of real
+/// dataplanes and reproduce a whole city from a seed.
+///
+/// What the [`ShardExecutor`] contract becomes here:
+///
+/// * `submit` / `try_submit_tagged` run the handler before returning
+///   (per-shard FIFO is call order); only an out-of-range shard
+///   bounces. `submit_fanout` visits its shards in the order yielded —
+///   index order, as the pipeline calls it.
+/// * `flush` has nothing to wait for. `quiesce(f)` runs `f` — the
+///   caller is by definition at a batch boundary — and counts an
+///   epoch, so epoch receipts read the same on both executors. Work
+///   submitted from inside `f` runs at once rather than after release.
+/// * There are no rings: `in_flight_on` and `ring_high_water` read 0,
+///   nothing is ever rejected for pressure.
+/// * Nothing can die on the caller's own thread (a panicking handler
+///   unwinds into the caller): `worker_alive` is always `Some(true)`
+///   and `respawn` always declines.
+///
+/// A handler must not submit to its own shard (the shard is locked
+/// while it runs).
+///
+/// # Examples
+///
+/// ```
+/// use std::sync::Arc;
+/// use netkit_kernel::shard::{InlinePool, ShardExecutor, ShardSpec};
+/// use parking_lot::Mutex;
+///
+/// let log = Arc::new(Mutex::new(Vec::new()));
+/// let pool: InlinePool<u32> = InlinePool::start(ShardSpec::new(2), |shard| {
+///     let log = Arc::clone(&log);
+///     Box::new(move |n| log.lock().push((shard, n)))
+/// });
+/// pool.submit(1, 7).unwrap();
+/// pool.submit(0, 8).unwrap();
+/// // Already run, in call order — no flush needed.
+/// assert_eq!(*log.lock(), vec![(1, 7), (0, 8)]);
+/// assert_eq!(pool.quiesce(|| 42), 42);
+/// assert_eq!(pool.epoch(), 1);
+/// ```
+pub struct InlinePool<T = ShardJob> {
+    handlers: Vec<parking_lot::Mutex<ShardHandler<T>>>,
+    epoch: AtomicU64,
+}
+
+impl<T> ShardExecutor<T> for InlinePool<T> {
+    const PARALLEL: bool = false;
+
+    fn start<F>(spec: ShardSpec, factory: F) -> Self
+    where
+        F: FnMut(usize) -> ShardHandler<T>,
+    {
+        Self {
+            handlers: (0..spec.workers.max(1))
+                .map(factory)
+                .map(parking_lot::Mutex::new)
+                .collect(),
+            epoch: AtomicU64::new(0),
+        }
+    }
+
+    fn submit(&self, shard: usize, item: T) -> Result<(), T> {
+        match self.handlers.get(shard) {
+            Some(handler) => {
+                (handler.lock())(item);
+                Ok(())
+            }
+            None => Err(item),
+        }
+    }
+
+    fn try_submit_tagged(&self, shard: usize, item: T) -> Result<(), (T, SubmitRejection)> {
+        self.submit(shard, item)
+            .map_err(|item| (item, SubmitRejection::OutOfRange))
+    }
+
+    fn submit_fanout<I, F, R>(&self, shards: I, mut job_for: F, _on_reject: R) -> usize
+    where
+        I: Iterator<Item = usize> + Clone,
+        F: FnMut(usize) -> T,
+        R: FnMut(usize, T),
+    {
+        shards
+            .map(|shard| (self.handlers[shard].lock())(job_for(shard)))
+            .count()
+    }
+
+    fn flush(&self) {}
+
+    fn quiesce<R>(&self, f: impl FnOnce() -> R) -> R {
+        let out = f();
+        self.epoch.fetch_add(1, Ordering::Relaxed);
+        out
+    }
+
+    fn epoch(&self) -> u64 {
+        self.epoch.load(Ordering::Relaxed)
+    }
+
+    fn in_flight_on(&self, shard: usize) -> Option<usize> {
+        self.handlers.get(shard).map(|_| 0)
+    }
+
+    fn ring_high_water(&self, shard: usize) -> Option<usize> {
+        self.handlers.get(shard).map(|_| 0)
+    }
+
+    fn reset_ring_high_water(&self) {}
+
+    fn worker_alive(&self, shard: usize) -> Option<bool> {
+        self.handlers.get(shard).map(|_| true)
+    }
+
+    fn respawn(
+        &self,
+        _shard: usize,
+        _handler: ShardHandler<T>,
+        _on_stranded: impl FnMut(T),
+    ) -> Option<usize> {
+        None
+    }
+
+    fn shutdown(self) {}
+}
+
+impl<T> fmt::Debug for InlinePool<T> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(
+            f,
+            "InlinePool({} shards, epoch {})",
+            self.handlers.len(),
+            self.epoch.load(Ordering::Relaxed)
+        )
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1659,6 +1956,84 @@ mod tests {
         pool.submit(0, 5).unwrap();
         pool.flush();
         assert_eq!(seen.load(Ordering::Relaxed), 5);
+        pool.shutdown();
+    }
+
+    /// An inline pool whose handlers log `(shard, item)` in run order.
+    #[allow(clippy::type_complexity)]
+    fn logging_inline(
+        workers: usize,
+    ) -> (InlinePool<u32>, Arc<parking_lot::Mutex<Vec<(usize, u32)>>>) {
+        let log = Arc::new(parking_lot::Mutex::new(Vec::new()));
+        let pool = InlinePool::start(ShardSpec::new(workers), |shard| {
+            let log = Arc::clone(&log);
+            Box::new(move |n: u32| log.lock().push((shard, n)))
+        });
+        (pool, log)
+    }
+
+    #[test]
+    fn inline_submit_runs_on_the_caller_in_call_order() {
+        let (pool, log) = logging_inline(2);
+        for n in 0..6u32 {
+            pool.submit((n % 2) as usize, n).unwrap();
+            // Already run when submit returns: nothing to flush.
+            assert_eq!(log.lock().len(), n as usize + 1);
+        }
+        pool.flush();
+        let per_shard = |s: usize| -> Vec<u32> {
+            log.lock()
+                .iter()
+                .filter(|(shard, _)| *shard == s)
+                .map(|(_, n)| *n)
+                .collect()
+        };
+        assert_eq!(per_shard(0), vec![0, 2, 4], "FIFO per shard");
+        assert_eq!(per_shard(1), vec![1, 3, 5], "FIFO per shard");
+        assert_eq!(pool.submit(2, 9), Err(9), "unknown shard bounces");
+        assert_eq!(
+            pool.try_submit_tagged(2, 9),
+            Err((9, SubmitRejection::OutOfRange))
+        );
+        pool.try_submit_tagged(1, 7).unwrap();
+        assert_eq!(log.lock().last(), Some(&(1, 7)));
+    }
+
+    #[test]
+    fn inline_fanout_visits_shards_in_index_order() {
+        let (pool, log) = logging_inline(4);
+        let sent = pool.submit_fanout(
+            [0usize, 2, 3].into_iter(),
+            |shard| shard as u32 * 10,
+            |_, _| unreachable!("an inline shard never rejects"),
+        );
+        assert_eq!(sent, 3, "returns the number of jobs run");
+        assert_eq!(*log.lock(), vec![(0, 0), (2, 20), (3, 30)]);
+    }
+
+    #[test]
+    fn inline_quiesce_counts_epochs_and_meters_read_idle() {
+        let (pool, log) = logging_inline(2);
+        assert_eq!(pool.epoch(), 0);
+        let seen = pool.quiesce(|| {
+            pool.submit(0, 1).unwrap();
+            log.lock().len()
+        });
+        assert_eq!(seen, 1, "work submitted inside the closure runs at once");
+        pool.quiesce(|| {});
+        assert_eq!(pool.epoch(), 2);
+        for shard in 0..2 {
+            assert_eq!(pool.in_flight_on(shard), Some(0));
+            assert_eq!(pool.ring_high_water(shard), Some(0));
+            assert_eq!(pool.worker_alive(shard), Some(true));
+        }
+        pool.reset_ring_high_water();
+        assert_eq!(pool.worker_alive(2), None);
+        assert_eq!(pool.ring_high_water(2), None);
+        // Nothing dies, so nothing respawns.
+        assert_eq!(pool.respawn(0, Box::new(|_| {}), |_| {}), None);
+        pool.submit(0, 2).unwrap();
+        assert_eq!(log.lock().last(), Some(&(0, 2)), "the handler was kept");
         pool.shutdown();
     }
 }

@@ -224,8 +224,8 @@ impl PacketBatch {
     /// This is the *owned* convenience over [`Self::shard_split`]: it
     /// re-materialises one `PacketBatch` per shard. Prefer the
     /// [`ShardSplit`] views when sub-batches only need to be *read*,
-    /// and [`ShardSplit::into_shard_batches_pooled`] when the owned
-    /// sub-batches should come from a recycled-container pool.
+    /// and [`ShardSplit::into_shared`] when they cross to other
+    /// threads.
     ///
     /// Steering follows [`crate::flow::shard_of`] (stamped RSS hash,
     /// else one parse — which this call stamps back, so repeated splits
@@ -417,8 +417,8 @@ impl fmt::Debug for PacketBatch {
 /// `perm[offsets[s]..offsets[s + 1]]`, in input order. Reading a shard
 /// ([`Self::shard`]) borrows the original packets and label table —
 /// zero copies, zero re-interning, zero per-shard `Vec`s. When owned
-/// sub-batches must cross a thread boundary, [`Self::into_shard_batches`]
-/// (or the pooled variant) moves the packets out in a single pass.
+/// sub-batches are wanted, [`Self::into_shard_batches`] moves the
+/// packets out in a single pass.
 ///
 /// # Examples
 ///
@@ -490,38 +490,6 @@ impl ShardSplit {
     /// sub-batch pre-sized exactly; labels survive by sharing the
     /// parent's interned table (no re-interning).
     pub fn into_shard_batches(self) -> Vec<PacketBatch> {
-        self.into_batches_with(|_| PacketBatch::new())
-    }
-
-    /// Converts the split into a **shared** split: the parent batch
-    /// stays whole behind one refcounted handle, and each shard's slice
-    /// becomes a cheap [`SharedShardRange`] descriptor that can cross a
-    /// thread boundary without moving a single packet. This is the
-    /// move-free ring protocol's producer half: where
-    /// [`Self::into_shard_batches_pooled`] re-materialises one owned
-    /// sub-batch per shard *on the dispatch thread*, `into_shared`
-    /// defers the per-shard gather to the consuming workers
-    /// ([`SharedShardRange::take_into`]), which run it in parallel.
-    /// The parent container — including a pool-homed one — recycles
-    /// whole when the last range (or the [`SharedSplit`] handle) drops.
-    pub fn into_shared(self) -> SharedSplit {
-        SharedSplit {
-            inner: Arc::new(SharedSplitInner {
-                parent: Mutex::new(self.batch),
-                perm: self.perm,
-                offsets: self.offsets,
-            }),
-        }
-    }
-
-    /// Like [`Self::into_shard_batches`], but the sub-batch containers
-    /// lease from `pool`, so in steady state the per-shard `Vec`s are
-    /// recycled rather than allocated.
-    pub fn into_shard_batches_pooled(self, pool: &BatchPool) -> Vec<PacketBatch> {
-        self.into_batches_with(|_| pool.take())
-    }
-
-    fn into_batches_with(self, mut make: impl FnMut(usize) -> PacketBatch) -> Vec<PacketBatch> {
         let shards = self.shards();
         let Self {
             mut batch,
@@ -538,7 +506,7 @@ impl ShardSplit {
         let has_labels = !batch.labels.is_empty();
         let mut out: Vec<PacketBatch> = (0..shards)
             .map(|s| {
-                let mut b = make(s);
+                let mut b = PacketBatch::new();
                 let len = (offsets[s + 1] - offsets[s]) as usize;
                 b.packets.reserve(len);
                 if has_labels {
@@ -560,6 +528,27 @@ impl ShardSplit {
         }
         drop(batch);
         out
+    }
+
+    /// Converts the split into a **shared** split: the parent batch
+    /// stays whole behind one refcounted handle, and each shard's slice
+    /// becomes a cheap [`SharedShardRange`] descriptor that can cross a
+    /// thread boundary without moving a single packet. This is the
+    /// move-free ring protocol's producer half: where
+    /// [`Self::into_shard_batches`] re-materialises one owned
+    /// sub-batch per shard *on the calling thread*, `into_shared`
+    /// defers the per-shard gather to the consuming workers
+    /// ([`SharedShardRange::take_into`]), which run it in parallel.
+    /// The parent container — including a pool-homed one — recycles
+    /// whole when the last range (or the [`SharedSplit`] handle) drops.
+    pub fn into_shared(self) -> SharedSplit {
+        SharedSplit {
+            inner: Arc::new(SharedSplitInner {
+                parent: Mutex::new(self.batch),
+                perm: self.perm,
+                offsets: self.offsets,
+            }),
+        }
     }
 }
 
@@ -1296,25 +1285,6 @@ mod tests {
     }
 
     #[test]
-    fn pooled_split_reuses_shard_containers() {
-        let pool = BatchPool::new(8, 0, 8);
-        for round in 0..3 {
-            let mut b = PacketBatch::new();
-            for p in 1u16..=8 {
-                b.push(pkt(p));
-            }
-            let parts = b.shard_split(2).into_shard_batches_pooled(&pool);
-            assert_eq!(parts.iter().map(PacketBatch::len).sum::<usize>(), 8);
-            drop(parts);
-            if round > 0 {
-                assert!(pool.stats().reused > 0, "containers recycle across rounds");
-            }
-        }
-        // Steady state: only the first round allocated.
-        assert_eq!(pool.stats().allocated, 2);
-    }
-
-    #[test]
     fn split_recycles_the_parent_container_too() {
         // Regression: a pool-homed batch that goes through
         // shard_split → into_shard_batches must return its own backing
@@ -1327,17 +1297,18 @@ mod tests {
             for p in 1u16..=8 {
                 parent.push(pkt(p));
             }
-            let parts = parent.shard_split(2).into_shard_batches_pooled(&pool);
+            let parts = parent.shard_split(2).into_shard_batches();
             drop(parts);
             let s = pool.stats();
             assert_eq!(
                 s.discarded, 0,
                 "round {round}: parent must not be discarded"
             );
-            // Parent + 2 sub-containers recycle every round.
-            assert_eq!(s.recycled, (round + 1) * 3);
+            // The parent recycles every round (the owned sub-batches
+            // are plain containers).
+            assert_eq!(s.recycled, round + 1);
         }
-        assert_eq!(pool.stats().allocated, 3, "steady state after round 1");
+        assert_eq!(pool.stats().allocated, 1, "steady state after round 0");
     }
 
     #[test]

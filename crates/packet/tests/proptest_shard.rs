@@ -6,14 +6,14 @@
 //! `partition_by_shard` is a permutation-free split: nothing lost,
 //! nothing duplicated, per-flow order intact, every packet on its
 //! flow's shard; (3) the zero-copy steering path (`shard_split` views
-//! and its owned `into_shard_batches` escape hatch, pooled or not) is
+//! and its owned `into_shard_batches` escape hatch) is
 //! observationally identical — packets, order, labels — to the legacy
 //! re-materialising partition, reimplemented verbatim below as the
 //! reference.
 
 use proptest::prelude::*;
 
-use netkit_packet::batch::{BatchPool, PacketBatch};
+use netkit_packet::batch::PacketBatch;
 use netkit_packet::flow::{shard_of, FlowKey};
 use netkit_packet::packet::{Packet, PacketBuilder};
 
@@ -96,11 +96,11 @@ proptest! {
         picks in proptest::collection::vec((0usize..10, 0usize..4), 0..96),
         shards in 0usize..=6,
     ) {
-        // Build four identical batches: reference, views, owned, pooled.
+        // Build three identical batches: reference, views, owned.
         // `picks` interleaves flows and assigns each packet one of three
         // labels (or none).
         let labels = ["voice", "bulk", "scavenger"];
-        let mut batches: Vec<PacketBatch> = (0..4).map(|_| PacketBatch::new()).collect();
+        let mut batches: Vec<PacketBatch> = (0..3).map(|_| PacketBatch::new()).collect();
         for (i, (flow_idx, label_idx)) in picks.iter().enumerate() {
             let spec = &flows[flow_idx % flows.len()];
             for b in &mut batches {
@@ -112,7 +112,7 @@ proptest! {
                 }
             }
         }
-        let [for_reference, for_views, for_owned, for_pooled]: [PacketBatch; 4] =
+        let [for_reference, for_views, for_owned]: [PacketBatch; 3] =
             batches.try_into().ok().unwrap();
 
         let reference = fingerprint(&reference_partition(for_reference, shards));
@@ -141,17 +141,7 @@ proptest! {
         let owned = for_owned.shard_split(shards).into_shard_batches();
         prop_assert_eq!(&fingerprint(&owned), &reference, "owned ≡ reference");
 
-        // 3. Pool-leased containers behave identically and recycle.
-        let pool = BatchPool::new(32, 0, 16);
-        let pooled = for_pooled.shard_split(shards).into_shard_batches_pooled(&pool);
-        prop_assert_eq!(&fingerprint(&pooled), &reference, "pooled ≡ reference");
-        drop(pooled);
-        prop_assert_eq!(
-            pool.stats().recycled + pool.stats().discarded,
-            shards.max(1) as u64
-        );
-
-        // 4. Per-flow order within each shard survives every variant
+        // 3. Per-flow order within each shard survives every variant
         //    (reference already proves itself against the input in
         //    `partition_loses_and_duplicates_nothing_and_keeps_flow_order`;
         //    equality above extends it to the zero-copy paths).

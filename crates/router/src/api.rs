@@ -185,11 +185,6 @@
 //!   split, one shared wrap of the parent batch, one worker-pool gate
 //!   transaction reserving *every* non-empty target shard, and one
 //!   ring write per such shard — a refcount bump, not a packet move.
-//!   The owned-move protocol (split, re-materialise each shard's
-//!   packets into its own pooled sub-batch, one gate transaction per
-//!   sub-batch) survives as
-//!   [`crate::shard::ShardedPipeline::dispatch_owned`], the measured
-//!   baseline of bench series `e13_dispatch`.
 //! * **The last range handle frees the parent.** The caller hands the
 //!   parent batch to `dispatch` and never sees it again: each ring's
 //!   descriptor holds one reference; a worker consuming its range

@@ -1,15 +1,17 @@
 //! Lowering descriptions to live pipelines, and applying patches to
 //! the result.
 //!
-//! [`Compiler`] drives the same factory path both pipeline drivers
-//! share: for each shard it builds a fresh capsule, adopts one element
-//! per description node (through the [`schema`](super::schema)
+//! [`Compiler`] drives one factory path whichever executor runs the
+//! pipeline: for each shard it builds a fresh capsule, adopts one
+//! element per description node (through the [`schema`](super::schema)
 //! constructors, or a host-supplied *external* builder), binds the
 //! described edges, installs the match-action tables, and hands the
-//! [`ShardGraph`] recipe to [`ShardedPipeline::build`] or
-//! [`SoloPipeline::build_with_sketches`]. The per-shard object map it
-//! accumulates — name → [`ComponentId`], table entry → live id — is
-//! returned as a [`DescBinding`], which is what makes *incremental*
+//! [`ShardGraph`] recipe to [`ShardedPipeline::build_with_sketches`] —
+//! with the shard's metered sketch, so a described
+//! [`Guard`](crate::flow::Guard) reads the bytes its shard's handler
+//! records. The per-shard object map it accumulates — name →
+//! [`ComponentId`], table entry → live id — is returned as a
+//! [`DescBinding`], which is what makes *incremental*
 //! reconfiguration possible: a later [`Patch`](super::Patch) is a list
 //! of named mutations, and the binding resolves each name to the live
 //! object it addresses.
@@ -25,7 +27,9 @@
 //! * **Structural patches** (adds, removes, rewires) run inside one
 //!   [`ShardedPipeline::quiesce`] window: every worker parks at a
 //!   batch boundary, the graph mutates, one epoch is paid, and no
-//!   packet observes a half-rewired graph.
+//!   packet observes a half-rewired graph. (On the inline executor the
+//!   caller is already at a batch boundary; the window costs nothing
+//!   and the epoch is still counted, so receipts read the same.)
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::{Arc, Mutex};
@@ -37,8 +41,8 @@ use opencom::ident::{BindingId, ComponentId};
 use opencom::meta::resources::ResourceManager;
 use opencom::runtime::Runtime;
 
-use netkit_kernel::shard::ShardSpec;
-use netkit_packet::sketch::{FlowSketch, SketchConfig};
+use netkit_kernel::shard::{InlinePool, ShardExecutor, ShardJob, ShardSpec};
+use netkit_packet::sketch::FlowSketch;
 
 use crate::api::{
     register_packet_interfaces, FilterId, FilterSpec, IClassifier, IPacketPush, IPACKET_PUSH,
@@ -46,7 +50,7 @@ use crate::api::{
 use crate::elements::IRouteControl;
 use crate::flow::L4LoadBalancer;
 use crate::routing::RouteEntry;
-use crate::shard::{RebalanceController, ShardGraph, ShardedPipeline, SoloPipeline};
+use crate::shard::{fresh_sketches, RebalanceController, ShardGraph, ShardedPipeline};
 
 use super::schema;
 use super::{EdgeDesc, Patch, PatchOp, PipelineDesc, TableEntry};
@@ -327,11 +331,6 @@ impl Compiler {
     /// Compiles `desc` to a threaded [`ShardedPipeline`], returning
     /// the pipeline and the [`DescBinding`] that can patch it later.
     ///
-    /// Guards compiled into threaded pipelines read a private
-    /// per-shard sketch (the worker-metered sketches are created
-    /// after the factory runs); use the solo driver when byte-accurate
-    /// guard admission matters.
-    ///
     /// # Errors
     ///
     /// Propagates validation and graph-construction failures.
@@ -341,6 +340,31 @@ impl Compiler {
         spec: ShardSpec,
         rm: Arc<ResourceManager>,
     ) -> Result<(ShardedPipeline, DescBinding)> {
+        self.build_on(desc, spec, rm)
+    }
+
+    /// Compiles `desc` to the same pipeline on the deterministic
+    /// inline executor (shards run on the caller, in index order) —
+    /// what the simulator and single-threaded hosts drive.
+    ///
+    /// # Errors
+    ///
+    /// See [`Self::build_sharded`].
+    pub fn build_inline(
+        &self,
+        desc: &PipelineDesc,
+        spec: ShardSpec,
+        rm: Arc<ResourceManager>,
+    ) -> Result<(ShardedPipeline<InlinePool>, DescBinding)> {
+        self.build_on(desc, spec, rm)
+    }
+
+    fn build_on<E: ShardExecutor<ShardJob>>(
+        &self,
+        desc: &PipelineDesc,
+        spec: ShardSpec,
+        rm: Arc<ResourceManager>,
+    ) -> Result<(ShardedPipeline<E>, DescBinding)> {
         let desc = desc.canonical();
         desc.validate_with(&self.external_kinds())?;
         let workers = spec.workers.max(1);
@@ -349,81 +373,20 @@ impl Compiler {
         let slot = Arc::clone(&shards);
         let build_desc = desc.clone();
         let externals = self.externals.clone();
-        let pipe = ShardedPipeline::build(&desc.name, spec, rm, move |shard| {
-            let sketch = Arc::new(FlowSketch::new(SketchConfig::default()));
-            let (graph, compiled) = CompiledShard::build(&build_desc, shard, sketch, &externals)?;
-            slot.lock().expect("desc shard slot")[shard] = Some(compiled);
-            Ok(graph)
-        })?;
-        let pins: Vec<(usize, usize)> = desc.pins.iter().map(|(&b, &s)| (b, s)).collect();
-        if !pins.is_empty() {
-            let map = pinned_map(pipe.bucket_map(), &pins, workers)?;
-            pipe.install_bucket_map(map, &[]);
-        }
-        Ok((
-            pipe,
-            DescBinding {
-                desc,
-                externals: self.externals.clone(),
-                shards,
-            },
-        ))
-    }
-
-    /// Compiles `desc` to a deterministic [`SoloPipeline`] with fresh
-    /// per-shard sketches.
-    ///
-    /// # Errors
-    ///
-    /// See [`Self::build_sharded`].
-    pub fn build_solo(
-        &self,
-        desc: &PipelineDesc,
-        spec: ShardSpec,
-        rm: Arc<ResourceManager>,
-    ) -> Result<(SoloPipeline, DescBinding)> {
-        let workers = spec.workers.max(1);
-        let sketches = (0..workers)
-            .map(|_| Arc::new(FlowSketch::new(SketchConfig::default())))
-            .collect();
-        self.build_solo_with_sketches(desc, spec, rm, sketches)
-    }
-
-    /// Compiles `desc` to a [`SoloPipeline`] over caller-supplied
-    /// sketches — guards described in the pipeline share the same
-    /// sketches the driver meters, so byte evidence is live.
-    ///
-    /// # Errors
-    ///
-    /// See [`Self::build_sharded`].
-    pub fn build_solo_with_sketches(
-        &self,
-        desc: &PipelineDesc,
-        spec: ShardSpec,
-        rm: Arc<ResourceManager>,
-        sketches: Vec<Arc<FlowSketch>>,
-    ) -> Result<(SoloPipeline, DescBinding)> {
-        let desc = desc.canonical();
-        desc.validate_with(&self.external_kinds())?;
-        let workers = spec.workers.max(1);
-        let shards: Arc<Mutex<Vec<Option<CompiledShard>>>> =
-            Arc::new(Mutex::new((0..workers).map(|_| None).collect()));
-        let slot = Arc::clone(&shards);
-        let mut pipe =
-            SoloPipeline::build_with_sketches(&desc.name, spec, rm, sketches.clone(), |shard| {
-                let (graph, compiled) = CompiledShard::build(
-                    &desc,
-                    shard,
-                    Arc::clone(&sketches[shard]),
-                    &self.externals,
-                )?;
+        let sketches = fresh_sketches(spec);
+        let guard_sketches = sketches.clone();
+        let pipe =
+            ShardedPipeline::build_with_sketches(&desc.name, spec, rm, sketches, move |shard| {
+                let sketch = Arc::clone(&guard_sketches[shard]);
+                let (graph, compiled) =
+                    CompiledShard::build(&build_desc, shard, sketch, &externals)?;
                 slot.lock().expect("desc shard slot")[shard] = Some(compiled);
                 Ok(graph)
             })?;
         let pins: Vec<(usize, usize)> = desc.pins.iter().map(|(&b, &s)| (b, s)).collect();
         if !pins.is_empty() {
             let map = pinned_map(pipe.bucket_map(), &pins, workers)?;
-            pipe.install_bucket_map(map);
+            pipe.install_bucket_map(map, &[]);
         }
         Ok((
             pipe,
@@ -468,7 +431,8 @@ pub struct ApplyReport {
     /// Buckets moved by a steering update.
     pub moved_buckets: usize,
     /// Pipeline-wide quiesce epochs consumed (0 for param-only
-    /// patches on the threaded driver; migrations count separately).
+    /// patches that leave the ingress element alone; a steering change
+    /// adds its migration's epoch).
     pub epochs: u64,
     /// Shards whose object graph was touched.
     pub shards_touched: usize,
@@ -540,7 +504,8 @@ impl DescBinding {
             .validate_with(&self.externals.keys().cloned().collect())
     }
 
-    /// Applies `patch` to a threaded pipeline built from this binding.
+    /// Applies `patch` to the pipeline built from this binding, on
+    /// either executor.
     ///
     /// Param-only patches run hot — no pipeline-wide quiesce, zero
     /// epochs. Structural patches (and param swaps of the ingress
@@ -553,7 +518,11 @@ impl DescBinding {
     /// Fails if the patch's base does not match this binding, or if a
     /// mutation fails mid-apply — in that case the binding is stale
     /// and the pipeline should be rebuilt from a fresh description.
-    pub fn apply_sharded(&mut self, pipe: &ShardedPipeline, patch: &Patch) -> Result<ApplyReport> {
+    pub fn apply_sharded<E: ShardExecutor<ShardJob>>(
+        &mut self,
+        pipe: &ShardedPipeline<E>,
+        patch: &Patch,
+    ) -> Result<ApplyReport> {
         self.check_patch(patch)?;
         let epoch_before = pipe.epoch();
         let mut report = ApplyReport::default();
@@ -583,33 +552,6 @@ impl DescBinding {
         }
         self.desc = patch.to_desc().clone();
         report.epochs = pipe.epoch() - epoch_before;
-        Ok(report)
-    }
-
-    /// Applies `patch` to a solo pipeline built from this binding.
-    /// The caller is always at a batch boundary, so no quiesce is
-    /// needed regardless of the patch's shape; `epochs` stays 0.
-    ///
-    /// # Errors
-    ///
-    /// See [`Self::apply_sharded`].
-    pub fn apply_solo(&mut self, pipe: &mut SoloPipeline, patch: &Patch) -> Result<ApplyReport> {
-        self.check_patch(patch)?;
-        let mut report = ApplyReport::default();
-        let swaps = self.apply_ops(patch, &mut report)?;
-        for (shard, entry) in swaps {
-            pipe.set_entry(shard, entry);
-            report.entry_swaps += 1;
-        }
-        if patch.steering_changed() {
-            let workers = pipe.workers();
-            let pins: Vec<(usize, usize)> =
-                patch.to_desc().pins.iter().map(|(&b, &s)| (b, s)).collect();
-            let map = pinned_map(pipe.bucket_map(), &pins, workers)?;
-            let migration = pipe.install_bucket_map(map);
-            report.moved_buckets = migration.moved_buckets;
-        }
-        self.desc = patch.to_desc().clone();
         Ok(report)
     }
 
@@ -723,7 +665,7 @@ impl DescBinding {
                         report.table_ops += 1;
                         touched = true;
                     }
-                    // Pipeline-level ops: handled by the apply_* wrappers.
+                    // Pipeline-level ops: handled by `apply_sharded`.
                     PatchOp::SetControl | PatchOp::SetSteering => {}
                 }
             }

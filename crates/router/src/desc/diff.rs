@@ -116,8 +116,7 @@ impl PatchOp {
 
 /// A deterministic mutation plan between two descriptions. Produced by
 /// [`diff`], consumed by
-/// [`DescBinding::apply_sharded`](super::DescBinding::apply_sharded) /
-/// [`apply_solo`](super::DescBinding::apply_solo).
+/// [`DescBinding::apply_sharded`](super::DescBinding::apply_sharded).
 #[derive(Clone, Debug, PartialEq)]
 pub struct Patch {
     from: PipelineDesc,

@@ -4,10 +4,10 @@
 //! the elements, bind the edges, install the filters. This module adds
 //! the layer the P4 data-plane line of work argues for — a small typed
 //! description model that **validates** against an element schema
-//! registry and **compiles** to the real element graph through the
-//! factory path both [`ShardedPipeline`](crate::shard::ShardedPipeline)
-//! and [`SoloPipeline`](crate::shard::SoloPipeline) already share — and
-//! the half that makes it a control plane rather than a config file:
+//! registry and **compiles** to the real element graph through
+//! [`ShardedPipeline`](crate::shard::ShardedPipeline)'s factory path,
+//! on either executor (threaded workers, or inline for the simulator)
+//! — and the half that makes it a control plane rather than a config file:
 //! [`diff`](diff()) computes a minimal deterministic [`Patch`] between
 //! two descriptions, and [`DescBinding::apply_sharded`] executes it
 //! under the existing zero-loss migration machinery.
@@ -29,8 +29,8 @@
 //!   host-supplied *external* element kinds, e.g. a simulator's egress
 //!   collector) and returns a [`DescBinding`] that remembers the
 //!   compiled object graph so later patches can address it.
-//! * [`diff`](diff()) / [`Patch`] / [`DescBinding::apply_sharded`] /
-//!   [`DescBinding::apply_solo`] — the incremental control plane. A
+//! * [`diff`](diff()) / [`Patch`] / [`DescBinding::apply_sharded`] —
+//!   the incremental control plane, one applier for both executors. A
 //!   param-only diff compiles to a patch with **zero structural
 //!   mutations** (hot [`Capsule::replace`](opencom::capsule::Capsule)
 //!   swaps and table upserts only) and applies without a pipeline-wide
@@ -52,17 +52,15 @@
 //!     .edge("guard", "ct")
 //!     .edge("ct", "sink");
 //!
-//! // Tighten the guard: same topology, one knob changed.
-//! let v2 = v1
-//!     .clone()
-//!     .set_param("guard", "byte_threshold", (512u64 * 1024).into());
+//! // Grow the connection table: same topology, one knob changed.
+//! let v2 = v1.clone().set_param("ct", "capacity", 8192u64.into());
 //! let patch = diff(&v1, &v2);
 //! assert!(patch.param_only());
 //!
 //! // Apply it to a live pipeline: one hot swap, zero quiesce epochs.
-//! let (mut pipe, mut binding) =
-//!     Compiler::new().build_solo(&v1, ShardSpec::new(1), Arc::new(ResourceManager::new()))?;
-//! let report = binding.apply_solo(&mut pipe, &patch)?;
+//! let (pipe, mut binding) =
+//!     Compiler::new().build_inline(&v1, ShardSpec::new(1), Arc::new(ResourceManager::new()))?;
+//! let report = binding.apply_sharded(&pipe, &patch)?;
 //! assert_eq!((report.structural, report.replaced, report.epochs), (0, 1, 0));
 //! # Ok::<(), opencom::error::Error>(())
 //! ```

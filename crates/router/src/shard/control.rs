@@ -17,8 +17,8 @@
 //!   workload cannot thrash the dataplane through quiesce epochs). It
 //!   has no threads and no clock — the deterministic simulator drives
 //!   the *same* controller from its event loop (see
-//!   `netkit_sim::shard::ShardedBehaviour`), which is what makes
-//!   autonomous-rebalancing experiments reproducible.
+//!   `netkit_sim::pipeline::PipelineNode::with_controller`), which is
+//!   what makes autonomous-rebalancing experiments reproducible.
 //! * [`ControlLoop`] — the **threaded supervisor**: a
 //!   `netkit_kernel::task::PeriodicTask` ticking
 //!   [`ShardedPipeline::control_turn`] against a live pipeline, with

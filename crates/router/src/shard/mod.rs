@@ -39,6 +39,35 @@
 //!   packet ever sees a half-reconfigured dataplane, and traffic
 //!   submitted meanwhile queues rather than drops.
 //!
+//! ## One pipeline, two executors
+//!
+//! Everything above — and below: steering, meters, cause-tagged drop
+//! accounting, control turns, crash recovery, patch application — is
+//! written once. [`ShardedPipeline`] is generic over the one thing the
+//! threaded dataplane and the deterministic simulator differ in: *who
+//! runs a shard's job* ([`ShardExecutor`]). The default,
+//! [`WorkerPool`], is the dataplane — one thread and one ring per
+//! shard, [`ShardedPipeline::build`]. [`InlinePool`] runs each shard's
+//! handler on the calling thread, in index order: a discrete-event
+//! simulator hosts one `ShardedPipeline<InlinePool>` per node
+//! (`netkit_sim::pipeline::PipelineNode`), each with its own
+//! [`RebalanceController`] driven from simulated time, and replays a
+//! whole city of *real* stateful dataplanes bit-for-bit from a seed.
+//! `tests/sim_pipeline_differential.rs` pins the equivalence: for the
+//! same trace both executors produce identical verdict counts,
+//! per-shard multisets and per-flow order.
+//!
+//! What the inline executor does *not* exercise, by construction:
+//! ring-full, dead-worker and re-steer-shed drops (there are no rings,
+//! and nothing can die on the caller's own thread, so
+//! [`ShardedPipeline::health_turn`] never finds work), and the
+//! ring-pressure meters ([`ShardLoad::in_flight`] and
+//! [`ShardLoad::ring_high_water`] read 0). A quiesce there is free —
+//! the caller is already between batches — but still counts its epoch,
+//! so migration and patch receipts read the same on both.
+//!
+//! [`InlinePool`]: netkit_kernel::shard::InlinePool
+//!
 //! ## The steering table and its ownership
 //!
 //! All steering — software dispatch here, hardware-modelled RSS in the
@@ -61,7 +90,9 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use netkit_kernel::nic::Nic;
-use netkit_kernel::shard::{ShardHandler, ShardJob, ShardSpec, SubmitRejection, WorkerPool};
+use netkit_kernel::shard::{
+    ShardExecutor, ShardHandler, ShardJob, ShardSpec, SubmitRejection, WorkerPool,
+};
 use netkit_packet::batch::{BatchPool, PacketBatch};
 use netkit_packet::sketch::{FlowSketch, HeavyHitter, SketchConfig, SpaceSaving};
 use netkit_packet::steer::{BucketLoad, BucketMap, RSS_BUCKETS};
@@ -76,14 +107,12 @@ use crate::api::{IPacketPush, PushError};
 pub mod control;
 pub mod decision;
 pub mod rebalance;
-pub mod solo;
 
 pub use control::{ControlConfig, ControlDecision, ControlLoop, ControlStats, RebalanceController};
 pub use decision::{core_by_name, DecisionCore, Evidence, EwmaCore, HysteresisCore, WeightedCore};
 pub use rebalance::{
     HeavyHitterPolicy, MigrationReport, RebalancePlan, RebalancePolicy, WeightedRebalancePolicy,
 };
-pub use solo::SoloPipeline;
 
 /// A swappable shard entry point: workers re-read it each batch, so a
 /// quiesce closure can retarget a shard's ingress (e.g. after replacing
@@ -332,8 +361,8 @@ pub struct ShardLoad {
 /// pipe.shutdown();
 /// # Ok::<(), opencom::error::Error>(())
 /// ```
-pub struct ShardedPipeline {
-    pool: WorkerPool<ShardJob>,
+pub struct ShardedPipeline<E = WorkerPool<ShardJob>> {
+    pool: E,
     /// Batch-container freelist for the steering fast path: NIC rx
     /// batches and the workers' shard-range gather containers lease
     /// here and return on drop at the end of each worker's
@@ -378,10 +407,22 @@ pub struct ShardedPipeline {
     spec: ShardSpec,
 }
 
+/// One fresh, empty flow sketch per shard of `spec` — what
+/// [`ShardedPipeline::build_with_sketches`] expects when the caller has
+/// no sketches of its own to share.
+pub fn fresh_sketches(spec: ShardSpec) -> Vec<Arc<FlowSketch>> {
+    (0..spec.workers.max(1))
+        .map(|_| Arc::new(FlowSketch::new(SketchConfig::default())))
+        .collect()
+}
+
 impl ShardedPipeline {
     /// Builds `spec.workers` replicas via `factory(shard)` (called in
     /// shard order), registers the pipeline as one task named `name` in
-    /// `rm`, and starts the worker pool.
+    /// `rm`, and starts the worker pool — the threaded executor with
+    /// fresh per-shard sketches. A factory that wants its shard's
+    /// sketch (to hand to a [`Guard`](crate::flow::Guard)) uses
+    /// [`Self::build_with_sketches`].
     ///
     /// # Errors
     ///
@@ -390,11 +431,58 @@ impl ShardedPipeline {
         name: &str,
         spec: ShardSpec,
         rm: Arc<ResourceManager>,
+        factory: F,
+    ) -> Result<Self>
+    where
+        F: FnMut(usize) -> Result<ShardGraph> + Send + 'static,
+    {
+        Self::build_with_sketches(name, spec, rm, fresh_sketches(spec), factory)
+    }
+}
+
+impl<E: ShardExecutor<ShardJob>> ShardedPipeline<E> {
+    /// The constructor both executors share: builds `spec.workers`
+    /// replicas via `factory(shard)` (called in shard order), registers
+    /// the pipeline as one task named `name` in `rm`, and starts the
+    /// executor `E` over them.
+    ///
+    /// The caller supplies the per-shard flow sketches, so it can clone
+    /// each shard's `Arc` into the factory's
+    /// [`Guard`](crate::flow::Guard) before passing the originals in:
+    /// the guard then reads exactly the sketch the shard's handler
+    /// meters into, which is the guard's "estimates already include the
+    /// current batch" contract (the handler records before the graph
+    /// runs). A respawned replica is handed the same sketch again.
+    ///
+    /// # Errors
+    ///
+    /// Propagates factory failures and a duplicate task `name`.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless exactly one sketch per shard is supplied.
+    pub fn build_with_sketches<F>(
+        name: &str,
+        spec: ShardSpec,
+        rm: Arc<ResourceManager>,
+        sketches: Vec<Arc<FlowSketch>>,
         mut factory: F,
     ) -> Result<Self>
     where
         F: FnMut(usize) -> Result<ShardGraph> + Send + 'static,
     {
+        // 0 ≡ 1 shard here as in the executors, the split and the NIC.
+        let spec = ShardSpec {
+            workers: spec.workers.max(1),
+            ..spec
+        };
+        assert_eq!(
+            sketches.len(),
+            spec.workers,
+            "{} sketches supplied for {} shards",
+            sketches.len(),
+            spec.workers
+        );
         let task = rm.create_task(name)?;
         let mut entries: Vec<SharedEntry> = Vec::with_capacity(spec.workers);
         let mut capsules = Vec::with_capacity(spec.workers);
@@ -415,36 +503,36 @@ impl ShardedPipeline {
                 .map(|_| ShardCounters::default())
                 .collect(),
         );
-        let worker_entries = entries.clone();
-        let worker_counters = Arc::clone(&counters);
         let bucket_load = Arc::new(BucketLoad::new());
-        let worker_bucket_load = Arc::clone(&bucket_load);
-        let sketches: Vec<Arc<FlowSketch>> = (0..spec.workers)
-            .map(|_| Arc::new(FlowSketch::new(SketchConfig::default())))
-            .collect();
-        let worker_sketches = sketches.clone();
-        let mut drains = drains;
-        // Built before the pool starts: each worker clones a handle so
-        // it can gather shared shard ranges into pooled containers.
-        let batch_pool = BatchPool::new(
-            DISPATCH_BATCH_CAPACITY,
-            spec.workers.saturating_mul(4),
-            spec.workers.saturating_mul(8).max(16),
-        );
-        let worker_batch_pool = batch_pool.clone();
-        let pool = WorkerPool::start(spec, move |shard| {
+        // Built before the executor starts: each handler clones a
+        // handle so it can gather shared shard ranges into pooled
+        // containers. Rings hold several parents and gathers per shard
+        // at once; inline, one parent and one gather exist at a time,
+        // so nothing is provisioned up front and a container grows to
+        // the batches it meets (a thousand-node simulated city must not
+        // pay for ring depth, or burst sizes, it does not have).
+        let batch_pool = if E::PARALLEL {
+            BatchPool::new(
+                DISPATCH_BATCH_CAPACITY,
+                spec.workers.saturating_mul(4),
+                spec.workers.saturating_mul(8).max(16),
+            )
+        } else {
+            BatchPool::new(0, 0, 2)
+        };
+        let pool = E::start(spec, |shard| {
             Self::make_handler(
                 shard,
-                Arc::clone(&worker_entries[shard]),
-                Arc::clone(&worker_counters),
-                worker_batch_pool.clone(),
+                Arc::clone(&entries[shard]),
+                Arc::clone(&counters),
+                batch_pool.clone(),
                 // A single-worker pipeline never rebalances (there is
                 // nowhere to move a bucket), and its dispatch fast path
                 // skips the split that stamps RSS hashes — metering
                 // there would re-parse headers per packet for evidence
                 // nobody can act on. Meter only when sharded.
-                (spec.workers > 1).then(|| Arc::clone(&worker_bucket_load)),
-                (spec.workers > 1).then(|| Arc::clone(&worker_sketches[shard])),
+                (spec.workers > 1).then(|| Arc::clone(&bucket_load)),
+                (spec.workers > 1).then(|| Arc::clone(&sketches[shard])),
                 drains[shard].take(),
             )
         });
@@ -603,42 +691,6 @@ impl ShardedPipeline {
         )
     }
 
-    /// The pre-shared-ring dispatch baseline: the same counting-sort
-    /// split, but each shard's slice is re-materialised as an **owned**
-    /// sub-batch ([`PacketBatch`] leased from the pool, packets moved
-    /// on *this* thread) and published with one ring transaction per
-    /// sub-batch. Semantically equivalent to [`Self::dispatch`]
-    /// (verdicts, per-output multisets, per-flow order — see the
-    /// differential proptest); kept as the comparison arm for the E13
-    /// dispatch bench and for callers that must not share the parent.
-    pub fn dispatch_owned(&self, batch: PacketBatch) -> usize {
-        let map = self.steering.read();
-        if self.spec.workers <= 1 {
-            return self.submit_counting_drops(0, batch);
-        }
-        let mut sent = 0;
-        let split = batch.shard_split_with(&map);
-        for (shard, part) in split
-            .into_shard_batches_pooled(&self.batch_pool)
-            .into_iter()
-            .enumerate()
-        {
-            if part.is_empty() {
-                continue;
-            }
-            let n = part.len() as u64;
-            match self.pool.submit(shard, ShardJob::Batch(part)) {
-                Ok(()) => sent += 1,
-                Err(_) => {
-                    if let Some(c) = self.counters.get(shard) {
-                        c.drop_cause(DropCause::DeadWorker, n);
-                    }
-                }
-            }
-        }
-        sent
-    }
-
     /// Single-shard hand-off with loss accounting: empty batches are
     /// not published, and a failed publish (dead worker) lands in the
     /// shard's `dropped` stat instead of vanishing silently.
@@ -752,20 +804,10 @@ impl ShardedPipeline {
 
     /// Snapshot (peek, non-destructive) of the per-bucket packet
     /// meters — what has accumulated since the evidence was last
-    /// consumed (retired by an applied migration, decayed by
-    /// [`Self::decay_bucket_loads`], or drained).
+    /// consumed (retired by an applied migration or decayed by
+    /// [`Self::decay_bucket_loads`]).
     pub fn bucket_loads(&self) -> Vec<u64> {
         self.bucket_load.snapshot()
-    }
-
-    /// Takes the per-bucket observation window destructively: returns
-    /// the counts and zeroes them. This is the legacy drain-based
-    /// discipline for callers that unconditionally consume every
-    /// window; the rebalancing paths ([`Self::rebalance`],
-    /// [`Self::control_turn`]) use peek-then-commit instead so
-    /// declined windows retain their evidence.
-    pub fn drain_bucket_loads(&self) -> Vec<u64> {
-        self.bucket_load.drain()
     }
 
     /// Per-shard load meters: work done plus ring pressure — the
@@ -1331,7 +1373,7 @@ impl ShardedPipeline {
     }
 }
 
-impl fmt::Debug for ShardedPipeline {
+impl<E: fmt::Debug> fmt::Debug for ShardedPipeline<E> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(
             f,
@@ -1346,6 +1388,7 @@ mod tests {
     use super::*;
     use crate::api::{register_packet_interfaces, IPACKET_PUSH};
     use crate::elements::{Counter, Discard};
+    use netkit_kernel::shard::InlinePool;
     use netkit_packet::packet::PacketBuilder;
     use opencom::runtime::Runtime;
 
@@ -1546,8 +1589,6 @@ mod tests {
         }
         // The meters saw every packet, bucketwise.
         assert_eq!(r.pipe.bucket_loads().iter().sum::<u64>(), 32);
-        assert_eq!(r.pipe.drain_bucket_loads().iter().sum::<u64>(), 32);
-        assert_eq!(r.pipe.bucket_loads().iter().sum::<u64>(), 0);
         r.pipe.shutdown();
     }
 
@@ -1932,26 +1973,6 @@ mod tests {
     }
 
     #[test]
-    fn dispatch_owned_agrees_with_shared_dispatch() {
-        let shared = rig("agree-shared", 4);
-        let owned = rig("agree-owned", 4);
-        shared.pipe.dispatch(burst(16, 8));
-        owned.pipe.dispatch_owned(burst(16, 8));
-        shared.pipe.flush();
-        owned.pipe.flush();
-        assert_eq!(shared.pipe.stats(), owned.pipe.stats());
-        for shard in 0..4 {
-            assert_eq!(
-                shared.pipe.shard_stats(shard),
-                owned.pipe.shard_stats(shard),
-                "per-shard steering identical on shard {shard}"
-            );
-        }
-        shared.pipe.shutdown();
-        owned.pipe.shutdown();
-    }
-
-    #[test]
     fn install_counts_full_ring_rejections_and_recycles_containers() {
         use netkit_kernel::nic::{Nic, PortId};
         use netkit_packet::flow::FlowKey;
@@ -2232,5 +2253,205 @@ mod tests {
         assert_eq!(causes.total(), pipe.stats().dropped, "the sum invariant");
         assert_eq!(pipe.stats().accepted, 0);
         pipe.shutdown();
+    }
+
+    /// The pipeline on the inline executor, one `entry(shard)` element
+    /// per replica.
+    pub(super) fn inline_pipe(
+        name: &str,
+        spec: ShardSpec,
+        mut entry: impl FnMut(usize) -> Arc<dyn IPacketPush> + Send + 'static,
+    ) -> ShardedPipeline<InlinePool> {
+        ShardedPipeline::build_with_sketches(
+            name,
+            spec,
+            Arc::new(ResourceManager::new()),
+            fresh_sketches(spec),
+            move |shard| {
+                let rt = Runtime::new();
+                register_packet_interfaces(&rt);
+                Ok(ShardGraph::new(Capsule::new("shard", &rt), entry(shard)))
+            },
+        )
+        .expect("pipeline builds")
+    }
+
+    #[test]
+    fn zero_worker_spec_behaves_as_one_shard() {
+        // A literal spec bypasses ShardSpec::new's clamp; the pipeline
+        // normalises it like the executors and the split do.
+        let raw = ShardSpec {
+            workers: 0,
+            ring_capacity: 0,
+        };
+        let pipe = inline_pipe("zero-raw", raw, |_| Counter::new());
+        assert_eq!(pipe.workers(), 1);
+        assert_eq!(pipe.dispatch(burst(4, 1)), 1);
+        assert_eq!(pipe.shard_stats(0).packets, 4);
+    }
+}
+
+/// The pipeline on the inline executor: one thread, shards in index
+/// order — what the simulator drives. (The module path keeps the ids
+/// these tests have carried since they pinned the single-threaded
+/// drive.)
+#[cfg(test)]
+mod solo {
+    mod tests {
+        use super::super::tests::inline_pipe;
+        use super::super::*;
+        use crate::api::{BatchResult, PushResult};
+        use netkit_kernel::shard::InlinePool;
+        use netkit_packet::flow::FlowKey;
+        use netkit_packet::packet::{Packet, PacketBuilder};
+
+        /// Terminal element logging `(shard, src_port)` arrivals.
+        struct Recorder {
+            shard: usize,
+            log: Arc<Mutex<Vec<(usize, u16)>>>,
+        }
+
+        impl IPacketPush for Recorder {
+            fn push(&self, pkt: Packet) -> PushResult {
+                self.log
+                    .lock()
+                    .push((self.shard, pkt.udp_v4().expect("udp").src_port));
+                Ok(())
+            }
+
+            fn push_batch(&self, mut batch: PacketBatch) -> BatchResult {
+                let mut result = BatchResult::with_capacity(batch.len());
+                for pkt in batch.drain_all() {
+                    result.record(self.push(pkt));
+                }
+                result
+            }
+        }
+
+        #[allow(clippy::type_complexity)]
+        fn recorder_pipe(
+            workers: usize,
+        ) -> (ShardedPipeline<InlinePool>, Arc<Mutex<Vec<(usize, u16)>>>) {
+            let log: Arc<Mutex<Vec<(usize, u16)>>> = Arc::new(Mutex::new(Vec::new()));
+            let log2 = Arc::clone(&log);
+            let name = format!("solo-test-{workers}");
+            let pipe = inline_pipe(&name, ShardSpec::new(workers), move |shard| {
+                Arc::new(Recorder {
+                    shard,
+                    log: Arc::clone(&log2),
+                })
+            });
+            (pipe, log)
+        }
+
+        fn flow(port: u16) -> Packet {
+            PacketBuilder::udp_v4("10.0.0.1", "10.0.0.2", port, 80).build()
+        }
+
+        #[test]
+        fn dispatch_steers_by_flow_in_shard_order() {
+            let (pipe, log) = recorder_pipe(4);
+            let pkts: Vec<Packet> = (0..32u16).map(|i| flow(7000 + i)).collect();
+            let expect_shard: Vec<usize> = pkts
+                .iter()
+                .map(|p| FlowKey::from_packet(p).unwrap().shard_for(4))
+                .collect();
+            pipe.dispatch(PacketBatch::from_packets(pkts));
+            let log = log.lock();
+            assert_eq!(log.len(), 32);
+            // Shard visit order is index order, and each packet landed on
+            // its RSS shard.
+            let mut last_shard = 0;
+            for &(shard, port) in log.iter() {
+                assert!(shard >= last_shard, "shards visited in index order");
+                last_shard = shard;
+                assert_eq!(shard, expect_shard[(port - 7000) as usize]);
+            }
+            assert_eq!(pipe.stats().packets, 32);
+            assert_eq!(pipe.stats().accepted, 32);
+            assert_eq!(pipe.stats().dropped, 0);
+        }
+
+        #[test]
+        fn single_shard_skips_metering() {
+            let (pipe, _log) = recorder_pipe(1);
+            pipe.dispatch((0..8u16).map(|i| flow(9000 + i)).collect());
+            assert_eq!(pipe.bucket_loads().iter().sum::<u64>(), 0);
+            assert_eq!(pipe.stats().packets, 8);
+        }
+
+        #[test]
+        fn installed_map_redirects_and_counts_migration() {
+            let (pipe, log) = recorder_pipe(2);
+            let pkts: Vec<Packet> = (0..8u16).map(|i| flow(7000 + i)).collect();
+            let mut map = pipe.bucket_map();
+            for p in &pkts {
+                map.set(FlowKey::from_packet(p).unwrap().bucket(), 1);
+            }
+            let report = pipe.install_bucket_map(map, &[]);
+            assert!(report.moved_buckets > 0);
+            assert_eq!(pipe.migrations(), 1);
+            pipe.dispatch(PacketBatch::from_packets(pkts));
+            assert!(log.lock().iter().all(|&(shard, _)| shard == 1));
+        }
+
+        #[test]
+        fn control_turn_migrates_a_colocated_window() {
+            let (pipe, _log) = recorder_pipe(2);
+            let mut ctl = RebalanceController::new(
+                WeightedRebalancePolicy {
+                    base: RebalancePolicy {
+                        max_imbalance: 1.25,
+                        min_samples: 8,
+                    },
+                    pressure_weight: 0.0,
+                    decay: 0.5,
+                },
+                0,
+            );
+            // Flows all colocated on shard 0 under the identity table.
+            let mut colocated = Vec::new();
+            let mut port = 7000u16;
+            while colocated.len() < 32 {
+                let p = flow(port);
+                if FlowKey::from_packet(&p).unwrap().shard_for(2) == 0 {
+                    colocated.push(p);
+                }
+                port += 1;
+            }
+            pipe.dispatch(PacketBatch::from_packets(colocated));
+            let migrated = pipe.control_turn(&mut ctl, &[]);
+            assert!(migrated.is_some(), "colocation must migrate");
+            assert_eq!(pipe.migrations(), 1);
+            // The judged window was retired.
+            assert_eq!(pipe.bucket_loads().iter().sum::<u64>(), 0);
+        }
+
+        #[test]
+        fn drop_causes_sum_to_aggregate() {
+            // A graph that rejects every packet as rate-limited on shard 0
+            // and as vetoed elsewhere.
+            struct Reject(bool);
+            impl IPacketPush for Reject {
+                fn push(&self, _pkt: Packet) -> PushResult {
+                    if self.0 {
+                        Err(PushError::RateLimited)
+                    } else {
+                        Err(PushError::Veto("rejected".into()))
+                    }
+                }
+            }
+            let pipe = inline_pipe("solo-reject", ShardSpec::new(2), |shard| {
+                Arc::new(Reject(shard == 0))
+            });
+            pipe.dispatch((0..32u16).map(|i| flow(7000 + i)).collect());
+            let stats = pipe.stats();
+            let drops = pipe.drop_stats();
+            assert_eq!(stats.dropped, 32);
+            assert_eq!(drops.total(), 32);
+            assert!(drops.guard > 0, "shard 0 verdicts file under guard");
+            assert!(drops.graph > 0, "shard 1 verdicts file under graph");
+            assert_eq!(drops.ring_full + drops.dead_worker + drops.resteer_shed, 0);
+        }
     }
 }

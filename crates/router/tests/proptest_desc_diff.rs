@@ -13,6 +13,11 @@
 //! prices: a param-only pair produces a patch with **zero** structural
 //! ops that applies without a quiesce epoch.
 //!
+//! Both properties run on **both executors** — the threaded worker
+//! pool and the inline one the simulator drives — through the one
+//! `apply_sharded`; the epoch receipts must read the same on each
+//! (structural: exactly one, param-only: zero).
+//!
 //! The family is built so the contract is exact rather than merely
 //! probable: guard thresholds sit far above what the probe traffic can
 //! accumulate, conntrack capacity far above the flow count, and the
@@ -25,15 +30,16 @@ use std::sync::Arc;
 
 use proptest::prelude::*;
 
-use netkit_kernel::shard::ShardSpec;
+use netkit_kernel::shard::{ShardExecutor, ShardJob, ShardSpec};
 use netkit_packet::batch::PacketBatch;
 use netkit_packet::packet::{Packet, PacketBuilder};
 use netkit_router::api::{BatchResult, IPacketPush, PushResult, IPACKET_PUSH};
 use netkit_router::desc::{
     diff, Compiler, DescBinding, ElementHandle, PatternDesc, PipelineDesc, TableEntry,
 };
-use netkit_router::shard::SoloPipeline;
+use netkit_router::shard::ShardedPipeline;
 use opencom::component::{Component, ComponentCore, ComponentDescriptor, Registrar};
+use opencom::error::Result;
 use opencom::ident::Version;
 use opencom::meta::resources::ResourceManager;
 use parking_lot::Mutex;
@@ -251,14 +257,31 @@ fn prints(pkts: Vec<Packet>) -> Vec<Vec<u8>> {
 
 // ---- rigs ------------------------------------------------------------------
 
-struct Rig {
-    pipe: SoloPipeline,
+/// `Compiler::build_sharded` or `Compiler::build_inline`: how a
+/// property names the executor it runs on.
+type Build<E> = fn(
+    &Compiler,
+    &PipelineDesc,
+    ShardSpec,
+    Arc<ResourceManager>,
+) -> Result<(ShardedPipeline<E>, DescBinding)>;
+
+struct Rig<E> {
+    pipe: ShardedPipeline<E>,
     binding: DescBinding,
     lo: Arc<Collector>,
     hi: Arc<Collector>,
 }
 
-fn compile(desc: &PipelineDesc) -> Rig {
+impl<E: ShardExecutor<ShardJob>> Rig<E> {
+    /// Runs `draws` through the pipeline to completion.
+    fn run(&self, draws: &[(u8, u8)]) {
+        self.pipe.dispatch(batch_of(draws));
+        self.pipe.flush();
+    }
+}
+
+fn compile<E>(build: Build<E>, desc: &PipelineDesc) -> Rig<E> {
     let lo = Collector::new();
     let hi = Collector::new();
     let lo_slot = Arc::clone(&lo);
@@ -276,9 +299,13 @@ fn compile(desc: &PipelineDesc) -> Rig {
                 ElementHandle::Plain,
             )
         });
-    let (pipe, binding) = compiler
-        .build_solo(desc, ShardSpec::new(1), Arc::new(ResourceManager::new()))
-        .expect("family descriptions always compile");
+    let (pipe, binding) = build(
+        &compiler,
+        desc,
+        ShardSpec::new(1),
+        Arc::new(ResourceManager::new()),
+    )
+    .expect("family descriptions always compile");
     Rig {
         pipe,
         binding,
@@ -289,11 +316,137 @@ fn compile(desc: &PipelineDesc) -> Rig {
 
 // ---- properties ------------------------------------------------------------
 
+/// `apply(diff(d1, d2))` on a live, warmed-up pipeline is
+/// packet-equivalent to a fresh build of `d2` — on executor `E`.
+fn check_patched_matches_fresh<E: ShardExecutor<ShardJob>>(
+    build: Build<E>,
+    s1: &DescSpec,
+    s2: &DescSpec,
+    warmup: &[(u8, u8)],
+    probe: &[(u8, u8)],
+) {
+    let d1 = describe(s1);
+    let d2 = describe(s2);
+
+    // Live pipeline: built from d1, carries warm-up traffic first
+    // so element state (counters, conntrack entries, NAT bindings,
+    // guard byte evidence) exists when the patch lands.
+    let mut live = compile(build, &d1);
+    live.run(warmup);
+    let warm_lo = prints(live.lo.drain()).len();
+    let warm_hi = prints(live.hi.drain()).len();
+    let pre = live.pipe.stats();
+    // No loss, no duplication during warm-up either.
+    prop_assert_eq!(pre.accepted as usize, warm_lo + warm_hi);
+    prop_assert_eq!(pre.packets as usize, warmup.len());
+
+    let patch = live
+        .binding
+        .diff_to(&d2)
+        .expect("family pairs are diffable");
+    let report = live
+        .binding
+        .apply_sharded(&live.pipe, &patch)
+        .expect("family patches apply");
+
+    // Reference: a cold build of d2.
+    let fresh = compile(build, &d2);
+
+    live.run(probe);
+    fresh.run(probe);
+
+    // Identical per-output packet sequences (subsumes multiset and
+    // per-flow-order equality) and identical verdict tallies.
+    prop_assert_eq!(prints(live.lo.drain()), prints(fresh.lo.drain()));
+    prop_assert_eq!(prints(live.hi.drain()), prints(fresh.hi.drain()));
+    let post = live.pipe.stats();
+    let refr = fresh.pipe.stats();
+    prop_assert_eq!(post.accepted - pre.accepted, refr.accepted);
+    prop_assert_eq!(post.dropped - pre.dropped, refr.dropped);
+
+    // Same-skeleton pairs must have patched hot: no structure, no
+    // quiesce epochs.
+    if s1.skeleton() == s2.skeleton() {
+        prop_assert!(
+            patch.param_only(),
+            "skeleton-equal pair produced structure:\n{}",
+            patch.render()
+        );
+        prop_assert_eq!(report.structural, 0);
+        prop_assert_eq!(report.epochs, 0);
+    }
+    // The epoch receipt reads the same on either executor: one window
+    // for a patch that needs the workers parked, none otherwise.
+    prop_assert_eq!(report.epochs, u64::from(patch.requires_quiesce()));
+
+    // Convergence: the binding's view now *is* d2 — re-diffing is
+    // a no-op.
+    prop_assert!(diff(live.binding.desc(), &d2).is_empty());
+}
+
+/// Param-only pairs — same skeleton, every knob flipped — produce a
+/// patch with zero structural ops that applies without a quiesce and
+/// swaps exactly the parameterised elements — on executor `E`.
+fn check_param_only_is_hot<E: ShardExecutor<ShardJob>>(
+    build: Build<E>,
+    s1: &DescSpec,
+    traffic: &[(u8, u8)],
+) {
+    let s2 = DescSpec {
+        split: if s1.split == 1_000 { 2_000 } else { 1_000 },
+        counters: s1.counters,
+        guard: s1
+            .guard
+            .map(|t| if t == 1 << 20 { 2 << 20 } else { 1 << 20 }),
+        conntrack: s1.conntrack.map(|c| if c == 1_024 { 4_096 } else { 1_024 }),
+        nat: s1.nat.map(|p| if p == 10_000 { 20_000 } else { 10_000 }),
+    };
+    let d1 = describe(s1);
+    let d2 = describe(&s2);
+
+    let mut live = compile(build, &d1);
+    live.run(traffic);
+
+    let patch = live.binding.diff_to(&d2).expect("param tweaks diff");
+    prop_assert!(patch.param_only());
+    prop_assert_eq!(patch.structural_ops(), 0);
+    // The ingress element is untouched, so not even the
+    // entry-swap quiesce applies.
+    prop_assert!(!patch.requires_quiesce());
+
+    let report = live
+        .binding
+        .apply_sharded(&live.pipe, &patch)
+        .expect("param-only patches apply");
+    prop_assert_eq!(report.structural, 0);
+    prop_assert_eq!(report.epochs, 0);
+    prop_assert_eq!(report.entry_swaps, 0);
+    // Exactly the parameterised service elements were hot-swapped
+    // (one shard), and the split change is two table ops
+    // (delete old filter, install new).
+    let parameterised = usize::from(s1.guard.is_some())
+        + usize::from(s1.conntrack.is_some())
+        + usize::from(s1.nat.is_some());
+    prop_assert_eq!(report.replaced, parameterised);
+    prop_assert_eq!(report.table_ops, 2);
+
+    // And the patched pipeline still forwards: a probe flow lands
+    // in the branch the *new* split dictates.
+    live.lo.drain();
+    live.hi.drain();
+    live.run(&[(0, 1)]); // dport 1500
+    let lo_got = live.lo.drain().len();
+    let hi_got = live.hi.drain().len();
+    if s2.split == 2_000 {
+        prop_assert_eq!((lo_got, hi_got), (1, 0));
+    } else {
+        prop_assert_eq!((lo_got, hi_got), (0, 1));
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
-    /// `apply(diff(d1, d2))` on a live, warmed-up pipeline is
-    /// packet-equivalent to a fresh build of `d2`.
     #[test]
     fn patched_live_pipeline_matches_fresh_build(
         s1 in spec_strategy(),
@@ -301,110 +454,92 @@ proptest! {
         warmup in traffic_strategy(),
         probe in traffic_strategy(),
     ) {
-        let d1 = describe(&s1);
-        let d2 = describe(&s2);
-
-        // Live pipeline: built from d1, carries warm-up traffic first
-        // so element state (counters, conntrack entries, NAT bindings,
-        // guard byte evidence) exists when the patch lands.
-        let mut live = compile(&d1);
-        live.pipe.dispatch(batch_of(&warmup));
-        let warm_lo = prints(live.lo.drain()).len();
-        let warm_hi = prints(live.hi.drain()).len();
-        let pre = live.pipe.stats();
-        // No loss, no duplication during warm-up either.
-        prop_assert_eq!(pre.accepted as usize, warm_lo + warm_hi);
-        prop_assert_eq!(pre.packets as usize, warmup.len());
-
-        let patch = live.binding.diff_to(&d2).expect("family pairs are diffable");
-        let report = live
-            .binding
-            .apply_solo(&mut live.pipe, &patch)
-            .expect("family patches apply");
-
-        // Reference: a cold build of d2.
-        let mut fresh = compile(&d2);
-
-        live.pipe.dispatch(batch_of(&probe));
-        fresh.pipe.dispatch(batch_of(&probe));
-
-        // Identical per-output packet sequences (subsumes multiset and
-        // per-flow-order equality) and identical verdict tallies.
-        prop_assert_eq!(prints(live.lo.drain()), prints(fresh.lo.drain()));
-        prop_assert_eq!(prints(live.hi.drain()), prints(fresh.hi.drain()));
-        let post = live.pipe.stats();
-        let refr = fresh.pipe.stats();
-        prop_assert_eq!(post.accepted - pre.accepted, refr.accepted);
-        prop_assert_eq!(post.dropped - pre.dropped, refr.dropped);
-
-        // Same-skeleton pairs must have patched hot: no structure, no
-        // quiesce epochs.
-        if s1.skeleton() == s2.skeleton() {
-            prop_assert!(patch.param_only(), "skeleton-equal pair produced structure:\n{}", patch.render());
-            prop_assert_eq!(report.structural, 0);
-            prop_assert_eq!(report.epochs, 0);
-        }
-
-        // Convergence: the binding's view now *is* d2 — re-diffing is
-        // a no-op.
-        prop_assert!(diff(live.binding.desc(), &d2).is_empty());
+        check_patched_matches_fresh(Compiler::build_inline, &s1, &s2, &warmup, &probe);
+        check_patched_matches_fresh(Compiler::build_sharded, &s1, &s2, &warmup, &probe);
     }
 
-    /// Param-only pairs — same skeleton, every knob flipped — produce
-    /// a patch with zero structural ops that applies without a quiesce
-    /// and swaps exactly the parameterised elements.
     #[test]
     fn param_only_pairs_never_touch_structure(
         s1 in spec_strategy(),
         traffic in traffic_strategy(),
     ) {
-        let s2 = DescSpec {
-            split: if s1.split == 1_000 { 2_000 } else { 1_000 },
-            counters: s1.counters,
-            guard: s1.guard.map(|t| if t == 1 << 20 { 2 << 20 } else { 1 << 20 }),
-            conntrack: s1.conntrack.map(|c| if c == 1_024 { 4_096 } else { 1_024 }),
-            nat: s1.nat.map(|p| if p == 10_000 { 20_000 } else { 10_000 }),
-        };
-        let d1 = describe(&s1);
-        let d2 = describe(&s2);
-
-        let mut live = compile(&d1);
-        live.pipe.dispatch(batch_of(&traffic));
-
-        let patch = live.binding.diff_to(&d2).expect("param tweaks diff");
-        prop_assert!(patch.param_only());
-        prop_assert_eq!(patch.structural_ops(), 0);
-        // The ingress element is untouched, so not even the
-        // entry-swap quiesce applies.
-        prop_assert!(!patch.requires_quiesce());
-
-        let report = live
-            .binding
-            .apply_solo(&mut live.pipe, &patch)
-            .expect("param-only patches apply");
-        prop_assert_eq!(report.structural, 0);
-        prop_assert_eq!(report.epochs, 0);
-        prop_assert_eq!(report.entry_swaps, 0);
-        // Exactly the parameterised service elements were hot-swapped
-        // (one shard), and the split change is two table ops
-        // (delete old filter, install new).
-        let parameterised = usize::from(s1.guard.is_some())
-            + usize::from(s1.conntrack.is_some())
-            + usize::from(s1.nat.is_some());
-        prop_assert_eq!(report.replaced, parameterised);
-        prop_assert_eq!(report.table_ops, 2);
-
-        // And the patched pipeline still forwards: a probe flow lands
-        // in the branch the *new* split dictates.
-        live.lo.drain();
-        live.hi.drain();
-        live.pipe.dispatch(batch_of(&[(0, 1)])); // dport 1500
-        let lo_got = live.lo.drain().len();
-        let hi_got = live.hi.drain().len();
-        if s2.split == 2_000 {
-            prop_assert_eq!((lo_got, hi_got), (1, 0));
-        } else {
-            prop_assert_eq!((lo_got, hi_got), (0, 1));
-        }
+        check_param_only_is_hot(Compiler::build_inline, &s1, &traffic);
+        check_param_only_is_hot(Compiler::build_sharded, &s1, &traffic);
     }
+}
+
+/// Regression: a description-compiled `Guard` reads the sketch its
+/// shard's handler meters, on either executor. (The threaded compile
+/// path used to hand every guard a private sketch nobody fed, so a
+/// described guard on the real dataplane could never rate-limit.)
+#[test]
+fn described_guard_rate_limits_alike_on_both_executors() {
+    const ELEPHANT: u16 = 7_000;
+    const MICE: u16 = 8;
+    const ROUNDS: u16 = 8;
+
+    fn guard_drops<E: ShardExecutor<ShardJob>>(build: Build<E>) -> u64 {
+        let sinks: Vec<Arc<Collector>> = (0..2).map(|_| Collector::new()).collect();
+        let slots = sinks.clone();
+        let compiler = Compiler::new().external("sink", move |shard| {
+            (
+                Arc::clone(&slots[shard]) as Arc<dyn Component>,
+                ElementHandle::Plain,
+            )
+        });
+        let desc = PipelineDesc::new("guarded")
+            .element_with(
+                "guard",
+                "guard",
+                &[
+                    ("byte_threshold", 4_096u64.into()),
+                    ("window_budget", 4_096u64.into()),
+                ],
+            )
+            .element("sink", "sink")
+            .ingress("guard")
+            .edge("guard", "sink");
+        let (pipe, _binding) = build(
+            &compiler,
+            &desc,
+            ShardSpec::new(2),
+            Arc::new(ResourceManager::new()),
+        )
+        .expect("guarded description compiles");
+
+        // One elephant (8 × 1 000-byte payloads a round, far past the
+        // threshold) among mice that stay two orders below it.
+        let flow = |sport: u16, payload: usize| {
+            PacketBuilder::udp_v4("10.0.0.5", "203.0.113.9", sport, 80)
+                .payload_len(payload)
+                .build()
+        };
+        for _ in 0..ROUNDS {
+            let batch: PacketBatch = (0..8)
+                .map(|_| flow(ELEPHANT, 1_000))
+                .chain((0..MICE).map(|m| flow(5_000 + m, 32)))
+                .collect();
+            pipe.dispatch(batch);
+            pipe.flush();
+        }
+
+        let (stats, drops) = (pipe.stats(), pipe.drop_stats());
+        assert!(drops.guard > 0, "the metered elephant must be limited");
+        assert_eq!(drops.total(), stats.dropped);
+        assert_eq!(drops.guard, stats.dropped, "only the guard drops here");
+        let delivered: Vec<Packet> = sinks.iter().flat_map(|s| s.drain()).collect();
+        let mice = delivered
+            .iter()
+            .filter(|p| p.udp_v4().expect("udp").src_port != ELEPHANT)
+            .count();
+        assert_eq!(mice, usize::from(MICE * ROUNDS), "mice pass untouched");
+        assert_eq!(delivered.len() as u64, stats.accepted);
+        drops.guard
+    }
+
+    assert_eq!(
+        guard_drops(Compiler::build_sharded),
+        guard_drops(Compiler::build_inline),
+        "byte-accurate admission does not depend on who runs the shard"
+    );
 }

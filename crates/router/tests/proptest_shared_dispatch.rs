@@ -1,15 +1,14 @@
 //! Differential test for the move-free shared-range ring protocol:
-//! shared-batch dispatch ≡ owned sub-batch dispatch ≡ single-threaded
-//! pipeline.
+//! shared-batch dispatch ≡ single-threaded pipeline.
 //!
 //! `ShardedPipeline::dispatch` publishes refcounted shard ranges of one
-//! shared split parent (workers gather their slices in parallel);
-//! `ShardedPipeline::dispatch_owned` is the pre-shared baseline that
-//! re-materialises owned sub-batches on the dispatch thread. Both must
-//! be observationally identical to a scalar reference replica pushed
-//! packet-at-a-time: same per-packet verdict tallies, same per-output
-//! *multisets*, and — what neither sharing nor parallel gathering may
-//! break — the same per-flow *sequence* on every output.
+//! shared split parent (workers gather their slices in parallel). It
+//! must be observationally identical to a scalar reference replica
+//! pushed packet-at-a-time: same per-packet verdict tallies, same
+//! per-output *multisets*, and — what neither sharing nor parallel
+//! gathering may break — the same per-flow *sequence* on every output.
+//! (The property's name dates from when an owned sub-batch dispatch
+//! was a third arm; the scalar replica is the reference that stays.)
 //!
 //! A steady-state rider: after warm-up, shared dispatch must stop
 //! growing the batch pool (parents and gather containers recycle).
@@ -150,9 +149,8 @@ fn rig(name: &str, workers: usize) -> Rig {
 
 impl Rig {
     /// Drives `packets` through the pipeline in `chunks`-sized bursts
-    /// via `dispatch` (shared ranges) or `dispatch_owned` (the moved
-    /// baseline), then flushes.
-    fn drive(&self, packets: &[Packet], chunks: &[usize], shared: bool) {
+    /// via `dispatch` (shared ranges), then flushes.
+    fn drive(&self, packets: &[Packet], chunks: &[usize]) {
         let mut remaining = packets;
         let mut plan = chunks.iter().copied().cycle();
         while !remaining.is_empty() {
@@ -160,11 +158,7 @@ impl Rig {
             let (chunk, rest) = remaining.split_at(take);
             remaining = rest;
             let batch = PacketBatch::from_packets(chunk.to_vec());
-            if shared {
-                self.pipe.dispatch(batch);
-            } else {
-                self.pipe.dispatch_owned(batch);
-            }
+            self.pipe.dispatch(batch);
         }
         self.pipe.flush();
     }
@@ -256,44 +250,31 @@ proptest! {
             }
         }
 
-        // Arm 2 — shared-range dispatch; arm 3 — owned baseline.
+        // Arm 2 — shared-range dispatch.
         let shared = rig(&format!("shared-{workers}"), workers);
-        shared.drive(&packets, &chunks, true);
-        let owned = rig(&format!("owned-{workers}"), workers);
-        owned.drive(&packets, &chunks, false);
+        shared.drive(&packets, &chunks);
 
-        // Verdict tallies agree across all three arms.
-        for r in [&shared, &owned] {
-            let stats = r.pipe.stats();
-            prop_assert_eq!(stats.packets, packets.len() as u64);
-            prop_assert_eq!(stats.accepted, ref_accepted);
-            prop_assert_eq!(stats.dropped, 0);
-            prop_assert_eq!(r.counted(), reference.counter.count());
-            prop_assert_eq!(r.classified(), reference.classifier.stats());
-        }
+        // Verdict tallies agree across both arms.
+        let stats = shared.pipe.stats();
+        prop_assert_eq!(stats.packets, packets.len() as u64);
+        prop_assert_eq!(stats.accepted, ref_accepted);
+        prop_assert_eq!(stats.dropped, 0);
+        prop_assert_eq!(shared.counted(), reference.counter.count());
+        prop_assert_eq!(shared.classified(), reference.classifier.stats());
 
         // Per-output multisets and per-flow sequences agree.
         for o in 0..OUTPUTS.len() {
             let ref_frames = reference.sinks[o].frames();
             let shared_frames = shared.frames(o);
-            let owned_frames = owned.frames(o);
             prop_assert_eq!(
                 sorted(shared_frames.clone()),
                 sorted(ref_frames.clone()),
                 "shared multiset = reference"
             );
-            prop_assert_eq!(
-                sorted(owned_frames.clone()),
-                sorted(ref_frames.clone()),
-                "owned multiset = reference"
-            );
-            let ref_flows = by_flow(&ref_frames);
-            prop_assert_eq!(by_flow(&shared_frames), ref_flows.clone(), "shared flow order");
-            prop_assert_eq!(by_flow(&owned_frames), ref_flows, "owned flow order");
+            prop_assert_eq!(by_flow(&shared_frames), by_flow(&ref_frames), "shared flow order");
         }
 
         shared.pipe.shutdown();
-        owned.pipe.shutdown();
     }
 }
 

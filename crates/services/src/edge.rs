@@ -34,9 +34,9 @@ use std::sync::Arc;
 use opencom::error::Result;
 use opencom::meta::resources::ResourceManager;
 
-use netkit_kernel::shard::ShardSpec;
+use netkit_kernel::shard::{InlinePool, ShardSpec};
 use netkit_router::desc::{Compiler, DescBinding, PipelineDesc};
-use netkit_router::shard::SoloPipeline;
+use netkit_router::shard::ShardedPipeline;
 
 /// Tuning knobs for the canonical stateful edge.
 ///
@@ -123,8 +123,8 @@ pub fn stateful_edge_desc(p: &EdgeProfile) -> PipelineDesc {
         )
 }
 
-/// Compiles the stateful edge to a single-threaded [`SoloPipeline`]
-/// with `workers` replicas, returning the pipeline plus the
+/// Compiles the stateful edge to a [`ShardedPipeline`] on the inline
+/// executor with `workers` replicas, returning the pipeline plus the
 /// [`DescBinding`] that patches it live.
 ///
 /// # Errors
@@ -135,9 +135,9 @@ pub fn build_stateful_edge(
     p: &EdgeProfile,
     workers: usize,
     rm: Arc<ResourceManager>,
-) -> Result<(SoloPipeline, DescBinding)> {
+) -> Result<(ShardedPipeline<InlinePool>, DescBinding)> {
     let desc = stateful_edge_desc(p);
-    Compiler::new().build_solo(&desc, ShardSpec::new(workers), rm)
+    Compiler::new().build_inline(&desc, ShardSpec::new(workers), rm)
 }
 
 #[cfg(test)]
@@ -155,7 +155,7 @@ mod tests {
 
     #[test]
     fn edge_compiles_and_translates() {
-        let (mut pipe, binding) =
+        let (pipe, binding) =
             build_stateful_edge(&EdgeProfile::default(), 1, Arc::new(ResourceManager::new()))
                 .unwrap();
         let batch = (0..16).map(|s| udp(5_000 + s)).collect();
@@ -182,7 +182,7 @@ mod tests {
             Arc::new(ResourceManager::new()),
         )
         .unwrap();
-        let entry = Arc::clone(pipe.entry(0));
+        let entry = pipe.entry(0);
         entry.push(udp(6_001)).unwrap();
         entry.push(udp(6_002)).unwrap();
         let err = entry.push(udp(6_003));
@@ -202,10 +202,10 @@ mod tests {
         assert!(patch.param_only());
         assert_eq!(patch.structural_ops(), 0);
         // And it applies live.
-        let (mut pipe, mut binding) =
+        let (pipe, mut binding) =
             build_stateful_edge(&EdgeProfile::default(), 2, Arc::new(ResourceManager::new()))
                 .unwrap();
-        let report = binding.apply_solo(&mut pipe, &patch).unwrap();
+        let report = binding.apply_sharded(&pipe, &patch).unwrap();
         assert_eq!(report.structural, 0);
         assert_eq!(report.replaced, 2 * 2, "guard+conntrack on both shards");
     }
@@ -214,7 +214,7 @@ mod tests {
     fn edge_selects_the_hysteresis_core() {
         let desc = stateful_edge_desc(&EdgeProfile::default());
         let (_, binding) = Compiler::new()
-            .build_solo(&desc, ShardSpec::new(1), Arc::new(ResourceManager::new()))
+            .build_inline(&desc, ShardSpec::new(1), Arc::new(ResourceManager::new()))
             .unwrap();
         let ctl = binding.controller().unwrap().expect("control block set");
         assert_eq!(ctl.core_name(), "hysteresis");

@@ -158,7 +158,7 @@ fn reservation_survives_midrun_migration() {
         let m = sim
             .node_behaviour_mut::<PipelineNode>(mid)
             .expect("mid node");
-        let report = m.pipeline_mut().install_bucket_map(flipped());
+        let report = m.pipeline().install_bucket_map(flipped(), &[]);
         assert_eq!(report.dropped, 0, "migration must not drop in-flight work");
         assert!(report.moved_buckets > 0);
     }

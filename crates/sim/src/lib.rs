@@ -9,9 +9,9 @@
 //!
 //! * [`node`] — nodes and [`NodeBehaviour`]s (router
 //!   pipelines adapt behind this trait).
-//! * [`shard`] — deterministic RSS demux: one inner behaviour per
-//!   worker of a `ShardSpec`, fed flow-affinely, modelling the
-//!   multi-queue dataplane without sacrificing reproducibility.
+//! * [`pipeline`] — real sharded dataplanes as nodes: the threaded
+//!   driver's `ShardedPipeline` on the inline executor, shards run in
+//!   index order on the simulator's thread.
 //! * [`fault`] — a [`FaultPlan`](netkit_kernel::fault::FaultPlan)-driven
 //!   behaviour decorator: seeded wire loss / corruption / duplication
 //!   plus a modelled crash-and-revive, replayable bit-for-bit.
@@ -55,7 +55,6 @@ pub mod link;
 pub mod node;
 pub mod pipeline;
 pub mod scenario;
-pub mod shard;
 pub mod stats;
 pub mod topology;
 pub mod traffic;

@@ -1,14 +1,14 @@
 //! Real dataplanes as simulation nodes.
 //!
-//! [`PipelineNode`] hosts a [`SoloPipeline`] — `spec.workers` replicas
-//! of a factory-built element graph, the same `ShardGraph` recipe the
-//! threaded `ShardedPipeline` runs — behind the [`NodeBehaviour`]
-//! interface, so a discrete-event topology can be populated with
-//! *actual* stateful dataplanes (conntrack/NAT44/L4-LB chains, the
-//! heavy-hitter guard, stratum-3 media filters) instead of toy
-//! sinks and forwarders. Everything runs single-threaded on the
-//! simulator's thread in shard-index order, so a run is bit-for-bit
-//! reproducible for a seed.
+//! [`PipelineNode`] hosts a [`ShardedPipeline`] on the inline executor
+//! ([`InlinePool`]) — the threaded dataplane's own code: same replicas,
+//! steering, meters, control turn and patch applier, with each shard's
+//! job run on the simulator's thread in shard-index order instead of
+//! on a worker — behind the [`NodeBehaviour`] interface, so a
+//! discrete-event topology can be populated with *actual* stateful
+//! dataplanes (conntrack/NAT44/L4-LB chains, the heavy-hitter guard,
+//! stratum-3 media filters) instead of toy sinks and forwarders, and a
+//! run is bit-for-bit reproducible for a seed.
 //!
 //! The moving parts:
 //!
@@ -38,13 +38,13 @@
 
 use std::sync::Arc;
 
-use netkit_kernel::shard::ShardSpec;
+use netkit_kernel::shard::{InlinePool, ShardSpec};
 use netkit_packet::batch::PacketBatch;
 use netkit_packet::packet::Packet;
-use netkit_packet::sketch::{FlowSketch, SketchConfig};
+use netkit_packet::sketch::FlowSketch;
 use netkit_router::api::{BatchResult, IPacketPush, PushResult, IPACKET_PUSH};
 use netkit_router::desc::{Compiler, DescBinding, ElementHandle, PipelineDesc};
-use netkit_router::shard::{RebalanceController, ShardGraph, SoloPipeline};
+use netkit_router::shard::{fresh_sketches, RebalanceController, ShardGraph, ShardedPipeline};
 use opencom::component::{Component, ComponentCore, ComponentDescriptor, Registrar};
 use opencom::error::Result;
 use opencom::ident::Version;
@@ -150,7 +150,7 @@ pub type RouteFn = Box<dyn FnMut(&Packet) -> RouteAction + Send>;
 
 /// Everything a shard-graph factory gets for one shard: its index,
 /// the terminal collector its chain must end in, and the flow sketch
-/// the drive meters this shard's bytes into — clone it into a
+/// the pipeline meters this shard's bytes into — clone it into a
 /// [`Guard`](netkit_router::flow::Guard) and the guard reads exactly
 /// the estimates the pipeline maintains, current batch included.
 pub struct ShardSite {
@@ -159,12 +159,13 @@ pub struct ShardSite {
     /// The shard's terminal element; bind the chain's last `out` to it
     /// (or use it directly as the graph entry for a pass-through).
     pub egress: Arc<EgressCollector>,
-    /// The shard's byte sketch, maintained by the pipeline drive.
+    /// The shard's byte sketch, maintained by the pipeline.
     pub sketch: Arc<FlowSketch>,
 }
 
-/// A [`NodeBehaviour`] hosting one [`SoloPipeline`] — a real sharded
-/// element graph driven deterministically from simulated time.
+/// A [`NodeBehaviour`] hosting one inline-executor [`ShardedPipeline`]
+/// — a real sharded element graph driven deterministically from
+/// simulated time.
 ///
 /// # Examples
 ///
@@ -200,7 +201,8 @@ pub struct ShardSite {
 /// assert_eq!(sim.stats().delivered, 32);
 /// ```
 pub struct PipelineNode {
-    pipe: SoloPipeline,
+    pipe: ShardedPipeline<InlinePool>,
+    rm: Arc<ResourceManager>,
     collectors: Vec<Arc<EgressCollector>>,
     route: RouteFn,
     controller: Option<RebalanceController>,
@@ -216,7 +218,8 @@ pub struct PipelineNode {
 
 impl PipelineNode {
     /// Builds a node with `spec.workers` shard replicas. The factory
-    /// runs once per shard in index order; its [`ShardSite`] carries
+    /// runs once per shard in index order (the pipeline keeps it, as on
+    /// the threaded executor, to rebuild a replica); its [`ShardSite`] carries
     /// the collector the chain must terminate in and the shard's
     /// sketch. Resource accounting uses a private per-node
     /// [`ResourceManager`] (reachable via
@@ -227,28 +230,43 @@ impl PipelineNode {
     /// Propagates factory failures.
     pub fn build<F>(name: &str, spec: ShardSpec, mut factory: F) -> Result<Self>
     where
-        F: FnMut(&ShardSite) -> Result<ShardGraph>,
+        F: FnMut(&ShardSite) -> Result<ShardGraph> + Send + 'static,
     {
-        let workers = spec.workers.max(1);
-        let collectors: Vec<Arc<EgressCollector>> =
-            (0..workers).map(|_| EgressCollector::new()).collect();
-        let sketches: Vec<Arc<FlowSketch>> = (0..workers)
-            .map(|_| Arc::new(FlowSketch::new(SketchConfig::default())))
+        let collectors: Vec<Arc<EgressCollector>> = (0..spec.workers.max(1))
+            .map(|_| EgressCollector::new())
             .collect();
+        let sketches = fresh_sketches(spec);
         let rm = Arc::new(ResourceManager::new());
         let pipe = {
             let collectors = collectors.clone();
-            let sketches = sketches.clone();
-            SoloPipeline::build_with_sketches(name, spec, rm, sketches.clone(), move |shard| {
-                factory(&ShardSite {
-                    shard,
-                    egress: Arc::clone(&collectors[shard]),
-                    sketch: Arc::clone(&sketches[shard]),
-                })
-            })?
+            let sites = sketches.clone();
+            ShardedPipeline::build_with_sketches(
+                name,
+                spec,
+                Arc::clone(&rm),
+                sketches,
+                move |shard| {
+                    factory(&ShardSite {
+                        shard,
+                        egress: Arc::clone(&collectors[shard]),
+                        sketch: Arc::clone(&sites[shard]),
+                    })
+                },
+            )?
         };
-        Ok(Self {
+        Ok(Self::host(name, pipe, rm, collectors))
+    }
+
+    /// A node around a built pipeline: delivers locally, no controller.
+    fn host(
+        name: &str,
+        pipe: ShardedPipeline<InlinePool>,
+        rm: Arc<ResourceManager>,
+        collectors: Vec<Arc<EgressCollector>>,
+    ) -> Self {
+        Self {
             pipe,
+            rm,
             collectors,
             route: Box::new(|_| RouteAction::Deliver),
             controller: None,
@@ -259,7 +277,7 @@ impl PipelineNode {
             packets_since_turn: 0,
             control_turns: 0,
             name: name.to_string(),
-        })
+        }
     }
 
     /// Builds a node whose shard graphs are **compiled from a
@@ -270,13 +288,13 @@ impl PipelineNode {
     /// [`EgressCollector`], so packets reaching it re-enter the
     /// simulation exactly as with [`build`](Self::build). Returns the
     /// node plus the [`DescBinding`] — diff the description against a
-    /// successor and [`DescBinding::apply_solo`] the patch on
-    /// [`pipeline_mut`](Self::pipeline_mut) to reconfigure the live
-    /// dataplane mid-run, which is how the scenario engine rewires
-    /// cities from configs.
+    /// successor and [`DescBinding::apply_sharded`] the patch on
+    /// [`pipeline`](Self::pipeline) to reconfigure the live dataplane
+    /// mid-run, which is how the scenario engine rewires cities from
+    /// configs.
     ///
     /// Guards compiled from the description read the same per-shard
-    /// sketches the pipeline drive meters, current batch included.
+    /// sketches the pipeline meters, current batch included.
     ///
     /// # Errors
     ///
@@ -286,11 +304,8 @@ impl PipelineNode {
         desc: &PipelineDesc,
         spec: ShardSpec,
     ) -> Result<(Self, DescBinding)> {
-        let workers = spec.workers.max(1);
-        let collectors: Vec<Arc<EgressCollector>> =
-            (0..workers).map(|_| EgressCollector::new()).collect();
-        let sketches: Vec<Arc<FlowSketch>> = (0..workers)
-            .map(|_| Arc::new(FlowSketch::new(SketchConfig::default())))
+        let collectors: Vec<Arc<EgressCollector>> = (0..spec.workers.max(1))
+            .map(|_| EgressCollector::new())
             .collect();
         let compiler = {
             let collectors = collectors.clone();
@@ -302,23 +317,8 @@ impl PipelineNode {
             })
         };
         let rm = Arc::new(ResourceManager::new());
-        let (pipe, binding) = compiler.build_solo_with_sketches(desc, spec, rm, sketches)?;
-        Ok((
-            Self {
-                pipe,
-                collectors,
-                route: Box::new(|_| RouteAction::Deliver),
-                controller: None,
-                control_interval_ns: 0,
-                control_hooks: Vec::new(),
-                tap: None,
-                timer_armed: false,
-                packets_since_turn: 0,
-                control_turns: 0,
-                name: name.to_string(),
-            },
-            binding,
-        ))
+        let (pipe, binding) = compiler.build_inline(desc, spec, Arc::clone(&rm))?;
+        Ok((Self::host(name, pipe, rm, collectors), binding))
     }
 
     /// A fresh capsule (plus the runtime keeping it alive) with the
@@ -379,20 +379,16 @@ impl PipelineNode {
         self
     }
 
-    /// The hosted pipeline.
-    pub fn pipeline(&self) -> &SoloPipeline {
+    /// The hosted pipeline (install maps, apply patches, run manual
+    /// turns — every operation takes `&self`, as on the threaded
+    /// executor).
+    pub fn pipeline(&self) -> &ShardedPipeline<InlinePool> {
         &self.pipe
-    }
-
-    /// The hosted pipeline, mutably (install maps, run manual turns).
-    pub fn pipeline_mut(&mut self) -> &mut SoloPipeline {
-        &mut self.pipe
     }
 
     /// The per-node resource manager backing the pipeline's task.
     pub fn resources(&self) -> Arc<ResourceManager> {
-        // SoloPipeline holds the Arc; re-derive from the task's home.
-        Arc::clone(self.pipe.resources())
+        Arc::clone(&self.rm)
     }
 
     /// The node's controller, if attached.
@@ -482,7 +478,7 @@ impl NodeBehaviour for PipelineNode {
             hook();
         }
         if let Some(ctl) = self.controller.as_mut() {
-            self.pipe.control_turn(ctl);
+            self.pipe.control_turn(ctl, &[]);
             self.control_turns += 1;
         }
         // Lapse discipline: stay armed only while traffic flows, so
@@ -650,9 +646,7 @@ mod tests {
         let patch = binding.diff_to(&next).unwrap();
         assert!(!patch.param_only());
         let behaviour = sim.node_behaviour_mut::<PipelineNode>(host).unwrap();
-        binding
-            .apply_solo(behaviour.pipeline_mut(), &patch)
-            .unwrap();
+        binding.apply_sharded(behaviour.pipeline(), &patch).unwrap();
 
         sim.attach_source(
             host,

@@ -20,8 +20,9 @@
 //! *modelled* (seeded generators, the event heap); every packet's path
 //! through a node is *executed* by the real element graphs — the same
 //! components, verdicts, meters, and control decisions production
-//! runs, single-threaded via
-//! [`SoloPipeline`](netkit_router::shard::SoloPipeline).
+//! runs: the threaded driver's own
+//! [`ShardedPipeline`](netkit_router::shard::ShardedPipeline), on the
+//! inline executor.
 //!
 //! # Examples
 //!

@@ -19,11 +19,12 @@
 //!    and the batch-container pool stops allocating after warm-up
 //!    (the `zero_copy_steady_state` bar, now with a live control
 //!    loop quiescing the pipeline mid-traffic).
-//! 3. **Deterministic sim drive** — the *same* decision core
-//!    (`RebalanceController`) runs from the single-threaded
-//!    simulator's event loop against `ShardedBehaviour`, and two
-//!    identical runs produce identical migration histories — the
-//!    autonomous loop is reproducible when its cadence is.
+//! 3. **Deterministic sim drive** — the *same* pipeline and control
+//!    turn run from the single-threaded simulator's event loop (a
+//!    `PipelineNode` on the inline executor, its controller armed from
+//!    sim time), and two identical runs produce identical migration
+//!    histories — the autonomous loop is reproducible when its cadence
+//!    is.
 //!
 //! The soak is budgeted (rounds per phase, wall-clock deadline) so CI
 //! cannot hang on it; `NETKIT_SOAK_PHASES` scales the phase count.
@@ -41,7 +42,7 @@ use netkit::packet::flow::FlowKey;
 use netkit::packet::packet::{Packet, PacketBuilder};
 use netkit::packet::steer::BucketMap;
 use netkit::router::api::{register_packet_interfaces, IPacketPush, PushResult};
-use netkit::router::shard::control::{ControlConfig, ControlDecision, ControlLoop};
+use netkit::router::shard::control::{ControlConfig, ControlLoop};
 use netkit::router::shard::{
     RebalanceController, RebalancePolicy, ShardGraph, ShardedPipeline, WeightedRebalancePolicy,
 };
@@ -441,34 +442,38 @@ struct SimRunHistory {
 }
 
 /// Runs the identical scripted scenario — balanced prefix, skew
-/// appears mid-run, the *same* controller core decides every 4th
-/// event-loop step — and returns its full observable history.
+/// appears mid-run, the node's own controller takes a turn every 4th
+/// event-loop step of simulated time — and returns its full
+/// observable history.
 fn sim_control_run() -> SimRunHistory {
-    use netkit::sim::node::SinkBehaviour;
-    use netkit::sim::shard::ShardedBehaviour;
+    use netkit::sim::pipeline::PipelineNode;
     use netkit::sim::Simulator;
 
-    let mut sim = Simulator::new(42);
-    let counters = std::cell::RefCell::new(Vec::new());
-    let sharded = ShardedBehaviour::new("auto-sim", ShardSpec::new(WORKERS), |_| {
-        let (sink, c) = SinkBehaviour::new();
-        counters.borrow_mut().push(c);
-        Box::new(sink)
-    });
-    let counters = counters.into_inner();
-    let node = sim.add_node(Box::new(sharded));
+    /// One event-loop step of simulated time.
+    const STEP_NS: u64 = 1_000;
 
-    let mut ctl = RebalanceController::new(
+    let mut sim = Simulator::new(42);
+    let ctl = RebalanceController::new(
         WeightedRebalancePolicy {
             base: RebalancePolicy {
                 max_imbalance: 1.25,
                 min_samples: 48,
             },
-            pressure_weight: 0.0, // the sim models no ring pressure
+            pressure_weight: 0.0, // the inline executor has no rings
             decay: 0.5,
         },
         1,
     );
+    // The real pipeline, inline: every shard graph is just its egress
+    // collector, so per-shard delivery is the pipeline's own count.
+    let pipeline_node = PipelineNode::build("auto-sim", ShardSpec::new(WORKERS), |site| {
+        let (capsule, _rt) = PipelineNode::shard_capsule();
+        let entry: Arc<dyn IPacketPush> = site.egress.clone();
+        Ok(ShardGraph::new(capsule, entry))
+    })
+    .expect("node builds")
+    .with_controller(ctl, 4 * STEP_NS);
+    let node = sim.add_node(Box::new(pipeline_node));
 
     let stamped = |bucket: u64| -> Packet {
         let mut p = PacketBuilder::udp_v4("10.0.0.1", "10.0.0.2", 9, 9).build();
@@ -477,57 +482,49 @@ fn sim_control_run() -> SimRunHistory {
     };
 
     let mut migrations = Vec::new();
+    let mut table = BucketMap::identity(WORKERS);
     for step in 0..48 {
         // Same-instant injections coalesce into one batch delivery.
         if step < 24 {
             // Balanced: 16 buckets, 4 per shard under identity.
             for bucket in 0..16u64 {
                 for _ in 0..4 {
-                    sim.inject_after(node, 1_000, stamped(bucket));
+                    sim.inject_after(node, STEP_NS, stamped(bucket));
                 }
             }
         } else {
             // Skew: elephant on bucket 0 plus six mice, all congruent
             // to shard 0 under the *initial* table.
             for _ in 0..32 {
-                sim.inject_after(node, 1_000, stamped(0));
+                sim.inject_after(node, STEP_NS, stamped(0));
             }
             for mouse in [4u64, 8, 12, 16, 20, 24] {
                 for _ in 0..5 {
-                    sim.inject_after(node, 1_000, stamped(mouse));
+                    sim.inject_after(node, STEP_NS, stamped(mouse));
                 }
             }
         }
-        sim.run_to_idle();
-
-        // Every 4th step the control loop takes a turn — from the
-        // event loop, deterministically, same decision core as the
-        // threaded ControlLoop.
-        if step % 4 == 3 {
-            let behaviour = sim
-                .node_behaviour_mut::<ShardedBehaviour>(node)
-                .expect("sharded node");
-            let window = behaviour.bucket_loads();
-            let current = behaviour.map().clone();
-            match ctl.decide(&window, &[], 1, &current) {
-                ControlDecision::Gathering => {}
-                ControlDecision::Hold => {
-                    behaviour.decay_bucket_loads(ctl.decay());
-                }
-                ControlDecision::Migrate(plan) => {
-                    behaviour.set_map(plan.map.clone());
-                    behaviour.retire_bucket_loads(&window);
-                    migrations.push((step, plan.moved));
-                }
-            }
+        // Every 4th step the node's control timer lapses and the loop
+        // takes a turn — from the event loop, deterministically, the
+        // same `control_turn` the threaded ControlLoop ticks.
+        sim.run_for(STEP_NS);
+        let current = sim
+            .node_behaviour_mut::<PipelineNode>(node)
+            .expect("pipeline node")
+            .pipeline()
+            .bucket_map();
+        if current != table {
+            migrations.push((step, current.moved_buckets(&table)));
+            table = current;
         }
     }
-    let received: Vec<u64> = counters.iter().map(|c| c.received()).collect();
-    let table = sim
-        .node_behaviour_mut::<ShardedBehaviour>(node)
-        .expect("sharded node")
-        .map()
-        .clone();
+    sim.run_to_idle();
+    let pipe = sim
+        .node_behaviour_mut::<PipelineNode>(node)
+        .expect("pipeline node")
+        .pipeline();
+    assert_eq!(pipe.migrations(), migrations.len() as u64);
+    let received: Vec<u64> = (0..WORKERS).map(|s| pipe.shard_stats(s).packets).collect();
     let final_map: Vec<u64> = (0..WORKERS)
         .map(|s| {
             (0..netkit::packet::steer::RSS_BUCKETS)

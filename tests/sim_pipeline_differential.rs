@@ -169,16 +169,18 @@ fn sim_node_matches_threaded_pipeline_across_a_migration() {
     // installed from outside the event loop at the instant exactly
     // `boundary` packets have been processed.
     let mut sim = Simulator::new(seed);
-    let mut recorders_sim: Vec<Arc<EgressCollector>> = Vec::new();
+    let recorders_sim: Arc<std::sync::Mutex<Vec<Arc<EgressCollector>>>> =
+        Arc::new(std::sync::Mutex::new(Vec::new()));
     let node = {
-        let recs = &mut recorders_sim;
-        PipelineNode::build("diff", ShardSpec::new(SHARDS), |_site| {
+        let recs = Arc::clone(&recorders_sim);
+        PipelineNode::build("diff", ShardSpec::new(SHARDS), move |_site| {
             let (g, rec) = graph();
-            recs.push(rec);
+            recs.lock().expect("recorder list").push(rec);
             Ok(g)
         })
         .expect("node builds")
     };
+    let recorders_sim = recorders_sim.lock().expect("recorder list").clone();
     // Recorded packets never reach the collectors, so everything the
     // node would route is already consumed; Drop keeps the books
     // honest if anything leaks through.
@@ -204,7 +206,7 @@ fn sim_node_matches_threaded_pipeline_across_a_migration() {
         boundary as u64,
         "the CBR cadence must put exactly the first half before the boundary"
     );
-    let report = behaviour.pipeline_mut().install_bucket_map(remap());
+    let report = behaviour.pipeline().install_bucket_map(remap(), &[]);
     assert_eq!(report.dropped, 0);
     sim.run_to_idle();
 
@@ -296,16 +298,18 @@ fn sim_node_is_bit_deterministic_where_threads_are_only_equivalent() {
         let schedule = trace(seed);
         let total = schedule.len();
         let mut sim = Simulator::new(seed);
-        let mut recorders: Vec<Arc<EgressCollector>> = Vec::new();
+        let recorders: Arc<std::sync::Mutex<Vec<Arc<EgressCollector>>>> =
+            Arc::new(std::sync::Mutex::new(Vec::new()));
         let node = {
-            let recs = &mut recorders;
-            PipelineNode::build("det", ShardSpec::new(SHARDS), |_site| {
+            let recs = Arc::clone(&recorders);
+            PipelineNode::build("det", ShardSpec::new(SHARDS), move |_site| {
                 let (g, rec) = graph();
-                recs.push(rec);
+                recs.lock().expect("recorder list").push(rec);
                 Ok(g)
             })
             .expect("node builds")
         };
+        let recorders = recorders.lock().expect("recorder list").clone();
         let host = sim.add_node(Box::new(node.with_route(Box::new(|_| RouteAction::Drop))));
         let replay = schedule;
         sim.attach_source(
