@@ -13,23 +13,17 @@
 //! The NETKIT router (crate `netkit-router`) sits between the two:
 //! component indirection buys run-time admission, introspection,
 //! interception, and hot reconfiguration; the benches measure what that
-//! costs relative to these baselines.
-
-//!
-//! [`sharded`] replicates either baseline across the workers of a
-//! `netkit_kernel::shard::ShardSpec` with the same RSS flow steering the
-//! NETKIT sharded pipeline uses, so multi-core comparisons stay
-//! apples-to-apples.
+//! costs relative to these baselines. (Multi-core comparisons are the
+//! ledger's: `benchmark/` prices each baseline per packet beside the
+//! sharded pipeline's `pps` and `scale.*` rows.)
 
 #![warn(missing_docs)]
 
 pub mod click;
 pub mod monolithic;
-pub mod sharded;
 
 pub use click::{ClickError, ClickRouter};
 pub use monolithic::{
     DropReason, EdgeDropReason, EdgeStats, ForwarderStats, MonolithicForwarder,
     MonolithicStatefulEdge,
 };
-pub use sharded::{ShardedClick, ShardedMonolithic};

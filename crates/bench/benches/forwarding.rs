@@ -21,15 +21,8 @@ use criterion::{criterion_group, criterion_main, BatchSize, BenchmarkId, Criteri
 
 use netkit_baselines::click::ClickRouter;
 use netkit_baselines::monolithic::MonolithicForwarder;
-use netkit_baselines::sharded::{ShardedClick, ShardedMonolithic};
-use netkit_bench::{
-    click_chain_config, netkit_chain, netkit_sharded_chain, routing_table, test_packet,
-};
-use netkit_kernel::nic::{Nic, PortId};
-use netkit_kernel::shard::ShardSpec;
-use netkit_packet::batch::{BatchPool, PacketBatch};
-use netkit_packet::packet::{Packet, PacketBuilder};
-use netkit_packet::pool::BufferPool;
+use netkit_bench::{click_chain_config, netkit_chain, routing_table, test_packet};
+use netkit_packet::batch::PacketBatch;
 
 fn bench(c: &mut Criterion) {
     let mut group = c.benchmark_group("e6_forwarding");
@@ -188,300 +181,5 @@ fn bench_batch(c: &mut Criterion) {
     group.finish();
 }
 
-/// The worker-count scaling series: a fixed offered load of
-/// `BATCHES_PER_ITER` batches of `BATCH` packets (each batch RSS-stamped
-/// so steering costs what hardware steering costs: a modulo) pushed
-/// through a 12-stage pipeline replicated over 1/2/4/8 run-to-completion
-/// shards, for all three architectures. Per-iteration cost includes the
-/// dispatch fan-out and a full flush barrier, so the reported
-/// packets/second is end-to-end, not per-worker. Expected shape: ~linear
-/// until the dispatcher or the memory system saturates; the acceptance
-/// bar is ≥2x at 4 shards vs 1 (see crates/bench/NOTES.md for the
-/// recorded curve).
-fn bench_shards(c: &mut Criterion) {
-    const BATCH: usize = 32;
-    const CHAIN: usize = 12;
-    const BATCHES_PER_ITER: usize = 64;
-
-    let mut group = c.benchmark_group("e6_forwarding_shards");
-    group.throughput(Throughput::Elements((BATCH * BATCHES_PER_ITER) as u64));
-
-    // One canned burst: distinct RSS stamps spread round-robin so every
-    // shard count divides the load evenly (flows, not packets, are the
-    // spreading unit — one stamp per batch-column models one flow).
-    let make_burst = |stamp: u64| -> Vec<Packet> {
-        (0..BATCH)
-            .map(|i| {
-                let mut p = test_packet();
-                p.meta.rss_hash = Some(stamp * BATCH as u64 + i as u64);
-                p
-            })
-            .collect()
-    };
-    let bursts: Vec<Vec<Packet>> = (0..BATCHES_PER_ITER as u64).map(make_burst).collect();
-
-    for workers in [1usize, 2, 4, 8] {
-        let spec = ShardSpec::new(workers);
-
-        // NETKIT sharded pipeline (full reconfigurable element graphs).
-        let (pipe, _sinks) = netkit_sharded_chain(CHAIN, spec).expect("rig");
-        group.bench_with_input(
-            BenchmarkId::new("netkit_sharded", workers),
-            &workers,
-            |b, _| {
-                b.iter_batched(
-                    || {
-                        bursts
-                            .iter()
-                            .map(|pkts| PacketBatch::from_packets(pkts.clone()))
-                            .collect::<Vec<_>>()
-                    },
-                    |batches| {
-                        for batch in batches {
-                            pipe.dispatch(batch);
-                        }
-                        pipe.flush();
-                    },
-                    BatchSize::SmallInput,
-                )
-            },
-        );
-        pipe.shutdown();
-
-        // NETKIT through the multi-queue NIC path: hardware RSS has
-        // already steered every burst onto its worker's ring
-        // (`Nic::inject_rx_rss` → `rx_burst_queue`), so the submitting
-        // thread pays one ring enqueue per batch and no partition at
-        // all. This is the architecture's real fast path; the
-        // `netkit_sharded` entry above additionally pays the software
-        // partition for un-steered ingress.
-        let (pipe, _sinks) = netkit_sharded_chain(CHAIN, spec).expect("rig");
-        let steered: Vec<(usize, Vec<Packet>)> = (0..BATCHES_PER_ITER)
-            .map(|b| {
-                let shard = b % workers;
-                let pkts = (0..BATCH)
-                    .map(|_| {
-                        let mut p = test_packet();
-                        p.meta.rss_hash = Some(shard as u64);
-                        p
-                    })
-                    .collect();
-                (shard, pkts)
-            })
-            .collect();
-        group.bench_with_input(
-            BenchmarkId::new("netkit_sharded_mq", workers),
-            &workers,
-            |b, _| {
-                b.iter_batched(
-                    || {
-                        steered
-                            .iter()
-                            .map(|(s, pkts)| (*s, PacketBatch::from_packets(pkts.clone())))
-                            .collect::<Vec<_>>()
-                    },
-                    |batches| {
-                        for (shard, batch) in batches {
-                            let _ = pipe.submit(shard, batch);
-                        }
-                        pipe.flush();
-                    },
-                    BatchSize::SmallInput,
-                )
-            },
-        );
-        pipe.shutdown();
-
-        // Steering-only floor, owned variant: the RSS partition into
-        // owned sub-batches with no pool at all — what the dispatch
-        // thread itself pays per batch before any ring/wakeup cost.
-        // (Since PR 3 this routes through the index-based split and
-        // only then re-materialises; `partition_only_zero_copy` below
-        // stops at the split.)
-        group.bench_with_input(
-            BenchmarkId::new("partition_only", workers),
-            &workers,
-            |b, _| {
-                b.iter_batched(
-                    || {
-                        bursts
-                            .iter()
-                            .map(|pkts| PacketBatch::from_packets(pkts.clone()))
-                            .collect::<Vec<_>>()
-                    },
-                    |batches| {
-                        for batch in batches {
-                            criterion::black_box(batch.partition_by_shard(workers));
-                        }
-                    },
-                    BatchSize::SmallInput,
-                )
-            },
-        );
-
-        // Zero-copy steering floor: the index-based split
-        // (`shard_split` — counting sort over stamped hashes, borrowing
-        // views, no sub-batch re-materialisation). Compare against
-        // `partition_only` above (which still pays the owned
-        // re-materialisation through `into_shard_batches`) and the PR 2
-        // numbers in NOTES.md; the acceptance bar is ≥2x at 4 shards.
-        group.bench_with_input(
-            BenchmarkId::new("partition_only_zero_copy", workers),
-            &workers,
-            |b, _| {
-                b.iter_batched(
-                    || {
-                        bursts
-                            .iter()
-                            .map(|pkts| PacketBatch::from_packets(pkts.clone()))
-                            .collect::<Vec<_>>()
-                    },
-                    |batches| {
-                        for batch in batches {
-                            let split = batch.shard_split(workers);
-                            // Touch every view so the steering result is
-                            // actually consumed, as a dispatcher would.
-                            criterion::black_box(split.views().map(|v| v.len()).sum::<usize>());
-                        }
-                    },
-                    BatchSize::SmallInput,
-                )
-            },
-        );
-
-        // NIC rx materialisation, pool-on vs pool-off: the per-frame
-        // cost of inject (RSS parse + steer + buffer write) plus
-        // per-queue burst materialisation into rss-stamped packets.
-        // `pooled` leases frame slabs from a BufferPool and batch
-        // containers from a BatchPool (steady state allocates nothing);
-        // `unpooled` allocates both per frame/batch — the delta is what
-        // the buffer-management CF buys on the rx path.
-        let frames: Vec<Vec<u8>> = (0..(BATCHES_PER_ITER * BATCH) as u16)
-            .map(|i| {
-                PacketBuilder::udp_v4("192.0.2.1", "10.0.7.9", 5000 + (i % 512), 5001)
-                    .payload_len(64)
-                    .build()
-                    .data()
-                    .to_vec()
-            })
-            .collect();
-        let rx_cycle = |nic: &Nic, take_batch: &mut dyn FnMut() -> PacketBatch| {
-            for f in &frames {
-                nic.inject_rx_frame(f);
-            }
-            for queue in 0..workers {
-                loop {
-                    let mut batch = take_batch();
-                    if nic.rx_burst_batch(queue, BATCH, &mut batch) == 0 {
-                        break;
-                    }
-                    criterion::black_box(&batch);
-                }
-            }
-        };
-
-        let buffers = BufferPool::new(2048, 0, 1 << 14);
-        let pooled_nic = Nic::with_queues(PortId(0), workers, 1 << 12, 16, 1_000_000_000)
-            .with_buffer_pool(buffers);
-        let batch_pool = BatchPool::new(BATCH, 8, 64);
-        group.bench_with_input(
-            BenchmarkId::new("nic_rx_pooled", workers),
-            &workers,
-            |b, _| {
-                b.iter(|| rx_cycle(&pooled_nic, &mut || batch_pool.take()));
-            },
-        );
-
-        let plain_nic = Nic::with_queues(PortId(1), workers, 1 << 12, 16, 1_000_000_000);
-        group.bench_with_input(
-            BenchmarkId::new("nic_rx_unpooled", workers),
-            &workers,
-            |b, _| {
-                b.iter(|| rx_cycle(&plain_nic, &mut || PacketBatch::with_capacity(BATCH)));
-            },
-        );
-
-        // Dispatch-only floor: identical partition + ring fan-out into
-        // no-op workers. The gap between this and `netkit_sharded` is
-        // pure per-shard service time — the component that divides by
-        // the worker count on real multi-core hardware. NOTES.md uses
-        // this decomposition to model the scaling curve when the bench
-        // host has fewer cores than shards.
-        let noop =
-            netkit_kernel::shard::WorkerPool::start(spec, |_| Box::new(|_batch: PacketBatch| {}));
-        group.bench_with_input(
-            BenchmarkId::new("dispatch_only", workers),
-            &workers,
-            |b, _| {
-                b.iter_batched(
-                    || {
-                        bursts
-                            .iter()
-                            .map(|pkts| PacketBatch::from_packets(pkts.clone()))
-                            .collect::<Vec<_>>()
-                    },
-                    |batches| {
-                        for batch in batches {
-                            for (shard, part) in
-                                batch.partition_by_shard(workers).into_iter().enumerate()
-                            {
-                                if !part.is_empty() {
-                                    let _ = noop.submit(shard, part);
-                                }
-                            }
-                        }
-                        noop.flush();
-                    },
-                    BatchSize::SmallInput,
-                )
-            },
-        );
-        noop.shutdown();
-
-        // Click replicas behind the same spec and steering.
-        let click =
-            ShardedClick::compile(&click_chain_config(CHAIN), "c0", spec).expect("compiles");
-        group.bench_with_input(
-            BenchmarkId::new("click_sharded", workers),
-            &workers,
-            |b, _| {
-                b.iter_batched(
-                    || bursts.clone(),
-                    |batches| {
-                        for pkts in batches {
-                            click.push_batch(pkts);
-                        }
-                        click.flush();
-                    },
-                    BatchSize::SmallInput,
-                )
-            },
-        );
-        click.shutdown();
-
-        // Monolithic replicas behind the same spec and steering.
-        let mono = ShardedMonolithic::new(|| routing_table(256, 4), 4, usize::MAX >> 1, spec);
-        group.bench_with_input(
-            BenchmarkId::new("monolithic_sharded", workers),
-            &workers,
-            |b, _| {
-                b.iter_batched(
-                    || bursts.clone(),
-                    |batches| {
-                        for pkts in batches {
-                            mono.forward_batch(pkts);
-                        }
-                        mono.flush();
-                    },
-                    BatchSize::SmallInput,
-                )
-            },
-        );
-        mono.shutdown();
-    }
-
-    group.finish();
-}
-
-criterion_group!(benches, bench, bench_batch, bench_shards);
+criterion_group!(benches, bench, bench_batch);
 criterion_main!(benches);

@@ -4,15 +4,15 @@
 //! Robustness claims are only as good as the faults they were tested
 //! against, and faults found by accident do not replay. A [`FaultPlan`]
 //! makes the fault schedule an *input*: seeded, deterministic, and
-//! shared between the router's chaos tests and the sim's node
-//! behaviours, so a failing seed reproduces bit-for-bit.
+//! shared by every lane of the router's chaos tests, so a failing seed
+//! reproduces bit-for-bit.
 //!
 //! One plan bundles the three fault families the chaos suite needs:
 //!
 //! * **Crash** — [`FaultPlan::should_panic`] fires exactly once, on the
 //!   configured n-th packet ([`FaultConfig::panic_on_nth`]). An element
-//!   wrapper (or sim behaviour) calls it per packet and panics when it
-//!   returns true, killing that worker mid-run — the trigger for the
+//!   wrapper calls it per packet and panics when it returns true,
+//!   killing that worker mid-run — the trigger for the
 //!   respawn/quarantine recovery path.
 //! * **Wire faults** — [`FaultPlan::rx_action`] draws a deterministic
 //!   [`RxFault`] per frame (drop / corrupt / duplicate / deliver) from
@@ -177,9 +177,9 @@ impl FaultPlan {
     /// Counts one observed packet and reports whether the crash fault
     /// fires on it. Fires **exactly once**: only the packet whose
     /// 1-based index equals [`FaultConfig::panic_on_nth`] returns true.
-    /// The caller (an element wrapper, a sim behaviour, a worker
-    /// handler) is the one that actually panics — the plan only keeps
-    /// the deterministic count.
+    /// The caller (an element wrapper, a worker handler) is the one
+    /// that actually panics — the plan only keeps the deterministic
+    /// count.
     pub fn should_panic(&self) -> bool {
         let n = self.packets_seen.fetch_add(1, Ordering::Relaxed) + 1;
         if self.cfg.panic_on_nth == Some(n) {

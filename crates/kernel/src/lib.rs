@@ -14,16 +14,15 @@
 //! * [`mem`] — quota-policed memory accounting for the resources
 //!   meta-model and the footprint experiments.
 //! * [`nic`] — simulated NICs with bounded multi-queue rx/tx rings
-//!   (RSS steering via `inject_rx_rss`, per-worker
-//!   `rx_burst_queue`/`tx_burst_queue`).
+//!   (RSS steering in `inject_rx_frame`, per-worker
+//!   `rx_burst_batch`/`tx_burst_packets`).
 //! * [`shard`] — the sharded run-to-completion worker-pool runtime
 //!   ([`shard::ShardSpec`], [`shard::WorkerPool`]) with the epoch-based
 //!   quiesce protocol that keeps reflective reconfiguration atomic
 //!   across workers.
 //! * [`fault`] — seeded, replayable fault-injection plans
 //!   ([`fault::FaultPlan`]: crash-on-nth-packet, wire drop/corrupt/
-//!   duplicate, forced ring pressure) shared by the chaos tests and
-//!   the sim.
+//!   duplicate, forced ring pressure) shared by the chaos tests.
 //! * [`task`] — supervised periodic background tasks with idle backoff
 //!   ([`task::PeriodicTask`]), the cadence primitive autonomous
 //!   control loops run on.

@@ -12,18 +12,14 @@
 //! A NIC built with [`Nic::with_queues`] exposes one rx ring and one tx
 //! ring *per worker* — the simulated equivalent of hardware
 //! receive-side scaling. The wire side steers each frame with
-//! [`Nic::inject_rx_rss`] (hash → queue, the hash being what hardware
+//! [`Nic::inject_rx_frame`] (hash → queue, the hash being what hardware
 //! would compute from the flow tuple, see
 //! `netkit_packet::flow::FlowKey::rss_hash`); each worker then drains
-//! *its own* queue with [`Nic::rx_burst_queue`] and transmits on its own
-//! ring with [`Nic::tx_burst_queue`], so the fast path shares nothing
-//! between workers. Rings are SPSC channels (crossbeam shim); the
-//! single-queue constructor [`Nic::new`] and the queue-less API
-//! (`inject_rx`/`poll_rx`/`rx_burst`/`send_tx`/`tx_burst`/`drain_tx`)
-//! keep their original single-ring semantics on queue 0 — except the
-//! *consuming* sides (`poll_rx`, `rx_burst`, `drain_tx`), which scan
-//! queues in index order so no frame is ever stranded for a
-//! queue-oblivious caller.
+//! *its own* queue with [`Nic::rx_burst_batch`] and transmits on its
+//! own ring with [`Nic::tx_burst_packets`], so the fast path shares
+//! nothing between workers. Rings are SPSC channels (crossbeam shim);
+//! the single-queue constructor [`Nic::new`] is the same NIC with one
+//! ring pair, queue 0.
 //!
 //! ## The indirection table
 //!
@@ -56,11 +52,10 @@
 //! steering layer reads the hash, the stateful elements read the
 //! record (`netkit_packet::flow::ParsedFlow` — tuple, TCP flags,
 //! fragment marker, table hash), and nothing downstream looks at the
-//! headers again. Frames from the legacy `Bytes` injection paths
-//! (`inject_rx`, `inject_rx_rss`) are parsed at materialisation
-//! instead — still once. When the packet is eventually dropped at
-//! the end of its run-to-completion pass, the slab returns to the pool
-//! — so in steady state the rx path allocates nothing per frame.
+//! headers again — a frame that carries no record is simply not
+//! IPv4. When the packet is eventually dropped at the end of its
+//! run-to-completion pass, the slab returns to the pool — so in steady
+//! state the rx path allocates nothing per frame.
 //!
 //! ## The zero-copy tx fast path
 //!
@@ -68,12 +63,9 @@
 //! [`Nic::tx_burst_packets`] **move** a packet's frame storage into
 //! the tx ring — a pool-leased rx slab keeps its lease all the way
 //! from `inject_rx_frame` through the element graph onto the wire, and
-//! a heap buffer is frozen (refcount transfer), never copied. The wire
-//! side drains with [`Nic::drain_tx_frame`], whose [`TxFrame`] derefs
-//! to the bytes and, on drop, returns pooled slabs to their
-//! [`BufferPool`]. The legacy `Bytes` APIs (`send_tx`, `tx_burst*`,
-//! `drain_tx*`) remain; their consuming side detaches pooled slabs
-//! (documented, off the fast path) exactly like the legacy rx API.
+//! a heap buffer moves as it is, never copied. The wire side drains
+//! with [`Nic::drain_tx_frame`], whose [`TxFrame`] derefs to the bytes
+//! and, on drop, returns pooled slabs to their [`BufferPool`].
 //!
 //! ## What costs a syscall
 //!
@@ -91,12 +83,12 @@ use std::ops::Deref;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use bytes::{Bytes, BytesMut};
+use bytes::BytesMut;
 use crossbeam::channel::{bounded, Receiver, Sender};
 use netkit_packet::batch::PacketBatch;
-use netkit_packet::flow::{steering_hash, FlowKey, ParsedFlow};
-use netkit_packet::packet::Packet;
-use netkit_packet::pool::{BufferPool, PooledBuf};
+use netkit_packet::flow::{FlowKey, ParsedFlow};
+use netkit_packet::packet::{Packet, PacketBuf};
+use netkit_packet::pool::BufferPool;
 use netkit_packet::steer::BucketMap;
 use parking_lot::RwLock;
 
@@ -140,92 +132,33 @@ impl<T> Ring<T> {
     }
 }
 
-/// Frame storage in a NIC ring, either direction: shared bytes (legacy
-/// injection / submit paths) or a slab still leased from a
-/// [`BufferPool`] (the zero-copy paths — the lease survives the ring
-/// and recycles wherever the frame is finally dropped).
-enum FrameBuf {
-    Shared(Bytes),
-    Pooled(PooledBuf),
-}
-
-impl FrameBuf {
-    fn as_slice(&self) -> &[u8] {
-        match self {
-            FrameBuf::Shared(b) => b,
-            FrameBuf::Pooled(b) => b,
-        }
-    }
-
-    fn into_bytes(self) -> Bytes {
-        match self {
-            FrameBuf::Shared(b) => b,
-            // Detached from the pool: the legacy `Bytes` APIs trade
-            // recycling for compatibility.
-            FrameBuf::Pooled(b) => b.into_bytes().freeze(),
-        }
-    }
-}
-
 /// An rx frame in flight between the wire side and a worker: the bytes
-/// (pool-leased on the fast path) plus what the "hardware" parsed at
-/// injection — the RSS hash and, for IPv4, the flow record — carried
-/// along so materialisation never re-parses.
+/// (pool-leased when the NIC has a pool) plus what the "hardware"
+/// parsed at injection — the RSS hash and, for IPv4, the flow record —
+/// carried along so materialisation never parses.
 struct RxFrame {
-    buf: FrameBuf,
+    buf: PacketBuf,
     rss: Option<u64>,
     flow: Option<ParsedFlow>,
 }
 
 impl RxFrame {
-    fn into_bytes(self) -> Bytes {
-        self.buf.into_bytes()
-    }
-
-    /// Materialises the frame as a stamped packet. Pooled buffers move
-    /// in without copying. A frame that rode the ring without a record
-    /// (legacy injection paths; IPv6 and non-IP frames, where the
-    /// attempt is an ethertype compare) is parsed here — once, at
-    /// materialisation. A caller-chosen steering hash
-    /// ([`Nic::inject_rx_rss`]) is kept as `rss_hash`; the record's own
-    /// hash is what flow tables use.
+    /// Materialises the frame as a stamped packet; the storage moves in
+    /// without copying.
     fn into_packet(self) -> Packet {
-        let mut pkt = match self.buf {
-            FrameBuf::Shared(b) => Packet::new(BytesMut::from(&b[..])),
-            FrameBuf::Pooled(b) => Packet::from_pooled(b),
-        };
+        let mut pkt = Packet::from_buf(self.buf);
         pkt.meta.flow = self.flow;
         pkt.meta.rss_hash = self.rss;
-        if self.flow.is_none() {
-            stamp_unparsed(&mut pkt);
-        }
         pkt
     }
-}
-
-/// The materialisation-time parse of a frame that carries no record.
-#[cold]
-fn stamp_unparsed(pkt: &mut Packet) {
-    pkt.meta.flow = ParsedFlow::from_frame(pkt.data());
-    pkt.meta.rss_hash = pkt.meta.rss_hash.or_else(|| steering_hash(pkt));
 }
 
 /// A transmit frame drained off a tx ring by the wire side
 /// ([`Nic::drain_tx_frame`]). Derefs to the frame bytes; dropping it
 /// returns a pool-leased slab to its [`BufferPool`], which is what
-/// keeps the steady-state tx path allocation-free. Use
-/// [`Self::into_bytes`] only when the bytes must outlive the lease
-/// (it detaches pooled slabs).
+/// keeps the steady-state tx path allocation-free.
 pub struct TxFrame {
-    buf: FrameBuf,
-}
-
-impl TxFrame {
-    /// Detaches the frame into plain shared bytes (pooled slabs are
-    /// not recycled afterwards — off the zero-copy path).
-    pub fn into_bytes(self) -> Bytes {
-        self.buf.into_bytes()
-    }
+    buf: PacketBuf,
 }
 
 impl Deref for TxFrame {
@@ -237,7 +170,7 @@ impl Deref for TxFrame {
 
 impl fmt::Debug for TxFrame {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let pooled = matches!(self.buf, FrameBuf::Pooled(_));
+        let pooled = matches!(self.buf, PacketBuf::Pooled(_));
         write!(
             f,
             "TxFrame({} bytes{})",
@@ -252,23 +185,29 @@ impl fmt::Debug for TxFrame {
 /// # Examples
 ///
 /// ```
-/// use bytes::Bytes;
 /// use netkit_kernel::nic::{Nic, PortId};
+/// use netkit_packet::batch::PacketBatch;
+/// use netkit_packet::flow::FlowKey;
+/// use netkit_packet::packet::PacketBuilder;
 ///
+/// let wire = PacketBuilder::udp_v4("10.0.0.1", "10.0.0.2", 1234, 80).build();
 /// let nic = Nic::new(PortId(0), 4, 4, 1_000_000_000);
-/// nic.inject_rx(Bytes::from_static(b"frame"));
-/// assert_eq!(nic.poll_rx().as_deref(), Some(b"frame".as_ref()));
-/// assert_eq!(nic.poll_rx(), None);
+/// nic.inject_rx_frame(wire.data());
+/// let mut batch = PacketBatch::new();
+/// assert_eq!(nic.rx_burst_batch(0, 32, &mut batch), 1);
+/// assert_eq!(batch.packets()[0].data(), wire.data());
+/// assert_eq!(nic.rx_burst_batch(0, 32, &mut batch), 0);
 ///
 /// // Multi-queue: RSS steering on inject, per-worker burst drain.
 /// let mq = Nic::with_queues(PortId(1), 4, 16, 16, 1_000_000_000);
-/// mq.inject_rx_rss(7, Bytes::from_static(b"flow"));
-/// assert_eq!(mq.rx_burst_queue(7 % 4, 32).len(), 1);
+/// mq.inject_rx_frame(wire.data());
+/// let queue = FlowKey::from_frame(wire.data()).unwrap().shard_for(4);
+/// assert_eq!(mq.rx_burst_batch(queue, 32, &mut batch), 1);
 /// ```
 pub struct Nic {
     port: PortId,
     rx: Vec<Ring<RxFrame>>,
-    tx: Vec<Ring<FrameBuf>>,
+    tx: Vec<Ring<PacketBuf>>,
     /// Pool rx frame buffers lease from ([`Self::inject_rx_frame`]).
     pool: Option<BufferPool>,
     /// The RSS indirection table (bucket → queue); identity at boot.
@@ -383,37 +322,6 @@ impl Nic {
         }
     }
 
-    /// Delivers a frame into rx queue 0 (called by the wire side).
-    /// Returns `false` and counts a drop if the ring is full.
-    pub fn inject_rx(&self, frame: Bytes) -> bool {
-        self.inject_into(
-            0,
-            RxFrame {
-                buf: FrameBuf::Shared(frame),
-                rss: None,
-                flow: None,
-            },
-        )
-    }
-
-    /// Delivers a frame into the rx queue selected by the RSS `hash`
-    /// through the installed indirection table (identity table:
-    /// `bucket % queues`) — the hardware steering step that keeps every
-    /// flow on one worker. The hash travels with the frame and is
-    /// stamped into `meta.rss_hash` at materialisation. Returns `false`
-    /// and counts a drop if that ring is full.
-    pub fn inject_rx_rss(&self, hash: u64, frame: Bytes) -> bool {
-        let queue = self.steering.read().shard_of_hash(hash) % self.rx.len();
-        self.inject_into(
-            queue,
-            RxFrame {
-                buf: FrameBuf::Shared(frame),
-                rss: Some(hash),
-                flow: None,
-            },
-        )
-    }
-
     /// The full hardware rx path in one call: parses the flow tuple
     /// from the wire bytes (once — the RSS hash and the IPv4 flow
     /// record then travel with the frame), copies them into a buffer
@@ -441,76 +349,21 @@ impl Nic {
             Some(pool) => {
                 let mut slab = pool.take();
                 slab.extend_from_slice(frame);
-                FrameBuf::Pooled(slab)
+                PacketBuf::Pooled(slab)
             }
-            None => FrameBuf::Shared(Bytes::copy_from_slice(frame)),
+            None => PacketBuf::Heap(BytesMut::from(frame)),
         };
         self.inject_into(queue, RxFrame { buf, rss, flow })
     }
 
-    /// Takes the next received frame, scanning queues in index order
-    /// (queue-oblivious consumers never strand frames). Pool-leased
-    /// frames are detached (not recycled) — use
-    /// [`Self::rx_burst_batch`] on the fast path.
-    pub fn poll_rx(&self) -> Option<Bytes> {
-        self.rx
-            .iter()
-            .find_map(|ring| ring.rx.try_recv().ok())
-            .map(RxFrame::into_bytes)
-    }
-
-    /// Takes the next frame from rx queue `queue` only (the per-worker
-    /// poll path).
-    pub fn poll_rx_queue(&self, queue: usize) -> Option<Bytes> {
-        Some(self.rx.get(queue)?.rx.try_recv().ok()?.into_bytes())
-    }
-
-    /// Takes up to `max` received frames across all queues in index
-    /// order — the poll-mode-driver burst receive for single-worker
-    /// callers. Per-queue frame order matches repeated
-    /// [`Self::poll_rx`] calls.
-    pub fn rx_burst(&self, max: usize) -> Vec<Bytes> {
-        let mut out = Vec::with_capacity(max.min(64));
-        for ring in &self.rx {
-            while out.len() < max {
-                match ring.rx.try_recv() {
-                    Ok(frame) => out.push(frame.into_bytes()),
-                    Err(_) => break,
-                }
-            }
-            if out.len() >= max {
-                break;
-            }
-        }
-        out
-    }
-
-    /// Takes up to `max` frames from rx queue `queue` only — each
-    /// dataplane worker bursts from its own ring, sharing nothing.
-    /// Returns an empty burst for unknown queues.
-    pub fn rx_burst_queue(&self, queue: usize, max: usize) -> Vec<Bytes> {
-        let Some(ring) = self.rx.get(queue) else {
-            return Vec::new();
-        };
-        let mut out = Vec::with_capacity(max.min(64));
-        while out.len() < max {
-            match ring.rx.try_recv() {
-                Ok(frame) => out.push(frame.into_bytes()),
-                Err(_) => break,
-            }
-        }
-        out
-    }
-
     /// The zero-copy worker receive: takes up to `max` frames from rx
     /// queue `queue` and appends them to `batch` as rss-stamped
-    /// [`Packet`]s. Pool-leased frame buffers move into the packets
-    /// without copying (and return to the pool when the packets drop);
-    /// frames from the legacy `Bytes` injection paths are copied once.
-    /// Every materialised packet carries `meta.rss_hash` and, for
-    /// IPv4, the `meta.flow` record — from the parse at injection when
-    /// available, else parsed here, exactly once — so no steering
-    /// decision and no stateful element downstream re-parses headers.
+    /// [`Packet`]s. Frame buffers move into the packets without
+    /// copying (pool-leased ones return to the pool when the packets
+    /// drop). Every materialised packet carries `meta.rss_hash` and,
+    /// for IPv4, the `meta.flow` record from the parse at injection —
+    /// so no steering decision and no stateful element downstream
+    /// re-parses headers.
     /// Returns the number of packets appended (0 for unknown queues).
     pub fn rx_burst_batch(&self, queue: usize, max: usize, batch: &mut PacketBatch) -> usize {
         let Some(ring) = self.rx.get(queue) else {
@@ -534,7 +387,7 @@ impl Nic {
         self.rx.iter().map(|ring| ring.rx.len()).sum()
     }
 
-    fn send_into(&self, queue: usize, frame: FrameBuf) -> bool {
+    fn send_into(&self, queue: usize, frame: PacketBuf) -> bool {
         let len = frame.as_slice().len() as u64;
         match self.tx[queue % self.tx.len()].tx.try_send(frame) {
             Ok(()) => {
@@ -549,26 +402,9 @@ impl Nic {
         }
     }
 
-    /// Moves a packet's frame storage onto the ring: a pool-leased rx
-    /// slab keeps its lease (zero copy, recycles after drain), a heap
-    /// buffer is frozen (refcount transfer, still no copy).
-    fn packet_frame(pkt: Packet) -> FrameBuf {
-        match pkt.try_into_pooled() {
-            Ok(slab) => FrameBuf::Pooled(slab),
-            Err(pkt) => FrameBuf::Shared(pkt.into_data().freeze()),
-        }
-    }
-
-    /// Queues a frame for transmission on tx queue 0 (called by the
-    /// router side). Returns `false` and counts a drop if the ring is
-    /// full.
-    pub fn send_tx(&self, frame: Bytes) -> bool {
-        self.send_into(0, FrameBuf::Shared(frame))
-    }
-
     /// Queues a packet for transmission on tx queue `queue`, **moving**
     /// its frame storage (no copy: pool-leased slabs keep their lease,
-    /// heap buffers are frozen) — the zero-copy egress the device
+    /// heap buffers move as they are) — the zero-copy egress the device
     /// adapter uses. Metadata does not cross onto the wire. Returns
     /// `false` and counts a drop if the ring is full or the queue is
     /// unknown.
@@ -577,7 +413,7 @@ impl Nic {
             self.tx_dropped.fetch_add(1, Ordering::Relaxed);
             return false;
         }
-        self.send_into(queue, Self::packet_frame(pkt))
+        self.send_into(queue, pkt.into_buf())
     }
 
     /// Queues a whole batch on tx queue `queue`, moving every packet's
@@ -599,7 +435,7 @@ impl Nic {
         // drain_all (not into_iter) keeps the batch container's backing
         // storage, so a pool-homed container recycles whole afterwards.
         for pkt in batch.drain_all() {
-            let frame = Self::packet_frame(pkt);
+            let frame = pkt.into_buf();
             let len = frame.as_slice().len() as u64;
             match ring.tx.try_send(frame) {
                 Ok(()) => {
@@ -613,58 +449,6 @@ impl Nic {
         self.tx_bytes.fetch_add(accepted_bytes, Ordering::Relaxed);
         self.tx_dropped.fetch_add(dropped, Ordering::Relaxed);
         accepted
-    }
-
-    /// Queues a burst of frames on tx queue 0 under the single-queue
-    /// semantics: frames are accepted in order until the ring fills, the
-    /// remainder are dropped and counted. Returns the number accepted.
-    pub fn tx_burst(&self, frames: impl IntoIterator<Item = Bytes>) -> usize {
-        self.tx_burst_queue(0, frames)
-    }
-
-    /// Queues a burst of frames on tx queue `queue` — the per-worker
-    /// transmit path. Unknown queues drop (and count) every frame.
-    /// Returns the number of frames accepted.
-    pub fn tx_burst_queue(&self, queue: usize, frames: impl IntoIterator<Item = Bytes>) -> usize {
-        let Some(ring) = self.tx.get(queue) else {
-            let dropped = frames.into_iter().count() as u64;
-            self.tx_dropped.fetch_add(dropped, Ordering::Relaxed);
-            return 0;
-        };
-        let mut accepted = 0usize;
-        let mut accepted_bytes = 0u64;
-        let mut dropped = 0u64;
-        for frame in frames {
-            let len = frame.len() as u64;
-            match ring.tx.try_send(FrameBuf::Shared(frame)) {
-                Ok(()) => {
-                    accepted += 1;
-                    accepted_bytes += len;
-                }
-                Err(_) => dropped += 1,
-            }
-        }
-        self.tx_frames.fetch_add(accepted as u64, Ordering::Relaxed);
-        self.tx_bytes.fetch_add(accepted_bytes, Ordering::Relaxed);
-        self.tx_dropped.fetch_add(dropped, Ordering::Relaxed);
-        accepted
-    }
-
-    /// Takes the next frame to put on the wire, scanning tx queues in
-    /// index order (called by the wire side). Pool-leased frames are
-    /// detached (not recycled) — use [`Self::drain_tx_frame`] on the
-    /// fast path.
-    pub fn drain_tx(&self) -> Option<Bytes> {
-        self.tx
-            .iter()
-            .find_map(|ring| ring.rx.try_recv().ok())
-            .map(FrameBuf::into_bytes)
-    }
-
-    /// Takes the next frame from tx queue `queue` only (legacy `Bytes`
-    /// form; pooled frames detach — see [`Self::drain_tx_frame`]).
-    pub fn drain_tx_queue(&self, queue: usize) -> Option<Bytes> {
-        Some(self.tx.get(queue)?.rx.try_recv().ok()?.into_bytes())
     }
 
     /// The zero-copy wire-side drain: takes the next frame from tx
@@ -712,32 +496,50 @@ impl fmt::Debug for Nic {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use netkit_packet::packet::PacketBuilder;
 
-    fn frame(n: u8) -> Bytes {
-        Bytes::from(vec![n; 64])
+    /// A 64-byte non-IP frame tagged `n`: no flow identity, so it
+    /// steers with bucket 0.
+    fn raw(n: u8) -> Packet {
+        Packet::from_slice(&[n; 64])
+    }
+
+    /// The first `n` UDP flows (by source port) that `queues`-way
+    /// identity steering puts on `queue`.
+    fn flows_on(queue: usize, queues: usize, n: usize) -> Vec<Packet> {
+        (1u16..)
+            .map(|sport| PacketBuilder::udp_v4("10.0.0.1", "10.0.0.2", sport, 80).build())
+            .filter(|p| FlowKey::from_packet(p).unwrap().shard_for(queues) == queue)
+            .take(n)
+            .collect()
     }
 
     #[test]
     fn rx_ring_drops_when_full() {
         let nic = Nic::new(PortId(1), 2, 2, 1_000_000);
-        assert!(nic.inject_rx(frame(1)));
-        assert!(nic.inject_rx(frame(2)));
-        assert!(!nic.inject_rx(frame(3)));
+        assert!(nic.inject_rx_frame(raw(1).data()));
+        assert!(nic.inject_rx_frame(raw(2).data()));
+        assert!(!nic.inject_rx_frame(raw(3).data()));
         let s = nic.stats();
         assert_eq!((s.rx_frames, s.rx_dropped), (2, 1));
-        assert_eq!(nic.poll_rx().unwrap()[0], 1);
-        assert!(nic.inject_rx(frame(4)), "space reclaimed after poll");
+        let mut batch = PacketBatch::new();
+        assert_eq!(nic.rx_burst_batch(0, 1, &mut batch), 1);
+        assert_eq!(batch.packets()[0].data()[0], 1);
+        assert!(
+            nic.inject_rx_frame(raw(4).data()),
+            "space reclaimed after burst"
+        );
     }
 
     #[test]
     fn tx_ring_fifo_and_counters() {
         let nic = Nic::new(PortId(0), 2, 2, 1_000_000);
-        assert!(nic.send_tx(frame(1)));
-        assert!(nic.send_tx(frame(2)));
-        assert!(!nic.send_tx(frame(3)));
-        assert_eq!(nic.drain_tx().unwrap()[0], 1);
-        assert_eq!(nic.drain_tx().unwrap()[0], 2);
-        assert_eq!(nic.drain_tx(), None);
+        assert!(nic.send_tx_packet(0, raw(1)));
+        assert!(nic.send_tx_packet(0, raw(2)));
+        assert!(!nic.send_tx_packet(0, raw(3)));
+        assert_eq!(nic.drain_tx_frame(0).unwrap()[0], 1);
+        assert_eq!(nic.drain_tx_frame(0).unwrap()[0], 2);
+        assert!(nic.drain_tx_frame(0).is_none());
         let s = nic.stats();
         assert_eq!((s.tx_frames, s.tx_dropped, s.tx_bytes), (2, 1, 128));
     }
@@ -758,47 +560,43 @@ mod tests {
 
     #[test]
     fn rss_steering_keeps_hash_on_its_queue() {
-        let nic = Nic::with_queues(PortId(0), 4, 8, 8, 1_000_000);
+        let nic = Nic::with_queues(PortId(0), 4, 16, 16, 1_000_000);
         assert_eq!(nic.queues(), 4);
-        for hash in 0..16u64 {
-            assert!(nic.inject_rx_rss(hash, frame(hash as u8)));
+        for sport in 1000..1016u16 {
+            let wire = PacketBuilder::udp_v4("10.0.0.1", "10.0.0.2", sport, 80).build();
+            assert!(nic.inject_rx_frame(wire.data()));
         }
         // Each queue holds exactly the frames whose hash maps to it.
+        let mut seen = 0;
         for queue in 0..4usize {
-            let burst = nic.rx_burst_queue(queue, 32);
-            assert_eq!(burst.len(), 4);
-            for f in burst {
-                assert_eq!(f[0] as usize % 4, queue);
+            let mut batch = PacketBatch::new();
+            seen += nic.rx_burst_batch(queue, 32, &mut batch);
+            for pkt in batch.iter() {
+                let key = FlowKey::from_packet(pkt).unwrap();
+                assert_eq!(key.shard_for(4), queue);
+                assert_eq!(pkt.meta.rss_hash, Some(key.rss_hash()));
             }
         }
+        assert_eq!(seen, 16);
         assert_eq!(nic.rx_pending(), 0);
-        assert_eq!(nic.rx_burst_queue(9, 4), Vec::<Bytes>::new());
     }
 
     #[test]
     fn per_queue_rings_are_independently_bounded() {
         let nic = Nic::with_queues(PortId(0), 2, 2, 2, 1_000_000);
+        let q0 = flows_on(0, 2, 3);
+        let q1 = flows_on(1, 2, 1);
         // Fill queue 0; queue 1 still accepts.
-        assert!(nic.inject_rx_rss(0, frame(1)));
-        assert!(nic.inject_rx_rss(2, frame(2)));
-        assert!(!nic.inject_rx_rss(4, frame(3)), "queue 0 full");
-        assert!(nic.inject_rx_rss(1, frame(4)), "queue 1 unaffected");
+        assert!(nic.inject_rx_frame(q0[0].data()));
+        assert!(nic.inject_rx_frame(q0[1].data()));
+        assert!(!nic.inject_rx_frame(q0[2].data()), "queue 0 full");
+        assert!(nic.inject_rx_frame(q1[0].data()), "queue 1 unaffected");
         let s = nic.stats();
         assert_eq!((s.rx_frames, s.rx_dropped), (3, 1));
     }
 
     #[test]
-    fn queue_oblivious_consumers_see_all_queues() {
-        let nic = Nic::with_queues(PortId(0), 2, 4, 4, 1_000_000);
-        nic.inject_rx_rss(1, frame(11)); // queue 1
-        assert_eq!(nic.poll_rx().unwrap()[0], 11, "poll_rx scans queues");
-        nic.tx_burst_queue(1, [frame(9)]);
-        assert_eq!(nic.drain_tx().unwrap()[0], 9, "drain_tx scans queues");
-    }
-
-    #[test]
     fn pooled_rx_frames_recycle_through_packets() {
-        use netkit_packet::packet::PacketBuilder;
         let pool = BufferPool::new(2048, 0, 8);
         let nic = Nic::with_queues(PortId(0), 2, 8, 8, 1_000_000).with_buffer_pool(pool.clone());
         assert!(nic.buffer_pool().is_some());
@@ -826,7 +624,6 @@ mod tests {
 
     #[test]
     fn inject_rx_frame_without_pool_still_steers_and_stamps() {
-        use netkit_packet::packet::PacketBuilder;
         let nic = Nic::with_queues(PortId(0), 4, 8, 8, 1_000_000);
         let wire = PacketBuilder::udp_v4("10.0.0.9", "10.0.0.2", 7, 8).build();
         let key = FlowKey::from_packet(&wire).unwrap();
@@ -845,49 +642,33 @@ mod tests {
     }
 
     #[test]
-    fn legacy_rss_injection_hash_is_stamped_at_materialisation() {
-        let nic = Nic::with_queues(PortId(0), 4, 8, 8, 1_000_000);
-        nic.inject_rx_rss(9, frame(1));
-        let mut batch = PacketBatch::new();
-        assert_eq!(nic.rx_burst_batch(9 % 4, 32, &mut batch), 1);
-        assert_eq!(batch.packets()[0].meta.rss_hash, Some(9));
-        // And legacy Bytes consumers still see pooled frames.
-        let pool = BufferPool::new(256, 0, 4);
-        let pooled = Nic::new(PortId(1), 4, 4, 1_000_000).with_buffer_pool(pool.clone());
-        assert!(pooled.inject_rx_frame(&[0u8; 14]));
-        assert_eq!(pooled.poll_rx().unwrap().len(), 14);
-        // Detached, not recycled — documented legacy behaviour.
-        assert_eq!(pool.stats().recycled, 0);
-    }
-
-    #[test]
     fn indirection_table_redirects_buckets() {
-        use netkit_packet::steer::bucket_of;
         let nic = Nic::with_queues(PortId(0), 4, 8, 8, 1_000_000);
         assert!(nic.indirection().is_identity());
-        // Migrate hash 5's bucket from queue 1 to queue 3.
-        let mut map = nic.indirection();
-        map.set(bucket_of(5), 3);
-        nic.set_indirection(map);
-        assert!(nic.inject_rx_rss(5, frame(5)));
-        assert_eq!(nic.rx_burst_queue(1, 4).len(), 0, "old queue empty");
-        assert_eq!(nic.rx_burst_queue(3, 4).len(), 1, "bucket followed table");
-        // inject_rx_frame steers through the same table.
-        use netkit_packet::packet::PacketBuilder;
+        // Migrate one flow's bucket off its identity queue.
         let wire = PacketBuilder::udp_v4("10.0.0.1", "10.0.0.2", 1234, 80).build();
         let key = FlowKey::from_packet(&wire).unwrap();
+        let (old, new) = (key.shard_for(4), (key.shard_for(4) + 1) % 4);
         let mut map = nic.indirection();
-        map.set(key.bucket(), 2);
+        map.set(key.bucket(), new);
         nic.set_indirection(map);
         assert!(nic.inject_rx_frame(wire.data()));
         let mut batch = PacketBatch::new();
-        assert_eq!(nic.rx_burst_batch(2, 4, &mut batch), 1);
+        assert_eq!(nic.rx_burst_batch(old, 4, &mut batch), 0, "old queue empty");
+        assert_eq!(nic.rx_burst_batch(new, 4, &mut batch), 1, "followed table");
         assert_eq!(batch.packets()[0].meta.rss_hash, Some(key.rss_hash()));
+        // Non-flow frames park on whichever queue bucket 0 names.
+        let mut map = nic.indirection();
+        map.set(0, 3);
+        nic.set_indirection(map);
+        assert!(nic.inject_rx_frame(raw(7).data()));
+        let mut parked = PacketBatch::new();
+        assert_eq!(nic.rx_burst_batch(3, 4, &mut parked), 1);
+        assert_eq!(parked.packets()[0].meta.rss_hash, None);
     }
 
     #[test]
     fn tx_packets_keep_their_pool_lease_through_the_ring() {
-        use netkit_packet::packet::PacketBuilder;
         let pool = BufferPool::new(2048, 0, 8);
         let nic = Nic::with_queues(PortId(0), 2, 8, 8, 1_000_000).with_buffer_pool(pool.clone());
         let wire = PacketBuilder::udp_v4("10.0.0.1", "10.0.0.2", 1234, 80).build();
@@ -909,7 +690,7 @@ mod tests {
         assert_eq!(pool.stats().recycled, 1, "slab recycled after serialise");
         assert_eq!(nic.stats().tx_frames, 1);
 
-        // Heap-backed packets move without copying too (frozen).
+        // Heap-backed packets move without copying too.
         assert!(nic.send_tx_packet(0, wire.clone()));
         assert_eq!(nic.drain_tx_frame(0).unwrap().len(), wire.len());
         // Unknown queues drop and count.
@@ -922,39 +703,26 @@ mod tests {
     }
 
     #[test]
-    fn legacy_drain_detaches_pooled_tx_frames() {
-        use netkit_packet::packet::PacketBuilder;
-        let pool = BufferPool::new(2048, 0, 8);
-        let nic = Nic::new(PortId(0), 8, 8, 1_000_000).with_buffer_pool(pool.clone());
-        let wire = PacketBuilder::udp_v4("10.0.0.1", "10.0.0.2", 7, 8).build();
-        assert!(nic.inject_rx_frame(wire.data()));
-        let mut batch = PacketBatch::new();
-        nic.rx_burst_batch(0, 4, &mut batch);
-        assert_eq!(nic.tx_burst_packets(0, batch), 1);
-        // Legacy Bytes drain: correct bytes, but the slab detaches.
-        assert_eq!(nic.drain_tx().as_deref(), Some(wire.data()));
-        assert_eq!(pool.stats().recycled, 0, "documented legacy trade-off");
-    }
-
-    #[test]
     fn zero_queue_nic_equals_single_queue() {
         let nic = Nic::with_queues(PortId(0), 0, 4, 4, 1_000_000);
         assert_eq!(nic.queues(), 1);
-        assert!(nic.inject_rx_rss(12345, frame(1)), "all hashes map to q0");
-        assert_eq!(nic.rx_burst_queue(0, 4).len(), 1);
+        let wire = PacketBuilder::udp_v4("10.0.0.1", "10.0.0.2", 1234, 80).build();
+        assert!(nic.inject_rx_frame(wire.data()), "all hashes map to q0");
+        assert_eq!(nic.rx_burst_batch(0, 4, &mut PacketBatch::new()), 1);
     }
 
     #[test]
     fn per_worker_tx_queues_count_into_one_stats_block() {
         let nic = Nic::with_queues(PortId(0), 2, 2, 1, 1_000_000);
-        assert_eq!(nic.tx_burst_queue(0, [frame(1), frame(2)]), 1);
-        assert_eq!(nic.tx_burst_queue(1, [frame(3)]), 1);
-        assert_eq!(nic.tx_burst_queue(7, [frame(4)]), 0, "unknown queue");
+        let burst = |tags: &[u8]| tags.iter().map(|&n| raw(n)).collect::<PacketBatch>();
+        assert_eq!(nic.tx_burst_packets(0, burst(&[1, 2])), 1);
+        assert_eq!(nic.tx_burst_packets(1, burst(&[3])), 1);
+        assert_eq!(nic.tx_burst_packets(7, burst(&[4])), 0, "unknown queue");
         let s = nic.stats();
         assert_eq!((s.tx_frames, s.tx_dropped, s.tx_bytes), (2, 2, 128));
-        assert_eq!(nic.drain_tx_queue(0).unwrap()[0], 1);
-        assert_eq!(nic.drain_tx_queue(1).unwrap()[0], 3);
-        assert_eq!(nic.drain_tx_queue(9), None);
-        assert_eq!(nic.poll_rx_queue(0), None);
+        assert_eq!(nic.drain_tx_frame(0).unwrap()[0], 1);
+        assert_eq!(nic.drain_tx_frame(1).unwrap()[0], 3);
+        assert!(nic.drain_tx_frame(9).is_none());
+        assert_eq!(nic.rx_burst_batch(0, 4, &mut PacketBatch::new()), 0);
     }
 }

@@ -531,7 +531,7 @@ impl<T: Send + 'static> WorkerPool<T> {
     /// A hand-rolled spec with `workers == 0` (bypassing
     /// [`ShardSpec::new`]'s clamp) is normalised to one worker here, so
     /// "no sharding" and "one shard" are the same pool everywhere —
-    /// mirroring `shard_of(_, 0)`, `partition_by_shard(0)`, and the
+    /// mirroring `shard_of(_, 0)`, `BucketMap::identity(0)`, and the
     /// NIC's queue-count clamp.
     pub fn start<F>(spec: ShardSpec, mut factory: F) -> Self
     where

@@ -217,66 +217,29 @@ impl PacketBatch {
         }
     }
 
-    /// Splits the batch into `shards` sub-batches by RSS flow affinity
-    /// — the software analogue of a multi-queue NIC spreading flows
-    /// over receive queues.
-    ///
-    /// This is the *owned* convenience over [`Self::shard_split`]: it
-    /// re-materialises one `PacketBatch` per shard. Prefer the
-    /// [`ShardSplit`] views when sub-batches only need to be *read*,
-    /// and [`ShardSplit::into_shared`] when they cross to other
-    /// threads.
-    ///
-    /// Steering follows [`crate::flow::shard_of`] (stamped RSS hash,
-    /// else one parse — which this call stamps back, so repeated splits
-    /// never re-parse), with non-flow packets (ARP, malformed frames)
-    /// parked on shard 0. The result always holds exactly
-    /// `max(shards, 1)` batches (some possibly empty) — `0` and `1`
-    /// shards are equivalent —, no packet is lost or duplicated,
-    /// relative order *within each shard* — and therefore within each
-    /// flow, since a flow maps to exactly one shard — matches the input
-    /// batch, and per-packet labels survive (the sub-batches share the
-    /// parent's label table).
-    pub fn partition_by_shard(self, shards: usize) -> Vec<PacketBatch> {
-        if shards <= 1 {
-            return vec![self];
-        }
-        self.shard_split(shards).into_shard_batches()
-    }
-
-    /// Steers the batch over `shards` shards **in place**: one
-    /// counting-sort pass computes a permutation and per-shard offset
-    /// table; no packet moves, no label re-interns, no per-shard `Vec`
-    /// materialises. The returned [`ShardSplit`] owns the batch and
-    /// hands out borrowing [`ShardView`]s per shard (plus owned escape
-    /// hatches when a caller truly needs `PacketBatch`es to move
-    /// across threads).
-    ///
-    /// Steering uses the **identity** bucket table
-    /// (`bucket % shards`, see [`crate::flow::shard_of`]); a rebalanced
-    /// dispatcher passes its installed table to
-    /// [`Self::shard_split_with`] instead. Un-stamped packets are
-    /// RSS-stamped as a side effect (one header parse, once per packet
-    /// lifetime). `shards == 0` is treated as `1`.
-    pub fn shard_split(self, shards: usize) -> ShardSplit {
-        let shards = shards.max(1);
-        self.shard_split_by(shards, |pkt| crate::flow::shard_of(pkt, shards))
-    }
-
-    /// Like [`Self::shard_split`], but steers by an explicit
-    /// bucket → shard indirection table — the table-driven path the
-    /// reflective rebalancer installs
+    /// Steers the batch over the shards of a bucket → shard indirection
+    /// table **in place** — the software analogue of a multi-queue NIC
+    /// spreading flows over receive queues, and the table-driven path
+    /// the reflective rebalancer installs
     /// (`netkit_router::shard::ShardedPipeline` dispatches through
-    /// this). With `BucketMap::identity(n)` the result is identical to
-    /// `shard_split(n)`.
-    pub fn shard_split_with(self, map: &crate::steer::BucketMap) -> ShardSplit {
-        self.shard_split_by(map.shards(), |pkt| map.shard_of_packet(pkt))
-    }
-
-    /// The shared counting-sort core behind both split flavours.
-    /// `shard_fn` must return values `< shards` (both callers do by
-    /// construction).
-    fn shard_split_by(mut self, shards: usize, shard_fn: impl Fn(&Packet) -> usize) -> ShardSplit {
+    /// this). One counting-sort pass computes a permutation and
+    /// per-shard offset table; no packet moves, no label re-interns, no
+    /// per-shard `Vec` materialises. The returned [`ShardSplit`] owns
+    /// the batch; [`ShardSplit::into_shared`] hands each shard's slice
+    /// to its worker.
+    ///
+    /// Steering follows [`crate::steer::BucketMap::shard_of_packet`]
+    /// (stamped RSS hash → bucket → shard; with
+    /// `BucketMap::identity(n)` that is `bucket % n`, see
+    /// [`crate::flow::shard_of`]), with non-flow packets (ARP,
+    /// malformed frames) following bucket 0. No packet is lost or
+    /// duplicated, and relative order *within each shard* — and
+    /// therefore within each flow, since a flow maps to exactly one
+    /// shard — matches the input batch. Un-stamped packets are
+    /// RSS-stamped as a side effect (one header parse, once per packet
+    /// lifetime); a one-shard table skips even that.
+    pub fn shard_split_with(mut self, map: &crate::steer::BucketMap) -> ShardSplit {
+        let shards = map.shards();
         let n = self.packets.len();
         if shards == 1 {
             // Degenerate split: identity permutation, one shard.
@@ -290,7 +253,7 @@ impl PacketBatch {
         let mut shard_of_pkt: Vec<u32> = Vec::with_capacity(n);
         let mut counts = vec![0u32; shards];
         for pkt in &self.packets {
-            let s = shard_fn(pkt) as u32;
+            let s = map.shard_of_packet(pkt) as u32;
             shard_of_pkt.push(s);
             counts[s as usize] += 1;
         }
@@ -410,28 +373,28 @@ impl fmt::Debug for PacketBatch {
 }
 
 /// An index-based shard steering of one batch (see
-/// [`PacketBatch::shard_split`]).
+/// [`PacketBatch::shard_split_with`]).
 ///
 /// Holds the steered batch **unmoved** plus a permutation (`perm`) and a
 /// per-shard offset table: shard `s` owns the original packet indices
-/// `perm[offsets[s]..offsets[s + 1]]`, in input order. Reading a shard
-/// ([`Self::shard`]) borrows the original packets and label table —
-/// zero copies, zero re-interning, zero per-shard `Vec`s. When owned
-/// sub-batches are wanted, [`Self::into_shard_batches`] moves the
-/// packets out in a single pass.
+/// `perm[offsets[s]..offsets[s + 1]]`, in input order. Nothing is
+/// copied, re-interned or gathered until a consuming worker takes its
+/// slice ([`Self::into_shared`]).
 ///
 /// # Examples
 ///
 /// ```
 /// use netkit_packet::batch::PacketBatch;
 /// use netkit_packet::packet::PacketBuilder;
+/// use netkit_packet::steer::BucketMap;
 ///
 /// let batch: PacketBatch = (0..8u16)
 ///     .map(|i| PacketBuilder::udp_v4("10.0.0.1", "10.0.0.2", 1000 + i, 80).build())
 ///     .collect();
-/// let split = batch.shard_split(4);
+/// let split = batch.shard_split_with(&BucketMap::identity(4));
 /// assert_eq!(split.shards(), 4);
-/// assert_eq!(split.views().map(|v| v.len()).sum::<usize>(), 8);
+/// assert_eq!(split.len(), 8);
+/// assert_eq!(split.batch().len(), 8); // still whole, original order
 /// ```
 pub struct ShardSplit {
     batch: PacketBatch,
@@ -469,75 +432,12 @@ impl ShardSplit {
         self.batch
     }
 
-    /// A borrowing view of shard `s`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `s >= self.shards()`.
-    pub fn shard(&self, s: usize) -> ShardView<'_> {
-        assert!(s < self.shards(), "shard index out of range");
-        ShardView { split: self, s }
-    }
-
-    /// Iterates the per-shard views in shard order.
-    pub fn views(&self) -> impl Iterator<Item = ShardView<'_>> {
-        (0..self.shards()).map(|s| self.shard(s))
-    }
-
-    /// Moves the packets out into `max(shards, 1)` owned sub-batches —
-    /// the escape hatch for callers (worker rings, cross-thread
-    /// hand-off) that truly need owned `PacketBatch`es. One pass, each
-    /// sub-batch pre-sized exactly; labels survive by sharing the
-    /// parent's interned table (no re-interning).
-    pub fn into_shard_batches(self) -> Vec<PacketBatch> {
-        let shards = self.shards();
-        let Self {
-            mut batch,
-            perm,
-            offsets,
-        } = self;
-        // Invert perm/offsets into a per-index shard id.
-        let mut shard_of_idx = vec![0u32; batch.packets.len()];
-        for s in 0..shards {
-            for &idx in &perm[offsets[s] as usize..offsets[s + 1] as usize] {
-                shard_of_idx[idx as usize] = s as u32;
-            }
-        }
-        let has_labels = !batch.labels.is_empty();
-        let mut out: Vec<PacketBatch> = (0..shards)
-            .map(|s| {
-                let mut b = PacketBatch::new();
-                let len = (offsets[s + 1] - offsets[s]) as usize;
-                b.packets.reserve(len);
-                if has_labels {
-                    b.labels.reserve(len);
-                    b.table = batch.table.clone();
-                }
-                b
-            })
-            .collect();
-        // Drain in place (not mem::take) so the parent's backing
-        // vectors keep their capacity and the container — if it is
-        // pool-homed — recycles whole at the drop below.
-        for (idx, pkt) in batch.packets.drain(..).enumerate() {
-            let target = &mut out[shard_of_idx[idx] as usize];
-            target.packets.push(pkt);
-            if has_labels {
-                target.labels.push(batch.labels[idx]);
-            }
-        }
-        drop(batch);
-        out
-    }
-
     /// Converts the split into a **shared** split: the parent batch
     /// stays whole behind one refcounted handle, and each shard's slice
     /// becomes a cheap [`SharedShardRange`] descriptor that can cross a
     /// thread boundary without moving a single packet. This is the
-    /// move-free ring protocol's producer half: where
-    /// [`Self::into_shard_batches`] re-materialises one owned
-    /// sub-batch per shard *on the calling thread*, `into_shared`
-    /// defers the per-shard gather to the consuming workers
+    /// move-free ring protocol's producer half: the per-shard gather is
+    /// deferred to the consuming workers
     /// ([`SharedShardRange::take_into`]), which run it in parallel.
     /// The parent container — including a pool-homed one — recycles
     /// whole when the last range (or the [`SharedSplit`] handle) drops.
@@ -560,67 +460,6 @@ impl fmt::Debug for ShardSplit {
             self.len(),
             self.shards()
         )
-    }
-}
-
-/// One shard's borrowed slice of a [`ShardSplit`]: the packets steered
-/// to this shard, in their original relative order, without moving or
-/// copying anything.
-#[derive(Clone, Copy)]
-pub struct ShardView<'a> {
-    split: &'a ShardSplit,
-    s: usize,
-}
-
-impl<'a> ShardView<'a> {
-    /// The shard index this view covers.
-    pub fn shard(&self) -> usize {
-        self.s
-    }
-
-    /// Original batch indices of this shard's packets, in order.
-    pub fn indices(&self) -> &'a [u32] {
-        let lo = self.split.offsets[self.s] as usize;
-        let hi = self.split.offsets[self.s + 1] as usize;
-        &self.split.perm[lo..hi]
-    }
-
-    /// Number of packets on this shard.
-    pub fn len(&self) -> usize {
-        self.indices().len()
-    }
-
-    /// True when no packet steered here.
-    pub fn is_empty(&self) -> bool {
-        self.indices().is_empty()
-    }
-
-    /// The `i`-th packet of this shard (borrowed from the parent batch).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `i >= self.len()`.
-    pub fn get(&self, i: usize) -> &'a Packet {
-        &self.split.batch.packets[self.indices()[i] as usize]
-    }
-
-    /// Iterates this shard's packets in input order.
-    pub fn iter(&self) -> impl Iterator<Item = &'a Packet> + '_ {
-        self.indices()
-            .iter()
-            .map(|&idx| &self.split.batch.packets[idx as usize])
-    }
-
-    /// The label of the `i`-th packet of this shard, if one was
-    /// assigned (read from the parent's interned table — no copy).
-    pub fn label_of(&self, i: usize) -> Option<&'a str> {
-        self.split.batch.label_of(self.indices()[i] as usize)
-    }
-}
-
-impl fmt::Debug for ShardView<'_> {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "ShardView(shard {}, {} packets)", self.s, self.len())
     }
 }
 
@@ -663,11 +502,12 @@ impl SharedSplitInner {
 /// ```
 /// use netkit_packet::batch::{BatchPool, PacketBatch};
 /// use netkit_packet::packet::PacketBuilder;
+/// use netkit_packet::steer::BucketMap;
 ///
 /// let batch: PacketBatch = (0..8u16)
 ///     .map(|i| PacketBuilder::udp_v4("10.0.0.1", "10.0.0.2", 1000 + i, 80).build())
 ///     .collect();
-/// let shared = batch.shard_split(2).into_shared();
+/// let shared = batch.shard_split_with(&BucketMap::identity(2)).into_shared();
 /// let (a, b) = (shared.range(0), shared.range(1));
 /// drop(shared); // ranges keep the parent alive
 /// let pool = BatchPool::new(8, 0, 4);
@@ -769,12 +609,11 @@ impl SharedShardRange {
     /// Moves this range's packets (and labels) out of the shared parent
     /// into `out`, preserving input order, and returns how many moved.
     /// This is the consumer half of the move-free ring protocol: the
-    /// gather the owned dispatch path ran serially on the producer
-    /// happens here, on the worker, in parallel with its siblings. The
-    /// parent is locked only for the move itself; vacated slots are
-    /// backfilled with empty placeholder packets (allocation-free), so
-    /// the parent container still recycles whole once every handle is
-    /// gone.
+    /// gather happens here, on the worker, in parallel with its
+    /// siblings. The parent is locked only for the move itself; vacated
+    /// slots are backfilled with empty placeholder packets
+    /// (allocation-free), so the parent container still recycles whole
+    /// once every handle is gone.
     ///
     /// Labels survive: `out` inherits the parent's interned table by
     /// `Arc` clone, no re-interning.
@@ -996,9 +835,51 @@ pub struct LabelGroup {
 mod tests {
     use super::*;
     use crate::packet::PacketBuilder;
+    use crate::steer::BucketMap;
 
     fn pkt(sport: u16) -> Packet {
         PacketBuilder::udp_v4("10.0.0.1", "10.0.0.2", sport, 9).build()
+    }
+
+    fn ports(b: &PacketBatch) -> Vec<u16> {
+        b.iter().map(|p| p.udp_v4().unwrap().src_port).collect()
+    }
+
+    /// Splits `b` over `shards` shards by the identity table.
+    fn split(b: PacketBatch, shards: usize) -> ShardSplit {
+        b.shard_split_with(&BucketMap::identity(shards))
+    }
+
+    /// Gathers every shard's range into its own batch, as the workers
+    /// at the far end of the rings do.
+    fn gather(split: ShardSplit) -> Vec<PacketBatch> {
+        let shared = split.into_shared();
+        (0..shared.shards())
+            .map(|s| {
+                let mut out = PacketBatch::new();
+                shared.range(s).take_into(&mut out);
+                out
+            })
+            .collect()
+    }
+
+    /// The re-materialising partition the split replaced, kept as the
+    /// reference: per-packet `shard_of`, per-shard push, labels
+    /// re-interned.
+    fn reference_partition(batch: PacketBatch, shards: usize) -> Vec<PacketBatch> {
+        let labels: Vec<Option<String>> = (0..batch.len())
+            .map(|i| batch.label_of(i).map(str::to_owned))
+            .collect();
+        let mut out: Vec<PacketBatch> = (0..shards).map(|_| PacketBatch::new()).collect();
+        for (pkt, label) in batch.into_packets().into_iter().zip(labels) {
+            let target = &mut out[crate::flow::shard_of(&pkt, shards)];
+            target.push(pkt);
+            if let Some(label) = label {
+                let id = target.intern(&label);
+                target.set_label(target.len() - 1, id);
+            }
+        }
+        out
     }
 
     #[test]
@@ -1088,7 +969,7 @@ mod tests {
     }
 
     #[test]
-    fn partition_by_shard_preserves_order_and_labels() {
+    fn shard_split_preserves_order_and_labels() {
         use crate::flow::FlowKey;
         let mut b = PacketBatch::new();
         for p in 1u16..=8 {
@@ -1098,7 +979,7 @@ mod tests {
         b.set_label(2, marked);
         b.set_label(5, marked);
         let keys: Vec<FlowKey> = b.iter().map(|p| FlowKey::from_packet(p).unwrap()).collect();
-        let parts = b.partition_by_shard(3);
+        let parts = gather(split(b, 3));
         assert_eq!(parts.len(), 3);
         let mut seen = 0usize;
         for (shard, part) in parts.iter().enumerate() {
@@ -1133,79 +1014,31 @@ mod tests {
         b.push(pkt(2));
         let l = b.intern("x");
         b.set_label(0, l);
-        let mut parts = b.partition_by_shard(1);
+        let mut parts = gather(split(b, 1));
         assert_eq!(parts.len(), 1);
         let only = parts.pop().unwrap();
-        assert_eq!(only.len(), 2);
+        assert_eq!(ports(&only), [1, 2]);
         assert_eq!(only.label_of(0), Some("x"));
-        assert_eq!(PacketBatch::new().partition_by_shard(0).len(), 1);
-    }
-
-    #[test]
-    fn shard_split_views_agree_with_owned_partition() {
-        let mut b = PacketBatch::new();
-        for p in 1u16..=16 {
-            b.push(pkt(p));
-        }
-        let marked = b.intern("marked");
-        b.set_label(3, marked);
-        b.set_label(9, marked);
-        let mut reference = PacketBatch::new();
-        for p in 1u16..=16 {
-            reference.push(pkt(p));
-        }
-        let m2 = reference.intern("marked");
-        reference.set_label(3, m2);
-        reference.set_label(9, m2);
-
-        let split = b.shard_split(4);
-        assert_eq!(split.shards(), 4);
-        assert_eq!(split.len(), 16);
-        let owned = reference.partition_by_shard(4);
-        for (view, own) in split.views().zip(&owned) {
-            assert_eq!(view.len(), own.len());
-            for i in 0..view.len() {
-                assert_eq!(view.get(i).data(), own.packets()[i].data());
-                assert_eq!(view.label_of(i), own.label_of(i));
-            }
-        }
-        // The views borrow: the split still owns all 16 packets.
-        assert_eq!(split.batch().len(), 16);
-        // And the escape hatch matches the owned partition too.
-        let moved = split.into_shard_batches();
-        assert_eq!(moved.len(), 4);
-        for (a, b) in moved.iter().zip(&owned) {
-            assert_eq!(a.len(), b.len());
-            for i in 0..a.len() {
-                assert_eq!(a.packets()[i].data(), b.packets()[i].data());
-                assert_eq!(a.label_of(i), b.label_of(i));
-            }
-        }
+        assert_eq!(gather(split(PacketBatch::new(), 0)).len(), 1);
     }
 
     #[test]
     fn shard_split_with_identity_matches_plain_split() {
-        use crate::steer::BucketMap;
-        let build = || -> PacketBatch {
-            let mut b = PacketBatch::new();
-            for p in 1u16..=16 {
-                b.push(pkt(p));
+        // The identity table is static RSS: `hash % n`, flow by flow.
+        use crate::flow::{shard_of, FlowKey};
+        let parts = gather(split((1u16..=16).map(pkt).collect(), 4));
+        assert_eq!(parts.iter().map(PacketBatch::len).sum::<usize>(), 16);
+        for (s, part) in parts.iter().enumerate() {
+            for p in part.iter() {
+                assert_eq!(shard_of(p, 4), s);
+                assert_eq!(FlowKey::from_packet(p).unwrap().shard_for(4), s);
             }
-            let l = b.intern("x");
-            b.set_label(5, l);
-            b
-        };
-        let via_map = build().shard_split_with(&BucketMap::identity(4));
-        let plain = build().shard_split(4);
-        for (a, b) in via_map.views().zip(plain.views()) {
-            assert_eq!(a.indices(), b.indices());
         }
     }
 
     #[test]
     fn shard_split_with_honours_moved_buckets() {
         use crate::flow::FlowKey;
-        use crate::steer::BucketMap;
         let mut b = PacketBatch::new();
         for p in 1u16..=16 {
             b.push(pkt(p));
@@ -1215,14 +1048,15 @@ mod tests {
         for p in b.iter() {
             map.set(FlowKey::from_packet(p).unwrap().bucket(), 3);
         }
-        let split = b.shard_split_with(&map);
-        assert_eq!(split.shard(3).len(), 16, "all flows follow their bucket");
+        let shared = b.shard_split_with(&map).into_shared();
+        assert_eq!(shared.shard_len(3), 16, "all flows follow their bucket");
         for s in 0..3 {
-            assert!(split.shard(s).is_empty());
+            assert!(shared.range(s).is_empty());
         }
         // Order within the shard matches input order.
-        let idx: Vec<u32> = split.shard(3).indices().to_vec();
-        assert_eq!(idx, (0..16u32).collect::<Vec<_>>());
+        let mut out = PacketBatch::new();
+        shared.range(3).take_into(&mut out);
+        assert_eq!(ports(&out), (1..=16u16).collect::<Vec<_>>());
     }
 
     #[test]
@@ -1233,14 +1067,12 @@ mod tests {
             b.push(pkt(p));
         }
         assert!(b.packets()[0].meta.rss_hash.is_none());
-        let split = b.shard_split(2);
-        for view in split.views() {
-            for p in view.iter() {
-                assert_eq!(
-                    p.meta.rss_hash,
-                    Some(FlowKey::from_packet(p).unwrap().rss_hash())
-                );
-            }
+        let split = split(b, 2);
+        for p in split.batch().iter() {
+            assert_eq!(
+                p.meta.rss_hash,
+                Some(FlowKey::from_packet(p).unwrap().rss_hash())
+            );
         }
     }
 
@@ -1253,17 +1085,14 @@ mod tests {
             }
             let l = b.intern("x");
             b.set_label(1, l);
-            let split = b.shard_split(shards);
+            let split = split(b, shards);
             assert_eq!(split.shards(), 1, "shards={shards}");
-            let view = split.shard(0);
-            assert_eq!(view.len(), 3);
-            assert_eq!(view.indices(), &[0, 1, 2]);
-            assert_eq!(view.label_of(1), Some("x"));
+            assert_eq!(split.len(), 3);
             // Degenerate splits skip stamping: no parse on the 1-shard path.
-            assert!(view.get(0).meta.rss_hash.is_none());
-            let batches = split.into_shard_batches();
+            assert!(split.batch().packets()[0].meta.rss_hash.is_none());
+            let batches = gather(split);
             assert_eq!(batches.len(), 1);
-            assert_eq!(batches[0].len(), 3);
+            assert_eq!(ports(&batches[0]), [1, 2, 3]);
             assert_eq!(batches[0].label_of(1), Some("x"));
         }
     }
@@ -1286,26 +1115,24 @@ mod tests {
 
     #[test]
     fn split_recycles_the_parent_container_too() {
-        // Regression: a pool-homed batch that goes through
-        // shard_split → into_shard_batches must return its own backing
-        // vectors to the pool (with capacity), not discard them —
-        // otherwise a fill-split-dispatch loop leaks one container per
-        // round.
+        // Regression: a pool-homed batch that goes through a split and
+        // comes back out must return its own backing vectors to the
+        // pool (with capacity), not discard them — otherwise a
+        // fill-split loop leaks one container per round.
         let pool = BatchPool::new(16, 0, 8);
         for round in 0..3u64 {
             let mut parent = pool.take();
             for p in 1u16..=8 {
                 parent.push(pkt(p));
             }
-            let parts = parent.shard_split(2).into_shard_batches();
-            drop(parts);
+            let parent = split(parent, 2).into_batch();
+            assert_eq!(parent.len(), 8);
+            drop(parent);
             let s = pool.stats();
             assert_eq!(
                 s.discarded, 0,
                 "round {round}: parent must not be discarded"
             );
-            // The parent recycles every round (the owned sub-batches
-            // are plain containers).
             assert_eq!(s.recycled, round + 1);
         }
         assert_eq!(pool.stats().allocated, 1, "steady state after round 0");
@@ -1378,8 +1205,8 @@ mod tests {
             b.set_label(9, l);
             b
         };
-        let owned = build().partition_by_shard(4);
-        let shared = build().shard_split(4).into_shared();
+        let owned = reference_partition(build(), 4);
+        let shared = split(build(), 4).into_shared();
         assert_eq!(shared.shards(), 4);
         assert_eq!(shared.len(), 16);
         for (s, own) in owned.iter().enumerate() {
@@ -1404,7 +1231,7 @@ mod tests {
             for p in 1u16..=8 {
                 parent.push(pkt(p));
             }
-            let shared = parent.shard_split(2).into_shared();
+            let shared = split(parent, 2).into_shared();
             let (a, b) = (shared.range(0), shared.range(1));
             drop(shared);
             // While any range lives, the parent container stays out.
@@ -1433,7 +1260,7 @@ mod tests {
         for p in 1u16..=8 {
             parent.push(pkt(p));
         }
-        let shared = parent.shard_split(2).into_shared();
+        let shared = split(parent, 2).into_shared();
         let taken_range = shared.range(0);
         let rejected = shared.range(1);
         let expect_left = rejected.len();
@@ -1454,7 +1281,7 @@ mod tests {
     fn take_into_rejects_a_dirty_container() {
         let mut b = PacketBatch::new();
         b.push(pkt(1));
-        let shared = b.shard_split(1).into_shared();
+        let shared = split(b, 1).into_shared();
         let mut out = PacketBatch::new();
         out.push(pkt(2));
         shared.range(0).take_into(&mut out);

@@ -102,16 +102,21 @@ impl PacketMeta {
     }
 }
 
-/// The frame storage behind a [`Packet`]: either a plain heap buffer or
-/// a slab leased from a [`crate::pool::BufferPool`] (returned to the
-/// pool when the packet drops — the zero-copy rx path).
-enum PacketBuf {
+/// Frame storage — the one type a frame lives in from the rx ring,
+/// through a [`Packet`], onto the tx ring: either a plain heap buffer
+/// or a slab leased from a [`crate::pool::BufferPool`], which returns
+/// to its pool wherever the storage is finally dropped.
+#[derive(Debug)]
+pub enum PacketBuf {
+    /// A plain heap buffer.
     Heap(BytesMut),
+    /// A pool-leased slab, lease intact.
     Pooled(PooledBuf),
 }
 
 impl PacketBuf {
-    fn as_slice(&self) -> &[u8] {
+    /// The frame bytes.
+    pub fn as_slice(&self) -> &[u8] {
         match self {
             PacketBuf::Heap(b) => b,
             PacketBuf::Pooled(b) => b,
@@ -131,7 +136,7 @@ impl PacketBuf {
 /// The buffer always begins at the Ethernet header. Parsing helpers give
 /// typed views without copying; `data_mut` allows in-place mutation
 /// (TTL decrement and similar fast-path edits). The frame storage may be
-/// a pool-leased slab ([`Packet::from_pooled`]): dropping the packet
+/// a pool-leased slab ([`Packet::from_buf`]): dropping the packet
 /// then recycles the buffer instead of freeing it, which is what makes
 /// the NIC→worker fast path allocation-free in steady state.
 pub struct Packet {
@@ -164,17 +169,15 @@ impl Clone for Packet {
 impl Packet {
     /// Wraps an existing frame buffer.
     pub fn new(data: BytesMut) -> Self {
-        Self {
-            data: PacketBuf::Heap(data),
-            meta: PacketMeta::default(),
-        }
+        Self::from_buf(PacketBuf::Heap(data))
     }
 
-    /// Wraps a pool-leased frame buffer without copying; the slab
-    /// returns to its pool when the packet is dropped.
-    pub fn from_pooled(buf: PooledBuf) -> Self {
+    /// Wraps frame storage without copying — what the NIC's rx burst
+    /// does. A pool-leased slab keeps its lease and returns to its pool
+    /// when the packet is dropped.
+    pub fn from_buf(data: PacketBuf) -> Self {
         Self {
-            data: PacketBuf::Pooled(buf),
+            data,
             meta: PacketMeta::default(),
         }
     }
@@ -213,24 +216,11 @@ impl Packet {
         }
     }
 
-    /// Consumes the packet, returning its pool-leased slab **with the
-    /// lease intact** when the storage came from a
-    /// [`crate::pool::BufferPool`] (the zero-copy tx hand-off: the slab
-    /// keeps recycling when the consumer drops it). Heap-backed packets
-    /// are given back unchanged.
-    ///
-    /// # Errors
-    ///
-    /// Returns the packet itself when its storage is a plain heap
-    /// buffer.
-    pub fn try_into_pooled(self) -> Result<PooledBuf, Packet> {
-        match self.data {
-            PacketBuf::Pooled(b) => Ok(b),
-            data @ PacketBuf::Heap(_) => Err(Packet {
-                data,
-                meta: self.meta,
-            }),
-        }
+    /// Consumes the packet, returning its frame storage as it is — the
+    /// zero-copy tx hand-off: a pool-leased slab keeps its lease, and
+    /// recycles when the consumer drops it. Metadata is discarded.
+    pub fn into_buf(self) -> PacketBuf {
+        self.data
     }
 
     // ---- typed views ------------------------------------------------------

@@ -2,20 +2,21 @@
 //!
 //! The sharded dataplane's correctness rests on three properties proved
 //! here: (1) the flow→shard map is a pure function of the 5-tuple and
-//! the shard count — same flow, same shard, always; (2)
-//! `partition_by_shard` is a permutation-free split: nothing lost,
-//! nothing duplicated, per-flow order intact, every packet on its
-//! flow's shard; (3) the zero-copy steering path (`shard_split` views
-//! and its owned `into_shard_batches` escape hatch) is
+//! the shard count — same flow, same shard, always; (2) the split is
+//! permutation-free: nothing lost, nothing duplicated, per-flow order
+//! intact, every packet on its flow's shard, under any steering table;
+//! (3) the zero-copy steering path (`shard_split_with` → `into_shared`
+//! → each shard's `take_into`, what dispatch and the workers run) is
 //! observationally identical — packets, order, labels — to the legacy
 //! re-materialising partition, reimplemented verbatim below as the
 //! reference.
 
 use proptest::prelude::*;
 
-use netkit_packet::batch::PacketBatch;
+use netkit_packet::batch::{PacketBatch, ShardSplit};
 use netkit_packet::flow::{shard_of, FlowKey};
 use netkit_packet::packet::{Packet, PacketBuilder};
+use netkit_packet::steer::BucketMap;
 
 #[derive(Clone, Debug)]
 struct FlowSpec {
@@ -71,6 +72,27 @@ fn reference_partition(batch: PacketBatch, shards: usize) -> Vec<PacketBatch> {
     out
 }
 
+/// Gathers every shard's range of a split into its own batch, as the
+/// workers at the far end of the rings do; checks on the way that the
+/// split, its shared form and each range agree on the counts.
+fn gather(split: ShardSplit) -> Vec<PacketBatch> {
+    let total = split.len();
+    let shared = split.into_shared();
+    assert_eq!(shared.len(), total);
+    let parts: Vec<PacketBatch> = (0..shared.shards())
+        .map(|s| {
+            let range = shared.range(s);
+            assert_eq!((range.shard(), range.len()), (s, shared.shard_len(s)));
+            let mut out = PacketBatch::new();
+            assert_eq!(range.take_into(&mut out), out.len());
+            assert_eq!(out.len(), shared.shard_len(s));
+            out
+        })
+        .collect();
+    assert_eq!(parts.iter().map(PacketBatch::len).sum::<usize>(), total);
+    parts
+}
+
 /// `(frame bytes, label)` fingerprints per shard — the observable
 /// content every split variant must agree on.
 fn fingerprint(parts: &[PacketBatch]) -> Vec<Vec<(Vec<u8>, Option<String>)>> {
@@ -96,11 +118,11 @@ proptest! {
         picks in proptest::collection::vec((0usize..10, 0usize..4), 0..96),
         shards in 0usize..=6,
     ) {
-        // Build three identical batches: reference, views, owned.
-        // `picks` interleaves flows and assigns each packet one of three
-        // labels (or none).
+        // Build two identical batches: reference and split. `picks`
+        // interleaves flows and assigns each packet one of three labels
+        // (or none).
         let labels = ["voice", "bulk", "scavenger"];
-        let mut batches: Vec<PacketBatch> = (0..3).map(|_| PacketBatch::new()).collect();
+        let mut batches: Vec<PacketBatch> = (0..2).map(|_| PacketBatch::new()).collect();
         for (i, (flow_idx, label_idx)) in picks.iter().enumerate() {
             let spec = &flows[flow_idx % flows.len()];
             for b in &mut batches {
@@ -112,39 +134,22 @@ proptest! {
                 }
             }
         }
-        let [for_reference, for_views, for_owned]: [PacketBatch; 3] =
-            batches.try_into().ok().unwrap();
+        let [for_reference, for_split]: [PacketBatch; 2] = batches.try_into().ok().unwrap();
 
         let reference = fingerprint(&reference_partition(for_reference, shards));
 
-        // 1. Borrowing views: same shards, same order, same labels —
-        //    without moving a single packet.
-        let split = for_views.shard_split(shards);
+        // The split moves nothing: same count, original order, and the
+        // parent still whole behind it.
+        let split = for_split.shard_split_with(&BucketMap::identity(shards));
         prop_assert_eq!(split.shards(), shards.max(1));
         prop_assert_eq!(split.len(), picks.len());
-        let viewed: Vec<Vec<(Vec<u8>, Option<String>)>> = split
-            .views()
-            .map(|v| {
-                (0..v.len())
-                    .map(|i| (v.get(i).data().to_vec(), v.label_of(i).map(str::to_owned)))
-                    .collect()
-            })
-            .collect();
-        prop_assert_eq!(&viewed, &reference, "views ≡ reference");
-        // View indices are a permutation of the input positions.
-        let mut all_indices: Vec<u32> =
-            split.views().flat_map(|v| v.indices().to_vec()).collect();
-        all_indices.sort_unstable();
-        prop_assert_eq!(all_indices, (0..picks.len() as u32).collect::<Vec<_>>());
+        prop_assert_eq!(split.batch().len(), picks.len());
 
-        // 2. Owned escape hatch.
-        let owned = for_owned.shard_split(shards).into_shard_batches();
-        prop_assert_eq!(&fingerprint(&owned), &reference, "owned ≡ reference");
-
-        // 3. Per-flow order within each shard survives every variant
-        //    (reference already proves itself against the input in
-        //    `partition_loses_and_duplicates_nothing_and_keeps_flow_order`;
-        //    equality above extends it to the zero-copy paths).
+        // Gathered per shard at the consuming end: same shards, same
+        // order, same labels. Per-flow order within each shard follows
+        // (the reference proves itself against the input in
+        // `partition_loses_and_duplicates_nothing_and_keeps_flow_order`).
+        prop_assert_eq!(&fingerprint(&gather(split)), &reference, "shared ≡ reference");
     }
 
     #[test]
@@ -189,7 +194,7 @@ proptest! {
             batch.push(pkt);
         }
 
-        let parts = batch.partition_by_shard(shards);
+        let parts = gather(batch.shard_split_with(&BucketMap::identity(shards)));
         prop_assert_eq!(parts.len(), shards.max(1));
 
         // 1. Multiset equality: concatenating the sub-batches yields a
@@ -242,8 +247,6 @@ proptest! {
         shards in 2usize..=6,
         assignments in proptest::collection::vec(0usize..6, 12),
     ) {
-        use netkit_packet::steer::BucketMap;
-
         // A random table: each flow's bucket re-homed by the seed
         // (other buckets keep identity).
         let mut map = BucketMap::identity(shards);
@@ -263,7 +266,7 @@ proptest! {
             batch.push(pkt);
         }
 
-        let parts = batch.shard_split_with(&map).into_shard_batches();
+        let parts = gather(batch.shard_split_with(&map));
         prop_assert_eq!(parts.len(), shards);
 
         // Multiset equality.
@@ -298,15 +301,17 @@ proptest! {
             prop_assert_eq!(got_seq, expect_seq, "flow order preserved under the table");
         }
 
-        // Identity table ≡ static split.
-        let via_identity = ident.shard_split_with(&BucketMap::identity(shards));
+        // Identity table ≡ static split (`hash % n`, the reference's
+        // rule).
+        let via_identity = gather(ident.shard_split_with(&BucketMap::identity(shards)));
         let mut statics = PacketBatch::new();
         for (i, flow_idx) in picks.iter().enumerate() {
             statics.push(build(&flows[flow_idx % flows.len()], i as u16));
         }
-        let plain = statics.shard_split(shards);
-        for (a, b) in via_identity.views().zip(plain.views()) {
-            prop_assert_eq!(a.indices(), b.indices(), "identity table ≡ hash % n");
-        }
+        prop_assert_eq!(
+            fingerprint(&via_identity),
+            fingerprint(&reference_partition(statics, shards)),
+            "identity table ≡ hash % n"
+        );
     }
 }

@@ -4,7 +4,6 @@
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use bytes::Bytes;
 use netkit_kernel::nic::Nic;
 use netkit_kernel::time::VirtualClock;
 use netkit_packet::batch::PacketBatch;
@@ -18,14 +17,21 @@ use crate::api::{
 
 use super::element_core;
 
-/// Pulls frames from a NIC's rx ring and pushes them downstream.
+/// Pulls frames from one of a NIC's rx rings and pushes them downstream.
 ///
 /// Exposes both styles: `pump()` actively pushes through the `out`
 /// receptacle (poll-mode driver), and the exported `IPacketPull` lets a
-/// downstream scheduler pull directly.
+/// downstream scheduler pull directly. Either way frames come off the
+/// ring through `Nic::rx_burst_batch`: the frame storage moves into the
+/// packet (a pool-leased slab keeps its lease and recycles when the
+/// packet drops) and `meta.flow` / `meta.rss_hash` arrive stamped from
+/// the rx parse, so nothing downstream parses or copies.
 pub struct FromDevice {
     core: ComponentCore,
     nic: Arc<Nic>,
+    /// The rx queue this adapter polls (its shard's queue on a
+    /// multi-queue NIC; 0 for the single-queue adapter).
+    queue: usize,
     clock: Arc<VirtualClock>,
     out: Receptacle<dyn IPacketPush>,
     pumped: AtomicU64,
@@ -33,11 +39,19 @@ pub struct FromDevice {
 }
 
 impl FromDevice {
-    /// Creates an adapter over `nic`, timestamping arrivals from `clock`.
+    /// Creates an adapter over `nic`'s rx queue 0, timestamping arrivals
+    /// from `clock`.
     pub fn new(nic: Arc<Nic>, clock: Arc<VirtualClock>) -> Arc<Self> {
+        Self::with_queue(nic, 0, clock)
+    }
+
+    /// Creates an adapter polling rx queue `queue` — one per shard on a
+    /// multi-queue NIC, so pollers share no rx ring.
+    pub fn with_queue(nic: Arc<Nic>, queue: usize, clock: Arc<VirtualClock>) -> Arc<Self> {
         Arc::new(Self {
             core: element_core("netkit.FromDevice"),
             nic,
+            queue,
             clock,
             out: Receptacle::single("out", IPACKET_PUSH),
             pumped: AtomicU64::new(0),
@@ -45,29 +59,33 @@ impl FromDevice {
         })
     }
 
-    fn wrap(&self, frame: Bytes) -> Packet {
-        let mut pkt = Packet::from_slice(&frame);
-        pkt.meta.ingress = Some(self.nic.port().0);
-        pkt.meta.timestamp_ns = self.clock.now().as_nanos();
-        pkt
+    /// The rx queue this adapter polls.
+    pub fn queue(&self) -> usize {
+        self.queue
+    }
+
+    /// Takes up to `max` frames off the ring in one burst and stamps
+    /// where and when they arrived.
+    fn burst(&self, max: usize) -> PacketBatch {
+        let mut batch = PacketBatch::with_capacity(max.min(64));
+        self.nic.rx_burst_batch(self.queue, max, &mut batch);
+        let ingress = Some(self.nic.port().0);
+        let now = self.clock.now().as_nanos();
+        for pkt in batch.packets_mut() {
+            pkt.meta.ingress = ingress;
+            pkt.meta.timestamp_ns = now;
+        }
+        batch
     }
 
     /// Polls up to `budget` frames off the NIC, pushing each through the
     /// `out` receptacle. Returns the number of frames moved.
     pub fn pump(&self, budget: usize) -> usize {
         let mut moved = 0;
-        for _ in 0..budget {
-            let Some(frame) = self.nic.poll_rx() else {
-                break;
-            };
-            let pkt = self.wrap(frame);
-            let pushed = self.out.with_bound(|next| next.push(pkt));
-            match pushed {
+        for pkt in self.burst(budget) {
+            match self.out.with_bound(|next| next.push(pkt)) {
                 Some(Ok(())) => moved += 1,
-                Some(Err(_)) => {
-                    self.push_drops.fetch_add(1, Ordering::Relaxed);
-                }
-                None => {
+                Some(Err(_)) | None => {
                     self.push_drops.fetch_add(1, Ordering::Relaxed);
                 }
             }
@@ -82,12 +100,11 @@ impl FromDevice {
     /// IPC call for isolated peers) per burst instead of per frame.
     /// Returns the number of frames accepted downstream.
     pub fn pump_batch(&self, budget: usize) -> usize {
-        let frames = self.nic.rx_burst(budget);
-        if frames.is_empty() {
+        let batch = self.burst(budget);
+        if batch.is_empty() {
             return 0;
         }
-        let n = frames.len();
-        let batch: PacketBatch = frames.into_iter().map(|f| self.wrap(f)).collect();
+        let n = batch.len();
         let moved = match self.out.with_bound(|next| next.push_batch(batch)) {
             Some(result) => result.accepted(),
             None => 0,
@@ -109,16 +126,11 @@ impl FromDevice {
 
 impl IPacketPull for FromDevice {
     fn pull(&self) -> Option<Packet> {
-        self.nic.poll_rx().map(|frame| self.wrap(frame))
+        self.burst(1).pop()
     }
 
     fn pull_batch(&self, max: usize) -> PacketBatch {
-        // One rx-ring lock per burst.
-        self.nic
-            .rx_burst(max)
-            .into_iter()
-            .map(|f| self.wrap(f))
-            .collect()
+        self.burst(max)
     }
 }
 
@@ -247,7 +259,7 @@ mod tests {
         let clock = Arc::new(VirtualClock::new());
         clock.advance(500);
         let fd = FromDevice::new(Arc::clone(&n), clock);
-        n.inject_rx(Bytes::from_static(b"\x00\x01"));
+        n.inject_rx_frame(b"\x00\x01");
         let pkt = fd.pull().unwrap();
         assert_eq!(pkt.meta.ingress, Some(3));
         assert_eq!(pkt.meta.timestamp_ns, 500);
@@ -270,7 +282,7 @@ mod tests {
             .unwrap();
         let frame = PacketBuilder::udp_v4("10.0.0.1", "10.0.0.2", 1, 2).build();
         for _ in 0..5 {
-            n_in.inject_rx(Bytes::copy_from_slice(frame.data()));
+            n_in.inject_rx_frame(frame.data());
         }
         assert_eq!(fd.pump(10), 5);
         assert_eq!(n_out.stats().tx_frames, 5);
@@ -282,9 +294,81 @@ mod tests {
         let n = nic();
         let clock = Arc::new(VirtualClock::new());
         let fd = FromDevice::new(Arc::clone(&n), clock);
-        n.inject_rx(Bytes::from_static(b"xx"));
+        n.inject_rx_frame(b"xx");
         assert_eq!(fd.pump(10), 0);
         assert_eq!(fd.stats().1, 1);
+    }
+
+    /// Regression: `FromDevice` used to copy every frame out of the
+    /// ring as plain bytes — the pool lease was detached (the pool never
+    /// recycled behind it) and the rx parse was thrown away.
+    #[test]
+    fn from_device_keeps_the_pool_lease_and_the_rx_parse() {
+        use crate::elements::Counter;
+        use netkit_packet::flow::{FlowKey, ParsedFlow};
+        use netkit_packet::pool::BufferPool;
+
+        let pool = BufferPool::new(2048, 0, 16);
+        let n = Arc::new(
+            Nic::with_queues(PortId(3), 2, 8, 8, 1_000_000).with_buffer_pool(pool.clone()),
+        );
+        let clock = Arc::new(VirtualClock::new());
+        clock.advance(500);
+        let puller = FromDevice::with_queue(Arc::clone(&n), 0, Arc::clone(&clock));
+        let pumper = FromDevice::with_queue(Arc::clone(&n), 1, clock);
+        assert_eq!((puller.queue(), pumper.queue()), (0, 1));
+        let rt = Runtime::new();
+        crate::api::register_packet_interfaces(&rt);
+        let capsule = Capsule::new("t", &rt);
+        let sink = Counter::new();
+        let pumper_id = capsule.adopt(pumper.clone()).unwrap();
+        let sink_id = capsule.adopt(sink.clone()).unwrap();
+        capsule
+            .bind_simple(pumper_id, "out", sink_id, IPACKET_PUSH)
+            .unwrap();
+
+        // Four flows on each of the two queues.
+        let mut wires: [Vec<Packet>; 2] = [Vec::new(), Vec::new()];
+        for sport in 1u16.. {
+            let wire = PacketBuilder::udp_v4("10.0.0.1", "10.0.0.2", sport, 80).build();
+            let queue = FlowKey::from_packet(&wire).unwrap().shard_for(2);
+            if wires[queue].len() < 4 {
+                wires[queue].push(wire);
+            }
+            if wires.iter().all(|w| w.len() == 4) {
+                break;
+            }
+        }
+        let stamped = |pkt: &Packet, wire: &Packet| {
+            let flow = ParsedFlow::from_frame(wire.data()).unwrap();
+            assert_eq!(pkt.meta.flow, Some(flow), "the rx parse rides along");
+            assert_eq!(pkt.meta.rss_hash, Some(flow.hash()));
+            assert_eq!(pkt.meta.ingress, Some(3));
+            assert_eq!(pkt.meta.timestamp_ns, 500);
+            assert_eq!(pkt.data(), wire.data());
+        };
+
+        for round in 0..2u64 {
+            for wire in wires.iter().flatten() {
+                assert!(n.inject_rx_frame(wire.data()));
+            }
+            // Pull side: queue 0's frames, stamped, zero-copy.
+            let pulled = puller.pull_batch(8);
+            assert_eq!(pulled.len(), 4);
+            for (pkt, wire) in pulled.iter().zip(&wires[0]) {
+                stamped(pkt, wire);
+            }
+            drop(pulled);
+            assert_eq!(pool.stats().recycled, round * 8 + 4);
+            // Pump side: queue 1's frames through the binding; the sink
+            // drops the batch, which recycles its slabs.
+            assert_eq!(pumper.pump_batch(8), 4);
+            stamped(&sink.last().unwrap(), &wires[1][3]);
+            assert_eq!(pool.stats().recycled, round * 8 + 8);
+        }
+        let s = pool.stats();
+        assert_eq!(s.allocated, 8, "the second round allocated nothing");
+        assert_eq!(s.reused, 8);
     }
 
     #[test]

@@ -8,10 +8,10 @@
 //! dataplanes avoid. [`ShardedPipeline`] instead **replicates** the
 //! graph: a factory builds one independent replica (own capsule, own
 //! elements) per worker of a [`ShardSpec`], and an RSS dispatcher
-//! ([`PacketBatch::shard_split`] — a single counting-sort pass over
-//! stamped RSS hashes, no sub-batch re-materialisation) keeps each flow
-//! on one replica, preserving intra-flow order with zero sharing on the
-//! fast path. The split parent is then *shared*, not moved:
+//! ([`PacketBatch::shard_split_with`] — a single counting-sort pass
+//! over stamped RSS hashes, no sub-batch re-materialisation) keeps each
+//! flow on one replica, preserving intra-flow order with zero sharing on
+//! the fast path. The split parent is then *shared*, not moved:
 //! [`ShardedPipeline::dispatch`] publishes one refcounted shard-range
 //! descriptor per ring in a single batched fan-out
 //! ([`WorkerPool::submit_fanout`]), each worker gathers its slice into

@@ -1,14 +1,12 @@
 //! The parse-once contract, end to end: frames enter through the NIC,
 //! are parsed there once, and run guard → conntrack → nat44 → counter
 //! without any element looking at the headers again; what the tables
-//! hold never depends on which rx path stamped the packet or on the
-//! steering hash a driver chose; and IPv4 fragments — port-less, like
-//! RSS hardware treats them — stay on one shard and cross the NAT
-//! untouched.
+//! hold never depends on the steering hash a driver chose; and IPv4
+//! fragments — port-less, like RSS hardware treats them — stay on one
+//! shard and cross the NAT untouched.
 
 use std::sync::Arc;
 
-use bytes::Bytes;
 use netkit_kernel::nic::{Nic, PortId};
 use netkit_packet::batch::PacketBatch;
 use netkit_packet::flow::{FlowKey, ParsedFlow};
@@ -167,52 +165,37 @@ mod parse_count {
         assert_eq!(parses(), after_rx, "0 parses after rx on the IPv4 path");
         assert_eq!(edge.egress.count(), ipv4.len() as u64);
     }
-
-    #[test]
-    fn the_legacy_rss_path_parses_each_frame_exactly_once() {
-        // `inject_rx_rss` hands the NIC a hash and opaque bytes: nothing
-        // is parsed at injection, so materialisation does it — once per
-        // frame, and not again in the graph.
-        let nic = pooled_nic(1);
-        let frames: Vec<Packet> = trace()
-            .into_iter()
-            .filter(|p| ParsedFlow::from_frame(p.data()).is_some())
-            .collect();
-        let before = parses();
-        for (i, pkt) in frames.iter().enumerate() {
-            assert!(nic.inject_rx_rss(i as u64, Bytes::copy_from_slice(pkt.data())));
-        }
-        assert_eq!(parses(), before, "no parse at injection");
-        let edge = edge();
-        assert!(edge.entry.push_batch(burst(&nic, 0)).all_ok());
-        assert_eq!(parses() - before, frames.len() as u64);
-    }
 }
 
 #[test]
 fn table_contents_do_not_depend_on_the_rx_path_or_the_steering_hash() {
     let frames = trace();
-    let run = |inject: &dyn Fn(&Nic, usize, &Packet)| {
+    let run = |stamp: &dyn Fn(usize, &mut Packet)| {
         let nic = pooled_nic(1);
-        for (i, pkt) in frames.iter().enumerate() {
-            inject(&nic, i, pkt);
+        for pkt in &frames {
+            assert!(nic.inject_rx_frame(pkt.data()));
         }
         let edge = edge();
         // Bursts of 8, so batch boundaries fall mid-flow.
+        let mut seen = 0;
         loop {
             let mut batch = PacketBatch::new();
             if nic.rx_burst_batch(0, 8, &mut batch) == 0 {
                 break;
             }
+            for pkt in batch.packets_mut() {
+                stamp(seen, pkt);
+                seen += 1;
+            }
             assert!(edge.entry.push_batch(batch).all_ok());
         }
         edge
     };
-    let hardware = run(&|nic, _, pkt| assert!(nic.inject_rx_frame(pkt.data())));
-    // Garbage hashes: constant, colliding, and unrelated to the tuple.
-    let garbage = run(&|nic, i, pkt| {
-        let hash = [0, u64::MAX, 0xdead_beef, i as u64 % 3][i % 4];
-        assert!(nic.inject_rx_rss(hash, Bytes::copy_from_slice(pkt.data())));
+    let hardware = run(&|_, _| {});
+    // `rss_hash` is a public field software may stamp. Garbage hashes:
+    // constant, colliding, and unrelated to the tuple.
+    let garbage = run(&|i, pkt| {
+        pkt.meta.rss_hash = Some([0, u64::MAX, 0xdead_beef, i as u64 % 3][i % 4]);
     });
     assert_eq!(hardware.tracker.len(), garbage.tracker.len());
     assert_eq!(

@@ -12,9 +12,6 @@
 //! * [`pipeline`] — real sharded dataplanes as nodes: the threaded
 //!   driver's `ShardedPipeline` on the inline executor, shards run in
 //!   index order on the simulator's thread.
-//! * [`fault`] — a [`FaultPlan`](netkit_kernel::fault::FaultPlan)-driven
-//!   behaviour decorator: seeded wire loss / corruption / duplication
-//!   plus a modelled crash-and-revive, replayable bit-for-bit.
 //! * [`link`] — full-duplex links with latency, serialisation, and
 //!   bounded drop-tail transmit queues.
 //! * [`traffic`] — CBR / Poisson / bursty generators, all seeded.
@@ -50,7 +47,6 @@
 
 #![warn(missing_docs)]
 
-pub mod fault;
 pub mod link;
 pub mod node;
 pub mod pipeline;

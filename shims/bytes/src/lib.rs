@@ -1,133 +1,13 @@
 //! Offline stand-in for the `bytes` crate.
 //!
 //! The build environment has no access to crates.io, so the workspace
-//! vendors the small API subset it uses: cheaply-clonable immutable
-//! [`Bytes`] and growable [`BytesMut`]. Semantics match the real crate
-//! for this subset; `Bytes` shares its backing store on clone.
+//! vendors the small API subset it uses: the growable [`BytesMut`].
+//! Semantics match the real crate for this subset.
 
 #![warn(missing_docs)]
 
-use std::borrow::Borrow;
 use std::fmt;
-use std::hash::{Hash, Hasher};
 use std::ops::{Deref, DerefMut};
-use std::sync::Arc;
-
-/// A cheaply clonable, immutable, contiguous slice of memory.
-#[derive(Clone, Default)]
-pub struct Bytes {
-    data: Arc<Vec<u8>>,
-}
-
-impl Bytes {
-    /// Creates an empty `Bytes`.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Creates `Bytes` from a static slice (copied; the real crate
-    /// borrows, but the observable behaviour is identical).
-    pub fn from_static(bytes: &'static [u8]) -> Self {
-        Self {
-            data: Arc::new(bytes.to_vec()),
-        }
-    }
-
-    /// Copies `data` into a new `Bytes`.
-    pub fn copy_from_slice(data: &[u8]) -> Self {
-        Self {
-            data: Arc::new(data.to_vec()),
-        }
-    }
-
-    /// Number of bytes.
-    pub fn len(&self) -> usize {
-        self.data.len()
-    }
-
-    /// True when empty.
-    pub fn is_empty(&self) -> bool {
-        self.data.is_empty()
-    }
-
-    /// Copies the contents into a fresh `Vec`.
-    pub fn to_vec(&self) -> Vec<u8> {
-        self.data.as_ref().clone()
-    }
-}
-
-impl Deref for Bytes {
-    type Target = [u8];
-    fn deref(&self) -> &[u8] {
-        &self.data
-    }
-}
-
-impl AsRef<[u8]> for Bytes {
-    fn as_ref(&self) -> &[u8] {
-        &self.data
-    }
-}
-
-impl Borrow<[u8]> for Bytes {
-    fn borrow(&self) -> &[u8] {
-        &self.data
-    }
-}
-
-impl From<Vec<u8>> for Bytes {
-    fn from(v: Vec<u8>) -> Self {
-        Self { data: Arc::new(v) }
-    }
-}
-
-impl From<&'static [u8]> for Bytes {
-    fn from(v: &'static [u8]) -> Self {
-        Self::from_static(v)
-    }
-}
-
-impl<const N: usize> From<&'static [u8; N]> for Bytes {
-    fn from(v: &'static [u8; N]) -> Self {
-        Self::from_static(v)
-    }
-}
-
-impl From<BytesMut> for Bytes {
-    fn from(v: BytesMut) -> Self {
-        v.freeze()
-    }
-}
-
-impl PartialEq for Bytes {
-    fn eq(&self, other: &Self) -> bool {
-        self.data == other.data
-    }
-}
-
-impl Eq for Bytes {}
-
-impl PartialEq<[u8]> for Bytes {
-    fn eq(&self, other: &[u8]) -> bool {
-        self.as_ref() == other
-    }
-}
-
-impl Hash for Bytes {
-    fn hash<H: Hasher>(&self, state: &mut H) {
-        self.data.hash(state);
-    }
-}
-
-impl fmt::Debug for Bytes {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "b\"")?;
-        for b in self.iter() {
-            write!(f, "{}", std::ascii::escape_default(*b))?;
-        }
-        write!(f, "\"")
-    }
-}
 
 /// A unique, growable buffer of bytes.
 #[derive(Clone, Default, PartialEq, Eq)]
@@ -187,13 +67,6 @@ impl BytesMut {
     /// Reserves capacity for at least `additional` more bytes.
     pub fn reserve(&mut self, additional: usize) {
         self.vec.reserve(additional);
-    }
-
-    /// Converts into an immutable [`Bytes`].
-    pub fn freeze(self) -> Bytes {
-        Bytes {
-            data: Arc::new(self.vec),
-        }
     }
 
     /// Consumes the buffer, returning the backing `Vec`.
@@ -261,18 +134,19 @@ mod tests {
 
     #[test]
     fn bytes_roundtrip() {
-        let b = Bytes::from(vec![1u8, 2, 3]);
+        let b = BytesMut::from(vec![1u8, 2, 3]);
         assert_eq!(&b[..], &[1, 2, 3]);
         let c = b.clone();
         assert_eq!(b, c);
+        assert_eq!(c.into_vec(), [1, 2, 3]);
     }
 
     #[test]
-    fn bytes_mut_grow_freeze() {
+    fn bytes_mut_grow() {
         let mut m = BytesMut::with_capacity(8);
         m.extend_from_slice(b"ab");
         m.extend_from_slice(b"cd");
         assert_eq!(m.len(), 4);
-        assert_eq!(m.freeze().as_ref(), b"abcd");
+        assert_eq!(m.as_ref(), b"abcd");
     }
 }

@@ -14,11 +14,11 @@
 //! | Stratum (paper Fig. 1) | Crate | What's inside |
 //! |---|---|---|
 //! | — component model | [`opencom`] | components, receptacles, `bind`, capsules, CFs, four meta-models (architecture, interface, interception, resources), registry, isolation |
-//! | 1 hardware abstraction | [`kernel`] | virtual time, pluggable-scheduler executor, memory accounting, simulated multi-queue NICs (RSS indirection table, pooled zero-copy rx `rx_burst_batch` **and** tx `send_tx_packet`/`tx_burst_packets`/`drain_tx_frame`, legacy `Bytes` APIs), the sharded run-to-completion worker pool (`shard::WorkerPool` + epoch quiesce + ring load meters), IXP1200 placement model |
+//! | 1 hardware abstraction | [`kernel`] | virtual time, pluggable-scheduler executor, memory accounting, simulated multi-queue NICs (RSS indirection table, pooled zero-copy rx `rx_burst_batch` **and** tx `send_tx_packet`/`tx_burst_packets`/`drain_tx_frame` — one frame path, one storage type), the sharded run-to-completion worker pool (`shard::WorkerPool` + epoch quiesce + ring load meters), IXP1200 placement model |
 //! | 2 in-band functions | [`router`] | the **Router CF** (rules R1–R3), batch-first Fig-2 interfaces (`IPacketPush`/`IPacketPull` with `push_batch`/`pull_batch`, `IClassifier`), Fig-3 composites with controllers, the element library, LPM routing, the sharded dataplane (`shard::ShardedPipeline`: per-worker graph replicas, table-driven flow-affine dispatch, one logical reflection surface) and its reflective load balancer (`shard::rebalance`) |
 //! | 3 application services | [`services`] | ANTS-like execution environment (capsules, code cache, budgets), demo programs, per-flow media filters (batch-aware) |
 //! | 4 coordination | [`signaling`] | RSVP-style reservations, Genesis-style spawning networks |
-//! | comparators | [`baselines`] | Click-like static router and monolithic forwarder, each with burst entry points and `ShardSpec`/`BucketMap`-driven sharded variants for apples-to-apples multi-core benches |
+//! | comparators | [`baselines`] | Click-like static router and monolithic forwarder, each with burst entry points (the ledger in `benchmark/` prices them beside the sharded pipeline) |
 //! | substrate | [`sim`] | deterministic discrete-event network simulator; same-instant arrivals coalesce into `on_batch` deliveries; `pipeline::PipelineNode` hosts the threaded driver's own `ShardedPipeline` on the inline executor, so a node runs the real dataplane deterministically |
 //!
 //! **Start with [`ARCHITECTURE.md`](../../../ARCHITECTURE.md) in the
@@ -54,12 +54,14 @@
 //! stamped once at materialisation
 //! ([`packet::packet::PacketMeta::rss_hash`], written by the NIC rx
 //! path or [`packet::batch::PacketBatch::stamp_rss`]), and
-//! [`packet::batch::PacketBatch::shard_split`] steers a whole batch
-//! with one counting-sort pass into a
-//! [`ShardSplit`](packet::batch::ShardSplit) whose per-shard views
-//! *borrow* the original packets — no re-parse, no re-intern, no
-//! per-shard re-materialisation (owned escape hatches exist for the
-//! ring hand-off). Buffers recycle instead of churning the allocator:
+//! [`packet::batch::PacketBatch::shard_split_with`] steers a whole
+//! batch with one counting-sort pass into a
+//! [`ShardSplit`](packet::batch::ShardSplit) that leaves the original
+//! packets where they are — no re-parse, no re-intern, no per-shard
+//! re-materialisation on the dispatching thread; each worker gathers
+//! its own slice off a refcounted
+//! [`SharedShardRange`](packet::batch::SharedShardRange). Buffers
+//! recycle instead of churning the allocator:
 //! [`kernel::nic::Nic::with_buffer_pool`] leases rx frame slabs from
 //! the buffer-management CF ([`packet::pool::BufferPool`]) and
 //! [`kernel::nic::Nic::rx_burst_batch`] moves them into packets without

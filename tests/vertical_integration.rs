@@ -178,11 +178,10 @@ fn all_four_strata_compose_on_one_node() {
     // (paper §4: "application or transport layer components can (subject
     // to access control) straightforwardly obtain 'layer-violating'
     // information from the link layer").
-    nic.inject_rx(
+    nic.inject_rx_frame(
         netkit::packet::packet::PacketBuilder::udp_v4("10.0.0.2", "10.0.0.1", 5, 5)
             .build()
-            .into_data()
-            .freeze(),
+            .data(),
     );
     let stats = nic.stats();
     assert_eq!(

@@ -9,10 +9,9 @@
 //! buffers moved — not copied — into rss-stamped packets), the replica
 //! graphs run each batch to completion into a per-shard `ToDevice`,
 //! which **moves** each packet's slab onto its own tx queue
-//! (`Nic::tx_burst_packets` — the PR 4 tx-leasing fix; previously this
-//! path cloned every frame into `Bytes`), and the wire side drains
-//! with [`Nic::drain_tx_frame`], returning each slab to the pool. The
-//! batch containers recycle too: the tx burst drains packets in place
+//! (`Nic::tx_burst_packets`), and the wire side drains with
+//! [`Nic::drain_tx_frame`], returning each slab to the pool. The batch
+//! containers recycle too: the tx burst drains packets in place
 //! (`PacketBatch::drain_all`), so pool-homed containers go back whole.
 //!
 //! After a warm-up phase, neither pool's `allocated` counter may grow —
@@ -23,6 +22,7 @@ use std::sync::Arc;
 
 use netkit::kernel::nic::{Nic, PortId};
 use netkit::kernel::shard::ShardSpec;
+use netkit::kernel::time::VirtualClock;
 use netkit::opencom::capsule::Capsule;
 use netkit::opencom::meta::resources::ResourceManager;
 use netkit::opencom::runtime::Runtime;
@@ -30,7 +30,7 @@ use netkit::packet::flow::FlowKey;
 use netkit::packet::packet::PacketBuilder;
 use netkit::packet::pool::BufferPool;
 use netkit::router::api::{register_packet_interfaces, IPACKET_PUSH};
-use netkit::router::elements::{Counter, ToDevice};
+use netkit::router::elements::{Counter, FromDevice, ToDevice};
 use netkit::router::shard::{ShardGraph, ShardedPipeline};
 
 const WORKERS: usize = 4;
@@ -56,10 +56,35 @@ fn build_pipeline(rm: Arc<ResourceManager>, nic: &Arc<Nic>) -> ShardedPipeline {
     .expect("pipeline builds")
 }
 
+/// One burst of wire frames: 32 distinct flows, so every shard sees
+/// traffic.
+fn burst_frames() -> Vec<Vec<u8>> {
+    (0..BURST as u16)
+        .map(|i| {
+            PacketBuilder::udp_v4("10.0.0.1", "10.0.0.2", 3000 + i, 80)
+                .payload_len(64)
+                .build()
+                .data()
+                .to_vec()
+        })
+        .collect()
+}
+
+/// Serialises everything off the tx queues; dropping each
+/// [`netkit::kernel::nic::TxFrame`] returns its slab to the pool.
+fn drain_wire(nic: &Nic) -> usize {
+    let mut transmitted = 0;
+    for queue in 0..WORKERS {
+        while let Some(frame) = nic.drain_tx_frame(queue) {
+            assert!(!frame.is_empty());
+            transmitted += 1;
+        }
+    }
+    transmitted
+}
+
 /// One full offered-load round: inject a burst per flow column, pump
-/// every shard's queue, run to completion, then serialise everything
-/// off the tx queues (dropping each [`netkit::kernel::nic::TxFrame`]
-/// returns its slab to the pool).
+/// every shard's queue, run to completion, then drain the wire.
 fn round(nic: &Nic, pipe: &ShardedPipeline, frames: &[Vec<u8>]) -> (usize, usize) {
     for frame in frames {
         assert!(nic.inject_rx_frame(frame), "rx ring must absorb the burst");
@@ -77,14 +102,7 @@ fn round(nic: &Nic, pipe: &ShardedPipeline, frames: &[Vec<u8>]) -> (usize, usize
         }
     }
     pipe.flush();
-    let mut transmitted = 0;
-    for queue in 0..WORKERS {
-        while let Some(frame) = nic.drain_tx_frame(queue) {
-            assert!(!frame.is_empty());
-            transmitted += 1; // frame drops here; slab recycles
-        }
-    }
-    (pumped, transmitted)
+    (pumped, drain_wire(nic))
 }
 
 #[test]
@@ -100,16 +118,7 @@ fn pooled_worker_loop_stops_allocating_after_warmup() {
     );
     let pipe = build_pipeline(rm, &nic);
 
-    // 32 distinct flows so every shard sees traffic.
-    let frames: Vec<Vec<u8>> = (0..BURST as u16)
-        .map(|i| {
-            PacketBuilder::udp_v4("10.0.0.1", "10.0.0.2", 3000 + i, 80)
-                .payload_len(64)
-                .build()
-                .data()
-                .to_vec()
-        })
-        .collect();
+    let frames = burst_frames();
     // Sanity: the flows really spread over several queues.
     let queues: std::collections::HashSet<usize> = frames
         .iter()
@@ -137,9 +146,9 @@ fn pooled_worker_loop_stops_allocating_after_warmup() {
     let steady_batches = pipe.batch_pool().stats();
 
     // The acceptance bar: zero steady-state allocation growth in the
-    // frame-slab pool AND the batch-container pool — and since PR 4
-    // the loop measured includes the tx leg (packet → tx ring → wire),
-    // so the old clone-into-`Bytes` egress would fail this.
+    // frame-slab pool AND the batch-container pool — and the loop
+    // measured includes the tx leg (packet → tx ring → wire), so an
+    // egress that copied frames instead of moving them would fail this.
     assert_eq!(
         steady_buffers.allocated, warm_buffers.allocated,
         "frame slabs must recycle, not allocate: {steady_buffers:?}"
@@ -180,15 +189,7 @@ fn shared_range_dispatch_stops_allocating_after_warmup() {
     );
     let pipe = build_pipeline(rm, &nic);
 
-    let frames: Vec<Vec<u8>> = (0..BURST as u16)
-        .map(|i| {
-            PacketBuilder::udp_v4("10.0.0.1", "10.0.0.2", 3000 + i, 80)
-                .payload_len(64)
-                .build()
-                .data()
-                .to_vec()
-        })
-        .collect();
+    let frames = burst_frames();
 
     // One round: inject the burst, drain the rx queues into pooled
     // parent batches, and software-dispatch each parent — the shared
@@ -210,14 +211,7 @@ fn shared_range_dispatch_stops_allocating_after_warmup() {
             }
         }
         pipe.flush();
-        let mut transmitted = 0;
-        for queue in 0..WORKERS {
-            while let Some(frame) = nic.drain_tx_frame(queue) {
-                assert!(!frame.is_empty());
-                transmitted += 1;
-            }
-        }
-        (dispatched, transmitted)
+        (dispatched, drain_wire(nic))
     };
 
     let mut delivered = 0;
@@ -255,4 +249,78 @@ fn shared_range_dispatch_stops_allocating_after_warmup() {
     assert_eq!(pipe.stats().packets, total as u64);
     assert_eq!(pipe.stats().dropped, 0);
     pipe.shutdown();
+}
+
+/// The same bar for the **component-graph** path with no sharded
+/// runtime at all: one `FromDevice → ToDevice` pair per queue, bound
+/// through a capsule. `FromDevice` polls through `rx_burst_batch`, so
+/// the rx slab rides from the rx ring through the binding onto the tx
+/// ring and back to the pool; after warm-up the `BufferPool`'s
+/// `allocated` counter must not move.
+#[test]
+fn device_adapter_loop_stops_allocating_after_warmup() {
+    let buffers = BufferPool::new(2048, 0, 4096);
+    let nic = Arc::new(
+        Nic::with_queues(PortId(0), WORKERS, 1024, 1024, 1_000_000_000)
+            .with_buffer_pool(buffers.clone()),
+    );
+    let rt = Runtime::new();
+    register_packet_interfaces(&rt);
+    let capsule = Capsule::new("adapters", &rt);
+    let clock = Arc::new(VirtualClock::new());
+    let pollers: Vec<Arc<FromDevice>> = (0..WORKERS)
+        .map(|queue| {
+            let from = FromDevice::with_queue(Arc::clone(&nic), queue, Arc::clone(&clock));
+            let to = ToDevice::with_queue(Arc::clone(&nic), queue);
+            let fid = capsule.adopt(from.clone()).unwrap();
+            let tid = capsule.adopt(to).unwrap();
+            capsule.bind_simple(fid, "out", tid, IPACKET_PUSH).unwrap();
+            from
+        })
+        .collect();
+
+    let frames = burst_frames();
+
+    let round = || -> (usize, usize) {
+        for frame in &frames {
+            assert!(nic.inject_rx_frame(frame), "rx ring must absorb the burst");
+        }
+        let mut pumped = 0;
+        for poller in &pollers {
+            loop {
+                let n = poller.pump_batch(BURST);
+                if n == 0 {
+                    break;
+                }
+                pumped += n;
+            }
+        }
+        (pumped, drain_wire(&nic))
+    };
+
+    let mut delivered = 0;
+    let mut transmitted = 0;
+    for _ in 0..WARMUP_ROUNDS {
+        let (p, t) = round();
+        delivered += p;
+        transmitted += t;
+    }
+    let warm = buffers.stats();
+    assert!(warm.allocated > 0, "warm-up fills the pool");
+    for _ in 0..MEASURED_ROUNDS {
+        let (p, t) = round();
+        delivered += p;
+        transmitted += t;
+    }
+    let steady = buffers.stats();
+    assert_eq!(
+        steady.allocated, warm.allocated,
+        "frame slabs must recycle behind FromDevice: {steady:?}"
+    );
+    assert!(steady.reused > warm.reused);
+
+    let total = (WARMUP_ROUNDS + MEASURED_ROUNDS) * BURST;
+    assert_eq!(delivered, total);
+    assert_eq!(transmitted, total, "every frame reached the wire");
+    assert_eq!(nic.stats().tx_frames, total as u64);
 }
