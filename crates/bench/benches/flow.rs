@@ -41,7 +41,7 @@ use netkit_packet::packet::{Packet, PacketBuilder};
 use netkit_packet::sketch::{FlowSketch, SketchConfig, SpaceSaving};
 use netkit_router::api::IPacketPush;
 use netkit_router::flow::{ConnTracker, FlowTable, L4LoadBalancer, Nat44, Nat44Config};
-use netkit_router::shard::{RebalanceController, RebalancePolicy, WeightedRebalancePolicy};
+use netkit_router::shard::{RebalanceController, RebalancePolicy};
 
 const BATCH: usize = 32;
 
@@ -250,17 +250,15 @@ fn bench_control_with_evidence(c: &mut Criterion) {
     let workers = 4;
     let (pipe, _sinks) = netkit_sharded_chain(12, ShardSpec::new(workers)).expect("rig");
     let mut ctl = RebalanceController::new(
-        WeightedRebalancePolicy {
-            base: RebalancePolicy {
-                max_imbalance: 1.25,
-                min_samples: 64,
-            },
+        RebalancePolicy {
+            max_imbalance: 1.25,
+            min_samples: 64,
             pressure_weight: 1.0,
             decay: 1.0,
+            heavy_blend: 0.5,
         },
         0,
-    )
-    .with_heavy_hitters(0.5);
+    );
     let balanced_burst = |n: u64| -> PacketBatch {
         (0..n)
             .map(|i| {

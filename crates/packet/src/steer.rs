@@ -206,18 +206,13 @@ impl fmt::Debug for BucketMap {
 /// Per-bucket packet counters — the load meter a rebalance policy reads.
 ///
 /// One relaxed atomic per bucket; recording is wait-free and safe from
-/// any worker thread. Two windowing disciplines are offered:
+/// any worker thread. The window is **peek-then-commit**:
+/// [`Self::snapshot`] to peek, [`Self::decay`] to age,
+/// [`Self::retire`] to subtract a judged snapshot. Evidence a policy
+/// *declines* to act on is never discarded, only exponentially faded,
+/// so a persistent skew keeps accumulating across polls.
 ///
-/// * **Drain-based** ([`Self::drain`]) snapshots *and zeroes* the
-///   counters — one destructive observation window per call. Use it
-///   only when every window is unconditionally consumed.
-/// * **Decay-based** ([`Self::snapshot`] to peek, [`Self::decay`] to
-///   age, [`Self::retire`] to subtract a judged snapshot) — the
-///   discipline the autonomous control loop uses. Evidence a policy
-///   *declines* to act on is never discarded, only exponentially
-///   faded, so a persistent skew keeps accumulating across polls.
-///
-/// The window-closing operations (`drain`, `decay`, `retire`) are
+/// The window-closing operations (`decay`, `retire`) are
 /// **single-consumer**: exactly one control-plane thread may call them
 /// (concurrent [`Self::record_hash`]-side traffic is always safe —
 /// increments landing mid-operation are preserved in full).
@@ -232,13 +227,8 @@ impl fmt::Debug for BucketMap {
 /// load.record_hash(7);
 /// assert_eq!(load.snapshot()[bucket_of(7)], 2);
 /// assert_eq!(load.total(), 2);
-/// let window = load.drain();
-/// assert_eq!(window[bucket_of(7)], 2);
-/// assert_eq!(load.total(), 0, "drain resets the window");
 ///
-/// // Decay-based sampling: peek, judge, age — nothing is discarded.
-/// load.record_hash(7);
-/// load.record_hash(7);
+/// // Peek, judge, age — nothing is discarded.
 /// let peeked = load.snapshot();
 /// load.decay(0.5); // a declined decision fades the evidence...
 /// assert_eq!(load.total(), 1);
@@ -280,15 +270,6 @@ impl BucketLoad {
         self.counts
             .iter()
             .map(|c| c.load(Ordering::Relaxed))
-            .collect()
-    }
-
-    /// Takes the current window: returns the per-bucket counts and
-    /// resets them to zero.
-    pub fn drain(&self) -> Vec<u64> {
-        self.counts
-            .iter()
-            .map(|c| c.swap(0, Ordering::Relaxed))
             .collect()
     }
 
@@ -488,8 +469,9 @@ mod tests {
             .collect();
         load.record_batch(&batch);
         assert_eq!(load.total(), 8);
-        let window = load.drain();
+        let window = load.snapshot();
         assert_eq!(window.iter().sum::<u64>(), 8);
+        load.retire(&window);
         assert_eq!(load.total(), 0);
         assert!(format!("{load:?}").contains("0 packets"));
     }

@@ -262,14 +262,19 @@
 //!
 //! ## The control-loop contract, precisely
 //!
-//! Rebalancing runs **autonomously**: spawning a
-//! [`crate::shard::control::ControlLoop`] on a pipeline closes the
-//! reflective inspect → decide → adapt loop with no external caller.
-//! The rules a steering surface and its controller agree on:
+//! Rebalancing runs **autonomously**, along one path: one
+//! [`Evidence`](crate::shard::Evidence) per turn, judged by one
+//! [`RebalanceController`](crate::shard::RebalanceController) over one
+//! [`RebalancePolicy`](crate::shard::RebalancePolicy), applied by
+//! [`ShardedPipeline::control_turn`](crate::shard::ShardedPipeline::control_turn);
+//! a spawned [`ControlLoop`](crate::shard::ControlLoop) takes the
+//! turns with no external caller. The rules a steering surface and its
+//! controller agree on:
 //!
 //! * **Windows are evidence, and evidence is only consumed by a
-//!   decision.** The per-bucket observation window is *peeked*, never
-//!   pre-drained. A window below the policy's `min_samples`
+//!   decision.** The per-bucket observation window (and, with a
+//!   non-zero `heavy_blend`, each shard's flow sketch) is *peeked*,
+//!   never pre-drained. A window below the policy's `min_samples`
 //!   accumulates untouched across turns (a low-rate skew eventually
 //!   gathers a verdict's worth of evidence); a judged-but-declined
 //!   window is *decayed* (each bucket keeps the policy's `decay`
@@ -277,64 +282,75 @@
 //!   *retires* exactly the snapshot it was planned on, so packets
 //!   recorded mid-decision carry over to the next turn in full. The
 //!   gate, the plan, and the retire all judge the **same snapshot**.
-//! * **Decisions weigh pressure, not just throughput.** The
-//!   [`crate::shard::WeightedRebalancePolicy`] inflates each bucket's
-//!   count by its shard's ring occupancy (high-water / capacity,
-//!   scaled by `pressure_weight`), so a packet skew sitting just
-//!   under the imbalance threshold still converges once the hot
-//!   shard's queue backs up. `min_samples` always gates on raw
-//!   counts: pressure can amplify evidence, never conjure it.
+//! * **Decisions weigh pressure and bytes, not just packet counts.**
+//!   The judged window
+//!   ([`crate::shard::RebalancePolicy::judged_window`]) inflates each
+//!   bucket's count by its shard's ring occupancy (`pressure_weight`),
+//!   so a skew just under the threshold converges once the hot
+//!   shard's queue backs up, then blends in the heavy-hitter bytes
+//!   (`heavy_blend`), which surfaces byte elephants a uniform packet
+//!   window hides. Every decision core — `weighted`, `hysteresis`,
+//!   `ewma` — judges that window; they differ only in *when* the
+//!   threshold + LPT plan may fire. `min_samples` gates on raw counts,
+//!   once, in the controller: weighting amplifies evidence, never
+//!   conjures it.
 //! * **Adaptation is rate-capped and backs off.** At most one
 //!   migration per `cooldown_ticks + 1` turns (each migration costs a
-//!   quiesce epoch), and the threaded loop multiplies its tick
-//!   interval after every no-op turn (up to `max_tick`, snapping back
-//!   to `tick` on a migration) — an idle control loop asymptotically
-//!   costs nothing.
-//! * **The loop is single-consumer and reflective.** One controller
-//!   owns a pipeline's window (don't mix autonomous and manual
-//!   `rebalance()` polling); it is an ordinary meta-object — its
-//!   turns are accounted as `classes::TICKS` on its own
-//!   `ResourceManager` task, each applied migration as
-//!   `classes::REBALANCES` on the pipeline's, and the migrations it
-//!   installs go through the identical write-locked quiesce epoch as
-//!   any manual reconfiguration (every guarantee of the steering
-//!   contract above holds across autonomous epochs too).
-//! * **Determinism lives in the core.** The decision state machine
-//!   ([`crate::shard::control::RebalanceController`]) is clockless
-//!   and thread-free; the cadence (`PeriodicTask` wall-clock ticks)
-//!   is the only nondeterministic layer. The simulator drives the
-//!   same controller from its event loop, bit-for-bit reproducibly.
+//!   quiesce epoch), and the threaded loop's cadence is a
+//!   `netkit_kernel::task::PeriodicSpec`: the tick interval multiplies
+//!   after every no-op turn (up to `max_interval`, snapping back on a
+//!   migration) — an idle control loop asymptotically costs nothing.
+//! * **The loop is single-consumer and reflective.** One caller of
+//!   `control_turn` owns a pipeline's windows (a spawned loop *is*
+//!   that caller; don't step the same pipeline by hand beside it); it
+//!   is an ordinary meta-object — its turns are accounted as
+//!   `classes::TICKS` on its own `ResourceManager` task, each applied
+//!   migration as `classes::REBALANCES` on the pipeline's, and the
+//!   migrations it installs go through the identical write-locked
+//!   quiesce epoch as any manual reconfiguration (every guarantee of
+//!   the steering contract above holds across autonomous epochs too).
+//! * **Determinism lives in the controller.** It is clockless and
+//!   thread-free; the cadence (`PeriodicTask` wall-clock ticks) is the
+//!   only nondeterministic layer. The same controller object —
+//!   hand-built, or compiled from a description's `control` section —
+//!   runs under [`crate::shard::ControlLoop::spawn`] and under the
+//!   simulator's event loop, there bit-for-bit reproducibly.
 //!
-//! Runnable — the decision core, one turn per outcome:
+//! Runnable — the controller, one turn per outcome:
 //!
 //! ```
 //! use netkit_packet::steer::{BucketMap, RSS_BUCKETS};
-//! use netkit_router::shard::control::{ControlDecision, RebalanceController};
-//! use netkit_router::shard::{RebalancePolicy, WeightedRebalancePolicy};
+//! use netkit_router::shard::{ControlDecision, Evidence, RebalanceController, RebalancePolicy};
 //!
 //! let mut ctl = RebalanceController::new(
-//!     WeightedRebalancePolicy {
-//!         base: RebalancePolicy { max_imbalance: 1.25, min_samples: 64 },
+//!     RebalancePolicy {
+//!         max_imbalance: 1.25,
+//!         min_samples: 64,
 //!         pressure_weight: 1.0,
 //!         decay: 0.5,
+//!         heavy_blend: 0.0,
 //!     },
 //!     0,
 //! );
 //! let map = BucketMap::identity(2);
+//! // What `control_turn` gathers; here no ring pressure, no sketches.
+//! fn observe<'a>(window: &'a [u64], map: &'a BucketMap) -> Evidence<'a> {
+//!     Evidence { window, loads: &[], heavy: &[], ring_capacity: 1024, current: map }
+//! }
 //! let mut window = vec![0u64; RSS_BUCKETS];
 //!
 //! // Sub-min window: gathering — leave the meter untouched.
 //! window[0] = 32;
-//! assert!(matches!(ctl.decide(&window, &[], 1024, &map), ControlDecision::Gathering));
+//! assert!(matches!(ctl.decide(&observe(&window, &map)), ControlDecision::Gathering));
 //!
 //! // Balanced window: judged, declined — the caller decays by 0.5.
 //! window[1] = 32;
-//! assert!(matches!(ctl.decide(&window, &[], 1024, &map), ControlDecision::Hold));
+//! assert!(matches!(ctl.decide(&observe(&window, &map)), ControlDecision::Hold));
 //!
 //! // Colocated skew: the adapt arm fires with an improving plan.
 //! window[0] = 96;
 //! window[2] = 64; // bucket 2 -> shard 0 under identity(2)
-//! match ctl.decide(&window, &[], 1024, &map) {
+//! match ctl.decide(&observe(&window, &map)) {
 //!     ControlDecision::Migrate(plan) => {
 //!         assert_eq!(plan.moved, vec![2]);
 //!         assert!(plan.imbalance_after < plan.imbalance_before);

@@ -26,7 +26,7 @@ use netkit_packet::sketch::FlowSketch;
 use crate::api::IClassifier;
 use crate::elements::{ClassifierEngine, Counter, Discard, IRouteControl, RouteLookup, Tee};
 use crate::flow::{ConnTracker, Guard, GuardConfig, L4LoadBalancer, Nat44, Nat44Config};
-use crate::shard::{core_by_name, RebalanceController, RebalancePolicy, WeightedRebalancePolicy};
+use crate::shard::{core_by_name, RebalanceController, RebalancePolicy};
 
 use super::compile::ElementHandle;
 use super::{ControlDesc, ParamValue, Params};
@@ -367,8 +367,8 @@ pub(super) fn construct(
     })
 }
 
-/// The control section's accepted knobs — all optional, all with the
-/// controller's established defaults.
+/// The control section's accepted knobs — all optional; the policy
+/// knobs default to [`RebalancePolicy::default`].
 pub const CONTROL_PARAMS: &[ParamSpec] = &[
     opt("max_imbalance", ParamType::Float),
     opt("min_samples", ParamType::Int),
@@ -382,59 +382,74 @@ pub const CONTROL_PARAMS: &[ParamSpec] = &[
     opt("alpha", ParamType::Float),
 ];
 
-/// Validates a control section: known core name, known + typed knobs.
+/// Migration-rate cap of a description that names none: every judged
+/// turn may migrate.
+pub const DEFAULT_COOLDOWN_TICKS: u64 = 0;
+
+/// Validates a control section: known core name, known + typed +
+/// finite knobs, fractions inside `[0, 1]`, a well-ordered band.
 ///
 /// # Errors
 ///
-/// Fails with [`Error::CfViolation`] on unknown knobs,
-/// [`Error::StaleReference`] on an unknown core name.
+/// Fails with [`Error::CfViolation`] on unknown, mistyped, non-finite
+/// or out-of-range knobs, [`Error::StaleReference`] on an unknown core
+/// name.
 pub fn check_control(ctl: &ControlDesc) -> Result<()> {
     for (key, value) in &ctl.params {
-        let Some(spec) = CONTROL_PARAMS.iter().find(|s| s.name == key) else {
-            return Err(Error::CfViolation {
-                framework: "desc".to_owned(),
-                rule: format!("unknown control parameter `{key}`"),
-            });
+        let spec = CONTROL_PARAMS.iter().find(|s| s.name == key);
+        let fraction = ["decay", "heavy_blend", "alpha"].contains(&key.as_str());
+        let rule = match (spec, value.as_f64()) {
+            (None, _) => format!("unknown control parameter `{key}`"),
+            (Some(spec), _) if !spec.ty.accepts(value) => {
+                format!("control parameter `{key}` expects {}", spec.ty.name())
+            }
+            (_, Some(f)) if !f.is_finite() => format!("control parameter `{key}` must be finite"),
+            (_, Some(f)) if fraction && !(0.0..=1.0).contains(&f) => {
+                format!("control parameter `{key}` must lie in [0, 1], got {f}")
+            }
+            _ => continue,
         };
-        if !spec.ty.accepts(value) {
-            return Err(Error::CfViolation {
-                framework: "desc".to_owned(),
-                rule: format!("control parameter `{key}` expects {}", spec.ty.name()),
-            });
-        }
+        return Err(Error::CfViolation {
+            framework: "desc".to_owned(),
+            rule,
+        });
     }
-    // Resolve the name once to fail fast on typos.
+    // Resolve the name and the band once to fail fast on typos.
     compile_control(ctl).map(|_| ())
 }
 
 /// Builds the [`RebalanceController`] a control section selects: the
-/// policy knobs feed a [`WeightedRebalancePolicy`], the `core` name
-/// resolves through [`core_by_name`], and `heavy_blend` /
-/// `cooldown_ticks` configure the controller around it.
+/// policy knobs fill one [`RebalancePolicy`], the `core` name resolves
+/// through [`core_by_name`], and `cooldown_ticks` caps the migration
+/// rate around it.
 ///
 /// # Errors
 ///
-/// Fails with [`Error::StaleReference`] on an unknown core name.
+/// Fails with [`Error::StaleReference`] on an unknown core name and
+/// with [`Error::CfViolation`] when `exit` exceeds `enter`.
 pub fn compile_control(ctl: &ControlDesc) -> Result<RebalanceController> {
     let p = &ctl.params;
-    let max_imbalance = get_f64(p, "max_imbalance", 1.25);
-    let policy = WeightedRebalancePolicy {
-        base: RebalancePolicy {
-            max_imbalance,
-            min_samples: get_u64(p, "min_samples", 64),
-        },
-        pressure_weight: get_f64(p, "pressure_weight", 0.5),
-        decay: get_f64(p, "decay", 0.5),
+    let defaults = RebalancePolicy::default();
+    let policy = RebalancePolicy {
+        max_imbalance: get_f64(p, "max_imbalance", defaults.max_imbalance),
+        min_samples: get_u64(p, "min_samples", defaults.min_samples),
+        pressure_weight: get_f64(p, "pressure_weight", defaults.pressure_weight),
+        decay: get_f64(p, "decay", defaults.decay),
+        heavy_blend: get_f64(p, "heavy_blend", defaults.heavy_blend),
     };
-    let enter = get_f64(p, "enter", max_imbalance);
-    let exit = get_f64(p, "exit", (enter - 0.1).max(1.0));
+    let enter = get_f64(p, "enter", policy.max_imbalance);
+    let exit = get_f64(p, "exit", (enter - 0.1).max(1.0).min(enter));
+    if exit > enter {
+        return Err(Error::CfViolation {
+            framework: "desc".to_owned(),
+            rule: format!("control band is inverted: `exit` {exit} exceeds `enter` {enter}"),
+        });
+    }
     let arm = get_u64(p, "arm", 2) as u32;
     let alpha = get_f64(p, "alpha", 0.3);
     let core = core_by_name(&ctl.core, policy, enter, exit, arm, alpha)?;
-    Ok(
-        RebalanceController::with_core(core, get_u64(p, "cooldown_ticks", 0))
-            .with_heavy_hitters(get_f64(p, "heavy_blend", 0.0)),
-    )
+    let cooldown_ticks = get_u64(p, "cooldown_ticks", DEFAULT_COOLDOWN_TICKS);
+    Ok(RebalanceController::with_core(core, cooldown_ticks))
 }
 
 #[cfg(test)]
@@ -487,5 +502,63 @@ mod tests {
             params: Params::new(),
         };
         assert!(compile_control(&bad).is_err());
+    }
+
+    #[test]
+    fn control_defaults_come_from_the_policy_and_ranges_are_enforced() {
+        let section = |core: &str, knobs: &[(&str, f64)]| ControlDesc {
+            core: core.into(),
+            params: knobs
+                .iter()
+                .map(|&(k, v)| (k.to_owned(), ParamValue::Float(v)))
+                .collect(),
+        };
+        let built = compile_control(&section("hysteresis", &[])).unwrap();
+        assert_eq!(*built.policy(), RebalancePolicy::default());
+
+        /// Core, knobs, and the rejection's wording (`None` validates).
+        type Case<'a> = (&'a str, &'a [(&'a str, f64)], Option<&'a str>);
+        let unit = Some("must lie in [0, 1]");
+        let cases: &[Case<'_>] = &[
+            ("weighted", &[("decay", 1.0), ("heavy_blend", 0.0)], None),
+            ("ewma", &[("alpha", 0.0)], None),
+            ("hysteresis", &[("enter", 1.5), ("exit", 1.5)], None),
+            ("hysteresis", &[("enter", 0.9)], None),
+            ("weighted", &[("decay", 1.5)], unit),
+            ("weighted", &[("decay", -0.1)], unit),
+            ("hysteresis", &[("heavy_blend", 2.0)], unit),
+            ("ewma", &[("alpha", 1.01)], unit),
+            (
+                "hysteresis",
+                &[("enter", 1.2), ("exit", 1.5)],
+                Some("band is inverted"),
+            ),
+            (
+                "weighted",
+                &[("max_imbalance", f64::NAN)],
+                Some("must be finite"),
+            ),
+            (
+                "weighted",
+                &[("pressure_weight", f64::INFINITY)],
+                Some("must be finite"),
+            ),
+            ("ewma", &[("alpha", f64::NAN)], Some("must be finite")),
+        ];
+        for &(core, knobs, rejection) in cases {
+            let outcome = check_control(&section(core, knobs));
+            match rejection {
+                None => outcome.unwrap_or_else(|e| panic!("{core} {knobs:?}: {e}")),
+                Some(wording) => {
+                    let err = outcome.expect_err(wording);
+                    assert!(matches!(err, Error::CfViolation { .. }), "{err}");
+                    let text = err.to_string();
+                    assert!(
+                        text.contains(wording) && text.contains(knobs[0].0),
+                        "{text}"
+                    );
+                }
+            }
+        }
     }
 }

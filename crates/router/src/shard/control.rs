@@ -1,61 +1,58 @@
 //! The autonomous reflective control loop: inspect → decide → adapt
 //! with **no external caller**.
 //!
-//! PR 4's rebalancing subsystem shipped the three arms of the paper's
-//! reflective loop — meters to *inspect*, a policy to *decide*, a
-//! quiesced migration to *adapt* — but left the loop open: something
-//! outside the system had to call `ShardedPipeline::rebalance`. This
-//! module closes it. Two layers, deliberately separated:
+//! Two layers, deliberately separated:
 //!
-//! * [`RebalanceController`] — the **deterministic decision core**: a
-//!   pure state machine over (observation window, shard pressure,
-//!   current table) that owns the control-loop *policy* concerns the
-//!   rebalance policy itself does not: evidence retention across
-//!   declined decisions (windows are peeked and decayed, never
-//!   drained — see `BucketLoad`), and a hard cap on migration rate
-//!   (`cooldown_ticks` between applied plans, so a pathological
-//!   workload cannot thrash the dataplane through quiesce epochs). It
-//!   has no threads and no clock — the deterministic simulator drives
-//!   the *same* controller from its event loop (see
-//!   `netkit_sim::pipeline::PipelineNode::with_controller`), which is
-//!   what makes autonomous-rebalancing experiments reproducible.
+//! * [`RebalanceController`] — the **deterministic decide arm**: a pure
+//!   state machine over one [`Evidence`] observation per turn. It owns
+//!   what a [`DecisionCore`] does not: the gathering gate (`min_samples`
+//!   on the raw window — the only place it is evaluated) and a hard cap
+//!   on migration rate (`cooldown_ticks` between applied plans, so a
+//!   pathological workload cannot thrash the dataplane through quiesce
+//!   epochs). It has no threads and no clock, so the same object —
+//!   hand-built or compiled from a description's `control` section —
+//!   runs under the [`ControlLoop`] below and under the simulator's
+//!   `PipelineNode::with_controller`; both hand it to
+//!   [`ShardedPipeline::control_turn`].
 //! * [`ControlLoop`] — the **threaded supervisor**: a
 //!   `netkit_kernel::task::PeriodicTask` ticking
-//!   [`ShardedPipeline::control_turn`] against a live pipeline, with
-//!   tick-interval backoff after no-op turns (an idle control loop
-//!   goes quiet) and instant re-arming on a migration. The loop is a
-//!   first-class citizen of the resources meta-model: it runs as its
-//!   own task on the pipeline's `ResourceManager`, consuming
-//!   `classes::TICKS` per turn, while each applied migration counts
-//!   into the pipeline task's `classes::REBALANCES` as before —
-//!   introspection sees both how often the system looks and how often
-//!   it acts.
+//!   [`ShardedPipeline::health_turn`] then `control_turn` on the
+//!   cadence of a `PeriodicSpec` (tick-interval backoff after no-op
+//!   turns — an idle control loop goes quiet — and instant re-arming on
+//!   a migration). The loop is a first-class citizen of the resources
+//!   meta-model: it runs as its own task, consuming `classes::TICKS`
+//!   per turn, while each applied migration counts into the pipeline
+//!   task's `classes::REBALANCES` — introspection sees both how often
+//!   the system looks and how often it acts.
 //!
-//! The decision core, runnable (this is the whole contract —
+//! The controller, runnable (this is the whole contract —
 //! `Gathering` accumulates, `Hold` decays, `Migrate` commits):
 //!
 //! ```
 //! use netkit_packet::steer::{BucketMap, RSS_BUCKETS};
-//! use netkit_router::shard::control::{ControlDecision, RebalanceController};
-//! use netkit_router::shard::{RebalancePolicy, WeightedRebalancePolicy};
+//! use netkit_router::shard::{ControlDecision, Evidence, RebalanceController, RebalancePolicy};
 //!
-//! let policy = WeightedRebalancePolicy {
-//!     base: RebalancePolicy { max_imbalance: 1.25, min_samples: 64 },
+//! let policy = RebalancePolicy {
+//!     max_imbalance: 1.25,
+//!     min_samples: 64,
 //!     pressure_weight: 0.0,
-//!     decay: 0.5,
+//!     ..RebalancePolicy::default()
 //! };
 //! let mut ctl = RebalanceController::new(policy, 0);
 //! let map = BucketMap::identity(2);
+//! fn observe<'a>(window: &'a [u64], map: &'a BucketMap) -> Evidence<'a> {
+//!     Evidence { window, loads: &[], heavy: &[], ring_capacity: 1024, current: map }
+//! }
 //!
 //! // Not enough evidence yet: the window keeps accumulating.
 //! let mut window = vec![0u64; RSS_BUCKETS];
 //! window[0] = 10;
-//! assert!(matches!(ctl.decide(&window, &[], 1024, &map), ControlDecision::Gathering));
+//! assert!(matches!(ctl.decide(&observe(&window, &map)), ControlDecision::Gathering));
 //!
 //! // A judged window with everything colocated on shard 0 migrates.
 //! window[0] = 90;
 //! window[2] = 60; // bucket 2 -> shard 0 under identity(2)
-//! match ctl.decide(&window, &[], 1024, &map) {
+//! match ctl.decide(&observe(&window, &map)) {
 //!     ControlDecision::Migrate(plan) => {
 //!         assert_eq!(plan.moved, vec![2]);
 //!         assert_eq!(plan.map.shard_of_bucket(2), 1);
@@ -72,17 +69,14 @@ use std::time::Duration;
 
 use netkit_kernel::nic::Nic;
 use netkit_kernel::task::{PeriodicSpec, PeriodicTask, TickOutcome};
-use netkit_packet::steer::BucketMap;
 use opencom::error::Result;
 use opencom::ident::TaskId;
 use opencom::meta::resources::{classes, ResourceManager};
 use parking_lot::Mutex;
 
-use netkit_packet::sketch::HeavyHitter;
-
 use super::decision::{DecisionCore, Evidence, WeightedCore};
-use super::rebalance::{RebalancePlan, WeightedRebalancePolicy};
-use super::{ShardLoad, ShardedPipeline};
+use super::rebalance::{RebalancePlan, RebalancePolicy};
+use super::ShardedPipeline;
 
 /// What one control turn concluded about the observation window.
 #[derive(Clone, Debug)]
@@ -99,7 +93,7 @@ pub enum ControlDecision {
     Migrate(RebalancePlan),
 }
 
-/// The deterministic decision core of the autonomous control loop. See
+/// The deterministic decide arm of the autonomous control loop. See
 /// the module docs for where it sits and a runnable example.
 pub struct RebalanceController {
     core: Box<dyn DecisionCore>,
@@ -107,20 +101,18 @@ pub struct RebalanceController {
     /// hard cap on migration rate (each migration costs a quiesce
     /// epoch; 0 = no cap).
     cooldown_ticks: u64,
-    heavy_blend: f64,
     ticks: u64,
     migrations: u64,
     holds: u64,
     last_migration_tick: Option<u64>,
-    noop_streak: u64,
 }
 
 impl RebalanceController {
     /// A controller judging with the default [`WeightedCore`] over
     /// `policy`, applying at most one migration per
     /// `cooldown_ticks + 1` ticks.
-    pub fn new(policy: WeightedRebalancePolicy, cooldown_ticks: u64) -> Self {
-        Self::with_core(Box::new(WeightedCore::new(policy)), cooldown_ticks)
+    pub fn new(policy: RebalancePolicy, cooldown_ticks: u64) -> Self {
+        Self::with_core(Box::new(WeightedCore { policy }), cooldown_ticks)
     }
 
     /// A controller judging with an arbitrary plug-in
@@ -131,23 +123,11 @@ impl RebalanceController {
         Self {
             core,
             cooldown_ticks,
-            heavy_blend: 0.0,
             ticks: 0,
             migrations: 0,
             holds: 0,
             last_migration_tick: None,
-            noop_streak: 0,
         }
-    }
-
-    /// Folds sketch-based heavy-hitter byte evidence into every
-    /// judgment that receives it (see
-    /// [`decide_with_evidence`](Self::decide_with_evidence) and
-    /// `HeavyHitterPolicy`). `blend` is clamped to
-    /// `[0, 1]`; `0.0` (the default) ignores the evidence entirely.
-    pub fn with_heavy_hitters(mut self, blend: f64) -> Self {
-        self.heavy_blend = blend.clamp(0.0, 1.0);
-        self
     }
 
     /// The registry name of the judging core (`"weighted"` unless a
@@ -156,62 +136,25 @@ impl RebalanceController {
         self.core.name()
     }
 
-    /// The core's judged-window retention factor (the caller needs it
-    /// to apply [`ControlDecision::Hold`]).
-    pub fn decay(&self) -> f64 {
-        self.core.decay()
+    /// The core's policy: the gathering gate judged here, plus the
+    /// `decay` and `heavy_blend` the caller needs to gather evidence
+    /// and to apply [`ControlDecision::Hold`].
+    pub fn policy(&self) -> &RebalancePolicy {
+        self.core.policy()
     }
 
-    /// The core's gathering gate: minimum raw packets in a window
-    /// before any judgment is made.
-    pub fn min_samples(&self) -> u64 {
-        self.core.min_samples()
-    }
-
-    /// The heavy-hitter byte-evidence blend factor in `[0, 1]`.
-    pub fn heavy_blend(&self) -> f64 {
-        self.heavy_blend
-    }
-
-    /// One inspect → decide turn. `window` is a **peeked** (not
-    /// drained) per-bucket snapshot; `loads` the per-shard pressure
-    /// meters (empty ⇒ no pressure weighting, as the deterministic sim
-    /// passes); `current` the live table. The caller owns the adapt
-    /// arm: apply the returned decision to its steering surface (see
-    /// [`ControlDecision`] for the window obligation each variant
-    /// carries — `ShardedPipeline::control_turn` is the reference
-    /// implementation).
-    pub fn decide(
-        &mut self,
-        window: &[u64],
-        loads: &[ShardLoad],
-        ring_capacity: usize,
-        current: &BucketMap,
-    ) -> ControlDecision {
-        self.decide_with_evidence(window, loads, &[], ring_capacity, current)
-    }
-
-    /// [`decide`](Self::decide), additionally weighing `heavy` —
-    /// merged per-flow byte evidence from the dataplane's flow
-    /// sketches (see `netkit_packet::sketch::SpaceSaving::merge`).
-    /// With a zero [`heavy_blend`](Self::heavy_blend) or no evidence
-    /// this is exactly `decide`; otherwise the judged window is the
-    /// mass-normalised packet/byte blend of
-    /// `HeavyHitterPolicy`, which catches **byte**
-    /// elephants that uniform packet counts provably hide. The
-    /// gathering gate and cooldown cap always judge raw packets.
-    pub fn decide_with_evidence(
-        &mut self,
-        window: &[u64],
-        loads: &[ShardLoad],
-        heavy: &[HeavyHitter],
-        ring_capacity: usize,
-        current: &BucketMap,
-    ) -> ControlDecision {
+    /// One inspect → decide turn over `ev`: a **peeked** (not drained)
+    /// per-bucket window, the per-shard pressure meters, the merged
+    /// heavy-hitter bytes and the live table. The gathering gate and
+    /// the cooldown cap judge raw packets; what crosses both goes to
+    /// the core. The caller owns the adapt arm: apply the returned
+    /// decision to its steering surface (see [`ControlDecision`] for
+    /// the window obligation each variant carries —
+    /// [`ShardedPipeline::control_turn`] is that caller).
+    pub fn decide(&mut self, ev: &Evidence<'_>) -> ControlDecision {
         self.ticks += 1;
-        let raw_total: u64 = window.iter().sum();
-        if raw_total < self.core.min_samples().max(1) {
-            self.noop_streak += 1;
+        let raw_total: u64 = ev.window.iter().sum();
+        if raw_total < self.core.policy().min_samples.max(1) {
             return ControlDecision::Gathering;
         }
         if let Some(last) = self.last_migration_tick {
@@ -220,28 +163,17 @@ impl RebalanceController {
                 // window still decays — the cap exists to *shed*
                 // pressure to re-migrate, not to queue it up.
                 self.holds += 1;
-                self.noop_streak += 1;
                 return ControlDecision::Hold;
             }
         }
-        let plan = self.core.plan(&Evidence {
-            window,
-            loads,
-            heavy,
-            heavy_blend: self.heavy_blend,
-            ring_capacity,
-            current,
-        });
-        match plan {
+        match self.core.plan(ev) {
             Some(plan) => {
                 self.migrations += 1;
                 self.last_migration_tick = Some(self.ticks);
-                self.noop_streak = 0;
                 ControlDecision::Migrate(plan)
             }
             None => {
                 self.holds += 1;
-                self.noop_streak += 1;
                 ControlDecision::Hold
             }
         }
@@ -263,16 +195,6 @@ impl RebalanceController {
     pub fn holds(&self) -> u64 {
         self.holds
     }
-
-    /// Consecutive turns since the last migration decision. Pure
-    /// introspection: the threaded [`ControlLoop`] derives its backoff
-    /// from per-tick outcomes (`PeriodicTask`), not from this counter;
-    /// an embedder driving the controller on its own cadence (the sim,
-    /// a custom executor task) can read it to implement the same
-    /// go-quiet-while-idle behaviour.
-    pub fn noop_streak(&self) -> u64 {
-        self.noop_streak
-    }
 }
 
 impl fmt::Debug for RebalanceController {
@@ -285,42 +207,6 @@ impl fmt::Debug for RebalanceController {
             self.migrations,
             self.holds
         )
-    }
-}
-
-/// Configuration of the threaded [`ControlLoop`].
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub struct ControlConfig {
-    /// The weighted decision policy (thresholds, pressure weighting,
-    /// window decay).
-    pub policy: WeightedRebalancePolicy,
-    /// Base tick interval while the loop is making progress.
-    pub tick: Duration,
-    /// Cap the backed-off interval saturates at after no-op turns.
-    pub max_tick: Duration,
-    /// Interval multiplier per no-op turn (≥ 1.0; see
-    /// `netkit_kernel::task::PeriodicSpec`).
-    pub backoff: f64,
-    /// Hard cap on migration rate: minimum ticks between two applied
-    /// migrations.
-    pub cooldown_ticks: u64,
-    /// Heavy-hitter byte-evidence blend in `[0, 1]` (see
-    /// [`RebalanceController::with_heavy_hitters`]). `0.0` — the
-    /// default — judges on packet counts alone; `> 0.0` folds the
-    /// pipeline's merged flow-sketch top-k into every judgment.
-    pub heavy_blend: f64,
-}
-
-impl Default for ControlConfig {
-    fn default() -> Self {
-        Self {
-            policy: WeightedRebalancePolicy::default(),
-            tick: Duration::from_millis(10),
-            max_tick: Duration::from_millis(200),
-            backoff: 2.0,
-            cooldown_ticks: 4,
-            heavy_blend: 0.0,
-        }
     }
 }
 
@@ -348,7 +234,7 @@ pub struct ControlStats {
 /// adapts to traffic shifts on its own. See the module docs.
 ///
 /// The loop assumes it is the pipeline's **only** window consumer: do
-/// not mix it with manual `rebalance()` polling on the same pipeline.
+/// not mix it with manual `control_turn` polling on the same pipeline.
 pub struct ControlLoop {
     task: PeriodicTask,
     controller: Arc<Mutex<RebalanceController>>,
@@ -360,9 +246,10 @@ pub struct ControlLoop {
 impl ControlLoop {
     /// Spawns the loop as resources task `name` on `rm` (one
     /// `classes::TICKS` unit is consumed per turn; migrations count
-    /// into the pipeline task's `classes::REBALANCES` as always).
-    /// `nics` are the NIC mirrors every applied migration must cover —
-    /// the same slice a manual `rebalance()` caller would pass.
+    /// into the pipeline task's `classes::REBALANCES` as always),
+    /// ticking `controller` — built by hand, or by a description's
+    /// `DescBinding::controller` — at `cadence`. `nics` are the NIC
+    /// mirrors every applied migration must cover.
     ///
     /// # Errors
     ///
@@ -371,20 +258,17 @@ impl ControlLoop {
         name: &str,
         pipe: Arc<ShardedPipeline>,
         nics: Vec<Arc<Nic>>,
-        cfg: ControlConfig,
+        controller: RebalanceController,
+        cadence: PeriodicSpec,
         rm: Arc<ResourceManager>,
     ) -> Result<Self> {
         let rm_task = rm.create_task(name)?;
-        let controller = Arc::new(Mutex::new(
-            RebalanceController::new(cfg.policy, cfg.cooldown_ticks)
-                .with_heavy_hitters(cfg.heavy_blend),
-        ));
+        let controller = Arc::new(Mutex::new(controller));
         let tick_ctl = Arc::clone(&controller);
         let tick_rm = Arc::clone(&rm);
         let recoveries = Arc::new(AtomicU64::new(0));
         let tick_recoveries = Arc::clone(&recoveries);
-        let spec = PeriodicSpec::every(cfg.tick).with_backoff(cfg.backoff, cfg.max_tick);
-        let task = PeriodicTask::spawn(name, spec, move || {
+        let task = PeriodicTask::spawn(name, cadence, move || {
             let _ = tick_rm.consume(rm_task, classes::TICKS, 1);
             let nic_refs: Vec<&Nic> = nics.iter().map(Arc::as_ref).collect();
             // Health before balance: a dead shard makes every load
@@ -439,11 +323,6 @@ impl ControlLoop {
         }
     }
 
-    /// True until the loop has been stopped.
-    pub fn is_running(&self) -> bool {
-        self.task.is_running()
-    }
-
     /// Stops the loop and returns the final counters: the ticking
     /// thread is joined **first** (no turn can land afterwards, so
     /// the returned stats are exact and every applied migration is
@@ -475,8 +354,11 @@ impl fmt::Debug for ControlLoop {
         let stats = self.stats();
         write!(
             f,
-            "ControlLoop({} ticks, {} migrations, next in {:?})",
-            stats.ticks, stats.migrations, stats.current_interval
+            "ControlLoop({} core, {} ticks, {} migrations, next in {:?})",
+            self.controller.lock().core_name(),
+            stats.ticks,
+            stats.migrations,
+            stats.current_interval
         )
     }
 }
@@ -484,25 +366,18 @@ impl fmt::Debug for ControlLoop {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::shard::rebalance::RebalancePolicy;
-    use netkit_packet::steer::RSS_BUCKETS;
+    use crate::shard::decision::fixtures::{byte_skew, observe, packets_only, window};
+    use netkit_packet::sketch::HeavyHitter;
+    use netkit_packet::steer::BucketMap;
 
-    fn window(entries: &[(usize, u64)]) -> Vec<u64> {
-        let mut w = vec![0u64; RSS_BUCKETS];
-        for &(bucket, load) in entries {
-            w[bucket] = load;
-        }
-        w
+    fn eager_policy() -> RebalancePolicy {
+        packets_only(1.25, 64)
     }
 
-    fn eager_policy() -> WeightedRebalancePolicy {
-        WeightedRebalancePolicy {
-            base: RebalancePolicy {
-                max_imbalance: 1.25,
-                min_samples: 64,
-            },
-            pressure_weight: 0.0,
-            decay: 0.5,
+    fn ev<'a>(window: &'a [u64], heavy: &'a [HeavyHitter], map: &'a BucketMap) -> Evidence<'a> {
+        Evidence {
+            heavy,
+            ..observe(window, map)
         }
     }
 
@@ -513,13 +388,12 @@ mod tests {
         let small = window(&[(0, 10), (2, 10)]);
         for _ in 0..3 {
             assert!(matches!(
-                ctl.decide(&small, &[], 1024, &map),
+                ctl.decide(&ev(&small, &[], &map)),
                 ControlDecision::Gathering
             ));
         }
         assert_eq!(ctl.ticks(), 3);
         assert_eq!(ctl.holds(), 0, "gathering is not a judgment");
-        assert_eq!(ctl.noop_streak(), 3);
     }
 
     #[test]
@@ -528,19 +402,18 @@ mod tests {
         let map = BucketMap::identity(2);
         let balanced = window(&[(0, 50), (1, 50)]);
         assert!(matches!(
-            ctl.decide(&balanced, &[], 1024, &map),
+            ctl.decide(&ev(&balanced, &[], &map)),
             ControlDecision::Hold
         ));
         assert_eq!(ctl.holds(), 1);
         let skewed = window(&[(0, 90), (2, 60), (1, 30)]);
-        match ctl.decide(&skewed, &[], 1024, &map) {
+        match ctl.decide(&ev(&skewed, &[], &map)) {
             ControlDecision::Migrate(plan) => {
                 assert!(plan.imbalance_after < plan.imbalance_before)
             }
             other => panic!("skew must migrate, got {other:?}"),
         }
         assert_eq!(ctl.migrations(), 1);
-        assert_eq!(ctl.noop_streak(), 0, "a migration resets the streak");
     }
 
     #[test]
@@ -549,31 +422,21 @@ mod tests {
         // is a permanent Hold. The same controller with a heavy-hitter
         // blend sees the bytes and migrates.
         let map = BucketMap::identity(2);
-        let uniform = window(&[
-            (0, 8),
-            (1, 8),
-            (2, 8),
-            (3, 8),
-            (4, 8),
-            (5, 8),
-            (6, 8),
-            (7, 8),
-        ]);
-        let evidence: Vec<HeavyHitter> = (0..8)
-            .map(|b| HeavyHitter {
-                hash: b as u64,
-                error: 0,
-                weight: if b % 2 == 0 { 2_000 } else { 500 },
-            })
-            .collect();
+        let (uniform, bytes) = byte_skew();
         let mut packets_only = RebalanceController::new(eager_policy(), 0);
         assert!(matches!(
-            packets_only.decide_with_evidence(&uniform, &[], &evidence, 1024, &map),
+            packets_only.decide(&ev(&uniform, &bytes, &map)),
             ControlDecision::Hold
         ));
-        let mut blended = RebalanceController::new(eager_policy(), 0).with_heavy_hitters(1.0);
-        assert_eq!(blended.heavy_blend(), 1.0);
-        match blended.decide_with_evidence(&uniform, &[], &evidence, 1024, &map) {
+        let mut blended = RebalanceController::new(
+            RebalancePolicy {
+                heavy_blend: 1.0,
+                ..eager_policy()
+            },
+            0,
+        );
+        assert_eq!(blended.policy().heavy_blend, 1.0);
+        match blended.decide(&ev(&uniform, &bytes, &map)) {
             ControlDecision::Migrate(plan) => {
                 assert!(plan.imbalance_after < plan.imbalance_before)
             }
@@ -582,7 +445,7 @@ mod tests {
         // And with no evidence at hand the blended controller judges
         // exactly like the packet-only one.
         assert!(matches!(
-            blended.decide(&uniform, &[], 1024, &map),
+            blended.decide(&ev(&uniform, &[], &map)),
             ControlDecision::Hold
         ));
     }
@@ -593,19 +456,19 @@ mod tests {
         let map = BucketMap::identity(2);
         let skewed = window(&[(0, 90), (2, 60), (1, 30)]);
         assert!(matches!(
-            ctl.decide(&skewed, &[], 1024, &map),
+            ctl.decide(&ev(&skewed, &[], &map)),
             ControlDecision::Migrate(_)
         ));
         // The same skew re-presented is rate-capped for 2 ticks...
         for _ in 0..2 {
             assert!(matches!(
-                ctl.decide(&skewed, &[], 1024, &map),
+                ctl.decide(&ev(&skewed, &[], &map)),
                 ControlDecision::Hold
             ));
         }
         // ...and judged again afterwards.
         assert!(matches!(
-            ctl.decide(&skewed, &[], 1024, &map),
+            ctl.decide(&ev(&skewed, &[], &map)),
             ControlDecision::Migrate(_)
         ));
         assert_eq!(ctl.migrations(), 2);

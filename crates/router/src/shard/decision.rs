@@ -1,22 +1,22 @@
-//! Pluggable decision cores for the autonomous control loop.
+//! Decision cores: the *decide* arm of the control loop as a plug-in.
 //!
-//! PR 5 hard-wired one judgment into
-//! [`RebalanceController`](super::RebalanceController): the
-//! pressure-weighted LPT policy (optionally blended with heavy-hitter
-//! byte evidence). That policy is right for steady skew, but other
-//! workloads want other judgments — a flapping elephant wants a
-//! *hysteresis band* that demands persistent evidence before paying a
-//! quiesce epoch, a diurnal ramp wants an *EWMA* that plans on the
-//! trend rather than the last window. [`DecisionCore`] makes the
-//! judgment a plug-in, the way executor schedulers plug into the
-//! kernel: the controller keeps the loop mechanics it always owned
-//! (the gathering gate, the migration-rate cap, window retention),
-//! and delegates exactly the *plan* step to the core.
+//! One judgment does not fit every workload: steady skew wants the
+//! threshold + LPT plan as soon as the evidence is in, a flapping
+//! elephant wants a *hysteresis band* that demands persistent evidence
+//! before paying a quiesce epoch, a diurnal ramp wants an *EWMA* that
+//! plans on the trend rather than the last window. [`DecisionCore`]
+//! makes the judgment a plug-in, the way executor schedulers plug into
+//! the kernel: the [`RebalanceController`](super::RebalanceController)
+//! keeps the loop mechanics (the gathering gate, the migration-rate
+//! cap) and delegates exactly the *plan* step to the core.
 //!
-//! Cores are selected **by name** from a pipeline description's
-//! control section (see [`crate::desc`]): `"weighted"` (the PR 5
-//! policy, the default), `"hysteresis"`, `"ewma"` — or any external
-//! implementation handed to
+//! All three built-in cores read the same [`Evidence`] through the
+//! same [`RebalancePolicy::judged_window`] — pressure weighting and the
+//! heavy-hitter byte blend are properties of the policy, not of a
+//! core — and differ only in *when* they let [`RebalancePolicy::plan`]
+//! fire. Cores are selected **by name** from a pipeline description's
+//! control section (see [`crate::desc`]): `"weighted"` (the default),
+//! `"hysteresis"`, `"ewma"` — or any external implementation handed to
 //! [`RebalanceController::with_core`](super::RebalanceController::with_core).
 //!
 //! Every core must stay **deterministic**: same evidence sequence,
@@ -26,22 +26,21 @@
 use netkit_packet::sketch::HeavyHitter;
 use netkit_packet::steer::{BucketMap, RSS_BUCKETS};
 
-use super::rebalance::{RebalancePlan, RebalancePolicy, WeightedRebalancePolicy};
+use super::rebalance::{RebalancePlan, RebalancePolicy};
 use super::ShardLoad;
 
 /// One observation the control loop presents to a core: everything the
 /// dataplane can tell it about the judged window.
+#[derive(Clone, Copy)]
 pub struct Evidence<'a> {
     /// Peeked per-bucket packet window ([`RSS_BUCKETS`] entries).
     pub window: &'a [u64],
-    /// Per-shard pressure meters (empty ⇒ no pressure, as the
-    /// deterministic sim passes).
+    /// Per-shard pressure meters (empty ⇒ no pressure, as the inline
+    /// executor reports).
     pub loads: &'a [ShardLoad],
     /// Merged heavy-hitter byte evidence from the flow sketches
-    /// (empty when the controller's blend is zero).
+    /// (empty when the policy's `heavy_blend` is zero).
     pub heavy: &'a [HeavyHitter],
-    /// The controller's byte-evidence blend in `[0, 1]`.
-    pub heavy_blend: f64,
     /// Worker ring capacity (pressure normalisation).
     pub ring_capacity: usize,
     /// The live bucket → shard table.
@@ -57,13 +56,10 @@ pub trait DecisionCore: Send {
     /// `"ewma"`, …) — what a pipeline description selects it by.
     fn name(&self) -> &'static str;
 
-    /// Minimum raw packets in the observation window before the
-    /// controller judges at all (the gathering gate).
-    fn min_samples(&self) -> u64;
-
-    /// Fraction of a judged-but-declined window the loop retains per
-    /// decision (applied via `BucketLoad::decay`).
-    fn decay(&self) -> f64;
+    /// The policy the core judges with. The controller reads its
+    /// `min_samples` (the gathering gate) and the pipeline its `decay`
+    /// and `heavy_blend`.
+    fn policy(&self) -> &RebalancePolicy;
 
     /// Judge one observation. Stateful cores (hysteresis streaks,
     /// EWMA accumulators) mutate themselves here; the controller
@@ -71,63 +67,42 @@ pub trait DecisionCore: Send {
     fn plan(&mut self, ev: &Evidence<'_>) -> Option<RebalancePlan>;
 }
 
-/// The PR 5 judgment as a core: pressure-weighted LPT, blending
-/// heavy-hitter bytes when the controller supplies them. This is what
+/// The stateless core: plan on every judged window that crosses the
+/// policy's threshold. This is what
 /// [`RebalanceController::new`](super::RebalanceController::new)
-/// wraps, so existing behaviour is unchanged.
+/// wraps.
 #[derive(Clone, Copy, Debug)]
 pub struct WeightedCore {
     /// The judging policy.
-    pub policy: WeightedRebalancePolicy,
-}
-
-impl WeightedCore {
-    /// A core judging with `policy`.
-    pub fn new(policy: WeightedRebalancePolicy) -> Self {
-        Self { policy }
-    }
+    pub policy: RebalancePolicy,
 }
 
 impl DecisionCore for WeightedCore {
     fn name(&self) -> &'static str {
         "weighted"
     }
-    fn min_samples(&self) -> u64 {
-        self.policy.base.min_samples
-    }
-    fn decay(&self) -> f64 {
-        self.policy.decay
+    fn policy(&self) -> &RebalancePolicy {
+        &self.policy
     }
     fn plan(&mut self, ev: &Evidence<'_>) -> Option<RebalancePlan> {
-        if ev.heavy_blend > 0.0 && !ev.heavy.is_empty() {
-            self.policy.with_heavy_hitters(ev.heavy_blend).plan(
-                ev.window,
-                ev.loads,
-                ev.ring_capacity,
-                ev.heavy,
-                ev.current,
-            )
-        } else {
-            self.policy
-                .plan(ev.window, ev.loads, ev.ring_capacity, ev.current)
-        }
+        self.policy.plan(&self.policy.judged_window(ev), ev.current)
     }
 }
 
 /// A banded core for flapping workloads: it demands the imbalance stay
 /// above the **enter** threshold for `arm_ticks` *consecutive* judged
 /// windows before planning at all, and a single window back under the
-/// **exit** threshold disarms it. The underlying plan is the weighted
-/// policy's; what changes is *when* the core is willing to pay a
-/// quiesce epoch — transient spikes (an elephant that dies within the
-/// band) never trigger a migration, while persistent skew still
-/// converges, just `arm_ticks` windows later.
+/// **exit** threshold disarms it. The underlying plan is the policy's;
+/// what changes is *when* the core is willing to pay a quiesce epoch —
+/// transient spikes (an elephant that dies within the band) never
+/// trigger a migration, while persistent skew still converges, just
+/// `arm_ticks` windows later.
 #[derive(Clone, Copy, Debug)]
 pub struct HysteresisCore {
     /// The judging policy once armed (its `max_imbalance` is ignored
     /// in favour of the band).
-    pub policy: WeightedRebalancePolicy,
-    /// Arm the core while effective imbalance exceeds this.
+    pub policy: RebalancePolicy,
+    /// Arm the core while judged imbalance exceeds this.
     pub enter: f64,
     /// Disarm (reset the streak) once imbalance falls below this.
     /// Must be ≤ `enter`; windows inside `[exit, enter]` keep the
@@ -141,7 +116,7 @@ pub struct HysteresisCore {
 impl HysteresisCore {
     /// A banded core over `policy` with the `[exit, enter]` band,
     /// arming after `arm_ticks` consecutive over-threshold windows.
-    pub fn new(policy: WeightedRebalancePolicy, enter: f64, exit: f64, arm_ticks: u32) -> Self {
+    pub fn new(policy: RebalancePolicy, enter: f64, exit: f64, arm_ticks: u32) -> Self {
         Self {
             policy,
             enter: enter.max(1.0),
@@ -161,17 +136,12 @@ impl DecisionCore for HysteresisCore {
     fn name(&self) -> &'static str {
         "hysteresis"
     }
-    fn min_samples(&self) -> u64 {
-        self.policy.base.min_samples
-    }
-    fn decay(&self) -> f64 {
-        self.policy.decay
+    fn policy(&self) -> &RebalancePolicy {
+        &self.policy
     }
     fn plan(&mut self, ev: &Evidence<'_>) -> Option<RebalancePlan> {
-        let effective =
-            self.policy
-                .effective_window(ev.window, ev.loads, ev.ring_capacity, ev.current);
-        let imbalance = RebalancePolicy::imbalance(&effective, ev.current);
+        let judged = self.policy.judged_window(ev);
+        let imbalance = RebalancePolicy::imbalance(&judged, ev.current);
         if imbalance > self.enter {
             self.streak = self.streak.saturating_add(1);
         } else if imbalance < self.exit {
@@ -182,14 +152,11 @@ impl DecisionCore for HysteresisCore {
         }
         // Armed: judge with the banded threshold (`enter`), not the
         // policy's own, so the band is the single source of truth.
-        let judge = WeightedRebalancePolicy {
-            base: RebalancePolicy {
-                max_imbalance: self.enter,
-                min_samples: self.policy.base.min_samples,
-            },
+        let banded = RebalancePolicy {
+            max_imbalance: self.enter,
             ..self.policy
         };
-        let plan = judge.plan(ev.window, ev.loads, ev.ring_capacity, ev.current);
+        let plan = banded.plan(&judged, ev.current);
         if plan.is_some() {
             self.streak = 0;
         }
@@ -207,9 +174,9 @@ impl DecisionCore for HysteresisCore {
 #[derive(Clone, Debug)]
 pub struct EwmaCore {
     /// The judging policy, applied to the smoothed window.
-    pub policy: WeightedRebalancePolicy,
+    pub policy: RebalancePolicy,
     /// Weight of the newest window in `[0, 1]` (`1.0` ⇒ no smoothing,
-    /// identical to [`WeightedCore`] without byte evidence).
+    /// identical to [`WeightedCore`]).
     pub alpha: f64,
     smoothed: Vec<f64>,
 }
@@ -217,7 +184,7 @@ pub struct EwmaCore {
 impl EwmaCore {
     /// A smoothing core over `policy` with newest-window weight
     /// `alpha`.
-    pub fn new(policy: WeightedRebalancePolicy, alpha: f64) -> Self {
+    pub fn new(policy: RebalancePolicy, alpha: f64) -> Self {
         Self {
             policy,
             alpha: alpha.clamp(0.0, 1.0),
@@ -230,20 +197,21 @@ impl DecisionCore for EwmaCore {
     fn name(&self) -> &'static str {
         "ewma"
     }
-    fn min_samples(&self) -> u64 {
-        self.policy.base.min_samples
-    }
-    fn decay(&self) -> f64 {
-        self.policy.decay
+    fn policy(&self) -> &RebalancePolicy {
+        &self.policy
     }
     fn plan(&mut self, ev: &Evidence<'_>) -> Option<RebalancePlan> {
         assert_eq!(ev.window.len(), RSS_BUCKETS, "one load per bucket");
         for (s, &w) in self.smoothed.iter_mut().zip(ev.window) {
             *s = self.alpha * w as f64 + (1.0 - self.alpha) * *s;
         }
+        // Smooth the raw packet window, then weigh it like any other.
         let smoothed: Vec<u64> = self.smoothed.iter().map(|&s| s.round() as u64).collect();
-        self.policy
-            .plan(&smoothed, ev.loads, ev.ring_capacity, ev.current)
+        let judged = self.policy.judged_window(&Evidence {
+            window: &smoothed,
+            ..*ev
+        });
+        self.policy.plan(&judged, ev.current)
     }
 }
 
@@ -260,14 +228,14 @@ impl DecisionCore for EwmaCore {
 /// name.
 pub fn core_by_name(
     name: &str,
-    policy: WeightedRebalancePolicy,
+    policy: RebalancePolicy,
     enter: f64,
     exit: f64,
     arm: u32,
     alpha: f64,
 ) -> opencom::error::Result<Box<dyn DecisionCore>> {
     match name {
-        "weighted" => Ok(Box::new(WeightedCore::new(policy))),
+        "weighted" => Ok(Box::new(WeightedCore { policy })),
         "hysteresis" => Ok(Box::new(HysteresisCore::new(policy, enter, exit, arm))),
         "ewma" => Ok(Box::new(EwmaCore::new(policy, alpha))),
         other => Err(opencom::error::Error::StaleReference {
@@ -276,11 +244,14 @@ pub fn core_by_name(
     }
 }
 
+/// Evidence shapes shared by the unit tests of the three control-path
+/// modules.
 #[cfg(test)]
-mod tests {
+pub(super) mod fixtures {
     use super::*;
 
-    fn window(entries: &[(usize, u64)]) -> Vec<u64> {
+    /// A per-bucket window holding the given `(bucket, load)` entries.
+    pub fn window(entries: &[(usize, u64)]) -> Vec<u64> {
         let mut w = vec![0u64; RSS_BUCKETS];
         for &(bucket, load) in entries {
             w[bucket] = load;
@@ -288,35 +259,69 @@ mod tests {
         w
     }
 
-    fn eager() -> WeightedRebalancePolicy {
-        WeightedRebalancePolicy {
-            base: RebalancePolicy {
-                max_imbalance: 1.25,
-                min_samples: 1,
-            },
-            pressure_weight: 0.0,
-            decay: 0.5,
+    /// `window` under `current` with idle rings (capacity 1024) and no
+    /// byte evidence; tests override fields with struct update.
+    pub fn observe<'a>(window: &'a [u64], current: &'a BucketMap) -> Evidence<'a> {
+        Evidence {
+            window,
+            loads: &[],
+            heavy: &[],
+            ring_capacity: 1024,
+            current,
         }
     }
 
-    fn ev<'a>(w: &'a [u64], map: &'a BucketMap) -> Evidence<'a> {
-        Evidence {
-            window: w,
-            loads: &[],
-            heavy: &[],
+    /// Packet counts alone: no pressure weighting, no byte blend.
+    pub fn packets_only(max_imbalance: f64, min_samples: u64) -> RebalancePolicy {
+        RebalancePolicy {
+            max_imbalance,
+            min_samples,
+            pressure_weight: 0.0,
+            decay: 0.5,
             heavy_blend: 0.0,
-            ring_capacity: 1024,
-            current: map,
         }
+    }
+
+    /// One heavy hitter hashing to `bucket`.
+    pub fn hitter(bucket: usize, weight: u64) -> HeavyHitter {
+        HeavyHitter {
+            hash: bucket as u64, // bucket_of(hash) == hash % RSS_BUCKETS
+            error: 0,
+            weight,
+        }
+    }
+
+    /// The skew packet counts provably hide: 8 packets in each of
+    /// buckets 0..8 (32/32 under `identity(2)`, imbalance 1.0), but
+    /// every even bucket carries a 2000-byte elephant and every odd
+    /// one 500 bytes of mice — shard 0 owns 8000 of 10000 bytes.
+    pub fn byte_skew() -> (Vec<u64>, Vec<HeavyHitter>) {
+        let buckets = [0, 1, 2, 3, 4, 5, 6, 7];
+        (
+            window(&buckets.map(|b| (b, 8))),
+            buckets
+                .map(|b| hitter(b, if b % 2 == 0 { 2_000 } else { 500 }))
+                .to_vec(),
+        )
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::fixtures::{byte_skew, observe as ev, packets_only, window};
+    use super::*;
+
+    fn eager() -> RebalancePolicy {
+        packets_only(1.25, 1)
     }
 
     #[test]
     fn weighted_core_matches_the_raw_policy() {
         let map = BucketMap::identity(2);
         let w = window(&[(0, 90), (2, 60), (1, 30)]);
-        let mut core = WeightedCore::new(eager());
+        let mut core = WeightedCore { policy: eager() };
         let from_core = core.plan(&ev(&w, &map)).expect("skew plans");
-        let direct = eager().plan(&w, &[], 1024, &map).expect("skew plans");
+        let direct = eager().plan(&w, &map).expect("skew plans");
         assert_eq!(from_core.map, direct.map);
         assert_eq!(from_core.moved, direct.moved);
     }
@@ -355,7 +360,7 @@ mod tests {
         // shape-based imbalance may trigger; what matters is that the
         // average tracks. Feed quiet windows after and the plan
         // disappears as the average decays.
-        let first = core.plan(&ev(&skew, &map));
+        core.plan(&ev(&skew, &map));
         for _ in 0..20 {
             core.plan(&ev(&quiet, &map));
         }
@@ -370,7 +375,6 @@ mod tests {
             }
         }
         assert!(planned, "persistent skew must eventually plan");
-        let _ = first;
     }
 
     #[test]
@@ -378,10 +382,37 @@ mod tests {
         let map = BucketMap::identity(2);
         let w = window(&[(0, 90), (2, 60), (1, 30)]);
         let mut ewma = EwmaCore::new(eager(), 1.0);
-        let mut weighted = WeightedCore::new(eager());
+        let mut weighted = WeightedCore { policy: eager() };
         let a = ewma.plan(&ev(&w, &map)).expect("plans");
         let b = weighted.plan(&ev(&w, &map)).expect("plans");
         assert_eq!(a.map, b.map);
+    }
+
+    #[test]
+    fn every_core_weighs_the_byte_evidence() {
+        // Regression: the hysteresis and EWMA cores used to plan on the
+        // pressure-weighted packet window only, so `heavy_blend` on
+        // either was validated, paid for (sketch snapshots and a merge
+        // per turn) and then ignored. On the byte skew, packet counts
+        // alone hold and the bytes migrate — for every core.
+        let map = BucketMap::identity(2);
+        let (w, bytes) = byte_skew();
+        let evidence = Evidence {
+            heavy: &bytes,
+            ..ev(&w, &map)
+        };
+        for blend in [0.0, 1.0] {
+            let policy = RebalancePolicy {
+                heavy_blend: blend,
+                ..eager()
+            };
+            let expected = WeightedCore { policy }.plan(&evidence).map(|p| p.map);
+            assert_eq!(expected.is_some(), blend > 0.0);
+            let mut armed = HysteresisCore::new(policy, 1.25, 1.1, 1);
+            assert_eq!(armed.plan(&evidence).map(|p| p.map), expected, "hysteresis");
+            let mut unsmoothed = EwmaCore::new(policy, 1.0);
+            assert_eq!(unsmoothed.plan(&evidence).map(|p| p.map), expected, "ewma");
+        }
     }
 
     #[test]

@@ -77,13 +77,20 @@
 //! copy**; NICs hold mirrors installed by
 //! [`ShardedPipeline::install_bucket_map`] inside the same quiesce
 //! epoch, so no packet can observe the dispatch table and the NIC
-//! table disagreeing. Per-bucket load meters
-//! ([`BucketLoad`], fed on the
-//! worker side) and per-shard ring occupancy high-water marks feed the
-//! [`rebalance`] policy, which plans a better table when one shard
-//! runs hot and installs it atomically — the reflective
-//! inspect → decide → adapt loop over the running dataplane. See the
-//! [`rebalance`] module docs for the migration ordering contract.
+//! table disagreeing.
+//!
+//! ## One control path
+//!
+//! The reflective inspect → decide → adapt loop over the running
+//! dataplane is [`ShardedPipeline::control_turn`]: it gathers the load
+//! meters into one [`Evidence`], lets a [`RebalanceController`] (a
+//! `weighted`, `hysteresis` or `ewma` [`DecisionCore`] judging one
+//! [`RebalancePolicy`] — formulas in [`rebalance`]) decide, and
+//! installs, retires or decays. Only the caller varies:
+//! [`ControlLoop::spawn`] ticks it from a supervised thread, the
+//! simulator from simulated time, a test by hand — each with the same
+//! controller object, which a description's `control` section
+//! compiles to.
 
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -108,11 +115,9 @@ pub mod control;
 pub mod decision;
 pub mod rebalance;
 
-pub use control::{ControlConfig, ControlDecision, ControlLoop, ControlStats, RebalanceController};
+pub use control::{ControlDecision, ControlLoop, ControlStats, RebalanceController};
 pub use decision::{core_by_name, DecisionCore, Evidence, EwmaCore, HysteresisCore, WeightedCore};
-pub use rebalance::{
-    HeavyHitterPolicy, MigrationReport, RebalancePlan, RebalancePolicy, WeightedRebalancePolicy,
-};
+pub use rebalance::{MigrationReport, RebalancePlan, RebalancePolicy};
 
 /// A swappable shard entry point: workers re-read it each batch, so a
 /// quiesce closure can retarget a shard's ingress (e.g. after replacing
@@ -803,9 +808,9 @@ impl<E: ShardExecutor<ShardJob>> ShardedPipeline<E> {
     }
 
     /// Snapshot (peek, non-destructive) of the per-bucket packet
-    /// meters — what has accumulated since the evidence was last
-    /// consumed (retired by an applied migration or decayed by
-    /// [`Self::decay_bucket_loads`]).
+    /// meters — what has accumulated since [`Self::control_turn`] last
+    /// consumed the evidence (retired it on a migration, decayed it on
+    /// a hold).
     pub fn bucket_loads(&self) -> Vec<u64> {
         self.bucket_load.snapshot()
     }
@@ -948,80 +953,6 @@ impl<E: ShardExecutor<ShardJob>> ShardedPipeline<E> {
         report
     }
 
-    /// One turn of the reflective rebalancing loop: **peek** at the
-    /// per-bucket observation window, ask `policy` for a plan, and —
-    /// when the skew warrants it — install the planned table via
-    /// [`Self::install_bucket_map`] and **then** retire exactly the
-    /// judged window. Returns the plan and migration report when a
-    /// migration was applied, `None` when the placement was left alone
-    /// (balanced, window too small, or single shard).
-    ///
-    /// Run this from the control plane (the ResourceManager side), not
-    /// from a worker: it quiesces the pipeline it is called on. Window
-    /// operations are single-consumer — one control-plane caller at a
-    /// time (the autonomous [`ControlLoop`] *is* that caller when
-    /// spawned; don't mix it with manual polling).
-    ///
-    /// The window discipline is peek-then-commit:
-    ///
-    /// * the `min_samples` gate, the plan, and the retire all judge
-    ///   the **same snapshot** — samples recorded mid-call stay in the
-    ///   meter for the next poll rather than being judged by one step
-    ///   and invisible to another;
-    /// * a window below `min_samples` keeps accumulating, so a
-    ///   low-rate but persistently skewed workload eventually gathers
-    ///   enough evidence across polls;
-    /// * a window the policy *declines* (balanced, or no improving
-    ///   plan) is **retained, not discarded** — under a weighted
-    ///   policy the same packet evidence can tip the decision on a
-    ///   later poll once queueing pressure shifts. Periodic callers
-    ///   should age retained windows with
-    ///   [`Self::decay_bucket_loads`] (the [`ControlLoop`] does).
-    pub fn rebalance(
-        &self,
-        policy: &RebalancePolicy,
-        nics: &[&Nic],
-    ) -> Option<(RebalancePlan, MigrationReport)> {
-        let window = self.bucket_load.snapshot();
-        if window.iter().sum::<u64>() < policy.min_samples.max(1) {
-            return None; // too little evidence: keep accumulating
-        }
-        let current = self.bucket_map();
-        let Some(plan) = policy.plan(&window, &current) else {
-            return None; // declined: the window is evidence, not waste
-        };
-        let report = self.install_bucket_map(plan.map.clone(), nics);
-        // Consume exactly what was judged; concurrent arrivals stay.
-        self.bucket_load.retire(&window);
-        Some((plan, report))
-    }
-
-    /// The weighted analogue of [`Self::rebalance`]: the same
-    /// peek-then-commit window discipline, with the decision made by a
-    /// [`WeightedRebalancePolicy`] over the raw window *plus* the live
-    /// per-shard queueing pressure ([`Self::shard_loads`]).
-    pub fn rebalance_weighted(
-        &self,
-        policy: &WeightedRebalancePolicy,
-        nics: &[&Nic],
-    ) -> Option<(RebalancePlan, MigrationReport)> {
-        let window = self.bucket_load.snapshot();
-        let loads = self.shard_loads();
-        let current = self.bucket_map();
-        let plan = policy.plan(&window, &loads, self.spec.ring_capacity, &current)?;
-        let report = self.install_bucket_map(plan.map.clone(), nics);
-        self.bucket_load.retire(&window);
-        Some((plan, report))
-    }
-
-    /// Applies one exponential decay step to the bucket observation
-    /// window: every bucket keeps an `alpha` fraction of its count
-    /// (see `BucketLoad::decay`). This is how periodic pollers age
-    /// evidence the policy declined to act on, instead of draining it.
-    pub fn decay_bucket_loads(&self, alpha: f64) {
-        self.bucket_load.decay(alpha);
-    }
-
     /// `shard`'s flow sketch: per-flow **byte** meters (count-min +
     /// Space-Saving top-k) fed on the worker side alongside
     /// [`Self::bucket_loads`]'s packet counts. Single-worker pipelines
@@ -1033,22 +964,33 @@ impl<E: ShardExecutor<ShardJob>> ShardedPipeline<E> {
 
     /// The merged heavy-hitter evidence across all shards: each
     /// shard's Space-Saving top-k, summed per flow hash and re-ranked
-    /// (see [`SpaceSaving::merge`]). This is the byte-side input the
-    /// control loop feeds to
-    /// [`RebalanceController::decide_with_evidence`] when
-    /// [`ControlConfig::heavy_blend`] is non-zero.
+    /// (see [`SpaceSaving::merge`]). This is the byte-side
+    /// [`Evidence::heavy`] that [`Self::control_turn`] gathers when the
+    /// policy's `heavy_blend` is non-zero.
     pub fn heavy_hitters(&self) -> Vec<HeavyHitter> {
         let tops: Vec<Vec<HeavyHitter>> = self.sketches.iter().map(|s| s.heavy_hitters()).collect();
         SpaceSaving::merge(SketchConfig::default().top_capacity, &tops)
     }
 
-    /// One full turn of the **autonomous** control loop against this
-    /// pipeline: snapshot the window and the shard pressure meters,
-    /// let `ctl` decide, and apply the outcome — install + retire on a
-    /// migration, decay on a judged-but-held window, nothing while
-    /// evidence is still gathering. The threaded [`ControlLoop`] calls
-    /// this on every tick; tests and embedders can drive it directly
-    /// for deterministic single-step control.
+    /// One inspect → decide → adapt turn of the reflective loop — the
+    /// only code that consumes the observation windows. **Peek** at
+    /// the per-bucket packet window, the shard pressure meters and
+    /// (when the policy blends them) the flow sketches, let `ctl`
+    /// decide over that one [`Evidence`], and apply the outcome:
+    ///
+    /// * `Gathering` — nothing is touched, so a low-rate but
+    ///   persistently skewed workload gathers evidence across turns;
+    /// * `Hold` — the windows are **retained, not discarded**, aged by
+    ///   the policy's `decay` (the same packet evidence can tip a
+    ///   later turn once queueing pressure shifts);
+    /// * `Migrate` — [`Self::install_bucket_map`], **then** retire
+    ///   exactly the judged snapshots: gate, plan and retire read one
+    ///   snapshot, and samples recorded mid-turn stay for the next.
+    ///
+    /// Returns the plan and migration report of an applied migration.
+    /// Call it from the control plane, never from a worker (it
+    /// quiesces the pipeline), and from one caller per pipeline: the
+    /// [`ControlLoop`], the simulator's `PipelineNode`, or a test.
     pub fn control_turn(
         &self,
         ctl: &mut RebalanceController,
@@ -1057,35 +999,30 @@ impl<E: ShardExecutor<ShardJob>> ShardedPipeline<E> {
         let window = self.bucket_load.snapshot();
         let loads = self.shard_loads();
         let current = self.bucket_map();
-        // The sketches follow the same peek-then-commit discipline as
-        // the packet window: snapshot what is judged, and on a
-        // migration retire exactly that — bytes recorded mid-turn stay
-        // for the next poll. Snapshots are only taken when the
-        // evidence can matter (non-zero blend), keeping the zero-blend
-        // control turn as cheap as it was without sketches.
-        let with_evidence = ctl.heavy_blend() > 0.0;
-        let sketch_windows: Vec<_> = if with_evidence {
+        // Sketch snapshots are only taken when the evidence can matter
+        // (non-zero blend), keeping the zero-blend turn as cheap as it
+        // is without sketches.
+        let sketch_windows: Vec<_> = if ctl.policy().heavy_blend > 0.0 {
             self.sketches.iter().map(|s| s.snapshot()).collect()
         } else {
             Vec::new()
         };
-        let heavy = if with_evidence {
-            SpaceSaving::merge(
-                SketchConfig::default().top_capacity,
-                &sketch_windows
-                    .iter()
-                    .map(|w| w.top.clone())
-                    .collect::<Vec<_>>(),
-            )
-        } else {
-            Vec::new()
-        };
-        match ctl.decide_with_evidence(&window, &loads, &heavy, self.spec.ring_capacity, &current) {
+        let tops: Vec<_> = sketch_windows.iter().map(|w| w.top.clone()).collect();
+        let heavy = SpaceSaving::merge(SketchConfig::default().top_capacity, &tops);
+        let decision = ctl.decide(&Evidence {
+            window: &window,
+            loads: &loads,
+            heavy: &heavy,
+            ring_capacity: self.spec.ring_capacity,
+            current: &current,
+        });
+        match decision {
             ControlDecision::Gathering => None,
             ControlDecision::Hold => {
-                self.bucket_load.decay(ctl.decay());
+                let decay = ctl.policy().decay;
+                self.bucket_load.decay(decay);
                 for sketch in &self.sketches {
-                    sketch.decay(ctl.decay());
+                    sketch.decay(decay);
                 }
                 None
             }
@@ -1388,6 +1325,7 @@ mod tests {
     use super::*;
     use crate::api::{register_packet_interfaces, IPACKET_PUSH};
     use crate::elements::{Counter, Discard};
+    use crate::shard::decision::fixtures::packets_only;
     use netkit_kernel::shard::InlinePool;
     use netkit_packet::packet::PacketBuilder;
     use opencom::runtime::Runtime;
@@ -1435,6 +1373,36 @@ mod tests {
             }
         }
         batch
+    }
+
+    /// Stamps `n` packets of `payload` bytes onto the given buckets,
+    /// round-robin.
+    fn stamped_sized(buckets: &[u64], n: usize, payload: usize) -> PacketBatch {
+        let mut batch = PacketBatch::new();
+        for i in 0..n {
+            let mut p = netkit_packet::packet::PacketBuilder::udp_v4("10.0.0.1", "10.0.0.2", 9, 9)
+                .payload_len(payload)
+                .build();
+            p.meta.rss_hash = Some(buckets[i % buckets.len()]);
+            batch.push(p);
+        }
+        batch
+    }
+
+    fn stamped(buckets: &[u64], n: usize) -> PacketBatch {
+        stamped_sized(buckets, n, 0)
+    }
+
+    /// A zero-cooldown controller that never fades a held window:
+    /// `control_turn` with it is one manual peek → plan → install →
+    /// retire step.
+    fn steady(max_imbalance: f64, min_samples: u64, pressure_weight: f64) -> RebalanceController {
+        let policy = RebalancePolicy {
+            pressure_weight,
+            decay: 1.0,
+            ..packets_only(max_imbalance, min_samples)
+        };
+        RebalanceController::new(policy, 0)
     }
 
     #[test]
@@ -1635,35 +1603,20 @@ mod tests {
         use netkit_packet::steer::bucket_of;
         let workers = 4usize;
         let r = rig("skew", workers);
-        // An elephant column plus colocated mice: stamps chosen so all
-        // buckets land on shard 0 under the identity table.
-        let mut batch = PacketBatch::new();
-        for i in 0..64u64 {
-            let mut p =
-                netkit_packet::packet::PacketBuilder::udp_v4("10.0.0.1", "10.0.0.2", 9, 9).build();
-            // Half the load on bucket 0 (the elephant), the rest on
-            // buckets 4, 8, 12 — all ≡ 0 (mod 4).
-            let bucket = match i % 8 {
-                0..=3 => 0u64,
-                4 | 5 => 4,
-                6 => 8,
-                _ => 12,
-            };
-            p.meta.rss_hash = Some(bucket);
-            batch.push(p);
-        }
-        r.pipe.dispatch(batch);
+        // An elephant column plus colocated mice: half the load on
+        // bucket 0 (the elephant), the rest on buckets 4, 8, 12 — all
+        // ≡ 0 (mod 4), so everything lands on shard 0 under the
+        // identity table.
+        let mix = [0, 0, 0, 0, 4, 4, 8, 12];
+        r.pipe.dispatch(stamped(&mix, 64));
         r.pipe.flush();
         assert_eq!(r.pipe.shard_stats(0).packets, 64, "skew: one hot shard");
         let loads = r.pipe.shard_loads();
         assert_eq!(loads[0].packets, 64);
         assert!(loads[0].ring_high_water >= 1);
 
-        let policy = RebalancePolicy {
-            max_imbalance: 1.25,
-            min_samples: 32,
-        };
-        let (plan, report) = r.pipe.rebalance(&policy, &[]).expect("skew triggers");
+        let mut ctl = steady(1.25, 32, 0.0);
+        let (plan, report) = r.pipe.control_turn(&mut ctl, &[]).expect("skew triggers");
         assert!(plan.imbalance_before > 3.0);
         assert!(plan.imbalance_after <= 2.0, "{}", plan.imbalance_after);
         assert_eq!(report.moved_buckets, plan.moved.len());
@@ -1672,54 +1625,30 @@ mod tests {
         assert!(plan.moved.iter().all(|b| [4usize, 8, 12].contains(b)));
 
         // Second window with the same mix is now spread over shards.
-        let mut batch = PacketBatch::new();
-        for i in 0..64u64 {
-            let mut p =
-                netkit_packet::packet::PacketBuilder::udp_v4("10.0.0.1", "10.0.0.2", 9, 9).build();
-            let bucket = match i % 8 {
-                0..=3 => 0u64,
-                4 | 5 => 4,
-                6 => 8,
-                _ => 12,
-            };
-            p.meta.rss_hash = Some(bucket);
-            batch.push(p);
-        }
-        r.pipe.dispatch(batch);
+        r.pipe.dispatch(stamped(&mix, 64));
         r.pipe.flush();
         let hot = r.pipe.shard_stats(0).packets - 64;
         assert_eq!(hot, 32, "shard 0 now carries only the elephant");
         let elsewhere: u64 = (1..workers).map(|s| r.pipe.shard_stats(s).packets).sum();
         assert_eq!(elsewhere, 32, "mice ran elsewhere");
         // A balanced window does not trigger again.
-        assert!(r.pipe.rebalance(&policy, &[]).is_none());
+        assert!(r.pipe.control_turn(&mut ctl, &[]).is_none());
         r.pipe.shutdown();
     }
 
     #[test]
     fn small_windows_accumulate_across_rebalance_polls() {
-        // Regression: polling rebalance() faster than min_samples
-        // worth of traffic arrives must not throw the evidence away —
-        // a low-rate but fully-skewed workload still triggers once
-        // enough has accumulated.
+        // Regression: polling faster than min_samples worth of traffic
+        // arrives must not throw the evidence away — a low-rate but
+        // fully-skewed workload still triggers once enough has
+        // accumulated.
         let r = rig("slow-skew", 4);
-        let policy = RebalancePolicy {
-            max_imbalance: 1.25,
-            min_samples: 64,
-        };
+        let mut ctl = steady(1.25, 64, 0.0);
         for _ in 0..4 {
             // 24 packets per poll, all on shard 0's buckets.
-            let mut batch = PacketBatch::new();
-            for i in 0..24u64 {
-                let mut p =
-                    netkit_packet::packet::PacketBuilder::udp_v4("10.0.0.1", "10.0.0.2", 9, 9)
-                        .build();
-                p.meta.rss_hash = Some(if i % 2 == 0 { 0 } else { 4 + 4 * (i % 3) });
-                batch.push(p);
-            }
-            r.pipe.dispatch(batch);
+            r.pipe.dispatch(stamped(&[0, 8, 0, 4, 0, 12], 24));
             r.pipe.flush();
-            if r.pipe.rebalance(&policy, &[]).is_some() {
+            if r.pipe.control_turn(&mut ctl, &[]).is_some() {
                 break;
             }
         }
@@ -1729,32 +1658,16 @@ mod tests {
         r.pipe.shutdown();
     }
 
-    /// Stamps `n` packets onto the given buckets, round-robin.
-    fn stamped(buckets: &[u64], n: usize) -> PacketBatch {
-        let mut batch = PacketBatch::new();
-        for i in 0..n {
-            let mut p =
-                netkit_packet::packet::PacketBuilder::udp_v4("10.0.0.1", "10.0.0.2", 9, 9).build();
-            p.meta.rss_hash = Some(buckets[i % buckets.len()]);
-            batch.push(p);
-        }
-        batch
-    }
-
     #[test]
     fn declined_plan_windows_retain_their_evidence() {
-        // Regression (drain-before-plan): rebalance() used to drain
-        // the window *before* asking the policy, so a judged-but-
-        // declined window was discarded. The evidence must survive a
-        // declined poll: the same packet skew that cannot trigger the
-        // unweighted policy still converges later, once queueing
-        // pressure tips the weighted decision — which only works if
-        // declined windows are retained.
+        // Regression (drain-before-plan): a judged-but-declined window
+        // must not be discarded. The evidence survives a declined
+        // turn: the same packet skew that cannot trigger on packet
+        // counts alone still converges later, once queueing pressure
+        // tips the weighted decision — which only works if declined
+        // windows are retained.
         let r = rig_with("retain", ShardSpec::new(2).with_ring_capacity(8));
-        let policy = RebalancePolicy {
-            max_imbalance: 1.25,
-            min_samples: 64,
-        };
+        let mut unweighted = steady(1.25, 64, 0.0);
         // A sustained 1.2x skew: shard 0 carries 60 of every 100
         // packets (buckets 0 and 2), shard 1 carries 40 (bucket 1).
         let skew: Vec<u64> = std::iter::repeat_n([0u64, 2, 1, 0, 1, 2, 0, 1, 0, 1], 10)
@@ -1765,7 +1678,8 @@ mod tests {
         assert_eq!(r.pipe.bucket_loads().iter().sum::<u64>(), 100);
 
         // Judged and declined (1.2 < 1.25) — but NOT discarded.
-        assert!(r.pipe.rebalance(&policy, &[]).is_none());
+        assert!(r.pipe.control_turn(&mut unweighted, &[]).is_none());
+        assert_eq!(unweighted.holds(), 1);
         assert_eq!(
             r.pipe.bucket_loads().iter().sum::<u64>(),
             100,
@@ -1775,11 +1689,7 @@ mod tests {
         // The retained window converges under the weighted policy as
         // soon as the hot shard's ring shows pressure: barely any new
         // packet evidence is needed.
-        let weighted = WeightedRebalancePolicy {
-            base: policy,
-            pressure_weight: 1.0,
-            decay: 0.5,
-        };
+        let mut weighted = steady(1.25, 64, 1.0);
         // Pile work onto shard 0's ring inside a quiesce (workers
         // parked, nothing retires) so its high-water mark rides 6/8 of
         // the ring capacity — deterministic queueing pressure.
@@ -1793,7 +1703,7 @@ mod tests {
         assert!(loads[0].ring_high_water >= 6, "{loads:?}");
         let (plan, _) = r
             .pipe
-            .rebalance_weighted(&weighted, &[])
+            .control_turn(&mut weighted, &[])
             .expect("retained evidence + pressure must converge");
         assert_eq!(plan.moved, vec![2], "colocated bucket leaves shard 0");
         assert_eq!(r.pipe.migrations(), 1);
@@ -1802,21 +1712,16 @@ mod tests {
 
     #[test]
     fn rebalance_gates_plans_and_retires_one_snapshot() {
-        // Regression (TOCTOU): the min_samples gate used to read
-        // total() and then separately drain() — the judged window
-        // could differ from the gated one. Now one snapshot serves
-        // gate, plan, and retire: after a triggered rebalance the
-        // meter holds exactly what arrived after the snapshot (here:
-        // nothing), and a declined poll leaves it bit-identical.
+        // Regression (TOCTOU): one snapshot serves gate, plan, and
+        // retire, so the judged window cannot differ from the gated
+        // one: after a triggered turn the meter holds exactly what
+        // arrived after the snapshot (here: nothing).
         let r = rig("snapshot", 4);
-        let policy = RebalancePolicy {
-            max_imbalance: 1.25,
-            min_samples: 32,
-        };
+        let mut ctl = steady(1.25, 32, 0.0);
         r.pipe.dispatch(stamped(&[0, 4, 8, 12], 64)); // all -> shard 0
         r.pipe.flush();
         let before = r.pipe.bucket_loads();
-        let (plan, _) = r.pipe.rebalance(&policy, &[]).expect("skew triggers");
+        let (plan, _) = r.pipe.control_turn(&mut ctl, &[]).expect("skew triggers");
         assert!(!plan.moved.is_empty());
         assert_eq!(
             r.pipe.bucket_loads().iter().sum::<u64>(),
@@ -1829,17 +1734,11 @@ mod tests {
     #[test]
     fn control_turn_closes_the_loop_on_the_pipeline() {
         let r = rig("turn", 4);
-        let mut ctl = RebalanceController::new(
-            WeightedRebalancePolicy {
-                base: RebalancePolicy {
-                    max_imbalance: 1.25,
-                    min_samples: 64,
-                },
-                pressure_weight: 1.0,
-                decay: 0.5,
-            },
-            0,
-        );
+        let policy = RebalancePolicy {
+            pressure_weight: 1.0,
+            ..packets_only(1.25, 64) // decay 0.5
+        };
+        let mut ctl = RebalanceController::new(policy, 0);
         // Turn 1: gathering (window below min_samples) — untouched.
         r.pipe.dispatch(stamped(&[0, 4, 8, 12], 24));
         r.pipe.flush();
@@ -1867,43 +1766,22 @@ mod tests {
         r.pipe.shutdown();
     }
 
-    /// `n` stamped packets per bucket, every packet `payload` bytes of
-    /// payload — uniform counts, controllable byte mass.
-    fn stamped_sized(buckets: &[u64], n: usize, payload: usize) -> PacketBatch {
-        let mut batch = PacketBatch::new();
-        for i in 0..n * buckets.len() {
-            let mut p = netkit_packet::packet::PacketBuilder::udp_v4("10.0.0.1", "10.0.0.2", 9, 9)
-                .payload_len(payload)
-                .build();
-            p.meta.rss_hash = Some(buckets[i % buckets.len()]);
-            batch.push(p);
-        }
-        batch
-    }
-
     #[test]
     fn sketch_evidence_migrates_byte_elephants_the_packet_window_hides() {
         let r = rig("elephants", 2);
-        let mut ctl = RebalanceController::new(
-            WeightedRebalancePolicy {
-                base: RebalancePolicy {
-                    max_imbalance: 1.25,
-                    min_samples: 32,
-                },
-                pressure_weight: 0.0,
-                decay: 0.5,
-            },
-            0,
-        )
-        .with_heavy_hitters(1.0);
+        let blended = RebalancePolicy {
+            heavy_blend: 1.0,
+            ..packets_only(1.25, 32)
+        };
+        let mut ctl = RebalanceController::new(blended, 0);
         // Uniform packet counts: 8 packets in each of buckets 0..8
         // (identity(2): evens -> shard 0, odds -> shard 1). But every
         // even-bucket flow is an elephant (1200-byte payloads) while
         // the odd-bucket mice send empty datagrams — shard 0 carries
         // almost all the bytes behind a perfectly balanced packet
         // window.
-        r.pipe.dispatch(stamped_sized(&[0, 2, 4, 6], 8, 1200));
-        r.pipe.dispatch(stamped_sized(&[1, 3, 5, 7], 8, 0));
+        r.pipe.dispatch(stamped_sized(&[0, 2, 4, 6], 32, 1200));
+        r.pipe.dispatch(stamped(&[1, 3, 5, 7], 32));
         r.pipe.flush();
         let heavy = r.pipe.heavy_hitters();
         assert!(!heavy.is_empty(), "workers must feed the sketches");
@@ -1920,22 +1798,12 @@ mod tests {
         assert!(elephant_bytes > 10 * mouse_bytes.max(1), "byte skew");
 
         // A packet-only controller holds forever on this window...
-        let mut packets_only = RebalanceController::new(
-            WeightedRebalancePolicy {
-                base: RebalancePolicy {
-                    max_imbalance: 1.25,
-                    min_samples: 32,
-                },
-                pressure_weight: 0.0,
-                decay: 0.5,
-            },
-            0,
-        );
+        let mut packets_only = RebalanceController::new(packets_only(1.25, 32), 0);
         assert!(r.pipe.control_turn(&mut packets_only, &[]).is_none());
         assert_eq!(packets_only.holds(), 1, "judged and declined");
         // (the hold decayed the windows; re-feed to full strength)
-        r.pipe.dispatch(stamped_sized(&[0, 2, 4, 6], 8, 1200));
-        r.pipe.dispatch(stamped_sized(&[1, 3, 5, 7], 8, 0));
+        r.pipe.dispatch(stamped_sized(&[0, 2, 4, 6], 32, 1200));
+        r.pipe.dispatch(stamped(&[1, 3, 5, 7], 32));
         r.pipe.flush();
 
         // ...while the sketch-informed controller migrates, and the
@@ -2301,6 +2169,7 @@ mod solo {
         use super::super::tests::inline_pipe;
         use super::super::*;
         use crate::api::{BatchResult, PushResult};
+        use crate::shard::decision::fixtures::packets_only;
         use netkit_kernel::shard::InlinePool;
         use netkit_packet::flow::FlowKey;
         use netkit_packet::packet::{Packet, PacketBuilder};
@@ -2398,17 +2267,7 @@ mod solo {
         #[test]
         fn control_turn_migrates_a_colocated_window() {
             let (pipe, _log) = recorder_pipe(2);
-            let mut ctl = RebalanceController::new(
-                WeightedRebalancePolicy {
-                    base: RebalancePolicy {
-                        max_imbalance: 1.25,
-                        min_samples: 8,
-                    },
-                    pressure_weight: 0.0,
-                    decay: 0.5,
-                },
-                0,
-            );
+            let mut ctl = RebalanceController::new(packets_only(1.25, 8), 0);
             // Flows all colocated on shard 0 under the identity table.
             let mut colocated = Vec::new();
             let mut port = 7000u16;

@@ -1,16 +1,18 @@
-//! Reflective load rebalancing: the policy that turns per-bucket load
-//! meters into a new bucket → shard indirection table.
+//! Reflective load rebalancing: the policy that turns the dataplane's
+//! load evidence into a new bucket → shard indirection table.
 //!
 //! Static RSS steering spreads **flows** evenly, not **load**: one
 //! elephant flow pins its shard at 100% while siblings idle, and every
 //! mouse flow whose bucket happens to share that shard queues behind
 //! it. The rebalancer is the ResourceManager-side meta-object that
 //! closes the loop the paper's reflective architecture promises —
-//! *inspect* the running dataplane (per-bucket packet counters, ring
-//! occupancy high-water marks), *decide* (this module's
-//! [`RebalancePolicy`]), and *adapt* (install the planned
-//! [`BucketMap`] atomically through the worker pool's epoch quiesce,
-//! see `ShardedPipeline::install_bucket_map`).
+//! *inspect* the running dataplane (one [`Evidence`]: per-bucket packet
+//! counters, ring occupancy high-water marks, per-flow byte sketches),
+//! *decide* (this module's [`RebalancePolicy`], driven by a
+//! [`DecisionCore`](super::DecisionCore) inside a
+//! [`RebalanceController`](super::RebalanceController)), and *adapt*
+//! (`ShardedPipeline::control_turn` installs the planned [`BucketMap`]
+//! atomically through the executor's epoch quiesce).
 //!
 //! ## What rebalancing can and cannot fix
 //!
@@ -27,30 +29,64 @@
 //!   assignment, which never produces a plan worse than the current
 //!   map.
 //!
-//! ## The decision rule
+//! ## The judged window and the decision rule
 //!
-//! [`RebalancePolicy::plan`] fires only when (a) the observation
-//! window holds at least `min_samples` packets (idle dataplanes are
-//! not reshuffled by noise) and (b) the most-loaded shard exceeds the
-//! ideal `total / shards` share by more than `max_imbalance`
-//! (hysteresis: balanced-enough placements are left alone, because
-//! every migration costs one quiesce epoch of pipeline pause).
+//! Packet counts alone say which buckets are busy, not which shard is
+//! *drowning*, and they weigh a 60-byte mouse like a 1500-byte
+//! elephant. [`RebalancePolicy::judged_window`] folds both signals in:
+//!
+//! ```text
+//! effective[b] = count[b] × (1 + pressure_weight × hwm[shard(b)] / ring_capacity)
+//! hh[b]        = Σ weight of heavy hitters whose hash buckets to b
+//! judged[b]    = (1 − heavy_blend) × effective[b]
+//!              + heavy_blend × hh[b] × (Σ effective / Σ hh)
+//! ```
+//!
+//! Pressure is clamped to `[0, 1]` and reads `max(ring_high_water,
+//! in_flight)`, so a freshly reset mark still sees live occupancy: a
+//! packet skew sitting *just under* the threshold converges once the
+//! hot shard's queue backs up. The byte evidence (merged top-k of the
+//! per-shard [`FlowSketch`](netkit_packet::sketch::FlowSketch)es) is
+//! normalised to the packet window's mass, so `heavy_blend`
+//! interpolates between two unit-free load shapes — which catches byte
+//! elephants that uniform packet counts provably hide.
+//!
+//! [`RebalancePolicy::plan`] fires only when the most-loaded shard of
+//! the judged window exceeds the ideal `total / shards` share by more
+//! than `max_imbalance` (every migration costs one quiesce epoch of
+//! pipeline pause). `min_samples` is the controller's gathering gate:
+//! it judges the **raw** window, so neither pressure nor sketches can
+//! conjure evidence out of an idle dataplane.
 
-use netkit_packet::sketch::HeavyHitter;
 use netkit_packet::steer::{bucket_of, BucketMap, RSS_BUCKETS};
 
-use super::ShardLoad;
+use super::decision::Evidence;
 
-/// When and how aggressively to rewrite the bucket table.
+/// When, on what evidence and how aggressively to rewrite the bucket
+/// table — every knob of the *decide* arm in one place. See the module
+/// docs for the formulas.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct RebalancePolicy {
-    /// Trigger threshold on `max_shard_load / ideal_shard_load`. `1.0`
-    /// is perfect balance; the default `1.25` tolerates 25% skew
-    /// before paying a migration epoch.
+    /// Trigger threshold on `max_shard_load / ideal_shard_load` of the
+    /// judged window. `1.0` is perfect balance; the default `1.25`
+    /// tolerates 25% skew before paying a migration epoch.
     pub max_imbalance: f64,
-    /// Minimum packets in the observation window before any plan is
-    /// made — protects against reshuffling on statistical noise.
+    /// Minimum **raw** packets in the observation window before the
+    /// controller judges at all — protects against reshuffling on
+    /// statistical noise.
     pub min_samples: u64,
+    /// How strongly ring pressure inflates a shard's buckets: a shard
+    /// riding its full ring weighs `1 + pressure_weight` per packet.
+    /// `0.0` judges packet counts alone.
+    pub pressure_weight: f64,
+    /// Fraction of a judged-but-declined window retained per decision
+    /// (`1.0` = never fades). Applied by
+    /// `ShardedPipeline::control_turn`, not by [`Self::plan`].
+    pub decay: f64,
+    /// Heavy-hitter byte-evidence blend, clamped to `[0, 1]`. `0.0`
+    /// ignores the flow sketches (and `control_turn` then never
+    /// snapshots them).
+    pub heavy_blend: f64,
 }
 
 impl Default for RebalancePolicy {
@@ -58,6 +94,9 @@ impl Default for RebalancePolicy {
         Self {
             max_imbalance: 1.25,
             min_samples: 64,
+            pressure_weight: 0.5,
+            decay: 0.5,
+            heavy_blend: 0.0,
         }
     }
 }
@@ -70,7 +109,8 @@ pub struct RebalancePlan {
     pub map: BucketMap,
     /// Buckets whose assignment changes, in bucket order.
     pub moved: Vec<usize>,
-    /// `max_shard_load / ideal` under the current map.
+    /// `max_shard_load / ideal` under the current map, in judged
+    /// (weighted) units.
     pub imbalance_before: f64,
     /// `max_shard_load / ideal` predicted under [`Self::map`] (same
     /// window).
@@ -91,270 +131,46 @@ impl RebalancePolicy {
         per_shard.iter().copied().max().unwrap_or(0) as f64 / ideal
     }
 
-    /// Plans a migration from one observation window of per-bucket
-    /// loads, or `None` when rebalancing is not warranted (single
-    /// shard, window below `min_samples`, imbalance within
-    /// `max_imbalance`, or no bucket would actually move).
-    ///
-    /// The plan is a deterministic greedy longest-processing-time
-    /// assignment: loaded buckets are placed heaviest-first onto the
-    /// least-loaded shard (current assignment wins ties, minimising
-    /// churn); zero-load buckets keep their current homes so cold
-    /// flows are never moved on no evidence.
+    /// The window this policy judges: `ev.window` inflated by per-shard
+    /// queueing pressure under `ev.current`, then blended with the
+    /// mass-normalised heavy-hitter bytes (see the module docs).
+    /// `ev.loads` entries are matched to shards by their `shard` field;
+    /// missing shards (or an empty slice, as the inline executor
+    /// reports) contribute zero pressure, and with a zero blend, no
+    /// heavy hitters or an empty packet window the byte step is the
+    /// identity.
     ///
     /// # Panics
     ///
-    /// Panics if `per_bucket` does not hold
-    /// [`RSS_BUCKETS`] entries (the
-    /// meters and maps are all fixed-width).
-    pub fn plan(&self, per_bucket: &[u64], current: &BucketMap) -> Option<RebalancePlan> {
-        assert_eq!(per_bucket.len(), RSS_BUCKETS, "one load per bucket");
-        let shards = current.shards();
-        if shards <= 1 {
-            return None;
-        }
-        let total: u64 = per_bucket.iter().sum();
-        if total < self.min_samples.max(1) {
-            return None;
-        }
-        let imbalance_before = Self::imbalance(per_bucket, current);
-        if imbalance_before <= self.max_imbalance {
-            return None;
-        }
-
-        // Greedy LPT over the loaded buckets, heaviest first; ties in
-        // load break towards the lower bucket index so plans are
-        // reproducible run to run.
-        let mut order: Vec<usize> = (0..RSS_BUCKETS).filter(|&b| per_bucket[b] > 0).collect();
-        order.sort_by(|&a, &b| per_bucket[b].cmp(&per_bucket[a]).then(a.cmp(&b)));
-
-        let mut map = current.clone();
-        let mut load = vec![0u64; shards];
-        for &bucket in &order {
-            let mut best = 0;
-            for shard in 1..shards {
-                if load[shard] < load[best] {
-                    best = shard;
-                }
-            }
-            // Prefer the bucket's current home on equal load: fewer
-            // moved buckets, same makespan.
-            let home = current.shard_of_bucket(bucket);
-            if load[home] == load[best] {
-                best = home;
-            }
-            map.set(bucket, best);
-            load[best] += per_bucket[bucket];
-        }
-
-        let moved = map.moved_buckets(current);
-        if moved.is_empty() {
-            return None;
-        }
-        let ideal = total as f64 / shards as f64;
-        let imbalance_after = load.iter().copied().max().unwrap_or(0) as f64 / ideal;
-        // A migration that does not lower the makespan is all cost (a
-        // quiesce epoch + re-homed flows) and no benefit — LPT can tie
-        // the current placement while still shuffling buckets around.
-        if imbalance_after >= imbalance_before {
-            return None;
-        }
-        Some(RebalancePlan {
-            map,
-            moved,
-            imbalance_before,
-            imbalance_after,
-        })
-    }
-}
-
-/// A [`RebalancePolicy`] that weighs *queueing pressure* into the
-/// evidence, not just packet counts.
-///
-/// Packet counts alone are a throughput meter: they say which buckets
-/// are busy, not which shard is *drowning*. A shard whose ring
-/// high-water mark rides its capacity is receiving work faster than it
-/// retires it — its buckets hurt more per packet than the same count
-/// on an idle shard. This policy folds that in: each bucket's count is
-/// inflated by its current shard's pressure,
-///
-/// ```text
-/// effective[b] = count[b] × (1 + pressure_weight × hwm[shard(b)] / ring_capacity)
-/// ```
-///
-/// (pressure clamped to `[0, 1]`; `max(ring_high_water, in_flight)`
-/// is used so a freshly reset mark still sees live occupancy), and the
-/// base policy's threshold + LPT plan run over the effective loads. A
-/// persistent packet skew sitting *just under* the imbalance threshold
-/// therefore still converges once the hot shard's queue starts
-/// backing up — evidence the unweighted policy is blind to.
-/// `pressure_weight = 0` reproduces the base policy exactly.
-///
-/// The `min_samples` gate applies to the **raw** window (pressure must
-/// never conjure evidence out of an idle dataplane), and `decay` is
-/// the per-judged-decision exponential retention the control loop
-/// applies instead of destructively draining windows (see
-/// [`crate::shard::control`]).
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub struct WeightedRebalancePolicy {
-    /// Threshold + window core. The imbalance test runs on *effective*
-    /// (pressure-weighted) loads; `min_samples` gates on raw counts.
-    pub base: RebalancePolicy,
-    /// How strongly ring pressure inflates a shard's buckets: a shard
-    /// riding its full ring weighs `1 + pressure_weight` per packet.
-    /// `0.0` ≡ the unweighted base policy.
-    pub pressure_weight: f64,
-    /// Fraction of a judged-but-declined window retained per decision
-    /// (`1.0` = never fades). Applied by the control loop via
-    /// `BucketLoad::decay`, not by [`Self::plan`] itself.
-    pub decay: f64,
-}
-
-impl Default for WeightedRebalancePolicy {
-    fn default() -> Self {
-        Self {
-            base: RebalancePolicy::default(),
-            pressure_weight: 1.0,
-            decay: 0.5,
-        }
-    }
-}
-
-impl WeightedRebalancePolicy {
-    /// Inflates a raw per-bucket window by per-shard queueing pressure
-    /// under `current` (see the type docs for the formula). `loads`
-    /// entries are matched to shards by their `shard` field; missing
-    /// shards (or an empty slice, as the deterministic sim passes)
-    /// contribute zero pressure.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `per_bucket` does not hold [`RSS_BUCKETS`] entries.
-    pub fn effective_window(
-        &self,
-        per_bucket: &[u64],
-        loads: &[ShardLoad],
-        ring_capacity: usize,
-        current: &BucketMap,
-    ) -> Vec<u64> {
-        assert_eq!(per_bucket.len(), RSS_BUCKETS, "one load per bucket");
-        let cap = ring_capacity.max(1) as f64;
-        let mut factor = vec![1.0f64; current.shards()];
+    /// Panics if `ev.window` does not hold [`RSS_BUCKETS`] entries
+    /// (the meters and maps are all fixed-width).
+    pub fn judged_window(&self, ev: &Evidence<'_>) -> Vec<u64> {
+        assert_eq!(ev.window.len(), RSS_BUCKETS, "one load per bucket");
+        let cap = ev.ring_capacity.max(1) as f64;
+        let mut factor = vec![1.0f64; ev.current.shards()];
         if self.pressure_weight > 0.0 {
-            for load in loads {
+            for load in ev.loads {
                 if let Some(f) = factor.get_mut(load.shard) {
                     let occupancy = load.ring_high_water.max(load.in_flight) as f64;
                     *f = 1.0 + self.pressure_weight * (occupancy / cap).min(1.0);
                 }
             }
         }
-        per_bucket
+        let effective: Vec<u64> = ev
+            .window
             .iter()
             .enumerate()
             .map(|(bucket, &count)| {
-                (count as f64 * factor[current.shard_of_bucket(bucket)]).round() as u64
+                (count as f64 * factor[ev.current.shard_of_bucket(bucket)]).round() as u64
             })
-            .collect()
-    }
+            .collect();
 
-    /// Plans a migration from one raw observation window plus the
-    /// per-shard pressure meters, or `None` when rebalancing is not
-    /// warranted. Semantics are [`RebalancePolicy::plan`] run over the
-    /// [`Self::effective_window`] — the plan's `imbalance_before`/
-    /// `imbalance_after` are therefore in effective (weighted) units —
-    /// except that the `min_samples` gate judges the raw counts.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `per_bucket` does not hold [`RSS_BUCKETS`] entries.
-    pub fn plan(
-        &self,
-        per_bucket: &[u64],
-        loads: &[ShardLoad],
-        ring_capacity: usize,
-        current: &BucketMap,
-    ) -> Option<RebalancePlan> {
-        let raw_total: u64 = per_bucket.iter().sum();
-        if raw_total < self.base.min_samples.max(1) {
-            return None;
-        }
-        let effective = self.effective_window(per_bucket, loads, ring_capacity, current);
-        let judge = RebalancePolicy {
-            max_imbalance: self.base.max_imbalance,
-            min_samples: 1, // raw gate already passed
-        };
-        judge.plan(&effective, current)
-    }
-
-    /// Upgrades this policy with sketch-based heavy-hitter evidence:
-    /// the returned [`HeavyHitterPolicy`] blends per-flow *byte*
-    /// weight into the per-bucket window before planning. `blend` is
-    /// clamped to `[0, 1]`; `0.0` reproduces this policy exactly.
-    pub fn with_heavy_hitters(self, blend: f64) -> HeavyHitterPolicy {
-        HeavyHitterPolicy { base: self, blend }
-    }
-}
-
-/// A [`WeightedRebalancePolicy`] that additionally weighs **true
-/// elephant flows** via sketch evidence.
-///
-/// `BucketLoad` counts packets: every packet weighs one, so a bucket
-/// holding one elephant flow plus mice is indistinguishable from a
-/// bucket of mice alone whenever packet *counts* are uniform — the
-/// uniform policy provably holds while one shard carries most of the
-/// **bytes**. The per-shard [`netkit_packet::sketch::FlowSketch`]es
-/// meter bytes per flow; their merged top-k
-/// ([`netkit_packet::sketch::SpaceSaving::merge`]) is the evidence
-/// this policy folds in:
-///
-/// ```text
-/// hh[b]       = Σ weight of heavy hitters whose hash buckets to b
-/// scaled[b]   = hh[b] × (Σ effective / Σ hh)      (mass-normalised)
-/// combined[b] = (1 − blend) × effective[b] + blend × scaled[b]
-/// ```
-///
-/// The byte evidence is normalised to the packet window's total mass
-/// before blending, so `blend` interpolates between two *unit-free*
-/// load shapes: `0.0` plans purely on pressure-weighted packets,
-/// `1.0` purely on heavy-hitter bytes. The `min_samples` gate still
-/// judges the raw packet window (sketches never conjure evidence out
-/// of an idle dataplane), and bucket-granularity constraints are
-/// unchanged — the elephant's own bucket remains indivisible; the
-/// recovery comes from migrating the mice buckets *colocated* with
-/// it.
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub struct HeavyHitterPolicy {
-    /// The pressure-weighted policy supplying the packet-side window.
-    pub base: WeightedRebalancePolicy,
-    /// Byte-evidence blend factor in `[0, 1]`.
-    pub blend: f64,
-}
-
-impl HeavyHitterPolicy {
-    /// The blended per-bucket window (see the type docs). With
-    /// `blend == 0`, no heavy hitters, or an empty packet window this
-    /// is exactly the base policy's effective window.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `per_bucket` does not hold [`RSS_BUCKETS`] entries.
-    pub fn blended_window(
-        &self,
-        per_bucket: &[u64],
-        loads: &[ShardLoad],
-        ring_capacity: usize,
-        heavy: &[HeavyHitter],
-        current: &BucketMap,
-    ) -> Vec<u64> {
-        let effective = self
-            .base
-            .effective_window(per_bucket, loads, ring_capacity, current);
-        let blend = self.blend.clamp(0.0, 1.0);
-        if blend == 0.0 || heavy.is_empty() {
+        let blend = self.heavy_blend.clamp(0.0, 1.0);
+        if blend == 0.0 || ev.heavy.is_empty() {
             return effective;
         }
         let mut hh = vec![0u64; RSS_BUCKETS];
-        for h in heavy {
+        for h in ev.heavy {
             hh[bucket_of(h.hash)] += h.weight;
         }
         let hh_total: u64 = hh.iter().sum();
@@ -372,38 +188,80 @@ impl HeavyHitterPolicy {
             .collect()
     }
 
-    /// Plans a migration over the blended window, or `None` when
-    /// rebalancing is not warranted. The `min_samples` gate judges the
-    /// **raw packet** window, exactly like
-    /// [`WeightedRebalancePolicy::plan`]; the plan's imbalance figures
-    /// are in blended units.
+    /// Plans a migration from one judged window of per-bucket loads,
+    /// or `None` when rebalancing is not warranted (single shard,
+    /// imbalance within `max_imbalance`, no bucket would actually
+    /// move, or the makespan would not drop).
+    ///
+    /// The plan is a deterministic greedy longest-processing-time
+    /// assignment: loaded buckets are placed heaviest-first onto the
+    /// least-loaded shard (current assignment wins ties, minimising
+    /// churn); zero-load buckets keep their current homes so cold
+    /// flows are never moved on no evidence.
     ///
     /// # Panics
     ///
-    /// Panics if `per_bucket` does not hold [`RSS_BUCKETS`] entries.
-    pub fn plan(
-        &self,
-        per_bucket: &[u64],
-        loads: &[ShardLoad],
-        ring_capacity: usize,
-        heavy: &[HeavyHitter],
-        current: &BucketMap,
-    ) -> Option<RebalancePlan> {
-        let raw_total: u64 = per_bucket.iter().sum();
-        if raw_total < self.base.base.min_samples.max(1) {
+    /// Panics if `window` does not hold [`RSS_BUCKETS`] entries.
+    pub fn plan(&self, window: &[u64], current: &BucketMap) -> Option<RebalancePlan> {
+        assert_eq!(window.len(), RSS_BUCKETS, "one load per bucket");
+        let shards = current.shards();
+        if shards <= 1 {
             return None;
         }
-        let blended = self.blended_window(per_bucket, loads, ring_capacity, heavy, current);
-        let judge = RebalancePolicy {
-            max_imbalance: self.base.base.max_imbalance,
-            min_samples: 1, // raw gate already passed
-        };
-        judge.plan(&blended, current)
+        let imbalance_before = Self::imbalance(window, current);
+        if imbalance_before <= self.max_imbalance {
+            return None;
+        }
+
+        // Greedy LPT over the loaded buckets, heaviest first; ties in
+        // load break towards the lower bucket index so plans are
+        // reproducible run to run.
+        let mut order: Vec<usize> = (0..RSS_BUCKETS).filter(|&b| window[b] > 0).collect();
+        order.sort_by(|&a, &b| window[b].cmp(&window[a]).then(a.cmp(&b)));
+
+        let mut map = current.clone();
+        let mut load = vec![0u64; shards];
+        for &bucket in &order {
+            let mut best = 0;
+            for shard in 1..shards {
+                if load[shard] < load[best] {
+                    best = shard;
+                }
+            }
+            // Prefer the bucket's current home on equal load: fewer
+            // moved buckets, same makespan.
+            let home = current.shard_of_bucket(bucket);
+            if load[home] == load[best] {
+                best = home;
+            }
+            map.set(bucket, best);
+            load[best] += window[bucket];
+        }
+
+        let moved = map.moved_buckets(current);
+        if moved.is_empty() {
+            return None;
+        }
+        let total: u64 = window.iter().sum();
+        let ideal = total as f64 / shards as f64;
+        let imbalance_after = load.iter().copied().max().unwrap_or(0) as f64 / ideal;
+        // A migration that does not lower the makespan is all cost (a
+        // quiesce epoch + re-homed flows) and no benefit — LPT can tie
+        // the current placement while still shuffling buckets around.
+        if imbalance_after >= imbalance_before {
+            return None;
+        }
+        Some(RebalancePlan {
+            map,
+            moved,
+            imbalance_before,
+            imbalance_after,
+        })
     }
 }
 
 /// What a completed migration did — returned by
-/// `ShardedPipeline::install_bucket_map` and `rebalance`.
+/// `ShardedPipeline::install_bucket_map` and `control_turn`.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct MigrationReport {
     /// Buckets whose assignment changed.
@@ -422,13 +280,16 @@ pub struct MigrationReport {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::shard::decision::fixtures::{
+        byte_skew, hitter, observe, packets_only, window as loads,
+    };
+    use crate::shard::{ControlDecision, RebalanceController, ShardLoad};
 
-    fn loads(entries: &[(usize, u64)]) -> Vec<u64> {
-        let mut v = vec![0u64; RSS_BUCKETS];
-        for &(bucket, load) in entries {
-            v[bucket] = load;
-        }
-        v
+    fn gathers(policy: RebalancePolicy, ev: &Evidence<'_>) -> bool {
+        matches!(
+            RebalanceController::new(policy, 0).decide(ev),
+            ControlDecision::Gathering
+        )
     }
 
     #[test]
@@ -444,15 +305,13 @@ mod tests {
     #[test]
     fn small_windows_and_single_shard_are_ignored() {
         let policy = RebalancePolicy::default();
+        let current = BucketMap::identity(4);
         let skewed = loads(&[(0, 10), (4, 10)]); // both on shard 0, but tiny
-        assert!(policy.plan(&skewed, &BucketMap::identity(4)).is_none());
+        assert!(gathers(policy, &observe(&skewed, &current)));
         let big = loads(&[(0, 1000), (4, 1000)]);
         assert!(policy.plan(&big, &BucketMap::identity(1)).is_none());
         let empty = loads(&[]);
-        assert_eq!(
-            RebalancePolicy::imbalance(&empty, &BucketMap::identity(4)),
-            1.0
-        );
+        assert_eq!(RebalancePolicy::imbalance(&empty, &current), 1.0);
     }
 
     #[test]
@@ -484,10 +343,7 @@ mod tests {
 
     #[test]
     fn plans_are_deterministic_and_never_worse() {
-        let policy = RebalancePolicy {
-            max_imbalance: 1.1,
-            min_samples: 1,
-        };
+        let policy = packets_only(1.1, 1);
         let current = BucketMap::identity(2);
         let w = loads(&[(0, 70), (2, 40), (4, 30), (1, 10)]);
         let a = policy.plan(&w, &current).expect("imbalanced");
@@ -502,10 +358,7 @@ mod tests {
         // imbalance 4/3 triggers an eager policy, but LPT can only
         // reproduce the same makespan while shuffling bucket 1 to the
         // other shard. Such a plan is all cost, no benefit.
-        let policy = RebalancePolicy {
-            max_imbalance: 1.25,
-            min_samples: 1,
-        };
+        let policy = packets_only(1.25, 1);
         let mut current = BucketMap::identity(2);
         current.set(0, 0);
         current.set(1, 0);
@@ -531,51 +384,44 @@ mod tests {
 
     #[test]
     fn zero_pressure_weight_matches_the_base_policy() {
-        let policy = WeightedRebalancePolicy {
-            base: RebalancePolicy {
-                max_imbalance: 1.1,
-                min_samples: 1,
-            },
-            pressure_weight: 0.0,
-            decay: 1.0,
-        };
+        let policy = packets_only(1.1, 1);
         let current = BucketMap::identity(2);
         let w = loads(&[(0, 70), (2, 40), (4, 30), (1, 10)]);
-        // Even under heavy reported pressure the effective window is
-        // the raw window, and the plan matches the base policy's.
+        // Even under heavy reported pressure the judged window is the
+        // raw window.
         let pressure = [shard_pressure(0, 1024), shard_pressure(1, 0)];
-        assert_eq!(policy.effective_window(&w, &pressure, 1024, &current), w);
-        let weighted = policy.plan(&w, &pressure, 1024, &current).expect("skew");
-        let base = policy.base.plan(&w, &current).expect("skew");
-        assert_eq!(weighted.map, base.map);
-        assert_eq!(weighted.moved, base.moved);
+        let ev = Evidence {
+            loads: &pressure,
+            ..observe(&w, &current)
+        };
+        assert_eq!(policy.judged_window(&ev), w);
     }
 
     #[test]
     fn queue_pressure_lifts_an_under_threshold_skew_over_the_line() {
         // Raw packet counts: shard 0 carries 60 (buckets 0 and 2),
         // shard 1 carries 40 — imbalance 1.2, under the 1.25
-        // threshold, so the unweighted policy holds forever.
+        // threshold, so packet counts alone hold forever.
         let current = BucketMap::identity(2);
         let w = loads(&[(0, 40), (2, 20), (1, 40)]);
-        let base = RebalancePolicy {
-            max_imbalance: 1.25,
-            min_samples: 32,
-        };
+        let base = packets_only(1.25, 32);
         assert!(base.plan(&w, &current).is_none(), "1.2 < 1.25: no plan");
 
         // But shard 0's ring rides its capacity while shard 1 idles:
-        // per-packet, shard 0's buckets hurt twice as much. Effective
+        // per-packet, shard 0's buckets hurt twice as much. Judged
         // window [80, 40, 40] → imbalance 1.5 → the mice (bucket 2)
         // move off the drowning shard.
-        let policy = WeightedRebalancePolicy {
-            base,
+        let policy = RebalancePolicy {
             pressure_weight: 1.0,
-            decay: 0.5,
+            ..base
         };
         let pressure = [shard_pressure(0, 1024), shard_pressure(1, 2)];
+        let judged = policy.judged_window(&Evidence {
+            loads: &pressure,
+            ..observe(&w, &current)
+        });
         let plan = policy
-            .plan(&w, &pressure, 1024, &current)
+            .plan(&judged, &current)
             .expect("pressure must tip the decision");
         assert!(plan.imbalance_before > 1.25, "{}", plan.imbalance_before);
         assert!(plan.imbalance_after < plan.imbalance_before);
@@ -587,104 +433,70 @@ mod tests {
     fn pressure_never_conjures_evidence_from_an_idle_window() {
         // min_samples gates on RAW counts: a tiny window stays a tiny
         // window no matter how hard the rings are reported to back up.
-        let policy = WeightedRebalancePolicy::default(); // min_samples 64
+        let policy = RebalancePolicy {
+            pressure_weight: 1.0,
+            ..RebalancePolicy::default() // min_samples 64
+        };
         let current = BucketMap::identity(2);
         let w = loads(&[(0, 10), (2, 10)]);
         let pressure = [shard_pressure(0, 4096), shard_pressure(1, 0)];
-        assert!(policy.plan(&w, &pressure, 64, &current).is_none());
+        let backed_up = Evidence {
+            loads: &pressure,
+            ring_capacity: 64,
+            ..observe(&w, &current)
+        };
+        assert!(gathers(policy, &backed_up));
         // Missing / short pressure slices degrade to factor 1.0.
         let big = loads(&[(0, 500), (2, 300), (1, 100)]);
-        assert_eq!(policy.effective_window(&big, &[], 64, &current), big);
-    }
-
-    fn hitter(bucket: usize, weight: u64) -> HeavyHitter {
-        HeavyHitter {
-            hash: bucket as u64, // bucket_of(hash) == hash % RSS_BUCKETS
-            error: 0,
-            weight,
-        }
+        assert_eq!(policy.judged_window(&observe(&big, &current)), big);
     }
 
     #[test]
     fn zero_blend_reproduces_the_weighted_policy() {
-        let base = WeightedRebalancePolicy {
-            base: RebalancePolicy {
-                max_imbalance: 1.1,
-                min_samples: 1,
-            },
+        let policy = RebalancePolicy {
             pressure_weight: 1.0,
-            decay: 0.5,
+            ..packets_only(1.1, 1)
         };
-        let hh = base.with_heavy_hitters(0.0);
         let current = BucketMap::identity(2);
         let w = loads(&[(0, 70), (2, 40), (4, 30), (1, 10)]);
         let pressure = [shard_pressure(0, 512), shard_pressure(1, 16)];
+        let quiet = Evidence {
+            loads: &pressure,
+            ..observe(&w, &current)
+        };
         // Even with loud byte evidence, blend 0 ignores it entirely.
-        let evidence = [hitter(1, 1_000_000)];
-        assert_eq!(
-            hh.blended_window(&w, &pressure, 1024, &evidence, &current),
-            base.effective_window(&w, &pressure, 1024, &current)
-        );
-        let a = hh
-            .plan(&w, &pressure, 1024, &evidence, &current)
-            .expect("skew");
-        let b = base.plan(&w, &pressure, 1024, &current).expect("skew");
-        assert_eq!(a.map, b.map);
-        assert_eq!(a.moved, b.moved);
+        let loud = Evidence {
+            heavy: &[hitter(1, 1_000_000)],
+            ..quiet
+        };
+        assert_eq!(policy.judged_window(&loud), policy.judged_window(&quiet));
     }
 
     #[test]
     fn byte_evidence_migrates_a_packet_balanced_window() {
-        // Packet counts are perfectly uniform: 8 packets in each of
-        // buckets 0..8, identity(2) maps evens to shard 0 and odds to
-        // shard 1 — 32/32, imbalance 1.0. The packet-only policy
-        // provably has nothing to act on.
         let current = BucketMap::identity(2);
-        let w = loads(&[
-            (0, 8),
-            (1, 8),
-            (2, 8),
-            (3, 8),
-            (4, 8),
-            (5, 8),
-            (6, 8),
-            (7, 8),
-        ]);
-        let base = WeightedRebalancePolicy {
-            base: RebalancePolicy {
-                max_imbalance: 1.25,
-                min_samples: 32,
-            },
-            pressure_weight: 0.0,
-            decay: 0.5,
-        };
+        let (w, bytes) = byte_skew();
+        let base = packets_only(1.25, 32);
         assert!(
-            base.plan(&w, &[], 1024, &current).is_none(),
+            base.plan(&w, &current).is_none(),
             "uniform packets: the packet-only policy must hold"
         );
 
-        // But the bytes are anything but uniform: every even bucket
-        // carries a 2000-byte elephant while odd buckets carry 500
-        // bytes of mice. Shard 0 owns 8000 of 10000 bytes.
-        let evidence = [
-            hitter(0, 2_000),
-            hitter(1, 500),
-            hitter(2, 2_000),
-            hitter(3, 500),
-            hitter(4, 2_000),
-            hitter(5, 500),
-            hitter(6, 2_000),
-            hitter(7, 500),
-        ];
-        let hh = base.with_heavy_hitters(1.0);
-        let blended = hh.blended_window(&w, &[], 1024, &evidence, &current);
+        let hh = RebalancePolicy {
+            heavy_blend: 1.0,
+            ..base
+        };
+        let blended = hh.judged_window(&Evidence {
+            heavy: &bytes,
+            ..observe(&w, &current)
+        });
         let shard_bytes = current.per_shard_load(&blended);
         assert!(
             shard_bytes[0] > 3 * shard_bytes[1],
             "blended window must surface the byte skew: {shard_bytes:?}"
         );
         let plan = hh
-            .plan(&w, &[], 1024, &evidence, &current)
+            .plan(&blended, &current)
             .expect("byte evidence must trigger a plan");
         assert!(plan.imbalance_after < plan.imbalance_before);
         // LPT pairs each elephant with mice: perfect 50/50 in bytes.
@@ -694,17 +506,26 @@ mod tests {
 
     #[test]
     fn empty_or_zero_evidence_degrades_to_the_base_window() {
-        let hh = WeightedRebalancePolicy::default().with_heavy_hitters(0.8);
+        let hh = RebalancePolicy {
+            heavy_blend: 0.8,
+            ..RebalancePolicy::default()
+        };
         let current = BucketMap::identity(2);
         let w = loads(&[(0, 500), (2, 300), (1, 100)]);
-        assert_eq!(hh.blended_window(&w, &[], 64, &[], &current), w);
-        assert_eq!(hh.blended_window(&w, &[], 64, &[hitter(3, 0)], &current), w);
+        assert_eq!(hh.judged_window(&observe(&w, &current)), w);
+        let weightless = Evidence {
+            heavy: &[hitter(3, 0)],
+            ..observe(&w, &current)
+        };
+        assert_eq!(hh.judged_window(&weightless), w);
         // The min_samples gate still judges raw packets: byte evidence
         // cannot conjure a plan out of an idle dataplane.
         let idle = loads(&[(0, 10), (2, 10)]);
-        assert!(hh
-            .plan(&idle, &[], 64, &[hitter(0, 1_000_000)], &current)
-            .is_none());
+        let loud = Evidence {
+            heavy: &[hitter(0, 1_000_000)],
+            ..observe(&idle, &current)
+        };
+        assert!(gathers(hh, &loud));
     }
 
     #[test]
@@ -714,13 +535,9 @@ mod tests {
         let current = BucketMap::identity(2);
         let w = loads(&[(0, 60), (1, 40)]);
         assert!(RebalancePolicy::default().plan(&w, &current).is_none());
-        let eager = RebalancePolicy {
-            max_imbalance: 1.1,
-            min_samples: 1,
-        };
         // Triggered, but a single indivisible bucket per shard cannot
         // improve: LPT reproduces a 60/40 split and the 60-bucket's
         // home pins it (no move -> no plan).
-        assert!(eager.plan(&w, &current).is_none());
+        assert!(packets_only(1.1, 1).plan(&w, &current).is_none());
     }
 }

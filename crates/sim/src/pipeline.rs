@@ -502,7 +502,7 @@ mod tests {
     use crate::node::SinkBehaviour;
     use crate::traffic::{udp_flow, CbrGen};
     use crate::{LinkSpec, Simulator};
-    use netkit_router::shard::{RebalancePolicy, WeightedRebalancePolicy};
+    use netkit_router::shard::RebalancePolicy;
 
     /// Pass-through node: every shard graph is just the collector.
     fn passthrough(name: &str, workers: usize) -> PipelineNode {
@@ -580,13 +580,11 @@ mod tests {
     #[test]
     fn control_loop_runs_and_lapses() {
         let ctl = RebalanceController::new(
-            WeightedRebalancePolicy {
-                base: RebalancePolicy {
-                    max_imbalance: 1.25,
-                    min_samples: 8,
-                },
+            RebalancePolicy {
+                max_imbalance: 1.25,
+                min_samples: 8,
                 pressure_weight: 0.0,
-                decay: 0.5,
+                ..RebalancePolicy::default()
             },
             0,
         );

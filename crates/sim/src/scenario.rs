@@ -58,9 +58,7 @@ use netkit_packet::packet::{Packet, PacketBuilder};
 use netkit_packet::steer::BucketMap;
 use netkit_router::api::IPACKET_PUSH;
 use netkit_router::flow::{ConnTracker, Guard, GuardConfig};
-use netkit_router::shard::{
-    RebalanceController, RebalancePolicy, ShardGraph, WeightedRebalancePolicy,
-};
+use netkit_router::shard::{RebalanceController, RebalancePolicy, ShardGraph};
 use netkit_services::media::{annotate_gop, DropLevel, FrameDropFilter};
 use parking_lot::Mutex;
 
@@ -411,13 +409,12 @@ fn city_node(name: &str, cfg: &CityConfig, handles: &mut Vec<NodeHandles>) -> Pi
         .expect("city node builds")
     };
     let controller = RebalanceController::new(
-        WeightedRebalancePolicy {
-            base: RebalancePolicy {
-                max_imbalance: 1.25,
-                min_samples: 64,
-            },
+        RebalancePolicy {
+            max_imbalance: 1.25,
+            min_samples: 64,
             pressure_weight: 0.0,
             decay: 0.5,
+            heavy_blend: 0.0,
         },
         1,
     );

@@ -1,6 +1,6 @@
 //! The reflective loop, closed: a `ControlLoop` watches a sharded
 //! pipeline and corrects a skewed placement **with no external
-//! rebalance caller** — the example never invokes `rebalance()`.
+//! rebalance caller** — the example never steps `control_turn` itself.
 //!
 //! A 4-worker pipeline starts under the identity RSS table. The
 //! offered load is pathological: one elephant flow plus seven mice
@@ -17,6 +17,7 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use netkit::kernel::shard::ShardSpec;
+use netkit::kernel::task::PeriodicSpec;
 use netkit::opencom::capsule::Capsule;
 use netkit::opencom::meta::resources::{classes, ResourceManager};
 use netkit::opencom::runtime::Runtime;
@@ -24,9 +25,8 @@ use netkit::packet::batch::PacketBatch;
 use netkit::packet::packet::PacketBuilder;
 use netkit::router::api::register_packet_interfaces;
 use netkit::router::elements::{Counter, Discard};
-use netkit::router::shard::control::{ControlConfig, ControlLoop};
 use netkit::router::shard::{
-    RebalancePolicy, ShardGraph, ShardedPipeline, WeightedRebalancePolicy,
+    ControlLoop, RebalanceController, RebalancePolicy, ShardGraph, ShardedPipeline,
 };
 use netkit::router::IPACKET_PUSH;
 
@@ -57,21 +57,17 @@ fn main() -> Result<(), netkit::opencom::error::Error> {
         "dataplane-control",
         Arc::clone(&pipe),
         Vec::new(),
-        ControlConfig {
-            policy: WeightedRebalancePolicy {
-                base: RebalancePolicy {
-                    max_imbalance: 1.25,
-                    min_samples: 64,
-                },
+        RebalanceController::new(
+            RebalancePolicy {
+                max_imbalance: 1.25,
+                min_samples: 64,
                 pressure_weight: 1.0,
                 decay: 0.75,
+                heavy_blend: 0.0,
             },
-            tick: Duration::from_millis(1),
-            max_tick: Duration::from_millis(16),
-            backoff: 2.0,
-            cooldown_ticks: 4,
-            heavy_blend: 0.0,
-        },
+            4,
+        ),
+        PeriodicSpec::every(Duration::from_millis(1)).with_backoff(2.0, Duration::from_millis(16)),
         Arc::clone(&rm),
     )?;
 

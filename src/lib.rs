@@ -83,22 +83,24 @@
 //! Steering itself is **adaptive and autonomous**: every layer
 //! consults one 256-entry bucket → shard indirection table
 //! ([`packet::steer::BucketMap`], the software form of a hardware RSS
-//! indirection table), and the reflective rebalancer
-//! ([`router::shard::rebalance`]) watches per-bucket load meters for
-//! skew — the elephant-flow case where static hashing pins one worker
-//! while siblings idle — and installs a better table through the same
-//! epoch quiesce as any other reconfiguration, migrating whole
-//! buckets without losing, duplicating, or reordering any flow
-//! (`tests/rebalance_elephant.rs`,
-//! `crates/router/tests/proptest_rebalance.rs`). Spawning a
-//! [`router::shard::control::ControlLoop`] closes that loop with no
-//! external caller: a supervised periodic task
-//! ([`kernel::task::PeriodicTask`]) peeks the decay-based observation
-//! windows, weighs ring pressure into the decision
-//! ([`router::shard::WeightedRebalancePolicy`]), backs off while the
-//! dataplane is balanced, and migrates — rate-capped — when it is not
-//! (`tests/autonomous_control_soak.rs`,
-//! `examples/autonomous_rebalance.rs`). The zero-copy story
+//! indirection table), and one reflective control path watches it.
+//! [`router::shard::ShardedPipeline::control_turn`] peeks the bucket
+//! load meters, ring pressure and flow sketches, asks a
+//! [`router::shard::RebalanceController`] (one
+//! [`router::shard::RebalancePolicy`], judged by a `weighted`,
+//! `hysteresis` or `ewma` core) about skew — the elephant-flow case
+//! where static hashing pins one worker while siblings idle — and
+//! installs a better table through the same epoch quiesce as any
+//! other reconfiguration, migrating whole buckets without losing,
+//! duplicating, or reordering any flow (`tests/rebalance_elephant.rs`,
+//! `crates/router/tests/proptest_rebalance.rs`). A spawned
+//! [`router::shard::ControlLoop`] takes that turn on every tick of a
+//! supervised [`kernel::task::PeriodicTask`], backing off while the
+//! dataplane is balanced and migrating — rate-capped — when it is
+//! not; its controller is hand-built or compiled from a pipeline
+//! description (`tests/autonomous_control_soak.rs`,
+//! `examples/autonomous_rebalance.rs`,
+//! `examples/declarative_pipeline.rs`). The zero-copy story
 //! extends through egress: `ToDevice` moves each packet's frame
 //! storage onto the NIC tx ring with its pool lease intact
 //! ([`kernel::nic::Nic::tx_burst_packets`]), and the wire side's

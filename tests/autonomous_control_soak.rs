@@ -1,10 +1,10 @@
 //! **Autonomous reflective control-loop acceptance** — the pipeline
 //! must detect and correct a mid-run traffic shift **with no external
-//! `rebalance()` caller**: the spawned
+//! `control_turn` caller**: the spawned
 //! [`ControlLoop`](netkit::router::shard::control::ControlLoop) is the
 //! only control plane in these tests.
 //!
-//! Three layers of assurance:
+//! Four layers of assurance:
 //!
 //! 1. **Mid-run skew recovery** — balanced traffic, then an elephant
 //!    plus colocated mice appear on one shard. The loop alone (tick →
@@ -25,6 +25,10 @@
 //!    sim time), and two identical runs produce identical migration
 //!    histories — the autonomous loop is reproducible when its cadence
 //!    is.
+//! 4. **A described controller on the threaded loop** — the stateful
+//!    edge's description selects the `hysteresis` core; the controller
+//!    it compiles to is spawned as the loop and must migrate a
+//!    colocated skew only after `arm` judged windows.
 //!
 //! The soak is budgeted (rounds per phase, wall-clock deadline) so CI
 //! cannot hang on it; `NETKIT_SOAK_PHASES` scales the phase count.
@@ -34,6 +38,7 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use netkit::kernel::shard::ShardSpec;
+use netkit::kernel::task::PeriodicSpec;
 use netkit::opencom::capsule::Capsule;
 use netkit::opencom::meta::resources::{classes, ResourceManager};
 use netkit::opencom::runtime::Runtime;
@@ -42,10 +47,10 @@ use netkit::packet::flow::FlowKey;
 use netkit::packet::packet::{Packet, PacketBuilder};
 use netkit::packet::steer::BucketMap;
 use netkit::router::api::{register_packet_interfaces, IPacketPush, PushResult};
-use netkit::router::shard::control::{ControlConfig, ControlLoop};
-use netkit::router::shard::{
-    RebalanceController, RebalancePolicy, ShardGraph, ShardedPipeline, WeightedRebalancePolicy,
-};
+use netkit::router::desc::Compiler;
+use netkit::router::shard::control::ControlLoop;
+use netkit::router::shard::{RebalanceController, RebalancePolicy, ShardGraph, ShardedPipeline};
+use netkit::services::edge::{stateful_edge_desc, EdgeProfile};
 use parking_lot::Mutex;
 
 const WORKERS: usize = 4;
@@ -158,26 +163,22 @@ fn assert_per_flow_order(log: &[(u16, u16)], ports: &[u16]) {
 fn autonomous_loop_recovers_mid_run_skew() {
     let log = Arc::new(Mutex::new(Vec::new()));
     let (pipe, rm) = recorder_pipeline("auto-e2e", &log);
-    let cfg = ControlConfig {
-        policy: WeightedRebalancePolicy {
-            base: RebalancePolicy {
-                max_imbalance: 1.25,
-                min_samples: 64,
-            },
+    let controller = RebalanceController::new(
+        RebalancePolicy {
+            max_imbalance: 1.25,
+            min_samples: 64,
             pressure_weight: 1.0,
             decay: 0.75,
+            heavy_blend: 0.0,
         },
-        tick: Duration::from_millis(1),
-        max_tick: Duration::from_millis(8),
-        backoff: 2.0,
-        cooldown_ticks: 2,
-        heavy_blend: 0.0,
-    };
+        2,
+    );
     let ctl = ControlLoop::spawn(
         "auto-e2e-control",
         Arc::clone(&pipe),
         Vec::new(),
-        cfg,
+        controller,
+        PeriodicSpec::every(Duration::from_millis(1)).with_backoff(2.0, Duration::from_millis(8)),
         Arc::clone(&rm),
     )
     .expect("loop spawns");
@@ -264,7 +265,7 @@ fn autonomous_loop_recovers_mid_run_skew() {
     let (deltas, stats) = recovered.expect("the loop alone must recover >=1.5x within the budget");
     assert!(stats.migrations >= 1, "recovery implies >=1 migration");
 
-    // No external caller ever invoked rebalance(); the adaptation
+    // No external caller ever stepped control_turn; the adaptation
     // trail is on the meta-model: the loop task counts its inspection
     // ticks while it lives...
     let ctl_task = ctl.task();
@@ -309,26 +310,22 @@ fn control_loop_soak_across_shifting_elephants() {
         .unwrap_or(4);
     let log = Arc::new(Mutex::new(Vec::new()));
     let (pipe, rm) = recorder_pipeline("auto-soak", &log);
-    let cfg = ControlConfig {
-        policy: WeightedRebalancePolicy {
-            base: RebalancePolicy {
-                max_imbalance: 1.25,
-                min_samples: 48,
-            },
+    let controller = RebalanceController::new(
+        RebalancePolicy {
+            max_imbalance: 1.25,
+            min_samples: 48,
             pressure_weight: 1.0,
             decay: 0.75,
+            heavy_blend: 0.0,
         },
-        tick: Duration::from_millis(1),
-        max_tick: Duration::from_millis(4),
-        backoff: 2.0,
-        cooldown_ticks: 1,
-        heavy_blend: 0.0,
-    };
+        1,
+    );
     let ctl = ControlLoop::spawn(
         "auto-soak-control",
         Arc::clone(&pipe),
         Vec::new(),
-        cfg,
+        controller,
+        PeriodicSpec::every(Duration::from_millis(1)).with_backoff(2.0, Duration::from_millis(4)),
         Arc::clone(&rm),
     )
     .expect("loop spawns");
@@ -454,13 +451,12 @@ fn sim_control_run() -> SimRunHistory {
 
     let mut sim = Simulator::new(42);
     let ctl = RebalanceController::new(
-        WeightedRebalancePolicy {
-            base: RebalancePolicy {
-                max_imbalance: 1.25,
-                min_samples: 48,
-            },
+        RebalancePolicy {
+            max_imbalance: 1.25,
+            min_samples: 48,
             pressure_weight: 0.0, // the inline executor has no rings
             decay: 0.5,
+            heavy_blend: 0.0,
         },
         1,
     );
@@ -569,4 +565,55 @@ fn sim_drives_the_same_control_loop_deterministically() {
     assert_eq!(rerun.migrations, migrations);
     assert_eq!(rerun.received, received);
     assert_eq!(rerun.final_map, final_map);
+}
+
+// ------------------------- 4. a described controller, threaded loop
+
+#[test]
+fn described_hysteresis_core_runs_on_the_threaded_loop() {
+    // Regression: `ControlLoop::spawn` used to build its own weighted
+    // controller, so a described core could only run in the simulator.
+    const ARM: u64 = 2; // `stateful_edge_desc`'s band: enter 1.5, arm 2
+    let rm = Arc::new(ResourceManager::new());
+    let desc = stateful_edge_desc(&EdgeProfile::default());
+    let (pipe, binding) = Compiler::new()
+        .build_sharded(&desc, ShardSpec::new(2), Arc::clone(&rm))
+        .expect("edge builds");
+    let pipe = Arc::new(pipe);
+    let controller = binding
+        .controller()
+        .expect("control section compiles")
+        .expect("the edge has a control section");
+
+    // Every flow on shard 0, offered before the loop exists: the
+    // first tick already sees the skew; nothing arrives afterwards.
+    let ports = colocated_ports(&pipe.bucket_map(), 0, 6, 1000, &mut HashSet::new());
+    for seq in 0..96 {
+        pipe.dispatch(ports.iter().map(|&port| flow_packet(port, seq)).collect());
+    }
+    pipe.flush();
+
+    let ctl = ControlLoop::spawn(
+        "edge-control",
+        Arc::clone(&pipe),
+        Vec::new(),
+        controller,
+        PeriodicSpec::every(Duration::from_millis(1)).with_backoff(2.0, Duration::from_millis(4)),
+        rm,
+    )
+    .expect("loop spawns");
+    assert!(format!("{ctl:?}").contains("hysteresis core"), "{ctl:?}");
+    let deadline = Instant::now() + Duration::from_secs(10);
+    while ctl.stats().migrations == 0 && Instant::now() < deadline {
+        std::thread::sleep(Duration::from_millis(1));
+    }
+    let stats = ctl.stop();
+
+    // A weighted core migrates on the first judged window (zero
+    // holds); the band first sees the skew persist. Once migrated, the
+    // window is retired and the loop only gathers.
+    assert_eq!(stats.migrations, 1, "the described loop must act");
+    assert_eq!(stats.holds, ARM - 1, "armed only by persistent skew");
+    assert!(!pipe.bucket_map().is_identity(), "the herd was spread");
+    Arc::try_unwrap(pipe).expect("sole owner").shutdown();
 }

@@ -42,6 +42,7 @@ use std::time::{Duration, Instant};
 
 use netkit::kernel::fault::{FaultConfig, FaultPlan};
 use netkit::kernel::shard::ShardSpec;
+use netkit::kernel::task::PeriodicSpec;
 use netkit::opencom::capsule::Capsule;
 use netkit::opencom::meta::resources::{classes, ResourceManager};
 use netkit::opencom::runtime::Runtime;
@@ -50,10 +51,8 @@ use netkit::packet::flow::FlowKey;
 use netkit::packet::packet::{Packet, PacketBuilder};
 use netkit::packet::steer::BucketMap;
 use netkit::router::api::{register_packet_interfaces, BatchResult, IPacketPush, PushResult};
-use netkit::router::shard::control::{ControlConfig, ControlLoop};
-use netkit::router::shard::{
-    RebalancePolicy, ShardGraph, ShardedPipeline, WeightedRebalancePolicy,
-};
+use netkit::router::shard::control::ControlLoop;
+use netkit::router::shard::{RebalanceController, RebalancePolicy, ShardGraph, ShardedPipeline};
 use parking_lot::Mutex;
 
 const WORKERS: usize = 4;
@@ -247,21 +246,17 @@ fn chaos_round(seed: u64) -> u64 {
         &format!("chaos-{seed}-control"),
         Arc::clone(&pipe),
         Vec::new(),
-        ControlConfig {
-            policy: WeightedRebalancePolicy {
-                base: RebalancePolicy {
-                    max_imbalance: 1.25,
-                    min_samples: 1 << 20, // effectively: health turns only
-                },
+        RebalanceController::new(
+            RebalancePolicy {
+                max_imbalance: 1.25,
+                min_samples: 1 << 20, // effectively: health turns only
                 pressure_weight: 0.0,
                 decay: 0.5,
+                heavy_blend: 0.0,
             },
-            tick: Duration::from_millis(1),
-            max_tick: Duration::from_millis(8),
-            backoff: 2.0,
-            cooldown_ticks: 1,
-            heavy_blend: 0.0,
-        },
+            1,
+        ),
+        PeriodicSpec::every(Duration::from_millis(1)).with_backoff(2.0, Duration::from_millis(8)),
         Arc::clone(&rm),
     )
     .expect("loop spawns");

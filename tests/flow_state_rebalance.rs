@@ -37,7 +37,7 @@ use netkit::packet::headers::{proto, EtherType, EthernetHeader, Ipv4Header, MacA
 use netkit::packet::packet::Packet;
 use netkit::router::api::{register_packet_interfaces, IPacketPush, PushResult};
 use netkit::router::flow::{ConnState, ConnTracker};
-use netkit::router::shard::{RebalancePolicy, ShardGraph, ShardedPipeline};
+use netkit::router::shard::{RebalanceController, RebalancePolicy, ShardGraph, ShardedPipeline};
 use parking_lot::Mutex;
 
 const WORKERS: usize = 4;
@@ -173,14 +173,17 @@ fn connections_survive_a_mid_stream_migration() {
     }
 
     // --- the migration: a real profiled plan, mid-connection --------
+    let mut ctl = RebalanceController::new(
+        RebalancePolicy {
+            min_samples: 32,
+            pressure_weight: 0.0,
+            decay: 1.0,
+            ..RebalancePolicy::default()
+        },
+        0,
+    );
     let (plan, report) = pipe
-        .rebalance(
-            &RebalancePolicy {
-                max_imbalance: 1.25,
-                min_samples: 32,
-            },
-            &[],
-        )
+        .control_turn(&mut ctl, &[])
         .expect("full colocation must trigger");
     assert!(!plan.moved.is_empty());
     assert_eq!(report.dropped, 0);

@@ -34,9 +34,7 @@ use netkit::packet::packet::PacketBuilder;
 use netkit::packet::steer::RSS_BUCKETS;
 use netkit::router::api::register_packet_interfaces;
 use netkit::router::elements::Discard;
-use netkit::router::shard::{
-    RebalanceController, RebalancePolicy, ShardGraph, ShardedPipeline, WeightedRebalancePolicy,
-};
+use netkit::router::shard::{RebalanceController, RebalancePolicy, ShardGraph, ShardedPipeline};
 
 const WORKERS: usize = 2;
 const BUCKETS: usize = 8;
@@ -88,14 +86,13 @@ fn bucket_bytes() -> Vec<u64> {
     bytes
 }
 
-fn policy() -> WeightedRebalancePolicy {
-    WeightedRebalancePolicy {
-        base: RebalancePolicy {
-            max_imbalance: 1.25,
-            min_samples: 64,
-        },
+fn policy(heavy_blend: f64) -> RebalancePolicy {
+    RebalancePolicy {
+        max_imbalance: 1.25,
+        min_samples: 64,
         pressure_weight: 0.0,
         decay: 0.5,
+        heavy_blend,
     }
 }
 
@@ -111,7 +108,7 @@ fn bottleneck_share(map: &netkit::packet::steer::BucketMap) -> f64 {
 fn sketch_evidence_recovers_byte_skew_the_packet_window_hides() {
     // --- 1. packet-only controller: provably nothing to act on ------
     let pipe = pipeline("hh-uniform");
-    let mut packets_only = RebalanceController::new(policy(), 0);
+    let mut packets_only = RebalanceController::new(policy(0.0), 0);
     pipe.dispatch(round());
     pipe.flush();
     let window = pipe.bucket_loads();
@@ -140,7 +137,7 @@ fn sketch_evidence_recovers_byte_skew_the_packet_window_hides() {
 
     // --- 2. sketch-informed controller: migrates on byte evidence ---
     let pipe = pipeline("hh-blended");
-    let mut blended = RebalanceController::new(policy(), 0).with_heavy_hitters(1.0);
+    let mut blended = RebalanceController::new(policy(1.0), 0);
     pipe.dispatch(round());
     pipe.flush();
     let heavy = pipe.heavy_hitters();

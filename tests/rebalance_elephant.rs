@@ -39,7 +39,7 @@ use netkit::packet::batch::PacketBatch;
 use netkit::packet::flow::FlowKey;
 use netkit::packet::packet::{Packet, PacketBuilder};
 use netkit::router::api::{register_packet_interfaces, IPacketPush, PushResult};
-use netkit::router::shard::{RebalancePolicy, ShardGraph, ShardedPipeline};
+use netkit::router::shard::{RebalanceController, RebalancePolicy, ShardGraph, ShardedPipeline};
 use parking_lot::Mutex;
 
 const WORKERS: usize = 4;
@@ -177,9 +177,16 @@ fn rebalanced_pipeline_is_equivalent_and_recovers_load() {
     dispatch_all(&reb_pipe, &pkts[..prefix]);
     reb_pipe.flush(); // close the profiling window
 
-    let policy = RebalancePolicy::default();
+    let mut ctl = RebalanceController::new(
+        RebalancePolicy {
+            pressure_weight: 0.0,
+            decay: 1.0,
+            ..RebalancePolicy::default()
+        },
+        0,
+    );
     let (plan, report) = reb_pipe
-        .rebalance(&policy, &[])
+        .control_turn(&mut ctl, &[])
         .expect("total colocation must trigger the policy");
     assert!(plan.imbalance_before > 3.9, "statically ~4x the ideal");
     assert!(plan.imbalance_after < plan.imbalance_before);
