@@ -7,7 +7,8 @@
 //! language compiled **once** into a flat element graph dispatched by
 //! index — no interface tables, no receptacles, no meta-models, and *no
 //! way to change the graph after [`ClickRouter::compile`]*. It is the
-//! "configuration but not reconfiguration" comparator for experiment E6.
+//! "configuration but not reconfiguration" comparator the ledger
+//! prices (`baselines.click.bare_ns`, `baselines.click.edge_ns`).
 //!
 //! ## Config language
 //!
@@ -501,11 +502,6 @@ impl ClickRouter {
         Ok(rule)
     }
 
-    /// Index of the named element.
-    pub fn element_index(&self, name: &str) -> Option<usize> {
-        self.by_name.get(name).copied()
-    }
-
     /// Number of compiled elements.
     pub fn element_count(&self) -> usize {
         self.elements.len()
@@ -529,7 +525,7 @@ impl ClickRouter {
     /// Pushes a burst of packets into the named element: the entry is
     /// resolved once and each packet then walks the static graph. This is
     /// the baseline's analogue of the component router's `push_batch`,
-    /// keeping the E6 batch-size series apples-to-apples.
+    /// keeping the ledger's per-burst comparison apples-to-apples.
     ///
     /// # Panics
     ///
@@ -952,7 +948,7 @@ mod tests {
         // intended limitation by exercising the full public surface.
         let router = ClickRouter::compile("a :: Counter;").unwrap();
         assert_eq!(router.element_count(), 1);
-        assert!(router.element_index("a").is_some());
-        assert!(router.element_index("b").is_none());
+        assert!(router.by_name.contains_key("a"));
+        assert!(!router.by_name.contains_key("b"));
     }
 }

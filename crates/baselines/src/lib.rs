@@ -1,7 +1,8 @@
 //! # netkit-baselines — the paper's comparators
 //!
 //! Paper §6 positions the Router CF against two architectural extremes,
-//! both reproduced here for the forwarding experiment (E6):
+//! both reproduced here for the forwarding comparison (the ledger's
+//! `baselines.*` rows):
 //!
 //! * [`click`] — a **Click-like statically-configured router**: a config
 //!   language compiled once into an index-dispatched element graph.

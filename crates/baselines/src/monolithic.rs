@@ -1,5 +1,5 @@
 //! A hand-coded monolithic IPv4 forwarder: the performance *lower bound*
-//! for experiment E6.
+//! of the forwarding comparison.
 //!
 //! Everything a Fig-3 pipeline does — protocol recognition, header
 //! validation, TTL, route lookup, queueing — in one straight-line
@@ -123,7 +123,7 @@ impl MonolithicForwarder {
     /// The data path over a burst: per-packet results identical to
     /// repeated [`Self::forward`] calls, with the stats lock taken once
     /// per burst instead of once per packet — the monolithic analogue of
-    /// the component router's `push_batch`, used by the E6 batch series.
+    /// the component router's `push_batch`.
     pub fn forward_batch(
         &self,
         pkts: impl IntoIterator<Item = Packet>,

@@ -1,27 +1,24 @@
-//! Shared rigs for the experiment benches (see DESIGN.md §4 for the
-//! experiment index E1–E9 and EXPERIMENTS.md for results).
+//! Shared rigs for the criterion targets under `benches/` — the
+//! paper's own series (call overhead, interception, isolation,
+//! footprint, placement, scheduling, signaling, the city). The
+//! wire-to-wire figures live in the ledger (`benchmark/`); NOTES.md
+//! lists the series it superseded.
 //!
 //! Everything here builds *measurable* configurations: component
-//! pipelines of parametric length, equivalent Click configs, routing
-//! tables of parametric size, and canned packets.
+//! pipelines of parametric length and canned packets.
 
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use opencom::capsule::Capsule;
 use opencom::cf::Principal;
 use opencom::error::Result;
 use opencom::ident::ComponentId;
-use opencom::meta::resources::ResourceManager;
 use opencom::runtime::Runtime;
 
-use netkit_kernel::shard::ShardSpec;
 use netkit_packet::packet::{Packet, PacketBuilder};
 use netkit_router::api::{register_packet_interfaces, IPacketPush, IPACKET_PUSH};
 use netkit_router::cf::RouterCf;
 use netkit_router::elements::{Counter, Discard};
-use netkit_router::routing::{RouteEntry, RoutingTable};
-use netkit_router::shard::{ShardGraph, ShardedPipeline};
 
 /// A ready-to-push component pipeline and the handles the benches need.
 pub struct PipelineRig {
@@ -91,134 +88,7 @@ pub fn netkit_chain(n: usize) -> Result<PipelineRig> {
     })
 }
 
-static SHARD_RIG_IDS: AtomicU64 = AtomicU64::new(0);
-
-/// Builds a [`ShardedPipeline`] whose every shard replicates the
-/// [`netkit_chain`] graph (`n` Counter stages into a Discard), plus the
-/// per-shard sinks for verification. Task names are auto-uniqued so many
-/// rigs can share a process.
-///
-/// # Errors
-///
-/// Propagates capsule/CF failures (none expected in a bench rig).
-pub fn netkit_sharded_chain(
-    n: usize,
-    spec: ShardSpec,
-) -> Result<(ShardedPipeline, Vec<Arc<Discard>>)> {
-    let rm = Arc::new(ResourceManager::new());
-    let name = format!(
-        "bench-sharded-{}",
-        SHARD_RIG_IDS.fetch_add(1, Ordering::Relaxed)
-    );
-    let sinks = Arc::new(parking_lot::Mutex::new(Vec::new()));
-    let sinks_slot = Arc::clone(&sinks);
-    let pipe = ShardedPipeline::build(&name, spec, rm, move |_shard| {
-        let rig = netkit_chain(n)?;
-        sinks_slot.lock().push(Arc::clone(&rig.sink));
-        let entry = Arc::clone(&rig.entry);
-        let components = rig.stages.clone();
-        // The shard graph owns the capsule; the rig's other handles drop.
-        Ok(ShardGraph::new(Arc::clone(&rig.capsule), entry).with_components(components))
-    })?;
-    let sinks = std::mem::take(&mut *sinks.lock());
-    Ok((pipe, sinks))
-}
-
-/// The equivalent Click configuration: `n` Counter stages into a
-/// Discard.
-pub fn click_chain_config(n: usize) -> String {
-    use std::fmt::Write as _;
-    let mut cfg = String::new();
-    for i in 0..n {
-        let _ = writeln!(cfg, "c{i} :: Counter;");
-    }
-    let _ = writeln!(cfg, "sink :: Discard;");
-    for i in 0..n.saturating_sub(1) {
-        let _ = writeln!(cfg, "c{i} -> c{};", i + 1);
-    }
-    if n > 0 {
-        let _ = writeln!(cfg, "c{} -> sink;", n - 1);
-    }
-    cfg
-}
-
-/// A routing table with `n` /24 prefixes spread over 10/8, cycling over
-/// `ports` egress ports. Deterministic.
-pub fn routing_table(n: usize, ports: u16) -> RoutingTable {
-    let mut table = RoutingTable::new();
-    for i in 0..n {
-        let b = (i >> 8) as u8;
-        let c = (i & 0xff) as u8;
-        table.add(
-            &format!("10.{b}.{c}.0/24"),
-            RouteEntry {
-                egress: (i as u16) % ports,
-                next_hop: None,
-            },
-        );
-    }
-    table
-}
-
-/// The shared stateful-edge topology (guard → conntrack → NAT44 →
-/// egress) compiled from the declarative description in
-/// [`netkit_services::edge`], with a NAT pool of `pool` ports. One
-/// worker, deterministic — the component contender for the
-/// stateful-edge like-for-like series.
-///
-/// # Errors
-///
-/// Propagates description-validation failures (none expected for the
-/// canonical profile).
-pub fn netkit_stateful_edge(
-    pool: u16,
-) -> Result<(
-    netkit_router::shard::ShardedPipeline<netkit_kernel::shard::InlinePool>,
-    netkit_router::desc::DescBinding,
-)> {
-    let profile = netkit_services::edge::EdgeProfile {
-        nat_blocks: 1,
-        nat_block_size: pool,
-        ..netkit_services::edge::EdgeProfile::default()
-    };
-    netkit_services::edge::build_stateful_edge(&profile, 1, Arc::new(ResourceManager::new()))
-}
-
-/// The equivalent Click configuration for the stateful edge: the same
-/// chain and knobs as [`netkit_stateful_edge`], in the baseline's
-/// config language (`ConnTracker`/`Guard`/`Nat44` classes).
-pub fn click_stateful_edge_config(pool: usize) -> String {
-    format!(
-        "guard :: Guard(1048576);\n\
-         ct :: ConnTracker(4096);\n\
-         nat :: Nat44(192.0.2.1, 10000, {pool});\n\
-         sink :: Discard;\n\
-         guard -> ct -> nat -> sink;\n"
-    )
-}
-
-/// The monolithic stateful edge with the same knobs as
-/// [`netkit_stateful_edge`] — the straight-line lower bound.
-pub fn monolithic_stateful_edge(pool: usize) -> netkit_baselines::MonolithicStatefulEdge {
-    netkit_baselines::MonolithicStatefulEdge::new(
-        1 << 20,
-        4_096,
-        std::net::Ipv4Addr::new(192, 0, 2, 1),
-        10_000,
-        pool,
-    )
-}
-
-/// A canned UDP packet for flow number `flow` headed through the
-/// stateful edge (distinct flows get distinct NAT bindings).
-pub fn edge_packet(flow: u16) -> Packet {
-    PacketBuilder::udp_v4("10.0.0.5", "203.0.113.9", flow, 443)
-        .payload_len(64)
-        .build()
-}
-
-/// A canned 64-byte-payload UDP packet to a destination inside
-/// [`routing_table`]'s space.
+/// A canned 64-byte-payload UDP packet.
 pub fn test_packet() -> Packet {
     PacketBuilder::udp_v4("192.0.2.1", "10.0.7.9", 5000, 5001)
         .payload_len(64)
@@ -236,6 +106,58 @@ pub fn test_packet_sized(payload: usize) -> Packet {
 mod tests {
     use super::*;
     use netkit_baselines::click::ClickRouter;
+    use opencom::meta::resources::ResourceManager;
+
+    /// The shared stateful-edge topology (guard → conntrack → NAT44 →
+    /// egress) compiled from the declarative description in
+    /// [`netkit_services::edge`], with a NAT pool of `pool` ports. One
+    /// worker, deterministic — the component contender.
+    fn netkit_stateful_edge(
+        pool: u16,
+    ) -> Result<(
+        netkit_router::shard::ShardedPipeline<netkit_kernel::shard::InlinePool>,
+        netkit_router::desc::DescBinding,
+    )> {
+        let profile = netkit_services::edge::EdgeProfile {
+            nat_blocks: 1,
+            nat_block_size: pool,
+            ..netkit_services::edge::EdgeProfile::default()
+        };
+        netkit_services::edge::build_stateful_edge(&profile, 1, Arc::new(ResourceManager::new()))
+    }
+
+    /// The equivalent Click configuration for the stateful edge: the same
+    /// chain and knobs as [`netkit_stateful_edge`], in the baseline's
+    /// config language (`ConnTracker`/`Guard`/`Nat44` classes).
+    fn click_stateful_edge_config(pool: usize) -> String {
+        format!(
+            "guard :: Guard(1048576);\n\
+             ct :: ConnTracker(4096);\n\
+             nat :: Nat44(192.0.2.1, 10000, {pool});\n\
+             sink :: Discard;\n\
+             guard -> ct -> nat -> sink;\n"
+        )
+    }
+
+    /// The monolithic stateful edge with the same knobs as
+    /// [`netkit_stateful_edge`] — the straight-line lower bound.
+    fn monolithic_stateful_edge(pool: usize) -> netkit_baselines::MonolithicStatefulEdge {
+        netkit_baselines::MonolithicStatefulEdge::new(
+            1 << 20,
+            4_096,
+            std::net::Ipv4Addr::new(192, 0, 2, 1),
+            10_000,
+            pool,
+        )
+    }
+
+    /// A canned UDP packet for flow number `flow` headed through the
+    /// stateful edge (distinct flows get distinct NAT bindings).
+    fn edge_packet(flow: u16) -> Packet {
+        PacketBuilder::udp_v4("10.0.0.5", "203.0.113.9", flow, 443)
+            .payload_len(64)
+            .build()
+    }
 
     #[test]
     fn netkit_chain_counts_through_all_stages() {
@@ -245,18 +167,10 @@ mod tests {
     }
 
     #[test]
-    fn click_chain_config_compiles_and_runs() {
-        let router = ClickRouter::compile(&click_chain_config(5)).unwrap();
-        router.push("c0", test_packet());
-        assert_eq!(router.count("sink"), Some(1));
-        assert_eq!(router.element_count(), 6);
-    }
-
-    #[test]
     fn stateful_edge_contenders_agree_on_exhaustion() {
         // Six distinct flows through a four-port NAT pool: every
         // contender must deliver four and drop two — the like-for-like
-        // contract behind the stateful-edge bench series.
+        // contract behind the ledger's `baselines.*.edge_ns` rows.
         let flows: Vec<u16> = (5_001..=5_006).collect();
 
         let (pipe, _binding) = netkit_stateful_edge(4).unwrap();
@@ -269,6 +183,8 @@ mod tests {
         }
         assert_eq!(click.count("sink"), Some(4));
         assert_eq!(click.stateful_drops("nat"), Some(2));
+        assert_eq!(click.tracked_flows("ct"), Some(6));
+        assert_eq!(click.nat_ports_in_use("nat"), Some(4));
 
         let mono = monolithic_stateful_edge(4);
         let outcomes: Vec<bool> = flows
@@ -334,13 +250,5 @@ mod tests {
         click.push("guard", edge_packet(5_005));
         assert_eq!(click.count("sink"), Some(8));
         assert!(mono.process(&mut edge_packet(5_005)).is_ok());
-    }
-
-    #[test]
-    fn routing_table_spreads_ports() {
-        let table = routing_table(512, 4);
-        let hit = table.lookup("10.0.7.9".parse().unwrap()).unwrap();
-        assert!(hit.egress < 4);
-        assert_eq!(table.len().0, 512);
     }
 }

@@ -262,7 +262,7 @@ impl Executor {
 
     /// Runs one scheduling quantum. Returns the task that ran, or `None`
     /// if nothing was runnable.
-    pub fn run_slice(&self) -> Option<TaskId> {
+    fn run_slice(&self) -> Option<TaskId> {
         let mut inner = self.inner.lock();
         // Prefer non-idle tasks; fall back to idle ones so they can poll.
         let runnable: Vec<TaskView> = inner
@@ -319,11 +319,6 @@ impl Executor {
     /// Number of live tasks.
     pub fn task_count(&self) -> usize {
         self.inner.lock().tasks.len()
-    }
-
-    /// Cycles consumed by `id` so far, if alive.
-    pub fn cycles_used(&self, id: TaskId) -> Option<u64> {
-        self.inner.lock().tasks.get(&id).map(|t| t.view.cycles_used)
     }
 
     /// Name of task `id`, if alive.
@@ -488,7 +483,6 @@ mod tests {
         let id = exec.spawn("worker", 0, 1, Box::new(|| (TaskStatus::Ready, 17)));
         exec.run_slice();
         exec.run_slice();
-        assert_eq!(exec.cycles_used(id), Some(34));
         let (slices, cycles) = exec.stats();
         assert_eq!((slices, cycles), (2, 34));
         assert_eq!(exec.task_name(id).as_deref(), Some("worker"));

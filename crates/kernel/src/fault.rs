@@ -7,32 +7,26 @@
 //! shared by every lane of the router's chaos tests, so a failing seed
 //! reproduces bit-for-bit.
 //!
-//! One plan bundles the three fault families the chaos suite needs:
+//! One plan bundles the two fault families the chaos suite needs:
 //!
 //! * **Crash** — [`FaultPlan::should_panic`] fires exactly once, on the
 //!   configured n-th packet ([`FaultConfig::panic_on_nth`]). An element
 //!   wrapper calls it per packet and panics when it returns true,
 //!   killing that worker mid-run — the trigger for the
 //!   respawn/quarantine recovery path.
-//! * **Wire faults** — [`FaultPlan::rx_action`] draws a deterministic
+//! * **Wire faults** — [`FaultPlan::inject_rx`] draws a deterministic
 //!   [`RxFault`] per frame (drop / corrupt / duplicate / deliver) from
-//!   the seeded RNG; [`FaultPlan::inject_rx`] applies it in front of a
-//!   [`Nic`]'s rx path. Every injected fault is counted on the plan
+//!   the seeded RNG and applies it in front of a [`Nic`]'s rx path. Every injected fault is counted on the plan
 //!   ([`FaultPlan::stats`]) so tests can close the loss-accounting
 //!   books: frames the plan dropped or duplicated are *expected*
 //!   deviations, anything else is a real bug.
-//! * **Ring pressure** — [`FaultPlan::hold`] wedges cooperating
-//!   handlers (they call [`FaultPlan::wait_if_held`] per item) so
-//!   submissions pile up behind a stalled worker and the ring-full
-//!   paths are exercised on demand; [`FaultPlan::release`] lets the
-//!   backlog drain.
 //!
 //! The plan is `Sync` and cheap to share (`Arc<FaultPlan>`); all
 //! counters are atomics and the RNG sits behind a mutex that is only
 //! touched on the rx-injection path.
 
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Condvar, Mutex};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Mutex;
 
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
@@ -40,7 +34,7 @@ use rand::{Rng, SeedableRng};
 use crate::nic::Nic;
 
 /// What to do with one received frame — drawn deterministically from
-/// the plan's seeded RNG by [`FaultPlan::rx_action`].
+/// the plan's seeded RNG by [`FaultPlan::inject_rx`].
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum RxFault {
     /// Deliver the frame unmodified (the overwhelmingly common case).
@@ -139,9 +133,6 @@ pub struct FaultPlan {
     rx_corrupted: AtomicU64,
     rx_duplicated: AtomicU64,
     panics_fired: AtomicU64,
-    held: AtomicBool,
-    hold_gate: Mutex<()>,
-    hold_cv: Condvar,
 }
 
 impl FaultPlan {
@@ -157,9 +148,6 @@ impl FaultPlan {
             rx_corrupted: AtomicU64::new(0),
             rx_duplicated: AtomicU64::new(0),
             panics_fired: AtomicU64::new(0),
-            held: AtomicBool::new(false),
-            hold_gate: Mutex::new(()),
-            hold_cv: Condvar::new(),
         }
     }
 
@@ -189,15 +177,10 @@ impl FaultPlan {
         false
     }
 
-    /// Packets observed via [`Self::should_panic`] so far.
-    pub fn packets_seen(&self) -> u64 {
-        self.packets_seen.load(Ordering::Relaxed)
-    }
-
     /// Draws the fault for the next rx frame from the seeded RNG and
     /// counts it. Deterministic: same seed, same call sequence, same
     /// schedule.
-    pub fn rx_action(&self) -> RxFault {
+    fn rx_action(&self) -> RxFault {
         self.rx_frames.fetch_add(1, Ordering::Relaxed);
         let mut rng = self.rng.lock().unwrap_or_else(|e| e.into_inner());
         // Fixed evaluation order keeps the schedule a pure function of
@@ -248,38 +231,6 @@ impl FaultPlan {
             }
         };
         (action, delivered)
-    }
-
-    /// Starts forced ring pressure: cooperating handlers block in
-    /// [`Self::wait_if_held`] until [`Self::release`], so upstream
-    /// rings fill and the ring-full drop/backpressure paths run.
-    pub fn hold(&self) {
-        self.held.store(true, Ordering::SeqCst);
-    }
-
-    /// Ends forced ring pressure and wakes every blocked handler.
-    pub fn release(&self) {
-        self.held.store(false, Ordering::SeqCst);
-        let _gate = self.hold_gate.lock().unwrap_or_else(|e| e.into_inner());
-        self.hold_cv.notify_all();
-    }
-
-    /// True while [`Self::hold`] pressure is active.
-    pub fn is_held(&self) -> bool {
-        self.held.load(Ordering::SeqCst)
-    }
-
-    /// Blocks while the plan is held ([`Self::hold`]); returns
-    /// immediately otherwise. Fault-injection wrappers call this per
-    /// item to let a test wedge a worker at a deterministic point.
-    pub fn wait_if_held(&self) {
-        if !self.is_held() {
-            return;
-        }
-        let mut gate = self.hold_gate.lock().unwrap_or_else(|e| e.into_inner());
-        while self.held.load(Ordering::SeqCst) {
-            gate = self.hold_cv.wait(gate).unwrap_or_else(|e| e.into_inner());
-        }
     }
 
     /// Snapshot of everything the plan has done so far.
@@ -339,7 +290,7 @@ mod tests {
             [false, false, false, false, true, false, false, false, false, false]
         );
         assert_eq!(plan.stats().panics_fired, 1);
-        assert_eq!(plan.packets_seen(), 10);
+        assert_eq!(plan.packets_seen.load(Ordering::Relaxed), 10);
     }
 
     #[test]
@@ -363,25 +314,5 @@ mod tests {
         // Coarse sanity on the mix (deterministic given the seed).
         assert!(seen[1] > 1600 && seen[1] < 2500, "drop ≈ 50%: {}", seen[1]);
         assert!(seen[3] > 700 && seen[3] < 1400, "dup ≈ 25%: {}", seen[3]);
-    }
-
-    #[test]
-    fn hold_release_gates_cooperating_workers() {
-        use std::sync::Arc;
-        let plan = Arc::new(FaultPlan::benign(3));
-        plan.hold();
-        let worker = {
-            let plan = Arc::clone(&plan);
-            std::thread::spawn(move || {
-                plan.wait_if_held();
-                true
-            })
-        };
-        assert!(plan.is_held());
-        // The worker is (or will be) parked; release must wake it.
-        std::thread::sleep(std::time::Duration::from_millis(10));
-        plan.release();
-        assert!(worker.join().unwrap());
-        assert!(!plan.is_held());
     }
 }

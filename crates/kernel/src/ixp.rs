@@ -55,7 +55,7 @@ pub enum MemoryRegion {
 
 impl MemoryRegion {
     /// Access latency in processor cycles.
-    pub const fn access_cycles(&self) -> u64 {
+    const fn access_cycles(&self) -> u64 {
         match self {
             MemoryRegion::Scratchpad => 1,
             MemoryRegion::Sram => 8,
@@ -64,7 +64,7 @@ impl MemoryRegion {
     }
 
     /// Capacity in bytes.
-    pub const fn capacity_bytes(&self) -> u64 {
+    const fn capacity_bytes(&self) -> u64 {
         match self {
             MemoryRegion::Scratchpad => 4 * 1024,
             MemoryRegion::Sram => 8 * 1024 * 1024,
@@ -138,7 +138,7 @@ impl StageProfile {
     }
 
     /// Raw memory stall cycles per packet (before latency hiding).
-    pub fn mem_stall_cycles(&self) -> u64 {
+    fn mem_stall_cycles(&self) -> u64 {
         self.mem_refs
             .iter()
             .map(|(region, count)| region.access_cycles() * *count as u64)

@@ -22,7 +22,7 @@
 //!   across workers.
 //! * [`fault`] — seeded, replayable fault-injection plans
 //!   ([`fault::FaultPlan`]: crash-on-nth-packet, wire drop/corrupt/
-//!   duplicate, forced ring pressure) shared by the chaos tests.
+//!   duplicate) shared by the chaos tests.
 //! * [`task`] — supervised periodic background tasks with idle backoff
 //!   ([`task::PeriodicTask`]), the cadence primitive autonomous
 //!   control loops run on.

@@ -115,7 +115,7 @@ impl MemoryAccountant {
     }
 
     /// Bytes in use across all owners.
-    pub fn total_used(&self) -> u64 {
+    fn total_used(&self) -> u64 {
         *self.total_used.lock()
     }
 

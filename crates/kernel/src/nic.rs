@@ -264,11 +264,6 @@ impl Nic {
         self
     }
 
-    /// The attached rx buffer pool, if any.
-    pub fn buffer_pool(&self) -> Option<&BufferPool> {
-        self.pool.as_ref()
-    }
-
     /// Installs a new RSS indirection table. Frames injected afterwards
     /// steer by it (entries reduce `% queues` defensively, so a table
     /// built for fewer shards than queues is still safe). Frames
@@ -294,11 +289,6 @@ impl Nic {
     /// Number of rx/tx queue pairs.
     pub fn queues(&self) -> usize {
         self.rx.len()
-    }
-
-    /// The link rate in bits per second.
-    pub fn link_bps(&self) -> u64 {
-        self.link_bps
     }
 
     /// Nanoseconds to serialise `bytes` onto the wire at the link rate.
@@ -383,7 +373,7 @@ impl Nic {
     }
 
     /// Frames currently waiting across all rx queues.
-    pub fn rx_pending(&self) -> usize {
+    fn rx_pending(&self) -> usize {
         self.rx.iter().map(|ring| ring.rx.len()).sum()
     }
 
@@ -462,7 +452,7 @@ impl Nic {
     }
 
     /// Frames currently waiting across all tx queues.
-    pub fn tx_pending(&self) -> usize {
+    fn tx_pending(&self) -> usize {
         self.tx.iter().map(|ring| ring.rx.len()).sum()
     }
 
@@ -599,7 +589,6 @@ mod tests {
     fn pooled_rx_frames_recycle_through_packets() {
         let pool = BufferPool::new(2048, 0, 8);
         let nic = Nic::with_queues(PortId(0), 2, 8, 8, 1_000_000).with_buffer_pool(pool.clone());
-        assert!(nic.buffer_pool().is_some());
         let wire = PacketBuilder::udp_v4("10.0.0.1", "10.0.0.2", 1234, 80).build();
         let key = FlowKey::from_packet(&wire).unwrap();
         let queue = (key.rss_hash() % 2) as usize;

@@ -125,14 +125,9 @@ struct TaskShared {
     stop: Mutex<bool>,
     wake: Condvar,
     ticks: AtomicU64,
-    progress: AtomicU64,
-    idle: AtomicU64,
     panics: AtomicU64,
     interval_nanos: AtomicU64,
     running: AtomicBool,
-    /// Set by `nudge()`: the sleeping loop cuts its wait short and
-    /// ticks now instead of waiting out a backed-off interval.
-    nudged: AtomicBool,
 }
 
 /// A supervised background thread ticking a closure on an adaptive
@@ -157,12 +152,9 @@ impl PeriodicTask {
             stop: Mutex::new(false),
             wake: Condvar::new(),
             ticks: AtomicU64::new(0),
-            progress: AtomicU64::new(0),
-            idle: AtomicU64::new(0),
             panics: AtomicU64::new(0),
             interval_nanos: AtomicU64::new(spec.interval.as_nanos() as u64),
             running: AtomicBool::new(true),
-            nudged: AtomicBool::new(false),
         });
         let worker = Arc::clone(&shared);
         let handle = std::thread::Builder::new()
@@ -176,9 +168,6 @@ impl PeriodicTask {
                         let mut stopped = worker.stop.lock().unwrap_or_else(|e| e.into_inner());
                         let mut left = current;
                         while !*stopped && !left.is_zero() {
-                            if worker.nudged.swap(false, Ordering::SeqCst) {
-                                break; // tick now, don't wait out backoff
-                            }
                             let before = std::time::Instant::now();
                             let (guard, timeout) = worker
                                 .wake
@@ -203,11 +192,9 @@ impl PeriodicTask {
                     });
                     match outcome {
                         TickOutcome::Progress => {
-                            worker.progress.fetch_add(1, Ordering::Relaxed);
                             current = spec.interval;
                         }
                         TickOutcome::Idle => {
-                            worker.idle.fetch_add(1, Ordering::Relaxed);
                             current = Duration::from_secs_f64(
                                 (current.as_secs_f64() * spec.backoff)
                                     .min(spec.max_interval.as_secs_f64()),
@@ -239,19 +226,6 @@ impl PeriodicTask {
         self.shared.ticks.load(Ordering::Relaxed)
     }
 
-    /// Ticks that reported [`TickOutcome::Progress`].
-    pub fn progress_ticks(&self) -> u64 {
-        self.shared.progress.load(Ordering::Relaxed)
-    }
-
-    /// Ticks that reported [`TickOutcome::Idle`] — panicked ticks are
-    /// counted here too (supervision treats them as idle), exactly
-    /// once, so `progress_ticks() + idle_ticks() == ticks()` for a
-    /// finished loop.
-    pub fn idle_ticks(&self) -> u64 {
-        self.shared.idle.load(Ordering::Relaxed)
-    }
-
     /// Ticks whose closure panicked (the task survived each).
     pub fn panics(&self) -> u64 {
         self.shared.panics.load(Ordering::Relaxed)
@@ -265,22 +239,8 @@ impl PeriodicTask {
 
     /// False once the loop has exited (stopped, or the tick returned
     /// [`TickOutcome::Stop`]).
-    pub fn is_running(&self) -> bool {
+    fn is_running(&self) -> bool {
         self.shared.running.load(Ordering::Acquire)
-    }
-
-    /// Wakes a sleeping task to tick **now** instead of waiting out a
-    /// (possibly backed-off) interval. The cadence itself is untouched:
-    /// the nudged tick's outcome decides the next interval as usual
-    /// (`Progress` snaps to base). Use when an external observer
-    /// already knows there is work — e.g. a caller that just saw a
-    /// worker die nudges the control loop so the health turn runs
-    /// promptly even deep into idle backoff. Idempotent; a nudge while
-    /// mid-tick makes the next sleep a no-op rather than stacking.
-    pub fn nudge(&self) {
-        self.shared.nudged.store(true, Ordering::SeqCst);
-        let _stopped = self.shared.stop.lock().unwrap_or_else(|e| e.into_inner());
-        self.shared.wake.notify_all();
     }
 
     /// Signals the task to stop and joins its thread. A sleeping task
@@ -390,8 +350,6 @@ mod tests {
             wait_for(|| task.current_interval() == Duration::from_micros(100)),
             "a progress tick must snap the interval back to base"
         );
-        assert!(task.idle_ticks() > 0);
-        assert!(task.progress_ticks() > 0);
         task.stop();
     }
 
@@ -419,30 +377,6 @@ mod tests {
             "the loop must survive a panicking tick and keep ticking"
         );
         assert!(task.is_running());
-        assert_eq!(task.progress_ticks(), 0);
-        task.stop();
-    }
-
-    #[test]
-    fn nudge_cuts_a_backed_off_sleep_short() {
-        let spec = PeriodicSpec::every(Duration::from_micros(100))
-            .with_backoff(1000.0, Duration::from_secs(60));
-        let task = PeriodicTask::spawn("nudged", spec, || TickOutcome::Idle);
-        // Let it back off to the (minute-long) cap.
-        assert!(
-            wait_for(|| task.current_interval() >= Duration::from_secs(60)),
-            "idle ticks must reach the cap"
-        );
-        let before_ticks = task.ticks();
-        let started = Instant::now();
-        task.nudge();
-        // Without the nudge the next tick is a minute away; with it,
-        // the tick fires promptly.
-        assert!(
-            wait_for(|| task.ticks() > before_ticks),
-            "nudge must force a prompt tick"
-        );
-        assert!(started.elapsed() < Duration::from_secs(5));
         task.stop();
     }
 

@@ -114,22 +114,6 @@ impl VirtualClock {
     pub fn advance(&self, nanos: u64) -> SimTime {
         SimTime(self.nanos.fetch_add(nanos, Ordering::AcqRel) + nanos)
     }
-
-    /// Moves the clock forward to `to` if `to` is later; returns the
-    /// current instant either way. The clock never goes backwards.
-    pub fn advance_to(&self, to: SimTime) -> SimTime {
-        let mut cur = self.nanos.load(Ordering::Acquire);
-        while to.0 > cur {
-            match self
-                .nanos
-                .compare_exchange_weak(cur, to.0, Ordering::AcqRel, Ordering::Acquire)
-            {
-                Ok(_) => return to,
-                Err(actual) => cur = actual,
-            }
-        }
-        SimTime(cur)
-    }
 }
 
 impl fmt::Debug for VirtualClock {
@@ -199,11 +183,6 @@ impl TimerQueue {
         fired
     }
 
-    /// The earliest pending deadline, if any.
-    pub fn next_deadline(&self) -> Option<SimTime> {
-        self.heap.lock().peek().map(|Reverse(t)| t.deadline)
-    }
-
     /// Number of pending timers.
     pub fn len(&self) -> usize {
         self.heap.lock().len()
@@ -231,10 +210,6 @@ mod tests {
         assert_eq!(clock.now(), SimTime::ZERO);
         clock.advance(100);
         assert_eq!(clock.now().as_nanos(), 100);
-        clock.advance_to(SimTime::from_nanos(50)); // earlier: no-op
-        assert_eq!(clock.now().as_nanos(), 100);
-        clock.advance_to(SimTime::from_micros(1));
-        assert_eq!(clock.now().as_nanos(), 1000);
     }
 
     #[test]
@@ -243,7 +218,6 @@ mod tests {
         let late = q.arm(SimTime::from_nanos(200));
         let early_a = q.arm(SimTime::from_nanos(100));
         let early_b = q.arm(SimTime::from_nanos(100));
-        assert_eq!(q.next_deadline(), Some(SimTime::from_nanos(100)));
         assert_eq!(q.expire(SimTime::from_nanos(99)), vec![]);
         assert_eq!(q.expire(SimTime::from_nanos(150)), vec![early_a, early_b]);
         assert_eq!(q.expire(SimTime::from_nanos(500)), vec![late]);

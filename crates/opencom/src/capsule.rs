@@ -26,8 +26,7 @@ use crate::meta::architecture::{ArchitectureMetaModel, BindingRecord};
 use crate::meta::resources::ResourceManager;
 use crate::runtime::{IsolationRegistry, Runtime};
 
-/// Which quiescence strategy a structural adaptation uses (ablated in
-/// experiment E4).
+/// Which quiescence strategy a structural adaptation uses.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
 pub enum Quiescence {
     /// Wait only for in-flight calls on the edges being rewired

@@ -224,7 +224,7 @@ impl Cf {
     }
 
     /// True if `id` is plugged into this CF.
-    pub fn is_member(&self, id: ComponentId) -> bool {
+    fn is_member(&self, id: ComponentId) -> bool {
         self.members.read().contains(&id)
     }
 

@@ -57,7 +57,7 @@ impl LifecycleState {
     }
 
     /// True if the transition `self -> to` is legal.
-    pub fn can_transition_to(&self, to: LifecycleState) -> bool {
+    fn can_transition_to(&self, to: LifecycleState) -> bool {
         use LifecycleState::*;
         matches!(
             (*self, to),

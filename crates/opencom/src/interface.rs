@@ -83,15 +83,6 @@ impl InterfaceRef {
     pub fn provider(&self) -> ComponentId {
         self.provider
     }
-
-    /// Re-attributes the reference to a different provider.
-    ///
-    /// Used by interception and IPC proxies, which substitute themselves
-    /// into a binding while preserving the logical provider identity.
-    pub fn with_provider(mut self, provider: ComponentId) -> Self {
-        self.provider = provider;
-        self
-    }
 }
 
 impl fmt::Debug for InterfaceRef {

@@ -142,7 +142,7 @@ impl IpcClient {
     }
 
     /// Number of calls issued through this client (diagnostics).
-    pub fn call_count(&self) -> u64 {
+    fn call_count(&self) -> u64 {
         self.calls.load(Ordering::Relaxed)
     }
 

@@ -6,7 +6,8 @@
 //! (enumerate, inspect, export to Graphviz) and *adaptation* (unbind,
 //! rebind, hot-replace, splice interceptors) at run time.
 //!
-//! Quiescence comes in two strengths (ablated in experiment E4):
+//! Quiescence comes in two strengths (both driven under load by
+//! `tests/reconfiguration_under_load.rs`):
 //!
 //! * **Per-edge** — every receptacle slot is guarded by a `RwLock`, so an
 //!   individual rebind waits only for in-flight calls through that edge.
@@ -286,27 +287,6 @@ impl ArchitectureMetaModel {
         Ok(())
     }
 
-    /// Rewrites every record whose `dst` is `old` to point at `new`
-    /// (called during hot-replacement).
-    pub fn retarget_dst(&self, old: ComponentId, new: ComponentId) {
-        let mut bindings = self.bindings.write();
-        for rec in bindings.values_mut() {
-            if rec.dst == old {
-                rec.dst = new;
-            }
-        }
-    }
-
-    /// Rewrites every record whose `src` is `old` to originate from `new`.
-    pub fn retarget_src(&self, old: ComponentId, new: ComponentId) {
-        let mut bindings = self.bindings.write();
-        for rec in bindings.values_mut() {
-            if rec.src == old {
-                rec.src = new;
-            }
-        }
-    }
-
     // ---- quiescence -----------------------------------------------------
 
     /// Acquires the full-graph quiescence lock for writing. Cooperative
@@ -447,8 +427,9 @@ mod tests {
             arch.insert_component(x);
         }
         let rec = record(aid, bid);
+        let edge = rec.id;
         arch.insert_binding(rec);
-        arch.retarget_dst(bid, b2id);
+        arch.update_binding(edge, |r| r.dst = b2id).unwrap();
         assert_eq!(arch.bindings_of(b2id).len(), 1);
         assert_eq!(arch.bindings_of(bid).len(), 0);
     }

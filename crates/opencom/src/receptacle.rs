@@ -128,7 +128,7 @@ impl<I: ?Sized + 'static> Receptacle<I> {
     }
 
     /// The interface type this receptacle requires.
-    pub fn interface_id(&self) -> InterfaceId {
+    fn interface_id(&self) -> InterfaceId {
         self.inner.iface_id
     }
 
@@ -151,7 +151,7 @@ impl<I: ?Sized + 'static> Receptacle<I> {
 
     /// Binds an interface under a label (used by classifiers and
     /// schedulers that select outputs by name).
-    pub fn bind_labelled(&self, label: impl Into<String>, iref: InterfaceRef) -> Result<()> {
+    fn bind_labelled(&self, label: impl Into<String>, iref: InterfaceRef) -> Result<()> {
         if iref.id() != self.inner.iface_id {
             return Err(Error::TypeMismatch {
                 expected: self.inner.iface_id,
@@ -205,7 +205,7 @@ impl<I: ?Sized + 'static> Receptacle<I> {
     /// # Errors
     ///
     /// Fails with [`Error::NotBound`] if no such binding exists.
-    pub fn unbind_labelled(&self, peer: ComponentId, label: &str) -> Result<()> {
+    fn unbind_labelled(&self, peer: ComponentId, label: &str) -> Result<()> {
         let mut slots = self.inner.slots.write();
         match slots
             .iter()
@@ -229,7 +229,7 @@ impl<I: ?Sized + 'static> Receptacle<I> {
     }
 
     /// Like [`Self::rebind`], but selects the slot by peer *and* label.
-    pub fn rebind_labelled(
+    fn rebind_labelled(
         &self,
         old_peer: ComponentId,
         label: &str,
@@ -312,16 +312,6 @@ impl<I: ?Sized + 'static> Receptacle<I> {
             .iter()
             .find(|s| s.label == label)
             .map(|s| Arc::clone(&s.iface))
-    }
-
-    /// Number of current bindings.
-    pub fn bound_count(&self) -> usize {
-        self.inner.slots.read().len()
-    }
-
-    /// True if at least one binding is present.
-    pub fn is_bound(&self) -> bool {
-        self.bound_count() > 0
     }
 
     /// Returns `(label, peer, interface ref)` for every binding — the
@@ -469,7 +459,7 @@ mod tests {
         rec.bind_labelled("a", a).unwrap();
         rec.bind_labelled("b", b).unwrap();
         assert!(rec.bind_labelled("c", c).is_err());
-        assert_eq!(rec.bound_count(), 2);
+        assert_eq!(rec.bindings().len(), 2);
     }
 
     #[test]

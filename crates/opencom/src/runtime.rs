@@ -60,7 +60,7 @@ impl IsolationRegistry {
     ///
     /// Fails with [`Error::UnknownComponentType`] if no skeleton factory
     /// is registered.
-    pub fn make_skeleton(&self, type_name: &str) -> Result<Arc<dyn IpcDispatch>> {
+    fn make_skeleton(&self, type_name: &str) -> Result<Arc<dyn IpcDispatch>> {
         let skeletons = self.skeletons.read();
         let factory = skeletons
             .get(type_name)

@@ -427,11 +427,6 @@ impl ShardSplit {
         &self.batch
     }
 
-    /// Gives the steered batch back, unchanged (aside from RSS stamps).
-    pub fn into_batch(self) -> PacketBatch {
-        self.batch
-    }
-
     /// Converts the split into a **shared** split: the parent batch
     /// stays whole behind one refcounted handle, and each shard's slice
     /// becomes a cheap [`SharedShardRange`] descriptor that can cross a
@@ -791,11 +786,6 @@ impl BatchPool {
         self.inner.free.lock().len()
     }
 
-    /// The packet capacity fresh containers are pre-sized for.
-    pub fn batch_capacity(&self) -> usize {
-        self.inner.capacity
-    }
-
     /// Snapshot of pool counters.
     pub fn stats(&self) -> BatchPoolStats {
         BatchPoolStats {
@@ -1125,8 +1115,8 @@ mod tests {
             for p in 1u16..=8 {
                 parent.push(pkt(p));
             }
-            let parent = split(parent, 2).into_batch();
-            assert_eq!(parent.len(), 8);
+            let parent = split(parent, 2);
+            assert_eq!(parent.batch().len(), 8);
             drop(parent);
             let s = pool.stats();
             assert_eq!(

@@ -33,7 +33,6 @@
 //! stamped with any value.
 
 use std::fmt;
-use std::hash::{Hash, Hasher};
 use std::net::{IpAddr, Ipv4Addr};
 
 use crate::headers::{
@@ -205,13 +204,6 @@ impl FlowKey {
         }
     }
 
-    /// A stable 64-bit hash of the tuple (for RSS-style spreading).
-    pub fn hash64(&self) -> u64 {
-        let mut hasher = std::collections::hash_map::DefaultHasher::new();
-        self.hash(&mut hasher);
-        hasher.finish()
-    }
-
     /// The direction-normalized key: the endpoint pair is sorted so
     /// both directions of a connection produce the *same* key —
     /// `canonical(a→b) == canonical(b→a)`. Address and port swap
@@ -267,10 +259,10 @@ impl FlowKey {
     /// reply of one connection always steer to the same worker, the
     /// invariant the per-shard single-writer flow tables rely on.
     ///
-    /// Unlike [`Self::hash64`] (tied to the std hasher implementation)
-    /// this is stable across runs, processes, and platforms, so
-    /// flow→queue placement decisions are reproducible — the property
-    /// the sharded dataplane's differential tests rely on.
+    /// It is stable across runs, processes, and platforms (no std
+    /// hasher involved), so flow→queue placement decisions are
+    /// reproducible — the property the sharded dataplane's
+    /// differential tests rely on.
     pub fn rss_hash(&self) -> u64 {
         fn octets(ip: IpAddr) -> ([u8; 16], usize) {
             match ip {
@@ -623,8 +615,8 @@ mod tests {
     #[test]
     fn hash_is_stable_per_key() {
         let a = key(1);
-        assert_eq!(a.hash64(), key(1).hash64());
-        assert_ne!(a.hash64(), key(2).hash64());
+        assert_eq!(a.rss_hash(), key(1).rss_hash());
+        assert_ne!(a.rss_hash(), key(2).rss_hash());
     }
 
     #[test]

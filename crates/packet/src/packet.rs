@@ -207,15 +207,6 @@ impl Packet {
         self.data.as_mut_slice()
     }
 
-    /// Consumes the packet, returning the buffer. A pooled buffer is
-    /// detached from its pool (it will not be recycled).
-    pub fn into_data(self) -> BytesMut {
-        match self.data {
-            PacketBuf::Heap(b) => b,
-            PacketBuf::Pooled(b) => b.into_bytes(),
-        }
-    }
-
     /// Consumes the packet, returning its frame storage as it is — the
     /// zero-copy tx hand-off: a pool-leased slab keeps its lease, and
     /// recycles when the consumer drops it. Metadata is discarded.
@@ -232,11 +223,6 @@ impl Packet {
     /// Propagates truncation errors.
     pub fn ethernet(&self) -> ParseResult<EthernetHeader> {
         EthernetHeader::parse(self.data())
-    }
-
-    /// Byte offset of the L3 header.
-    pub const fn l3_offset(&self) -> usize {
-        EthernetHeader::LEN
     }
 
     /// The L3 bytes (IP header onward).

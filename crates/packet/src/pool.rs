@@ -78,11 +78,6 @@ impl BufferPool {
         }
     }
 
-    /// The slab size in bytes.
-    pub fn slab_size(&self) -> usize {
-        self.inner.slab_size
-    }
-
     /// Takes a cleared buffer from the pool (allocating when empty).
     pub fn take(&self) -> PooledBuf {
         let recycled = self.inner.free.lock().pop();

@@ -514,15 +514,6 @@ pub struct FlowSketchWindow {
     pub top: Vec<HeavyHitter>,
 }
 
-impl FlowSketchWindow {
-    /// Total byte weight in the window (minimum count-min row sum is
-    /// not recoverable from the flat cells without the geometry, so
-    /// this sums the top-k weights — the evidence the planner uses).
-    pub fn top_total(&self) -> u64 {
-        self.top.iter().map(|h| h.weight).sum()
-    }
-}
-
 /// Per-shard flow-level byte accounting: a [`CountMinSketch`] for
 /// point queries plus a [`SpaceSaving`] top-k, recorded together.
 ///
@@ -620,16 +611,6 @@ impl FlowSketch {
     pub fn retire(&self, window: &FlowSketchWindow) {
         self.cms.retire(&window.cells);
         self.top.retire(&window.top);
-    }
-
-    /// The count-min half (for geometry and (ε, δ) introspection).
-    pub fn count_min(&self) -> &CountMinSketch {
-        &self.cms
-    }
-
-    /// The Space-Saving half (for capacity/threshold introspection).
-    pub fn top_k(&self) -> &SpaceSaving {
-        &self.top
     }
 
     /// Fixed memory footprint in bytes — does not grow with the number
@@ -873,7 +854,7 @@ mod tests {
         });
         sketch.record(42, 500);
         let window = sketch.snapshot();
-        assert_eq!(window.top_total(), 500);
+        assert_eq!(window.top[0].weight, 500);
         sketch.record(42, 20);
         sketch.retire(&window);
         assert_eq!(sketch.estimate(42), 20);

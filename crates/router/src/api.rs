@@ -475,7 +475,7 @@
 //!   budget and then rate-limit, each such verdict filed under the
 //!   guard drop cause by the worker. Shedding at the head means an
 //!   attack *reduces* per-packet work instead of adding any
-//!   (measured in `crates/bench/NOTES.md`, series `e14_guard`).
+//!   (the ledger's `router.flow.guard_ns` on `edge_mixed`).
 //! * **Proof is deterministic.** `tests/chaos_soak.rs` kills a
 //!   worker mid-elephant under a seeded fault plan and requires the
 //!   control loop alone to restore delivery with the books closed
@@ -1078,7 +1078,7 @@ impl IPacketPull for PullWrapper {
 
 /// Marshals a packet (frame bytes + the meta fields that matter across a
 /// capsule boundary) into the IPC wire form.
-pub fn encode_packet(pkt: &Packet) -> Vec<u8> {
+fn encode_packet(pkt: &Packet) -> Vec<u8> {
     let mut out = Vec::with_capacity(pkt.len() + 32);
     wire::put_bytes(&mut out, pkt.data());
     wire::put_u64(
@@ -1091,7 +1091,7 @@ pub fn encode_packet(pkt: &Packet) -> Vec<u8> {
 }
 
 /// Reconstructs a packet from the IPC wire form.
-pub fn decode_packet(buf: &[u8]) -> Option<Packet> {
+fn decode_packet(buf: &[u8]) -> Option<Packet> {
     let mut pos = 0;
     let data = wire::get_bytes(buf, &mut pos)?;
     let ingress = wire::get_u64(buf, &mut pos)?;
@@ -1107,7 +1107,7 @@ pub fn decode_packet(buf: &[u8]) -> Option<Packet> {
 /// Marshals a whole batch into one IPC payload: a count followed by the
 /// length-prefixed per-packet encodings. Output labels are batch-local
 /// routing scratch and do not cross the capsule boundary.
-pub fn encode_batch(batch: &PacketBatch) -> Vec<u8> {
+fn encode_batch(batch: &PacketBatch) -> Vec<u8> {
     let mut out = Vec::with_capacity(16 + batch.iter().map(|p| p.len() + 40).sum::<usize>());
     wire::put_u64(&mut out, batch.len() as u64);
     for pkt in batch {
@@ -1117,7 +1117,7 @@ pub fn encode_batch(batch: &PacketBatch) -> Vec<u8> {
 }
 
 /// Reconstructs a batch from the IPC wire form.
-pub fn decode_batch(buf: &[u8]) -> Option<PacketBatch> {
+fn decode_batch(buf: &[u8]) -> Option<PacketBatch> {
     let mut pos = 0;
     let count = wire::get_u64(buf, &mut pos)? as usize;
     // Cap the pre-allocation against adversarial counts; the loop below

@@ -538,25 +538,6 @@ impl CompositeBuilder {
         Ok(self)
     }
 
-    /// Adds an already-hosted component (e.g. created through the
-    /// registry) as constituent `label`.
-    ///
-    /// # Errors
-    ///
-    /// Refuses duplicate labels or unknown ids.
-    pub fn add_existing(mut self, label: impl Into<String>, id: ComponentId) -> Result<Self> {
-        let label = label.into();
-        if self.members.iter().any(|(l, _)| *l == label) {
-            return Err(Error::CfViolation {
-                framework: self.type_name.clone(),
-                rule: format!("duplicate constituent label `{label}`"),
-            });
-        }
-        self.capsule.component(id)?; // existence check
-        self.members.push((label, id));
-        Ok(self)
-    }
-
     /// Instantiates an **untrusted** constituent in a separate (simulated)
     /// address space, bound transparently via IPC (paper §5 crash
     /// containment). `interfaces` lists the interfaces to proxy.

@@ -183,11 +183,6 @@ impl CompiledShard {
         Ok((graph, compiled))
     }
 
-    /// The live id a description name compiled to (introspection).
-    pub fn id_of(&self, name: &str) -> Option<ComponentId> {
-        self.ids.get(name).copied()
-    }
-
     /// The shard's capsule (introspection / escape hatch).
     pub fn capsule(&self) -> &Arc<Capsule> {
         &self.capsule

@@ -172,11 +172,6 @@ impl Patch {
         self.ops.contains(&PatchOp::SetSteering)
     }
 
-    /// Whether the control section changed.
-    pub fn control_changed(&self) -> bool {
-        self.ops.contains(&PatchOp::SetControl)
-    }
-
     /// A stable textual rendering of the plan — what the golden-file
     /// tests snapshot.
     pub fn render(&self) -> String {
@@ -467,7 +462,7 @@ mod tests {
             .control("hysteresis", &[("enter", 1.5.into())])
             .pin(7, 0);
         let patch = diff(&base(), &next);
-        assert!(patch.control_changed());
+        assert!(patch.ops.contains(&PatchOp::SetControl));
         assert!(patch.steering_changed());
         assert!(patch.param_only());
     }

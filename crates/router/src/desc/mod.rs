@@ -18,8 +18,9 @@
 //!   [`Params`], port-wired [`EdgeDesc`] edges, per-node match-action
 //!   [`TableEntry`] lists (classifier patterns, routes, VIP→backend
 //!   sets), optional bucket→shard steering pins, and an optional
-//!   [`ControlDesc`] selecting a
-//!   [`DecisionCore`](crate::shard::DecisionCore) by name.
+//!   [`ControlDesc`] naming the preset of the staged
+//!   [`DecisionCore`](crate::shard::DecisionCore) that judges
+//!   rebalances.
 //! * [`PipelineDesc::validate`] — type-checks parameters against the
 //!   [`schema`] registry, rejects unknown kinds, dangling edge
 //!   endpoints, outputs on sink elements, duplicate single-output
@@ -400,14 +401,16 @@ impl TableEntry {
     }
 }
 
-/// The per-pipeline control section: which
+/// The per-pipeline control section: which preset of the
 /// [`DecisionCore`](crate::shard::DecisionCore) judges rebalances, and
 /// its typed knobs (see [`schema::CONTROL_PARAMS`]).
 #[derive(Clone, Debug, PartialEq)]
 pub struct ControlDesc {
-    /// Core registry name: `"weighted"`, `"hysteresis"`, `"ewma"`.
+    /// Preset name: `"weighted"`, `"hysteresis"`, `"ewma"` (see
+    /// [`PRESETS`](crate::shard::PRESETS)).
     pub core: String,
-    /// Typed knobs; unknown names are rejected at validation.
+    /// Typed knobs; unknown names, and stage knobs the preset does not
+    /// read, are rejected at validation.
     pub params: Params,
 }
 
@@ -765,7 +768,7 @@ impl PipelineDesc {
             let _ = shard; // shard bound is spec-dependent; checked at apply.
         }
 
-        // Control section: known core, known + typed knobs.
+        // Control section: known preset, known + typed knobs it reads.
         if let Some(ctl) = &self.control {
             schema::check_control(ctl)?;
         }

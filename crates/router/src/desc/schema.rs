@@ -26,7 +26,7 @@ use netkit_packet::sketch::FlowSketch;
 use crate::api::IClassifier;
 use crate::elements::{ClassifierEngine, Counter, Discard, IRouteControl, RouteLookup, Tee};
 use crate::flow::{ConnTracker, Guard, GuardConfig, L4LoadBalancer, Nat44, Nat44Config};
-use crate::shard::{core_by_name, RebalanceController, RebalancePolicy};
+use crate::shard::{core_by_name, RebalanceController, RebalancePolicy, PRESETS};
 
 use super::compile::ElementHandle;
 use super::{ControlDesc, ParamValue, Params};
@@ -386,20 +386,32 @@ pub const CONTROL_PARAMS: &[ParamSpec] = &[
 /// turn may migrate.
 pub const DEFAULT_COOLDOWN_TICKS: u64 = 0;
 
-/// Validates a control section: known core name, known + typed +
-/// finite knobs, fractions inside `[0, 1]`, a well-ordered band.
+/// Validates a control section: known preset name, known + typed +
+/// finite knobs, no stage knob the preset does not read, fractions
+/// inside `[0, 1]`, a well-ordered band.
 ///
 /// # Errors
 ///
-/// Fails with [`Error::CfViolation`] on unknown, mistyped, non-finite
-/// or out-of-range knobs, [`Error::StaleReference`] on an unknown core
-/// name.
+/// Fails with [`Error::CfViolation`] on unknown, unread, mistyped,
+/// non-finite or out-of-range knobs, [`Error::StaleReference`] on an
+/// unknown preset name.
 pub fn check_control(ctl: &ControlDesc) -> Result<()> {
+    // A stage knob (some preset reads it) the named preset does not
+    // read; an unknown name is `compile_control`'s to report.
+    let named = PRESETS.iter().find(|(preset, _)| *preset == ctl.core);
+    let unread = |key: &str| {
+        named.is_some_and(|(_, reads)| !reads.contains(&key))
+            && PRESETS.iter().any(|(_, reads)| reads.contains(&key))
+    };
     for (key, value) in &ctl.params {
         let spec = CONTROL_PARAMS.iter().find(|s| s.name == key);
         let fraction = ["decay", "heavy_blend", "alpha"].contains(&key.as_str());
         let rule = match (spec, value.as_f64()) {
             (None, _) => format!("unknown control parameter `{key}`"),
+            _ if unread(key) => format!(
+                "control parameter `{key}` is not read by the `{}` preset",
+                ctl.core
+            ),
             (Some(spec), _) if !spec.ty.accepts(value) => {
                 format!("control parameter `{key}` expects {}", spec.ty.name())
             }
@@ -419,13 +431,13 @@ pub fn check_control(ctl: &ControlDesc) -> Result<()> {
 }
 
 /// Builds the [`RebalanceController`] a control section selects: the
-/// policy knobs fill one [`RebalancePolicy`], the `core` name resolves
-/// through [`core_by_name`], and `cooldown_ticks` caps the migration
-/// rate around it.
+/// policy knobs fill one [`RebalancePolicy`], the `core` name picks
+/// the preset [`core_by_name`] opens the stage knobs of, and
+/// `cooldown_ticks` caps the migration rate around it.
 ///
 /// # Errors
 ///
-/// Fails with [`Error::StaleReference`] on an unknown core name and
+/// Fails with [`Error::StaleReference`] on an unknown preset name and
 /// with [`Error::CfViolation`] when `exit` exceeds `enter`.
 pub fn compile_control(ctl: &ControlDesc) -> Result<RebalanceController> {
     let p = &ctl.params;
@@ -544,6 +556,12 @@ mod tests {
                 Some("must be finite"),
             ),
             ("ewma", &[("alpha", f64::NAN)], Some("must be finite")),
+            ("weighted", &[("alpha", 0.3)], Some("by the `weighted`")),
+            ("hysteresis", &[("alpha", 0.3)], Some("by the `hysteresis`")),
+            ("weighted", &[("enter", 1.5)], Some("by the `weighted`")),
+            ("weighted", &[("exit", 1.1)], Some("by the `weighted`")),
+            ("ewma", &[("arm", 2.0)], Some("by the `ewma`")),
+            ("ewma", &[("enter", 1.5)], Some("by the `ewma`")),
         ];
         for &(core, knobs, rejection) in cases {
             let outcome = check_control(&section(core, knobs));

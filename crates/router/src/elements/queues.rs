@@ -214,11 +214,6 @@ impl RedQueue {
         self.state.lock().queue.len()
     }
 
-    /// The EWMA average depth.
-    pub fn average_depth(&self) -> f64 {
-        self.state.lock().avg
-    }
-
     /// Counter snapshot.
     pub fn stats(&self) -> QueueStats {
         QueueStats {
@@ -387,9 +382,9 @@ mod tests {
         assert!(s.early_dropped > 0, "RED must drop early under load");
         assert!(accepted > 0, "RED must not drop everything");
         assert!(
-            q.average_depth() <= 40.0,
+            q.state.lock().avg <= 40.0,
             "average depth is controlled, got {}",
-            q.average_depth()
+            q.state.lock().avg
         );
     }
 

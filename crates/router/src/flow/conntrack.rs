@@ -78,7 +78,7 @@ impl ConnInfo {
     /// has been seen but no handshake-completing ACK (and no
     /// FIN/RST). The population of these is the SYN-flood evidence
     /// the tracker exports as a gauge.
-    pub fn is_half_open(&self) -> bool {
+    fn is_half_open(&self) -> bool {
         self.state == ConnState::New && self.syn_seen
     }
 

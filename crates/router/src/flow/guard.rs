@@ -218,7 +218,7 @@ impl Guard {
 
     /// True when the SYN defence is currently armed: a tracker is
     /// attached and its half-open gauge exceeds the configured limit.
-    pub fn syn_armed(&self) -> bool {
+    fn syn_armed(&self) -> bool {
         match &self.tracker {
             Some(t) => t.half_open() > self.cfg.syn_limit,
             None => false,

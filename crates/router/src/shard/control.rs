@@ -5,7 +5,7 @@
 //!
 //! * [`RebalanceController`] — the **deterministic decide arm**: a pure
 //!   state machine over one [`Evidence`] observation per turn. It owns
-//!   what a [`DecisionCore`] does not: the gathering gate (`min_samples`
+//!   what its [`DecisionCore`] does not: the gathering gate (`min_samples`
 //!   on the raw window — the only place it is evaluated) and a hard cap
 //!   on migration rate (`cooldown_ticks` between applied plans, so a
 //!   pathological workload cannot thrash the dataplane through quiesce
@@ -74,7 +74,7 @@ use opencom::ident::TaskId;
 use opencom::meta::resources::{classes, ResourceManager};
 use parking_lot::Mutex;
 
-use super::decision::{DecisionCore, Evidence, WeightedCore};
+use super::decision::{DecisionCore, Evidence};
 use super::rebalance::{RebalancePlan, RebalancePolicy};
 use super::ShardedPipeline;
 
@@ -96,7 +96,7 @@ pub enum ControlDecision {
 /// The deterministic decide arm of the autonomous control loop. See
 /// the module docs for where it sits and a runnable example.
 pub struct RebalanceController {
-    core: Box<dyn DecisionCore>,
+    core: DecisionCore,
     /// Minimum number of ticks between two applied migrations — the
     /// hard cap on migration rate (each migration costs a quiesce
     /// epoch; 0 = no cap).
@@ -108,18 +108,17 @@ pub struct RebalanceController {
 }
 
 impl RebalanceController {
-    /// A controller judging with the default [`WeightedCore`] over
+    /// A controller judging with the `"weighted"` preset over
     /// `policy`, applying at most one migration per
     /// `cooldown_ticks + 1` ticks.
     pub fn new(policy: RebalancePolicy, cooldown_ticks: u64) -> Self {
-        Self::with_core(Box::new(WeightedCore { policy }), cooldown_ticks)
+        Self::with_core(DecisionCore::weighted(policy), cooldown_ticks)
     }
 
-    /// A controller judging with an arbitrary plug-in
-    /// [`DecisionCore`] — how descriptions select hysteresis/EWMA (or
-    /// external) judgments by name; see
+    /// A controller judging with `core` — how descriptions select the
+    /// hysteresis and EWMA presets by name; see
     /// [`core_by_name`](super::decision::core_by_name).
-    pub fn with_core(core: Box<dyn DecisionCore>, cooldown_ticks: u64) -> Self {
+    pub fn with_core(core: DecisionCore, cooldown_ticks: u64) -> Self {
         Self {
             core,
             cooldown_ticks,
@@ -130,8 +129,8 @@ impl RebalanceController {
         }
     }
 
-    /// The registry name of the judging core (`"weighted"` unless a
-    /// plug-in was installed via [`with_core`](Self::with_core)).
+    /// The preset name of the judging core (`"weighted"` unless another
+    /// was installed via [`with_core`](Self::with_core)).
     pub fn core_name(&self) -> &'static str {
         self.core.name()
     }

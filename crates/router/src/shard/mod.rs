@@ -83,9 +83,10 @@
 //!
 //! The reflective inspect → decide → adapt loop over the running
 //! dataplane is [`ShardedPipeline::control_turn`]: it gathers the load
-//! meters into one [`Evidence`], lets a [`RebalanceController`] (a
-//! `weighted`, `hysteresis` or `ewma` [`DecisionCore`] judging one
-//! [`RebalancePolicy`] — formulas in [`rebalance`]) decide, and
+//! meters into one [`Evidence`], lets a [`RebalanceController`] (the
+//! staged [`DecisionCore`] under its `weighted`, `hysteresis` or `ewma`
+//! preset, judging one [`RebalancePolicy`] — formulas in
+//! [`rebalance`]) decide, and
 //! installs, retires or decays. Only the caller varies:
 //! [`ControlLoop::spawn`] ticks it from a supervised thread, the
 //! simulator from simulated time, a test by hand — each with the same
@@ -116,7 +117,7 @@ pub mod decision;
 pub mod rebalance;
 
 pub use control::{ControlDecision, ControlLoop, ControlStats, RebalanceController};
-pub use decision::{core_by_name, DecisionCore, Evidence, EwmaCore, HysteresisCore, WeightedCore};
+pub use decision::{core_by_name, DecisionCore, Evidence, PRESETS};
 pub use rebalance::{MigrationReport, RebalancePlan, RebalancePolicy};
 
 /// A swappable shard entry point: workers re-read it each batch, so a
@@ -1068,11 +1069,6 @@ impl<E: ShardExecutor<ShardJob>> ShardedPipeline<E> {
         total
     }
 
-    /// One shard's per-cause drop accounting.
-    pub fn shard_drop_stats(&self, shard: usize) -> DropStats {
-        self.counters[shard].drop_stats()
-    }
-
     /// Replaces `shard`'s dead worker with a fresh replica and thread —
     /// the crash-recovery half of the self-healing dataplane.
     ///
@@ -1929,7 +1925,7 @@ mod tests {
         assert_eq!(after.recycled, before.recycled + 1, "container returns");
         pipe.flush(); // does not wedge on the dead shard
         assert_eq!(
-            pipe.shard_drop_stats(0).dead_worker,
+            pipe.counters[0].drop_stats().dead_worker,
             4,
             "fast-fail loss files under the dead-worker cause"
         );
@@ -1990,7 +1986,7 @@ mod tests {
             .unwrap()
             .expect("a dead worker respawns");
         assert_eq!(stranded, 12, "every stranded ring packet is counted");
-        assert_eq!(pipe.shard_drop_stats(0).dead_worker, 12);
+        assert_eq!(pipe.counters[0].drop_stats().dead_worker, 12);
         assert_eq!(pipe.recoveries(), 1);
         assert_eq!(pipe.worker_alive(0), Some(true));
         // Respawning a live worker is refused, not destructive.
@@ -2115,7 +2111,7 @@ mod tests {
         .unwrap();
         pipe.submit(0, burst(4, 4)).unwrap();
         pipe.flush();
-        let causes = pipe.shard_drop_stats(0);
+        let causes = pipe.counters[0].drop_stats();
         assert_eq!(causes.guard, 8, "rate-limit verdicts meter separately");
         assert_eq!(causes.graph, 8, "other graph verdicts stay graph policy");
         assert_eq!(causes.total(), pipe.stats().dropped, "the sum invariant");

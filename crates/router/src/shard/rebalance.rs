@@ -8,8 +8,8 @@
 //! closes the loop the paper's reflective architecture promises —
 //! *inspect* the running dataplane (one [`Evidence`]: per-bucket packet
 //! counters, ring occupancy high-water marks, per-flow byte sketches),
-//! *decide* (this module's [`RebalancePolicy`], driven by a
-//! [`DecisionCore`](super::DecisionCore) inside a
+//! *decide* (this module's [`RebalancePolicy`], driven by the
+//! staged [`DecisionCore`](super::DecisionCore) inside a
 //! [`RebalanceController`](super::RebalanceController)), and *adapt*
 //! (`ShardedPipeline::control_turn` installs the planned [`BucketMap`]
 //! atomically through the executor's epoch quiesce).

@@ -29,7 +29,7 @@ pub const LOCAL_OUTPUT: &str = "local";
 pub const BYPASS_OUTPUT: &str = "bypass";
 
 /// Builds the label for port `p` emissions.
-pub fn port_output(p: u16) -> String {
+fn port_output(p: u16) -> String {
     format!("port{p}")
 }
 

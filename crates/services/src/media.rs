@@ -46,7 +46,7 @@ impl FrameType {
     }
 
     /// Decodes an annotation value.
-    pub fn from_u64(v: u64) -> Option<Self> {
+    fn from_u64(v: u64) -> Option<Self> {
         match v {
             0 => Some(FrameType::I),
             1 => Some(FrameType::P),

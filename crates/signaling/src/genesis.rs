@@ -68,12 +68,6 @@ impl VirtnetDescriptor {
         self.qos_share = share;
         self
     }
-
-    /// Sets the queue depth (builder-style).
-    pub fn queue_depth(mut self, depth: usize) -> Self {
-        self.queue_depth = depth;
-        self
-    }
 }
 
 /// Why a spawn/teardown failed.

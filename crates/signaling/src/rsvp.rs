@@ -19,7 +19,7 @@
 //! packets addressed to UDP port [`RSVP_PORT`].
 
 use std::collections::HashMap;
-use std::net::{IpAddr, Ipv4Addr};
+use std::net::Ipv4Addr;
 
 use netkit_packet::packet::{Packet, PacketBuilder};
 use netkit_sim::node::{decrement_ttl, NodeBehaviour, NodeCtx};
@@ -563,11 +563,6 @@ impl NodeBehaviour for RsvpAgent {
     fn name(&self) -> &str {
         "rsvp"
     }
-}
-
-/// Convenience: the address of an [`RsvpAgent`] as `IpAddr`.
-pub fn addr_of(agent: &RsvpAgent) -> IpAddr {
-    IpAddr::V4(agent.addr)
 }
 
 #[cfg(test)]

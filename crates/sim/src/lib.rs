@@ -121,7 +121,6 @@ pub struct Simulator {
     sources: Vec<SourceSlot>,
     stats: SimStats,
     rng: SmallRng,
-    processed: u64,
 }
 
 impl Simulator {
@@ -136,7 +135,6 @@ impl Simulator {
             sources: Vec::new(),
             stats: SimStats::new(),
             rng: SmallRng::seed_from_u64(seed),
-            processed: 0,
         }
     }
 
@@ -145,19 +143,9 @@ impl Simulator {
         self.now
     }
 
-    /// Events handled so far.
-    pub fn events_processed(&self) -> u64 {
-        self.processed
-    }
-
     /// Run counters.
     pub fn stats(&self) -> &SimStats {
         &self.stats
-    }
-
-    /// Number of nodes.
-    pub fn node_count(&self) -> usize {
-        self.nodes.len()
     }
 
     /// Adds a node; ports are allocated as links are connected.
@@ -290,7 +278,6 @@ impl Simulator {
         while let Some(ev) = self.queue.pop() {
             self.now = ev.at;
             self.handle(ev.kind);
-            self.processed += 1;
         }
         &self.stats
     }
@@ -301,7 +288,6 @@ impl Simulator {
             let ev = self.queue.pop().expect("peeked");
             self.now = ev.at;
             self.handle(ev.kind);
-            self.processed += 1;
         }
         if deadline > self.now {
             self.now = deadline;
@@ -336,7 +322,6 @@ impl Simulator {
                 break;
             }
             let ev = self.queue.pop().expect("peeked");
-            self.processed += 1;
             match ev.kind {
                 EventKind::Arrival { pkt, .. } => batch.push(pkt),
                 _ => unreachable!("matched arrival above"),

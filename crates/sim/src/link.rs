@@ -36,15 +36,6 @@ impl LinkSpec {
         }
     }
 
-    /// A WAN-ish default: 100 Mbit/s, 5 ms, 256-frame queues.
-    pub fn wan() -> Self {
-        Self {
-            latency_ns: 5_000_000,
-            bandwidth_bps: 100_000_000,
-            queue_pkts: 256,
-        }
-    }
-
     /// Serialisation time of `bytes` on this link.
     pub fn ser_nanos(&self, bytes: usize) -> u64 {
         if self.bandwidth_bps == 0 {

@@ -230,7 +230,6 @@ impl NodeBehaviour for SinkBehaviour {
 pub struct StaticForwarder {
     local: IpAddr,
     routes: HashMap<IpAddr, u16>,
-    forwarded: Arc<AtomicU64>,
 }
 
 impl StaticForwarder {
@@ -239,7 +238,6 @@ impl StaticForwarder {
         Self {
             local,
             routes: HashMap::new(),
-            forwarded: Arc::new(AtomicU64::new(0)),
         }
     }
 
@@ -247,11 +245,6 @@ impl StaticForwarder {
     pub fn route(&mut self, dst: IpAddr, port: u16) -> &mut Self {
         self.routes.insert(dst, port);
         self
-    }
-
-    /// Shared forwarded-packet counter.
-    pub fn forwarded_handle(&self) -> Arc<AtomicU64> {
-        Arc::clone(&self.forwarded)
     }
 
     fn dst_of(pkt: &Packet) -> Option<IpAddr> {
@@ -280,7 +273,6 @@ impl NodeBehaviour for StaticForwarder {
             return;
         };
         if decrement_ttl(&mut pkt) {
-            self.forwarded.fetch_add(1, Ordering::Relaxed);
             ctx.emit(port, pkt);
         } else {
             ctx.drop_packet(pkt);

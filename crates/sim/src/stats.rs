@@ -67,7 +67,7 @@ impl SimStats {
     }
 
     /// Fraction of injected packets that were delivered.
-    pub fn delivery_ratio(&self) -> f64 {
+    fn delivery_ratio(&self) -> f64 {
         if self.injected == 0 {
             return 0.0;
         }

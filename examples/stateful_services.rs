@@ -24,6 +24,7 @@ use netkit::opencom::meta::resources::ResourceManager;
 use netkit::packet::batch::PacketBatch;
 use netkit::packet::packet::PacketBuilder;
 use netkit::router::desc::{Compiler, ElementHandle, PipelineDesc, TableEntry};
+use netkit::router::flow::L4LoadBalancer;
 
 const WORKERS: usize = 2;
 const FLOWS: u16 = 64;
@@ -130,29 +131,48 @@ fn main() -> Result<(), netkit::opencom::error::Error> {
     }
     pipe.flush();
 
-    let mut on_new_backend = 0;
-    for shard in 0..WORKERS {
-        binding.with_shard(shard, |cs| {
-            if let Some(ElementHandle::Lb(lb)) = cs.handle_of("lb") {
-                on_new_backend += lb
-                    .backends()
-                    .iter()
-                    .filter(|b| b.ip.octets()[3] == 5)
-                    .map(|b| b.flows)
-                    .sum::<u64>();
-            }
-        });
-    }
+    // Flows on the new backend, summed over the shards' balancers;
+    // `each` sees every balancer with the backend's id first.
+    let new_backend_flows = |each: &dyn Fn(&L4LoadBalancer, u32)| {
+        let mut flows = 0;
+        for shard in 0..WORKERS {
+            binding.with_shard(shard, |cs| {
+                if let Some(ElementHandle::Lb(lb)) = cs.handle_of("lb") {
+                    for b in lb.backends().iter().filter(|b| b.ip.octets()[3] == 5) {
+                        each(lb, b.id);
+                        flows += b.flows;
+                    }
+                }
+            });
+        }
+        flows
+    };
+    let on_new_backend = new_backend_flows(&|_, _| ());
     assert!(
         on_new_backend > 0,
         "the new backend takes a share of new flows"
     );
     println!("rendezvous hashing handed {on_new_backend} of the new flows to the new backend");
 
+    // Drain it again, through the live handle: its flows keep their
+    // backend, a third wave of new flows goes elsewhere.
+    new_backend_flows(&|lb, id| assert!(lb.drain_backend(id)));
+    for _ in 0..PACKETS_PER_FLOW {
+        pipe.dispatch(burst(20_000));
+        pipe.dispatch(burst(30_000));
+    }
+    pipe.flush();
+    assert_eq!(
+        new_backend_flows(&|_, _| ()),
+        on_new_backend,
+        "a draining backend takes no new flow"
+    );
+    println!("drained the new backend: {on_new_backend} flows stay, the third wave avoids it");
+
     let stats = pipe.stats();
     assert_eq!(
         stats.accepted,
-        2 * (PACKETS_PER_FLOW as u64) * u64::from(FLOWS),
+        4 * (PACKETS_PER_FLOW as u64) * u64::from(FLOWS),
         "no loss across the live patch"
     );
     println!(

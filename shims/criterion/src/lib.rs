@@ -69,10 +69,6 @@ pub fn flush_json_report() {
 pub enum BatchSize {
     /// Small per-iteration inputs.
     SmallInput,
-    /// Large per-iteration inputs.
-    LargeInput,
-    /// One input per batch.
-    PerIteration,
 }
 
 /// Units for throughput reporting.
@@ -81,8 +77,6 @@ pub enum BatchSize {
 pub enum Throughput {
     /// Elements processed per iteration.
     Elements(u64),
-    /// Bytes processed per iteration.
-    Bytes(u64),
 }
 
 /// A benchmark identifier: function name plus a parameter rendering.
@@ -96,13 +90,6 @@ impl BenchmarkId {
     pub fn new(name: impl Into<String>, parameter: impl fmt::Display) -> Self {
         Self {
             name: format!("{}/{}", name.into(), parameter),
-        }
-    }
-
-    /// Creates an id from a parameter alone.
-    pub fn from_parameter(parameter: impl fmt::Display) -> Self {
-        Self {
-            name: parameter.to_string(),
         }
     }
 }
@@ -218,15 +205,6 @@ impl Bencher {
         }
         self.ns_per_iter = total_ns / total_iters as f64;
     }
-
-    /// `iter_batched` taking the input by mutable reference.
-    pub fn iter_batched_ref<I, O, S, R>(&mut self, mut setup: S, mut routine: R, size: BatchSize)
-    where
-        S: FnMut() -> I,
-        R: FnMut(&mut I) -> O,
-    {
-        self.iter_batched(&mut setup, |mut input| routine(&mut input), size);
-    }
 }
 
 /// A named group of related benchmarks.
@@ -253,12 +231,6 @@ impl BenchmarkGroup<'_> {
     /// Sets the per-bench measurement budget.
     pub fn measurement_time(&mut self, budget: Duration) -> &mut Self {
         self.criterion.budget = budget;
-        self
-    }
-
-    /// Accepted for API compatibility; the shim has no separate warm-up
-    /// phase beyond calibration.
-    pub fn warm_up_time(&mut self, _t: Duration) -> &mut Self {
         self
     }
 
@@ -300,14 +272,10 @@ impl BenchmarkGroup<'_> {
             "{}/{:<40} time: {:>12.1} ns/iter",
             self.name, id.name, b.ns_per_iter
         );
-        if let Some(tp) = self.throughput {
-            let (count, unit) = match tp {
-                Throughput::Elements(n) => (n, "elem"),
-                Throughput::Bytes(n) => (n, "B"),
-            };
+        if let Some(Throughput::Elements(count)) = self.throughput {
             if count > 0 && b.ns_per_iter.is_finite() && b.ns_per_iter > 0.0 {
                 let rate = count as f64 * 1e9 / b.ns_per_iter;
-                line.push_str(&format!("  ({rate:>14.0} {unit}/s)"));
+                line.push_str(&format!("  ({rate:>14.0} elem/s)"));
             }
         }
         println!("{line}");
@@ -343,26 +311,11 @@ impl Criterion {
             throughput: None,
         }
     }
-
-    /// Runs a stand-alone benchmark.
-    pub fn bench_function<F>(&mut self, id: &str, f: F) -> &mut Self
-    where
-        F: FnMut(&mut Bencher),
-    {
-        self.benchmark_group("bench").bench_function(id, f);
-        self
-    }
 }
 
 /// Declares a group of benchmark functions.
 #[macro_export]
 macro_rules! criterion_group {
-    (name = $name:ident; config = $cfg:expr; targets = $($target:path),+ $(,)?) => {
-        pub fn $name() {
-            let mut c: $crate::Criterion = $cfg;
-            $( $target(&mut c); )+
-        }
-    };
     ($name:ident, $($target:path),+ $(,)?) => {
         pub fn $name() {
             let mut c = $crate::Criterion::default();

@@ -26,9 +26,9 @@
 //! batch-first API, the sharded execution model (rings, quiesce
 //! epochs, RSS buckets), the zero-copy/pooling invariants, and where
 //! the reflective meta-objects (interception, ResourceManager, the
-//! rebalancer) hook in. See `DESIGN.md` for the full system inventory
-//! and experiment index, and `EXPERIMENTS.md` for paper-claim vs.
-//! measured results.
+//! rebalancer) hook in. Measured results: `benchmark/README.md` for
+//! the wire-to-wire ledger, `crates/bench/NOTES.md` for the paper's
+//! own criterion series and the ones the ledger superseded.
 //!
 //! ## The batch-first dataplane
 //!

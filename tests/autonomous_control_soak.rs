@@ -269,6 +269,7 @@ fn autonomous_loop_recovers_mid_run_skew() {
     // trail is on the meta-model: the loop task counts its inspection
     // ticks while it lives...
     let ctl_task = ctl.task();
+    assert_eq!(rm.find_task("auto-e2e-control"), Some(ctl_task));
     let ctl_info = rm.task_info(ctl_task).unwrap();
     assert!(ctl_info.usage[classes::TICKS] >= stats.migrations);
     // ...and once the loop is joined (no further tick can land), the

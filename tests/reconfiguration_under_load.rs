@@ -1,4 +1,4 @@
-//! **E4 correctness companion** — run-time reconfiguration must be
+//! **Reconfiguration under load** — run-time reconfiguration must be
 //! *safe*, not just fast: no packet loss across hot swaps, CF rules
 //! re-checked after dynamic change, media filters adapting mid-flow, and
 //! version evolution through the registry.
@@ -337,7 +337,10 @@ fn registry_supports_side_by_side_versions_and_evolution() {
         Version::new(2, 0, 0)
     );
 
-    // Evolve the live pipeline from v1 to v2.
+    // Evolve the live pipeline from v1 to v2. A major bump is not a
+    // transparent upgrade by version; `replace` checks shape instead.
+    let version_of = |id| capsule.component(id).unwrap().core().descriptor().version;
+    assert!(!version_of(v2).compatible_upgrade_of(&version_of(v1)));
     capsule.replace(v1, v2, Quiescence::PerEdge).unwrap();
     let entry: Arc<dyn IPacketPush> = capsule
         .query_interface(v2, IPACKET_PUSH)
@@ -347,4 +350,12 @@ fn registry_supports_side_by_side_versions_and_evolution() {
     entry
         .push(PacketBuilder::udp_v4("192.0.2.1", "203.0.113.9", 1, 2).build())
         .unwrap();
+
+    // Undeploying v1 afterwards leaves what runs untouched.
+    rt.registry()
+        .unregister("app.Stage", Version::new(1, 0, 0))
+        .unwrap();
+    assert!(capsule
+        .instantiate_version("app.Stage", Version::new(1, 0, 0))
+        .is_err());
 }

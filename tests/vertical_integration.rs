@@ -21,7 +21,8 @@ use netkit::kernel::mem::MemoryAccountant;
 use netkit::kernel::nic::{Nic, PortId};
 use netkit::opencom::capsule::Capsule;
 use netkit::opencom::cf::Principal;
-use netkit::opencom::ident::TaskId;
+use netkit::opencom::component::{Component, LifecycleState};
+use netkit::opencom::ident::{TaskId, Version};
 use netkit::opencom::runtime::Runtime;
 use netkit::packet::packet::PacketBuilder;
 use netkit::router::api::{
@@ -32,7 +33,8 @@ use netkit::router::cf::RouterCf;
 use netkit::router::elements::{ClassifierEngine, DropTailQueue, PriorityScheduler};
 use netkit::router::routing::{RouteEntry, RoutingTable};
 use netkit::services::component::{EeComponent, EeNode, LOCAL_OUTPUT};
-use netkit::services::ee::{Capsule as ActiveCapsule, EeBudget, OpCode, Program};
+use netkit::services::ee::{Capsule as ActiveCapsule, EeBudget, OpCode};
+use netkit::services::programs::Assembler;
 use netkit::signaling::genesis::{Genesis, VirtnetDescriptor};
 use parking_lot::RwLock;
 
@@ -50,7 +52,7 @@ fn all_four_strata_compose_on_one_node() {
     // CF): swap FIFO for round-robin at run time.
     let done = Arc::new(AtomicU64::new(0));
     let d2 = Arc::clone(&done);
-    executor.spawn(
+    let housekeeping = executor.spawn(
         "housekeeping",
         0,
         1,
@@ -58,6 +60,10 @@ fn all_four_strata_compose_on_one_node() {
             d2.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
             (netkit::kernel::exec::TaskStatus::Done, 10)
         }),
+    );
+    assert_eq!(
+        executor.task_name(housekeeping).as_deref(),
+        Some("housekeeping")
     );
     let previous = executor.set_policy(Box::new(RoundRobinPolicy::default()));
     assert_eq!(previous, "fifo");
@@ -105,6 +111,15 @@ fn all_four_strata_compose_on_one_node() {
         cf.plug(&sys, id)
             .expect("uniform admission for strata 2 and 3");
     }
+    // Rule R2's behavioural half: a fresh instance of the classifier's
+    // type, probed in a scratch capsule, routes every matching packet
+    // to the named output and nowhere else.
+    rt.registry().register(
+        "netkit.Classifier",
+        Version::new(1, 0, 0),
+        Box::new(|| ClassifierEngine::new() as Arc<dyn Component>),
+    );
+    assert!(cf.probe_classifier(cls).unwrap().conformant());
 
     // classifier: active traffic to the EE, the rest to the queue.
     cf.bind(&sys, cls, "out", "active", ee_id, IPACKET_PUSH)
@@ -140,7 +155,23 @@ fn all_four_strata_compose_on_one_node() {
         .unwrap();
 
     // Active packet → EE → local delivery → queue.
-    let program = Program::new("deliver", vec![OpCode::DeliverLocal]);
+    // The capsule leaves soft state behind (key 7, value 42, 1 µs TTL)
+    // and takes every kind of jump on its way to local delivery.
+    let mut asm = Assembler::new("deliver");
+    asm.ops(&[
+        OpCode::Push(7),
+        OpCode::Push(42),
+        OpCode::Push(1_000),
+        OpCode::CachePut,
+    ]);
+    asm.op(OpCode::Push(0)).jz("zero");
+    asm.op(OpCode::Halt);
+    asm.label("zero").op(OpCode::Push(1)).jnz("nonzero");
+    asm.op(OpCode::Halt);
+    asm.label("nonzero").jmp("deliver");
+    asm.op(OpCode::Halt);
+    asm.label("deliver").op(OpCode::DeliverLocal);
+    let program = asm.assemble().unwrap();
     let active = ActiveCapsule::with_code(&program, vec![]);
     input
         .push(
@@ -161,6 +192,11 @@ fn all_four_strata_compose_on_one_node() {
     }
     assert_eq!(drained, 2, "both flavours of traffic traverse the node");
     assert_eq!(ee.stats().capsules, 1);
+    assert_eq!(
+        ee.env().sweep_soft_state(2_000),
+        1,
+        "the capsule's soft state outlives it, until its TTL"
+    );
 
     // ---- the node is analysable as a single composite ----------------
     let graph = capsule.to_dot();
@@ -188,6 +224,11 @@ fn all_four_strata_compose_on_one_node() {
         stats.rx_frames, 1,
         "upper-layer code reads link-layer counters directly"
     );
+    assert_eq!(
+        nic.tx_nanos_for(1500),
+        12_000,
+        "and the link rate: 1500 bytes at 1 Gbit/s"
+    );
 
     // ---- stratum 4: a Genesis controller re-programming stratum 2 ----
     let mut genesis = Genesis::new(vec![vec![(0, 1)], vec![(0, 0)]]);
@@ -205,6 +246,7 @@ fn all_four_strata_compose_on_one_node() {
         .unwrap();
     assert!(genesis.link_scheduler(0, 0).unwrap().pull().is_some());
     genesis.teardown(vnet).unwrap();
+    assert!(genesis.virtnet_ids().is_empty());
 }
 
 #[test]
@@ -242,10 +284,16 @@ fn uniform_meta_interfaces_across_strata() {
         );
         // Both carry a footprint estimate for the resources story.
         assert!(comp.footprint_bytes() > 0);
+        // And both are driven through the one life cycle.
+        capsule.activate(id).unwrap();
+        assert_eq!(comp.core().state(), LifecycleState::Active);
+        capsule.deactivate(id).unwrap();
+        assert_eq!(comp.core().state(), LifecycleState::Suspended);
     }
 
     // The interface repository describes the shared interfaces once,
     // language-independently (method metadata as data).
+    assert!(rt.interfaces().interface_ids().contains(&IPACKET_PUSH));
     let descriptor = rt.interfaces().describe(IPACKET_PUSH).unwrap();
     assert!(descriptor.find_method("push").is_some());
 }
