@@ -73,7 +73,7 @@ fn solo_chain() -> (ShardedPipeline<InlinePool>, Vec<Arc<EgressCollector>>) {
             capsule.bind_simple(gid, "out", cid, IPACKET_PUSH)?;
             egress.lock().push(collector);
             let entry: Arc<dyn IPacketPush> = guard;
-            Ok(ShardGraph::new(capsule, entry).with_components(vec![gid, cid]))
+            Ok(ShardGraph::new(capsule, entry))
         })
         .expect("inline pipeline builds")
     };

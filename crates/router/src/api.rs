@@ -294,6 +294,13 @@
 //!   threshold + LPT plan may fire. `min_samples` gates on raw counts,
 //!   once, in the controller: weighting amplifies evidence, never
 //!   conjures it.
+//! * **A turn is the window boundary.** Before it decides, the turn
+//!   closes the window of every component, in every replica's capsule,
+//!   that exports [`IWindow`] (the heavy-hitter guard's per-flow byte
+//!   budgets refill). The lookup goes through the capsule's
+//!   meta-models each turn, so elements added by a patch, swapped hot
+//!   or rebuilt by a respawn are on the cadence from their first turn;
+//!   no host calls a guard, registers a hook or keeps a list.
 //! * **Adaptation is rate-capped and backs off.** At most one
 //!   migration per `cooldown_ticks + 1` turns (each migration costs a
 //!   quiesce epoch), and the threaded loop's cadence is a
@@ -455,8 +462,10 @@
 //!   the steering contract holds across the fault), *respawn*
 //!   ([`crate::shard::ShardedPipeline::respawn_shard`]: the dead
 //!   ring's stranded descriptors are drained, cause-accounted, and
-//!   recycled — counted, never leaked — then the build-time factory
-//!   produces a fresh replica on a fresh thread), and *restore* (the
+//!   recycled — counted, never leaked — then the pipeline's factory
+//!   produces a fresh replica on a fresh thread: a described
+//!   pipeline's materialises the description *in force*, patches
+//!   included), and *restore* (the
 //!   pre-fault steering table comes back, so recovered shards take
 //!   their buckets back). Neither steering patch counts as a
 //!   migration; recovery work bills `FAULTS` on the resources task.
@@ -598,6 +607,8 @@ pub const IPACKET_PUSH: InterfaceId = InterfaceId::new("netkit.IPacketPush");
 pub const IPACKET_PULL: InterfaceId = InterfaceId::new("netkit.IPacketPull");
 /// Interface id for [`IClassifier`].
 pub const ICLASSIFIER: InterfaceId = InterfaceId::new("netkit.IClassifier");
+/// Interface id for [`IWindow`].
+pub const IWINDOW: InterfaceId = InterfaceId::new("netkit.IWindow");
 
 /// Why a push was not completed.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -1021,6 +1032,25 @@ pub trait IClassifier: Send + Sync {
     fn filters(&self) -> Vec<(FilterId, FilterSpec)>;
 }
 
+/// The observation-window interface: exported by a component that
+/// keeps a per-window budget (the heavy-hitter
+/// [`Guard`](crate::flow::Guard) is the one implementor). The control
+/// plane owns the window boundary —
+/// [`ShardedPipeline::control_turn`](crate::shard::ShardedPipeline::control_turn)
+/// finds every exporter through the interface meta-model and closes
+/// its window at the top of each turn, so a component placed in a
+/// graph by a factory, a description, a patch or a respawn is kept on
+/// the loop's cadence without its host registering anything.
+pub trait IWindow: Send + Sync {
+    /// Closes the current observation window: budgets spent in it
+    /// refill.
+    fn close_window(&self);
+
+    /// Windows closed so far — how an observer holding only the
+    /// interface checks the component is on the loop's cadence.
+    fn windows(&self) -> u64;
+}
+
 // ---- interception wrappers --------------------------------------------
 
 struct PushWrapper {
@@ -1291,6 +1321,20 @@ pub fn register_packet_interfaces(rt: &Runtime) {
             "BatchResult",
             "accept a batch; one verdict per packet in batch order",
         ),
+    );
+    rt.interfaces().register(
+        InterfaceDescriptor::new(
+            IWINDOW,
+            Version::new(1, 0, 0),
+            "per-window budget upkeep, driven by the control turn",
+        )
+        .method(
+            "close_window",
+            &[],
+            "()",
+            "close the observation window; budgets refill",
+        )
+        .method("windows", &[], "u64", "windows closed so far"),
     );
     rt.interfaces().register(
         InterfaceDescriptor::new(

@@ -1,20 +1,28 @@
 //! Lowering descriptions to live pipelines, and applying patches to
-//! the result.
+//! the result — one materialiser for both.
 //!
-//! [`Compiler`] drives one factory path whichever executor runs the
-//! pipeline: for each shard it builds a fresh capsule, adopts one
-//! element per description node (through the [`schema`](super::schema)
-//! constructors, or a host-supplied *external* builder), binds the
-//! described edges, installs the match-action tables, and hands the
-//! [`ShardGraph`] recipe to [`ShardedPipeline::build_with_sketches`] —
-//! with the shard's metered sketch, so a described
-//! [`Guard`](crate::flow::Guard) reads the bytes its shard's handler
-//! records. The per-shard object map it accumulates — name →
-//! [`ComponentId`], table entry → live id — is returned as a
-//! [`DescBinding`], which is what makes *incremental*
-//! reconfiguration possible: a later [`Patch`](super::Patch) is a list
-//! of named mutations, and the binding resolves each name to the live
-//! object it addresses.
+//! A [`Patch`](super::Patch) is a list of named mutations, and one
+//! per-shard executor (`CompiledShard::apply`) runs it: it constructs
+//! elements (through the [`schema`](super::schema) constructors, or a
+//! host-supplied *external* builder), adopts, hot-swaps and destroys
+//! them, binds and unbinds the described edges, and drives the
+//! match-action tables, keeping the per-shard object map — name →
+//! [`ComponentId`], table entry → live id — that lets the next patch
+//! address what this one made. **A build is the patch from nothing**:
+//! [`Compiler`] hands each shard an empty capsule and runs
+//! `diff(∅, desc)` through that same executor, so a built pipeline and
+//! a patched one cannot disagree about adoption order, bind order or
+//! when tables install.
+//!
+//! The [`DescBinding`] a build returns owns the one **live
+//! description**: the description in force and the per-shard object
+//! maps sit behind one lock, shared with the replica factory the
+//! [`ShardedPipeline`] keeps for crash recovery, and
+//! [`DescBinding::apply_sharded`] is the only writer. A replica
+//! respawned after any number of patches is therefore materialised
+//! from the description those patches produced, with the shard's
+//! metered sketch (a described [`Guard`](crate::flow::Guard) reads the
+//! bytes its shard's handler records).
 //!
 //! The patch applier is where the zero-loss contract lives:
 //!
@@ -23,13 +31,17 @@
 //!   [`Capsule::replace`] swaps under per-edge quiescence, and table
 //!   upserts go through the elements' own lock-protected control
 //!   interfaces. The pipeline-wide epoch counter does not move — the
-//!   reconfiguration benchmark asserts exactly that.
+//!   ledger's `edge_reconfig` workload asserts exactly that.
 //! * **Structural patches** (adds, removes, rewires) run inside one
 //!   [`ShardedPipeline::quiesce`] window: every worker parks at a
 //!   batch boundary, the graph mutates, one epoch is paid, and no
 //!   packet observes a half-rewired graph. (On the inline executor the
 //!   caller is already at a batch boundary; the window costs nothing
 //!   and the epoch is still counted, so receipts read the same.)
+//!
+//! Either kind that changed a shard's component set ends with
+//! [`ShardedPipeline::sync_replicas`], so the resources task lists what
+//! the capsules hold.
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::{Arc, Mutex};
@@ -37,7 +49,7 @@ use std::sync::{Arc, Mutex};
 use opencom::capsule::{Capsule, Quiescence};
 use opencom::component::Component;
 use opencom::error::{Error, Result};
-use opencom::ident::{BindingId, ComponentId};
+use opencom::ident::ComponentId;
 use opencom::meta::resources::ResourceManager;
 use opencom::runtime::Runtime;
 
@@ -53,7 +65,7 @@ use crate::routing::RouteEntry;
 use crate::shard::{fresh_sketches, RebalanceController, ShardGraph, ShardedPipeline};
 
 use super::schema;
-use super::{EdgeDesc, Patch, PatchOp, PipelineDesc, TableEntry};
+use super::{Patch, PatchOp, PipelineDesc, TableEntry};
 
 /// The live control surface of one compiled element — how the patch
 /// applier addresses its match-action table.
@@ -88,10 +100,9 @@ pub type ExternalBuild = dyn Fn(usize) -> (Arc<dyn Component>, ElementHandle) + 
 /// One shard's compiled object graph: every description name resolved
 /// to the live object it produced.
 pub struct CompiledShard {
+    shard: usize,
     capsule: Arc<Capsule>,
-    ids: BTreeMap<String, ComponentId>,
-    handles: BTreeMap<String, ElementHandle>,
-    bindings: BTreeMap<EdgeDesc, BindingId>,
+    elements: BTreeMap<String, (ComponentId, ElementHandle)>,
     filters: BTreeMap<(String, TableEntry), FilterId>,
     backends: BTreeMap<(String, TableEntry), u32>,
     sketch: Arc<FlowSketch>,
@@ -103,8 +114,8 @@ impl std::fmt::Debug for CompiledShard {
         write!(
             f,
             "CompiledShard({} elements, {} edges)",
-            self.ids.len(),
-            self.bindings.len()
+            self.elements.len(),
+            self.capsule.arch().binding_count()
         )
     }
 }
@@ -124,7 +135,7 @@ fn stale(what: String) -> Error {
 
 impl CompiledShard {
     /// Builds one shard's graph from a canonical, validated
-    /// description.
+    /// description: an empty capsule, then the patch from nothing.
     fn build(
         desc: &PipelineDesc,
         shard: usize,
@@ -133,54 +144,23 @@ impl CompiledShard {
     ) -> Result<(ShardGraph, CompiledShard)> {
         let rt = Runtime::new();
         register_packet_interfaces(&rt);
-        let capsule = Capsule::new(format!("{}#{shard}", desc.name), &rt);
-
-        let mut ids = BTreeMap::new();
-        let mut handles = BTreeMap::new();
-        for (name, el) in &desc.elements {
-            let (comp, handle) = match externals.get(&el.kind) {
-                Some(build) => build(shard),
-                None => schema::construct(&el.kind, &el.params, &sketch)?,
-            };
-            let id = capsule.adopt(comp)?;
-            ids.insert(name.clone(), id);
-            handles.insert(name.clone(), handle);
-        }
-
-        let mut bindings = BTreeMap::new();
-        for edge in &desc.edges {
-            let bid = capsule.bind(
-                ids[&edge.from],
-                "out",
-                &edge.label,
-                ids[&edge.to],
-                IPACKET_PUSH,
-            )?;
-            bindings.insert(edge.clone(), bid);
-        }
-
         let mut compiled = CompiledShard {
-            capsule: Arc::clone(&capsule),
-            ids,
-            handles,
-            bindings,
+            shard,
+            capsule: Capsule::new(format!("{}#{shard}", desc.name), &rt),
+            elements: BTreeMap::new(),
             filters: BTreeMap::new(),
             backends: BTreeMap::new(),
             sketch,
             _rt: rt,
         };
-        // Tables install after edges: a classifier validates that the
-        // filter's output label is bound before accepting the filter.
-        for (node, entries) in &desc.tables {
-            for entry in entries {
-                compiled.table_put(node, entry)?;
-            }
-        }
-
-        let entry = push_of(&capsule, compiled.ids[&desc.entry])?;
-        let graph = ShardGraph::new(capsule, entry)
-            .with_components(compiled.ids.values().copied().collect());
-        Ok((graph, compiled))
+        let plan = super::diff(&PipelineDesc::new(&desc.name), desc);
+        let entry = compiled
+            .apply(&plan, externals, &mut ApplyReport::default())?
+            .ok_or_else(|| stale(format!("ingress of `{}`", desc.name)))?;
+        Ok((
+            ShardGraph::new(Arc::clone(&compiled.capsule), entry),
+            compiled,
+        ))
     }
 
     /// The shard's capsule (introspection / escape hatch).
@@ -193,16 +173,113 @@ impl CompiledShard {
     /// host can introspect (say) a balancer's backend counters
     /// without keeping its own element references.
     pub fn handle_of(&self, name: &str) -> Option<&ElementHandle> {
-        self.handles.get(name)
+        self.elements.get(name).map(|(_, handle)| handle)
+    }
+
+    /// The live component a description name compiled to — with
+    /// [`Self::capsule`]'s architecture meta-model, enough to read the
+    /// whole object map back (kinds, edges) without a second record.
+    pub fn id_of(&self, name: &str) -> Option<ComponentId> {
+        self.elements.get(name).map(|(id, _)| *id)
+    }
+
+    /// Executes `patch`'s element, edge and table ops on this shard, in
+    /// plan order (the diff orders them so one forward pass is legal),
+    /// and returns the ingress handle if the plan (re)pointed it. The
+    /// pipeline-level ops (`SetControl`, `SetSteering`) are
+    /// [`DescBinding::apply_sharded`]'s.
+    fn apply(
+        &mut self,
+        patch: &Patch,
+        externals: &BTreeMap<String, Arc<ExternalBuild>>,
+        report: &mut ApplyReport,
+    ) -> Result<Option<Arc<dyn IPacketPush>>> {
+        let mut entry = None;
+        for op in patch.ops() {
+            match op {
+                PatchOp::AddElement { name }
+                | PatchOp::ReplaceElement { name }
+                | PatchOp::RebuildElement { name } => {
+                    let old = match op {
+                        PatchOp::AddElement { .. } => None,
+                        _ => Some(self.resolve(name)?),
+                    };
+                    let el = &patch.to_desc().elements[name];
+                    let (comp, handle) = match externals.get(&el.kind) {
+                        Some(build) => build(self.shard),
+                        None => schema::construct(&el.kind, &el.params, &self.sketch)?,
+                    };
+                    let id = self.capsule.adopt(comp)?;
+                    if let Some(old) = old {
+                        // Per-edge quiescence: each edge drains its
+                        // in-flight call and rewires; binding ids (and
+                        // interceptor chains) survive the swap. The
+                        // fresh instance's tables start empty.
+                        self.capsule.replace(old, id, Quiescence::PerEdge)?;
+                        self.purge_tables(name);
+                    }
+                    self.elements.insert(name.clone(), (id, handle));
+                    if matches!(op, PatchOp::ReplaceElement { .. }) {
+                        report.replaced += 1;
+                    } else {
+                        report.structural += 1;
+                    }
+                }
+                PatchOp::RemoveElement { name } => {
+                    self.capsule.destroy(self.resolve(name)?)?;
+                    self.elements.remove(name);
+                    self.purge_tables(name);
+                    report.structural += 1;
+                }
+                PatchOp::Bind { edge } => {
+                    self.capsule.bind(
+                        self.resolve(&edge.from)?,
+                        "out",
+                        &edge.label,
+                        self.resolve(&edge.to)?,
+                        IPACKET_PUSH,
+                    )?;
+                    report.structural += 1;
+                }
+                PatchOp::Unbind { edge } => {
+                    // The capsule's own record of the edge names its id.
+                    let (src, dst) = (self.resolve(&edge.from)?, self.resolve(&edge.to)?);
+                    let mut bound = self.capsule.arch().bindings_of(src).into_iter();
+                    let record = bound
+                        .find(|b| b.src == src && b.dst == dst && b.label == edge.label)
+                        .ok_or_else(|| stale(format!("edge `{} -> {}`", edge.from, edge.to)))?;
+                    self.capsule.unbind(record.id)?;
+                    report.structural += 1;
+                }
+                PatchOp::SetEntry { name } => {
+                    entry = Some(push_of(&self.capsule, self.resolve(name)?)?);
+                }
+                PatchOp::TableDel { node, entry } => {
+                    self.table_del(node, entry)?;
+                    report.table_ops += 1;
+                }
+                PatchOp::TablePut { node, entry } => {
+                    self.table_put(node, entry)?;
+                    report.table_ops += 1;
+                }
+                PatchOp::SetControl | PatchOp::SetSteering => {}
+            }
+        }
+        Ok(entry)
+    }
+
+    fn resolve(&self, name: &str) -> Result<ComponentId> {
+        self.id_of(name)
+            .ok_or_else(|| stale(format!("element `{name}`")))
+    }
+
+    fn table_handle(&self, node: &str) -> Result<ElementHandle> {
+        let handle = self.handle_of(node).cloned();
+        handle.ok_or_else(|| stale(format!("element `{node}`")))
     }
 
     fn table_put(&mut self, node: &str, entry: &TableEntry) -> Result<()> {
-        let handle = self
-            .handles
-            .get(node)
-            .ok_or_else(|| stale(format!("element `{node}`")))?
-            .clone();
-        match (handle, entry) {
+        match (self.table_handle(node)?, entry) {
             (
                 ElementHandle::Classifier(cls),
                 TableEntry::Filter {
@@ -242,12 +319,7 @@ impl CompiledShard {
     }
 
     fn table_del(&mut self, node: &str, entry: &TableEntry) -> Result<()> {
-        let handle = self
-            .handles
-            .get(node)
-            .ok_or_else(|| stale(format!("element `{node}`")))?
-            .clone();
-        match (handle, entry) {
+        match (self.table_handle(node)?, entry) {
             (ElementHandle::Classifier(cls), TableEntry::Filter { .. }) => {
                 let key = (node.to_owned(), entry.clone());
                 let id = self
@@ -362,44 +434,46 @@ impl Compiler {
     ) -> Result<(ShardedPipeline<E>, DescBinding)> {
         let desc = desc.canonical();
         desc.validate_with(&self.external_kinds())?;
-        let workers = spec.workers.max(1);
-        let shards: Arc<Mutex<Vec<Option<CompiledShard>>>> =
-            Arc::new(Mutex::new((0..workers).map(|_| None).collect()));
-        let slot = Arc::clone(&shards);
-        let build_desc = desc.clone();
+        let (name, pins) = (desc.name.clone(), desc.pins.clone());
+        let live = Arc::new(Mutex::new(Live {
+            desc,
+            shards: (0..spec.workers.max(1)).map(|_| None).collect(),
+        }));
+        let state = Arc::clone(&live);
         let externals = self.externals.clone();
         let sketches = fresh_sketches(spec);
         let guard_sketches = sketches.clone();
-        let pipe =
-            ShardedPipeline::build_with_sketches(&desc.name, spec, rm, sketches, move |shard| {
-                let sketch = Arc::clone(&guard_sketches[shard]);
-                let (graph, compiled) =
-                    CompiledShard::build(&build_desc, shard, sketch, &externals)?;
-                slot.lock().expect("desc shard slot")[shard] = Some(compiled);
-                Ok(graph)
-            })?;
-        let pins: Vec<(usize, usize)> = desc.pins.iter().map(|(&b, &s)| (b, s)).collect();
+        // The factory the pipeline keeps for respawns: whenever it
+        // runs, it materialises the description in force *then*.
+        let pipe = ShardedPipeline::build_with_sketches(&name, spec, rm, sketches, move |shard| {
+            let mut live = state.lock().expect("live description");
+            let sketch = Arc::clone(&guard_sketches[shard]);
+            let (graph, compiled) = CompiledShard::build(&live.desc, shard, sketch, &externals)?;
+            live.shards[shard] = Some(compiled);
+            Ok(graph)
+        })?;
         if !pins.is_empty() {
-            let map = pinned_map(pipe.bucket_map(), &pins, workers)?;
-            pipe.install_bucket_map(map, &[]);
+            install_pins(&pipe, &pins)?;
         }
         Ok((
             pipe,
             DescBinding {
-                desc,
                 externals: self.externals.clone(),
-                shards,
+                live,
             },
         ))
     }
 }
 
-fn pinned_map(
-    base: netkit_packet::steer::BucketMap,
-    pins: &[(usize, usize)],
-    workers: usize,
-) -> Result<netkit_packet::steer::BucketMap> {
-    for &(bucket, shard) in pins {
+/// Installs a description's steering pins over the pipeline's current
+/// table (a migration: one epoch) and returns the buckets it moved.
+fn install_pins<E: ShardExecutor<ShardJob>>(
+    pipe: &ShardedPipeline<E>,
+    pins: &BTreeMap<usize, usize>,
+) -> Result<usize> {
+    let workers = pipe.workers();
+    let pins: Vec<(usize, usize)> = pins.iter().map(|(&b, &s)| (b, s)).collect();
+    for &(bucket, shard) in &pins {
         if shard >= workers {
             return Err(Error::CfViolation {
                 framework: "desc".to_owned(),
@@ -407,7 +481,8 @@ fn pinned_map(
             });
         }
     }
-    Ok(base.with_pins(pins))
+    let map = pipe.bucket_map().with_pins(&pins);
+    Ok(pipe.install_bucket_map(map, &[]).moved_buckets)
 }
 
 /// What applying a patch actually did — the receipts the benchmarks
@@ -433,25 +508,38 @@ pub struct ApplyReport {
     pub shards_touched: usize,
 }
 
+/// What a pipeline *is*, in one place: the description in force and the
+/// object graph each shard compiled it to. The [`DescBinding`] and the
+/// pipeline's respawn factory share it behind one lock.
+struct Live {
+    desc: PipelineDesc,
+    shards: Vec<Option<CompiledShard>>,
+}
+
 /// The link between a description and the live pipeline it compiled
 /// to: apply patches through it, or introspect what each name became.
 pub struct DescBinding {
-    desc: PipelineDesc,
     externals: BTreeMap<String, Arc<ExternalBuild>>,
-    shards: Arc<Mutex<Vec<Option<CompiledShard>>>>,
+    live: Arc<Mutex<Live>>,
 }
 
 impl std::fmt::Debug for DescBinding {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "DescBinding({})", self.desc.name)
+        write!(f, "DescBinding({})", self.live().desc.name)
     }
 }
 
 impl DescBinding {
+    fn live(&self) -> std::sync::MutexGuard<'_, Live> {
+        self.live.lock().expect("live description")
+    }
+
     /// The description the live pipeline currently implements
-    /// (canonical form).
-    pub fn desc(&self) -> &PipelineDesc {
-        &self.desc
+    /// (canonical form) — what the last successful
+    /// [`Self::apply_sharded`] left in force, and what a respawned
+    /// replica is built from.
+    pub fn desc(&self) -> PipelineDesc {
+        self.live().desc.clone()
     }
 
     /// Computes the patch that would take this binding to `next` —
@@ -462,7 +550,7 @@ impl DescBinding {
     /// Propagates validation failures on `next`.
     pub fn diff_to(&self, next: &PipelineDesc) -> Result<Patch> {
         next.validate_with(&self.externals.keys().cloned().collect())?;
-        Ok(super::diff(&self.desc, next))
+        Ok(super::diff(&self.live().desc, next))
     }
 
     /// The controller the description's control section selects, if
@@ -474,7 +562,8 @@ impl DescBinding {
     /// Propagates unknown core names (pre-validated descriptions
     /// cannot hit this).
     pub fn controller(&self) -> Result<Option<RebalanceController>> {
-        self.desc
+        self.live()
+            .desc
             .control
             .as_ref()
             .map(schema::compile_control)
@@ -484,19 +573,11 @@ impl DescBinding {
     /// Runs `f` over one compiled shard's object map (introspection
     /// for tests and tooling).
     pub fn with_shard<R>(&self, shard: usize, f: impl FnOnce(&CompiledShard) -> R) -> Option<R> {
-        let shards = self.shards.lock().expect("desc shard slot");
-        shards.get(shard).and_then(Option::as_ref).map(f)
-    }
-
-    fn check_patch(&self, patch: &Patch) -> Result<()> {
-        if patch.from_desc().render() != self.desc.render() {
-            return Err(stale(
-                "patch base does not match the binding's current description".to_owned(),
-            ));
-        }
-        patch
-            .to_desc()
-            .validate_with(&self.externals.keys().cloned().collect())
+        self.live()
+            .shards
+            .get(shard)
+            .and_then(Option::as_ref)
+            .map(f)
     }
 
     /// Applies `patch` to the pipeline built from this binding, on
@@ -508,167 +589,63 @@ impl DescBinding {
     /// quiesce window. Steering changes ride the existing zero-loss
     /// migration path and report their own epoch.
     ///
+    /// The live description is held for the whole call, so a crash
+    /// recovery racing the patch respawns its replica either wholly
+    /// before it (and is patched with the rest) or wholly after (and is
+    /// built from the patched description).
+    ///
     /// # Errors
     ///
     /// Fails if the patch's base does not match this binding, or if a
-    /// mutation fails mid-apply — in that case the binding is stale
-    /// and the pipeline should be rebuilt from a fresh description.
+    /// mutation fails mid-apply. Validation has already rejected every
+    /// description whose elements, edges or table entries could fail to
+    /// materialise, so the latter means the live graph was changed
+    /// behind the binding's back: the description in force is left as
+    /// it was, the shards may hold part of the patch, and the pipeline
+    /// should be rebuilt from a fresh description.
     pub fn apply_sharded<E: ShardExecutor<ShardJob>>(
         &mut self,
         pipe: &ShardedPipeline<E>,
         patch: &Patch,
     ) -> Result<ApplyReport> {
-        self.check_patch(patch)?;
+        let mut live = self.live();
+        if patch.from_desc().render() != live.desc.render() {
+            return Err(stale(
+                "patch base does not match the binding's current description".to_owned(),
+            ));
+        }
+        patch
+            .to_desc()
+            .validate_with(&self.externals.keys().cloned().collect())?;
         let epoch_before = pipe.epoch();
         let mut report = ApplyReport::default();
-        if patch.requires_quiesce() {
-            pipe.quiesce(|| -> Result<()> {
-                let swaps = self.apply_ops(patch, &mut report)?;
-                for (shard, entry) in swaps {
-                    pipe.set_entry(shard, entry);
+        let graph_ops = patch
+            .ops()
+            .iter()
+            .any(|op| !matches!(op, PatchOp::SetControl | PatchOp::SetSteering));
+        let mut run = || -> Result<()> {
+            for cs in live.shards.iter_mut().flatten() {
+                if let Some(entry) = cs.apply(patch, &self.externals, &mut report)? {
+                    pipe.set_entry(cs.shard, entry);
                     report.entry_swaps += 1;
                 }
-                Ok(())
-            })?;
-        } else {
-            let swaps = self.apply_ops(patch, &mut report)?;
-            for (shard, entry) in swaps {
-                pipe.set_entry(shard, entry);
-                report.entry_swaps += 1;
+                report.shards_touched += usize::from(graph_ops);
             }
+            Ok(())
+        };
+        if patch.requires_quiesce() {
+            pipe.quiesce(run)?;
+        } else {
+            run()?;
+        }
+        if report.structural + report.replaced > 0 {
+            pipe.sync_replicas()?;
         }
         if patch.steering_changed() {
-            let workers = pipe.spec().workers.max(1);
-            let pins: Vec<(usize, usize)> =
-                patch.to_desc().pins.iter().map(|(&b, &s)| (b, s)).collect();
-            let map = pinned_map(pipe.bucket_map(), &pins, workers)?;
-            let migration = pipe.install_bucket_map(map, &[]);
-            report.moved_buckets = migration.moved_buckets;
+            report.moved_buckets = install_pins(pipe, &patch.to_desc().pins)?;
         }
-        self.desc = patch.to_desc().clone();
+        live.desc = patch.to_desc().clone();
         report.epochs = pipe.epoch() - epoch_before;
         Ok(report)
-    }
-
-    /// Executes the patch's element/table ops on every compiled shard
-    /// and returns the pending ingress swaps.
-    fn apply_ops(
-        &mut self,
-        patch: &Patch,
-        report: &mut ApplyReport,
-    ) -> Result<Vec<(usize, Arc<dyn IPacketPush>)>> {
-        let to = patch.to_desc();
-        let mut swaps = Vec::new();
-        let mut shards = self.shards.lock().expect("desc shard slot");
-        let mut touched = false;
-        for (shard, compiled) in shards.iter_mut().enumerate() {
-            let Some(cs) = compiled.as_mut() else {
-                continue;
-            };
-            for op in patch.ops() {
-                match op {
-                    PatchOp::AddElement { name } => {
-                        let el = &to.elements[name];
-                        let (comp, handle) = match self.externals.get(&el.kind) {
-                            Some(build) => build(shard),
-                            None => schema::construct(&el.kind, &el.params, &cs.sketch)?,
-                        };
-                        let id = cs.capsule.adopt(comp)?;
-                        cs.ids.insert(name.clone(), id);
-                        cs.handles.insert(name.clone(), handle);
-                        report.structural += 1;
-                        touched = true;
-                    }
-                    PatchOp::ReplaceElement { name } | PatchOp::RebuildElement { name } => {
-                        let el = &to.elements[name];
-                        let (comp, handle) = match self.externals.get(&el.kind) {
-                            Some(build) => build(shard),
-                            None => schema::construct(&el.kind, &el.params, &cs.sketch)?,
-                        };
-                        let new_id = cs.capsule.adopt(comp)?;
-                        let old_id = *cs
-                            .ids
-                            .get(name)
-                            .ok_or_else(|| stale(format!("element `{name}`")))?;
-                        // Per-edge quiescence: each edge drains its
-                        // in-flight call and rewires; binding ids (and
-                        // interceptor chains) survive the swap.
-                        cs.capsule.replace(old_id, new_id, Quiescence::PerEdge)?;
-                        cs.ids.insert(name.clone(), new_id);
-                        cs.handles.insert(name.clone(), handle);
-                        cs.purge_tables(name);
-                        if matches!(op, PatchOp::ReplaceElement { .. }) {
-                            report.replaced += 1;
-                        } else {
-                            report.structural += 1;
-                        }
-                        touched = true;
-                    }
-                    PatchOp::RemoveElement { name } => {
-                        let id = cs
-                            .ids
-                            .remove(name)
-                            .ok_or_else(|| stale(format!("element `{name}`")))?;
-                        cs.capsule.destroy(id)?;
-                        cs.handles.remove(name);
-                        cs.bindings
-                            .retain(|edge, _| edge.from != *name && edge.to != *name);
-                        cs.purge_tables(name);
-                        report.structural += 1;
-                        touched = true;
-                    }
-                    PatchOp::Bind { edge } => {
-                        let from = *cs
-                            .ids
-                            .get(&edge.from)
-                            .ok_or_else(|| stale(format!("element `{}`", edge.from)))?;
-                        let dst = *cs
-                            .ids
-                            .get(&edge.to)
-                            .ok_or_else(|| stale(format!("element `{}`", edge.to)))?;
-                        let bid = cs
-                            .capsule
-                            .bind(from, "out", &edge.label, dst, IPACKET_PUSH)?;
-                        cs.bindings.insert(edge.clone(), bid);
-                        report.structural += 1;
-                        touched = true;
-                    }
-                    PatchOp::Unbind { edge } => {
-                        let bid = cs
-                            .bindings
-                            .remove(edge)
-                            .ok_or_else(|| stale(format!("edge `{} -> {}`", edge.from, edge.to)))?;
-                        cs.capsule.unbind(bid)?;
-                        report.structural += 1;
-                        touched = true;
-                    }
-                    PatchOp::SetEntry { name } => {
-                        let id = *cs
-                            .ids
-                            .get(name)
-                            .ok_or_else(|| stale(format!("element `{name}`")))?;
-                        swaps.push((shard, push_of(&cs.capsule, id)?));
-                        touched = true;
-                    }
-                    PatchOp::TableDel { node, entry } => {
-                        cs.table_del(node, entry)?;
-                        report.table_ops += 1;
-                        touched = true;
-                    }
-                    PatchOp::TablePut { node, entry } => {
-                        cs.table_put(node, entry)?;
-                        report.table_ops += 1;
-                        touched = true;
-                    }
-                    // Pipeline-level ops: handled by `apply_sharded`.
-                    PatchOp::SetControl | PatchOp::SetSteering => {}
-                }
-            }
-            if touched {
-                report.shards_touched += 1;
-                touched = false;
-            }
-        }
-        Ok(swaps)
     }
 }

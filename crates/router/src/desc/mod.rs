@@ -1,16 +1,16 @@
 //! Declarative pipeline descriptions — topology as *data*, not code.
 //!
-//! Every topology in this repository used to be hand-built Rust: adopt
-//! the elements, bind the edges, install the filters. This module adds
-//! the layer the P4 data-plane line of work argues for — a small typed
+//! The layer the P4 data-plane line of work argues for: a small typed
 //! description model that **validates** against an element schema
 //! registry and **compiles** to the real element graph through
 //! [`ShardedPipeline`](crate::shard::ShardedPipeline)'s factory path,
 //! on either executor (threaded workers, or inline for the simulator)
-//! — and the half that makes it a control plane rather than a config file:
-//! [`diff`](diff()) computes a minimal deterministic [`Patch`] between
-//! two descriptions, and [`DescBinding::apply_sharded`] executes it
-//! under the existing zero-loss migration machinery.
+//! — and the half that makes it a control plane rather than a config
+//! file: [`diff`](diff()) computes a minimal deterministic [`Patch`]
+//! between two descriptions, and [`DescBinding::apply_sharded`]
+//! executes it under the existing zero-loss migration machinery. The
+//! two halves are one mechanism: a build *is* the patch from the empty
+//! description, run by the same executor.
 //!
 //! The model is deliberately small:
 //!
@@ -21,15 +21,19 @@
 //!   [`ControlDesc`] naming the preset of the staged
 //!   [`DecisionCore`](crate::shard::DecisionCore) that judges
 //!   rebalances.
-//! * [`PipelineDesc::validate`] — type-checks parameters against the
-//!   [`schema`] registry, rejects unknown kinds, dangling edge
-//!   endpoints, outputs on sink elements, duplicate single-output
-//!   edges, table entries on elements without that table, filter
-//!   outputs with no matching edge, unreachable elements, and cycles.
+//! * [`PipelineDesc::validate`] — checks parameters (type, range,
+//!   address format) against the [`schema`] registry, rejects unknown
+//!   kinds, dangling edge endpoints, outputs on sink elements,
+//!   duplicate single-output edges, table entries on elements without
+//!   that table or that the element could not install, filter outputs
+//!   with no matching edge, unreachable elements, and cycles. What it
+//!   accepts, the constructors take as is: nothing a description says
+//!   can fail or panic later, at build, apply or respawn.
 //! * [`Compiler`] — builds a live pipeline from a description (plus
 //!   host-supplied *external* element kinds, e.g. a simulator's egress
-//!   collector) and returns a [`DescBinding`] that remembers the
-//!   compiled object graph so later patches can address it.
+//!   collector) and returns a [`DescBinding`]: the one live description
+//!   — what is in force now, and the object graph each shard compiled
+//!   it to — which later patches address and respawns rebuild from.
 //! * [`diff`](diff()) / [`Patch`] / [`DescBinding::apply_sharded`] —
 //!   the incremental control plane, one applier for both executors. A
 //!   param-only diff compiles to a patch with **zero structural
@@ -730,7 +734,7 @@ impl PipelineDesc {
                         }
                     }
                     TableEntry::Route { prefix, egress } => {
-                        if !prefix.contains('/') {
+                        if crate::elements::parse_prefix(prefix).is_err() {
                             return Err(rule(format!(
                                 "route on `{node}`: malformed prefix `{prefix}`"
                             )));
@@ -872,6 +876,7 @@ impl PipelineDesc {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::Arc;
 
     fn chain() -> PipelineDesc {
         PipelineDesc::new("t")
@@ -950,26 +955,128 @@ mod tests {
         assert!(err.contains("unreachable"), "{err}");
     }
 
-    #[test]
-    fn mistyped_params_are_rejected() {
-        let d = PipelineDesc::new("t")
-            .element_with("a", "conntrack", &[("capacity", "lots".into())])
+    /// `a` (of `kind`, with `params`) feeding a sink.
+    fn one(kind: &str, params: &[(&str, ParamValue)]) -> PipelineDesc {
+        PipelineDesc::new("t")
+            .element_with("a", kind, params)
             .element("sink", "discard")
             .ingress("a")
-            .edge("a", "sink");
-        let err = d.validate().unwrap_err().to_string();
-        assert!(err.contains("expects int"), "{err}");
+            .edge("a", "sink")
+    }
+
+    /// Whatever validation accepts must materialise: on the caller at
+    /// build, and so inside a quiesce at apply and on the control
+    /// thread at respawn, which run the same constructor.
+    fn builds(d: &PipelineDesc) {
+        use netkit_kernel::shard::ShardSpec;
+        use opencom::meta::resources::ResourceManager;
+        Compiler::new()
+            .build_inline(d, ShardSpec::new(1), Arc::new(ResourceManager::new()))
+            .unwrap_or_else(|e| panic!("validated but did not build: {e}\n{}", d.render()));
+    }
+
+    #[test]
+    fn mistyped_params_are_rejected() {
+        let vip = ("vip", ParamValue::from("10.0.7.9"));
+        /// Kind, params, and the rejection's wording (`None` builds).
+        type Case<'a> = (&'a str, Vec<(&'a str, ParamValue)>, Option<&'a str>);
+        let range = Some("expects int in");
+        let cases: Vec<Case<'_>> = vec![
+            (
+                "conntrack",
+                vec![("capacity", "lots".into())],
+                Some("expects int"),
+            ),
+            ("conntrack", vec![("capacity", 0u64.into())], range),
+            ("conntrack", vec![("capacity", 1u64.into())], None),
+            (
+                "guard",
+                vec![("table_capacity", (1u64 << 32).into())],
+                range,
+            ),
+            ("nat44", vec![("table_capacity", 0u64.into())], range),
+            ("nat44", vec![("port_base", 70_000u64.into())], range),
+            ("nat44", vec![("blocks", 65_536u64.into())], range),
+            ("nat44", vec![("block_size", 65_536u64.into())], range),
+            (
+                "nat44",
+                vec![("external_ip", "192.0.2".into())],
+                Some("`external_ip` expects an IPv4 address"),
+            ),
+            (
+                "nat44",
+                vec![
+                    ("port_base", 60_000u64.into()),
+                    ("blocks", 128u64.into()),
+                    ("block_size", 64u64.into()),
+                ],
+                Some("`port_base` + `blocks` x `block_size`"),
+            ),
+            // The defaults count: 64 x 64 ports from 62 000 overrun too.
+            (
+                "nat44",
+                vec![("port_base", 62_000u64.into())],
+                Some("past the last port"),
+            ),
+            (
+                "nat44",
+                vec![
+                    ("port_base", 65_000u64.into()),
+                    ("blocks", 8u64.into()),
+                    ("block_size", 67u64.into()),
+                ],
+                None, // ends at exactly 65 536
+            ),
+            (
+                "l4lb",
+                vec![vip.clone(), ("vport", 65_536u64.into())],
+                range,
+            ),
+            ("l4lb", vec![vip.clone(), ("vport", 65_535u64.into())], None),
+            (
+                "l4lb",
+                vec![vip, ("vport", 443u64.into()), ("capacity", 0u64.into())],
+                range,
+            ),
+            (
+                "l4lb",
+                vec![("vip", "ten.zero".into()), ("vport", 443u64.into())],
+                Some("`vip` expects an IPv4 address"),
+            ),
+        ];
+        for (kind, params, rejection) in cases {
+            let d = one(kind, &params);
+            match rejection {
+                None => builds(&d),
+                Some(wording) => {
+                    let err = d.validate().expect_err(wording);
+                    assert!(matches!(err, Error::CfViolation { .. }), "{err}");
+                    let text = err.to_string();
+                    let named = format!("element `a` ({kind})");
+                    assert!(text.contains(wording) && text.contains(&named), "{text}");
+                }
+            }
+        }
     }
 
     #[test]
     fn unknown_params_are_rejected() {
-        let d = PipelineDesc::new("t")
-            .element_with("a", "counter", &[("speed", 9u64.into())])
-            .element("sink", "discard")
-            .ingress("a")
-            .edge("a", "sink");
-        let err = d.validate().unwrap_err().to_string();
-        assert!(err.contains("unknown parameter"), "{err}");
+        // The SYN knobs configure a tracker-armed defence a
+        // described guard (no tracker) never had: unknown, not ignored.
+        for (kind, knob) in [
+            ("counter", "speed"),
+            ("guard", "syn_limit"),
+            ("guard", "syn_budget"),
+        ] {
+            let err = one(kind, &[(knob, 9u64.into())])
+                .validate()
+                .unwrap_err()
+                .to_string();
+            assert!(
+                err.contains("unknown parameter") && err.contains(knob),
+                "{err}"
+            );
+        }
     }
 
     #[test]
@@ -1002,6 +1109,40 @@ mod tests {
         );
         let err = d.validate().unwrap_err().to_string();
         assert!(err.contains("not supported"), "{err}");
+
+        // A supported entry is read the way the element will read it:
+        // a route prefix that validates also installs.
+        let routed = |prefix: &str| {
+            PipelineDesc::new("t")
+                .element("r", "route")
+                .element("sink", "discard")
+                .ingress("r")
+                .edge_labelled("r", "0", "sink")
+                .table(
+                    "r",
+                    TableEntry::Route {
+                        prefix: prefix.into(),
+                        egress: 0,
+                    },
+                )
+        };
+        for prefix in ["10.0.0.0/8", "2001:db8::/32", "0.0.0.0/0"] {
+            builds(&routed(prefix));
+        }
+        for prefix in [
+            "10.0.0.0",
+            "/8",
+            "10.0.0/8",
+            "10.0.0.0/",
+            "10.0.0.0/x",
+            "banana/8",
+        ] {
+            let err = routed(prefix).validate().unwrap_err().to_string();
+            assert!(
+                err.contains("route on `r`: malformed prefix") && err.contains(prefix),
+                "{err}"
+            );
+        }
     }
 
     #[test]

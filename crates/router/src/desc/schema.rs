@@ -25,7 +25,9 @@ use netkit_packet::sketch::FlowSketch;
 
 use crate::api::IClassifier;
 use crate::elements::{ClassifierEngine, Counter, Discard, IRouteControl, RouteLookup, Tee};
-use crate::flow::{ConnTracker, Guard, GuardConfig, L4LoadBalancer, Nat44, Nat44Config};
+use crate::flow::{
+    ConnTracker, Guard, GuardConfig, L4LoadBalancer, Nat44, Nat44Config, MAX_FLOW_CAPACITY,
+};
 use crate::shard::{core_by_name, RebalanceController, RebalancePolicy, PRESETS};
 
 use super::compile::ElementHandle;
@@ -42,6 +44,13 @@ pub enum ParamType {
     Bool,
     /// String.
     Str,
+    /// Unsigned integer that fits a `u16`: a port, or a count of ports.
+    U16,
+    /// Unsigned integer a flow table can be sized to: at least one, at
+    /// most [`MAX_FLOW_CAPACITY`] (what the table itself clamps to).
+    Capacity,
+    /// String holding an IPv4 address literal.
+    Ipv4,
 }
 
 impl ParamType {
@@ -51,6 +60,9 @@ impl ParamType {
             ParamType::Float => "float",
             ParamType::Bool => "bool",
             ParamType::Str => "str",
+            ParamType::U16 => "int in 0..=65535",
+            ParamType::Capacity => "int in 1..=u32::MAX-1",
+            ParamType::Ipv4 => "an IPv4 address",
         }
     }
 
@@ -58,6 +70,13 @@ impl ParamType {
         match self {
             // Float knobs accept integer literals (`1` for `1.0`).
             ParamType::Float => matches!(value, ParamValue::Float(_) | ParamValue::Int(_)),
+            ParamType::U16 => value.as_u64().is_some_and(|v| v <= u16::MAX.into()),
+            ParamType::Capacity => value
+                .as_u64()
+                .is_some_and(|v| (1..=MAX_FLOW_CAPACITY as u64).contains(&v)),
+            ParamType::Ipv4 => value
+                .as_str()
+                .is_some_and(|s| s.parse::<Ipv4Addr>().is_ok()),
             other => value.param_type() == other,
         }
     }
@@ -170,6 +189,20 @@ impl ElementSchema {
                 )));
             }
         }
+        // The one cross-knob rule: a NAT's port pool ends inside the
+        // port space (`Nat44::new` asserts it).
+        if self.kind == "nat44" {
+            let defaults = Nat44Config::default();
+            let end = get_u64(params, "port_base", defaults.port_base.into())
+                + get_u64(params, "blocks", defaults.blocks.into())
+                    * get_u64(params, "block_size", defaults.block_size.into());
+            if end > 1 << 16 {
+                return Err(rule(format!(
+                    "element `{element}` (nat44): `port_base` + `blocks` x `block_size` \
+                     ends at {end}, past the last port (65536)"
+                )));
+            }
+        }
         Ok(())
     }
 }
@@ -208,7 +241,7 @@ const SCHEMAS: &[ElementSchema] = &[
     ElementSchema {
         kind: "conntrack",
         params: &[
-            opt("capacity", ParamType::Int),
+            opt("capacity", ParamType::Capacity),
             opt("idle_timeout", ParamType::Int),
             opt("closing_timeout", ParamType::Int),
             opt("syn_timeout", ParamType::Int),
@@ -219,11 +252,11 @@ const SCHEMAS: &[ElementSchema] = &[
     ElementSchema {
         kind: "nat44",
         params: &[
-            opt("external_ip", ParamType::Str),
-            opt("port_base", ParamType::Int),
-            opt("blocks", ParamType::Int),
-            opt("block_size", ParamType::Int),
-            opt("table_capacity", ParamType::Int),
+            opt("external_ip", ParamType::Ipv4),
+            opt("port_base", ParamType::U16),
+            opt("blocks", ParamType::U16),
+            opt("block_size", ParamType::U16),
+            opt("table_capacity", ParamType::Capacity),
             opt("idle_timeout", ParamType::Int),
         ],
         output: OutputKind::Single,
@@ -232,9 +265,9 @@ const SCHEMAS: &[ElementSchema] = &[
     ElementSchema {
         kind: "l4lb",
         params: &[
-            req("vip", ParamType::Str),
-            req("vport", ParamType::Int),
-            opt("capacity", ParamType::Int),
+            req("vip", ParamType::Ipv4),
+            req("vport", ParamType::U16),
+            opt("capacity", ParamType::Capacity),
             opt("idle_timeout", ParamType::Int),
         ],
         output: OutputKind::Single,
@@ -245,9 +278,7 @@ const SCHEMAS: &[ElementSchema] = &[
         params: &[
             opt("byte_threshold", ParamType::Int),
             opt("window_budget", ParamType::Int),
-            opt("table_capacity", ParamType::Int),
-            opt("syn_limit", ParamType::Int),
-            opt("syn_budget", ParamType::Int),
+            opt("table_capacity", ParamType::Capacity),
         ],
         output: OutputKind::Single,
         tables: &[],
@@ -278,23 +309,24 @@ fn get_f64(params: &Params, key: &str, default: f64) -> f64 {
         .unwrap_or(default)
 }
 
-fn parse_ip(params: &Params, key: &str, default: Ipv4Addr) -> Result<Ipv4Addr> {
-    match params.get(key).and_then(ParamValue::as_str) {
-        None => Ok(default),
-        Some(s) => s.parse().map_err(|_| Error::StaleReference {
-            what: format!("`{key}` address `{s}`"),
-        }),
-    }
+fn get_ip(params: &Params, key: &str, default: Ipv4Addr) -> Ipv4Addr {
+    params
+        .get(key)
+        .and_then(ParamValue::as_str)
+        .and_then(|s| s.parse().ok())
+        .unwrap_or(default)
 }
 
 /// Lowers a checked `(kind, params)` pair to a live element. `sketch`
 /// is the shard's byte sketch — the guard reads it, everything else
-/// ignores it.
+/// ignores it. Every value [`ElementSchema::check_params`] accepts fits
+/// the constructor it reaches here: nothing below truncates, clamps,
+/// re-parses or asserts on operator input.
 ///
 /// # Errors
 ///
-/// Fails with [`Error::StaleReference`] on an unknown kind (the
-/// validator rejects these earlier) or a malformed address parameter.
+/// Fails with [`Error::StaleReference`] on an unknown kind only (the
+/// validator rejects these earlier).
 pub(super) fn construct(
     kind: &str,
     params: &Params,
@@ -326,7 +358,7 @@ pub(super) fn construct(
         "nat44" => {
             let defaults = Nat44Config::default();
             let cfg = Nat44Config {
-                external_ip: parse_ip(params, "external_ip", defaults.external_ip)?,
+                external_ip: get_ip(params, "external_ip", defaults.external_ip),
                 port_base: get_u64(params, "port_base", defaults.port_base.into()) as u16,
                 blocks: get_u64(params, "blocks", defaults.blocks.into()) as u16,
                 block_size: get_u64(params, "block_size", defaults.block_size.into()) as u16,
@@ -337,7 +369,7 @@ pub(super) fn construct(
             (Nat44::new(cfg), ElementHandle::Plain)
         }
         "l4lb" => {
-            let vip = parse_ip(params, "vip", Ipv4Addr::UNSPECIFIED)?;
+            let vip = get_ip(params, "vip", Ipv4Addr::UNSPECIFIED);
             let vport = get_u64(params, "vport", 0) as u16;
             let lb = L4LoadBalancer::new(
                 vip,
@@ -354,8 +386,7 @@ pub(super) fn construct(
                 window_budget: get_u64(params, "window_budget", defaults.window_budget),
                 table_capacity: get_u64(params, "table_capacity", defaults.table_capacity as u64)
                     as usize,
-                syn_limit: get_u64(params, "syn_limit", defaults.syn_limit),
-                syn_budget: get_u64(params, "syn_budget", defaults.syn_budget),
+                ..defaults
             };
             (Guard::new(Arc::clone(sketch), cfg), ElementHandle::Plain)
         }
@@ -480,10 +511,10 @@ mod tests {
             // Required parameters get a plausible value.
             for spec in schema.params.iter().filter(|s| s.required) {
                 let v = match spec.ty {
-                    ParamType::Int => ParamValue::Int(443),
+                    ParamType::Int | ParamType::U16 | ParamType::Capacity => ParamValue::Int(443),
                     ParamType::Float => ParamValue::Float(1.0),
                     ParamType::Bool => ParamValue::Bool(true),
-                    ParamType::Str => ParamValue::Str("10.0.0.1".into()),
+                    ParamType::Str | ParamType::Ipv4 => ParamValue::Str("10.0.0.1".into()),
                 };
                 params.insert(spec.name.to_owned(), v);
             }

@@ -28,6 +28,7 @@ pub use device::{FromDevice, ToDevice};
 pub use ip::{Ipv4Processor, Ipv6Processor};
 pub use misc::{Counter, Discard, ProtocolRecogniser, Tee};
 pub use queues::{DropTailQueue, RedConfig, RedQueue};
+pub(crate) use route::parse_prefix;
 pub use route::{IRouteControl, RouteLookup, IROUTE_CONTROL};
 pub use sched::{DrrScheduler, PriorityScheduler, Scheduler, WfqScheduler};
 pub use shaper::{Meter, Policer, TokenBucketShaper};

@@ -48,7 +48,10 @@ pub trait IRouteControl: Send + Sync {
     fn lookup(&self, addr: IpAddr) -> Option<RouteEntry>;
 }
 
-fn parse_prefix(prefix: &str) -> Result<(IpAddr, u8)> {
+/// Parses `addr/len` — the one reading of a textual prefix, shared by
+/// the route table's control interface and the description validator
+/// (so a route entry `validate` accepts cannot fail to install).
+pub(crate) fn parse_prefix(prefix: &str) -> Result<(IpAddr, u8)> {
     let (addr, len) = prefix
         .split_once('/')
         .ok_or_else(|| Error::StaleReference {

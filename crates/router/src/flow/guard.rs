@@ -25,12 +25,17 @@
 //!
 //! Heavy flows are not dropped outright: each gets a per-observation-
 //! window byte budget, spent from a per-flow entry in a bounded
-//! [`FlowTable`]. The control plane closes windows by calling
-//! [`Guard::retire_window`] on its cadence — the same
-//! peek/decay/retire rhythm the rebalancing evidence follows — which
-//! refills every budget. Between retires, a flow that exceeds
-//! threshold + budget sees [`PushError::RateLimited`] verdicts, which
-//! the sharded pipeline files under the dedicated guard drop cause.
+//! [`FlowTable`]. The guard never closes a window itself, and no host
+//! calls it to: it exports [`IWindow`], and **the control turn closes
+//! it** — [`ShardedPipeline::control_turn`] finds every exporter in
+//! every replica's capsule and closes its window at the top of the
+//! turn, the same peek/decay/retire rhythm the rebalancing evidence
+//! follows — which refills every budget. Between turns, a flow that
+//! exceeds threshold + budget sees [`PushError::RateLimited`]
+//! verdicts, which the sharded pipeline files under the dedicated
+//! guard drop cause.
+//!
+//! [`ShardedPipeline::control_turn`]: crate::shard::ShardedPipeline::control_turn
 
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -44,7 +49,7 @@ use opencom::component::{Component, ComponentCore, Registrar};
 use opencom::receptacle::Receptacle;
 use parking_lot::Mutex;
 
-use crate::api::{BatchResult, IPacketPush, PushError, PushResult, IPACKET_PUSH};
+use crate::api::{BatchResult, IPacketPush, IWindow, PushError, PushResult, IPACKET_PUSH, IWINDOW};
 use crate::elements::element_core;
 
 use super::conntrack::ConnTracker;
@@ -58,8 +63,8 @@ pub struct GuardConfig {
     /// the flow on the budgeted path.
     pub byte_threshold: u64,
     /// Bytes a heavy flow may push per observation window before its
-    /// packets are rate-limited. Refilled by
-    /// [`Guard::retire_window`].
+    /// packets are rate-limited. Refilled when the window closes
+    /// ([`IWindow::close_window`]).
     pub window_budget: u64,
     /// Bound on the heavy-flow budget table (per shard). Only flows
     /// past the threshold occupy entries, so a small table suffices.
@@ -116,7 +121,7 @@ pub struct GuardStats {
     pub limited: u64,
     /// Handshake-opening SYNs dropped by the armed SYN defence.
     pub syn_dropped: u64,
-    /// Observation windows closed via [`Guard::retire_window`].
+    /// Observation windows closed ([`IWindow::close_window`]).
     pub windows: u64,
 }
 
@@ -139,7 +144,7 @@ pub struct Guard {
     table: Mutex<FlowTable<GuardFlow>>,
     clock: FlowClock,
     /// The current observation window; bumped by
-    /// [`Self::retire_window`]. Entries stamped with an older window
+    /// [`IWindow::close_window`]. Entries stamped with an older window
     /// read as refilled.
     window: AtomicU64,
     /// SYNs admitted in the current window while the defence is armed.
@@ -191,18 +196,6 @@ impl Guard {
             syn_dropped: AtomicU64::new(0),
             windows: AtomicU64::new(0),
         })
-    }
-
-    /// Closes the current observation window: every heavy flow's byte
-    /// budget and the SYN budget refill. Call from the control plane
-    /// on the same cadence that retires the sketch windows — the
-    /// guard's budgets are per-window by definition, so a window that
-    /// never closes starves heavy flows forever, and one that closes
-    /// per packet never limits anything.
-    pub fn retire_window(&self) {
-        self.window.fetch_add(1, Ordering::Relaxed);
-        self.syn_spent.store(0, Ordering::Relaxed);
-        self.windows.fetch_add(1, Ordering::Relaxed);
     }
 
     /// Lifetime counters.
@@ -385,6 +378,23 @@ impl IPacketPush for Guard {
     }
 }
 
+impl IWindow for Guard {
+    /// Every heavy flow's byte budget and the SYN budget refill. The
+    /// budgets are per-window by definition, so a window that never
+    /// closes starves heavy flows forever, and one that closes per
+    /// packet never limits anything — which is why the boundary is the
+    /// control turn's, on the cadence that retires the sketch windows.
+    fn close_window(&self) {
+        self.window.fetch_add(1, Ordering::Relaxed);
+        self.syn_spent.store(0, Ordering::Relaxed);
+        self.windows.fetch_add(1, Ordering::Relaxed);
+    }
+
+    fn windows(&self) -> u64 {
+        self.windows.load(Ordering::Relaxed)
+    }
+}
+
 impl Component for Guard {
     fn core(&self) -> &ComponentCore {
         &self.core
@@ -392,6 +402,8 @@ impl Component for Guard {
     fn publish(self: Arc<Self>, reg: &Registrar<'_>) {
         let push: Arc<dyn IPacketPush> = self.clone();
         reg.expose(IPACKET_PUSH, &push);
+        let window: Arc<dyn IWindow> = self.clone();
+        reg.expose(IWINDOW, &window);
         reg.receptacle(&self.out);
     }
     fn footprint_bytes(&self) -> usize {
@@ -500,7 +512,7 @@ mod tests {
         // window starts clean.
         let w = sk.snapshot();
         sk.retire(&w);
-        guard.retire_window();
+        guard.close_window();
         assert!(
             feed(&guard, &sk, udp(7000, 400)).is_ok(),
             "budget must refill at the window boundary"
@@ -564,7 +576,7 @@ mod tests {
         assert_eq!(dropped, 10 - 4, "budget admits 4, drops the rest");
         assert_eq!(guard.stats().syn_dropped, 6);
         // The next window refills the SYN budget.
-        guard.retire_window();
+        guard.close_window();
         assert!(guard.push(tcp_syn(9400)).is_ok());
     }
 
@@ -670,7 +682,7 @@ mod tests {
             }
             let w = sk.snapshot();
             sk.retire(&w);
-            guard.retire_window();
+            guard.close_window();
         }
 
         assert_eq!(unguarded_victim, 2 * ROUNDS, "the attacker owns the queue");

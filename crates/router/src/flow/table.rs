@@ -185,12 +185,17 @@ pub struct FlowTable<T> {
     stats: FlowTableStats,
 }
 
+/// The largest capacity a [`FlowTable`] holds (slots are `u32`-indexed,
+/// one index value is the empty marker); a larger request is clamped.
+pub const MAX_FLOW_CAPACITY: usize = (u32::MAX - 1) as usize;
+
 impl<T> FlowTable<T> {
-    /// Creates a table bounded to `capacity` entries (clamped to ≥ 1)
-    /// whose entries expire `idle_timeout` ticks after their last
-    /// touch. `idle_timeout == u64::MAX` disables idle expiry.
+    /// Creates a table bounded to `capacity` entries (clamped to
+    /// `1..=`[`MAX_FLOW_CAPACITY`]) whose entries expire `idle_timeout`
+    /// ticks after their last touch. `idle_timeout == u64::MAX`
+    /// disables idle expiry.
     pub fn new(capacity: usize, idle_timeout: u64) -> Self {
-        let capacity = capacity.clamp(1, (u32::MAX - 1) as usize);
+        let capacity = capacity.clamp(1, MAX_FLOW_CAPACITY);
         let mut slots = Vec::with_capacity(capacity);
         slots.resize_with(capacity, || None);
         // Load ≤ ½: probes stay short and always meet an empty bucket.

@@ -110,7 +110,7 @@ use opencom::ident::{ComponentId, TaskId};
 use opencom::meta::resources::{classes, ResourceManager};
 use parking_lot::{Mutex, RwLock};
 
-use crate::api::{IPacketPush, PushError};
+use crate::api::{IPacketPush, IWindow, PushError, IWINDOW};
 
 pub mod control;
 pub mod decision;
@@ -130,14 +130,15 @@ pub type SharedEntry = Arc<RwLock<Arc<dyn IPacketPush>>>;
 const DISPATCH_BATCH_CAPACITY: usize = 64;
 
 /// One shard's replica of the element graph, as produced by the factory
-/// passed to [`ShardedPipeline::build`].
+/// passed to [`ShardedPipeline::build`]. The capsule *is* the replica:
+/// what attaches to the rolled-up resources task
+/// ([`ShardedPipeline::sync_replicas`]) and whose windows a control
+/// turn closes are read from its meta-models, not listed beside it.
 pub struct ShardGraph {
     /// The capsule hosting this replica (kept alive by the pipeline).
     pub capsule: Arc<Capsule>,
     /// The replica's ingress push interface.
     pub entry: Arc<dyn IPacketPush>,
-    /// Components to attach to the pipeline's rolled-up resources task.
-    pub components: Vec<ComponentId>,
     /// Optional hook run on the worker after each batch — the place to
     /// drain pull-side stages (schedulers, shapers) into their sinks so
     /// the shard really runs to completion.
@@ -145,20 +146,13 @@ pub struct ShardGraph {
 }
 
 impl ShardGraph {
-    /// A replica with no attached components and no drain hook.
+    /// A replica with no drain hook.
     pub fn new(capsule: Arc<Capsule>, entry: Arc<dyn IPacketPush>) -> Self {
         Self {
             capsule,
             entry,
-            components: Vec::new(),
             drain: None,
         }
-    }
-
-    /// Attaches component ids to the rolled-up task (builder-style).
-    pub fn with_components(mut self, components: Vec<ComponentId>) -> Self {
-        self.components = components;
-        self
     }
 
     /// Sets the per-batch drain hook (builder-style).
@@ -170,7 +164,7 @@ impl ShardGraph {
 
 impl fmt::Debug for ShardGraph {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "ShardGraph({} components)", self.components.len())
+        write!(f, "ShardGraph({})", self.capsule.name())
     }
 }
 
@@ -353,7 +347,7 @@ pub struct ShardLoad {
 ///     let cid = capsule.adopt(counter.clone())?;
 ///     let sid = capsule.adopt(sink)?;
 ///     capsule.bind_simple(cid, "out", sid, netkit_router::api::IPACKET_PUSH)?;
-///     Ok(ShardGraph::new(Arc::clone(&capsule), counter).with_components(vec![cid]))
+///     Ok(ShardGraph::new(Arc::clone(&capsule), counter))
 /// })?;
 ///
 /// let batch: PacketBatch = (0..64u16)
@@ -400,12 +394,9 @@ pub struct ShardedPipeline<E = WorkerPool<ShardJob>> {
     /// swap in a fresh replica (safe: the shard's worker is dead while
     /// the swap happens, so nothing races the read side).
     capsules: Vec<RwLock<Arc<Capsule>>>,
-    /// Per-shard components attached to the rolled-up task — detached
-    /// and replaced when a respawn rebuilds the replica.
-    components: Vec<Mutex<Vec<ComponentId>>>,
     /// The replica factory, retained so [`Self::respawn_shard`] can
-    /// rebuild a crashed shard's graph with the same recipe that built
-    /// it.
+    /// rebuild a crashed shard's graph: a hand-written one repeats its
+    /// recipe, a description's builds what is described by then.
     factory: Mutex<Box<dyn FnMut(usize) -> Result<ShardGraph> + Send>>,
     counters: Arc<Vec<ShardCounters>>,
     rm: Arc<ResourceManager>,
@@ -492,16 +483,11 @@ impl<E: ShardExecutor<ShardJob>> ShardedPipeline<E> {
         let task = rm.create_task(name)?;
         let mut entries: Vec<SharedEntry> = Vec::with_capacity(spec.workers);
         let mut capsules = Vec::with_capacity(spec.workers);
-        let mut components = Vec::with_capacity(spec.workers);
         let mut drains = Vec::with_capacity(spec.workers);
         for shard in 0..spec.workers {
             let graph = factory(shard)?;
-            for component in &graph.components {
-                rm.attach(task, *component)?;
-            }
             entries.push(Arc::new(RwLock::new(graph.entry)));
             capsules.push(RwLock::new(graph.capsule));
-            components.push(Mutex::new(graph.components));
             drains.push(graph.drain);
         }
         let counters: Arc<Vec<ShardCounters>> = Arc::new(
@@ -542,7 +528,7 @@ impl<E: ShardExecutor<ShardJob>> ShardedPipeline<E> {
                 drains[shard].take(),
             )
         });
-        Ok(Self {
+        let pipe = Self {
             pool,
             batch_pool,
             steering: RwLock::new(Arc::new(BucketMap::identity(spec.workers))),
@@ -552,13 +538,40 @@ impl<E: ShardExecutor<ShardJob>> ShardedPipeline<E> {
             recoveries: AtomicU64::new(0),
             entries,
             capsules,
-            components,
             factory: Mutex::new(Box::new(factory)),
             counters,
             rm,
             task,
             spec,
-        })
+        };
+        pipe.sync_replicas()?;
+        Ok(pipe)
+    }
+
+    /// Makes the rolled-up task's attach list read what the replicas'
+    /// capsules hold *now*. A build and a respawn end with it; whoever
+    /// changes a replica's component set under the pipeline (the
+    /// description applier, after an add, a remove or a hot swap) calls
+    /// it when done.
+    ///
+    /// # Errors
+    ///
+    /// Fails only once the task has been released.
+    pub fn sync_replicas(&self) -> Result<()> {
+        let held: Vec<ComponentId> = self
+            .capsules
+            .iter()
+            .flat_map(|capsule| capsule.read().arch().component_ids())
+            .collect();
+        for gone in self.rm.task_info(self.task)?.attached {
+            if !held.contains(&gone) {
+                self.rm.detach(self.task, gone)?;
+            }
+        }
+        for id in held {
+            self.rm.attach(self.task, id)?;
+        }
+        Ok(())
     }
 
     /// Builds one shard's run-to-completion handler — the closure the
@@ -974,7 +987,10 @@ impl<E: ShardExecutor<ShardJob>> ShardedPipeline<E> {
     }
 
     /// One inspect → decide → adapt turn of the reflective loop — the
-    /// only code that consumes the observation windows. **Peek** at
+    /// only code that consumes the observation windows. The turn *is*
+    /// the window boundary: first every [`IWindow`] a replica's capsule
+    /// holds (so added, swapped and respawned ones too) is closed, on
+    /// either executor. Then **peek** at
     /// the per-bucket packet window, the shard pressure meters and
     /// (when the policy blends them) the flow sketches, let `ctl`
     /// decide over that one [`Evidence`], and apply the outcome:
@@ -997,6 +1013,15 @@ impl<E: ShardExecutor<ShardJob>> ShardedPipeline<E> {
         ctl: &mut RebalanceController,
         nics: &[&Nic],
     ) -> Option<(RebalancePlan, MigrationReport)> {
+        for capsule in &self.capsules {
+            let capsule = Arc::clone(&capsule.read());
+            for id in capsule.arch().component_ids() {
+                let windowed = capsule.query_interface(id, IWINDOW).ok();
+                if let Some(w) = windowed.and_then(|r| r.downcast::<dyn IWindow>()) {
+                    w.close_window();
+                }
+            }
+        }
         let window = self.bucket_load.snapshot();
         let loads = self.shard_loads();
         let current = self.bucket_map();
@@ -1077,12 +1102,12 @@ impl<E: ShardExecutor<ShardJob>> ShardedPipeline<E> {
     /// 1. bails with `Ok(None)` unless the shard's worker is actually
     ///    dead (respawning a live worker would orphan its ring);
     /// 2. rebuilds the shard's element graph with the **same factory**
-    ///    that built it at [`Self::build`] time, detaching the dead
-    ///    replica's components from the rolled-up resources task and
-    ///    attaching the new ones;
+    ///    that built it at [`Self::build`] time — a description's
+    ///    materialises the description *in force*, patches included;
     /// 3. swaps the shard's entry and capsule — safe outside a quiesce
     ///    *only because the worker is dead*: nothing reads them, and
-    ///    dispatchers merely clone the `Arc` behind the entry lock;
+    ///    dispatchers merely clone the `Arc` behind the entry lock —
+    ///    and re-reads the attach list ([`Self::sync_replicas`]);
     /// 4. respawns the kernel worker ([`WorkerPool::respawn`]): the
     ///    dead ring's stranded descriptors are drained and their
     ///    packets filed under the dead-worker drop cause (counted,
@@ -1107,18 +1132,9 @@ impl<E: ShardExecutor<ShardJob>> ShardedPipeline<E> {
             return Ok(None);
         }
         let graph = (self.factory.lock())(shard)?;
-        {
-            let mut comps = self.components[shard].lock();
-            for component in comps.drain(..) {
-                let _ = self.rm.detach(self.task, component);
-            }
-            for component in &graph.components {
-                self.rm.attach(self.task, *component)?;
-            }
-            *comps = graph.components.clone();
-        }
         *self.entries[shard].write() = graph.entry;
         *self.capsules[shard].write() = graph.capsule;
+        self.sync_replicas()?;
         let handler = Self::make_handler(
             shard,
             Arc::clone(&self.entries[shard]),
@@ -1351,7 +1367,7 @@ mod tests {
                 let sid = capsule.adopt(sink.clone())?;
                 capsule.bind_simple(cid, "out", sid, IPACKET_PUSH)?;
                 sinks2.lock().push(sink);
-                Ok(ShardGraph::new(Arc::clone(&capsule), counter).with_components(vec![cid, sid]))
+                Ok(ShardGraph::new(Arc::clone(&capsule), counter))
             }
         })
         .unwrap();
@@ -1429,6 +1445,34 @@ mod tests {
         let task = r.pipe.task();
         r.pipe.shutdown();
         assert!(r.rm.task_info(task).is_err());
+
+        // The attach list is read from the capsules, so it follows a
+        // described pipeline through an add and a remove: a -> b -> sink
+        // becomes a -> c -> sink on both shards.
+        use crate::desc::{Compiler, PipelineDesc};
+        let chain = |mid: &str| {
+            PipelineDesc::new("rollup-desc")
+                .element("a", "counter")
+                .element(mid, "counter")
+                .element("sink", "discard")
+                .ingress("a")
+                .edge("a", mid)
+                .edge(mid, "sink")
+        };
+        let (pipe, mut binding) = Compiler::new()
+            .build_sharded(&chain("b"), ShardSpec::new(2), Arc::clone(&r.rm))
+            .unwrap();
+        let patch = binding.diff_to(&chain("c")).unwrap();
+        assert_eq!(binding.apply_sharded(&pipe, &patch).unwrap().epochs, 1);
+        let mut live: Vec<ComponentId> = (0..2)
+            .flat_map(|shard| pipe.capsule(shard).arch().component_ids())
+            .collect();
+        live.sort();
+        let mut attached = r.rm.task_info(pipe.task()).unwrap().attached;
+        attached.sort();
+        assert_eq!(attached, live, "exactly the live component set");
+        assert_eq!(live.len(), 6);
+        pipe.shutdown();
     }
 
     #[test]
@@ -1735,11 +1779,19 @@ mod tests {
             ..packets_only(1.25, 64) // decay 0.5
         };
         let mut ctl = RebalanceController::new(policy, 0);
+        // A guard the capsule merely hosts: no list names it, the turn
+        // finds it through the meta-models and closes its window.
+        let guard = crate::flow::Guard::new(
+            Arc::clone(r.pipe.flow_sketch(3)),
+            crate::flow::GuardConfig::default(),
+        );
+        r.pipe.capsule(3).adopt(guard.clone()).unwrap();
         // Turn 1: gathering (window below min_samples) — untouched.
         r.pipe.dispatch(stamped(&[0, 4, 8, 12], 24));
         r.pipe.flush();
         assert!(r.pipe.control_turn(&mut ctl, &[]).is_none());
         assert_eq!(r.pipe.bucket_loads().iter().sum::<u64>(), 24);
+        assert_eq!(guard.stats().windows, 1, "every turn is a window boundary");
         // Turn 2: enough evidence accumulated across turns — migrate,
         // and the judged window retires.
         r.pipe.dispatch(stamped(&[0, 4, 8, 12], 48));
@@ -1759,6 +1811,11 @@ mod tests {
         let retained = r.pipe.bucket_loads().iter().sum::<u64>();
         assert_eq!(retained, 64, "hold keeps alpha=0.5 of the window");
         assert_eq!(ctl.ticks(), 3);
+        assert_eq!(
+            guard.stats().windows,
+            3,
+            "one window per turn, whatever it decided"
+        );
         r.pipe.shutdown();
     }
 
@@ -1954,7 +2011,7 @@ mod tests {
             let sid = capsule.adopt(sink.clone())?;
             capsule.bind_simple(cid, "out", sid, IPACKET_PUSH)?;
             sinks.lock().push(sink);
-            Ok(ShardGraph::new(Arc::clone(&capsule), counter).with_components(vec![cid, sid]))
+            Ok(ShardGraph::new(Arc::clone(&capsule), counter))
         }
     }
 

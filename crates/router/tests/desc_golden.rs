@@ -192,6 +192,14 @@ fn structural_patch_render_is_stable() {
 }
 
 #[test]
+fn build_plan_render_is_stable() {
+    // A build is the patch from nothing, so its plan is an artefact
+    // like any other: what the compiler will do, in order, per shard.
+    let nothing = PipelineDesc::new("golden-edge");
+    check("patch_build", &diff(&nothing, &edge_desc()).render());
+}
+
+#[test]
 fn table_only_patch_render_is_stable() {
     check(
         "patch_table_only",

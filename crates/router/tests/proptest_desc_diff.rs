@@ -26,6 +26,7 @@
 //! apply) cannot diverge observably from a fresh instance, whose
 //! deterministic allocator hands the same flows the same ports.
 
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
 use proptest::prelude::*;
@@ -42,6 +43,7 @@ use opencom::component::{Component, ComponentCore, ComponentDescriptor, Registra
 use opencom::error::Result;
 use opencom::ident::Version;
 use opencom::meta::resources::ResourceManager;
+use opencom::receptacle::Receptacle;
 use parking_lot::Mutex;
 
 // ---- recording sink (external element kind) ------------------------------
@@ -381,7 +383,7 @@ fn check_patched_matches_fresh<E: ShardExecutor<ShardJob>>(
 
     // Convergence: the binding's view now *is* d2 — re-diffing is
     // a no-op.
-    prop_assert!(diff(live.binding.desc(), &d2).is_empty());
+    prop_assert!(diff(&live.binding.desc(), &d2).is_empty());
 }
 
 /// Param-only pairs — same skeleton, every knob flipped — produce a
@@ -444,8 +446,78 @@ fn check_param_only_is_hot<E: ShardExecutor<ShardJob>>(
     }
 }
 
+/// One shard's object map read back from the live graph, in
+/// description terms: element names with the component type each
+/// compiled to, the bound edges, and each classifier's filter table.
+/// Everything comes from the capsule's meta-models and the elements'
+/// own control interfaces; the binding contributes only name → id.
+fn object_map(binding: &DescBinding, desc: &PipelineDesc, shard: usize) -> Vec<String> {
+    binding
+        .with_shard(shard, |cs| {
+            let arch = cs.capsule().arch();
+            let mut name_of = std::collections::BTreeMap::new();
+            let mut map = Vec::new();
+            for name in desc.elements.keys() {
+                let id = cs.id_of(name).expect("every described element is live");
+                let kind = arch
+                    .component(id)
+                    .unwrap()
+                    .core()
+                    .descriptor()
+                    .type_name
+                    .clone();
+                map.push(format!("element {name}: {kind}"));
+                name_of.insert(id, name.clone());
+                if let Some(ElementHandle::Classifier(cls)) = cs.handle_of(name) {
+                    let mut filters: Vec<_> = cls
+                        .filters()
+                        .into_iter()
+                        .map(|(_, f)| format!("filter {name}: {f:?}"))
+                        .collect();
+                    filters.sort();
+                    map.extend(filters);
+                }
+            }
+            assert_eq!(arch.component_count(), name_of.len(), "nothing undescribed");
+            let mut edges: Vec<_> = arch
+                .binding_records()
+                .iter()
+                .map(|b| {
+                    format!(
+                        "edge {}[{}] -> {}",
+                        name_of[&b.src], b.label, name_of[&b.dst]
+                    )
+                })
+                .collect();
+            edges.sort();
+            map.extend(edges);
+            map
+        })
+        .expect("shard is compiled")
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// A build is the patch from nothing, and a patch is a build that
+    /// started somewhere: `build(d0)` then `apply(diff(d0, d))` leaves
+    /// every shard with the object map `build(d)` produces.
+    #[test]
+    fn patched_object_map_equals_the_fresh_builds(
+        s0 in spec_strategy(),
+        s in spec_strategy(),
+    ) {
+        let (d0, d) = (describe(&s0), describe(&s));
+        let mut live = compile(Compiler::build_inline, &d0);
+        let patch = live.binding.diff_to(&d).expect("family pairs are diffable");
+        live.binding.apply_sharded(&live.pipe, &patch).expect("family patches apply");
+        let fresh = compile(Compiler::build_inline, &d);
+        prop_assert_eq!(live.binding.desc(), fresh.binding.desc());
+        prop_assert_eq!(
+            object_map(&live.binding, &d, 0),
+            object_map(&fresh.binding, &d, 0)
+        );
+    }
 
     #[test]
     fn patched_live_pipeline_matches_fresh_build(
@@ -542,4 +614,108 @@ fn described_guard_rate_limits_alike_on_both_executors() {
         guard_drops(Compiler::build_inline),
         "byte-accurate admission does not depend on who runs the shard"
     );
+}
+
+/// A pass-through ingress that kills its worker once, when armed.
+struct Tripwire {
+    core: ComponentCore,
+    out: Receptacle<dyn IPacketPush>,
+    armed: Arc<AtomicBool>,
+}
+
+impl IPacketPush for Tripwire {
+    fn push(&self, pkt: Packet) -> PushResult {
+        if self.armed.swap(false, Ordering::SeqCst) {
+            panic!("injected fault");
+        }
+        self.out.with_bound(|next| next.push(pkt)).unwrap_or(Ok(()))
+    }
+}
+
+impl Component for Tripwire {
+    fn core(&self) -> &ComponentCore {
+        &self.core
+    }
+    fn publish(self: Arc<Self>, reg: &Registrar<'_>) {
+        let push: Arc<dyn IPacketPush> = self.clone();
+        reg.expose(IPACKET_PUSH, &push);
+        reg.receptacle(&self.out);
+    }
+}
+
+/// Regression (crash x patch): a replica respawned after a patch is
+/// the *patched* description, not the one the pipeline was built with
+/// — so every shard still answers to the binding, and the next patch
+/// applies on all of them. Threaded only: the inline executor runs
+/// shards on the caller and cannot lose one until B1 models a crash.
+#[test]
+fn a_respawned_replica_is_the_description_in_force() {
+    let armed = Arc::new(AtomicBool::new(false));
+    let trip = Arc::clone(&armed);
+    let compiler = Compiler::new().external("tripwire", move |_shard| {
+        let ingress = Arc::new(Tripwire {
+            core: ComponentCore::new(ComponentDescriptor::new(
+                "netkit.test.Tripwire",
+                Version::new(1, 0, 0),
+            )),
+            out: Receptacle::single("out", IPACKET_PUSH),
+            armed: Arc::clone(&trip),
+        });
+        (ingress as Arc<dyn Component>, ElementHandle::Plain)
+    });
+    let built = PipelineDesc::new("crash-x-patch")
+        .element("in", "tripwire")
+        .element_with("ct", "conntrack", &[("capacity", 1_024u64.into())])
+        .element("sink", "discard")
+        .ingress("in")
+        .edge("in", "ct")
+        .edge("ct", "sink");
+    // Splice a counter in behind the tracker, and resize the tracker.
+    let patched = PipelineDesc::new("crash-x-patch")
+        .element("in", "tripwire")
+        .element_with("ct", "conntrack", &[("capacity", 4_096u64.into())])
+        .element("extra", "counter")
+        .element("sink", "discard")
+        .ingress("in")
+        .edge("in", "ct")
+        .edge("ct", "extra")
+        .edge("extra", "sink");
+    let (pipe, mut binding) = compiler
+        .build_sharded(&built, ShardSpec::new(2), Arc::new(ResourceManager::new()))
+        .expect("description compiles");
+    let patch = binding.diff_to(&patched).unwrap();
+    assert_eq!(
+        binding.apply_sharded(&pipe, &patch).unwrap().shards_touched,
+        2
+    );
+
+    // Kill shard 1, and let one health turn bring it back.
+    armed.store(true, Ordering::SeqCst);
+    pipe.submit(1, batch_of(&[(0, 0)])).unwrap();
+    while pipe.worker_alive(1) == Some(true) {
+        std::thread::yield_now();
+    }
+    let recovery = pipe.health_turn(&[]).unwrap().expect("a dead shard");
+    assert_eq!(recovery.respawned, vec![1]);
+
+    for shard in 0..2 {
+        let spliced = binding.with_shard(shard, |cs| cs.handle_of("extra").is_some());
+        assert_eq!(
+            spliced,
+            Some(true),
+            "shard {shard} holds the spliced counter"
+        );
+    }
+    assert_eq!(binding.desc(), patched.canonical());
+    // The reverse patch finds what it names on every shard.
+    let reverse = binding.diff_to(&built).unwrap();
+    let report = binding
+        .apply_sharded(&pipe, &reverse)
+        .expect("applies cleanly");
+    assert_eq!((report.shards_touched, report.epochs), (2, 1));
+    assert_eq!(binding.desc(), built.canonical());
+    pipe.dispatch(batch_of(&[(0, 0), (1, 1), (2, 2)]));
+    pipe.flush();
+    assert_eq!(pipe.stats().accepted, 3, "both shards forward again");
+    pipe.shutdown();
 }

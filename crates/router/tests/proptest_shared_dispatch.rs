@@ -296,7 +296,7 @@ fn shared_dispatch_reaches_pool_steady_state() {
         let cid = capsule.adopt(counter.clone()).unwrap();
         let sid = capsule.adopt(sink).unwrap();
         capsule.bind_simple(cid, "out", sid, IPACKET_PUSH).unwrap();
-        Ok(ShardGraph::new(Arc::clone(&capsule), counter).with_components(vec![cid, sid]))
+        Ok(ShardGraph::new(Arc::clone(&capsule), counter))
     })
     .unwrap();
     let traffic = || -> Vec<Packet> {

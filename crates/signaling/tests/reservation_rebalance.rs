@@ -88,7 +88,7 @@ fn reservation_survives_midrun_migration() {
             let eid = capsule.adopt(site.egress.clone())?;
             capsule.bind_simple(tid, "out", eid, netkit_router::api::IPACKET_PUSH)?;
             let entry: Arc<dyn IPacketPush> = tracker;
-            Ok(ShardGraph::new(capsule, entry).with_components(vec![tid, eid]))
+            Ok(ShardGraph::new(capsule, entry))
         })
         .expect("mid node builds")
         .with_route(Box::new(|pkt| {

@@ -24,10 +24,12 @@
 //!   exact with real elements in the loop. Cause tags stay available
 //!   through [`PipelineNode::pipeline`]'s `drop_stats`.
 //! - The autonomous control loop — [`PipelineNode::with_controller`]
-//!   arms a per-node timer from sim time; each lapse retires guard
-//!   windows (via registered control hooks) and runs one
-//!   [`RebalanceController`] turn over the node's own meters,
-//!   migrating its bucket map exactly like the threaded control loop.
+//!   arms a per-node timer from sim time; each lapse runs one
+//!   [`ShardedPipeline::control_turn`] with the node's
+//!   [`RebalanceController`] — the threaded control loop's own turn,
+//!   which closes the window of every guard the graphs hold and then
+//!   judges the node's meters and migrates its bucket map. The node
+//!   adds nothing to the turn and keeps no list of what to upkeep.
 //!   The timer re-arms only while traffic flows, so `run_to_idle`
 //!   terminates.
 //! - The control tap — [`PipelineNode::with_control_tap`] diverts
@@ -188,7 +190,7 @@ pub struct ShardSite {
 ///         let tid = capsule.adopt(tracker.clone())?;
 ///         let eid = capsule.adopt(site.egress.clone())?;
 ///         capsule.bind_simple(tid, "out", eid, IPACKET_PUSH)?;
-///         Ok(ShardGraph::new(capsule, tracker).with_components(vec![tid, eid]))
+///         Ok(ShardGraph::new(capsule, tracker))
 ///     })
 ///     .expect("node builds")),
 /// );
@@ -207,7 +209,6 @@ pub struct PipelineNode {
     route: RouteFn,
     controller: Option<RebalanceController>,
     control_interval_ns: u64,
-    control_hooks: Vec<Box<dyn FnMut() + Send>>,
     #[allow(clippy::type_complexity)]
     tap: Option<(Box<dyn Fn(&Packet) -> bool + Send>, Box<dyn NodeBehaviour>)>,
     timer_armed: bool,
@@ -271,7 +272,6 @@ impl PipelineNode {
             route: Box::new(|_| RouteAction::Deliver),
             controller: None,
             control_interval_ns: 0,
-            control_hooks: Vec::new(),
             tap: None,
             timer_armed: false,
             packets_since_turn: 0,
@@ -349,20 +349,11 @@ impl PipelineNode {
     }
 
     /// Attaches the autonomous control loop: every `interval_ns` of
-    /// simulated time (while traffic flows), run the registered
-    /// control hooks and one controller turn over the node's meters.
+    /// simulated time (while traffic flows), run one
+    /// [`ShardedPipeline::control_turn`] with `ctl`.
     pub fn with_controller(mut self, ctl: RebalanceController, interval_ns: u64) -> Self {
         self.controller = Some(ctl);
         self.control_interval_ns = interval_ns.max(1);
-        self
-    }
-
-    /// Registers a hook run at every control lapse, before the
-    /// decision — the place for
-    /// [`Guard::retire_window`](netkit_router::flow::Guard::retire_window)
-    /// calls and other window upkeep.
-    pub fn with_control_hook(mut self, hook: Box<dyn FnMut() + Send>) -> Self {
-        self.control_hooks.push(hook);
         self
     }
 
@@ -473,9 +464,6 @@ impl NodeBehaviour for PipelineNode {
                 inner.on_timer(ctx, token);
             }
             return;
-        }
-        for hook in &mut self.control_hooks {
-            hook();
         }
         if let Some(ctl) = self.controller.as_mut() {
             self.pipe.control_turn(ctl, &[]);

@@ -377,13 +377,11 @@ struct NodeHandles {
 
 /// One standard city node: per shard, conntrack → guard → media
 /// filter → egress, with the guard reading the shard's pipeline
-/// sketch, a per-node controller, and guard-window retirement on the
-/// control cadence.
+/// sketch, and a per-node controller whose turns close the guards'
+/// windows.
 fn city_node(name: &str, cfg: &CityConfig, handles: &mut Vec<NodeHandles>) -> PipelineNode {
-    let guards: Arc<Mutex<Vec<Arc<Guard>>>> = Arc::new(Mutex::new(Vec::new()));
     let media: Arc<Mutex<Vec<Arc<FrameDropFilter>>>> = Arc::new(Mutex::new(Vec::new()));
     let node = {
-        let guards = Arc::clone(&guards);
         let media = Arc::clone(&media);
         let conntrack_capacity = cfg.conntrack_capacity;
         PipelineNode::build(name, ShardSpec::new(cfg.shards_per_node), move |site| {
@@ -402,9 +400,8 @@ fn city_node(name: &str, cfg: &CityConfig, handles: &mut Vec<NodeHandles>) -> Pi
             capsule.bind_simple(tid, "out", gid, IPACKET_PUSH)?;
             capsule.bind_simple(gid, "out", fid, IPACKET_PUSH)?;
             capsule.bind_simple(fid, "out", eid, IPACKET_PUSH)?;
-            guards.lock().push(guard);
             media.lock().push(filter);
-            Ok(ShardGraph::new(capsule, tracker).with_components(vec![tid, gid, fid, eid]))
+            Ok(ShardGraph::new(capsule, tracker))
         })
         .expect("city node builds")
     };
@@ -418,14 +415,7 @@ fn city_node(name: &str, cfg: &CityConfig, handles: &mut Vec<NodeHandles>) -> Pi
         },
         1,
     );
-    let built_guards = guards.lock().clone();
-    let node = node
-        .with_controller(controller, cfg.control_interval_ns)
-        .with_control_hook(Box::new(move || {
-            for guard in &built_guards {
-                guard.retire_window();
-            }
-        }));
+    let node = node.with_controller(controller, cfg.control_interval_ns);
     handles.push(NodeHandles {
         media: media.lock().clone(),
     });

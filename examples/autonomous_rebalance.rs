@@ -47,7 +47,7 @@ fn main() -> Result<(), netkit::opencom::error::Error> {
             let hid = capsule.adopt(head.clone())?;
             let sid = capsule.adopt(sink)?;
             capsule.bind_simple(hid, "out", sid, IPACKET_PUSH)?;
-            Ok(ShardGraph::new(Arc::clone(&capsule), head).with_components(vec![hid, sid]))
+            Ok(ShardGraph::new(Arc::clone(&capsule), head))
         },
     )?);
 

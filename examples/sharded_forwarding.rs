@@ -39,7 +39,7 @@ fn main() -> Result<(), netkit::opencom::error::Error> {
         let sid = capsule.adopt(sink.clone())?;
         capsule.bind_simple(hid, "out", sid, IPACKET_PUSH)?;
         sinks_slot.lock().push(sink);
-        Ok(ShardGraph::new(Arc::clone(&capsule), head).with_components(vec![hid, sid]))
+        Ok(ShardGraph::new(Arc::clone(&capsule), head))
     })?;
 
     let burst = |round: u16| -> PacketBatch {

@@ -130,7 +130,7 @@
 //!     let hid = capsule.adopt(head.clone())?;
 //!     let sid = capsule.adopt(sink)?;
 //!     capsule.bind_simple(hid, "out", sid, netkit::router::IPACKET_PUSH)?;
-//!     Ok(ShardGraph::new(Arc::clone(&capsule), head).with_components(vec![hid]))
+//!     Ok(ShardGraph::new(Arc::clone(&capsule), head))
 //! })?;
 //!
 //! let burst: PacketBatch = (0..64u16)

@@ -46,8 +46,8 @@ use netkit::packet::batch::PacketBatch;
 use netkit::packet::flow::FlowKey;
 use netkit::packet::packet::{Packet, PacketBuilder};
 use netkit::packet::steer::BucketMap;
-use netkit::router::api::{register_packet_interfaces, IPacketPush, PushResult};
-use netkit::router::desc::Compiler;
+use netkit::router::api::{register_packet_interfaces, IPacketPush, IWindow, PushResult, IWINDOW};
+use netkit::router::desc::{Compiler, DescBinding, PipelineDesc};
 use netkit::router::shard::control::ControlLoop;
 use netkit::router::shard::{RebalanceController, RebalancePolicy, ShardGraph, ShardedPipeline};
 use netkit::services::edge::{stateful_edge_desc, EdgeProfile};
@@ -136,6 +136,18 @@ fn colocated_ports(
         port = port.checked_add(1).expect("port space suffices");
     }
     out
+}
+
+/// Windows the control turns have closed on `shard`'s described
+/// `guard`, read through the interface it exports.
+fn guard_windows(binding: &DescBinding, shard: usize) -> u64 {
+    binding
+        .with_shard(shard, |cs| {
+            let guard = cs.id_of("guard").expect("a described guard");
+            let iface = cs.capsule().query_interface(guard, IWINDOW).unwrap();
+            iface.downcast::<dyn IWindow>().unwrap().windows()
+        })
+        .expect("shard is compiled")
 }
 
 fn per_shard_packets(pipe: &ShardedPipeline) -> Vec<u64> {
@@ -461,16 +473,18 @@ fn sim_control_run() -> SimRunHistory {
         },
         1,
     );
-    // The real pipeline, inline: every shard graph is just its egress
-    // collector, so per-shard delivery is the pipeline's own count.
-    let pipeline_node = PipelineNode::build("auto-sim", ShardSpec::new(WORKERS), |site| {
-        let (capsule, _rt) = PipelineNode::shard_capsule();
-        let entry: Arc<dyn IPacketPush> = site.egress.clone();
-        Ok(ShardGraph::new(capsule, entry))
-    })
-    .expect("node builds")
-    .with_controller(ctl, 4 * STEP_NS);
-    let node = sim.add_node(Box::new(pipeline_node));
+    // The real pipeline, inline, compiled from a description: a guard
+    // (threshold out of this traffic's reach) in front of the shard's
+    // egress collector, so per-shard delivery is the pipeline's own
+    // count and the node's turns have a window to close.
+    let desc = PipelineDesc::new("auto-sim")
+        .element_with("guard", "guard", &[("byte_threshold", (1u64 << 40).into())])
+        .element("egress", "egress")
+        .ingress("guard")
+        .edge("guard", "egress");
+    let (pipeline_node, binding) =
+        PipelineNode::build_desc("auto-sim", &desc, ShardSpec::new(WORKERS)).expect("node builds");
+    let node = sim.add_node(Box::new(pipeline_node.with_controller(ctl, 4 * STEP_NS)));
 
     let stamped = |bucket: u64| -> Packet {
         let mut p = PacketBuilder::udp_v4("10.0.0.1", "10.0.0.2", 9, 9).build();
@@ -516,10 +530,14 @@ fn sim_control_run() -> SimRunHistory {
         }
     }
     sim.run_to_idle();
-    let pipe = sim
+    let behaviour = sim
         .node_behaviour_mut::<PipelineNode>(node)
-        .expect("pipeline node")
-        .pipeline();
+        .expect("pipeline node");
+    // The inline executor runs the same turn: one window per lapse.
+    for shard in 0..WORKERS {
+        assert_eq!(guard_windows(&binding, shard), behaviour.control_turns());
+    }
+    let pipe = behaviour.pipeline();
     assert_eq!(pipe.migrations(), migrations.len() as u64);
     let received: Vec<u64> = (0..WORKERS).map(|s| pipe.shard_stats(s).packets).collect();
     let final_map: Vec<u64> = (0..WORKERS)
@@ -616,5 +634,12 @@ fn described_hysteresis_core_runs_on_the_threaded_loop() {
     assert_eq!(stats.migrations, 1, "the described loop must act");
     assert_eq!(stats.holds, ARM - 1, "armed only by persistent skew");
     assert!(!pipe.bucket_map().is_identity(), "the herd was spread");
+    // Regression: nothing on the threaded executor closed a described
+    // guard's window, so its heavy flows starved forever. The loop's
+    // own turns do now, found through the capsule.
+    for shard in 0..2 {
+        let windows = guard_windows(&binding, shard);
+        assert!(windows >= ARM, "shard {shard}: {windows} windows");
+    }
     Arc::try_unwrap(pipe).expect("sole owner").shutdown();
 }

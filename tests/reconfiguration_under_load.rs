@@ -140,15 +140,15 @@ fn sharded_hot_swap_scheduler_under_load() {
                 pull: Arc::clone(&pull),
                 sink: sink.clone(),
             });
-            Ok(ShardGraph::new(Arc::clone(&capsule), queue)
-                .with_components(vec![qid, sid])
-                .with_drain(Box::new(move || loop {
+            Ok(
+                ShardGraph::new(Arc::clone(&capsule), queue).with_drain(Box::new(move || loop {
                     let out = drain_pull.read().clone().pull_batch(64);
                     if out.is_empty() {
                         break;
                     }
                     let _ = drain_sink.push_batch(out);
-                })))
+                })),
+            )
         },
     )
     .unwrap();

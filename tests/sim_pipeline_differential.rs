@@ -104,10 +104,7 @@ fn graph() -> (ShardGraph, Arc<EgressCollector>) {
         .bind_simple(tid, "out", rid, IPACKET_PUSH)
         .expect("bind tracker to recorder");
     let entry: Arc<dyn IPacketPush> = Arc::new(Sieve { inner: tracker });
-    (
-        ShardGraph::new(capsule, entry).with_components(vec![tid, rid]),
-        recorder,
-    )
+    (ShardGraph::new(capsule, entry), recorder)
 }
 
 fn read_log(rec: &EgressCollector) -> Vec<(u16, u16)> {

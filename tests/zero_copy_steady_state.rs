@@ -51,7 +51,7 @@ fn build_pipeline(rm: Arc<ResourceManager>, nic: &Arc<Nic>) -> ShardedPipeline {
         let cid = capsule.adopt(counter.clone())?;
         let eid = capsule.adopt(egress)?;
         capsule.bind_simple(cid, "out", eid, IPACKET_PUSH)?;
-        Ok(ShardGraph::new(Arc::clone(&capsule), counter).with_components(vec![cid, eid]))
+        Ok(ShardGraph::new(Arc::clone(&capsule), counter))
     })
     .expect("pipeline builds")
 }
