@@ -8,7 +8,9 @@
 //! operation `register_filter()`" (paper §5). This module defines those
 //! three interfaces, their introspection descriptors, the interception
 //! wrappers that make them interceptable, and the IPC stub/skeleton pair
-//! that lets untrusted packet components run out-of-capsule.
+//! that lets untrusted packet components run out-of-capsule — and the
+//! control-plane interfaces the meta-models find on any element:
+//! [`IWindow`] (a window budget) and [`ITable`] (a match-action table).
 //!
 //! # The batch contract
 //!
@@ -601,6 +603,8 @@ use netkit_packet::error::ParseError;
 use netkit_packet::flow::FlowKey;
 use netkit_packet::packet::Packet;
 
+use crate::desc::TableEntry;
+
 /// Interface id for [`IPacketPush`].
 pub const IPACKET_PUSH: InterfaceId = InterfaceId::new("netkit.IPacketPush");
 /// Interface id for [`IPacketPull`].
@@ -609,6 +613,8 @@ pub const IPACKET_PULL: InterfaceId = InterfaceId::new("netkit.IPacketPull");
 pub const ICLASSIFIER: InterfaceId = InterfaceId::new("netkit.IClassifier");
 /// Interface id for [`IWindow`].
 pub const IWINDOW: InterfaceId = InterfaceId::new("netkit.IWindow");
+/// Interface id for [`ITable`].
+pub const ITABLE: InterfaceId = InterfaceId::new("netkit.ITable");
 
 /// Why a push was not completed.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -1051,6 +1057,29 @@ pub trait IWindow: Send + Sync {
     fn windows(&self) -> u64;
 }
 
+/// The match-action table interface, exported by every element that
+/// owns a table a description fills (classifier filters, route
+/// prefixes, balancer backends). The element decides what an entry
+/// means — which row it names — so the description applier keeps no
+/// copy of that: it finds this interface in the interface meta-model.
+pub trait ITable: Send + Sync {
+    /// Installs `entry` or updates the row it names — an upsert:
+    /// putting an installed entry is a no-op.
+    ///
+    /// # Errors
+    ///
+    /// Fails, changing nothing, on an entry of another table kind or
+    /// one the element cannot read.
+    fn put(&self, entry: &TableEntry) -> Result<()>;
+
+    /// Removes an installed entry.
+    ///
+    /// # Errors
+    ///
+    /// Fails, changing nothing, on an entry that is not installed.
+    fn del(&self, entry: &TableEntry) -> Result<()>;
+}
+
 // ---- interception wrappers --------------------------------------------
 
 struct PushWrapper {
@@ -1338,6 +1367,15 @@ pub fn register_packet_interfaces(rt: &Runtime) {
     );
     rt.interfaces().register(
         InterfaceDescriptor::new(
+            ITABLE,
+            Version::new(1, 0, 0),
+            "match-action table upkeep; the owning element reads the entries",
+        )
+        .method("put", &[("entry", "TableEntry")], "()", "install or update")
+        .method("del", &[("entry", "TableEntry")], "()", "remove"),
+    );
+    rt.interfaces().register(
+        InterfaceDescriptor::new(
             IPACKET_PULL,
             Version::new(2, 0, 0),
             "pull-oriented packet transfer (batch-first)",
@@ -1514,6 +1552,83 @@ mod tests {
         assert!(matches!(e3, PushError::Malformed(_)));
     }
 
+    /// The `ITable` contract, over every implementor, reached the way
+    /// the description applier reaches it (the interface meta-model): a
+    /// put is an upsert, a del of an absent entry is an error, and an
+    /// entry of another kind is an error that installs nothing.
+    #[test]
+    fn every_table_keeps_the_itable_contract() {
+        use crate::desc::{PatternDesc, TableEntry};
+        use crate::elements::{ClassifierEngine, Discard, RouteLookup};
+        use crate::flow::L4LoadBalancer;
+        use opencom::capsule::Capsule;
+
+        let rt = Runtime::new();
+        register_packet_interfaces(&rt);
+        let capsule = Capsule::new("t", &rt);
+        let filter = TableEntry::Filter {
+            pattern: PatternDesc::any().protocol(proto::TCP),
+            output: "tcp".into(),
+            priority: 1,
+        };
+        let route = TableEntry::Route {
+            prefix: "10.0.0.0/8".into(),
+            egress: 0,
+        };
+        let backend = TableEntry::Backend {
+            ip: "10.1.0.1".into(),
+            port: 8080,
+        };
+        let classifier = ClassifierEngine::new();
+        let router = RouteLookup::new();
+        let balancer = L4LoadBalancer::new("10.0.7.9".parse().unwrap(), 443, 16, u64::MAX);
+        let cid = capsule.adopt(classifier.clone()).unwrap();
+        let sink = capsule.adopt(Discard::new()).unwrap();
+        capsule.bind(cid, "out", "tcp", sink, IPACKET_PUSH).unwrap();
+        // The route element's rows, read the way traffic reads them.
+        let routed = || {
+            let probe = PacketBuilder::udp_v4("9.9.9.9", "10.1.2.3", 1, 2).build();
+            usize::from(router.push(probe) != Err(PushError::NoRoute))
+        };
+        type Rows<'a> = Box<dyn Fn() -> usize + 'a>;
+        let cases: [(ComponentId, &TableEntry, Rows<'_>); 3] = [
+            (cid, &filter, Box::new(|| classifier.filters().len())),
+            (
+                capsule.adopt(router.clone()).unwrap(),
+                &route,
+                Box::new(routed),
+            ),
+            (
+                capsule.adopt(balancer.clone()).unwrap(),
+                &backend,
+                Box::new(|| balancer.backends().len()),
+            ),
+        ];
+        for (id, own, rows) in cases {
+            let table: Arc<dyn ITable> = capsule
+                .query_interface(id, ITABLE)
+                .unwrap()
+                .downcast()
+                .unwrap();
+            for foreign in [&filter, &route, &backend]
+                .into_iter()
+                .filter(|e| e != &own)
+            {
+                let err = table.put(foreign).unwrap_err();
+                assert!(matches!(err, Error::CfViolation { .. }), "{err}");
+                assert!(table.del(foreign).is_err(), "{own:?} / {foreign:?}");
+                assert_eq!(rows(), 0, "{foreign:?} installed nothing");
+            }
+            table.put(own).unwrap();
+            table.put(own).unwrap();
+            assert_eq!(rows(), 1, "a put twice leaves one {own:?}");
+            table.del(own).unwrap();
+            assert_eq!(rows(), 0);
+            let err = table.del(own).unwrap_err();
+            assert!(matches!(err, Error::StaleReference { .. }), "{err}");
+        }
+    }
+
     #[test]
     fn registration_populates_runtime() {
         let rt = Runtime::new();
@@ -1521,6 +1636,7 @@ mod tests {
         assert!(rt.interfaces().contains(IPACKET_PUSH));
         assert!(rt.interfaces().contains(IPACKET_PULL));
         assert!(rt.interfaces().contains(ICLASSIFIER));
+        assert!(rt.interfaces().contains(ITABLE));
         assert!(rt.interceptors().supports(IPACKET_PUSH));
         assert!(rt.interceptors().supports(IPACKET_PULL));
         assert!(rt.isolation().supports_interface(IPACKET_PUSH));

@@ -5,10 +5,10 @@
 //! per-shard executor (`CompiledShard::apply`) runs it: it constructs
 //! elements (through the [`schema`](super::schema) constructors, or a
 //! host-supplied *external* builder), adopts, hot-swaps and destroys
-//! them, binds and unbinds the described edges, and drives the
-//! match-action tables, keeping the per-shard object map — name →
-//! [`ComponentId`], table entry → live id — that lets the next patch
-//! address what this one made. **A build is the patch from nothing**:
+//! them, binds and unbinds the described edges, and hands table
+//! entries to each element's own [`ITable`], keeping only the object
+//! map (name → [`ComponentId`]) the next patch addresses it by. **A
+//! build is the patch from nothing**:
 //! [`Compiler`] hands each shard an empty capsule and runs
 //! `diff(∅, desc)` through that same executor, so a built pipeline and
 //! a patched one cannot disagree about adoption order, bind order or
@@ -29,9 +29,11 @@
 //! * **Param-only patches** ([`Patch::param_only`]) mutate no
 //!   structure. Element re-parameterisations run as hot
 //!   [`Capsule::replace`] swaps under per-edge quiescence, and table
-//!   upserts go through the elements' own lock-protected control
-//!   interfaces. The pipeline-wide epoch counter does not move — the
-//!   ledger's `edge_reconfig` workload asserts exactly that.
+//!   upserts go through the elements' own lock-protected [`ITable`]s.
+//!   A hot swap carries its table: the fresh instance is filled before
+//!   `replace` points traffic at it (the plan's re-puts are upserts),
+//!   so no packet meets an empty table. The pipeline-wide epoch counter
+//!   does not move — the ledger's `edge_reconfig` workload asserts it.
 //! * **Structural patches** (adds, removes, rewires) run inside one
 //!   [`ShardedPipeline::quiesce`] window: every worker parks at a
 //!   batch boundary, the graph mutates, one epoch is paid, and no
@@ -56,41 +58,20 @@ use opencom::runtime::Runtime;
 use netkit_kernel::shard::{InlinePool, ShardExecutor, ShardJob, ShardSpec};
 use netkit_packet::sketch::FlowSketch;
 
-use crate::api::{
-    register_packet_interfaces, FilterId, FilterSpec, IClassifier, IPacketPush, IPACKET_PUSH,
-};
-use crate::elements::IRouteControl;
-use crate::flow::L4LoadBalancer;
-use crate::routing::RouteEntry;
+use crate::api::{register_packet_interfaces, IPacketPush, ITable, IPACKET_PUSH, ITABLE};
 use crate::shard::{fresh_sketches, RebalanceController, ShardGraph, ShardedPipeline};
 
 use super::schema;
-use super::{Patch, PatchOp, PipelineDesc, TableEntry};
+use super::{Patch, PatchOp, PipelineDesc};
 
-/// The live control surface of one compiled element — how the patch
-/// applier addresses its match-action table.
-#[derive(Clone)]
+/// What an external builder returns beside its component. Tables are
+/// reached through the element's own [`ITable`], so this says nothing:
+/// it stays only because the ledger's rig (`benchmark/src/rig.rs`)
+/// names it, and goes with the rig change in ROADMAP A7b.
+#[derive(Clone, Copy, Debug)]
 pub enum ElementHandle {
     /// No table surface.
     Plain,
-    /// A classifier's filter table.
-    Classifier(Arc<dyn IClassifier>),
-    /// A routing element's prefix table.
-    Route(Arc<dyn IRouteControl>),
-    /// A load balancer's backend set.
-    Lb(Arc<L4LoadBalancer>),
-}
-
-impl std::fmt::Debug for ElementHandle {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let name = match self {
-            ElementHandle::Plain => "Plain",
-            ElementHandle::Classifier(_) => "Classifier",
-            ElementHandle::Route(_) => "Route",
-            ElementHandle::Lb(_) => "Lb",
-        };
-        write!(f, "ElementHandle::{name}")
-    }
 }
 
 /// A host-supplied element builder for a kind the schema registry does
@@ -102,9 +83,7 @@ pub type ExternalBuild = dyn Fn(usize) -> (Arc<dyn Component>, ElementHandle) + 
 pub struct CompiledShard {
     shard: usize,
     capsule: Arc<Capsule>,
-    elements: BTreeMap<String, (ComponentId, ElementHandle)>,
-    filters: BTreeMap<(String, TableEntry), FilterId>,
-    backends: BTreeMap<(String, TableEntry), u32>,
+    elements: BTreeMap<String, ComponentId>,
     sketch: Arc<FlowSketch>,
     _rt: Arc<Runtime>,
 }
@@ -118,15 +97,6 @@ impl std::fmt::Debug for CompiledShard {
             self.capsule.arch().binding_count()
         )
     }
-}
-
-fn push_of(capsule: &Arc<Capsule>, id: ComponentId) -> Result<Arc<dyn IPacketPush>> {
-    capsule
-        .query_interface(id, IPACKET_PUSH)?
-        .downcast::<dyn IPacketPush>()
-        .ok_or_else(|| Error::StaleReference {
-            what: "IPacketPush on a compiled element".to_owned(),
-        })
 }
 
 fn stale(what: String) -> Error {
@@ -148,8 +118,6 @@ impl CompiledShard {
             shard,
             capsule: Capsule::new(format!("{}#{shard}", desc.name), &rt),
             elements: BTreeMap::new(),
-            filters: BTreeMap::new(),
-            backends: BTreeMap::new(),
             sketch,
             _rt: rt,
         };
@@ -168,19 +136,14 @@ impl CompiledShard {
         &self.capsule
     }
 
-    /// The live control handle a description name compiled to — the
-    /// same surface the patch applier drives table ops through, so a
-    /// host can introspect (say) a balancer's backend counters
-    /// without keeping its own element references.
-    pub fn handle_of(&self, name: &str) -> Option<&ElementHandle> {
-        self.elements.get(name).map(|(_, handle)| handle)
-    }
-
     /// The live component a description name compiled to — with
-    /// [`Self::capsule`]'s architecture meta-model, enough to read the
-    /// whole object map back (kinds, edges) without a second record.
+    /// [`Self::capsule`]'s meta-models, enough to read the whole object
+    /// map back (kinds and edges from the architecture, tables and
+    /// controls through the interfaces each element exports, e.g.
+    /// `cs.capsule().query_interface(cs.id_of(name)?, ICLASSIFIER)`)
+    /// without a second record.
     pub fn id_of(&self, name: &str) -> Option<ComponentId> {
-        self.elements.get(name).map(|(id, _)| *id)
+        self.elements.get(name).copied()
     }
 
     /// Executes `patch`'s element, edge and table ops on this shard, in
@@ -205,21 +168,30 @@ impl CompiledShard {
                         _ => Some(self.resolve(name)?),
                     };
                     let el = &patch.to_desc().elements[name];
-                    let (comp, handle) = match externals.get(&el.kind) {
-                        Some(build) => build(self.shard),
+                    let comp = match externals.get(&el.kind) {
+                        Some(build) => build(self.shard).0,
                         None => schema::construct(&el.kind, &el.params, &self.sketch)?,
                     };
                     let id = self.capsule.adopt(comp)?;
+                    let hot = matches!(op, PatchOp::ReplaceElement { .. });
+                    if hot {
+                        // A hot swap carries its table: the fresh
+                        // instance is filled before traffic can reach
+                        // it. (Adds and rebuilds run inside the quiesce;
+                        // their entries come later in the plan, after
+                        // the edges a classifier's filters name.)
+                        for entry in patch.to_desc().tables.get(name).into_iter().flatten() {
+                            self.table(id)?.put(entry)?;
+                        }
+                    }
                     if let Some(old) = old {
                         // Per-edge quiescence: each edge drains its
                         // in-flight call and rewires; binding ids (and
-                        // interceptor chains) survive the swap. The
-                        // fresh instance's tables start empty.
+                        // interceptor chains) survive the swap.
                         self.capsule.replace(old, id, Quiescence::PerEdge)?;
-                        self.purge_tables(name);
                     }
-                    self.elements.insert(name.clone(), (id, handle));
-                    if matches!(op, PatchOp::ReplaceElement { .. }) {
+                    self.elements.insert(name.clone(), id);
+                    if hot {
                         report.replaced += 1;
                     } else {
                         report.structural += 1;
@@ -228,7 +200,6 @@ impl CompiledShard {
                 PatchOp::RemoveElement { name } => {
                     self.capsule.destroy(self.resolve(name)?)?;
                     self.elements.remove(name);
-                    self.purge_tables(name);
                     report.structural += 1;
                 }
                 PatchOp::Bind { edge } => {
@@ -252,14 +223,16 @@ impl CompiledShard {
                     report.structural += 1;
                 }
                 PatchOp::SetEntry { name } => {
-                    entry = Some(push_of(&self.capsule, self.resolve(name)?)?);
+                    let id = self.resolve(name)?;
+                    let push = self.capsule.query_interface(id, IPACKET_PUSH)?.downcast();
+                    entry = Some(push.ok_or_else(|| stale(format!("ingress `{name}`")))?);
                 }
                 PatchOp::TableDel { node, entry } => {
-                    self.table_del(node, entry)?;
+                    self.table(self.resolve(node)?)?.del(entry)?;
                     report.table_ops += 1;
                 }
                 PatchOp::TablePut { node, entry } => {
-                    self.table_put(node, entry)?;
+                    self.table(self.resolve(node)?)?.put(entry)?;
                     report.table_ops += 1;
                 }
                 PatchOp::SetControl | PatchOp::SetSteering => {}
@@ -273,87 +246,10 @@ impl CompiledShard {
             .ok_or_else(|| stale(format!("element `{name}`")))
     }
 
-    fn table_handle(&self, node: &str) -> Result<ElementHandle> {
-        let handle = self.handle_of(node).cloned();
-        handle.ok_or_else(|| stale(format!("element `{node}`")))
-    }
-
-    fn table_put(&mut self, node: &str, entry: &TableEntry) -> Result<()> {
-        match (self.table_handle(node)?, entry) {
-            (
-                ElementHandle::Classifier(cls),
-                TableEntry::Filter {
-                    pattern,
-                    output,
-                    priority,
-                },
-            ) => {
-                let id =
-                    cls.register_filter(FilterSpec::new(pattern.to_pattern()?, output, *priority))?;
-                self.filters.insert((node.to_owned(), entry.clone()), id);
-            }
-            (ElementHandle::Route(routes), TableEntry::Route { prefix, egress }) => {
-                routes.add_route(
-                    prefix,
-                    RouteEntry {
-                        egress: *egress,
-                        next_hop: None,
-                    },
-                )?;
-            }
-            (ElementHandle::Lb(lb), TableEntry::Backend { ip, port }) => {
-                let addr = ip
-                    .parse()
-                    .map_err(|_| stale(format!("backend address `{ip}`")))?;
-                let id = lb.add_backend(addr, *port);
-                self.backends.insert((node.to_owned(), entry.clone()), id);
-            }
-            (_, entry) => {
-                return Err(stale(format!(
-                    "element `{node}` takes no {} entries",
-                    entry.kind().name()
-                )));
-            }
-        }
-        Ok(())
-    }
-
-    fn table_del(&mut self, node: &str, entry: &TableEntry) -> Result<()> {
-        match (self.table_handle(node)?, entry) {
-            (ElementHandle::Classifier(cls), TableEntry::Filter { .. }) => {
-                let key = (node.to_owned(), entry.clone());
-                let id = self
-                    .filters
-                    .remove(&key)
-                    .ok_or_else(|| stale(format!("filter on `{node}`")))?;
-                cls.remove_filter(id)?;
-            }
-            (ElementHandle::Route(routes), TableEntry::Route { prefix, .. }) => {
-                routes.remove_route(prefix)?;
-            }
-            (ElementHandle::Lb(lb), TableEntry::Backend { .. }) => {
-                let key = (node.to_owned(), entry.clone());
-                let id = self
-                    .backends
-                    .remove(&key)
-                    .ok_or_else(|| stale(format!("backend on `{node}`")))?;
-                lb.remove_backend(id);
-            }
-            (_, entry) => {
-                return Err(stale(format!(
-                    "element `{node}` takes no {} entries",
-                    entry.kind().name()
-                )));
-            }
-        }
-        Ok(())
-    }
-
-    /// Drops the table bookkeeping for `node` — called when a replace
-    /// produced a fresh instance whose tables start empty.
-    fn purge_tables(&mut self, node: &str) {
-        self.filters.retain(|(n, _), _| n != node);
-        self.backends.retain(|(n, _), _| n != node);
+    /// The element's table, through the interface meta-model.
+    fn table(&self, id: ComponentId) -> Result<Arc<dyn ITable>> {
+        let table = self.capsule.query_interface(id, ITABLE)?.downcast();
+        table.ok_or_else(|| stale(format!("the table of {id}")))
     }
 }
 
@@ -378,8 +274,8 @@ impl Compiler {
     }
 
     /// Registers an external element kind (builder-style): `build`
-    /// is called once per shard and returns the component plus its
-    /// table handle (almost always [`ElementHandle::Plain`]).
+    /// is called once per shard and returns the component plus
+    /// [`ElementHandle::Plain`].
     /// External kinds are treated as single-output, parameter-less
     /// sinks or passthroughs by the validator.
     pub fn external(

@@ -270,9 +270,9 @@ pub fn diff(old: &PipelineDesc, new: &PipelineDesc) -> Patch {
         });
     }
 
-    // Tables. A replaced/rebuilt element is a fresh instance with
-    // empty tables: everything it should hold is re-put, nothing is
-    // deleted (the old instance died with its entries).
+    // Tables. A replaced/rebuilt element is a fresh instance: all it
+    // should hold is put (upserts after a hot swap, which carried its
+    // table), nothing deleted (the old instance died with its entries).
     let empty = Vec::new();
     let fresh: BTreeSet<_> = added.union(&rebuilt).chain(&replaced).cloned().collect();
     let nodes: BTreeSet<_> = old.tables.keys().chain(new.tables.keys()).collect();

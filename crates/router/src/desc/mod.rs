@@ -25,7 +25,8 @@
 //!   address format) against the [`schema`] registry, rejects unknown
 //!   kinds, dangling edge endpoints, outputs on sink elements,
 //!   duplicate single-output edges, table entries on elements without
-//!   that table or that the element could not install, filter outputs
+//!   that table, that the element could not install, or that name a
+//!   row another entry on the same element names, filter outputs
 //!   with no matching edge, unreachable elements, and cycles. What it
 //!   accepts, the constructors take as is: nothing a description says
 //!   can fail or panic later, at build, apply or respawn.
@@ -39,7 +40,9 @@
 //!   param-only diff compiles to a patch with **zero structural
 //!   mutations** (hot [`Capsule::replace`](opencom::capsule::Capsule)
 //!   swaps and table upserts only) and applies without a pipeline-wide
-//!   quiesce; structural patches take exactly one quiesce epoch.
+//!   quiesce; structural patches take exactly one quiesce epoch. Table
+//!   entries reach an element only through its own
+//!   [`ITable`](crate::api::ITable), which decides what they mean.
 //!
 //! # Two descriptions, one diff
 //!
@@ -85,7 +88,7 @@ use std::fmt::Write as _;
 
 use opencom::error::{Error, Result};
 
-use crate::api::FilterPattern;
+use crate::api::{FilterPattern, FilterSpec};
 use netkit_packet::steer::RSS_BUCKETS;
 
 use schema::{OutputKind, ParamType, TableKind};
@@ -403,6 +406,25 @@ impl TableEntry {
             TableEntry::Backend { ip, port } => format!("backend {ip}:{port}"),
         }
     }
+
+    /// What an [`ITable`](crate::api::ITable) holding `held` entries
+    /// answers for this one when it is of another kind.
+    pub(crate) fn foreign_to(&self, held: TableKind) -> Error {
+        let (held, kind) = (held.name(), self.kind().name());
+        let rule = format!("a {held} table takes no {kind} entries");
+        Error::CfViolation {
+            framework: "router".to_owned(),
+            rule,
+        }
+    }
+
+    /// What an [`ITable`](crate::api::ITable) answers for a `del` of
+    /// this entry when it is not installed.
+    pub(crate) fn absent(&self) -> Error {
+        Error::StaleReference {
+            what: format!("table entry `{}`", self.render()),
+        }
+    }
 }
 
 /// The per-pipeline control section: which preset of the
@@ -703,6 +725,15 @@ impl PipelineDesc {
                 schema::schema_for(&el.kind).expect("kind checked").tables
             };
             let mut seen = BTreeSet::new();
+            // Two entries naming one row (a route's masked prefix, a
+            // filter's lowered spec) cannot both be installed.
+            let mut routes = BTreeMap::new();
+            let mut filters: Vec<(FilterSpec, &TableEntry)> = Vec::new();
+            let same = |a: &TableEntry, b: &TableEntry| {
+                let (a, b, kind) = (a.render(), b.render(), b.kind().name());
+                let msg = format!("table on `{node}`: `{a}` and `{b}` name the same {kind}");
+                rule(msg)
+            };
             for entry in entries {
                 if !supported.contains(&entry.kind()) {
                     return Err(rule(format!(
@@ -718,10 +749,12 @@ impl PipelineDesc {
                     )));
                 }
                 match entry {
-                    TableEntry::Filter {
-                        pattern, output, ..
-                    } => {
-                        pattern.to_pattern()?;
+                    TableEntry::Filter { output, .. } => {
+                        let spec = crate::elements::filter_of(entry)?;
+                        if let Some((_, other)) = filters.iter().find(|(s, _)| *s == spec) {
+                            return Err(same(other, entry));
+                        }
+                        filters.push((spec, entry));
                         let bound = self
                             .edges
                             .iter()
@@ -734,10 +767,13 @@ impl PipelineDesc {
                         }
                     }
                     TableEntry::Route { prefix, egress } => {
-                        if crate::elements::parse_prefix(prefix).is_err() {
+                        let Ok(route) = crate::routing::parse_prefix(prefix) else {
                             return Err(rule(format!(
                                 "route on `{node}`: malformed prefix `{prefix}`"
                             )));
+                        };
+                        if let Some(other) = routes.insert(route, entry) {
+                            return Err(same(other, entry));
                         }
                         let label = egress.to_string();
                         let bound = self
@@ -1126,7 +1162,7 @@ mod tests {
                     },
                 )
         };
-        for prefix in ["10.0.0.0/8", "2001:db8::/32", "0.0.0.0/0"] {
+        for prefix in ["10.0.0.0/8", "2001:db8::/32", "0.0.0.0/0", "10.0.0.5/32"] {
             builds(&routed(prefix));
         }
         for prefix in [
@@ -1136,6 +1172,9 @@ mod tests {
             "10.0.0.0/",
             "10.0.0.0/x",
             "banana/8",
+            "10.0.0.0/33",
+            "10.0.0.0/40",
+            "2001:db8::/129",
         ] {
             let err = routed(prefix).validate().unwrap_err().to_string();
             assert!(
@@ -1143,6 +1182,63 @@ mod tests {
                 "{err}"
             );
         }
+
+        // The route table is keyed by family, length and masked
+        // address: two entries that name one route cannot both be
+        // installed, so the description would say more than the table.
+        let route = |prefix: &str, egress: u16| TableEntry::Route {
+            prefix: prefix.into(),
+            egress,
+        };
+        let two = |a: &TableEntry, b: &TableEntry| {
+            PipelineDesc::new("t")
+                .element("r", "route")
+                .element("sink", "discard")
+                .ingress("r")
+                .edge_labelled("r", "0", "sink")
+                .edge_labelled("r", "1", "sink")
+                .table("r", a.clone())
+                .table("r", b.clone())
+        };
+        for (a, b) in [
+            (route("10.0.0.0/8", 0), route("10.0.0.0/8", 1)),
+            (route("10.0.0.0/8", 0), route("10.0.0.1/8", 0)),
+            (route("2001:db8::/32", 0), route("2001:db8:0:1::/32", 1)),
+        ] {
+            let err = two(&a, &b).validate().unwrap_err();
+            assert!(matches!(err, Error::CfViolation { .. }), "{err}");
+            let text = err.to_string();
+            assert!(
+                text.contains("table on `r`")
+                    && text.contains("name the same route")
+                    && text.contains(&a.render())
+                    && text.contains(&b.render()),
+                "{text}"
+            );
+        }
+        for (a, b) in [
+            (route("10.0.0.0/8", 0), route("10.0.0.0/16", 1)),
+            (route("0.0.0.0/0", 0), route("::/0", 0)),
+        ] {
+            builds(&two(&a, &b));
+        }
+        // Likewise a filter: two spellings of one address are one spec.
+        let filter = |dst: &str| TableEntry::Filter {
+            pattern: PatternDesc::any().dst(dst, 32),
+            output: "v6".into(),
+            priority: 0,
+        };
+        let err = PipelineDesc::new("t")
+            .element("cls", "classifier")
+            .element("sink", "discard")
+            .ingress("cls")
+            .edge_labelled("cls", "v6", "sink")
+            .table("cls", filter("2001:db8::"))
+            .table("cls", filter("2001:DB8:0::"))
+            .validate()
+            .unwrap_err()
+            .to_string();
+        assert!(err.contains("name the same filter"), "{err}");
     }
 
     #[test]

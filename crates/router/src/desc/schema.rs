@@ -5,13 +5,13 @@
 //! its output arity (none / single / labelled), and which match-action
 //! table kinds it accepts. [`PipelineDesc::validate`] checks against
 //! these schemas; the crate-internal `construct` lowering then turns a
-//! checked `(kind, params)`
-//! pair to a live element plus the [`ElementHandle`] the patch applier
-//! uses to address its tables. Kinds the registry does not know can be
-//! supplied by the compiling host as *externals* (see
-//! [`Compiler::external`](super::Compiler::external)) — that is how
-//! the simulator injects its egress collector into described
-//! pipelines.
+//! checked `(kind, params)` pair to a live element — nothing beside
+//! it: the patch applier reaches an element's table through the
+//! [`ITable`](crate::api::ITable) the element itself exports. Kinds the
+//! registry does not know can be supplied by the compiling host as
+//! *externals* (see [`Compiler::external`](super::Compiler::external))
+//! — that is how the simulator injects its egress collector into
+//! described pipelines.
 //!
 //! [`PipelineDesc::validate`]: super::PipelineDesc::validate
 
@@ -23,14 +23,12 @@ use opencom::error::{Error, Result};
 
 use netkit_packet::sketch::FlowSketch;
 
-use crate::api::IClassifier;
-use crate::elements::{ClassifierEngine, Counter, Discard, IRouteControl, RouteLookup, Tee};
+use crate::elements::{ClassifierEngine, Counter, Discard, RouteLookup, Tee};
 use crate::flow::{
     ConnTracker, Guard, GuardConfig, L4LoadBalancer, Nat44, Nat44Config, MAX_FLOW_CAPACITY,
 };
 use crate::shard::{core_by_name, RebalanceController, RebalancePolicy, PRESETS};
 
-use super::compile::ElementHandle;
 use super::{ControlDesc, ParamValue, Params};
 
 /// A parameter's schema type.
@@ -331,30 +329,19 @@ pub(super) fn construct(
     kind: &str,
     params: &Params,
     sketch: &Arc<FlowSketch>,
-) -> Result<(Arc<dyn Component>, ElementHandle)> {
+) -> Result<Arc<dyn Component>> {
     Ok(match kind {
-        "counter" => (Counter::new(), ElementHandle::Plain),
-        "discard" => (Discard::new(), ElementHandle::Plain),
-        "tee" => (Tee::new(), ElementHandle::Plain),
-        "classifier" => {
-            let engine = ClassifierEngine::new();
-            let handle: Arc<dyn IClassifier> = engine.clone();
-            (engine, ElementHandle::Classifier(handle))
-        }
-        "route" => {
-            let lookup = RouteLookup::new();
-            let handle: Arc<dyn IRouteControl> = lookup.clone();
-            (lookup, ElementHandle::Route(handle))
-        }
-        "conntrack" => {
-            let tracker = ConnTracker::with_timeouts(
-                get_u64(params, "capacity", 4096) as usize,
-                get_u64(params, "idle_timeout", u64::MAX),
-                get_u64(params, "closing_timeout", u64::MAX),
-                get_u64(params, "syn_timeout", u64::MAX),
-            );
-            (tracker, ElementHandle::Plain)
-        }
+        "counter" => Counter::new(),
+        "discard" => Discard::new(),
+        "tee" => Tee::new(),
+        "classifier" => ClassifierEngine::new(),
+        "route" => RouteLookup::new(),
+        "conntrack" => ConnTracker::with_timeouts(
+            get_u64(params, "capacity", 4096) as usize,
+            get_u64(params, "idle_timeout", u64::MAX),
+            get_u64(params, "closing_timeout", u64::MAX),
+            get_u64(params, "syn_timeout", u64::MAX),
+        ),
         "nat44" => {
             let defaults = Nat44Config::default();
             let cfg = Nat44Config {
@@ -366,18 +353,17 @@ pub(super) fn construct(
                     as usize,
                 idle_timeout: get_u64(params, "idle_timeout", defaults.idle_timeout),
             };
-            (Nat44::new(cfg), ElementHandle::Plain)
+            Nat44::new(cfg)
         }
         "l4lb" => {
             let vip = get_ip(params, "vip", Ipv4Addr::UNSPECIFIED);
             let vport = get_u64(params, "vport", 0) as u16;
-            let lb = L4LoadBalancer::new(
+            L4LoadBalancer::new(
                 vip,
                 vport,
                 get_u64(params, "capacity", 4096) as usize,
                 get_u64(params, "idle_timeout", u64::MAX),
-            );
-            (lb.clone(), ElementHandle::Lb(lb))
+            )
         }
         "guard" => {
             let defaults = GuardConfig::default();
@@ -388,7 +374,7 @@ pub(super) fn construct(
                     as usize,
                 ..defaults
             };
-            (Guard::new(Arc::clone(sketch), cfg), ElementHandle::Plain)
+            Guard::new(Arc::clone(sketch), cfg)
         }
         other => {
             return Err(Error::StaleReference {

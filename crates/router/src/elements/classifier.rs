@@ -4,7 +4,9 @@
 //! [`FilterSpec`]s at run time, and the component "must honour the
 //! semantics of installed filter specifications in terms of the
 //! particular named outgoing `IPacketPush` … interface(s) on which each
-//! incoming packet should be emitted" (paper §5).
+//! incoming packet should be emitted" (paper §5). Its
+//! [`ITable`](crate::api::ITable) is a thin layer over that interface:
+//! a described filter entry is found again by its spec.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -18,9 +20,11 @@ use opencom::receptacle::Receptacle;
 use parking_lot::RwLock;
 
 use crate::api::{
-    BatchResult, FilterId, FilterSpec, IClassifier, IPacketPush, PushError, PushResult,
-    ICLASSIFIER, IPACKET_PUSH,
+    BatchResult, FilterId, FilterSpec, IClassifier, IPacketPush, ITable, PushError, PushResult,
+    ICLASSIFIER, IPACKET_PUSH, ITABLE,
 };
+use crate::desc::schema::TableKind;
+use crate::desc::TableEntry;
 
 use super::element_core;
 
@@ -220,6 +224,37 @@ impl IClassifier for ClassifierEngine {
     }
 }
 
+/// The filter a table entry names — the one reading of a filter entry,
+/// shared by the classifier's table and the description validator.
+pub(crate) fn filter_of(entry: &TableEntry) -> Result<FilterSpec> {
+    match entry {
+        TableEntry::Filter {
+            pattern,
+            output,
+            priority,
+        } => Ok(FilterSpec::new(pattern.to_pattern()?, output, *priority)),
+        other => Err(other.foreign_to(TableKind::Filter)),
+    }
+}
+
+/// Entries are found by spec among the installed filters
+/// ([`IClassifier::filters`]), so the table needs no id of its own.
+impl ITable for ClassifierEngine {
+    fn put(&self, entry: &TableEntry) -> Result<()> {
+        let spec = filter_of(entry)?;
+        if !self.filters().iter().any(|(_, s)| *s == spec) {
+            self.register_filter(spec)?;
+        }
+        Ok(())
+    }
+
+    fn del(&self, entry: &TableEntry) -> Result<()> {
+        let spec = filter_of(entry)?;
+        let installed = self.filters().into_iter().find(|(_, s)| *s == spec);
+        self.remove_filter(installed.ok_or_else(|| entry.absent())?.0)
+    }
+}
+
 impl Component for ClassifierEngine {
     fn core(&self) -> &ComponentCore {
         &self.core
@@ -229,6 +264,8 @@ impl Component for ClassifierEngine {
         reg.expose(IPACKET_PUSH, &push);
         let classify: Arc<dyn IClassifier> = self.clone();
         reg.expose(ICLASSIFIER, &classify);
+        let table: Arc<dyn ITable> = self.clone();
+        reg.expose(ITABLE, &table);
         reg.receptacle(&self.outs);
     }
     fn footprint_bytes(&self) -> usize {

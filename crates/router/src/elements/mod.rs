@@ -23,13 +23,13 @@ mod route;
 mod sched;
 mod shaper;
 
+pub(crate) use classifier::filter_of;
 pub use classifier::{ClassifierEngine, DEFAULT_OUTPUT};
 pub use device::{FromDevice, ToDevice};
 pub use ip::{Ipv4Processor, Ipv6Processor};
 pub use misc::{Counter, Discard, ProtocolRecogniser, Tee};
 pub use queues::{DropTailQueue, RedConfig, RedQueue};
-pub(crate) use route::parse_prefix;
-pub use route::{IRouteControl, RouteLookup, IROUTE_CONTROL};
+pub use route::RouteLookup;
 pub use sched::{DrrScheduler, PriorityScheduler, Scheduler, WfqScheduler};
 pub use shaper::{Meter, Policer, TokenBucketShaper};
 

@@ -1,10 +1,12 @@
-//! The route-lookup element and its management interface.
+//! The route-lookup element.
 //!
 //! Performs longest-prefix-match against a [`RoutingTable`], annotates
 //! the packet with its egress port and next hop, and emits it on the
 //! per-port labelled output (falling back to the `out` label when no
-//! per-port output is bound). The [`IRouteControl`] interface is the
-//! control-plane hook used by the stratum-4 signaling systems.
+//! per-port output is bound). Its control surface is [`ITable`]: a
+//! route entry names the row its prefix keys (family, length, masked
+//! address); a del removes the row only if it exits where the entry
+//! says.
 
 use std::net::IpAddr;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -15,55 +17,29 @@ use netkit_packet::headers::EtherType;
 use netkit_packet::packet::Packet;
 use opencom::component::{Component, ComponentCore, Registrar};
 use opencom::error::{Error, Result};
-use opencom::ident::InterfaceId;
 use opencom::receptacle::Receptacle;
 use parking_lot::RwLock;
 
-use crate::api::{BatchResult, IPacketPush, PushError, PushResult, IPACKET_PUSH};
-use crate::routing::{RouteEntry, RoutingTable};
+use crate::api::{BatchResult, IPacketPush, ITable, PushError, PushResult, IPACKET_PUSH, ITABLE};
+use crate::desc::schema::TableKind;
+use crate::desc::TableEntry;
+use crate::routing::{parse_prefix, RouteEntry, RoutingTable};
 
 use super::element_core;
 
-/// Interface id for [`IRouteControl`].
-pub const IROUTE_CONTROL: InterfaceId = InterfaceId::new("netkit.IRouteControl");
-
-/// Control-plane management of a route-lookup element.
-pub trait IRouteControl: Send + Sync {
-    /// Installs a route for a textual prefix (`"10.0.0.0/8"`).
-    ///
-    /// # Errors
-    ///
-    /// Fails with [`Error::StaleReference`] on malformed prefixes.
-    fn add_route(&self, prefix: &str, entry: RouteEntry) -> Result<()>;
-
-    /// Removes a route.
-    ///
-    /// # Errors
-    ///
-    /// Fails with [`Error::StaleReference`] if the prefix is absent or
-    /// malformed.
-    fn remove_route(&self, prefix: &str) -> Result<()>;
-
-    /// Looks up the route for an address.
-    fn lookup(&self, addr: IpAddr) -> Option<RouteEntry>;
-}
-
-/// Parses `addr/len` — the one reading of a textual prefix, shared by
-/// the route table's control interface and the description validator
-/// (so a route entry `validate` accepts cannot fail to install).
-pub(crate) fn parse_prefix(prefix: &str) -> Result<(IpAddr, u8)> {
-    let (addr, len) = prefix
-        .split_once('/')
-        .ok_or_else(|| Error::StaleReference {
-            what: format!("prefix `{prefix}` (expected addr/len)"),
-        })?;
-    let addr: IpAddr = addr.parse().map_err(|_| Error::StaleReference {
-        what: format!("address `{addr}`"),
+/// The row a route entry names, and the route it installs there.
+fn route_of(entry: &TableEntry) -> Result<(IpAddr, u8, RouteEntry)> {
+    let TableEntry::Route { prefix, egress } = entry else {
+        return Err(entry.foreign_to(TableKind::Route));
+    };
+    let (net, len) = parse_prefix(prefix).map_err(|e| Error::StaleReference {
+        what: e.to_string(),
     })?;
-    let len: u8 = len.parse().map_err(|_| Error::StaleReference {
-        what: format!("prefix length `{len}`"),
-    })?;
-    Ok((addr, len))
+    let route = RouteEntry {
+        egress: *egress,
+        next_hop: None,
+    };
+    Ok((net, len, route))
 }
 
 /// The route-lookup element.
@@ -194,40 +170,21 @@ impl IPacketPush for RouteLookup {
     }
 }
 
-impl IRouteControl for RouteLookup {
-    fn add_route(&self, prefix: &str, entry: RouteEntry) -> Result<()> {
-        let (addr, len) = parse_prefix(prefix)?;
-        let mut table = self.table.write();
-        match addr {
-            IpAddr::V4(a) => {
-                table.add_v4(a, len, entry);
-            }
-            IpAddr::V6(a) => {
-                table.add_v6(a, len, entry);
-            }
-        }
+impl ITable for RouteLookup {
+    fn put(&self, entry: &TableEntry) -> Result<()> {
+        let (net, len, route) = route_of(entry)?;
+        self.table.write().insert(net, len, route);
         Ok(())
     }
 
-    fn remove_route(&self, prefix: &str) -> Result<()> {
-        let (addr, len) = parse_prefix(prefix)?;
-        let removed = {
-            let mut table = self.table.write();
-            match addr {
-                IpAddr::V4(a) => table.remove_v4(a, len),
-                IpAddr::V6(a) => table.remove_v6(a, len),
-            }
-        };
-        match removed {
-            Some(_) => Ok(()),
-            None => Err(Error::StaleReference {
-                what: format!("route `{prefix}`"),
-            }),
+    fn del(&self, entry: &TableEntry) -> Result<()> {
+        let (net, len, route) = route_of(entry)?;
+        let mut table = self.table.write();
+        if table.get(net, len) != Some(route) {
+            return Err(entry.absent());
         }
-    }
-
-    fn lookup(&self, addr: IpAddr) -> Option<RouteEntry> {
-        self.table.read().lookup(addr)
+        table.remove(net, len);
+        Ok(())
     }
 }
 
@@ -238,8 +195,8 @@ impl Component for RouteLookup {
     fn publish(self: Arc<Self>, reg: &Registrar<'_>) {
         let push: Arc<dyn IPacketPush> = self.clone();
         reg.expose(IPACKET_PUSH, &push);
-        let control: Arc<dyn IRouteControl> = self.clone();
-        reg.expose(IROUTE_CONTROL, &control);
+        let table: Arc<dyn ITable> = self.clone();
+        reg.expose(ITABLE, &table);
         reg.receptacle(&self.outs);
     }
     fn footprint_bytes(&self) -> usize {
@@ -263,11 +220,13 @@ mod tests {
     use opencom::capsule::Capsule;
     use opencom::runtime::Runtime;
 
-    fn rig() -> (Arc<Capsule>, Arc<RouteLookup>, Arc<Discard>, Arc<Discard>) {
+    fn rig_with(
+        table: RoutingTable,
+    ) -> (Arc<Capsule>, Arc<RouteLookup>, Arc<Discard>, Arc<Discard>) {
         let rt = Runtime::new();
         crate::api::register_packet_interfaces(&rt);
         let capsule = Capsule::new("t", &rt);
-        let route = RouteLookup::new();
+        let route = RouteLookup::with_table(table);
         let (p0, p1) = (Discard::new(), Discard::new());
         let rid = capsule.adopt(route.clone()).unwrap();
         let id0 = capsule.adopt(p0.clone()).unwrap();
@@ -277,27 +236,34 @@ mod tests {
         (capsule, route, p0, p1)
     }
 
+    fn rig() -> (Arc<Capsule>, Arc<RouteLookup>, Arc<Discard>, Arc<Discard>) {
+        rig_with(RoutingTable::new())
+    }
+
+    fn entry(prefix: &str, egress: u16) -> TableEntry {
+        TableEntry::Route {
+            prefix: prefix.into(),
+            egress,
+        }
+    }
+
+    fn lookup(route: &RouteLookup, addr: &str) -> Option<RouteEntry> {
+        route.table.read().lookup(addr.parse().unwrap())
+    }
+
     #[test]
     fn routes_to_per_port_outputs() {
-        let (_c, route, p0, p1) = rig();
-        route
-            .add_route(
-                "10.0.0.0/8",
-                RouteEntry {
-                    egress: 0,
-                    next_hop: None,
-                },
-            )
-            .unwrap();
-        route
-            .add_route(
-                "10.1.0.0/16",
-                RouteEntry {
-                    egress: 1,
-                    next_hop: Some("10.1.0.254".parse().unwrap()),
-                },
-            )
-            .unwrap();
+        // A next hop is static configuration: route entries name a port.
+        let mut table = RoutingTable::new();
+        table.add(
+            "10.1.0.0/16",
+            RouteEntry {
+                egress: 1,
+                next_hop: Some("10.1.0.254".parse().unwrap()),
+            },
+        );
+        let (_c, route, p0, p1) = rig_with(table);
+        route.put(&entry("10.0.0.0/8", 0)).unwrap();
         route
             .push(PacketBuilder::udp_v4("9.9.9.9", "10.2.3.4", 1, 2).build())
             .unwrap();
@@ -326,45 +292,35 @@ mod tests {
     #[test]
     fn remove_route_takes_effect() {
         let (_c, route, _p0, _p1) = rig();
-        route
-            .add_route(
-                "10.0.0.0/8",
-                RouteEntry {
-                    egress: 0,
-                    next_hop: None,
-                },
-            )
-            .unwrap();
-        assert!(route.lookup("10.5.5.5".parse().unwrap()).is_some());
-        route.remove_route("10.0.0.0/8").unwrap();
-        assert!(route.lookup("10.5.5.5".parse().unwrap()).is_none());
-        assert!(route.remove_route("10.0.0.0/8").is_err());
+        route.put(&entry("10.0.0.0/8", 0)).unwrap();
+        assert!(lookup(&route, "10.5.5.5").is_some());
+        // The row is keyed by the masked prefix; one exiting elsewhere
+        // is not the installed entry, and its del changes nothing.
+        assert!(route.del(&entry("10.0.0.0/8", 1)).is_err());
+        route.del(&entry("10.0.0.1/8", 0)).unwrap();
+        assert!(lookup(&route, "10.5.5.5").is_none());
+        assert!(route.del(&entry("10.0.0.0/8", 0)).is_err());
     }
 
     #[test]
     fn malformed_prefixes_rejected() {
         let (_c, route, _p0, _p1) = rig();
-        let e = RouteEntry {
-            egress: 0,
-            next_hop: None,
-        };
-        assert!(route.add_route("10.0.0.0", e).is_err());
-        assert!(route.add_route("10.0.0.0/x", e).is_err());
-        assert!(route.add_route("banana/8", e).is_err());
+        for prefix in [
+            "10.0.0.0",
+            "10.0.0.0/x",
+            "banana/8",
+            "10.0.0.0/33",
+            "2001:db8::/129",
+        ] {
+            assert!(route.put(&entry(prefix, 0)).is_err(), "{prefix}");
+        }
+        assert!(route.table.read().is_empty(), "nothing installed");
     }
 
     #[test]
     fn v6_routing_works() {
         let (_c, route, p0, _p1) = rig();
-        route
-            .add_route(
-                "2001:db8::/32",
-                RouteEntry {
-                    egress: 0,
-                    next_hop: None,
-                },
-            )
-            .unwrap();
+        route.put(&entry("2001:db8::/32", 0)).unwrap();
         route
             .push(PacketBuilder::udp_v6("2001:db8::1", "2001:db8::2", 1, 2).build())
             .unwrap();
@@ -377,21 +333,10 @@ mod tests {
         crate::api::register_packet_interfaces(&rt);
         let capsule = Capsule::new("t", &rt);
         let route = RouteLookup::new();
-        let rid = capsule.adopt(route).unwrap();
-        let iref = capsule.query_interface(rid, IROUTE_CONTROL).unwrap();
-        let control: Arc<dyn IRouteControl> = iref.downcast().unwrap();
-        control
-            .add_route(
-                "10.0.0.0/8",
-                RouteEntry {
-                    egress: 3,
-                    next_hop: None,
-                },
-            )
-            .unwrap();
-        assert_eq!(
-            control.lookup("10.1.1.1".parse().unwrap()).unwrap().egress,
-            3
-        );
+        let rid = capsule.adopt(route.clone()).unwrap();
+        let iref = capsule.query_interface(rid, ITABLE).unwrap();
+        let table: Arc<dyn ITable> = iref.downcast().unwrap();
+        table.put(&entry("10.0.0.0/8", 3)).unwrap();
+        assert_eq!(lookup(&route, "10.1.1.1").unwrap().egress, 3);
     }
 }

@@ -1,5 +1,11 @@
 //! L4 load balancing: rendezvous-hash backend pick, flow stickiness,
 //! backend draining.
+//!
+//! Both control surfaces are in the interface meta-model: the backend
+//! set is a table like any other ([`ITable`](crate::api::ITable), what
+//! a description's `Backend` entries reach), and the element publishes
+//! itself under [`IBALANCER`] for what only a balancer has (drain,
+//! per-backend counters).
 
 use std::fmt;
 use std::net::{IpAddr, Ipv4Addr};
@@ -10,14 +16,22 @@ use netkit_packet::batch::PacketBatch;
 use netkit_packet::flow::{FlowKey, ParsedFlow};
 use netkit_packet::packet::Packet;
 use opencom::component::{Component, ComponentCore, Registrar};
+use opencom::error::{Error, Result};
+use opencom::ident::InterfaceId;
 use opencom::receptacle::Receptacle;
 use parking_lot::Mutex;
 
-use crate::api::{BatchResult, IPacketPush, PushError, PushResult, IPACKET_PUSH};
+use crate::api::{BatchResult, IPacketPush, ITable, PushError, PushResult, IPACKET_PUSH, ITABLE};
+use crate::desc::schema::TableKind;
+use crate::desc::TableEntry;
 use crate::elements::element_core;
 
 use super::rewrite::{rewrite_ipv4_endpoint, RewriteSide};
 use super::table::{FlowClock, FlowTable};
+
+/// Interface id under which an [`L4LoadBalancer`] publishes itself:
+/// query it on a capsule and downcast to `L4LoadBalancer`.
+pub const IBALANCER: InterfaceId = InterfaceId::new("netkit.IBalancer");
 
 /// murmur3's 64-bit finaliser (the same mix the RSS hash ends with).
 fn fmix64(mut h: u64) -> u64 {
@@ -142,22 +156,6 @@ impl L4LoadBalancer {
         })
     }
 
-    /// Registers a backend; returns its id.
-    pub fn add_backend(&self, ip: Ipv4Addr, port: u16) -> u32 {
-        let mut inner = self.inner.lock();
-        let id = inner.next_id;
-        inner.next_id += 1;
-        inner.backends.push(BackendSlot {
-            id,
-            ip,
-            port,
-            draining: false,
-            packets: 0,
-            flows: 0,
-        });
-        id
-    }
-
     /// Starts draining a backend: existing flows continue, new flows
     /// skip it. Returns false for an unknown id.
     pub fn drain_backend(&self, id: u32) -> bool {
@@ -165,19 +163,6 @@ impl L4LoadBalancer {
         match inner.backend_pos(id) {
             Some(pos) => {
                 inner.backends[pos].draining = true;
-                true
-            }
-            None => false,
-        }
-    }
-
-    /// Removes a backend outright; its flows re-home on their next
-    /// packet. Returns false for an unknown id.
-    pub fn remove_backend(&self, id: u32) -> bool {
-        let mut inner = self.inner.lock();
-        match inner.backend_pos(id) {
-            Some(pos) => {
-                inner.backends.remove(pos);
                 true
             }
             None => false,
@@ -360,6 +345,50 @@ impl IPacketPush for L4LoadBalancer {
     }
 }
 
+/// The backend an entry names: `(ip, port)`.
+fn named_backend(entry: &TableEntry) -> Result<(Ipv4Addr, u16)> {
+    let TableEntry::Backend { ip, port } = entry else {
+        return Err(entry.foreign_to(TableKind::Backend));
+    };
+    let ip = ip.parse().map_err(|_| Error::StaleReference {
+        what: format!("backend address `{ip}`"),
+    })?;
+    Ok((ip, *port))
+}
+
+/// A backend is found again by `(ip, port)`; a draining one is still
+/// installed. Removing one re-homes its flows on their next packet.
+impl ITable for L4LoadBalancer {
+    fn put(&self, entry: &TableEntry) -> Result<()> {
+        let (ip, port) = named_backend(entry)?;
+        let mut inner = self.inner.lock();
+        if !inner.backends.iter().any(|b| (b.ip, b.port) == (ip, port)) {
+            let id = inner.next_id;
+            inner.next_id += 1;
+            inner.backends.push(BackendSlot {
+                id,
+                ip,
+                port,
+                draining: false,
+                packets: 0,
+                flows: 0,
+            });
+        }
+        Ok(())
+    }
+
+    fn del(&self, entry: &TableEntry) -> Result<()> {
+        let (ip, port) = named_backend(entry)?;
+        let mut inner = self.inner.lock();
+        let pos = inner
+            .backends
+            .iter()
+            .position(|b| (b.ip, b.port) == (ip, port));
+        inner.backends.remove(pos.ok_or_else(|| entry.absent())?);
+        Ok(())
+    }
+}
+
 impl Component for L4LoadBalancer {
     fn core(&self) -> &ComponentCore {
         &self.core
@@ -367,6 +396,9 @@ impl Component for L4LoadBalancer {
     fn publish(self: Arc<Self>, reg: &Registrar<'_>) {
         let push: Arc<dyn IPacketPush> = self.clone();
         reg.expose(IPACKET_PUSH, &push);
+        let table: Arc<dyn ITable> = self.clone();
+        reg.expose(ITABLE, &table);
+        reg.expose(IBALANCER, &self);
         reg.receptacle(&self.out);
     }
     fn footprint_bytes(&self) -> usize {
@@ -397,11 +429,18 @@ mod tests {
 
     const VIP: &str = "10.99.0.1";
 
+    fn backend(ip: &str) -> TableEntry {
+        TableEntry::Backend {
+            ip: ip.into(),
+            port: 8080,
+        }
+    }
+
     fn lb() -> Arc<L4LoadBalancer> {
         let lb = L4LoadBalancer::new(VIP.parse().unwrap(), 80, 256, u64::MAX);
-        lb.add_backend("10.1.0.1".parse().unwrap(), 8080);
-        lb.add_backend("10.1.0.2".parse().unwrap(), 8080);
-        lb.add_backend("10.1.0.3".parse().unwrap(), 8080);
+        for ip in ["10.1.0.1", "10.1.0.2", "10.1.0.3"] {
+            lb.put(&backend(ip)).unwrap();
+        }
         lb
     }
 
@@ -469,9 +508,8 @@ mod tests {
     fn removal_rehomes_flows_deterministically() {
         let lb = lb();
         let before: Vec<Ipv4Addr> = (0..24).map(|c| backend_of(&lb, 7100 + c)).collect();
-        let victim_id = lb.backends()[0].id;
         let victim_ip = lb.backends()[0].ip;
-        assert!(lb.remove_backend(victim_id));
+        lb.del(&backend(&victim_ip.to_string())).unwrap();
         let after: Vec<Ipv4Addr> = (0..24).map(|c| backend_of(&lb, 7100 + c)).collect();
         for (i, (b, a)) in before.iter().zip(&after).enumerate() {
             assert_ne!(*a, victim_ip, "client {i} re-homed off the dead backend");

@@ -91,6 +91,15 @@ impl<T> PrefixTrie<T> {
         removed
     }
 
+    /// The value stored for exactly this prefix, if any.
+    pub(crate) fn get(&self, key: u128, len: u8) -> Option<&T> {
+        let mut node = &self.root;
+        for i in 0..len {
+            node = node.children[Self::bit(key, i)].as_deref()?;
+        }
+        node.value.as_ref()
+    }
+
     /// Longest-prefix lookup for a full-width key.
     pub fn lookup(&self, key: u128) -> Option<&T> {
         let mut node = &self.root;
@@ -148,6 +157,32 @@ impl fmt::Display for PrefixParseError {
 
 impl std::error::Error for PrefixParseError {}
 
+/// Parses `addr/len` into the row it keys: the address masked to its
+/// length, the length within its family's width. The one reading of a
+/// textual prefix — [`RoutingTable::try_add`], the route element's
+/// table and the description validator all read prefixes through it.
+pub(crate) fn parse_prefix(prefix: &str) -> Result<(IpAddr, u8), PrefixParseError> {
+    let bad = |reason: &str| PrefixParseError {
+        prefix: prefix.to_owned(),
+        reason: reason.to_owned(),
+    };
+    let (addr, len) = prefix
+        .split_once('/')
+        .ok_or_else(|| bad("expected `address/length`"))?;
+    let len: u8 = len
+        .parse()
+        .map_err(|_| bad("prefix length is not a number in 0..=255"))?;
+    // A `width`-bit mask of the top `len` bits, in the result's low bits.
+    let keep = |width: u32| u128::MAX.checked_shl(width - u32::from(len)).unwrap_or(0);
+    let net = match addr.parse().map_err(|_| bad("unparsable address"))? {
+        IpAddr::V4(_) if len > 32 => return Err(bad("IPv4 prefix length exceeds 32")),
+        IpAddr::V6(_) if len > 128 => return Err(bad("IPv6 prefix length exceeds 128")),
+        IpAddr::V4(a) => Ipv4Addr::from(u32::from(a) & keep(32) as u32).into(),
+        IpAddr::V6(a) => Ipv6Addr::from(u128::from(a) & keep(128)).into(),
+    };
+    Ok((net, len))
+}
+
 fn v4_key(addr: Ipv4Addr) -> u128 {
     (u32::from(addr) as u128) << 96
 }
@@ -164,8 +199,8 @@ fn v6_key(addr: Ipv6Addr) -> u128 {
 /// use netkit_router::routing::{RouteEntry, RoutingTable};
 ///
 /// let mut table = RoutingTable::new();
-/// table.add_v4("10.0.0.0".parse()?, 8, RouteEntry { egress: 1, next_hop: None });
-/// table.add_v4("10.1.0.0".parse()?, 16, RouteEntry { egress: 2, next_hop: None });
+/// table.insert("10.0.0.0".parse()?, 8, RouteEntry { egress: 1, next_hop: None });
+/// table.insert("10.1.0.0".parse()?, 16, RouteEntry { egress: 2, next_hop: None });
 /// let hit = table.lookup("10.1.2.3".parse()?).unwrap();
 /// assert_eq!(hit.egress, 2); // longest prefix wins
 /// # Ok::<(), std::net::AddrParseError>(())
@@ -190,16 +225,6 @@ impl RoutingTable {
         }
     }
 
-    /// Adds an IPv4 route.
-    pub fn add_v4(&mut self, net: Ipv4Addr, len: u8, entry: RouteEntry) -> Option<RouteEntry> {
-        self.v4.insert(v4_key(net), len.min(32), entry)
-    }
-
-    /// Adds an IPv6 route.
-    pub fn add_v6(&mut self, net: Ipv6Addr, len: u8, entry: RouteEntry) -> Option<RouteEntry> {
-        self.v6.insert(v6_key(net), len.min(128), entry)
-    }
-
     /// Adds a route from a textual prefix (`"10.0.0.0/8"` or
     /// `"2001:db8::/32"`), rejecting malformed input — the fallible
     /// twin of [`Self::add`] for untrusted/route-protocol input (same
@@ -215,33 +240,8 @@ impl RoutingTable {
         prefix: &str,
         entry: RouteEntry,
     ) -> Result<Option<RouteEntry>, PrefixParseError> {
-        let bad = |reason: &str| PrefixParseError {
-            prefix: prefix.to_owned(),
-            reason: reason.to_owned(),
-        };
-        let (addr, len) = prefix
-            .split_once('/')
-            .ok_or_else(|| bad("expected `address/length`"))?;
-        let len: u8 = len
-            .parse()
-            .map_err(|_| bad("prefix length is not a number in 0..=255"))?;
-        match addr
-            .parse::<IpAddr>()
-            .map_err(|_| bad("unparsable address"))?
-        {
-            IpAddr::V4(a) => {
-                if len > 32 {
-                    return Err(bad("IPv4 prefix length exceeds 32"));
-                }
-                Ok(self.add_v4(a, len, entry))
-            }
-            IpAddr::V6(a) => {
-                if len > 128 {
-                    return Err(bad("IPv6 prefix length exceeds 128"));
-                }
-                Ok(self.add_v6(a, len, entry))
-            }
-        }
+        let (net, len) = parse_prefix(prefix)?;
+        Ok(self.insert(net, len, entry))
     }
 
     /// Adds a route from a textual prefix (`"10.0.0.0/8"` or
@@ -255,14 +255,31 @@ impl RoutingTable {
         self.try_add(prefix, entry).expect("valid prefix");
     }
 
-    /// Removes an IPv4 route.
-    pub fn remove_v4(&mut self, net: Ipv4Addr, len: u8) -> Option<RouteEntry> {
-        self.v4.remove(v4_key(net), len.min(32))
+    /// Installs (or replaces) the route for `net/len`; returns the
+    /// replaced entry. Panics if `len` exceeds the family's width.
+    pub fn insert(&mut self, net: IpAddr, len: u8, entry: RouteEntry) -> Option<RouteEntry> {
+        match net {
+            IpAddr::V4(a) => self.v4.insert(v4_key(a), len, entry),
+            IpAddr::V6(a) => self.v6.insert(v6_key(a), len, entry),
+        }
     }
 
-    /// Removes an IPv6 route.
-    pub fn remove_v6(&mut self, net: Ipv6Addr, len: u8) -> Option<RouteEntry> {
-        self.v6.remove(v6_key(net), len.min(128))
+    /// Removes the route for exactly `net/len`; returns it.
+    pub fn remove(&mut self, net: IpAddr, len: u8) -> Option<RouteEntry> {
+        match net {
+            IpAddr::V4(a) => self.v4.remove(v4_key(a), len),
+            IpAddr::V6(a) => self.v6.remove(v6_key(a), len),
+        }
+    }
+
+    /// The route installed for exactly `net/len`, if any (no
+    /// longest-prefix fallback).
+    pub(crate) fn get(&self, net: IpAddr, len: u8) -> Option<RouteEntry> {
+        match net {
+            IpAddr::V4(a) => self.v4.get(v4_key(a), len),
+            IpAddr::V6(a) => self.v6.get(v6_key(a), len),
+        }
+        .copied()
     }
 
     /// Longest-prefix lookup for either family.
@@ -333,8 +350,8 @@ mod tests {
     #[test]
     fn replace_returns_old_entry() {
         let mut t = RoutingTable::new();
-        assert_eq!(t.add_v4("10.0.0.0".parse().unwrap(), 8, e(1)), None);
-        assert_eq!(t.add_v4("10.0.0.0".parse().unwrap(), 8, e(2)), Some(e(1)));
+        assert_eq!(t.insert("10.0.0.0".parse().unwrap(), 8, e(1)), None);
+        assert_eq!(t.insert("10.0.0.0".parse().unwrap(), 8, e(2)), Some(e(1)));
         assert_eq!(t.len(), (1, 0));
     }
 
@@ -344,9 +361,9 @@ mod tests {
         t.add("10.0.0.0/8", e(1));
         t.add("10.1.0.0/16", e(2));
         assert_eq!(t.lookup("10.1.0.1".parse().unwrap()).unwrap().egress, 2);
-        assert_eq!(t.remove_v4("10.1.0.0".parse().unwrap(), 16), Some(e(2)));
+        assert_eq!(t.remove("10.1.0.0".parse().unwrap(), 16), Some(e(2)));
         assert_eq!(t.lookup("10.1.0.1".parse().unwrap()).unwrap().egress, 1);
-        assert_eq!(t.remove_v4("10.1.0.0".parse().unwrap(), 16), None);
+        assert_eq!(t.remove("10.1.0.0".parse().unwrap(), 16), None);
     }
 
     #[test]
@@ -418,7 +435,7 @@ mod tests {
     fn dense_table_lookups() {
         let mut t = RoutingTable::new();
         for i in 0..=255u8 {
-            t.add_v4(Ipv4Addr::new(10, i, 0, 0), 16, e(i as u16));
+            t.insert(Ipv4Addr::new(10, i, 0, 0).into(), 16, e(i as u16));
         }
         assert_eq!(t.len().0, 256);
         for i in (0..=255u8).step_by(17) {

@@ -34,7 +34,9 @@ use proptest::prelude::*;
 use netkit_kernel::shard::{ShardExecutor, ShardJob, ShardSpec};
 use netkit_packet::batch::PacketBatch;
 use netkit_packet::packet::{Packet, PacketBuilder};
-use netkit_router::api::{BatchResult, IPacketPush, PushResult, IPACKET_PUSH};
+use netkit_router::api::{
+    BatchResult, IClassifier, IPacketPush, PushResult, ICLASSIFIER, IPACKET_PUSH,
+};
 use netkit_router::desc::{
     diff, Compiler, DescBinding, ElementHandle, PatternDesc, PipelineDesc, TableEntry,
 };
@@ -468,7 +470,8 @@ fn object_map(binding: &DescBinding, desc: &PipelineDesc, shard: usize) -> Vec<S
                     .clone();
                 map.push(format!("element {name}: {kind}"));
                 name_of.insert(id, name.clone());
-                if let Some(ElementHandle::Classifier(cls)) = cs.handle_of(name) {
+                let classifier = cs.capsule().query_interface(id, ICLASSIFIER).ok();
+                if let Some(cls) = classifier.and_then(|i| i.downcast::<dyn IClassifier>()) {
                     let mut filters: Vec<_> = cls
                         .filters()
                         .into_iter()
@@ -699,7 +702,7 @@ fn a_respawned_replica_is_the_description_in_force() {
     assert_eq!(recovery.respawned, vec![1]);
 
     for shard in 0..2 {
-        let spliced = binding.with_shard(shard, |cs| cs.handle_of("extra").is_some());
+        let spliced = binding.with_shard(shard, |cs| cs.id_of("extra").is_some());
         assert_eq!(
             spliced,
             Some(true),

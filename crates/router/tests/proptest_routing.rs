@@ -87,8 +87,8 @@ proptest! {
         let mut table = RoutingTable::new();
         let mut dedup: Vec<(u32, u8, u16)> = Vec::new();
         for (net, len, port) in &routes {
-            table.add_v4(
-                Ipv4Addr::from(*net),
+            table.insert(
+                Ipv4Addr::from(*net).into(),
                 *len,
                 RouteEntry { egress: *port, next_hop: None },
             );

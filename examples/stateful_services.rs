@@ -23,8 +23,8 @@ use netkit::kernel::shard::ShardSpec;
 use netkit::opencom::meta::resources::ResourceManager;
 use netkit::packet::batch::PacketBatch;
 use netkit::packet::packet::PacketBuilder;
-use netkit::router::desc::{Compiler, ElementHandle, PipelineDesc, TableEntry};
-use netkit::router::flow::L4LoadBalancer;
+use netkit::router::desc::{Compiler, DescBinding, PipelineDesc, TableEntry};
+use netkit::router::flow::{L4LoadBalancer, IBALANCER};
 
 const WORKERS: usize = 2;
 const FLOWS: u16 = 64;
@@ -55,6 +55,18 @@ fn edge_desc(backends: u8) -> PipelineDesc {
     d
 }
 
+/// Shard `shard`'s balancer: the binding names the component, the
+/// capsule's interface meta-model hands out its control surface.
+fn balancer(binding: &DescBinding, shard: usize) -> Arc<L4LoadBalancer> {
+    binding
+        .with_shard(shard, |cs| {
+            let id = cs.id_of("lb")?;
+            cs.capsule().query_interface(id, IBALANCER).ok()?.downcast()
+        })
+        .flatten()
+        .expect("`lb` compiled to a balancer")
+}
+
 fn burst(sport_base: u16) -> PacketBatch {
     (0..FLOWS)
         .map(|i| {
@@ -81,24 +93,18 @@ fn main() -> Result<(), netkit::opencom::error::Error> {
     }
     pipe.flush();
 
-    // The binding resolves description names to live control handles,
-    // so introspection needs no element references of its own.
+    // The binding resolves description names to live components, and
+    // each component publishes its controls, so introspection needs no
+    // element references of its own.
     let mut balanced_flows = 0;
     for shard in 0..WORKERS {
-        binding
-            .with_shard(shard, |cs| {
-                let Some(ElementHandle::Lb(lb)) = cs.handle_of("lb") else {
-                    panic!("`lb` compiled to a balancer");
-                };
-                for b in lb.backends() {
-                    balanced_flows += b.flows;
-                    println!(
-                        "shard {shard}: backend {}:{} — {} flows, {} packets",
-                        b.ip, b.port, b.flows, b.packets
-                    );
-                }
-            })
-            .expect("shard exists");
+        for b in balancer(&binding, shard).backends() {
+            balanced_flows += b.flows;
+            println!(
+                "shard {shard}: backend {}:{} — {} flows, {} packets",
+                b.ip, b.port, b.flows, b.packets
+            );
+        }
     }
     assert_eq!(
         balanced_flows,
@@ -136,14 +142,11 @@ fn main() -> Result<(), netkit::opencom::error::Error> {
     let new_backend_flows = |each: &dyn Fn(&L4LoadBalancer, u32)| {
         let mut flows = 0;
         for shard in 0..WORKERS {
-            binding.with_shard(shard, |cs| {
-                if let Some(ElementHandle::Lb(lb)) = cs.handle_of("lb") {
-                    for b in lb.backends().iter().filter(|b| b.ip.octets()[3] == 5) {
-                        each(lb, b.id);
-                        flows += b.flows;
-                    }
-                }
-            });
+            let lb = balancer(&binding, shard);
+            for b in lb.backends().iter().filter(|b| b.ip.octets()[3] == 5) {
+                each(&lb, b.id);
+                flows += b.flows;
+            }
         }
         flows
     };
@@ -154,7 +157,7 @@ fn main() -> Result<(), netkit::opencom::error::Error> {
     );
     println!("rendezvous hashing handed {on_new_backend} of the new flows to the new backend");
 
-    // Drain it again, through the live handle: its flows keep their
+    // Drain it again, through the balancer's own control: its flows keep their
     // backend, a third wave of new flows goes elsewhere.
     new_backend_flows(&|lb, id| assert!(lb.drain_backend(id)));
     for _ in 0..PACKETS_PER_FLOW {

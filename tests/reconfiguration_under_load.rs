@@ -217,6 +217,93 @@ fn sharded_hot_swap_scheduler_under_load() {
     pipe.shutdown();
 }
 
+/// Regression (PR 25): a hot-swapped balancer is filled through its
+/// `ITable` before `Capsule::replace` points traffic at it, so no
+/// packet in flight meets an empty backend table. (At `826015d` the
+/// swap ran first and the plan re-put the backends later: hundreds to
+/// thousands of "lb: no live backends" drops per 400 swaps.)
+#[test]
+fn described_balancer_keeps_its_backends_across_hot_swaps() {
+    use std::sync::atomic::{AtomicBool, AtomicU16, Ordering};
+
+    use netkit::kernel::shard::ShardSpec;
+    use netkit::opencom::meta::resources::ResourceManager;
+    use netkit::packet::batch::PacketBatch;
+    use netkit::router::desc::{Compiler, PipelineDesc, TableEntry};
+
+    const SWAPS: u64 = 400;
+    let described = |capacity: u64| {
+        PipelineDesc::new("hot-lb")
+            .element("count", "counter")
+            .element_with(
+                "lb",
+                "l4lb",
+                &[
+                    ("vip", "10.0.7.9".into()),
+                    ("vport", 443u16.into()),
+                    ("capacity", capacity.into()),
+                ],
+            )
+            .element("sink", "discard")
+            .ingress("count")
+            .edge("count", "lb")
+            .edge("lb", "sink")
+            .table(
+                "lb",
+                TableEntry::Backend {
+                    ip: "10.1.0.1".into(),
+                    port: 8080,
+                },
+            )
+            .table(
+                "lb",
+                TableEntry::Backend {
+                    ip: "10.1.0.2".into(),
+                    port: 8080,
+                },
+            )
+    };
+    let (pipe, mut binding) = Compiler::new()
+        .build_sharded(
+            &described(1_024),
+            ShardSpec::new(2),
+            Arc::new(ResourceManager::new()),
+        )
+        .unwrap();
+    let (done, bursts) = (AtomicBool::new(false), AtomicU16::new(0));
+    std::thread::scope(|s| {
+        s.spawn(|| {
+            while !done.load(Ordering::Relaxed) {
+                let round = bursts.fetch_add(1, Ordering::Relaxed);
+                let burst: PacketBatch = (0..64u16)
+                    .map(|i| {
+                        let sport = 10_000 + round.wrapping_mul(64).wrapping_add(i) % 4_096;
+                        PacketBuilder::udp_v4("192.0.2.7", "10.0.7.9", sport, 443).build()
+                    })
+                    .collect();
+                pipe.dispatch(burst);
+            }
+        });
+        // The swaps start with traffic already in flight.
+        while bursts.load(Ordering::Relaxed) < 4 {
+            std::thread::yield_now();
+        }
+        for swap in 0..SWAPS {
+            let capacity = if swap % 2 == 0 { 2_048 } else { 1_024 };
+            let patch = binding.diff_to(&described(capacity)).unwrap();
+            assert!(!patch.requires_quiesce(), "a param swap runs hot");
+            let report = binding.apply_sharded(&pipe, &patch).unwrap();
+            assert_eq!(report.epochs, 0, "swap {swap}: no quiesce epoch");
+        }
+        done.store(true, Ordering::Relaxed);
+    });
+    pipe.flush();
+    let (stats, drops) = (pipe.stats(), pipe.drop_stats());
+    assert_eq!(drops.graph, 0, "no packet met an empty backend table");
+    assert_eq!(stats.accepted, stats.packets, "{drops:?}");
+    pipe.shutdown();
+}
+
 #[test]
 fn cf_rules_hold_across_dynamic_interface_changes() {
     let (_rt, capsule, cf) = setup();
