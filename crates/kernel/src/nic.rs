@@ -42,7 +42,10 @@
 //! A NIC built [`Nic::with_buffer_pool`] leases every rx frame buffer
 //! from a [`BufferPool`] — the paper's buffer-management CF — instead
 //! of allocating it: [`Nic::inject_rx_frame`] copies the wire bytes
-//! into a pooled slab (the simulated DMA write), parses the flow tuple
+//! into a pooled slab sized to the frame (the simulated DMA write; a
+//! frame that fits takes one of the pool's 256-byte small slabs, so a
+//! minimum-size frame no longer pins a full 2-KiB one — see
+//! `netkit_packet::pool`), parses the flow tuple
 //! *once* (what the hardware RSS engine does), steers the frame to its
 //! queue through the indirection table, and remembers what the parse
 //! found. The worker side drains with [`Nic::rx_burst_batch`], which
@@ -315,13 +318,14 @@ impl Nic {
     /// The full hardware rx path in one call: parses the flow tuple
     /// from the wire bytes (once — the RSS hash and the IPv4 flow
     /// record then travel with the frame), copies them into a buffer
-    /// leased from the attached [`BufferPool`] (the simulated DMA
-    /// write; plain heap without a pool), and steers the frame through
-    /// the indirection table (non-flow frames follow bucket 0, the
-    /// same rule as `netkit_packet::steer::bucket_of_packet` — and a
-    /// single-queue NIC behaves identically however many shards the
-    /// host software runs). Returns `false` and counts a drop if the
-    /// ring is full.
+    /// leased from the attached [`BufferPool`] for the frame's length
+    /// ([`BufferPool::take_for`]: a small slab when it fits — the
+    /// simulated DMA write; plain heap without a pool), and steers the
+    /// frame through the indirection table (non-flow frames follow
+    /// bucket 0, the same rule as `netkit_packet::steer::bucket_of_packet`
+    /// — and a single-queue NIC behaves identically however many shards
+    /// the host software runs). Returns `false` and counts a drop if
+    /// the ring is full.
     pub fn inject_rx_frame(&self, frame: &[u8]) -> bool {
         let flow = ParsedFlow::from_frame(frame);
         let rss = match flow {
@@ -337,7 +341,7 @@ impl Nic {
         };
         let buf = match &self.pool {
             Some(pool) => {
-                let mut slab = pool.take();
+                let mut slab = pool.take_for(frame.len());
                 slab.extend_from_slice(frame);
                 PacketBuf::Pooled(slab)
             }
@@ -609,6 +613,31 @@ mod tests {
         assert!(nic.inject_rx_frame(wire.data()));
         assert_eq!(pool.stats().reused, 1);
         assert_eq!(pool.stats().allocated, 1, "steady state: no new slab");
+    }
+
+    #[test]
+    fn rx_frames_lease_a_slab_sized_to_the_frame() {
+        let pool = BufferPool::new(2048, 0, 8);
+        let nic = Nic::new(PortId(0), 8, 8, 1_000_000).with_buffer_pool(pool.clone());
+        let small = PacketBuilder::udp_v4("10.0.0.1", "10.0.0.2", 1234, 80).build();
+        let large = PacketBuilder::udp_v4("10.0.0.1", "10.0.0.2", 1234, 80)
+            .payload_len(1400)
+            .build();
+        assert!(nic.inject_rx_frame(small.data()));
+        assert!(nic.inject_rx_frame(large.data()));
+        let mut batch = PacketBatch::new();
+        assert_eq!(nic.rx_burst_batch(0, 8, &mut batch), 2);
+        assert_eq!(batch.packets()[0].data(), small.data());
+        assert_eq!(batch.packets()[1].data(), large.data());
+        let capacities: Vec<usize> = batch
+            .drain_all()
+            .map(|pkt| match pkt.into_buf() {
+                PacketBuf::Pooled(buf) => buf.capacity(),
+                PacketBuf::Heap(_) => panic!("rx frames lease from the pool"),
+            })
+            .collect();
+        assert_eq!(capacities[0], netkit_packet::pool::SMALL_SLAB);
+        assert!(capacities[1] >= 2048);
     }
 
     #[test]

@@ -505,7 +505,7 @@ impl SharedSplitInner {
 /// let shared = batch.shard_split_with(&BucketMap::identity(2)).into_shared();
 /// let (a, b) = (shared.range(0), shared.range(1));
 /// drop(shared); // ranges keep the parent alive
-/// let pool = BatchPool::new(8, 0, 4);
+/// let pool = BatchPool::new(8, 0);
 /// let mut out = pool.take();
 /// let taken = a.take_into(&mut out);
 /// assert_eq!(taken + b.len(), 8);
@@ -666,15 +666,14 @@ pub struct BatchPoolStats {
     pub allocated: u64,
     /// Containers returned to the free list on drop.
     pub recycled: u64,
-    /// Containers discarded on drop (free list full, or the backing
-    /// storage had been moved out).
+    /// Containers discarded on drop (the backing storage had been moved
+    /// out).
     pub discarded: u64,
 }
 
 struct BatchPoolInner {
     /// Packets to pre-reserve in a fresh container.
     capacity: usize,
-    max_free: usize,
     #[allow(clippy::type_complexity)]
     free: Mutex<Vec<(Vec<Packet>, Vec<u16>, Vec<Arc<str>>)>>,
     reused: AtomicU64,
@@ -690,11 +689,11 @@ impl BatchPoolInner {
         packets.clear();
         labels.clear();
         table.clear();
-        let mut free = self.free.lock();
         // A container whose packet storage was moved out (e.g. by
-        // `into_packets`) has nothing worth keeping.
-        if free.len() < self.max_free && packets.capacity() > 0 {
-            free.push((packets, labels, table));
+        // `into_packets`) has nothing worth keeping; every other one is
+        // kept.
+        if packets.capacity() > 0 {
+            self.free.lock().push((packets, labels, table));
             self.recycled.fetch_add(1, Ordering::Relaxed);
         } else {
             self.discarded.fetch_add(1, Ordering::Relaxed);
@@ -711,13 +710,20 @@ impl BatchPoolInner {
 /// performs no per-batch heap allocation: the same `Vec<Packet>`
 /// shuttles rx → ring → graph → sink → rx again.
 ///
+/// The pool keeps every container it allocated: its population is the
+/// most containers ever in flight at once, so once a loop has met its
+/// peak — for a software-dispatch round, every parent it publishes
+/// before the workers drain them plus one gather per worker — it never
+/// allocates again. (A cap on the free list below that peak re-allocated
+/// the overflow on every round.)
+///
 /// # Examples
 ///
 /// ```
 /// use netkit_packet::batch::BatchPool;
 /// use netkit_packet::packet::PacketBuilder;
 ///
-/// let pool = BatchPool::new(32, 0, 8);
+/// let pool = BatchPool::new(32, 0);
 /// let mut batch = pool.take();
 /// batch.push(PacketBuilder::udp_v4("10.0.0.1", "10.0.0.2", 1, 2).build());
 /// drop(batch); // container recycled
@@ -732,17 +738,14 @@ pub struct BatchPool {
 
 impl BatchPool {
     /// Creates a pool of batch containers pre-sized for `capacity`
-    /// packets, preallocating `prealloc` containers (provision for the
-    /// peak number simultaneously in flight, so the steady state never
-    /// allocates) and keeping at most `max_free` on the free list.
-    pub fn new(capacity: usize, prealloc: usize, max_free: usize) -> Self {
+    /// packets, preallocating `prealloc` containers.
+    pub fn new(capacity: usize, prealloc: usize) -> Self {
         let free = (0..prealloc)
             .map(|_| (Vec::with_capacity(capacity.max(1)), Vec::new(), Vec::new()))
             .collect();
         Self {
             inner: Arc::new(BatchPoolInner {
                 capacity,
-                max_free,
                 free: Mutex::new(free),
                 reused: AtomicU64::new(0),
                 allocated: AtomicU64::new(0),
@@ -1089,7 +1092,7 @@ mod tests {
 
     #[test]
     fn batch_pool_recycles_containers_wherever_dropped() {
-        let pool = BatchPool::new(8, 0, 4);
+        let pool = BatchPool::new(8, 0);
         let mut batch = pool.take();
         assert_eq!(pool.stats().allocated, 1);
         batch.push(pkt(1));
@@ -1109,7 +1112,7 @@ mod tests {
         // comes back out must return its own backing vectors to the
         // pool (with capacity), not discard them — otherwise a
         // fill-split loop leaks one container per round.
-        let pool = BatchPool::new(16, 0, 8);
+        let pool = BatchPool::new(16, 0);
         for round in 0..3u64 {
             let mut parent = pool.take();
             for p in 1u16..=8 {
@@ -1130,7 +1133,7 @@ mod tests {
 
     #[test]
     fn pool_gone_means_plain_drop() {
-        let pool = BatchPool::new(4, 0, 4);
+        let pool = BatchPool::new(4, 0);
         let batch = pool.take();
         drop(pool);
         drop(batch); // pool inner already gone; drop must not panic
@@ -1138,7 +1141,7 @@ mod tests {
 
     #[test]
     fn drain_all_preserves_order_and_the_container() {
-        let pool = BatchPool::new(8, 0, 4);
+        let pool = BatchPool::new(8, 0);
         let mut batch = pool.take();
         for p in [1u16, 2, 3] {
             batch.push(pkt(p));
@@ -1158,7 +1161,7 @@ mod tests {
 
     #[test]
     fn moved_out_containers_are_discarded_not_recycled() {
-        let pool = BatchPool::new(4, 0, 4);
+        let pool = BatchPool::new(4, 0);
         let mut batch = pool.take();
         batch.push(pkt(1));
         let _pkts = batch.into_packets(); // storage moved out, container drops
@@ -1215,7 +1218,7 @@ mod tests {
 
     #[test]
     fn shared_parent_recycles_when_last_range_drops() {
-        let pool = BatchPool::new(16, 0, 8);
+        let pool = BatchPool::new(16, 0);
         for round in 0..3u64 {
             let mut parent = pool.take();
             for p in 1u16..=8 {
@@ -1245,7 +1248,7 @@ mod tests {
 
     #[test]
     fn dropped_range_releases_unclaimed_packets_with_the_parent() {
-        let pool = BatchPool::new(16, 0, 8);
+        let pool = BatchPool::new(16, 0);
         let mut parent = pool.take();
         for p in 1u16..=8 {
             parent.push(pkt(p));

@@ -11,8 +11,9 @@
 //!   fast-path mutators (TTL decrement, DSCP rewrite).
 //! * [`checksum`] — RFC 1071 Internet checksum and RFC 1624 incremental
 //!   update.
-//! * [`pool`] — the buffer-management CF engine (fixed-slab pools with
-//!   recycling and resources-meta-model accounting).
+//! * [`pool`] — the buffer-management CF engine (two-class slab pools —
+//!   full slabs and 256-byte ones for small frames — with recycling and
+//!   resources-meta-model accounting).
 //! * [`flow`] — 5-tuple flow keys, the RSS hash, and the parse-once flow
 //!   record ([`flow::ParsedFlow`]) the rx path stamps into every packet.
 //! * [`steer`] — the bucketized RSS steering layer: the 256-entry

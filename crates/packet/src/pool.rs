@@ -1,13 +1,34 @@
 //! Buffer-management component framework.
 //!
 //! Paper §5: "Components can also take advantage of our existing buffer
-//! management CF." This module is that CF's engine: fixed-slab buffer
-//! pools with recycling, statistics, and optional per-task quota policing
-//! through the resources meta-model.
+//! management CF." This module is that CF's engine: buffer pools with
+//! recycling, statistics, and optional per-task quota policing through
+//! the resources meta-model.
+//!
+//! A pool keeps two **slab classes**: full slabs of the pool's
+//! `slab_size` (what [`BufferPool::take`] leases) and a fixed
+//! [`SMALL_SLAB`]-byte class that [`BufferPool::take_for`] leases when
+//! the bytes to hold fit. 256 bytes is four cache lines: a
+//! minimum-size Ethernet frame (60–64 bytes) with room to spare for
+//! headers an element adds. Without it, every 60-byte frame
+//! pinned a whole slab: one 1 024-frame round of the ledger's bare
+//! workloads held 2 MiB of 2-KiB slabs for 60 KiB of frames. A buffer
+//! returns to the class its capacity qualifies for, so one an element
+//! grew past its class is reclassed, and each class keeps at most
+//! `max_free` buffers on its free list.
+//!
+//! A class that runs dry **doubles**: the miss allocates the buffer asked
+//! for and puts as many more as the class already holds on its free list
+//! (up to `max_free`). Under a mix of frame sizes each class's share of a
+//! round is a random split of the round; grown one buffer at a time, a
+//! class would allocate at every new high-water mark of that split for as
+//! long as the traffic runs, where doubled it settles with headroom —
+//! the steady state then allocates nothing (measured on the ledger's
+//! IMIX workloads in `crates/bench/NOTES.md`, "Metering at array cost").
 
 use std::fmt;
 use std::ops::{Deref, DerefMut};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Weak};
 
 use bytes::BytesMut;
@@ -16,35 +37,130 @@ use opencom::ident::TaskId;
 use opencom::meta::resources::{classes, ResourceManager};
 use parking_lot::Mutex;
 
-/// Pool counters.
+/// Bytes in a buffer of the small slab class (see the module docs).
+pub const SMALL_SLAB: usize = 256;
+
+/// Index of the small class in [`PoolInner::classes`].
+const SMALL: usize = 0;
+/// Index of the full-slab class.
+const FULL: usize = 1;
+
+/// Pool counters, summed over both slab classes.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct PoolStats {
-    /// Buffers served from the free list.
+    /// Buffers served from a free list.
     pub reused: u64,
-    /// Buffers freshly allocated because the free list was empty.
+    /// Buffers freshly allocated because a class's free list was empty
+    /// (the one asked for and the ones its doubling put aside).
     pub allocated: u64,
-    /// Buffers returned to the free list on drop.
+    /// Buffers returned to a free list on drop.
     pub recycled: u64,
-    /// Buffers discarded on drop (free list full or buffer resized).
+    /// Buffers discarded on drop (their class's free list full, or too
+    /// small for any class).
     pub discarded: u64,
+}
+
+/// One slab class: a free list of buffers of at least `size` bytes.
+struct SlabClass {
+    /// Capacity a fresh buffer of this class is allocated with.
+    size: usize,
+    free: Mutex<Vec<BytesMut>>,
+    /// Buffers of this class in existence: free or leased.
+    live: AtomicUsize,
+}
+
+impl SlabClass {
+    fn new(size: usize, prealloc: usize) -> Self {
+        Self {
+            size,
+            free: Mutex::new(
+                (0..prealloc)
+                    .map(|_| BytesMut::with_capacity(size))
+                    .collect(),
+            ),
+            live: AtomicUsize::new(prealloc),
+        }
+    }
 }
 
 struct PoolInner {
     slab_size: usize,
     max_free: usize,
-    free: Mutex<Vec<BytesMut>>,
+    /// `[SMALL, FULL]`.
+    classes: [SlabClass; 2],
     reused: AtomicU64,
     allocated: AtomicU64,
     recycled: AtomicU64,
     discarded: AtomicU64,
 }
 
-/// A fixed-slab buffer pool.
+impl PoolInner {
+    /// The class a buffer of `capacity` bytes belongs to: the largest
+    /// whose size it holds, none below the small class.
+    fn class_of(&self, capacity: usize) -> Option<usize> {
+        if capacity >= self.slab_size {
+            Some(FULL)
+        } else if capacity >= SMALL_SLAB {
+            Some(SMALL)
+        } else {
+            None
+        }
+    }
+
+    /// A buffer of `class`: a recycled one, else a fresh one — and, on
+    /// that miss, the class's doubling onto its free list.
+    fn lease(&self, class: usize) -> BytesMut {
+        let slabs = &self.classes[class];
+        let mut free = slabs.free.lock();
+        if let Some(mut buf) = free.pop() {
+            drop(free);
+            buf.clear();
+            self.reused.fetch_add(1, Ordering::Relaxed);
+            return buf;
+        }
+        let spare = (slabs.live.load(Ordering::Relaxed).max(1) - 1).min(self.max_free);
+        free.extend((0..spare).map(|_| BytesMut::with_capacity(slabs.size)));
+        drop(free);
+        slabs.live.fetch_add(1 + spare, Ordering::Relaxed);
+        self.allocated
+            .fetch_add(1 + spare as u64, Ordering::Relaxed);
+        BytesMut::with_capacity(slabs.size)
+    }
+
+    /// Takes back a buffer leased from class `leased`: onto the free
+    /// list of the class its capacity qualifies for now, if that has
+    /// room; otherwise it is discarded.
+    fn give_back(&self, leased: usize, buf: BytesMut) {
+        let mut home = self.class_of(buf.capacity());
+        if let Some(class) = home {
+            let mut free = self.classes[class].free.lock();
+            if free.len() < self.max_free {
+                free.push(buf);
+                self.recycled.fetch_add(1, Ordering::Relaxed);
+            } else {
+                home = None;
+            }
+        }
+        if home.is_none() {
+            self.discarded.fetch_add(1, Ordering::Relaxed);
+        }
+        // The common case — back to the class it came from — leaves
+        // both classes' counts as they were.
+        if home != Some(leased) {
+            self.classes[leased].live.fetch_sub(1, Ordering::Relaxed);
+            if let Some(class) = home {
+                self.classes[class].live.fetch_add(1, Ordering::Relaxed);
+            }
+        }
+    }
+}
+
+/// A two-class buffer pool: full slabs plus [`SMALL_SLAB`]-byte ones.
 ///
 /// # Examples
 ///
 /// ```
-/// use netkit_packet::pool::BufferPool;
+/// use netkit_packet::pool::{BufferPool, SMALL_SLAB};
 ///
 /// let pool = BufferPool::new(2048, 0, 8);
 /// let buf = pool.take();
@@ -52,6 +168,8 @@ struct PoolInner {
 /// drop(buf); // recycled
 /// let _again = pool.take();
 /// assert_eq!(pool.stats().reused, 1);
+/// // Bytes that fit the small class lease a small buffer.
+/// assert_eq!(pool.take_for(60).capacity(), SMALL_SLAB);
 /// ```
 #[derive(Clone)]
 pub struct BufferPool {
@@ -59,17 +177,18 @@ pub struct BufferPool {
 }
 
 impl BufferPool {
-    /// Creates a pool of `slab_size`-byte buffers, preallocating
-    /// `prealloc` and keeping at most `max_free` on the free list.
+    /// Creates a pool of `slab_size`-byte buffers (plus the small
+    /// class), preallocating `prealloc` full slabs and keeping at most
+    /// `max_free` buffers on each class's free list.
     pub fn new(slab_size: usize, prealloc: usize, max_free: usize) -> Self {
-        let free = (0..prealloc)
-            .map(|_| BytesMut::with_capacity(slab_size))
-            .collect();
         Self {
             inner: Arc::new(PoolInner {
                 slab_size,
                 max_free,
-                free: Mutex::new(free),
+                classes: [
+                    SlabClass::new(SMALL_SLAB, 0),
+                    SlabClass::new(slab_size, prealloc),
+                ],
                 reused: AtomicU64::new(0),
                 allocated: AtomicU64::new(0),
                 recycled: AtomicU64::new(0),
@@ -78,28 +197,32 @@ impl BufferPool {
         }
     }
 
-    /// Takes a cleared buffer from the pool (allocating when empty).
-    pub fn take(&self) -> PooledBuf {
-        let recycled = self.inner.free.lock().pop();
-        let buf = match recycled {
-            Some(mut b) => {
-                b.clear();
-                self.inner.reused.fetch_add(1, Ordering::Relaxed);
-                b
-            }
-            None => {
-                self.inner.allocated.fetch_add(1, Ordering::Relaxed);
-                BytesMut::with_capacity(self.inner.slab_size)
-            }
-        };
+    fn wrap(&self, class: usize) -> PooledBuf {
         PooledBuf {
-            buf: Some(buf),
+            buf: Some(self.inner.lease(class)),
+            class,
             pool: Arc::downgrade(&self.inner),
         }
     }
 
-    /// Takes a buffer, charging `slab_size` bytes of the task's memory
-    /// grant in the resources meta-model first.
+    /// Takes a cleared full slab from the pool (allocating when empty).
+    pub fn take(&self) -> PooledBuf {
+        self.wrap(FULL)
+    }
+
+    /// Takes a cleared buffer for `len` bytes: a small one when `len`
+    /// fits [`SMALL_SLAB`] (and that is smaller than a slab), else a
+    /// full slab — how the NIC's rx path sizes a frame's buffer.
+    pub fn take_for(&self, len: usize) -> PooledBuf {
+        if len <= SMALL_SLAB && SMALL_SLAB < self.inner.slab_size {
+            self.wrap(SMALL)
+        } else {
+            self.take()
+        }
+    }
+
+    /// Takes a full slab, charging `slab_size` bytes of the task's
+    /// memory grant in the resources meta-model first.
     ///
     /// # Errors
     ///
@@ -112,9 +235,9 @@ impl BufferPool {
         Ok((self.take(), headroom))
     }
 
-    /// Buffers currently on the free list.
+    /// Buffers currently on the free lists, both classes.
     pub fn free_count(&self) -> usize {
-        self.inner.free.lock().len()
+        self.inner.classes.iter().map(|c| c.free.lock().len()).sum()
     }
 
     /// Snapshot of pool counters.
@@ -127,10 +250,15 @@ impl BufferPool {
         }
     }
 
-    /// Approximate resident bytes (free list only; outstanding buffers
-    /// are owned by their takers).
+    /// Approximate resident bytes (free lists only, each buffer at its
+    /// class's size; outstanding buffers are owned by their takers).
     pub fn footprint_bytes(&self) -> usize {
-        self.free_count() * self.inner.slab_size + std::mem::size_of::<PoolInner>()
+        self.inner
+            .classes
+            .iter()
+            .map(|c| c.free.lock().len() * c.size)
+            .sum::<usize>()
+            + std::mem::size_of::<PoolInner>()
     }
 }
 
@@ -138,7 +266,8 @@ impl fmt::Debug for BufferPool {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(
             f,
-            "BufferPool(slab {} bytes, {} free, stats {:?})",
+            "BufferPool(slabs {}/{} bytes, {} free, stats {:?})",
+            SMALL_SLAB,
             self.inner.slab_size,
             self.free_count(),
             self.stats()
@@ -149,12 +278,19 @@ impl fmt::Debug for BufferPool {
 /// A pooled buffer that returns to its pool on drop.
 pub struct PooledBuf {
     buf: Option<BytesMut>,
+    /// The class it was leased from.
+    class: usize,
     pool: Weak<PoolInner>,
 }
 
 impl PooledBuf {
     /// Detaches the buffer from the pool (it will not be recycled).
     pub fn into_bytes(mut self) -> BytesMut {
+        if let Some(pool) = self.pool.upgrade() {
+            pool.classes[self.class]
+                .live
+                .fetch_sub(1, Ordering::Relaxed);
+        }
         self.buf.take().expect("buffer present until drop")
     }
 }
@@ -175,17 +311,8 @@ impl DerefMut for PooledBuf {
 impl Drop for PooledBuf {
     fn drop(&mut self) {
         let Some(buf) = self.buf.take() else { return };
-        let Some(pool) = self.pool.upgrade() else {
-            return;
-        };
-        let mut free = pool.free.lock();
-        // Only recycle buffers that kept their slab capacity; grown or
-        // split buffers would poison the pool's size invariant.
-        if free.len() < pool.max_free && buf.capacity() >= pool.slab_size {
-            free.push(buf);
-            pool.recycled.fetch_add(1, Ordering::Relaxed);
-        } else {
-            pool.discarded.fetch_add(1, Ordering::Relaxed);
+        if let Some(pool) = self.pool.upgrade() {
+            pool.give_back(self.class, buf);
         }
     }
 }
@@ -222,10 +349,14 @@ mod tests {
     fn free_list_is_bounded() {
         let pool = BufferPool::new(64, 0, 2);
         let bufs: Vec<_> = (0..5).map(|_| pool.take()).collect();
+        // Five takes: 1, 1, 2 (one spare) and, at the fifth, 4 — of
+        // which only the two that fit the free list are put aside.
+        assert_eq!(pool.stats().allocated, 7);
+        assert_eq!(pool.free_count(), 2);
         drop(bufs);
         assert_eq!(pool.free_count(), 2);
         let s = pool.stats();
-        assert_eq!((s.recycled, s.discarded), (2, 3));
+        assert_eq!((s.recycled, s.discarded), (0, 5));
     }
 
     #[test]
@@ -236,6 +367,11 @@ mod tests {
         drop(bytes);
         assert_eq!(pool.free_count(), 0);
         assert_eq!(pool.stats().recycled, 0);
+        // Detached, it no longer counts towards the class: the next
+        // miss allocates one buffer, not two.
+        let _again = pool.take();
+        assert_eq!(pool.stats().allocated, 2);
+        assert_eq!(pool.free_count(), 0);
     }
 
     #[test]
@@ -254,8 +390,10 @@ mod tests {
         let task = rm.create_task("buffers").unwrap();
         rm.grant(task, classes::MEMORY, 4096).unwrap();
         let pool = BufferPool::new(2048, 0, 4);
-        let (_b1, headroom1) = pool.take_accounted(&rm, task).unwrap();
+        let (b1, headroom1) = pool.take_accounted(&rm, task).unwrap();
         assert_eq!(headroom1, 2048);
+        // A full slab is charged, and a full slab is what is leased.
+        assert!(b1.capacity() >= 2048);
         let (_b2, headroom2) = pool.take_accounted(&rm, task).unwrap();
         assert_eq!(headroom2, 0);
         let info = rm.task_info(task).unwrap();
@@ -268,5 +406,97 @@ mod tests {
         let b = pool.take();
         drop(pool);
         drop(b); // pool inner gone; drop must not panic
+    }
+
+    #[test]
+    fn frames_draw_from_their_class_and_recycle_to_it() {
+        let pool = BufferPool::new(2048, 0, 8);
+        let small = pool.take_for(60);
+        let full = pool.take_for(1500);
+        assert_eq!(small.capacity(), SMALL_SLAB);
+        assert!(full.capacity() >= 2048);
+        assert_eq!(pool.stats().allocated, 2, "one buffer of each class");
+        drop((small, full));
+        assert_eq!(pool.stats().recycled, 2);
+        // Each comes back from its own class: nothing new allocated,
+        // and neither class lent the other its buffer.
+        let (small, full) = (pool.take_for(64), pool.take_for(1500));
+        assert_eq!(small.capacity(), SMALL_SLAB);
+        assert!(full.capacity() >= 2048);
+        assert_eq!((pool.stats().reused, pool.stats().allocated), (2, 2));
+        // `take` always leases a full slab, whatever the small class holds.
+        drop(small);
+        assert!(pool.take().capacity() >= 2048);
+        // Below the small class's size there is no small class.
+        let tiny = BufferPool::new(128, 0, 8);
+        assert!(tiny.take_for(60).capacity() >= 128);
+    }
+
+    #[test]
+    fn grown_buffers_are_reclassed_by_capacity_or_discarded() {
+        let pool = BufferPool::new(2048, 0, 1);
+        // A small buffer grown past a slab returns as a full slab.
+        let mut grown = pool.take_for(60);
+        grown.extend_from_slice(&[0u8; 3000]);
+        drop(grown);
+        let reclassed = pool.take();
+        assert!(reclassed.capacity() >= 3000, "the grown buffer came back");
+        assert_eq!(
+            pool.stats().allocated,
+            1,
+            "the full class allocated nothing"
+        );
+        // A small buffer grown part-way still fits the small class.
+        let mut part = pool.take_for(60);
+        part.extend_from_slice(&[0u8; 600]);
+        drop(part);
+        assert!(pool.take_for(60).capacity() >= 600);
+        // With its class's free list full, a returning buffer is
+        // discarded.
+        drop(reclassed);
+        let mut second = pool.take_for(60);
+        second.extend_from_slice(&[0u8; 3000]);
+        drop(second);
+        assert_eq!(pool.free_count(), 1, "max_free is per class");
+        assert_eq!(pool.stats().discarded, 1);
+    }
+
+    #[test]
+    fn a_steady_imix_mix_allocates_nothing() {
+        // The ledger's edge round: 1 024 frames at IMIX sizes 64 / 576 /
+        // 1 500 in 7 : 4 : 1, all leased at once, then all dropped. Each
+        // class's share of a round is random; doubled, the classes
+        // settle at 1 024 small and 512 full slabs, several standard
+        // deviations above either share.
+        let pool = BufferPool::new(2048, 0, 4096);
+        let mut state = 7u64;
+        let mut round = || -> Vec<PooledBuf> {
+            (0..1024)
+                .map(|_| {
+                    state = state
+                        .wrapping_mul(6_364_136_223_846_793_005)
+                        .wrapping_add(1_442_695_040_888_963_407);
+                    let len = match (state >> 33) % 12 {
+                        0..=6 => 64,
+                        7..=10 => 576,
+                        _ => 1500,
+                    };
+                    let mut buf = pool.take_for(len);
+                    buf.resize(len, 0);
+                    buf
+                })
+                .collect()
+        };
+        for _ in 0..8 {
+            drop(round());
+        }
+        let warm = pool.stats();
+        for _ in 0..256 {
+            drop(round());
+        }
+        let steady = pool.stats();
+        assert_eq!(steady.allocated, warm.allocated, "{steady:?}");
+        assert_eq!(steady.discarded, 0);
+        assert_eq!(steady.reused - warm.reused, 256 * 1024);
     }
 }

@@ -19,6 +19,17 @@
 //! operations (`decay`, `retire`) assume a single consumer — the
 //! control plane — and only ever subtract amounts they observed, so
 //! concurrent recording survives them without loss.
+//!
+//! Cost. Every sharded worker meters every packet here before its graph
+//! runs, and no ledger lane sees it (the lanes enter the graph), so the
+//! recording path is kept at array cost: count-min adds to `depth`
+//! relaxed atomics per packet, and the Space-Saving side is a flat array
+//! of `capacity` slots scanned linearly, locked once per batch by
+//! [`FlowSketch::record_batch`], with the running total added once per
+//! batch. At the default geometry that is ≈ 90 ns per record on the
+//! Space-Saving side where a SipHash `HashMap` (walked whole on every
+//! miss) took ≈ 400 — more than the whole bare graph
+//! (`crates/bench/NOTES.md`, "Metering at array cost").
 
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -286,22 +297,34 @@ struct SsCounter {
 /// The Space-Saving top-k heavy-hitter summary (Metwally et al.).
 ///
 /// At most `capacity` monitored flows. Recording a monitored flow adds
-/// to its counter; an unmonitored flow takes over the minimum counter,
-/// inheriting its weight as the new entry's error bound. Deterministic
-/// guarantees, for total recorded weight `N`:
+/// to its counter; an unmonitored flow takes over the minimum counter
+/// (ties: the smaller hash), inheriting its weight as the new entry's
+/// error bound. Deterministic guarantees, for total recorded weight `N`:
 ///
 /// * every flow with true weight `> N / capacity` is monitored, and
 /// * every reported weight satisfies `true ≤ weight ≤ true + N/capacity`.
+///
+/// The monitored set is a flat array of at most `capacity`
+/// `(hash, counter)` slots in no particular order: a linear scan finds
+/// the flow or, failing that, a second finds the minimum to take over.
+/// At the default `capacity` of 32 that is 768 contiguous bytes, which
+/// a scan walks faster than a hash map is probed — and a miss, the
+/// common case when many flows share a shard, needed a full walk of the
+/// map anyway.
+/// Measured at k = 32 over 1 024 uniform flows: ≈ 90 ns per record,
+/// where the `HashMap` it replaced took ≈ 400 (`crates/bench/NOTES.md`,
+/// "Metering at array cost").
 ///
 /// The inner state sits behind a mutex, but the intended deployment is
 /// **uncontended by construction**: one instance per shard, recorded
 /// into only by that shard's worker (RSS affinity — the same
 /// single-writer argument as the per-shard flow tables), peeked by the
-/// single control-plane consumer.
+/// single control-plane consumer. [`FlowSketch::record_batch`] takes
+/// the lock once per batch.
 pub struct SpaceSaving {
     capacity: usize,
     total: AtomicU64,
-    inner: Mutex<std::collections::HashMap<u64, SsCounter>>,
+    inner: Mutex<Vec<(u64, SsCounter)>>,
 }
 
 impl SpaceSaving {
@@ -311,7 +334,7 @@ impl SpaceSaving {
         Self {
             capacity,
             total: AtomicU64::new(0),
-            inner: Mutex::new(std::collections::HashMap::with_capacity(capacity)),
+            inner: Mutex::new(Vec::with_capacity(capacity)),
         }
     }
 
@@ -334,31 +357,56 @@ impl SpaceSaving {
     /// Records `weight` for `hash`. Any thread (serialised internally;
     /// uncontended in the per-shard single-writer deployment).
     pub fn record(&self, hash: u64, weight: u64) {
-        if weight == 0 {
-            return;
+        self.record_all([(hash, weight)]);
+    }
+
+    /// Records every `(hash, weight)` under one lock acquisition, and
+    /// adds their sum to the running total once, inside it.
+    fn record_all(&self, items: impl IntoIterator<Item = (u64, u64)>) {
+        let mut slots = self.inner.lock();
+        let mut added = 0;
+        for (hash, weight) in items {
+            if weight > 0 {
+                added += weight;
+                self.bump(&mut slots, hash, weight);
+            }
         }
-        self.total.fetch_add(weight, Ordering::Relaxed);
-        let mut inner = self.inner.lock();
-        if let Some(c) = inner.get_mut(&hash) {
+        if added > 0 {
+            self.total.fetch_add(added, Ordering::Relaxed);
+        }
+    }
+
+    /// One Space-Saving step on the slot array: a monitored `hash` adds
+    /// to its counter; otherwise, once the array is full, it takes over
+    /// the slot with the minimum `(weight, hash)`, whose weight becomes
+    /// the new entry's error.
+    fn bump(&self, slots: &mut Vec<(u64, SsCounter)>, hash: u64, weight: u64) {
+        if let Some((_, c)) = slots.iter_mut().find(|(h, _)| *h == hash) {
             c.weight += weight;
             return;
         }
-        if inner.len() < self.capacity {
-            inner.insert(hash, SsCounter { weight, error: 0 });
+        if slots.len() < self.capacity {
+            slots.push((hash, SsCounter { weight, error: 0 }));
             return;
         }
-        // Take over the minimum counter (ties broken by smaller hash
-        // for determinism); its weight becomes the new entry's error.
-        let (&victim, &min) = inner
-            .iter()
-            .min_by_key(|(k, c)| (c.weight, **k))
-            .expect("capacity >= 1");
-        inner.remove(&victim);
-        inner.insert(
+        // A second pass with `(weight, hash)` as one `u128` key: on a
+        // uniform mix the comparisons are coin flips, and this form
+        // scans in under half the time a fused find-and-track-minimum
+        // loop took (NOTES.md, "Metering at array cost").
+        let mut min = (u128::MAX, 0);
+        for (i, (h, c)) in slots.iter().enumerate() {
+            let key = u128::from(c.weight) << 64 | u128::from(*h);
+            if key < min.0 {
+                min = (key, i);
+            }
+        }
+        let victim = min.1;
+        let floor = slots[victim].1.weight;
+        slots[victim] = (
             hash,
             SsCounter {
-                weight: min.weight + weight,
-                error: min.weight,
+                weight: floor + weight,
+                error: floor,
             },
         );
     }
@@ -370,7 +418,7 @@ impl SpaceSaving {
         let inner = self.inner.lock();
         let mut out: Vec<HeavyHitter> = inner
             .iter()
-            .map(|(&hash, c)| HeavyHitter {
+            .map(|&(hash, c)| HeavyHitter {
                 hash,
                 weight: c.weight,
                 error: c.error,
@@ -413,7 +461,7 @@ impl SpaceSaving {
     pub fn decay(&self, alpha: f64) {
         let alpha = alpha.clamp(0.0, 1.0);
         let mut inner = self.inner.lock();
-        inner.retain(|_, c| {
+        inner.retain_mut(|(_, c)| {
             c.weight = (c.weight as f64 * alpha) as u64;
             c.error = (c.error as f64 * alpha) as u64;
             c.weight > 0
@@ -432,13 +480,14 @@ impl SpaceSaving {
         let mut inner = self.inner.lock();
         let mut retired: u64 = 0;
         for judged in window {
-            if let Some(c) = inner.get_mut(&judged.hash) {
+            if let Some(i) = inner.iter().position(|&(h, _)| h == judged.hash) {
+                let c = &mut inner[i].1;
                 let sub = judged.weight.min(c.weight);
                 retired += sub;
                 c.weight -= sub;
                 c.error = c.error.saturating_sub(judged.error);
                 if c.weight == 0 {
-                    inner.remove(&judged.hash);
+                    inner.swap_remove(i);
                 }
             }
         }
@@ -460,11 +509,9 @@ impl SpaceSaving {
         }
     }
 
-    /// Fixed memory footprint in bytes (the monitored-set map at
-    /// capacity).
+    /// Fixed memory footprint in bytes (the slot array at capacity).
     pub fn footprint_bytes(&self) -> usize {
-        std::mem::size_of::<Self>()
-            + self.capacity * (std::mem::size_of::<u64>() + std::mem::size_of::<SsCounter>())
+        std::mem::size_of::<Self>() + self.capacity * std::mem::size_of::<(u64, SsCounter)>()
     }
 }
 
@@ -556,11 +603,17 @@ impl FlowSketch {
         }
     }
 
-    /// Records every packet of a batch.
+    /// Records every packet of a batch — the same state as
+    /// [`Self::record_packet`] on each in turn, for one top-k lock and
+    /// one update of the running total per batch (count-min cells are
+    /// relaxed atomics and are added per packet either way).
     pub fn record_batch(&self, batch: &crate::batch::PacketBatch) {
-        for pkt in batch {
-            self.record_packet(pkt);
-        }
+        self.top.record_all(batch.iter().filter_map(|pkt| {
+            let hash = crate::flow::steering_hash(pkt)?;
+            let weight = pkt.len() as u64;
+            self.cms.record(hash, weight);
+            Some((hash, weight))
+        }));
     }
 
     /// Point query for a flow's byte weight this window (never an

@@ -499,18 +499,16 @@ impl<E: ShardExecutor<ShardJob>> ShardedPipeline<E> {
         // Built before the executor starts: each handler clones a
         // handle so it can gather shared shard ranges into pooled
         // containers. Rings hold several parents and gathers per shard
-        // at once; inline, one parent and one gather exist at a time,
+        // at once (the pool keeps as many as the busiest moment held,
+        // so a round of dispatches stops allocating once it has met its
+        // peak); inline, one parent and one gather exist at a time,
         // so nothing is provisioned up front and a container grows to
         // the batches it meets (a thousand-node simulated city must not
         // pay for ring depth, or burst sizes, it does not have).
         let batch_pool = if E::PARALLEL {
-            BatchPool::new(
-                DISPATCH_BATCH_CAPACITY,
-                spec.workers.saturating_mul(4),
-                spec.workers.saturating_mul(8).max(16),
-            )
+            BatchPool::new(DISPATCH_BATCH_CAPACITY, spec.workers.saturating_mul(4))
         } else {
-            BatchPool::new(0, 0, 2)
+            BatchPool::new(0, 0)
         };
         let pool = E::start(spec, |shard| {
             Self::make_handler(
@@ -971,7 +969,13 @@ impl<E: ShardExecutor<ShardJob>> ShardedPipeline<E> {
     /// Space-Saving top-k) fed on the worker side alongside
     /// [`Self::bucket_loads`]'s packet counts. Single-worker pipelines
     /// never feed it (nothing to rebalance — see the worker gate in
-    /// [`Self::build`]).
+    /// [`Self::build`]). The worker records each batch before its graph
+    /// runs with [`FlowSketch::record_batch`] — one top-k lock per batch
+    /// and a scan of a 32-slot array per packet, where a hash-map probe
+    /// and lock per packet used to be — and that cost sits outside every
+    /// per-element ledger lane: it shows
+    /// only in the round's `router.shard.wait_ns` (`crates/bench/NOTES.md`,
+    /// "Metering at array cost").
     pub fn flow_sketch(&self, shard: usize) -> &Arc<FlowSketch> {
         &self.sketches[shard]
     }

@@ -38,9 +38,10 @@ const BURST: usize = 32;
 const WARMUP_ROUNDS: usize = 8;
 const MEASURED_ROUNDS: usize = 64;
 
-fn build_pipeline(rm: Arc<ResourceManager>, nic: &Arc<Nic>) -> ShardedPipeline {
+/// `counter → todevice` per shard, the device on the shard's tx queue.
+fn build_pipeline(rm: Arc<ResourceManager>, nic: &Arc<Nic>, workers: usize) -> ShardedPipeline {
     let nic = Arc::clone(nic);
-    ShardedPipeline::build("zero-copy", ShardSpec::new(WORKERS), rm, move |shard| {
+    ShardedPipeline::build("zero-copy", ShardSpec::new(workers), rm, move |shard| {
         let rt = Runtime::new();
         register_packet_interfaces(&rt);
         let capsule = Capsule::new("shard", &rt);
@@ -116,7 +117,7 @@ fn pooled_worker_loop_stops_allocating_after_warmup() {
         Nic::with_queues(PortId(0), WORKERS, 1024, 1024, 1_000_000_000)
             .with_buffer_pool(buffers.clone()),
     );
-    let pipe = build_pipeline(rm, &nic);
+    let pipe = build_pipeline(rm, &nic, WORKERS);
 
     let frames = burst_frames();
     // Sanity: the flows really spread over several queues.
@@ -187,7 +188,7 @@ fn shared_range_dispatch_stops_allocating_after_warmup() {
         Nic::with_queues(PortId(0), WORKERS, 1024, 1024, 1_000_000_000)
             .with_buffer_pool(buffers.clone()),
     );
-    let pipe = build_pipeline(rm, &nic);
+    let pipe = build_pipeline(rm, &nic, WORKERS);
 
     let frames = burst_frames();
 
@@ -323,4 +324,96 @@ fn device_adapter_loop_stops_allocating_after_warmup() {
     assert_eq!(delivered, total);
     assert_eq!(transmitted, total, "every frame reached the wire");
     assert_eq!(nic.stats().tx_frames, total as u64);
+}
+
+/// The ledger's round shape (`benchmark/`'s `bare_dispatch`): two
+/// threaded workers, 1 024 sixty-byte frames injected into one rx queue,
+/// published as 32 software dispatches of 32, then one flush and a
+/// drain of the wire. A round can have every one of its parents in
+/// flight at once — the workers wake after the dispatch thread has
+/// published them all — which a free list capped at 16 containers (two
+/// workers' cap until PR 26) shed and re-allocated every round (ROADMAP
+/// A7a). Kept whole, the batch pool stops allocating; the 60-byte
+/// frames draw from the buffer pool's small class, which stops too.
+#[test]
+fn ledger_round_shape_stops_allocating_after_warmup() {
+    const LEDGER_WORKERS: usize = 2;
+    const ROUND: usize = 1024;
+    let rm = Arc::new(ResourceManager::new());
+    let buffers = BufferPool::new(2048, 0, 2 * 2048);
+    let rx = Nic::new(PortId(0), 2048, 2048, 1_000_000_000).with_buffer_pool(buffers.clone());
+    let tx = Arc::new(Nic::with_queues(
+        PortId(1),
+        LEDGER_WORKERS,
+        2048,
+        2048,
+        1_000_000_000,
+    ));
+    let pipe = build_pipeline(rm, &tx, LEDGER_WORKERS);
+    let frames: Vec<Vec<u8>> = (0..ROUND as u16)
+        .map(|i| {
+            PacketBuilder::udp_v4("10.0.0.1", "10.9.9.9", 5000 + i, 9)
+                .payload_len(18)
+                .build()
+                .data()
+                .to_vec()
+        })
+        .collect();
+    assert_eq!(frames[0].len(), 60);
+
+    let round = || {
+        for frame in &frames {
+            assert!(rx.inject_rx_frame(frame), "rx ring must absorb the round");
+        }
+        loop {
+            let mut batch = pipe.batch_pool().take();
+            if rx.rx_burst_batch(0, BURST, &mut batch) == 0 {
+                break; // empty container recycles on drop
+            }
+            pipe.dispatch(batch);
+        }
+        pipe.flush();
+        let mut transmitted = 0;
+        for queue in 0..LEDGER_WORKERS {
+            while tx.drain_tx_frame(queue).is_some() {
+                transmitted += 1;
+            }
+        }
+        assert_eq!(transmitted, ROUND, "every frame reached the wire");
+    };
+
+    for _ in 0..WARMUP_ROUNDS {
+        round();
+    }
+    // Whether a warm-up round meets the shape's peak — 32 parents, the
+    // last (empty) rx container and one gather per worker, all out at
+    // once — is the scheduler's call; hold it once so the assertion
+    // below does not depend on thread timing.
+    let peak: Vec<_> = (0..ROUND / BURST + 1 + LEDGER_WORKERS)
+        .map(|_| pipe.batch_pool().take())
+        .collect();
+    drop(peak);
+    let warm_buffers = buffers.stats();
+    let warm_batches = pipe.batch_pool().stats();
+
+    for _ in 0..MEASURED_ROUNDS {
+        round();
+    }
+    let steady_buffers = buffers.stats();
+    let steady_batches = pipe.batch_pool().stats();
+    assert_eq!(
+        steady_buffers.allocated, warm_buffers.allocated,
+        "frame slabs must recycle: {steady_buffers:?}"
+    );
+    assert_eq!(
+        steady_batches.allocated, warm_batches.allocated,
+        "parents and gather containers must recycle: {steady_batches:?}"
+    );
+    assert_eq!(steady_batches.discarded, 0);
+    assert_eq!(
+        pipe.stats().packets,
+        ((WARMUP_ROUNDS + MEASURED_ROUNDS) * ROUND) as u64
+    );
+    assert_eq!(pipe.stats().dropped, 0);
+    pipe.shutdown();
 }
