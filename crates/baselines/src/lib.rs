@@ -18,6 +18,7 @@
 //! ledger's: `benchmark/` prices each baseline per packet beside the
 //! sharded pipeline's `pps` and `scale.*` rows.)
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod click;

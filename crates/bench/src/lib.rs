@@ -7,6 +7,8 @@
 //! Everything here builds *measurable* configurations: component
 //! pipelines of parametric length and canned packets.
 
+#![forbid(unsafe_code)]
+
 use std::sync::Arc;
 
 use opencom::capsule::Capsule;

@@ -30,6 +30,7 @@
 //!   (StrongARM + 6 micro-engines + scratchpad/SRAM/SDRAM hierarchy)
 //!   for the component-placement experiments.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 

@@ -17,9 +17,10 @@
 //! `netkit_packet::flow::FlowKey::rss_hash`); each worker then drains
 //! *its own* queue with [`Nic::rx_burst_batch`] and transmits on its
 //! own ring with [`Nic::tx_burst_packets`], so the fast path shares
-//! nothing between workers. Rings are SPSC channels (crossbeam shim);
-//! the single-queue constructor [`Nic::new`] is the same NIC with one
-//! ring pair, queue 0.
+//! nothing between workers. Each ring is the NIC's own: a bounded
+//! FIFO under one mutex, together with that queue's counters (see
+//! "What costs a lock"). The single-queue constructor [`Nic::new`] is
+//! the same NIC with one ring pair, queue 0.
 //!
 //! ## The indirection table
 //!
@@ -30,12 +31,19 @@
 //! [`BucketMap`]
 //! ([`Nic::set_indirection`] / [`Nic::indirection`]), which boots as
 //! the identity map (`bucket % queues`, indistinguishable from the
-//! historical modulo steering). The reflective rebalancer rewrites the
-//! table inside a dataplane quiesce to migrate whole buckets of flows
-//! between queues; see `netkit_router::shard::rebalance` for the
-//! protocol, including why concurrent wire-side injection during a
-//! table swap is excluded (a simulated NIC cannot apply the swap
-//! atomically against racing injectors the way silicon does).
+//! historical modulo steering). Like the silicon's, the table is a
+//! **register file**: one relaxed atomic entry per bucket plus the
+//! shard count the table was built for. An inject reads its one entry
+//! with one load; [`Nic::set_indirection`] writes the entries one by
+//! one and [`Nic::indirection`] reads them back into a map. Entry-wise
+//! writes are not atomic as a table, which is why the contract below
+//! holds: the reflective rebalancer rewrites the table inside a
+//! dataplane quiesce to migrate whole buckets of flows between queues,
+//! and wire-side injection must be quiescent across the swap; see
+//! `netkit_router::shard::rebalance` for the protocol (a simulated NIC
+//! cannot apply the swap atomically against racing injectors the way
+//! silicon does). A frame racing a swap anyway lands on its old or its
+//! new queue — never out of range.
 //!
 //! ## The zero-copy rx fast path
 //!
@@ -43,13 +51,14 @@
 //! from a [`BufferPool`] — the paper's buffer-management CF — instead
 //! of allocating it: [`Nic::inject_rx_frame`] copies the wire bytes
 //! into a pooled slab sized to the frame (the simulated DMA write; a
-//! frame that fits takes one of the pool's 256-byte small slabs, so a
+//! frame that fits takes one of the pool's 128-byte small slabs, so a
 //! minimum-size frame no longer pins a full 2-KiB one — see
 //! `netkit_packet::pool`), parses the flow tuple
 //! *once* (what the hardware RSS engine does), steers the frame to its
 //! queue through the indirection table, and remembers what the parse
 //! found. The worker side drains with [`Nic::rx_burst_batch`], which
-//! materialises each frame as a [`Packet`] **around the same pooled
+//! takes up to a burst off the ring under one lock and materialises
+//! each frame as a [`Packet`] **around the same pooled
 //! slab** (no copy) with `meta.rss_hash` and the parse-once record
 //! `meta.flow` pre-stamped. **The rx parse is the only parse**: the
 //! steering layer reads the hash, the stateful elements read the
@@ -66,34 +75,36 @@
 //! [`Nic::tx_burst_packets`] **move** a packet's frame storage into
 //! the tx ring — a pool-leased rx slab keeps its lease all the way
 //! from `inject_rx_frame` through the element graph onto the wire, and
-//! a heap buffer moves as it is, never copied. The wire side drains
+//! a heap buffer moves as it is, never copied. A burst enters the ring
+//! under one lock, first-`k`-accepted then full. The wire side drains
 //! with [`Nic::drain_tx_frame`], whose [`TxFrame`] derefs to the bytes
 //! and, on drop, returns pooled slabs to their [`BufferPool`].
 //!
-//! ## What costs a syscall
+//! ## What costs a syscall, and what costs a lock
 //!
-//! Nothing here does. Every ring operation the NIC makes is the
-//! non-blocking flavour (`try_send` / `try_recv`), so no thread ever
-//! parks on an rx or tx ring, and the channel shim notifies only a
-//! parked peer: an inject, a burst, a transmit and a drain are each one
-//! short critical section on the ring's mutex and never enter the
-//! kernel. (A `Condvar` notify is a futex syscall whether or not anyone
-//! waits; before the shim counted its waiters, each of those four paid
-//! one per frame.)
+//! No syscall: the NIC never blocks on a ring — a full ring drops and
+//! counts, an empty one returns nothing — so nothing parks and nothing
+//! needs waking. Locks: an inject, a transmit and a drain are each one
+//! short critical section on their ring's mutex, and a burst
+//! ([`Nic::rx_burst_batch`], [`Nic::tx_burst_packets`]) is one for the
+//! whole burst, not one per frame. The queue's counters live under the
+//! same lock, so counting costs nothing more; [`Nic::stats`] sums them.
+//! Reading the indirection table costs no lock at all. (The pool a
+//! frame leases from adds one lock of its own per lease and per
+//! return; see `netkit_packet::pool`.)
 
+use std::collections::VecDeque;
 use std::fmt;
 use std::ops::Deref;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::atomic::{AtomicU16, AtomicU64, AtomicUsize, Ordering};
 
 use bytes::BytesMut;
-use crossbeam::channel::{bounded, Receiver, Sender};
 use netkit_packet::batch::PacketBatch;
 use netkit_packet::flow::{FlowKey, ParsedFlow};
 use netkit_packet::packet::{Packet, PacketBuf};
 use netkit_packet::pool::BufferPool;
-use netkit_packet::steer::BucketMap;
-use parking_lot::RwLock;
+use netkit_packet::steer::{bucket_of, BucketMap, RSS_BUCKETS};
+use parking_lot::{Mutex, MutexGuard};
 
 /// Identifies a port/NIC on a node.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug, PartialOrd, Ord)]
@@ -121,37 +132,140 @@ pub struct NicStats {
     pub tx_bytes: u64,
 }
 
-/// One bounded SPSC ring: the NIC keeps both endpoints so the channel
-/// never disconnects.
+/// One queue's frames and books, under its ring's one lock.
+struct RingState<T> {
+    queue: VecDeque<T>,
+    /// Frames accepted onto the ring.
+    accepted: u64,
+    /// Frames refused because the ring was full.
+    dropped: u64,
+    /// Bytes of the accepted frames.
+    bytes: u64,
+    /// Acquisitions of this ring's lock — read by the lock-count tests.
+    #[cfg(test)]
+    locks: u64,
+}
+
+impl<T> RingState<T> {
+    /// Restarts an emptied ring at its first slot (`VecDeque::clear`
+    /// resets the head), so a ring drained every round reuses the same
+    /// slots instead of walking its whole buffer: the memory it touches
+    /// stays at its high-water occupancy.
+    fn rewind_if_empty(&mut self) {
+        if self.queue.is_empty() {
+            self.queue.clear();
+        }
+    }
+}
+
+/// One bounded ring of a queue. The NIC never waits on a ring — a
+/// push to a full one drops, a pop of an empty one returns nothing —
+/// so the ring is a fixed-capacity FIFO under one mutex and nothing
+/// more: no endpoints, condvars, waiter counts or disconnection.
 struct Ring<T> {
-    tx: Sender<T>,
-    rx: Receiver<T>,
+    state: Mutex<RingState<T>>,
+    capacity: usize,
 }
 
 impl<T> Ring<T> {
     fn new(capacity: usize) -> Self {
-        let (tx, rx) = bounded(capacity.max(1));
-        Self { tx, rx }
+        Self {
+            state: Mutex::new(RingState {
+                queue: VecDeque::new(),
+                accepted: 0,
+                dropped: 0,
+                bytes: 0,
+                #[cfg(test)]
+                locks: 0,
+            }),
+            capacity: capacity.max(1),
+        }
+    }
+
+    fn lock(&self) -> MutexGuard<'_, RingState<T>> {
+        #[allow(unused_mut)]
+        let mut st = self.state.lock();
+        #[cfg(test)]
+        {
+            st.locks += 1;
+        }
+        st
+    }
+
+    /// Queues `item` of `len` bytes if the ring has room, counting
+    /// either outcome.
+    fn push(&self, item: T, len: usize) -> bool {
+        let mut st = self.lock();
+        if st.queue.len() >= self.capacity {
+            st.dropped += 1;
+            return false;
+        }
+        st.queue.push_back(item);
+        st.accepted += 1;
+        st.bytes += len as u64;
+        true
+    }
+
+    fn pop(&self) -> Option<T> {
+        let mut st = self.lock();
+        let item = st.queue.pop_front();
+        st.rewind_if_empty();
+        item
+    }
+
+    fn len(&self) -> usize {
+        self.lock().queue.len()
     }
 }
 
-/// An rx frame in flight between the wire side and a worker: the bytes
-/// (pool-leased when the NIC has a pool) plus what the "hardware"
-/// parsed at injection — the RSS hash and, for IPv4, the flow record —
-/// carried along so materialisation never parses.
+/// What the "hardware" parse at injection found, carried with the frame
+/// so materialisation never parses.
+enum Stamp {
+    /// An IPv4 flow record; its hash is the RSS hash.
+    Flow(ParsedFlow),
+    /// An RSS hash with no record (IPv6).
+    Hash(u64),
+    /// No flow identity.
+    Opaque,
+}
+
+impl Stamp {
+    fn of(frame: &[u8]) -> Self {
+        match ParsedFlow::from_frame(frame) {
+            Some(flow) => Stamp::Flow(flow),
+            None => FlowKey::from_frame(frame).map_or(Stamp::Opaque, |k| Stamp::Hash(k.rss_hash())),
+        }
+    }
+
+    fn rss(&self) -> Option<u64> {
+        match self {
+            Stamp::Flow(flow) => Some(flow.hash()),
+            Stamp::Hash(hash) => Some(*hash),
+            Stamp::Opaque => None,
+        }
+    }
+}
+
+/// An rx frame in flight between the wire side and a worker — one rx
+/// descriptor: the bytes (pool-leased when the NIC has a pool) and
+/// their [`Stamp`]. One stamp, not a hash beside a record, keeps the
+/// descriptor at 64 bytes; a ring holds one per frame in flight.
 struct RxFrame {
     buf: PacketBuf,
-    rss: Option<u64>,
-    flow: Option<ParsedFlow>,
+    stamp: Stamp,
 }
+
+const _: () = assert!(std::mem::size_of::<RxFrame>() <= 64);
 
 impl RxFrame {
     /// Materialises the frame as a stamped packet; the storage moves in
     /// without copying.
     fn into_packet(self) -> Packet {
         let mut pkt = Packet::from_buf(self.buf);
-        pkt.meta.flow = self.flow;
-        pkt.meta.rss_hash = self.rss;
+        pkt.meta.rss_hash = self.stamp.rss();
+        if let Stamp::Flow(flow) = self.stamp {
+            pkt.meta.flow = Some(flow);
+        }
         pkt
     }
 }
@@ -213,16 +327,19 @@ pub struct Nic {
     tx: Vec<Ring<PacketBuf>>,
     /// Pool rx frame buffers lease from ([`Self::inject_rx_frame`]).
     pool: Option<BufferPool>,
-    /// The RSS indirection table (bucket → queue); identity at boot.
-    steering: RwLock<Arc<BucketMap>>,
-    rx_capacity: usize,
-    tx_capacity: usize,
+    /// The RSS indirection table as a register file: bucket → queue,
+    /// one entry per bucket; identity at boot. Relaxed: an entry
+    /// publishes no other data, and a swap is ordered against the
+    /// injectors by the quiesce it must run in (see
+    /// [`Self::set_indirection`]).
+    steering: [AtomicU16; RSS_BUCKETS],
+    /// Shards the installed table was built for (what
+    /// [`Self::indirection`] rebuilds it with).
+    steering_shards: AtomicUsize,
     link_bps: u64,
-    rx_frames: AtomicU64,
-    rx_dropped: AtomicU64,
-    tx_frames: AtomicU64,
-    tx_dropped: AtomicU64,
-    tx_bytes: AtomicU64,
+    /// Frames sent to a tx queue the NIC does not have (every other
+    /// drop is counted by its ring).
+    tx_unknown_dropped: AtomicU64,
 }
 
 impl Nic {
@@ -242,21 +359,18 @@ impl Nic {
         link_bps: u64,
     ) -> Self {
         let queues = queues.max(1);
-        Self {
+        let nic = Self {
             port,
             rx: (0..queues).map(|_| Ring::new(rx_capacity)).collect(),
             tx: (0..queues).map(|_| Ring::new(tx_capacity)).collect(),
             pool: None,
-            steering: RwLock::new(Arc::new(BucketMap::identity(queues))),
-            rx_capacity: rx_capacity.max(1),
-            tx_capacity: tx_capacity.max(1),
+            steering: std::array::from_fn(|_| AtomicU16::new(0)),
+            steering_shards: AtomicUsize::new(0),
             link_bps,
-            rx_frames: AtomicU64::new(0),
-            rx_dropped: AtomicU64::new(0),
-            tx_frames: AtomicU64::new(0),
-            tx_dropped: AtomicU64::new(0),
-            tx_bytes: AtomicU64::new(0),
-        }
+            tx_unknown_dropped: AtomicU64::new(0),
+        };
+        nic.set_indirection(BucketMap::identity(queues));
+        nic
     }
 
     /// Attaches a [`BufferPool`] that [`Self::inject_rx_frame`] leases
@@ -269,19 +383,28 @@ impl Nic {
 
     /// Installs a new RSS indirection table. Frames injected afterwards
     /// steer by it (entries reduce `% queues` defensively, so a table
-    /// built for fewer shards than queues is still safe). Frames
+    /// built for more shards than queues still steers in range). Frames
     /// **already sitting in rx rings keep their old queue** — atomic
     /// migration of queued traffic is the dataplane's job
     /// (`ShardedPipeline::install_bucket_map` drains and re-steers them
     /// inside its quiesce), and wire-side injection must be quiescent
-    /// across the swap; see the module docs.
+    /// across the swap: the table is written entry by entry; see the
+    /// module docs.
     pub fn set_indirection(&self, map: BucketMap) {
-        *self.steering.write() = Arc::new(map);
+        self.steering_shards.store(map.shards(), Ordering::Relaxed);
+        for (bucket, entry) in self.steering.iter().enumerate() {
+            entry.store(map.shard_of_bucket(bucket) as u16, Ordering::Relaxed);
+        }
     }
 
-    /// Snapshot of the installed indirection table.
+    /// Snapshot of the installed indirection table, read back from the
+    /// registers.
     pub fn indirection(&self) -> BucketMap {
-        BucketMap::clone(&self.steering.read())
+        let mut map = BucketMap::identity(self.steering_shards.load(Ordering::Relaxed));
+        for (bucket, entry) in self.steering.iter().enumerate() {
+            map.set(bucket, usize::from(entry.load(Ordering::Relaxed)));
+        }
+        map
     }
 
     /// The NIC's port id.
@@ -302,19 +425,6 @@ impl Nic {
         (bytes as u64 * 8).saturating_mul(1_000_000_000) / self.link_bps
     }
 
-    fn inject_into(&self, queue: usize, frame: RxFrame) -> bool {
-        match self.rx[queue % self.rx.len()].tx.try_send(frame) {
-            Ok(()) => {
-                self.rx_frames.fetch_add(1, Ordering::Relaxed);
-                true
-            }
-            Err(_) => {
-                self.rx_dropped.fetch_add(1, Ordering::Relaxed);
-                false
-            }
-        }
-    }
-
     /// The full hardware rx path in one call: parses the flow tuple
     /// from the wire bytes (once — the RSS hash and the IPv4 flow
     /// record then travel with the frame), copies them into a buffer
@@ -327,18 +437,9 @@ impl Nic {
     /// the host software runs). Returns `false` and counts a drop if
     /// the ring is full.
     pub fn inject_rx_frame(&self, frame: &[u8]) -> bool {
-        let flow = ParsedFlow::from_frame(frame);
-        let rss = match flow {
-            Some(f) => Some(f.hash()),
-            None => FlowKey::from_frame(frame).map(|k| k.rss_hash()),
-        };
-        let queue = {
-            let map = self.steering.read();
-            match rss {
-                Some(h) => map.shard_of_hash(h) % self.rx.len(),
-                None => map.shard_of_bucket(0) % self.rx.len(),
-            }
-        };
+        let stamp = Stamp::of(frame);
+        let bucket = stamp.rss().map_or(0, bucket_of);
+        let queue = usize::from(self.steering[bucket].load(Ordering::Relaxed)) % self.rx.len();
         let buf = match &self.pool {
             Some(pool) => {
                 let mut slab = pool.take_for(frame.len());
@@ -347,7 +448,7 @@ impl Nic {
             }
             None => PacketBuf::Heap(BytesMut::from(frame)),
         };
-        self.inject_into(queue, RxFrame { buf, rss, flow })
+        self.rx[queue].push(RxFrame { buf, stamp }, frame.len())
     }
 
     /// The zero-copy worker receive: takes up to `max` frames from rx
@@ -363,37 +464,18 @@ impl Nic {
         let Some(ring) = self.rx.get(queue) else {
             return 0;
         };
-        let mut taken = 0;
-        while taken < max {
-            match ring.rx.try_recv() {
-                Ok(frame) => {
-                    batch.push(frame.into_packet());
-                    taken += 1;
-                }
-                Err(_) => break,
-            }
+        let mut st = ring.lock();
+        let taken = max.min(st.queue.len());
+        for frame in st.queue.drain(..taken) {
+            batch.push(frame.into_packet());
         }
+        st.rewind_if_empty();
         taken
     }
 
     /// Frames currently waiting across all rx queues.
     fn rx_pending(&self) -> usize {
-        self.rx.iter().map(|ring| ring.rx.len()).sum()
-    }
-
-    fn send_into(&self, queue: usize, frame: PacketBuf) -> bool {
-        let len = frame.as_slice().len() as u64;
-        match self.tx[queue % self.tx.len()].tx.try_send(frame) {
-            Ok(()) => {
-                self.tx_frames.fetch_add(1, Ordering::Relaxed);
-                self.tx_bytes.fetch_add(len, Ordering::Relaxed);
-                true
-            }
-            Err(_) => {
-                self.tx_dropped.fetch_add(1, Ordering::Relaxed);
-                false
-            }
-        }
+        self.rx.iter().map(Ring::len).sum()
     }
 
     /// Queues a packet for transmission on tx queue `queue`, **moving**
@@ -403,11 +485,13 @@ impl Nic {
     /// `false` and counts a drop if the ring is full or the queue is
     /// unknown.
     pub fn send_tx_packet(&self, queue: usize, pkt: Packet) -> bool {
-        if queue >= self.tx.len() {
-            self.tx_dropped.fetch_add(1, Ordering::Relaxed);
+        let Some(ring) = self.tx.get(queue) else {
+            self.tx_unknown_dropped.fetch_add(1, Ordering::Relaxed);
             return false;
-        }
-        self.send_into(queue, pkt.into_buf())
+        };
+        let frame = pkt.into_buf();
+        let len = frame.as_slice().len();
+        ring.push(frame, len)
     }
 
     /// Queues a whole batch on tx queue `queue`, moving every packet's
@@ -417,31 +501,26 @@ impl Nic {
     /// first-`k`-accepted then queue-full, exactly the scalar sequence.
     /// Unknown queues drop (and count) the whole batch.
     pub fn tx_burst_packets(&self, queue: usize, mut batch: PacketBatch) -> usize {
-        if queue >= self.tx.len() {
-            self.tx_dropped
-                .fetch_add(batch.len() as u64, Ordering::Relaxed);
+        let total = batch.len();
+        let Some(ring) = self.tx.get(queue) else {
+            self.tx_unknown_dropped
+                .fetch_add(total as u64, Ordering::Relaxed);
             return 0;
-        }
-        let ring = &self.tx[queue];
-        let mut accepted = 0usize;
-        let mut accepted_bytes = 0u64;
-        let mut dropped = 0u64;
+        };
         // drain_all (not into_iter) keeps the batch container's backing
         // storage, so a pool-homed container recycles whole afterwards.
-        for pkt in batch.drain_all() {
+        let mut frames = batch.drain_all();
+        let mut st = ring.lock();
+        let accepted = total.min(ring.capacity - st.queue.len());
+        for pkt in frames.by_ref().take(accepted) {
             let frame = pkt.into_buf();
-            let len = frame.as_slice().len() as u64;
-            match ring.tx.try_send(frame) {
-                Ok(()) => {
-                    accepted += 1;
-                    accepted_bytes += len;
-                }
-                Err(_) => dropped += 1,
-            }
+            st.bytes += frame.as_slice().len() as u64;
+            st.queue.push_back(frame);
         }
-        self.tx_frames.fetch_add(accepted as u64, Ordering::Relaxed);
-        self.tx_bytes.fetch_add(accepted_bytes, Ordering::Relaxed);
-        self.tx_dropped.fetch_add(dropped, Ordering::Relaxed);
+        st.accepted += accepted as u64;
+        st.dropped += (total - accepted) as u64;
+        drop(st);
+        // The refused tail drops with `frames`, outside the ring's lock.
         accepted
     }
 
@@ -451,24 +530,33 @@ impl Nic {
     /// the allocation-free rx → graph → tx loop.
     pub fn drain_tx_frame(&self, queue: usize) -> Option<TxFrame> {
         Some(TxFrame {
-            buf: self.tx.get(queue)?.rx.try_recv().ok()?,
+            buf: self.tx.get(queue)?.pop()?,
         })
     }
 
     /// Frames currently waiting across all tx queues.
     fn tx_pending(&self) -> usize {
-        self.tx.iter().map(|ring| ring.rx.len()).sum()
+        self.tx.iter().map(Ring::len).sum()
     }
 
-    /// Snapshot of the NIC counters (aggregated over queues).
+    /// Snapshot of the NIC counters, summed over the queues' books.
     pub fn stats(&self) -> NicStats {
-        NicStats {
-            rx_frames: self.rx_frames.load(Ordering::Relaxed),
-            rx_dropped: self.rx_dropped.load(Ordering::Relaxed),
-            tx_frames: self.tx_frames.load(Ordering::Relaxed),
-            tx_dropped: self.tx_dropped.load(Ordering::Relaxed),
-            tx_bytes: self.tx_bytes.load(Ordering::Relaxed),
+        let mut s = NicStats {
+            tx_dropped: self.tx_unknown_dropped.load(Ordering::Relaxed),
+            ..NicStats::default()
+        };
+        for ring in &self.rx {
+            let st = ring.lock();
+            s.rx_frames += st.accepted;
+            s.rx_dropped += st.dropped;
         }
+        for ring in &self.tx {
+            let st = ring.lock();
+            s.tx_frames += st.accepted;
+            s.tx_dropped += st.dropped;
+            s.tx_bytes += st.bytes;
+        }
+        s
     }
 }
 
@@ -480,9 +568,9 @@ impl fmt::Debug for Nic {
             self.port,
             self.queues(),
             self.rx_pending(),
-            self.rx_capacity * self.rx.len(),
+            self.rx[0].capacity * self.rx.len(),
             self.tx_pending(),
-            self.tx_capacity * self.tx.len()
+            self.tx[0].capacity * self.tx.len()
         )
     }
 }
@@ -652,11 +740,22 @@ mod tests {
             1
         );
         assert_eq!(batch.packets()[0].meta.rss_hash, Some(key.rss_hash()));
+        assert!(batch.packets()[0].meta.flow.is_some());
+        // An IPv6 frame carries its hash and no IPv4 record.
+        let v6 = PacketBuilder::udp_v6("2001:db8::1", "2001:db8::2", 7, 8).build();
+        let key = FlowKey::from_packet(&v6).unwrap();
+        assert!(nic.inject_rx_frame(v6.data()));
+        let mut batch6 = PacketBatch::new();
+        let queue = (key.rss_hash() % 4) as usize;
+        assert_eq!(nic.rx_burst_batch(queue, 32, &mut batch6), 1);
+        assert_eq!(batch6.packets()[0].meta.rss_hash, Some(key.rss_hash()));
+        assert_eq!(batch6.packets()[0].meta.flow, None);
         // Non-flow frames park on queue 0.
         assert!(nic.inject_rx_frame(&[0u8; 14]));
         let mut batch0 = PacketBatch::new();
         assert_eq!(nic.rx_burst_batch(0, 32, &mut batch0), 1);
         assert_eq!(batch0.packets()[0].meta.rss_hash, None);
+        assert_eq!(batch0.packets()[0].meta.flow, None);
     }
 
     #[test]
@@ -727,6 +826,118 @@ mod tests {
         let wire = PacketBuilder::udp_v4("10.0.0.1", "10.0.0.2", 1234, 80).build();
         assert!(nic.inject_rx_frame(wire.data()), "all hashes map to q0");
         assert_eq!(nic.rx_burst_batch(0, 4, &mut PacketBatch::new()), 1);
+    }
+
+    /// Lock acquisitions on every ring of `nic` so far (read without
+    /// counting the read).
+    fn ring_locks(nic: &Nic) -> u64 {
+        let rx = nic.rx.iter().map(|r| r.state.lock().locks);
+        let tx = nic.tx.iter().map(|r| r.state.lock().locks);
+        rx.chain(tx).sum()
+    }
+
+    #[test]
+    fn a_burst_costs_one_ring_lock() {
+        let pool = BufferPool::new(2048, 0, 128);
+        let nic = Nic::new(PortId(0), 64, 64, 1_000_000).with_buffer_pool(pool);
+        for n in 0..32 {
+            assert!(nic.inject_rx_frame(raw(n).data()));
+        }
+        let before = ring_locks(&nic);
+        let mut batch = PacketBatch::with_capacity(32);
+        assert_eq!(nic.rx_burst_batch(0, 32, &mut batch), 32);
+        assert_eq!(
+            ring_locks(&nic) - before,
+            1,
+            "one lock for a 32-frame rx burst"
+        );
+
+        let before = ring_locks(&nic);
+        assert_eq!(nic.tx_burst_packets(0, batch), 32);
+        assert_eq!(
+            ring_locks(&nic) - before,
+            1,
+            "one lock for a 32-packet tx burst"
+        );
+        // A burst that overflows the ring is still one lock.
+        let overflow: PacketBatch = (0..40).map(raw).collect();
+        let before = ring_locks(&nic);
+        assert_eq!(nic.tx_burst_packets(0, overflow), 32);
+        assert_eq!(ring_locks(&nic) - before, 1);
+        assert_eq!(nic.stats().tx_dropped, 8);
+        // An empty burst is one lock too.
+        let before = ring_locks(&nic);
+        assert_eq!(nic.rx_burst_batch(0, 32, &mut PacketBatch::new()), 0);
+        assert_eq!(ring_locks(&nic) - before, 1);
+    }
+
+    #[test]
+    fn inject_transmit_and_drain_cost_one_ring_lock_each() {
+        let pool = BufferPool::new(2048, 0, 128);
+        let nic = Nic::with_queues(PortId(0), 4, 64, 64, 1_000_000).with_buffer_pool(pool);
+        let frames = flows_on(2, 4, 16);
+        // Steering reads the register file: an inject locks its ring
+        // and nothing else on the NIC.
+        for (n, frame) in frames.iter().enumerate() {
+            let before = ring_locks(&nic);
+            assert!(nic.inject_rx_frame(frame.data()));
+            assert_eq!(ring_locks(&nic) - before, 1, "inject {n}");
+        }
+        assert_eq!(nic.rx[2].state.lock().queue.len(), 16);
+        let before = ring_locks(&nic);
+        assert!(nic.send_tx_packet(1, raw(1)));
+        assert!(nic.drain_tx_frame(1).is_some());
+        assert!(nic.drain_tx_frame(1).is_none());
+        assert_eq!(ring_locks(&nic) - before, 3);
+        // Unknown queues touch no ring.
+        let before = ring_locks(&nic);
+        assert!(!nic.send_tx_packet(9, raw(2)));
+        assert!(nic.drain_tx_frame(9).is_none());
+        assert_eq!(ring_locks(&nic) - before, 0);
+    }
+
+    #[test]
+    fn the_indirection_registers_read_back_what_was_written() {
+        for shards in 1..=4 {
+            let nic = Nic::with_queues(PortId(0), shards, 8, 8, 1_000_000);
+            assert_eq!(nic.indirection(), BucketMap::identity(shards), "boot");
+            nic.set_indirection(BucketMap::identity(shards));
+            assert_eq!(nic.indirection(), BucketMap::identity(shards));
+            let migrated = BucketMap::identity(shards).with_pins(&[
+                (0, shards - 1),
+                (7, 0),
+                (255, shards / 2),
+            ]);
+            nic.set_indirection(migrated.clone());
+            assert_eq!(nic.indirection(), migrated);
+        }
+    }
+
+    #[test]
+    fn a_table_for_more_shards_than_queues_steers_in_range() {
+        let nic = Nic::with_queues(PortId(0), 2, 64, 8, 1_000_000);
+        let wide = BucketMap::identity(4).with_pins(&[(0, 3), (1, 3), (2, 3)]);
+        nic.set_indirection(wide.clone());
+        assert_eq!(nic.indirection(), wide, "the table keeps its own width");
+        let frames = flows_on(0, 1, 48);
+        for frame in &frames {
+            assert!(nic.inject_rx_frame(frame.data()));
+        }
+        assert!(nic.inject_rx_frame(raw(0).data()), "bucket 0 names shard 3");
+        let mut got = 0;
+        for queue in 0..2 {
+            let mut batch = PacketBatch::new();
+            got += nic.rx_burst_batch(queue, 64, &mut batch);
+            for pkt in batch.iter() {
+                let shard = match pkt.meta.rss_hash {
+                    Some(h) => wide.shard_of_hash(h),
+                    None => wide.shard_of_bucket(0),
+                };
+                assert_eq!(shard % 2, queue, "shard {shard}");
+            }
+        }
+        assert_eq!(got, frames.len() + 1);
+        assert_eq!(nic.stats().rx_frames, 49);
     }
 
     #[test]

@@ -62,6 +62,7 @@
 //! # Ok::<(), opencom::error::Error>(())
 //! ```
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 

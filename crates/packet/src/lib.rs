@@ -25,6 +25,7 @@
 //!   heavy-hitter evidence that lets the rebalancer see an elephant
 //!   inside an otherwise uniform bucket.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 

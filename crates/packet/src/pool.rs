@@ -8,14 +8,27 @@
 //! A pool keeps two **slab classes**: full slabs of the pool's
 //! `slab_size` (what [`BufferPool::take`] leases) and a fixed
 //! [`SMALL_SLAB`]-byte class that [`BufferPool::take_for`] leases when
-//! the bytes to hold fit. 256 bytes is four cache lines: a
-//! minimum-size Ethernet frame (60–64 bytes) with room to spare for
-//! headers an element adds. Without it, every 60-byte frame
-//! pinned a whole slab: one 1 024-frame round of the ledger's bare
-//! workloads held 2 MiB of 2-KiB slabs for 60 KiB of frames. A buffer
-//! returns to the class its capacity qualifies for, so one an element
-//! grew past its class is reclassed, and each class keeps at most
-//! `max_free` buffers on its free list.
+//! the bytes to hold fit. 128 bytes is two cache lines: a
+//! minimum-size Ethernet frame (60–64 bytes) with as much again to
+//! spare. No element in the tree grows a frame in place, and one that
+//! did would be reclassed (below), so the spare room is slack, and
+//! every byte of it is resident once per frame in flight. Without the
+//! class, every 60-byte frame pinned a whole slab: one 1 024-frame
+//! round of the ledger's bare workloads held 2 MiB of 2-KiB slabs for
+//! 60 KiB of frames. A buffer returns to the class its capacity
+//! qualifies for, so one an element grew past its class is reclassed,
+//! and each class keeps at most `max_free` buffers on its free list.
+//!
+//! **One lock per lease and per return.** Each class keeps its free
+//! list, its count of live buffers and its share of [`PoolStats`]
+//! under one mutex, so a lease or a return that stays in its class is
+//! one short critical section and nothing else — no counter atomics
+//! beside it ([`BufferPool::stats`] sums the two classes). A
+//! [`PooledBuf`] holds the pool by `Arc`, not `Weak`: returning costs
+//! one lock and one refcount decrement, with no upgrade, and a buffer
+//! that outlives every [`BufferPool`] handle still goes back to its
+//! (now orphaned) free list, freed with the pool's last buffer. Only a
+//! reclassed buffer touches both classes.
 //!
 //! A class that runs dry **doubles**: the miss allocates the buffer asked
 //! for and puts as many more as the class already holds on its free list
@@ -28,8 +41,7 @@
 
 use std::fmt;
 use std::ops::{Deref, DerefMut};
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Weak};
+use std::sync::Arc;
 
 use bytes::BytesMut;
 use opencom::error::Result;
@@ -38,7 +50,7 @@ use opencom::meta::resources::{classes, ResourceManager};
 use parking_lot::Mutex;
 
 /// Bytes in a buffer of the small slab class (see the module docs).
-pub const SMALL_SLAB: usize = 256;
+pub const SMALL_SLAB: usize = 128;
 
 /// Index of the small class in [`PoolInner::classes`].
 const SMALL: usize = 0;
@@ -60,25 +72,33 @@ pub struct PoolStats {
     pub discarded: u64,
 }
 
+/// What one class's lock guards.
+struct ClassBooks {
+    free: Vec<BytesMut>,
+    /// Buffers of this class in existence: free or leased.
+    live: usize,
+    /// This class's share of the pool counters.
+    stats: PoolStats,
+}
+
 /// One slab class: a free list of buffers of at least `size` bytes.
 struct SlabClass {
     /// Capacity a fresh buffer of this class is allocated with.
     size: usize,
-    free: Mutex<Vec<BytesMut>>,
-    /// Buffers of this class in existence: free or leased.
-    live: AtomicUsize,
+    books: Mutex<ClassBooks>,
 }
 
 impl SlabClass {
     fn new(size: usize, prealloc: usize) -> Self {
         Self {
             size,
-            free: Mutex::new(
-                (0..prealloc)
+            books: Mutex::new(ClassBooks {
+                free: (0..prealloc)
                     .map(|_| BytesMut::with_capacity(size))
                     .collect(),
-            ),
-            live: AtomicUsize::new(prealloc),
+                live: prealloc,
+                stats: PoolStats::default(),
+            }),
         }
     }
 }
@@ -88,10 +108,6 @@ struct PoolInner {
     max_free: usize,
     /// `[SMALL, FULL]`.
     classes: [SlabClass; 2],
-    reused: AtomicU64,
-    allocated: AtomicU64,
-    recycled: AtomicU64,
-    discarded: AtomicU64,
 }
 
 impl PoolInner {
@@ -111,47 +127,51 @@ impl PoolInner {
     /// that miss, the class's doubling onto its free list.
     fn lease(&self, class: usize) -> BytesMut {
         let slabs = &self.classes[class];
-        let mut free = slabs.free.lock();
-        if let Some(mut buf) = free.pop() {
-            drop(free);
+        let mut books = slabs.books.lock();
+        if let Some(mut buf) = books.free.pop() {
+            books.stats.reused += 1;
+            drop(books);
             buf.clear();
-            self.reused.fetch_add(1, Ordering::Relaxed);
             return buf;
         }
-        let spare = (slabs.live.load(Ordering::Relaxed).max(1) - 1).min(self.max_free);
-        free.extend((0..spare).map(|_| BytesMut::with_capacity(slabs.size)));
-        drop(free);
-        slabs.live.fetch_add(1 + spare, Ordering::Relaxed);
-        self.allocated
-            .fetch_add(1 + spare as u64, Ordering::Relaxed);
+        let spare = (books.live.max(1) - 1).min(self.max_free);
+        books
+            .free
+            .extend((0..spare).map(|_| BytesMut::with_capacity(slabs.size)));
+        books.live += 1 + spare;
+        books.stats.allocated += 1 + spare as u64;
+        drop(books);
         BytesMut::with_capacity(slabs.size)
     }
 
     /// Takes back a buffer leased from class `leased`: onto the free
     /// list of the class its capacity qualifies for now, if that has
-    /// room; otherwise it is discarded.
+    /// room; otherwise it is discarded. A buffer that stays in its
+    /// class — kept or discarded — costs that class's lock once.
     fn give_back(&self, leased: usize, buf: BytesMut) {
-        let mut home = self.class_of(buf.capacity());
-        if let Some(class) = home {
-            let mut free = self.classes[class].free.lock();
-            if free.len() < self.max_free {
-                free.push(buf);
-                self.recycled.fetch_add(1, Ordering::Relaxed);
-            } else {
-                home = None;
-            }
+        let home = self.class_of(buf.capacity());
+        let target = home.unwrap_or(leased);
+        let mut books = self.classes[target].books.lock();
+        let discarded = if home.is_some() && books.free.len() < self.max_free {
+            books.free.push(buf);
+            books.stats.recycled += 1;
+            books.live += 1;
+            None
+        } else {
+            books.stats.discarded += 1;
+            Some(buf)
+        };
+        // The leased class loses the buffer: net nothing for the
+        // common case, kept where it came from.
+        if target == leased {
+            books.live -= 1;
+            drop(books);
+        } else {
+            drop(books);
+            self.classes[leased].books.lock().live -= 1;
         }
-        if home.is_none() {
-            self.discarded.fetch_add(1, Ordering::Relaxed);
-        }
-        // The common case — back to the class it came from — leaves
-        // both classes' counts as they were.
-        if home != Some(leased) {
-            self.classes[leased].live.fetch_sub(1, Ordering::Relaxed);
-            if let Some(class) = home {
-                self.classes[class].live.fetch_add(1, Ordering::Relaxed);
-            }
-        }
+        // A discarded buffer is freed outside every lock.
+        drop(discarded);
     }
 }
 
@@ -189,10 +209,6 @@ impl BufferPool {
                     SlabClass::new(SMALL_SLAB, 0),
                     SlabClass::new(slab_size, prealloc),
                 ],
-                reused: AtomicU64::new(0),
-                allocated: AtomicU64::new(0),
-                recycled: AtomicU64::new(0),
-                discarded: AtomicU64::new(0),
             }),
         }
     }
@@ -201,7 +217,7 @@ impl BufferPool {
         PooledBuf {
             buf: Some(self.inner.lease(class)),
             class,
-            pool: Arc::downgrade(&self.inner),
+            pool: Arc::clone(&self.inner),
         }
     }
 
@@ -237,17 +253,27 @@ impl BufferPool {
 
     /// Buffers currently on the free lists, both classes.
     pub fn free_count(&self) -> usize {
-        self.inner.classes.iter().map(|c| c.free.lock().len()).sum()
+        self.inner
+            .classes
+            .iter()
+            .map(|c| c.books.lock().free.len())
+            .sum()
     }
 
-    /// Snapshot of pool counters.
+    /// Snapshot of pool counters, summed over the two classes.
     pub fn stats(&self) -> PoolStats {
-        PoolStats {
-            reused: self.inner.reused.load(Ordering::Relaxed),
-            allocated: self.inner.allocated.load(Ordering::Relaxed),
-            recycled: self.inner.recycled.load(Ordering::Relaxed),
-            discarded: self.inner.discarded.load(Ordering::Relaxed),
-        }
+        self.inner
+            .classes
+            .iter()
+            .fold(PoolStats::default(), |sum, c| {
+                let s = c.books.lock().stats;
+                PoolStats {
+                    reused: sum.reused + s.reused,
+                    allocated: sum.allocated + s.allocated,
+                    recycled: sum.recycled + s.recycled,
+                    discarded: sum.discarded + s.discarded,
+                }
+            })
     }
 
     /// Approximate resident bytes (free lists only, each buffer at its
@@ -256,7 +282,7 @@ impl BufferPool {
         self.inner
             .classes
             .iter()
-            .map(|c| c.free.lock().len() * c.size)
+            .map(|c| c.books.lock().free.len() * c.size)
             .sum::<usize>()
             + std::mem::size_of::<PoolInner>()
     }
@@ -280,17 +306,14 @@ pub struct PooledBuf {
     buf: Option<BytesMut>,
     /// The class it was leased from.
     class: usize,
-    pool: Weak<PoolInner>,
+    /// Held strongly, so a return never upgrades (see the module docs).
+    pool: Arc<PoolInner>,
 }
 
 impl PooledBuf {
     /// Detaches the buffer from the pool (it will not be recycled).
     pub fn into_bytes(mut self) -> BytesMut {
-        if let Some(pool) = self.pool.upgrade() {
-            pool.classes[self.class]
-                .live
-                .fetch_sub(1, Ordering::Relaxed);
-        }
+        self.pool.classes[self.class].books.lock().live -= 1;
         self.buf.take().expect("buffer present until drop")
     }
 }
@@ -310,9 +333,8 @@ impl DerefMut for PooledBuf {
 
 impl Drop for PooledBuf {
     fn drop(&mut self) {
-        let Some(buf) = self.buf.take() else { return };
-        if let Some(pool) = self.pool.upgrade() {
-            pool.give_back(self.class, buf);
+        if let Some(buf) = self.buf.take() {
+            self.pool.give_back(self.class, buf);
         }
     }
 }
@@ -403,9 +425,108 @@ mod tests {
     #[test]
     fn pool_survives_while_buffers_outstanding() {
         let pool = BufferPool::new(64, 0, 4);
-        let b = pool.take();
+        let (a, b) = (pool.take(), pool.take());
+        let orphan = Arc::downgrade(&a.pool);
         drop(pool);
-        drop(b); // pool inner gone; drop must not panic
+        // No handle is left; the buffer still goes back to the
+        // orphaned free list, without panicking.
+        drop(a);
+        let inner = orphan
+            .upgrade()
+            .expect("an outstanding buffer holds the pool");
+        {
+            let books = inner.classes[FULL].books.lock();
+            assert_eq!((books.free.len(), books.stats.recycled), (1, 1));
+        }
+        drop(inner);
+        // The last buffer's return frees the pool and its free list.
+        drop(b);
+        assert!(orphan.upgrade().is_none());
+    }
+
+    /// `(free list length, live)` of each class.
+    fn class_books(pool: &BufferPool) -> [(usize, usize); 2] {
+        [SMALL, FULL].map(|c| {
+            let books = pool.inner.classes[c].books.lock();
+            (books.free.len(), books.live)
+        })
+    }
+
+    #[test]
+    fn books_close_with_leases_on_one_thread_and_returns_on_two() {
+        const ROUND: usize = 512;
+        const MAX_FREE: usize = 512;
+        let pool = BufferPool::new(2048, 0, MAX_FREE);
+        let mut state = 11u64;
+        let mut next = move || {
+            state = state
+                .wrapping_mul(6_364_136_223_846_793_005)
+                .wrapping_add(1_442_695_040_888_963_407);
+            (state >> 33) as usize
+        };
+        // One round: `ROUND` leases at random lengths, 60 % small; one
+        // in eight grown past its class's size — within the class
+        // (`grow_within`), or a small one past a slab, to be reclassed.
+        let mut round = |grow_within: bool| -> Vec<PooledBuf> {
+            (0..ROUND)
+                .map(|_| {
+                    let len = if next() % 10 < 6 {
+                        1 + next() % SMALL_SLAB
+                    } else {
+                        SMALL_SLAB + 1 + next() % (2048 - SMALL_SLAB)
+                    };
+                    let mut buf = pool.take_for(len);
+                    buf.resize(len, 0);
+                    if next() % 8 == 0 {
+                        let small = buf.capacity() < 2048;
+                        let grown = match (small, grow_within) {
+                            (true, true) => 1000,
+                            (true, false) => 3000,
+                            (false, _) => 4096,
+                        };
+                        buf.resize(grown, 0);
+                    }
+                    buf
+                })
+                .collect()
+        };
+        let mut returns = 0u64;
+        let mut phase = |mut left: Vec<PooledBuf>| {
+            returns += left.len() as u64;
+            let right = left.split_off(left.len() / 2);
+            std::thread::scope(|s| {
+                s.spawn(move || drop(left));
+                s.spawn(move || drop(right));
+            });
+            let stats = pool.stats();
+            assert_eq!(stats.recycled + stats.discarded, returns, "{stats:?}");
+            for (free, _) in class_books(&pool) {
+                assert!(free <= MAX_FREE);
+            }
+        };
+        // Growth within a class: after warm-up nothing is allocated.
+        for _ in 0..8 {
+            phase(round(true));
+        }
+        let warm = pool.stats();
+        for _ in 0..32 {
+            phase(round(true));
+        }
+        let steady = pool.stats();
+        assert_eq!(steady.allocated, warm.allocated, "{steady:?}");
+        assert_eq!(steady.discarded, 0);
+        // Small buffers grown past a slab are reclassed into the full
+        // class (or discarded once its free list is full): the books
+        // still close, and no free list passes `max_free`.
+        for _ in 0..8 {
+            phase(round(false));
+        }
+        let [(small_free, small_live), (full_free, full_live)] = class_books(&pool);
+        assert_eq!(
+            (small_free, full_free),
+            (small_live, full_live),
+            "all returned"
+        );
     }
 
     #[test]

@@ -68,6 +68,7 @@
 //! # Ok::<(), opencom::error::Error>(())
 //! ```
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod api;

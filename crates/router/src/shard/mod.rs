@@ -126,8 +126,11 @@ pub use rebalance::{MigrationReport, RebalancePlan, RebalancePolicy};
 pub type SharedEntry = Arc<RwLock<Arc<dyn IPacketPush>>>;
 
 /// Packet capacity the pipeline's pooled batch containers are pre-sized
-/// for (typical rx burst sizes are 32–64).
-const DISPATCH_BATCH_CAPACITY: usize = 64;
+/// for: one 32-packet rx burst, the burst every hot loop in the tree
+/// uses. A container that meets a larger burst grows once and keeps
+/// that capacity; every container pre-sized larger than the burst is
+/// resident slack.
+const DISPATCH_BATCH_CAPACITY: usize = 32;
 
 /// One shard's replica of the element graph, as produced by the factory
 /// passed to [`ShardedPipeline::build`]. The capsule *is* the replica:

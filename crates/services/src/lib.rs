@@ -41,6 +41,7 @@
 //! # Ok::<(), netkit_services::ee::EeError>(())
 //! ```
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod component;

@@ -15,6 +15,7 @@
 //!   per-node virtual routers built from real Router-CF components (the
 //!   paper's Columbia collaboration, §7).
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod genesis;

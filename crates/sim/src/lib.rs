@@ -45,6 +45,7 @@
 //! assert_eq!(counters.received(), 100);
 //! ```
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod link;

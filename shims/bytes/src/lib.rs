@@ -4,6 +4,7 @@
 //! vendors the small API subset it uses: the growable [`BytesMut`].
 //! Semantics match the real crate for this subset.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 use std::fmt;

@@ -13,6 +13,7 @@
 //! measured routine runs exactly once, so CI can execute bench *bodies*
 //! (not just compile them) in seconds.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 use std::fmt;

@@ -13,6 +13,7 @@
 //! the queue, and a push or pop that finds them zero skips its
 //! `Condvar` notify — on Linux an unconditional `FUTEX_WAKE`.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 /// Multi-producer multi-consumer channels.
@@ -290,16 +291,6 @@ pub mod channel {
             self.chan.push(st, msg);
             Ok(())
         }
-
-        /// Number of messages currently queued.
-        pub fn len(&self) -> usize {
-            self.chan.lock().queue.len()
-        }
-
-        /// True when nothing is queued.
-        pub fn is_empty(&self) -> bool {
-            self.chan.lock().queue.is_empty()
-        }
     }
 
     impl<T> Clone for Sender<T> {
@@ -405,16 +396,6 @@ pub mod channel {
                 st.recv_parked -= 1;
             }
         }
-
-        /// Number of messages currently queued.
-        pub fn len(&self) -> usize {
-            self.chan.lock().queue.len()
-        }
-
-        /// True when nothing is queued.
-        pub fn is_empty(&self) -> bool {
-            self.chan.lock().queue.is_empty()
-        }
     }
 
     impl<T> Clone for Receiver<T> {
@@ -476,8 +457,6 @@ pub mod channel {
             tx.try_send(1).unwrap();
             assert!(matches!(tx.try_send(2), Err(TrySendError::Full(2))));
             assert!(tx.try_send(2).unwrap_err().is_full());
-            assert_eq!(tx.len(), 1);
-            assert!(!tx.is_empty());
             assert_eq!(rx.recv(), Ok(1));
             tx.try_send(3).unwrap();
             drop(rx);

@@ -5,6 +5,7 @@
 //! guards directly. Poison from a panicked holder is swallowed, matching
 //! parking_lot's behaviour of not propagating poison.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 use std::fmt;

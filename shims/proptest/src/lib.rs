@@ -10,6 +10,7 @@
 //! message instead), and a deterministic per-test RNG seeded from the
 //! test name so failures reproduce exactly on re-run.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 use std::fmt;

@@ -6,6 +6,7 @@
 //! `seed_from_u64`, `rngs::{SmallRng, StdRng}`). Not cryptographically
 //! secure — neither caller in this workspace needs that.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 use std::ops::{Range, RangeInclusive};

@@ -186,6 +186,7 @@
 //! # Ok::<(), netkit::opencom::error::Error>(())
 //! ```
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub use netkit_baselines as baselines;
