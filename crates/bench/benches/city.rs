@@ -5,7 +5,7 @@
 //! inside out:
 //!
 //! * `solo_hop` — the raw cost of one packet-hop through a
-//!   [`ShardedPipeline`] on the inline executor hosting the full
+//!   [`ShardedPipeline`] on caller slots hosting the full
 //!   stateful chain (conntrack → heavy-hitter guard → collector): RSS
 //!   split, sketch metering, per-shard graph execution. This is
 //!   the per-hop floor every simulated node pays; its inverse is the
@@ -29,7 +29,7 @@ use std::sync::Arc;
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion, Throughput};
 
-use netkit_kernel::shard::{InlinePool, ShardSpec};
+use netkit_kernel::shard::ShardSpec;
 use netkit_packet::batch::PacketBatch;
 use netkit_packet::packet::{Packet, PacketBuilder};
 use netkit_router::api::{IPacketPush, IPACKET_PUSH};
@@ -49,11 +49,10 @@ fn flow_packet(flow: u64) -> Packet {
         .build()
 }
 
-/// A two-shard inline-executor pipeline with the city node's stateful
-/// chain.
-fn solo_chain() -> (ShardedPipeline<InlinePool>, Vec<Arc<EgressCollector>>) {
+/// A two-shard caller-run pipeline with the city node's stateful chain.
+fn solo_chain() -> (ShardedPipeline, Vec<Arc<EgressCollector>>) {
     let rm = Arc::new(ResourceManager::new());
-    let spec = ShardSpec::new(2);
+    let spec = ShardSpec::inline(2);
     let sketches = fresh_sketches(spec);
     let egress = Arc::new(Mutex::new(Vec::new()));
     let pipe = {

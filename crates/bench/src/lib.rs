@@ -117,7 +117,7 @@ mod tests {
     fn netkit_stateful_edge(
         pool: u16,
     ) -> Result<(
-        netkit_router::shard::ShardedPipeline<netkit_kernel::shard::InlinePool>,
+        netkit_router::shard::ShardedPipeline,
         netkit_router::desc::DescBinding,
     )> {
         let profile = netkit_services::edge::EdgeProfile {

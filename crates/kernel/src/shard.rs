@@ -21,19 +21,20 @@
 //! [`WorkerPool::submit_fanout`] is the matching batched publish: one
 //! gate transaction per dispatch instead of one per sub-batch.
 //!
-//! ## The executor seam
+//! ## Two kinds of shard slot, one executor
 //!
-//! The sharded pipeline above this module does not name
-//! [`WorkerPool`]; it is generic over [`ShardExecutor`] — the dozen
-//! calls it makes on its pool (submit, fan-out, flush, quiesce, the
-//! meters, liveness, respawn, shutdown). [`WorkerPool`] implements the
-//! trait with its inherent methods; [`InlinePool`] implements it by
-//! running each shard's handler on the submitting thread, in call
-//! order — the deterministic executor the simulator drives. The
-//! pipeline, its control and recovery turns and its patch applier are
-//! therefore one body of code with two placements, and the type
-//! parameter is resolved at compile time: the threaded hot path makes
-//! the calls it made before the seam existed.
+//! A shard's slot is either a **ring** — the worker thread and SPSC
+//! ring described above — or a **caller slot**: the handler behind a
+//! lock, run to completion on the thread that submits to it, in call
+//! order. [`ShardSpec::inline`] asks for caller slots; that is the
+//! deterministic placement the simulator drives. Both kinds keep one
+//! set of books at the gate: a caller slot's handler runs under
+//! `catch_unwind`, so a panic marks the shard dead exactly as a
+//! worker's exit does, later submits bounce with
+//! [`SubmitRejection::DeadWorker`], and [`WorkerPool::respawn`] swaps
+//! in a fresh handler. Nothing queues behind a caller slot, so it
+//! never parks at a quiesce, never gates a flush, and its ring meters
+//! read 0; a quiesce still counts its epoch.
 //!
 //! ## The epoch quiesce protocol
 //!
@@ -145,6 +146,7 @@
 //! ```
 
 use std::fmt;
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
@@ -161,12 +163,16 @@ use parking_lot::RwLock;
 /// multi-core benchmarks compare like-for-like.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct ShardSpec {
-    /// Number of worker threads (and SPSC rings). Clamped to ≥ 1.
+    /// Number of shards: worker threads and SPSC rings, or caller
+    /// slots. Clamped to ≥ 1.
     pub workers: usize,
     /// Per-worker ring capacity, in work items; submission backpressures
     /// (blocking [`WorkerPool::submit`]) or fails
     /// ([`WorkerPool::try_submit`]) when a ring is full.
     pub ring_capacity: usize,
+    /// Every shard is a caller slot: its handler runs on the submitting
+    /// thread instead of a worker thread of its own.
+    pub caller_run: bool,
 }
 
 impl ShardSpec {
@@ -175,6 +181,46 @@ impl ShardSpec {
         Self {
             workers: workers.max(1),
             ring_capacity: 1024,
+            caller_run: false,
+        }
+    }
+
+    /// A spec with `workers` caller slots: each shard's handler runs on
+    /// whichever thread submits to it, in call order, so a run replays
+    /// bit for bit.
+    ///
+    /// A pool on caller slots: work has run when `submit` returns,
+    /// and a panicking handler kills its shard, not the caller.
+    ///
+    /// ```
+    /// use std::sync::Arc;
+    /// use netkit_kernel::shard::{ShardSpec, SubmitRejection, WorkerPool};
+    /// use parking_lot::Mutex;
+    ///
+    /// let log = Arc::new(Mutex::new(Vec::new()));
+    /// let pool = WorkerPool::start(ShardSpec::inline(2), |shard| {
+    ///     let log = Arc::clone(&log);
+    ///     Box::new(move |n: u32| {
+    ///         assert!(n != 0, "poison");
+    ///         log.lock().push((shard, n));
+    ///     })
+    /// });
+    /// pool.submit(1, 7).unwrap();
+    /// pool.submit(0, 8).unwrap();
+    /// assert_eq!(*log.lock(), vec![(1, 7), (0, 8)]); // no flush needed
+    /// pool.submit(0, 0).unwrap(); // the handler panics on the caller...
+    /// assert_eq!(pool.worker_alive(0), Some(false)); // ...and shard 0 is dead
+    /// assert_eq!(pool.try_submit_tagged(0, 9), Err((9, SubmitRejection::DeadWorker)));
+    /// let log2 = Arc::clone(&log);
+    /// let fresh = Box::new(move |n: u32| log2.lock().push((0, n)));
+    /// assert_eq!(pool.respawn(0, fresh, |_| {}), Some(0)); // nothing was queued
+    /// pool.submit(0, 9).unwrap();
+    /// assert_eq!(log.lock().last(), Some(&(0, 9)));
+    /// ```
+    pub fn inline(workers: usize) -> Self {
+        Self {
+            caller_run: true,
+            ..Self::new(workers)
         }
     }
 
@@ -435,10 +481,6 @@ impl GateState {
         due
     }
 
-    fn dead_count(&self) -> usize {
-        self.dead.iter().filter(|d| **d).count()
-    }
-
     /// Items still owed by workers that can actually deliver them.
     fn live_in_flight(&self) -> usize {
         self.in_flight
@@ -471,7 +513,9 @@ impl Drop for WorkerExit<'_> {
     }
 }
 
-/// A pool of run-to-completion worker threads, one SPSC ring each.
+/// A pool of run-to-completion shards: worker threads with one SPSC
+/// ring each, or caller slots run on the submitting thread (see "Two
+/// kinds of shard slot, one executor" in the module docs).
 ///
 /// Generic over the work item `T` — the dataplane uses
 /// `netkit_packet::batch::PacketBatch`, but the runtime itself is
@@ -498,13 +542,9 @@ impl Drop for WorkerExit<'_> {
 /// pool.shutdown();
 /// ```
 pub struct WorkerPool<T: Send + 'static> {
-    /// One ring per shard. The pool keeps **both** endpoints: the
-    /// sender feeds the worker, and the receiver clone is what lets
-    /// [`Self::respawn`] drain a dead worker's stranded items (the
-    /// dead thread's own receiver died with it). Slots are swapped
-    /// wholesale on respawn, hence the per-slot lock; the fast path
-    /// only ever takes it shared.
-    slots: Vec<RwLock<Slot<T>>>,
+    /// One slot per shard; its kind never changes, what it holds is
+    /// replaced on respawn.
+    slots: Vec<Slot<T>>,
     handles: parking_lot::Mutex<Vec<Option<JoinHandle<()>>>>,
     gate: Arc<Gate>,
     /// Serialises concurrent quiescers — and respawns, which must not
@@ -517,16 +557,30 @@ pub struct WorkerPool<T: Send + 'static> {
     respawned: AtomicU64,
 }
 
-struct Slot<T> {
+enum Slot<T> {
+    /// A worker thread's ring. The pool keeps **both** endpoints: the
+    /// sender feeds the worker, and the receiver clone is what lets
+    /// [`WorkerPool::respawn`] drain a dead worker's stranded items
+    /// (the dead thread's own receiver died with it). Rings are swapped
+    /// wholesale on respawn, hence the lock; the fast path only ever
+    /// takes it shared.
+    Ring(RwLock<Ring<T>>),
+    /// A handler the submitting thread runs in place; `None` once it
+    /// panicked, as a dead worker's handler went with its thread.
+    Caller(parking_lot::Mutex<Option<ShardHandler<T>>>),
+}
+
+struct Ring<T> {
     tx: Sender<Job<T>>,
     rx: Receiver<Job<T>>,
 }
 
 impl<T: Send + 'static> WorkerPool<T> {
-    /// Spawns `spec.workers` worker threads. `factory(shard)` is called
-    /// once per shard, in shard order, on the calling thread; the
-    /// handler it returns moves onto that shard's thread and owns the
-    /// shard's state for the pool's lifetime.
+    /// Spawns `spec.workers` worker threads, or sets up as many caller
+    /// slots when `spec.caller_run`. `factory(shard)` is called once per
+    /// shard, in shard order, on the calling thread; the handler it
+    /// returns moves onto that shard's thread (or into its slot) and
+    /// owns the shard's state for the pool's lifetime.
     ///
     /// A hand-rolled spec with `workers == 0` (bypassing
     /// [`ShardSpec::new`]'s clamp) is normalised to one worker here, so
@@ -540,6 +594,7 @@ impl<T: Send + 'static> WorkerPool<T> {
         let spec = ShardSpec {
             workers: spec.workers.max(1),
             ring_capacity: spec.ring_capacity.max(1),
+            ..spec
         };
         let gate = Arc::new(Gate::new(spec.workers));
         let completed = Arc::new(
@@ -550,8 +605,13 @@ impl<T: Send + 'static> WorkerPool<T> {
         let mut slots = Vec::with_capacity(spec.workers);
         let mut handles = Vec::with_capacity(spec.workers);
         for shard in 0..spec.workers {
-            let (tx, rx) = bounded::<Job<T>>(spec.ring_capacity);
             let handler = factory(shard);
+            if spec.caller_run {
+                handles.push(None);
+                slots.push(Slot::Caller(parking_lot::Mutex::new(Some(handler))));
+                continue;
+            }
+            let (tx, rx) = bounded::<Job<T>>(spec.ring_capacity);
             handles.push(Some(Self::spawn_worker(
                 shard,
                 handler,
@@ -559,7 +619,7 @@ impl<T: Send + 'static> WorkerPool<T> {
                 Arc::clone(&gate),
                 Arc::clone(&completed),
             )));
-            slots.push(RwLock::new(Slot { tx, rx }));
+            slots.push(Slot::Ring(RwLock::new(Ring { tx, rx })));
         }
         Self {
             slots,
@@ -598,7 +658,7 @@ impl<T: Send + 'static> WorkerPool<T> {
             .expect("spawn worker thread")
     }
 
-    /// Number of workers.
+    /// Number of shards.
     pub fn workers(&self) -> usize {
         self.slots.len()
     }
@@ -608,24 +668,53 @@ impl<T: Send + 'static> WorkerPool<T> {
         self.spec
     }
 
+    /// Runs `item` through a caller slot's handler on this thread. A
+    /// panic is caught here and kills the shard as a worker thread's
+    /// exit would; the item is consumed either way. Returns the item
+    /// only when the shard was already dead.
+    fn run_on_caller(
+        &self,
+        shard: usize,
+        slot: &parking_lot::Mutex<Option<ShardHandler<T>>>,
+        item: T,
+    ) -> Result<(), T> {
+        let mut slot = slot.lock();
+        let Some(handler) = slot.as_mut() else {
+            return Err(item);
+        };
+        match catch_unwind(AssertUnwindSafe(|| handler(item))) {
+            Ok(()) => {
+                self.completed[shard].fetch_add(1, Ordering::Relaxed);
+            }
+            Err(_) => {
+                *slot = None;
+                self.gate.mark_dead(shard);
+            }
+        }
+        Ok(())
+    }
+
     /// Enqueues `item` on `shard`'s ring, blocking while the ring is
-    /// full (backpressure). A worker already marked dead fails fast —
-    /// the item comes straight back rather than being stranded on a
-    /// ring nothing will drain (or, worse, blocking this producer on a
-    /// full ring no consumer will ever relieve).
+    /// full (backpressure); a caller slot runs it before returning. A
+    /// worker already marked dead fails fast — the item comes straight
+    /// back rather than being stranded on a ring nothing will drain
+    /// (or, worse, blocking this producer on a full ring no consumer
+    /// will ever relieve).
     ///
     /// # Errors
     ///
     /// Returns the item if `shard` is out of range or the worker died.
     pub fn submit(&self, shard: usize, item: T) -> Result<(), T> {
-        let Some(slot) = self.slots.get(shard) else {
-            return Err(item);
+        let ring = match self.slots.get(shard) {
+            Some(Slot::Ring(ring)) => ring,
+            Some(Slot::Caller(caller)) => return self.run_on_caller(shard, caller, item),
+            None => return Err(item),
         };
         if !self.gate.submit_one(shard) {
             return Err(item); // dead worker: fail fast, never block
         }
-        let slot = slot.read();
-        match self.send_work(shard, &slot, item) {
+        let ring = ring.read();
+        match self.send_work(shard, &ring, item) {
             Ok(()) => Ok(()),
             Err(item) => {
                 self.gate.retire_one(shard);
@@ -641,10 +730,10 @@ impl<T: Send + 'static> WorkerPool<T> {
     /// channel disconnection can no longer signal worker death).
     ///
     /// Returns the item if the worker died before it could be queued.
-    fn send_work(&self, shard: usize, slot: &Slot<T>, item: T) -> Result<(), T> {
+    fn send_work(&self, shard: usize, ring: &Ring<T>, item: T) -> Result<(), T> {
         let mut msg = Job::Work(item);
         loop {
-            match slot.tx.try_send(msg) {
+            match ring.tx.try_send(msg) {
                 Ok(()) => return Ok(()),
                 Err(e) => {
                     let full = e.is_full();
@@ -688,14 +777,20 @@ impl<T: Send + 'static> WorkerPool<T> {
     ///
     /// Returns the item and why it bounced.
     pub fn try_submit_tagged(&self, shard: usize, item: T) -> Result<(), (T, SubmitRejection)> {
-        let Some(slot) = self.slots.get(shard) else {
-            return Err((item, SubmitRejection::OutOfRange));
+        let ring = match self.slots.get(shard) {
+            Some(Slot::Ring(ring)) => ring,
+            Some(Slot::Caller(caller)) => {
+                return self
+                    .run_on_caller(shard, caller, item)
+                    .map_err(|item| (item, SubmitRejection::DeadWorker))
+            }
+            None => return Err((item, SubmitRejection::OutOfRange)),
         };
         if !self.gate.submit_one(shard) {
             return Err((item, SubmitRejection::DeadWorker)); // fail fast
         }
-        let slot = slot.read();
-        match slot.tx.try_send(Job::Work(item)) {
+        let ring = ring.read();
+        match ring.tx.try_send(Job::Work(item)) {
             Ok(()) => Ok(()),
             Err(e) => {
                 self.gate.retire_one(shard);
@@ -724,12 +819,14 @@ impl<T: Send + 'static> WorkerPool<T> {
     /// delivered — the worker was dead at reservation time, or died
     /// racing the publish — are handed to `on_reject(shard, job)` so
     /// the caller can account their payload. Returns the number of
-    /// jobs enqueued.
+    /// jobs enqueued (or, on a caller slot, run).
     ///
     /// Blocking semantics match [`Self::submit`]: a full live ring
     /// backpressures the publish. Do **not** call inside a quiesce
     /// closure (parked workers cannot relieve a full ring);
     /// re-steering paths there use [`Self::try_submit`] per item.
+    /// Caller slots reserve nothing and run their job in phase 2, in
+    /// the order `shards` yields them.
     ///
     /// # Panics
     ///
@@ -749,6 +846,9 @@ impl<T: Send + 'static> WorkerPool<T> {
             let mut st = self.gate.lock();
             for shard in shards.clone() {
                 assert!(shard < self.slots.len(), "fanout shard out of range");
+                if matches!(self.slots[shard], Slot::Caller(_)) {
+                    continue;
+                }
                 if st.dead[shard] {
                     dead_skipped.push(shard);
                     continue;
@@ -763,12 +863,22 @@ impl<T: Send + 'static> WorkerPool<T> {
         // on the success path.
         let mut sent = 0;
         for shard in shards {
+            let ring = match &self.slots[shard] {
+                Slot::Ring(ring) => ring,
+                Slot::Caller(caller) => {
+                    match self.run_on_caller(shard, caller, job_for(shard)) {
+                        Ok(()) => sent += 1,
+                        Err(job) => on_reject(shard, job),
+                    }
+                    continue;
+                }
+            };
             if dead_skipped.contains(&shard) {
                 on_reject(shard, job_for(shard));
                 continue;
             }
-            let slot = self.slots[shard].read();
-            match self.send_work(shard, &slot, job_for(shard)) {
+            let ring = ring.read();
+            match self.send_work(shard, &ring, job_for(shard)) {
                 Ok(()) => sent += 1,
                 Err(item) => {
                     // Worker died between reservation and publish.
@@ -803,6 +913,11 @@ impl<T: Send + 'static> WorkerPool<T> {
     /// result. Items already in the rings are processed before the
     /// barrier; items submitted during `f` wait in the rings and flow
     /// afterwards, so reconfiguration never drops traffic.
+    ///
+    /// A caller slot is at a batch boundary whenever its caller is, so
+    /// it is not waited for: on caller slots alone `f` runs at once,
+    /// work submitted inside it runs at once too, and the epoch is
+    /// still counted.
     pub fn quiesce<R>(&self, f: impl FnOnce() -> R) -> R {
         let _serial = self
             .quiesce_serial
@@ -814,17 +929,18 @@ impl<T: Send + 'static> WorkerPool<T> {
             st.requested
         };
         for (shard, slot) in self.slots.iter().enumerate() {
+            let Slot::Ring(ring) = slot else { continue };
             // A dead worker cannot park; `dead` accounting covers it.
             // A full live ring backpressures the marker (the worker is
             // draining), re-checking the dead bit between attempts so a
             // death mid-wait cannot wedge the quiescer.
-            let slot = slot.read();
+            let ring = ring.read();
             let mut msg = Job::Sync(target);
             loop {
                 if self.gate.lock().dead[shard] {
                     break;
                 }
-                match slot.tx.try_send(msg) {
+                match ring.tx.try_send(msg) {
                     Ok(()) => break,
                     Err(e) if e.is_full() => {
                         msg = e.into_inner();
@@ -836,7 +952,7 @@ impl<T: Send + 'static> WorkerPool<T> {
         }
         {
             let mut st = self.gate.lock();
-            while st.parked + st.dead_count() < self.slots.len() {
+            while st.parked < self.live_rings(&st) {
                 st.quiescer_waiting = true;
                 st = self
                     .gate
@@ -854,6 +970,15 @@ impl<T: Send + 'static> WorkerPool<T> {
         }
         self.gate.resume.notify_all();
         out
+    }
+
+    /// Workers a quiesce waits for: every ring whose worker is alive.
+    fn live_rings(&self, st: &GateState) -> usize {
+        self.slots
+            .iter()
+            .zip(&st.dead)
+            .filter(|(slot, dead)| !**dead && matches!(slot, Slot::Ring(_)))
+            .count()
     }
 
     /// Completed quiesce epochs since the pool started.
@@ -891,9 +1016,10 @@ impl<T: Send + 'static> WorkerPool<T> {
     }
 
     /// Whether `shard`'s worker can still accept work (`Some(false)`
-    /// once its thread exited — handler panic or shutdown — and the
-    /// dead-worker fast-fail in [`Self::submit`] / [`Self::try_submit`]
-    /// has engaged). `None` for an out-of-range shard.
+    /// once its thread exited — handler panic or shutdown — or its
+    /// caller-run handler panicked, and the dead-worker fast-fail in
+    /// [`Self::submit`] / [`Self::try_submit`] has engaged). `None` for
+    /// an out-of-range shard.
     pub fn worker_alive(&self, shard: usize) -> Option<bool> {
         self.gate.lock().dead.get(shard).map(|dead| !dead)
     }
@@ -917,7 +1043,8 @@ impl<T: Send + 'static> WorkerPool<T> {
     /// accumulating across the generation change. A producer that lost
     /// the death race may deliver one late item onto the fresh ring —
     /// it is processed normally (the in-flight meter saturates rather
-    /// than double-counts).
+    /// than double-counts). A dead caller slot just takes `handler`:
+    /// nothing ever queues behind one.
     ///
     /// Returns the number of stranded work items recovered, or `None`
     /// if `shard` is out of range or its worker is still alive (only
@@ -926,11 +1053,9 @@ impl<T: Send + 'static> WorkerPool<T> {
         &self,
         shard: usize,
         handler: ShardHandler<T>,
-        mut on_stranded: impl FnMut(T),
+        on_stranded: impl FnMut(T),
     ) -> Option<usize> {
-        if shard >= self.slots.len() {
-            return None;
-        }
+        let slot = self.slots.get(shard)?;
         let _serial = self
             .quiesce_serial
             .lock()
@@ -938,6 +1063,35 @@ impl<T: Send + 'static> WorkerPool<T> {
         if !self.gate.lock().dead[shard] {
             return None;
         }
+        let stranded = match slot {
+            Slot::Ring(ring) => self.respawn_ring(shard, ring, handler, on_stranded),
+            Slot::Caller(slot) => {
+                *slot.lock() = Some(handler);
+                0
+            }
+        };
+        {
+            // Only now does a ring accept traffic again: fresh ring,
+            // zeroed occupancy window, dead bit cleared last. (A caller
+            // slot serves from the moment it holds its handler.)
+            let mut st = self.gate.lock();
+            st.in_flight[shard] = 0;
+            st.ring_hwm[shard] = 0;
+            st.dead[shard] = false;
+        }
+        self.respawned.fetch_add(1, Ordering::Relaxed);
+        Some(stranded)
+    }
+
+    /// [`Self::respawn`]'s ring half: reaps the dead thread, drains the
+    /// stranded items, and starts a fresh worker on a fresh ring.
+    fn respawn_ring(
+        &self,
+        shard: usize,
+        ring: &RwLock<Ring<T>>,
+        handler: ShardHandler<T>,
+        mut on_stranded: impl FnMut(T),
+    ) -> usize {
         // Reap the dead thread first: after the join, nobody but this
         // call touches the old ring's receiving side.
         if let Some(handle) = self.handles.lock()[shard].take() {
@@ -955,16 +1109,16 @@ impl<T: Send + 'static> WorkerPool<T> {
         // Pass 1 (shared lock): frees ring space so any producer that
         // lost the death race and is still waiting on a full ring can
         // finish — or notice the dead bit — and release its hold.
-        drain(&self.slots[shard].read().rx);
+        drain(&ring.read().rx);
         {
-            // Pass 2 (exclusive): no producer holds the slot, so a
+            // Pass 2 (exclusive): no producer holds the ring, so a
             // racer's late landing is caught before the swap.
-            let mut slot = self.slots[shard].write();
-            drain(&slot.rx);
+            let mut ring = ring.write();
+            drain(&ring.rx);
             let (tx, rx) = bounded::<Job<T>>(self.spec.ring_capacity);
-            *slot = Slot { tx, rx };
+            *ring = Ring { tx, rx };
         }
-        let rx = self.slots[shard].read().rx.clone();
+        let rx = ring.read().rx.clone();
         let handle = Self::spawn_worker(
             shard,
             handler,
@@ -973,16 +1127,7 @@ impl<T: Send + 'static> WorkerPool<T> {
             Arc::clone(&self.completed),
         );
         self.handles.lock()[shard] = Some(handle);
-        {
-            // Only now does the shard accept traffic again: fresh ring,
-            // zeroed occupancy window, dead bit cleared last.
-            let mut st = self.gate.lock();
-            st.in_flight[shard] = 0;
-            st.ring_hwm[shard] = 0;
-            st.dead[shard] = false;
-        }
-        self.respawned.fetch_add(1, Ordering::Relaxed);
-        Some(stranded)
+        stranded
     }
 
     /// Workers respawned ([`Self::respawn`]) over the pool's lifetime.
@@ -1064,289 +1209,6 @@ impl<T: Send + 'static> fmt::Debug for WorkerPool<T> {
             self.slots.len(),
             self.total_completed(),
             self.epoch()
-        )
-    }
-}
-
-/// Who runs a shard's job — the one thing the threaded dataplane and
-/// the deterministic simulator differ in (see "The executor seam" in
-/// the module docs). Two implementations: [`WorkerPool`] (one thread
-/// and one ring per shard — every method here is its inherent method
-/// of the same name) and [`InlinePool`] (the caller's thread, in call
-/// order). Each method's contract is the one documented on
-/// [`WorkerPool`]; what [`InlinePool`] makes of it is on its type docs.
-pub trait ShardExecutor<T>: Sized {
-    /// Whether shards run in parallel with the submitter, buffered by
-    /// rings. A caller sizing per-job storage provisions for several
-    /// jobs in flight per shard when this is `true`; when `false` a job
-    /// has run to completion before its `submit` returns, so at most
-    /// one exists at a time.
-    const PARALLEL: bool;
-
-    /// See [`WorkerPool::start`].
-    fn start<F>(spec: ShardSpec, factory: F) -> Self
-    where
-        F: FnMut(usize) -> ShardHandler<T>;
-
-    /// See [`WorkerPool::submit`].
-    ///
-    /// # Errors
-    ///
-    /// Returns the item if `shard` is out of range or its worker died.
-    fn submit(&self, shard: usize, item: T) -> Result<(), T>;
-
-    /// See [`WorkerPool::try_submit_tagged`].
-    ///
-    /// # Errors
-    ///
-    /// Returns the item and why it bounced.
-    fn try_submit_tagged(&self, shard: usize, item: T) -> Result<(), (T, SubmitRejection)>;
-
-    /// See [`WorkerPool::submit_fanout`].
-    fn submit_fanout<I, F, R>(&self, shards: I, job_for: F, on_reject: R) -> usize
-    where
-        I: Iterator<Item = usize> + Clone,
-        F: FnMut(usize) -> T,
-        R: FnMut(usize, T);
-
-    /// See [`WorkerPool::flush`].
-    fn flush(&self);
-
-    /// See [`WorkerPool::quiesce`].
-    fn quiesce<R>(&self, f: impl FnOnce() -> R) -> R;
-
-    /// See [`WorkerPool::epoch`].
-    fn epoch(&self) -> u64;
-
-    /// See [`WorkerPool::in_flight_on`].
-    fn in_flight_on(&self, shard: usize) -> Option<usize>;
-
-    /// See [`WorkerPool::ring_high_water`].
-    fn ring_high_water(&self, shard: usize) -> Option<usize>;
-
-    /// See [`WorkerPool::reset_ring_high_water`].
-    fn reset_ring_high_water(&self);
-
-    /// See [`WorkerPool::worker_alive`].
-    fn worker_alive(&self, shard: usize) -> Option<bool>;
-
-    /// See [`WorkerPool::respawn`].
-    fn respawn(
-        &self,
-        shard: usize,
-        handler: ShardHandler<T>,
-        on_stranded: impl FnMut(T),
-    ) -> Option<usize>;
-
-    /// See [`WorkerPool::shutdown`].
-    fn shutdown(self);
-}
-
-impl<T: Send + 'static> ShardExecutor<T> for WorkerPool<T> {
-    const PARALLEL: bool = true;
-
-    fn start<F>(spec: ShardSpec, factory: F) -> Self
-    where
-        F: FnMut(usize) -> ShardHandler<T>,
-    {
-        WorkerPool::start(spec, factory)
-    }
-
-    fn submit(&self, shard: usize, item: T) -> Result<(), T> {
-        WorkerPool::submit(self, shard, item)
-    }
-
-    fn try_submit_tagged(&self, shard: usize, item: T) -> Result<(), (T, SubmitRejection)> {
-        WorkerPool::try_submit_tagged(self, shard, item)
-    }
-
-    fn submit_fanout<I, F, R>(&self, shards: I, job_for: F, on_reject: R) -> usize
-    where
-        I: Iterator<Item = usize> + Clone,
-        F: FnMut(usize) -> T,
-        R: FnMut(usize, T),
-    {
-        WorkerPool::submit_fanout(self, shards, job_for, on_reject)
-    }
-
-    fn flush(&self) {
-        WorkerPool::flush(self);
-    }
-
-    fn quiesce<R>(&self, f: impl FnOnce() -> R) -> R {
-        WorkerPool::quiesce(self, f)
-    }
-
-    fn epoch(&self) -> u64 {
-        WorkerPool::epoch(self)
-    }
-
-    fn in_flight_on(&self, shard: usize) -> Option<usize> {
-        WorkerPool::in_flight_on(self, shard)
-    }
-
-    fn ring_high_water(&self, shard: usize) -> Option<usize> {
-        WorkerPool::ring_high_water(self, shard)
-    }
-
-    fn reset_ring_high_water(&self) {
-        WorkerPool::reset_ring_high_water(self);
-    }
-
-    fn worker_alive(&self, shard: usize) -> Option<bool> {
-        WorkerPool::worker_alive(self, shard)
-    }
-
-    fn respawn(
-        &self,
-        shard: usize,
-        handler: ShardHandler<T>,
-        on_stranded: impl FnMut(T),
-    ) -> Option<usize> {
-        WorkerPool::respawn(self, shard, handler, on_stranded)
-    }
-
-    fn shutdown(self) {
-        WorkerPool::shutdown(self);
-    }
-}
-
-/// The deterministic executor: every shard's handler runs **on the
-/// submitting thread, in call order**. No threads, no rings, nothing to
-/// wait for — so a pipeline built on it replays bit-for-bit, which is
-/// what lets a discrete-event simulator host thousands of real
-/// dataplanes and reproduce a whole city from a seed.
-///
-/// What the [`ShardExecutor`] contract becomes here:
-///
-/// * `submit` / `try_submit_tagged` run the handler before returning
-///   (per-shard FIFO is call order); only an out-of-range shard
-///   bounces. `submit_fanout` visits its shards in the order yielded —
-///   index order, as the pipeline calls it.
-/// * `flush` has nothing to wait for. `quiesce(f)` runs `f` — the
-///   caller is by definition at a batch boundary — and counts an
-///   epoch, so epoch receipts read the same on both executors. Work
-///   submitted from inside `f` runs at once rather than after release.
-/// * There are no rings: `in_flight_on` and `ring_high_water` read 0,
-///   nothing is ever rejected for pressure.
-/// * Nothing can die on the caller's own thread (a panicking handler
-///   unwinds into the caller): `worker_alive` is always `Some(true)`
-///   and `respawn` always declines.
-///
-/// A handler must not submit to its own shard (the shard is locked
-/// while it runs).
-///
-/// # Examples
-///
-/// ```
-/// use std::sync::Arc;
-/// use netkit_kernel::shard::{InlinePool, ShardExecutor, ShardSpec};
-/// use parking_lot::Mutex;
-///
-/// let log = Arc::new(Mutex::new(Vec::new()));
-/// let pool: InlinePool<u32> = InlinePool::start(ShardSpec::new(2), |shard| {
-///     let log = Arc::clone(&log);
-///     Box::new(move |n| log.lock().push((shard, n)))
-/// });
-/// pool.submit(1, 7).unwrap();
-/// pool.submit(0, 8).unwrap();
-/// // Already run, in call order — no flush needed.
-/// assert_eq!(*log.lock(), vec![(1, 7), (0, 8)]);
-/// assert_eq!(pool.quiesce(|| 42), 42);
-/// assert_eq!(pool.epoch(), 1);
-/// ```
-pub struct InlinePool<T = ShardJob> {
-    handlers: Vec<parking_lot::Mutex<ShardHandler<T>>>,
-    epoch: AtomicU64,
-}
-
-impl<T> ShardExecutor<T> for InlinePool<T> {
-    const PARALLEL: bool = false;
-
-    fn start<F>(spec: ShardSpec, factory: F) -> Self
-    where
-        F: FnMut(usize) -> ShardHandler<T>,
-    {
-        Self {
-            handlers: (0..spec.workers.max(1))
-                .map(factory)
-                .map(parking_lot::Mutex::new)
-                .collect(),
-            epoch: AtomicU64::new(0),
-        }
-    }
-
-    fn submit(&self, shard: usize, item: T) -> Result<(), T> {
-        match self.handlers.get(shard) {
-            Some(handler) => {
-                (handler.lock())(item);
-                Ok(())
-            }
-            None => Err(item),
-        }
-    }
-
-    fn try_submit_tagged(&self, shard: usize, item: T) -> Result<(), (T, SubmitRejection)> {
-        self.submit(shard, item)
-            .map_err(|item| (item, SubmitRejection::OutOfRange))
-    }
-
-    fn submit_fanout<I, F, R>(&self, shards: I, mut job_for: F, _on_reject: R) -> usize
-    where
-        I: Iterator<Item = usize> + Clone,
-        F: FnMut(usize) -> T,
-        R: FnMut(usize, T),
-    {
-        shards
-            .map(|shard| (self.handlers[shard].lock())(job_for(shard)))
-            .count()
-    }
-
-    fn flush(&self) {}
-
-    fn quiesce<R>(&self, f: impl FnOnce() -> R) -> R {
-        let out = f();
-        self.epoch.fetch_add(1, Ordering::Relaxed);
-        out
-    }
-
-    fn epoch(&self) -> u64 {
-        self.epoch.load(Ordering::Relaxed)
-    }
-
-    fn in_flight_on(&self, shard: usize) -> Option<usize> {
-        self.handlers.get(shard).map(|_| 0)
-    }
-
-    fn ring_high_water(&self, shard: usize) -> Option<usize> {
-        self.handlers.get(shard).map(|_| 0)
-    }
-
-    fn reset_ring_high_water(&self) {}
-
-    fn worker_alive(&self, shard: usize) -> Option<bool> {
-        self.handlers.get(shard).map(|_| true)
-    }
-
-    fn respawn(
-        &self,
-        _shard: usize,
-        _handler: ShardHandler<T>,
-        _on_stranded: impl FnMut(T),
-    ) -> Option<usize> {
-        None
-    }
-
-    fn shutdown(self) {}
-}
-
-impl<T> fmt::Debug for InlinePool<T> {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "InlinePool({} shards, epoch {})",
-            self.handlers.len(),
-            self.epoch.load(Ordering::Relaxed)
         )
     }
 }
@@ -1654,32 +1516,44 @@ mod tests {
         pool.shutdown();
     }
 
-    #[test]
-    fn fanout_rejects_jobs_for_dead_shards_without_wedging() {
-        let pool = WorkerPool::start(ShardSpec::new(2), |shard| {
-            Box::new(move |n: u8| {
-                if shard == 0 && n == 1 {
-                    panic!("injected fault");
-                }
-            })
-        });
-        pool.submit(0, 1).unwrap(); // kills worker 0
-                                    // Death is asynchronous: wait until the gate has registered it
-                                    // so the fan-out deterministically takes the dead-skip path.
-        while pool.worker_alive(0) == Some(true) {
+    /// Waits until `shard` is marked dead. A worker thread dies
+    /// asynchronously; a caller slot has died by the time the submit
+    /// that killed it returns, so there is nothing to wait for.
+    fn await_death<T: Send + 'static>(pool: &WorkerPool<T>, shard: usize) {
+        if pool.spec().caller_run {
+            assert_eq!(pool.worker_alive(shard), Some(false), "died in the submit");
+        }
+        while pool.worker_alive(shard) == Some(true) {
             std::thread::yield_now();
         }
-        let rejected = Arc::new(parking_lot::Mutex::new(Vec::new()));
-        let sent = pool.submit_fanout(
-            0..2,
-            |_| 0u8,
-            |shard, item| rejected.lock().push((shard, item)),
-        );
-        assert_eq!(sent, 1, "live shard still served");
-        assert_eq!(*rejected.lock(), vec![(0, 0u8)]);
-        pool.flush();
-        pool.quiesce(|| {}); // dead worker accounted at the gate
-        pool.shutdown();
+    }
+
+    #[test]
+    fn fanout_rejects_jobs_for_dead_shards_without_wedging() {
+        for spec in [ShardSpec::new(2), ShardSpec::inline(2)] {
+            let pool = WorkerPool::start(spec, |shard| {
+                Box::new(move |n: u8| {
+                    if shard == 0 && n == 1 {
+                        panic!("injected fault");
+                    }
+                })
+            });
+            pool.submit(0, 1).unwrap(); // kills worker 0
+                                        // Wait until the gate has registered the death so the
+                                        // fan-out deterministically takes the dead-skip path.
+            await_death(&pool, 0);
+            let rejected = Arc::new(parking_lot::Mutex::new(Vec::new()));
+            let sent = pool.submit_fanout(
+                0..2,
+                |_| 0u8,
+                |shard, item| rejected.lock().push((shard, item)),
+            );
+            assert_eq!(sent, 1, "live shard still served");
+            assert_eq!(*rejected.lock(), vec![(0, 0u8)]);
+            pool.flush();
+            pool.quiesce(|| {}); // dead worker accounted at the gate
+            pool.shutdown();
+        }
     }
 
     #[test]
@@ -1688,25 +1562,25 @@ mod tests {
         // whose worker has died must get its item back instead of
         // spinning until the ring disconnects. With the dead-flag
         // check the item never enqueues at all once death is marked.
-        let pool = WorkerPool::start(ShardSpec::new(1).with_ring_capacity(1), |_| {
-            Box::new(move |n: u8| {
-                if n == 1 {
-                    panic!("injected fault");
-                }
-            })
-        });
-        pool.submit(0, 1).unwrap(); // worker picks it up and dies
-        while pool.worker_alive(0) == Some(true) {
-            std::thread::yield_now();
+        for spec in [ShardSpec::new(1), ShardSpec::inline(1)] {
+            let pool = WorkerPool::start(spec.with_ring_capacity(1), |_| {
+                Box::new(move |n: u8| {
+                    if n == 1 {
+                        panic!("injected fault");
+                    }
+                })
+            });
+            pool.submit(0, 1).unwrap(); // worker picks it up and dies
+            await_death(&pool, 0);
+            // Marked dead: both flavours bounce immediately, item intact,
+            // and nothing is stranded in accounting (flush returns).
+            assert_eq!(pool.submit(0, 2), Err(2));
+            assert_eq!(pool.try_submit(0, 3), Err(3));
+            assert_eq!(pool.rejected(), 0, "a fault is not ring pressure");
+            pool.flush();
+            assert_eq!(pool.in_flight(), 0);
+            pool.shutdown();
         }
-        // Marked dead: both flavours bounce immediately, item intact,
-        // and nothing is stranded in accounting (flush returns).
-        assert_eq!(pool.submit(0, 2), Err(2));
-        assert_eq!(pool.try_submit(0, 3), Err(3));
-        assert_eq!(pool.rejected(), 0, "a fault is not ring pressure");
-        pool.flush();
-        assert_eq!(pool.in_flight(), 0);
-        pool.shutdown();
     }
 
     #[test]
@@ -1714,8 +1588,6 @@ mod tests {
         // Handler: 254 parks until the gate opens (so items can queue
         // behind it deterministically), 255 is poison, anything else
         // is counted work.
-        let open = Arc::new((Mutex::new(false), Condvar::new()));
-        let done = Arc::new(AtomicU64::new(0));
         let make_handler =
             |open: &Arc<(Mutex<bool>, Condvar)>, done: &Arc<AtomicU64>| -> ShardHandler<u8> {
                 let open = Arc::clone(open);
@@ -1734,48 +1606,64 @@ mod tests {
                     }
                 })
             };
-        let pool = WorkerPool::start(ShardSpec::new(2), |_| make_handler(&open, &done));
+        for spec in [ShardSpec::new(2), ShardSpec::inline(2)] {
+            let open = Arc::new((Mutex::new(false), Condvar::new()));
+            let done = Arc::new(AtomicU64::new(0));
+            let pool = WorkerPool::start(spec, |_| make_handler(&open, &done));
+            let release = || {
+                let (lock, cv) = &*open;
+                *lock.lock().unwrap() = true;
+                cv.notify_all();
+            };
 
-        pool.submit(0, 254).unwrap(); // worker parks on this item
-        pool.submit(0, 255).unwrap(); // poison, queued behind it
-        pool.submit(0, 1).unwrap(); // will be stranded
-        pool.submit(0, 2).unwrap(); // will be stranded
-        {
-            let (lock, cv) = &*open;
-            *lock.lock().unwrap() = true;
-            cv.notify_all();
+            let queued: Vec<u8> = if spec.caller_run {
+                // Everything runs in its submit: 254 passes the open
+                // gate, the poison kills the shard where it runs, and
+                // what follows bounces instead of queueing.
+                release();
+                pool.submit(0, 254).unwrap();
+                pool.submit(0, 255).unwrap();
+                assert_eq!(pool.submit(0, 1), Err(1));
+                assert_eq!(pool.submit(0, 2), Err(2));
+                vec![]
+            } else {
+                pool.submit(0, 254).unwrap(); // worker parks on this item
+                pool.submit(0, 255).unwrap(); // poison, queued behind it
+                pool.submit(0, 1).unwrap(); // will be stranded
+                pool.submit(0, 2).unwrap(); // will be stranded
+                release();
+                vec![1, 2]
+            };
+            await_death(&pool, 0);
+
+            // A live worker does not respawn; neither does a ghost shard.
+            assert!(pool
+                .respawn(1, make_handler(&open, &done), |_| {})
+                .is_none());
+            assert!(pool
+                .respawn(9, make_handler(&open, &done), |_| {})
+                .is_none());
+
+            let mut stranded = Vec::new();
+            let recovered = pool.respawn(0, make_handler(&open, &done), |item| stranded.push(item));
+            assert_eq!(recovered, Some(queued.len()));
+            assert_eq!(stranded, queued, "oldest first, nothing leaked");
+            assert_eq!(pool.worker_alive(0), Some(true));
+            assert_eq!(pool.respawned(), 1);
+            assert_eq!(pool.in_flight_on(0), Some(0), "fresh ring starts empty");
+            assert_eq!(pool.ring_high_water(0), Some(0));
+
+            // The revived shard serves traffic and parks at epochs again.
+            pool.submit(0, 3).unwrap();
+            pool.flush();
+            assert_eq!(done.load(Ordering::Relaxed), 1);
+            pool.quiesce(|| {});
+            assert_eq!(pool.epoch(), 1);
+            // 254 completed before the fault; 3 completed after respawn.
+            // (The poison item retired via the panic guard, uncounted.)
+            assert_eq!(pool.completed(0), Some(2));
+            pool.shutdown();
         }
-        while pool.worker_alive(0) == Some(true) {
-            std::thread::yield_now();
-        }
-
-        // A live worker does not respawn; neither does a ghost shard.
-        assert!(pool
-            .respawn(1, make_handler(&open, &done), |_| {})
-            .is_none());
-        assert!(pool
-            .respawn(9, make_handler(&open, &done), |_| {})
-            .is_none());
-
-        let mut stranded = Vec::new();
-        let recovered = pool.respawn(0, make_handler(&open, &done), |item| stranded.push(item));
-        assert_eq!(recovered, Some(2));
-        assert_eq!(stranded, vec![1, 2], "oldest first, nothing leaked");
-        assert_eq!(pool.worker_alive(0), Some(true));
-        assert_eq!(pool.respawned(), 1);
-        assert_eq!(pool.in_flight_on(0), Some(0), "fresh ring starts empty");
-        assert_eq!(pool.ring_high_water(0), Some(0));
-
-        // The revived shard serves traffic and parks at epochs again.
-        pool.submit(0, 3).unwrap();
-        pool.flush();
-        assert_eq!(done.load(Ordering::Relaxed), 1);
-        pool.quiesce(|| {});
-        assert_eq!(pool.epoch(), 1);
-        // 254 completed before the fault; 3 completed after respawn.
-        // (The poison item retired via the panic guard, uncounted.)
-        assert_eq!(pool.completed(0), Some(2));
-        pool.shutdown();
     }
 
     #[test]
@@ -1943,6 +1831,7 @@ mod tests {
         let raw = ShardSpec {
             workers: 0,
             ring_capacity: 0,
+            caller_run: false,
         };
         let seen = Arc::new(AtomicU64::new(0));
         let pool = WorkerPool::start(raw, |_| {
@@ -1959,13 +1848,13 @@ mod tests {
         pool.shutdown();
     }
 
-    /// An inline pool whose handlers log `(shard, item)` in run order.
+    /// A caller-run pool whose handlers log `(shard, item)` in run order.
     #[allow(clippy::type_complexity)]
     fn logging_inline(
         workers: usize,
-    ) -> (InlinePool<u32>, Arc<parking_lot::Mutex<Vec<(usize, u32)>>>) {
+    ) -> (WorkerPool<u32>, Arc<parking_lot::Mutex<Vec<(usize, u32)>>>) {
         let log = Arc::new(parking_lot::Mutex::new(Vec::new()));
-        let pool = InlinePool::start(ShardSpec::new(workers), |shard| {
+        let pool = WorkerPool::start(ShardSpec::inline(workers), |shard| {
             let log = Arc::clone(&log);
             Box::new(move |n: u32| log.lock().push((shard, n)))
         });
@@ -2030,7 +1919,7 @@ mod tests {
         pool.reset_ring_high_water();
         assert_eq!(pool.worker_alive(2), None);
         assert_eq!(pool.ring_high_water(2), None);
-        // Nothing dies, so nothing respawns.
+        // A live shard does not respawn.
         assert_eq!(pool.respawn(0, Box::new(|_| {}), |_| {}), None);
         pool.submit(0, 2).unwrap();
         assert_eq!(log.lock().last(), Some(&(0, 2)), "the handler was kept");

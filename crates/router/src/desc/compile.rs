@@ -37,7 +37,7 @@
 //! * **Structural patches** (adds, removes, rewires) run inside one
 //!   [`ShardedPipeline::quiesce`] window: every worker parks at a
 //!   batch boundary, the graph mutates, one epoch is paid, and no
-//!   packet observes a half-rewired graph. (On the inline executor the
+//!   packet observes a half-rewired graph. (On caller-run shards the
 //!   caller is already at a batch boundary; the window costs nothing
 //!   and the epoch is still counted, so receipts read the same.)
 //!
@@ -55,7 +55,7 @@ use opencom::ident::ComponentId;
 use opencom::meta::resources::ResourceManager;
 use opencom::runtime::Runtime;
 
-use netkit_kernel::shard::{InlinePool, ShardExecutor, ShardJob, ShardSpec};
+use netkit_kernel::shard::ShardSpec;
 use netkit_packet::sketch::FlowSketch;
 
 use crate::api::{register_packet_interfaces, IPacketPush, ITable, IPACKET_PUSH, ITABLE};
@@ -291,7 +291,9 @@ impl Compiler {
         self.externals.keys().cloned().collect()
     }
 
-    /// Compiles `desc` to a threaded [`ShardedPipeline`], returning
+    /// Compiles `desc` to a [`ShardedPipeline`] placed as `spec` says
+    /// (worker threads, or caller slots for [`ShardSpec::inline`] —
+    /// what the simulator and single-threaded hosts drive), returning
     /// the pipeline and the [`DescBinding`] that can patch it later.
     ///
     /// # Errors
@@ -303,31 +305,6 @@ impl Compiler {
         spec: ShardSpec,
         rm: Arc<ResourceManager>,
     ) -> Result<(ShardedPipeline, DescBinding)> {
-        self.build_on(desc, spec, rm)
-    }
-
-    /// Compiles `desc` to the same pipeline on the deterministic
-    /// inline executor (shards run on the caller, in index order) —
-    /// what the simulator and single-threaded hosts drive.
-    ///
-    /// # Errors
-    ///
-    /// See [`Self::build_sharded`].
-    pub fn build_inline(
-        &self,
-        desc: &PipelineDesc,
-        spec: ShardSpec,
-        rm: Arc<ResourceManager>,
-    ) -> Result<(ShardedPipeline<InlinePool>, DescBinding)> {
-        self.build_on(desc, spec, rm)
-    }
-
-    fn build_on<E: ShardExecutor<ShardJob>>(
-        &self,
-        desc: &PipelineDesc,
-        spec: ShardSpec,
-        rm: Arc<ResourceManager>,
-    ) -> Result<(ShardedPipeline<E>, DescBinding)> {
         let desc = desc.canonical();
         desc.validate_with(&self.external_kinds())?;
         let (name, pins) = (desc.name.clone(), desc.pins.clone());
@@ -363,10 +340,7 @@ impl Compiler {
 
 /// Installs a description's steering pins over the pipeline's current
 /// table (a migration: one epoch) and returns the buckets it moved.
-fn install_pins<E: ShardExecutor<ShardJob>>(
-    pipe: &ShardedPipeline<E>,
-    pins: &BTreeMap<usize, usize>,
-) -> Result<usize> {
+fn install_pins(pipe: &ShardedPipeline, pins: &BTreeMap<usize, usize>) -> Result<usize> {
     let workers = pipe.workers();
     let pins: Vec<(usize, usize)> = pins.iter().map(|(&b, &s)| (b, s)).collect();
     for &(bucket, shard) in &pins {
@@ -476,8 +450,8 @@ impl DescBinding {
             .map(f)
     }
 
-    /// Applies `patch` to the pipeline built from this binding, on
-    /// either executor.
+    /// Applies `patch` to the pipeline built from this binding,
+    /// wherever its shards run.
     ///
     /// Param-only patches run hot — no pipeline-wide quiesce, zero
     /// epochs. Structural patches (and param swaps of the ingress
@@ -499,11 +473,7 @@ impl DescBinding {
     /// behind the binding's back: the description in force is left as
     /// it was, the shards may hold part of the patch, and the pipeline
     /// should be rebuilt from a fresh description.
-    pub fn apply_sharded<E: ShardExecutor<ShardJob>>(
-        &mut self,
-        pipe: &ShardedPipeline<E>,
-        patch: &Patch,
-    ) -> Result<ApplyReport> {
+    pub fn apply_sharded(&mut self, pipe: &ShardedPipeline, patch: &Patch) -> Result<ApplyReport> {
         let mut live = self.live();
         if patch.from_desc().render() != live.desc.render() {
             return Err(stale(

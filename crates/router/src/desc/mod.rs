@@ -4,8 +4,9 @@
 //! description model that **validates** against an element schema
 //! registry and **compiles** to the real element graph through
 //! [`ShardedPipeline`](crate::shard::ShardedPipeline)'s factory path,
-//! on either executor (threaded workers, or inline for the simulator)
-//! — and the half that makes it a control plane rather than a config
+//! wherever its [`ShardSpec`](netkit_kernel::shard::ShardSpec) places
+//! the shards (worker threads, or the caller for the simulator) — and
+//! the half that makes it a control plane rather than a config
 //! file: [`diff`](diff()) computes a minimal deterministic [`Patch`]
 //! between two descriptions, and [`DescBinding::apply_sharded`]
 //! executes it under the existing zero-loss migration machinery. The
@@ -36,7 +37,7 @@
 //!   — what is in force now, and the object graph each shard compiled
 //!   it to — which later patches address and respawns rebuild from.
 //! * [`diff`](diff()) / [`Patch`] / [`DescBinding::apply_sharded`] —
-//!   the incremental control plane, one applier for both executors. A
+//!   the incremental control plane, one applier for both placements. A
 //!   param-only diff compiles to a patch with **zero structural
 //!   mutations** (hot [`Capsule::replace`](opencom::capsule::Capsule)
 //!   swaps and table upserts only) and applies without a pipeline-wide
@@ -67,7 +68,7 @@
 //!
 //! // Apply it to a live pipeline: one hot swap, zero quiesce epochs.
 //! let (pipe, mut binding) =
-//!     Compiler::new().build_inline(&v1, ShardSpec::new(1), Arc::new(ResourceManager::new()))?;
+//!     Compiler::new().build_sharded(&v1, ShardSpec::inline(1), Arc::new(ResourceManager::new()))?;
 //! let report = binding.apply_sharded(&pipe, &patch)?;
 //! assert_eq!((report.structural, report.replaced, report.epochs), (0, 1, 0));
 //! # Ok::<(), opencom::error::Error>(())
@@ -1007,7 +1008,7 @@ mod tests {
         use netkit_kernel::shard::ShardSpec;
         use opencom::meta::resources::ResourceManager;
         Compiler::new()
-            .build_inline(d, ShardSpec::new(1), Arc::new(ResourceManager::new()))
+            .build_sharded(d, ShardSpec::inline(1), Arc::new(ResourceManager::new()))
             .unwrap_or_else(|e| panic!("validated but did not build: {e}\n{}", d.render()));
     }
 

@@ -39,34 +39,35 @@
 //!   packet ever sees a half-reconfigured dataplane, and traffic
 //!   submitted meanwhile queues rather than drops.
 //!
-//! ## One pipeline, two executors
+//! ## One pipeline, one executor, two placements
 //!
 //! Everything above — and below: steering, meters, cause-tagged drop
 //! accounting, control turns, crash recovery, patch application — is
-//! written once. [`ShardedPipeline`] is generic over the one thing the
-//! threaded dataplane and the deterministic simulator differ in: *who
-//! runs a shard's job* ([`ShardExecutor`]). The default,
-//! [`WorkerPool`], is the dataplane — one thread and one ring per
-//! shard, [`ShardedPipeline::build`]. [`InlinePool`] runs each shard's
-//! handler on the calling thread, in index order: a discrete-event
-//! simulator hosts one `ShardedPipeline<InlinePool>` per node
-//! (`netkit_sim::pipeline::PipelineNode`), each with its own
-//! [`RebalanceController`] driven from simulated time, and replays a
-//! whole city of *real* stateful dataplanes bit-for-bit from a seed.
-//! `tests/sim_pipeline_differential.rs` pins the equivalence: for the
-//! same trace both executors produce identical verdict counts,
-//! per-shard multisets and per-flow order.
+//! written once, over one [`WorkerPool`]. What differs between the
+//! threaded dataplane and the deterministic simulator is *where a
+//! shard runs*, and the [`ShardSpec`] says it: [`ShardSpec::new`]
+//! gives each shard a worker thread and a ring
+//! ([`ShardedPipeline::build`]); [`ShardSpec::inline`] makes every
+//! shard a caller slot, its handler run on the dispatching thread in
+//! index order. A discrete-event simulator hosts one caller-run
+//! pipeline per node (`netkit_sim::pipeline::PipelineNode`), each with
+//! its own [`RebalanceController`] driven from simulated time, and
+//! replays a whole city of *real* stateful dataplanes bit-for-bit from
+//! a seed. `tests/sim_pipeline_differential.rs` pins the equivalence:
+//! for the same trace both placements produce identical verdict
+//! counts, per-shard multisets and per-flow order.
 //!
-//! What the inline executor does *not* exercise, by construction:
-//! ring-full, dead-worker and re-steer-shed drops (there are no rings,
-//! and nothing can die on the caller's own thread, so
-//! [`ShardedPipeline::health_turn`] never finds work), and the
-//! ring-pressure meters ([`ShardLoad::in_flight`] and
-//! [`ShardLoad::ring_high_water`] read 0). A quiesce there is free —
-//! the caller is already between batches — but still counts its epoch,
-//! so migration and patch receipts read the same on both.
-//!
-//! [`InlinePool`]: netkit_kernel::shard::InlinePool
+//! A caller-run shard dies like a worker: a panic in its graph is
+//! caught where it runs, the shard is marked dead, later dispatches to
+//! it are filed as dead-worker drops, and [`ShardedPipeline::health_turn`]
+//! quarantines and respawns it with the code that heals a threaded
+//! one — in simulated time, reproducibly. What caller slots do *not*
+//! exercise, by construction: ring-full drops and stranded descriptors
+//! (nothing queues), and the ring-pressure meters
+//! ([`ShardLoad::in_flight`] and [`ShardLoad::ring_high_water`] read
+//! 0). A quiesce there is free — the caller is already between
+//! batches — but still counts its epoch, so migration and patch
+//! receipts read the same on both.
 //!
 //! ## The steering table and its ownership
 //!
@@ -98,9 +99,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use netkit_kernel::nic::Nic;
-use netkit_kernel::shard::{
-    ShardExecutor, ShardHandler, ShardJob, ShardSpec, SubmitRejection, WorkerPool,
-};
+use netkit_kernel::shard::{ShardHandler, ShardJob, ShardSpec, SubmitRejection, WorkerPool};
 use netkit_packet::batch::{BatchPool, PacketBatch};
 use netkit_packet::sketch::{FlowSketch, HeavyHitter, SketchConfig, SpaceSaving};
 use netkit_packet::steer::{BucketLoad, BucketMap, RSS_BUCKETS};
@@ -364,8 +363,8 @@ pub struct ShardLoad {
 /// pipe.shutdown();
 /// # Ok::<(), opencom::error::Error>(())
 /// ```
-pub struct ShardedPipeline<E = WorkerPool<ShardJob>> {
-    pool: E,
+pub struct ShardedPipeline {
+    pool: WorkerPool<ShardJob>,
     /// Batch-container freelist for the steering fast path: NIC rx
     /// batches and the workers' shard-range gather containers lease
     /// here and return on drop at the end of each worker's
@@ -419,10 +418,9 @@ pub fn fresh_sketches(spec: ShardSpec) -> Vec<Arc<FlowSketch>> {
 impl ShardedPipeline {
     /// Builds `spec.workers` replicas via `factory(shard)` (called in
     /// shard order), registers the pipeline as one task named `name` in
-    /// `rm`, and starts the worker pool — the threaded executor with
-    /// fresh per-shard sketches. A factory that wants its shard's
-    /// sketch (to hand to a [`Guard`](crate::flow::Guard)) uses
-    /// [`Self::build_with_sketches`].
+    /// `rm`, and starts the worker pool with fresh per-shard sketches.
+    /// A factory that wants its shard's sketch (to hand to a
+    /// [`Guard`](crate::flow::Guard)) uses [`Self::build_with_sketches`].
     ///
     /// # Errors
     ///
@@ -438,13 +436,11 @@ impl ShardedPipeline {
     {
         Self::build_with_sketches(name, spec, rm, fresh_sketches(spec), factory)
     }
-}
 
-impl<E: ShardExecutor<ShardJob>> ShardedPipeline<E> {
-    /// The constructor both executors share: builds `spec.workers`
+    /// The constructor every build goes through: builds `spec.workers`
     /// replicas via `factory(shard)` (called in shard order), registers
     /// the pipeline as one task named `name` in `rm`, and starts the
-    /// executor `E` over them.
+    /// worker pool over them, placed as `spec` says.
     ///
     /// The caller supplies the per-shard flow sketches, so it can clone
     /// each shard's `Arc` into the factory's
@@ -471,7 +467,7 @@ impl<E: ShardExecutor<ShardJob>> ShardedPipeline<E> {
     where
         F: FnMut(usize) -> Result<ShardGraph> + Send + 'static,
     {
-        // 0 ≡ 1 shard here as in the executors, the split and the NIC.
+        // 0 ≡ 1 shard here as in the pool, the split and the NIC.
         let spec = ShardSpec {
             workers: spec.workers.max(1),
             ..spec
@@ -504,16 +500,16 @@ impl<E: ShardExecutor<ShardJob>> ShardedPipeline<E> {
         // containers. Rings hold several parents and gathers per shard
         // at once (the pool keeps as many as the busiest moment held,
         // so a round of dispatches stops allocating once it has met its
-        // peak); inline, one parent and one gather exist at a time,
-        // so nothing is provisioned up front and a container grows to
-        // the batches it meets (a thousand-node simulated city must not
-        // pay for ring depth, or burst sizes, it does not have).
-        let batch_pool = if E::PARALLEL {
-            BatchPool::new(DISPATCH_BATCH_CAPACITY, spec.workers.saturating_mul(4))
-        } else {
+        // peak); on caller slots one parent and one gather exist at a
+        // time, so nothing is provisioned up front and a container grows
+        // to the batches it meets (a thousand-node simulated city must
+        // not pay for ring depth, or burst sizes, it does not have).
+        let batch_pool = if spec.caller_run {
             BatchPool::new(0, 0)
+        } else {
+            BatchPool::new(DISPATCH_BATCH_CAPACITY, spec.workers.saturating_mul(4))
         };
-        let pool = E::start(spec, |shard| {
+        let pool = WorkerPool::start(spec, |shard| {
             Self::make_handler(
                 shard,
                 Arc::clone(&entries[shard]),
@@ -996,8 +992,8 @@ impl<E: ShardExecutor<ShardJob>> ShardedPipeline<E> {
     /// One inspect → decide → adapt turn of the reflective loop — the
     /// only code that consumes the observation windows. The turn *is*
     /// the window boundary: first every [`IWindow`] a replica's capsule
-    /// holds (so added, swapped and respawned ones too) is closed, on
-    /// either executor. Then **peek** at
+    /// holds (so added, swapped and respawned ones too) is closed,
+    /// wherever the shards run. Then **peek** at
     /// the per-bucket packet window, the shard pressure meters and
     /// (when the policy blends them) the flow sketches, let `ctl`
     /// decide over that one [`Evidence`], and apply the outcome:
@@ -1329,7 +1325,7 @@ impl<E: ShardExecutor<ShardJob>> ShardedPipeline<E> {
     }
 }
 
-impl<E: fmt::Debug> fmt::Debug for ShardedPipeline<E> {
+impl fmt::Debug for ShardedPipeline {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(
             f,
@@ -1345,7 +1341,6 @@ mod tests {
     use crate::api::{register_packet_interfaces, IPACKET_PUSH};
     use crate::elements::{Counter, Discard};
     use crate::shard::decision::fixtures::packets_only;
-    use netkit_kernel::shard::InlinePool;
     use netkit_packet::packet::PacketBuilder;
     use opencom::runtime::Runtime;
 
@@ -2183,13 +2178,13 @@ mod tests {
         pipe.shutdown();
     }
 
-    /// The pipeline on the inline executor, one `entry(shard)` element
-    /// per replica.
+    /// The pipeline with one `entry(shard)` element per replica, placed
+    /// as `spec` says (the callers ask for caller slots).
     pub(super) fn inline_pipe(
         name: &str,
         spec: ShardSpec,
         mut entry: impl FnMut(usize) -> Arc<dyn IPacketPush> + Send + 'static,
-    ) -> ShardedPipeline<InlinePool> {
+    ) -> ShardedPipeline {
         ShardedPipeline::build_with_sketches(
             name,
             spec,
@@ -2211,6 +2206,7 @@ mod tests {
         let raw = ShardSpec {
             workers: 0,
             ring_capacity: 0,
+            caller_run: true,
         };
         let pipe = inline_pipe("zero-raw", raw, |_| Counter::new());
         assert_eq!(pipe.workers(), 1);
@@ -2219,7 +2215,7 @@ mod tests {
     }
 }
 
-/// The pipeline on the inline executor: one thread, shards in index
+/// The pipeline on caller slots: one thread, shards in index
 /// order — what the simulator drives. (The module path keeps the ids
 /// these tests have carried since they pinned the single-threaded
 /// drive.)
@@ -2230,7 +2226,6 @@ mod solo {
         use super::super::*;
         use crate::api::{BatchResult, PushResult};
         use crate::shard::decision::fixtures::packets_only;
-        use netkit_kernel::shard::InlinePool;
         use netkit_packet::flow::FlowKey;
         use netkit_packet::packet::{Packet, PacketBuilder};
 
@@ -2258,13 +2253,11 @@ mod solo {
         }
 
         #[allow(clippy::type_complexity)]
-        fn recorder_pipe(
-            workers: usize,
-        ) -> (ShardedPipeline<InlinePool>, Arc<Mutex<Vec<(usize, u16)>>>) {
+        fn recorder_pipe(workers: usize) -> (ShardedPipeline, Arc<Mutex<Vec<(usize, u16)>>>) {
             let log: Arc<Mutex<Vec<(usize, u16)>>> = Arc::new(Mutex::new(Vec::new()));
             let log2 = Arc::clone(&log);
             let name = format!("solo-test-{workers}");
-            let pipe = inline_pipe(&name, ShardSpec::new(workers), move |shard| {
+            let pipe = inline_pipe(&name, ShardSpec::inline(workers), move |shard| {
                 Arc::new(Recorder {
                     shard,
                     log: Arc::clone(&log2),
@@ -2360,7 +2353,7 @@ mod solo {
                     }
                 }
             }
-            let pipe = inline_pipe("solo-reject", ShardSpec::new(2), |shard| {
+            let pipe = inline_pipe("solo-reject", ShardSpec::inline(2), |shard| {
                 Arc::new(Reject(shard == 0))
             });
             pipe.dispatch((0..32u16).map(|i| flow(7000 + i)).collect());

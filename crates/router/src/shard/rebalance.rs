@@ -135,10 +135,9 @@ impl RebalancePolicy {
     /// queueing pressure under `ev.current`, then blended with the
     /// mass-normalised heavy-hitter bytes (see the module docs).
     /// `ev.loads` entries are matched to shards by their `shard` field;
-    /// missing shards (or an empty slice, as the inline executor
-    /// reports) contribute zero pressure, and with a zero blend, no
-    /// heavy hitters or an empty packet window the byte step is the
-    /// identity.
+    /// missing shards (or an empty slice) contribute zero pressure,
+    /// and with a zero blend, no heavy hitters or an empty packet
+    /// window the byte step is the identity.
     ///
     /// # Panics
     ///

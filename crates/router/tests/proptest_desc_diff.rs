@@ -31,7 +31,7 @@ use std::sync::Arc;
 
 use proptest::prelude::*;
 
-use netkit_kernel::shard::{ShardExecutor, ShardJob, ShardSpec};
+use netkit_kernel::shard::ShardSpec;
 use netkit_packet::batch::PacketBatch;
 use netkit_packet::packet::{Packet, PacketBuilder};
 use netkit_router::api::{
@@ -42,7 +42,6 @@ use netkit_router::desc::{
 };
 use netkit_router::shard::ShardedPipeline;
 use opencom::component::{Component, ComponentCore, ComponentDescriptor, Registrar};
-use opencom::error::Result;
 use opencom::ident::Version;
 use opencom::meta::resources::ResourceManager;
 use opencom::receptacle::Receptacle;
@@ -261,23 +260,18 @@ fn prints(pkts: Vec<Packet>) -> Vec<Vec<u8>> {
 
 // ---- rigs ------------------------------------------------------------------
 
-/// `Compiler::build_sharded` or `Compiler::build_inline`: how a
-/// property names the executor it runs on.
-type Build<E> = fn(
-    &Compiler,
-    &PipelineDesc,
-    ShardSpec,
-    Arc<ResourceManager>,
-) -> Result<(ShardedPipeline<E>, DescBinding)>;
+/// `ShardSpec::new` or `ShardSpec::inline`: how a property names where
+/// its shards run.
+type Build = fn(usize) -> ShardSpec;
 
-struct Rig<E> {
-    pipe: ShardedPipeline<E>,
+struct Rig {
+    pipe: ShardedPipeline,
     binding: DescBinding,
     lo: Arc<Collector>,
     hi: Arc<Collector>,
 }
 
-impl<E: ShardExecutor<ShardJob>> Rig<E> {
+impl Rig {
     /// Runs `draws` through the pipeline to completion.
     fn run(&self, draws: &[(u8, u8)]) {
         self.pipe.dispatch(batch_of(draws));
@@ -285,7 +279,7 @@ impl<E: ShardExecutor<ShardJob>> Rig<E> {
     }
 }
 
-fn compile<E>(build: Build<E>, desc: &PipelineDesc) -> Rig<E> {
+fn compile(build: Build, desc: &PipelineDesc) -> Rig {
     let lo = Collector::new();
     let hi = Collector::new();
     let lo_slot = Arc::clone(&lo);
@@ -303,13 +297,9 @@ fn compile<E>(build: Build<E>, desc: &PipelineDesc) -> Rig<E> {
                 ElementHandle::Plain,
             )
         });
-    let (pipe, binding) = build(
-        &compiler,
-        desc,
-        ShardSpec::new(1),
-        Arc::new(ResourceManager::new()),
-    )
-    .expect("family descriptions always compile");
+    let (pipe, binding) = compiler
+        .build_sharded(desc, build(1), Arc::new(ResourceManager::new()))
+        .expect("family descriptions always compile");
     Rig {
         pipe,
         binding,
@@ -321,9 +311,9 @@ fn compile<E>(build: Build<E>, desc: &PipelineDesc) -> Rig<E> {
 // ---- properties ------------------------------------------------------------
 
 /// `apply(diff(d1, d2))` on a live, warmed-up pipeline is
-/// packet-equivalent to a fresh build of `d2` — on executor `E`.
-fn check_patched_matches_fresh<E: ShardExecutor<ShardJob>>(
-    build: Build<E>,
+/// packet-equivalent to a fresh build of `d2` — on placement `build`.
+fn check_patched_matches_fresh(
+    build: Build,
     s1: &DescSpec,
     s2: &DescSpec,
     warmup: &[(u8, u8)],
@@ -390,12 +380,8 @@ fn check_patched_matches_fresh<E: ShardExecutor<ShardJob>>(
 
 /// Param-only pairs — same skeleton, every knob flipped — produce a
 /// patch with zero structural ops that applies without a quiesce and
-/// swaps exactly the parameterised elements — on executor `E`.
-fn check_param_only_is_hot<E: ShardExecutor<ShardJob>>(
-    build: Build<E>,
-    s1: &DescSpec,
-    traffic: &[(u8, u8)],
-) {
+/// swaps exactly the parameterised elements — on placement `build`.
+fn check_param_only_is_hot(build: Build, s1: &DescSpec, traffic: &[(u8, u8)]) {
     let s2 = DescSpec {
         split: if s1.split == 1_000 { 2_000 } else { 1_000 },
         counters: s1.counters,
@@ -511,10 +497,10 @@ proptest! {
         s in spec_strategy(),
     ) {
         let (d0, d) = (describe(&s0), describe(&s));
-        let mut live = compile(Compiler::build_inline, &d0);
+        let mut live = compile(ShardSpec::inline, &d0);
         let patch = live.binding.diff_to(&d).expect("family pairs are diffable");
         live.binding.apply_sharded(&live.pipe, &patch).expect("family patches apply");
-        let fresh = compile(Compiler::build_inline, &d);
+        let fresh = compile(ShardSpec::inline, &d);
         prop_assert_eq!(live.binding.desc(), fresh.binding.desc());
         prop_assert_eq!(
             object_map(&live.binding, &d, 0),
@@ -529,8 +515,8 @@ proptest! {
         warmup in traffic_strategy(),
         probe in traffic_strategy(),
     ) {
-        check_patched_matches_fresh(Compiler::build_inline, &s1, &s2, &warmup, &probe);
-        check_patched_matches_fresh(Compiler::build_sharded, &s1, &s2, &warmup, &probe);
+        check_patched_matches_fresh(ShardSpec::inline, &s1, &s2, &warmup, &probe);
+        check_patched_matches_fresh(ShardSpec::new, &s1, &s2, &warmup, &probe);
     }
 
     #[test]
@@ -538,8 +524,8 @@ proptest! {
         s1 in spec_strategy(),
         traffic in traffic_strategy(),
     ) {
-        check_param_only_is_hot(Compiler::build_inline, &s1, &traffic);
-        check_param_only_is_hot(Compiler::build_sharded, &s1, &traffic);
+        check_param_only_is_hot(ShardSpec::inline, &s1, &traffic);
+        check_param_only_is_hot(ShardSpec::new, &s1, &traffic);
     }
 }
 
@@ -553,7 +539,7 @@ fn described_guard_rate_limits_alike_on_both_executors() {
     const MICE: u16 = 8;
     const ROUNDS: u16 = 8;
 
-    fn guard_drops<E: ShardExecutor<ShardJob>>(build: Build<E>) -> u64 {
+    fn guard_drops(build: Build) -> u64 {
         let sinks: Vec<Arc<Collector>> = (0..2).map(|_| Collector::new()).collect();
         let slots = sinks.clone();
         let compiler = Compiler::new().external("sink", move |shard| {
@@ -574,13 +560,9 @@ fn described_guard_rate_limits_alike_on_both_executors() {
             .element("sink", "sink")
             .ingress("guard")
             .edge("guard", "sink");
-        let (pipe, _binding) = build(
-            &compiler,
-            &desc,
-            ShardSpec::new(2),
-            Arc::new(ResourceManager::new()),
-        )
-        .expect("guarded description compiles");
+        let (pipe, _binding) = compiler
+            .build_sharded(&desc, build(2), Arc::new(ResourceManager::new()))
+            .expect("guarded description compiles");
 
         // One elephant (8 × 1 000-byte payloads a round, far past the
         // threshold) among mice that stay two orders below it.
@@ -613,8 +595,8 @@ fn described_guard_rate_limits_alike_on_both_executors() {
     }
 
     assert_eq!(
-        guard_drops(Compiler::build_sharded),
-        guard_drops(Compiler::build_inline),
+        guard_drops(ShardSpec::new),
+        guard_drops(ShardSpec::inline),
         "byte-accurate admission does not depend on who runs the shard"
     );
 }
@@ -649,8 +631,8 @@ impl Component for Tripwire {
 /// Regression (crash x patch): a replica respawned after a patch is
 /// the *patched* description, not the one the pipeline was built with
 /// — so every shard still answers to the binding, and the next patch
-/// applies on all of them. Threaded only: the inline executor runs
-/// shards on the caller and cannot lose one until B1 models a crash.
+/// applies on all of them. Threaded here; caller-run shards die and
+/// respawn through the same `health_turn` (see `proptest_chaos.rs`).
 #[test]
 fn a_respawned_replica_is_the_description_in_force() {
     let armed = Arc::new(AtomicBool::new(false));

@@ -34,7 +34,7 @@ use std::sync::Arc;
 use opencom::error::Result;
 use opencom::meta::resources::ResourceManager;
 
-use netkit_kernel::shard::{InlinePool, ShardSpec};
+use netkit_kernel::shard::ShardSpec;
 use netkit_router::desc::{Compiler, DescBinding, PipelineDesc};
 use netkit_router::shard::ShardedPipeline;
 
@@ -123,9 +123,10 @@ pub fn stateful_edge_desc(p: &EdgeProfile) -> PipelineDesc {
         )
 }
 
-/// Compiles the stateful edge to a [`ShardedPipeline`] on the inline
-/// executor with `workers` replicas, returning the pipeline plus the
-/// [`DescBinding`] that patches it live.
+/// Compiles the stateful edge to a [`ShardedPipeline`] of `workers`
+/// caller-run replicas ([`ShardSpec::inline`]: shards run on the
+/// dispatching thread, deterministically), returning the pipeline plus
+/// the [`DescBinding`] that patches it live.
 ///
 /// # Errors
 ///
@@ -135,9 +136,9 @@ pub fn build_stateful_edge(
     p: &EdgeProfile,
     workers: usize,
     rm: Arc<ResourceManager>,
-) -> Result<(ShardedPipeline<InlinePool>, DescBinding)> {
+) -> Result<(ShardedPipeline, DescBinding)> {
     let desc = stateful_edge_desc(p);
-    Compiler::new().build_inline(&desc, ShardSpec::new(workers), rm)
+    Compiler::new().build_sharded(&desc, ShardSpec::inline(workers), rm)
 }
 
 #[cfg(test)]
@@ -214,7 +215,11 @@ mod tests {
     fn edge_selects_the_hysteresis_core() {
         let desc = stateful_edge_desc(&EdgeProfile::default());
         let (_, binding) = Compiler::new()
-            .build_inline(&desc, ShardSpec::new(1), Arc::new(ResourceManager::new()))
+            .build_sharded(
+                &desc,
+                ShardSpec::inline(1),
+                Arc::new(ResourceManager::new()),
+            )
             .unwrap();
         let ctl = binding.controller().unwrap().expect("control block set");
         assert_eq!(ctl.core_name(), "hysteresis");

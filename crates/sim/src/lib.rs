@@ -10,8 +10,8 @@
 //! * [`node`] — nodes and [`NodeBehaviour`]s (router
 //!   pipelines adapt behind this trait).
 //! * [`pipeline`] — real sharded dataplanes as nodes: the threaded
-//!   driver's `ShardedPipeline` on the inline executor, shards run in
-//!   index order on the simulator's thread.
+//!   driver's `ShardedPipeline` on caller slots, shards run in index
+//!   order on the simulator's thread.
 //! * [`link`] — full-duplex links with latency, serialisation, and
 //!   bounded drop-tail transmit queues.
 //! * [`traffic`] — CBR / Poisson / bursty generators, all seeded.

@@ -1,10 +1,11 @@
 //! Real dataplanes as simulation nodes.
 //!
-//! [`PipelineNode`] hosts a [`ShardedPipeline`] on the inline executor
-//! ([`InlinePool`]) — the threaded dataplane's own code: same replicas,
-//! steering, meters, control turn and patch applier, with each shard's
-//! job run on the simulator's thread in shard-index order instead of
-//! on a worker — behind the [`NodeBehaviour`] interface, so a
+//! [`PipelineNode`] hosts a [`ShardedPipeline`] on caller slots
+//! ([`ShardSpec::inline`]) — the threaded dataplane's own code: same
+//! replicas, steering, meters, health and control turns and patch
+//! applier, with each shard's job run on the simulator's thread in
+//! shard-index order instead of on a worker — behind the
+//! [`NodeBehaviour`] interface, so a
 //! discrete-event topology can be populated with *actual* stateful
 //! dataplanes (conntrack/NAT44/L4-LB chains, the heavy-hitter guard,
 //! stratum-3 media filters) instead of toy sinks and forwarders, and a
@@ -28,8 +29,12 @@
 //!   [`ShardedPipeline::control_turn`] with the node's
 //!   [`RebalanceController`] — the threaded control loop's own turn,
 //!   which closes the window of every guard the graphs hold and then
-//!   judges the node's meters and migrates its bucket map. The node
-//!   adds nothing to the turn and keeps no list of what to upkeep.
+//!   judges the node's meters and migrates its bucket map. Before it,
+//!   as on the threaded loop, one [`ShardedPipeline::health_turn`]:
+//!   a replica that panicked died where it ran, and the turn
+//!   quarantines its buckets, respawns it and restores steering —
+//!   in simulated time, so a crash replays with its seed. The node
+//!   adds nothing to either turn and keeps no list of what to upkeep.
 //!   The timer re-arms only while traffic flows, so `run_to_idle`
 //!   terminates.
 //! - The control tap — [`PipelineNode::with_control_tap`] diverts
@@ -40,7 +45,7 @@
 
 use std::sync::Arc;
 
-use netkit_kernel::shard::{InlinePool, ShardSpec};
+use netkit_kernel::shard::ShardSpec;
 use netkit_packet::batch::PacketBatch;
 use netkit_packet::packet::Packet;
 use netkit_packet::sketch::FlowSketch;
@@ -58,6 +63,15 @@ use crate::node::{NodeBehaviour, NodeCtx};
 /// Timer token reserved for the node's own control loop; every other
 /// token is routed to the control tap's inner behaviour.
 const CONTROL_TOKEN: u64 = u64::MAX;
+
+/// `spec` with every shard on the caller: a node runs on the
+/// simulator's thread, whatever placement it was handed.
+fn on_caller(spec: ShardSpec) -> ShardSpec {
+    ShardSpec {
+        caller_run: true,
+        ..spec
+    }
+}
 
 /// Terminal element for sim-hosted shard graphs: packets pushed into
 /// it have left the dataplane and wait for the simulator to route
@@ -165,9 +179,9 @@ pub struct ShardSite {
     pub sketch: Arc<FlowSketch>,
 }
 
-/// A [`NodeBehaviour`] hosting one inline-executor [`ShardedPipeline`]
-/// — a real sharded element graph driven deterministically from
-/// simulated time.
+/// A [`NodeBehaviour`] hosting one caller-run [`ShardedPipeline`] — a
+/// real sharded element graph driven deterministically from simulated
+/// time.
 ///
 /// # Examples
 ///
@@ -203,7 +217,7 @@ pub struct ShardSite {
 /// assert_eq!(sim.stats().delivered, 32);
 /// ```
 pub struct PipelineNode {
-    pipe: ShardedPipeline<InlinePool>,
+    pipe: ShardedPipeline,
     rm: Arc<ResourceManager>,
     collectors: Vec<Arc<EgressCollector>>,
     route: RouteFn,
@@ -218,13 +232,13 @@ pub struct PipelineNode {
 }
 
 impl PipelineNode {
-    /// Builds a node with `spec.workers` shard replicas. The factory
-    /// runs once per shard in index order (the pipeline keeps it, as on
-    /// the threaded executor, to rebuild a replica); its [`ShardSite`] carries
-    /// the collector the chain must terminate in and the shard's
-    /// sketch. Resource accounting uses a private per-node
-    /// [`ResourceManager`] (reachable via
-    /// [`resources`](Self::resources)).
+    /// Builds a node with `spec.workers` shard replicas, every one a
+    /// caller slot whatever `spec` places. The factory runs once per
+    /// shard in index order (the pipeline keeps it, as on worker
+    /// threads, to rebuild a replica); its [`ShardSite`] carries the
+    /// collector the chain must terminate in and the shard's sketch.
+    /// Resource accounting uses a private per-node [`ResourceManager`]
+    /// (reachable via [`resources`](Self::resources)).
     ///
     /// # Errors
     ///
@@ -233,6 +247,7 @@ impl PipelineNode {
     where
         F: FnMut(&ShardSite) -> Result<ShardGraph> + Send + 'static,
     {
+        let spec = on_caller(spec);
         let collectors: Vec<Arc<EgressCollector>> = (0..spec.workers.max(1))
             .map(|_| EgressCollector::new())
             .collect();
@@ -261,7 +276,7 @@ impl PipelineNode {
     /// A node around a built pipeline: delivers locally, no controller.
     fn host(
         name: &str,
-        pipe: ShardedPipeline<InlinePool>,
+        pipe: ShardedPipeline,
         rm: Arc<ResourceManager>,
         collectors: Vec<Arc<EgressCollector>>,
     ) -> Self {
@@ -317,7 +332,7 @@ impl PipelineNode {
             })
         };
         let rm = Arc::new(ResourceManager::new());
-        let (pipe, binding) = compiler.build_inline(desc, spec, Arc::clone(&rm))?;
+        let (pipe, binding) = compiler.build_sharded(desc, on_caller(spec), Arc::clone(&rm))?;
         Ok((Self::host(name, pipe, rm, collectors), binding))
     }
 
@@ -350,6 +365,7 @@ impl PipelineNode {
 
     /// Attaches the autonomous control loop: every `interval_ns` of
     /// simulated time (while traffic flows), run one
+    /// [`ShardedPipeline::health_turn`] and then one
     /// [`ShardedPipeline::control_turn`] with `ctl`.
     pub fn with_controller(mut self, ctl: RebalanceController, interval_ns: u64) -> Self {
         self.controller = Some(ctl);
@@ -373,7 +389,7 @@ impl PipelineNode {
     /// The hosted pipeline (install maps, apply patches, run manual
     /// turns — every operation takes `&self`, as on the threaded
     /// executor).
-    pub fn pipeline(&self) -> &ShardedPipeline<InlinePool> {
+    pub fn pipeline(&self) -> &ShardedPipeline {
         &self.pipe
     }
 
@@ -466,6 +482,10 @@ impl NodeBehaviour for PipelineNode {
             return;
         }
         if let Some(ctl) = self.controller.as_mut() {
+            // Health before balance, as the threaded loop runs them. A
+            // respawn that fails leaves the shard dead; the next lapse
+            // retries.
+            let _ = self.pipe.health_turn(&[]);
             self.pipe.control_turn(ctl, &[]);
             self.control_turns += 1;
         }
@@ -645,6 +665,90 @@ mod tests {
         sim.run_to_idle();
         let stats = sim.stats();
         assert_eq!(stats.delivered, 48, "patched dataplane keeps delivering");
+        assert_eq!(
+            stats.injected,
+            stats.delivered + stats.link_drops + stats.node_drops
+        );
+    }
+
+    #[test]
+    fn a_replica_that_panics_is_healed_and_delivers_again() {
+        use std::sync::atomic::{AtomicU64, Ordering};
+        /// Forwards to the egress, and panics on the node's `nth`
+        /// packet, ledgering the batch the panic takes down.
+        struct Tripwire {
+            seen: Arc<AtomicU64>,
+            lost: Arc<AtomicU64>,
+            nth: u64,
+            out: Arc<EgressCollector>,
+        }
+        impl IPacketPush for Tripwire {
+            fn push(&self, pkt: Packet) -> PushResult {
+                self.out.push(pkt)
+            }
+            fn push_batch(&self, mut batch: PacketBatch) -> BatchResult {
+                let pkts: Vec<Packet> = batch.drain_all().collect();
+                let mut result = BatchResult::with_capacity(pkts.len());
+                for (i, pkt) in pkts.iter().enumerate() {
+                    if self.seen.fetch_add(1, Ordering::Relaxed) + 1 == self.nth {
+                        self.lost
+                            .fetch_add((pkts.len() - i) as u64, Ordering::Relaxed);
+                        panic!("injected replica fault");
+                    }
+                    result.record(self.push(pkt.clone()));
+                }
+                result
+            }
+        }
+        // One flow, one packet a microsecond: the 40th kills its shard,
+        // the ones until the next lapse (every 50 µs) meet it dead.
+        const SENT: u64 = 200;
+        const NTH: u64 = 40;
+        let (seen, lost) = (Arc::new(AtomicU64::new(0)), Arc::new(AtomicU64::new(0)));
+        let node = {
+            let (seen, lost) = (Arc::clone(&seen), Arc::clone(&lost));
+            PipelineNode::build("heal", ShardSpec::new(2), move |site| {
+                let (capsule, _rt) = PipelineNode::shard_capsule();
+                let entry: Arc<dyn IPacketPush> = Arc::new(Tripwire {
+                    seen: Arc::clone(&seen),
+                    lost: Arc::clone(&lost),
+                    nth: NTH,
+                    out: site.egress.clone(),
+                });
+                Ok(ShardGraph::new(capsule, entry))
+            })
+            .expect("node builds")
+        };
+        let ctl = RebalanceController::new(RebalancePolicy::default(), 0);
+        let mut sim = Simulator::new(5);
+        let host = sim.add_node(Box::new(node.with_controller(ctl, 50_000)));
+        sim.attach_source(
+            host,
+            Box::new(CbrGen::new(
+                1_000,
+                SENT,
+                udp_flow("10.0.0.1", "10.0.0.2", 4007, 80, 16),
+            )),
+        );
+        sim.run_to_idle();
+        let stats = sim.stats().clone();
+        let behaviour = sim.node_behaviour_mut::<PipelineNode>(host).unwrap();
+        let pipe = behaviour.pipeline();
+        assert_eq!(pipe.recoveries(), 1, "the health turn respawned it");
+        assert!((0..2).all(|s| pipe.worker_alive(s) == Some(true)));
+        assert!(
+            stats.delivered >= NTH,
+            "delivers again after the crash: {stats:?}"
+        );
+        // The books: every packet is delivered, cause-dropped, or lost
+        // with the panicking batch — and the simulator's own identity.
+        let drops = pipe.drop_stats();
+        assert!(drops.dead_worker > 0, "traffic met the dead shard");
+        assert_eq!(drops.total(), pipe.stats().dropped);
+        assert_eq!(
+            stats.delivered + drops.total() + lost.load(Ordering::Relaxed),
+            SENT
+        );
         assert_eq!(
             stats.injected,
             stats.delivered + stats.link_drops + stats.node_drops

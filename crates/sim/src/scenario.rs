@@ -21,8 +21,8 @@
 //! through a node is *executed* by the real element graphs — the same
 //! components, verdicts, meters, and control decisions production
 //! runs: the threaded driver's own
-//! [`ShardedPipeline`](netkit_router::shard::ShardedPipeline), on the
-//! inline executor.
+//! [`ShardedPipeline`](netkit_router::shard::ShardedPipeline), on
+//! caller slots.
 //!
 //! # Examples
 //!

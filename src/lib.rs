@@ -19,7 +19,7 @@
 //! | 3 application services | [`services`] | ANTS-like execution environment (capsules, code cache, budgets), demo programs, per-flow media filters (batch-aware) |
 //! | 4 coordination | [`signaling`] | RSVP-style reservations, Genesis-style spawning networks |
 //! | comparators | [`baselines`] | Click-like static router and monolithic forwarder, each with burst entry points (the ledger in `benchmark/` prices them beside the sharded pipeline) |
-//! | substrate | [`sim`] | deterministic discrete-event network simulator; same-instant arrivals coalesce into `on_batch` deliveries; `pipeline::PipelineNode` hosts the threaded driver's own `ShardedPipeline` on the inline executor, so a node runs the real dataplane deterministically |
+//! | substrate | [`sim`] | deterministic discrete-event network simulator; same-instant arrivals coalesce into `on_batch` deliveries; `pipeline::PipelineNode` hosts the threaded driver's own `ShardedPipeline` on caller slots, so a node runs the real dataplane deterministically |
 //!
 //! **Start with [`ARCHITECTURE.md`](../../../ARCHITECTURE.md) in the
 //! repository root** — the top-level map of the 9 crates, the
