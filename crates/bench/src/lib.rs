@@ -177,6 +177,7 @@ mod tests {
 
         let (pipe, _binding) = netkit_stateful_edge(4).unwrap();
         pipe.dispatch(flows.iter().map(|&f| edge_packet(f)).collect());
+        pipe.flush();
         assert_eq!((pipe.stats().accepted, pipe.stats().dropped), (4, 2));
 
         let click = ClickRouter::compile(&click_stateful_edge_config(4)).unwrap();
@@ -223,6 +224,7 @@ mod tests {
 
         let (pipe, _binding) = netkit_stateful_edge(5).unwrap();
         pipe.dispatch(trace().into_iter().collect());
+        pipe.flush();
         assert_eq!((pipe.stats().accepted, pipe.stats().dropped), (7, 0));
 
         let click = ClickRouter::compile(&click_stateful_edge_config(5)).unwrap();
@@ -248,6 +250,7 @@ mod tests {
 
         // A sixth whole flow still finds the fifth port everywhere.
         pipe.dispatch(std::iter::once(edge_packet(5_005)).collect());
+        pipe.flush();
         assert_eq!((pipe.stats().accepted, pipe.stats().dropped), (8, 0));
         click.push("guard", edge_packet(5_005));
         assert_eq!(click.count("sink"), Some(8));

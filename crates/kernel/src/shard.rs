@@ -24,17 +24,31 @@
 //! ## Two kinds of shard slot, one executor
 //!
 //! A shard's slot is either a **ring** — the worker thread and SPSC
-//! ring described above — or a **caller slot**: the handler behind a
-//! lock, run to completion on the thread that submits to it, in call
-//! order. [`ShardSpec::inline`] asks for caller slots; that is the
-//! deterministic placement the simulator drives. Both kinds keep one
-//! set of books at the gate: a caller slot's handler runs under
-//! `catch_unwind`, so a panic marks the shard dead exactly as a
-//! worker's exit does, later submits bounce with
-//! [`SubmitRejection::DeadWorker`], and [`WorkerPool::respawn`] swaps
-//! in a fresh handler. Nothing queues behind a caller slot, so it
-//! never parks at a quiesce, never gates a flush, and its ring meters
-//! read 0; a quiesce still counts its epoch.
+//! ring described above — or a **caller slot**: a ring with no thread.
+//! A job submitted to a caller slot queues, bounded by the same
+//! `ring_capacity`, and the thread that next *waits* on the pool runs
+//! it, on itself, in FIFO order: [`WorkerPool::flush`] and
+//! [`WorkerPool::quiesce`] drain every caller slot before they wait on
+//! the rings, shutdown drains them before it joins the workers, and a
+//! blocking submit that finds the queue full drains it to make room.
+//! Shards `0..k` are caller slots and the rest rings
+//! ([`ShardSpec::caller_shards`]): [`ShardSpec::new`] puts shard 0 on
+//! the dispatching thread, so a dispatcher publishes a whole round to
+//! the workers and then, inside `flush`, runs shard 0's share in
+//! parallel with them instead of parking; [`ShardSpec::inline`] puts
+//! every shard there, the deterministic placement the simulator
+//! drives.
+//!
+//! Both kinds keep one set of books at the gate: a queued job counts
+//! in flight and in the high-water mark, a completed one in
+//! [`WorkerPool::completed`], and a full queue bounces
+//! [`WorkerPool::try_submit`] as [`SubmitRejection::RingFull`]. A
+//! caller slot's handler runs under `catch_unwind`, so a panic during
+//! a drain marks the shard dead exactly as a worker's exit does: the
+//! drainer survives, later submits bounce with
+//! [`SubmitRejection::DeadWorker`], the jobs still queued are
+//! stranded, and [`WorkerPool::respawn`] hands them to its
+//! `on_stranded` and swaps in a fresh handler.
 //!
 //! ## The epoch quiesce protocol
 //!
@@ -69,11 +83,16 @@
 //!    *before* the quiescer enqueued that ring's sync marker runs to
 //!    completion before the closure starts. Items submitted *after*
 //!    the marker (including from inside the closure) run only after
-//!    the epoch is released, in submission order.
+//!    the epoch is released, in submission order. A caller slot's
+//!    marker is the quiescer's drain of it, which runs first.
 //! 2. **Exclusivity.** While the closure runs, every live worker is
-//!    parked at a batch boundary; no handler code executes anywhere
-//!    in the pool. Multi-step shared-state updates inside the closure
-//!    are indivisible from the dataplane's point of view.
+//!    parked at a batch boundary and the quiescer holds every caller
+//!    slot's handler lock, having drained it first; no handler code
+//!    executes anywhere in the pool. Multi-step shared-state updates
+//!    inside the closure are indivisible from the dataplane's point
+//!    of view. A job the closure submits to a caller slot queues and
+//!    runs at the next flush, as one submitted to a ring runs after
+//!    the release.
 //! 3. **No loss.** Nothing in the rings is discarded; the barrier
 //!    reorders nothing within any ring (rings are FIFO throughout).
 //! 4. **Liveness under faults.** Dead workers (handler panics) are
@@ -104,10 +123,12 @@
 //! `FUTEX_WAKE`. So `submit` to a busy worker, a `retire` with nobody
 //! in `flush`, and every ring pop are an uncontended critical section
 //! and no more; `submit` to an idle worker pays one wake, which is the
-//! hand-off itself. Every notify is issued after the notifier has let
-//! go of the lock: a thread woken under it can preempt the notifier,
-//! run into the lock and park a second time, and whether it does is
-//! the scheduler's choice — cost that varies from run to run. A parked
+//! hand-off itself. A caller slot costs none: nobody parks on it,
+//! since whoever waits runs its queue. Every notify is issued after the
+//! notifier has let go of the lock: a thread woken under it can preempt
+//! the notifier, run into the lock and park a second time, and whether
+//! it does is the scheduler's choice — cost that varies from run to
+//! run. A parked
 //! flusher is woken whenever *a* shard's count reaches zero, not only
 //! when the last one does: waking it for the last shard alone is one
 //! more condition and measured no better (`crates/bench/NOTES.md`).
@@ -145,6 +166,7 @@
 //! pool.shutdown();
 //! ```
 
+use std::collections::VecDeque;
 use std::fmt;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -156,7 +178,8 @@ use netkit_packet::batch::{PacketBatch, SharedShardRange};
 use parking_lot::RwLock;
 
 /// Configuration of a sharded dataplane: how many run-to-completion
-/// workers and how deep each worker's ring is (in work items).
+/// shards, how deep each shard's queue is (in work items), and how
+/// many of them run on the caller instead of a worker thread.
 ///
 /// The same spec configures the NETKIT sharded pipeline, the sim
 /// driver's RSS demux, and the click/monolithic baselines, so
@@ -166,31 +189,38 @@ pub struct ShardSpec {
     /// Number of shards: worker threads and SPSC rings, or caller
     /// slots. Clamped to ≥ 1.
     pub workers: usize,
-    /// Per-worker ring capacity, in work items; submission backpressures
-    /// (blocking [`WorkerPool::submit`]) or fails
-    /// ([`WorkerPool::try_submit`]) when a ring is full.
+    /// Per-shard ring (or caller-slot queue) capacity, in work items;
+    /// submission backpressures (blocking [`WorkerPool::submit`]) or
+    /// fails ([`WorkerPool::try_submit`]) when it is full.
     pub ring_capacity: usize,
-    /// Every shard is a caller slot: its handler runs on the submitting
-    /// thread instead of a worker thread of its own.
-    pub caller_run: bool,
+    /// `k`: shards `0..k` are caller slots, rings with no thread whose
+    /// queued work runs on whichever thread next waits on the pool
+    /// (see "Two kinds of shard slot" in the module docs); shards
+    /// `k..workers` are worker threads. [`WorkerPool::start`] clamps it
+    /// to `workers`. A spec with `k = 0`, every shard on a thread of
+    /// its own, is a struct literal.
+    pub caller_shards: usize,
 }
 
 impl ShardSpec {
-    /// A spec with `workers` workers and default ring sizing.
+    /// A spec with `workers` shards and default ring sizing: shard 0
+    /// runs on the dispatching thread, the rest on worker threads, so
+    /// one shard needs no thread at all.
     pub fn new(workers: usize) -> Self {
         Self {
             workers: workers.max(1),
             ring_capacity: 1024,
-            caller_run: false,
+            caller_shards: 1,
         }
     }
 
-    /// A spec with `workers` caller slots: each shard's handler runs on
-    /// whichever thread submits to it, in call order, so a run replays
-    /// bit for bit.
+    /// A spec with `workers` caller slots: every shard's queue is run
+    /// by whichever thread waits on the pool, shard by shard in index
+    /// order, so a run replays bit for bit.
     ///
-    /// A pool on caller slots: work has run when `submit` returns,
-    /// and a panicking handler kills its shard, not the caller.
+    /// A pool on caller slots: submitted work runs when the submitter
+    /// flushes, and a panicking handler kills its shard, not the
+    /// flusher.
     ///
     /// ```
     /// use std::sync::Arc;
@@ -207,24 +237,33 @@ impl ShardSpec {
     /// });
     /// pool.submit(1, 7).unwrap();
     /// pool.submit(0, 8).unwrap();
-    /// assert_eq!(*log.lock(), vec![(1, 7), (0, 8)]); // no flush needed
-    /// pool.submit(0, 0).unwrap(); // the handler panics on the caller...
+    /// assert!(log.lock().is_empty()); // queued, not yet run
+    /// pool.flush();
+    /// assert_eq!(*log.lock(), vec![(0, 8), (1, 7)]); // shard by shard
+    /// pool.submit(0, 0).unwrap(); // poison...
+    /// pool.submit(0, 9).unwrap(); // ...and a job queued behind it
+    /// pool.flush(); // the handler panics on the flusher...
     /// assert_eq!(pool.worker_alive(0), Some(false)); // ...and shard 0 is dead
-    /// assert_eq!(pool.try_submit_tagged(0, 9), Err((9, SubmitRejection::DeadWorker)));
+    /// assert_eq!(pool.try_submit_tagged(0, 5), Err((5, SubmitRejection::DeadWorker)));
     /// let log2 = Arc::clone(&log);
     /// let fresh = Box::new(move |n: u32| log2.lock().push((0, n)));
-    /// assert_eq!(pool.respawn(0, fresh, |_| {}), Some(0)); // nothing was queued
-    /// pool.submit(0, 9).unwrap();
-    /// assert_eq!(log.lock().last(), Some(&(0, 9)));
+    /// let mut stranded = Vec::new();
+    /// assert_eq!(pool.respawn(0, fresh, |n| stranded.push(n)), Some(1));
+    /// assert_eq!(stranded, vec![9]); // the job behind the poison
+    /// pool.submit(0, 6).unwrap();
+    /// pool.flush();
+    /// assert_eq!(log.lock().last(), Some(&(0, 6)));
     /// ```
     pub fn inline(workers: usize) -> Self {
+        let spec = Self::new(workers);
         Self {
-            caller_run: true,
-            ..Self::new(workers)
+            caller_shards: spec.workers,
+            ..spec
         }
     }
 
-    /// The degenerate single-worker spec (scalar-equivalent execution).
+    /// The degenerate single-shard spec (scalar-equivalent execution,
+    /// on the caller).
     pub fn single() -> Self {
         Self::new(1)
     }
@@ -421,13 +460,13 @@ impl Gate {
         true
     }
 
-    fn retire_one(&self, shard: usize) {
+    fn retire(&self, shard: usize, items: usize) {
         let mut st = self.lock();
         // Saturating: a respawn zeroes a shard's in-flight count while a
         // producer that lost the death race may still deliver (and thus
         // retire) one late item on the fresh ring — that retirement must
         // not underflow the new window's count.
-        st.in_flight[shard] = st.in_flight[shard].saturating_sub(1);
+        st.in_flight[shard] = st.in_flight[shard].saturating_sub(items);
         let wake = st.in_flight[shard] == 0 && st.flush_wake_due();
         drop(st);
         if wake {
@@ -481,11 +520,12 @@ impl GateState {
         due
     }
 
-    /// Items still owed by workers that can actually deliver them.
-    fn live_in_flight(&self) -> usize {
-        self.in_flight
+    /// Items still owed to shards `first..` by those that can actually
+    /// deliver them.
+    fn live_in_flight(&self, first: usize) -> usize {
+        self.in_flight[first..]
             .iter()
-            .zip(&self.dead)
+            .zip(&self.dead[first..])
             .filter(|(_, dead)| !**dead)
             .map(|(n, _)| *n)
             .sum()
@@ -498,7 +538,7 @@ struct Retire<'a>(&'a Gate, usize);
 
 impl Drop for Retire<'_> {
     fn drop(&mut self) {
-        self.0.retire_one(self.1);
+        self.0.retire(self.1, 1);
     }
 }
 
@@ -514,8 +554,9 @@ impl Drop for WorkerExit<'_> {
 }
 
 /// A pool of run-to-completion shards: worker threads with one SPSC
-/// ring each, or caller slots run on the submitting thread (see "Two
-/// kinds of shard slot, one executor" in the module docs).
+/// ring each, or caller slots whose queues run on the thread that
+/// waits (see "Two kinds of shard slot, one executor" in the module
+/// docs).
 ///
 /// Generic over the work item `T` — the dataplane uses
 /// `netkit_packet::batch::PacketBatch`, but the runtime itself is
@@ -565,9 +606,19 @@ enum Slot<T> {
     /// wholesale on respawn, hence the lock; the fast path only ever
     /// takes it shared.
     Ring(RwLock<Ring<T>>),
-    /// A handler the submitting thread runs in place; `None` once it
-    /// panicked, as a dead worker's handler went with its thread.
-    Caller(parking_lot::Mutex<Option<ShardHandler<T>>>),
+    /// A ring with no thread.
+    Caller(Caller<T>),
+}
+
+/// A caller slot. Lock order: the pipeline's steering lock, then
+/// `handler`, then `queue`; a drainer holds `handler` across the whole
+/// drain, so a popped job has run before anyone else can take it.
+struct Caller<T> {
+    /// The shard's handler; `None` once it panicked, as a dead
+    /// worker's handler went with its thread.
+    handler: parking_lot::Mutex<Option<ShardHandler<T>>>,
+    /// Jobs submitted and not yet run, bounded by `ring_capacity`.
+    queue: parking_lot::Mutex<VecDeque<T>>,
 }
 
 struct Ring<T> {
@@ -576,9 +627,9 @@ struct Ring<T> {
 }
 
 impl<T: Send + 'static> WorkerPool<T> {
-    /// Spawns `spec.workers` worker threads, or sets up as many caller
-    /// slots when `spec.caller_run`. `factory(shard)` is called once per
-    /// shard, in shard order, on the calling thread; the handler it
+    /// Sets up `spec.caller_shards` caller slots and spawns a worker
+    /// thread for each shard after them. `factory(shard)` is called once
+    /// per shard, in shard order, on the calling thread; the handler it
     /// returns moves onto that shard's thread (or into its slot) and
     /// owns the shard's state for the pool's lifetime.
     ///
@@ -591,10 +642,11 @@ impl<T: Send + 'static> WorkerPool<T> {
     where
         F: FnMut(usize) -> ShardHandler<T>,
     {
+        let workers = spec.workers.max(1);
         let spec = ShardSpec {
-            workers: spec.workers.max(1),
+            workers,
             ring_capacity: spec.ring_capacity.max(1),
-            ..spec
+            caller_shards: spec.caller_shards.min(workers),
         };
         let gate = Arc::new(Gate::new(spec.workers));
         let completed = Arc::new(
@@ -606,9 +658,12 @@ impl<T: Send + 'static> WorkerPool<T> {
         let mut handles = Vec::with_capacity(spec.workers);
         for shard in 0..spec.workers {
             let handler = factory(shard);
-            if spec.caller_run {
+            if shard < spec.caller_shards {
                 handles.push(None);
-                slots.push(Slot::Caller(parking_lot::Mutex::new(Some(handler))));
+                slots.push(Slot::Caller(Caller {
+                    handler: parking_lot::Mutex::new(Some(handler)),
+                    queue: parking_lot::Mutex::new(VecDeque::new()),
+                }));
                 continue;
             }
             let (tx, rx) = bounded::<Job<T>>(spec.ring_capacity);
@@ -668,58 +723,112 @@ impl<T: Send + 'static> WorkerPool<T> {
         self.spec
     }
 
-    /// Runs `item` through a caller slot's handler on this thread. A
-    /// panic is caught here and kills the shard as a worker thread's
-    /// exit would; the item is consumed either way. Returns the item
-    /// only when the shard was already dead.
-    fn run_on_caller(
-        &self,
-        shard: usize,
-        slot: &parking_lot::Mutex<Option<ShardHandler<T>>>,
-        item: T,
-    ) -> Result<(), T> {
-        let mut slot = slot.lock();
-        let Some(handler) = slot.as_mut() else {
-            return Err(item);
+    /// Runs the jobs queued on a caller slot when the drain starts, on
+    /// this thread, oldest first. `handler` is the slot's handler lock,
+    /// held by the caller across the drain; jobs queued meanwhile wait
+    /// for the next drain, so concurrent submitters cannot keep one
+    /// going. A panic is caught here and kills the shard as a worker
+    /// thread's exit would: the panicking job is consumed and what is
+    /// still queued stays for [`Self::respawn`].
+    fn drain(&self, shard: usize, caller: &Caller<T>, handler: &mut Option<ShardHandler<T>>) {
+        let Some(run) = handler.as_mut() else {
+            return; // dead: the queue waits for respawn
         };
-        match catch_unwind(AssertUnwindSafe(|| handler(item))) {
-            Ok(()) => {
-                self.completed[shard].fetch_add(1, Ordering::Relaxed);
-            }
-            Err(_) => {
-                *slot = None;
-                self.gate.mark_dead(shard);
+        let queued = caller.queue.lock().len();
+        let (mut ran, mut died) = (0, false);
+        while ran < queued {
+            let Some(item) = caller.queue.lock().pop_front() else {
+                break;
+            };
+            ran += 1;
+            if catch_unwind(AssertUnwindSafe(|| run(item))).is_err() {
+                died = true;
+                break;
             }
         }
-        Ok(())
+        if ran == 0 {
+            return;
+        }
+        self.completed[shard].fetch_add((ran - usize::from(died)) as u64, Ordering::Relaxed);
+        self.gate.retire(shard, ran);
+        if died {
+            *handler = None;
+            self.gate.mark_dead(shard);
+        }
     }
 
-    /// Enqueues `item` on `shard`'s ring, blocking while the ring is
-    /// full (backpressure); a caller slot runs it before returning. A
-    /// worker already marked dead fails fast — the item comes straight
-    /// back rather than being stranded on a ring nothing will drain
-    /// (or, worse, blocking this producer on a full ring no consumer
-    /// will ever relieve).
+    /// Drains every caller slot, in shard order.
+    fn drain_callers(&self) {
+        for (shard, caller) in self.callers() {
+            self.drain(shard, caller, &mut caller.handler.lock());
+        }
+    }
+
+    fn callers(&self) -> impl Iterator<Item = (usize, &Caller<T>)> {
+        self.slots
+            .iter()
+            .enumerate()
+            .filter_map(|(shard, slot)| match slot {
+                Slot::Caller(caller) => Some((shard, caller)),
+                Slot::Ring(_) => None,
+            })
+    }
+
+    /// Queues `item` on a caller slot. A full queue is drained on this
+    /// thread to make room — the caller slot's backpressure. Returns the
+    /// item if the shard is dead and the queue full.
+    fn push_caller(&self, shard: usize, caller: &Caller<T>, mut item: T) -> Result<(), T> {
+        loop {
+            item = match self.try_push(caller, item) {
+                Ok(()) => return Ok(()),
+                Err(item) => item,
+            };
+            let mut handler = caller.handler.lock();
+            if handler.is_none() {
+                return Err(item);
+            }
+            self.drain(shard, caller, &mut handler);
+        }
+    }
+
+    /// Enqueues `item` on `shard`, blocking while its ring is full
+    /// (backpressure); a full caller-slot queue is drained on this
+    /// thread instead. A worker already marked dead fails fast — the
+    /// item comes straight back rather than being stranded on a ring
+    /// nothing will drain (or, worse, blocking this producer on a full
+    /// ring no consumer will ever relieve).
     ///
     /// # Errors
     ///
     /// Returns the item if `shard` is out of range or the worker died.
     pub fn submit(&self, shard: usize, item: T) -> Result<(), T> {
-        let ring = match self.slots.get(shard) {
-            Some(Slot::Ring(ring)) => ring,
-            Some(Slot::Caller(caller)) => return self.run_on_caller(shard, caller, item),
-            None => return Err(item),
+        let Some(slot) = self.slots.get(shard) else {
+            return Err(item);
         };
         if !self.gate.submit_one(shard) {
             return Err(item); // dead worker: fail fast, never block
         }
-        let ring = ring.read();
-        match self.send_work(shard, &ring, item) {
-            Ok(()) => Ok(()),
-            Err(item) => {
-                self.gate.retire_one(shard);
-                Err(item)
-            }
+        self.send(shard, slot, item).inspect_err(|_| {
+            self.gate.retire(shard, 1);
+        })
+    }
+
+    /// Queues `item` on a caller slot unless its queue is full.
+    fn try_push(&self, caller: &Caller<T>, item: T) -> Result<(), T> {
+        let mut queue = caller.queue.lock();
+        if queue.len() < self.spec.ring_capacity {
+            queue.push_back(item);
+            Ok(())
+        } else {
+            Err(item)
+        }
+    }
+
+    /// Blocking publish of one job to either kind of slot.
+    fn send(&self, shard: usize, slot: &Slot<T>, item: T) -> Result<(), T> {
+        match slot {
+            Slot::Ring(ring) => self.send_work(shard, &ring.read(), item),
+            Slot::Caller(caller) => self.push_caller(shard, caller, item),
         }
     }
 
@@ -777,30 +886,29 @@ impl<T: Send + 'static> WorkerPool<T> {
     ///
     /// Returns the item and why it bounced.
     pub fn try_submit_tagged(&self, shard: usize, item: T) -> Result<(), (T, SubmitRejection)> {
-        let ring = match self.slots.get(shard) {
-            Some(Slot::Ring(ring)) => ring,
-            Some(Slot::Caller(caller)) => {
-                return self
-                    .run_on_caller(shard, caller, item)
-                    .map_err(|item| (item, SubmitRejection::DeadWorker))
-            }
-            None => return Err((item, SubmitRejection::OutOfRange)),
+        let Some(slot) = self.slots.get(shard) else {
+            return Err((item, SubmitRejection::OutOfRange));
         };
         if !self.gate.submit_one(shard) {
             return Err((item, SubmitRejection::DeadWorker)); // fail fast
         }
-        let ring = ring.read();
-        match ring.tx.try_send(Job::Work(item)) {
-            Ok(()) => Ok(()),
-            Err(e) => {
-                self.gate.retire_one(shard);
-                self.rejected.fetch_add(1, Ordering::Relaxed);
-                match e.into_inner() {
-                    Job::Work(item) => Err((item, SubmitRejection::RingFull)),
-                    Job::Sync(_) => unreachable!("try_submit only sends work"),
-                }
+        let sent = match slot {
+            Slot::Ring(ring) => {
+                ring.read()
+                    .tx
+                    .try_send(Job::Work(item))
+                    .map_err(|e| match e.into_inner() {
+                        Job::Work(item) => item,
+                        Job::Sync(_) => unreachable!("try_submit only sends work"),
+                    })
             }
-        }
+            Slot::Caller(caller) => self.try_push(caller, item),
+        };
+        sent.map_err(|item| {
+            self.gate.retire(shard, 1);
+            self.rejected.fetch_add(1, Ordering::Relaxed);
+            (item, SubmitRejection::RingFull)
+        })
     }
 
     /// Batched publish: enqueues one job on each shard yielded by
@@ -819,14 +927,17 @@ impl<T: Send + 'static> WorkerPool<T> {
     /// delivered — the worker was dead at reservation time, or died
     /// racing the publish — are handed to `on_reject(shard, job)` so
     /// the caller can account their payload. Returns the number of
-    /// jobs enqueued (or, on a caller slot, run).
+    /// jobs enqueued.
     ///
     /// Blocking semantics match [`Self::submit`]: a full live ring
-    /// backpressures the publish. Do **not** call inside a quiesce
-    /// closure (parked workers cannot relieve a full ring);
-    /// re-steering paths there use [`Self::try_submit`] per item.
-    /// Caller slots reserve nothing and run their job in phase 2, in
-    /// the order `shards` yields them.
+    /// backpressures the publish, and a full caller-slot queue is
+    /// drained on this thread. Do **not** call inside a quiesce
+    /// closure (parked workers cannot relieve a full ring, and the
+    /// quiescer holds the caller slots); re-steering paths there use
+    /// [`Self::try_submit`] per item. A caller slot's job only queues
+    /// here: it runs when this thread (or another) next waits on the
+    /// pool, so one dispatcher can publish many fan-outs to the workers
+    /// before it runs its own share.
     ///
     /// # Panics
     ///
@@ -846,9 +957,6 @@ impl<T: Send + 'static> WorkerPool<T> {
             let mut st = self.gate.lock();
             for shard in shards.clone() {
                 assert!(shard < self.slots.len(), "fanout shard out of range");
-                if matches!(self.slots[shard], Slot::Caller(_)) {
-                    continue;
-                }
                 if st.dead[shard] {
                     dead_skipped.push(shard);
                     continue;
@@ -863,26 +971,15 @@ impl<T: Send + 'static> WorkerPool<T> {
         // on the success path.
         let mut sent = 0;
         for shard in shards {
-            let ring = match &self.slots[shard] {
-                Slot::Ring(ring) => ring,
-                Slot::Caller(caller) => {
-                    match self.run_on_caller(shard, caller, job_for(shard)) {
-                        Ok(()) => sent += 1,
-                        Err(job) => on_reject(shard, job),
-                    }
-                    continue;
-                }
-            };
             if dead_skipped.contains(&shard) {
                 on_reject(shard, job_for(shard));
                 continue;
             }
-            let ring = ring.read();
-            match self.send_work(shard, &ring, job_for(shard)) {
+            match self.send(shard, &self.slots[shard], job_for(shard)) {
                 Ok(()) => sent += 1,
                 Err(item) => {
                     // Worker died between reservation and publish.
-                    self.gate.retire_one(shard);
+                    self.gate.retire(shard, 1);
                     on_reject(shard, item);
                 }
             }
@@ -895,9 +992,13 @@ impl<T: Send + 'static> WorkerPool<T> {
     /// panicked) will never run and do not gate the flush. (A barrier
     /// over *work*, not an epoch: reconfiguration wants
     /// [`Self::quiesce`].)
+    ///
+    /// The caller slots' queues run here, on this thread and before
+    /// the wait, so they overlap with the workers draining their rings.
     pub fn flush(&self) {
+        self.drain_callers();
         let mut st = self.gate.lock();
-        while st.live_in_flight() > 0 {
+        while st.live_in_flight(self.spec.caller_shards) > 0 {
             st.flushers += 1;
             st = self
                 .gate
@@ -914,10 +1015,10 @@ impl<T: Send + 'static> WorkerPool<T> {
     /// barrier; items submitted during `f` wait in the rings and flow
     /// afterwards, so reconfiguration never drops traffic.
     ///
-    /// A caller slot is at a batch boundary whenever its caller is, so
-    /// it is not waited for: on caller slots alone `f` runs at once,
-    /// work submitted inside it runs at once too, and the epoch is
-    /// still counted.
+    /// Caller slots are drained first, on this thread, and their
+    /// handler locks are then held until `f` returns, so no caller-slot
+    /// handler runs anywhere while `f` does; a job `f` submits to one
+    /// queues for the next flush.
     pub fn quiesce<R>(&self, f: impl FnOnce() -> R) -> R {
         let _serial = self
             .quiesce_serial
@@ -928,6 +1029,14 @@ impl<T: Send + 'static> WorkerPool<T> {
             st.requested += 1;
             st.requested
         };
+        let _callers: Vec<_> = self
+            .callers()
+            .map(|(shard, caller)| {
+                let mut handler = caller.handler.lock();
+                self.drain(shard, caller, &mut handler);
+                handler
+            })
+            .collect();
         for (shard, slot) in self.slots.iter().enumerate() {
             let Slot::Ring(ring) = slot else { continue };
             // A dead worker cannot park; `dead` accounting covers it.
@@ -974,10 +1083,9 @@ impl<T: Send + 'static> WorkerPool<T> {
 
     /// Workers a quiesce waits for: every ring whose worker is alive.
     fn live_rings(&self, st: &GateState) -> usize {
-        self.slots
+        st.dead[self.spec.caller_shards..]
             .iter()
-            .zip(&st.dead)
-            .filter(|(slot, dead)| !**dead && matches!(slot, Slot::Ring(_)))
+            .filter(|dead| !**dead)
             .count()
     }
 
@@ -1006,7 +1114,7 @@ impl<T: Send + 'static> WorkerPool<T> {
 
     /// Work items submitted to live workers but not yet completed.
     pub fn in_flight(&self) -> usize {
-        self.gate.lock().live_in_flight()
+        self.gate.lock().live_in_flight(0)
     }
 
     /// Work items submitted to `shard` but not yet completed, if it
@@ -1043,8 +1151,8 @@ impl<T: Send + 'static> WorkerPool<T> {
     /// accumulating across the generation change. A producer that lost
     /// the death race may deliver one late item onto the fresh ring —
     /// it is processed normally (the in-flight meter saturates rather
-    /// than double-counts). A dead caller slot just takes `handler`:
-    /// nothing ever queues behind one.
+    /// than double-counts). A dead caller slot hands over what is still
+    /// queued the same way and takes `handler`.
     ///
     /// Returns the number of stranded work items recovered, or `None`
     /// if `shard` is out of range or its worker is still alive (only
@@ -1065,15 +1173,21 @@ impl<T: Send + 'static> WorkerPool<T> {
         }
         let stranded = match slot {
             Slot::Ring(ring) => self.respawn_ring(shard, ring, handler, on_stranded),
-            Slot::Caller(slot) => {
-                *slot.lock() = Some(handler);
-                0
+            Slot::Caller(caller) => {
+                let stranded = {
+                    let mut slot = caller.handler.lock();
+                    *slot = Some(handler);
+                    std::mem::take(&mut *caller.queue.lock())
+                };
+                let n = stranded.len();
+                stranded.into_iter().for_each(on_stranded);
+                n
             }
         };
         {
-            // Only now does a ring accept traffic again: fresh ring,
-            // zeroed occupancy window, dead bit cleared last. (A caller
-            // slot serves from the moment it holds its handler.)
+            // Only now does the shard accept traffic again: fresh ring
+            // or handler, zeroed occupancy window, dead bit cleared
+            // last.
             let mut st = self.gate.lock();
             st.in_flight[shard] = 0;
             st.ring_hwm[shard] = 0;
@@ -1186,8 +1300,10 @@ impl<T: Send + 'static> WorkerPool<T> {
     }
 
     fn close_and_join(&mut self) {
-        // Dropping the slots (sender and drain-receiver both)
-        // disconnects the rings; workers finish queued work, then exit.
+        // Caller slots finish their queued work here. Dropping the
+        // slots (sender and drain-receiver both) disconnects the rings;
+        // workers finish queued work, then exit.
+        self.drain_callers();
         self.slots.clear();
         for handle in self.handles.lock().drain(..).flatten() {
             let _ = handle.join();
@@ -1217,6 +1333,15 @@ impl<T: Send + 'static> fmt::Debug for WorkerPool<T> {
 mod tests {
     use super::*;
     use std::sync::atomic::AtomicUsize;
+
+    /// `k = 0`: every shard on a worker thread of its own — the spec the
+    /// ring-mechanics tests need.
+    fn rings(workers: usize) -> ShardSpec {
+        ShardSpec {
+            caller_shards: 0,
+            ..ShardSpec::new(workers)
+        }
+    }
 
     #[test]
     fn work_lands_on_the_submitted_shard() {
@@ -1265,7 +1390,7 @@ mod tests {
     fn try_submit_bounces_on_full_ring() {
         // A handler that blocks until released, wedging the ring.
         let gate = Arc::new((Mutex::new(false), Condvar::new()));
-        let spec = ShardSpec::new(1).with_ring_capacity(1);
+        let spec = rings(1).with_ring_capacity(1);
         let pool = WorkerPool::start(spec, |_| {
             let gate = Arc::clone(&gate);
             Box::new(move |_: u8| {
@@ -1358,24 +1483,26 @@ mod tests {
 
     #[test]
     fn panicking_handler_does_not_wedge_the_pool() {
-        let pool = WorkerPool::start(ShardSpec::new(2), |shard| {
-            Box::new(move |n: u8| {
-                if shard == 0 && n == 1 {
-                    panic!("injected fault");
-                }
-            })
-        });
-        pool.submit(0, 1).unwrap(); // kills worker 0
-                                    // An item queued *behind* the fault is stranded on the dead
-                                    // worker's ring; it must not gate flush (regression: this
-                                    // previously deadlocked flush forever).
-        let _ = pool.submit(0, 2);
-        pool.submit(1, 0).unwrap();
-        pool.flush();
-        // Quiesce still completes: the dead worker is accounted for.
-        pool.quiesce(|| {});
-        assert_eq!(pool.completed(1), Some(1));
-        pool.shutdown();
+        for spec in [rings(2), ShardSpec::new(2)] {
+            let pool = WorkerPool::start(spec, |shard| {
+                Box::new(move |n: u8| {
+                    if shard == 0 && n == 1 {
+                        panic!("injected fault");
+                    }
+                })
+            });
+            pool.submit(0, 1).unwrap(); // kills shard 0
+                                        // An item queued *behind* the fault is stranded on the dead
+                                        // shard's queue; it must not gate flush (regression: this
+                                        // previously deadlocked flush forever).
+            let _ = pool.submit(0, 2);
+            pool.submit(1, 0).unwrap();
+            pool.flush();
+            // Quiesce still completes: the dead worker is accounted for.
+            pool.quiesce(|| {});
+            assert_eq!(pool.completed(1), Some(1));
+            pool.shutdown();
+        }
     }
 
     #[test]
@@ -1517,11 +1644,11 @@ mod tests {
     }
 
     /// Waits until `shard` is marked dead. A worker thread dies
-    /// asynchronously; a caller slot has died by the time the submit
-    /// that killed it returns, so there is nothing to wait for.
+    /// asynchronously; a caller slot has died by the time the flush
+    /// that ran the fatal job returns, so there is nothing to wait for.
     fn await_death<T: Send + 'static>(pool: &WorkerPool<T>, shard: usize) {
-        if pool.spec().caller_run {
-            assert_eq!(pool.worker_alive(shard), Some(false), "died in the submit");
+        if shard < pool.spec().caller_shards {
+            assert_eq!(pool.worker_alive(shard), Some(false), "died in the flush");
         }
         while pool.worker_alive(shard) == Some(true) {
             std::thread::yield_now();
@@ -1530,7 +1657,7 @@ mod tests {
 
     #[test]
     fn fanout_rejects_jobs_for_dead_shards_without_wedging() {
-        for spec in [ShardSpec::new(2), ShardSpec::inline(2)] {
+        for spec in [rings(2), ShardSpec::new(2), ShardSpec::inline(2)] {
             let pool = WorkerPool::start(spec, |shard| {
                 Box::new(move |n: u8| {
                     if shard == 0 && n == 1 {
@@ -1539,8 +1666,9 @@ mod tests {
                 })
             });
             pool.submit(0, 1).unwrap(); // kills worker 0
-                                        // Wait until the gate has registered the death so the
-                                        // fan-out deterministically takes the dead-skip path.
+            pool.flush();
+            // Wait until the gate has registered the death so the
+            // fan-out deterministically takes the dead-skip path.
             await_death(&pool, 0);
             let rejected = Arc::new(parking_lot::Mutex::new(Vec::new()));
             let sent = pool.submit_fanout(
@@ -1562,7 +1690,7 @@ mod tests {
         // whose worker has died must get its item back instead of
         // spinning until the ring disconnects. With the dead-flag
         // check the item never enqueues at all once death is marked.
-        for spec in [ShardSpec::new(1), ShardSpec::inline(1)] {
+        for spec in [rings(1), ShardSpec::new(1)] {
             let pool = WorkerPool::start(spec.with_ring_capacity(1), |_| {
                 Box::new(move |n: u8| {
                     if n == 1 {
@@ -1570,7 +1698,8 @@ mod tests {
                     }
                 })
             });
-            pool.submit(0, 1).unwrap(); // worker picks it up and dies
+            pool.submit(0, 1).unwrap(); // the shard runs it and dies
+            pool.flush();
             await_death(&pool, 0);
             // Marked dead: both flavours bounce immediately, item intact,
             // and nothing is stranded in accounting (flush returns).
@@ -1606,35 +1735,22 @@ mod tests {
                     }
                 })
             };
-        for spec in [ShardSpec::new(2), ShardSpec::inline(2)] {
+        for spec in [rings(2), ShardSpec::new(2), ShardSpec::inline(2)] {
             let open = Arc::new((Mutex::new(false), Condvar::new()));
             let done = Arc::new(AtomicU64::new(0));
             let pool = WorkerPool::start(spec, |_| make_handler(&open, &done));
-            let release = || {
+            pool.submit(0, 254).unwrap(); // a worker parks on this item
+            pool.submit(0, 255).unwrap(); // poison, queued behind it
+            pool.submit(0, 1).unwrap(); // will be stranded
+            pool.submit(0, 2).unwrap(); // will be stranded
+            {
                 let (lock, cv) = &*open;
                 *lock.lock().unwrap() = true;
                 cv.notify_all();
-            };
-
-            let queued: Vec<u8> = if spec.caller_run {
-                // Everything runs in its submit: 254 passes the open
-                // gate, the poison kills the shard where it runs, and
-                // what follows bounces instead of queueing.
-                release();
-                pool.submit(0, 254).unwrap();
-                pool.submit(0, 255).unwrap();
-                assert_eq!(pool.submit(0, 1), Err(1));
-                assert_eq!(pool.submit(0, 2), Err(2));
-                vec![]
-            } else {
-                pool.submit(0, 254).unwrap(); // worker parks on this item
-                pool.submit(0, 255).unwrap(); // poison, queued behind it
-                pool.submit(0, 1).unwrap(); // will be stranded
-                pool.submit(0, 2).unwrap(); // will be stranded
-                release();
-                vec![1, 2]
-            };
+            }
+            pool.flush(); // a caller slot runs 254 and the poison here
             await_death(&pool, 0);
+            let queued = vec![1u8, 2];
 
             // A live worker does not respawn; neither does a ghost shard.
             assert!(pool
@@ -1673,7 +1789,7 @@ mod tests {
         let open = Arc::new((Mutex::new(false), Condvar::new()));
         let pool = {
             let open = Arc::clone(&open);
-            WorkerPool::start(ShardSpec::new(2).with_ring_capacity(1), move |shard| {
+            WorkerPool::start(rings(2).with_ring_capacity(1), move |shard| {
                 let open = Arc::clone(&open);
                 Box::new(move |n: u8| {
                     if shard == 0 {
@@ -1735,7 +1851,7 @@ mod tests {
     /// One worker whose handler blocks on `latch`, then panics on 255.
     fn latched_pool(latch: &Latch) -> WorkerPool<u8> {
         let latch = Arc::clone(latch);
-        WorkerPool::start(ShardSpec::new(1), move |_| {
+        WorkerPool::start(rings(1), move |_| {
             let latch = Arc::clone(&latch);
             Box::new(move |n: u8| {
                 await_open(&latch);
@@ -1754,7 +1870,7 @@ mod tests {
 
     #[test]
     fn retiring_with_nobody_parked_never_notifies() {
-        let pool = WorkerPool::start(ShardSpec::new(2), |_| Box::new(|_: u8| {}));
+        let pool = WorkerPool::start(rings(2), |_| Box::new(|_: u8| {}));
         for n in 0..1000usize {
             pool.submit(n % 2, 0).unwrap();
         }
@@ -1831,7 +1947,7 @@ mod tests {
         let raw = ShardSpec {
             workers: 0,
             ring_capacity: 0,
-            caller_run: false,
+            caller_shards: 0,
         };
         let seen = Arc::new(AtomicU64::new(0));
         let pool = WorkerPool::start(raw, |_| {
@@ -1848,13 +1964,13 @@ mod tests {
         pool.shutdown();
     }
 
-    /// A caller-run pool whose handlers log `(shard, item)` in run order.
+    /// A pool whose handlers log `(shard, item)` in run order.
     #[allow(clippy::type_complexity)]
-    fn logging_inline(
-        workers: usize,
+    fn logging_pool(
+        spec: ShardSpec,
     ) -> (WorkerPool<u32>, Arc<parking_lot::Mutex<Vec<(usize, u32)>>>) {
         let log = Arc::new(parking_lot::Mutex::new(Vec::new()));
-        let pool = WorkerPool::start(ShardSpec::inline(workers), |shard| {
+        let pool = WorkerPool::start(spec, |shard| {
             let log = Arc::clone(&log);
             Box::new(move |n: u32| log.lock().push((shard, n)))
         });
@@ -1863,66 +1979,123 @@ mod tests {
 
     #[test]
     fn inline_submit_runs_on_the_caller_in_call_order() {
-        let (pool, log) = logging_inline(2);
+        let (pool, log) = logging_pool(ShardSpec::inline(2));
         for n in 0..6u32 {
             pool.submit((n % 2) as usize, n).unwrap();
-            // Already run when submit returns: nothing to flush.
-            assert_eq!(log.lock().len(), n as usize + 1);
         }
+        assert!(log.lock().is_empty(), "queued until somebody waits");
         pool.flush();
-        let per_shard = |s: usize| -> Vec<u32> {
-            log.lock()
-                .iter()
-                .filter(|(shard, _)| *shard == s)
-                .map(|(_, n)| *n)
-                .collect()
-        };
-        assert_eq!(per_shard(0), vec![0, 2, 4], "FIFO per shard");
-        assert_eq!(per_shard(1), vec![1, 3, 5], "FIFO per shard");
+        assert_eq!(
+            *log.lock(),
+            vec![(0, 0), (0, 2), (0, 4), (1, 1), (1, 3), (1, 5)],
+            "shard by shard, FIFO per shard"
+        );
         assert_eq!(pool.submit(2, 9), Err(9), "unknown shard bounces");
         assert_eq!(
             pool.try_submit_tagged(2, 9),
             Err((9, SubmitRejection::OutOfRange))
         );
         pool.try_submit_tagged(1, 7).unwrap();
+        pool.flush();
         assert_eq!(log.lock().last(), Some(&(1, 7)));
     }
 
     #[test]
     fn inline_fanout_visits_shards_in_index_order() {
-        let (pool, log) = logging_inline(4);
+        let (pool, log) = logging_pool(ShardSpec::inline(4));
         let sent = pool.submit_fanout(
             [0usize, 2, 3].into_iter(),
             |shard| shard as u32 * 10,
-            |_, _| unreachable!("an inline shard never rejects"),
+            |_, _| unreachable!("a live shard never rejects"),
         );
-        assert_eq!(sent, 3, "returns the number of jobs run");
+        assert_eq!(sent, 3, "returns the number of jobs queued");
+        pool.flush();
         assert_eq!(*log.lock(), vec![(0, 0), (2, 20), (3, 30)]);
     }
 
     #[test]
     fn inline_quiesce_counts_epochs_and_meters_read_idle() {
-        let (pool, log) = logging_inline(2);
+        let (pool, log) = logging_pool(ShardSpec::inline(2));
         assert_eq!(pool.epoch(), 0);
+        pool.submit(1, 0).unwrap();
         let seen = pool.quiesce(|| {
             pool.submit(0, 1).unwrap();
-            log.lock().len()
+            log.lock().clone()
         });
-        assert_eq!(seen, 1, "work submitted inside the closure runs at once");
+        assert_eq!(seen, vec![(1, 0)], "drained first; the closure's job waits");
+        assert_eq!(pool.in_flight_on(0), Some(1));
+        pool.flush();
+        assert_eq!(log.lock().last(), Some(&(0, 1)));
         pool.quiesce(|| {});
         assert_eq!(pool.epoch(), 2);
+        pool.reset_ring_high_water();
         for shard in 0..2 {
             assert_eq!(pool.in_flight_on(shard), Some(0));
             assert_eq!(pool.ring_high_water(shard), Some(0));
             assert_eq!(pool.worker_alive(shard), Some(true));
         }
-        pool.reset_ring_high_water();
         assert_eq!(pool.worker_alive(2), None);
         assert_eq!(pool.ring_high_water(2), None);
         // A live shard does not respawn.
         assert_eq!(pool.respawn(0, Box::new(|_| {}), |_| {}), None);
         pool.submit(0, 2).unwrap();
+        pool.flush();
         assert_eq!(log.lock().last(), Some(&(0, 2)), "the handler was kept");
+        pool.shutdown();
+    }
+
+    #[test]
+    fn a_full_caller_queue_bounces_try_submit_and_runs_for_submit() {
+        let (pool, log) = logging_pool(ShardSpec::inline(1).with_ring_capacity(2));
+        pool.submit(0, 1).unwrap();
+        pool.submit(0, 2).unwrap();
+        assert_eq!(
+            pool.try_submit_tagged(0, 3),
+            Err((3, SubmitRejection::RingFull))
+        );
+        assert_eq!(pool.rejected(), 1, "ring pressure is counted");
+        assert!(log.lock().is_empty());
+        // Full: the blocking submitter runs the queue to make room.
+        pool.submit(0, 3).unwrap();
+        assert_eq!(*log.lock(), vec![(0, 1), (0, 2)]);
+        assert_eq!(pool.in_flight_on(0), Some(1));
+        pool.shutdown(); // runs what is still queued
+        assert_eq!(*log.lock(), vec![(0, 1), (0, 2), (0, 3)]);
+    }
+
+    #[test]
+    fn a_caller_slot_runs_its_share_inside_flush_before_waiting_on_the_rings() {
+        // k = 1: shard 0 on the caller, shard 1's worker latched shut.
+        let latch = Latch::default();
+        let ran = Arc::new(parking_lot::Mutex::new(Vec::new()));
+        let pool = WorkerPool::start(ShardSpec::new(2), |shard| {
+            let (latch, ran) = (Arc::clone(&latch), Arc::clone(&ran));
+            Box::new(move |_: u8| {
+                if shard == 1 {
+                    await_open(&latch);
+                }
+                ran.lock().push((shard, std::thread::current().id()));
+            })
+        });
+        let sent = pool.submit_fanout(0..2, |_| 0, |_, _| unreachable!("both live"));
+        let before_flush = ran.lock().clone();
+        let (at_park, flusher) = std::thread::scope(|s| {
+            let flusher = s.spawn(|| pool.flush());
+            spin_until(&pool, |st| st.flushers == 1);
+            let at_park = ran.lock().clone();
+            // Opened before any assertion, so a failure cannot leave
+            // shard 1 latched and the pool's drop joining it forever.
+            open(&latch);
+            (at_park, flusher.thread().id())
+        });
+        assert_eq!(sent, 2);
+        assert!(before_flush.is_empty(), "shard 0's job waits for a flush");
+        assert_eq!(
+            at_park,
+            vec![(0, flusher)],
+            "run on the flusher, before it parked on shard 1"
+        );
+        assert_eq!(ran.lock().len(), 2);
         pool.shutdown();
     }
 }

@@ -9,6 +9,12 @@
 //! `quiesce`, one worker killed mid-stream and respawned — over many
 //! fresh pools, under a watchdog, and closes the books each time:
 //! every accepted item was run, or recovered from the dead ring.
+//!
+//! Each pool runs twice: with both shards on worker threads (`k = 0`),
+//! and with shard 0 a caller slot (`k = 1`), whose queue is run by
+//! whichever thread waits — the controller's `flush` and `quiesce`, or
+//! a producer whose blocking submit finds it full. So the books, and
+//! the quiesce's no-handler-running check, cover caller slots too.
 
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{mpsc, Arc};
@@ -55,7 +61,7 @@ fn produce(pool: &WorkerPool<u32>, books: &Books, producer: u32) {
         side.fetch_add(1, Ordering::SeqCst);
     };
     for i in 1..=ITEMS_PER_PRODUCER {
-        // Producer 0 kills shard 0's worker halfway through.
+        // Producer 0 kills shard 0 halfway through.
         if producer == 0 && i == ITEMS_PER_PRODUCER / 2 {
             tally(pool.submit(0, POISON));
             continue;
@@ -89,9 +95,13 @@ fn heal(pool: &WorkerPool<u32>, books: &Arc<Books>) -> u64 {
     stranded
 }
 
-fn one_pool() {
+fn one_pool(caller_shards: usize) {
     let books = Arc::new(Books::default());
-    let pool = WorkerPool::start(ShardSpec::new(2).with_ring_capacity(4), |_| handler(&books));
+    let spec = ShardSpec {
+        caller_shards,
+        ..ShardSpec::new(2).with_ring_capacity(4)
+    };
+    let pool = WorkerPool::start(spec, |_| handler(&books));
     let producing = AtomicBool::new(true);
     let mut stranded = 0;
     std::thread::scope(|s| {
@@ -115,7 +125,9 @@ fn one_pool() {
         producing.store(false, Ordering::SeqCst);
         stranded = controller.join().expect("controller");
     });
-    // The poison may have been the last thing shard 0 saw.
+    // The poison may have been the last thing shard 0 saw; on a caller
+    // slot it may still be queued, and this flush runs it.
+    pool.flush();
     stranded += heal(&pool, &books);
     pool.flush();
 
@@ -138,7 +150,9 @@ fn every_handoff_under_contention_closes_its_books() {
     let (done_tx, done_rx) = mpsc::channel();
     let stress = std::thread::spawn(move || {
         for _ in 0..POOLS {
-            one_pool();
+            for caller_shards in [0, 1] {
+                one_pool(caller_shards);
+            }
         }
         let _ = done_tx.send(());
     });

@@ -562,12 +562,13 @@
 //! pipe.flush();
 //! assert_eq!(delivered.load(Ordering::Relaxed), 1);
 //!
-//! // Crash shard 0 mid-packet, then wait for the kernel to publish it.
+//! // Crash shard 0 mid-packet. `ShardSpec::new` runs shard 0 on this
+//! // thread, inside the flush, which survives the panic; the kernel
+//! // has published the death by the time it returns.
 //! armed.store(true, Ordering::SeqCst);
 //! pipe.dispatch(PacketBatch::from_packets(vec![mk()]));
-//! while pipe.worker_alive(0) != Some(false) {
-//!     std::thread::yield_now();
-//! }
+//! pipe.flush();
+//! assert_eq!(pipe.worker_alive(0), Some(false));
 //!
 //! // One health turn heals it: quarantine re-steer, factory rebuild,
 //! // thread respawn, steering restore.

@@ -45,29 +45,37 @@
 //! accounting, control turns, crash recovery, patch application — is
 //! written once, over one [`WorkerPool`]. What differs between the
 //! threaded dataplane and the deterministic simulator is *where a
-//! shard runs*, and the [`ShardSpec`] says it: [`ShardSpec::new`]
-//! gives each shard a worker thread and a ring
-//! ([`ShardedPipeline::build`]); [`ShardSpec::inline`] makes every
-//! shard a caller slot, its handler run on the dispatching thread in
-//! index order. A discrete-event simulator hosts one caller-run
-//! pipeline per node (`netkit_sim::pipeline::PipelineNode`), each with
-//! its own [`RebalanceController`] driven from simulated time, and
-//! replays a whole city of *real* stateful dataplanes bit-for-bit from
-//! a seed. `tests/sim_pipeline_differential.rs` pins the equivalence:
-//! for the same trace both placements produce identical verdict
-//! counts, per-shard multisets and per-flow order.
+//! shard runs*, and the [`ShardSpec`] says it. A shard is a worker
+//! thread with a ring, or a caller slot: a ring with no thread, whose
+//! queued ranges run on whoever next waits on the pipeline —
+//! [`ShardedPipeline::flush`], a quiesce, or a dispatch that finds the
+//! queue full. [`ShardSpec::new`] puts shard 0 on the caller and the
+//! rest on threads ([`ShardedPipeline::build`]): a driver dispatches a
+//! round, every worker streams its share off one wake, and the driver
+//! runs shard 0's share inside `flush` instead of parking there, so a
+//! one-shard pipeline needs no thread at all. [`ShardSpec::inline`]
+//! puts every shard on the caller, run shard by shard in index order.
+//! A discrete-event simulator hosts one such pipeline per node
+//! (`netkit_sim::pipeline::PipelineNode`, which flushes after every
+//! dispatch), each with its own [`RebalanceController`] driven from
+//! simulated time, and replays a whole city of *real* stateful
+//! dataplanes bit-for-bit from a seed.
+//! `tests/sim_pipeline_differential.rs` pins the equivalence: for the
+//! same trace both placements produce identical verdict counts,
+//! per-shard multisets and per-flow order.
 //!
-//! A caller-run shard dies like a worker: a panic in its graph is
-//! caught where it runs, the shard is marked dead, later dispatches to
-//! it are filed as dead-worker drops, and [`ShardedPipeline::health_turn`]
+//! A caller-run shard keeps a ring's books and dies like a worker: its
+//! queue counts in [`ShardLoad::in_flight`] and
+//! [`ShardLoad::ring_high_water`], a re-steer bounced off a full queue
+//! is a ring-full drop, a panic in its graph is caught by the flusher
+//! that ran it, the shard is marked dead, later dispatches to it are
+//! filed as dead-worker drops, and [`ShardedPipeline::health_turn`]
 //! quarantines and respawns it with the code that heals a threaded
-//! one — in simulated time, reproducibly. What caller slots do *not*
-//! exercise, by construction: ring-full drops and stranded descriptors
-//! (nothing queues), and the ring-pressure meters
-//! ([`ShardLoad::in_flight`] and [`ShardLoad::ring_high_water`] read
-//! 0). A quiesce there is free — the caller is already between
-//! batches — but still counts its epoch, so migration and patch
-//! receipts read the same on both.
+//! one, filing the ranges still queued behind the fatal one as
+//! stranded dead-worker drops — in simulated time, reproducibly. A
+//! quiesce drains the caller slots before it parks the rings and holds
+//! them until its closure returns, so migration and patch receipts
+//! read the same under every placement.
 //!
 //! ## The steering table and its ownership
 //!
@@ -497,14 +505,17 @@ impl ShardedPipeline {
         let bucket_load = Arc::new(BucketLoad::new());
         // Built before the executor starts: each handler clones a
         // handle so it can gather shared shard ranges into pooled
-        // containers. Rings hold several parents and gathers per shard
-        // at once (the pool keeps as many as the busiest moment held,
-        // so a round of dispatches stops allocating once it has met its
-        // peak); on caller slots one parent and one gather exist at a
-        // time, so nothing is provisioned up front and a container grows
-        // to the batches it meets (a thousand-node simulated city must
-        // not pay for ring depth, or burst sizes, it does not have).
-        let batch_pool = if spec.caller_run {
+        // containers. With worker threads, rings and the caller-slot
+        // queues hold a round of parents and gathers at once (the pool
+        // keeps as many as the busiest moment held, so a round of
+        // dispatches stops allocating once it has met its peak). With
+        // every shard on the caller, as the simulator drives it, a node
+        // flushes after each dispatch, so one parent and one gather
+        // exist at a time: nothing is provisioned up front and a
+        // container grows to the batches it meets (a thousand-node
+        // simulated city must not pay for ring depth, or burst sizes,
+        // it does not have).
+        let batch_pool = if spec.caller_shards >= spec.workers {
             BatchPool::new(0, 0)
         } else {
             BatchPool::new(DISPATCH_BATCH_CAPACITY, spec.workers.saturating_mul(4))
@@ -591,10 +602,12 @@ impl ShardedPipeline {
                 ShardJob::Batch(batch) => batch,
                 // Shared-range dispatch: gather this shard's slice
                 // of the split parent into a pooled container. The
-                // move happens *here*, on the worker, in parallel
-                // across shards — the dispatch thread only wrote
-                // one descriptor per ring. When the last sibling
-                // range is consumed the parent container recycles.
+                // move happens *here*, when the shard runs — on a
+                // worker, or for a caller slot inside the driver's
+                // flush, in parallel with the workers — the dispatch
+                // itself only wrote one descriptor per shard. When
+                // the last sibling range is consumed the parent
+                // container recycles.
                 ShardJob::Range(range) => {
                     let mut out = gather_pool.take();
                     range.take_into(&mut out);
@@ -668,10 +681,10 @@ impl ShardedPipeline {
     /// shard in a single batched fan-out
     /// ([`WorkerPool::submit_fanout`]: one gate transaction for the
     /// whole call, blocking on backpressure). No packet moves and no
-    /// container leases on this thread — each worker gathers its slice
-    /// into a pooled container in parallel, and the parent batch
-    /// recycles to the [`BatchPool`] when the last shard's range is
-    /// consumed. A single-worker pipeline skips the split entirely
+    /// container leases in the dispatch — each shard gathers its slice
+    /// into a pooled container when it runs (a caller slot's when the
+    /// pipeline is next flushed), and the parent batch recycles to the
+    /// [`BatchPool`] when the last shard's range is consumed. A single-worker pipeline skips the split entirely
     /// (0 ≡ 1 shard: the batch goes to shard 0 as-is). Returns the
     /// number of shard ranges enqueued.
     ///
@@ -1943,6 +1956,15 @@ mod tests {
         r.pipe.shutdown();
     }
 
+    /// One shard on a worker thread of its own (`k = 0`), for the
+    /// tests of a dead ring.
+    fn on_a_thread() -> ShardSpec {
+        ShardSpec {
+            caller_shards: 0,
+            ..ShardSpec::single()
+        }
+    }
+
     /// An ingress that kills its worker on the first packet.
     struct Exploder;
 
@@ -1961,7 +1983,7 @@ mod tests {
         // count the drained frames as dropped, and recycle its pooled
         // container.
         let rm = Arc::new(ResourceManager::new());
-        let pipe = ShardedPipeline::build("dead-pump", ShardSpec::single(), rm, |_| {
+        let pipe = ShardedPipeline::build("dead-pump", on_a_thread(), rm, |_| {
             let rt = Runtime::new();
             register_packet_interfaces(&rt);
             let capsule = Capsule::new("shard", &rt);
@@ -2023,7 +2045,7 @@ mod tests {
         let sinks = Arc::new(parking_lot::Mutex::new(Vec::new()));
         let pipe = ShardedPipeline::build(
             "respawn",
-            ShardSpec::single(),
+            on_a_thread(),
             Arc::clone(&rm),
             poisoned_factory(0, Arc::clone(&sinks)),
         )
@@ -2206,11 +2228,12 @@ mod tests {
         let raw = ShardSpec {
             workers: 0,
             ring_capacity: 0,
-            caller_run: true,
+            caller_shards: 1,
         };
         let pipe = inline_pipe("zero-raw", raw, |_| Counter::new());
         assert_eq!(pipe.workers(), 1);
         assert_eq!(pipe.dispatch(burst(4, 1)), 1);
+        pipe.flush();
         assert_eq!(pipe.shard_stats(0).packets, 4);
     }
 }
@@ -2279,6 +2302,7 @@ mod solo {
                 .map(|p| FlowKey::from_packet(p).unwrap().shard_for(4))
                 .collect();
             pipe.dispatch(PacketBatch::from_packets(pkts));
+            pipe.flush();
             let log = log.lock();
             assert_eq!(log.len(), 32);
             // Shard visit order is index order, and each packet landed on
@@ -2298,6 +2322,7 @@ mod solo {
         fn single_shard_skips_metering() {
             let (pipe, _log) = recorder_pipe(1);
             pipe.dispatch((0..8u16).map(|i| flow(9000 + i)).collect());
+            pipe.flush();
             assert_eq!(pipe.bucket_loads().iter().sum::<u64>(), 0);
             assert_eq!(pipe.stats().packets, 8);
         }
@@ -2314,6 +2339,8 @@ mod solo {
             assert!(report.moved_buckets > 0);
             assert_eq!(pipe.migrations(), 1);
             pipe.dispatch(PacketBatch::from_packets(pkts));
+            pipe.flush();
+            assert_eq!(log.lock().len(), 8);
             assert!(log.lock().iter().all(|&(shard, _)| shard == 1));
         }
 
@@ -2332,6 +2359,7 @@ mod solo {
                 port += 1;
             }
             pipe.dispatch(PacketBatch::from_packets(colocated));
+            pipe.flush();
             let migrated = pipe.control_turn(&mut ctl, &[]);
             assert!(migrated.is_some(), "colocation must migrate");
             assert_eq!(pipe.migrations(), 1);
@@ -2357,6 +2385,7 @@ mod solo {
                 Arc::new(Reject(shard == 0))
             });
             pipe.dispatch((0..32u16).map(|i| flow(7000 + i)).collect());
+            pipe.flush();
             let stats = pipe.stats();
             let drops = pipe.drop_stats();
             assert_eq!(stats.dropped, 32);

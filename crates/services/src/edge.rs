@@ -124,8 +124,8 @@ pub fn stateful_edge_desc(p: &EdgeProfile) -> PipelineDesc {
 }
 
 /// Compiles the stateful edge to a [`ShardedPipeline`] of `workers`
-/// caller-run replicas ([`ShardSpec::inline`]: shards run on the
-/// dispatching thread, deterministically), returning the pipeline plus
+/// caller-run replicas ([`ShardSpec::inline`]: the shards' queued jobs
+/// run on the thread that flushes, deterministically), returning the pipeline plus
 /// the [`DescBinding`] that patches it live.
 ///
 /// # Errors
@@ -161,6 +161,7 @@ mod tests {
                 .unwrap();
         let batch = (0..16).map(|s| udp(5_000 + s)).collect();
         pipe.dispatch(batch);
+        pipe.flush();
         assert_eq!(pipe.stats().accepted, 16);
         assert_eq!(pipe.stats().dropped, 0);
         assert_eq!(

@@ -3,7 +3,8 @@
 //! [`PipelineNode`] hosts a [`ShardedPipeline`] on caller slots
 //! ([`ShardSpec::inline`]) — the threaded dataplane's own code: same
 //! replicas, steering, meters, health and control turns and patch
-//! applier, with each shard's job run on the simulator's thread in
+//! applier, with each shard's job queued by the node's dispatch and
+//! run by the flush that follows it, on the simulator's thread in
 //! shard-index order instead of on a worker — behind the
 //! [`NodeBehaviour`] interface, so a
 //! discrete-event topology can be populated with *actual* stateful
@@ -68,7 +69,7 @@ const CONTROL_TOKEN: u64 = u64::MAX;
 /// simulator's thread, whatever placement it was handed.
 fn on_caller(spec: ShardSpec) -> ShardSpec {
     ShardSpec {
-        caller_run: true,
+        caller_shards: spec.workers,
         ..spec
     }
 }
@@ -426,6 +427,7 @@ impl PipelineNode {
         let n_in = pkts.len() as u64;
         self.packets_since_turn += n_in;
         self.pipe.dispatch(PacketBatch::from_packets(pkts));
+        self.pipe.flush();
         let mut n_out = 0u64;
         for collector in &self.collectors {
             if collector.is_empty() {

@@ -24,16 +24,20 @@
 //! elephant flow demonstrably resumes after recovery, and the batch
 //! pool stops allocating once the post-recovery steady state is warm.
 //!
-//! The dead window is **deterministic**: the doomed worker holds its
-//! last breath until the driver has queued one more round behind the
-//! batch it dies on (see [`CrashInjector::die`]), so the corpse's ring
-//! always strands a descriptor and `drops.dead_worker > 0` never
-//! depends on whether the loop's 1-ms tick or the driver's next
-//! dispatch wins the race to the dead shard.
+//! The dead window is **deterministic**: one more round is always
+//! queued behind the batch the victim dies on, so the corpse always
+//! strands a descriptor and `drops.dead_worker > 0` never depends on
+//! whether the loop's 1-ms tick or the driver's next dispatch wins the
+//! race to the dead shard. The crash runs in two lanes ([`Lane`]): on a
+//! worker thread, whose doomed handler holds its last breath until the
+//! driver has fed it (see [`CrashInjector::die`]), and in shard 0,
+//! which [`ShardSpec::new`] runs on the dispatching thread — there the
+//! crash fires inside the driver's own flush, which must survive it,
+//! and the driver feeds the corpse before that flush.
 //!
-//! One seeded round runs by default; `NETKIT_CHAOS_SOAK=1` extends the
-//! soak to several rounds with distinct seeds (CI runs the extended
-//! variant in release mode).
+//! One seeded round per lane runs by default; `NETKIT_CHAOS_SOAK=1`
+//! extends the soak to several rounds with distinct seeds (CI runs the
+//! extended variant in release mode).
 
 use std::collections::HashSet;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -56,7 +60,29 @@ use netkit::router::shard::{RebalanceController, RebalancePolicy, ShardGraph, Sh
 use parking_lot::Mutex;
 
 const WORKERS: usize = 4;
-const VICTIM: usize = 0;
+/// The crash fires on the victim's `CRASH_AT`-th packet.
+const CRASH_AT: u64 = 150;
+/// Packets a traffic round steers to the victim: four of the elephant,
+/// one per mouse, three mice per shard.
+const VICTIM_PER_ROUND: u64 = 4 + 3;
+
+/// Where the crash fires.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+enum Lane {
+    /// On shard 1, a worker thread.
+    Ring,
+    /// On shard 0, a caller slot: inside the driver's flush.
+    Caller,
+}
+
+impl Lane {
+    fn victim(self) -> usize {
+        match self {
+            Lane::Ring => 1,
+            Lane::Caller => 0,
+        }
+    }
+}
 
 // ---------------------------------------------------------------- rig
 
@@ -95,6 +121,7 @@ struct CrashInjector {
     crash_lost: Arc<AtomicU64>,
     inner: GlobalRecorder,
     window: Arc<DeadWindow>,
+    lane: Lane,
 }
 
 /// The handshake that makes the dead window deterministic: the doomed
@@ -108,16 +135,18 @@ struct DeadWindow {
 
 impl CrashInjector {
     /// Files the `lost` packets the panic takes down, then dies — but
-    /// only once the driver has queued another round into this worker's
-    /// ring. The worker is still alive while it waits, so that round is
-    /// accepted and steered here, and the respawn must account its
-    /// descriptor as a dead-worker drop: one dispatch always meets the
-    /// corpse, however the control loop's tick falls.
+    /// on a worker thread only once the driver has queued another round
+    /// into this worker's ring. The worker is still alive while it
+    /// waits, so that round is accepted and steered here, and the
+    /// respawn must account its descriptor as a dead-worker drop: one
+    /// dispatch always meets the corpse, however the control loop's
+    /// tick falls. On the caller slot this runs inside the driver's
+    /// flush, which the driver fed before it flushed.
     fn die(&self, lost: u64) -> ! {
         self.crash_lost.fetch_add(lost, Ordering::SeqCst);
         self.window.dying.store(true, Ordering::SeqCst);
         let deadline = Instant::now() + Duration::from_secs(60);
-        while !self.window.fed.load(Ordering::SeqCst) {
+        while self.lane == Lane::Ring && !self.window.fed.load(Ordering::SeqCst) {
             assert!(Instant::now() < deadline, "driver never fed the corpse");
             std::thread::yield_now();
         }
@@ -196,9 +225,11 @@ fn assert_per_flow_monotone(log: &[(u16, u16)], ports: &[u16]) {
 
 // ------------------------------------------------------- the scenario
 
-/// One full crash-and-recover round under the given seed. Returns the
-/// packets dispatched, for the caller's curiosity.
-fn chaos_round(seed: u64) -> u64 {
+/// One full crash-and-recover round under the given seed, the crash
+/// firing in `lane`. Returns the packets dispatched, for the caller's
+/// curiosity.
+fn chaos_round(seed: u64, lane: Lane) -> u64 {
+    let victim = lane.victim();
     let log: Arc<Mutex<Vec<(u16, u16)>>> = Arc::new(Mutex::new(Vec::new()));
     let crash_lost = Arc::new(AtomicU64::new(0));
     let window = Arc::new(DeadWindow::default());
@@ -206,7 +237,9 @@ fn chaos_round(seed: u64) -> u64 {
     // ingress* — mid-run, while the elephant is flowing. The respawned
     // replica is built from the same factory with the same plan; the
     // fault fires exactly once, so the rebuilt injector is benign.
-    let plan = Arc::new(FaultPlan::new(FaultConfig::new(seed).panic_on_nth(150)));
+    let plan = Arc::new(FaultPlan::new(
+        FaultConfig::new(seed).panic_on_nth(CRASH_AT),
+    ));
     let rm = Arc::new(ResourceManager::new());
     let pipe = {
         let (log, crash_lost, plan, window) = (
@@ -226,12 +259,13 @@ fn chaos_round(seed: u64) -> u64 {
                 let recorder = GlobalRecorder {
                     log: Arc::clone(&log),
                 };
-                let entry: Arc<dyn IPacketPush> = if shard == VICTIM {
+                let entry: Arc<dyn IPacketPush> = if shard == victim {
                     Arc::new(CrashInjector {
                         plan: Arc::clone(&plan),
                         crash_lost: Arc::clone(&crash_lost),
                         inner: recorder,
                         window: Arc::clone(&window),
+                        lane,
                     })
                 } else {
                     Arc::new(recorder)
@@ -264,7 +298,7 @@ fn chaos_round(seed: u64) -> u64 {
     // An elephant plus mice on the victim shard, mice everywhere else.
     let mut used = HashSet::new();
     let identity = pipe.bucket_map();
-    let elephant = colocated_ports(&identity, VICTIM, 1, 20_000, &mut used)[0];
+    let elephant = colocated_ports(&identity, victim, 1, 20_000, &mut used)[0];
     let mut ports: Vec<u16> = vec![elephant];
     for shard in 0..WORKERS {
         ports.extend(colocated_ports(&identity, shard, 3, 1_000, &mut used));
@@ -289,39 +323,59 @@ fn chaos_round(seed: u64) -> u64 {
     // recovered the shard. The dispatcher never stops — the kill lands
     // mid-elephant by construction.
     let deadline = Instant::now() + Duration::from_secs(60);
+    let mut victim_sent = 0u64;
     while ctl.stats().recoveries == 0 {
         assert!(
             Instant::now() < deadline,
-            "control loop never recovered the dead shard (seed {seed})"
+            "control loop never recovered the dead shard (seed {seed}, {lane:?})"
         );
         let batch = traffic_round(&mut seq);
         dispatched += batch.len() as u64;
         pipe.dispatch(batch);
-        if !window.fed.load(Ordering::SeqCst) {
-            // A flush would wait on the doomed worker while it waits
-            // on us, so until the corpse is fed the round is awaited
-            // through the books: everything delivered or dropped, or
-            // the crash ledger written and `dying` raised.
-            while !window.dying.load(Ordering::SeqCst)
-                && log.lock().len() as u64 + pipe.drop_stats().total() < dispatched
-            {
-                std::thread::yield_now();
-            }
-            if window.dying.load(Ordering::SeqCst) {
-                let batch = traffic_round(&mut seq);
-                dispatched += batch.len() as u64;
-                pipe.dispatch(batch);
-                window.fed.store(true, Ordering::SeqCst);
-            }
+        victim_sent += VICTIM_PER_ROUND;
+        let feed = !window.fed.load(Ordering::SeqCst)
+            && match lane {
+                Lane::Ring => {
+                    // A flush would wait on the doomed worker while it
+                    // waits on us, so until the corpse is fed the
+                    // victim's ring is awaited alone: run dry, or the
+                    // crash ledger written and `dying` raised.
+                    while !window.dying.load(Ordering::SeqCst)
+                        && pipe.shard_loads()[victim].in_flight > 0
+                    {
+                        assert!(
+                            Instant::now() < deadline,
+                            "the victim's ring never ran dry (seed {seed})"
+                        );
+                        std::thread::yield_now();
+                    }
+                    window.dying.load(Ordering::SeqCst)
+                }
+                // The flush below runs the doomed packet on this
+                // thread: queue the corpse's round before it.
+                Lane::Caller => victim_sent >= CRASH_AT,
+            };
+        if feed {
+            let batch = traffic_round(&mut seq);
+            dispatched += batch.len() as u64;
+            pipe.dispatch(batch);
+            window.fed.store(true, Ordering::SeqCst);
         }
         pipe.flush();
+        if feed && lane == Lane::Caller {
+            assert_eq!(
+                plan.stats().panics_fired,
+                1,
+                "the crash fired inside this thread's flush, which returned"
+            );
+        }
         std::thread::sleep(Duration::from_micros(300));
     }
     assert!(
         plan.stats().panics_fired >= 1,
         "recovery implies the crash fired"
     );
-    assert_eq!(pipe.worker_alive(VICTIM), Some(true), "victim respawned");
+    assert_eq!(pipe.worker_alive(victim), Some(true), "victim respawned");
 
     // Delivery resumes through the recovered shard: the elephant keeps
     // going, with fresh sequence numbers landing in the log.
@@ -400,16 +454,26 @@ fn chaos_round(seed: u64) -> u64 {
     dispatched
 }
 
-#[test]
-fn control_loop_alone_recovers_a_mid_elephant_crash() {
-    // NETKIT_CHAOS_SOAK=1 extends the soak: more rounds, fresh seeds —
-    // each a full build/kill/recover/verify cycle.
+/// Runs the soak's rounds in `lane`: one by default, and with
+/// `NETKIT_CHAOS_SOAK=1` more rounds with fresh seeds — each a full
+/// build/kill/recover/verify cycle.
+fn soak(lane: Lane) {
     let rounds: u64 = match std::env::var("NETKIT_CHAOS_SOAK") {
         Ok(v) if v != "0" => 4,
         _ => 1,
     };
     for round in 0..rounds {
-        let dispatched = chaos_round(0xC0FFEE + round);
+        let dispatched = chaos_round(0xC0FFEE + round, lane);
         assert!(dispatched > 0);
     }
+}
+
+#[test]
+fn control_loop_alone_recovers_a_mid_elephant_crash() {
+    soak(Lane::Ring);
+}
+
+#[test]
+fn control_loop_alone_recovers_a_crash_in_the_caller_run_shard() {
+    soak(Lane::Caller);
 }

@@ -13,6 +13,13 @@
 
 use netkit_sim::scenario::{run_city, CityConfig, ScenarioReport};
 
+/// The fingerprints of `CityConfig::small(0xC17E)` and
+/// `CityConfig::city(0xC17E)`. Every node flushes its pipeline after each
+/// dispatch, so where a caller-run shard's job runs (in the dispatch or
+/// in the flush after it) must not move a single delivery.
+const SMALL_FINGERPRINT: u64 = 0x2acb_e32e_0b3b_06e7;
+const CITY_FINGERPRINT: u64 = 0xbd2e_f940_caa2_357d;
+
 /// The assertions every lane shares — the scenario engine's contract.
 fn assert_city(cfg: &CityConfig, report: &ScenarioReport) {
     // Exact conservation: globally and per drop cause.
@@ -59,6 +66,12 @@ fn city_scale_scenario_holds_its_contract() {
 
     let a = run_city(&cfg);
     assert_city(&cfg, &a);
+    let pinned = if soak {
+        CITY_FINGERPRINT
+    } else {
+        SMALL_FINGERPRINT
+    };
+    assert_eq!(a.fingerprint, pinned, "the seeded city replays as pinned");
 
     // Determinism: an identical rerun is bit-for-bit the same city.
     let b = run_city(&cfg);
