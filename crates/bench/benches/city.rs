@@ -5,7 +5,7 @@
 //! inside out:
 //!
 //! * `solo_hop` — the raw cost of one packet-hop through a
-//!   [`ShardedPipeline`] on caller slots hosting the full
+//!   [`ShardedPipeline`] with no drainers hosting the full
 //!   stateful chain (conntrack → heavy-hitter guard → collector): RSS
 //!   split, sketch metering, per-shard graph execution. This is
 //!   the per-hop floor every simulated node pays; its inverse is the

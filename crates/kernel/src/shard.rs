@@ -3,15 +3,15 @@
 //! The paper's stratum 1 exists to put packet handling "as close to the
 //! hardware as possible" — on the IXP1200 that means six parallel
 //! microengines, each running its packet pipeline to completion. This
-//! module is the host-side analogue: a [`WorkerPool`] of N OS threads,
-//! each owning one SPSC work ring (built on the crossbeam channel shim)
-//! and one replica of the processing logic, fed by an RSS-style
-//! dispatcher that keeps every flow on a single worker (see
-//! `netkit_packet::flow::FlowKey::rss_hash`). Run-to-completion means a
-//! worker finishes an entire work item (typically a packet batch,
-//! through the whole element graph) before looking at its ring again —
-//! no cross-thread hand-offs on the fast path, no locks shared between
-//! shards.
+//! module is the host-side analogue: a [`WorkerPool`] of N **shards**,
+//! each one replica of the processing logic (its handler) behind a lock
+//! plus one bounded queue of work, fed by an RSS-style dispatcher that
+//! keeps every flow on a single shard (see
+//! `netkit_packet::flow::FlowKey::rss_hash`). Run-to-completion means
+//! whoever holds a shard's handler lock finishes an entire work item
+//! (typically a packet batch, through the whole element graph) before
+//! taking the next — no hand-offs mid-item, no locks shared between
+//! shards on the fast path.
 //!
 //! The pool is generic over its work item; the packet dataplane
 //! instantiates it with [`ShardJob`], whose [`ShardJob::Range`] variant
@@ -21,119 +21,117 @@
 //! [`WorkerPool::submit_fanout`] is the matching batched publish: one
 //! gate transaction per dispatch instead of one per sub-batch.
 //!
-//! ## Two kinds of shard slot, one executor
+//! ## Shards and drainers
 //!
-//! A shard's slot is either a **ring** — the worker thread and SPSC
-//! ring described above — or a **caller slot**: a ring with no thread.
-//! A job submitted to a caller slot queues, bounded by the same
-//! `ring_capacity`, and the thread that next *waits* on the pool runs
-//! it, on itself, in FIFO order: [`WorkerPool::flush`] and
-//! [`WorkerPool::quiesce`] drain every caller slot before they wait on
-//! the rings, shutdown drains them before it joins the workers, and a
-//! blocking submit that finds the queue full drains it to make room.
-//! Shards `0..k` are caller slots and the rest rings
-//! ([`ShardSpec::caller_shards`]): [`ShardSpec::new`] puts shard 0 on
-//! the dispatching thread, so a dispatcher publishes a whole round to
-//! the workers and then, inside `flush`, runs shard 0's share in
-//! parallel with them instead of parking; [`ShardSpec::inline`] puts
-//! every shard there, the deterministic placement the simulator
-//! drives.
+//! A shard is a *task* in the resources meta-model's sense — a unit of
+//! work orthogonal to the component architecture — and a **drainer** is
+//! whatever thread runs it. Every thread drains a shard the same way: it
+//! takes the shard's handler lock, runs the jobs queued when it started,
+//! oldest first, and lets go. The lock admits one drainer at a time,
+//! which is what keeps each shard FIFO, and so each flow in order,
+//! whichever thread holds it.
 //!
-//! Both kinds keep one set of books at the gate: a queued job counts
-//! in flight and in the high-water mark, a completed one in
+//! Shards `k..workers` ([`ShardSpec::caller_shards`] is `k`) each get a
+//! *home drainer* at start: a thread that parks on its shard's queue
+//! and, woken by a submit, drains it. Shards `0..k` have no home
+//! drainer: [`WorkerPool::flush`] drains them on the calling thread
+//! before it waits for the rest. So [`ShardSpec::new`] (`k = 1`) lets a
+//! dispatcher publish a whole round and then, inside `flush`, run shard
+//! 0's share in parallel with the drainer threads instead of parking;
+//! [`ShardSpec::inline`] has no drainers at all, the deterministic
+//! placement the simulator drives. Three other callers drain too: a
+//! quiesce drains every queue before its closure runs, shutdown drains
+//! what is left once the drainer threads have exited, and a blocking
+//! submit that finds a queue full drains that shard to make room — the
+//! one backpressure rule.
+//!
+//! One set of books covers every shard: a queued job counts in flight
+//! and in the high-water mark, a completed one in
 //! [`WorkerPool::completed`], and a full queue bounces
 //! [`WorkerPool::try_submit`] as [`SubmitRejection::RingFull`]. A
-//! caller slot's handler runs under `catch_unwind`, so a panic during
-//! a drain marks the shard dead exactly as a worker's exit does: the
-//! drainer survives, later submits bounce with
-//! [`SubmitRejection::DeadWorker`], the jobs still queued are
-//! stranded, and [`WorkerPool::respawn`] hands them to its
-//! `on_stranded` and swaps in a fresh handler.
+//! handler runs under `catch_unwind`, so a panic kills its shard, not
+//! the thread draining it: the handler is emptied, later submits bounce
+//! with [`SubmitRejection::DeadWorker`], the jobs still queued are
+//! stranded, and the home drainer parks until [`WorkerPool::respawn`]
+//! puts a handler back and hands the stranded jobs to its
+//! `on_stranded`. No thread starts after [`WorkerPool::start`], and
+//! none is joined before shutdown.
 //!
-//! ## The epoch quiesce protocol
+//! ## Quiesce: every handler lock at once
 //!
 //! Reflective reconfiguration (the architecture meta-model's
 //! insert/remove/replace) must apply **atomically across all shards**:
 //! a packet must never traverse shard 0's new graph while shard 1 still
-//! runs the old one. [`WorkerPool::quiesce`] implements an epoch
-//! barrier:
-//!
-//! 1. the reconfigurer bumps the requested epoch and enqueues a sync
-//!    marker on every worker ring — *behind* all previously submitted
-//!    work, so in-flight items run to completion first;
-//! 2. each worker, on reaching its marker, parks at the gate and
-//!    reports arrival;
-//! 3. once every worker is parked the reconfigurer runs its closure —
-//!    it has exclusive access to all shard state, with zero items
-//!    mid-pipeline anywhere;
-//! 4. releasing the epoch wakes all workers, which resume draining
-//!    their rings.
-//!
-//! Traffic submitted during the quiesce is *not* dropped: it queues in
-//! the rings (backpressure via bounded capacity) and flows as soon as
-//! the epoch is released. The window where forwarding pauses is exactly
-//! the closure's run time plus one barrier round — the multi-core
+//! runs the old one. [`WorkerPool::quiesce`] holds every shard's
+//! handler lock while its closure runs; traffic submitted meanwhile
+//! queues (bounded-queue backpressure) rather than drops. The pause is
+//! the closure's run time plus the drains — the multi-core
 //! generalisation of the paper's "brief interruption" during hot swap.
 //!
 //! ## Quiesce semantics, precisely
 //!
-//! What [`WorkerPool::quiesce`] guarantees (and what it does not):
+//! What [`WorkerPool::quiesce`] guarantees (and what it does not), each
+//! with the unit test that pins it:
 //!
-//! 1. **Happens-before, per ring.** Every item submitted to a ring
-//!    *before* the quiescer enqueued that ring's sync marker runs to
-//!    completion before the closure starts. Items submitted *after*
-//!    the marker (including from inside the closure) run only after
-//!    the epoch is released, in submission order. A caller slot's
-//!    marker is the quiescer's drain of it, which runs first.
-//! 2. **Exclusivity.** While the closure runs, every live worker is
-//!    parked at a batch boundary and the quiescer holds every caller
-//!    slot's handler lock, having drained it first; no handler code
-//!    executes anywhere in the pool. Multi-step shared-state updates
-//!    inside the closure are indivisible from the dataplane's point
-//!    of view. A job the closure submits to a caller slot queues and
-//!    runs at the next flush, as one submitted to a ring runs after
-//!    the release.
-//! 3. **No loss.** Nothing in the rings is discarded; the barrier
-//!    reorders nothing within any ring (rings are FIFO throughout).
-//! 4. **Liveness under faults.** Dead workers (handler panics) are
-//!    accounted at the gate; a quiesce never wedges waiting for one,
-//!    and `flush` is gated only by *live* shards' in-flight items.
-//! 5. **What is NOT guaranteed:** ordering *between* rings. If a
-//!    caller moves a traffic class from ring A to ring B (a steering
+//! 1. **Happens-before, per shard.** Every job queued on a shard before
+//!    the quiescer took its handler lock has run to completion before
+//!    the closure starts: a drainer holding the lock finishes the jobs
+//!    it took, and the quiescer runs the rest. Jobs submitted after (including
+//!    from inside the closure) run only after release, in submission
+//!    order (`a_quiesce_waits_for_a_drainer_mid_job_and_runs_the_rest`).
+//! 2. **Exclusivity.** While the closure runs, the quiescer holds every
+//!    handler lock: no handler code executes anywhere in the pool.
+//!    Multi-step shared-state updates inside the closure are
+//!    indivisible from the dataplane's point of view. A job the closure
+//!    submits queues; a home drainer runs it once the locks go, a shard
+//!    without one at the next flush
+//!    (`quiesce_runs_with_all_workers_parked`).
+//! 3. **No loss.** Nothing queued is discarded, and the quiesce
+//!    reorders nothing within a shard (queues are FIFO throughout)
+//!    (`quiesce_preserves_queued_traffic`).
+//! 4. **Liveness under faults.** A dead shard (handler panic) holds an
+//!    empty handler; a quiesce takes its lock, runs nothing, and never
+//!    waits on it, and `flush` is gated only by *live* shards'
+//!    in-flight items (`panicking_handler_does_not_wedge_the_pool`).
+//! 5. **What is NOT guaranteed:** ordering *between* shards. If a
+//!    caller moves a traffic class from shard A to shard B (a steering
 //!    migration), the caller must ensure A's items drained before B's
 //!    start — which is exactly what running the re-steer inside the
 //!    closure provides. The sharded router's
 //!    `ShardedPipeline::install_bucket_map` composes this with a
 //!    steering-table write lock to make bucket migrations loss-free
-//!    and per-flow order-preserving; the bucket table itself is owned
-//!    by the pipeline (this pool is payload-agnostic and holds no
-//!    steering state — only per-shard load meters:
-//!    [`WorkerPool::completed`], [`WorkerPool::in_flight_on`],
-//!    [`WorkerPool::ring_high_water`]).
+//!    and per-flow order-preserving (its `quiesce_swaps_entries_atomically`
+//!    and `install_drains_and_resteers_nic_queues` tests); the bucket
+//!    table itself is owned by the pipeline (this pool is
+//!    payload-agnostic and holds no steering state — only per-shard
+//!    load meters: [`WorkerPool::completed`],
+//!    [`WorkerPool::in_flight_on`], [`WorkerPool::ring_high_water`]).
 //!
 //! ## What costs a syscall
 //!
-//! Parking, and waking a peer that is parked — nothing else. A worker
-//! parks when its ring is empty, a producer when it is full, `flush`
-//! while live work is in flight, `quiesce` while workers have yet to
-//! reach the barrier, a worker at the barrier until release. The rings
-//! (the crossbeam shim) and the gate both count their waiters under the
-//! lock the waiter takes before it waits, and a notifier that reads
-//! zero there skips its `Condvar` notify — on Linux an unconditional
-//! `FUTEX_WAKE`. So `submit` to a busy worker, a `retire` with nobody
-//! in `flush`, and every ring pop are an uncontended critical section
-//! and no more; `submit` to an idle worker pays one wake, which is the
-//! hand-off itself. A caller slot costs none: nobody parks on it,
-//! since whoever waits runs its queue. Every notify is issued after the
-//! notifier has let go of the lock: a thread woken under it can preempt
-//! the notifier, run into the lock and park a second time, and whether
-//! it does is the scheduler's choice — cost that varies from run to
-//! run. A parked
-//! flusher is woken whenever *a* shard's count reaches zero, not only
-//! when the last one does: waking it for the last shard alone is one
-//! more condition and measured no better (`crates/bench/NOTES.md`).
+//! Parking, and waking a peer that is parked — nothing else. A home
+//! drainer parks when its queue is empty or it is held off (a quiesce,
+//! or a dead shard), `flush` while live work is in flight, and a thread
+//! blocks on a handler lock another thread holds: a quiescer behind a
+//! drainer's job, a full queue's submitter behind a drain. The queue and
+//! the gate both record their waiters under the lock the waiter takes
+//! before it waits, and a notifier that reads none there skips its
+//! `Condvar` notify — on Linux an unconditional `FUTEX_WAKE`. The first
+//! push to a parked drainer clears the mark as it notifies, so a burst
+//! that lands before the drainer runs costs one wake. So `submit` to a
+//! busy drainer, a `retire` with nobody in `flush`, and every pop are an
+//! uncontended critical section and no more; `submit` to an idle
+//! drainer pays one wake, which is the hand-off itself. A shard with no
+//! home drainer costs none: nobody parks on it. Every notify is issued
+//! after the notifier has let go of the lock: a thread woken under it
+//! can preempt the notifier, run into the lock and park a second time,
+//! and whether it does is the scheduler's choice — cost that varies
+//! from run to run. A parked flusher is woken whenever *a* shard's
+//! count reaches zero, not only when the last one does: waking it for
+//! the last shard alone is one more condition and measured no better
+//! (`crates/bench/NOTES.md`).
 //!
-//! The barrier-and-meters contract, runnable:
+//! The quiesce-and-meters contract, runnable:
 //!
 //! ```
 //! use std::sync::atomic::{AtomicU64, Ordering};
@@ -149,8 +147,8 @@
 //! });
 //! pool.submit(0, 1).unwrap();
 //! pool.submit(1, 2).unwrap();
-//! // Guarantee 1: pre-marker work is complete when the closure runs;
-//! // work submitted inside it flows only after release.
+//! // Guarantee 1: work queued before the quiesce is complete when the
+//! // closure runs; work submitted inside it flows only after release.
 //! let seen_at_quiesce = pool.quiesce(|| {
 //!     pool.submit(0, 10).unwrap();
 //!     sum.load(Ordering::Relaxed)
@@ -159,7 +157,7 @@
 //! pool.flush();
 //! assert_eq!(sum.load(Ordering::Relaxed), 13); // guarantee 3: no loss
 //! assert_eq!(pool.epoch(), 1);
-//! // Load meters: per-shard completions and ring pressure.
+//! // Load meters: per-shard completions and queue pressure.
 //! assert_eq!(pool.completed(0), Some(2));
 //! assert_eq!(pool.in_flight_on(0), Some(0));
 //! assert!(pool.ring_high_water(0).unwrap() >= 1);
@@ -170,42 +168,40 @@ use std::collections::VecDeque;
 use std::fmt;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::thread::JoinHandle;
 
-use crossbeam::channel::{bounded, Receiver, Sender};
 use netkit_packet::batch::{PacketBatch, SharedShardRange};
-use parking_lot::RwLock;
 
 /// Configuration of a sharded dataplane: how many run-to-completion
 /// shards, how deep each shard's queue is (in work items), and how
-/// many of them run on the caller instead of a worker thread.
+/// many of them have no drainer thread of their own.
 ///
 /// The same spec configures the NETKIT sharded pipeline, the sim
 /// driver's RSS demux, and the click/monolithic baselines, so
 /// multi-core benchmarks compare like-for-like.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct ShardSpec {
-    /// Number of shards: worker threads and SPSC rings, or caller
-    /// slots. Clamped to ≥ 1.
+    /// Number of shards, each a handler and a bounded queue. Clamped to
+    /// ≥ 1.
     pub workers: usize,
-    /// Per-shard ring (or caller-slot queue) capacity, in work items;
-    /// submission backpressures (blocking [`WorkerPool::submit`]) or
-    /// fails ([`WorkerPool::try_submit`]) when it is full.
+    /// Per-shard queue capacity, in work items; submission
+    /// backpressures (blocking [`WorkerPool::submit`]) or fails
+    /// ([`WorkerPool::try_submit`]) when it is full.
     pub ring_capacity: usize,
-    /// `k`: shards `0..k` are caller slots, rings with no thread whose
-    /// queued work runs on whichever thread next waits on the pool
-    /// (see "Two kinds of shard slot" in the module docs); shards
-    /// `k..workers` are worker threads. [`WorkerPool::start`] clamps it
-    /// to `workers`. A spec with `k = 0`, every shard on a thread of
-    /// its own, is a struct literal.
+    /// `k`: shards `0..k` have no home drainer — their queued work runs
+    /// on whichever thread next waits on the pool (see "Shards and
+    /// drainers" in the module docs); shards `k..workers` each get a
+    /// drainer thread. [`WorkerPool::start`] clamps it to `workers`. A
+    /// spec with `k = 0`, a drainer thread for every shard, is a struct
+    /// literal.
     pub caller_shards: usize,
 }
 
 impl ShardSpec {
-    /// A spec with `workers` shards and default ring sizing: shard 0
-    /// runs on the dispatching thread, the rest on worker threads, so
-    /// one shard needs no thread at all.
+    /// A spec with `workers` shards and default queue sizing: shard 0
+    /// is drained by the dispatching thread, the rest by drainer
+    /// threads, so one shard needs no thread at all.
     pub fn new(workers: usize) -> Self {
         Self {
             workers: workers.max(1),
@@ -214,11 +210,11 @@ impl ShardSpec {
         }
     }
 
-    /// A spec with `workers` caller slots: every shard's queue is run
-    /// by whichever thread waits on the pool, shard by shard in index
-    /// order, so a run replays bit for bit.
+    /// A spec with `workers` shards and no drainer threads: every
+    /// shard's queue is run by whichever thread waits on the pool,
+    /// shard by shard in index order, so a run replays bit for bit.
     ///
-    /// A pool on caller slots: submitted work runs when the submitter
+    /// A pool with no drainers: submitted work runs when the submitter
     /// flushes, and a panicking handler kills its shard, not the
     /// flusher.
     ///
@@ -268,7 +264,7 @@ impl ShardSpec {
         Self::new(1)
     }
 
-    /// Sets the per-worker ring depth (builder-style).
+    /// Sets the per-shard queue depth (builder-style).
     pub fn with_ring_capacity(mut self, capacity: usize) -> Self {
         self.ring_capacity = capacity.max(1);
         self
@@ -282,44 +278,43 @@ impl Default for ShardSpec {
 }
 
 /// One shard's work handler: consumes items to completion. Created per
-/// worker by the factory passed to [`WorkerPool::start`], so each shard
+/// shard by the factory passed to [`WorkerPool::start`], so each shard
 /// owns its state outright (shared-nothing by construction).
 pub type ShardHandler<T> = Box<dyn FnMut(T) + Send>;
 
-/// The sharded dataplane's ring descriptor: what one slot of a worker
-/// ring names. The [`WorkerPool`] itself stays payload-agnostic — this
-/// is the concrete `T` the packet dataplane instantiates it with.
+/// The sharded dataplane's work item: what one slot of a shard's queue
+/// names. The [`WorkerPool`] itself stays payload-agnostic — this is
+/// the concrete `T` the packet dataplane instantiates it with.
 ///
 /// Two shapes, two hand-off disciplines:
 ///
-/// * [`ShardJob::Batch`] moves an owned batch onto the ring — the
+/// * [`ShardJob::Batch`] moves an owned batch onto the queue — the
 ///   multi-queue NIC path, where hardware (or `pump_nic`) already
 ///   steered the batch to exactly one shard and there is nothing to
 ///   share.
 /// * [`ShardJob::Range`] publishes one shard's slice of a **shared**
 ///   split parent ([`SharedShardRange`], an `Arc`'d descriptor):
 ///   the software-dispatch fast path. No packet moves at publish time;
-///   the worker gathers its slice on its own core
+///   the shard's drainer gathers its slice on its own core
 ///   ([`SharedShardRange::take_into`]) and the parent container
 ///   recycles to its pool when the last shard's refcount drops.
 ///
-/// ### Quiesce and per-flow order, re-proven for shared ranges
+/// ### Quiesce and per-flow order, for shared ranges
 ///
-/// The epoch protocol's guarantees carry over unchanged because a
-/// range is one ring item like any other:
+/// The quiesce guarantees carry over unchanged because a range is one
+/// queued job like any other:
 ///
-/// * **Happens-before** — sync markers are enqueued *behind* ranges,
-///   so every pre-marker range has been consumed (its packets moved
-///   out and run to completion) before the quiesce closure starts; by
-///   then every pre-marker split parent has been dropped by its last
-///   range and recycled. No shared parent is ever live across an
-///   epoch boundary.
+/// * **Happens-before** — the quiescer drains every queue before its
+///   closure starts, so every range queued before the quiesce has been
+///   consumed and its split parent dropped by its last range and
+///   recycled: no shared parent is live across a quiesce.
 /// * **Per-flow order** — a flow maps to one bucket, a bucket to one
-///   shard, so all of a flow's packets ride ranges on one ring, in
-///   dispatch order (rings are FIFO). Sharing the parent adds no
-///   cross-ring path a flow could race itself on.
-/// * **Loss accounting** — a range that never reaches its worker
-///   (ring full, worker dead) is dropped *as a descriptor*: its
+///   shard, so all of a flow's packets ride ranges on one queue, in
+///   dispatch order (queues are FIFO, and one drainer at a time holds
+///   the handler). Sharing the parent adds no cross-shard path a flow
+///   could race itself on.
+/// * **Loss accounting** — a range that never reaches its handler
+///   (queue full, shard dead) is dropped *as a descriptor*: its
 ///   packets stay in the shared parent and are freed — pooled frame
 ///   buffers recycled — when the parent's last handle goes. The
 ///   rejecting caller counts the range's packets as dropped; nothing
@@ -361,59 +356,42 @@ impl From<SharedShardRange> for ShardJob {
 
 /// Why a submission bounced — the classification
 /// [`WorkerPool::try_submit_tagged`] reports so callers can tell
-/// backpressure (ring pressure, shed load) from faults (a dead worker,
+/// backpressure (queue pressure, shed load) from faults (a dead shard,
 /// whose traffic is a recovery concern) from caller error.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum SubmitRejection {
-    /// The target ring was full: backpressure evidence (tail drop).
+    /// The target shard's queue was full: backpressure evidence (tail
+    /// drop).
     RingFull,
-    /// The target worker is dead (handler panic): fault evidence.
+    /// The target shard is dead (handler panic): fault evidence.
     DeadWorker,
     /// The shard index does not exist in this pool.
     OutOfRange,
 }
 
-enum Job<T> {
-    Work(T),
-    Sync(u64),
-}
-
 struct GateState {
-    /// Last epoch whose quiesce has been released.
-    released: u64,
-    /// Highest epoch a quiescer has requested.
-    requested: u64,
-    /// Workers currently parked at the barrier.
-    parked: usize,
-    /// Per-shard liveness: a dead worker (handler panic) can never park
-    /// and will never run its queued items.
+    /// Completed quiesces.
+    epoch: u64,
+    /// Per-shard liveness: a dead shard (handler panic) runs nothing
+    /// until it is respawned.
     dead: Vec<bool>,
     /// Per-shard work items submitted but not yet run to completion.
-    /// Tracked per shard so a dead worker's stranded items cannot wedge
+    /// Tracked per shard so a dead shard's stranded items cannot wedge
     /// `flush` — only *live* shards' counts gate it.
     in_flight: Vec<usize>,
-    /// Per-shard high-water mark of `in_flight` — the ring-occupancy
+    /// Per-shard high-water mark of `in_flight` — the queue-occupancy
     /// meter the rebalancer reads to spot a backed-up shard. Reset via
     /// [`WorkerPool::reset_ring_high_water`] to start a new observation
     /// window.
     ring_hwm: Vec<usize>,
     /// Threads inside [`WorkerPool::flush`]'s wait on `drained`.
     flushers: usize,
-    /// Whether the quiescer is inside its wait on `arrived` (quiescers
-    /// are serialised, so there is at most one).
-    quiescer_waiting: bool,
-    /// Notifies issued on `drained` / `arrived` — read by the
-    /// wake-accounting tests.
+    /// Notifies issued on `drained` — read by the wake-accounting tests.
     drained_wakes: u64,
-    arrived_wakes: u64,
 }
 
 struct Gate {
     state: Mutex<GateState>,
-    /// Workers wait here for the epoch release.
-    resume: Condvar,
-    /// The quiescer waits here for workers to park.
-    arrived: Condvar,
     /// `flush` waits here for live shards to drain.
     drained: Condvar,
 }
@@ -422,32 +400,26 @@ impl Gate {
     fn new(workers: usize) -> Self {
         Self {
             state: Mutex::new(GateState {
-                released: 0,
-                requested: 0,
-                parked: 0,
+                epoch: 0,
                 dead: vec![false; workers],
                 in_flight: vec![0; workers],
                 ring_hwm: vec![0; workers],
                 flushers: 0,
-                quiescer_waiting: false,
                 drained_wakes: 0,
-                arrived_wakes: 0,
             }),
-            resume: Condvar::new(),
-            arrived: Condvar::new(),
             drained: Condvar::new(),
         }
     }
 
-    fn lock(&self) -> std::sync::MutexGuard<'_, GateState> {
+    fn lock(&self) -> MutexGuard<'_, GateState> {
         self.state.lock().unwrap_or_else(|e| e.into_inner())
     }
 
     /// Reserves one in-flight slot on `shard`. Returns `false` —
-    /// reserving nothing — when the worker is already marked dead: a
-    /// dead worker's ring never drains, so enqueuing would at best
+    /// reserving nothing — when the shard is already marked dead: a
+    /// dead shard's queue never drains, so enqueuing would at best
     /// strand the item invisibly and at worst block the producer on a
-    /// full ring no consumer will ever relieve.
+    /// full queue nothing will relieve.
     fn submit_one(&self, shard: usize) -> bool {
         let mut st = self.lock();
         if st.dead[shard] {
@@ -462,10 +434,6 @@ impl Gate {
 
     fn retire(&self, shard: usize, items: usize) {
         let mut st = self.lock();
-        // Saturating: a respawn zeroes a shard's in-flight count while a
-        // producer that lost the death race may still deliver (and thus
-        // retire) one late item on the fresh ring — that retirement must
-        // not underflow the new window's count.
         st.in_flight[shard] = st.in_flight[shard].saturating_sub(items);
         let wake = st.in_flight[shard] == 0 && st.flush_wake_due();
         drop(st);
@@ -474,28 +442,12 @@ impl Gate {
         }
     }
 
-    fn park(&self, target: u64) {
-        let mut st = self.lock();
-        st.parked += 1;
-        if st.quiesce_wake_due() {
-            drop(st);
-            self.arrived.notify_all();
-            st = self.lock();
-        }
-        while st.released < target {
-            st = self.resume.wait(st).unwrap_or_else(|e| e.into_inner());
-        }
-    }
-
     fn mark_dead(&self, shard: usize) {
         let mut st = self.lock();
         st.dead[shard] = true;
-        let (quiescer, flushers) = (st.quiesce_wake_due(), st.flush_wake_due());
+        let wake = st.flush_wake_due();
         drop(st);
-        if quiescer {
-            self.arrived.notify_all();
-        }
-        if flushers {
+        if wake {
             self.drained.notify_all();
         }
     }
@@ -513,13 +465,6 @@ impl GateState {
         due
     }
 
-    /// Likewise for the quiescer parked on `arrived`.
-    fn quiesce_wake_due(&mut self) -> bool {
-        let due = self.quiescer_waiting;
-        self.arrived_wakes += u64::from(due);
-        due
-    }
-
     /// Items still owed to shards `first..` by those that can actually
     /// deliver them.
     fn live_in_flight(&self, first: usize) -> usize {
@@ -532,31 +477,166 @@ impl GateState {
     }
 }
 
-/// Decrements the shard's `in_flight` even if the handler panics, so
-/// `flush` cannot wedge on a poisoned item.
-struct Retire<'a>(&'a Gate, usize);
+/// A shard's bounded queue and its home drainer's park state.
+struct Queue<T> {
+    state: Mutex<QueueState<T>>,
+    /// The home drainer waits here for work.
+    ready: Condvar,
+}
 
-impl Drop for Retire<'_> {
-    fn drop(&mut self) {
-        self.0.retire(self.1, 1);
+struct QueueState<T> {
+    /// Jobs submitted and not yet taken by a drain, bounded by
+    /// `ring_capacity`.
+    jobs: VecDeque<T>,
+    /// The home drainer waits on `ready` and nobody has woken it yet.
+    parked: bool,
+    /// The home drainer must leave the handler alone: a quiescer holds
+    /// it, or the shard is dead and waits for respawn.
+    hold: bool,
+    /// Shutdown: the home drainer exits.
+    closed: bool,
+    /// Notifies issued on `ready` — read by the wake-accounting tests.
+    wakes: u64,
+}
+
+impl<T> Queue<T> {
+    fn new() -> Self {
+        Self {
+            state: Mutex::new(QueueState {
+                jobs: VecDeque::new(),
+                parked: false,
+                hold: false,
+                closed: false,
+                wakes: 0,
+            }),
+            ready: Condvar::new(),
+        }
+    }
+
+    fn lock(&self) -> MutexGuard<'_, QueueState<T>> {
+        self.state.lock().unwrap_or_else(|e| e.into_inner())
+    }
+
+    /// Queues `item` unless `capacity` jobs already wait, waking the
+    /// home drainer if it is parked and not held off.
+    fn push(&self, item: T, capacity: usize) -> Result<(), T> {
+        let mut q = self.lock();
+        if q.jobs.len() >= capacity {
+            return Err(item);
+        }
+        q.jobs.push_back(item);
+        if !q.hold {
+            self.wake(q);
+        }
+        Ok(())
+    }
+
+    /// Lets a held-off home drainer take the handler again, waking it
+    /// only for the jobs that queued meanwhile: an empty queue's next
+    /// push wakes it anyway.
+    fn resume(&self) {
+        let mut q = self.lock();
+        q.hold = false;
+        if !q.jobs.is_empty() {
+            self.wake(q);
+        }
+    }
+
+    /// Shutdown: wakes the home drainer to exit.
+    fn close(&self) {
+        let mut q = self.lock();
+        q.closed = true;
+        self.wake(q);
+    }
+
+    /// The home drainer's wait: parks while the queue is empty or the
+    /// drainer is held off. Returns `false` once the pool has closed.
+    fn wait(&self) -> bool {
+        let mut q = self.lock();
+        while !q.closed && (q.jobs.is_empty() || q.hold) {
+            q.parked = true;
+            q = self.ready.wait(q).unwrap_or_else(|e| e.into_inner());
+        }
+        q.parked = false;
+        !q.closed
+    }
+
+    /// Wakes the home drainer if it is parked, after unlocking `q`. The
+    /// wake clears `parked`, so a burst that lands before the drainer
+    /// runs costs one notify.
+    fn wake(&self, mut q: MutexGuard<'_, QueueState<T>>) {
+        let wake = std::mem::take(&mut q.parked);
+        q.wakes += u64::from(wake);
+        drop(q);
+        if wake {
+            self.ready.notify_one();
+        }
     }
 }
 
-/// Marks the worker dead on thread exit (normal shutdown or panic) so a
-/// pending quiesce is not left waiting for it and its stranded queue
-/// items stop gating `flush`.
-struct WorkerExit<'a>(&'a Gate, usize);
+/// One shard. Lock order: the pipeline's steering lock, then `handler`,
+/// then `queue`, then the gate; a drainer holds `handler` across the
+/// whole drain, so a popped job has run before anyone else can take it.
+struct Shard<T> {
+    /// The shard's handler; `None` once it panicked, until respawn.
+    handler: parking_lot::Mutex<Option<ShardHandler<T>>>,
+    queue: Queue<T>,
+}
 
-impl Drop for WorkerExit<'_> {
-    fn drop(&mut self) {
-        self.0.mark_dead(self.1);
+/// What a pool shares with its drainer threads.
+struct Core<T> {
+    shards: Vec<Shard<T>>,
+    gate: Gate,
+    completed: Vec<AtomicU64>,
+}
+
+impl<T> Core<T> {
+    /// Runs the jobs queued on `shard` when the drain starts, on this
+    /// thread, oldest first. `handler` is the shard's handler lock, held
+    /// by the caller across the drain; jobs queued meanwhile wait for
+    /// the next drain, so concurrent submitters cannot keep one going.
+    /// A panic is caught here and kills the shard, not this thread: the
+    /// panicking job is consumed, what is still queued stays for
+    /// [`WorkerPool::respawn`], and the home drainer is held off until
+    /// then.
+    fn drain(&self, shard: usize, handler: &mut Option<ShardHandler<T>>) {
+        let Some(run) = handler.as_mut() else {
+            return; // dead: the queue waits for respawn
+        };
+        let queue = &self.shards[shard].queue;
+        let queued = queue.lock().jobs.len();
+        let (mut ran, mut died) = (0, false);
+        while ran < queued {
+            let Some(item) = queue.lock().jobs.pop_front() else {
+                break;
+            };
+            ran += 1;
+            if catch_unwind(AssertUnwindSafe(|| run(item))).is_err() {
+                died = true;
+                break;
+            }
+        }
+        if ran == 0 {
+            return;
+        }
+        self.completed[shard].fetch_add((ran - usize::from(died)) as u64, Ordering::Relaxed);
+        self.gate.retire(shard, ran);
+        if died {
+            *handler = None;
+            queue.lock().hold = true;
+            self.gate.mark_dead(shard);
+        }
+    }
+
+    /// Takes `shard`'s handler lock and drains it.
+    fn drain_shard(&self, shard: usize) {
+        self.drain(shard, &mut self.shards[shard].handler.lock());
     }
 }
 
-/// A pool of run-to-completion shards: worker threads with one SPSC
-/// ring each, or caller slots whose queues run on the thread that
-/// waits (see "Two kinds of shard slot, one executor" in the module
-/// docs).
+/// A pool of run-to-completion shards, each a handler and a bounded
+/// queue, drained by drainer threads or by the thread that waits (see
+/// "Shards and drainers" in the module docs).
 ///
 /// Generic over the work item `T` — the dataplane uses
 /// `netkit_packet::batch::PacketBatch`, but the runtime itself is
@@ -583,58 +663,24 @@ impl Drop for WorkerExit<'_> {
 /// pool.shutdown();
 /// ```
 pub struct WorkerPool<T: Send + 'static> {
-    /// One slot per shard; its kind never changes, what it holds is
-    /// replaced on respawn.
-    slots: Vec<Slot<T>>,
-    handles: parking_lot::Mutex<Vec<Option<JoinHandle<()>>>>,
-    gate: Arc<Gate>,
-    /// Serialises concurrent quiescers — and respawns, which must not
-    /// interleave with an epoch barrier (a fresh worker never saw the
-    /// in-flight sync marker and could wedge the quiescer).
-    quiesce_serial: Mutex<()>,
+    core: Arc<Core<T>>,
+    /// The home drainers of shards `caller_shards..`, joined at
+    /// shutdown.
+    drainers: Vec<JoinHandle<()>>,
     spec: ShardSpec,
-    completed: Arc<Vec<AtomicU64>>,
     rejected: AtomicU64,
     respawned: AtomicU64,
 }
 
-enum Slot<T> {
-    /// A worker thread's ring. The pool keeps **both** endpoints: the
-    /// sender feeds the worker, and the receiver clone is what lets
-    /// [`WorkerPool::respawn`] drain a dead worker's stranded items
-    /// (the dead thread's own receiver died with it). Rings are swapped
-    /// wholesale on respawn, hence the lock; the fast path only ever
-    /// takes it shared.
-    Ring(RwLock<Ring<T>>),
-    /// A ring with no thread.
-    Caller(Caller<T>),
-}
-
-/// A caller slot. Lock order: the pipeline's steering lock, then
-/// `handler`, then `queue`; a drainer holds `handler` across the whole
-/// drain, so a popped job has run before anyone else can take it.
-struct Caller<T> {
-    /// The shard's handler; `None` once it panicked, as a dead
-    /// worker's handler went with its thread.
-    handler: parking_lot::Mutex<Option<ShardHandler<T>>>,
-    /// Jobs submitted and not yet run, bounded by `ring_capacity`.
-    queue: parking_lot::Mutex<VecDeque<T>>,
-}
-
-struct Ring<T> {
-    tx: Sender<Job<T>>,
-    rx: Receiver<Job<T>>,
-}
-
 impl<T: Send + 'static> WorkerPool<T> {
-    /// Sets up `spec.caller_shards` caller slots and spawns a worker
-    /// thread for each shard after them. `factory(shard)` is called once
-    /// per shard, in shard order, on the calling thread; the handler it
-    /// returns moves onto that shard's thread (or into its slot) and
-    /// owns the shard's state for the pool's lifetime.
+    /// Builds one shard per `spec.workers` and starts a home drainer
+    /// thread for each shard from `spec.caller_shards` on.
+    /// `factory(shard)` is called once per shard, in shard order, on the
+    /// calling thread; the handler it returns owns the shard's state for
+    /// the pool's lifetime.
     ///
     /// A hand-rolled spec with `workers == 0` (bypassing
-    /// [`ShardSpec::new`]'s clamp) is normalised to one worker here, so
+    /// [`ShardSpec::new`]'s clamp) is normalised to one shard here, so
     /// "no sharding" and "one shard" are the same pool everywhere —
     /// mirroring `shard_of(_, 0)`, `BucketMap::identity(0)`, and the
     /// NIC's queue-count clamp.
@@ -648,74 +694,42 @@ impl<T: Send + 'static> WorkerPool<T> {
             ring_capacity: spec.ring_capacity.max(1),
             caller_shards: spec.caller_shards.min(workers),
         };
-        let gate = Arc::new(Gate::new(spec.workers));
-        let completed = Arc::new(
-            (0..spec.workers)
-                .map(|_| AtomicU64::new(0))
-                .collect::<Vec<_>>(),
-        );
-        let mut slots = Vec::with_capacity(spec.workers);
-        let mut handles = Vec::with_capacity(spec.workers);
-        for shard in 0..spec.workers {
-            let handler = factory(shard);
-            if shard < spec.caller_shards {
-                handles.push(None);
-                slots.push(Slot::Caller(Caller {
-                    handler: parking_lot::Mutex::new(Some(handler)),
-                    queue: parking_lot::Mutex::new(VecDeque::new()),
-                }));
-                continue;
-            }
-            let (tx, rx) = bounded::<Job<T>>(spec.ring_capacity);
-            handles.push(Some(Self::spawn_worker(
-                shard,
-                handler,
-                rx.clone(),
-                Arc::clone(&gate),
-                Arc::clone(&completed),
-            )));
-            slots.push(Slot::Ring(RwLock::new(Ring { tx, rx })));
-        }
+        let core = Arc::new(Core {
+            shards: (0..workers)
+                .map(|shard| Shard {
+                    handler: parking_lot::Mutex::new(Some(factory(shard))),
+                    queue: Queue::new(),
+                })
+                .collect(),
+            gate: Gate::new(workers),
+            completed: (0..workers).map(|_| AtomicU64::new(0)).collect(),
+        });
+        let drainers = (spec.caller_shards..workers)
+            .map(|shard| {
+                let core = Arc::clone(&core);
+                std::thread::Builder::new()
+                    .name(format!("netkit-shard-{shard}"))
+                    .spawn(move || {
+                        let home = &core.shards[shard];
+                        while home.queue.wait() {
+                            core.drain(shard, &mut home.handler.lock());
+                        }
+                    })
+                    .expect("spawn drainer thread")
+            })
+            .collect();
         Self {
-            slots,
-            handles: parking_lot::Mutex::new(handles),
-            gate,
-            quiesce_serial: Mutex::new(()),
+            core,
+            drainers,
             spec,
-            completed,
             rejected: AtomicU64::new(0),
             respawned: AtomicU64::new(0),
         }
     }
 
-    fn spawn_worker(
-        shard: usize,
-        mut handler: ShardHandler<T>,
-        rx: Receiver<Job<T>>,
-        gate: Arc<Gate>,
-        completed: Arc<Vec<AtomicU64>>,
-    ) -> JoinHandle<()> {
-        std::thread::Builder::new()
-            .name(format!("netkit-shard-{shard}"))
-            .spawn(move || {
-                let _exit = WorkerExit(&gate, shard);
-                while let Ok(job) = rx.recv() {
-                    match job {
-                        Job::Work(item) => {
-                            let _retire = Retire(&gate, shard);
-                            handler(item);
-                            completed[shard].fetch_add(1, Ordering::Relaxed);
-                        }
-                        Job::Sync(target) => gate.park(target),
-                    }
-                }
-            })
-            .expect("spawn worker thread")
-    }
-
     /// Number of shards.
     pub fn workers(&self) -> usize {
-        self.slots.len()
+        self.core.shards.len()
     }
 
     /// The configuring spec.
@@ -723,153 +737,52 @@ impl<T: Send + 'static> WorkerPool<T> {
         self.spec
     }
 
-    /// Runs the jobs queued on a caller slot when the drain starts, on
-    /// this thread, oldest first. `handler` is the slot's handler lock,
-    /// held by the caller across the drain; jobs queued meanwhile wait
-    /// for the next drain, so concurrent submitters cannot keep one
-    /// going. A panic is caught here and kills the shard as a worker
-    /// thread's exit would: the panicking job is consumed and what is
-    /// still queued stays for [`Self::respawn`].
-    fn drain(&self, shard: usize, caller: &Caller<T>, handler: &mut Option<ShardHandler<T>>) {
-        let Some(run) = handler.as_mut() else {
-            return; // dead: the queue waits for respawn
-        };
-        let queued = caller.queue.lock().len();
-        let (mut ran, mut died) = (0, false);
-        while ran < queued {
-            let Some(item) = caller.queue.lock().pop_front() else {
-                break;
-            };
-            ran += 1;
-            if catch_unwind(AssertUnwindSafe(|| run(item))).is_err() {
-                died = true;
-                break;
-            }
-        }
-        if ran == 0 {
-            return;
-        }
-        self.completed[shard].fetch_add((ran - usize::from(died)) as u64, Ordering::Relaxed);
-        self.gate.retire(shard, ran);
-        if died {
-            *handler = None;
-            self.gate.mark_dead(shard);
-        }
-    }
-
-    /// Drains every caller slot, in shard order.
-    fn drain_callers(&self) {
-        for (shard, caller) in self.callers() {
-            self.drain(shard, caller, &mut caller.handler.lock());
-        }
-    }
-
-    fn callers(&self) -> impl Iterator<Item = (usize, &Caller<T>)> {
-        self.slots
-            .iter()
-            .enumerate()
-            .filter_map(|(shard, slot)| match slot {
-                Slot::Caller(caller) => Some((shard, caller)),
-                Slot::Ring(_) => None,
-            })
-    }
-
-    /// Queues `item` on a caller slot. A full queue is drained on this
-    /// thread to make room — the caller slot's backpressure. Returns the
-    /// item if the shard is dead and the queue full.
-    fn push_caller(&self, shard: usize, caller: &Caller<T>, mut item: T) -> Result<(), T> {
+    /// Queues `item` on `shard`. A full queue is drained on this thread,
+    /// under the shard's handler lock, to make room — the one
+    /// backpressure rule. Returns the item if the shard is dead and its
+    /// queue full.
+    fn push(&self, shard: usize, mut item: T) -> Result<(), T> {
+        let home = &self.core.shards[shard];
         loop {
-            item = match self.try_push(caller, item) {
+            item = match home.queue.push(item, self.spec.ring_capacity) {
                 Ok(()) => return Ok(()),
                 Err(item) => item,
             };
-            let mut handler = caller.handler.lock();
+            let mut handler = home.handler.lock();
             if handler.is_none() {
                 return Err(item);
             }
-            self.drain(shard, caller, &mut handler);
+            self.core.drain(shard, &mut handler);
         }
     }
 
-    /// Enqueues `item` on `shard`, blocking while its ring is full
-    /// (backpressure); a full caller-slot queue is drained on this
-    /// thread instead. A worker already marked dead fails fast — the
-    /// item comes straight back rather than being stranded on a ring
-    /// nothing will drain (or, worse, blocking this producer on a full
-    /// ring no consumer will ever relieve).
+    /// Enqueues `item` on `shard`; a full queue is drained on this
+    /// thread to make room (backpressure). A shard already marked dead
+    /// fails fast — the item comes straight back rather than being
+    /// stranded on a queue nothing will drain.
     ///
     /// # Errors
     ///
-    /// Returns the item if `shard` is out of range or the worker died.
+    /// Returns the item if `shard` is out of range or dead.
     pub fn submit(&self, shard: usize, item: T) -> Result<(), T> {
-        let Some(slot) = self.slots.get(shard) else {
-            return Err(item);
-        };
-        if !self.gate.submit_one(shard) {
-            return Err(item); // dead worker: fail fast, never block
+        if shard >= self.workers() || !self.core.gate.submit_one(shard) {
+            return Err(item); // dead shard: fail fast, never block
         }
-        self.send(shard, slot, item).inspect_err(|_| {
-            self.gate.retire(shard, 1);
+        self.push(shard, item).inspect_err(|_| {
+            self.core.gate.retire(shard, 1);
         })
     }
 
-    /// Queues `item` on a caller slot unless its queue is full.
-    fn try_push(&self, caller: &Caller<T>, item: T) -> Result<(), T> {
-        let mut queue = caller.queue.lock();
-        if queue.len() < self.spec.ring_capacity {
-            queue.push_back(item);
-            Ok(())
-        } else {
-            Err(item)
-        }
-    }
-
-    /// Blocking publish of one job to either kind of slot.
-    fn send(&self, shard: usize, slot: &Slot<T>, item: T) -> Result<(), T> {
-        match slot {
-            Slot::Ring(ring) => self.send_work(shard, &ring.read(), item),
-            Slot::Caller(caller) => self.push_caller(shard, caller, item),
-        }
-    }
-
-    /// Backpressure-aware ring write: retries a full ring until the
-    /// item fits, yielding between attempts, but watches the dead bit
-    /// so a producer never waits on a ring whose worker has died
-    /// mid-wait (the pool holds a receiver clone for respawn, so
-    /// channel disconnection can no longer signal worker death).
-    ///
-    /// Returns the item if the worker died before it could be queued.
-    fn send_work(&self, shard: usize, ring: &Ring<T>, item: T) -> Result<(), T> {
-        let mut msg = Job::Work(item);
-        loop {
-            match ring.tx.try_send(msg) {
-                Ok(()) => return Ok(()),
-                Err(e) => {
-                    let full = e.is_full();
-                    let item = match e.into_inner() {
-                        Job::Work(item) => item,
-                        Job::Sync(_) => unreachable!("send_work only sends work"),
-                    };
-                    if !full || self.gate.lock().dead[shard] {
-                        return Err(item);
-                    }
-                    msg = Job::Work(item);
-                    std::thread::yield_now();
-                }
-            }
-        }
-    }
-
-    /// Enqueues `item` on `shard`'s ring without blocking; a full ring
-    /// counts as a rejection (the multi-queue analogue of an rx-ring
-    /// tail drop). A dead worker fails fast like [`Self::submit`],
-    /// without counting toward [`Self::rejected`] — that meter is
-    /// ring-pressure evidence, not a fault log.
+    /// Enqueues `item` on `shard`'s queue without blocking; a full
+    /// queue counts as a rejection (the multi-queue analogue of an
+    /// rx-ring tail drop). A dead shard fails fast like
+    /// [`Self::submit`], without counting toward [`Self::rejected`] —
+    /// that meter is queue-pressure evidence, not a fault log.
     ///
     /// # Errors
     ///
-    /// Returns the item when the ring is full, the shard is out of
-    /// range, or the worker died.
+    /// Returns the item when the queue is full, the shard is out of
+    /// range, or the shard is dead.
     pub fn try_submit(&self, shard: usize, item: T) -> Result<(), T> {
         self.try_submit_tagged(shard, item)
             .map_err(|(item, _)| item)
@@ -878,7 +791,7 @@ impl<T: Send + 'static> WorkerPool<T> {
     /// [`Self::try_submit`] with the rejection *classified*: the caller
     /// learns whether a bounced item is backpressure evidence
     /// ([`SubmitRejection::RingFull`] — counted in [`Self::rejected`])
-    /// or fault evidence ([`SubmitRejection::DeadWorker`] — not ring
+    /// or fault evidence ([`SubmitRejection::DeadWorker`] — not queue
     /// pressure, so not counted there). Cause-tagged drop accounting in
     /// the sharded router is built on this split.
     ///
@@ -886,58 +799,45 @@ impl<T: Send + 'static> WorkerPool<T> {
     ///
     /// Returns the item and why it bounced.
     pub fn try_submit_tagged(&self, shard: usize, item: T) -> Result<(), (T, SubmitRejection)> {
-        let Some(slot) = self.slots.get(shard) else {
+        let Some(home) = self.core.shards.get(shard) else {
             return Err((item, SubmitRejection::OutOfRange));
         };
-        if !self.gate.submit_one(shard) {
+        if !self.core.gate.submit_one(shard) {
             return Err((item, SubmitRejection::DeadWorker)); // fail fast
         }
-        let sent = match slot {
-            Slot::Ring(ring) => {
-                ring.read()
-                    .tx
-                    .try_send(Job::Work(item))
-                    .map_err(|e| match e.into_inner() {
-                        Job::Work(item) => item,
-                        Job::Sync(_) => unreachable!("try_submit only sends work"),
-                    })
-            }
-            Slot::Caller(caller) => self.try_push(caller, item),
-        };
-        sent.map_err(|item| {
-            self.gate.retire(shard, 1);
-            self.rejected.fetch_add(1, Ordering::Relaxed);
-            (item, SubmitRejection::RingFull)
-        })
+        home.queue
+            .push(item, self.spec.ring_capacity)
+            .map_err(|item| {
+                self.core.gate.retire(shard, 1);
+                self.rejected.fetch_add(1, Ordering::Relaxed);
+                (item, SubmitRejection::RingFull)
+            })
     }
 
     /// Batched publish: enqueues one job on each shard yielded by
     /// `shards` with a **single gate transaction** reserving every
-    /// live target's in-flight slot up front, then exactly one ring
-    /// write per shard — the per-publish synchronisation the
+    /// live target's in-flight slot up front, then exactly one queue
+    /// push per shard — the per-publish synchronisation the
     /// one-`submit`-per-sub-batch path pays N times collapses to one
     /// lock acquisition per dispatch, which is what makes the shared
-    /// fan-out's producer cost independent of worker count.
+    /// fan-out's producer cost independent of shard count.
     ///
     /// `shards` is iterated twice (reserve, then publish) and must
     /// yield strictly in-range indices without duplicates.
-    /// `job_for(shard)` produces each ring's job — typically a cheap
+    /// `job_for(shard)` produces each shard's job — typically a cheap
     /// refcount bump (`ShardJob::Range`); it is only invoked during
     /// the publish pass, outside the gate lock. Jobs that cannot be
-    /// delivered — the worker was dead at reservation time, or died
+    /// delivered — the shard was dead at reservation time, or died
     /// racing the publish — are handed to `on_reject(shard, job)` so
     /// the caller can account their payload. Returns the number of
     /// jobs enqueued.
     ///
-    /// Blocking semantics match [`Self::submit`]: a full live ring
-    /// backpressures the publish, and a full caller-slot queue is
-    /// drained on this thread. Do **not** call inside a quiesce
-    /// closure (parked workers cannot relieve a full ring, and the
-    /// quiescer holds the caller slots); re-steering paths there use
-    /// [`Self::try_submit`] per item. A caller slot's job only queues
-    /// here: it runs when this thread (or another) next waits on the
-    /// pool, so one dispatcher can publish many fan-outs to the workers
-    /// before it runs its own share.
+    /// Blocking semantics match [`Self::submit`]. Do **not** call
+    /// inside a quiesce closure: the quiescer holds every handler lock,
+    /// so draining a full queue would wait on itself; re-steering there
+    /// uses [`Self::try_submit`]. A job for a shard with no home drainer
+    /// only queues, so one dispatcher can publish many fan-outs before
+    /// it runs its own share.
     ///
     /// # Panics
     ///
@@ -954,9 +854,9 @@ impl<T: Send + 'static> WorkerPool<T> {
         // neither publishes to them nor mis-retires their slots.
         let mut dead_skipped: Vec<usize> = Vec::new();
         {
-            let mut st = self.gate.lock();
+            let mut st = self.core.gate.lock();
             for shard in shards.clone() {
-                assert!(shard < self.slots.len(), "fanout shard out of range");
+                assert!(shard < self.workers(), "fanout shard out of range");
                 if st.dead[shard] {
                     dead_skipped.push(shard);
                     continue;
@@ -967,7 +867,7 @@ impl<T: Send + 'static> WorkerPool<T> {
                 }
             }
         }
-        // Phase 2: one ring write per shard, no further gate traffic
+        // Phase 2: one queue push per shard, no further gate traffic
         // on the success path.
         let mut sent = 0;
         for shard in shards {
@@ -975,11 +875,11 @@ impl<T: Send + 'static> WorkerPool<T> {
                 on_reject(shard, job_for(shard));
                 continue;
             }
-            match self.send(shard, &self.slots[shard], job_for(shard)) {
+            match self.push(shard, job_for(shard)) {
                 Ok(()) => sent += 1,
                 Err(item) => {
-                    // Worker died between reservation and publish.
-                    self.gate.retire(shard, 1);
+                    // The shard died between reservation and publish.
+                    self.core.gate.retire(shard, 1);
                     on_reject(shard, item);
                 }
             }
@@ -987,286 +887,176 @@ impl<T: Send + 'static> WorkerPool<T> {
         sent
     }
 
-    /// Blocks until every item submitted to a *live* worker has run to
-    /// completion. Items stranded on a dead worker's ring (its handler
+    /// Blocks until every item submitted to a *live* shard has run to
+    /// completion. Items stranded on a dead shard (its handler
     /// panicked) will never run and do not gate the flush. (A barrier
     /// over *work*, not an epoch: reconfiguration wants
     /// [`Self::quiesce`].)
     ///
-    /// The caller slots' queues run here, on this thread and before
-    /// the wait, so they overlap with the workers draining their rings.
+    /// The shards with no home drainer run here, on this thread and
+    /// before the wait, so they overlap with the drainer threads.
     pub fn flush(&self) {
-        self.drain_callers();
-        let mut st = self.gate.lock();
+        for shard in 0..self.spec.caller_shards {
+            self.core.drain_shard(shard);
+        }
+        let gate = &self.core.gate;
+        let mut st = gate.lock();
         while st.live_in_flight(self.spec.caller_shards) > 0 {
             st.flushers += 1;
-            st = self
-                .gate
-                .drained
-                .wait(st)
-                .unwrap_or_else(|e| e.into_inner());
+            st = gate.drained.wait(st).unwrap_or_else(|e| e.into_inner());
             st.flushers -= 1;
         }
     }
 
-    /// Runs `f` with every worker parked at a batch boundary — the
-    /// epoch quiesce protocol (see the module docs). Returns `f`'s
-    /// result. Items already in the rings are processed before the
-    /// barrier; items submitted during `f` wait in the rings and flow
-    /// afterwards, so reconfiguration never drops traffic.
-    ///
-    /// Caller slots are drained first, on this thread, and their
-    /// handler locks are then held until `f` returns, so no caller-slot
-    /// handler runs anywhere while `f` does; a job `f` submits to one
-    /// queues for the next flush.
+    /// Runs `f` holding every shard's handler lock — the quiesce (see
+    /// the module docs). Returns `f`'s result. Each shard's home
+    /// drainer is held off, its lock taken (a drainer mid-job finishes
+    /// the job first) and its queue drained on this thread, in shard
+    /// order; jobs submitted during `f` queue and run once the locks
+    /// go, so reconfiguration never drops traffic.
     pub fn quiesce<R>(&self, f: impl FnOnce() -> R) -> R {
-        let _serial = self
-            .quiesce_serial
-            .lock()
-            .unwrap_or_else(|e| e.into_inner());
-        let target = {
-            let mut st = self.gate.lock();
-            st.requested += 1;
-            st.requested
-        };
-        let _callers: Vec<_> = self
-            .callers()
-            .map(|(shard, caller)| {
-                let mut handler = caller.handler.lock();
-                self.drain(shard, caller, &mut handler);
+        let held: Vec<_> = (0..self.workers())
+            .map(|shard| {
+                let home = &self.core.shards[shard];
+                home.queue.lock().hold = true;
+                let mut handler = home.handler.lock();
+                self.core.drain(shard, &mut handler);
                 handler
             })
             .collect();
-        for (shard, slot) in self.slots.iter().enumerate() {
-            let Slot::Ring(ring) = slot else { continue };
-            // A dead worker cannot park; `dead` accounting covers it.
-            // A full live ring backpressures the marker (the worker is
-            // draining), re-checking the dead bit between attempts so a
-            // death mid-wait cannot wedge the quiescer.
-            let ring = ring.read();
-            let mut msg = Job::Sync(target);
-            loop {
-                if self.gate.lock().dead[shard] {
-                    break;
-                }
-                match ring.tx.try_send(msg) {
-                    Ok(()) => break,
-                    Err(e) if e.is_full() => {
-                        msg = e.into_inner();
-                        std::thread::yield_now();
-                    }
-                    Err(_) => break,
-                }
-            }
-        }
-        {
-            let mut st = self.gate.lock();
-            while st.parked < self.live_rings(&st) {
-                st.quiescer_waiting = true;
-                st = self
-                    .gate
-                    .arrived
-                    .wait(st)
-                    .unwrap_or_else(|e| e.into_inner());
-                st.quiescer_waiting = false;
-            }
-        }
         let out = f();
-        {
-            let mut st = self.gate.lock();
-            st.parked = 0;
-            st.released = target;
+        self.core.gate.lock().epoch += 1;
+        for (home, handler) in self.core.shards.iter().zip(held) {
+            // A shard that is dead stays held off until its respawn.
+            if handler.is_some() {
+                drop(handler);
+                home.queue.resume();
+            }
         }
-        self.gate.resume.notify_all();
         out
-    }
-
-    /// Workers a quiesce waits for: every ring whose worker is alive.
-    fn live_rings(&self, st: &GateState) -> usize {
-        st.dead[self.spec.caller_shards..]
-            .iter()
-            .filter(|dead| !**dead)
-            .count()
     }
 
     /// Completed quiesce epochs since the pool started.
     pub fn epoch(&self) -> u64 {
-        self.gate.lock().released
+        self.core.gate.lock().epoch
     }
 
     /// Work items run to completion on `shard`, if it exists.
     pub fn completed(&self, shard: usize) -> Option<u64> {
-        self.completed.get(shard).map(|c| c.load(Ordering::Relaxed))
+        self.core
+            .completed
+            .get(shard)
+            .map(|c| c.load(Ordering::Relaxed))
     }
 
     /// Total work items run to completion across all shards.
     pub fn total_completed(&self) -> u64 {
-        self.completed
+        self.core
+            .completed
             .iter()
             .map(|c| c.load(Ordering::Relaxed))
             .sum()
     }
 
-    /// Items bounced by [`Self::try_submit`] because a ring was full.
+    /// Items bounced by [`Self::try_submit`] because a queue was full.
     pub fn rejected(&self) -> u64 {
         self.rejected.load(Ordering::Relaxed)
     }
 
-    /// Work items submitted to live workers but not yet completed.
+    /// Work items submitted to live shards but not yet completed.
     pub fn in_flight(&self) -> usize {
-        self.gate.lock().live_in_flight(0)
+        self.core.gate.lock().live_in_flight(0)
     }
 
     /// Work items submitted to `shard` but not yet completed, if it
     /// exists.
     pub fn in_flight_on(&self, shard: usize) -> Option<usize> {
-        self.gate.lock().in_flight.get(shard).copied()
+        self.core.gate.lock().in_flight.get(shard).copied()
     }
 
-    /// Whether `shard`'s worker can still accept work (`Some(false)`
-    /// once its thread exited — handler panic or shutdown — or its
-    /// caller-run handler panicked, and the dead-worker fast-fail in
+    /// Whether `shard` can still accept work (`Some(false)` once its
+    /// handler panicked and the dead-shard fast-fail in
     /// [`Self::submit`] / [`Self::try_submit`] has engaged). `None` for
     /// an out-of-range shard.
     pub fn worker_alive(&self, shard: usize) -> Option<bool> {
-        self.gate.lock().dead.get(shard).map(|dead| !dead)
+        self.core.gate.lock().dead.get(shard).map(|dead| !dead)
     }
 
-    /// Replaces a **dead** worker (handler panic) with a fresh thread
-    /// and a fresh ring — the crash-recovery half of the self-healing
-    /// dataplane.
+    /// Revives a **dead** shard (handler panic) with `handler` — the
+    /// crash-recovery half of the self-healing dataplane. `handler` is
+    /// the replacement shard state, typically rebuilt by the same
+    /// factory that produced the original. No thread starts or stops:
+    /// the shard's home drainer, parked since the death, drains it
+    /// again.
     ///
-    /// The dead ring's stranded work items are drained and handed to
+    /// The stranded work items still queued are handed to
     /// `on_stranded` (oldest first) so the caller can account and
-    /// recycle their payloads — counted, never leaked. Stale sync
-    /// markers from quiesces that ran while the worker was dead are
-    /// discarded (those epochs already accounted the shard as dead at
-    /// the gate). `handler` is the replacement shard state, typically
-    /// rebuilt by the same factory that produced the original.
-    ///
-    /// Serialises against [`Self::quiesce`]: a respawn never
-    /// interleaves with an epoch barrier, so the fresh worker cannot
-    /// miss a sync marker and wedge a quiescer. The fresh ring starts
-    /// empty with zeroed occupancy meters; [`Self::completed`] keeps
-    /// accumulating across the generation change. A producer that lost
-    /// the death race may deliver one late item onto the fresh ring —
-    /// it is processed normally (the in-flight meter saturates rather
-    /// than double-counts). A dead caller slot hands over what is still
-    /// queued the same way and takes `handler`.
+    /// recycle their payloads — counted, never leaked. The revived
+    /// shard's occupancy meters start from the submits still in
+    /// progress; [`Self::completed`] keeps accumulating across the
+    /// change. A producer that lost the death race may deliver its item
+    /// after the hand-over — it runs normally, and `flush` waits for
+    /// it.
     ///
     /// Returns the number of stranded work items recovered, or `None`
-    /// if `shard` is out of range or its worker is still alive (only
-    /// dead workers respawn).
+    /// if `shard` is out of range or still alive (only dead shards
+    /// respawn).
     pub fn respawn(
         &self,
         shard: usize,
         handler: ShardHandler<T>,
         on_stranded: impl FnMut(T),
     ) -> Option<usize> {
-        let slot = self.slots.get(shard)?;
-        let _serial = self
-            .quiesce_serial
-            .lock()
-            .unwrap_or_else(|e| e.into_inner());
-        if !self.gate.lock().dead[shard] {
-            return None;
-        }
-        let stranded = match slot {
-            Slot::Ring(ring) => self.respawn_ring(shard, ring, handler, on_stranded),
-            Slot::Caller(caller) => {
-                let stranded = {
-                    let mut slot = caller.handler.lock();
-                    *slot = Some(handler);
-                    std::mem::take(&mut *caller.queue.lock())
-                };
-                let n = stranded.len();
-                stranded.into_iter().for_each(on_stranded);
-                n
+        let home = self.core.shards.get(shard)?;
+        let stranded = {
+            let mut slot = home.handler.lock();
+            if slot.is_some() {
+                return None;
             }
+            *slot = Some(handler);
+            std::mem::take(&mut home.queue.lock().jobs)
         };
+        let n = stranded.len();
+        stranded.into_iter().for_each(on_stranded);
         {
-            // Only now does the shard accept traffic again: fresh ring
-            // or handler, zeroed occupancy window, dead bit cleared
-            // last.
-            let mut st = self.gate.lock();
-            st.in_flight[shard] = 0;
-            st.ring_hwm[shard] = 0;
+            // Only now does the shard accept traffic again: the stranded
+            // jobs leave the books (a submit still in progress keeps its
+            // reservation, so `flush` waits for its job), a fresh
+            // occupancy window opens, and the dead bit is cleared last.
+            let mut st = self.core.gate.lock();
+            st.in_flight[shard] = st.in_flight[shard].saturating_sub(n);
+            st.ring_hwm[shard] = st.in_flight[shard];
             st.dead[shard] = false;
         }
+        home.queue.resume();
         self.respawned.fetch_add(1, Ordering::Relaxed);
-        Some(stranded)
+        Some(n)
     }
 
-    /// [`Self::respawn`]'s ring half: reaps the dead thread, drains the
-    /// stranded items, and starts a fresh worker on a fresh ring.
-    fn respawn_ring(
-        &self,
-        shard: usize,
-        ring: &RwLock<Ring<T>>,
-        handler: ShardHandler<T>,
-        mut on_stranded: impl FnMut(T),
-    ) -> usize {
-        // Reap the dead thread first: after the join, nobody but this
-        // call touches the old ring's receiving side.
-        if let Some(handle) = self.handles.lock()[shard].take() {
-            let _ = handle.join();
-        }
-        let mut stranded = 0usize;
-        let mut drain = |rx: &Receiver<Job<T>>| {
-            while let Ok(job) = rx.try_recv() {
-                if let Job::Work(item) = job {
-                    stranded += 1;
-                    on_stranded(item);
-                }
-            }
-        };
-        // Pass 1 (shared lock): frees ring space so any producer that
-        // lost the death race and is still waiting on a full ring can
-        // finish — or notice the dead bit — and release its hold.
-        drain(&ring.read().rx);
-        {
-            // Pass 2 (exclusive): no producer holds the ring, so a
-            // racer's late landing is caught before the swap.
-            let mut ring = ring.write();
-            drain(&ring.rx);
-            let (tx, rx) = bounded::<Job<T>>(self.spec.ring_capacity);
-            *ring = Ring { tx, rx };
-        }
-        let rx = ring.read().rx.clone();
-        let handle = Self::spawn_worker(
-            shard,
-            handler,
-            rx,
-            Arc::clone(&self.gate),
-            Arc::clone(&self.completed),
-        );
-        self.handles.lock()[shard] = Some(handle);
-        stranded
-    }
-
-    /// Workers respawned ([`Self::respawn`]) over the pool's lifetime.
+    /// Shards respawned ([`Self::respawn`]) over the pool's lifetime.
     pub fn respawned(&self) -> u64 {
         self.respawned.load(Ordering::Relaxed)
     }
 
-    /// High-water mark of `shard`'s ring occupancy since the pool
-    /// started (or since the last [`Self::reset_ring_high_water`]) —
-    /// the load meter that distinguishes a backed-up shard from a busy
-    /// one: a shard whose high-water mark rides its ring capacity is
-    /// receiving work faster than it retires it.
+    /// High-water mark of `shard`'s queue occupancy (in flight, queued
+    /// or running) since the pool started (or since the last
+    /// [`Self::reset_ring_high_water`]) — the load meter that
+    /// distinguishes a backed-up shard from a busy one: a shard whose
+    /// high-water mark rides its queue capacity is receiving work
+    /// faster than it retires it.
     pub fn ring_high_water(&self, shard: usize) -> Option<usize> {
-        self.gate.lock().ring_hwm.get(shard).copied()
+        self.core.gate.lock().ring_hwm.get(shard).copied()
     }
 
-    /// Resets every shard's ring-occupancy high-water mark to its
-    /// current occupancy, starting a fresh observation window.
+    /// Resets every shard's occupancy high-water mark to its current
+    /// occupancy, starting a fresh observation window.
     ///
     /// Bare reset discards the closing window's marks; a sampler that
     /// wants them must use [`Self::take_ring_high_water`] — reading
     /// `ring_high_water` first and resetting afterwards is a
     /// read-then-reset race: a peak recorded between the two calls is
     /// folded into the *old* window's (already sampled) mark and then
-    /// erased, so the new window under-reports a ring that was
+    /// erased, so the new window under-reports a queue that was
     /// provably nonempty. Callers closing windows at migration epochs
     /// should reset from inside the quiesce (as
     /// `ShardedPipeline::install_bucket_map` does), where no
@@ -1275,7 +1065,7 @@ impl<T: Send + 'static> WorkerPool<T> {
         let _ = self.take_ring_high_water();
     }
 
-    /// Atomically closes the ring-occupancy observation window: in one
+    /// Atomically closes the occupancy observation window: in one
     /// lock acquisition, returns every shard's high-water mark and
     /// resets it to the shard's *current* occupancy. Because the
     /// sample and the reset are indivisible, a peak recorded
@@ -1284,7 +1074,7 @@ impl<T: Send + 'static> WorkerPool<T> {
     /// window's mark from the live occupancy floor; it can never be
     /// sampled into the old window and then zeroed out of the new one.
     pub fn take_ring_high_water(&self) -> Vec<usize> {
-        let mut st = self.gate.lock();
+        let mut st = self.core.gate.lock();
         let mut window = Vec::with_capacity(st.ring_hwm.len());
         for shard in 0..st.ring_hwm.len() {
             window.push(st.ring_hwm[shard]);
@@ -1293,20 +1083,21 @@ impl<T: Send + 'static> WorkerPool<T> {
         window
     }
 
-    /// Drains outstanding work, stops every worker, and joins the
-    /// threads.
+    /// Stops the drainer threads, joins them, and runs the work still
+    /// queued on this thread.
     pub fn shutdown(mut self) {
         self.close_and_join();
     }
 
     fn close_and_join(&mut self) {
-        // Caller slots finish their queued work here. Dropping the
-        // slots (sender and drain-receiver both) disconnects the rings;
-        // workers finish queued work, then exit.
-        self.drain_callers();
-        self.slots.clear();
-        for handle in self.handles.lock().drain(..).flatten() {
-            let _ = handle.join();
+        for home in &self.core.shards {
+            home.queue.close();
+        }
+        for drainer in self.drainers.drain(..) {
+            let _ = drainer.join();
+        }
+        for shard in 0..self.workers() {
+            self.core.drain_shard(shard);
         }
     }
 }
@@ -1322,7 +1113,7 @@ impl<T: Send + 'static> fmt::Debug for WorkerPool<T> {
         write!(
             f,
             "WorkerPool({} workers, {} completed, epoch {})",
-            self.slots.len(),
+            self.workers(),
             self.total_completed(),
             self.epoch()
         )
@@ -1334,9 +1125,9 @@ mod tests {
     use super::*;
     use std::sync::atomic::AtomicUsize;
 
-    /// `k = 0`: every shard on a worker thread of its own — the spec the
-    /// ring-mechanics tests need.
-    fn rings(workers: usize) -> ShardSpec {
+    /// `k = 0`: a home drainer thread for every shard — the spec the
+    /// drainer-mechanics tests need.
+    fn threaded(workers: usize) -> ShardSpec {
         ShardSpec {
             caller_shards: 0,
             ..ShardSpec::new(workers)
@@ -1390,7 +1181,7 @@ mod tests {
     fn try_submit_bounces_on_full_ring() {
         // A handler that blocks until released, wedging the ring.
         let gate = Arc::new((Mutex::new(false), Condvar::new()));
-        let spec = rings(1).with_ring_capacity(1);
+        let spec = threaded(1).with_ring_capacity(1);
         let pool = WorkerPool::start(spec, |_| {
             let gate = Arc::clone(&gate);
             Box::new(move |_: u8| {
@@ -1401,10 +1192,10 @@ mod tests {
                 }
             })
         });
-        pool.submit(0, 1).unwrap(); // picked up by the worker, blocks
-                                    // This send only completes once the worker has dequeued item 1
-                                    // (ring capacity is 1), so afterwards the ring holds exactly
-                                    // item 2 while the worker is wedged inside item 1.
+        pool.submit(0, 1).unwrap(); // taken by the drainer, blocks
+                                    // Once the drainer has taken item 1 the 1-deep queue holds
+                                    // exactly item 2 while the drainer is wedged inside item 1.
+        spin_until_queue(&pool, 0, |q| q.jobs.is_empty());
         pool.submit(0, 2).unwrap();
         let bounced = pool.try_submit(0, 3);
         assert_eq!(bounced, Err(3));
@@ -1443,8 +1234,8 @@ mod tests {
             }
             if round % 5 == 4 {
                 pool.quiesce(|| {
-                    // With every worker parked, a multi-step update is
-                    // atomic from the dataplane's perspective.
+                    // With every handler lock held, a multi-step update
+                    // is atomic from the dataplane's perspective.
                     config.store(round * 2, Ordering::SeqCst);
                     std::thread::yield_now();
                     config.store(round * 2 + 1, Ordering::SeqCst);
@@ -1483,7 +1274,7 @@ mod tests {
 
     #[test]
     fn panicking_handler_does_not_wedge_the_pool() {
-        for spec in [rings(2), ShardSpec::new(2)] {
+        for spec in [threaded(2), ShardSpec::new(2)] {
             let pool = WorkerPool::start(spec, |shard| {
                 Box::new(move |n: u8| {
                     if shard == 0 && n == 1 {
@@ -1643,9 +1434,10 @@ mod tests {
         pool.shutdown();
     }
 
-    /// Waits until `shard` is marked dead. A worker thread dies
-    /// asynchronously; a caller slot has died by the time the flush
-    /// that ran the fatal job returns, so there is nothing to wait for.
+    /// Waits until `shard` is marked dead. A shard with a home drainer
+    /// dies on that thread, asynchronously; one without has died by the
+    /// time the flush that ran the fatal job returns, so there is nothing
+    /// to wait for.
     fn await_death<T: Send + 'static>(pool: &WorkerPool<T>, shard: usize) {
         if shard < pool.spec().caller_shards {
             assert_eq!(pool.worker_alive(shard), Some(false), "died in the flush");
@@ -1657,7 +1449,7 @@ mod tests {
 
     #[test]
     fn fanout_rejects_jobs_for_dead_shards_without_wedging() {
-        for spec in [rings(2), ShardSpec::new(2), ShardSpec::inline(2)] {
+        for spec in [threaded(2), ShardSpec::new(2), ShardSpec::inline(2)] {
             let pool = WorkerPool::start(spec, |shard| {
                 Box::new(move |n: u8| {
                     if shard == 0 && n == 1 {
@@ -1690,7 +1482,7 @@ mod tests {
         // whose worker has died must get its item back instead of
         // spinning until the ring disconnects. With the dead-flag
         // check the item never enqueues at all once death is marked.
-        for spec in [rings(1), ShardSpec::new(1)] {
+        for spec in [threaded(1), ShardSpec::new(1)] {
             let pool = WorkerPool::start(spec.with_ring_capacity(1), |_| {
                 Box::new(move |n: u8| {
                     if n == 1 {
@@ -1714,7 +1506,7 @@ mod tests {
 
     #[test]
     fn respawn_revives_a_dead_worker_and_recovers_stranded_items() {
-        // Handler: 254 parks until the gate opens (so items can queue
+        // Handler: 254 blocks until the latch opens (so items can queue
         // behind it deterministically), 255 is poison, anything else
         // is counted work.
         let make_handler =
@@ -1735,11 +1527,11 @@ mod tests {
                     }
                 })
             };
-        for spec in [rings(2), ShardSpec::new(2), ShardSpec::inline(2)] {
+        for spec in [threaded(2), ShardSpec::new(2), ShardSpec::inline(2)] {
             let open = Arc::new((Mutex::new(false), Condvar::new()));
             let done = Arc::new(AtomicU64::new(0));
             let pool = WorkerPool::start(spec, |_| make_handler(&open, &done));
-            pool.submit(0, 254).unwrap(); // a worker parks on this item
+            pool.submit(0, 254).unwrap(); // a drainer blocks on this item
             pool.submit(0, 255).unwrap(); // poison, queued behind it
             pool.submit(0, 1).unwrap(); // will be stranded
             pool.submit(0, 2).unwrap(); // will be stranded
@@ -1748,11 +1540,11 @@ mod tests {
                 *lock.lock().unwrap() = true;
                 cv.notify_all();
             }
-            pool.flush(); // a caller slot runs 254 and the poison here
+            pool.flush(); // with no home drainer, 254 and the poison run here
             await_death(&pool, 0);
             let queued = vec![1u8, 2];
 
-            // A live worker does not respawn; neither does a ghost shard.
+            // A live shard does not respawn; neither does a ghost shard.
             assert!(pool
                 .respawn(1, make_handler(&open, &done), |_| {})
                 .is_none());
@@ -1766,17 +1558,17 @@ mod tests {
             assert_eq!(stranded, queued, "oldest first, nothing leaked");
             assert_eq!(pool.worker_alive(0), Some(true));
             assert_eq!(pool.respawned(), 1);
-            assert_eq!(pool.in_flight_on(0), Some(0), "fresh ring starts empty");
+            assert_eq!(pool.in_flight_on(0), Some(0), "revived shard starts empty");
             assert_eq!(pool.ring_high_water(0), Some(0));
 
-            // The revived shard serves traffic and parks at epochs again.
+            // The revived shard serves traffic and quiesces again.
             pool.submit(0, 3).unwrap();
             pool.flush();
             assert_eq!(done.load(Ordering::Relaxed), 1);
             pool.quiesce(|| {});
             assert_eq!(pool.epoch(), 1);
             // 254 completed before the fault; 3 completed after respawn.
-            // (The poison item retired via the panic guard, uncounted.)
+            // (The poison item retired with the drain, uncounted.)
             assert_eq!(pool.completed(0), Some(2));
             pool.shutdown();
         }
@@ -1784,12 +1576,12 @@ mod tests {
 
     #[test]
     fn try_submit_tagged_classifies_rejections() {
-        // Shard 0's handler parks forever; shard capacity 1 makes the
-        // ring trivially fillable.
+        // Shard 0's handler blocks until the latch opens; capacity 1
+        // makes the queue trivially fillable.
         let open = Arc::new((Mutex::new(false), Condvar::new()));
         let pool = {
             let open = Arc::clone(&open);
-            WorkerPool::start(rings(2).with_ring_capacity(1), move |shard| {
+            WorkerPool::start(threaded(2).with_ring_capacity(1), move |shard| {
                 let open = Arc::clone(&open);
                 Box::new(move |n: u8| {
                     if shard == 0 {
@@ -1808,13 +1600,14 @@ mod tests {
             pool.try_submit_tagged(7, 0).unwrap_err().1,
             SubmitRejection::OutOfRange
         );
-        pool.submit(0, 0).unwrap(); // worker parks on it
-        pool.submit(0, 1).unwrap(); // fills the 1-deep ring
+        pool.submit(0, 0).unwrap(); // the drainer blocks on it
+        spin_until_queue(&pool, 0, |q| q.jobs.is_empty());
+        pool.submit(0, 1).unwrap(); // fills the 1-deep queue
         let (item, why) = pool.try_submit_tagged(0, 2).unwrap_err();
         assert_eq!((item, why), (2, SubmitRejection::RingFull));
         assert_eq!(pool.rejected(), 1, "ring pressure is counted");
 
-        pool.submit(1, 255).unwrap(); // kills worker 1
+        pool.submit(1, 255).unwrap(); // kills shard 1
         while pool.worker_alive(1) == Some(true) {
             std::thread::yield_now();
         }
@@ -1831,7 +1624,7 @@ mod tests {
     }
 
     /// What the wake-accounting tests' handlers block on until the test
-    /// opens it, so a flusher or quiescer is parked for certain.
+    /// opens it, so a flusher or drainer is where the test wants it.
     type Latch = Arc<(Mutex<bool>, Condvar)>;
 
     fn await_open(latch: &Latch) {
@@ -1848,10 +1641,11 @@ mod tests {
         cv.notify_all();
     }
 
-    /// One worker whose handler blocks on `latch`, then panics on 255.
+    /// One shard with a home drainer whose handler blocks on `latch`,
+    /// then panics on 255.
     fn latched_pool(latch: &Latch) -> WorkerPool<u8> {
         let latch = Arc::clone(latch);
-        WorkerPool::start(rings(1), move |_| {
+        WorkerPool::start(threaded(1), move |_| {
             let latch = Arc::clone(&latch);
             Box::new(move |n: u8| {
                 await_open(&latch);
@@ -1863,14 +1657,28 @@ mod tests {
     }
 
     fn spin_until(pool: &WorkerPool<u8>, cond: impl Fn(&GateState) -> bool) {
-        while !cond(&pool.gate.lock()) {
+        while !cond(&pool.core.gate.lock()) {
             std::thread::yield_now();
         }
     }
 
+    fn spin_until_queue<T: Send>(
+        pool: &WorkerPool<T>,
+        shard: usize,
+        cond: impl Fn(&QueueState<T>) -> bool,
+    ) {
+        while !cond(&pool.core.shards[shard].queue.lock()) {
+            std::thread::yield_now();
+        }
+    }
+
+    fn wakes<T: Send>(pool: &WorkerPool<T>, shard: usize) -> u64 {
+        pool.core.shards[shard].queue.lock().wakes
+    }
+
     #[test]
     fn retiring_with_nobody_parked_never_notifies() {
-        let pool = WorkerPool::start(rings(2), |_| Box::new(|_: u8| {}));
+        let pool = WorkerPool::start(threaded(2), |_| Box::new(|_: u8| {}));
         for n in 0..1000usize {
             pool.submit(n % 2, 0).unwrap();
         }
@@ -1879,8 +1687,7 @@ mod tests {
             std::thread::yield_now();
         }
         pool.flush(); // nothing in flight: returns without parking
-        let st = pool.gate.lock();
-        assert_eq!((st.drained_wakes, st.arrived_wakes), (0, 0));
+        assert_eq!(pool.core.gate.lock().drained_wakes, 0);
     }
 
     #[test]
@@ -1893,43 +1700,162 @@ mod tests {
             spin_until(&pool, |st| st.flushers == 1);
             open(&latch);
         });
-        let st = pool.gate.lock();
+        let st = pool.core.gate.lock();
         assert_eq!((st.drained_wakes, st.flushers), (1, 0));
-        assert_eq!(st.arrived_wakes, 0);
     }
 
     #[test]
-    fn a_parked_quiesce_is_woken_once_by_the_worker_reaching_the_barrier() {
-        let latch = Latch::default();
-        let pool = latched_pool(&latch);
-        pool.submit(0, 0).unwrap();
-        std::thread::scope(|s| {
-            s.spawn(|| pool.quiesce(|| {}));
-            spin_until(&pool, |st| st.quiescer_waiting);
-            open(&latch);
-        });
-        let st = pool.gate.lock();
-        assert_eq!((st.arrived_wakes, st.quiescer_waiting), (1, false));
-        assert_eq!(st.drained_wakes, 0, "nobody was in flush");
-    }
-
-    #[test]
-    fn a_dying_worker_releases_a_parked_flush_and_a_parked_quiesce() {
+    fn a_dying_worker_releases_a_parked_flush() {
         let latch = Latch::default();
         let pool = latched_pool(&latch);
         pool.submit(0, 255).unwrap(); // poison, held at the latch
         pool.submit(0, 0).unwrap(); // stranded behind it: never retires
         std::thread::scope(|s| {
             s.spawn(|| pool.flush());
-            s.spawn(|| pool.quiesce(|| {}));
-            spin_until(&pool, |st| st.flushers == 1 && st.quiescer_waiting);
+            spin_until(&pool, |st| st.flushers == 1);
             open(&latch);
         });
         // The poison's retire leaves one item in flight and wakes
-        // nobody; only the death can release either waiter.
-        let st = pool.gate.lock();
-        assert_eq!((st.drained_wakes, st.arrived_wakes), (1, 1));
-        assert_eq!((st.flushers, st.quiescer_waiting), (0, false));
+        // nobody; only the death can release the waiter.
+        let st = pool.core.gate.lock();
+        assert_eq!((st.drained_wakes, st.flushers), (1, 0));
+    }
+
+    #[test]
+    fn submits_to_a_busy_or_awake_drainer_never_notify() {
+        // Busy: the drainer is inside a latched job.
+        let latch = Latch::default();
+        let pool = latched_pool(&latch);
+        spin_until_queue(&pool, 0, |q| q.parked);
+        pool.submit(0, 0).unwrap(); // the one wake: the drainer was parked
+        spin_until_queue(&pool, 0, |q| q.jobs.is_empty());
+        for _ in 0..100 {
+            pool.submit(0, 0).unwrap();
+        }
+        assert_eq!(wakes(&pool, 0), 1, "a busy drainer is not notified");
+        open(&latch);
+        pool.flush();
+        // Awake: woken but not yet running. Pinned on a bare queue, where
+        // nothing can run the drainer in between.
+        let queue = Queue::new();
+        queue.lock().parked = true;
+        for n in 0..10u8 {
+            queue.push(n, 16).unwrap();
+        }
+        assert_eq!(
+            queue.lock().wakes,
+            1,
+            "the first push woke it; the rest find it awake"
+        );
+    }
+
+    #[test]
+    fn a_submit_to_a_parked_drainer_wakes_it_once() {
+        let pool = WorkerPool::start(threaded(1), |_| Box::new(|_: u8| {}));
+        for round in 1..=3u64 {
+            spin_until_queue(&pool, 0, |q| q.parked);
+            pool.submit(0, 0).unwrap();
+            pool.flush();
+            assert_eq!(wakes(&pool, 0), round, "one wake per park");
+        }
+    }
+
+    /// A handler that logs `(item, running thread)`, blocks on `latch`
+    /// at 254 and panics at 255.
+    type RunLog = Arc<parking_lot::Mutex<Vec<(u8, std::thread::ThreadId)>>>;
+
+    fn logging_handler(latch: &Latch, ran: &RunLog) -> ShardHandler<u8> {
+        let (latch, ran) = (Arc::clone(latch), Arc::clone(ran));
+        Box::new(move |n: u8| {
+            if n == 254 {
+                await_open(&latch);
+            }
+            assert!(n != 255, "injected fault");
+            ran.lock().push((n, std::thread::current().id()));
+        })
+    }
+
+    #[test]
+    fn a_drainer_outlives_its_handler() {
+        let (latch, ran) = (Latch::default(), RunLog::default());
+        let pool = WorkerPool::start(ShardSpec::new(2), |_| logging_handler(&latch, &ran));
+        pool.submit(1, 1).unwrap();
+        pool.flush();
+        pool.submit(1, 254).unwrap(); // the drainer blocks on it...
+        pool.submit(1, 255).unwrap(); // ...with the poison...
+        pool.submit(1, 2).unwrap(); // ...and two jobs queued behind
+        pool.submit(1, 3).unwrap();
+        open(&latch);
+        while pool.worker_alive(1) == Some(true) {
+            std::thread::yield_now();
+        }
+        // Dead with jobs stranded: the drainer parks rather than spins.
+        spin_until_queue(&pool, 1, |q| q.parked && q.hold && q.jobs.len() == 2);
+        let parked_wakes = wakes(&pool, 1);
+        std::thread::sleep(std::time::Duration::from_millis(20));
+        spin_until_queue(&pool, 1, |q| q.parked);
+        assert_eq!(wakes(&pool, 1), parked_wakes, "nobody woke it meanwhile");
+        let mut stranded = Vec::new();
+        let revived = pool.respawn(1, logging_handler(&latch, &ran), |n| stranded.push(n));
+        assert_eq!(revived, Some(2));
+        assert_eq!(stranded, vec![2, 3], "stranded jobs come back in order");
+        pool.submit(1, 4).unwrap();
+        pool.flush();
+        let ran = ran.lock().clone();
+        let items: Vec<u8> = ran.iter().map(|(n, _)| *n).collect();
+        assert_eq!(items, vec![1, 254, 4]);
+        let drainer = ran[0].1;
+        assert_ne!(drainer, std::thread::current().id());
+        assert!(
+            ran.iter().all(|(_, id)| *id == drainer),
+            "one drainer thread before the panic and after the respawn"
+        );
+        pool.shutdown();
+    }
+
+    #[test]
+    fn a_quiesce_waits_for_a_drainer_mid_job_and_runs_the_rest() {
+        // Shard 1's drainer is inside job 254 when the quiesce arrives,
+        // with jobs 1 and 2 queued behind it.
+        let (latch, ran) = (Latch::default(), RunLog::default());
+        let pool = WorkerPool::start(threaded(2), |_| logging_handler(&latch, &ran));
+        pool.submit(1, 254).unwrap();
+        spin_until_queue(&pool, 1, |q| q.jobs.is_empty());
+        pool.submit(1, 1).unwrap();
+        pool.submit(1, 2).unwrap();
+        let (at_f, ran_during_f, quiescer) = std::thread::scope(|s| {
+            let quiescer = s.spawn(|| {
+                pool.quiesce(|| {
+                    let at_f = ran.lock().clone();
+                    pool.submit(1, 3).unwrap();
+                    std::thread::sleep(std::time::Duration::from_millis(20));
+                    (at_f.clone(), ran.lock().len() - at_f.len())
+                })
+            });
+            // The quiescer holds the drainer off before it takes the
+            // lock; only then may job 254 finish.
+            spin_until_queue(&pool, 1, |q| q.hold);
+            let id = quiescer.thread().id();
+            open(&latch);
+            let (at_f, ran_during_f) = quiescer.join().unwrap();
+            (at_f, ran_during_f, id)
+        });
+        pool.flush();
+        let drainer = at_f[0].1;
+        assert_ne!(drainer, quiescer);
+        assert_eq!(
+            at_f,
+            vec![(254, drainer), (1, quiescer), (2, quiescer)],
+            "the drainer finished its job; the quiescer ran the rest"
+        );
+        assert_eq!(ran_during_f, 0, "no handler ran during the closure");
+        assert_eq!(
+            ran.lock().last(),
+            Some(&(3, drainer)),
+            "the closure's job ran after release, on the drainer"
+        );
+        assert_eq!(pool.epoch(), 1);
+        pool.shutdown();
     }
 
     #[test]
@@ -2065,7 +1991,7 @@ mod tests {
 
     #[test]
     fn a_caller_slot_runs_its_share_inside_flush_before_waiting_on_the_rings() {
-        // k = 1: shard 0 on the caller, shard 1's worker latched shut.
+        // k = 1: shard 0 has no home drainer, shard 1's is latched shut.
         let latch = Latch::default();
         let ran = Arc::new(parking_lot::Mutex::new(Vec::new()));
         let pool = WorkerPool::start(ShardSpec::new(2), |shard| {

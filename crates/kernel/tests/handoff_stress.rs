@@ -1,20 +1,21 @@
-//! Lost-wake-up detector for the worker-ring hand-off.
+//! Lost-wake-up detector for the hand-off between a shard's queue and
+//! its drainer.
 //!
-//! The rings and the gate notify only a peer that is parked, so a
-//! mistake in the waiter accounting shows as a thread asleep with work
-//! (or a release) it will never hear about — a hang, not a wrong
+//! The shard queues and the gate notify only a peer that is parked, so
+//! a mistake in the waiter accounting shows as a thread asleep with
+//! work (or a release) it will never hear about — a hang, not a wrong
 //! answer. This test puts every blocking hand-off under contention at
 //! once — two producers mixing `submit`, `try_submit` and
-//! `submit_fanout` on shallow rings, a controller looping `flush` and
-//! `quiesce`, one worker killed mid-stream and respawned — over many
+//! `submit_fanout` on shallow queues, a controller looping `flush` and
+//! `quiesce`, one shard killed mid-stream and respawned — over many
 //! fresh pools, under a watchdog, and closes the books each time:
-//! every accepted item was run, or recovered from the dead ring.
+//! every accepted item was run, or recovered from the dead shard.
 //!
-//! Each pool runs twice: with both shards on worker threads (`k = 0`),
-//! and with shard 0 a caller slot (`k = 1`), whose queue is run by
-//! whichever thread waits — the controller's `flush` and `quiesce`, or
-//! a producer whose blocking submit finds it full. So the books, and
-//! the quiesce's no-handler-running check, cover caller slots too.
+//! Each pool runs twice: with a drainer thread for both shards
+//! (`k = 0`), and with shard 0 drained by whichever thread waits
+//! (`k = 1`) — the controller's `flush` and `quiesce`, or a producer
+//! whose blocking submit finds its queue full. So the books, and the
+//! quiesce's no-handler-running check, cover both.
 
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{mpsc, Arc};

@@ -481,7 +481,7 @@ impl SharedSplitInner {
 }
 
 /// A [`ShardSplit`] whose parent batch is shared behind a refcount, so
-/// per-shard slices can be handed to worker rings as cheap
+/// per-shard slices can be handed to shard queues as cheap
 /// [`SharedShardRange`] descriptors instead of re-materialised owned
 /// sub-batches (see [`ShardSplit::into_shared`]).
 ///
@@ -542,7 +542,7 @@ impl SharedSplit {
     }
 
     /// A refcounted descriptor of shard `s`'s slice — the unit the
-    /// dispatch fan-out publishes to each worker ring. Cloning cost is
+    /// dispatch fan-out publishes to each shard's queue. Cloning cost is
     /// one `Arc` bump; no packet moves until the consumer calls
     /// [`SharedShardRange::take_into`].
     ///

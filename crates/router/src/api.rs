@@ -448,12 +448,12 @@
 //!
 //! * **A crash is contained to its shard, and published.** A panic
 //!   anywhere in a replica's `push`/`push_batch` kills exactly that
-//!   worker thread; the kernel marks it dead
+//!   shard, not the thread draining it; the kernel marks it dead
 //!   ([`crate::shard::ShardedPipeline::worker_alive`] →
 //!   `Some(false)`) and sibling shards keep forwarding untouched. A
-//!   dead shard's ring accepts no new descriptors: dispatches aimed
+//!   dead shard's queue accepts no new descriptors: dispatches aimed
 //!   at it are rejected on the spot and filed under the dead-worker
-//!   drop cause — never queued behind a thread that will not return.
+//!   drop cause — never queued behind a handler that is gone.
 //! * **Recovery is a control-plane act, and only a control-plane
 //!   act.** No element, worker, or dispatcher self-heals. The
 //!   [`crate::shard::control::ControlLoop`] runs one
@@ -462,12 +462,13 @@
 //!   bucket of each dead shard round-robin onto the live ones — a
 //!   bucket moves wholesale, so the per-flow ordering guarantee of
 //!   the steering contract holds across the fault), *respawn*
-//!   ([`crate::shard::ShardedPipeline::respawn_shard`]: the dead
-//!   ring's stranded descriptors are drained, cause-accounted, and
-//!   recycled — counted, never leaked — then the pipeline's factory
-//!   produces a fresh replica on a fresh thread: a described
+//!   ([`crate::shard::ShardedPipeline::respawn_shard`]: the
+//!   pipeline's factory produces a fresh replica — a described
 //!   pipeline's materialises the description *in force*, patches
-//!   included), and *restore* (the
+//!   included — that goes back behind the dead shard's handler lock,
+//!   and the descriptors stranded in its queue are cause-accounted and
+//!   recycled, counted, never leaked; no thread starts or stops), and
+//!   *restore* (the
 //!   pre-fault steering table comes back, so recovered shards take
 //!   their buckets back). Neither steering patch counts as a
 //!   migration; recovery work bills `FAULTS` on the resources task.

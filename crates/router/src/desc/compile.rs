@@ -292,7 +292,7 @@ impl Compiler {
     }
 
     /// Compiles `desc` to a [`ShardedPipeline`] placed as `spec` says
-    /// (worker threads, or caller slots for [`ShardSpec::inline`] —
+    /// (drainer threads, or none for [`ShardSpec::inline`] —
     /// what the simulator and single-threaded hosts drive), returning
     /// the pipeline and the [`DescBinding`] that can patch it later.
     ///

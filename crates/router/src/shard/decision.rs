@@ -50,7 +50,7 @@ pub struct Evidence<'a> {
     /// Merged heavy-hitter byte evidence from the flow sketches
     /// (empty when the policy's `heavy_blend` is zero).
     pub heavy: &'a [HeavyHitter],
-    /// Worker ring capacity (pressure normalisation).
+    /// Shard queue capacity (pressure normalisation).
     pub ring_capacity: usize,
     /// The live bucket → shard table.
     pub current: &'a BucketMap,

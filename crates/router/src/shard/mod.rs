@@ -13,9 +13,10 @@
 //! flow on one replica, preserving intra-flow order with zero sharing on
 //! the fast path. The split parent is then *shared*, not moved:
 //! [`ShardedPipeline::dispatch`] publishes one refcounted shard-range
-//! descriptor per ring in a single batched fan-out
-//! ([`WorkerPool::submit_fanout`]), each worker gathers its slice into
-//! a pooled container in parallel, and the parent recycles when the
+//! descriptor per shard in a single batched fan-out
+//! ([`WorkerPool::submit_fanout`]), each shard's drainer gathers its
+//! slice into a pooled container in parallel, and the parent recycles
+//! when the
 //! last range drops. Batch containers come from a [`BatchPool`]
 //! freelist and the NIC pump path ([`ShardedPipeline::pump_nic`])
 //! moves pool-leased frame buffers straight into packets, so
@@ -31,9 +32,9 @@
 //!   [`ShardedPipeline::stats`] time, so the hot path never touches the
 //!   manager's locks). Introspection sees one task, one usage figure.
 //! * **Atomic reconfiguration** — [`ShardedPipeline::quiesce`] runs a
-//!   closure under the worker pool's epoch barrier
-//!   ([`WorkerPool::quiesce`]): every worker is parked at a batch
-//!   boundary, so an architecture-meta-model change (insert/remove
+//!   closure holding every shard's handler lock
+//!   ([`WorkerPool::quiesce`]): no replica is mid-batch anywhere, so an
+//!   architecture-meta-model change (insert/remove
 //!   element, `Capsule::replace` hot swap, classifier filter update)
 //!   applied to each replica inside the closure is indivisible — no
 //!   packet ever sees a half-reconfigured dataplane, and traffic
@@ -44,17 +45,19 @@
 //! Everything above — and below: steering, meters, cause-tagged drop
 //! accounting, control turns, crash recovery, patch application — is
 //! written once, over one [`WorkerPool`]. What differs between the
-//! threaded dataplane and the deterministic simulator is *where a
-//! shard runs*, and the [`ShardSpec`] says it. A shard is a worker
-//! thread with a ring, or a caller slot: a ring with no thread, whose
-//! queued ranges run on whoever next waits on the pipeline —
-//! [`ShardedPipeline::flush`], a quiesce, or a dispatch that finds the
-//! queue full. [`ShardSpec::new`] puts shard 0 on the caller and the
-//! rest on threads ([`ShardedPipeline::build`]): a driver dispatches a
-//! round, every worker streams its share off one wake, and the driver
-//! runs shard 0's share inside `flush` instead of parking there, so a
-//! one-shard pipeline needs no thread at all. [`ShardSpec::inline`]
-//! puts every shard on the caller, run shard by shard in index order.
+//! threaded dataplane and the deterministic simulator is *which thread
+//! drains a shard*, and the [`ShardSpec`] says it. A shard is a replica
+//! behind a handler lock plus a bounded queue of ranges; a drainer is
+//! a thread that takes the lock and runs the queue. A shard may have a
+//! home drainer thread; one without is drained by whoever next waits
+//! on the pipeline — [`ShardedPipeline::flush`], a quiesce, or a
+//! dispatch that finds the queue full. [`ShardSpec::new`] gives every
+//! shard but shard 0 a drainer thread ([`ShardedPipeline::build`]): a
+//! driver dispatches a round, every drainer streams its share off one
+//! wake, and the driver runs shard 0's share inside `flush` instead of
+//! parking there, so a one-shard pipeline needs no thread at all.
+//! [`ShardSpec::inline`] has no drainer threads: the caller runs every
+//! shard, shard by shard in index order.
 //! A discrete-event simulator hosts one such pipeline per node
 //! (`netkit_sim::pipeline::PipelineNode`, which flushes after every
 //! dispatch), each with its own [`RebalanceController`] driven from
@@ -64,18 +67,18 @@
 //! same trace both placements produce identical verdict counts,
 //! per-shard multisets and per-flow order.
 //!
-//! A caller-run shard keeps a ring's books and dies like a worker: its
-//! queue counts in [`ShardLoad::in_flight`] and
+//! Every shard keeps one set of books and dies one way, whichever
+//! thread drains it: its queue counts in [`ShardLoad::in_flight`] and
 //! [`ShardLoad::ring_high_water`], a re-steer bounced off a full queue
-//! is a ring-full drop, a panic in its graph is caught by the flusher
+//! is a ring-full drop, a panic in its graph is caught by the drainer
 //! that ran it, the shard is marked dead, later dispatches to it are
 //! filed as dead-worker drops, and [`ShardedPipeline::health_turn`]
-//! quarantines and respawns it with the code that heals a threaded
-//! one, filing the ranges still queued behind the fatal one as
-//! stranded dead-worker drops — in simulated time, reproducibly. A
-//! quiesce drains the caller slots before it parks the rings and holds
-//! them until its closure returns, so migration and patch receipts
-//! read the same under every placement.
+//! quarantines and respawns it, filing the ranges still queued behind
+//! the fatal one as stranded dead-worker drops — in simulated time,
+//! reproducibly, when the caller drains every shard. A quiesce drains
+//! every queue and holds every handler lock until its closure returns,
+//! so migration and patch receipts read the same under every
+//! placement.
 //!
 //! ## The steering table and its ownership
 //!
@@ -505,8 +508,8 @@ impl ShardedPipeline {
         let bucket_load = Arc::new(BucketLoad::new());
         // Built before the executor starts: each handler clones a
         // handle so it can gather shared shard ranges into pooled
-        // containers. With worker threads, rings and the caller-slot
-        // queues hold a round of parents and gathers at once (the pool
+        // containers. With drainer threads, the shard queues hold a
+        // round of parents and gathers at once (the pool
         // keeps as many as the busiest moment held, so a round of
         // dispatches stops allocating once it has met its peak). With
         // every shard on the caller, as the simulator drives it, a node
@@ -582,10 +585,10 @@ impl ShardedPipeline {
         Ok(())
     }
 
-    /// Builds one shard's run-to-completion handler — the closure the
-    /// worker thread runs per ring item. Shared between [`Self::build`]
+    /// Builds one shard's run-to-completion handler — the closure a
+    /// drainer runs per queued job. Shared between [`Self::build`]
     /// (pool start) and [`Self::respawn_shard`] (crash recovery), so a
-    /// respawned worker runs *exactly* the same loop as an original
+    /// respawned shard runs *exactly* the same loop as an original
     /// one: gather, meter, push, cause-tagged accounting, drain.
     fn make_handler(
         shard: usize,
@@ -602,9 +605,9 @@ impl ShardedPipeline {
                 ShardJob::Batch(batch) => batch,
                 // Shared-range dispatch: gather this shard's slice
                 // of the split parent into a pooled container. The
-                // move happens *here*, when the shard runs — on a
-                // worker, or for a caller slot inside the driver's
-                // flush, in parallel with the workers — the dispatch
+                // move happens *here*, when the shard runs — on its
+                // drainer thread, or for shard 0 inside the driver's
+                // flush, in parallel with the drainers — the dispatch
                 // itself only wrote one descriptor per shard. When
                 // the last sibling range is consumed the parent
                 // container recycles.
@@ -682,17 +685,18 @@ impl ShardedPipeline {
     /// ([`WorkerPool::submit_fanout`]: one gate transaction for the
     /// whole call, blocking on backpressure). No packet moves and no
     /// container leases in the dispatch — each shard gathers its slice
-    /// into a pooled container when it runs (a caller slot's when the
-    /// pipeline is next flushed), and the parent batch recycles to the
+    /// into a pooled container when it runs (a shard with no drainer
+    /// thread's when the pipeline is next flushed), and the parent
+    /// batch recycles to the
     /// [`BatchPool`] when the last shard's range is consumed. A single-worker pipeline skips the split entirely
     /// (0 ≡ 1 shard: the batch goes to shard 0 as-is). Returns the
     /// number of shard ranges enqueued.
     ///
-    /// Packets whose ring publish fails (the shard's worker died) are
+    /// Packets whose publish fails (the shard died) are
     /// counted into that shard's `dropped` statistic and released with
     /// the parent — nothing leaks and the loss is visible.
     ///
-    /// The steering-table read lock is held across the ring hand-off,
+    /// The steering-table read lock is held across the hand-off,
     /// so a dispatch never interleaves with a table migration — the
     /// serialisation per-flow ordering across a rebalance relies on
     /// (see [`rebalance`]).
@@ -860,13 +864,13 @@ impl ShardedPipeline {
     /// Under the write half of the steering lock (so no `dispatch` /
     /// `submit` / `pump_nic` overlaps) and inside one epoch quiesce
     /// (so every previously enqueued batch has run to completion and
-    /// every worker is parked), this:
+    /// every handler lock is held), this:
     ///
     /// 1. installs `map` as each `nic`'s RSS indirection table, then
     /// 2. drains every frame still waiting in the NICs' rx queues and
-    ///    re-steers it by the new table onto its worker ring (FIFO per
-    ///    queue, so per-flow order survives — a flow sat in exactly
-    ///    one old queue and lands on exactly one new ring), then
+    ///    re-steers it by the new table onto its shard's queue (FIFO
+    ///    per queue, so per-flow order survives — a flow sat in exactly
+    ///    one old queue and lands on exactly one new shard), then
     /// 3. swaps the pipeline's own table.
     ///
     /// Traffic dispatched after this returns steers by the new table
@@ -1115,20 +1119,21 @@ impl ShardedPipeline {
     ///
     /// In order:
     ///
-    /// 1. bails with `Ok(None)` unless the shard's worker is actually
-    ///    dead (respawning a live worker would orphan its ring);
+    /// 1. bails with `Ok(None)` unless the shard is actually dead
+    ///    (only a dead shard's handler can be replaced);
     /// 2. rebuilds the shard's element graph with the **same factory**
     ///    that built it at [`Self::build`] time — a description's
     ///    materialises the description *in force*, patches included;
     /// 3. swaps the shard's entry and capsule — safe outside a quiesce
-    ///    *only because the worker is dead*: nothing reads them, and
+    ///    *only because the shard is dead*: nothing reads them, and
     ///    dispatchers merely clone the `Arc` behind the entry lock —
     ///    and re-reads the attach list ([`Self::sync_replicas`]);
-    /// 4. respawns the kernel worker ([`WorkerPool::respawn`]): the
-    ///    dead ring's stranded descriptors are drained and their
-    ///    packets filed under the dead-worker drop cause (counted,
-    ///    recycled, never leaked), then a fresh thread starts on a
-    ///    fresh ring and the shard accepts traffic again.
+    /// 4. respawns the kernel shard ([`WorkerPool::respawn`]): the
+    ///    fresh handler goes back behind the shard's lock, the
+    ///    descriptors still queued are handed over and their packets
+    ///    filed under the dead-worker drop cause (counted, recycled,
+    ///    never leaked), and the shard accepts traffic again; its
+    ///    drainer thread, parked since the death, runs it as before.
     ///
     /// Returns `Ok(Some(stranded_packets))` on success. Bills one
     /// `FAULTS` unit on the resources task, so recovery work is
@@ -1956,8 +1961,8 @@ mod tests {
         r.pipe.shutdown();
     }
 
-    /// One shard on a worker thread of its own (`k = 0`), for the
-    /// tests of a dead ring.
+    /// One shard with a drainer thread of its own (`k = 0`), for the
+    /// tests of a dead shard.
     fn on_a_thread() -> ShardSpec {
         ShardSpec {
             caller_shards: 0,
@@ -2201,7 +2206,7 @@ mod tests {
     }
 
     /// The pipeline with one `entry(shard)` element per replica, placed
-    /// as `spec` says (the callers ask for caller slots).
+    /// as `spec` says (the callers ask for no drainer threads).
     pub(super) fn inline_pipe(
         name: &str,
         spec: ShardSpec,
@@ -2238,7 +2243,7 @@ mod tests {
     }
 }
 
-/// The pipeline on caller slots: one thread, shards in index
+/// The pipeline with no drainer threads: one thread, shards in index
 /// order — what the simulator drives. (The module path keeps the ids
 /// these tests have carried since they pinned the single-threaded
 /// drive.)

@@ -268,8 +268,8 @@ pub struct MigrationReport {
     /// Frames drained from NIC rx queues and re-steered by the new
     /// table inside the quiesce window.
     pub resubmitted: usize,
-    /// Frames that could not be re-steered because a worker ring was
-    /// full or its worker dead (counted into that shard's `dropped`
+    /// Frames that could not be re-steered because a shard's queue was
+    /// full or the shard dead (counted into that shard's `dropped`
     /// statistic as well).
     pub dropped: usize,
     /// The quiesce epoch after which the new table is live.

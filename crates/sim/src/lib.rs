@@ -10,7 +10,7 @@
 //! * [`node`] — nodes and [`NodeBehaviour`]s (router
 //!   pipelines adapt behind this trait).
 //! * [`pipeline`] — real sharded dataplanes as nodes: the threaded
-//!   driver's `ShardedPipeline` on caller slots, shards run in index
+//!   driver's `ShardedPipeline` with no drainers, shards run in index
 //!   order on the simulator's thread.
 //! * [`link`] — full-duplex links with latency, serialisation, and
 //!   bounded drop-tail transmit queues.

@@ -1,11 +1,11 @@
 //! Real dataplanes as simulation nodes.
 //!
-//! [`PipelineNode`] hosts a [`ShardedPipeline`] on caller slots
+//! [`PipelineNode`] hosts a [`ShardedPipeline`] with no drainers
 //! ([`ShardSpec::inline`]) — the threaded dataplane's own code: same
 //! replicas, steering, meters, health and control turns and patch
 //! applier, with each shard's job queued by the node's dispatch and
 //! run by the flush that follows it, on the simulator's thread in
-//! shard-index order instead of on a worker — behind the
+//! shard-index order instead of on a drainer thread — behind the
 //! [`NodeBehaviour`] interface, so a
 //! discrete-event topology can be populated with *actual* stateful
 //! dataplanes (conntrack/NAT44/L4-LB chains, the heavy-hitter guard,
@@ -233,9 +233,9 @@ pub struct PipelineNode {
 }
 
 impl PipelineNode {
-    /// Builds a node with `spec.workers` shard replicas, every one a
-    /// caller slot whatever `spec` places. The factory runs once per
-    /// shard in index order (the pipeline keeps it, as on worker
+    /// Builds a node with `spec.workers` shard replicas and no drainer
+    /// threads, whatever `spec` places. The factory runs once per
+    /// shard in index order (the pipeline keeps it, as with drainer
     /// threads, to rebuild a replica); its [`ShardSite`] carries the
     /// collector the chain must terminate in and the shard's sketch.
     /// Resource accounting uses a private per-node [`ResourceManager`]

@@ -19,7 +19,7 @@
 //! | 3 application services | [`services`] | ANTS-like execution environment (capsules, code cache, budgets), demo programs, per-flow media filters (batch-aware) |
 //! | 4 coordination | [`signaling`] | RSVP-style reservations, Genesis-style spawning networks |
 //! | comparators | [`baselines`] | Click-like static router and monolithic forwarder, each with burst entry points (the ledger in `benchmark/` prices them beside the sharded pipeline) |
-//! | substrate | [`sim`] | deterministic discrete-event network simulator; same-instant arrivals coalesce into `on_batch` deliveries; `pipeline::PipelineNode` hosts the threaded driver's own `ShardedPipeline` on caller slots, so a node runs the real dataplane deterministically |
+//! | substrate | [`sim`] | deterministic discrete-event network simulator; same-instant arrivals coalesce into `on_batch` deliveries; `pipeline::PipelineNode` hosts the threaded driver's own `ShardedPipeline` with no drainers, so a node runs the real dataplane deterministically |
 //!
 //! **Start with [`ARCHITECTURE.md`](../../../ARCHITECTURE.md) in the
 //! repository root** — the top-level map of the 9 crates, the
@@ -136,7 +136,7 @@
 //! let burst: PacketBatch = (0..64u16)
 //!     .map(|i| PacketBuilder::udp_v4("10.0.0.1", "10.0.0.2", 1000 + i, 80).build())
 //!     .collect();
-//! pipe.dispatch(burst);   // RSS partition + per-worker rings
+//! pipe.dispatch(burst);   // RSS partition + per-shard queues
 //! pipe.flush();           // run-to-completion barrier
 //! assert_eq!(pipe.stats().packets, 64);
 //! assert_eq!(rm.task_info(pipe.task())?.usage[classes::PACKETS], 64);

@@ -173,8 +173,8 @@ fn sharded_hot_swap_scheduler_under_load() {
         if round == ROUNDS / 2 {
             // Hot-swap every shard's scheduler (strict priority → DRR)
             // atomically across all four workers while traffic is in
-            // flight. The epoch barrier guarantees no packet is
-            // mid-pipeline anywhere during the swap.
+            // flight. The quiesce holds every shard's handler lock, so
+            // no packet is mid-pipeline anywhere during the swap.
             pipe.quiesce(|| {
                 for b in bits.lock().iter_mut() {
                     let fresh = b.capsule.adopt(DrrScheduler::new(1500.0)).unwrap();
