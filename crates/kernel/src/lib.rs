@@ -17,9 +17,9 @@
 //!   (RSS steering in `inject_rx_frame`, per-worker
 //!   `rx_burst_batch`/`tx_burst_packets`).
 //! * [`shard`] — the sharded run-to-completion worker-pool runtime
-//!   ([`shard::ShardSpec`], [`shard::WorkerPool`]) with the epoch-based
-//!   quiesce protocol that keeps reflective reconfiguration atomic
-//!   across workers.
+//!   ([`shard::ShardSpec`], [`shard::WorkerPool`]) whose quiesce holds
+//!   every shard's handler lock, keeping reflective reconfiguration
+//!   atomic across shards.
 //! * [`fault`] — seeded, replayable fault-injection plans
 //!   ([`fault::FaultPlan`]: crash-on-nth-packet, wire drop/corrupt/
 //!   duplicate) shared by the chaos tests.

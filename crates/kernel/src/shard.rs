@@ -19,7 +19,7 @@
 //! owned sub-batch — see its docs for how the quiesce and per-flow
 //! order invariants are preserved under the shared-parent lifecycle.
 //! [`WorkerPool::submit_fanout`] is the matching batched publish: one
-//! gate transaction per dispatch instead of one per sub-batch.
+//! queue push per target shard.
 //!
 //! ## Shards and drainers
 //!
@@ -45,17 +45,25 @@
 //! submit that finds a queue full drains that shard to make room — the
 //! one backpressure rule.
 //!
-//! One set of books covers every shard: a queued job counts in flight
-//! and in the high-water mark, a completed one in
-//! [`WorkerPool::completed`], and a full queue bounces
+//! Each shard keeps its own books under its queue lock, and nothing is
+//! shared between shards: a push books its job in flight and in the
+//! high-water mark in the critical section that queues it, and a drain
+//! retires the jobs it ran, into [`WorkerPool::completed`], in one
+//! critical section at the end of its pass. A full queue bounces
 //! [`WorkerPool::try_submit`] as [`SubmitRejection::RingFull`]. A
 //! handler runs under `catch_unwind`, so a panic kills its shard, not
-//! the thread draining it: the handler is emptied, later submits bounce
-//! with [`SubmitRejection::DeadWorker`], the jobs still queued are
-//! stranded, and the home drainer parks until [`WorkerPool::respawn`]
-//! puts a handler back and hands the stranded jobs to its
-//! `on_stranded`. No thread starts after [`WorkerPool::start`], and
-//! none is joined before shutdown.
+//! the thread draining it: the handler is emptied and the retire books
+//! the death, later submits bounce with [`SubmitRejection::DeadWorker`],
+//! the jobs still queued are stranded, and the home drainer parks until
+//! [`WorkerPool::respawn`] puts a handler back and hands the stranded
+//! jobs to its `on_stranded`. No thread starts after
+//! [`WorkerPool::start`], and none is joined before shutdown.
+//!
+//! Lock order: the pipeline's steering lock, then a shard's handler
+//! lock, then its queue lock. A drainer holds the handler lock across
+//! the whole drain, so a popped job has run before anyone else can
+//! take the lock; the queue lock is only ever held for a few field
+//! updates, never across a job.
 //!
 //! ## Quiesce: every handler lock at once
 //!
@@ -91,8 +99,8 @@
 //!    (`quiesce_preserves_queued_traffic`).
 //! 4. **Liveness under faults.** A dead shard (handler panic) holds an
 //!    empty handler; a quiesce takes its lock, runs nothing, and never
-//!    waits on it, and `flush` is gated only by *live* shards'
-//!    in-flight items (`panicking_handler_does_not_wedge_the_pool`).
+//!    waits on it, and `flush` waits only on *live* shards
+//!    (`panicking_handler_does_not_wedge_the_pool`).
 //! 5. **What is NOT guaranteed:** ordering *between* shards. If a
 //!    caller moves a traffic class from shard A to shard B (a steering
 //!    migration), the caller must ensure A's items drained before B's
@@ -111,25 +119,24 @@
 //!
 //! Parking, and waking a peer that is parked — nothing else. A home
 //! drainer parks when its queue is empty or it is held off (a quiesce,
-//! or a dead shard), `flush` while live work is in flight, and a thread
-//! blocks on a handler lock another thread holds: a quiescer behind a
-//! drainer's job, a full queue's submitter behind a drain. The queue and
-//! the gate both record their waiters under the lock the waiter takes
-//! before it waits, and a notifier that reads none there skips its
-//! `Condvar` notify — on Linux an unconditional `FUTEX_WAKE`. The first
-//! push to a parked drainer clears the mark as it notifies, so a burst
-//! that lands before the drainer runs costs one wake. So `submit` to a
-//! busy drainer, a `retire` with nobody in `flush`, and every pop are an
+//! or a dead shard), `flush` on a shard with work in flight, and a
+//! thread blocks on a handler lock another thread holds: a quiescer
+//! behind a drainer's job, a full queue's submitter behind a drain. A
+//! queue records both kinds of waiter under its own lock, and a
+//! notifier that reads none there skips its `Condvar` notify — on Linux
+//! an unconditional `FUTEX_WAKE`. The first push to a parked drainer
+//! clears the mark as it notifies, so a burst that lands before the
+//! drainer runs costs one wake. So `submit` to a busy drainer, a drain
+//! pass's retire with nobody in `flush`, and every pop are an
 //! uncontended critical section and no more; `submit` to an idle
 //! drainer pays one wake, which is the hand-off itself. A shard with no
 //! home drainer costs none: nobody parks on it. Every notify is issued
 //! after the notifier has let go of the lock: a thread woken under it
 //! can preempt the notifier, run into the lock and park a second time,
 //! and whether it does is the scheduler's choice — cost that varies
-//! from run to run. A parked flusher is woken whenever *a* shard's
-//! count reaches zero, not only when the last one does: waking it for
-//! the last shard alone is one more condition and measured no better
-//! (`crates/bench/NOTES.md`).
+//! from run to run. A flusher waits on one shard at a time, so it is
+//! woken only by the retire that idles (or kills) the shard it waits
+//! on (`a_flush_is_woken_only_by_the_shard_it_waits_on`).
 //!
 //! The quiesce-and-meters contract, runnable:
 //!
@@ -177,9 +184,8 @@ use netkit_packet::batch::{PacketBatch, SharedShardRange};
 /// shards, how deep each shard's queue is (in work items), and how
 /// many of them have no drainer thread of their own.
 ///
-/// The same spec configures the NETKIT sharded pipeline, the sim
-/// driver's RSS demux, and the click/monolithic baselines, so
-/// multi-core benchmarks compare like-for-like.
+/// The sharded router pipeline takes its shape from it, whether
+/// drainer threads run it or the simulator's `PipelineNode` does.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct ShardSpec {
     /// Number of shards, each a handler and a bounded queue. Clamped to
@@ -369,125 +375,33 @@ pub enum SubmitRejection {
     OutOfRange,
 }
 
-struct GateState {
-    /// Completed quiesces.
-    epoch: u64,
-    /// Per-shard liveness: a dead shard (handler panic) runs nothing
-    /// until it is respawned.
-    dead: Vec<bool>,
-    /// Per-shard work items submitted but not yet run to completion.
-    /// Tracked per shard so a dead shard's stranded items cannot wedge
-    /// `flush` — only *live* shards' counts gate it.
-    in_flight: Vec<usize>,
-    /// Per-shard high-water mark of `in_flight` — the queue-occupancy
-    /// meter the rebalancer reads to spot a backed-up shard. Reset via
-    /// [`WorkerPool::reset_ring_high_water`] to start a new observation
-    /// window.
-    ring_hwm: Vec<usize>,
-    /// Threads inside [`WorkerPool::flush`]'s wait on `drained`.
-    flushers: usize,
-    /// Notifies issued on `drained` — read by the wake-accounting tests.
-    drained_wakes: u64,
-}
-
-struct Gate {
-    state: Mutex<GateState>,
-    /// `flush` waits here for live shards to drain.
-    drained: Condvar,
-}
-
-impl Gate {
-    fn new(workers: usize) -> Self {
-        Self {
-            state: Mutex::new(GateState {
-                epoch: 0,
-                dead: vec![false; workers],
-                in_flight: vec![0; workers],
-                ring_hwm: vec![0; workers],
-                flushers: 0,
-                drained_wakes: 0,
-            }),
-            drained: Condvar::new(),
-        }
-    }
-
-    fn lock(&self) -> MutexGuard<'_, GateState> {
-        self.state.lock().unwrap_or_else(|e| e.into_inner())
-    }
-
-    /// Reserves one in-flight slot on `shard`. Returns `false` —
-    /// reserving nothing — when the shard is already marked dead: a
-    /// dead shard's queue never drains, so enqueuing would at best
-    /// strand the item invisibly and at worst block the producer on a
-    /// full queue nothing will relieve.
-    fn submit_one(&self, shard: usize) -> bool {
-        let mut st = self.lock();
-        if st.dead[shard] {
-            return false;
-        }
-        st.in_flight[shard] += 1;
-        if st.in_flight[shard] > st.ring_hwm[shard] {
-            st.ring_hwm[shard] = st.in_flight[shard];
-        }
-        true
-    }
-
-    fn retire(&self, shard: usize, items: usize) {
-        let mut st = self.lock();
-        st.in_flight[shard] = st.in_flight[shard].saturating_sub(items);
-        let wake = st.in_flight[shard] == 0 && st.flush_wake_due();
-        drop(st);
-        if wake {
-            self.drained.notify_all();
-        }
-    }
-
-    fn mark_dead(&self, shard: usize) {
-        let mut st = self.lock();
-        st.dead[shard] = true;
-        let wake = st.flush_wake_due();
-        drop(st);
-        if wake {
-            self.drained.notify_all();
-        }
-    }
-}
-
-impl GateState {
-    /// True — and counted — when a `flush` caller is parked on
-    /// `drained`: a `Condvar` notify is a futex syscall whether or not
-    /// anyone waits, and a shard's count reaches zero on nearly every
-    /// item of a lightly loaded pool. The caller notifies *after* it
-    /// releases the state lock (see "What costs a syscall" above).
-    fn flush_wake_due(&mut self) -> bool {
-        let due = self.flushers > 0;
-        self.drained_wakes += u64::from(due);
-        due
-    }
-
-    /// Items still owed to shards `first..` by those that can actually
-    /// deliver them.
-    fn live_in_flight(&self, first: usize) -> usize {
-        self.in_flight[first..]
-            .iter()
-            .zip(&self.dead[first..])
-            .filter(|(_, dead)| !**dead)
-            .map(|(n, _)| *n)
-            .sum()
-    }
-}
-
-/// A shard's bounded queue and its home drainer's park state.
+/// A shard's bounded queue and its books, with the park state of the
+/// threads that wait on it.
 struct Queue<T> {
     state: Mutex<QueueState<T>>,
     /// The home drainer waits here for work.
     ready: Condvar,
+    /// `flush` waits here for the shard to go idle or die.
+    idle: Condvar,
 }
 
 struct QueueState<T> {
     /// Jobs submitted and not yet taken by a drain, bounded by
     /// `ring_capacity`.
     jobs: VecDeque<T>,
+    /// Jobs queued or taken by a running drain and not yet retired. A
+    /// dead shard queues nothing, so its count is its stranded jobs.
+    in_flight: usize,
+    /// High-water mark of `in_flight` in the current observation window
+    /// — the occupancy meter the rebalancer reads to spot a backed-up
+    /// shard.
+    high_water: usize,
+    /// Jobs run to completion.
+    completed: u64,
+    /// The handler panicked: nothing queues until respawn.
+    dead: bool,
+    /// Threads inside [`WorkerPool::flush`]'s wait on `idle`.
+    flushers: usize,
     /// The home drainer waits on `ready` and nobody has woken it yet.
     parked: bool,
     /// The home drainer must leave the handler alone: a quiescer holds
@@ -495,8 +409,10 @@ struct QueueState<T> {
     hold: bool,
     /// Shutdown: the home drainer exits.
     closed: bool,
-    /// Notifies issued on `ready` — read by the wake-accounting tests.
+    /// Notifies issued on `ready` and on `idle` — read by the
+    /// wake-accounting tests.
     wakes: u64,
+    idle_wakes: u64,
 }
 
 impl<T> Queue<T> {
@@ -504,12 +420,19 @@ impl<T> Queue<T> {
         Self {
             state: Mutex::new(QueueState {
                 jobs: VecDeque::new(),
+                in_flight: 0,
+                high_water: 0,
+                completed: 0,
+                dead: false,
+                flushers: 0,
                 parked: false,
                 hold: false,
                 closed: false,
                 wakes: 0,
+                idle_wakes: 0,
             }),
             ready: Condvar::new(),
+            idle: Condvar::new(),
         }
     }
 
@@ -517,18 +440,55 @@ impl<T> Queue<T> {
         self.state.lock().unwrap_or_else(|e| e.into_inner())
     }
 
-    /// Queues `item` unless `capacity` jobs already wait, waking the
-    /// home drainer if it is parked and not held off.
-    fn push(&self, item: T, capacity: usize) -> Result<(), T> {
+    /// Queues `item` and books it in flight, unless the shard is dead
+    /// or `capacity` jobs already wait; wakes the home drainer if it is
+    /// parked and not held off.
+    fn push(&self, item: T, capacity: usize) -> Result<(), (T, SubmitRejection)> {
         let mut q = self.lock();
+        if q.dead {
+            return Err((item, SubmitRejection::DeadWorker));
+        }
         if q.jobs.len() >= capacity {
-            return Err(item);
+            return Err((item, SubmitRejection::RingFull));
         }
         q.jobs.push_back(item);
+        q.in_flight += 1;
+        q.high_water = q.high_water.max(q.in_flight);
         if !q.hold {
             self.wake(q);
         }
         Ok(())
+    }
+
+    /// Books a finished drain pass: `ran` jobs taken, the last of them
+    /// fatal if `died`. Wakes the flushers parked on this shard once it
+    /// is idle or dead.
+    fn retire(&self, ran: usize, died: bool) {
+        let mut q = self.lock();
+        q.in_flight -= ran;
+        q.completed += (ran - usize::from(died)) as u64;
+        q.dead |= died;
+        q.hold |= died;
+        // A notify is a futex syscall whether or not anyone waits, and
+        // a shard goes idle on nearly every pass of a lightly loaded
+        // pool: skip it unless a flusher is parked here.
+        let wake = q.flushers > 0 && (q.in_flight == 0 || q.dead);
+        q.idle_wakes += u64::from(wake);
+        drop(q);
+        if wake {
+            self.idle.notify_all();
+        }
+    }
+
+    /// `flush`'s wait: parks until every job booked so far has retired,
+    /// or the shard is dead.
+    fn wait_idle(&self) {
+        let mut q = self.lock();
+        while q.in_flight > 0 && !q.dead {
+            q.flushers += 1;
+            q = self.idle.wait(q).unwrap_or_else(|e| e.into_inner());
+            q.flushers -= 1;
+        }
     }
 
     /// Lets a held-off home drainer take the handler again, waking it
@@ -574,63 +534,61 @@ impl<T> Queue<T> {
     }
 }
 
-/// One shard. Lock order: the pipeline's steering lock, then `handler`,
-/// then `queue`, then the gate; a drainer holds `handler` across the
-/// whole drain, so a popped job has run before anyone else can take it.
+/// One shard: a handler behind a lock, and a queue (lock order in the
+/// module docs).
 struct Shard<T> {
     /// The shard's handler; `None` once it panicked, until respawn.
     handler: parking_lot::Mutex<Option<ShardHandler<T>>>,
     queue: Queue<T>,
 }
 
-/// What a pool shares with its drainer threads.
-struct Core<T> {
-    shards: Vec<Shard<T>>,
-    gate: Gate,
-    completed: Vec<AtomicU64>,
-}
-
-impl<T> Core<T> {
-    /// Runs the jobs queued on `shard` when the drain starts, on this
-    /// thread, oldest first. `handler` is the shard's handler lock, held
-    /// by the caller across the drain; jobs queued meanwhile wait for
-    /// the next drain, so concurrent submitters cannot keep one going.
-    /// A panic is caught here and kills the shard, not this thread: the
-    /// panicking job is consumed, what is still queued stays for
+impl<T> Shard<T> {
+    /// Runs the jobs queued when the drain starts, on this thread,
+    /// oldest first. `handler` is the shard's handler lock, held by the
+    /// caller across the drain; jobs queued meanwhile wait for the next
+    /// drain, so concurrent submitters cannot keep one going. A panic is
+    /// caught here and kills the shard, not this thread: the panicking
+    /// job is consumed, what is still queued stays for
     /// [`WorkerPool::respawn`], and the home drainer is held off until
     /// then.
-    fn drain(&self, shard: usize, handler: &mut Option<ShardHandler<T>>) {
+    fn drain(&self, handler: &mut Option<ShardHandler<T>>) {
         let Some(run) = handler.as_mut() else {
             return; // dead: the queue waits for respawn
         };
-        let queue = &self.shards[shard].queue;
-        let queued = queue.lock().jobs.len();
+        let queued = self.queue.lock().jobs.len();
         let (mut ran, mut died) = (0, false);
-        while ran < queued {
-            let Some(item) = queue.lock().jobs.pop_front() else {
+        while ran < queued && !died {
+            let Some(item) = self.queue.lock().jobs.pop_front() else {
                 break;
             };
             ran += 1;
-            if catch_unwind(AssertUnwindSafe(|| run(item))).is_err() {
-                died = true;
-                break;
-            }
+            died = catch_unwind(AssertUnwindSafe(|| run(item))).is_err();
         }
         if ran == 0 {
             return;
         }
-        self.completed[shard].fetch_add((ran - usize::from(died)) as u64, Ordering::Relaxed);
-        self.gate.retire(shard, ran);
         if died {
             *handler = None;
-            queue.lock().hold = true;
-            self.gate.mark_dead(shard);
         }
+        self.queue.retire(ran, died);
     }
 
-    /// Takes `shard`'s handler lock and drains it.
-    fn drain_shard(&self, shard: usize) {
-        self.drain(shard, &mut self.shards[shard].handler.lock());
+    /// Takes the handler lock and drains.
+    fn drain_now(&self) {
+        self.drain(&mut self.handler.lock());
+    }
+
+    /// Queues `item`. A full queue is drained on this thread, under the
+    /// handler lock, to make room — the one backpressure rule. Returns
+    /// the item if the shard is dead.
+    fn push(&self, mut item: T, capacity: usize) -> Result<(), T> {
+        loop {
+            match self.queue.push(item, capacity) {
+                Err((back, SubmitRejection::RingFull)) => item = back,
+                done => return done.map_err(|(item, _)| item),
+            }
+            self.drain_now();
+        }
     }
 }
 
@@ -663,11 +621,13 @@ impl<T> Core<T> {
 /// pool.shutdown();
 /// ```
 pub struct WorkerPool<T: Send + 'static> {
-    core: Arc<Core<T>>,
+    shards: Arc<[Shard<T>]>,
     /// The home drainers of shards `caller_shards..`, joined at
     /// shutdown.
     drainers: Vec<JoinHandle<()>>,
     spec: ShardSpec,
+    /// Completed quiesces.
+    epoch: AtomicU64,
     rejected: AtomicU64,
     respawned: AtomicU64,
 }
@@ -694,34 +654,31 @@ impl<T: Send + 'static> WorkerPool<T> {
             ring_capacity: spec.ring_capacity.max(1),
             caller_shards: spec.caller_shards.min(workers),
         };
-        let core = Arc::new(Core {
-            shards: (0..workers)
-                .map(|shard| Shard {
-                    handler: parking_lot::Mutex::new(Some(factory(shard))),
-                    queue: Queue::new(),
-                })
-                .collect(),
-            gate: Gate::new(workers),
-            completed: (0..workers).map(|_| AtomicU64::new(0)).collect(),
-        });
+        let shards: Arc<[Shard<T>]> = (0..workers)
+            .map(|shard| Shard {
+                handler: parking_lot::Mutex::new(Some(factory(shard))),
+                queue: Queue::new(),
+            })
+            .collect();
         let drainers = (spec.caller_shards..workers)
             .map(|shard| {
-                let core = Arc::clone(&core);
+                let shards = Arc::clone(&shards);
                 std::thread::Builder::new()
                     .name(format!("netkit-shard-{shard}"))
                     .spawn(move || {
-                        let home = &core.shards[shard];
+                        let home = &shards[shard];
                         while home.queue.wait() {
-                            core.drain(shard, &mut home.handler.lock());
+                            home.drain_now();
                         }
                     })
                     .expect("spawn drainer thread")
             })
             .collect();
         Self {
-            core,
+            shards,
             drainers,
             spec,
+            epoch: AtomicU64::new(0),
             rejected: AtomicU64::new(0),
             respawned: AtomicU64::new(0),
         }
@@ -729,7 +686,7 @@ impl<T: Send + 'static> WorkerPool<T> {
 
     /// Number of shards.
     pub fn workers(&self) -> usize {
-        self.core.shards.len()
+        self.shards.len()
     }
 
     /// The configuring spec.
@@ -737,40 +694,19 @@ impl<T: Send + 'static> WorkerPool<T> {
         self.spec
     }
 
-    /// Queues `item` on `shard`. A full queue is drained on this thread,
-    /// under the shard's handler lock, to make room — the one
-    /// backpressure rule. Returns the item if the shard is dead and its
-    /// queue full.
-    fn push(&self, shard: usize, mut item: T) -> Result<(), T> {
-        let home = &self.core.shards[shard];
-        loop {
-            item = match home.queue.push(item, self.spec.ring_capacity) {
-                Ok(()) => return Ok(()),
-                Err(item) => item,
-            };
-            let mut handler = home.handler.lock();
-            if handler.is_none() {
-                return Err(item);
-            }
-            self.core.drain(shard, &mut handler);
-        }
-    }
-
     /// Enqueues `item` on `shard`; a full queue is drained on this
-    /// thread to make room (backpressure). A shard already marked dead
-    /// fails fast — the item comes straight back rather than being
-    /// stranded on a queue nothing will drain.
+    /// thread to make room (backpressure). A dead shard fails fast —
+    /// the item comes straight back rather than being stranded on a
+    /// queue nothing will drain.
     ///
     /// # Errors
     ///
     /// Returns the item if `shard` is out of range or dead.
     pub fn submit(&self, shard: usize, item: T) -> Result<(), T> {
-        if shard >= self.workers() || !self.core.gate.submit_one(shard) {
-            return Err(item); // dead shard: fail fast, never block
+        match self.shards.get(shard) {
+            Some(home) => home.push(item, self.spec.ring_capacity),
+            None => Err(item),
         }
-        self.push(shard, item).inspect_err(|_| {
-            self.core.gate.retire(shard, 1);
-        })
     }
 
     /// Enqueues `item` on `shard`'s queue without blocking; a full
@@ -799,89 +735,46 @@ impl<T: Send + 'static> WorkerPool<T> {
     ///
     /// Returns the item and why it bounced.
     pub fn try_submit_tagged(&self, shard: usize, item: T) -> Result<(), (T, SubmitRejection)> {
-        let Some(home) = self.core.shards.get(shard) else {
+        let Some(home) = self.shards.get(shard) else {
             return Err((item, SubmitRejection::OutOfRange));
         };
-        if !self.core.gate.submit_one(shard) {
-            return Err((item, SubmitRejection::DeadWorker)); // fail fast
-        }
         home.queue
             .push(item, self.spec.ring_capacity)
-            .map_err(|item| {
-                self.core.gate.retire(shard, 1);
-                self.rejected.fetch_add(1, Ordering::Relaxed);
-                (item, SubmitRejection::RingFull)
+            .inspect_err(|(_, why)| {
+                if *why == SubmitRejection::RingFull {
+                    self.rejected.fetch_add(1, Ordering::Relaxed);
+                }
             })
     }
 
     /// Batched publish: enqueues one job on each shard yielded by
-    /// `shards` with a **single gate transaction** reserving every
-    /// live target's in-flight slot up front, then exactly one queue
-    /// push per shard — the per-publish synchronisation the
-    /// one-`submit`-per-sub-batch path pays N times collapses to one
-    /// lock acquisition per dispatch, which is what makes the shared
-    /// fan-out's producer cost independent of shard count.
+    /// `shards`, one queue push per shard, each with [`Self::submit`]'s
+    /// blocking semantics. `shards` must yield in-range indices without
+    /// duplicates. `job_for(shard)` produces each shard's job —
+    /// typically a cheap refcount bump (`ShardJob::Range`). A job for a
+    /// dead shard is handed to `on_reject(shard, job)` so the caller
+    /// can account its payload. Returns the number of jobs enqueued.
     ///
-    /// `shards` is iterated twice (reserve, then publish) and must
-    /// yield strictly in-range indices without duplicates.
-    /// `job_for(shard)` produces each shard's job — typically a cheap
-    /// refcount bump (`ShardJob::Range`); it is only invoked during
-    /// the publish pass, outside the gate lock. Jobs that cannot be
-    /// delivered — the shard was dead at reservation time, or died
-    /// racing the publish — are handed to `on_reject(shard, job)` so
-    /// the caller can account their payload. Returns the number of
-    /// jobs enqueued.
-    ///
-    /// Blocking semantics match [`Self::submit`]. Do **not** call
-    /// inside a quiesce closure: the quiescer holds every handler lock,
-    /// so draining a full queue would wait on itself; re-steering there
-    /// uses [`Self::try_submit`]. A job for a shard with no home drainer
-    /// only queues, so one dispatcher can publish many fan-outs before
-    /// it runs its own share.
+    /// Do **not** call inside a quiesce closure: the quiescer holds
+    /// every handler lock, so draining a full queue would wait on
+    /// itself; re-steering there uses [`Self::try_submit`]. A job for a
+    /// shard with no home drainer only queues, so one dispatcher can
+    /// publish many fan-outs before it runs its own share.
     ///
     /// # Panics
     ///
     /// Panics if any yielded shard index is out of range.
     pub fn submit_fanout<I, F, R>(&self, shards: I, mut job_for: F, mut on_reject: R) -> usize
     where
-        I: Iterator<Item = usize> + Clone,
+        I: Iterator<Item = usize>,
         F: FnMut(usize) -> T,
         R: FnMut(usize, T),
     {
-        // Phase 1: one gate transaction covers the whole fan-out.
-        // Dead shards reserve nothing; they are remembered (the Vec
-        // stays unallocated in the no-fault common case) so phase 2
-        // neither publishes to them nor mis-retires their slots.
-        let mut dead_skipped: Vec<usize> = Vec::new();
-        {
-            let mut st = self.core.gate.lock();
-            for shard in shards.clone() {
-                assert!(shard < self.workers(), "fanout shard out of range");
-                if st.dead[shard] {
-                    dead_skipped.push(shard);
-                    continue;
-                }
-                st.in_flight[shard] += 1;
-                if st.in_flight[shard] > st.ring_hwm[shard] {
-                    st.ring_hwm[shard] = st.in_flight[shard];
-                }
-            }
-        }
-        // Phase 2: one queue push per shard, no further gate traffic
-        // on the success path.
         let mut sent = 0;
         for shard in shards {
-            if dead_skipped.contains(&shard) {
-                on_reject(shard, job_for(shard));
-                continue;
-            }
-            match self.push(shard, job_for(shard)) {
+            match self.shards[shard].push(job_for(shard), self.spec.ring_capacity) {
                 Ok(()) => sent += 1,
-                Err(item) => {
-                    // The shard died between reservation and publish.
-                    self.core.gate.retire(shard, 1);
-                    on_reject(shard, item);
-                }
+                Err(job) => on_reject(shard, job),
             }
         }
         sent
@@ -889,23 +782,18 @@ impl<T: Send + 'static> WorkerPool<T> {
 
     /// Blocks until every item submitted to a *live* shard has run to
     /// completion. Items stranded on a dead shard (its handler
-    /// panicked) will never run and do not gate the flush. (A barrier
+    /// panicked) will never run and do not hold the flush. (A barrier
     /// over *work*, not an epoch: reconfiguration wants
     /// [`Self::quiesce`].)
     ///
     /// The shards with no home drainer run here, on this thread and
-    /// before the wait, so they overlap with the drainer threads.
+    /// before the wait, so they overlap with the drainer threads; then
+    /// the flush waits on each drained shard in turn until it is idle
+    /// or dead.
     pub fn flush(&self) {
-        for shard in 0..self.spec.caller_shards {
-            self.core.drain_shard(shard);
-        }
-        let gate = &self.core.gate;
-        let mut st = gate.lock();
-        while st.live_in_flight(self.spec.caller_shards) > 0 {
-            st.flushers += 1;
-            st = gate.drained.wait(st).unwrap_or_else(|e| e.into_inner());
-            st.flushers -= 1;
-        }
+        let (caller, drained) = self.shards.split_at(self.spec.caller_shards);
+        caller.iter().for_each(Shard::drain_now);
+        drained.iter().for_each(|home| home.queue.wait_idle());
     }
 
     /// Runs `f` holding every shard's handler lock — the quiesce (see
@@ -915,18 +803,19 @@ impl<T: Send + 'static> WorkerPool<T> {
     /// order; jobs submitted during `f` queue and run once the locks
     /// go, so reconfiguration never drops traffic.
     pub fn quiesce<R>(&self, f: impl FnOnce() -> R) -> R {
-        let held: Vec<_> = (0..self.workers())
-            .map(|shard| {
-                let home = &self.core.shards[shard];
+        let held: Vec<_> = self
+            .shards
+            .iter()
+            .map(|home| {
                 home.queue.lock().hold = true;
                 let mut handler = home.handler.lock();
-                self.core.drain(shard, &mut handler);
+                home.drain(&mut handler);
                 handler
             })
             .collect();
         let out = f();
-        self.core.gate.lock().epoch += 1;
-        for (home, handler) in self.core.shards.iter().zip(held) {
+        self.epoch.fetch_add(1, Ordering::Relaxed);
+        for (home, handler) in self.shards.iter().zip(held) {
             // A shard that is dead stays held off until its respawn.
             if handler.is_some() {
                 drop(handler);
@@ -938,24 +827,22 @@ impl<T: Send + 'static> WorkerPool<T> {
 
     /// Completed quiesce epochs since the pool started.
     pub fn epoch(&self) -> u64 {
-        self.core.gate.lock().epoch
+        self.epoch.load(Ordering::Relaxed)
+    }
+
+    /// Reads one shard's books, if it exists.
+    fn books<R>(&self, shard: usize, read: impl FnOnce(&QueueState<T>) -> R) -> Option<R> {
+        self.shards.get(shard).map(|home| read(&home.queue.lock()))
     }
 
     /// Work items run to completion on `shard`, if it exists.
     pub fn completed(&self, shard: usize) -> Option<u64> {
-        self.core
-            .completed
-            .get(shard)
-            .map(|c| c.load(Ordering::Relaxed))
+        self.books(shard, |q| q.completed)
     }
 
     /// Total work items run to completion across all shards.
     pub fn total_completed(&self) -> u64 {
-        self.core
-            .completed
-            .iter()
-            .map(|c| c.load(Ordering::Relaxed))
-            .sum()
+        (0..self.workers()).filter_map(|s| self.completed(s)).sum()
     }
 
     /// Items bounced by [`Self::try_submit`] because a queue was full.
@@ -965,13 +852,15 @@ impl<T: Send + 'static> WorkerPool<T> {
 
     /// Work items submitted to live shards but not yet completed.
     pub fn in_flight(&self) -> usize {
-        self.core.gate.lock().live_in_flight(0)
+        (0..self.workers())
+            .filter_map(|s| self.books(s, |q| if q.dead { 0 } else { q.in_flight }))
+            .sum()
     }
 
     /// Work items submitted to `shard` but not yet completed, if it
     /// exists.
     pub fn in_flight_on(&self, shard: usize) -> Option<usize> {
-        self.core.gate.lock().in_flight.get(shard).copied()
+        self.books(shard, |q| q.in_flight)
     }
 
     /// Whether `shard` can still accept work (`Some(false)` once its
@@ -979,7 +868,7 @@ impl<T: Send + 'static> WorkerPool<T> {
     /// [`Self::submit`] / [`Self::try_submit`] has engaged). `None` for
     /// an out-of-range shard.
     pub fn worker_alive(&self, shard: usize) -> Option<bool> {
-        self.core.gate.lock().dead.get(shard).map(|dead| !dead)
+        self.books(shard, |q| !q.dead)
     }
 
     /// Revives a **dead** shard (handler panic) with `handler` — the
@@ -991,12 +880,10 @@ impl<T: Send + 'static> WorkerPool<T> {
     ///
     /// The stranded work items still queued are handed to
     /// `on_stranded` (oldest first) so the caller can account and
-    /// recycle their payloads — counted, never leaked. The revived
-    /// shard's occupancy meters start from the submits still in
-    /// progress; [`Self::completed`] keeps accumulating across the
-    /// change. A producer that lost the death race may deliver its item
-    /// after the hand-over — it runs normally, and `flush` waits for
-    /// it.
+    /// recycle their payloads — counted, never leaked. A dead shard
+    /// queues nothing, so the stranded jobs are all it had in flight:
+    /// the revived shard starts empty, with a fresh occupancy window,
+    /// while [`Self::completed`] keeps accumulating across the change.
     ///
     /// Returns the number of stranded work items recovered, or `None`
     /// if `shard` is out of range or still alive (only dead shards
@@ -1007,28 +894,20 @@ impl<T: Send + 'static> WorkerPool<T> {
         handler: ShardHandler<T>,
         on_stranded: impl FnMut(T),
     ) -> Option<usize> {
-        let home = self.core.shards.get(shard)?;
+        let home = self.shards.get(shard)?;
         let stranded = {
             let mut slot = home.handler.lock();
             if slot.is_some() {
                 return None;
             }
             *slot = Some(handler);
-            std::mem::take(&mut home.queue.lock().jobs)
+            let mut q = home.queue.lock();
+            debug_assert_eq!(q.in_flight, q.jobs.len(), "a dead shard queues nothing");
+            (q.in_flight, q.high_water, q.dead, q.hold) = (0, 0, false, false);
+            std::mem::take(&mut q.jobs)
         };
         let n = stranded.len();
         stranded.into_iter().for_each(on_stranded);
-        {
-            // Only now does the shard accept traffic again: the stranded
-            // jobs leave the books (a submit still in progress keeps its
-            // reservation, so `flush` waits for its job), a fresh
-            // occupancy window opens, and the dead bit is cleared last.
-            let mut st = self.core.gate.lock();
-            st.in_flight[shard] = st.in_flight[shard].saturating_sub(n);
-            st.ring_hwm[shard] = st.in_flight[shard];
-            st.dead[shard] = false;
-        }
-        home.queue.resume();
         self.respawned.fetch_add(1, Ordering::Relaxed);
         Some(n)
     }
@@ -1045,7 +924,7 @@ impl<T: Send + 'static> WorkerPool<T> {
     /// high-water mark rides its queue capacity is receiving work
     /// faster than it retires it.
     pub fn ring_high_water(&self, shard: usize) -> Option<usize> {
-        self.core.gate.lock().ring_hwm.get(shard).copied()
+        self.books(shard, |q| q.high_water)
     }
 
     /// Resets every shard's occupancy high-water mark to its current
@@ -1065,22 +944,22 @@ impl<T: Send + 'static> WorkerPool<T> {
         let _ = self.take_ring_high_water();
     }
 
-    /// Atomically closes the occupancy observation window: in one
-    /// lock acquisition, returns every shard's high-water mark and
-    /// resets it to the shard's *current* occupancy. Because the
-    /// sample and the reset are indivisible, a peak recorded
-    /// concurrently lands in exactly one window — either it is part of
-    /// the returned marks, or (arriving after) it raises the new
-    /// window's mark from the live occupancy floor; it can never be
+    /// Closes the occupancy observation window: returns every shard's
+    /// high-water mark and resets it to the shard's *current*
+    /// occupancy, each shard in one critical section of its own queue
+    /// lock. Because a shard's sample and reset are indivisible, a peak
+    /// recorded concurrently lands in exactly one window — either it is
+    /// part of the returned marks, or (arriving after) it raises the
+    /// new window's mark from the live occupancy floor; it can never be
     /// sampled into the old window and then zeroed out of the new one.
     pub fn take_ring_high_water(&self) -> Vec<usize> {
-        let mut st = self.core.gate.lock();
-        let mut window = Vec::with_capacity(st.ring_hwm.len());
-        for shard in 0..st.ring_hwm.len() {
-            window.push(st.ring_hwm[shard]);
-            st.ring_hwm[shard] = st.in_flight[shard];
-        }
-        window
+        self.shards
+            .iter()
+            .map(|home| {
+                let q = &mut *home.queue.lock();
+                std::mem::replace(&mut q.high_water, q.in_flight)
+            })
+            .collect()
     }
 
     /// Stops the drainer threads, joins them, and runs the work still
@@ -1090,15 +969,13 @@ impl<T: Send + 'static> WorkerPool<T> {
     }
 
     fn close_and_join(&mut self) {
-        for home in &self.core.shards {
+        for home in self.shards.iter() {
             home.queue.close();
         }
         for drainer in self.drainers.drain(..) {
             let _ = drainer.join();
         }
-        for shard in 0..self.workers() {
-            self.core.drain_shard(shard);
-        }
+        self.shards.iter().for_each(Shard::drain_now);
     }
 }
 
@@ -1656,24 +1533,23 @@ mod tests {
         })
     }
 
-    fn spin_until(pool: &WorkerPool<u8>, cond: impl Fn(&GateState) -> bool) {
-        while !cond(&pool.core.gate.lock()) {
-            std::thread::yield_now();
-        }
-    }
-
     fn spin_until_queue<T: Send>(
         pool: &WorkerPool<T>,
         shard: usize,
         cond: impl Fn(&QueueState<T>) -> bool,
     ) {
-        while !cond(&pool.core.shards[shard].queue.lock()) {
+        while !cond(&pool.shards[shard].queue.lock()) {
             std::thread::yield_now();
         }
     }
 
     fn wakes<T: Send>(pool: &WorkerPool<T>, shard: usize) -> u64 {
-        pool.core.shards[shard].queue.lock().wakes
+        pool.shards[shard].queue.lock().wakes
+    }
+
+    /// Notifies issued on every shard's `idle` condvar.
+    fn idle_wakes<T: Send>(pool: &WorkerPool<T>) -> u64 {
+        pool.shards.iter().map(|s| s.queue.lock().idle_wakes).sum()
     }
 
     #[test]
@@ -1687,7 +1563,7 @@ mod tests {
             std::thread::yield_now();
         }
         pool.flush(); // nothing in flight: returns without parking
-        assert_eq!(pool.core.gate.lock().drained_wakes, 0);
+        assert_eq!(idle_wakes(&pool), 0);
     }
 
     #[test]
@@ -1697,11 +1573,11 @@ mod tests {
         pool.submit(0, 0).unwrap();
         std::thread::scope(|s| {
             s.spawn(|| pool.flush());
-            spin_until(&pool, |st| st.flushers == 1);
+            spin_until_queue(&pool, 0, |q| q.flushers == 1);
             open(&latch);
         });
-        let st = pool.core.gate.lock();
-        assert_eq!((st.drained_wakes, st.flushers), (1, 0));
+        let q = pool.shards[0].queue.lock();
+        assert_eq!((q.idle_wakes, q.flushers), (1, 0));
     }
 
     #[test]
@@ -1712,13 +1588,41 @@ mod tests {
         pool.submit(0, 0).unwrap(); // stranded behind it: never retires
         std::thread::scope(|s| {
             s.spawn(|| pool.flush());
-            spin_until(&pool, |st| st.flushers == 1);
+            spin_until_queue(&pool, 0, |q| q.flushers == 1);
             open(&latch);
         });
         // The poison's retire leaves one item in flight and wakes
         // nobody; only the death can release the waiter.
-        let st = pool.core.gate.lock();
-        assert_eq!((st.drained_wakes, st.flushers), (1, 0));
+        let q = pool.shards[0].queue.lock();
+        assert_eq!((q.idle_wakes, q.flushers), (1, 0));
+    }
+
+    #[test]
+    fn a_flush_is_woken_only_by_the_shard_it_waits_on() {
+        let latches = [Latch::default(), Latch::default()];
+        let pool = WorkerPool::start(threaded(3), |shard| {
+            let latch = latches.get(shard).map(Arc::clone);
+            Box::new(move |_: u8| {
+                if let Some(latch) = &latch {
+                    await_open(latch);
+                }
+            })
+        });
+        pool.submit(0, 0).unwrap();
+        pool.submit(1, 0).unwrap();
+        let wakes_while_parked = std::thread::scope(|s| {
+            s.spawn(|| pool.flush());
+            spin_until_queue(&pool, 0, |q| q.flushers == 1);
+            // Shard 1 goes idle while the flusher is parked on shard 0.
+            open(&latches[1]);
+            spin_until_queue(&pool, 1, |q| q.in_flight == 0);
+            let wakes = idle_wakes(&pool);
+            open(&latches[0]);
+            wakes
+        });
+        assert_eq!(wakes_while_parked, 0, "nobody waits on shard 1");
+        assert_eq!(idle_wakes(&pool), 1, "one wake, from shard 0");
+        pool.shutdown();
     }
 
     #[test]
@@ -2007,7 +1911,7 @@ mod tests {
         let before_flush = ran.lock().clone();
         let (at_park, flusher) = std::thread::scope(|s| {
             let flusher = s.spawn(|| pool.flush());
-            spin_until(&pool, |st| st.flushers == 1);
+            spin_until_queue(&pool, 1, |q| q.flushers == 1);
             let at_park = ran.lock().clone();
             // Opened before any assertion, so a failure cannot leave
             // shard 1 latched and the pool's drop joining it forever.

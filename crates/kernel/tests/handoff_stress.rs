@@ -1,21 +1,23 @@
 //! Lost-wake-up detector for the hand-off between a shard's queue and
-//! its drainer.
+//! the threads that wait on it.
 //!
-//! The shard queues and the gate notify only a peer that is parked, so
-//! a mistake in the waiter accounting shows as a thread asleep with
-//! work (or a release) it will never hear about — a hang, not a wrong
-//! answer. This test puts every blocking hand-off under contention at
-//! once — two producers mixing `submit`, `try_submit` and
-//! `submit_fanout` on shallow queues, a controller looping `flush` and
-//! `quiesce`, one shard killed mid-stream and respawned — over many
-//! fresh pools, under a watchdog, and closes the books each time:
-//! every accepted item was run, or recovered from the dead shard.
+//! A shard's queue notifies only a peer that is parked on it — its
+//! drainer, or a flusher waiting for it to go idle — so a mistake in
+//! the waiter accounting shows as a thread asleep with work (or a
+//! release) it will never hear about — a hang, not a wrong answer. This
+//! test puts every blocking hand-off under contention at once — two
+//! producers mixing `submit`, `try_submit` and `submit_fanout` on
+//! shallow queues, a controller looping `flush` and `quiesce`, one
+//! shard killed mid-stream and respawned — over many fresh pools, under
+//! a watchdog, and closes the books each time: every accepted item was
+//! run, or recovered from the dead shard.
 //!
-//! Each pool runs twice: with a drainer thread for both shards
-//! (`k = 0`), and with shard 0 drained by whichever thread waits
-//! (`k = 1`) — the controller's `flush` and `quiesce`, or a producer
-//! whose blocking submit finds its queue full. So the books, and the
-//! quiesce's no-handler-running check, cover both.
+//! Each pool runs three times: with a drainer thread for both shards
+//! (`k = 0`); with shard 0 drained by whichever thread waits (`k = 1`)
+//! — the controller's `flush` and `quiesce`, or a producer whose
+//! blocking submit finds its queue full; and with no drainer thread at
+//! all (`k = 2`), every shard run by whoever waits. So the books, and
+//! the quiesce's no-handler-running check, cover every placement.
 
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{mpsc, Arc};
@@ -151,7 +153,7 @@ fn every_handoff_under_contention_closes_its_books() {
     let (done_tx, done_rx) = mpsc::channel();
     let stress = std::thread::spawn(move || {
         for _ in 0..POOLS {
-            for caller_shards in [0, 1] {
+            for caller_shards in [0, 1, 2] {
                 one_pool(caller_shards);
             }
         }

@@ -26,18 +26,6 @@ use crate::meta::architecture::{ArchitectureMetaModel, BindingRecord};
 use crate::meta::resources::ResourceManager;
 use crate::runtime::{IsolationRegistry, Runtime};
 
-/// Which quiescence strategy a structural adaptation uses.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
-pub enum Quiescence {
-    /// Wait only for in-flight calls on the edges being rewired
-    /// (receptacle write locks). Cheapest; the default.
-    #[default]
-    PerEdge,
-    /// Additionally acquire the capsule-wide graph lock, excluding all
-    /// cooperative data-path drivers for the duration of the change.
-    FullGraph,
-}
-
 /// Supervision handle for a component hosted out-of-capsule.
 pub struct IsolationControl {
     host: Arc<IsolatedHost>,
@@ -433,9 +421,11 @@ impl Capsule {
     /// receptacles, interceptor chains are preserved, and `old` is
     /// destroyed. If `old` was active, `new` is activated.
     ///
-    /// The order is what makes [`Quiescence::PerEdge`] loss-free under
-    /// concurrent calls: (1) bind `new`'s outgoing receptacles, (2)
-    /// retarget the incoming edges to `new`, (3) unbind `old`'s outgoing
+    /// A rebind quiesces one edge at a time: it waits only for the
+    /// in-flight calls on the edge being rewired (its receptacle write
+    /// lock). The order is what makes that loss-free under concurrent
+    /// calls: (1) bind `new`'s outgoing receptacles, (2) retarget the
+    /// incoming edges to `new`, (3) unbind `old`'s outgoing
     /// receptacles. At every instant a call entering through an
     /// incoming edge lands in a component whose outputs are bound — an
     /// unbound pass-through component would swallow it and answer `Ok`.
@@ -447,11 +437,7 @@ impl Capsule {
     /// incoming edges processed after the failure point (best-effort
     /// rollback is not attempted — callers should validate `new`'s shape
     /// via the CF first, which the Router CF does).
-    pub fn replace(&self, old: ComponentId, new: ComponentId, mode: Quiescence) -> Result<()> {
-        let _full_guard = match mode {
-            Quiescence::FullGraph => Some(self.arch.quiesce()),
-            Quiescence::PerEdge => None,
-        };
+    pub fn replace(&self, old: ComponentId, new: ComponentId) -> Result<()> {
         let old_comp = self.component(old)?;
         let new_comp = self.component(new)?;
         let was_active = old_comp.core().state() == LifecycleState::Active;
@@ -808,7 +794,7 @@ mod tests {
 
         let b2 = Adder::make(100);
         let b2id = capsule.adopt(b2).unwrap();
-        capsule.replace(bid, b2id, Quiescence::PerEdge).unwrap();
+        capsule.replace(bid, b2id).unwrap();
         assert_eq!(call(&capsule, aid, 0).unwrap(), 1101); // +1 +100 +1000
         assert!(capsule.component(bid).is_err(), "old component removed");
         assert_eq!(
@@ -844,7 +830,7 @@ mod tests {
             });
             for _ in 0..2000 {
                 let next = capsule.adopt(Adder::make(10)).unwrap();
-                capsule.replace(mid, next, Quiescence::PerEdge).unwrap();
+                capsule.replace(mid, next).unwrap();
                 mid = next;
             }
             swapping.store(false, Ordering::SeqCst);
@@ -900,7 +886,7 @@ mod tests {
 
         let fresh = echo();
         let new = capsule.adopt(fresh.clone()).unwrap();
-        capsule.replace(old, new, Quiescence::PerEdge).unwrap();
+        capsule.replace(old, new).unwrap();
         assert_eq!(call(&capsule, new, 0).unwrap(), 1, "loops through itself");
         assert_eq!(fresh.depth.load(Ordering::Relaxed), 2, "not through `old`");
         let [rec] = &capsule.arch().binding_records()[..] else {
@@ -927,7 +913,7 @@ mod tests {
             |_| {},
         ));
         let b2id = capsule.adopt(Adder::make(20)).unwrap();
-        capsule.replace(bid, b2id, Quiescence::FullGraph).unwrap();
+        capsule.replace(bid, b2id).unwrap();
         assert_eq!(call(&capsule, aid, 0).unwrap(), 21);
         assert_eq!(count.load(Ordering::Relaxed), 1, "chain survived the swap");
     }
@@ -954,7 +940,7 @@ mod tests {
                 )),
             }))
             .unwrap();
-        assert!(capsule.replace(bid, bad, Quiescence::PerEdge).is_err());
+        assert!(capsule.replace(bid, bad).is_err());
         // Original pipeline still intact.
         assert_eq!(call(&capsule, aid, 5).unwrap(), 16);
     }

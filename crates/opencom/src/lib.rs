@@ -85,7 +85,7 @@ pub mod prelude {
     pub use crate::binding::{
         BindConstraint, BindRequest, ConstraintSet, FnConstraint, TopologyRule,
     };
-    pub use crate::capsule::{Capsule, Quiescence};
+    pub use crate::capsule::Capsule;
     pub use crate::cf::{Acl, Cf, CfOperation, CfRules, PermissiveRules, Principal};
     pub use crate::component::{
         Component, ComponentCore, ComponentDescriptor, LifecycleState, Registrar,

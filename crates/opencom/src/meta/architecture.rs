@@ -6,21 +6,17 @@
 //! (enumerate, inspect, export to Graphviz) and *adaptation* (unbind,
 //! rebind, hot-replace, splice interceptors) at run time.
 //!
-//! Quiescence comes in two strengths (both driven under load by
-//! `tests/reconfiguration_under_load.rs`):
-//!
-//! * **Per-edge** — every receptacle slot is guarded by a `RwLock`, so an
-//!   individual rebind waits only for in-flight calls through that edge.
-//! * **Full-graph** — [`ArchitectureMetaModel::quiesce`] hands out a write
-//!   guard on a capsule-wide lock which cooperative data-path drivers hold
-//!   for reading while they pump packets.
+//! Reconfiguration quiesces one edge at a time (driven under load by
+//! `tests/reconfiguration_under_load.rs`): every receptacle slot is
+//! guarded by a `RwLock`, so an individual rebind waits only for
+//! in-flight calls through that edge.
 
 use std::collections::HashMap;
 use std::fmt;
 use std::fmt::Write as _;
 use std::sync::Arc;
 
-use parking_lot::{RwLock, RwLockReadGuard, RwLockWriteGuard};
+use parking_lot::RwLock;
 
 use crate::component::Component;
 use crate::error::{Error, Result};
@@ -75,8 +71,6 @@ impl fmt::Debug for BindingRecord {
 pub struct ArchitectureMetaModel {
     components: RwLock<HashMap<ComponentId, Arc<dyn Component>>>,
     bindings: RwLock<HashMap<BindingId, BindingRecord>>,
-    /// Capsule-wide quiescence lock (full-graph strategy).
-    graph_lock: RwLock<()>,
 }
 
 impl ArchitectureMetaModel {
@@ -286,21 +280,6 @@ impl ArchitectureMetaModel {
         f(rec);
         Ok(())
     }
-
-    // ---- quiescence -----------------------------------------------------
-
-    /// Acquires the full-graph quiescence lock for writing. Cooperative
-    /// data-path drivers hold [`Self::data_path_guard`] while pumping, so
-    /// this guard is granted only when the path is idle.
-    pub fn quiesce(&self) -> RwLockWriteGuard<'_, ()> {
-        self.graph_lock.write()
-    }
-
-    /// Read-side of the full-graph quiescence lock, held by data-path
-    /// drivers for the duration of a packet batch.
-    pub fn data_path_guard(&self) -> RwLockReadGuard<'_, ()> {
-        self.graph_lock.read()
-    }
 }
 
 impl fmt::Debug for ArchitectureMetaModel {
@@ -432,21 +411,6 @@ mod tests {
         arch.update_binding(edge, |r| r.dst = b2id).unwrap();
         assert_eq!(arch.bindings_of(b2id).len(), 1);
         assert_eq!(arch.bindings_of(bid).len(), 0);
-    }
-
-    #[test]
-    fn quiescence_lock_excludes_writers_while_reading() {
-        let arch = Arc::new(ArchitectureMetaModel::new());
-        let guard = arch.data_path_guard();
-        let arch2 = Arc::clone(&arch);
-        let t = std::thread::spawn(move || {
-            let _w = arch2.quiesce();
-        });
-        // Writer must block until the data-path guard drops.
-        std::thread::sleep(std::time::Duration::from_millis(20));
-        assert!(!t.is_finished());
-        drop(guard);
-        t.join().unwrap();
     }
 
     #[test]

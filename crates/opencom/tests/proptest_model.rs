@@ -8,7 +8,7 @@ use std::sync::Arc;
 
 use proptest::prelude::*;
 
-use opencom::capsule::{Capsule, Quiescence};
+use opencom::capsule::Capsule;
 use opencom::component::{Component, ComponentCore, ComponentDescriptor, Registrar};
 use opencom::ident::{ComponentId, InterfaceId, Version};
 use opencom::receptacle::Receptacle;
@@ -59,7 +59,7 @@ impl Component for Node {
 enum Op {
     Bind { src: usize, dst: usize, label: u8 },
     UnbindNth { idx: usize },
-    Replace { victim: usize, full: bool },
+    Replace { victim: usize },
     Call { via: usize },
 }
 
@@ -71,7 +71,7 @@ fn op_strategy(nodes: usize) -> impl Strategy<Value = Op> {
             label
         }),
         (0..64usize).prop_map(|idx| Op::UnbindNth { idx }),
-        (0..nodes, any::<bool>()).prop_map(|(victim, full)| Op::Replace { victim, full }),
+        (0..nodes).prop_map(|victim| Op::Replace { victim }),
         (0..nodes).prop_map(|via| Op::Call { via }),
     ]
 }
@@ -105,11 +105,10 @@ proptest! {
                         let _ = capsule.unbind(records[idx % records.len()].id);
                     }
                 }
-                Op::Replace { victim, full } => {
+                Op::Replace { victim } => {
                     let old = ids[victim % ids.len()];
                     let fresh = capsule.adopt(Node::make()).unwrap();
-                    let mode = if full { Quiescence::FullGraph } else { Quiescence::PerEdge };
-                    match capsule.replace(old, fresh, mode) {
+                    match capsule.replace(old, fresh) {
                         Ok(()) => {
                             for id in ids.iter_mut() {
                                 if *id == old {

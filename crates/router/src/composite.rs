@@ -32,7 +32,7 @@ use std::sync::Arc;
 use parking_lot::RwLock;
 
 use opencom::binding::BindConstraint;
-use opencom::capsule::{Capsule, Quiescence};
+use opencom::capsule::Capsule;
 use opencom::cf::{CfOperation, Principal};
 use opencom::component::{Component, ComponentCore, ComponentDescriptor, Registrar};
 use opencom::error::{Error, Result};
@@ -137,18 +137,13 @@ pub trait IController: Send + Sync {
     fn classifier(&self, principal: &Principal, label: &str) -> Result<Arc<dyn IClassifier>>;
 
     /// Hot-replaces the constituent at `label` with an already-hosted
-    /// component, rewiring every edge under the chosen quiescence mode.
+    /// component, rewiring every edge one at a time (each edge waits
+    /// only for its own in-flight calls).
     ///
     /// # Errors
     ///
     /// Propagates ACL, CF admission, and replacement failures.
-    fn replace(
-        &self,
-        principal: &Principal,
-        label: &str,
-        new: ComponentId,
-        mode: Quiescence,
-    ) -> Result<()>;
+    fn replace(&self, principal: &Principal, label: &str, new: ComponentId) -> Result<()>;
 }
 
 /// Shared mutable state between a [`Composite`] and its [`Controller`].
@@ -249,20 +244,14 @@ impl IController for Controller {
         self.state.cf.classifier_access(principal, id)
     }
 
-    fn replace(
-        &self,
-        principal: &Principal,
-        label: &str,
-        new: ComponentId,
-        mode: Quiescence,
-    ) -> Result<()> {
+    fn replace(&self, principal: &Principal, label: &str, new: ComponentId) -> Result<()> {
         self.state.cf.acl().check(principal, CfOperation::Replace)?;
         let old = self.state.lookup(label)?;
         // Admit the replacement against the CF rules *before* touching the
         // graph (R1–R3 still hold afterwards).
         let new_comp = self.state.cf.capsule().component(new)?;
         opencom::cf::CfRules::admit(&crate::cf::RouterRules, &new_comp)?;
-        self.state.cf.capsule().replace(old, new, mode)?;
+        self.state.cf.capsule().replace(old, new)?;
         // Keep the CF membership and label table coherent.
         self.state.cf.unplug(&Principal::system(), old)?;
         self.state.cf.plug(&Principal::system(), new)?;
@@ -885,7 +874,7 @@ mod tests {
         // Replace the queue with a bigger one.
         let new_q = DropTailQueue::new(256);
         let new_id = capsule.adopt(new_q).unwrap();
-        ctl.replace(&sys, "q", new_id, Quiescence::PerEdge).unwrap();
+        ctl.replace(&sys, "q", new_id).unwrap();
 
         // Data path still flows end-to-end after the swap. The in-flight
         // packet in the *old* queue is gone with the old component; the
@@ -923,9 +912,7 @@ mod tests {
                 core: ComponentCore::new(ComponentDescriptor::new("t.Bad", Version::new(1, 0, 0))),
             }))
             .unwrap();
-        let err = ctl
-            .replace(&Principal::system(), "q", bad, Quiescence::PerEdge)
-            .unwrap_err();
+        let err = ctl.replace(&Principal::system(), "q", bad).unwrap_err();
         assert!(err.to_string().contains("R1"), "{err}");
         // Label table unchanged.
         assert_ne!(composite.constituent("q").unwrap(), bad);

@@ -48,7 +48,7 @@
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::{Arc, Mutex};
 
-use opencom::capsule::{Capsule, Quiescence};
+use opencom::capsule::Capsule;
 use opencom::component::Component;
 use opencom::error::{Error, Result};
 use opencom::ident::ComponentId;
@@ -188,7 +188,7 @@ impl CompiledShard {
                         // Per-edge quiescence: each edge drains its
                         // in-flight call and rewires; binding ids (and
                         // interceptor chains) survive the swap.
-                        self.capsule.replace(old, id, Quiescence::PerEdge)?;
+                        self.capsule.replace(old, id)?;
                     }
                     self.elements.insert(name.clone(), id);
                     if hot {

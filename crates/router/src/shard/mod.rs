@@ -214,9 +214,9 @@ pub struct DropStats {
     /// Bounced off a full ring on a non-blocking publish (the
     /// migration re-steer path; blocking dispatch never tail-drops).
     pub ring_full: u64,
-    /// Lost to a dead worker: failed publishes to a shard whose
-    /// thread panicked, plus the stranded ring items drained (counted,
-    /// recycled, never leaked) when the shard respawned.
+    /// Lost to a dead shard: failed publishes to a shard whose
+    /// replica panicked, plus the stranded queue items drained
+    /// (counted, recycled, never leaked) when the shard respawned.
     pub dead_worker: u64,
     /// Shed by a quarantine/restore steering patch while the
     /// self-healing control loop re-routed a dead shard's buckets.
@@ -242,8 +242,9 @@ impl DropStats {
 pub struct FaultRecovery {
     /// Shards whose workers were respawned, in shard order.
     pub respawned: Vec<usize>,
-    /// Packets drained off dead rings during the respawns (filed under
-    /// the dead-worker drop cause — counted, recycled, never leaked).
+    /// Packets drained off dead shards' queues during the respawns
+    /// (filed under the dead-worker drop cause — counted, recycled,
+    /// never leaked).
     pub stranded: u64,
     /// Buckets temporarily re-steered off dead shards by the
     /// quarantine table.
@@ -659,7 +660,8 @@ impl ShardedPipeline {
         })
     }
 
-    /// Number of shards (worker threads / replicas).
+    /// Number of shards (replicas), whether or not each has a drainer
+    /// thread.
     pub fn workers(&self) -> usize {
         self.spec.workers
     }
@@ -682,8 +684,8 @@ impl ShardedPipeline {
     /// shares the split parent ([`ShardSplit::into_shared`]) and
     /// publishes one [`ShardJob::Range`] descriptor per non-empty
     /// shard in a single batched fan-out
-    /// ([`WorkerPool::submit_fanout`]: one gate transaction for the
-    /// whole call, blocking on backpressure). No packet moves and no
+    /// ([`WorkerPool::submit_fanout`]: one queue push per shard,
+    /// blocking on backpressure). No packet moves and no
     /// container leases in the dispatch — each shard gathers its slice
     /// into a pooled container when it runs (a shard with no drainer
     /// thread's when the pipeline is next flushed), and the parent
@@ -812,8 +814,8 @@ impl ShardedPipeline {
         self.sync_resources();
     }
 
-    /// Runs `f` with every worker parked at a batch boundary (the epoch
-    /// quiesce protocol — see the module docs). Reconfigure the replicas
+    /// Runs `f` holding every shard's handler lock, each shard between
+    /// two batches (the quiesce — see the module docs). Reconfigure the replicas
     /// inside `f` via [`Self::capsule`] / [`Self::set_entry`]; the
     /// change is atomic across all shards and drops no traffic.
     pub fn quiesce<R>(&self, f: impl FnOnce() -> R) -> R {
@@ -1083,8 +1085,8 @@ impl ShardedPipeline {
         }
     }
 
-    /// Whether `shard`'s worker can still accept work (`Some(false)`
-    /// once its thread died — the health signal
+    /// Whether `shard` can still accept work (`Some(false)` once its
+    /// replica panicked — the health signal
     /// [`Self::health_turn`] acts on). `None` for an out-of-range
     /// shard.
     pub fn worker_alive(&self, shard: usize) -> Option<bool> {
@@ -1114,8 +1116,9 @@ impl ShardedPipeline {
         total
     }
 
-    /// Replaces `shard`'s dead worker with a fresh replica and thread —
-    /// the crash-recovery half of the self-healing dataplane.
+    /// Replaces `shard`'s dead replica with a fresh one — the
+    /// crash-recovery half of the self-healing dataplane. No thread
+    /// starts or stops.
     ///
     /// In order:
     ///

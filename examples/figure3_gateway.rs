@@ -11,7 +11,7 @@
 use std::sync::Arc;
 
 use netkit::opencom::binding::TopologyRule;
-use netkit::opencom::capsule::{Capsule, Quiescence};
+use netkit::opencom::capsule::Capsule;
 use netkit::opencom::cf::{CfOperation, Principal};
 use netkit::opencom::component::Component;
 use netkit::opencom::runtime::Runtime;
@@ -122,7 +122,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // ---- hot-replace the queueing stage under the controller ----------
     let red = capsule.adopt(RedQueue::new(RedConfig::default()))?;
-    controller.replace(&admin, "queueing", red, Quiescence::FullGraph)?;
+    controller.replace(&admin, "queueing", red)?;
     println!("controller hot-replaced drop-tail with RED");
 
     composite.push(PacketBuilder::udp_v4("192.0.2.1", "203.0.113.9", 9, 9).build())?;

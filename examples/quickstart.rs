@@ -6,7 +6,7 @@
 
 use std::sync::Arc;
 
-use netkit::opencom::capsule::{Capsule, Quiescence};
+use netkit::opencom::capsule::Capsule;
 use netkit::opencom::cf::Principal;
 use netkit::opencom::interception::FnHook;
 use netkit::opencom::runtime::Runtime;
@@ -113,7 +113,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // 8. Reconfigure live: hot-swap the voice queue for a bigger one.
     let bigger = capsule.adopt(DropTailQueue::new(1024))?;
     cf.plug(&sys, bigger)?;
-    capsule.replace(vq, bigger, Quiescence::PerEdge)?;
+    capsule.replace(vq, bigger)?;
     cf.unplug(&sys, vq)?;
     println!(
         "hot-swapped the voice queue; graph now has {} components",

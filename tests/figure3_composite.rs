@@ -7,7 +7,7 @@
 use std::sync::Arc;
 
 use netkit::opencom::binding::TopologyRule;
-use netkit::opencom::capsule::{Capsule, Quiescence};
+use netkit::opencom::capsule::Capsule;
 use netkit::opencom::cf::{CfOperation, Principal};
 use netkit::opencom::component::Component;
 use netkit::opencom::error::Error;
@@ -192,8 +192,7 @@ fn controller_hot_swaps_the_queue_under_traffic() {
         .push(PacketBuilder::udp_v4("192.0.2.1", "203.0.113.5", 1, 2).build())
         .unwrap();
     let bigger = capsule.adopt(DropTailQueue::new(4096)).unwrap();
-    ctl.replace(&admin, "queueing", bigger, Quiescence::PerEdge)
-        .unwrap();
+    ctl.replace(&admin, "queueing", bigger).unwrap();
     composite
         .push(PacketBuilder::udp_v4("192.0.2.1", "203.0.113.5", 3, 4).build())
         .unwrap();

@@ -5,7 +5,7 @@
 
 use std::sync::Arc;
 
-use netkit::opencom::capsule::{Capsule, Quiescence};
+use netkit::opencom::capsule::Capsule;
 use netkit::opencom::cf::Principal;
 use netkit::opencom::component::Component;
 use netkit::opencom::ident::Version;
@@ -54,16 +54,11 @@ fn no_loss_across_a_thousand_swaps() {
 
     let mut victim = stages[1];
     let mut sent = 0u64;
-    for round in 0..1000u64 {
-        // Swap the middle element every iteration, alternating modes.
-        let mode = if round % 2 == 0 {
-            Quiescence::PerEdge
-        } else {
-            Quiescence::FullGraph
-        };
+    for _ in 0..1000u64 {
+        // Swap the middle element every iteration.
         let fresh = capsule.adopt(Counter::new()).unwrap();
         cf.plug(&sys, fresh).unwrap();
-        capsule.replace(victim, fresh, mode).unwrap();
+        capsule.replace(victim, fresh).unwrap();
         cf.unplug(&sys, victim).unwrap();
         victim = fresh;
 
@@ -178,9 +173,7 @@ fn sharded_hot_swap_scheduler_under_load() {
             pipe.quiesce(|| {
                 for b in bits.lock().iter_mut() {
                     let fresh = b.capsule.adopt(DrrScheduler::new(1500.0)).unwrap();
-                    b.capsule
-                        .replace(b.sched_id, fresh, Quiescence::FullGraph)
-                        .unwrap();
+                    b.capsule.replace(b.sched_id, fresh).unwrap();
                     *b.pull.write() = b
                         .capsule
                         .query_interface(fresh, IPACKET_PULL)
@@ -428,7 +421,7 @@ fn registry_supports_side_by_side_versions_and_evolution() {
     // transparent upgrade by version; `replace` checks shape instead.
     let version_of = |id| capsule.component(id).unwrap().core().descriptor().version;
     assert!(!version_of(v2).compatible_upgrade_of(&version_of(v1)));
-    capsule.replace(v1, v2, Quiescence::PerEdge).unwrap();
+    capsule.replace(v1, v2).unwrap();
     let entry: Arc<dyn IPacketPush> = capsule
         .query_interface(v2, IPACKET_PUSH)
         .unwrap()
