@@ -75,18 +75,18 @@ impl MemoryRegion {
 
 /// Hardware parameters (defaults follow the IXP1200 datasheet).
 #[derive(Clone, Copy, Debug)]
-pub struct IxpConfig {
+struct IxpConfig {
     /// Number of micro-engines.
-    pub microengines: u8,
+    microengines: u8,
     /// Hardware contexts per micro-engine (memory-latency hiding depth).
-    pub contexts_per_me: u32,
+    contexts_per_me: u32,
     /// StrongARM clock in MHz.
-    pub strongarm_mhz: u64,
+    strongarm_mhz: u64,
     /// Micro-engine clock in MHz.
-    pub microengine_mhz: u64,
+    microengine_mhz: u64,
     /// One-sided scratch-ring handoff cost in cycles when consecutive
     /// stages run on different processors.
-    pub handoff_cycles: u64,
+    handoff_cycles: u64,
 }
 
 impl Default for IxpConfig {
@@ -207,7 +207,7 @@ pub struct PlacementReport {
 #[derive(Clone, Copy, Debug, Default)]
 pub struct IxpModel {
     /// Hardware parameters.
-    pub config: IxpConfig,
+    config: IxpConfig,
 }
 
 impl IxpModel {

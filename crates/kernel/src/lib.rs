@@ -8,9 +8,10 @@
 //!
 //! This crate is that stratum, simulated:
 //!
-//! * [`time`] — a deterministic virtual clock and timer queue.
+//! * [`time`] — simulated instants and a deterministic virtual clock.
 //! * [`exec`] — a cooperative executor with **pluggable, hot-swappable
-//!   schedulers** (the paper's thread-management CF).
+//!   schedulers** (FIFO and round-robin; the paper's thread-management
+//!   CF).
 //! * [`mem`] — quota-policed memory accounting for the resources
 //!   meta-model and the footprint experiments.
 //! * [`nic`] — simulated NICs with bounded multi-queue rx/tx rings

@@ -1336,7 +1336,7 @@ mod tests {
             });
             pool.submit(0, 1).unwrap(); // kills worker 0
             pool.flush();
-            // Wait until the gate has registered the death so the
+            // Wait until shard 0's queue has booked the death so the
             // fan-out deterministically takes the dead-skip path.
             await_death(&pool, 0);
             let rejected = Arc::new(parking_lot::Mutex::new(Vec::new()));
@@ -1348,7 +1348,7 @@ mod tests {
             assert_eq!(sent, 1, "live shard still served");
             assert_eq!(*rejected.lock(), vec![(0, 0u8)]);
             pool.flush();
-            pool.quiesce(|| {}); // dead worker accounted at the gate
+            pool.quiesce(|| {}); // a dead shard does not hold the quiesce
             pool.shutdown();
         }
     }

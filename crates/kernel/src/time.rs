@@ -1,16 +1,13 @@
 //! Virtual time: the clock every stratum-1 service is driven by.
 //!
 //! NETKIT-RS runs on simulated time so that experiments are deterministic
-//! and independent of host load. [`VirtualClock`] is a monotonically
-//! advancing nanosecond counter; [`TimerQueue`] delivers ordered timer
-//! expirations against it.
+//! and independent of host load. [`SimTime`] is an instant on that
+//! timeline and [`VirtualClock`] a monotonically advancing nanosecond
+//! counter shared across threads. Ordered timer expiry is the
+//! simulator's event queue (`netkit_sim`), not a kernel service.
 
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
-
-use parking_lot::Mutex;
 
 /// An instant on the simulated timeline, in nanoseconds since start.
 ///
@@ -122,84 +119,6 @@ impl fmt::Debug for VirtualClock {
     }
 }
 
-/// Identifies a pending timer.
-#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug, PartialOrd, Ord)]
-pub struct TimerId(u64);
-
-#[derive(PartialEq, Eq)]
-struct PendingTimer {
-    deadline: SimTime,
-    seq: u64,
-    id: TimerId,
-}
-
-impl Ord for PendingTimer {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        (self.deadline, self.seq).cmp(&(other.deadline, other.seq))
-    }
-}
-
-impl PartialOrd for PendingTimer {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
-/// An ordered queue of timer deadlines against simulated time.
-///
-/// Ties are broken by arm order, making expiry fully deterministic.
-#[derive(Default)]
-pub struct TimerQueue {
-    heap: Mutex<BinaryHeap<Reverse<PendingTimer>>>,
-    next_seq: AtomicU64,
-}
-
-impl TimerQueue {
-    /// Creates an empty queue.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Arms a timer to fire at `deadline`, returning its id.
-    pub fn arm(&self, deadline: SimTime) -> TimerId {
-        let seq = self.next_seq.fetch_add(1, Ordering::Relaxed);
-        let id = TimerId(seq);
-        self.heap
-            .lock()
-            .push(Reverse(PendingTimer { deadline, seq, id }));
-        id
-    }
-
-    /// Pops every timer whose deadline is `<= now`, in deadline order.
-    pub fn expire(&self, now: SimTime) -> Vec<TimerId> {
-        let mut heap = self.heap.lock();
-        let mut fired = Vec::new();
-        while let Some(Reverse(top)) = heap.peek() {
-            if top.deadline > now {
-                break;
-            }
-            fired.push(heap.pop().expect("peeked").0.id);
-        }
-        fired
-    }
-
-    /// Number of pending timers.
-    pub fn len(&self) -> usize {
-        self.heap.lock().len()
-    }
-
-    /// True if no timers are pending.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-}
-
-impl fmt::Debug for TimerQueue {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "TimerQueue({} pending)", self.len())
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -210,18 +129,6 @@ mod tests {
         assert_eq!(clock.now(), SimTime::ZERO);
         clock.advance(100);
         assert_eq!(clock.now().as_nanos(), 100);
-    }
-
-    #[test]
-    fn timers_fire_in_deadline_then_arm_order() {
-        let q = TimerQueue::new();
-        let late = q.arm(SimTime::from_nanos(200));
-        let early_a = q.arm(SimTime::from_nanos(100));
-        let early_b = q.arm(SimTime::from_nanos(100));
-        assert_eq!(q.expire(SimTime::from_nanos(99)), vec![]);
-        assert_eq!(q.expire(SimTime::from_nanos(150)), vec![early_a, early_b]);
-        assert_eq!(q.expire(SimTime::from_nanos(500)), vec![late]);
-        assert!(q.is_empty());
     }
 
     #[test]

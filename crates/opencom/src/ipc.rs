@@ -10,12 +10,12 @@
 //! thread behind a synchronous message channel. This preserves the three
 //! observable properties of the original design:
 //!
-//! 1. **No shared memory** — every call is marshalled to bytes and back
-//!    ([`IpcRequest`]/[`IpcReply`]); the component never sees the parent's
-//!    data structures.
+//! 1. **No shared memory** — every call is marshalled to bytes and back;
+//!    the component never sees the parent's data structures.
 //! 2. **Crash containment** — panics are caught at the host boundary; the
-//!    host reports [`IpcReply::Crashed`] and refuses further calls until
-//!    the supervisor respawns the component.
+//!    host reports the crash to the caller whose call panicked, fails
+//!    every call queued behind it, and refuses further calls until the
+//!    supervisor respawns the component.
 //! 3. **Transparency** — callers hold an ordinary [`InterfaceRef`](crate::interface::InterfaceRef) built
 //!    by a per-interface proxy factory (the stub/skeleton pair of COM).
 //!
@@ -26,10 +26,10 @@
 use std::fmt;
 use std::panic::{self, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::mpsc::{channel, sync_channel, Receiver, Sender, SyncSender};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 
-use crossbeam::channel::{bounded, unbounded, Receiver, Sender};
 use parking_lot::RwLock;
 
 use crate::error::{Error, Result};
@@ -76,19 +76,17 @@ pub mod wire {
 }
 
 /// A marshalled call crossing the capsule boundary.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct IpcRequest {
+struct IpcRequest {
     /// Interface name (string form of the [`InterfaceId`](crate::ident::InterfaceId)).
-    pub interface: String,
+    interface: String,
     /// Method name.
-    pub method: String,
+    method: String,
     /// Marshalled arguments.
-    pub payload: Vec<u8>,
+    payload: Vec<u8>,
 }
 
 /// The host's answer to a request.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub enum IpcReply {
+enum IpcReply {
     /// Call succeeded; marshalled return value.
     Ok(Vec<u8>),
     /// Call failed inside the component with an application error.
@@ -99,7 +97,7 @@ pub enum IpcReply {
 
 struct Envelope {
     req: IpcRequest,
-    reply: Sender<IpcReply>,
+    reply: SyncSender<IpcReply>,
 }
 
 /// Skeleton-side dispatch implemented by components that can be hosted in
@@ -111,7 +109,8 @@ pub trait IpcDispatch: Send + Sync + 'static {
     /// # Errors
     ///
     /// Returns a string error to signal an application-level failure
-    /// (marshalled back as [`IpcReply::AppError`]).
+    /// (the caller gets [`Error::IpcFailure`], and the component lives
+    /// on).
     fn dispatch(
         &self,
         interface: &str,
@@ -152,7 +151,8 @@ impl IpcClient {
     ///
     /// * [`Error::ComponentCrashed`] if the hosted component panicked
     ///   (now or previously).
-    /// * [`Error::IpcFailure`] if the host thread is gone.
+    /// * [`Error::IpcFailure`] if the host thread is gone, or the
+    ///   component crashed on a call queued ahead of this one.
     pub fn call(&self, interface: &str, method: &'static str, payload: Vec<u8>) -> Result<Vec<u8>> {
         if self.is_dead() {
             return Err(Error::ComponentCrashed {
@@ -161,7 +161,7 @@ impl IpcClient {
             });
         }
         self.calls.fetch_add(1, Ordering::Relaxed);
-        let (reply_tx, reply_rx) = bounded(1);
+        let (reply_tx, reply_rx) = sync_channel(1);
         let env = Envelope {
             req: IpcRequest {
                 interface: interface.to_owned(),
@@ -233,7 +233,10 @@ fn spawn_host_thread(target: Arc<dyn IpcDispatch>, rx: Receiver<Envelope>) -> Jo
                         .or_else(|| panic_payload.downcast_ref::<String>().cloned())
                         .unwrap_or_else(|| "non-string panic".to_owned());
                     // Crash semantics: report, then terminate the "process".
-                    let _ = env.reply.send(IpcReply::Crashed(msg.clone()));
+                    // Dropping the receiver discards the calls queued
+                    // behind this one, and with them their reply senders:
+                    // those callers get an error instead of waiting.
+                    let _ = env.reply.send(IpcReply::Crashed(msg));
                     drop(rx);
                     return;
                 }
@@ -252,7 +255,7 @@ impl IsolatedHost {
         provider: ComponentId,
         make: impl Fn() -> Arc<dyn IpcDispatch> + Send + Sync + 'static,
     ) -> Self {
-        let (tx, rx) = unbounded();
+        let (tx, rx) = channel();
         let target = make();
         let join = spawn_host_thread(target, rx);
         Self {
@@ -287,7 +290,7 @@ impl IsolatedHost {
     /// Existing proxies resume working transparently — exactly the
     /// remote-management story of paper §5.
     pub fn respawn(&self) {
-        let (tx, rx) = unbounded();
+        let (tx, rx) = channel();
         let target = (self.make)();
         let join = spawn_host_thread(target, rx);
         *self.client.sender.write() = tx;
@@ -304,7 +307,7 @@ impl Drop for IsolatedHost {
     fn drop(&mut self) {
         // Close the channel so the host thread exits, then reap it.
         {
-            let (tx, _rx) = unbounded();
+            let (tx, _rx) = channel();
             *self.client.sender.write() = tx;
         }
         if let Some(join) = self.join.take() {
@@ -444,5 +447,65 @@ mod tests {
             j.join().unwrap();
         }
         assert_eq!(h.client().call_count(), 8);
+    }
+
+    /// Holds every call in `dispatch` until the latch opens, then
+    /// panics.
+    struct Doomed {
+        open: Arc<(std::sync::Mutex<bool>, std::sync::Condvar)>,
+    }
+
+    impl IpcDispatch for Doomed {
+        fn dispatch(
+            &self,
+            _interface: &str,
+            _method: &str,
+            _payload: &[u8],
+        ) -> std::result::Result<Vec<u8>, String> {
+            let (lock, opened) = &*self.open;
+            let mut open = lock.lock().unwrap();
+            while !*open {
+                open = opened.wait(open).unwrap();
+            }
+            panic!("doomed");
+        }
+    }
+
+    #[test]
+    fn calls_queued_behind_a_crash_all_fail_and_none_hangs() {
+        use std::time::{Duration, Instant};
+        const CALLS: u64 = 5;
+        let open = Arc::new((std::sync::Mutex::new(false), std::sync::Condvar::new()));
+        let latch = Arc::clone(&open);
+        let h = IsolatedHost::spawn(ComponentId::from_raw(7), move || {
+            Arc::new(Doomed {
+                open: Arc::clone(&latch),
+            })
+        });
+        let (done_tx, done_rx) = std::sync::mpsc::channel();
+        for _ in 0..CALLS {
+            let (client, done) = (h.client(), done_tx.clone());
+            std::thread::spawn(move || {
+                let _ = done.send(client.call("t.IDoomed", "go", vec![]));
+            });
+        }
+        // The first call to arrive sits in `dispatch` behind the latch;
+        // once every caller has counted its call, give the last ones a
+        // moment to enqueue behind it, then let it panic.
+        let deadline = Instant::now() + Duration::from_secs(10);
+        while h.client().call_count() < CALLS {
+            assert!(Instant::now() < deadline, "callers never started");
+            std::thread::yield_now();
+        }
+        std::thread::sleep(Duration::from_millis(50));
+        *open.0.lock().unwrap() = true;
+        open.1.notify_all();
+        for _ in 0..CALLS {
+            let outcome = done_rx
+                .recv_timeout(deadline.saturating_duration_since(Instant::now()))
+                .expect("a call queued behind the crash never returned");
+            assert!(outcome.is_err(), "a call succeeded on a crashed host");
+        }
+        assert!(h.is_dead());
     }
 }

@@ -25,11 +25,6 @@ pub mod proto {
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug, Default)]
 pub struct MacAddr(pub [u8; 6]);
 
-impl MacAddr {
-    /// The broadcast address `ff:ff:ff:ff:ff:ff`.
-    pub const BROADCAST: MacAddr = MacAddr([0xff; 6]);
-}
-
 impl fmt::Display for MacAddr {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         let b = self.0;

@@ -184,9 +184,9 @@
 //! lifecycle rules:
 //!
 //! * **One publish per dispatch.** A dispatch is one counting-sort
-//!   split, one shared wrap of the parent batch, one worker-pool gate
-//!   transaction reserving *every* non-empty target shard, and one
-//!   ring write per such shard — a refcount bump, not a packet move.
+//!   split, one shared wrap of the parent batch, and one queue push
+//!   per non-empty target shard, each under that shard's own queue
+//!   lock (nothing pool-wide) — a refcount bump, not a packet move.
 //! * **The last range handle frees the parent.** The caller hands the
 //!   parent batch to `dispatch` and never sees it again: each ring's
 //!   descriptor holds one reference; a worker consuming its range
@@ -1224,13 +1224,13 @@ fn decode_batch_result(buf: &[u8]) -> Option<BatchResult> {
 
 /// Client-side proxy: an [`IPacketPush`] that marshals into an isolated
 /// capsule.
-pub struct PushProxy {
+struct PushProxy {
     client: Arc<IpcClient>,
 }
 
 impl PushProxy {
     /// Creates a proxy over an IPC client.
-    pub fn new(client: Arc<IpcClient>) -> Self {
+    fn new(client: Arc<IpcClient>) -> Self {
         Self { client }
     }
 }

@@ -166,7 +166,7 @@ impl CompositeState {
 }
 
 /// The controller constituent (Fig. 3, bottom-left box).
-pub struct Controller {
+struct Controller {
     core: ComponentCore,
     state: Arc<CompositeState>,
 }

@@ -76,7 +76,7 @@ pub enum ElementHandle {
 
 /// A host-supplied element builder for a kind the schema registry does
 /// not know (e.g. the simulator's egress collector).
-pub type ExternalBuild = dyn Fn(usize) -> (Arc<dyn Component>, ElementHandle) + Send + Sync;
+type ExternalBuild = dyn Fn(usize) -> (Arc<dyn Component>, ElementHandle) + Send + Sync;
 
 /// One shard's compiled object graph: every description name resolved
 /// to the live object it produced.

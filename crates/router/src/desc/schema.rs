@@ -401,7 +401,7 @@ pub const CONTROL_PARAMS: &[ParamSpec] = &[
 
 /// Migration-rate cap of a description that names none: every judged
 /// turn may migrate.
-pub const DEFAULT_COOLDOWN_TICKS: u64 = 0;
+const DEFAULT_COOLDOWN_TICKS: u64 = 0;
 
 /// Validates a control section: known preset name, known + typed +
 /// finite knobs, no stage knob the preset does not read, fractions

@@ -176,7 +176,7 @@ const HALF_OPEN_EVICT_SCAN: usize = 16;
 
 impl ConnTracker {
     /// Default table bound: 64 Ki connections per shard.
-    pub const DEFAULT_CAPACITY: usize = 65_536;
+    const DEFAULT_CAPACITY: usize = 65_536;
 
     /// Creates a tracker with the default capacity and no idle expiry.
     pub fn new() -> Arc<Self> {

@@ -133,7 +133,7 @@ pub use rebalance::{MigrationReport, RebalancePlan, RebalancePolicy};
 /// A swappable shard entry point: workers re-read it each batch, so a
 /// quiesce closure can retarget a shard's ingress (e.g. after replacing
 /// the head element) with [`ShardedPipeline::set_entry`].
-pub type SharedEntry = Arc<RwLock<Arc<dyn IPacketPush>>>;
+type SharedEntry = Arc<RwLock<Arc<dyn IPacketPush>>>;
 
 /// Packet capacity the pipeline's pooled batch containers are pre-sized
 /// for: one 32-packet rx burst, the burst every hot loop in the tree

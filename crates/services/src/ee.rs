@@ -29,7 +29,7 @@ use parking_lot::Mutex;
 use netkit_packet::packet::Packet;
 
 /// Magic number prefixing every active-packet payload.
-pub const ACTIVE_MAGIC: u32 = 0x4e45_544b; // "NETK"
+const ACTIVE_MAGIC: u32 = 0x4e45_544b; // "NETK"
 
 /// One VM instruction.
 ///

@@ -22,7 +22,7 @@ use opencom::receptacle::Receptacle;
 use netkit_router::api::{BatchResult, IPacketPush, PushError, PushResult, IPACKET_PUSH};
 
 /// The metadata key carrying the frame type.
-pub const FRAME_TYPE_KEY: &str = "frame_type";
+const FRAME_TYPE_KEY: &str = "frame_type";
 
 /// Video frame classes, least-droppable first.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, PartialOrd, Ord)]

@@ -131,20 +131,21 @@ impl Assembler {
 }
 
 /// Argument layout of [`active_ping`] capsules.
-pub mod ping_args {
+mod ping_args {
     /// Destination address (u32).
-    pub const DST: u8 = 0;
+    pub(super) const DST: u8 = 0;
     /// Origin address (u32).
-    pub const ORIGIN: u8 = 1;
+    pub(super) const ORIGIN: u8 = 1;
     /// 0 = outbound, 1 = returning.
-    pub const PHASE: u8 = 2;
+    pub(super) const PHASE: u8 = 2;
     /// Departure timestamp (stamped by the origin's EE clock).
-    pub const SENT_AT: u8 = 3;
+    pub(super) const SENT_AT: u8 = 3;
 }
 
 /// **Active ping**: the capsule travels to `DST`, flips its phase, comes
 /// back to `ORIGIN`, appends the measured round-trip (now − `SENT_AT`),
-/// and delivers locally.
+/// and delivers locally. Its arguments are `[DST, ORIGIN, PHASE,
+/// SENT_AT]`, as [`ping_capsule_args`] lays them out.
 pub fn active_ping() -> Program {
     let mut asm = Assembler::new("active-ping");
     // if phase != 0 goto returning
@@ -196,15 +197,15 @@ pub fn ping_capsule_args(dst: Ipv4Addr, origin: Ipv4Addr, sent_at_ns: u64) -> Ve
 }
 
 /// Argument layout of [`path_collector`] capsules.
-pub mod path_args {
-    /// Destination address (u32).
-    pub const DST: u8 = 0;
-    /// Node ids are appended from index 1 onwards.
-    pub const FIRST_HOP: u8 = 1;
+mod path_args {
+    /// Destination address (u32); node ids are appended after it.
+    pub(super) const DST: u8 = 0;
 }
 
 /// **Path collector**: every node appends its id; the capsule delivers
 /// the accumulated path at the destination (a one-packet traceroute).
+/// Its one argument is the destination address (u32); the path's node
+/// ids follow it from index 1.
 pub fn path_collector() -> Program {
     let mut asm = Assembler::new("path-collector");
     asm.op(OpCode::PushNodeId);
@@ -222,13 +223,12 @@ pub fn path_collector() -> Program {
 }
 
 /// Argument layout of [`multicast_duplicator`] capsules.
-pub mod mcast_args {
+mod mcast_args {
     /// 0 at the fan-out point, 1 in per-receiver copies.
-    pub const PHASE: u8 = 0;
-    /// In phase 1, the copy's own destination.
-    pub const TARGET: u8 = 1;
-    /// In phase 0, receiver addresses from index 1 onwards.
-    pub const FIRST_RECEIVER: u8 = 1;
+    pub(super) const PHASE: u8 = 0;
+    /// In phase 1, the copy's own destination. In phase 0, receiver
+    /// addresses run from this index onwards.
+    pub(super) const TARGET: u8 = 1;
 }
 
 /// **Multicast duplicator**: at the injection node the capsule clones

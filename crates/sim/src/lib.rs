@@ -14,7 +14,8 @@
 //!   order on the simulator's thread.
 //! * [`link`] — full-duplex links with latency, serialisation, and
 //!   bounded drop-tail transmit queues.
-//! * [`traffic`] — CBR / Poisson / bursty generators, all seeded.
+//! * [`traffic`] — CBR, Poisson, diurnal, flash-crowd and elephant/mice
+//!   generators, all seeded.
 //! * [`topology`] — line, star, dumbbell, and random-connected builders
 //!   plus all-pairs next-hop computation.
 //! * [`stats`] — run counters and latency percentiles.

@@ -123,76 +123,6 @@ impl std::fmt::Debug for PoissonGen {
     }
 }
 
-/// On/off bursty traffic: geometric-length bursts at a fast interval,
-/// separated by long idle gaps.
-pub struct BurstyGen {
-    burst_interval_ns: u64,
-    idle_gap_ns: u64,
-    mean_burst_len: f64,
-    in_burst: u64,
-    remaining: u64,
-    seq: u64,
-    factory: PacketFactory,
-}
-
-impl BurstyGen {
-    /// `count` packets in bursts of geometric mean length
-    /// `mean_burst_len`, packets within a burst `burst_interval_ns`
-    /// apart, bursts separated by `idle_gap_ns`.
-    pub fn new(
-        burst_interval_ns: u64,
-        idle_gap_ns: u64,
-        mean_burst_len: f64,
-        count: u64,
-        factory: PacketFactory,
-    ) -> Self {
-        assert!(
-            mean_burst_len >= 1.0,
-            "bursts must average at least one packet"
-        );
-        Self {
-            burst_interval_ns,
-            idle_gap_ns,
-            mean_burst_len,
-            in_burst: 0,
-            remaining: count,
-            seq: 0,
-            factory,
-        }
-    }
-}
-
-impl TrafficGen for BurstyGen {
-    fn next(&mut self, rng: &mut SmallRng) -> Option<(u64, Packet)> {
-        if self.remaining == 0 {
-            return None;
-        }
-        self.remaining -= 1;
-        let gap = if self.in_burst > 0 {
-            self.in_burst -= 1;
-            self.burst_interval_ns
-        } else {
-            // Draw a new burst length (geometric with mean m: p = 1/m).
-            let p = 1.0 / self.mean_burst_len;
-            let mut len = 1u64;
-            while rng.gen::<f64>() > p && len < 10_000 {
-                len += 1;
-            }
-            self.in_burst = len - 1;
-            self.idle_gap_ns
-        };
-        let pkt = (self.factory)(self.seq);
-        self.seq += 1;
-        Some((gap, pkt))
-    }
-}
-
-impl std::fmt::Debug for BurstyGen {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "BurstyGen({} left)", self.remaining)
-    }
-}
-
 /// Diurnal load: a CBR whose rate swings sinusoidally over a period —
 /// the city's day/night cycle. The instantaneous gap is
 /// `base_interval_ns / (1 + amplitude * sin(2π·t/period))`, so
@@ -489,30 +419,6 @@ mod tests {
             gaps
         };
         assert_eq!(run(), run());
-    }
-
-    #[test]
-    fn bursty_alternates_gaps() {
-        let mut g = BurstyGen::new(
-            10,
-            100_000,
-            5.0,
-            1000,
-            udp_flow("10.0.0.1", "10.0.0.2", 1, 2, 8),
-        );
-        let mut r = rng();
-        let mut short = 0u64;
-        let mut long = 0u64;
-        while let Some((gap, _)) = g.next(&mut r) {
-            if gap == 10 {
-                short += 1;
-            } else {
-                long += 1;
-            }
-        }
-        assert_eq!(short + long, 1000);
-        assert!(long >= 100, "expected many bursts, got {long}");
-        assert!(short > long, "bursts should dominate packet count");
     }
 
     #[test]

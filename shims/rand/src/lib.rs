@@ -3,7 +3,7 @@
 //! Deterministic pseudo-random generation for simulation and testing:
 //! a splitmix64/xoshiro256** core behind the `Rng`/`SeedableRng` API
 //! subset the workspace uses (`gen`, `gen_range`, `gen_bool`,
-//! `seed_from_u64`, `rngs::{SmallRng, StdRng}`). Not cryptographically
+//! `seed_from_u64`, `rngs::SmallRng`). Not cryptographically
 //! secure — neither caller in this workspace needs that.
 
 #![forbid(unsafe_code)]
@@ -263,27 +263,6 @@ pub mod rngs {
                     splitmix64(&mut sm),
                     splitmix64(&mut sm),
                 ],
-            }
-        }
-    }
-
-    /// "Standard" generator; in this shim, the same core as
-    /// [`SmallRng`] with a differently tweaked seed schedule.
-    #[derive(Clone, Debug)]
-    pub struct StdRng {
-        inner: SmallRng,
-    }
-
-    impl RngCore for StdRng {
-        fn next_u64(&mut self) -> u64 {
-            self.inner.next_u64()
-        }
-    }
-
-    impl SeedableRng for StdRng {
-        fn seed_from_u64(seed: u64) -> Self {
-            Self {
-                inner: SmallRng::seed_from_u64(seed ^ 0xA5A5_A5A5_A5A5_A5A5),
             }
         }
     }

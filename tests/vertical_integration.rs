@@ -54,8 +54,6 @@ fn all_four_strata_compose_on_one_node() {
     let d2 = Arc::clone(&done);
     let housekeeping = executor.spawn(
         "housekeeping",
-        0,
-        1,
         Box::new(move || {
             d2.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
             (netkit::kernel::exec::TaskStatus::Done, 10)

@@ -194,7 +194,7 @@ fn shared_range_dispatch_stops_allocating_after_warmup() {
 
     // One round: inject the burst, drain the rx queues into pooled
     // parent batches, and software-dispatch each parent — the shared
-    // split re-steers it onto the worker rings move-free.
+    // split re-steers it onto the shard queues move-free.
     let round = |nic: &Nic, pipe: &ShardedPipeline| -> (usize, usize) {
         for frame in &frames {
             assert!(nic.inject_rx_frame(frame), "rx ring must absorb the burst");
