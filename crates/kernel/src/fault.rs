@@ -12,8 +12,8 @@
 //! * **Crash** — [`FaultPlan::should_panic`] fires exactly once, on the
 //!   configured n-th packet ([`FaultConfig::panic_on_nth`]). An element
 //!   wrapper calls it per packet and panics when it returns true,
-//!   killing that worker mid-run — the trigger for the
-//!   respawn/quarantine recovery path.
+//!   killing that worker mid-run — the trigger for the in-place
+//!   respawn recovery path.
 //! * **Wire faults** — [`FaultPlan::inject_rx`] draws a deterministic
 //!   [`RxFault`] per frame (drop / corrupt / duplicate / deliver) from
 //!   the seeded RNG and applies it in front of a [`Nic`]'s rx path. Every injected fault is counted on the plan

@@ -43,11 +43,10 @@ pub mod classes {
     /// can see how often a dataplane is *looking* (ticks) versus
     /// *acting* (rebalances), including the backoff going idle.
     pub const TICKS: &str = "control-ticks";
-    /// Fault-recovery actions — each worker respawn and each
-    /// quarantine/restore steering patch the self-healing control
-    /// loop applies counts one, so introspection can tell a dataplane
-    /// that is merely busy from one that is *surviving*: restarts and
-    /// re-steers are self-accounted the same way ticks and rebalances
+    /// Fault-recovery actions — each shard respawn the self-healing
+    /// control loop applies counts one, so introspection can tell a
+    /// dataplane that is merely busy from one that is *surviving*:
+    /// restarts are self-accounted the same way ticks and rebalances
     /// are.
     pub const FAULTS: &str = "fault-recoveries";
 }

@@ -458,23 +458,19 @@
 //!   act.** No element, worker, or dispatcher self-heals. The
 //!   [`crate::shard::control::ControlLoop`] runs one
 //!   [`crate::shard::ShardedPipeline::health_turn`] before each
-//!   control turn: *quarantine* (one quiesce epoch re-steers every
-//!   bucket of each dead shard round-robin onto the live ones — a
-//!   bucket moves wholesale, so the per-flow ordering guarantee of
-//!   the steering contract holds across the fault), *respawn*
-//!   ([`crate::shard::ShardedPipeline::respawn_shard`]: the
+//!   control turn, which respawns every dead shard in place: the
 //!   pipeline's factory produces a fresh replica — a described
 //!   pipeline's materialises the description *in force*, patches
 //!   included — that goes back behind the dead shard's handler lock,
 //!   and the descriptors stranded in its queue are cause-accounted and
-//!   recycled, counted, never leaked; no thread starts or stops), and
-//!   *restore* (the
-//!   pre-fault steering table comes back, so recovered shards take
-//!   their buckets back). Neither steering patch counts as a
-//!   migration; recovery work bills `FAULTS` on the resources task.
+//!   recycled, counted, never leaked. No thread starts or stops, no
+//!   quiesce runs and no bucket moves: a flow stays on the shard that
+//!   owns its state, and frames parked in the dead shard's NIC queue
+//!   wait there for the respawned shard. Each respawn bills one
+//!   `FAULTS` unit on the resources task.
 //! * **Every loss has exactly one cause.** The pipeline's drop
 //!   accounting ([`crate::shard::DropStats`]) partitions `dropped`
-//!   into ring-full, dead-worker, re-steer-shed, guard, and graph;
+//!   into ring-full, dead-worker, guard, and graph;
 //!   `DropStats::total` equals `PipelineStats::dropped` at every
 //!   instant. The only packets outside the meters are the in-flight
 //!   batch a dying worker takes down with it — those are the fault
@@ -571,9 +567,9 @@
 //! pipe.flush();
 //! assert_eq!(pipe.worker_alive(0), Some(false));
 //!
-//! // One health turn heals it: quarantine re-steer, factory rebuild,
-//! // thread respawn, steering restore.
-//! let recovery = pipe.health_turn(&[])?.expect("a dead shard recovers");
+//! // One health turn heals it in place: the factory rebuilds the
+//! // replica and the shard takes it back behind its own lock.
+//! let recovery = pipe.health_turn()?.expect("a dead shard recovers");
 //! assert_eq!(recovery.respawned, vec![0]);
 //! assert_eq!(pipe.worker_alive(0), Some(true));
 //! assert_eq!(pipe.recoveries(), 1);

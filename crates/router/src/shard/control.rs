@@ -221,7 +221,7 @@ pub struct ControlStats {
     /// Tick panics survived (supervision).
     pub panics: u64,
     /// Fault recoveries driven by the loop's health turn: dead-shard
-    /// episodes it quarantined, respawned, and restored (see
+    /// episodes it respawned in place (see
     /// [`ShardedPipeline::health_turn`]).
     pub recoveries: u64,
     /// The interval the next tick will wait (backoff state).
@@ -272,8 +272,8 @@ impl ControlLoop {
             let nic_refs: Vec<&Nic> = nics.iter().map(Arc::as_ref).collect();
             // Health before balance: a dead shard makes every load
             // judgment moot (its buckets drain nowhere), so the turn
-            // first quarantines/respawns/restores, then rebalances.
-            let healed = match pipe.health_turn(&nic_refs) {
+            // first respawns dead shards in place, then rebalances.
+            let healed = match pipe.health_turn() {
                 Ok(Some(recovery)) => {
                     if !recovery.respawned.is_empty() {
                         tick_recoveries.fetch_add(1, Ordering::Relaxed);
@@ -281,10 +281,10 @@ impl ControlLoop {
                     true
                 }
                 Ok(None) => false,
-                // Factory failure: the shard stays dead, quarantine
-                // re-steering keeps traffic flowing, and the next turn
-                // retries. Count it as progress so backoff resets and
-                // the retry comes soon.
+                // Factory failure: the shard stays dead, traffic
+                // steered to it is filed as dead-worker drops, and the
+                // next turn retries. Count it as progress so backoff
+                // resets and the retry comes soon.
                 Err(_) => true,
             };
             let mut ctl = tick_ctl.lock();

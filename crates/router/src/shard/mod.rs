@@ -73,8 +73,8 @@
 //! is a ring-full drop, a panic in its graph is caught by the drainer
 //! that ran it, the shard is marked dead, later dispatches to it are
 //! filed as dead-worker drops, and [`ShardedPipeline::health_turn`]
-//! quarantines and respawns it, filing the ranges still queued behind
-//! the fatal one as stranded dead-worker drops — in simulated time,
+//! respawns it in place, filing the ranges still queued behind the
+//! fatal one as stranded dead-worker drops — in simulated time,
 //! reproducibly, when the caller drains every shard. A quiesce drains
 //! every queue and holds every handler lock until its closure returns,
 //! so migration and patch receipts read the same under every
@@ -113,7 +113,7 @@ use netkit_kernel::nic::Nic;
 use netkit_kernel::shard::{ShardHandler, ShardJob, ShardSpec, SubmitRejection, WorkerPool};
 use netkit_packet::batch::{BatchPool, PacketBatch};
 use netkit_packet::sketch::{FlowSketch, HeavyHitter, SketchConfig, SpaceSaving};
-use netkit_packet::steer::{BucketLoad, BucketMap, RSS_BUCKETS};
+use netkit_packet::steer::{BucketLoad, BucketMap};
 use opencom::capsule::Capsule;
 use opencom::error::Result;
 use opencom::ident::{ComponentId, TaskId};
@@ -191,10 +191,6 @@ enum DropCause {
     /// Publish refused (or work stranded) because the target shard's
     /// worker died.
     DeadWorker,
-    /// Shed while a fault-recovery steering patch (quarantine or
-    /// restore — see [`ShardedPipeline::health_turn`]) re-steered
-    /// queued frames.
-    ResteerShed,
     /// Rate-limited by the inline heavy-hitter guard
     /// ([`crate::flow::Guard`] — verdict [`PushError::RateLimited`]).
     Guard,
@@ -218,8 +214,9 @@ pub struct DropStats {
     /// replica panicked, plus the stranded queue items drained
     /// (counted, recycled, never leaked) when the shard respawned.
     pub dead_worker: u64,
-    /// Shed by a quarantine/restore steering patch while the
-    /// self-healing control loop re-routed a dead shard's buckets.
+    /// Always 0: nothing writes it, since recovery respawns a dead
+    /// shard in place and re-steers no frame. Kept only because the
+    /// ledger's `drop_resteer` row reads it; ROADMAP A7b deletes both.
     pub resteer_shed: u64,
     /// Rate-limited inline by the heavy-hitter guard.
     pub guard: u64,
@@ -232,7 +229,7 @@ impl DropStats {
     /// Sum over all causes — by construction identical to the
     /// aggregate [`PipelineStats::dropped`] figure.
     pub fn total(&self) -> u64 {
-        self.ring_full + self.dead_worker + self.resteer_shed + self.guard + self.graph
+        self.ring_full + self.dead_worker + self.guard + self.graph
     }
 }
 
@@ -240,21 +237,12 @@ impl DropStats {
 /// record of a completed crash recovery.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct FaultRecovery {
-    /// Shards whose workers were respawned, in shard order.
+    /// Shards respawned in place, in shard order.
     pub respawned: Vec<usize>,
     /// Packets drained off dead shards' queues during the respawns
     /// (filed under the dead-worker drop cause — counted, recycled,
     /// never leaked).
     pub stranded: u64,
-    /// Buckets temporarily re-steered off dead shards by the
-    /// quarantine table.
-    pub quarantined_buckets: usize,
-    /// Frames re-steered onto live rings by the quarantine and restore
-    /// patches (delivered, not lost).
-    pub resteered: u64,
-    /// Frames the patches could not land (full ring or still-dead
-    /// worker), filed under the re-steer-shed drop cause.
-    pub shed: u64,
 }
 
 #[derive(Debug, Default)]
@@ -267,7 +255,6 @@ struct ShardCounters {
     reported: AtomicU64,
     drop_ring_full: AtomicU64,
     drop_dead_worker: AtomicU64,
-    drop_resteer_shed: AtomicU64,
     drop_guard: AtomicU64,
     drop_graph: AtomicU64,
 }
@@ -283,7 +270,6 @@ impl ShardCounters {
         let cell = match cause {
             DropCause::RingFull => &self.drop_ring_full,
             DropCause::DeadWorker => &self.drop_dead_worker,
-            DropCause::ResteerShed => &self.drop_resteer_shed,
             DropCause::Guard => &self.drop_guard,
             DropCause::Graph => &self.drop_graph,
         };
@@ -294,9 +280,9 @@ impl ShardCounters {
         DropStats {
             ring_full: self.drop_ring_full.load(Ordering::Relaxed),
             dead_worker: self.drop_dead_worker.load(Ordering::Relaxed),
-            resteer_shed: self.drop_resteer_shed.load(Ordering::Relaxed),
             guard: self.drop_guard.load(Ordering::Relaxed),
             graph: self.drop_graph.load(Ordering::Relaxed),
+            ..DropStats::default()
         }
     }
 }
@@ -401,8 +387,6 @@ pub struct ShardedPipeline {
     sketches: Vec<Arc<FlowSketch>>,
     /// Migration epochs applied via [`Self::install_bucket_map`].
     migrations: AtomicU64,
-    /// Fault recoveries applied via [`Self::respawn_shard`].
-    recoveries: AtomicU64,
     entries: Vec<SharedEntry>,
     /// Per-shard capsules, behind locks so [`Self::respawn_shard`] can
     /// swap in a fresh replica (safe: the shard's worker is dead while
@@ -547,7 +531,6 @@ impl ShardedPipeline {
             bucket_load,
             sketches,
             migrations: AtomicU64::new(0),
-            recoveries: AtomicU64::new(0),
             entries,
             capsules,
             factory: Mutex::new(Box::new(factory)),
@@ -890,22 +873,6 @@ impl ShardedPipeline {
     /// pipeline runs — a table must never steer to a worker that does
     /// not exist.
     pub fn install_bucket_map(&self, map: BucketMap, nics: &[&Nic]) -> MigrationReport {
-        self.install_map_inner(map, nics, None, true)
-    }
-
-    /// The shared body behind [`Self::install_bucket_map`] (a
-    /// migration: counts an epoch, bills `REBALANCES`, files bounces
-    /// by their real rejection) and [`Self::health_turn`]'s
-    /// quarantine/restore patches (not migrations: every bounce is
-    /// filed under `cause_override` — re-steer shed — and no
-    /// rebalance accounting moves).
-    fn install_map_inner(
-        &self,
-        map: BucketMap,
-        nics: &[&Nic],
-        cause_override: Option<DropCause>,
-        as_migration: bool,
-    ) -> MigrationReport {
         assert_eq!(
             map.shards(),
             self.spec.workers,
@@ -951,11 +918,11 @@ impl ShardedPipeline {
                                     // consumed — full-ring loss is
                                     // counted, never leaked.
                                     report.dropped += n;
-                                    let cause = cause_override.unwrap_or(match rejection {
+                                    let cause = match rejection {
                                         SubmitRejection::RingFull => DropCause::RingFull,
                                         SubmitRejection::DeadWorker
                                         | SubmitRejection::OutOfRange => DropCause::DeadWorker,
-                                    });
+                                    };
                                     if let Some(c) = self.counters.get(shard) {
                                         c.drop_cause(cause, n as u64);
                                     }
@@ -976,10 +943,8 @@ impl ShardedPipeline {
             self.pool.reset_ring_high_water();
         });
         report.epoch = self.pool.epoch();
-        if as_migration {
-            self.migrations.fetch_add(1, Ordering::Relaxed);
-            let _ = self.rm.consume(self.task, classes::REBALANCES, 1);
-        }
+        self.migrations.fetch_add(1, Ordering::Relaxed);
+        let _ = self.rm.consume(self.task, classes::REBALANCES, 1);
         report
     }
 
@@ -1093,10 +1058,10 @@ impl ShardedPipeline {
         self.pool.worker_alive(shard)
     }
 
-    /// Fault recoveries applied: successful [`Self::respawn_shard`]
-    /// calls over the pipeline's lifetime.
+    /// Fault recoveries applied: shards [`Self::health_turn`] has
+    /// respawned over the pipeline's lifetime.
     pub fn recoveries(&self) -> u64 {
-        self.recoveries.load(Ordering::Relaxed)
+        self.pool.respawned()
     }
 
     /// Per-cause drop accounting aggregated over all shards. The sum
@@ -1109,16 +1074,15 @@ impl ShardedPipeline {
             let s = c.drop_stats();
             total.ring_full += s.ring_full;
             total.dead_worker += s.dead_worker;
-            total.resteer_shed += s.resteer_shed;
             total.guard += s.guard;
             total.graph += s.graph;
         }
         total
     }
 
-    /// Replaces `shard`'s dead replica with a fresh one — the
-    /// crash-recovery half of the self-healing dataplane. No thread
-    /// starts or stops.
+    /// Replaces `shard`'s dead replica with a fresh one, in place —
+    /// [`Self::health_turn`]'s step per dead shard. No thread starts
+    /// or stops, and no bucket moves.
     ///
     /// In order:
     ///
@@ -1141,17 +1105,15 @@ impl ShardedPipeline {
     /// Returns `Ok(Some(stranded_packets))` on success. Bills one
     /// `FAULTS` unit on the resources task, so recovery work is
     /// visible to the same reflective accounting as everything else.
-    ///
-    /// Call from the control plane only — the [`ControlLoop`]'s health
-    /// turn is the intended (single) caller; concurrent respawns of
-    /// the same shard are serialised by the kernel pool, but the
-    /// entry/capsule swap assumes no other control-plane writer.
+    /// Concurrent respawns of the same shard are serialised by the
+    /// kernel pool, but the entry/capsule swap assumes no other
+    /// control-plane writer.
     ///
     /// # Errors
     ///
     /// Propagates factory and resource-attach failures (the worker
     /// stays dead; a later turn can retry).
-    pub fn respawn_shard(&self, shard: usize) -> Result<Option<u64>> {
+    fn respawn_shard(&self, shard: usize) -> Result<Option<u64>> {
         if self.pool.worker_alive(shard) != Some(false) {
             return Ok(None);
         }
@@ -1180,76 +1142,46 @@ impl ShardedPipeline {
             // simply becomes the shard's current one.
             return Ok(None);
         }
-        self.recoveries.fetch_add(1, Ordering::Relaxed);
         let _ = self.rm.consume(self.task, classes::FAULTS, 1);
         Ok(Some(stranded_packets))
     }
 
-    /// One health turn of the self-healing loop: detect dead shards,
-    /// quarantine their buckets onto live shards, respawn them, and
-    /// restore steering. Returns `Ok(None)` when every worker is alive
-    /// (the overwhelmingly common case — one liveness probe per shard
-    /// and out).
+    /// One health turn of the self-healing loop: respawn every dead
+    /// shard in place — the one way a crashed shard recovers. Returns
+    /// `Ok(None)` when every shard is alive (the overwhelmingly common
+    /// case — one liveness probe per shard and out).
     ///
-    /// When at least one shard is dead and at least one is live:
-    ///
-    /// 1. **Quarantine** — installs a patched bucket table re-steering
-    ///    every bucket of a dead shard round-robin onto the live
-    ///    shards, under one quiesce epoch (same machinery as a
-    ///    migration, same per-flow-order guarantee: a bucket moves
-    ///    wholesale, so a flow's frames stay in one FIFO). Queued
-    ///    frames for dead shards re-steer to live ones; anything that
-    ///    cannot land is filed under the re-steer-shed drop cause.
-    /// 2. **Respawn** — [`Self::respawn_shard`] for each dead shard;
-    ///    stranded ring packets are cause-accounted dead-worker.
-    /// 3. **Restore** — re-installs the pre-fault steering table so
-    ///    the recovered shards take their buckets back.
-    ///
-    /// Neither patch counts as a migration ([`Self::migrations`] is
-    /// unchanged — rebalance tests and policies keep their meaning);
-    /// each bills one `FAULTS` unit instead. With *every* shard dead,
-    /// there is nowhere to quarantine to: the turn just respawns them
-    /// all.
+    /// Each dead shard's graph is rebuilt by the pipeline's factory and
+    /// swapped in behind the shard's own lock; whatever was still
+    /// queued on it is filed as stranded dead-worker drops. The turn
+    /// runs no quiesce and moves no bucket: the steering table and
+    /// every NIC's indirection table stay as they are, so a flow stays
+    /// on the shard that owns its state. Frames parked in a dead
+    /// shard's NIC queue stay there and go to the respawned shard on
+    /// the next [`Self::pump_nic`]; traffic dispatched or pumped to it
+    /// while it was dead was filed as dead-worker drops.
     ///
     /// Single control-plane caller, like all window/steering
     /// operations — the [`ControlLoop`] runs this before each control
-    /// turn when spawned.
+    /// turn when spawned, the simulator's `PipelineNode` on every
+    /// control lapse. Each respawn bills one `FAULTS` unit and counts
+    /// into [`Self::recoveries`].
     ///
     /// # Errors
     ///
-    /// Propagates [`Self::respawn_shard`] failures after attempting
-    /// every dead shard (steering is still restored first so traffic
-    /// keeps flowing to whatever recovered).
-    pub fn health_turn(&self, nics: &[&Nic]) -> Result<Option<FaultRecovery>> {
+    /// Returns the first rebuild failure after attempting every dead
+    /// shard; a shard whose rebuild failed stays dead, and the next
+    /// turn retries it.
+    pub fn health_turn(&self) -> Result<Option<FaultRecovery>> {
         let dead: Vec<usize> = (0..self.spec.workers)
             .filter(|&s| self.pool.worker_alive(s) == Some(false))
             .collect();
         if dead.is_empty() {
             return Ok(None);
         }
-        let live: Vec<usize> = (0..self.spec.workers)
-            .filter(|s| !dead.contains(s))
-            .collect();
-        let saved = self.bucket_map();
         let mut recovery = FaultRecovery::default();
-        if !live.is_empty() {
-            let mut quarantine = saved.clone();
-            let mut next = 0usize;
-            for bucket in 0..RSS_BUCKETS {
-                if dead.contains(&quarantine.shard_of_bucket(bucket)) {
-                    quarantine.set(bucket, live[next % live.len()]);
-                    next += 1;
-                    recovery.quarantined_buckets += 1;
-                }
-            }
-            let report =
-                self.install_map_inner(quarantine, nics, Some(DropCause::ResteerShed), false);
-            recovery.resteered += report.resubmitted as u64;
-            recovery.shed += report.dropped as u64;
-            let _ = self.rm.consume(self.task, classes::FAULTS, 1);
-        }
         let mut first_err = None;
-        for &shard in &dead {
+        for shard in dead {
             match self.respawn_shard(shard) {
                 Ok(Some(stranded)) => {
                     recovery.stranded += stranded;
@@ -1258,16 +1190,6 @@ impl ShardedPipeline {
                 Ok(None) => {}
                 Err(e) => first_err = first_err.or(Some(e)),
             }
-        }
-        if !live.is_empty() {
-            // Hand the recovered shards their buckets back. Restored
-            // even when a respawn failed: the quarantine table is only
-            // correct while its dead-set matches reality, and the next
-            // health turn re-derives it from scratch anyway.
-            let report = self.install_map_inner(saved, nics, Some(DropCause::ResteerShed), false);
-            recovery.resteered += report.resubmitted as u64;
-            recovery.shed += report.dropped as u64;
-            let _ = self.rm.consume(self.task, classes::FAULTS, 1);
         }
         match first_err {
             Some(e) => Err(e),
@@ -2098,7 +2020,7 @@ mod tests {
     }
 
     #[test]
-    fn health_turn_quarantines_respawns_and_restores_steering() {
+    fn health_turn_respawns_in_place_and_moves_no_bucket() {
         use netkit_kernel::nic::{Nic, PortId};
         use netkit_packet::flow::FlowKey;
 
@@ -2117,8 +2039,7 @@ mod tests {
         while pipe.worker_alive(1) == Some(true) {
             std::thread::yield_now();
         }
-        // Park frames for the dead shard in its NIC queue: under the
-        // identity table they have nowhere to go.
+        // Park frames for the dead shard in its NIC queue.
         let nic = Nic::with_queues(PortId(0), workers, 64, 64, 1_000_000);
         let mut parked = 0u64;
         for i in 0..32u16 {
@@ -2131,43 +2052,105 @@ mod tests {
         }
         assert!(parked > 0, "some flows must steer to the dead shard");
         let saved = pipe.bucket_map();
+        let epoch_before = pipe.epoch();
         let migrations_before = pipe.migrations();
 
         let recovery = pipe
-            .health_turn(&[&nic])
+            .health_turn()
             .unwrap()
             .expect("a dead shard is detected");
         assert_eq!(recovery.respawned, vec![1]);
         assert_eq!(recovery.stranded, 0, "the poison job was consumed");
-        assert_eq!(
-            recovery.quarantined_buckets,
-            RSS_BUCKETS / workers,
-            "every bucket of the dead shard re-steers"
-        );
-        assert_eq!(
-            recovery.resteered, parked,
-            "queued frames re-steer to live shards"
-        );
-        assert_eq!(recovery.shed, 0);
-        // Steering is restored, the quarantine never counted as a
-        // migration, and the parked frames landed on the live shard.
+        // Respawned in place: no quiesce, no bucket moved, no migration.
         assert_eq!(pipe.bucket_map(), saved);
-        assert_eq!(nic.indirection(), saved, "NIC mirrors the restore");
+        assert_eq!(nic.indirection(), saved);
+        assert_eq!(pipe.epoch(), epoch_before);
         assert_eq!(pipe.migrations(), migrations_before);
+        // The parked frames waited in the dead shard's queue and go to
+        // the respawned shard, the one that owns their flows.
+        assert_eq!(pipe.pump_nic(&nic, 1, 64), parked as usize);
         pipe.flush();
-        assert_eq!(pipe.shard_stats(0).packets, parked);
-        // The respawned shard delivers again.
+        assert_eq!(pipe.shard_stats(0).packets, 0);
+        assert_eq!(pipe.shard_stats(1).packets, parked);
         assert_eq!(pipe.worker_alive(1), Some(true));
         pipe.submit(1, burst(2, 2)).unwrap();
         pipe.flush();
         let delivered: u64 = sinks.lock().iter().map(|s| s.count()).sum();
         assert_eq!(delivered, parked + 4);
-        // Quarantine + respawn + restore each billed FAULTS.
+        // One respawn, one FAULTS unit.
         let info = rm.task_info(pipe.task()).unwrap();
-        assert_eq!(info.usage[classes::FAULTS], 3);
+        assert_eq!(info.usage[classes::FAULTS], 1);
+        assert_eq!(pipe.recoveries(), 1);
         // A healthy pipeline's health turn is one probe and out.
-        assert_eq!(pipe.health_turn(&[]).unwrap(), None);
+        assert_eq!(pipe.health_turn().unwrap(), None);
         assert_eq!(pipe.drop_stats().total(), pipe.stats().dropped);
+        pipe.shutdown();
+    }
+
+    #[test]
+    fn a_failed_rebuild_leaves_the_shard_dead_and_the_next_turn_retries() {
+        use netkit_kernel::nic::{Nic, PortId};
+
+        let workers = 2usize;
+        let rm = Arc::new(ResourceManager::new());
+        let sinks = Arc::new(parking_lot::Mutex::new(Vec::new()));
+        // Shard 1's first build explodes, its first rebuild fails, and
+        // every later build is healthy.
+        let mut healthy = poisoned_factory(1, Arc::clone(&sinks));
+        let mut shard1_builds = 0u32;
+        let factory = move |shard: usize| {
+            if shard == 1 {
+                shard1_builds += 1;
+                if shard1_builds == 2 {
+                    return Err(opencom::error::Error::UnknownComponentType {
+                        type_name: "rebuild fails once".into(),
+                    });
+                }
+            }
+            healthy(shard)
+        };
+        let pipe = ShardedPipeline::build(
+            "rebuild-fails",
+            ShardSpec::new(workers),
+            Arc::clone(&rm),
+            factory,
+        )
+        .unwrap();
+        pipe.submit(1, burst(1, 1)).unwrap();
+        while pipe.worker_alive(1) == Some(true) {
+            std::thread::yield_now();
+        }
+        let nic = Nic::with_queues(PortId(0), workers, 64, 64, 1_000_000);
+        let saved = pipe.bucket_map();
+        let nic_saved = nic.indirection();
+        let epoch_before = pipe.epoch();
+
+        assert!(pipe.health_turn().is_err(), "the rebuild failure surfaces");
+        assert_eq!(pipe.worker_alive(1), Some(false), "the shard stays dead");
+        assert_eq!(pipe.bucket_map(), saved);
+        assert_eq!(pipe.epoch(), epoch_before);
+        assert_eq!(nic.indirection(), nic_saved);
+        assert_eq!(pipe.recoveries(), 0);
+        // Its buckets still steer to it, and what lands there is filed
+        // as dead-worker drops.
+        pipe.dispatch(stamped(&[1], 8));
+        pipe.flush();
+        assert_eq!(pipe.drop_stats().dead_worker, 8);
+        assert_eq!(pipe.drop_stats().total(), pipe.stats().dropped);
+
+        let recovery = pipe
+            .health_turn()
+            .unwrap()
+            .expect("the retry respawns the shard");
+        assert_eq!(recovery.respawned, vec![1]);
+        assert_eq!(pipe.worker_alive(1), Some(true));
+        let info = rm.task_info(pipe.task()).unwrap();
+        assert_eq!(info.usage[classes::FAULTS], 1);
+        assert_eq!(pipe.recoveries(), 1);
+        pipe.dispatch(stamped(&[1], 8));
+        pipe.flush();
+        let delivered: u64 = sinks.lock().iter().map(|s| s.count()).sum();
+        assert_eq!(delivered, 8, "the rebuilt shard delivers");
         pipe.shutdown();
     }
 

@@ -8,7 +8,7 @@
 //!   in the pipeline's drop meters, or counted in the crash ledger the
 //!   dying element wrote on its way down. No duplication, and per-flow
 //!   order (strictly increasing sequence numbers, gaps allowed) holds
-//!   across death, quarantine, and respawn — on worker threads and on
+//!   across death and respawn — on worker threads and on
 //!   caller-run shards, where a rerun of the seeds must also replay the
 //!   same arrivals and drop books bit for bit.
 //! * **Wire chaos** — `FaultPlan::inject_rx` applies a random seeded
@@ -177,7 +177,7 @@ fn crash_chaos_case(
     // Recover whatever died (maybe nothing: panic_at can exceed the
     // victim's share of the stream). The recovery path itself is
     // part of the property: stranded descriptors must be ledgered.
-    let recovery = pipe.health_turn(&[]).expect("recovery succeeds");
+    let recovery = pipe.health_turn().expect("recovery succeeds");
     prop_assert_eq!(recovery.is_some(), crashed, "recovery iff a worker died");
     for shard in 0..workers {
         prop_assert_eq!(pipe.worker_alive(shard), Some(true));

@@ -680,7 +680,7 @@ fn a_respawned_replica_is_the_description_in_force() {
     while pipe.worker_alive(1) == Some(true) {
         std::thread::yield_now();
     }
-    let recovery = pipe.health_turn(&[]).unwrap().expect("a dead shard");
+    let recovery = pipe.health_turn().unwrap().expect("a dead shard");
     assert_eq!(recovery.respawned, vec![1]);
 
     for shard in 0..2 {

@@ -33,8 +33,8 @@
 //!   judges the node's meters and migrates its bucket map. Before it,
 //!   as on the threaded loop, one [`ShardedPipeline::health_turn`]:
 //!   a replica that panicked died where it ran, and the turn
-//!   quarantines its buckets, respawns it and restores steering —
-//!   in simulated time, so a crash replays with its seed. The node
+//!   respawns it in place, moving no bucket — in simulated time, so a
+//!   crash replays with its seed. The node
 //!   adds nothing to either turn and keeps no list of what to upkeep.
 //!   The timer re-arms only while traffic flows, so `run_to_idle`
 //!   terminates.
@@ -487,7 +487,7 @@ impl NodeBehaviour for PipelineNode {
             // Health before balance, as the threaded loop runs them. A
             // respawn that fails leaves the shard dead; the next lapse
             // retries.
-            let _ = self.pipe.health_turn(&[]);
+            let _ = self.pipe.health_turn();
             self.pipe.control_turn(ctl, &[]);
             self.control_turns += 1;
         }

@@ -1,25 +1,24 @@
 //! **Self-healing chaos soak** — a worker is killed *mid-elephant* by a
 //! seeded [`FaultPlan`](netkit::kernel::fault::FaultPlan) crash fault,
 //! and the spawned [`ControlLoop`] is the **only** recovery actor: its
-//! health turn must detect the dead shard, quarantine its buckets onto
-//! live shards, respawn the worker through the pipeline's factory, and
-//! restore steering — no test code ever calls `respawn_shard` or
-//! `health_turn` directly.
+//! health turn must detect the dead shard and respawn it in place
+//! through the pipeline's factory, moving no bucket — no test code
+//! ever calls `health_turn` directly.
 //!
 //! The books must close to zero silent loss. Every dispatched packet is
 //! provably in exactly one of:
 //!
 //! * the delivery log (the per-flow order witness),
 //! * the pipeline's cause-tagged drop meters (dead-worker submits,
-//!   stranded ring descriptors, re-steer shed, ring-full), whose sum
+//!   stranded ring descriptors, ring-full), whose sum
 //!   equals the aggregate `dropped` stat by construction, or
 //! * the crash ledger: the in-flight batch a panicking worker takes
 //!   down with it, counted *by the injected element itself* before it
 //!   panics.
 //!
 //! On top of the accounting: no duplication (every `(flow, seq)` pair
-//! is delivered at most once), per-flow order holds across crash,
-//! quarantine, and restore epochs (sequence numbers stay strictly
+//! is delivered at most once), per-flow order holds across crash and
+//! respawn (sequence numbers stay strictly
 //! increasing per flow — gaps are allowed, reordering is not), the
 //! elephant flow demonstrably resumes after recovery, and the batch
 //! pool stops allocating once the post-recovery steady state is warm.
@@ -218,7 +217,7 @@ fn assert_per_flow_monotone(log: &[(u16, u16)], ports: &[u16]) {
             .collect();
         assert!(
             seqs.windows(2).all(|w| w[0] < w[1]),
-            "flow {port}: order broken across crash/quarantine epochs: {seqs:?}"
+            "flow {port}: order broken across crash and respawn: {seqs:?}"
         );
     }
 }
@@ -435,20 +434,17 @@ fn chaos_round(seed: u64, lane: Lane) -> u64 {
     );
 
     // No duplication anywhere, and per-flow order holds across the
-    // crash, quarantine, and restore epochs.
+    // crash and the respawn.
     let log = log.lock();
     let unique: HashSet<&(u16, u16)> = log.iter().collect();
     assert_eq!(unique.len(), log.len(), "no (flow, seq) delivered twice");
     assert_per_flow_monotone(&log, &ports);
     drop(log);
 
-    // The recovery trail is on the meta-model: quarantine + restore +
-    // respawn each billed the FAULTS class on the pipeline's task.
+    // The recovery trail is on the meta-model: each respawn billed one
+    // FAULTS unit on the pipeline's task.
     let usage = rm.task_info(pipe.task()).unwrap().usage[classes::FAULTS];
-    assert!(
-        usage >= 3,
-        "quarantine+respawn+restore bill FAULTS: {usage}"
-    );
+    assert_eq!(usage, pipe.recoveries(), "one FAULTS unit per respawn");
 
     Arc::try_unwrap(pipe).expect("sole owner").shutdown();
     dispatched
