@@ -151,6 +151,7 @@ impl<T> RingState<T> {
     /// resets the head), so a ring drained every round reuses the same
     /// slots instead of walking its whole buffer: the memory it touches
     /// stays at its high-water occupancy.
+    #[inline]
     fn rewind_if_empty(&mut self) {
         if self.queue.is_empty() {
             self.queue.clear();
@@ -182,6 +183,7 @@ impl<T> Ring<T> {
         }
     }
 
+    #[inline]
     fn lock(&self) -> MutexGuard<'_, RingState<T>> {
         #[allow(unused_mut)]
         let mut st = self.state.lock();
@@ -194,6 +196,7 @@ impl<T> Ring<T> {
 
     /// Queues `item` of `len` bytes if the ring has room, counting
     /// either outcome.
+    #[inline]
     fn push(&self, item: T, len: usize) -> bool {
         let mut st = self.lock();
         if st.queue.len() >= self.capacity {
@@ -206,6 +209,7 @@ impl<T> Ring<T> {
         true
     }
 
+    #[inline]
     fn pop(&self) -> Option<T> {
         let mut st = self.lock();
         let item = st.queue.pop_front();
@@ -230,6 +234,7 @@ enum Stamp {
 }
 
 impl Stamp {
+    #[inline]
     fn of(frame: &[u8]) -> Self {
         match ParsedFlow::from_frame(frame) {
             Some(flow) => Stamp::Flow(flow),
@@ -237,6 +242,7 @@ impl Stamp {
         }
     }
 
+    #[inline]
     fn rss(&self) -> Option<u64> {
         match self {
             Stamp::Flow(flow) => Some(flow.hash()),
@@ -260,6 +266,7 @@ const _: () = assert!(std::mem::size_of::<RxFrame>() <= 64);
 impl RxFrame {
     /// Materialises the frame as a stamped packet; the storage moves in
     /// without copying.
+    #[inline]
     fn into_packet(self) -> Packet {
         let mut pkt = Packet::from_buf(self.buf);
         pkt.meta.rss_hash = self.stamp.rss();
@@ -484,6 +491,7 @@ impl Nic {
     /// adapter uses. Metadata does not cross onto the wire. Returns
     /// `false` and counts a drop if the ring is full or the queue is
     /// unknown.
+    #[inline]
     pub fn send_tx_packet(&self, queue: usize, pkt: Packet) -> bool {
         let Some(ring) = self.tx.get(queue) else {
             self.tx_unknown_dropped.fetch_add(1, Ordering::Relaxed);
@@ -500,6 +508,7 @@ impl Nic {
     /// counted. Returns the number accepted — so verdicts are
     /// first-`k`-accepted then queue-full, exactly the scalar sequence.
     /// Unknown queues drop (and count) the whole batch.
+    #[inline]
     pub fn tx_burst_packets(&self, queue: usize, mut batch: PacketBatch) -> usize {
         let total = batch.len();
         let Some(ring) = self.tx.get(queue) else {

@@ -335,6 +335,7 @@ pub enum ShardJob {
 
 impl ShardJob {
     /// Number of packets this job carries.
+    #[inline]
     pub fn len(&self) -> usize {
         match self {
             ShardJob::Batch(b) => b.len(),
@@ -343,18 +344,21 @@ impl ShardJob {
     }
 
     /// True when the job carries no packets.
+    #[inline]
     pub fn is_empty(&self) -> bool {
         self.len() == 0
     }
 }
 
 impl From<PacketBatch> for ShardJob {
+    #[inline]
     fn from(batch: PacketBatch) -> Self {
         ShardJob::Batch(batch)
     }
 }
 
 impl From<SharedShardRange> for ShardJob {
+    #[inline]
     fn from(range: SharedShardRange) -> Self {
         ShardJob::Range(range)
     }

@@ -81,6 +81,7 @@ impl PacketBatch {
     }
 
     /// An empty batch with room for `capacity` packets.
+    #[inline]
     pub fn with_capacity(capacity: usize) -> Self {
         Self {
             packets: Vec::with_capacity(capacity),
@@ -101,16 +102,19 @@ impl PacketBatch {
     }
 
     /// Number of packets.
+    #[inline]
     pub fn len(&self) -> usize {
         self.packets.len()
     }
 
     /// True when the batch holds no packets.
+    #[inline]
     pub fn is_empty(&self) -> bool {
         self.packets.is_empty()
     }
 
     /// Appends a packet (unlabelled).
+    #[inline]
     pub fn push(&mut self, pkt: Packet) {
         self.packets.push(pkt);
         if !self.labels.is_empty() {
@@ -142,6 +146,7 @@ impl PacketBatch {
     /// # Panics
     ///
     /// Panics if `idx` is out of range.
+    #[inline]
     pub fn set_label(&mut self, idx: usize, label: LabelId) {
         assert!(idx < self.packets.len(), "label index out of range");
         if self.labels.is_empty() {
@@ -157,16 +162,19 @@ impl PacketBatch {
     }
 
     /// Read access to the packets, in order.
+    #[inline]
     pub fn packets(&self) -> &[Packet] {
         &self.packets
     }
 
     /// Mutable access to the packets, in order.
+    #[inline]
     pub fn packets_mut(&mut self) -> &mut [Packet] {
         &mut self.packets
     }
 
     /// Iterates over the packets.
+    #[inline]
     pub fn iter(&self) -> std::slice::Iter<'_, Packet> {
         self.packets.iter()
     }
@@ -181,6 +189,7 @@ impl PacketBatch {
     }
 
     /// Consumes the batch, returning the packets (labels discarded).
+    #[inline]
     pub fn into_packets(mut self) -> Vec<Packet> {
         std::mem::take(&mut self.packets)
     }
@@ -191,6 +200,7 @@ impl PacketBatch {
     /// drained this way still recycles whole with its capacity. This
     /// is what terminal consumers that unpack packets (e.g. the
     /// device adapter's tx burst) use on the zero-allocation path.
+    #[inline]
     pub fn drain_all(&mut self) -> impl Iterator<Item = Packet> + '_ {
         self.labels.clear();
         self.table.clear();
@@ -198,6 +208,7 @@ impl PacketBatch {
     }
 
     /// Removes all packets and labels, keeping allocations for reuse.
+    #[inline]
     pub fn clear(&mut self) {
         self.packets.clear();
         self.labels.clear();
@@ -348,6 +359,7 @@ impl FromIterator<Packet> for PacketBatch {
 impl IntoIterator for PacketBatch {
     type Item = Packet;
     type IntoIter = std::vec::IntoIter<Packet>;
+    #[inline]
     fn into_iter(mut self) -> Self::IntoIter {
         std::mem::take(&mut self.packets).into_iter()
     }
@@ -356,6 +368,7 @@ impl IntoIterator for PacketBatch {
 impl<'a> IntoIterator for &'a PacketBatch {
     type Item = &'a Packet;
     type IntoIter = std::slice::Iter<'a, Packet>;
+    #[inline]
     fn into_iter(self) -> Self::IntoIter {
         self.packets.iter()
     }
@@ -436,6 +449,7 @@ impl ShardSplit {
     /// ([`SharedShardRange::take_into`]), which run it in parallel.
     /// The parent container — including a pool-homed one — recycles
     /// whole when the last range (or the [`SharedSplit`] handle) drops.
+    #[inline]
     pub fn into_shared(self) -> SharedSplit {
         SharedSplit {
             inner: Arc::new(SharedSplitInner {
@@ -472,6 +486,7 @@ struct SharedSplitInner {
 }
 
 impl SharedSplitInner {
+    #[inline]
     fn bounds(&self, shard: usize) -> (usize, usize) {
         (
             self.offsets[shard] as usize,
@@ -536,6 +551,7 @@ impl SharedSplit {
     /// # Panics
     ///
     /// Panics if `s >= self.shards()`.
+    #[inline]
     pub fn shard_len(&self, s: usize) -> usize {
         let (lo, hi) = self.inner.bounds(s);
         hi - lo
@@ -549,6 +565,7 @@ impl SharedSplit {
     /// # Panics
     ///
     /// Panics if `s >= self.shards()`.
+    #[inline]
     pub fn range(&self, s: usize) -> SharedShardRange {
         assert!(s < self.shards(), "shard index out of range");
         SharedShardRange {
@@ -591,6 +608,7 @@ impl SharedShardRange {
     }
 
     /// Number of packets in this range.
+    #[inline]
     pub fn len(&self) -> usize {
         let (lo, hi) = self.inner.bounds(self.shard);
         hi - lo
@@ -618,6 +636,7 @@ impl SharedShardRange {
     /// Panics if `out` is not empty (ranges gather into fresh — usually
     /// pool-leased — containers; merging into a partially filled batch
     /// would need label-table reconciliation the fast path never wants).
+    #[inline]
     pub fn take_into(self, out: &mut PacketBatch) -> usize {
         assert!(
             out.packets.is_empty() && out.table.is_empty(),

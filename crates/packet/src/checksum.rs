@@ -15,12 +15,14 @@
 /// let sum = internet_checksum(&[0x45, 0x00, 0x00, 0x14]);
 /// assert_ne!(sum, 0);
 /// ```
+#[inline]
 pub fn internet_checksum(data: &[u8]) -> u16 {
     !fold(sum_words(data))
 }
 
 /// Sums 16-bit big-endian words without folding (for composing sums over
 /// multiple regions, e.g. pseudo-headers).
+#[inline]
 pub fn sum_words(data: &[u8]) -> u32 {
     let mut sum = 0u32;
     let mut chunks = data.chunks_exact(2);
@@ -34,6 +36,7 @@ pub fn sum_words(data: &[u8]) -> u32 {
 }
 
 /// Folds a 32-bit running sum into 16 bits.
+#[inline]
 pub fn fold(mut sum: u32) -> u16 {
     while sum >> 16 != 0 {
         sum = (sum & 0xffff) + (sum >> 16);
@@ -43,6 +46,7 @@ pub fn fold(mut sum: u32) -> u16 {
 
 /// Verifies a buffer that *includes* its checksum field; valid data sums
 /// to `0xffff` before complementing.
+#[inline]
 pub fn verify(data: &[u8]) -> bool {
     fold(sum_words(data)) == 0xffff
 }
@@ -65,6 +69,7 @@ pub fn verify(data: &[u8]) -> bool {
 /// header[10..12].copy_from_slice(&[0, 0]);
 /// assert_eq!(internet_checksum(&header), updated);
 /// ```
+#[inline]
 pub fn incremental_update(old_checksum: u16, old_word: u16, new_word: u16) -> u16 {
     // HC' = ~(~HC + ~m + m')   (RFC 1624 eqn. 3)
     let mut sum = (!old_checksum) as u32;

@@ -96,6 +96,7 @@ pub fn shard_of(pkt: &Packet, shards: usize) -> usize {
 /// [`PacketMeta::rss_hash`](crate::packet::PacketMeta::rss_hash) when
 /// present, else the flow's own hash (from the record, or one parse —
 /// not stamped back). `None` for frames with no flow identity.
+#[inline]
 pub fn steering_hash(pkt: &Packet) -> Option<u64> {
     pkt.meta
         .rss_hash
@@ -110,6 +111,7 @@ pub fn steering_hash(pkt: &Packet) -> Option<u64> {
 /// hash. Call once at materialisation (NIC rx / batch construction);
 /// every later [`shard_of`] is then a modulo and every stateful
 /// element reads the record, not the frame.
+#[inline]
 pub fn stamp_rss(pkt: &mut Packet) -> Option<u64> {
     if pkt.meta.rss_hash.is_none() {
         if pkt.meta.flow.is_none() {
@@ -171,6 +173,7 @@ impl FlowKey {
     /// UDP or TCP (other traffic yields ports of zero). Always a parse
     /// of the frame bytes — elements on the packet path read the
     /// stamped record through [`FlowView::of`] instead.
+    #[inline]
     pub fn from_packet(pkt: &Packet) -> Option<FlowKey> {
         Self::from_frame(pkt.data())
     }
@@ -184,6 +187,7 @@ impl FlowKey {
     /// carries an L4 header at all, so keying any of them by "ports"
     /// would scatter one datagram over several flows. All fragments of
     /// a datagram share the 3-tuple key (ports zero).
+    #[inline]
     pub fn from_frame(frame: &[u8]) -> Option<FlowKey> {
         let eth = EthernetHeader::parse(frame).ok()?;
         let l3 = frame.get(EthernetHeader::LEN..)?;
@@ -215,6 +219,7 @@ impl FlowKey {
     /// orientation for the same reason: both directions must steer to
     /// the same shard or single-writer per-shard flow tables would see
     /// half a connection each.
+    #[inline]
     pub fn canonical(&self) -> FlowKey {
         self.canonical_with_direction().0
     }
@@ -222,6 +227,7 @@ impl FlowKey {
     /// [`Self::canonical`] plus which direction this tuple was:
     /// [`FlowDirection::Forward`] if it already was canonical,
     /// [`FlowDirection::Reverse`] if the endpoints were swapped.
+    #[inline]
     pub fn canonical_with_direction(&self) -> (FlowKey, FlowDirection) {
         let swap = match (self.src, self.dst) {
             // Every packet of the IPv4 path asks: two integer compares,
@@ -263,7 +269,9 @@ impl FlowKey {
     /// hasher involved), so flow→queue placement decisions are
     /// reproducible — the property the sharded dataplane's
     /// differential tests rely on.
+    #[inline]
     pub fn rss_hash(&self) -> u64 {
+        #[inline]
         fn octets(ip: IpAddr) -> ([u8; 16], usize) {
             match ip {
                 IpAddr::V4(a) => {
@@ -323,6 +331,7 @@ impl fmt::Display for FlowKey {
 /// FNV-1a over an **already canonical** tuple encoding (source
 /// endpoint sorted first), finished with murmur3's fmix64 — the one
 /// hash behind [`FlowKey::rss_hash`] and [`ParsedFlow::hash`].
+#[inline]
 fn tuple_hash(src: &[u8], dst: &[u8], protocol: u8, (src_port, dst_port): (u16, u16)) -> u64 {
     const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
     const PRIME: u64 = 0x0000_0100_0000_01b3;
@@ -400,6 +409,7 @@ const _: () = assert!(std::mem::size_of::<Option<ParsedFlow>>() <= 32);
 /// Parses the IPv4 tuple out of the L3 bytes, hash not yet computed
 /// ([`ParsedFlow::from_frame`] does that; [`FlowKey::from_frame`] does
 /// not need it).
+#[inline]
 fn parse_ipv4(l3: &[u8]) -> Option<ParsedFlow> {
     note_parse();
     let ip = Ipv4Header::parse(l3).ok()?;
@@ -433,6 +443,7 @@ impl ParsedFlow {
     /// Parses an Ethernet + IPv4 frame into its record — the one parse
     /// of a frame's life. `None` for anything else (IPv6, ARP, a frame
     /// whose headers do not verify).
+    #[inline]
     pub fn from_frame(frame: &[u8]) -> Option<ParsedFlow> {
         let eth = EthernetHeader::parse(frame).ok()?;
         if eth.ethertype != EtherType::Ipv4 {
@@ -442,10 +453,12 @@ impl ParsedFlow {
     }
 
     /// The packet's record: the stamped one, else a parse.
+    #[inline]
     pub fn of(pkt: &Packet) -> Option<ParsedFlow> {
         pkt.meta.flow.or_else(|| Self::from_frame(pkt.data()))
     }
 
+    #[inline]
     fn rehashed(mut self) -> ParsedFlow {
         let src = (u32::from(self.src), self.src_port);
         let dst = (u32::from(self.dst), self.dst_port);
@@ -462,6 +475,7 @@ impl ParsedFlow {
     }
 
     /// The tuple as a [`FlowKey`] (wire orientation, not canonical).
+    #[inline]
     pub fn key(&self) -> FlowKey {
         FlowKey {
             src: IpAddr::V4(self.src),
@@ -474,6 +488,7 @@ impl ParsedFlow {
 
     /// `self.key().rss_hash()` — computed by the parse, so reading it
     /// is free on every packet the rx path stamped and nobody rewrote.
+    #[inline]
     pub fn hash(&self) -> u64 {
         if self.hashed {
             self.hash
@@ -483,27 +498,32 @@ impl ParsedFlow {
     }
 
     /// Source address.
+    #[inline]
     pub fn src(&self) -> Ipv4Addr {
         self.src
     }
 
     /// Destination address.
+    #[inline]
     pub fn dst(&self) -> Ipv4Addr {
         self.dst
     }
 
     /// Source port (0 when the protocol has none, or on a fragment).
+    #[inline]
     pub fn src_port(&self) -> u16 {
         self.src_port
     }
 
     /// Destination port (0 when the protocol has none, or on a
     /// fragment).
+    #[inline]
     pub fn dst_port(&self) -> u16 {
         self.dst_port
     }
 
     /// The TCP flags of an unfragmented TCP segment.
+    #[inline]
     pub fn tcp_flags(&self) -> Option<TcpFlags> {
         (self.protocol == proto::TCP && !self.fragment).then_some(TcpFlags(self.tcp_flags))
     }
@@ -517,6 +537,7 @@ impl ParsedFlow {
 
     /// True when the frame carries ports an L4 rewriter may touch:
     /// unfragmented UDP or TCP.
+    #[inline]
     pub fn has_ports(&self) -> bool {
         !self.fragment && (self.protocol == proto::UDP || self.protocol == proto::TCP)
     }

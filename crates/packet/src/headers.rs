@@ -91,6 +91,7 @@ impl EthernetHeader {
     /// # Errors
     ///
     /// Fails with [`ParseError::Truncated`] when `buf` is too short.
+    #[inline]
     pub fn parse(buf: &[u8]) -> ParseResult<Self> {
         if buf.len() < Self::LEN {
             return Err(ParseError::Truncated {
@@ -159,6 +160,7 @@ impl Ipv4Header {
     ///
     /// Fails on truncation, wrong version, inconsistent lengths, or a bad
     /// checksum.
+    #[inline]
     pub fn parse(buf: &[u8]) -> ParseResult<Self> {
         if buf.len() < Self::MIN_LEN {
             return Err(ParseError::Truncated {
@@ -247,6 +249,7 @@ impl Ipv4Header {
     ///
     /// Fails with [`ParseError::Truncated`] on short buffers and
     /// [`ParseError::BadLength`] when the TTL is already zero.
+    #[inline]
     pub fn decrement_ttl_in_place(buf: &mut [u8]) -> ParseResult<u8> {
         if buf.len() < Self::MIN_LEN {
             return Err(ParseError::Truncated {
@@ -326,6 +329,7 @@ impl Ipv6Header {
     /// # Errors
     ///
     /// Fails on truncation or a non-6 version nibble.
+    #[inline]
     pub fn parse(buf: &[u8]) -> ParseResult<Self> {
         if buf.len() < Self::LEN {
             return Err(ParseError::Truncated {
@@ -417,6 +421,7 @@ impl UdpHeader {
     /// # Errors
     ///
     /// Fails with [`ParseError::Truncated`] when `buf` is too short.
+    #[inline]
     pub fn parse(buf: &[u8]) -> ParseResult<Self> {
         if buf.len() < Self::LEN {
             return Err(ParseError::Truncated {
@@ -509,6 +514,7 @@ impl TcpHeader {
     /// # Errors
     ///
     /// Fails on truncation or a data offset below 5.
+    #[inline]
     pub fn parse(buf: &[u8]) -> ParseResult<Self> {
         if buf.len() < Self::MIN_LEN {
             return Err(ParseError::Truncated {

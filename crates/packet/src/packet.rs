@@ -116,6 +116,7 @@ pub enum PacketBuf {
 
 impl PacketBuf {
     /// The frame bytes.
+    #[inline]
     pub fn as_slice(&self) -> &[u8] {
         match self {
             PacketBuf::Heap(b) => b,
@@ -123,6 +124,7 @@ impl PacketBuf {
         }
     }
 
+    #[inline]
     fn as_mut_slice(&mut self) -> &mut [u8] {
         match self {
             PacketBuf::Heap(b) => b,
@@ -175,6 +177,7 @@ impl Packet {
     /// Wraps frame storage without copying — what the NIC's rx burst
     /// does. A pool-leased slab keeps its lease and returns to its pool
     /// when the packet is dropped.
+    #[inline]
     pub fn from_buf(data: PacketBuf) -> Self {
         Self {
             data,
@@ -188,21 +191,25 @@ impl Packet {
     }
 
     /// Frame length in bytes.
+    #[inline]
     pub fn len(&self) -> usize {
         self.data.as_slice().len()
     }
 
     /// True if the frame is empty.
+    #[inline]
     pub fn is_empty(&self) -> bool {
         self.data.as_slice().is_empty()
     }
 
     /// Read access to the frame bytes.
+    #[inline]
     pub fn data(&self) -> &[u8] {
         self.data.as_slice()
     }
 
     /// Write access to the frame bytes.
+    #[inline]
     pub fn data_mut(&mut self) -> &mut [u8] {
         self.data.as_mut_slice()
     }
@@ -210,6 +217,7 @@ impl Packet {
     /// Consumes the packet, returning its frame storage as it is — the
     /// zero-copy tx hand-off: a pool-leased slab keeps its lease, and
     /// recycles when the consumer drops it. Metadata is discarded.
+    #[inline]
     pub fn into_buf(self) -> PacketBuf {
         self.data
     }
@@ -221,17 +229,20 @@ impl Packet {
     /// # Errors
     ///
     /// Propagates truncation errors.
+    #[inline]
     pub fn ethernet(&self) -> ParseResult<EthernetHeader> {
         EthernetHeader::parse(self.data())
     }
 
     /// The L3 bytes (IP header onward).
+    #[inline]
     pub fn l3(&self) -> &[u8] {
         let data = self.data();
         &data[EthernetHeader::LEN.min(data.len())..]
     }
 
     /// Mutable L3 bytes.
+    #[inline]
     pub fn l3_mut(&mut self) -> &mut [u8] {
         let off = EthernetHeader::LEN.min(self.len());
         &mut self.data_mut()[off..]
@@ -242,6 +253,7 @@ impl Packet {
     /// # Errors
     ///
     /// Propagates [`crate::error::ParseError`] from header validation.
+    #[inline]
     pub fn ipv4(&self) -> ParseResult<Ipv4Header> {
         Ipv4Header::parse(self.l3())
     }
@@ -251,6 +263,7 @@ impl Packet {
     /// # Errors
     ///
     /// Propagates [`crate::error::ParseError`] from header validation.
+    #[inline]
     pub fn ipv6(&self) -> ParseResult<Ipv6Header> {
         Ipv6Header::parse(self.l3())
     }

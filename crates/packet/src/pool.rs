@@ -113,6 +113,7 @@ struct PoolInner {
 impl PoolInner {
     /// The class a buffer of `capacity` bytes belongs to: the largest
     /// whose size it holds, none below the small class.
+    #[inline]
     fn class_of(&self, capacity: usize) -> Option<usize> {
         if capacity >= self.slab_size {
             Some(FULL)
@@ -125,6 +126,7 @@ impl PoolInner {
 
     /// A buffer of `class`: a recycled one, else a fresh one — and, on
     /// that miss, the class's doubling onto its free list.
+    #[inline]
     fn lease(&self, class: usize) -> BytesMut {
         let slabs = &self.classes[class];
         let mut books = slabs.books.lock();
@@ -148,6 +150,7 @@ impl PoolInner {
     /// list of the class its capacity qualifies for now, if that has
     /// room; otherwise it is discarded. A buffer that stays in its
     /// class — kept or discarded — costs that class's lock once.
+    #[inline]
     fn give_back(&self, leased: usize, buf: BytesMut) {
         let home = self.class_of(buf.capacity());
         let target = home.unwrap_or(leased);
@@ -213,6 +216,7 @@ impl BufferPool {
         }
     }
 
+    #[inline]
     fn wrap(&self, class: usize) -> PooledBuf {
         PooledBuf {
             buf: Some(self.inner.lease(class)),
@@ -222,6 +226,7 @@ impl BufferPool {
     }
 
     /// Takes a cleared full slab from the pool (allocating when empty).
+    #[inline]
     pub fn take(&self) -> PooledBuf {
         self.wrap(FULL)
     }
@@ -229,6 +234,7 @@ impl BufferPool {
     /// Takes a cleared buffer for `len` bytes: a small one when `len`
     /// fits [`SMALL_SLAB`] (and that is smaller than a slab), else a
     /// full slab — how the NIC's rx path sizes a frame's buffer.
+    #[inline]
     pub fn take_for(&self, len: usize) -> PooledBuf {
         if len <= SMALL_SLAB && SMALL_SLAB < self.inner.slab_size {
             self.wrap(SMALL)
@@ -320,18 +326,21 @@ impl PooledBuf {
 
 impl Deref for PooledBuf {
     type Target = BytesMut;
+    #[inline]
     fn deref(&self) -> &BytesMut {
         self.buf.as_ref().expect("buffer present until drop")
     }
 }
 
 impl DerefMut for PooledBuf {
+    #[inline]
     fn deref_mut(&mut self) -> &mut BytesMut {
         self.buf.as_mut().expect("buffer present until drop")
     }
 }
 
 impl Drop for PooledBuf {
+    #[inline]
     fn drop(&mut self) {
         if let Some(buf) = self.buf.take() {
             self.pool.give_back(self.class, buf);

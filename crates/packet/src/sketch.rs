@@ -21,15 +21,19 @@
 //! concurrent recording survives them without loss.
 //!
 //! Cost. Every sharded worker meters every packet here before its graph
-//! runs, and no ledger lane sees it (the lanes enter the graph), so the
+//! runs. No isolated ledger lane prices it (the lanes enter the graph);
+//! only the traced round's `router.shard.wait_ns` holds it. The
 //! recording path is kept at array cost: count-min adds to `depth`
 //! relaxed atomics per packet, and the Space-Saving side is a flat array
 //! of `capacity` slots scanned linearly, locked once per batch by
 //! [`FlowSketch::record_batch`], with the running total added once per
-//! batch. At the default geometry that is ≈ 90 ns per record on the
-//! Space-Saving side where a SipHash `HashMap` (walked whole on every
-//! miss) took ≈ 400 — more than the whole bare graph
-//! (`crates/bench/NOTES.md`, "Metering at array cost").
+//! batch. In situ — timed around `record_batch` inside the sharded
+//! worker's handler, default geometry, 2 shared vCPUs — that costs
+//! 176–218 ns per packet on the ledger's `bare_dispatch` and
+//! `edge_mixed`, more than the whole bare graph it meters (73–91 ns per
+//! packet), and the shared [`crate::steer::BucketLoad`] beside it
+//! another 22–26 (`crates/bench/NOTES.md`, "The per-packet path inlines
+//! across crate boundaries"; ROADMAP E4).
 
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -40,6 +44,7 @@ use crate::packet::Packet;
 
 /// murmur3's 64-bit finaliser: a full-avalanche bijection, the same
 /// mix [`crate::flow::FlowKey::rss_hash`] finishes with.
+#[inline]
 fn fmix64(mut h: u64) -> u64 {
     h ^= h >> 33;
     h = h.wrapping_mul(0xff51_afd7_ed55_8ccd);
@@ -51,6 +56,7 @@ fn fmix64(mut h: u64) -> u64 {
 /// Fixed per-row seeds: `fmix64` of odd constants, so every row hashes
 /// the same key to an independent-looking column. Deterministic across
 /// runs and platforms — sketch placement is reproducible, like RSS.
+#[inline]
 fn row_seed(row: usize) -> u64 {
     fmix64(0x9e37_79b9_7f4a_7c15u64.wrapping_mul(2 * row as u64 + 1))
 }
@@ -117,6 +123,7 @@ impl CountMinSketch {
         (-(self.depth as f64)).exp()
     }
 
+    #[inline]
     fn column(&self, row: usize, hash: u64) -> usize {
         let mixed = fmix64(hash ^ row_seed(row));
         // The default geometries use power-of-two widths; masking
@@ -130,6 +137,7 @@ impl CountMinSketch {
     }
 
     /// Adds `weight` to the key's counter in every row. Any thread.
+    #[inline]
     pub fn record(&self, hash: u64, weight: u64) {
         if weight == 0 {
             return;
@@ -141,6 +149,7 @@ impl CountMinSketch {
     }
 
     /// Point query: the minimum over rows — never an under-count.
+    #[inline]
     pub fn estimate(&self, hash: u64) -> u64 {
         (0..self.depth)
             .map(|row| {
@@ -157,6 +166,7 @@ impl CountMinSketch {
     /// below the threshold settles the question; for the common case
     /// (a light key, every row small) this is a single counter read
     /// instead of `depth`.
+    #[inline]
     pub fn below(&self, hash: u64, threshold: u64) -> bool {
         (0..self.depth).any(|row| {
             let col = self.column(row, hash);
@@ -311,9 +321,12 @@ struct SsCounter {
 /// a scan walks faster than a hash map is probed — and a miss, the
 /// common case when many flows share a shard, needed a full walk of the
 /// map anyway.
-/// Measured at k = 32 over 1 024 uniform flows: ≈ 90 ns per record,
-/// where the `HashMap` it replaced took ≈ 400 (`crates/bench/NOTES.md`,
-/// "Metering at array cost").
+/// In isolation, at k = 32 over 1 024 uniform flows, a record took
+/// ≈ 90 ns where the `HashMap` it replaced took ≈ 400
+/// (`crates/bench/NOTES.md`, "Metering at array cost"). In situ, with
+/// count-min beside it, [`FlowSketch::record_batch`] costs 176–218 ns
+/// per packet on a sharded worker (same file, "The per-packet path
+/// inlines across crate boundaries").
 ///
 /// The inner state sits behind a mutex, but the intended deployment is
 /// **uncontended by construction**: one instance per shard, recorded
@@ -362,6 +375,7 @@ impl SpaceSaving {
 
     /// Records every `(hash, weight)` under one lock acquisition, and
     /// adds their sum to the running total once, inside it.
+    #[inline]
     fn record_all(&self, items: impl IntoIterator<Item = (u64, u64)>) {
         let mut slots = self.inner.lock();
         let mut added = 0;
@@ -380,6 +394,7 @@ impl SpaceSaving {
     /// to its counter; otherwise, once the array is full, it takes over
     /// the slot with the minimum `(weight, hash)`, whose weight becomes
     /// the new entry's error.
+    #[inline]
     fn bump(&self, slots: &mut Vec<(u64, SsCounter)>, hash: u64, weight: u64) {
         if let Some((_, c)) = slots.iter_mut().find(|(h, _)| *h == hash) {
             c.weight += weight;
@@ -589,6 +604,7 @@ impl FlowSketch {
     }
 
     /// Records `weight` bytes for flow `hash`. Any thread.
+    #[inline]
     pub fn record(&self, hash: u64, weight: u64) {
         self.cms.record(hash, weight);
         self.top.record(hash, weight);
@@ -607,6 +623,7 @@ impl FlowSketch {
     /// [`Self::record_packet`] on each in turn, for one top-k lock and
     /// one update of the running total per batch (count-min cells are
     /// relaxed atomics and are added per packet either way).
+    #[inline]
     pub fn record_batch(&self, batch: &crate::batch::PacketBatch) {
         self.top.record_all(batch.iter().filter_map(|pkt| {
             let hash = crate::flow::steering_hash(pkt)?;
@@ -618,6 +635,7 @@ impl FlowSketch {
 
     /// Point query for a flow's byte weight this window (never an
     /// under-count).
+    #[inline]
     pub fn estimate(&self, hash: u64) -> u64 {
         self.cms.estimate(hash)
     }
@@ -626,6 +644,7 @@ impl FlowSketch {
     /// (`estimate < threshold`), with the early-exit read of
     /// [`CountMinSketch::below`] — the per-packet admission check of
     /// an inline guard, priced at one counter read for light flows.
+    #[inline]
     pub fn below(&self, hash: u64, threshold: u64) -> bool {
         self.cms.below(hash, threshold)
     }
@@ -920,5 +939,86 @@ mod tests {
             sketch.record(i, 1);
         }
         assert_eq!(sketch.footprint_bytes(), before);
+    }
+
+    /// The record-versus-retire contract of the module docs, run on two
+    /// threads: one records a known batch over and over into a
+    /// `FlowSketch` and a `BucketLoad`, the other peeks and retires
+    /// windows meanwhile. Nothing recorded may be lost or retired twice:
+    /// what is left plus every retired window is exactly what was
+    /// recorded, cell by cell.
+    #[test]
+    fn concurrent_recording_survives_retire_exactly() {
+        use crate::batch::PacketBatch;
+        use crate::steer::BucketLoad;
+        use std::sync::atomic::AtomicBool;
+        use std::sync::Barrier;
+
+        const ROUNDS: u64 = 2_000;
+        let config = SketchConfig::default();
+        let mut batch = PacketBatch::with_capacity(64);
+        for i in 0..48u16 {
+            let pkt = PacketBuilder::udp_v4("10.0.0.1", "10.0.1.2", 1000 + i % 40, 53)
+                .payload_len(18 + usize::from(i) * 29)
+                .build();
+            batch.push(pkt);
+        }
+        // One round's worth, recorded without a rival.
+        let once = FlowSketch::new(config);
+        once.record_batch(&batch);
+        let once_cells = once.snapshot().cells;
+        let once_load = BucketLoad::new();
+        once_load.record_batch(&batch);
+        let once_buckets = once_load.snapshot();
+        let round_bytes: u64 = batch.iter().map(|p| p.len() as u64).sum();
+
+        let sketch = FlowSketch::new(config);
+        let load = BucketLoad::new();
+        let done = AtomicBool::new(false);
+        let start = Barrier::new(2);
+        let (windows, buckets) = std::thread::scope(|s| {
+            s.spawn(|| {
+                start.wait();
+                for _ in 0..ROUNDS {
+                    sketch.record_batch(&batch);
+                    load.record_batch(&batch);
+                }
+                done.store(true, Ordering::Release);
+            });
+            start.wait();
+            let (mut windows, mut buckets) = (Vec::new(), Vec::new());
+            while !done.load(Ordering::Acquire) {
+                let window = sketch.snapshot();
+                let peeked = load.snapshot();
+                sketch.retire(&window);
+                load.retire(&peeked);
+                windows.push(window.cells);
+                buckets.push(peeked);
+                std::thread::yield_now();
+            }
+            (windows, buckets)
+        });
+        assert!(!windows.is_empty(), "the retirer closed no window");
+
+        let left = sketch.snapshot().cells;
+        let width = config.width;
+        for row in 0..config.depth {
+            let cells = row * width..(row + 1) * width;
+            let retired: u64 = windows
+                .iter()
+                .map(|w| w[cells.clone()].iter().sum::<u64>())
+                .sum();
+            let kept: u64 = left[cells].iter().sum();
+            assert_eq!(kept + retired, ROUNDS * round_bytes, "count-min row {row}");
+        }
+        for (i, &cell) in left.iter().enumerate() {
+            let retired: u64 = windows.iter().map(|w| w[i]).sum();
+            assert_eq!(cell + retired, ROUNDS * once_cells[i], "count-min cell {i}");
+        }
+        let left = load.snapshot();
+        for (b, &count) in left.iter().enumerate() {
+            let retired: u64 = buckets.iter().map(|w| w[b]).sum();
+            assert_eq!(count + retired, ROUNDS * once_buckets[b], "bucket {b}");
+        }
     }
 }

@@ -42,6 +42,7 @@ pub const RSS_BUCKETS: usize = 256;
 /// Reduces an RSS hash to its bucket index (`hash % RSS_BUCKETS`).
 /// The finalised hash (see `FlowKey::rss_hash`) disperses its low bits,
 /// so the reduction spreads flows evenly over the buckets.
+#[inline]
 pub fn bucket_of(hash: u64) -> usize {
     (hash % RSS_BUCKETS as u64) as usize
 }
@@ -52,6 +53,7 @@ pub fn bucket_of(hash: u64) -> usize {
 /// at materialisation, see [`crate::flow::stamp_rss`]). Packets with no
 /// flow identity (ARP, malformed frames) deterministically use
 /// bucket 0, so non-flow traffic migrates with bucket 0's assignment.
+#[inline]
 pub fn bucket_of_packet(pkt: &Packet) -> usize {
     match crate::flow::steering_hash(pkt) {
         Some(h) => bucket_of(h),
@@ -102,12 +104,14 @@ impl BucketMap {
     }
 
     /// Number of shards the table targets.
+    #[inline]
     pub fn shards(&self) -> usize {
         self.shards
     }
 
     /// The shard assigned to `bucket` (indices reduce mod
     /// [`RSS_BUCKETS`]).
+    #[inline]
     pub fn shard_of_bucket(&self, bucket: usize) -> usize {
         self.map[bucket % RSS_BUCKETS] as usize
     }
@@ -120,6 +124,7 @@ impl BucketMap {
 
     /// The shard a packet steers to (see [`bucket_of_packet`] for the
     /// bucket rule, including the non-flow → bucket 0 case).
+    #[inline]
     pub fn shard_of_packet(&self, pkt: &Packet) -> usize {
         self.shard_of_bucket(bucket_of_packet(pkt))
     }
@@ -248,17 +253,20 @@ impl BucketLoad {
     }
 
     /// Counts one packet in `hash`'s bucket.
+    #[inline]
     pub fn record_hash(&self, hash: u64) {
         self.counts[bucket_of(hash)].fetch_add(1, Ordering::Relaxed);
     }
 
     /// Counts one packet in its bucket (stamped hash preferred; see
     /// [`bucket_of_packet`]).
+    #[inline]
     pub fn record_packet(&self, pkt: &Packet) {
         self.counts[bucket_of_packet(pkt)].fetch_add(1, Ordering::Relaxed);
     }
 
     /// Counts every packet of a batch.
+    #[inline]
     pub fn record_batch(&self, batch: &crate::batch::PacketBatch) {
         for pkt in batch {
             self.record_packet(pkt);

@@ -24,6 +24,7 @@ impl BytesMut {
 
     /// Creates an empty buffer able to hold `capacity` bytes without
     /// reallocating.
+    #[inline]
     pub fn with_capacity(capacity: usize) -> Self {
         Self {
             vec: Vec::with_capacity(capacity),
@@ -31,36 +32,43 @@ impl BytesMut {
     }
 
     /// Number of initialized bytes.
+    #[inline]
     pub fn len(&self) -> usize {
         self.vec.len()
     }
 
     /// True when empty.
+    #[inline]
     pub fn is_empty(&self) -> bool {
         self.vec.is_empty()
     }
 
     /// Current capacity.
+    #[inline]
     pub fn capacity(&self) -> usize {
         self.vec.capacity()
     }
 
     /// Clears the buffer, keeping capacity.
+    #[inline]
     pub fn clear(&mut self) {
         self.vec.clear();
     }
 
     /// Appends `extend` to the buffer.
+    #[inline]
     pub fn extend_from_slice(&mut self, extend: &[u8]) {
         self.vec.extend_from_slice(extend);
     }
 
     /// Resizes to `new_len`, filling with `value`.
+    #[inline]
     pub fn resize(&mut self, new_len: usize, value: u8) {
         self.vec.resize(new_len, value);
     }
 
     /// Truncates to `len`.
+    #[inline]
     pub fn truncate(&mut self, len: usize) {
         self.vec.truncate(len);
     }
@@ -78,36 +86,42 @@ impl BytesMut {
 
 impl Deref for BytesMut {
     type Target = [u8];
+    #[inline]
     fn deref(&self) -> &[u8] {
         &self.vec
     }
 }
 
 impl DerefMut for BytesMut {
+    #[inline]
     fn deref_mut(&mut self) -> &mut [u8] {
         &mut self.vec
     }
 }
 
 impl AsRef<[u8]> for BytesMut {
+    #[inline]
     fn as_ref(&self) -> &[u8] {
         &self.vec
     }
 }
 
 impl AsMut<[u8]> for BytesMut {
+    #[inline]
     fn as_mut(&mut self) -> &mut [u8] {
         &mut self.vec
     }
 }
 
 impl From<&[u8]> for BytesMut {
+    #[inline]
     fn from(v: &[u8]) -> Self {
         Self { vec: v.to_vec() }
     }
 }
 
 impl From<Vec<u8>> for BytesMut {
+    #[inline]
     fn from(v: Vec<u8>) -> Self {
         Self { vec: v }
     }
