@@ -4,7 +4,7 @@
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use netkit_packet::batch::PacketBatch;
+use netkit_packet::batch::{LabelId, PacketBatch};
 use netkit_packet::headers::EtherType;
 use netkit_packet::packet::Packet;
 use opencom::component::{Component, ComponentCore, Registrar};
@@ -289,40 +289,37 @@ impl IPacketPush for ProtocolRecogniser {
     }
 
     fn push_batch(&self, mut batch: PacketBatch) -> BatchResult {
-        // Batch fast path: demux the burst into one sub-batch per
-        // EtherType and cross each binding once.
+        // Demux the burst into one sub-batch per output and cross each
+        // binding once. Each frame is labelled with the output it leaves
+        // on — its protocol's own, else `other` — before the split, so
+        // every output sees its frames in batch order.
         let n = batch.len();
+        // The output label of each protocol this batch has met.
+        let mut outputs: Vec<(&'static str, LabelId)> = Vec::with_capacity(4);
         for idx in 0..n {
-            let label = Self::label_for(&batch.packets()[idx]);
-            let interned = batch.intern(label);
-            batch.set_label(idx, interned);
+            let protocol = Self::label_for(&batch.packets()[idx]);
+            let label = match outputs.iter().find(|(p, _)| *p == protocol) {
+                Some(&(_, label)) => label,
+                None => {
+                    let bound = self.outs.with_labelled(protocol, |_| ()).is_some();
+                    let label = batch.intern(if bound { protocol } else { "other" });
+                    outputs.push((protocol, label));
+                    label
+                }
+            };
+            batch.set_label(idx, label);
         }
         let mut result = BatchResult::from(vec![Ok(()); n]);
         for group in batch.into_label_groups() {
             let size = group.batch.len();
-            let label: &str = group.label.as_deref().unwrap_or("other");
-            // Same fallback chain as scalar: the protocol's own output,
-            // then `other`, then drop-with-count. The Option dance keeps
-            // the batch alive across an unbound first attempt.
-            let mut pending = Some(group.batch);
-            let direct = self.outs.with_labelled(label, |next| {
-                next.push_batch(pending.take().expect("unconsumed"))
-            });
-            let sub = match direct {
-                Some(sub) => sub,
-                None => {
-                    let fallback = self.outs.with_labelled("other", |next| {
-                        next.push_batch(pending.take().expect("unconsumed"))
-                    });
-                    match fallback {
-                        Some(sub) => sub,
-                        None => {
-                            self.unroutable.fetch_add(size as u64, Ordering::Relaxed);
-                            BatchResult::ok(size)
-                        }
-                    }
-                }
-            };
+            let label = group.label.as_deref().unwrap_or("other");
+            let sub = self
+                .outs
+                .with_labelled(label, |next| next.push_batch(group.batch))
+                .unwrap_or_else(|| {
+                    self.unroutable.fetch_add(size as u64, Ordering::Relaxed);
+                    BatchResult::ok(size) // drop policy: unmatched protocols are discarded
+                });
             result.scatter(&group.indices, sub);
         }
         result

@@ -12,7 +12,7 @@ use std::net::IpAddr;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use netkit_packet::batch::PacketBatch;
+use netkit_packet::batch::{LabelId, PacketBatch};
 use netkit_packet::headers::EtherType;
 use netkit_packet::packet::Packet;
 use opencom::component::{Component, ComponentCore, Registrar};
@@ -112,12 +112,16 @@ impl IPacketPush for RouteLookup {
     }
 
     fn push_batch(&self, mut batch: PacketBatch) -> BatchResult {
-        // Batch fast path: all LPM lookups under one table read lock,
-        // one binding traversal per egress port group.
+        // All LPM lookups under one table read lock, one binding
+        // traversal per output. Each packet is labelled with the output
+        // it leaves on — its port's own, else `out` — before the split,
+        // so every output sees its packets in batch order.
         let n = batch.len();
         let mut result = BatchResult::from(vec![Ok(()); n]);
         let mut no_route = 0u64;
         let mut routed = 0u64;
+        // The output label of each egress port this batch has met.
+        let mut outputs: Vec<(u16, LabelId)> = Vec::new();
         {
             let table = self.table.read();
             for idx in 0..n {
@@ -135,8 +139,20 @@ impl IPacketPush for RouteLookup {
                 pkt.meta.egress = Some(entry.egress);
                 pkt.meta.next_hop = entry.next_hop.or(Some(dst));
                 routed += 1;
-                let interned = batch.intern(&entry.egress.to_string());
-                batch.set_label(idx, interned);
+                let label = match outputs.iter().find(|(port, _)| *port == entry.egress) {
+                    Some(&(_, label)) => label,
+                    None => {
+                        let own = entry.egress.to_string();
+                        let label = if self.outs.with_labelled(&own, |_| ()).is_some() {
+                            batch.intern(&own)
+                        } else {
+                            batch.intern("out")
+                        };
+                        outputs.push((entry.egress, label));
+                        label
+                    }
+                };
+                batch.set_label(idx, label);
             }
         }
         self.unrouted.fetch_add(no_route, Ordering::Relaxed);
@@ -147,23 +163,10 @@ impl IPacketPush for RouteLookup {
                 continue;
             };
             let size = group.batch.len();
-            // Same fallback chain as scalar: per-port label, then `out`.
-            let mut pending = Some(group.batch);
-            let direct = self.outs.with_labelled(&label, |next| {
-                next.push_batch(pending.take().expect("unconsumed"))
-            });
-            let sub = match direct {
-                Some(sub) => sub,
-                None => {
-                    let fallback = self.outs.with_labelled("out", |next| {
-                        next.push_batch(pending.take().expect("unconsumed"))
-                    });
-                    match fallback {
-                        Some(sub) => sub,
-                        None => BatchResult::err(size, PushError::Unbound),
-                    }
-                }
-            };
+            let sub = self
+                .outs
+                .with_labelled(&label, |next| next.push_batch(group.batch))
+                .unwrap_or_else(|| BatchResult::err(size, PushError::Unbound));
             result.scatter(&group.indices, sub);
         }
         result

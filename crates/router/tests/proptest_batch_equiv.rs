@@ -9,6 +9,10 @@
 //! counters; this test enforces all three over a chain that exercises
 //! classification (labelled fan-out), IP processing (validate + TTL with
 //! error diversion), metering, and bounded queueing (drop reasons).
+//! A second property drives the library's other elements one packet at
+//! a time and in batches the same way: route lookup, NAT44, the L4
+//! balancer, conntrack, the guard, tee, the policer and the protocol
+//! recogniser.
 
 use std::sync::Arc;
 
@@ -16,15 +20,23 @@ use proptest::prelude::*;
 
 use netkit_kernel::time::VirtualClock;
 use netkit_packet::batch::PacketBatch;
+use netkit_packet::headers::TcpFlags;
 use netkit_packet::packet::{Packet, PacketBuilder};
+use netkit_packet::sketch::{FlowSketch, SketchConfig};
 use netkit_router::api::{
     register_packet_interfaces, FilterPattern, FilterSpec, IClassifier, IPacketPull, IPacketPush,
-    PushResult, IPACKET_PULL, IPACKET_PUSH,
+    ITable, PushError, PushResult, IPACKET_PULL, IPACKET_PUSH,
 };
+use netkit_router::desc::TableEntry;
 use netkit_router::elements::{
-    ClassifierEngine, Discard, DropTailQueue, Ipv4Processor, Meter, RedConfig, RedQueue,
+    ClassifierEngine, Discard, DropTailQueue, Ipv4Processor, Meter, Policer, ProtocolRecogniser,
+    RedConfig, RedQueue, RouteLookup, Tee,
 };
+use netkit_router::flow::{ConnTracker, Guard, GuardConfig, L4LoadBalancer, Nat44, Nat44Config};
+use netkit_router::routing::{RouteEntry, RoutingTable};
 use opencom::capsule::Capsule;
+use opencom::component::{Component, ComponentCore, ComponentDescriptor, Registrar};
+use opencom::ident::Version;
 use opencom::runtime::Runtime;
 
 /// One synthetic packet spec the strategies draw.
@@ -276,5 +288,387 @@ proptest! {
         let single = r.entry.push_batch(PacketBatch::from_packets(vec![pkt]));
         prop_assert_eq!(single.len(), 1);
         prop_assert_eq!(&single.verdicts[0], &scalar);
+    }
+}
+
+// ---- the library's splitting and stateful elements ----------------------
+//
+// The property above covers one chain. The one below drives every other
+// library element that has a batch body of its own — route lookup, the
+// flow elements, the duplicator, the policer and the protocol
+// recogniser — one packet at a time and in arbitrary batch sizes, and
+// requires the same verdicts, output sequences and counters either way.
+
+/// What reached a recording sink: frame bytes plus the annotations the
+/// elements under test write.
+type Seen = (Vec<u8>, Option<u16>, Option<std::net::IpAddr>);
+
+/// A scalar-only sink (it states `push` alone, as a Fig-2 component
+/// would) that records what reaches it. With `refuse` set it answers
+/// `QueueFull` to every frame whose length is a multiple of five, so
+/// the element in front of it has mixed downstream verdicts to scatter.
+struct Recorder {
+    core: ComponentCore,
+    refuse: bool,
+    seen: std::sync::Mutex<Vec<Seen>>,
+}
+
+impl Recorder {
+    fn new(refuse: bool) -> Arc<Self> {
+        Arc::new(Self {
+            core: ComponentCore::new(ComponentDescriptor::new(
+                "test.Recorder",
+                Version::new(1, 0, 0),
+            )),
+            refuse,
+            seen: std::sync::Mutex::new(Vec::new()),
+        })
+    }
+
+    fn seen(&self) -> Vec<Seen> {
+        self.seen.lock().unwrap().clone()
+    }
+}
+
+impl IPacketPush for Recorder {
+    fn push(&self, pkt: Packet) -> PushResult {
+        let refused = self.refuse && pkt.len() % 5 == 0;
+        self.seen
+            .lock()
+            .unwrap()
+            .push((pkt.data().to_vec(), pkt.meta.egress, pkt.meta.next_hop));
+        if refused {
+            Err(PushError::QueueFull)
+        } else {
+            Ok(())
+        }
+    }
+}
+
+impl Component for Recorder {
+    fn core(&self) -> &ComponentCore {
+        &self.core
+    }
+    fn publish(self: Arc<Self>, reg: &Registrar<'_>) {
+        let push: Arc<dyn IPacketPush> = self.clone();
+        reg.expose(IPACKET_PUSH, &push);
+    }
+}
+
+/// One frame the second property draws: `kind` picks the traffic class,
+/// the rest vary it.
+#[derive(Clone, Debug)]
+struct FrameSpec {
+    kind: u8,
+    a: u8,
+    b: u8,
+    flags: u8,
+    payload_len: usize,
+}
+
+fn frame_strategy() -> impl Strategy<Value = FrameSpec> {
+    (0u8..10, any::<u8>(), any::<u8>(), 0u8..6, 0usize..96).prop_map(
+        |(kind, a, b, flags, payload_len)| FrameSpec {
+            kind,
+            a,
+            b,
+            flags,
+            payload_len,
+        },
+    )
+}
+
+const VIP: &str = "10.99.0.1";
+const BACKENDS: [&str; 3] = ["10.1.0.1", "10.1.0.2", "10.1.0.3"];
+
+fn tcp_flags(pick: u8) -> Option<TcpFlags> {
+    match pick {
+        0 => None, // UDP
+        1 => Some(TcpFlags::SYN),
+        2 => Some(TcpFlags::SYN | TcpFlags::ACK),
+        3 => Some(TcpFlags::ACK),
+        4 => Some(TcpFlags::RST | TcpFlags::ACK),
+        _ => Some(TcpFlags::FIN | TcpFlags::ACK),
+    }
+}
+
+fn l4_v4(src: &str, dst: &str, sport: u16, dport: u16, spec: &FrameSpec) -> Packet {
+    match tcp_flags(spec.flags) {
+        None => PacketBuilder::udp_v4(src, dst, sport, dport),
+        Some(flags) => PacketBuilder::tcp_v4(src, dst, sport, dport).tcp_flags(flags),
+    }
+    .payload_len(spec.payload_len)
+    .build()
+}
+
+fn build_frame(spec: &FrameSpec) -> Packet {
+    let inside = format!("10.0.0.{}", spec.a % 8);
+    let remote = format!("203.0.113.{}", spec.b % 4);
+    let client = 7000 + u16::from(spec.a % 2);
+    match spec.kind {
+        // Outbound: inside hosts to four remotes, NAT translates them.
+        0..=2 => l4_v4(&inside, &remote, 1000 + u16::from(spec.b % 6), 80, spec),
+        // Inbound to the NAT's external address, bound or not.
+        3 => l4_v4(
+            &remote,
+            "192.0.2.1",
+            80,
+            40_000 + u16::from(spec.a % 4),
+            spec,
+        ),
+        // Clients to the balancer's VIP …
+        4 => l4_v4("10.0.0.9", VIP, client, 80, spec),
+        // … and backend replies to them.
+        5 => l4_v4(
+            BACKENDS[usize::from(spec.b % 3)],
+            "10.0.0.9",
+            8080,
+            client,
+            spec,
+        ),
+        6 => PacketBuilder::udp_v6("2001:db8::1", "2001:db8::2", client, 53)
+            .payload_len(spec.payload_len)
+            .build(),
+        // ARP and an unknown EtherType: no flow, no route.
+        7 | 8 => {
+            let mut pkt = l4_v4(&inside, &remote, 1000, 80, spec);
+            let ethertype: [u8; 2] = if spec.kind == 7 {
+                [0x08, 0x06]
+            } else {
+                [0x88, 0xb5]
+            };
+            pkt.data_mut()[12..14].copy_from_slice(&ethertype);
+            pkt
+        }
+        // A runt: no Ethernet header at all.
+        _ => Packet::from_slice(&[spec.a; 10]),
+    }
+}
+
+/// The elements under test, each fed the whole traffic mix through its
+/// capsule-resolved (interception-wrapped) `IPacketPush`.
+struct Lanes {
+    _capsule: Arc<Capsule>,
+    clock: Arc<VirtualClock>,
+    sketch: Arc<FlowSketch>,
+    entries: Vec<Arc<dyn IPacketPush>>,
+    recorders: Vec<Arc<Recorder>>,
+    route: Arc<RouteLookup>,
+    route_bare: Arc<RouteLookup>,
+    nat: Arc<Nat44>,
+    lb: Arc<L4LoadBalancer>,
+    lb_empty: Arc<L4LoadBalancer>,
+    tracker: Arc<ConnTracker>,
+    guard: Arc<Guard>,
+    tee: Arc<Tee>,
+    policer: Arc<Policer>,
+    recog: Arc<ProtocolRecogniser>,
+    recog_bare: Arc<ProtocolRecogniser>,
+}
+
+fn lanes() -> Lanes {
+    let rt = Runtime::new();
+    register_packet_interfaces(&rt);
+    let capsule = Capsule::new("lanes", &rt);
+    let clock = Arc::new(VirtualClock::new());
+    let sketch = Arc::new(FlowSketch::new(SketchConfig::default()));
+
+    // Egress 0 and 1 have outputs of their own, 2, 3 and 5 fall back to
+    // `out`; 10.99/16 and everything IPv6 have no route.
+    let table = || {
+        let mut table = RoutingTable::new();
+        for (prefix, egress) in [
+            ("203.0.113.0/32", 0),
+            ("203.0.113.1/32", 1),
+            ("203.0.113.2/32", 2),
+            ("203.0.113.3/32", 3),
+            ("10.0.0.0/16", 1),
+            ("10.1.0.0/16", 5),
+            ("192.0.2.0/24", 2),
+        ] {
+            table.add(
+                prefix,
+                RouteEntry {
+                    egress,
+                    next_hop: None,
+                },
+            );
+        }
+        table
+    };
+    let route = RouteLookup::with_table(table());
+    let route_bare = RouteLookup::with_table(table());
+    let nat = Nat44::new(Nat44Config {
+        external_ip: "192.0.2.1".parse().unwrap(),
+        port_base: 40_000,
+        blocks: 1,
+        block_size: 4,
+        table_capacity: 16,
+        idle_timeout: u64::MAX,
+    });
+    let lb = L4LoadBalancer::new(VIP.parse().unwrap(), 80, 64, u64::MAX);
+    for ip in BACKENDS {
+        lb.put(&TableEntry::Backend {
+            ip: ip.into(),
+            port: 8080,
+        })
+        .unwrap();
+    }
+    let lb_empty = L4LoadBalancer::new(VIP.parse().unwrap(), 80, 8, u64::MAX);
+    let tracker = ConnTracker::with_table(8, u64::MAX);
+    let guard = Guard::new(
+        Arc::clone(&sketch),
+        GuardConfig {
+            byte_threshold: 300,
+            window_budget: 400,
+            table_capacity: 4,
+            ..GuardConfig::default()
+        },
+    );
+    let tee = Tee::new();
+    let tee_bare = Tee::new();
+    let policer = Policer::new(1e6, 400.0, Arc::clone(&clock));
+    let recog = ProtocolRecogniser::new();
+    let recog_bare = ProtocolRecogniser::new();
+
+    let mut entries = Vec::new();
+    let mut recorders = Vec::new();
+    let mut add = |component: Arc<dyn Component>, outs: &[(&str, bool)]| {
+        let id = capsule.adopt(component).unwrap();
+        for &(label, refuse) in outs {
+            let sink = Recorder::new(refuse);
+            let sid = capsule.adopt(sink.clone()).unwrap();
+            capsule.bind(id, "out", label, sid, IPACKET_PUSH).unwrap();
+            recorders.push(sink);
+        }
+        let entry: Arc<dyn IPacketPush> = capsule
+            .query_interface(id, IPACKET_PUSH)
+            .unwrap()
+            .downcast()
+            .unwrap();
+        entries.push(entry);
+    };
+    add(route.clone(), &[("0", false), ("1", true), ("out", true)]);
+    add(route_bare.clone(), &[("0", false)]);
+    add(nat.clone(), &[("out", true)]);
+    add(lb.clone(), &[("out", true)]);
+    add(lb_empty.clone(), &[("out", false)]);
+    add(tracker.clone(), &[("out", true)]);
+    add(guard.clone(), &[("out", true)]);
+    add(tee.clone(), &[("a", false), ("b", true)]);
+    add(tee_bare, &[]);
+    add(policer.clone(), &[("out", true)]);
+    add(recog.clone(), &[("ipv4", true), ("other", false)]);
+    add(recog_bare.clone(), &[("ipv4", false)]);
+
+    Lanes {
+        _capsule: capsule,
+        clock,
+        sketch,
+        entries,
+        recorders,
+        route,
+        route_bare,
+        nat,
+        lb,
+        lb_empty,
+        tracker,
+        guard,
+        tee,
+        policer,
+        recog,
+        recog_bare,
+    }
+}
+
+/// Every counter the elements under test expose, rendered comparable.
+fn lane_counters(l: &Lanes) -> Vec<String> {
+    vec![
+        format!("{:?} {:?}", l.route.stats(), l.route_bare.stats()),
+        format!(
+            "{:?} {} {}",
+            l.nat.stats(),
+            l.nat.bindings(),
+            l.nat.ports_in_use()
+        ),
+        format!("{:?} {:?}", l.lb.counters(), l.lb.backends()),
+        format!("{:?} {:?}", l.lb_empty.counters(), l.lb_empty.backends()),
+        format!(
+            "{} {} {} {:?}",
+            l.tracker.len(),
+            l.tracker.untracked(),
+            l.tracker.half_open(),
+            l.tracker.table_stats()
+        ),
+        format!("{:?}", l.guard.stats()),
+        format!("{}", l.tee.forwarded()),
+        format!("{:?}", l.policer.stats()),
+        format!("{} {}", l.recog.unroutable(), l.recog_bare.unroutable()),
+    ]
+}
+
+/// One step of a run: the clock moves and the guard's sketch records
+/// the chunk (as a shard worker does before its graph runs), then the
+/// chunk goes to every element.
+fn begin_chunk(l: &Lanes, chunk: &[Packet]) {
+    l.clock.advance(50_000);
+    for pkt in chunk {
+        l.sketch.record_packet(pkt);
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+    #[test]
+    fn library_elements_agree_one_packet_at_a_time_and_batched(
+        specs in proptest::collection::vec(frame_strategy(), 0..96),
+        sizes in proptest::collection::vec(
+            prop_oneof![Just(0usize), Just(1usize), 2usize..48],
+            1..8,
+        ),
+    ) {
+        let packets: Vec<Packet> = specs.iter().map(build_frame).collect();
+        let mut sizes = sizes;
+        sizes.push(7);
+        let mut chunks: Vec<&[Packet]> = Vec::new();
+        let mut remaining = &packets[..];
+        let mut size_plan = sizes.iter().copied().cycle();
+        while !remaining.is_empty() {
+            let take = size_plan.next().expect("cycle is infinite").min(remaining.len());
+            let (chunk, rest) = remaining.split_at(take);
+            chunks.push(chunk);
+            remaining = rest;
+        }
+
+        let single = lanes();
+        let batched = lanes();
+        let lanes_n = single.entries.len();
+        let mut single_verdicts: Vec<Vec<PushResult>> = vec![Vec::new(); lanes_n];
+        let mut batch_verdicts: Vec<Vec<PushResult>> = vec![Vec::new(); lanes_n];
+        for chunk in &chunks {
+            begin_chunk(&single, chunk);
+            for pkt in chunk.iter() {
+                for (lane, entry) in single.entries.iter().enumerate() {
+                    single_verdicts[lane].push(entry.push(pkt.clone()));
+                }
+            }
+            begin_chunk(&batched, chunk);
+            for (lane, entry) in batched.entries.iter().enumerate() {
+                let result = entry.push_batch(chunk.to_vec().into());
+                prop_assert_eq!(result.len(), chunk.len(), "one verdict per packet");
+                batch_verdicts[lane].extend(result.verdicts);
+            }
+        }
+
+        // 1. Identical per-packet verdicts, element by element.
+        for lane in 0..lanes_n {
+            prop_assert_eq!(&single_verdicts[lane], &batch_verdicts[lane], "lane {}", lane);
+        }
+        // 2. Identical counters.
+        prop_assert_eq!(lane_counters(&single), lane_counters(&batched));
+        // 3. Identical sequences on every output.
+        for (i, (s, b)) in single.recorders.iter().zip(&batched.recorders).enumerate() {
+            prop_assert_eq!(s.seen(), b.seen(), "output {}", i);
+        }
     }
 }
