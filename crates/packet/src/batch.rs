@@ -17,7 +17,7 @@
 //! Ordering contract: [`PacketBatch::into_label_groups`] preserves the
 //! relative order of packets within each label group, and group order
 //! follows first occurrence — so a downstream observer on any single
-//! output sees exactly the sequence the scalar path would have produced.
+//! output sees its packets in batch order.
 
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};

@@ -16,32 +16,46 @@
 //!
 //! Both packet interfaces are **batch-first**: the unit of transfer is a
 //! [`PacketBatch`], moved by [`IPacketPush::push_batch`] and
-//! [`IPacketPull::pull_batch`]. The scalar methods remain as the
-//! degenerate batch of one, and both batch methods have default
-//! implementations that loop over the scalar ones — third-party
-//! components written against the original Fig-2 contract keep working
-//! unchanged, they just don't amortize.
+//! [`IPacketPull::pull_batch`]. An element states its semantics once.
+//! The scalar methods are the batch of one: `push` defaults to
+//! `push_batch` of a one-packet batch, `pull` to the one packet of
+//! `pull_batch(1)`. Each batch method defaults, in turn, to a loop over
+//! its scalar twin, so a component written against the original Fig-2
+//! contract — a scalar `push` or `pull` alone — keeps working
+//! unchanged; it just doesn't amortize. An impl must override **at
+//! least one** method of each pair: overriding neither recurses
+//! forever. Every library element overrides exactly the batch one.
+//!
+//! A scalar call pays for the batch it builds: a one-packet batch
+//! container and a one-verdict [`BatchResult`], two small heap
+//! allocations per call, neither taken from a `BatchPool`.
 //!
 //! The contract a batch implementation must honour:
 //!
 //! * **Ordering** — packets are processed in batch order. On any single
-//!   downstream output, the emitted sequence is exactly what the scalar
-//!   path would produce for the same input sequence. Splitting
-//!   components (classifier, route lookup) preserve relative order
-//!   within each output.
+//!   downstream output the emitted sequence keeps batch order, and it
+//!   does not depend on how the input was cut into batches. Splitting
+//!   components (classifier, route lookup, protocol recogniser) label
+//!   each packet with the output it leaves on — fallback outputs
+//!   included — before they split.
 //! * **Partial failure** — a batch push never fails wholesale. The
 //!   returned [`BatchResult`] carries one verdict *per packet, in batch
 //!   order*: `Ok(())` for accepted/forwarded packets and a
-//!   [`PushError`] for each packet dropped, exactly the value the
-//!   scalar `push` would have returned for that packet.
-//! * **Equivalence** — counters, drop reasons, and per-packet side
-//!   effects (TTL decrement, metadata annotation, meter colouring) must
-//!   match the scalar path bit-for-bit. What batching may change is
+//!   [`PushError`] for each packet dropped.
+//! * **Batch-size invariance** — verdicts, counters, drop reasons and
+//!   per-packet side effects (TTL decrement, metadata annotation, meter
+//!   colouring) are the same whether a sequence arrives one packet at
+//!   a time or in batches of any size. What batching may change is
 //!   *amortization only*: one receptacle lock, one interceptor-chain
-//!   traversal (`around("push_batch", …)`), and one marshalled IPC call
-//!   per batch instead of per packet. A differential property test
-//!   (`tests/proptest_batch_equiv.rs`) enforces this.
-//!
+//!   traversal and one marshalled IPC call per batch instead of per
+//!   packet. Differential property tests
+//!   (`tests/proptest_batch_equiv.rs`) enforce this for every library
+//!   element with a batch body.
+//! * **Interception** — interceptor hooks see `"push_batch"` /
+//!   `"pull_batch"` for every transfer: a scalar call crosses the
+//!   wrapper as a batch of one. Likewise an isolated component's proxy
+//!   marshals every transfer as one `"push_batch"` IPC call.
+
 //! # Sharded execution
 //!
 //! Under the sharded runtime ([`crate::shard::ShardedPipeline`]) these
@@ -51,7 +65,7 @@
 //!
 //! * **Ordering becomes per-flow.** Steering pins every flow to one
 //!   worker, so on any single output the sequence *within each flow*
-//!   is exactly the scalar sequence; ordering **between** flows that
+//!   is exactly the single-threaded sequence; ordering **between** flows that
 //!   landed on different workers is unspecified. Aggregate counters
 //!   and per-output multisets remain identical to the single-threaded
 //!   pipeline (enforced by `tests/sharded_equiv.rs` for N = 1..4,
@@ -684,8 +698,8 @@ pub type PushResult = std::result::Result<(), PushError>;
 
 /// Per-packet outcomes of a batch push, in batch order.
 ///
-/// Batch pushes never fail wholesale: each packet gets the verdict the
-/// scalar [`IPacketPush::push`] would have returned for it.
+/// Batch pushes never fail wholesale: each packet gets a verdict of
+/// its own.
 #[derive(Debug, Default)]
 pub struct BatchResult {
     /// One verdict per pushed packet, in batch order.
@@ -768,24 +782,34 @@ impl From<Vec<PushResult>> for BatchResult {
 }
 
 /// Push-oriented inter-component packet transfer (Fig. 2), batch-first.
+///
+/// Minimal complete definition: [`Self::push`] or
+/// [`Self::push_batch`]. Each has a default written in terms of the
+/// other, so an impl states its semantics once — the library's elements
+/// as a batch, a Fig-2 component as a scalar `push` — and overriding
+/// neither recurses forever.
 pub trait IPacketPush: Send + Sync {
-    /// Accepts a packet, consuming it.
+    /// Accepts a packet, consuming it: the batch of one.
+    ///
+    /// The default wraps the packet in a one-packet batch, calls
+    /// [`Self::push_batch`] and returns its single verdict.
     ///
     /// # Errors
     ///
     /// Returns a [`PushError`] if the packet was dropped rather than
     /// forwarded; counters distinguish drop *policy* from failure.
-    fn push(&self, pkt: Packet) -> PushResult;
+    fn push(&self, pkt: Packet) -> PushResult {
+        self.push_batch(PacketBatch::from_packets(vec![pkt]))
+            .verdicts
+            .pop()
+            .expect("push_batch returns one verdict per packet")
+    }
 
     /// Accepts a batch, consuming it; returns one verdict per packet in
     /// batch order (see the module docs for the full contract).
     ///
-    /// The default implementation loops over [`Self::push`], so scalar
-    /// components interoperate with batch producers unchanged.
-    /// Implementations overriding this must preserve scalar
-    /// equivalence: identical per-packet verdicts, counters, and output
-    /// sequences — batching may only amortize dispatch, locking,
-    /// interception, and marshalling costs.
+    /// The default loops over [`Self::push`], so scalar components
+    /// interoperate with batch producers unchanged.
     fn push_batch(&self, batch: PacketBatch) -> BatchResult {
         let mut result = BatchResult::with_capacity(batch.len());
         for pkt in batch {
@@ -796,16 +820,21 @@ pub trait IPacketPush: Send + Sync {
 }
 
 /// Pull-oriented inter-component packet transfer (Fig. 2), batch-first.
+///
+/// Minimal complete definition: [`Self::pull`] or
+/// [`Self::pull_batch`], as for [`IPacketPush`].
 pub trait IPacketPull: Send + Sync {
-    /// Yields the next packet, if one is ready.
-    fn pull(&self) -> Option<Packet>;
+    /// Yields the next packet, if one is ready: the one packet of
+    /// [`Self::pull_batch`]`(1)`, which the default returns.
+    fn pull(&self) -> Option<Packet> {
+        self.pull_batch(1).pop()
+    }
 
     /// Yields up to `max` ready packets, in the order [`Self::pull`]
     /// would have produced them. May return fewer (including an empty
     /// batch) when the source runs dry.
     ///
-    /// The default implementation loops over [`Self::pull`];
-    /// implementations override it to amortize per-packet locking.
+    /// The default loops over [`Self::pull`].
     fn pull_batch(&self, max: usize) -> PacketBatch {
         let mut batch = PacketBatch::with_capacity(max.min(64));
         while batch.len() < max {
@@ -1086,18 +1115,10 @@ struct PushWrapper {
 }
 
 impl IPacketPush for PushWrapper {
-    fn push(&self, pkt: Packet) -> PushResult {
-        match self.chain.around("push", || self.target.push(pkt)) {
-            Ok(inner) => inner,
-            Err(veto) => Err(PushError::Veto(veto.to_string())),
-        }
-    }
-
     fn push_batch(&self, batch: PacketBatch) -> BatchResult {
-        // One interceptor-chain traversal for the whole batch — the
-        // per-packet hook cost the batch API exists to amortize. A veto
-        // applies to the batch as a unit: every packet gets the veto
-        // verdict, mirroring what per-packet interception would do.
+        // One interceptor-chain traversal per batch — a scalar `push`
+        // is a batch of one and crosses it here too. A veto applies to
+        // the batch as a unit: every packet gets the veto verdict.
         let n = batch.len();
         match self
             .chain
@@ -1115,16 +1136,9 @@ struct PullWrapper {
 }
 
 impl IPacketPull for PullWrapper {
-    fn pull(&self) -> Option<Packet> {
-        self.chain
-            .around("pull", || self.target.pull())
-            .ok()
-            .flatten()
-    }
-
     fn pull_batch(&self, max: usize) -> PacketBatch {
-        // One chain traversal per batch; a veto yields an empty batch,
-        // the batch analogue of the vetoed scalar pull's `None`.
+        // One chain traversal per batch; a veto yields an empty batch
+        // (a vetoed scalar `pull` therefore yields `None`).
         self.chain
             .around("pull_batch", || self.target.pull_batch(max))
             .unwrap_or_default()
@@ -1232,22 +1246,6 @@ impl PushProxy {
 }
 
 impl IPacketPush for PushProxy {
-    fn push(&self, pkt: Packet) -> PushResult {
-        let reply = self
-            .client
-            .call(IPACKET_PUSH.name(), "push", encode_packet(&pkt))
-            .map_err(PushError::from)?;
-        let mut pos = 0;
-        match wire::get_u64(&reply, &mut pos) {
-            Some(0) => Ok(()),
-            Some(_) => {
-                let msg = wire::get_str(&reply, &mut pos).unwrap_or_default();
-                Err(PushError::Veto(msg))
-            }
-            None => Err(PushError::Crashed("short ipc reply".into())),
-        }
-    }
-
     fn push_batch(&self, batch: PacketBatch) -> BatchResult {
         // One marshalled round-trip for the whole batch — the isolated
         // component pays one capsule-boundary crossing per burst instead
@@ -1296,18 +1294,6 @@ impl IpcDispatch for PushSkeleton {
         payload: &[u8],
     ) -> std::result::Result<Vec<u8>, String> {
         match method {
-            "push" => {
-                let pkt = decode_packet(payload).ok_or("bad packet encoding")?;
-                let mut out = Vec::new();
-                match self.target.push(pkt) {
-                    Ok(()) => wire::put_u64(&mut out, 0),
-                    Err(e) => {
-                        wire::put_u64(&mut out, 1);
-                        wire::put_str(&mut out, &e.to_string());
-                    }
-                }
-                Ok(out)
-            }
             "push_batch" => {
                 let batch = decode_batch(payload).ok_or("bad batch encoding")?;
                 Ok(encode_batch_result(&self.target.push_batch(batch)))

@@ -397,10 +397,9 @@ impl RouterCf {
                 interface: IPACKET_PUSH,
             })?;
 
-        // Probe both transfer styles: half the packets go through the
-        // scalar path, half as one batch — R2 conformance now covers the
-        // batch contract (matching packets must surface on the named
-        // output regardless of how they were delivered).
+        // Probe both transfer styles: half the packets go one at a time
+        // (each a batch of one), half as one batch — matching packets
+        // must surface on the named output however they were delivered.
         const N: u64 = 8;
         let probe_pkt = |i: u64| {
             PacketBuilder::udp_v4("192.0.2.1", "198.51.100.1", 1000 + i as u16, 50_000)

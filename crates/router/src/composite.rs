@@ -39,11 +39,10 @@ use opencom::error::{Error, Result};
 use opencom::ident::{BindingId, ComponentId, InterfaceId, Version};
 
 use netkit_packet::batch::PacketBatch;
-use netkit_packet::packet::Packet;
 
 use crate::api::{
-    BatchResult, IClassifier, IPacketPull, IPacketPush, PushError, PushResult, ICLASSIFIER,
-    IPACKET_PULL, IPACKET_PUSH,
+    BatchResult, IClassifier, IPacketPull, IPacketPush, PushError, ICLASSIFIER, IPACKET_PULL,
+    IPACKET_PUSH,
 };
 use crate::cf::RouterCf;
 
@@ -338,13 +337,6 @@ impl IComposite for Composite {
 }
 
 impl IPacketPush for Composite {
-    fn push(&self, pkt: Packet) -> PushResult {
-        match &self.ingress {
-            Some(input) => input.push(pkt),
-            None => Err(PushError::Unbound),
-        }
-    }
-
     fn push_batch(&self, batch: PacketBatch) -> BatchResult {
         // Whole batches cross the composite boundary in one delegation,
         // so a Fig-3 gateway adds no per-packet indirection cost.
@@ -356,10 +348,6 @@ impl IPacketPush for Composite {
 }
 
 impl IPacketPull for Composite {
-    fn pull(&self) -> Option<Packet> {
-        self.egress.as_ref().and_then(|e| e.pull())
-    }
-
     fn pull_batch(&self, max: usize) -> PacketBatch {
         match &self.egress {
             Some(egress) => egress.pull_batch(max),

@@ -20,8 +20,8 @@ use opencom::receptacle::Receptacle;
 use parking_lot::RwLock;
 
 use crate::api::{
-    BatchResult, FilterId, FilterSpec, IClassifier, IPacketPush, ITable, PushError, PushResult,
-    ICLASSIFIER, IPACKET_PUSH, ITABLE,
+    BatchResult, FilterId, FilterSpec, IClassifier, IPacketPush, ITable, PushError, ICLASSIFIER,
+    IPACKET_PUSH, ITABLE,
 };
 use crate::desc::schema::TableKind;
 use crate::desc::TableEntry;
@@ -84,52 +84,13 @@ impl ClassifierEngine {
 }
 
 impl IPacketPush for ClassifierEngine {
-    fn push(&self, mut pkt: Packet) -> PushResult {
-        let dscp = Self::dscp_of(&pkt);
-        pkt.meta.dscp = Some(dscp);
-        let flow = FlowView::of(&pkt).map(|v| v.key);
-        let label: Option<String> = {
-            let filters = self.filters.read();
-            flow.as_ref().and_then(|f| {
-                filters
-                    .iter()
-                    .find(|(_, spec)| spec.pattern.matches(f, dscp))
-                    .map(|(_, spec)| spec.output.clone())
-            })
-        };
-        match label {
-            Some(out) => {
-                self.matched.fetch_add(1, Ordering::Relaxed);
-                match self.outs.with_labelled(&out, |next| next.push(pkt)) {
-                    Some(result) => result,
-                    None => Err(PushError::Unbound),
-                }
-            }
-            None => {
-                match self
-                    .outs
-                    .with_labelled(DEFAULT_OUTPUT, |next| next.push(pkt))
-                {
-                    Some(result) => {
-                        self.matched.fetch_add(1, Ordering::Relaxed);
-                        result
-                    }
-                    None => {
-                        self.unmatched.fetch_add(1, Ordering::Relaxed);
-                        Ok(()) // drop policy for unmatched traffic
-                    }
-                }
-            }
-        }
-    }
-
     fn push_batch(&self, mut batch: PacketBatch) -> BatchResult {
-        // Batch fast path: one pass over the filter list under a single
-        // read lock labels every packet; the batch then splits into one
-        // sub-batch per output and each output's binding is traversed
-        // once. Unmatched packets stay unlabelled — the `None` group —
-        // and fall to the default output, same as scalar. (No in-band
-        // sentinel: a user filter output could spell any string.)
+        // One pass over the filter list under a single read lock labels
+        // every packet; the batch then splits into one sub-batch per
+        // output and each output's binding is traversed once. Unmatched
+        // packets stay unlabelled — the `None` group — and fall to the
+        // default output. (No in-band sentinel: a user filter output
+        // could spell any string.)
         let n = batch.len();
         {
             let filters = self.filters.read();

@@ -7,21 +7,18 @@ use std::sync::Arc;
 use netkit_kernel::nic::Nic;
 use netkit_kernel::time::VirtualClock;
 use netkit_packet::batch::PacketBatch;
-use netkit_packet::packet::Packet;
 use opencom::component::{Component, ComponentCore, Registrar};
 use opencom::receptacle::Receptacle;
 
-use crate::api::{
-    BatchResult, IPacketPull, IPacketPush, PushError, PushResult, IPACKET_PULL, IPACKET_PUSH,
-};
+use crate::api::{BatchResult, IPacketPull, IPacketPush, PushError, IPACKET_PULL, IPACKET_PUSH};
 
 use super::element_core;
 
 /// Pulls frames from one of a NIC's rx rings and pushes them downstream.
 ///
-/// Exposes both styles: `pump()` actively pushes through the `out`
-/// receptacle (poll-mode driver), and the exported `IPacketPull` lets a
-/// downstream scheduler pull directly. Either way frames come off the
+/// Exposes both styles: `pump_batch()` actively pushes through the
+/// `out` receptacle (poll-mode driver), and the exported `IPacketPull`
+/// lets a downstream scheduler pull directly. Either way frames come off the
 /// ring through `Nic::rx_burst_batch`: the frame storage moves into the
 /// packet (a pool-leased slab keeps its lease and recycles when the
 /// packet drops) and `meta.flow` / `meta.rss_hash` arrive stamped from
@@ -78,24 +75,8 @@ impl FromDevice {
         batch
     }
 
-    /// Polls up to `budget` frames off the NIC, pushing each through the
-    /// `out` receptacle. Returns the number of frames moved.
-    pub fn pump(&self, budget: usize) -> usize {
-        let mut moved = 0;
-        for pkt in self.burst(budget) {
-            match self.out.with_bound(|next| next.push(pkt)) {
-                Some(Ok(())) => moved += 1,
-                Some(Err(_)) | None => {
-                    self.push_drops.fetch_add(1, Ordering::Relaxed);
-                }
-            }
-        }
-        self.pumped.fetch_add(moved as u64, Ordering::Relaxed);
-        moved
-    }
-
-    /// Batch poll-mode driver loop: drains up to `budget` frames from
-    /// the NIC in one ring-lock burst and pushes them downstream as one
+    /// Poll-mode driver loop: drains up to `budget` frames from the NIC
+    /// in one ring-lock burst and pushes them downstream as one
     /// batch — one receptacle traversal (and one interceptor pass, one
     /// IPC call for isolated peers) per burst instead of per frame.
     /// Returns the number of frames accepted downstream.
@@ -125,10 +106,6 @@ impl FromDevice {
 }
 
 impl IPacketPull for FromDevice {
-    fn pull(&self) -> Option<Packet> {
-        self.burst(1).pop()
-    }
-
     fn pull_batch(&self, max: usize) -> PacketBatch {
         self.burst(max)
     }
@@ -149,7 +126,7 @@ impl Component for FromDevice {
 }
 
 /// Pushes packets onto a NIC's tx ring, **moving** each packet's frame
-/// storage (no copy — `Nic::send_tx_packet`): a pool-leased rx slab
+/// storage (no copy — `Nic::tx_burst_packets`): a pool-leased rx slab
 /// keeps its lease all the way onto the wire and recycles when the
 /// wire side drops it (`Nic::drain_tx_frame`), so steady-state egress
 /// allocates nothing per frame.
@@ -196,21 +173,10 @@ impl ToDevice {
 }
 
 impl IPacketPush for ToDevice {
-    fn push(&self, pkt: Packet) -> PushResult {
-        if self.nic.send_tx_packet(self.queue, pkt) {
-            self.sent.fetch_add(1, Ordering::Relaxed);
-            Ok(())
-        } else {
-            self.drops.fetch_add(1, Ordering::Relaxed);
-            Err(PushError::QueueFull)
-        }
-    }
-
     fn push_batch(&self, batch: PacketBatch) -> BatchResult {
         // One tx-ring pass per burst, frame storage moved rather than
         // cloned. The ring accepts in order until full, so the verdicts
-        // are first-k-accepted then QueueFull — exactly the scalar
-        // sequence for the same ring state.
+        // are first-k-accepted then QueueFull.
         let n = batch.len();
         let accepted = self.nic.tx_burst_packets(self.queue, batch);
         self.sent.fetch_add(accepted as u64, Ordering::Relaxed);
@@ -245,7 +211,7 @@ impl Component for ToDevice {
 mod tests {
     use super::*;
     use netkit_kernel::nic::PortId;
-    use netkit_packet::packet::PacketBuilder;
+    use netkit_packet::packet::{Packet, PacketBuilder};
     use opencom::capsule::Capsule;
     use opencom::runtime::Runtime;
 
@@ -284,7 +250,7 @@ mod tests {
         for _ in 0..5 {
             n_in.inject_rx_frame(frame.data());
         }
-        assert_eq!(fd.pump(10), 5);
+        assert_eq!(fd.pump_batch(10), 5);
         assert_eq!(n_out.stats().tx_frames, 5);
         assert_eq!(fd.stats(), (5, 0));
     }
@@ -295,7 +261,7 @@ mod tests {
         let clock = Arc::new(VirtualClock::new());
         let fd = FromDevice::new(Arc::clone(&n), clock);
         n.inject_rx_frame(b"xx");
-        assert_eq!(fd.pump(10), 0);
+        assert_eq!(fd.pump_batch(10), 0);
         assert_eq!(fd.stats().1, 1);
     }
 

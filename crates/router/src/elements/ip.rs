@@ -12,7 +12,7 @@ use netkit_packet::packet::Packet;
 use opencom::component::{Component, ComponentCore, Registrar};
 use opencom::receptacle::Receptacle;
 
-use crate::api::{BatchResult, IPacketPush, PushError, PushResult, IPACKET_PUSH};
+use crate::api::{BatchResult, IPacketPush, PushError, IPACKET_PUSH};
 
 use super::element_core;
 
@@ -60,42 +60,14 @@ macro_rules! ip_processor {
                     ttl_expired: self.ttl_expired.load(Ordering::Relaxed),
                 }
             }
-
-            fn divert_err(&self, pkt: Packet, reason: PushError) -> PushResult {
-                match self.err.with_bound(|e| e.push(pkt)) {
-                    Some(result) => result,
-                    None => Err(reason),
-                }
-            }
         }
 
         impl IPacketPush for $name {
-            fn push(&self, mut pkt: Packet) -> PushResult {
-                #[allow(clippy::redundant_closure_call)]
-                if let Err(e) = ($validate)(&pkt) {
-                    self.malformed.fetch_add(1, Ordering::Relaxed);
-                    return self.divert_err(pkt, PushError::Malformed(e));
-                }
-                #[allow(clippy::redundant_closure_call)]
-                if ($decrement)(&mut pkt).is_err() {
-                    self.ttl_expired.fetch_add(1, Ordering::Relaxed);
-                    return self.divert_err(pkt, PushError::TtlExpired);
-                }
-                match self.out.with_bound(|next| next.push(pkt)) {
-                    Some(result) => {
-                        if result.is_ok() {
-                            self.forwarded.fetch_add(1, Ordering::Relaxed);
-                        }
-                        result
-                    }
-                    None => Err(PushError::Unbound),
-                }
-            }
-
             fn push_batch(&self, batch: PacketBatch) -> BatchResult {
-                // Batch fast path: validate + decrement per packet, then
-                // cross each receptacle once — survivors as one batch on
-                // `out`, failures as one batch on `err`.
+                // Validate + decrement per packet, then cross each
+                // receptacle once — survivors as one batch on `out`,
+                // failures as one batch on `err` (or dropped with their
+                // reason when `err` is unbound).
                 let n = batch.len();
                 let mut result = BatchResult::from(vec![Ok(()); n]);
                 let mut ok_batch = PacketBatch::with_capacity(n);
@@ -124,11 +96,7 @@ macro_rules! ip_processor {
                     ok_idx.push(idx);
                 }
                 if !err_batch.is_empty() {
-                    let mut pending = Some(err_batch);
-                    let diverted = self
-                        .err
-                        .with_bound(|e| e.push_batch(pending.take().expect("unconsumed")));
-                    let sub = match diverted {
+                    let sub = match self.err.with_bound(|e| e.push_batch(err_batch)) {
                         Some(sub) => sub,
                         None => BatchResult::from(
                             err_reasons.into_iter().map(Err).collect::<Vec<_>>(),
@@ -138,11 +106,7 @@ macro_rules! ip_processor {
                 }
                 if !ok_batch.is_empty() {
                     let size = ok_batch.len();
-                    let mut pending = Some(ok_batch);
-                    let forwarded = self
-                        .out
-                        .with_bound(|next| next.push_batch(pending.take().expect("unconsumed")));
-                    let sub = match forwarded {
+                    let sub = match self.out.with_bound(|next| next.push_batch(ok_batch)) {
                         Some(sub) => {
                             self.forwarded.fetch_add(sub.accepted() as u64, Ordering::Relaxed);
                             sub

@@ -11,7 +11,7 @@ use opencom::component::{Component, ComponentCore, Registrar};
 use opencom::receptacle::Receptacle;
 use parking_lot::Mutex;
 
-use crate::api::{BatchResult, IPacketPush, PushError, PushResult, IPACKET_PUSH};
+use crate::api::{BatchResult, IPacketPush, PushError, IPACKET_PUSH};
 
 use super::element_core;
 
@@ -55,19 +55,9 @@ impl Counter {
 }
 
 impl IPacketPush for Counter {
-    fn push(&self, pkt: Packet) -> PushResult {
-        self.packets.fetch_add(1, Ordering::Relaxed);
-        self.bytes.fetch_add(pkt.len() as u64, Ordering::Relaxed);
-        *self.last.lock() = Some(pkt.clone());
-        match self.out.with_bound(|next| next.push(pkt)) {
-            Some(result) => result,
-            None => Ok(()), // sink mode
-        }
-    }
-
     fn push_batch(&self, batch: PacketBatch) -> BatchResult {
-        // Batch fast path: two counter adds and one lock for the whole
-        // burst, one receptacle traversal downstream.
+        // Two counter adds and one lock for the whole burst, one
+        // receptacle traversal downstream.
         let n = batch.len();
         self.packets.fetch_add(n as u64, Ordering::Relaxed);
         self.bytes.fetch_add(
@@ -128,12 +118,6 @@ impl Discard {
 }
 
 impl IPacketPush for Discard {
-    fn push(&self, pkt: Packet) -> PushResult {
-        self.packets.fetch_add(1, Ordering::Relaxed);
-        *self.last.lock() = Some(pkt);
-        Ok(())
-    }
-
     fn push_batch(&self, mut batch: PacketBatch) -> BatchResult {
         let n = batch.len();
         self.packets.fetch_add(n as u64, Ordering::Relaxed);
@@ -183,24 +167,10 @@ impl Tee {
 }
 
 impl IPacketPush for Tee {
-    fn push(&self, pkt: Packet) -> PushResult {
-        let mut any = false;
-        self.outs.for_each(|_, next| {
-            if next.push(pkt.clone()).is_ok() {
-                self.forwarded.fetch_add(1, Ordering::Relaxed);
-            }
-            any = true;
-        });
-        if any {
-            Ok(())
-        } else {
-            Err(PushError::Unbound)
-        }
-    }
-
     fn push_batch(&self, batch: PacketBatch) -> BatchResult {
-        // One cloned batch per output instead of one clone + one
-        // traversal per packet per output.
+        // One cloned batch and one traversal per output. A packet's
+        // verdict is `Ok` once any output exists, whatever the outputs
+        // answer; `forwarded` counts the copies they accepted.
         let n = batch.len();
         let mut any = false;
         self.outs.for_each(|_, next| {
@@ -271,23 +241,6 @@ impl ProtocolRecogniser {
 }
 
 impl IPacketPush for ProtocolRecogniser {
-    fn push(&self, pkt: Packet) -> PushResult {
-        let label = Self::label_for(&pkt);
-        match self
-            .outs
-            .with_labelled(label, |next| next.push(pkt.clone()))
-        {
-            Some(result) => result,
-            None => match self.outs.with_labelled("other", |next| next.push(pkt)) {
-                Some(result) => result,
-                None => {
-                    self.unroutable.fetch_add(1, Ordering::Relaxed);
-                    Ok(()) // drop policy: unmatched protocols are discarded
-                }
-            },
-        }
-    }
-
     fn push_batch(&self, mut batch: PacketBatch) -> BatchResult {
         // Demux the burst into one sub-batch per output and cross each
         // binding once. Each frame is labelled with the output it leaves

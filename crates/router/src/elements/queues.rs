@@ -73,19 +73,8 @@ impl DropTailQueue {
 }
 
 impl IPacketPush for DropTailQueue {
-    fn push(&self, pkt: Packet) -> PushResult {
-        let mut q = self.queue.lock();
-        if q.len() >= self.capacity {
-            self.dropped.fetch_add(1, Ordering::Relaxed);
-            return Err(PushError::QueueFull);
-        }
-        q.push_back(pkt);
-        self.enqueued.fetch_add(1, Ordering::Relaxed);
-        Ok(())
-    }
-
     fn push_batch(&self, batch: PacketBatch) -> BatchResult {
-        // Batch fast path: one lock acquisition for the whole burst.
+        // One lock acquisition for the whole burst.
         let mut result = BatchResult::with_capacity(batch.len());
         let mut accepted = 0u64;
         let mut dropped = 0u64;
@@ -108,14 +97,6 @@ impl IPacketPush for DropTailQueue {
 }
 
 impl IPacketPull for DropTailQueue {
-    fn pull(&self) -> Option<Packet> {
-        let pkt = self.queue.lock().pop_front();
-        if pkt.is_some() {
-            self.dequeued.fetch_add(1, Ordering::Relaxed);
-        }
-        pkt
-    }
-
     fn pull_batch(&self, max: usize) -> PacketBatch {
         let mut q = self.queue.lock();
         let take = max.min(q.len());
@@ -226,9 +207,8 @@ impl RedQueue {
 }
 
 impl RedQueue {
-    /// The RED admit decision for one packet; **must** stay in lockstep
-    /// with itself across the scalar and batch paths (same EWMA update,
-    /// same RNG draw order) so both produce identical drop sequences.
+    /// The RED admit decision for one packet: EWMA update, then tail,
+    /// forced and probabilistic drops, in that order.
     fn admit(&self, s: &mut RedState, pkt: Packet) -> PushResult {
         s.avg = (1.0 - self.config.weight) * s.avg + self.config.weight * s.queue.len() as f64;
         if s.queue.len() >= self.config.capacity {
@@ -254,14 +234,9 @@ impl RedQueue {
 }
 
 impl IPacketPush for RedQueue {
-    fn push(&self, pkt: Packet) -> PushResult {
-        let mut s = self.state.lock();
-        self.admit(&mut s, pkt)
-    }
-
     fn push_batch(&self, batch: PacketBatch) -> BatchResult {
-        // One lock for the burst; per-packet EWMA/RNG decisions are
-        // identical to the scalar path by construction (shared `admit`).
+        // One lock for the burst; the EWMA update and RNG draw stay per
+        // packet, in batch order.
         let mut result = BatchResult::with_capacity(batch.len());
         let mut s = self.state.lock();
         for pkt in batch {
@@ -272,14 +247,6 @@ impl IPacketPush for RedQueue {
 }
 
 impl IPacketPull for RedQueue {
-    fn pull(&self) -> Option<Packet> {
-        let pkt = self.state.lock().queue.pop_front();
-        if pkt.is_some() {
-            self.dequeued.fetch_add(1, Ordering::Relaxed);
-        }
-        pkt
-    }
-
     fn pull_batch(&self, max: usize) -> PacketBatch {
         let mut s = self.state.lock();
         let take = max.min(s.queue.len());

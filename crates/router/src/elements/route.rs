@@ -20,7 +20,7 @@ use opencom::error::{Error, Result};
 use opencom::receptacle::Receptacle;
 use parking_lot::RwLock;
 
-use crate::api::{BatchResult, IPacketPush, ITable, PushError, PushResult, IPACKET_PUSH, ITABLE};
+use crate::api::{BatchResult, IPacketPush, ITable, PushError, IPACKET_PUSH, ITABLE};
 use crate::desc::schema::TableKind;
 use crate::desc::TableEntry;
 use crate::routing::{parse_prefix, RouteEntry, RoutingTable};
@@ -86,31 +86,6 @@ impl RouteLookup {
 }
 
 impl IPacketPush for RouteLookup {
-    fn push(&self, mut pkt: Packet) -> PushResult {
-        let Some(dst) = Self::destination(&pkt) else {
-            self.unrouted.fetch_add(1, Ordering::Relaxed);
-            return Err(PushError::NoRoute);
-        };
-        let Some(entry) = self.table.read().lookup(dst) else {
-            self.unrouted.fetch_add(1, Ordering::Relaxed);
-            return Err(PushError::NoRoute);
-        };
-        pkt.meta.egress = Some(entry.egress);
-        pkt.meta.next_hop = entry.next_hop.or(Some(dst));
-        self.routed.fetch_add(1, Ordering::Relaxed);
-        let label = entry.egress.to_string();
-        match self
-            .outs
-            .with_labelled(&label, |next| next.push(pkt.clone()))
-        {
-            Some(result) => result,
-            None => match self.outs.with_labelled("out", |next| next.push(pkt)) {
-                Some(result) => result,
-                None => Err(PushError::Unbound),
-            },
-        }
-    }
-
     fn push_batch(&self, mut batch: PacketBatch) -> BatchResult {
         // All LPM lookups under one table read lock, one binding
         // traversal per output. Each packet is labelled with the output

@@ -265,16 +265,9 @@ impl Scheduler {
 }
 
 impl IPacketPull for Scheduler {
-    fn pull(&self) -> Option<Packet> {
-        let mut state = self.state.lock();
-        self.sync_inputs(&mut state);
-        self.pull_one(&mut state)
-    }
-
     fn pull_batch(&self, max: usize) -> PacketBatch {
-        // Batch fast path: one state lock and one binding sync for the
-        // whole burst; the discipline decision still runs per packet so
-        // the service order is identical to repeated scalar pulls.
+        // One state lock and one binding sync for the whole burst; the
+        // discipline decision still runs per packet.
         let mut batch = PacketBatch::with_capacity(max.min(64));
         let mut state = self.state.lock();
         self.sync_inputs(&mut state);

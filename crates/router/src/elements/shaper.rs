@@ -12,9 +12,7 @@ use opencom::component::{Component, ComponentCore, Registrar};
 use opencom::receptacle::Receptacle;
 use parking_lot::Mutex;
 
-use crate::api::{
-    BatchResult, IPacketPull, IPacketPush, PushError, PushResult, IPACKET_PULL, IPACKET_PUSH,
-};
+use crate::api::{BatchResult, IPacketPull, IPacketPush, PushError, IPACKET_PULL, IPACKET_PUSH};
 
 use super::element_core;
 
@@ -103,16 +101,9 @@ impl TokenBucketShaper {
 }
 
 impl IPacketPull for TokenBucketShaper {
-    fn pull(&self) -> Option<Packet> {
-        let mut head = self.head.lock();
-        let mut bucket = self.bucket.lock();
-        self.pull_conforming(&mut head, &mut bucket)
-    }
-
     fn pull_batch(&self, max: usize) -> PacketBatch {
-        // Batch fast path: head/bucket locks taken once per burst; the
-        // conformance decision is unchanged per packet, so the release
-        // schedule matches repeated scalar pulls.
+        // Head/bucket locks taken once per burst; the conformance
+        // decision stays per packet.
         let mut batch = PacketBatch::with_capacity(max.min(64));
         let mut head = self.head.lock();
         let mut bucket = self.bucket.lock();
@@ -181,23 +172,9 @@ impl Policer {
 }
 
 impl IPacketPush for Policer {
-    fn push(&self, pkt: Packet) -> PushResult {
-        let now = self.clock.now().as_nanos();
-        if !self.bucket.lock().try_take(pkt.len() as f64, now) {
-            self.dropped.fetch_add(1, Ordering::Relaxed);
-            return Err(PushError::QueueFull);
-        }
-        self.passed.fetch_add(1, Ordering::Relaxed);
-        match self.out.with_bound(|next| next.push(pkt)) {
-            Some(result) => result,
-            None => Err(PushError::Unbound),
-        }
-    }
-
     fn push_batch(&self, batch: PacketBatch) -> BatchResult {
-        // Batch fast path: one bucket lock for the burst; conformance is
-        // still judged packet-by-packet (the clock is re-read per packet
-        // exactly as the scalar path does).
+        // One bucket lock for the burst; conformance is still judged
+        // packet by packet, the clock re-read for each.
         let n = batch.len();
         let mut result = BatchResult::from(vec![Ok(()); n]);
         let mut conforming = PacketBatch::with_capacity(n);
@@ -222,11 +199,7 @@ impl IPacketPush for Policer {
         self.dropped.fetch_add(dropped, Ordering::Relaxed);
         if !conforming.is_empty() {
             let size = conforming.len();
-            let mut pending = Some(conforming);
-            let sub = match self
-                .out
-                .with_bound(|next| next.push_batch(pending.take().expect("unconsumed")))
-            {
+            let sub = match self.out.with_bound(|next| next.push_batch(conforming)) {
                 Some(sub) => sub,
                 None => BatchResult::err(size, PushError::Unbound),
             };
@@ -294,33 +267,10 @@ impl Meter {
 }
 
 impl IPacketPush for Meter {
-    fn push(&self, mut pkt: Packet) -> PushResult {
-        let now = self.clock.now().as_nanos();
-        let size = pkt.len() as f64;
-        let color = if self.committed.lock().try_take(size, now) {
-            Color::Green
-        } else if self.excess.lock().try_take(size, now) {
-            Color::Yellow
-        } else {
-            Color::Red
-        };
-        let idx = match color {
-            Color::Green => 0,
-            Color::Yellow => 1,
-            Color::Red => 2,
-        };
-        self.counts[idx].fetch_add(1, Ordering::Relaxed);
-        pkt.meta.color = Some(color);
-        match self.out.with_bound(|next| next.push(pkt)) {
-            Some(result) => result,
-            None => Err(PushError::Unbound),
-        }
-    }
-
     fn push_batch(&self, mut batch: PacketBatch) -> BatchResult {
-        // Batch fast path: both bucket locks held once across the burst;
-        // colouring decisions per packet are unchanged, and the whole
-        // coloured burst crosses the downstream binding once.
+        // Both bucket locks held once across the burst; colouring stays
+        // per packet, and the whole coloured burst crosses the
+        // downstream binding once.
         let n = batch.len();
         let mut tallies = [0u64; 3];
         {

@@ -12,7 +12,7 @@ use opencom::component::{Component, ComponentCore, Registrar};
 use opencom::receptacle::Receptacle;
 use parking_lot::Mutex;
 
-use crate::api::{BatchResult, IPacketPush, PushResult, IPACKET_PUSH};
+use crate::api::{BatchResult, IPacketPush, IPACKET_PUSH};
 use crate::elements::element_core;
 
 use super::table::{FlowClock, FlowTable, FlowTableStats};
@@ -372,16 +372,6 @@ impl ConnTracker {
 }
 
 impl IPacketPush for ConnTracker {
-    fn push(&self, pkt: Packet) -> PushResult {
-        let mut counts = TrackCounts::default();
-        self.track(&mut self.table.lock(), &pkt, &mut counts);
-        self.flush_counts(counts);
-        match self.out.with_bound(|next| next.push(pkt)) {
-            Some(result) => result,
-            None => Ok(()), // sink mode
-        }
-    }
-
     fn push_batch(&self, batch: PacketBatch) -> BatchResult {
         let n = batch.len();
         let mut counts = TrackCounts::default();

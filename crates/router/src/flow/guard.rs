@@ -53,6 +53,7 @@ use crate::api::{BatchResult, IPacketPush, IWindow, PushError, PushResult, IPACK
 use crate::elements::element_core;
 
 use super::conntrack::ConnTracker;
+use super::forward_admitted;
 use super::table::{FlowClock, FlowTable};
 
 /// [`Guard`] policy knobs.
@@ -100,7 +101,7 @@ struct GuardFlow {
 }
 
 /// Local admission tallies, flushed to the shared atomics once per
-/// push (scalar) or once per batch — see [`Guard::flush_counts`].
+/// batch — see [`Guard::flush_counts`].
 #[derive(Default)]
 struct AdmitCounts {
     passed: u64,
@@ -300,81 +301,26 @@ impl Guard {
                 .fetch_add(counts.syn_dropped, Ordering::Relaxed);
         }
     }
-
-    fn forward(&self, pkt: Packet) -> PushResult {
-        match self.out.with_bound(|next| next.push(pkt)) {
-            Some(result) => result,
-            None => Ok(()), // sink mode
-        }
-    }
 }
 
 impl IPacketPush for Guard {
-    fn push(&self, pkt: Packet) -> PushResult {
-        let mut counts = AdmitCounts::default();
-        let verdict = self.admit(&pkt, &mut counts);
-        self.flush_counts(counts);
-        verdict?;
-        self.forward(pkt)
-    }
-
     /// Batch admission with one downstream hop per *batch*: admit every
     /// packet first, then forward the survivors together, so the
     /// receptacle acquisition — the dominant per-packet cost of an
-    /// all-benign batch — amortises across the batch. Scalar
-    /// equivalence holds: identical verdicts, counters, and output
-    /// order.
-    fn push_batch(&self, mut batch: PacketBatch) -> BatchResult {
-        let total = batch.len();
+    /// all-benign batch — amortises across the batch.
+    fn push_batch(&self, batch: PacketBatch) -> BatchResult {
         let mut counts = AdmitCounts::default();
         // Optimistic all-benign pass: the verdict vector materialises
         // only at the first rejection, so a clean batch allocates
         // nothing of its own.
         let mut rejections: Option<Vec<PushResult>> = None;
-        let mut rejected = 0usize;
-        for (i, pkt) in (&batch).into_iter().enumerate() {
-            match self.admit(pkt, &mut counts) {
-                Ok(()) => {
-                    if let Some(v) = &mut rejections {
-                        v[i] = Ok(());
-                    }
-                }
-                Err(e) => {
-                    rejected += 1;
-                    rejections.get_or_insert_with(|| vec![Ok(()); total])[i] = Err(e);
-                }
+        for (i, pkt) in batch.iter().enumerate() {
+            if let Err(e) = self.admit(pkt, &mut counts) {
+                rejections.get_or_insert_with(|| vec![Ok(()); batch.len()])[i] = Err(e);
             }
         }
         self.flush_counts(counts);
-        if total == 0 {
-            return BatchResult::with_capacity(0);
-        }
-        let Some(verdicts) = rejections else {
-            // Every packet admitted: the downstream verdicts (in batch
-            // order) are exactly what the scalar path would return.
-            return match self.out.with_bound(|next| next.push_batch(batch)) {
-                Some(result) => result,
-                None => vec![Ok(()); total].into(), // sink mode
-            };
-        };
-        // Mixed verdicts: compact the admitted packets (order
-        // preserved) and scatter the downstream verdicts back over
-        // their original positions.
-        let mut admitted = PacketBatch::with_capacity(total - rejected);
-        let mut positions = Vec::with_capacity(total - rejected);
-        for (i, pkt) in batch.drain_all().enumerate() {
-            if verdicts[i].is_ok() {
-                positions.push(i);
-                admitted.push(pkt);
-            }
-        }
-        let mut result = BatchResult::from(verdicts);
-        if !admitted.is_empty() {
-            if let Some(sub) = self.out.with_bound(|next| next.push_batch(admitted)) {
-                result.scatter(&positions, sub);
-            }
-        }
-        result
+        forward_admitted(&self.out, batch, rejections)
     }
 }
 

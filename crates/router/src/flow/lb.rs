@@ -26,6 +26,7 @@ use crate::desc::schema::TableKind;
 use crate::desc::TableEntry;
 use crate::elements::element_core;
 
+use super::forward_admitted;
 use super::rewrite::{rewrite_ipv4_endpoint, RewriteSide};
 use super::table::{FlowClock, FlowTable};
 
@@ -291,57 +292,25 @@ impl L4LoadBalancer {
         counts.passthrough += 1;
         Ok(())
     }
-
-    fn forward_one(&self, pkt: Packet) -> PushResult {
-        match self.out.with_bound(|next| next.push(pkt)) {
-            Some(result) => result,
-            None => Ok(()), // sink mode
-        }
-    }
 }
 
 impl IPacketPush for L4LoadBalancer {
-    fn push(&self, mut pkt: Packet) -> PushResult {
-        let mut counts = LbCounts::default();
-        let verdict = self.balance(&mut self.inner.lock(), &mut pkt, &mut counts);
-        self.flush_counts(counts);
-        verdict?;
-        self.forward_one(pkt)
-    }
-
-    fn push_batch(&self, batch: PacketBatch) -> BatchResult {
+    fn push_batch(&self, mut batch: PacketBatch) -> BatchResult {
         let n = batch.len();
-        let mut batch = batch;
-        let mut failures: Vec<(usize, PushError)> = Vec::new();
         let mut counts = LbCounts::default();
+        // The verdict vector materialises only at the first failure.
+        let mut rejections: Option<Vec<PushResult>> = None;
         {
+            // One lock for the whole burst.
             let mut inner = self.inner.lock();
             for (i, pkt) in batch.packets_mut().iter_mut().enumerate() {
                 if let Err(e) = self.balance(&mut inner, pkt, &mut counts) {
-                    failures.push((i, e));
+                    rejections.get_or_insert_with(|| vec![Ok(()); n])[i] = Err(e);
                 }
             }
         }
         self.flush_counts(counts);
-        if failures.is_empty() {
-            return match self.out.with_bound(|next| next.push_batch(batch)) {
-                Some(result) => result,
-                None => BatchResult::ok(n), // sink mode
-            };
-        }
-        let mut result = BatchResult::with_capacity(n);
-        let mut fail = failures.into_iter().peekable();
-        for (i, pkt) in batch.into_packets().into_iter().enumerate() {
-            if let Some((fi, _)) = fail.peek() {
-                if *fi == i {
-                    let (_, e) = fail.next().expect("peeked");
-                    result.record(Err(e));
-                    continue;
-                }
-            }
-            result.record(self.forward_one(pkt));
-        }
-        result
+        forward_admitted(&self.out, batch, rejections)
     }
 }
 
@@ -533,5 +502,49 @@ mod tests {
         lb.push(PacketBuilder::udp_v4("10.0.0.9", "10.222.0.1", 1, 2).build())
             .unwrap();
         assert_eq!(lb.counters(), (0, 0, 1));
+    }
+
+    #[test]
+    fn mixed_verdicts_forward_the_survivors_as_one_ordered_batch() {
+        use crate::api::{IPacketPull, IPACKET_PUSH};
+        use crate::elements::DropTailQueue;
+        use opencom::capsule::Capsule;
+        use opencom::runtime::Runtime;
+
+        // No backends: VIP traffic is refused, everything else passes
+        // through to a three-slot queue, which refuses the fourth.
+        let rt = Runtime::new();
+        crate::api::register_packet_interfaces(&rt);
+        let capsule = Capsule::new("t", &rt);
+        let lb = L4LoadBalancer::new(VIP.parse().unwrap(), 80, 16, u64::MAX);
+        let queue = DropTailQueue::new(3);
+        let lb_id = capsule.adopt(lb.clone()).unwrap();
+        let q_id = capsule.adopt(queue.clone()).unwrap();
+        capsule
+            .bind_simple(lb_id, "out", q_id, IPACKET_PUSH)
+            .unwrap();
+        let other = |port: u16| PacketBuilder::udp_v4("10.0.0.9", "10.222.0.1", port, 2).build();
+        let batch: PacketBatch = vec![
+            other(1),
+            to_vip(7000),
+            other(2),
+            other(3),
+            to_vip(7001),
+            other(4),
+        ]
+        .into();
+
+        let result = lb.push_batch(batch);
+        assert!(matches!(result.verdicts[1], Err(PushError::Veto(_))));
+        assert!(matches!(result.verdicts[4], Err(PushError::Veto(_))));
+        let rest: Vec<_> = [0, 2, 3, 5].map(|i| result.verdicts[i].clone()).into();
+        assert_eq!(rest, [Ok(()), Ok(()), Ok(()), Err(PushError::QueueFull)]);
+        assert_eq!(lb.counters(), (0, 0, 4));
+        let delivered: Vec<u16> = queue
+            .pull_batch(8)
+            .iter()
+            .map(|p| p.udp_v4().unwrap().src_port)
+            .collect();
+        assert_eq!(delivered, [1, 2, 3]);
     }
 }

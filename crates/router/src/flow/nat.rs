@@ -15,6 +15,7 @@ use parking_lot::Mutex;
 use crate::api::{BatchResult, IPacketPush, PushError, PushResult, IPACKET_PUSH};
 use crate::elements::element_core;
 
+use super::forward_admitted;
 use super::rewrite::{rewrite_ipv4_endpoint, RewriteSide};
 use super::table::{FlowClock, FlowTable};
 
@@ -390,61 +391,25 @@ impl Nat44 {
         }
         Ok(())
     }
-
-    fn forward_one(&self, pkt: Packet) -> PushResult {
-        match self.out.with_bound(|next| next.push(pkt)) {
-            Some(result) => result,
-            None => Ok(()), // sink mode
-        }
-    }
 }
 
 impl IPacketPush for Nat44 {
-    fn push(&self, mut pkt: Packet) -> PushResult {
-        let mut counts = Nat44Stats::default();
-        let verdict = self.translate(&mut self.inner.lock(), &mut pkt, &mut counts);
-        self.flush_counts(counts);
-        verdict?;
-        self.forward_one(pkt)
-    }
-
-    fn push_batch(&self, batch: PacketBatch) -> BatchResult {
+    fn push_batch(&self, mut batch: PacketBatch) -> BatchResult {
         let n = batch.len();
-        let mut batch = batch;
-        let mut failures: Vec<(usize, PushError)> = Vec::new();
         let mut counts = Nat44Stats::default();
+        // The verdict vector materialises only at the first failure.
+        let mut rejections: Option<Vec<PushResult>> = None;
         {
             // One lock for the whole burst.
             let mut inner = self.inner.lock();
             for (i, pkt) in batch.packets_mut().iter_mut().enumerate() {
                 if let Err(e) = self.translate(&mut inner, pkt, &mut counts) {
-                    failures.push((i, e));
+                    rejections.get_or_insert_with(|| vec![Ok(()); n])[i] = Err(e);
                 }
             }
         }
         self.flush_counts(counts);
-        if failures.is_empty() {
-            // Hot path: the whole (rewritten-in-place) batch moves on.
-            return match self.out.with_bound(|next| next.push_batch(batch)) {
-                Some(result) => result,
-                None => BatchResult::ok(n), // sink mode
-            };
-        }
-        // Rare path: drop the failed packets, forward the rest, keep
-        // per-packet verdicts in batch order (scalar equivalence).
-        let mut result = BatchResult::with_capacity(n);
-        let mut fail = failures.into_iter().peekable();
-        for (i, pkt) in batch.into_packets().into_iter().enumerate() {
-            if let Some((fi, _)) = fail.peek() {
-                if *fi == i {
-                    let (_, e) = fail.next().expect("peeked");
-                    result.record(Err(e));
-                    continue;
-                }
-            }
-            result.record(self.forward_one(pkt));
-        }
-        result
+        forward_admitted(&self.out, batch, rejections)
     }
 }
 

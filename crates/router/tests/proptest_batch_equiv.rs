@@ -332,7 +332,7 @@ impl Recorder {
 
 impl IPacketPush for Recorder {
     fn push(&self, pkt: Packet) -> PushResult {
-        let refused = self.refuse && pkt.len() % 5 == 0;
+        let refused = self.refuse && pkt.len().is_multiple_of(5);
         self.seen
             .lock()
             .unwrap()

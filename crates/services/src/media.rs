@@ -19,7 +19,7 @@ use opencom::component::{Component, ComponentCore, ComponentDescriptor, Registra
 use opencom::ident::Version;
 use opencom::receptacle::Receptacle;
 
-use netkit_router::api::{BatchResult, IPacketPush, PushError, PushResult, IPACKET_PUSH};
+use netkit_router::api::{BatchResult, IPacketPush, PushError, IPACKET_PUSH};
 
 /// The metadata key carrying the frame type.
 const FRAME_TYPE_KEY: &str = "frame_type";
@@ -158,26 +158,9 @@ impl FrameDropFilter {
 }
 
 impl IPacketPush for FrameDropFilter {
-    fn push(&self, pkt: Packet) -> PushResult {
-        let ft = pkt
-            .meta
-            .annotation(FRAME_TYPE_KEY)
-            .and_then(FrameType::from_u64)
-            .unwrap_or(FrameType::I); // unannotated traffic is precious
-        if self.level().drops(ft) {
-            self.shed.fetch_add(1, Ordering::Relaxed);
-            return Ok(()); // shedding is policy, not failure
-        }
-        self.passed.fetch_add(1, Ordering::Relaxed);
-        self.out
-            .with_bound(|next| next.push(pkt))
-            .unwrap_or(Err(PushError::Unbound))
-    }
-
     fn push_batch(&self, batch: PacketBatch) -> BatchResult {
-        // Batch fast path: shedding decisions per packet (the level is
-        // re-read per packet, as scalar does), survivors cross the
-        // binding as one batch.
+        // Shedding decisions per packet (the level is re-read for each),
+        // survivors cross the binding as one batch.
         let n = batch.len();
         let mut result = BatchResult::from(vec![Ok(()); n]);
         let mut survivors = PacketBatch::with_capacity(n);
@@ -201,10 +184,9 @@ impl IPacketPush for FrameDropFilter {
             .fetch_add(survivor_idx.len() as u64, Ordering::Relaxed);
         if !survivors.is_empty() {
             let size = survivors.len();
-            let mut pending = Some(survivors);
             let sub = self
                 .out
-                .with_bound(|next| next.push_batch(pending.take().expect("unconsumed")))
+                .with_bound(|next| next.push_batch(survivors))
                 .unwrap_or_else(|| BatchResult::err(size, PushError::Unbound));
             result.scatter(&survivor_idx, sub);
         }
@@ -278,31 +260,9 @@ impl QualityAdaptor {
 }
 
 impl IPacketPush for QualityAdaptor {
-    fn push(&self, mut pkt: Packet) -> PushResult {
-        let seq = self.seq.fetch_add(1, Ordering::Relaxed);
-        // Spread the kept packets evenly across the window.
-        let pos = seq % self.out_of;
-        let kept = pos * self.keep % self.out_of < self.keep;
-        if !kept {
-            self.shed.fetch_add(1, Ordering::Relaxed);
-            return Ok(());
-        }
-        if let Some(dscp) = self.remark_dscp {
-            pkt.meta.dscp = Some(dscp);
-            if pkt.ipv4().is_ok() {
-                let _ = netkit_packet::headers::Ipv4Header::set_dscp_in_place(pkt.l3_mut(), dscp);
-            }
-        }
-        self.passed.fetch_add(1, Ordering::Relaxed);
-        self.out
-            .with_bound(|next| next.push(pkt))
-            .unwrap_or(Err(PushError::Unbound))
-    }
-
     fn push_batch(&self, batch: PacketBatch) -> BatchResult {
-        // Batch fast path: the per-packet sequence counter and keep/shed
-        // arithmetic are unchanged; survivors are remarked in place and
-        // forwarded as one batch.
+        // The sequence counter and keep/shed arithmetic run per packet;
+        // survivors are remarked in place and forwarded as one batch.
         let n = batch.len();
         let mut result = BatchResult::from(vec![Ok(()); n]);
         let mut survivors = PacketBatch::with_capacity(n);
@@ -332,10 +292,9 @@ impl IPacketPush for QualityAdaptor {
             .fetch_add(survivor_idx.len() as u64, Ordering::Relaxed);
         if !survivors.is_empty() {
             let size = survivors.len();
-            let mut pending = Some(survivors);
             let sub = self
                 .out
-                .with_bound(|next| next.push_batch(pending.take().expect("unconsumed")))
+                .with_bound(|next| next.push_batch(survivors))
                 .unwrap_or_else(|| BatchResult::err(size, PushError::Unbound));
             result.scatter(&survivor_idx, sub);
         }

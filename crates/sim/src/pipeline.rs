@@ -50,7 +50,7 @@ use netkit_kernel::shard::ShardSpec;
 use netkit_packet::batch::PacketBatch;
 use netkit_packet::packet::Packet;
 use netkit_packet::sketch::FlowSketch;
-use netkit_router::api::{BatchResult, IPacketPush, PushResult, IPACKET_PUSH};
+use netkit_router::api::{BatchResult, IPacketPush, IPACKET_PUSH};
 use netkit_router::desc::{Compiler, DescBinding, ElementHandle, PipelineDesc};
 use netkit_router::shard::{fresh_sketches, RebalanceController, ShardGraph, ShardedPipeline};
 use opencom::component::{Component, ComponentCore, ComponentDescriptor, Registrar};
@@ -125,11 +125,6 @@ impl Default for EgressCollector {
 }
 
 impl IPacketPush for EgressCollector {
-    fn push(&self, pkt: Packet) -> PushResult {
-        self.inbox.lock().push(pkt);
-        Ok(())
-    }
-
     fn push_batch(&self, mut batch: PacketBatch) -> BatchResult {
         let n = batch.len();
         self.inbox.lock().extend(batch.drain_all());
@@ -512,6 +507,7 @@ mod tests {
     use crate::node::SinkBehaviour;
     use crate::traffic::{udp_flow, CbrGen};
     use crate::{LinkSpec, Simulator};
+    use netkit_router::api::PushResult;
     use netkit_router::shard::RebalancePolicy;
 
     /// Pass-through node: every shard graph is just the collector.
@@ -551,7 +547,7 @@ mod tests {
     fn graph_consumed_packets_book_as_node_drops() {
         // A graph whose entry rejects everything: the node must book
         // every packet as a node drop and conservation must close.
-        use netkit_router::api::{PushError, PushResult};
+        use netkit_router::api::PushError;
         struct RejectAll;
         impl IPacketPush for RejectAll {
             fn push(&self, _pkt: Packet) -> PushResult {

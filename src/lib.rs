@@ -37,10 +37,10 @@
 //! round-trip (for isolated components) carry a whole burst. Per-packet
 //! semantics are unchanged — `push_batch` returns a
 //! [`BatchResult`](router::api::BatchResult) with one verdict per packet
-//! in batch order, and every element's batch path is differentially
-//! tested against its scalar path. Scalar `push`/`pull` remain as the
-//! batch of one, and default implementations keep scalar-only
-//! third-party components working unchanged. See
+//! in batch order. Every library element states its semantics once, as
+//! a batch: scalar `push`/`pull` are the batch of one (the traits'
+//! default bodies), and the batch defaults keep scalar-only third-party
+//! components working unchanged. See
 //! [`router::api`] for the full ordering and partial-failure contract.
 //!
 //! ## The sharded runtime and the zero-copy hot path
