@@ -24,7 +24,8 @@
 //! contract — a scalar `push` or `pull` alone — keeps working
 //! unchanged; it just doesn't amortize. An impl must override **at
 //! least one** method of each pair: overriding neither recurses
-//! forever. Every library element overrides exactly the batch one.
+//! forever. Every element in [`crate::elements`] and [`crate::flow`]
+//! overrides exactly the batch one.
 //!
 //! A scalar call pays for the batch it builds: a one-packet batch
 //! container and a one-verdict [`BatchResult`], two small heap
@@ -49,13 +50,17 @@
 //!   *amortization only*: one receptacle lock, one interceptor-chain
 //!   traversal and one marshalled IPC call per batch instead of per
 //!   packet. Differential property tests
-//!   (`tests/proptest_batch_equiv.rs`) enforce this for every library
-//!   element with a batch body.
+//!   (`tests/proptest_batch_equiv.rs`) drive the classifier, IP
+//!   processors, meter, queues, route lookup, NAT44, balancer,
+//!   conntrack, guard, tee, policer and protocol recogniser one packet
+//!   at a time and in batches of every size. One known exception: the
+//!   guard's SYN defence with a tracker attached (see
+//!   [`crate::flow::Guard`]).
 //! * **Interception** — interceptor hooks see `"push_batch"` /
 //!   `"pull_batch"` for every transfer: a scalar call crosses the
 //!   wrapper as a batch of one. Likewise an isolated component's proxy
 //!   marshals every transfer as one `"push_batch"` IPC call.
-
+//!
 //! # Sharded execution
 //!
 //! Under the sharded runtime ([`crate::shard::ShardedPipeline`]) these
@@ -65,8 +70,8 @@
 //!
 //! * **Ordering becomes per-flow.** Steering pins every flow to one
 //!   worker, so on any single output the sequence *within each flow*
-//!   is exactly the single-threaded sequence; ordering **between** flows that
-//!   landed on different workers is unspecified. Aggregate counters
+//!   is exactly the single-threaded sequence; ordering **between**
+//!   flows that landed on different workers is unspecified. Aggregate counters
 //!   and per-output multisets remain identical to the single-threaded
 //!   pipeline (enforced by `tests/sharded_equiv.rs` for N = 1..4,
 //!   with 0 shards ≡ 1 shard at every layer).

@@ -136,6 +136,12 @@ pub struct GuardStats {
 /// optionally attach the shard's [`ConnTracker`] to arm the SYN
 /// defence. With no downstream binding it acts as a sink for admitted
 /// packets, like the other pass-through elements.
+///
+/// The SYN defence is not batch-size invariant: it reads the tracker's
+/// gauge as it stands when the guard admits a packet, and a tracker in
+/// the same graph moves that gauge a whole batch at a time, so a burst
+/// of SYNs meets a different gauge pushed as one batch than one packet
+/// at a time.
 pub struct Guard {
     core: ComponentCore,
     out: Receptacle<dyn IPacketPush>,
@@ -529,9 +535,9 @@ mod tests {
     #[test]
     fn batch_path_matches_the_scalar_verdicts() {
         // Two guards over identically recorded sketches: one fed the
-        // mixed elephant/mouse stream packet by packet, one in batches
-        // of 8. The batch path must produce the same verdict sequence
-        // and the same counters (scalar equivalence).
+        // mixed elephant/mouse stream packet by packet (batches of
+        // one), one in batches of 8. Both must produce the same verdict
+        // sequence and the same counters.
         let traffic = || -> Vec<Packet> {
             (0..48)
                 .map(|i| {
