@@ -17,7 +17,7 @@ use super::element_core;
 /// Pulls frames from one of a NIC's rx rings and pushes them downstream.
 ///
 /// Exposes both styles: `pump_batch()` actively pushes through the
-/// `out` receptacle (poll-mode driver), and the exported `IPacketPull`
+/// `out` receptacle (poll mode), and the exported `IPacketPull`
 /// lets a downstream scheduler pull directly. Either way frames come off the
 /// ring through `Nic::rx_burst_batch`: the frame storage moves into the
 /// packet (a pool-leased slab keeps its lease and recycles when the
@@ -75,7 +75,7 @@ impl FromDevice {
         batch
     }
 
-    /// Poll-mode driver loop: drains up to `budget` frames from the NIC
+    /// Poll-mode receive loop: drains up to `budget` frames from the NIC
     /// in one ring-lock burst and pushes them downstream as one
     /// batch — one receptacle traversal (and one interceptor pass, one
     /// IPC call for isolated peers) per burst instead of per frame.
