@@ -8,7 +8,10 @@
 //! Differences from real proptest, deliberately accepted offline:
 //! no shrinking (failures report the generated inputs via the panic
 //! message instead), and a deterministic per-test RNG seeded from the
-//! test name so failures reproduce exactly on re-run.
+//! test name so failures reproduce exactly on re-run. Setting
+//! `PROPTEST_RNG_SEED` to a `u64` folds it into every property's seed,
+//! so a run explores another fixed set of cases; unset, the cases are
+//! the name-seeded ones.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -61,12 +64,28 @@ pub mod test_runner {
 
     impl TestRng {
         /// Seeds the stream from the test's name so each property gets
-        /// an independent but reproducible sequence.
+        /// an independent but reproducible sequence — and, when the
+        /// `PROPTEST_RNG_SEED` environment variable holds a `u64`, from
+        /// that too.
+        ///
+        /// # Panics
+        ///
+        /// Panics if `PROPTEST_RNG_SEED` is set but is not a `u64`.
         pub fn deterministic(test_name: &str) -> Self {
             let mut h: u64 = 0xcbf29ce484222325;
-            for b in test_name.bytes() {
-                h ^= b as u64;
-                h = h.wrapping_mul(0x100000001b3);
+            let mut fold = |bytes: &[u8]| {
+                for &b in bytes {
+                    h ^= b as u64;
+                    h = h.wrapping_mul(0x100000001b3);
+                }
+            };
+            fold(test_name.as_bytes());
+            if let Ok(seed) = std::env::var("PROPTEST_RNG_SEED") {
+                let seed: u64 = seed
+                    .trim()
+                    .parse()
+                    .unwrap_or_else(|_| panic!("PROPTEST_RNG_SEED={seed:?} is not a u64"));
+                fold(&seed.to_le_bytes());
             }
             Self {
                 inner: SmallRng::seed_from_u64(h),
