@@ -515,12 +515,11 @@ impl ShardedPipeline {
                 Arc::clone(&counters),
                 batch_pool.clone(),
                 // A single-worker pipeline never rebalances (there is
-                // nowhere to move a bucket), and its dispatch fast path
-                // skips the split that stamps RSS hashes — metering
-                // there would re-parse headers per packet for evidence
-                // nobody can act on. Meter only when sharded.
+                // nowhere to move a bucket), so only a sharded one
+                // meters bucket load. The flow sketch is fed at every
+                // shard count: the shard's guards read it.
                 (spec.workers > 1).then(|| Arc::clone(&bucket_load)),
-                (spec.workers > 1).then(|| Arc::clone(&sketches[shard])),
+                Arc::clone(&sketches[shard]),
                 drains[shard].take(),
             )
         });
@@ -580,7 +579,7 @@ impl ShardedPipeline {
         counters: Arc<Vec<ShardCounters>>,
         gather_pool: BatchPool,
         bucket_load: Option<Arc<BucketLoad>>,
-        sketch: Option<Arc<FlowSketch>>,
+        sketch: Arc<FlowSketch>,
         mut drain: Option<Box<dyn FnMut() + Send>>,
     ) -> ShardHandler<ShardJob> {
         Box::new(move |job: ShardJob| {
@@ -609,12 +608,11 @@ impl ShardedPipeline {
             if let Some(meter) = &bucket_load {
                 meter.record_batch(&batch);
             }
-            // Same gate for the byte sketch: per-flow byte mass
-            // keyed by the stamped hash, feeding heavy-hitter
-            // evidence to the control plane.
-            if let Some(sketch) = &sketch {
-                sketch.record_batch(&batch);
-            }
+            // The byte sketch, at every shard count: per-flow byte
+            // mass keyed by the steering hash, read by the shard's
+            // guards and, when sharded, by the control plane as
+            // heavy-hitter evidence.
+            sketch.record_batch(&batch);
             // Snapshot the entry once per batch: cheap, and the
             // quiesce closure can retarget it between batches.
             let target = Arc::clone(&entry.read());
@@ -950,9 +948,9 @@ impl ShardedPipeline {
 
     /// `shard`'s flow sketch: per-flow **byte** meters (count-min +
     /// Space-Saving top-k) fed on the worker side alongside
-    /// [`Self::bucket_loads`]'s packet counts. Single-worker pipelines
-    /// never feed it (nothing to rebalance — see the worker gate in
-    /// [`Self::build`]). The worker records each batch before its graph
+    /// [`Self::bucket_loads`]'s packet counts, at every shard count: a
+    /// [`crate::flow::Guard`] built on it reads its estimates, one
+    /// shard or many. The worker records each batch before its graph
     /// runs with [`FlowSketch::record_batch`] — one top-k lock per batch
     /// and a scan of a 32-slot array per packet, where a hash-map probe
     /// and lock per packet used to be — and that cost sits outside every
@@ -1127,7 +1125,7 @@ impl ShardedPipeline {
             Arc::clone(&self.counters),
             self.batch_pool.clone(),
             (self.spec.workers > 1).then(|| Arc::clone(&self.bucket_load)),
-            (self.spec.workers > 1).then(|| Arc::clone(&self.sketches[shard])),
+            Arc::clone(&self.sketches[shard]),
             graph.drain,
         );
         let mut stranded_packets = 0u64;

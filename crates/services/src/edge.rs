@@ -173,6 +173,40 @@ mod tests {
     }
 
     #[test]
+    fn the_guard_limits_a_heavy_flow_at_every_shard_count() {
+        // One UDP flow of 200 × 1400-byte frames in ten batches, far
+        // past a 16 KiB threshold and window budget: the shard's
+        // sketch must see the flow's bytes and its guard must shed
+        // most of it, one shard or two.
+        let profile = EdgeProfile {
+            byte_threshold: 16 * 1024,
+            window_budget: 16 * 1024,
+            ..EdgeProfile::default()
+        };
+        for workers in [1, 2] {
+            let (pipe, _binding) =
+                build_stateful_edge(&profile, workers, Arc::new(ResourceManager::new())).unwrap();
+            for _ in 0..10 {
+                let batch = (0..20)
+                    .map(|_| {
+                        PacketBuilder::udp_v4("10.0.0.5", "203.0.113.9", 4_000, 80)
+                            .payload_len(1_400)
+                            .build()
+                    })
+                    .collect();
+                pipe.dispatch(batch);
+                pipe.flush();
+            }
+            let sketched: u64 = (0..workers)
+                .map(|s| pipe.flow_sketch(s).total_bytes())
+                .sum();
+            assert!(sketched > 0, "workers {workers}: the sketch saw nothing");
+            let shed = pipe.drop_stats().guard;
+            assert!(shed > 100, "workers {workers}: the guard shed only {shed}");
+        }
+    }
+
+    #[test]
     fn exhausted_pool_surfaces_the_typed_verdict() {
         let (pipe, _binding) = build_stateful_edge(
             &EdgeProfile {
