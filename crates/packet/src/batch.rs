@@ -6,18 +6,10 @@
 //! that: one binding traversal, one interceptor-chain pass, and one
 //! marshalled IPC call move up to a whole burst of packets.
 //!
-//! A batch is an **ordered** sequence of packets plus an optional
-//! per-packet *output label*. Labels are how splitting components
-//! (classifiers, route lookups, protocol demultiplexers) tag each packet
-//! with its destination output in a single pass and then carve the batch
-//! into per-output sub-batches without re-inspecting — and without
-//! allocating a `String` per packet: labels are interned once per batch
-//! in a small side table and referenced by index.
-//!
-//! Ordering contract: [`PacketBatch::into_label_groups`] preserves the
-//! relative order of packets within each label group, and group order
-//! follows first occurrence — so a downstream observer on any single
-//! output sees its packets in batch order.
+//! A batch is an **ordered** sequence of packets and nothing else — one
+//! `Vec<Packet>`, plus the [`BatchPool`] it returns to. Where each packet
+//! leaves an element is the element's decision, handed to the router's
+//! emit step (`netkit_router::api::emit`) beside the batch.
 
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -27,11 +19,7 @@ use parking_lot::Mutex;
 
 use crate::packet::Packet;
 
-/// Index of an interned output label within one batch.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct LabelId(u16);
-
-/// A batch of packets with optional per-packet output labels.
+/// An ordered batch of packets.
 ///
 /// # Examples
 ///
@@ -42,20 +30,14 @@ pub struct LabelId(u16);
 /// let mut batch = PacketBatch::with_capacity(2);
 /// batch.push(PacketBuilder::udp_v4("10.0.0.1", "10.0.0.2", 1, 2).build());
 /// batch.push(PacketBuilder::udp_v4("10.0.0.1", "10.0.0.3", 3, 4).build());
-/// let voice = batch.intern("voice");
-/// batch.set_label(0, voice);
-/// let groups = batch.into_label_groups();
-/// assert_eq!(groups.len(), 2); // "voice" and unlabelled
+/// let ports: Vec<u16> = batch.iter().map(|p| p.udp_v4().unwrap().dst_port).collect();
+/// assert_eq!(ports, [2, 4]); // batch order
 /// ```
 #[derive(Default)]
 pub struct PacketBatch {
     packets: Vec<Packet>,
-    /// Parallel to `packets`; `u16::MAX` = unlabelled. Kept empty (and
-    /// allocation-free) until the first label is assigned.
-    labels: Vec<u16>,
-    table: Vec<Arc<str>>,
     /// The [`BatchPool`] this container leases from, if any; on drop the
-    /// (cleared) backing vectors return there instead of being freed.
+    /// (cleared) backing vector returns there instead of being freed.
     home: Option<Weak<BatchPoolInner>>,
 }
 
@@ -64,15 +46,9 @@ impl Drop for PacketBatch {
         let Some(pool) = self.home.take().and_then(|w| w.upgrade()) else {
             return;
         };
-        pool.recycle(
-            std::mem::take(&mut self.packets),
-            std::mem::take(&mut self.labels),
-            std::mem::take(&mut self.table),
-        );
+        pool.recycle(std::mem::take(&mut self.packets));
     }
 }
-
-const UNLABELLED: u16 = u16::MAX;
 
 impl PacketBatch {
     /// An empty batch.
@@ -83,20 +59,14 @@ impl PacketBatch {
     /// An empty batch with room for `capacity` packets.
     #[inline]
     pub fn with_capacity(capacity: usize) -> Self {
-        Self {
-            packets: Vec::with_capacity(capacity),
-            labels: Vec::new(),
-            table: Vec::new(),
-            home: None,
-        }
+        Self::from_packets(Vec::with_capacity(capacity))
     }
 
-    /// Wraps an existing packet vector (all unlabelled).
+    /// Wraps an existing packet vector.
+    #[inline]
     pub fn from_packets(packets: Vec<Packet>) -> Self {
         Self {
             packets,
-            labels: Vec::new(),
-            table: Vec::new(),
             home: None,
         }
     }
@@ -113,52 +83,10 @@ impl PacketBatch {
         self.packets.is_empty()
     }
 
-    /// Appends a packet (unlabelled).
+    /// Appends a packet.
     #[inline]
     pub fn push(&mut self, pkt: Packet) {
         self.packets.push(pkt);
-        if !self.labels.is_empty() {
-            self.labels.push(UNLABELLED);
-        }
-    }
-
-    /// Interns `label`, returning its id for [`Self::set_label`].
-    /// Interning the same string twice yields the same id.
-    ///
-    /// # Panics
-    ///
-    /// Panics if more than `u16::MAX - 1` distinct labels are interned
-    /// in one batch (far beyond any real output fan-out).
-    pub fn intern(&mut self, label: &str) -> LabelId {
-        if let Some(idx) = self.table.iter().position(|l| &**l == label) {
-            return LabelId(idx as u16);
-        }
-        assert!(
-            self.table.len() < UNLABELLED as usize,
-            "label table overflow"
-        );
-        self.table.push(Arc::from(label));
-        LabelId((self.table.len() - 1) as u16)
-    }
-
-    /// Tags the packet at `idx` with an interned label.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `idx` is out of range.
-    #[inline]
-    pub fn set_label(&mut self, idx: usize, label: LabelId) {
-        assert!(idx < self.packets.len(), "label index out of range");
-        if self.labels.is_empty() {
-            self.labels.resize(self.packets.len(), UNLABELLED);
-        }
-        self.labels[idx] = label.0;
-    }
-
-    /// The label of the packet at `idx`, if one was assigned.
-    pub fn label_of(&self, idx: usize) -> Option<&str> {
-        let raw = *self.labels.get(idx)?;
-        self.table.get(raw as usize).map(|l| &**l)
     }
 
     /// Read access to the packets, in order.
@@ -179,40 +107,33 @@ impl PacketBatch {
         self.packets.iter()
     }
 
-    /// Removes and returns the last packet (its label, if any, is
-    /// discarded). Keeps the batch's allocations intact, so a pooled
-    /// container still recycles whole.
+    /// Removes and returns the last packet. Keeps the batch's
+    /// allocation intact, so a pooled container still recycles whole.
     pub fn pop(&mut self) -> Option<Packet> {
-        let pkt = self.packets.pop()?;
-        self.labels.truncate(self.packets.len());
-        Some(pkt)
+        self.packets.pop()
     }
 
-    /// Consumes the batch, returning the packets (labels discarded).
+    /// Consumes the batch, returning the packets.
     #[inline]
     pub fn into_packets(mut self) -> Vec<Packet> {
         std::mem::take(&mut self.packets)
     }
 
-    /// Removes and yields every packet in batch order (labels
-    /// discarded), **keeping the backing storage** — unlike
+    /// Removes and yields every packet in batch order, **keeping the
+    /// backing storage** — unlike
     /// `into_iter`/[`Self::into_packets`], a pool-homed container
     /// drained this way still recycles whole with its capacity. This
     /// is what terminal consumers that unpack packets (e.g. the
     /// device adapter's tx burst) use on the zero-allocation path.
     #[inline]
     pub fn drain_all(&mut self) -> impl Iterator<Item = Packet> + '_ {
-        self.labels.clear();
-        self.table.clear();
         self.packets.drain(..)
     }
 
-    /// Removes all packets and labels, keeping allocations for reuse.
+    /// Removes all packets, keeping the allocation for reuse.
     #[inline]
     pub fn clear(&mut self) {
         self.packets.clear();
-        self.labels.clear();
-        self.table.clear();
     }
 
     /// Stamps every packet's
@@ -234,8 +155,8 @@ impl PacketBatch {
     /// the reflective rebalancer installs
     /// (`netkit_router::shard::ShardedPipeline` dispatches through
     /// this). One counting-sort pass computes a permutation and
-    /// per-shard offset table; no packet moves, no label re-interns, no
-    /// per-shard `Vec` materialises. The returned [`ShardSplit`] owns
+    /// per-shard offset table; no packet moves and no per-shard `Vec`
+    /// materialises. The returned [`ShardSplit`] owns
     /// the batch; [`ShardSplit::into_shared`] hands each shard's slice
     /// to its worker.
     ///
@@ -289,59 +210,6 @@ impl PacketBatch {
             offsets,
         }
     }
-
-    /// Splits the batch into per-label groups.
-    ///
-    /// Each group carries its label (`None` for unlabelled packets), the
-    /// packets in their original relative order, and the packets'
-    /// original indices in the parent batch — so callers can map
-    /// per-group verdicts back to per-batch verdicts. Groups appear in
-    /// first-occurrence order. Packets are *moved*, not cloned.
-    pub fn into_label_groups(mut self) -> Vec<LabelGroup> {
-        let packets = std::mem::take(&mut self.packets);
-        let labels = std::mem::take(&mut self.labels);
-        let table = std::mem::take(&mut self.table);
-        drop(self);
-        if labels.is_empty() {
-            // Fast path: nothing was ever labelled.
-            let indices = (0..packets.len()).collect();
-            return vec![LabelGroup {
-                label: None,
-                batch: PacketBatch::from_packets(packets),
-                indices,
-            }];
-        }
-        let mut groups: Vec<LabelGroup> = Vec::new();
-        // Map from raw label idx (or UNLABELLED) to position in `groups`.
-        let mut slot_of: Vec<Option<usize>> = vec![None; table.len() + 1];
-        for (idx, (pkt, raw)) in packets.into_iter().zip(labels).enumerate() {
-            let key = if raw == UNLABELLED {
-                table.len()
-            } else {
-                raw as usize
-            };
-            let slot = match slot_of[key] {
-                Some(s) => s,
-                None => {
-                    let label = if raw == UNLABELLED {
-                        None
-                    } else {
-                        Some(Arc::clone(&table[raw as usize]))
-                    };
-                    groups.push(LabelGroup {
-                        label,
-                        batch: PacketBatch::new(),
-                        indices: Vec::new(),
-                    });
-                    slot_of[key] = Some(groups.len() - 1);
-                    groups.len() - 1
-                }
-            };
-            groups[slot].batch.push(pkt);
-            groups[slot].indices.push(idx);
-        }
-        groups
-    }
 }
 
 impl From<Vec<Packet>> for PacketBatch {
@@ -376,12 +244,7 @@ impl<'a> IntoIterator for &'a PacketBatch {
 
 impl fmt::Debug for PacketBatch {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "PacketBatch({} packets, {} labels)",
-            self.packets.len(),
-            self.table.len()
-        )
+        write!(f, "PacketBatch({} packets)", self.packets.len())
     }
 }
 
@@ -391,7 +254,7 @@ impl fmt::Debug for PacketBatch {
 /// Holds the steered batch **unmoved** plus a permutation (`perm`) and a
 /// per-shard offset table: shard `s` owns the original packet indices
 /// `perm[offsets[s]..offsets[s + 1]]`, in input order. Nothing is
-/// copied, re-interned or gathered until a consuming worker takes its
+/// copied or gathered until a consuming worker takes its
 /// slice ([`Self::into_shared`]).
 ///
 /// # Examples
@@ -619,8 +482,8 @@ impl SharedShardRange {
         self.len() == 0
     }
 
-    /// Moves this range's packets (and labels) out of the shared parent
-    /// into `out`, preserving input order, and returns how many moved.
+    /// Moves this range's packets out of the shared parent into `out`,
+    /// preserving input order, and returns how many moved.
     /// This is the consumer half of the move-free ring protocol: the
     /// gather happens here, on the worker, in parallel with its
     /// siblings. The parent is locked only for the move itself; vacated
@@ -628,18 +491,14 @@ impl SharedShardRange {
     /// (allocation-free), so the parent container still recycles whole
     /// once every handle is gone.
     ///
-    /// Labels survive: `out` inherits the parent's interned table by
-    /// `Arc` clone, no re-interning.
-    ///
     /// # Panics
     ///
-    /// Panics if `out` is not empty (ranges gather into fresh — usually
-    /// pool-leased — containers; merging into a partially filled batch
-    /// would need label-table reconciliation the fast path never wants).
+    /// Panics if `out` is not empty: ranges gather into fresh — usually
+    /// pool-leased — containers, so a filled one is a caller's mistake.
     #[inline]
     pub fn take_into(self, out: &mut PacketBatch) -> usize {
         assert!(
-            out.packets.is_empty() && out.table.is_empty(),
+            out.packets.is_empty(),
             "take_into requires an empty output container"
         );
         let (lo, hi) = self.inner.bounds(self.shard);
@@ -649,17 +508,9 @@ impl SharedShardRange {
         let mut parent = self.inner.parent.lock();
         let parent = &mut *parent;
         out.packets.reserve(hi - lo);
-        let has_labels = !parent.labels.is_empty();
-        if has_labels {
-            out.labels.reserve(hi - lo);
-            out.table.extend(parent.table.iter().cloned());
-        }
         for &idx in &self.inner.perm[lo..hi] {
             out.packets
                 .push(std::mem::take(&mut parent.packets[idx as usize]));
-            if has_labels {
-                out.labels.push(parent.labels[idx as usize]);
-            }
         }
         hi - lo
     }
@@ -693,8 +544,7 @@ pub struct BatchPoolStats {
 struct BatchPoolInner {
     /// Packets to pre-reserve in a fresh container.
     capacity: usize,
-    #[allow(clippy::type_complexity)]
-    free: Mutex<Vec<(Vec<Packet>, Vec<u16>, Vec<Arc<str>>)>>,
+    free: Mutex<Vec<Vec<Packet>>>,
     reused: AtomicU64,
     allocated: AtomicU64,
     recycled: AtomicU64,
@@ -702,17 +552,15 @@ struct BatchPoolInner {
 }
 
 impl BatchPoolInner {
-    fn recycle(&self, mut packets: Vec<Packet>, mut labels: Vec<u16>, mut table: Vec<Arc<str>>) {
+    fn recycle(&self, mut packets: Vec<Packet>) {
         // Dropping the packets here releases their (possibly pooled)
         // frame buffers before the container returns to the free list.
         packets.clear();
-        labels.clear();
-        table.clear();
         // A container whose packet storage was moved out (e.g. by
         // `into_packets`) has nothing worth keeping; every other one is
         // kept.
         if packets.capacity() > 0 {
-            self.free.lock().push((packets, labels, table));
+            self.free.lock().push(packets);
             self.recycled.fetch_add(1, Ordering::Relaxed);
         } else {
             self.discarded.fetch_add(1, Ordering::Relaxed);
@@ -723,7 +571,7 @@ impl BatchPoolInner {
 /// A free list of [`PacketBatch`] *containers* — the batch-granularity
 /// companion to [`crate::pool::BufferPool`]'s frame slabs.
 ///
-/// Batches taken from the pool return their backing vectors here when
+/// Batches taken from the pool return their backing vector here when
 /// dropped (wherever that happens — typically at the far end of a
 /// worker's run-to-completion pass), so a steady-state forwarding loop
 /// performs no per-batch heap allocation: the same `Vec<Packet>`
@@ -760,7 +608,7 @@ impl BatchPool {
     /// packets, preallocating `prealloc` containers.
     pub fn new(capacity: usize, prealloc: usize) -> Self {
         let free = (0..prealloc)
-            .map(|_| (Vec::with_capacity(capacity.max(1)), Vec::new(), Vec::new()))
+            .map(|_| Vec::with_capacity(capacity.max(1)))
             .collect();
         Self {
             inner: Arc::new(BatchPoolInner {
@@ -777,19 +625,15 @@ impl BatchPool {
     /// Takes an empty batch container (recycled when available), homed
     /// to this pool.
     pub fn take(&self) -> PacketBatch {
-        let parts = self.inner.free.lock().pop();
-        let (mut packets, labels, table) = match parts {
-            Some(parts) => {
+        let recycled = self.inner.free.lock().pop();
+        let mut packets = match recycled {
+            Some(packets) => {
                 self.inner.reused.fetch_add(1, Ordering::Relaxed);
-                parts
+                packets
             }
             None => {
                 self.inner.allocated.fetch_add(1, Ordering::Relaxed);
-                (
-                    Vec::with_capacity(self.inner.capacity),
-                    Vec::new(),
-                    Vec::new(),
-                )
+                Vec::with_capacity(self.inner.capacity)
             }
         };
         if packets.capacity() < self.inner.capacity {
@@ -797,8 +641,6 @@ impl BatchPool {
         }
         PacketBatch {
             packets,
-            labels,
-            table,
             home: Some(Arc::downgrade(&self.inner)),
         }
     }
@@ -829,18 +671,6 @@ impl fmt::Debug for BatchPool {
             self.stats()
         )
     }
-}
-
-/// One per-label slice of a batch (see
-/// [`PacketBatch::into_label_groups`]).
-#[derive(Debug)]
-pub struct LabelGroup {
-    /// The shared output label, or `None` for unlabelled packets.
-    pub label: Option<Arc<str>>,
-    /// The group's packets, original relative order preserved.
-    pub batch: PacketBatch,
-    /// Original index in the parent batch of each packet in `batch`.
-    pub indices: Vec<usize>,
 }
 
 #[cfg(test)]
@@ -876,20 +706,11 @@ mod tests {
     }
 
     /// The re-materialising partition the split replaced, kept as the
-    /// reference: per-packet `shard_of`, per-shard push, labels
-    /// re-interned.
+    /// reference: per-packet `shard_of`, per-shard push.
     fn reference_partition(batch: PacketBatch, shards: usize) -> Vec<PacketBatch> {
-        let labels: Vec<Option<String>> = (0..batch.len())
-            .map(|i| batch.label_of(i).map(str::to_owned))
-            .collect();
         let mut out: Vec<PacketBatch> = (0..shards).map(|_| PacketBatch::new()).collect();
-        for (pkt, label) in batch.into_packets().into_iter().zip(labels) {
-            let target = &mut out[crate::flow::shard_of(&pkt, shards)];
-            target.push(pkt);
-            if let Some(label) = label {
-                let id = target.intern(&label);
-                target.set_label(target.len() - 1, id);
-            }
+        for pkt in batch.into_packets() {
+            out[crate::flow::shard_of(&pkt, shards)].push(pkt);
         }
         out
     }
@@ -910,67 +731,6 @@ mod tests {
     }
 
     #[test]
-    fn interning_deduplicates() {
-        let mut b = PacketBatch::new();
-        b.push(pkt(1));
-        let a = b.intern("voice");
-        let c = b.intern("voice");
-        assert_eq!(a, c);
-        let d = b.intern("bulk");
-        assert_ne!(a, d);
-    }
-
-    #[test]
-    fn label_groups_split_without_reordering() {
-        let mut b = PacketBatch::new();
-        for p in 1u16..=6 {
-            b.push(pkt(p));
-        }
-        let voice = b.intern("voice");
-        let bulk = b.intern("bulk");
-        for (i, l) in [(0, voice), (2, voice), (3, bulk), (5, voice)] {
-            b.set_label(i, l);
-        }
-        let groups = b.into_label_groups();
-        assert_eq!(groups.len(), 3);
-        let by_label = |name: Option<&str>| {
-            groups
-                .iter()
-                .find(|g| g.label.as_deref() == name)
-                .expect("group present")
-        };
-        let ports = |g: &LabelGroup| -> Vec<u16> {
-            g.batch
-                .iter()
-                .map(|p| p.udp_v4().unwrap().src_port)
-                .collect()
-        };
-        assert_eq!(ports(by_label(Some("voice"))), [1, 3, 6]);
-        assert_eq!(by_label(Some("voice")).indices, [0, 2, 5]);
-        assert_eq!(ports(by_label(Some("bulk"))), [4]);
-        assert_eq!(ports(by_label(None)), [2, 5]);
-        assert_eq!(by_label(None).indices, [1, 4]);
-    }
-
-    #[test]
-    fn unlabelled_batch_takes_fast_path() {
-        let mut b = PacketBatch::new();
-        b.push(pkt(1));
-        b.push(pkt(2));
-        let groups = b.into_label_groups();
-        assert_eq!(groups.len(), 1);
-        assert!(groups[0].label.is_none());
-        assert_eq!(groups[0].indices, [0, 1]);
-    }
-
-    #[test]
-    fn empty_batch_groups_to_one_empty_group() {
-        let groups = PacketBatch::new().into_label_groups();
-        assert_eq!(groups.len(), 1);
-        assert!(groups[0].batch.is_empty());
-    }
-
-    #[test]
     fn clear_retains_capacity() {
         let mut b = PacketBatch::with_capacity(8);
         b.push(pkt(1));
@@ -981,15 +741,12 @@ mod tests {
     }
 
     #[test]
-    fn shard_split_preserves_order_and_labels() {
+    fn shard_split_preserves_order() {
         use crate::flow::FlowKey;
         let mut b = PacketBatch::new();
         for p in 1u16..=8 {
             b.push(pkt(p));
         }
-        let marked = b.intern("marked");
-        b.set_label(2, marked);
-        b.set_label(5, marked);
         let keys: Vec<FlowKey> = b.iter().map(|p| FlowKey::from_packet(p).unwrap()).collect();
         let parts = gather(split(b, 3));
         assert_eq!(parts.len(), 3);
@@ -1007,16 +764,6 @@ mod tests {
             }
         }
         assert_eq!(seen, 8, "no packet lost or duplicated");
-        // Labels survived partitioning: exactly two "marked" packets.
-        let marked_count: usize = parts
-            .iter()
-            .map(|p| {
-                (0..p.len())
-                    .filter(|i| p.label_of(*i) == Some("marked"))
-                    .count()
-            })
-            .sum();
-        assert_eq!(marked_count, 2);
     }
 
     #[test]
@@ -1024,13 +771,10 @@ mod tests {
         let mut b = PacketBatch::new();
         b.push(pkt(1));
         b.push(pkt(2));
-        let l = b.intern("x");
-        b.set_label(0, l);
         let mut parts = gather(split(b, 1));
         assert_eq!(parts.len(), 1);
         let only = parts.pop().unwrap();
         assert_eq!(ports(&only), [1, 2]);
-        assert_eq!(only.label_of(0), Some("x"));
         assert_eq!(gather(split(PacketBatch::new(), 0)).len(), 1);
     }
 
@@ -1095,8 +839,6 @@ mod tests {
             for p in 1u16..=3 {
                 b.push(pkt(p));
             }
-            let l = b.intern("x");
-            b.set_label(1, l);
             let split = split(b, shards);
             assert_eq!(split.shards(), 1, "shards={shards}");
             assert_eq!(split.len(), 3);
@@ -1105,7 +847,6 @@ mod tests {
             let batches = gather(split);
             assert_eq!(batches.len(), 1);
             assert_eq!(ports(&batches[0]), [1, 2, 3]);
-            assert_eq!(batches[0].label_of(1), Some("x"));
         }
     }
 
@@ -1165,8 +906,6 @@ mod tests {
         for p in [1u16, 2, 3] {
             batch.push(pkt(p));
         }
-        let l = batch.intern("x");
-        batch.set_label(0, l);
         let ports: Vec<u16> = batch
             .drain_all()
             .map(|p| p.udp_v4().unwrap().src_port)
@@ -1190,33 +929,21 @@ mod tests {
     }
 
     #[test]
-    fn pop_returns_last_and_truncates_labels() {
+    fn pop_returns_last() {
         let mut b = PacketBatch::new();
         b.push(pkt(1));
         b.push(pkt(2));
-        let l = b.intern("x");
-        b.set_label(1, l);
         let last = b.pop().unwrap();
         assert_eq!(last.udp_v4().unwrap().src_port, 2);
         assert_eq!(b.len(), 1);
-        assert_eq!(b.label_of(0), None);
         b.push(pkt(3));
-        assert_eq!(b.label_of(1), None, "stale label must not resurface");
+        assert_eq!(ports(&b), [1, 3]);
         assert!(PacketBatch::new().pop().is_none());
     }
 
     #[test]
     fn shared_ranges_agree_with_owned_partition() {
-        let build = || -> PacketBatch {
-            let mut b = PacketBatch::new();
-            for p in 1u16..=16 {
-                b.push(pkt(p));
-            }
-            let l = b.intern("marked");
-            b.set_label(3, l);
-            b.set_label(9, l);
-            b
-        };
+        let build = || -> PacketBatch { (1u16..=16).map(pkt).collect() };
         let owned = reference_partition(build(), 4);
         let shared = split(build(), 4).into_shared();
         assert_eq!(shared.shards(), 4);
@@ -1230,7 +957,6 @@ mod tests {
             assert_eq!(range.take_into(&mut out), own.len());
             for i in 0..out.len() {
                 assert_eq!(out.packets()[i].data(), own.packets()[i].data());
-                assert_eq!(out.label_of(i), own.label_of(i));
             }
         }
     }
@@ -1297,16 +1023,5 @@ mod tests {
         let mut out = PacketBatch::new();
         out.push(pkt(2));
         shared.range(0).take_into(&mut out);
-    }
-
-    #[test]
-    fn labels_readable_back() {
-        let mut b = PacketBatch::new();
-        b.push(pkt(1));
-        b.push(pkt(2));
-        let l = b.intern("x");
-        b.set_label(1, l);
-        assert_eq!(b.label_of(0), None);
-        assert_eq!(b.label_of(1), Some("x"));
     }
 }

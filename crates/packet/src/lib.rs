@@ -5,8 +5,8 @@
 //! * [`packet`] — the [`Packet`] type (frame bytes +
 //!   out-of-band metadata) and a workload-oriented builder.
 //! * [`batch`] — [`PacketBatch`], the bulk-transfer unit of the
-//!   batch-first dataplane API (ordered packets + interned per-packet
-//!   output labels for split-without-reallocation).
+//!   batch-first dataplane API: ordered packets in one pool-recycled
+//!   `Vec`, with the zero-copy shard split the dispatcher runs.
 //! * [`headers`] — Ethernet/IPv4/IPv6/UDP/TCP parse + emit, with in-place
 //!   fast-path mutators (TTL decrement, DSCP rewrite).
 //! * [`checksum`] — RFC 1071 Internet checksum and RFC 1624 incremental
@@ -39,6 +39,6 @@ pub mod pool;
 pub mod sketch;
 pub mod steer;
 
-pub use batch::{LabelGroup, PacketBatch};
+pub use batch::PacketBatch;
 pub use error::{ParseError, ParseResult};
 pub use packet::{Packet, PacketBuilder, PacketMeta};

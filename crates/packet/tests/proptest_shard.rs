@@ -7,7 +7,7 @@
 //! intact, every packet on its flow's shard, under any steering table;
 //! (3) the zero-copy steering path (`shard_split_with` → `into_shared`
 //! → each shard's `take_into`, what dispatch and the workers run) is
-//! observationally identical — packets, order, labels — to the legacy
+//! observationally identical — packets and order — to the legacy
 //! re-materialising partition, reimplemented verbatim below as the
 //! reference.
 
@@ -49,25 +49,16 @@ fn build(spec: &FlowSpec, seq: u16) -> Packet {
 }
 
 /// The PR 2 re-materialising partition, preserved verbatim as the
-/// behavioural reference: per-packet `shard_of`, per-shard `push`, and
-/// per-packet label re-interning.
+/// behavioural reference: per-packet `shard_of`, per-shard `push`.
 fn reference_partition(batch: PacketBatch, shards: usize) -> Vec<PacketBatch> {
     let shards = shards.max(1);
     if shards == 1 {
         return vec![batch];
     }
-    let labelled: Vec<Option<String>> = (0..batch.len())
-        .map(|i| batch.label_of(i).map(str::to_owned))
-        .collect();
     let mut out: Vec<PacketBatch> = (0..shards).map(|_| PacketBatch::new()).collect();
-    for (idx, pkt) in batch.into_packets().into_iter().enumerate() {
+    for pkt in batch.into_packets() {
         let shard = shard_of(&pkt, shards);
-        let target = &mut out[shard];
-        target.push(pkt);
-        if let Some(label) = &labelled[idx] {
-            let id = target.intern(label);
-            target.set_label(target.len() - 1, id);
-        }
+        out[shard].push(pkt);
     }
     out
 }
@@ -93,21 +84,12 @@ fn gather(split: ShardSplit) -> Vec<PacketBatch> {
     parts
 }
 
-/// `(frame bytes, label)` fingerprints per shard — the observable
-/// content every split variant must agree on.
-fn fingerprint(parts: &[PacketBatch]) -> Vec<Vec<(Vec<u8>, Option<String>)>> {
+/// Frame-byte fingerprints per shard — the observable content every
+/// split variant must agree on.
+fn fingerprint(parts: &[PacketBatch]) -> Vec<Vec<Vec<u8>>> {
     parts
         .iter()
-        .map(|p| {
-            (0..p.len())
-                .map(|i| {
-                    (
-                        p.packets()[i].data().to_vec(),
-                        p.label_of(i).map(str::to_owned),
-                    )
-                })
-                .collect()
-        })
+        .map(|p| p.iter().map(|pkt| pkt.data().to_vec()).collect())
         .collect()
 }
 
@@ -119,19 +101,13 @@ proptest! {
         shards in 0usize..=6,
     ) {
         // Build two identical batches: reference and split. `picks`
-        // interleaves flows and assigns each packet one of three labels
-        // (or none).
-        let labels = ["voice", "bulk", "scavenger"];
+        // interleaves flows; its second field once picked a per-packet
+        // label and no longer matters.
         let mut batches: Vec<PacketBatch> = (0..2).map(|_| PacketBatch::new()).collect();
-        for (i, (flow_idx, label_idx)) in picks.iter().enumerate() {
+        for (i, (flow_idx, _)) in picks.iter().enumerate() {
             let spec = &flows[flow_idx % flows.len()];
             for b in &mut batches {
-                let pkt = build(spec, i as u16);
-                b.push(pkt);
-                if *label_idx < labels.len() {
-                    let id = b.intern(labels[*label_idx]);
-                    b.set_label(b.len() - 1, id);
-                }
+                b.push(build(spec, i as u16));
             }
         }
         let [for_reference, for_split]: [PacketBatch; 2] = batches.try_into().ok().unwrap();
@@ -146,7 +122,7 @@ proptest! {
         prop_assert_eq!(split.batch().len(), picks.len());
 
         // Gathered per shard at the consuming end: same shards, same
-        // order, same labels. Per-flow order within each shard follows
+        // order. Per-flow order within each shard follows
         // (the reference proves itself against the input in
         // `partition_loses_and_duplicates_nothing_and_keeps_flow_order`).
         prop_assert_eq!(&fingerprint(&gather(split)), &reference, "shared ≡ reference");

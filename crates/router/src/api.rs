@@ -35,10 +35,11 @@
 //!
 //! * **Ordering** — packets are processed in batch order. On any single
 //!   downstream output the emitted sequence keeps batch order, and it
-//!   does not depend on how the input was cut into batches. Splitting
-//!   components (classifier, route lookup, protocol recogniser) label
-//!   each packet with the output it leaves on — fallback outputs
-//!   included — before they split.
+//!   does not depend on how the input was cut into batches. The rule
+//!   has one home, [`emit`]: an element picks each packet's [`Exit`] —
+//!   one of its [`Output`]s, fallbacks included, or a drop verdict —
+//!   and `emit` crosses each output once, in batch order. Every library
+//!   element that forwards leaves through it, bar `Tee` (it copies).
 //! * **Partial failure** — a batch push never fails wholesale. The
 //!   returned [`BatchResult`] carries one verdict *per packet, in batch
 //!   order*: `Ok(())` for accepted/forwarded packets and a
@@ -53,9 +54,10 @@
 //!   (`tests/proptest_batch_equiv.rs`) drive the classifier, IP
 //!   processors, meter, queues, route lookup, NAT44, balancer,
 //!   conntrack, guard, tee, policer and protocol recogniser one packet
-//!   at a time and in batches of every size. One known exception: the
-//!   guard's SYN defence with a tracker attached (see
-//!   [`crate::flow::Guard`]).
+//!   at a time and in batches of every size, as
+//!   `crates/services/tests/proptest_media_equiv.rs` does the media
+//!   filters. One known exception: the guard's SYN defence with a
+//!   tracker attached (see [`crate::flow::Guard`]).
 //! * **Interception** — interceptor hooks see `"push_batch"` /
 //!   `"pull_batch"` for every transfer: a scalar call crosses the
 //!   wrapper as a batch of one. Likewise an isolated component's proxy
@@ -83,18 +85,16 @@
 //!   (`ShardSplit::into_shared`) and publishes one refcounted
 //!   shard-range *descriptor* per target ring. Packets move exactly
 //!   once, on the **worker** (`SharedShardRange::take_into` into a
-//!   pool-recycled gather container whose labels are shared from the
-//!   parent's interned table). Elements therefore must not assume a
-//!   batch's label table holds only labels its own packets use. See
-//!   "The dispatch contract" below for the parent's lifecycle.
+//!   pool-recycled gather container). See "The dispatch contract"
+//!   below for the parent's lifecycle.
 //! * **Batches arrive pool-homed.** A batch a worker receives may
 //!   lease its container (and its packets' frame buffers) from the
 //!   pipeline's `BatchPool`/`BufferPool`; terminal elements should
 //!   drop batches whole, `pop` what they keep (as `Discard` does), or
 //!   drain in place (`PacketBatch::drain_all`, as the tx device
 //!   adapter does) so the storage recycles. The consuming methods
-//!   (`into_packets`, `into_label_groups`) detach moved storage from
-//!   its pool — correct, but off the zero-allocation path.
+//!   (`into_packets`, `into_iter`) detach moved storage from its pool
+//!   — correct, but off the zero-allocation path.
 //! * **Implementations need no extra locking.** A replica is only ever
 //!   driven by its own worker; `Send + Sync` plus the existing interior
 //!   mutability suffices. Do not share an element instance between
@@ -613,6 +613,7 @@ use opencom::ident::{ComponentId, InterfaceId, Version};
 use opencom::interception::InterceptorChain;
 use opencom::interface::{InterfaceDescriptor, InterfaceRef};
 use opencom::ipc::{wire, IpcClient, IpcDispatch};
+use opencom::receptacle::Receptacle;
 use opencom::runtime::Runtime;
 
 use netkit_packet::batch::PacketBatch;
@@ -762,28 +763,150 @@ impl BatchResult {
     pub fn all_ok(&self) -> bool {
         self.verdicts.iter().all(|v| v.is_ok())
     }
-
-    /// Scatters the verdicts of a sub-batch result back into `self` at
-    /// the given original positions (see
-    /// [`PacketBatch::into_label_groups`]). `self` must already hold a
-    /// verdict slot for every index in `indices`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `indices` and `sub` disagree in length or an index is
-    /// out of range.
-    pub fn scatter(&mut self, indices: &[usize], sub: BatchResult) {
-        assert_eq!(indices.len(), sub.verdicts.len(), "verdict count mismatch");
-        for (&idx, verdict) in indices.iter().zip(sub.verdicts) {
-            self.verdicts[idx] = verdict;
-        }
-    }
 }
 
 impl From<Vec<PushResult>> for BatchResult {
     fn from(verdicts: Vec<PushResult>) -> Self {
         Self { verdicts }
     }
+}
+
+// ---- the emit step -------------------------------------------------------
+
+/// Where one packet of a batch leaves an element (see [`emit`]).
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub enum Exit {
+    /// On the caller's output at this index.
+    Out(usize),
+    /// On no output: the packet drops here, with this verdict.
+    Drop(PushResult),
+}
+
+/// Where each packet of a batch leaves an element: on the output the
+/// exits were made with, unless [`Self::set`] says otherwise. Nothing
+/// is allocated until a packet leaves some other way.
+#[derive(Debug)]
+pub struct Exits {
+    output: usize,
+    /// The exits of the batch's first packets; the rest take `output`.
+    each: Vec<Exit>,
+}
+
+impl Exits {
+    /// Every packet leaving on `output`.
+    #[inline]
+    pub fn new(output: usize) -> Self {
+        let each = Vec::new();
+        Self { output, each }
+    }
+
+    /// Sends the packet at `idx` out by `exit` instead.
+    #[inline]
+    pub fn set(&mut self, idx: usize, exit: Exit) {
+        if idx >= self.each.len() {
+            if exit == Exit::Out(self.output) {
+                return;
+            }
+            self.each.resize(idx + 1, Exit::Out(self.output));
+        }
+        self.each[idx] = exit;
+    }
+
+    /// The output the packet at `idx` leaves on, or `None` if it drops.
+    pub fn output_of(&self, idx: usize) -> Option<usize> {
+        match self.each.get(idx).unwrap_or(&Exit::Out(self.output)) {
+            Exit::Out(k) => Some(*k),
+            Exit::Drop(_) => None,
+        }
+    }
+}
+
+/// One output of an element, as [`emit`] crosses it: a receptacle's
+/// first binding, or its binding under a label, and the verdict each
+/// packet takes while nothing is bound there.
+#[derive(Debug)]
+pub struct Output<'a> {
+    port: &'a Receptacle<dyn IPacketPush>,
+    label: Option<&'a str>,
+    unbound: PushResult,
+}
+
+impl<'a> Output<'a> {
+    /// The first binding of `port`.
+    #[inline]
+    pub fn new(port: &'a Receptacle<dyn IPacketPush>, unbound: PushResult) -> Self {
+        Self {
+            port,
+            label: None,
+            unbound,
+        }
+    }
+
+    /// The binding under `label` instead.
+    pub fn labelled(self, label: &'a str) -> Self {
+        Self {
+            label: Some(label),
+            ..self
+        }
+    }
+
+    #[inline]
+    fn cross(&self, batch: PacketBatch) -> BatchResult {
+        let n = batch.len();
+        let push = |next: &(dyn IPacketPush + 'static)| next.push_batch(batch);
+        match self.label {
+            None => self.port.with_bound(push),
+            Some(label) => self.port.with_labelled(label, push),
+        }
+        .unwrap_or_else(|| BatchResult::from(vec![self.unbound.clone(); n]))
+    }
+}
+
+/// The one way out of an element, and the one home of the batch
+/// contract's ordering rule: sends each packet of `batch` where `exits`
+/// says and returns one verdict per packet, in batch order.
+///
+/// Each output's packets cross its binding once, in batch order;
+/// outputs are crossed in the order `outputs` lists them, and one no
+/// packet takes is not crossed. Downstream verdicts land back on their
+/// own packets. When every packet takes one output the batch moves on
+/// whole and nothing is allocated here; an empty batch goes nowhere.
+///
+/// # Panics
+///
+/// Panics if `exits` names a packet past the end of `batch` or an
+/// output past the end of `outputs`.
+pub fn emit(mut batch: PacketBatch, exits: &Exits, outputs: &[Output<'_>]) -> BatchResult {
+    assert!(exits.each.len() <= batch.len(), "an exit past the batch");
+    if batch.is_empty() {
+        return BatchResult::default();
+    } else if exits.each.is_empty() {
+        return outputs[exits.output].cross(batch);
+    }
+    let rest = Exit::Out(exits.output);
+    let each = || exits.each.iter().chain(std::iter::repeat(&rest));
+    let mut result = BatchResult::ok(batch.len());
+    let mut parts: Vec<PacketBatch> = outputs.iter().map(|_| PacketBatch::new()).collect();
+    for ((pkt, exit), verdict) in batch.drain_all().zip(each()).zip(&mut result.verdicts) {
+        match exit {
+            Exit::Out(k) => parts[*k].push(pkt),
+            Exit::Drop(drop) => *verdict = drop.clone(),
+        }
+    }
+    // Each output's verdicts, in its batch order, land on the packets
+    // that took it.
+    for (k, (output, part)) in outputs.iter().zip(parts).enumerate() {
+        if part.is_empty() {
+            continue;
+        }
+        let mut sub = output.cross(part).verdicts.into_iter();
+        for (verdict, exit) in result.verdicts.iter_mut().zip(each()) {
+            if *exit == Exit::Out(k) {
+                *verdict = sub.next().expect("one verdict per packet");
+            }
+        }
+    }
+    result
 }
 
 /// Push-oriented inter-component packet transfer (Fig. 2), batch-first.
@@ -1181,8 +1304,7 @@ fn decode_packet(buf: &[u8]) -> Option<Packet> {
 }
 
 /// Marshals a whole batch into one IPC payload: a count followed by the
-/// length-prefixed per-packet encodings. Output labels are batch-local
-/// routing scratch and do not cross the capsule boundary.
+/// length-prefixed per-packet encodings.
 fn encode_batch(batch: &PacketBatch) -> Vec<u8> {
     let mut out = Vec::with_capacity(16 + batch.iter().map(|p| p.len() + 40).sum::<usize>());
     wire::put_u64(&mut out, batch.len() as u64);

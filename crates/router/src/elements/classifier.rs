@@ -20,13 +20,13 @@ use opencom::receptacle::Receptacle;
 use parking_lot::RwLock;
 
 use crate::api::{
-    BatchResult, FilterId, FilterSpec, IClassifier, IPacketPush, ITable, PushError, ICLASSIFIER,
-    IPACKET_PUSH, ITABLE,
+    emit, BatchResult, Exit, Exits, FilterId, FilterSpec, IClassifier, IPacketPush, ITable, Output,
+    PushError, ICLASSIFIER, IPACKET_PUSH, ITABLE,
 };
 use crate::desc::schema::TableKind;
 use crate::desc::TableEntry;
 
-use super::element_core;
+use super::{element_core, first_met};
 
 /// Label of the fallthrough output used when no filter matches.
 pub const DEFAULT_OUTPUT: &str = "default";
@@ -85,66 +85,43 @@ impl ClassifierEngine {
 
 impl IPacketPush for ClassifierEngine {
     fn push_batch(&self, mut batch: PacketBatch) -> BatchResult {
-        // One pass over the filter list under a single read lock labels
-        // every packet; the batch then splits into one sub-batch per
-        // output and each output's binding is traversed once. Unmatched
-        // packets stay unlabelled — the `None` group — and fall to the
-        // default output. (No in-band sentinel: a user filter output
-        // could spell any string.)
-        let n = batch.len();
+        // One pass over the filter list under a single read lock picks
+        // every packet's output, numbered as the batch first meets it.
+        // An unmatched packet takes `default` when that is bound
+        // (counted matched), else drops `Ok` (counted unmatched).
+        let mut exits = Exits::new(0);
+        let mut labels: Vec<String> = Vec::new();
+        let default_bound = self.output_bound(DEFAULT_OUTPUT);
+        let (mut matched, mut unmatched) = (0u64, 0u64);
         {
             let filters = self.filters.read();
-            for idx in 0..n {
-                let pkt = &mut batch.packets_mut()[idx];
+            for (idx, pkt) in batch.packets_mut().iter_mut().enumerate() {
                 let dscp = Self::dscp_of(pkt);
                 pkt.meta.dscp = Some(dscp);
-                let flow = FlowView::of(pkt).map(|v| v.key);
-                let label = flow.as_ref().and_then(|f| {
-                    filters
-                        .iter()
-                        .find(|(_, spec)| spec.pattern.matches(f, dscp))
-                        .map(|(_, spec)| spec.output.clone())
+                let hit = FlowView::of(pkt).and_then(|flow| {
+                    let mut specs = filters.iter();
+                    specs.find(|(_, spec)| spec.pattern.matches(&flow.key, dscp))
                 });
-                if let Some(out) = label {
-                    let interned = batch.intern(&out);
-                    batch.set_label(idx, interned);
-                }
+                let label = match hit {
+                    Some((_, spec)) => spec.output.as_str(),
+                    None if default_bound => DEFAULT_OUTPUT,
+                    None => {
+                        unmatched += 1;
+                        exits.set(idx, Exit::Drop(Ok(()))); // drop policy for unmatched traffic
+                        continue;
+                    }
+                };
+                matched += 1;
+                exits.set(idx, Exit::Out(first_met(&mut labels, label)));
             }
         }
-        let mut result = BatchResult::from(vec![Ok(()); n]);
-        for group in batch.into_label_groups() {
-            let size = group.batch.len();
-            match group.label.as_deref() {
-                None => {
-                    let sub = match self
-                        .outs
-                        .with_labelled(DEFAULT_OUTPUT, |next| next.push_batch(group.batch))
-                    {
-                        Some(sub) => {
-                            self.matched.fetch_add(size as u64, Ordering::Relaxed);
-                            sub
-                        }
-                        None => {
-                            self.unmatched.fetch_add(size as u64, Ordering::Relaxed);
-                            BatchResult::ok(size) // drop policy for unmatched traffic
-                        }
-                    };
-                    result.scatter(&group.indices, sub);
-                }
-                Some(out) => {
-                    self.matched.fetch_add(size as u64, Ordering::Relaxed);
-                    let sub = match self
-                        .outs
-                        .with_labelled(out, |next| next.push_batch(group.batch))
-                    {
-                        Some(sub) => sub,
-                        None => BatchResult::err(size, PushError::Unbound),
-                    };
-                    result.scatter(&group.indices, sub);
-                }
-            }
-        }
-        result
+        self.matched.fetch_add(matched, Ordering::Relaxed);
+        self.unmatched.fetch_add(unmatched, Ordering::Relaxed);
+        let outputs: Vec<Output<'_>> = labels
+            .iter()
+            .map(|l| Output::new(&self.outs, Err(PushError::Unbound)).labelled(l))
+            .collect();
+        emit(batch, &exits, &outputs)
     }
 }
 

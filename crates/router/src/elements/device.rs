@@ -10,7 +10,10 @@ use netkit_packet::batch::PacketBatch;
 use opencom::component::{Component, ComponentCore, Registrar};
 use opencom::receptacle::Receptacle;
 
-use crate::api::{BatchResult, IPacketPull, IPacketPush, PushError, IPACKET_PULL, IPACKET_PUSH};
+use crate::api::{
+    emit, BatchResult, Exits, IPacketPull, IPacketPush, Output, PushError, IPACKET_PULL,
+    IPACKET_PUSH,
+};
 
 use super::element_core;
 
@@ -82,14 +85,9 @@ impl FromDevice {
     /// Returns the number of frames accepted downstream.
     pub fn pump_batch(&self, budget: usize) -> usize {
         let batch = self.burst(budget);
-        if batch.is_empty() {
-            return 0;
-        }
         let n = batch.len();
-        let moved = match self.out.with_bound(|next| next.push_batch(batch)) {
-            Some(result) => result.accepted(),
-            None => 0,
-        };
+        let out = Output::new(&self.out, Err(PushError::Unbound));
+        let moved = emit(batch, &Exits::new(0), &[out]).accepted();
         self.pumped.fetch_add(moved as u64, Ordering::Relaxed);
         self.push_drops
             .fetch_add((n - moved) as u64, Ordering::Relaxed);

@@ -12,7 +12,7 @@ use netkit_packet::packet::Packet;
 use opencom::component::{Component, ComponentCore, Registrar};
 use opencom::receptacle::Receptacle;
 
-use crate::api::{BatchResult, IPacketPush, PushError, IPACKET_PUSH};
+use crate::api::{emit, BatchResult, Exit, Exits, IPacketPush, Output, PushError, IPACKET_PUSH};
 
 use super::element_core;
 
@@ -63,58 +63,36 @@ macro_rules! ip_processor {
         }
 
         impl IPacketPush for $name {
-            fn push_batch(&self, batch: PacketBatch) -> BatchResult {
-                // Validate + decrement per packet, then cross each
-                // receptacle once — survivors as one batch on `out`,
-                // failures as one batch on `err` (or dropped with their
-                // reason when `err` is unbound).
-                let n = batch.len();
-                let mut result = BatchResult::from(vec![Ok(()); n]);
-                let mut ok_batch = PacketBatch::with_capacity(n);
-                let mut ok_idx = Vec::with_capacity(n);
-                let mut err_batch = PacketBatch::new();
-                let mut err_idx = Vec::new();
-                let mut err_reasons: Vec<PushError> = Vec::new();
-                for (idx, mut pkt) in batch.into_packets().into_iter().enumerate() {
+            fn push_batch(&self, mut batch: PacketBatch) -> BatchResult {
+                // Validate + decrement per packet; failures leave on
+                // `err` (crossed first), survivors on `out`. With `err`
+                // unbound each failure drops with its own reason.
+                const ERR: usize = 0;
+                const OUT: usize = 1;
+                let mut exits = Exits::new(OUT);
+                let err_bound = self.err.with_bound(|_| ()).is_some();
+                for (idx, pkt) in batch.packets_mut().iter_mut().enumerate() {
                     #[allow(clippy::redundant_closure_call)]
-                    if let Err(e) = ($validate)(&pkt) {
-                        self.malformed.fetch_add(1, Ordering::Relaxed);
-                        err_batch.push(pkt);
-                        err_idx.push(idx);
-                        err_reasons.push(PushError::Malformed(e));
-                        continue;
-                    }
-                    #[allow(clippy::redundant_closure_call)]
-                    if ($decrement)(&mut pkt).is_err() {
-                        self.ttl_expired.fetch_add(1, Ordering::Relaxed);
-                        err_batch.push(pkt);
-                        err_idx.push(idx);
-                        err_reasons.push(PushError::TtlExpired);
-                        continue;
-                    }
-                    ok_batch.push(pkt);
-                    ok_idx.push(idx);
-                }
-                if !err_batch.is_empty() {
-                    let sub = match self.err.with_bound(|e| e.push_batch(err_batch)) {
-                        Some(sub) => sub,
-                        None => BatchResult::from(
-                            err_reasons.into_iter().map(Err).collect::<Vec<_>>(),
-                        ),
-                    };
-                    result.scatter(&err_idx, sub);
-                }
-                if !ok_batch.is_empty() {
-                    let size = ok_batch.len();
-                    let sub = match self.out.with_bound(|next| next.push_batch(ok_batch)) {
-                        Some(sub) => {
-                            self.forwarded.fetch_add(sub.accepted() as u64, Ordering::Relaxed);
-                            sub
+                    let reason = match ($validate)(&*pkt) {
+                        Err(e) => {
+                            self.malformed.fetch_add(1, Ordering::Relaxed);
+                            PushError::Malformed(e)
                         }
-                        None => BatchResult::err(size, PushError::Unbound),
+                        Ok(()) if ($decrement)(pkt).is_err() => {
+                            self.ttl_expired.fetch_add(1, Ordering::Relaxed);
+                            PushError::TtlExpired
+                        }
+                        Ok(()) => continue,
                     };
-                    result.scatter(&ok_idx, sub);
+                    exits.set(idx, if err_bound { Exit::Out(ERR) } else { Exit::Drop(Err(reason)) });
                 }
+                let outputs =
+                    [&self.err, &self.out].map(|port| Output::new(port, Err(PushError::Unbound)));
+                let result = emit(batch, &exits, &outputs);
+                let forwarded = (result.verdicts.iter().enumerate())
+                    .filter(|(idx, v)| v.is_ok() && exits.output_of(*idx) == Some(OUT))
+                    .count();
+                self.forwarded.fetch_add(forwarded as u64, Ordering::Relaxed);
                 result
             }
         }

@@ -4,16 +4,16 @@
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use netkit_packet::batch::{LabelId, PacketBatch};
+use netkit_packet::batch::PacketBatch;
 use netkit_packet::headers::EtherType;
 use netkit_packet::packet::Packet;
 use opencom::component::{Component, ComponentCore, Registrar};
 use opencom::receptacle::Receptacle;
 use parking_lot::Mutex;
 
-use crate::api::{BatchResult, IPacketPush, PushError, IPACKET_PUSH};
+use crate::api::{emit, BatchResult, Exit, Exits, IPacketPush, Output, PushError, IPACKET_PUSH};
 
-use super::element_core;
+use super::{element_core, first_met};
 
 /// Pass-through element counting packets and bytes; keeps the last
 /// packet for test inspection. With no downstream binding it acts as a
@@ -67,10 +67,7 @@ impl IPacketPush for Counter {
         if let Some(last) = batch.packets().last() {
             *self.last.lock() = Some(last.clone());
         }
-        match self.out.with_bound(|next| next.push_batch(batch)) {
-            Some(result) => result,
-            None => BatchResult::ok(n), // sink mode
-        }
+        emit(batch, &Exits::new(0), &[Output::new(&self.out, Ok(()))])
     }
 }
 
@@ -241,41 +238,38 @@ impl ProtocolRecogniser {
 }
 
 impl IPacketPush for ProtocolRecogniser {
-    fn push_batch(&self, mut batch: PacketBatch) -> BatchResult {
-        // Demux the burst into one sub-batch per output and cross each
-        // binding once. Each frame is labelled with the output it leaves
-        // on — its protocol's own, else `other` — before the split, so
-        // every output sees its frames in batch order.
-        let n = batch.len();
-        // The output label of each protocol this batch has met.
-        let mut outputs: Vec<(&'static str, LabelId)> = Vec::with_capacity(4);
-        for idx in 0..n {
-            let protocol = Self::label_for(&batch.packets()[idx]);
-            let label = match outputs.iter().find(|(p, _)| *p == protocol) {
-                Some(&(_, label)) => label,
+    fn push_batch(&self, batch: PacketBatch) -> BatchResult {
+        // Each frame leaves on its protocol's own output, else on
+        // `other`; with `other` unbound too it drops `Ok` (the drop
+        // policy for unmatched protocols) and is counted.
+        let mut exits = Exits::new(0);
+        // Each protocol this batch has met and its exit; the outputs.
+        let mut protocols: Vec<(&'static str, Exit)> = Vec::with_capacity(4);
+        let mut labels: Vec<String> = Vec::with_capacity(4);
+        let mut unroutable = 0u64;
+        for (idx, pkt) in batch.iter().enumerate() {
+            let protocol = Self::label_for(pkt);
+            let exit = match protocols.iter().find(|(p, _)| *p == protocol) {
+                Some((_, exit)) => exit.clone(),
                 None => {
-                    let bound = self.outs.with_labelled(protocol, |_| ()).is_some();
-                    let label = batch.intern(if bound { protocol } else { "other" });
-                    outputs.push((protocol, label));
-                    label
+                    let bound = |l: &&str| self.outs.with_labelled(l, |_| ()).is_some();
+                    let exit = match [protocol, "other"].into_iter().find(bound) {
+                        Some(label) => Exit::Out(first_met(&mut labels, label)),
+                        None => Exit::Drop(Ok(())),
+                    };
+                    protocols.push((protocol, exit.clone()));
+                    exit
                 }
             };
-            batch.set_label(idx, label);
+            unroutable += u64::from(exit == Exit::Drop(Ok(())));
+            exits.set(idx, exit);
         }
-        let mut result = BatchResult::from(vec![Ok(()); n]);
-        for group in batch.into_label_groups() {
-            let size = group.batch.len();
-            let label = group.label.as_deref().unwrap_or("other");
-            let sub = self
-                .outs
-                .with_labelled(label, |next| next.push_batch(group.batch))
-                .unwrap_or_else(|| {
-                    self.unroutable.fetch_add(size as u64, Ordering::Relaxed);
-                    BatchResult::ok(size) // drop policy: unmatched protocols are discarded
-                });
-            result.scatter(&group.indices, sub);
-        }
-        result
+        self.unroutable.fetch_add(unroutable, Ordering::Relaxed);
+        let outputs: Vec<Output<'_>> = labels
+            .iter()
+            .map(|l| Output::new(&self.outs, Ok(())).labelled(l))
+            .collect();
+        emit(batch, &exits, &outputs)
     }
 }
 

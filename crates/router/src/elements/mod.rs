@@ -39,3 +39,13 @@ use opencom::ident::Version;
 pub(crate) fn element_core(type_name: &str) -> ComponentCore {
     ComponentCore::new(ComponentDescriptor::new(type_name, Version::new(1, 0, 0)))
 }
+
+/// The index of output `label` in `labels`, appended if it is new: a
+/// splitting element numbers its outputs in the order a batch first
+/// meets them.
+fn first_met(labels: &mut Vec<String>, label: &str) -> usize {
+    labels.iter().position(|l| l == label).unwrap_or_else(|| {
+        labels.push(label.to_owned());
+        labels.len() - 1
+    })
+}

@@ -12,7 +12,7 @@ use std::net::IpAddr;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use netkit_packet::batch::{LabelId, PacketBatch};
+use netkit_packet::batch::PacketBatch;
 use netkit_packet::headers::EtherType;
 use netkit_packet::packet::Packet;
 use opencom::component::{Component, ComponentCore, Registrar};
@@ -20,12 +20,14 @@ use opencom::error::{Error, Result};
 use opencom::receptacle::Receptacle;
 use parking_lot::RwLock;
 
-use crate::api::{BatchResult, IPacketPush, ITable, PushError, IPACKET_PUSH, ITABLE};
+use crate::api::{
+    emit, BatchResult, Exit, Exits, IPacketPush, ITable, Output, PushError, IPACKET_PUSH, ITABLE,
+};
 use crate::desc::schema::TableKind;
 use crate::desc::TableEntry;
 use crate::routing::{parse_prefix, RouteEntry, RoutingTable};
 
-use super::element_core;
+use super::{element_core, first_met};
 
 /// The row a route entry names, and the route it installs there.
 fn route_of(entry: &TableEntry) -> Result<(IpAddr, u8, RouteEntry)> {
@@ -87,64 +89,47 @@ impl RouteLookup {
 
 impl IPacketPush for RouteLookup {
     fn push_batch(&self, mut batch: PacketBatch) -> BatchResult {
-        // All LPM lookups under one table read lock, one binding
-        // traversal per output. Each packet is labelled with the output
-        // it leaves on — its port's own, else `out` — before the split,
-        // so every output sees its packets in batch order.
-        let n = batch.len();
-        let mut result = BatchResult::from(vec![Ok(()); n]);
-        let mut no_route = 0u64;
-        let mut routed = 0u64;
-        // The output label of each egress port this batch has met.
-        let mut outputs: Vec<(u16, LabelId)> = Vec::new();
+        // All LPM lookups under one table read lock. Each packet leaves
+        // on its port's own output, else on `out`; one with no route
+        // drops with `NoRoute`.
+        let mut exits = Exits::new(0);
+        let (mut routed, mut no_route) = (0u64, 0u64);
+        // The output of each egress port this batch has met.
+        let mut ports: Vec<(u16, usize)> = Vec::new();
+        let mut labels: Vec<String> = Vec::new();
         {
             let table = self.table.read();
-            for idx in 0..n {
-                let pkt = &mut batch.packets_mut()[idx];
-                let Some(dst) = Self::destination(pkt) else {
+            for (idx, pkt) in batch.packets_mut().iter_mut().enumerate() {
+                let Some((dst, entry)) =
+                    Self::destination(pkt).and_then(|dst| Some((dst, table.lookup(dst)?)))
+                else {
                     no_route += 1;
-                    result.verdicts[idx] = Err(PushError::NoRoute);
-                    continue;
-                };
-                let Some(entry) = table.lookup(dst) else {
-                    no_route += 1;
-                    result.verdicts[idx] = Err(PushError::NoRoute);
+                    exits.set(idx, Exit::Drop(Err(PushError::NoRoute)));
                     continue;
                 };
                 pkt.meta.egress = Some(entry.egress);
                 pkt.meta.next_hop = entry.next_hop.or(Some(dst));
                 routed += 1;
-                let label = match outputs.iter().find(|(port, _)| *port == entry.egress) {
-                    Some(&(_, label)) => label,
+                let k = match ports.iter().find(|(port, _)| *port == entry.egress) {
+                    Some(&(_, k)) => k,
                     None => {
                         let own = entry.egress.to_string();
-                        let label = if self.outs.with_labelled(&own, |_| ()).is_some() {
-                            batch.intern(&own)
-                        } else {
-                            batch.intern("out")
-                        };
-                        outputs.push((entry.egress, label));
-                        label
+                        let bound = self.outs.with_labelled(&own, |_| ()).is_some();
+                        let k = first_met(&mut labels, if bound { &own } else { "out" });
+                        ports.push((entry.egress, k));
+                        k
                     }
                 };
-                batch.set_label(idx, label);
+                exits.set(idx, Exit::Out(k));
             }
         }
         self.unrouted.fetch_add(no_route, Ordering::Relaxed);
         self.routed.fetch_add(routed, Ordering::Relaxed);
-        for group in batch.into_label_groups() {
-            let Some(label) = group.label else {
-                // Unlabelled packets already carry their NoRoute verdicts.
-                continue;
-            };
-            let size = group.batch.len();
-            let sub = self
-                .outs
-                .with_labelled(&label, |next| next.push_batch(group.batch))
-                .unwrap_or_else(|| BatchResult::err(size, PushError::Unbound));
-            result.scatter(&group.indices, sub);
-        }
-        result
+        let outputs: Vec<Output<'_>> = labels
+            .iter()
+            .map(|l| Output::new(&self.outs, Err(PushError::Unbound)).labelled(l))
+            .collect();
+        emit(batch, &exits, &outputs)
     }
 }
 

@@ -12,7 +12,10 @@ use opencom::component::{Component, ComponentCore, Registrar};
 use opencom::receptacle::Receptacle;
 use parking_lot::Mutex;
 
-use crate::api::{BatchResult, IPacketPull, IPacketPush, PushError, IPACKET_PULL, IPACKET_PUSH};
+use crate::api::{
+    emit, BatchResult, Exit, Exits, IPacketPull, IPacketPush, Output, PushError, IPACKET_PULL,
+    IPACKET_PUSH,
+};
 
 use super::element_core;
 
@@ -176,36 +179,22 @@ impl IPacketPush for Policer {
         // One bucket lock for the burst; conformance is still judged
         // packet by packet, the clock re-read for each.
         let n = batch.len();
-        let mut result = BatchResult::from(vec![Ok(()); n]);
-        let mut conforming = PacketBatch::with_capacity(n);
-        let mut conforming_idx = Vec::with_capacity(n);
-        let mut passed = 0u64;
+        let mut exits = Exits::new(0);
         let mut dropped = 0u64;
         {
             let mut bucket = self.bucket.lock();
-            for (idx, pkt) in batch.into_packets().into_iter().enumerate() {
+            for (idx, pkt) in batch.iter().enumerate() {
                 let now = self.clock.now().as_nanos();
-                if bucket.try_take(pkt.len() as f64, now) {
-                    passed += 1;
-                    conforming.push(pkt);
-                    conforming_idx.push(idx);
-                } else {
+                if !bucket.try_take(pkt.len() as f64, now) {
                     dropped += 1;
-                    result.verdicts[idx] = Err(PushError::QueueFull);
+                    exits.set(idx, Exit::Drop(Err(PushError::QueueFull)));
                 }
             }
         }
-        self.passed.fetch_add(passed, Ordering::Relaxed);
+        self.passed.fetch_add(n as u64 - dropped, Ordering::Relaxed);
         self.dropped.fetch_add(dropped, Ordering::Relaxed);
-        if !conforming.is_empty() {
-            let size = conforming.len();
-            let sub = match self.out.with_bound(|next| next.push_batch(conforming)) {
-                Some(sub) => sub,
-                None => BatchResult::err(size, PushError::Unbound),
-            };
-            result.scatter(&conforming_idx, sub);
-        }
-        result
+        let out = Output::new(&self.out, Err(PushError::Unbound));
+        emit(batch, &exits, &[out])
     }
 }
 
@@ -271,7 +260,6 @@ impl IPacketPush for Meter {
         // Both bucket locks held once across the burst; colouring stays
         // per packet, and the whole coloured burst crosses the
         // downstream binding once.
-        let n = batch.len();
         let mut tallies = [0u64; 3];
         {
             let mut committed = self.committed.lock();
@@ -300,10 +288,8 @@ impl IPacketPush for Meter {
                 self.counts[idx].fetch_add(*tally, Ordering::Relaxed);
             }
         }
-        match self.out.with_bound(|next| next.push_batch(batch)) {
-            Some(result) => result,
-            None => BatchResult::err(n, PushError::Unbound),
-        }
+        let out = Output::new(&self.out, Err(PushError::Unbound));
+        emit(batch, &Exits::new(0), &[out])
     }
 }
 

@@ -12,7 +12,7 @@ use opencom::component::{Component, ComponentCore, Registrar};
 use opencom::receptacle::Receptacle;
 use parking_lot::Mutex;
 
-use crate::api::{BatchResult, IPacketPush, IPACKET_PUSH};
+use crate::api::{emit, BatchResult, Exits, IPacketPush, Output, IPACKET_PUSH};
 use crate::elements::element_core;
 
 use super::table::{FlowClock, FlowTable, FlowTableStats};
@@ -373,7 +373,6 @@ impl ConnTracker {
 
 impl IPacketPush for ConnTracker {
     fn push_batch(&self, batch: PacketBatch) -> BatchResult {
-        let n = batch.len();
         let mut counts = TrackCounts::default();
         {
             // One lock for the whole burst.
@@ -383,10 +382,7 @@ impl IPacketPush for ConnTracker {
             }
         }
         self.flush_counts(counts);
-        match self.out.with_bound(|next| next.push_batch(batch)) {
-            Some(result) => result,
-            None => BatchResult::ok(n), // sink mode
-        }
+        emit(batch, &Exits::new(0), &[Output::new(&self.out, Ok(()))])
     }
 }
 

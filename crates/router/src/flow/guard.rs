@@ -49,11 +49,13 @@ use opencom::component::{Component, ComponentCore, Registrar};
 use opencom::receptacle::Receptacle;
 use parking_lot::Mutex;
 
-use crate::api::{BatchResult, IPacketPush, IWindow, PushError, PushResult, IPACKET_PUSH, IWINDOW};
+use crate::api::{
+    emit, BatchResult, Exit, Exits, IPacketPush, IWindow, Output, PushError, PushResult,
+    IPACKET_PUSH, IWINDOW,
+};
 use crate::elements::element_core;
 
 use super::conntrack::ConnTracker;
-use super::forward_admitted;
 use super::table::{FlowClock, FlowTable};
 
 /// [`Guard`] policy knobs.
@@ -316,17 +318,15 @@ impl IPacketPush for Guard {
     /// all-benign batch — amortises across the batch.
     fn push_batch(&self, batch: PacketBatch) -> BatchResult {
         let mut counts = AdmitCounts::default();
-        // Optimistic all-benign pass: the verdict vector materialises
-        // only at the first rejection, so a clean batch allocates
-        // nothing of its own.
-        let mut rejections: Option<Vec<PushResult>> = None;
+        // A clean batch moves on whole and allocates nothing.
+        let mut exits = Exits::new(0);
         for (i, pkt) in batch.iter().enumerate() {
             if let Err(e) = self.admit(pkt, &mut counts) {
-                rejections.get_or_insert_with(|| vec![Ok(()); batch.len()])[i] = Err(e);
+                exits.set(i, Exit::Drop(Err(e)));
             }
         }
         self.flush_counts(counts);
-        forward_admitted(&self.out, batch, rejections)
+        emit(batch, &exits, &[Output::new(&self.out, Ok(()))])
     }
 }
 

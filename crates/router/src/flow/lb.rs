@@ -21,12 +21,13 @@ use opencom::ident::InterfaceId;
 use opencom::receptacle::Receptacle;
 use parking_lot::Mutex;
 
-use crate::api::{BatchResult, IPacketPush, ITable, PushError, PushResult, IPACKET_PUSH, ITABLE};
+use crate::api::{
+    emit, BatchResult, Exit, Exits, IPacketPush, ITable, Output, PushError, IPACKET_PUSH, ITABLE,
+};
 use crate::desc::schema::TableKind;
 use crate::desc::TableEntry;
 use crate::elements::element_core;
 
-use super::forward_admitted;
 use super::rewrite::{rewrite_ipv4_endpoint, RewriteSide};
 use super::table::{FlowClock, FlowTable};
 
@@ -296,21 +297,19 @@ impl L4LoadBalancer {
 
 impl IPacketPush for L4LoadBalancer {
     fn push_batch(&self, mut batch: PacketBatch) -> BatchResult {
-        let n = batch.len();
         let mut counts = LbCounts::default();
-        // The verdict vector materialises only at the first failure.
-        let mut rejections: Option<Vec<PushResult>> = None;
+        let mut exits = Exits::new(0);
         {
             // One lock for the whole burst.
             let mut inner = self.inner.lock();
             for (i, pkt) in batch.packets_mut().iter_mut().enumerate() {
                 if let Err(e) = self.balance(&mut inner, pkt, &mut counts) {
-                    rejections.get_or_insert_with(|| vec![Ok(()); n])[i] = Err(e);
+                    exits.set(i, Exit::Drop(Err(e)));
                 }
             }
         }
         self.flush_counts(counts);
-        forward_admitted(&self.out, batch, rejections)
+        emit(batch, &exits, &[Output::new(&self.out, Ok(()))])
     }
 }
 

@@ -82,11 +82,6 @@
 //! (stamped time) and still strictly advancing when frames carry no
 //! timestamps (tick per packet).
 
-use netkit_packet::batch::PacketBatch;
-use opencom::receptacle::Receptacle;
-
-use crate::api::{BatchResult, IPacketPush, PushResult};
-
 mod conntrack;
 mod guard;
 mod lb;
@@ -100,47 +95,3 @@ pub use lb::{BackendStats, L4LoadBalancer, IBALANCER};
 pub use nat::{Nat44, Nat44Config, Nat44Stats};
 pub use rewrite::{rewrite_ipv4_endpoint, RewriteSide};
 pub use table::{Admission, FlowClock, FlowTable, FlowTableStats, MAX_FLOW_CAPACITY};
-
-/// The last step of an element that judges each packet of a batch
-/// before passing it on ([`Guard`], [`Nat44`], [`L4LoadBalancer`]):
-/// forwards what it admitted through `out` and returns one verdict per
-/// packet, in batch order.
-///
-/// `rejections` is `None` when every packet was admitted — the batch
-/// moves on whole and nothing is allocated here — or else one verdict
-/// per packet, `Err` for each rejected one. Rejected packets drop; the
-/// survivors move on in order as one batch, and the downstream
-/// verdicts land on their positions. With `out` unbound (sink mode)
-/// every admitted packet's verdict is `Ok`. An empty batch goes
-/// nowhere.
-fn forward_admitted(
-    out: &Receptacle<dyn IPacketPush>,
-    mut batch: PacketBatch,
-    rejections: Option<Vec<PushResult>>,
-) -> BatchResult {
-    let n = batch.len();
-    if n == 0 {
-        return BatchResult::default();
-    }
-    let Some(verdicts) = rejections else {
-        return out
-            .with_bound(|next| next.push_batch(batch))
-            .unwrap_or_else(|| BatchResult::ok(n));
-    };
-    let survivors = verdicts.iter().filter(|v| v.is_ok()).count();
-    let mut admitted = PacketBatch::with_capacity(survivors);
-    let mut positions = Vec::with_capacity(survivors);
-    for (i, pkt) in batch.drain_all().enumerate() {
-        if verdicts[i].is_ok() {
-            positions.push(i);
-            admitted.push(pkt);
-        }
-    }
-    let mut result = BatchResult::from(verdicts);
-    if !admitted.is_empty() {
-        if let Some(sub) = out.with_bound(|next| next.push_batch(admitted)) {
-            result.scatter(&positions, sub);
-        }
-    }
-    result
-}

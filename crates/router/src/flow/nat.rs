@@ -12,10 +12,9 @@ use opencom::component::{Component, ComponentCore, Registrar};
 use opencom::receptacle::Receptacle;
 use parking_lot::Mutex;
 
-use crate::api::{BatchResult, IPacketPush, PushError, PushResult, IPACKET_PUSH};
+use crate::api::{emit, BatchResult, Exit, Exits, IPacketPush, Output, PushError, IPACKET_PUSH};
 use crate::elements::element_core;
 
-use super::forward_admitted;
 use super::rewrite::{rewrite_ipv4_endpoint, RewriteSide};
 use super::table::{FlowClock, FlowTable};
 
@@ -395,21 +394,19 @@ impl Nat44 {
 
 impl IPacketPush for Nat44 {
     fn push_batch(&self, mut batch: PacketBatch) -> BatchResult {
-        let n = batch.len();
         let mut counts = Nat44Stats::default();
-        // The verdict vector materialises only at the first failure.
-        let mut rejections: Option<Vec<PushResult>> = None;
+        let mut exits = Exits::new(0);
         {
             // One lock for the whole burst.
             let mut inner = self.inner.lock();
             for (i, pkt) in batch.packets_mut().iter_mut().enumerate() {
                 if let Err(e) = self.translate(&mut inner, pkt, &mut counts) {
-                    rejections.get_or_insert_with(|| vec![Ok(()); n])[i] = Err(e);
+                    exits.set(i, Exit::Drop(Err(e)));
                 }
             }
         }
         self.flush_counts(counts);
-        forward_admitted(&self.out, batch, rejections)
+        emit(batch, &exits, &[Output::new(&self.out, Ok(()))])
     }
 }
 

@@ -19,7 +19,9 @@ use opencom::component::{Component, ComponentCore, ComponentDescriptor, Registra
 use opencom::ident::Version;
 use opencom::receptacle::Receptacle;
 
-use netkit_router::api::{BatchResult, IPacketPush, PushError, IPACKET_PUSH};
+use netkit_router::api::{
+    emit, BatchResult, Exit, Exits, IPacketPush, Output, PushError, IPACKET_PUSH,
+};
 
 /// The metadata key carrying the frame type.
 const FRAME_TYPE_KEY: &str = "frame_type";
@@ -162,35 +164,23 @@ impl IPacketPush for FrameDropFilter {
         // Shedding decisions per packet (the level is re-read for each),
         // survivors cross the binding as one batch.
         let n = batch.len();
-        let mut result = BatchResult::from(vec![Ok(()); n]);
-        let mut survivors = PacketBatch::with_capacity(n);
-        let mut survivor_idx = Vec::with_capacity(n);
+        let mut exits = Exits::new(0);
         let mut shed = 0u64;
-        for (idx, pkt) in batch.into_packets().into_iter().enumerate() {
+        for (idx, pkt) in batch.iter().enumerate() {
             let ft = pkt
                 .meta
                 .annotation(FRAME_TYPE_KEY)
                 .and_then(FrameType::from_u64)
                 .unwrap_or(FrameType::I); // unannotated traffic is precious
             if self.level().drops(ft) {
-                shed += 1; // shedding is policy, not failure: verdict stays Ok
-            } else {
-                survivors.push(pkt);
-                survivor_idx.push(idx);
+                shed += 1;
+                exits.set(idx, Exit::Drop(Ok(()))); // shedding is policy, not failure
             }
         }
         self.shed.fetch_add(shed, Ordering::Relaxed);
-        self.passed
-            .fetch_add(survivor_idx.len() as u64, Ordering::Relaxed);
-        if !survivors.is_empty() {
-            let size = survivors.len();
-            let sub = self
-                .out
-                .with_bound(|next| next.push_batch(survivors))
-                .unwrap_or_else(|| BatchResult::err(size, PushError::Unbound));
-            result.scatter(&survivor_idx, sub);
-        }
-        result
+        self.passed.fetch_add(n as u64 - shed, Ordering::Relaxed);
+        let out = Output::new(&self.out, Err(PushError::Unbound));
+        emit(batch, &exits, &[out])
     }
 }
 
@@ -260,21 +250,20 @@ impl QualityAdaptor {
 }
 
 impl IPacketPush for QualityAdaptor {
-    fn push_batch(&self, batch: PacketBatch) -> BatchResult {
+    fn push_batch(&self, mut batch: PacketBatch) -> BatchResult {
         // The sequence counter and keep/shed arithmetic run per packet;
         // survivors are remarked in place and forwarded as one batch.
         let n = batch.len();
-        let mut result = BatchResult::from(vec![Ok(()); n]);
-        let mut survivors = PacketBatch::with_capacity(n);
-        let mut survivor_idx = Vec::with_capacity(n);
+        let mut exits = Exits::new(0);
         let mut shed = 0u64;
-        for (idx, mut pkt) in batch.into_packets().into_iter().enumerate() {
+        for (idx, pkt) in batch.packets_mut().iter_mut().enumerate() {
             let seq = self.seq.fetch_add(1, Ordering::Relaxed);
             // Spread the kept packets evenly across the window.
             let pos = seq % self.out_of;
             let kept = pos * self.keep % self.out_of < self.keep;
             if !kept {
                 shed += 1;
+                exits.set(idx, Exit::Drop(Ok(()))); // shedding is policy, not failure
                 continue;
             }
             if let Some(dscp) = self.remark_dscp {
@@ -284,21 +273,11 @@ impl IPacketPush for QualityAdaptor {
                         netkit_packet::headers::Ipv4Header::set_dscp_in_place(pkt.l3_mut(), dscp);
                 }
             }
-            survivors.push(pkt);
-            survivor_idx.push(idx);
         }
         self.shed.fetch_add(shed, Ordering::Relaxed);
-        self.passed
-            .fetch_add(survivor_idx.len() as u64, Ordering::Relaxed);
-        if !survivors.is_empty() {
-            let size = survivors.len();
-            let sub = self
-                .out
-                .with_bound(|next| next.push_batch(survivors))
-                .unwrap_or_else(|| BatchResult::err(size, PushError::Unbound));
-            result.scatter(&survivor_idx, sub);
-        }
-        result
+        self.passed.fetch_add(n as u64 - shed, Ordering::Relaxed);
+        let out = Output::new(&self.out, Err(PushError::Unbound));
+        emit(batch, &exits, &[out])
     }
 }
 
