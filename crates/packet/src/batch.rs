@@ -493,8 +493,8 @@ impl SharedShardRange {
     ///
     /// # Panics
     ///
-    /// Panics if `out` is not empty: ranges gather into fresh — usually
-    /// pool-leased — containers, so a filled one is a caller's mistake.
+    /// Panics if `out` is not empty: a range gathers into a fresh —
+    /// usually pool-leased — container.
     #[inline]
     pub fn take_into(self, out: &mut PacketBatch) -> usize {
         assert!(

@@ -803,17 +803,16 @@ impl Exits {
     /// Sends the packet at `idx` out by `exit` instead.
     #[inline]
     pub fn set(&mut self, idx: usize, exit: Exit) {
-        if idx >= self.each.len() {
-            if exit == Exit::Out(self.output) {
-                return;
-            }
-            self.each.resize(idx + 1, Exit::Out(self.output));
+        if idx < self.each.len() {
+            self.each[idx] = exit;
+        } else if exit != Exit::Out(self.output) {
+            self.each.resize(idx, Exit::Out(self.output));
+            self.each.push(exit);
         }
-        self.each[idx] = exit;
     }
 
     /// The output the packet at `idx` leaves on, or `None` if it drops.
-    pub fn output_of(&self, idx: usize) -> Option<usize> {
+    pub(crate) fn output_of(&self, idx: usize) -> Option<usize> {
         match self.each.get(idx).unwrap_or(&Exit::Out(self.output)) {
             Exit::Out(k) => Some(*k),
             Exit::Drop(_) => None,
@@ -843,7 +842,7 @@ impl<'a> Output<'a> {
     }
 
     /// The binding under `label` instead.
-    pub fn labelled(self, label: &'a str) -> Self {
+    pub(crate) fn labelled(self, label: &'a str) -> Self {
         Self {
             label: Some(label),
             ..self
@@ -869,8 +868,9 @@ impl<'a> Output<'a> {
 /// Each output's packets cross its binding once, in batch order;
 /// outputs are crossed in the order `outputs` lists them, and one no
 /// packet takes is not crossed. Downstream verdicts land back on their
-/// own packets. When every packet takes one output the batch moves on
-/// whole and nothing is allocated here; an empty batch goes nowhere.
+/// own packets. When every packet takes the output `exits` was made
+/// with, the batch moves on whole and nothing is allocated here; an
+/// empty batch goes nowhere.
 ///
 /// # Panics
 ///

@@ -92,7 +92,7 @@ impl IPacketPush for ClassifierEngine {
         let mut exits = Exits::new(0);
         let mut labels: Vec<String> = Vec::new();
         let default_bound = self.output_bound(DEFAULT_OUTPUT);
-        let (mut matched, mut unmatched) = (0u64, 0u64);
+        let mut unmatched = 0u64;
         {
             let filters = self.filters.read();
             for (idx, pkt) in batch.packets_mut().iter_mut().enumerate() {
@@ -111,11 +111,11 @@ impl IPacketPush for ClassifierEngine {
                         continue;
                     }
                 };
-                matched += 1;
                 exits.set(idx, Exit::Out(first_met(&mut labels, label)));
             }
         }
-        self.matched.fetch_add(matched, Ordering::Relaxed);
+        self.matched
+            .fetch_add(batch.len() as u64 - unmatched, Ordering::Relaxed);
         self.unmatched.fetch_add(unmatched, Ordering::Relaxed);
         let outputs: Vec<Output<'_>> = labels
             .iter()
