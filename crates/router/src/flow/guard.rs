@@ -318,7 +318,6 @@ impl IPacketPush for Guard {
     /// all-benign batch — amortises across the batch.
     fn push_batch(&self, batch: PacketBatch) -> BatchResult {
         let mut counts = AdmitCounts::default();
-        // A clean batch moves on whole and allocates nothing.
         let mut exits = Exits::new(0);
         for (i, pkt) in batch.iter().enumerate() {
             if let Err(e) = self.admit(pkt, &mut counts) {
