@@ -16,6 +16,7 @@ use std::sync::Arc;
 
 use parking_lot::{Mutex, RwLock};
 
+use crate::counters::{Counters, Tally};
 use crate::error::{Error, Result};
 use crate::ident::{ComponentId, InterfaceId, Version};
 use crate::interface::{InterfaceExport, InterfaceRef};
@@ -114,13 +115,14 @@ impl ComponentDescriptor {
 /// The per-instance state every component embeds.
 ///
 /// `ComponentCore` owns the interface and receptacle tables, the life-cycle
-/// state machine, and a footprint estimate used by the memory experiments.
+/// state machine, and the component's named [`Counters`].
 pub struct ComponentCore {
     id: ComponentId,
     descriptor: ComponentDescriptor,
     state: Mutex<LifecycleState>,
     exports: RwLock<HashMap<InterfaceId, InterfaceExport>>,
     receptacles: RwLock<HashMap<String, ReceptacleEntry>>,
+    counters: Counters,
 }
 
 impl ComponentCore {
@@ -133,7 +135,22 @@ impl ComponentCore {
             state: Mutex::new(LifecycleState::Created),
             exports: RwLock::new(HashMap::new()),
             receptacles: RwLock::new(HashMap::new()),
+            counters: Counters::of::<()>(),
         }
+    }
+
+    /// Gives the core `T`'s counters, zeroed (see [`mod@crate::counters`]).
+    #[inline]
+    pub fn counting<T: Tally>(mut self) -> Self {
+        self.counters = Counters::of::<T>();
+        self
+    }
+
+    /// The component's counters: empty unless made with
+    /// [`Self::counting`].
+    #[inline]
+    pub fn counters(&self) -> &Counters {
+        &self.counters
     }
 
     /// This instance's unique id.

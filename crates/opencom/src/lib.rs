@@ -20,6 +20,10 @@
 //!   [interception] (pre/post hooks at the dispatch level),
 //!   and [resources](meta::resources) (tasks and fine-grained
 //!   allocation).
+//! * **Counters** ([`mod@counters`]): each component type declares its named
+//!   counters once ([`counters!`](crate::counters!)); the set lives in the component's
+//!   [`ComponentCore`](component::ComponentCore), so one walk over a
+//!   capsule reads every component's counters by name, whatever its kind.
 //! * **Component frameworks** ([`cf::Cf`]) impose domain rules on plugged
 //!   components, with ACL-policed management.
 //! * **Capsules** ([`capsule::Capsule`]) are the address-space analogue;
@@ -70,6 +74,7 @@ pub mod binding;
 pub mod capsule;
 pub mod cf;
 pub mod component;
+pub mod counters;
 pub mod error;
 pub mod ident;
 pub mod interception;

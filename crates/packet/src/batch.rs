@@ -482,25 +482,17 @@ impl SharedShardRange {
         self.len() == 0
     }
 
-    /// Moves this range's packets out of the shared parent into `out`,
-    /// preserving input order, and returns how many moved.
+    /// Moves this range's packets out of the shared parent onto the end
+    /// of `out`, after whatever it already holds, preserving input
+    /// order, and returns how many moved.
     /// This is the consumer half of the move-free ring protocol: the
     /// gather happens here, on the worker, in parallel with its
     /// siblings. The parent is locked only for the move itself; vacated
     /// slots are backfilled with empty placeholder packets
     /// (allocation-free), so the parent container still recycles whole
     /// once every handle is gone.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `out` is not empty: a range gathers into a fresh —
-    /// usually pool-leased — container.
     #[inline]
     pub fn take_into(self, out: &mut PacketBatch) -> usize {
-        assert!(
-            out.packets.is_empty(),
-            "take_into requires an empty output container"
-        );
         let (lo, hi) = self.inner.bounds(self.shard);
         if lo == hi {
             return 0;
@@ -1015,13 +1007,11 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "empty output container")]
-    fn take_into_rejects_a_dirty_container() {
-        let mut b = PacketBatch::new();
-        b.push(pkt(1));
+    fn take_into_appends_after_what_the_container_holds() {
+        let b: PacketBatch = [1, 3, 5].into_iter().map(pkt).collect();
         let shared = split(b, 1).into_shared();
-        let mut out = PacketBatch::new();
-        out.push(pkt(2));
-        shared.range(0).take_into(&mut out);
+        let mut out: PacketBatch = [8, 9].into_iter().map(pkt).collect();
+        assert_eq!(shared.range(0).take_into(&mut out), 3);
+        assert_eq!(ports(&out), [8, 9, 1, 3, 5]);
     }
 }

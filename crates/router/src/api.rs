@@ -50,7 +50,10 @@
 //!   a time or in batches of any size. What batching may change is
 //!   *amortization only*: one receptacle lock, one interceptor-chain
 //!   traversal and one marshalled IPC call per batch instead of per
-//!   packet. Differential property tests
+//!   packet. Counters get it from one place: an element tallies a
+//!   batch into its named stats struct and flushes it to the counter
+//!   set in its `ComponentCore` once ([`mod@opencom::counters`]).
+//!   Differential property tests
 //!   (`tests/proptest_batch_equiv.rs`) drive the classifier, IP
 //!   processors, meter, queues, route lookup, NAT44, balancer,
 //!   conntrack, guard, tee, policer and protocol recogniser one packet
@@ -98,7 +101,9 @@
 //! * **Implementations need no extra locking.** A replica is only ever
 //!   driven by its own worker; `Send + Sync` plus the existing interior
 //!   mutability suffices. Do not share an element instance between
-//!   replicas — replicate it and let the counters roll up.
+//!   replicas — replicate it and let the counters roll up: a walk over
+//!   each replica's capsule reads them by name
+//!   ([`opencom::counters::Counters::visit`]).
 //! * **Reconfiguration is epoch-quiesced.** Architecture-meta-model
 //!   changes apply inside [`crate::shard::ShardedPipeline::quiesce`],
 //!   which parks every worker at a batch boundary: no `push_batch` is

@@ -39,6 +39,7 @@ use crate::api::{
     FilterPattern, FilterSpec, IClassifier, IPacketPush, ICLASSIFIER, IPACKET_PULL, IPACKET_PUSH,
 };
 use crate::composite::{IComposite, ICOMPOSITE};
+use crate::elements::Discard;
 
 /// The rule set of the paper's Router CF (R1–R3 above).
 #[derive(Debug, Default, Clone, Copy)]
@@ -131,48 +132,6 @@ impl ProbeReport {
     /// named output and nowhere else.
     pub fn conformant(&self) -> bool {
         self.sent == self.on_expected_output && self.misrouted == 0
-    }
-}
-
-/// Counting sink used by the conformance probe.
-#[derive(Debug)]
-struct ProbeSink {
-    core: opencom::component::ComponentCore,
-    hits: std::sync::atomic::AtomicU64,
-}
-
-impl ProbeSink {
-    fn new() -> Arc<Self> {
-        Arc::new(Self {
-            core: opencom::component::ComponentCore::new(
-                opencom::component::ComponentDescriptor::new(
-                    "netkit.ProbeSink",
-                    opencom::ident::Version::new(1, 0, 0),
-                ),
-            ),
-            hits: std::sync::atomic::AtomicU64::new(0),
-        })
-    }
-
-    fn hits(&self) -> u64 {
-        self.hits.load(std::sync::atomic::Ordering::Relaxed)
-    }
-}
-
-impl IPacketPush for ProbeSink {
-    fn push(&self, _pkt: netkit_packet::packet::Packet) -> crate::api::PushResult {
-        self.hits.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-        Ok(())
-    }
-}
-
-impl Component for ProbeSink {
-    fn core(&self) -> &opencom::component::ComponentCore {
-        &self.core
-    }
-    fn publish(self: Arc<Self>, reg: &opencom::component::Registrar<'_>) {
-        let push: Arc<dyn IPacketPush> = self.clone();
-        reg.expose(IPACKET_PUSH, &push);
     }
 }
 
@@ -358,8 +317,8 @@ impl RouterCf {
 
         let scratch = Capsule::new("router-probe", self.capsule().runtime());
         let fresh = scratch.instantiate(&type_name)?;
-        let probe_out = ProbeSink::new();
-        let other_out = ProbeSink::new();
+        let probe_out = Discard::new();
+        let other_out = Discard::new();
         let probe_id = scratch.adopt(probe_out.clone())?;
         let other_id = scratch.adopt(other_out.clone())?;
 
@@ -415,8 +374,8 @@ impl RouterCf {
 
         let report = ProbeReport {
             sent: N,
-            on_expected_output: probe_out.hits(),
-            misrouted: other_out.hits(),
+            on_expected_output: probe_out.count(),
+            misrouted: other_out.count(),
         };
         if report.conformant() {
             Ok(report)

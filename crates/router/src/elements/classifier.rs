@@ -8,13 +8,13 @@
 //! [`ITable`](crate::api::ITable) is a thin layer over that interface:
 //! a described filter entry is found again by its spec.
 
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use netkit_packet::batch::PacketBatch;
 use netkit_packet::flow::FlowView;
 use netkit_packet::packet::Packet;
 use opencom::component::{Component, ComponentCore, Registrar};
+use opencom::counters;
 use opencom::error::{Error, Result};
 use opencom::receptacle::Receptacle;
 use parking_lot::RwLock;
@@ -31,6 +31,16 @@ use super::{element_core, first_met};
 /// Label of the fallthrough output used when no filter matches.
 pub const DEFAULT_OUTPUT: &str = "default";
 
+counters! {
+    /// What a [`ClassifierEngine`] counted.
+    pub struct ClassifierStats {
+        /// Packets sent on a filter's output or on `default`.
+        matched,
+        /// Packets that matched no filter, dropped (`default` unbound).
+        unmatched,
+    }
+}
+
 /// A run-time-programmable packet classifier.
 ///
 /// Filters are consulted highest-priority first (ties broken by
@@ -41,28 +51,21 @@ pub struct ClassifierEngine {
     core: ComponentCore,
     outs: Receptacle<dyn IPacketPush>,
     filters: RwLock<Vec<(FilterId, FilterSpec)>>,
-    matched: AtomicU64,
-    unmatched: AtomicU64,
 }
 
 impl ClassifierEngine {
     /// Creates an empty classifier.
     pub fn new() -> Arc<Self> {
         Arc::new(Self {
-            core: element_core("netkit.Classifier"),
+            core: element_core("netkit.Classifier").counting::<ClassifierStats>(),
             outs: Receptacle::multi("out", IPACKET_PUSH),
             filters: RwLock::new(Vec::new()),
-            matched: AtomicU64::new(0),
-            unmatched: AtomicU64::new(0),
         })
     }
 
-    /// `(matched, unmatched)` packet counts.
-    pub fn stats(&self) -> (u64, u64) {
-        (
-            self.matched.load(Ordering::Relaxed),
-            self.unmatched.load(Ordering::Relaxed),
-        )
+    /// Packet counts.
+    pub fn stats(&self) -> ClassifierStats {
+        self.core.counters().read()
     }
 
     fn output_bound(&self, label: &str) -> bool {
@@ -114,9 +117,10 @@ impl IPacketPush for ClassifierEngine {
                 exits.set(idx, Exit::Out(first_met(&mut labels, label)));
             }
         }
-        self.matched
-            .fetch_add(batch.len() as u64 - unmatched, Ordering::Relaxed);
-        self.unmatched.fetch_add(unmatched, Ordering::Relaxed);
+        self.core.counters().flush(ClassifierStats {
+            matched: batch.len() as u64 - unmatched,
+            unmatched,
+        });
         let outputs: Vec<Output<'_>> = labels
             .iter()
             .map(|l| Output::new(&self.outs, Err(PushError::Unbound)).labelled(l))
@@ -279,7 +283,8 @@ mod tests {
         assert_eq!(sink(&r, "voice").count(), 1);
         assert_eq!(sink(&r, "bulk").count(), 1);
         assert_eq!(sink(&r, "default").count(), 0);
-        assert_eq!(r.classifier.stats(), (2, 0));
+        let s = r.classifier.stats();
+        assert_eq!((s.matched, s.unmatched), (2, 0));
     }
 
     #[test]
@@ -312,7 +317,7 @@ mod tests {
         r.classifier
             .push(PacketBuilder::udp_v4("10.0.0.1", "10.0.0.2", 1, 2).build())
             .unwrap();
-        assert_eq!(r.classifier.stats().1, 1);
+        assert_eq!(r.classifier.stats().unmatched, 1);
     }
 
     #[test]

@@ -1,13 +1,13 @@
 //! Device adapter elements: the boundary between NICs and the component
 //! graph.
 
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use netkit_kernel::nic::Nic;
 use netkit_kernel::time::VirtualClock;
 use netkit_packet::batch::PacketBatch;
 use opencom::component::{Component, ComponentCore, Registrar};
+use opencom::counters;
 use opencom::receptacle::Receptacle;
 
 use crate::api::{
@@ -34,8 +34,16 @@ pub struct FromDevice {
     queue: usize,
     clock: Arc<VirtualClock>,
     out: Receptacle<dyn IPacketPush>,
-    pumped: AtomicU64,
-    push_drops: AtomicU64,
+}
+
+counters! {
+    /// What a [`FromDevice`] counted on its pump path.
+    pub struct FromDeviceStats {
+        /// Frames pumped and accepted downstream.
+        pumped,
+        /// Frames pumped that downstream refused.
+        refused,
+    }
 }
 
 impl FromDevice {
@@ -49,13 +57,11 @@ impl FromDevice {
     /// multi-queue NIC, so pollers share no rx ring.
     pub fn with_queue(nic: Arc<Nic>, queue: usize, clock: Arc<VirtualClock>) -> Arc<Self> {
         Arc::new(Self {
-            core: element_core("netkit.FromDevice"),
+            core: element_core("netkit.FromDevice").counting::<FromDeviceStats>(),
             nic,
             queue,
             clock,
             out: Receptacle::single("out", IPACKET_PUSH),
-            pumped: AtomicU64::new(0),
-            push_drops: AtomicU64::new(0),
         })
     }
 
@@ -88,18 +94,16 @@ impl FromDevice {
         let n = batch.len();
         let out = Output::new(&self.out, Err(PushError::Unbound));
         let moved = emit(batch, &Exits::new(0), &[out]).accepted();
-        self.pumped.fetch_add(moved as u64, Ordering::Relaxed);
-        self.push_drops
-            .fetch_add((n - moved) as u64, Ordering::Relaxed);
+        self.core.counters().flush(FromDeviceStats {
+            pumped: moved as u64,
+            refused: (n - moved) as u64,
+        });
         moved
     }
 
-    /// `(frames pumped, frames dropped because downstream refused)`.
-    pub fn stats(&self) -> (u64, u64) {
-        (
-            self.pumped.load(Ordering::Relaxed),
-            self.push_drops.load(Ordering::Relaxed),
-        )
+    /// Frame counts of the pump path.
+    pub fn stats(&self) -> FromDeviceStats {
+        self.core.counters().read()
     }
 }
 
@@ -134,8 +138,16 @@ pub struct ToDevice {
     /// The tx queue this adapter transmits on (its shard's queue under
     /// the sharded runtime; 0 for the single-queue adapter).
     queue: usize,
-    sent: AtomicU64,
-    drops: AtomicU64,
+}
+
+counters! {
+    /// What a [`ToDevice`] counted.
+    pub struct ToDeviceStats {
+        /// Frames the tx ring took.
+        sent,
+        /// Frames dropped at a full tx ring.
+        dropped,
+    }
 }
 
 impl ToDevice {
@@ -148,11 +160,9 @@ impl ToDevice {
     /// shard under the sharded runtime, so workers share no tx ring.
     pub fn with_queue(nic: Arc<Nic>, queue: usize) -> Arc<Self> {
         Arc::new(Self {
-            core: element_core("netkit.ToDevice"),
+            core: element_core("netkit.ToDevice").counting::<ToDeviceStats>(),
             nic,
             queue,
-            sent: AtomicU64::new(0),
-            drops: AtomicU64::new(0),
         })
     }
 
@@ -161,12 +171,9 @@ impl ToDevice {
         self.queue
     }
 
-    /// `(frames sent, frames dropped at the tx ring)`.
-    pub fn stats(&self) -> (u64, u64) {
-        (
-            self.sent.load(Ordering::Relaxed),
-            self.drops.load(Ordering::Relaxed),
-        )
+    /// Frame counts.
+    pub fn stats(&self) -> ToDeviceStats {
+        self.core.counters().read()
     }
 }
 
@@ -177,9 +184,10 @@ impl IPacketPush for ToDevice {
         // are first-k-accepted then QueueFull.
         let n = batch.len();
         let accepted = self.nic.tx_burst_packets(self.queue, batch);
-        self.sent.fetch_add(accepted as u64, Ordering::Relaxed);
-        self.drops
-            .fetch_add((n - accepted) as u64, Ordering::Relaxed);
+        self.core.counters().flush(ToDeviceStats {
+            sent: accepted as u64,
+            dropped: (n - accepted) as u64,
+        });
         let mut result = BatchResult::with_capacity(n);
         for idx in 0..n {
             result.record(if idx < accepted {
@@ -250,7 +258,8 @@ mod tests {
         }
         assert_eq!(fd.pump_batch(10), 5);
         assert_eq!(n_out.stats().tx_frames, 5);
-        assert_eq!(fd.stats(), (5, 0));
+        let s = fd.stats();
+        assert_eq!((s.pumped, s.refused), (5, 0));
     }
 
     #[test]
@@ -260,7 +269,7 @@ mod tests {
         let fd = FromDevice::new(Arc::clone(&n), clock);
         n.inject_rx_frame(b"xx");
         assert_eq!(fd.pump_batch(10), 0);
-        assert_eq!(fd.stats().1, 1);
+        assert_eq!(fd.stats().refused, 1);
     }
 
     /// Regression: `FromDevice` used to copy every frame out of the
@@ -363,7 +372,8 @@ mod tests {
         assert_eq!(&*frame, wire.data());
         drop(frame);
         assert_eq!(pool.stats().recycled, 1);
-        assert_eq!(td.stats(), (1, 0));
+        let s = td.stats();
+        assert_eq!((s.sent, s.dropped), (1, 0));
     }
 
     #[test]
@@ -373,6 +383,7 @@ mod tests {
         let pkt = PacketBuilder::udp_v4("10.0.0.1", "10.0.0.2", 1, 2).build();
         assert!(td.push(pkt.clone()).is_ok());
         assert!(matches!(td.push(pkt), Err(PushError::QueueFull)));
-        assert_eq!(td.stats(), (1, 1));
+        let s = td.stats();
+        assert_eq!((s.sent, s.dropped), (1, 1));
     }
 }

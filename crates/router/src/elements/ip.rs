@@ -3,28 +3,29 @@
 //! checksum, and forward — errors exit on the `err` receptacle when
 //! bound, otherwise count as drops.
 
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use netkit_packet::batch::PacketBatch;
 use netkit_packet::headers::{Ipv4Header, Ipv6Header};
 use netkit_packet::packet::Packet;
 use opencom::component::{Component, ComponentCore, Registrar};
+use opencom::counters;
 use opencom::receptacle::Receptacle;
 
 use crate::api::{emit, BatchResult, Exit, Exits, IPacketPush, Output, PushError, IPACKET_PUSH};
 
 use super::element_core;
 
-/// Counters shared by both processors.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct IpStats {
-    /// Packets validated and forwarded.
-    pub forwarded: u64,
-    /// Packets dropped for malformed headers.
-    pub malformed: u64,
-    /// Packets dropped (or diverted) for TTL expiry.
-    pub ttl_expired: u64,
+counters! {
+    /// Counters shared by both processors.
+    pub struct IpStats {
+        /// Packets validated and forwarded.
+        forwarded,
+        /// Packets dropped for malformed headers.
+        malformed,
+        /// Packets dropped (or diverted) for TTL expiry.
+        ttl_expired,
+    }
 }
 
 macro_rules! ip_processor {
@@ -34,31 +35,21 @@ macro_rules! ip_processor {
             core: ComponentCore,
             out: Receptacle<dyn IPacketPush>,
             err: Receptacle<dyn IPacketPush>,
-            forwarded: AtomicU64,
-            malformed: AtomicU64,
-            ttl_expired: AtomicU64,
         }
 
         impl $name {
             /// Creates the processor.
             pub fn new() -> Arc<Self> {
                 Arc::new(Self {
-                    core: element_core($type_name),
+                    core: element_core($type_name).counting::<IpStats>(),
                     out: Receptacle::single("out", IPACKET_PUSH),
                     err: Receptacle::single("err", IPACKET_PUSH),
-                    forwarded: AtomicU64::new(0),
-                    malformed: AtomicU64::new(0),
-                    ttl_expired: AtomicU64::new(0),
                 })
             }
 
             /// Snapshot of the processor's counters.
             pub fn stats(&self) -> IpStats {
-                IpStats {
-                    forwarded: self.forwarded.load(Ordering::Relaxed),
-                    malformed: self.malformed.load(Ordering::Relaxed),
-                    ttl_expired: self.ttl_expired.load(Ordering::Relaxed),
-                }
+                self.core.counters().read()
             }
         }
 
@@ -70,16 +61,17 @@ macro_rules! ip_processor {
                 const ERR: usize = 0;
                 const OUT: usize = 1;
                 let mut exits = Exits::new(OUT);
+                let mut counts = IpStats::default();
                 let err_bound = self.err.with_bound(|_| ()).is_some();
                 for (idx, pkt) in batch.packets_mut().iter_mut().enumerate() {
                     #[allow(clippy::redundant_closure_call)]
                     let reason = match ($validate)(&*pkt) {
                         Err(e) => {
-                            self.malformed.fetch_add(1, Ordering::Relaxed);
+                            counts.malformed += 1;
                             PushError::Malformed(e)
                         }
                         Ok(()) if ($decrement)(pkt).is_err() => {
-                            self.ttl_expired.fetch_add(1, Ordering::Relaxed);
+                            counts.ttl_expired += 1;
                             PushError::TtlExpired
                         }
                         Ok(()) => continue,
@@ -89,10 +81,10 @@ macro_rules! ip_processor {
                 let outputs =
                     [&self.err, &self.out].map(|port| Output::new(port, Err(PushError::Unbound)));
                 let result = emit(batch, &exits, &outputs);
-                let forwarded = (result.verdicts.iter().enumerate())
+                counts.forwarded = (result.verdicts.iter().enumerate())
                     .filter(|(idx, v)| v.is_ok() && exits.output_of(*idx) == Some(OUT))
-                    .count();
-                self.forwarded.fetch_add(forwarded as u64, Ordering::Relaxed);
+                    .count() as u64;
+                self.core.counters().flush(counts);
                 result
             }
         }

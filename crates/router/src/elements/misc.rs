@@ -1,13 +1,13 @@
 //! Utility elements: counters, duplicators, sinks, and the protocol
 //! recogniser of paper Figure 3.
 
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use netkit_packet::batch::PacketBatch;
 use netkit_packet::headers::EtherType;
 use netkit_packet::packet::Packet;
 use opencom::component::{Component, ComponentCore, Registrar};
+use opencom::counters;
 use opencom::receptacle::Receptacle;
 use parking_lot::Mutex;
 
@@ -15,14 +15,14 @@ use crate::api::{emit, BatchResult, Exit, Exits, IPacketPush, Output, PushError,
 
 use super::{element_core, first_met};
 
+counters! { struct CounterStats { packets, bytes } }
+
 /// Pass-through element counting packets and bytes; keeps the last
 /// packet for test inspection. With no downstream binding it acts as a
 /// sink.
 pub struct Counter {
     core: ComponentCore,
     out: Receptacle<dyn IPacketPush>,
-    packets: AtomicU64,
-    bytes: AtomicU64,
     last: Mutex<Option<Packet>>,
 }
 
@@ -30,22 +30,20 @@ impl Counter {
     /// Creates a counter.
     pub fn new() -> Arc<Self> {
         Arc::new(Self {
-            core: element_core("netkit.Counter"),
+            core: element_core("netkit.Counter").counting::<CounterStats>(),
             out: Receptacle::single("out", IPACKET_PUSH),
-            packets: AtomicU64::new(0),
-            bytes: AtomicU64::new(0),
             last: Mutex::new(None),
         })
     }
 
     /// Packets seen.
     pub fn count(&self) -> u64 {
-        self.packets.load(Ordering::Relaxed)
+        self.core.counters().read::<CounterStats>().packets
     }
 
     /// Bytes seen.
     pub fn bytes(&self) -> u64 {
-        self.bytes.load(Ordering::Relaxed)
+        self.core.counters().read::<CounterStats>().bytes
     }
 
     /// The most recent packet (cloned).
@@ -58,12 +56,10 @@ impl IPacketPush for Counter {
     fn push_batch(&self, batch: PacketBatch) -> BatchResult {
         // Two counter adds and one lock for the whole burst, one
         // receptacle traversal downstream.
-        let n = batch.len();
-        self.packets.fetch_add(n as u64, Ordering::Relaxed);
-        self.bytes.fetch_add(
-            batch.iter().map(|p| p.len() as u64).sum::<u64>(),
-            Ordering::Relaxed,
-        );
+        self.core.counters().flush(CounterStats {
+            packets: batch.len() as u64,
+            bytes: batch.iter().map(|p| p.len() as u64).sum(),
+        });
         if let Some(last) = batch.packets().last() {
             *self.last.lock() = Some(last.clone());
         }
@@ -89,23 +85,23 @@ impl Component for Counter {
 /// last packet for inspection.
 pub struct Discard {
     core: ComponentCore,
-    packets: AtomicU64,
     last: Mutex<Option<Packet>>,
 }
+
+counters! { struct DiscardStats { packets } }
 
 impl Discard {
     /// Creates a sink.
     pub fn new() -> Arc<Self> {
         Arc::new(Self {
-            core: element_core("netkit.Discard"),
-            packets: AtomicU64::new(0),
+            core: element_core("netkit.Discard").counting::<DiscardStats>(),
             last: Mutex::new(None),
         })
     }
 
     /// Packets swallowed.
     pub fn count(&self) -> u64 {
-        self.packets.load(Ordering::Relaxed)
+        self.core.counters().read::<DiscardStats>().packets
     }
 
     /// The most recent packet (cloned).
@@ -117,7 +113,9 @@ impl Discard {
 impl IPacketPush for Discard {
     fn push_batch(&self, mut batch: PacketBatch) -> BatchResult {
         let n = batch.len();
-        self.packets.fetch_add(n as u64, Ordering::Relaxed);
+        self.core
+            .counters()
+            .flush(DiscardStats { packets: n as u64 });
         if let Some(last) = batch.pop() {
             *self.last.lock() = Some(last);
         }
@@ -144,22 +142,22 @@ impl Component for Discard {
 pub struct Tee {
     core: ComponentCore,
     outs: Receptacle<dyn IPacketPush>,
-    forwarded: AtomicU64,
 }
+
+counters! { struct TeeStats { forwarded } }
 
 impl Tee {
     /// Creates a duplicator.
     pub fn new() -> Arc<Self> {
         Arc::new(Self {
-            core: element_core("netkit.Tee"),
+            core: element_core("netkit.Tee").counting::<TeeStats>(),
             outs: Receptacle::multi("out", IPACKET_PUSH),
-            forwarded: AtomicU64::new(0),
         })
     }
 
     /// Copies emitted (one per bound output per input packet).
     pub fn forwarded(&self) -> u64 {
-        self.forwarded.load(Ordering::Relaxed)
+        self.core.counters().read::<TeeStats>().forwarded
     }
 }
 
@@ -170,13 +168,13 @@ impl IPacketPush for Tee {
         // answer; `forwarded` counts the copies they accepted.
         let n = batch.len();
         let mut any = false;
+        let mut counts = TeeStats::default();
         self.outs.for_each(|_, next| {
             let copy: PacketBatch = batch.packets().to_vec().into();
-            let sub = next.push_batch(copy);
-            self.forwarded
-                .fetch_add(sub.accepted() as u64, Ordering::Relaxed);
+            counts.forwarded += next.push_batch(copy).accepted() as u64;
             any = true;
         });
+        self.core.counters().flush(counts);
         if any {
             BatchResult::ok(n)
         } else {
@@ -204,22 +202,22 @@ impl Component for Tee {
 pub struct ProtocolRecogniser {
     core: ComponentCore,
     outs: Receptacle<dyn IPacketPush>,
-    unroutable: AtomicU64,
 }
+
+counters! { struct RecogniserStats { unroutable } }
 
 impl ProtocolRecogniser {
     /// Creates a recogniser.
     pub fn new() -> Arc<Self> {
         Arc::new(Self {
-            core: element_core("netkit.ProtocolRecogniser"),
+            core: element_core("netkit.ProtocolRecogniser").counting::<RecogniserStats>(),
             outs: Receptacle::multi("out", IPACKET_PUSH),
-            unroutable: AtomicU64::new(0),
         })
     }
 
     /// Frames dropped because no output matched their protocol.
     pub fn unroutable(&self) -> u64 {
-        self.unroutable.load(Ordering::Relaxed)
+        self.core.counters().read::<RecogniserStats>().unroutable
     }
 }
 
@@ -246,7 +244,7 @@ impl IPacketPush for ProtocolRecogniser {
         // Each protocol this batch has met and its exit; the outputs.
         let mut protocols: Vec<(&'static str, Exit)> = Vec::with_capacity(4);
         let mut labels: Vec<String> = Vec::with_capacity(4);
-        let mut unroutable = 0u64;
+        let mut counts = RecogniserStats::default();
         for (idx, pkt) in batch.iter().enumerate() {
             let protocol = Self::label_for(pkt);
             let exit = match protocols.iter().find(|(p, _)| *p == protocol) {
@@ -261,10 +259,10 @@ impl IPacketPush for ProtocolRecogniser {
                     exit
                 }
             };
-            unroutable += u64::from(exit == Exit::Drop(Ok(())));
+            counts.unroutable += u64::from(exit == Exit::Drop(Ok(())));
             exits.set(idx, exit);
         }
-        self.unroutable.fetch_add(unroutable, Ordering::Relaxed);
+        self.core.counters().flush(counts);
         let outputs: Vec<Output<'_>> = labels
             .iter()
             .map(|l| Output::new(&self.outs, Ok(())).labelled(l))

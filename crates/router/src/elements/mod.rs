@@ -24,14 +24,14 @@ mod sched;
 mod shaper;
 
 pub(crate) use classifier::filter_of;
-pub use classifier::{ClassifierEngine, DEFAULT_OUTPUT};
-pub use device::{FromDevice, ToDevice};
+pub use classifier::{ClassifierEngine, ClassifierStats, DEFAULT_OUTPUT};
+pub use device::{FromDevice, FromDeviceStats, ToDevice, ToDeviceStats};
 pub use ip::{Ipv4Processor, Ipv6Processor};
 pub use misc::{Counter, Discard, ProtocolRecogniser, Tee};
 pub use queues::{DropTailQueue, RedConfig, RedQueue};
-pub use route::RouteLookup;
+pub use route::{RouteLookup, RouteStats};
 pub use sched::{DrrScheduler, PriorityScheduler, Scheduler, WfqScheduler};
-pub use shaper::{Meter, Policer, TokenBucketShaper};
+pub use shaper::{Meter, MeterStats, Policer, PolicerStats, TokenBucketShaper};
 
 use opencom::component::{ComponentCore, ComponentDescriptor};
 use opencom::ident::Version;

@@ -4,12 +4,12 @@
 //! "queueing" stage): upstream pushes in, a scheduler pulls out.
 
 use std::collections::VecDeque;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use netkit_packet::batch::PacketBatch;
 use netkit_packet::packet::Packet;
 use opencom::component::{Component, ComponentCore, Registrar};
+use opencom::counters;
 use parking_lot::Mutex;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
@@ -20,17 +20,19 @@ use crate::api::{
 
 use super::element_core;
 
-/// Queue counters.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct QueueStats {
-    /// Packets accepted.
-    pub enqueued: u64,
-    /// Packets handed to the puller.
-    pub dequeued: u64,
-    /// Packets dropped because the queue was full (forced drops).
-    pub dropped: u64,
-    /// Packets dropped early by RED (probabilistic drops).
-    pub early_dropped: u64,
+counters! {
+    /// Queue counters.
+    pub struct QueueStats {
+        /// Packets accepted.
+        enqueued,
+        /// Packets handed to the puller.
+        dequeued,
+        /// Packets dropped because the queue was full (forced drops).
+        dropped,
+        /// Packets dropped early by RED (probabilistic drops; always 0
+        /// for a drop-tail queue).
+        early_dropped,
+    }
 }
 
 /// A bounded FIFO with tail-drop.
@@ -38,21 +40,15 @@ pub struct DropTailQueue {
     core: ComponentCore,
     queue: Mutex<VecDeque<Packet>>,
     capacity: usize,
-    enqueued: AtomicU64,
-    dequeued: AtomicU64,
-    dropped: AtomicU64,
 }
 
 impl DropTailQueue {
     /// Creates a queue bounded to `capacity` packets.
     pub fn new(capacity: usize) -> Arc<Self> {
         Arc::new(Self {
-            core: element_core("netkit.DropTailQueue"),
+            core: element_core("netkit.DropTailQueue").counting::<QueueStats>(),
             queue: Mutex::new(VecDeque::with_capacity(capacity)),
             capacity,
-            enqueued: AtomicU64::new(0),
-            dequeued: AtomicU64::new(0),
-            dropped: AtomicU64::new(0),
         })
     }
 
@@ -63,12 +59,7 @@ impl DropTailQueue {
 
     /// Counter snapshot.
     pub fn stats(&self) -> QueueStats {
-        QueueStats {
-            enqueued: self.enqueued.load(Ordering::Relaxed),
-            dequeued: self.dequeued.load(Ordering::Relaxed),
-            dropped: self.dropped.load(Ordering::Relaxed),
-            early_dropped: 0,
-        }
+        self.core.counters().read()
     }
 }
 
@@ -76,22 +67,20 @@ impl IPacketPush for DropTailQueue {
     fn push_batch(&self, batch: PacketBatch) -> BatchResult {
         // One lock acquisition for the whole burst.
         let mut result = BatchResult::with_capacity(batch.len());
-        let mut accepted = 0u64;
-        let mut dropped = 0u64;
+        let mut counts = QueueStats::default();
         let mut q = self.queue.lock();
         for pkt in batch {
             if q.len() >= self.capacity {
-                dropped += 1;
+                counts.dropped += 1;
                 result.record(Err(PushError::QueueFull));
             } else {
                 q.push_back(pkt);
-                accepted += 1;
+                counts.enqueued += 1;
                 result.record(Ok(()));
             }
         }
         drop(q);
-        self.enqueued.fetch_add(accepted, Ordering::Relaxed);
-        self.dropped.fetch_add(dropped, Ordering::Relaxed);
+        self.core.counters().flush(counts);
         result
     }
 }
@@ -105,7 +94,10 @@ impl IPacketPull for DropTailQueue {
             batch.push(q.pop_front().expect("length checked"));
         }
         drop(q);
-        self.dequeued.fetch_add(take as u64, Ordering::Relaxed);
+        self.core.counters().flush(QueueStats {
+            dequeued: take as u64,
+            ..QueueStats::default()
+        });
         batch
     }
 }
@@ -166,27 +158,19 @@ pub struct RedQueue {
     core: ComponentCore,
     state: Mutex<RedState>,
     config: RedConfig,
-    enqueued: AtomicU64,
-    dequeued: AtomicU64,
-    dropped: AtomicU64,
-    early_dropped: AtomicU64,
 }
 
 impl RedQueue {
     /// Creates a RED queue with the given parameters.
     pub fn new(config: RedConfig) -> Arc<Self> {
         Arc::new(Self {
-            core: element_core("netkit.RedQueue"),
+            core: element_core("netkit.RedQueue").counting::<QueueStats>(),
             state: Mutex::new(RedState {
                 queue: VecDeque::with_capacity(config.capacity),
                 avg: 0.0,
                 rng: SmallRng::seed_from_u64(config.seed),
             }),
             config,
-            enqueued: AtomicU64::new(0),
-            dequeued: AtomicU64::new(0),
-            dropped: AtomicU64::new(0),
-            early_dropped: AtomicU64::new(0),
         })
     }
 
@@ -197,38 +181,34 @@ impl RedQueue {
 
     /// Counter snapshot.
     pub fn stats(&self) -> QueueStats {
-        QueueStats {
-            enqueued: self.enqueued.load(Ordering::Relaxed),
-            dequeued: self.dequeued.load(Ordering::Relaxed),
-            dropped: self.dropped.load(Ordering::Relaxed),
-            early_dropped: self.early_dropped.load(Ordering::Relaxed),
-        }
+        self.core.counters().read()
     }
 }
 
 impl RedQueue {
     /// The RED admit decision for one packet: EWMA update, then tail,
-    /// forced and probabilistic drops, in that order.
-    fn admit(&self, s: &mut RedState, pkt: Packet) -> PushResult {
+    /// forced and probabilistic drops, in that order, tallied into
+    /// `counts`.
+    fn admit(&self, s: &mut RedState, pkt: Packet, counts: &mut QueueStats) -> PushResult {
         s.avg = (1.0 - self.config.weight) * s.avg + self.config.weight * s.queue.len() as f64;
         if s.queue.len() >= self.config.capacity {
-            self.dropped.fetch_add(1, Ordering::Relaxed);
+            counts.dropped += 1;
             return Err(PushError::QueueFull);
         }
         if s.avg >= self.config.max_threshold {
-            self.early_dropped.fetch_add(1, Ordering::Relaxed);
+            counts.early_dropped += 1;
             return Err(PushError::QueueFull);
         }
         if s.avg > self.config.min_threshold {
             let p = self.config.max_probability * (s.avg - self.config.min_threshold)
                 / (self.config.max_threshold - self.config.min_threshold);
             if s.rng.gen_bool(p.clamp(0.0, 1.0)) {
-                self.early_dropped.fetch_add(1, Ordering::Relaxed);
+                counts.early_dropped += 1;
                 return Err(PushError::QueueFull);
             }
         }
         s.queue.push_back(pkt);
-        self.enqueued.fetch_add(1, Ordering::Relaxed);
+        counts.enqueued += 1;
         Ok(())
     }
 }
@@ -238,10 +218,13 @@ impl IPacketPush for RedQueue {
         // One lock for the burst; the EWMA update and RNG draw stay per
         // packet, in batch order.
         let mut result = BatchResult::with_capacity(batch.len());
+        let mut counts = QueueStats::default();
         let mut s = self.state.lock();
         for pkt in batch {
-            result.record(self.admit(&mut s, pkt));
+            result.record(self.admit(&mut s, pkt, &mut counts));
         }
+        drop(s);
+        self.core.counters().flush(counts);
         result
     }
 }
@@ -255,7 +238,10 @@ impl IPacketPull for RedQueue {
             batch.push(s.queue.pop_front().expect("length checked"));
         }
         drop(s);
-        self.dequeued.fetch_add(take as u64, Ordering::Relaxed);
+        self.core.counters().flush(QueueStats {
+            dequeued: take as u64,
+            ..QueueStats::default()
+        });
         batch
     }
 }

@@ -9,13 +9,13 @@
 //! says.
 
 use std::net::IpAddr;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use netkit_packet::batch::PacketBatch;
 use netkit_packet::headers::EtherType;
 use netkit_packet::packet::Packet;
 use opencom::component::{Component, ComponentCore, Registrar};
+use opencom::counters;
 use opencom::error::{Error, Result};
 use opencom::receptacle::Receptacle;
 use parking_lot::RwLock;
@@ -44,13 +44,21 @@ fn route_of(entry: &TableEntry) -> Result<(IpAddr, u8, RouteEntry)> {
     Ok((net, len, route))
 }
 
+counters! {
+    /// What a [`RouteLookup`] counted.
+    pub struct RouteStats {
+        /// Packets with a route, annotated and sent on.
+        routed,
+        /// Packets with no route, dropped with `NoRoute`.
+        unrouted,
+    }
+}
+
 /// The route-lookup element.
 pub struct RouteLookup {
     core: ComponentCore,
     table: RwLock<RoutingTable>,
     outs: Receptacle<dyn IPacketPush>,
-    routed: AtomicU64,
-    unrouted: AtomicU64,
 }
 
 impl RouteLookup {
@@ -62,20 +70,15 @@ impl RouteLookup {
     /// Creates an element with a prepopulated table.
     pub fn with_table(table: RoutingTable) -> Arc<Self> {
         Arc::new(Self {
-            core: element_core("netkit.RouteLookup"),
+            core: element_core("netkit.RouteLookup").counting::<RouteStats>(),
             table: RwLock::new(table),
             outs: Receptacle::multi("out", IPACKET_PUSH),
-            routed: AtomicU64::new(0),
-            unrouted: AtomicU64::new(0),
         })
     }
 
-    /// `(routed, unrouted)` packet counts.
-    pub fn stats(&self) -> (u64, u64) {
-        (
-            self.routed.load(Ordering::Relaxed),
-            self.unrouted.load(Ordering::Relaxed),
-        )
+    /// Packet counts.
+    pub fn stats(&self) -> RouteStats {
+        self.core.counters().read()
     }
 
     fn destination(pkt: &Packet) -> Option<IpAddr> {
@@ -93,7 +96,7 @@ impl IPacketPush for RouteLookup {
         // on its port's own output, else on `out`; one with no route
         // drops with `NoRoute`.
         let mut exits = Exits::new(0);
-        let (mut routed, mut no_route) = (0u64, 0u64);
+        let mut counts = RouteStats::default();
         // The output of each egress port this batch has met.
         let mut ports: Vec<(u16, usize)> = Vec::new();
         let mut labels: Vec<String> = Vec::new();
@@ -103,13 +106,13 @@ impl IPacketPush for RouteLookup {
                 let Some((dst, entry)) =
                     Self::destination(pkt).and_then(|dst| Some((dst, table.lookup(dst)?)))
                 else {
-                    no_route += 1;
+                    counts.unrouted += 1;
                     exits.set(idx, Exit::Drop(Err(PushError::NoRoute)));
                     continue;
                 };
                 pkt.meta.egress = Some(entry.egress);
                 pkt.meta.next_hop = entry.next_hop.or(Some(dst));
-                routed += 1;
+                counts.routed += 1;
                 let k = match ports.iter().find(|(port, _)| *port == entry.egress) {
                     Some(&(_, k)) => k,
                     None => {
@@ -123,8 +126,7 @@ impl IPacketPush for RouteLookup {
                 exits.set(idx, Exit::Out(k));
             }
         }
-        self.unrouted.fetch_add(no_route, Ordering::Relaxed);
-        self.routed.fetch_add(routed, Ordering::Relaxed);
+        self.core.counters().flush(counts);
         let outputs: Vec<Output<'_>> = labels
             .iter()
             .map(|l| Output::new(&self.outs, Err(PushError::Unbound)).labelled(l))
@@ -170,8 +172,7 @@ impl Component for RouteLookup {
 
 impl std::fmt::Debug for RouteLookup {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let (routed, unrouted) = self.stats();
-        write!(f, "RouteLookup(routed {routed}, unrouted {unrouted})")
+        write!(f, "RouteLookup{:?}", self.core.counters())
     }
 }
 
@@ -249,7 +250,8 @@ mod tests {
         let (_c, route, _p0, _p1) = rig();
         let res = route.push(PacketBuilder::udp_v4("9.9.9.9", "8.8.8.8", 1, 2).build());
         assert!(matches!(res, Err(PushError::NoRoute)));
-        assert_eq!(route.stats(), (0, 1));
+        let s = route.stats();
+        assert_eq!((s.routed, s.unrouted), (0, 1));
     }
 
     #[test]

@@ -9,12 +9,12 @@
 //! (DRR), and a start-time-based weighted-fair approximation — matching
 //! the paper's "diffserv schedulers" in the in-band functions stratum.
 
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use netkit_packet::batch::PacketBatch;
 use netkit_packet::packet::Packet;
 use opencom::component::{Component, ComponentCore, Registrar};
+use opencom::counters;
 use opencom::receptacle::Receptacle;
 use parking_lot::Mutex;
 
@@ -49,6 +49,8 @@ enum Discipline {
     Wfq,
 }
 
+counters! { struct SchedulerStats { served } }
+
 /// Common machinery for the three disciplines.
 pub struct Scheduler {
     core: ComponentCore,
@@ -57,7 +59,6 @@ pub struct Scheduler {
     discipline: Discipline,
     quantum: f64,
     weights: Mutex<Vec<(String, f64)>>,
-    served: AtomicU64,
 }
 
 impl Scheduler {
@@ -68,7 +69,7 @@ impl Scheduler {
         weights: &[(&str, f64)],
     ) -> Arc<Self> {
         Arc::new(Self {
-            core: element_core(type_name),
+            core: element_core(type_name).counting::<SchedulerStats>(),
             inputs: Receptacle::multi("in", IPACKET_PULL),
             state: Mutex::new(SchedState {
                 inputs: Vec::new(),
@@ -78,13 +79,12 @@ impl Scheduler {
             discipline,
             quantum,
             weights: Mutex::new(weights.iter().map(|(l, w)| (l.to_string(), *w)).collect()),
-            served: AtomicU64::new(0),
         })
     }
 
     /// Total packets dispatched.
     pub fn served(&self) -> u64 {
-        self.served.load(Ordering::Relaxed)
+        self.core.counters().read::<SchedulerStats>().served
     }
 
     /// Sets (or adds) the weight for input `label`; live inputs adopt it
@@ -181,7 +181,6 @@ impl Scheduler {
         let pkt = state.inputs[idx].head.take().expect("head present");
         state.inputs[idx].served_packets += 1;
         state.inputs[idx].served_bytes += pkt.len() as u64;
-        self.served.fetch_add(1, Ordering::Relaxed);
         pkt
     }
 
@@ -277,6 +276,8 @@ impl IPacketPull for Scheduler {
                 None => break,
             }
         }
+        let served = batch.len() as u64;
+        self.core.counters().flush(SchedulerStats { served });
         batch
     }
 }

@@ -2,13 +2,13 @@
 //! single-rate three-colour meter — the paper's "shapers" and meters in
 //! the in-band functions stratum.
 
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use netkit_kernel::time::VirtualClock;
 use netkit_packet::batch::PacketBatch;
 use netkit_packet::packet::{Color, Packet};
 use opencom::component::{Component, ComponentCore, Registrar};
+use opencom::counters;
 use opencom::receptacle::Receptacle;
 use parking_lot::Mutex;
 
@@ -64,26 +64,26 @@ pub struct TokenBucketShaper {
     clock: Arc<VirtualClock>,
     bucket: Mutex<Bucket>,
     head: Mutex<Option<Packet>>,
-    released: AtomicU64,
 }
+
+counters! { struct ShaperStats { released } }
 
 impl TokenBucketShaper {
     /// Creates a shaper limiting output to `rate_bytes_per_sec` with
     /// `burst_bytes` of burst tolerance.
     pub fn new(rate_bytes_per_sec: f64, burst_bytes: f64, clock: Arc<VirtualClock>) -> Arc<Self> {
         Arc::new(Self {
-            core: element_core("netkit.TokenBucketShaper"),
+            core: element_core("netkit.TokenBucketShaper").counting::<ShaperStats>(),
             input: Receptacle::single("in", IPACKET_PULL),
             clock,
             bucket: Mutex::new(Bucket::new(rate_bytes_per_sec, burst_bytes)),
             head: Mutex::new(None),
-            released: AtomicU64::new(0),
         })
     }
 
     /// Packets released so far.
     pub fn released(&self) -> u64 {
-        self.released.load(Ordering::Relaxed)
+        self.core.counters().read::<ShaperStats>().released
     }
 }
 
@@ -95,7 +95,6 @@ impl TokenBucketShaper {
         let size = head.as_ref()?.len() as f64;
         let now = self.clock.now().as_nanos();
         if bucket.try_take(size, now) {
-            self.released.fetch_add(1, Ordering::Relaxed);
             head.take()
         } else {
             None
@@ -116,6 +115,8 @@ impl IPacketPull for TokenBucketShaper {
                 None => break,
             }
         }
+        let released = batch.len() as u64;
+        self.core.counters().flush(ShaperStats { released });
         batch
     }
 }
@@ -136,7 +137,7 @@ impl Component for TokenBucketShaper {
 
 impl std::fmt::Debug for TokenBucketShaper {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "TokenBucketShaper({} released)", self.released())
+        write!(f, "TokenBucketShaper{:?}", self.core.counters())
     }
 }
 
@@ -147,8 +148,16 @@ pub struct Policer {
     out: Receptacle<dyn IPacketPush>,
     clock: Arc<VirtualClock>,
     bucket: Mutex<Bucket>,
-    passed: AtomicU64,
-    dropped: AtomicU64,
+}
+
+counters! {
+    /// What a [`Policer`] counted.
+    pub struct PolicerStats {
+        /// Conforming packets, sent on.
+        passed,
+        /// Non-conforming packets, dropped.
+        dropped,
+    }
 }
 
 impl Policer {
@@ -156,21 +165,16 @@ impl Policer {
     /// tolerance.
     pub fn new(rate_bytes_per_sec: f64, burst_bytes: f64, clock: Arc<VirtualClock>) -> Arc<Self> {
         Arc::new(Self {
-            core: element_core("netkit.Policer"),
+            core: element_core("netkit.Policer").counting::<PolicerStats>(),
             out: Receptacle::single("out", IPACKET_PUSH),
             clock,
             bucket: Mutex::new(Bucket::new(rate_bytes_per_sec, burst_bytes)),
-            passed: AtomicU64::new(0),
-            dropped: AtomicU64::new(0),
         })
     }
 
-    /// `(passed, dropped)` counts.
-    pub fn stats(&self) -> (u64, u64) {
-        (
-            self.passed.load(Ordering::Relaxed),
-            self.dropped.load(Ordering::Relaxed),
-        )
+    /// Packet counts.
+    pub fn stats(&self) -> PolicerStats {
+        self.core.counters().read()
     }
 }
 
@@ -191,8 +195,10 @@ impl IPacketPush for Policer {
                 }
             }
         }
-        self.passed.fetch_add(n as u64 - dropped, Ordering::Relaxed);
-        self.dropped.fetch_add(dropped, Ordering::Relaxed);
+        self.core.counters().flush(PolicerStats {
+            passed: n as u64 - dropped,
+            dropped,
+        });
         let out = Output::new(&self.out, Err(PushError::Unbound));
         emit(batch, &exits, &[out])
     }
@@ -214,8 +220,7 @@ impl Component for Policer {
 
 impl std::fmt::Debug for Policer {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let (p, d) = self.stats();
-        write!(f, "Policer(passed {p}, dropped {d})")
+        write!(f, "Policer{:?}", self.core.counters())
     }
 }
 
@@ -228,7 +233,18 @@ pub struct Meter {
     clock: Arc<VirtualClock>,
     committed: Mutex<Bucket>,
     excess: Mutex<Bucket>,
-    counts: [AtomicU64; 3],
+}
+
+counters! {
+    /// What a [`Meter`] counted: packets by the colour it marked.
+    pub struct MeterStats {
+        /// Within the committed burst.
+        green,
+        /// Within the excess burst.
+        yellow,
+        /// Past both.
+        red,
+    }
 }
 
 impl Meter {
@@ -236,22 +252,17 @@ impl Meter {
     /// burst `cbs`, and excess burst `ebs` (both in bytes).
     pub fn new(cir_bytes_per_sec: f64, cbs: f64, ebs: f64, clock: Arc<VirtualClock>) -> Arc<Self> {
         Arc::new(Self {
-            core: element_core("netkit.Meter"),
+            core: element_core("netkit.Meter").counting::<MeterStats>(),
             out: Receptacle::single("out", IPACKET_PUSH),
             clock,
             committed: Mutex::new(Bucket::new(cir_bytes_per_sec, cbs)),
             excess: Mutex::new(Bucket::new(cir_bytes_per_sec, ebs)),
-            counts: [AtomicU64::new(0), AtomicU64::new(0), AtomicU64::new(0)],
         })
     }
 
-    /// `(green, yellow, red)` packet counts.
-    pub fn stats(&self) -> (u64, u64, u64) {
-        (
-            self.counts[0].load(Ordering::Relaxed),
-            self.counts[1].load(Ordering::Relaxed),
-            self.counts[2].load(Ordering::Relaxed),
-        )
+    /// Packet counts by colour.
+    pub fn stats(&self) -> MeterStats {
+        self.core.counters().read()
     }
 }
 
@@ -260,34 +271,25 @@ impl IPacketPush for Meter {
         // Both bucket locks held once across the burst; colouring stays
         // per packet, and the whole coloured burst crosses the
         // downstream binding once.
-        let mut tallies = [0u64; 3];
+        let mut counts = MeterStats::default();
         {
             let mut committed = self.committed.lock();
             let mut excess = self.excess.lock();
             for pkt in batch.packets_mut() {
                 let now = self.clock.now().as_nanos();
                 let size = pkt.len() as f64;
-                let color = if committed.try_take(size, now) {
-                    Color::Green
+                let (color, tally) = if committed.try_take(size, now) {
+                    (Color::Green, &mut counts.green)
                 } else if excess.try_take(size, now) {
-                    Color::Yellow
+                    (Color::Yellow, &mut counts.yellow)
                 } else {
-                    Color::Red
+                    (Color::Red, &mut counts.red)
                 };
-                let idx = match color {
-                    Color::Green => 0,
-                    Color::Yellow => 1,
-                    Color::Red => 2,
-                };
-                tallies[idx] += 1;
+                *tally += 1;
                 pkt.meta.color = Some(color);
             }
         }
-        for (idx, tally) in tallies.iter().enumerate() {
-            if *tally > 0 {
-                self.counts[idx].fetch_add(*tally, Ordering::Relaxed);
-            }
-        }
+        self.core.counters().flush(counts);
         let out = Output::new(&self.out, Err(PushError::Unbound));
         emit(batch, &Exits::new(0), &[out])
     }
@@ -309,8 +311,7 @@ impl Component for Meter {
 
 impl std::fmt::Debug for Meter {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let (g, y, r) = self.stats();
-        write!(f, "Meter(green {g}, yellow {y}, red {r})")
+        write!(f, "Meter{:?}", self.core.counters())
     }
 }
 
@@ -398,7 +399,8 @@ mod tests {
             }
         }
         assert_eq!(ok, 2);
-        assert_eq!(policer.stats(), (2, 3));
+        let s = policer.stats();
+        assert_eq!((s.passed, s.dropped), (2, 3));
         assert_eq!(sink.count(), 2);
     }
 
@@ -415,7 +417,8 @@ mod tests {
         meter.push(pkt100()).unwrap();
         meter.push(pkt100()).unwrap();
         meter.push(pkt100()).unwrap();
-        assert_eq!(meter.stats(), (1, 1, 1));
+        let s = meter.stats();
+        assert_eq!((s.green, s.yellow, s.red), (1, 1, 1));
         assert_eq!(sink.count(), 3, "meter never drops");
         assert_eq!(sink.last().unwrap().meta.color, Some(Color::Red));
     }

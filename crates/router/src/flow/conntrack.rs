@@ -9,6 +9,7 @@ use netkit_packet::flow::{FlowDirection, FlowKey, FlowView};
 use netkit_packet::headers::TcpFlags;
 use netkit_packet::packet::Packet;
 use opencom::component::{Component, ComponentCore, Registrar};
+use opencom::counters;
 use opencom::receptacle::Receptacle;
 use parking_lot::Mutex;
 
@@ -145,7 +146,6 @@ pub struct ConnTracker {
     out: Receptacle<dyn IPacketPush>,
     table: Mutex<FlowTable<ConnInfo>>,
     clock: FlowClock,
-    untracked: AtomicU64,
     /// Live half-open connections (SYN seen, handshake never
     /// completed) — a gauge, maintained at every state transition and
     /// eviction. SYN-flood evidence for the heavy-hitter guard.
@@ -160,14 +160,7 @@ pub struct ConnTracker {
     syn_timeout: u64,
 }
 
-/// Per-call tallies, flushed once per push or per batch
-/// ([`ConnTracker::flush_counts`]).
-#[derive(Default)]
-struct TrackCounts {
-    untracked: u64,
-    /// Net movement of the half-open gauge.
-    half_open: i64,
-}
+counters! { struct TrackStats { untracked } }
 
 /// How far [`ConnTracker`] scans from the LRU end for a half-open
 /// victim before letting plain LRU eviction run, when the table is
@@ -211,11 +204,10 @@ impl ConnTracker {
         syn_timeout: u64,
     ) -> Arc<Self> {
         Arc::new(Self {
-            core: element_core("netkit.ConnTracker"),
+            core: element_core("netkit.ConnTracker").counting::<TrackStats>(),
             out: Receptacle::single("out", IPACKET_PUSH),
             table: Mutex::new(FlowTable::new(capacity, idle_timeout)),
             clock: FlowClock::new(),
-            untracked: AtomicU64::new(0),
             half_open: AtomicU64::new(0),
             closing_timeout,
             syn_timeout,
@@ -242,20 +234,12 @@ impl ConnTracker {
         }
     }
 
-    /// Adds a call's local tallies to the shared counters — one atomic
-    /// per touched counter per push or per *batch*.
-    fn flush_counts(&self, counts: TrackCounts) {
-        if counts.untracked > 0 {
-            self.untracked
-                .fetch_add(counts.untracked, Ordering::Relaxed);
-        }
-        self.add_half_open(counts.half_open);
-    }
-
-    fn track(&self, table: &mut FlowTable<ConnInfo>, pkt: &Packet, counts: &mut TrackCounts) {
+    /// Tracks one packet, tallying into `counts` and returning the net
+    /// movement of the half-open gauge.
+    fn track(&self, table: &mut FlowTable<ConnInfo>, pkt: &Packet, counts: &mut TrackStats) -> i64 {
         let Some(flow) = FlowView::of(pkt) else {
             counts.untracked += 1;
-            return;
+            return 0;
         };
         let (ckey, dir) = flow.key.canonical_with_direction();
         let now = self.clock.advance(pkt.meta.timestamp_ns);
@@ -277,10 +261,10 @@ impl ConnTracker {
         let was_half_open = !admission.created && admission.value.is_half_open();
         admission.value.observe(dir, bytes, flow.tcp_flags);
         let is_half_open = admission.value.is_half_open();
-        if let Some((_, corpse)) = &admission.evicted {
-            counts.half_open -= i64::from(corpse.is_half_open());
-        }
-        counts.half_open += i64::from(is_half_open) - i64::from(was_half_open);
+        let evicted = admission.evicted.as_ref();
+        i64::from(is_half_open)
+            - i64::from(was_half_open)
+            - i64::from(evicted.is_some_and(|(_, corpse)| corpse.is_half_open()))
     }
 
     /// Tracked connection count.
@@ -316,7 +300,7 @@ impl ConnTracker {
     /// Frames that carried no flow identity and passed through
     /// untracked.
     pub fn untracked(&self) -> u64 {
-        self.untracked.load(Ordering::Relaxed)
+        self.core.counters().read::<TrackStats>().untracked
     }
 
     /// Reclaims idle-expired entries now; returns how many died.
@@ -373,15 +357,17 @@ impl ConnTracker {
 
 impl IPacketPush for ConnTracker {
     fn push_batch(&self, batch: PacketBatch) -> BatchResult {
-        let mut counts = TrackCounts::default();
+        let mut counts = TrackStats::default();
+        let mut half_open = 0;
         {
             // One lock for the whole burst.
             let mut table = self.table.lock();
             for pkt in &batch {
-                self.track(&mut table, pkt, &mut counts);
+                half_open += self.track(&mut table, pkt, &mut counts);
             }
         }
-        self.flush_counts(counts);
+        self.core.counters().flush(counts);
+        self.add_half_open(half_open);
         emit(batch, &Exits::new(0), &[Output::new(&self.out, Ok(()))])
     }
 }

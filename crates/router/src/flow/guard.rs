@@ -46,6 +46,7 @@ use netkit_packet::flow::{steering_hash, FlowView, ParsedFlow};
 use netkit_packet::packet::Packet;
 use netkit_packet::sketch::FlowSketch;
 use opencom::component::{Component, ComponentCore, Registrar};
+use opencom::counters;
 use opencom::receptacle::Receptacle;
 use parking_lot::Mutex;
 
@@ -102,30 +103,21 @@ struct GuardFlow {
     window: u64,
 }
 
-/// Local admission tallies, flushed to the shared atomics once per
-/// batch — see [`Guard::flush_counts`].
-#[derive(Default)]
-struct AdmitCounts {
-    passed: u64,
-    budgeted: u64,
-    limited: u64,
-    syn_dropped: u64,
-}
-
-/// Lifetime counters of a [`Guard`].
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct GuardStats {
-    /// Packets passed on the benign fast path (estimate below
-    /// threshold).
-    pub passed: u64,
-    /// Packets passed on the budgeted path (heavy flow, budget left).
-    pub budgeted: u64,
-    /// Packets rate-limited (heavy flow, budget exhausted).
-    pub limited: u64,
-    /// Handshake-opening SYNs dropped by the armed SYN defence.
-    pub syn_dropped: u64,
-    /// Observation windows closed ([`IWindow::close_window`]).
-    pub windows: u64,
+counters! {
+    /// Lifetime counters of a [`Guard`].
+    pub struct GuardStats {
+        /// Packets passed on the benign fast path (estimate below
+        /// threshold).
+        passed,
+        /// Packets passed on the budgeted path (heavy flow, budget left).
+        budgeted,
+        /// Packets rate-limited (heavy flow, budget exhausted).
+        limited,
+        /// Handshake-opening SYNs dropped by the armed SYN defence.
+        syn_dropped,
+        /// Observation windows closed ([`IWindow::close_window`]).
+        windows,
+    }
 }
 
 /// Inline heavy-hitter guard element — the overload half of the
@@ -158,11 +150,6 @@ pub struct Guard {
     window: AtomicU64,
     /// SYNs admitted in the current window while the defence is armed.
     syn_spent: AtomicU64,
-    passed: AtomicU64,
-    budgeted: AtomicU64,
-    limited: AtomicU64,
-    syn_dropped: AtomicU64,
-    windows: AtomicU64,
 }
 
 impl Guard {
@@ -190,7 +177,7 @@ impl Guard {
         cfg: GuardConfig,
     ) -> Arc<Self> {
         Arc::new(Self {
-            core: element_core("netkit.Guard"),
+            core: element_core("netkit.Guard").counting::<GuardStats>(),
             out: Receptacle::single("out", IPACKET_PUSH),
             sketch,
             tracker,
@@ -199,23 +186,12 @@ impl Guard {
             clock: FlowClock::new(),
             window: AtomicU64::new(0),
             syn_spent: AtomicU64::new(0),
-            passed: AtomicU64::new(0),
-            budgeted: AtomicU64::new(0),
-            limited: AtomicU64::new(0),
-            syn_dropped: AtomicU64::new(0),
-            windows: AtomicU64::new(0),
         })
     }
 
     /// Lifetime counters.
     pub fn stats(&self) -> GuardStats {
-        GuardStats {
-            passed: self.passed.load(Ordering::Relaxed),
-            budgeted: self.budgeted.load(Ordering::Relaxed),
-            limited: self.limited.load(Ordering::Relaxed),
-            syn_dropped: self.syn_dropped.load(Ordering::Relaxed),
-            windows: self.windows.load(Ordering::Relaxed),
-        }
+        self.core.counters().read()
     }
 
     /// True when the SYN defence is currently armed: a tracker is
@@ -228,10 +204,8 @@ impl Guard {
     }
 
     /// The admission decision for one packet; `Ok(())` admits.
-    /// Outcomes tally into `counts`, not the shared atomics, so the
-    /// batch path can flush one atomic add per counter per *batch*
-    /// ([`Self::flush_counts`]) instead of one per packet.
-    fn admit(&self, pkt: &Packet, counts: &mut AdmitCounts) -> PushResult {
+    /// Outcomes tally into `counts`, which the batch flushes once.
+    fn admit(&self, pkt: &Packet, counts: &mut GuardStats) -> PushResult {
         // SYN defence: while the tracker's half-open gauge is past the
         // arm point, handshake-opening SYNs spend a per-window budget.
         // Established traffic (and SYN+ACK replies) is untouched —
@@ -291,24 +265,6 @@ impl Guard {
             Err(PushError::RateLimited)
         }
     }
-
-    /// Adds a call's local tallies to the lifetime counters — one
-    /// atomic add per touched counter, however many packets tallied.
-    fn flush_counts(&self, counts: AdmitCounts) {
-        if counts.passed > 0 {
-            self.passed.fetch_add(counts.passed, Ordering::Relaxed);
-        }
-        if counts.budgeted > 0 {
-            self.budgeted.fetch_add(counts.budgeted, Ordering::Relaxed);
-        }
-        if counts.limited > 0 {
-            self.limited.fetch_add(counts.limited, Ordering::Relaxed);
-        }
-        if counts.syn_dropped > 0 {
-            self.syn_dropped
-                .fetch_add(counts.syn_dropped, Ordering::Relaxed);
-        }
-    }
 }
 
 impl IPacketPush for Guard {
@@ -317,14 +273,14 @@ impl IPacketPush for Guard {
     /// receptacle acquisition — the dominant per-packet cost of an
     /// all-benign batch — amortises across the batch.
     fn push_batch(&self, batch: PacketBatch) -> BatchResult {
-        let mut counts = AdmitCounts::default();
+        let mut counts = GuardStats::default();
         let mut exits = Exits::new(0);
         for (i, pkt) in batch.iter().enumerate() {
             if let Err(e) = self.admit(pkt, &mut counts) {
                 exits.set(i, Exit::Drop(Err(e)));
             }
         }
-        self.flush_counts(counts);
+        self.core.counters().flush(counts);
         emit(batch, &exits, &[Output::new(&self.out, Ok(()))])
     }
 }
@@ -338,11 +294,14 @@ impl IWindow for Guard {
     fn close_window(&self) {
         self.window.fetch_add(1, Ordering::Relaxed);
         self.syn_spent.store(0, Ordering::Relaxed);
-        self.windows.fetch_add(1, Ordering::Relaxed);
+        self.core.counters().flush(GuardStats {
+            windows: 1,
+            ..GuardStats::default()
+        });
     }
 
     fn windows(&self) -> u64 {
-        self.windows.load(Ordering::Relaxed)
+        self.stats().windows
     }
 }
 
@@ -364,12 +323,7 @@ impl Component for Guard {
 
 impl fmt::Debug for Guard {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let s = self.stats();
-        write!(
-            f,
-            "Guard({} passed, {} budgeted, {} limited, {} syn-dropped)",
-            s.passed, s.budgeted, s.limited, s.syn_dropped
-        )
+        write!(f, "Guard{:?}", self.core.counters())
     }
 }
 

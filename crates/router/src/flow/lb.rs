@@ -9,13 +9,13 @@
 
 use std::fmt;
 use std::net::{IpAddr, Ipv4Addr};
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use netkit_packet::batch::PacketBatch;
 use netkit_packet::flow::{FlowKey, ParsedFlow};
 use netkit_packet::packet::Packet;
 use opencom::component::{Component, ComponentCore, Registrar};
+use opencom::counters;
 use opencom::error::{Error, Result};
 use opencom::ident::InterfaceId;
 use opencom::receptacle::Receptacle;
@@ -70,13 +70,16 @@ struct BackendSlot {
     flows: u64,
 }
 
-/// Per-call tallies, flushed once per push or per batch
-/// ([`L4LoadBalancer::flush_counts`]).
-#[derive(Default)]
-struct LbCounts {
-    balanced: u64,
-    returned: u64,
-    passthrough: u64,
+counters! {
+    /// Packet counts of an [`L4LoadBalancer`].
+    pub struct LbStats {
+        /// Client packets rewritten to a backend.
+        balanced,
+        /// Backend replies rewritten back to the VIP.
+        returned,
+        /// Packets passed through untouched.
+        passthrough,
+    }
 }
 
 struct LbInner {
@@ -131,9 +134,6 @@ pub struct L4LoadBalancer {
     vport: u16,
     inner: Mutex<LbInner>,
     clock: FlowClock,
-    balanced: AtomicU64,
-    returned: AtomicU64,
-    passthrough: AtomicU64,
 }
 
 impl L4LoadBalancer {
@@ -142,7 +142,7 @@ impl L4LoadBalancer {
     /// [`FlowClock`] ticks).
     pub fn new(vip: Ipv4Addr, vport: u16, capacity: usize, idle_timeout: u64) -> Arc<Self> {
         Arc::new(Self {
-            core: element_core("netkit.L4LoadBalancer"),
+            core: element_core("netkit.L4LoadBalancer").counting::<LbStats>(),
             out: Receptacle::single("out", IPACKET_PUSH),
             vip,
             vport,
@@ -152,9 +152,6 @@ impl L4LoadBalancer {
                 next_id: 0,
             }),
             clock: FlowClock::new(),
-            balanced: AtomicU64::new(0),
-            returned: AtomicU64::new(0),
-            passthrough: AtomicU64::new(0),
         })
     }
 
@@ -188,28 +185,9 @@ impl L4LoadBalancer {
             .collect()
     }
 
-    /// (balanced-to-backend, returned-to-client, passthrough) packet
-    /// counts.
-    pub fn counters(&self) -> (u64, u64, u64) {
-        (
-            self.balanced.load(Ordering::Relaxed),
-            self.returned.load(Ordering::Relaxed),
-            self.passthrough.load(Ordering::Relaxed),
-        )
-    }
-
-    /// Adds a call's local tallies to the lifetime counters — one
-    /// atomic add per touched counter per push or per *batch*.
-    fn flush_counts(&self, counts: LbCounts) {
-        for (counter, n) in [
-            (&self.balanced, counts.balanced),
-            (&self.returned, counts.returned),
-            (&self.passthrough, counts.passthrough),
-        ] {
-            if n > 0 {
-                counter.fetch_add(n, Ordering::Relaxed);
-            }
-        }
+    /// Packet counts.
+    pub fn counters(&self) -> LbStats {
+        self.core.counters().read()
     }
 
     /// Balances one packet in place, tallying the outcome into
@@ -218,7 +196,7 @@ impl L4LoadBalancer {
         &self,
         inner: &mut LbInner,
         pkt: &mut Packet,
-        counts: &mut LbCounts,
+        counts: &mut LbStats,
     ) -> Result<(), PushError> {
         // IPv4 with real ports only; fragments pass through like any
         // other port-less frame.
@@ -297,7 +275,7 @@ impl L4LoadBalancer {
 
 impl IPacketPush for L4LoadBalancer {
     fn push_batch(&self, mut batch: PacketBatch) -> BatchResult {
-        let mut counts = LbCounts::default();
+        let mut counts = LbStats::default();
         let mut exits = Exits::new(0);
         {
             // One lock for the whole burst.
@@ -308,7 +286,7 @@ impl IPacketPush for L4LoadBalancer {
                 }
             }
         }
-        self.flush_counts(counts);
+        self.core.counters().flush(counts);
         emit(batch, &exits, &[Output::new(&self.out, Ok(()))])
     }
 }
@@ -379,13 +357,13 @@ impl Component for L4LoadBalancer {
 
 impl fmt::Debug for L4LoadBalancer {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let (balanced, returned, passthrough) = self.counters();
         write!(
             f,
-            "L4LoadBalancer(vip {}:{}, {} backends, {balanced} balanced, {returned} returned, {passthrough} passthrough)",
+            "L4LoadBalancer(vip {}:{}, {} backends, {:?})",
             self.vip,
             self.vport,
-            self.inner.lock().backends.len()
+            self.inner.lock().backends.len(),
+            self.core.counters()
         )
     }
 }
@@ -418,7 +396,7 @@ mod tests {
 
     fn backend_of(lb: &L4LoadBalancer, client: u16) -> Ipv4Addr {
         let mut pkt = to_vip(client);
-        let mut counts = LbCounts::default();
+        let mut counts = LbStats::default();
         lb.balance(&mut lb.inner.lock(), &mut pkt, &mut counts)
             .unwrap();
         assert_eq!(counts.balanced, 1);
@@ -444,7 +422,7 @@ mod tests {
         let lb = lb();
         let backend = backend_of(&lb, 7001);
         let mut reply = PacketBuilder::udp_v4(&backend.to_string(), "10.0.0.9", 8080, 7001).build();
-        let mut counts = LbCounts::default();
+        let mut counts = LbStats::default();
         lb.balance(&mut lb.inner.lock(), &mut reply, &mut counts)
             .unwrap();
         assert_eq!(counts.returned, 1);
@@ -500,7 +478,8 @@ mod tests {
         let lb = lb();
         lb.push(PacketBuilder::udp_v4("10.0.0.9", "10.222.0.1", 1, 2).build())
             .unwrap();
-        assert_eq!(lb.counters(), (0, 0, 1));
+        let s = lb.counters();
+        assert_eq!((s.balanced, s.returned, s.passthrough), (0, 0, 1));
     }
 
     #[test]
@@ -538,7 +517,8 @@ mod tests {
         assert!(matches!(result.verdicts[4], Err(PushError::Veto(_))));
         let rest: Vec<_> = [0, 2, 3, 5].map(|i| result.verdicts[i].clone()).into();
         assert_eq!(rest, [Ok(()), Ok(()), Ok(()), Err(PushError::QueueFull)]);
-        assert_eq!(lb.counters(), (0, 0, 4));
+        let s = lb.counters();
+        assert_eq!((s.balanced, s.returned, s.passthrough), (0, 0, 4));
         let delivered: Vec<u16> = queue
             .pull_batch(8)
             .iter()

@@ -91,7 +91,7 @@ mod table;
 
 pub use conntrack::{ConnInfo, ConnState, ConnTracker};
 pub use guard::{Guard, GuardConfig, GuardStats};
-pub use lb::{BackendStats, L4LoadBalancer, IBALANCER};
+pub use lb::{BackendStats, L4LoadBalancer, LbStats, IBALANCER};
 pub use nat::{Nat44, Nat44Config, Nat44Stats};
 pub use rewrite::{rewrite_ipv4_endpoint, RewriteSide};
 pub use table::{Admission, FlowClock, FlowTable, FlowTableStats, MAX_FLOW_CAPACITY};

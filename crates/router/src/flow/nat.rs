@@ -2,13 +2,13 @@
 
 use std::fmt;
 use std::net::{IpAddr, Ipv4Addr};
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use netkit_packet::batch::PacketBatch;
 use netkit_packet::flow::{FlowKey, ParsedFlow};
 use netkit_packet::packet::Packet;
 use opencom::component::{Component, ComponentCore, Registrar};
+use opencom::counters;
 use opencom::receptacle::Receptacle;
 use parking_lot::Mutex;
 
@@ -49,19 +49,20 @@ impl Default for Nat44Config {
     }
 }
 
-/// Lifetime counters for a [`Nat44`].
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct Nat44Stats {
-    /// Outbound packets translated.
-    pub translated_out: u64,
-    /// Inbound packets reverse-translated.
-    pub translated_in: u64,
-    /// Packets passed through untouched (non-IPv4 / port-less).
-    pub passthrough: u64,
-    /// Packets dropped: no free external port.
-    pub exhausted: u64,
-    /// Inbound packets dropped: no binding.
-    pub unbound: u64,
+counters! {
+    /// Lifetime counters for a [`Nat44`].
+    pub struct Nat44Stats {
+        /// Outbound packets translated.
+        translated_out,
+        /// Inbound packets reverse-translated.
+        translated_in,
+        /// Packets passed through untouched (non-IPv4 / port-less).
+        passthrough,
+        /// Packets dropped: no free external port.
+        exhausted,
+        /// Inbound packets dropped: no binding.
+        unbound,
+    }
 }
 
 /// One direction of a NAT binding.
@@ -190,12 +191,6 @@ pub struct Nat44 {
     cfg: Nat44Config,
     inner: Mutex<NatInner>,
     clock: FlowClock,
-    // Lifetime counters, fed from per-call `Nat44Stats` tallies.
-    translated_out: AtomicU64,
-    translated_in: AtomicU64,
-    passthrough: AtomicU64,
-    exhausted: AtomicU64,
-    unbound: AtomicU64,
 }
 
 impl Nat44 {
@@ -207,7 +202,7 @@ impl Nat44 {
             "port pool must fit in u16"
         );
         Arc::new(Self {
-            core: element_core("netkit.Nat44"),
+            core: element_core("netkit.Nat44").counting::<Nat44Stats>(),
             out: Receptacle::single("out", IPACKET_PUSH),
             inner: Mutex::new(NatInner {
                 table: FlowTable::new(cfg.table_capacity, cfg.idle_timeout),
@@ -216,23 +211,12 @@ impl Nat44 {
             }),
             cfg,
             clock: FlowClock::new(),
-            translated_out: AtomicU64::new(0),
-            translated_in: AtomicU64::new(0),
-            passthrough: AtomicU64::new(0),
-            exhausted: AtomicU64::new(0),
-            unbound: AtomicU64::new(0),
         })
     }
 
     /// Lifetime counters.
     pub fn stats(&self) -> Nat44Stats {
-        Nat44Stats {
-            translated_out: self.translated_out.load(Ordering::Relaxed),
-            translated_in: self.translated_in.load(Ordering::Relaxed),
-            passthrough: self.passthrough.load(Ordering::Relaxed),
-            exhausted: self.exhausted.load(Ordering::Relaxed),
-            unbound: self.unbound.load(Ordering::Relaxed),
-        }
+        self.core.counters().read()
     }
 
     /// Live bindings (each binding is one forward + one reverse entry).
@@ -273,22 +257,6 @@ impl Nat44 {
             inner.unlink(&self.cfg, corpse);
         }
         before - inner.used_count
-    }
-
-    /// Adds a call's local tallies to the lifetime counters — one
-    /// atomic add per touched counter per push or per *batch*.
-    fn flush_counts(&self, counts: Nat44Stats) {
-        for (counter, n) in [
-            (&self.translated_out, counts.translated_out),
-            (&self.translated_in, counts.translated_in),
-            (&self.passthrough, counts.passthrough),
-            (&self.exhausted, counts.exhausted),
-            (&self.unbound, counts.unbound),
-        ] {
-            if n > 0 {
-                counter.fetch_add(n, Ordering::Relaxed);
-            }
-        }
     }
 
     /// Translates one packet in place, tallying the outcome into
@@ -405,7 +373,7 @@ impl IPacketPush for Nat44 {
                 }
             }
         }
-        self.flush_counts(counts);
+        self.core.counters().flush(counts);
         emit(batch, &exits, &[Output::new(&self.out, Ok(()))])
     }
 }

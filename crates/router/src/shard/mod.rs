@@ -671,9 +671,12 @@ impl ShardedPipeline {
     /// into a pooled container when it runs (a shard with no drainer
     /// thread's when the pipeline is next flushed), and the parent
     /// batch recycles to the
-    /// [`BatchPool`] when the last shard's range is consumed. A single-worker pipeline skips the split entirely
-    /// (0 ≡ 1 shard: the batch goes to shard 0 as-is). Returns the
-    /// number of shard ranges enqueued.
+    /// [`BatchPool`] when the last shard's range is consumed. A
+    /// single-worker pipeline skips the split (0 ≡ 1 shard): the batch
+    /// goes to shard 0 whole, RSS-stamped as the split would have
+    /// stamped it, so the shard's sketch and flow elements read each
+    /// frame's record instead of parsing it again. Returns the number
+    /// of shard ranges enqueued.
     ///
     /// Packets whose publish fails (the shard died) are
     /// counted into that shard's `dropped` statistic and released with
@@ -685,9 +688,10 @@ impl ShardedPipeline {
     /// (see [`rebalance`]).
     ///
     /// [`ShardSplit::into_shared`]: netkit_packet::batch::ShardSplit::into_shared
-    pub fn dispatch(&self, batch: PacketBatch) -> usize {
+    pub fn dispatch(&self, mut batch: PacketBatch) -> usize {
         let map = self.steering.read();
         if self.spec.workers <= 1 {
+            batch.stamp_rss();
             return self.submit_counting_drops(0, batch);
         }
         let shared = batch.shard_split_with(&map).into_shared();

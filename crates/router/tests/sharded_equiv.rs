@@ -238,8 +238,9 @@ proptest! {
             let (matched, fell_through) = replicas
                 .iter()
                 .map(|r| r.classifier.stats())
-                .fold((0, 0), |(a, b), (x, y)| (a + x, b + y));
-            prop_assert_eq!((matched, fell_through), reference.classifier.stats());
+                .fold((0, 0), |(a, b), s| (a + s.matched, b + s.unmatched));
+            let s = reference.classifier.stats();
+            prop_assert_eq!((matched, fell_through), (s.matched, s.unmatched));
 
             // Per-output multisets and per-flow sequences match.
             for (o, _name) in OUTPUTS.iter().enumerate() {

@@ -14,6 +14,7 @@ use std::sync::Arc;
 
 use netkit_packet::packet::{Packet, PacketBuilder};
 use opencom::component::{Component, ComponentCore, ComponentDescriptor, Registrar};
+use opencom::counters;
 use opencom::ident::Version;
 use opencom::receptacle::Receptacle;
 use parking_lot::RwLock;
@@ -56,17 +57,18 @@ impl NodeInfo for EeNode {
     }
 }
 
-/// Counters kept by an [`EeComponent`].
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct EeComponentStats {
-    /// Active capsules executed.
-    pub capsules: u64,
-    /// Capsules whose execution faulted (and were dropped).
-    pub faults: u64,
-    /// Non-active packets passed through.
-    pub bypassed: u64,
-    /// Emissions with no usable route/output (dropped).
-    pub unroutable: u64,
+counters! {
+    /// Counters kept by an [`EeComponent`].
+    pub struct EeComponentStats {
+        /// Active capsules executed.
+        capsules,
+        /// Capsules whose execution faulted (and were dropped).
+        faults,
+        /// Non-active packets passed through.
+        bypassed,
+        /// Emissions with no usable route/output (dropped).
+        unroutable,
+    }
 }
 
 /// The EE wrapped as an OpenCOM component (see module docs).
@@ -75,7 +77,6 @@ pub struct EeComponent {
     env: ExecutionEnv,
     node: EeNode,
     outs: Receptacle<dyn IPacketPush>,
-    stats: RwLock<EeComponentStats>,
 }
 
 impl EeComponent {
@@ -85,11 +86,11 @@ impl EeComponent {
             core: ComponentCore::new(ComponentDescriptor::new(
                 "netkit.ExecutionEnv",
                 Version::new(1, 0, 0),
-            )),
+            ))
+            .counting::<EeComponentStats>(),
             env: ExecutionEnv::new(budget),
             node,
             outs: Receptacle::multi("out", IPACKET_PUSH),
-            stats: RwLock::new(EeComponentStats::default()),
         })
     }
 
@@ -101,7 +102,7 @@ impl EeComponent {
 
     /// Component-level counters.
     pub fn stats(&self) -> EeComponentStats {
-        *self.stats.read()
+        self.core.counters().read()
     }
 
     /// Rebuilds a capsule payload into a forwardable UDP packet.
@@ -111,12 +112,51 @@ impl EeComponent {
             .build()
     }
 
-    fn emit_on(&self, label: &str, pkt: Packet) -> PushResult {
+    fn emit_on(&self, label: &str, pkt: Packet, counts: &mut EeComponentStats) -> PushResult {
         match self.outs.with_labelled(label, |next| next.push(pkt)) {
             Some(result) => result,
             None => {
-                self.stats.write().unroutable += 1;
+                counts.unroutable += 1;
                 Ok(()) // dropped by policy; counted
+            }
+        }
+    }
+
+    /// Runs or bypasses one packet, tallying into `counts`.
+    fn handle(&self, pkt: Packet, counts: &mut EeComponentStats) -> PushResult {
+        let Some(payload) = capsule_payload(&pkt) else {
+            counts.bypassed += 1;
+            return self.emit_on(BYPASS_OUTPUT, pkt, counts);
+        };
+        let payload = payload.to_vec();
+        match self.env.execute(&payload, &self.node) {
+            Ok(outcome) => {
+                counts.capsules += 1;
+                if outcome.delivered {
+                    self.emit_on(LOCAL_OUTPUT, pkt, counts)?;
+                }
+                for (target, bytes) in outcome.emitted {
+                    match target {
+                        EmitTarget::Port(p) => {
+                            let out = self.repackage(self.node.addr, &bytes);
+                            self.emit_on(&port_output(p), out, counts)?;
+                        }
+                        EmitTarget::Dst(dst) => match self.node.route_lookup(dst) {
+                            Some(p) => {
+                                let out = self.repackage(dst, &bytes);
+                                self.emit_on(&port_output(p), out, counts)?;
+                            }
+                            None => counts.unroutable += 1,
+                        },
+                    }
+                }
+                Ok(())
+            }
+            Err(_) => {
+                // Faulty capsules hurt only themselves: drop, count, keep
+                // the router up (stratum-3 containment).
+                counts.faults += 1;
+                Ok(())
             }
         }
     }
@@ -124,44 +164,10 @@ impl EeComponent {
 
 impl IPacketPush for EeComponent {
     fn push(&self, pkt: Packet) -> PushResult {
-        let Some(payload) = capsule_payload(&pkt) else {
-            self.stats.write().bypassed += 1;
-            return self.emit_on(BYPASS_OUTPUT, pkt);
-        };
-        let payload = payload.to_vec();
-        match self.env.execute(&payload, &self.node) {
-            Ok(outcome) => {
-                self.stats.write().capsules += 1;
-                if outcome.delivered {
-                    self.emit_on(LOCAL_OUTPUT, pkt)?;
-                }
-                for (target, bytes) in outcome.emitted {
-                    match target {
-                        EmitTarget::Port(p) => {
-                            let out = self.repackage(self.node.addr, &bytes);
-                            self.emit_on(&port_output(p), out)?;
-                        }
-                        EmitTarget::Dst(dst) => match self.node.route_lookup(dst) {
-                            Some(p) => {
-                                let out = self.repackage(dst, &bytes);
-                                self.emit_on(&port_output(p), out)?;
-                            }
-                            None => {
-                                self.stats.write().unroutable += 1;
-                            }
-                        },
-                    }
-                }
-                Ok(())
-            }
-            Err(e) => {
-                // Faulty capsules hurt only themselves: drop, count, keep
-                // the router up (stratum-3 containment).
-                self.stats.write().faults += 1;
-                let _ = e;
-                Ok(())
-            }
-        }
+        let mut counts = EeComponentStats::default();
+        let result = self.handle(pkt, &mut counts);
+        self.core.counters().flush(counts);
+        result
     }
 }
 

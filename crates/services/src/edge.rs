@@ -147,6 +147,9 @@ mod tests {
     use netkit_packet::packet::{Packet, PacketBuilder};
     use netkit_router::api::PushError;
     use netkit_router::desc::diff;
+    use netkit_router::flow::{GuardStats, Nat44Stats};
+    use opencom::counters::Tally;
+    use std::collections::BTreeMap;
 
     fn udp(sport: u16) -> Packet {
         PacketBuilder::udp_v4("10.0.0.5", "203.0.113.9", sport, 80)
@@ -170,6 +173,26 @@ mod tests {
                 .canonical()
                 .render()
         );
+    }
+
+    /// A frame dispatched without an rx record is parsed once, by the
+    /// dispatch, however many shards run: the sketch record, guard,
+    /// conntrack and NAT44 behind it read the stamp.
+    #[cfg(debug_assertions)]
+    #[test]
+    fn dispatch_parses_each_frame_once_at_every_shard_count() {
+        use netkit_packet::flow::parses_on_this_thread as parses;
+        for workers in [1, 2] {
+            let rm = Arc::new(ResourceManager::new());
+            let (pipe, _binding) =
+                build_stateful_edge(&EdgeProfile::default(), workers, rm).unwrap();
+            let batch = (0..64).map(|s| udp(5_000 + s)).collect();
+            let before = parses();
+            pipe.dispatch(batch);
+            pipe.flush();
+            assert_eq!(pipe.stats().accepted, 64);
+            assert_eq!(parses() - before, 64, "{workers} shard(s)");
+        }
     }
 
     #[test]
@@ -244,6 +267,125 @@ mod tests {
         let report = binding.apply_sharded(&pipe, &patch).unwrap();
         assert_eq!(report.structural, 0);
         assert_eq!(report.replaced, 2 * 2, "guard+conntrack on both shards");
+    }
+
+    /// Every replica's counters, found by one walk over its capsule's
+    /// architecture meta-model with no per-kind code, summed over
+    /// shards and keyed `(component type, counter name)`.
+    fn walk_counters(pipe: &ShardedPipeline) -> BTreeMap<(String, String), u64> {
+        let mut totals = BTreeMap::new();
+        for shard in 0..pipe.workers() {
+            let capsule = pipe.capsule(shard);
+            for id in capsule.arch().component_ids() {
+                let component = capsule.component(id).unwrap();
+                let kind = &component.core().descriptor().type_name;
+                component.core().counters().visit(&mut |name, value| {
+                    *totals.entry((kind.clone(), name.to_owned())).or_default() += value;
+                });
+            }
+        }
+        totals
+    }
+
+    /// The sum over shards of every `kind` component's typed read of
+    /// its counters — what that element's `stats()` returns.
+    fn typed_sum<T: Tally>(pipe: &ShardedPipeline, kind: &str) -> T {
+        let mut sum = T::default();
+        for shard in 0..pipe.workers() {
+            let capsule = pipe.capsule(shard);
+            for id in capsule.arch().component_ids() {
+                let component = capsule.component(id).unwrap();
+                if component.core().descriptor().type_name == kind {
+                    let one = named(component.core().counters().read::<T>());
+                    sum.each(|i, v| *v += one[i].1);
+                }
+            }
+        }
+        sum
+    }
+
+    /// A tally's fields as `(name, value)`, in declaration order.
+    fn named<T: Tally>(mut t: T) -> Vec<(&'static str, u64)> {
+        let mut out = Vec::new();
+        t.each(|i, v| out.push((T::NAMES[i], *v)));
+        out
+    }
+
+    #[test]
+    fn one_walk_finds_every_counter_of_a_sharded_edge() {
+        // A pool of 8 ports, so new flows past it exhaust; a threshold
+        // one heavy flow crosses; inbound frames with no binding;
+        // frames with no flow identity.
+        let profile = EdgeProfile {
+            byte_threshold: 16 * 1024,
+            window_budget: 16 * 1024,
+            nat_blocks: 1,
+            nat_block_size: 8,
+            ..EdgeProfile::default()
+        };
+        let (pipe, binding) =
+            build_stateful_edge(&profile, 2, Arc::new(ResourceManager::new())).unwrap();
+        let mut ctl = binding.controller().unwrap().expect("control block set");
+        for round in 0..6u16 {
+            let mut batch: Vec<Packet> = (0..16).map(|s| udp(5_000 + round * 16 + s)).collect();
+            batch.extend((0..12).map(|_| {
+                PacketBuilder::udp_v4("10.0.0.5", "203.0.113.9", 4_000, 80)
+                    .payload_len(1_400)
+                    .build()
+            }));
+            batch.push(PacketBuilder::udp_v4("198.51.100.7", "192.0.2.1", 53, 10_999).build());
+            batch.push(Packet::from_slice(&[0u8; 60]));
+            pipe.dispatch(batch.into_iter().collect());
+            pipe.flush();
+            pipe.control_turn(&mut ctl, &[]);
+        }
+        let walked = walk_counters(&pipe);
+        let at = |kind: &str, name: &str| walked[&(kind.to_owned(), name.to_owned())];
+
+        // Every counting element of the edge is found, each counter by
+        // name, and nothing else counts.
+        let counting: [(&str, &[&str]); 5] = [
+            ("netkit.ConnTracker", &["untracked"]),
+            ("netkit.Counter", &["packets", "bytes"]),
+            ("netkit.Discard", &["packets"]),
+            ("netkit.Guard", GuardStats::NAMES),
+            ("netkit.Nat44", Nat44Stats::NAMES),
+        ];
+        let mut want: Vec<(String, String)> = counting
+            .iter()
+            .flat_map(|(kind, names)| names.iter().map(|n| (kind.to_string(), n.to_string())))
+            .collect();
+        want.sort();
+        assert_eq!(walked.keys().cloned().collect::<Vec<_>>(), want);
+
+        // Each walked total is the sum over shards of the element's
+        // named stats fields.
+        let guard: GuardStats = typed_sum(&pipe, "netkit.Guard");
+        let nat: Nat44Stats = typed_sum(&pipe, "netkit.Nat44");
+        for (kind, fields) in [("netkit.Guard", named(guard)), ("netkit.Nat44", named(nat))] {
+            for (name, value) in fields {
+                assert_eq!(at(kind, name), value, "{kind} {name}");
+            }
+        }
+
+        // And the totals agree with what the pipeline saw: 6 rounds of
+        // 30 frames, one window closed per guard per turn.
+        let accepted = pipe.stats().accepted;
+        assert_eq!(at("netkit.Counter", "packets"), accepted);
+        assert_eq!(at("netkit.Discard", "packets"), accepted);
+        assert_eq!(
+            guard.passed + guard.budgeted + guard.limited + guard.syn_dropped,
+            6 * 30
+        );
+        assert_eq!(guard.limited + guard.syn_dropped, pipe.drop_stats().guard);
+        assert!(guard.limited > 0 && guard.budgeted > 0);
+        assert_eq!(guard.windows, 6 * 2);
+        assert_eq!(at("netkit.ConnTracker", "untracked"), 6);
+        assert_eq!((nat.passthrough, nat.unbound), (6, 6));
+        assert!(nat.exhausted > 0 && nat.translated_out > 0);
+        let nat_total =
+            nat.translated_out + nat.translated_in + nat.passthrough + nat.exhausted + nat.unbound;
+        assert_eq!(nat_total, guard.passed + guard.budgeted);
     }
 
     #[test]

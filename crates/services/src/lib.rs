@@ -53,5 +53,5 @@ pub mod programs;
 pub use component::{EeComponent, EeNode};
 pub use edge::{build_stateful_edge, stateful_edge_desc, EdgeProfile};
 pub use ee::{Capsule, EeBudget, EeError, ExecutionEnv, NodeInfo, OpCode, Program};
-pub use media::{DropLevel, FrameDropFilter, FrameType, QualityAdaptor};
+pub use media::{DropLevel, FrameDropFilter, FrameType, MediaStats, QualityAdaptor};
 pub use programs::{active_ping, multicast_duplicator, path_collector, Assembler};

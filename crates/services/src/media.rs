@@ -16,6 +16,7 @@ use std::sync::Arc;
 use netkit_packet::batch::PacketBatch;
 use netkit_packet::packet::Packet;
 use opencom::component::{Component, ComponentCore, ComponentDescriptor, Registrar};
+use opencom::counters;
 use opencom::ident::Version;
 use opencom::receptacle::Receptacle;
 
@@ -109,6 +110,22 @@ impl DropLevel {
     }
 }
 
+counters! {
+    /// What a media filter counted.
+    pub struct MediaStats {
+        /// Packets sent on.
+        passed,
+        /// Packets shed by policy.
+        shed,
+    }
+}
+
+/// A media filter's core, counting [`MediaStats`].
+fn media_core(type_name: &str) -> ComponentCore {
+    ComponentCore::new(ComponentDescriptor::new(type_name, Version::new(1, 0, 0)))
+        .counting::<MediaStats>()
+}
+
 /// A frame-aware thinning transcoder: under pressure, sheds the most
 /// droppable frames first. The level can be adapted at run time (e.g. by
 /// a controller reacting to congestion signals).
@@ -116,8 +133,6 @@ pub struct FrameDropFilter {
     core: ComponentCore,
     out: Receptacle<dyn IPacketPush>,
     level: AtomicU8,
-    passed: AtomicU64,
-    shed: AtomicU64,
 }
 
 impl FrameDropFilter {
@@ -129,14 +144,9 @@ impl FrameDropFilter {
     /// Creates a filter at a given level.
     pub fn with_level(level: DropLevel) -> Arc<Self> {
         Arc::new(Self {
-            core: ComponentCore::new(ComponentDescriptor::new(
-                "netkit.FrameDropFilter",
-                Version::new(1, 0, 0),
-            )),
+            core: media_core("netkit.FrameDropFilter"),
             out: Receptacle::single("out", IPACKET_PUSH),
             level: AtomicU8::new(level.as_u8()),
-            passed: AtomicU64::new(0),
-            shed: AtomicU64::new(0),
         })
     }
 
@@ -150,12 +160,9 @@ impl FrameDropFilter {
         self.level.store(level.as_u8(), Ordering::Relaxed);
     }
 
-    /// `(passed, shed)` counters.
-    pub fn stats(&self) -> (u64, u64) {
-        (
-            self.passed.load(Ordering::Relaxed),
-            self.shed.load(Ordering::Relaxed),
-        )
+    /// Packet counts.
+    pub fn stats(&self) -> MediaStats {
+        self.core.counters().read()
     }
 }
 
@@ -177,8 +184,8 @@ impl IPacketPush for FrameDropFilter {
                 exits.set(idx, Exit::Drop(Ok(()))); // shedding is policy, not failure
             }
         }
-        self.shed.fetch_add(shed, Ordering::Relaxed);
-        self.passed.fetch_add(n as u64 - shed, Ordering::Relaxed);
+        let passed = n as u64 - shed;
+        self.core.counters().flush(MediaStats { passed, shed });
         let out = Output::new(&self.out, Err(PushError::Unbound));
         emit(batch, &exits, &[out])
     }
@@ -212,8 +219,6 @@ pub struct QualityAdaptor {
     out_of: u64,
     remark_dscp: Option<u8>,
     seq: AtomicU64,
-    passed: AtomicU64,
-    shed: AtomicU64,
 }
 
 impl QualityAdaptor {
@@ -226,26 +231,18 @@ impl QualityAdaptor {
     pub fn new(keep: u64, out_of: u64, remark_dscp: Option<u8>) -> Arc<Self> {
         assert!(keep > 0 && keep <= out_of, "keep ratio must be in (0, 1]");
         Arc::new(Self {
-            core: ComponentCore::new(ComponentDescriptor::new(
-                "netkit.QualityAdaptor",
-                Version::new(1, 0, 0),
-            )),
+            core: media_core("netkit.QualityAdaptor"),
             out: Receptacle::single("out", IPACKET_PUSH),
             keep,
             out_of,
             remark_dscp,
             seq: AtomicU64::new(0),
-            passed: AtomicU64::new(0),
-            shed: AtomicU64::new(0),
         })
     }
 
-    /// `(passed, shed)` counters.
-    pub fn stats(&self) -> (u64, u64) {
-        (
-            self.passed.load(Ordering::Relaxed),
-            self.shed.load(Ordering::Relaxed),
-        )
+    /// Packet counts.
+    pub fn stats(&self) -> MediaStats {
+        self.core.counters().read()
     }
 }
 
@@ -274,8 +271,8 @@ impl IPacketPush for QualityAdaptor {
                 }
             }
         }
-        self.shed.fetch_add(shed, Ordering::Relaxed);
-        self.passed.fetch_add(n as u64 - shed, Ordering::Relaxed);
+        let passed = n as u64 - shed;
+        self.core.counters().flush(MediaStats { passed, shed });
         let out = Output::new(&self.out, Err(PushError::Unbound));
         emit(batch, &exits, &[out])
     }
@@ -344,7 +341,8 @@ mod tests {
             filter.push(media_pkt(seq, 9)).unwrap();
         }
         assert_eq!(sink.count(), 18);
-        assert_eq!(filter.stats(), (18, 0));
+        let s = filter.stats();
+        assert_eq!((s.passed, s.shed), (18, 0));
     }
 
     #[test]
@@ -356,7 +354,8 @@ mod tests {
             filter.push(media_pkt(seq, 9)).unwrap();
         }
         assert_eq!(sink.count(), 3);
-        assert_eq!(filter.stats(), (3, 6));
+        let s = filter.stats();
+        assert_eq!((s.passed, s.shed), (3, 6));
     }
 
     #[test]
@@ -393,7 +392,8 @@ mod tests {
             adaptor.push(media_pkt(seq, 9)).unwrap();
         }
         assert_eq!(sink.count(), 10, "1 in 4 kept");
-        assert_eq!(adaptor.stats(), (10, 30));
+        let s = adaptor.stats();
+        assert_eq!((s.passed, s.shed), (10, 30));
     }
 
     #[test]

@@ -17,7 +17,7 @@ use netkit_packet::packet::{Packet, PacketBuilder};
 use netkit_router::api::{
     register_packet_interfaces, IPacketPush, PushError, PushResult, IPACKET_PUSH,
 };
-use netkit_services::media::{DropLevel, FrameDropFilter, QualityAdaptor};
+use netkit_services::media::{DropLevel, FrameDropFilter, MediaStats, QualityAdaptor};
 use opencom::capsule::Capsule;
 use opencom::component::{Component, ComponentCore, ComponentDescriptor, Registrar};
 use opencom::ident::Version;
@@ -177,7 +177,7 @@ impl Lanes {
             .collect()
     }
 
-    fn counters(&self) -> Vec<(u64, u64)> {
+    fn counters(&self) -> Vec<MediaStats> {
         self.drops
             .iter()
             .map(|f| f.stats())

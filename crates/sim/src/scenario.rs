@@ -657,7 +657,7 @@ pub fn run_city(cfg: &CityConfig) -> ScenarioReport {
     let mut per_node = Vec::with_capacity(cfg.nodes);
     let mut fingerprint = FNV_OFFSET;
     for (i, node) in topo.nodes.iter().enumerate() {
-        let media_shed: u64 = handles[i].media.iter().map(|m| m.stats().1).sum();
+        let media_shed: u64 = handles[i].media.iter().map(|m| m.stats().shed).sum();
         let behaviour = sim
             .node_behaviour_mut::<PipelineNode>(*node)
             .expect("city node behaviour");

@@ -192,7 +192,7 @@ fn classifier_reprogramming_resteers_traffic_mid_run() {
 
     // First half: dport 7000 is bulk.
     sim.run_for(5_000_000);
-    let (matched_before, _) = classifier.stats();
+    let matched_before = classifier.stats().matched;
     assert!(matched_before > 0);
 
     // Re-programme the classifier mid-run through IClassifier — stratum-4
