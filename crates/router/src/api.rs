@@ -609,7 +609,7 @@
 //! ```
 
 use std::fmt;
-use std::net::{AddrParseError, IpAddr};
+use std::net::IpAddr;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -994,7 +994,9 @@ impl FilterId {
 }
 
 /// The match half of a filter: every populated field must match.
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
+/// Renders as `any` or its populated fields (`src=10.0.0.0/8
+/// dport=0-999`).
+#[derive(Clone, Debug, Default, PartialEq, Eq, PartialOrd, Ord)]
 pub struct FilterPattern {
     /// Source prefix `(address, prefix_len)`.
     pub src_prefix: Option<(IpAddr, u8)>,
@@ -1047,36 +1049,16 @@ impl FilterPattern {
         Self::default()
     }
 
-    /// Requires the source address to fall in `prefix`, rejecting
-    /// malformed address literals (builder-style).
-    ///
-    /// # Errors
-    ///
-    /// Returns the address parse error for malformed literals.
-    pub fn try_src(mut self, prefix: &str, len: u8) -> std::result::Result<Self, AddrParseError> {
-        self.src_prefix = Some((prefix.parse()?, len));
-        Ok(self)
-    }
-
-    /// Requires the destination address to fall in `prefix`, rejecting
-    /// malformed address literals (builder-style).
-    ///
-    /// # Errors
-    ///
-    /// Returns the address parse error for malformed literals.
-    pub fn try_dst(mut self, prefix: &str, len: u8) -> std::result::Result<Self, AddrParseError> {
-        self.dst_prefix = Some((prefix.parse()?, len));
-        Ok(self)
-    }
-
     /// Requires the source address to fall in `prefix` (builder-style).
     ///
     /// # Panics
     ///
-    /// Panics on a malformed address literal; use [`Self::try_src`] for
-    /// untrusted input.
-    pub fn src(self, prefix: &str, len: u8) -> Self {
-        self.try_src(prefix, len).expect("valid address")
+    /// Panics on a malformed address literal; for untrusted input,
+    /// parse it with `IpAddr::from_str` and set
+    /// [`Self::src_prefix`].
+    pub fn src(mut self, prefix: &str, len: u8) -> Self {
+        self.src_prefix = Some((prefix.parse().expect("valid address"), len));
+        self
     }
 
     /// Requires the destination address to fall in `prefix`
@@ -1084,10 +1066,12 @@ impl FilterPattern {
     ///
     /// # Panics
     ///
-    /// Panics on a malformed address literal; use [`Self::try_dst`] for
-    /// untrusted input.
-    pub fn dst(self, prefix: &str, len: u8) -> Self {
-        self.try_dst(prefix, len).expect("valid address")
+    /// Panics on a malformed address literal; for untrusted input,
+    /// parse it with `IpAddr::from_str` and set
+    /// [`Self::dst_prefix`].
+    pub fn dst(mut self, prefix: &str, len: u8) -> Self {
+        self.dst_prefix = Some((prefix.parse().expect("valid address"), len));
+        self
     }
 
     /// Requires the IP protocol (builder-style).
@@ -1099,12 +1083,6 @@ impl FilterPattern {
     /// Requires the destination port to fall in `[lo, hi]` (builder-style).
     pub fn dst_port_range(mut self, lo: u16, hi: u16) -> Self {
         self.dst_ports = Some((lo, hi));
-        self
-    }
-
-    /// Requires the source port to fall in `[lo, hi]` (builder-style).
-    pub fn src_port_range(mut self, lo: u16, hi: u16) -> Self {
-        self.src_ports = Some((lo, hi));
         self
     }
 
@@ -1147,6 +1125,35 @@ impl FilterPattern {
             }
         }
         true
+    }
+}
+
+impl fmt::Display for FilterPattern {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let mut parts = Vec::new();
+        if let Some((a, l)) = self.src_prefix {
+            parts.push(format!("src={a}/{l}"));
+        }
+        if let Some((a, l)) = self.dst_prefix {
+            parts.push(format!("dst={a}/{l}"));
+        }
+        if let Some(p) = self.protocol {
+            parts.push(format!("proto={p}"));
+        }
+        if let Some((lo, hi)) = self.src_ports {
+            parts.push(format!("sport={lo}-{hi}"));
+        }
+        if let Some((lo, hi)) = self.dst_ports {
+            parts.push(format!("dport={lo}-{hi}"));
+        }
+        if let Some(d) = self.dscp {
+            parts.push(format!("dscp={d}"));
+        }
+        if parts.is_empty() {
+            f.write_str("any")
+        } else {
+            f.write_str(&parts.join(" "))
+        }
     }
 }
 
@@ -1674,7 +1681,7 @@ mod tests {
     /// entry of another kind is an error that installs nothing.
     #[test]
     fn every_table_keeps_the_itable_contract() {
-        use crate::desc::{PatternDesc, TableEntry};
+        use crate::desc::TableEntry;
         use crate::elements::{ClassifierEngine, Discard, RouteLookup};
         use crate::flow::L4LoadBalancer;
         use opencom::capsule::Capsule;
@@ -1683,16 +1690,16 @@ mod tests {
         register_packet_interfaces(&rt);
         let capsule = Capsule::new("t", &rt);
         let filter = TableEntry::Filter {
-            pattern: PatternDesc::any().protocol(proto::TCP),
+            pattern: FilterPattern::any().protocol(proto::TCP),
             output: "tcp".into(),
             priority: 1,
         };
         let route = TableEntry::Route {
-            prefix: "10.0.0.0/8".into(),
+            prefix: "10.0.0.0/8".parse().unwrap(),
             egress: 0,
         };
         let backend = TableEntry::Backend {
-            ip: "10.1.0.1".into(),
+            ip: "10.1.0.1".parse().unwrap(),
             port: 8080,
         };
         let classifier = ClassifierEngine::new();

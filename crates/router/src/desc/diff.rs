@@ -328,8 +328,9 @@ pub fn diff(old: &PipelineDesc, new: &PipelineDesc) -> Patch {
 
 #[cfg(test)]
 mod tests {
-    use super::super::{ParamValue, PatternDesc};
+    use super::super::ParamValue;
     use super::*;
+    use crate::api::FilterPattern;
 
     fn base() -> PipelineDesc {
         PipelineDesc::new("t")
@@ -343,7 +344,7 @@ mod tests {
             .table(
                 "cls",
                 TableEntry::Filter {
-                    pattern: PatternDesc::any().protocol(6),
+                    pattern: FilterPattern::any().protocol(6),
                     output: "tracked".into(),
                     priority: 5,
                 },
@@ -394,7 +395,7 @@ mod tests {
         let next = base().table(
             "cls",
             TableEntry::Filter {
-                pattern: PatternDesc::any().protocol(17),
+                pattern: FilterPattern::any().protocol(17),
                 output: "tracked".into(),
                 priority: 4,
             },
@@ -465,5 +466,52 @@ mod tests {
         assert!(patch.ops.contains(&PatchOp::SetControl));
         assert!(patch.steering_changed());
         assert!(patch.param_only());
+    }
+
+    /// An entry holds typed values, so a description that only spells
+    /// an address differently is the same description: no patch, and
+    /// no delete-then-insert on the live table (a packet in between
+    /// would find no row).
+    #[test]
+    fn a_respelt_address_is_no_patch() {
+        use super::super::Compiler;
+        use netkit_kernel::shard::ShardSpec;
+        use opencom::meta::resources::ResourceManager;
+        use std::sync::Arc;
+
+        let desc = |dst: &str, prefix: &str| {
+            PipelineDesc::new("t")
+                .element("cls", "classifier")
+                .element("r", "route")
+                .element("sink", "discard")
+                .ingress("cls")
+                .edge_labelled("cls", "default", "sink")
+                .edge_labelled("cls", "v6", "r")
+                .edge_labelled("r", "0", "sink")
+                .table(
+                    "cls",
+                    TableEntry::Filter {
+                        pattern: FilterPattern::any().dst(dst, 32),
+                        output: "v6".into(),
+                        priority: 1,
+                    },
+                )
+                .table(
+                    "r",
+                    TableEntry::Route {
+                        prefix: prefix.parse().unwrap(),
+                        egress: 0,
+                    },
+                )
+        };
+        let d1 = desc("2001:db8::", "10.0.0.1/8");
+        let d2 = desc("2001:DB8:0::", "10.0.0.0/8");
+        let patch = diff(&d1, &d2);
+        assert!(patch.is_empty(), "{}", patch.render());
+        let (pipe, mut binding) = Compiler::new()
+            .build_sharded(&d1, ShardSpec::inline(1), Arc::new(ResourceManager::new()))
+            .unwrap();
+        let report = binding.apply_sharded(&pipe, &patch).unwrap();
+        assert_eq!(report.table_ops, 0);
     }
 }

@@ -18,19 +18,21 @@
 //! * [`PipelineDesc`] — named [`ElementDesc`] nodes with typed
 //!   [`Params`], port-wired [`EdgeDesc`] edges, per-node match-action
 //!   [`TableEntry`] lists (classifier patterns, routes, VIP→backend
-//!   sets), optional bucket→shard steering pins, and an optional
-//!   [`ControlDesc`] naming the preset of the staged
+//!   sets — each holding the element's own typed values, so an address
+//!   is parsed once, where the entry is written), optional
+//!   bucket→shard steering pins, and an optional [`ControlDesc`]
+//!   naming the preset of the staged
 //!   [`DecisionCore`](crate::shard::DecisionCore) that judges
 //!   rebalances.
 //! * [`PipelineDesc::validate`] — checks parameters (type, range,
 //!   address format) against the [`schema`] registry, rejects unknown
 //!   kinds, dangling edge endpoints, outputs on sink elements,
 //!   duplicate single-output edges, table entries on elements without
-//!   that table, that the element could not install, or that name a
-//!   row another entry on the same element names, filter outputs
-//!   with no matching edge, unreachable elements, and cycles. What it
-//!   accepts, the constructors take as is: nothing a description says
-//!   can fail or panic later, at build, apply or respawn.
+//!   that table, duplicate entries, two routes on one prefix, filter
+//!   outputs with no matching edge, unreachable elements, and cycles.
+//!   What it accepts, the constructors take as is: nothing a
+//!   description says can fail or panic later, at build, apply or
+//!   respawn.
 //! * [`Compiler`] — builds a live pipeline from a description (plus
 //!   host-supplied *external* element kinds, e.g. a simulator's egress
 //!   collector) and returns a [`DescBinding`]: the one live description
@@ -86,10 +88,12 @@ pub use diff::{diff, Patch, PatchOp};
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt::Write as _;
+use std::net::Ipv4Addr;
 
 use opencom::error::{Error, Result};
 
-use crate::api::{FilterPattern, FilterSpec};
+use crate::api::FilterPattern;
+use crate::routing::Prefix;
 use netkit_packet::steer::RSS_BUCKETS;
 
 use schema::{OutputKind, ParamType, TableKind};
@@ -231,154 +235,36 @@ impl EdgeDesc {
     }
 }
 
-/// A declarative classifier pattern — the data twin of
-/// [`FilterPattern`], kept as plain fields so descriptions order,
-/// compare, and render deterministically.
-#[derive(Clone, Debug, PartialEq, Eq, PartialOrd, Ord, Default)]
-pub struct PatternDesc {
-    /// Source prefix as `(addr, len)`, e.g. `("10.0.0.0", 8)`.
-    pub src: Option<(String, u8)>,
-    /// Destination prefix as `(addr, len)`.
-    pub dst: Option<(String, u8)>,
-    /// IP protocol number.
-    pub protocol: Option<u8>,
-    /// Inclusive source-port range.
-    pub src_port: Option<(u16, u16)>,
-    /// Inclusive destination-port range.
-    pub dst_port: Option<(u16, u16)>,
-    /// DSCP codepoint.
-    pub dscp: Option<u8>,
-}
-
-impl PatternDesc {
-    /// The match-everything pattern.
-    pub fn any() -> Self {
-        Self::default()
-    }
-
-    /// Requires the IP protocol (builder-style).
-    pub fn protocol(mut self, proto: u8) -> Self {
-        self.protocol = Some(proto);
-        self
-    }
-
-    /// Requires the destination port in `[lo, hi]` (builder-style).
-    pub fn dst_port_range(mut self, lo: u16, hi: u16) -> Self {
-        self.dst_port = Some((lo, hi));
-        self
-    }
-
-    /// Requires the source port in `[lo, hi]` (builder-style).
-    pub fn src_port_range(mut self, lo: u16, hi: u16) -> Self {
-        self.src_port = Some((lo, hi));
-        self
-    }
-
-    /// Requires the DSCP codepoint (builder-style).
-    pub fn dscp(mut self, dscp: u8) -> Self {
-        self.dscp = Some(dscp);
-        self
-    }
-
-    /// Requires the source address in `prefix/len` (builder-style).
-    pub fn src(mut self, prefix: &str, len: u8) -> Self {
-        self.src = Some((prefix.to_owned(), len));
-        self
-    }
-
-    /// Requires the destination address in `prefix/len` (builder-style).
-    pub fn dst(mut self, prefix: &str, len: u8) -> Self {
-        self.dst = Some((prefix.to_owned(), len));
-        self
-    }
-
-    /// Lowers the description to a live [`FilterPattern`].
-    ///
-    /// # Errors
-    ///
-    /// Fails with [`Error::StaleReference`] on a malformed address
-    /// literal.
-    pub fn to_pattern(&self) -> Result<FilterPattern> {
-        let mut p = FilterPattern::any();
-        if let Some((addr, len)) = &self.src {
-            p = p.try_src(addr, *len).map_err(|_| Error::StaleReference {
-                what: format!("pattern src `{addr}/{len}`"),
-            })?;
-        }
-        if let Some((addr, len)) = &self.dst {
-            p = p.try_dst(addr, *len).map_err(|_| Error::StaleReference {
-                what: format!("pattern dst `{addr}/{len}`"),
-            })?;
-        }
-        if let Some(proto) = self.protocol {
-            p = p.protocol(proto);
-        }
-        if let Some((lo, hi)) = self.src_port {
-            p = p.src_port_range(lo, hi);
-        }
-        if let Some((lo, hi)) = self.dst_port {
-            p = p.dst_port_range(lo, hi);
-        }
-        if let Some(dscp) = self.dscp {
-            p = p.dscp(dscp);
-        }
-        Ok(p)
-    }
-
-    fn render(&self) -> String {
-        let mut parts = Vec::new();
-        if let Some((a, l)) = &self.src {
-            parts.push(format!("src={a}/{l}"));
-        }
-        if let Some((a, l)) = &self.dst {
-            parts.push(format!("dst={a}/{l}"));
-        }
-        if let Some(p) = self.protocol {
-            parts.push(format!("proto={p}"));
-        }
-        if let Some((lo, hi)) = self.src_port {
-            parts.push(format!("sport={lo}-{hi}"));
-        }
-        if let Some((lo, hi)) = self.dst_port {
-            parts.push(format!("dport={lo}-{hi}"));
-        }
-        if let Some(d) = self.dscp {
-            parts.push(format!("dscp={d}"));
-        }
-        if parts.is_empty() {
-            "any".to_owned()
-        } else {
-            parts.join(" ")
-        }
-    }
-}
-
-/// One match-action table entry attached to a named element.
+/// One match-action table entry attached to a named element. An entry
+/// holds the element's own typed values — the classifier's
+/// [`FilterPattern`], a parsed and masked [`Prefix`], an [`Ipv4Addr`]
+/// — so a literal is parsed once, where it is written, and two
+/// spellings of one address are one entry.
 #[derive(Clone, Debug, PartialEq, Eq, PartialOrd, Ord)]
 pub enum TableEntry {
     /// A classifier filter: packets matching `pattern` go to the edge
     /// labelled `output` (highest `priority` wins).
     Filter {
         /// The match pattern.
-        pattern: PatternDesc,
+        pattern: FilterPattern,
         /// The output label the matching edge carries.
         output: String,
         /// Filter priority (higher wins).
         priority: i32,
     },
-    /// A route: `prefix` (e.g. `"10.0.0.0/8"`) exits on egress port
-    /// `egress` — the edge labelled `egress.to_string()`, falling back
-    /// to the `out` label.
+    /// A route: `prefix` (e.g. `"10.0.0.0/8".parse()?`) exits on
+    /// egress port `egress` — the edge labelled `egress.to_string()`,
+    /// falling back to the `out` label.
     Route {
-        /// Textual prefix.
-        prefix: String,
+        /// The row the route keys.
+        prefix: Prefix,
         /// Egress port index.
         egress: u16,
     },
     /// A load-balancer backend behind the element's VIP.
     Backend {
-        /// Backend IPv4 address literal.
-        ip: String,
+        /// Backend address.
+        ip: Ipv4Addr,
         /// Backend port.
         port: u16,
     },
@@ -399,10 +285,7 @@ impl TableEntry {
                 pattern,
                 output,
                 priority,
-            } => format!(
-                "filter {{{}}} -> {output} prio {priority}",
-                pattern.render()
-            ),
+            } => format!("filter {{{pattern}}} -> {output} prio {priority}"),
             TableEntry::Route { prefix, egress } => format!("route {prefix} -> port {egress}"),
             TableEntry::Backend { ip, port } => format!("backend {ip}:{port}"),
         }
@@ -447,7 +330,8 @@ pub struct ControlDesc {
 /// # Examples
 ///
 /// ```
-/// use netkit_router::desc::{PipelineDesc, PatternDesc, TableEntry};
+/// use netkit_router::api::FilterPattern;
+/// use netkit_router::desc::{PipelineDesc, TableEntry};
 ///
 /// let d = PipelineDesc::new("edge")
 ///     .element("cls", "classifier")
@@ -460,7 +344,7 @@ pub struct ControlDesc {
 ///     .table(
 ///         "cls",
 ///         TableEntry::Filter {
-///             pattern: PatternDesc::any().protocol(6),
+///             pattern: FilterPattern::any().protocol(6),
 ///             output: "tcp".into(),
 ///             priority: 10,
 ///         },
@@ -726,15 +610,8 @@ impl PipelineDesc {
                 schema::schema_for(&el.kind).expect("kind checked").tables
             };
             let mut seen = BTreeSet::new();
-            // Two entries naming one row (a route's masked prefix, a
-            // filter's lowered spec) cannot both be installed.
+            // Two routes on one prefix cannot both be installed.
             let mut routes = BTreeMap::new();
-            let mut filters: Vec<(FilterSpec, &TableEntry)> = Vec::new();
-            let same = |a: &TableEntry, b: &TableEntry| {
-                let (a, b, kind) = (a.render(), b.render(), b.kind().name());
-                let msg = format!("table on `{node}`: `{a}` and `{b}` name the same {kind}");
-                rule(msg)
-            };
             for entry in entries {
                 if !supported.contains(&entry.kind()) {
                     return Err(rule(format!(
@@ -743,7 +620,7 @@ impl PipelineDesc {
                         entry.kind().name()
                     )));
                 }
-                if !seen.insert(entry.clone()) {
+                if !seen.insert(entry) {
                     return Err(rule(format!(
                         "table on `{node}`: duplicate entry `{}`",
                         entry.render()
@@ -751,11 +628,6 @@ impl PipelineDesc {
                 }
                 match entry {
                     TableEntry::Filter { output, .. } => {
-                        let spec = crate::elements::filter_of(entry)?;
-                        if let Some((_, other)) = filters.iter().find(|(s, _)| *s == spec) {
-                            return Err(same(other, entry));
-                        }
-                        filters.push((spec, entry));
                         let bound = self
                             .edges
                             .iter()
@@ -768,13 +640,11 @@ impl PipelineDesc {
                         }
                     }
                     TableEntry::Route { prefix, egress } => {
-                        let Ok(route) = crate::routing::parse_prefix(prefix) else {
+                        if let Some(other) = routes.insert(prefix, entry) {
+                            let (a, b) = (other.render(), entry.render());
                             return Err(rule(format!(
-                                "route on `{node}`: malformed prefix `{prefix}`"
+                                "table on `{node}`: `{a}` and `{b}` name the same route"
                             )));
-                        };
-                        if let Some(other) = routes.insert(route, entry) {
-                            return Err(same(other, entry));
                         }
                         let label = egress.to_string();
                         let bound = self
@@ -788,13 +658,7 @@ impl PipelineDesc {
                             )));
                         }
                     }
-                    TableEntry::Backend { ip, .. } => {
-                        if ip.parse::<std::net::Ipv4Addr>().is_err() {
-                            return Err(rule(format!(
-                                "backend on `{node}`: malformed address `{ip}`"
-                            )));
-                        }
-                    }
+                    TableEntry::Backend { .. } => {}
                 }
             }
         }
@@ -1126,7 +990,7 @@ mod tests {
             .table(
                 "cls",
                 TableEntry::Filter {
-                    pattern: PatternDesc::any().protocol(6),
+                    pattern: FilterPattern::any().protocol(6),
                     output: "tcp".into(),
                     priority: 1,
                 },
@@ -1140,28 +1004,26 @@ mod tests {
         let d = chain().table(
             "a",
             TableEntry::Backend {
-                ip: "10.0.0.1".into(),
+                ip: Ipv4Addr::new(10, 0, 0, 1),
                 port: 80,
             },
         );
         let err = d.validate().unwrap_err().to_string();
         assert!(err.contains("not supported"), "{err}");
 
-        // A supported entry is read the way the element will read it:
-        // a route prefix that validates also installs.
+        // A route entry holds a parsed prefix: what parses, installs,
+        // and a malformed literal is refused where it is written.
+        let route = |prefix: &str, egress: u16| TableEntry::Route {
+            prefix: prefix.parse().unwrap(),
+            egress,
+        };
         let routed = |prefix: &str| {
             PipelineDesc::new("t")
                 .element("r", "route")
                 .element("sink", "discard")
                 .ingress("r")
                 .edge_labelled("r", "0", "sink")
-                .table(
-                    "r",
-                    TableEntry::Route {
-                        prefix: prefix.into(),
-                        egress: 0,
-                    },
-                )
+                .table("r", route(prefix, 0))
         };
         for prefix in ["10.0.0.0/8", "2001:db8::/32", "0.0.0.0/0", "10.0.0.5/32"] {
             builds(&routed(prefix));
@@ -1177,20 +1039,15 @@ mod tests {
             "10.0.0.0/40",
             "2001:db8::/129",
         ] {
-            let err = routed(prefix).validate().unwrap_err().to_string();
-            assert!(
-                err.contains("route on `r`: malformed prefix") && err.contains(prefix),
-                "{err}"
-            );
+            let err = prefix.parse::<Prefix>().unwrap_err().to_string();
+            assert!(err.contains("bad prefix") && err.contains(prefix), "{err}");
         }
 
         // The route table is keyed by family, length and masked
-        // address: two entries that name one route cannot both be
-        // installed, so the description would say more than the table.
-        let route = |prefix: &str, egress: u16| TableEntry::Route {
-            prefix: prefix.into(),
-            egress,
-        };
+        // address: two spellings of one prefix are one entry, and two
+        // entries that route one prefix apart cannot both be installed,
+        // so the description would say more than the table.
+        assert_eq!(route("10.0.0.0/8", 0), route("10.0.0.1/8", 0));
         let two = |a: &TableEntry, b: &TableEntry| {
             PipelineDesc::new("t")
                 .element("r", "route")
@@ -1203,7 +1060,6 @@ mod tests {
         };
         for (a, b) in [
             (route("10.0.0.0/8", 0), route("10.0.0.0/8", 1)),
-            (route("10.0.0.0/8", 0), route("10.0.0.1/8", 0)),
             (route("2001:db8::/32", 0), route("2001:db8:0:1::/32", 1)),
         ] {
             let err = two(&a, &b).validate().unwrap_err();
@@ -1223,12 +1079,13 @@ mod tests {
         ] {
             builds(&two(&a, &b));
         }
-        // Likewise a filter: two spellings of one address are one spec.
+        // Likewise a filter: two spellings of one address are one entry.
         let filter = |dst: &str| TableEntry::Filter {
-            pattern: PatternDesc::any().dst(dst, 32),
+            pattern: FilterPattern::any().dst(dst, 32),
             output: "v6".into(),
             priority: 0,
         };
+        assert_eq!(filter("2001:db8::"), filter("2001:DB8:0::"));
         let err = PipelineDesc::new("t")
             .element("cls", "classifier")
             .element("sink", "discard")
@@ -1239,7 +1096,7 @@ mod tests {
             .validate()
             .unwrap_err()
             .to_string();
-        assert!(err.contains("name the same filter"), "{err}");
+        assert!(err.contains("duplicate entry"), "{err}");
     }
 
     #[test]
@@ -1268,7 +1125,7 @@ mod tests {
             .table(
                 "a",
                 TableEntry::Filter {
-                    pattern: PatternDesc::any(),
+                    pattern: FilterPattern::any(),
                     output: "x".into(),
                     priority: 0,
                 },
@@ -1285,7 +1142,7 @@ mod tests {
             .table(
                 "a",
                 TableEntry::Filter {
-                    pattern: PatternDesc::any(),
+                    pattern: FilterPattern::any(),
                     output: "x".into(),
                     priority: 0,
                 },

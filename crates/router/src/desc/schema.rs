@@ -7,7 +7,9 @@
 //! these schemas; the crate-internal `construct` lowering then turns a
 //! checked `(kind, params)` pair to a live element — nothing beside
 //! it: the patch applier reaches an element's table through the
-//! [`ITable`](crate::api::ITable) the element itself exports. Kinds the
+//! [`ITable`](crate::api::ITable) the element itself exports, and a
+//! [`TableEntry`](super::TableEntry) already holds the element's own
+//! typed values, so no table kind has a lowering here. Kinds the
 //! registry does not know can be supplied by the compiling host as
 //! *externals* (see [`Compiler::external`](super::Compiler::external))
 //! — that is how the simulator injects its egress collector into

@@ -166,15 +166,14 @@ impl IClassifier for ClassifierEngine {
     }
 }
 
-/// The filter a table entry names — the one reading of a filter entry,
-/// shared by the classifier's table and the description validator.
-pub(crate) fn filter_of(entry: &TableEntry) -> Result<FilterSpec> {
+/// The filter a table entry names.
+fn filter_of(entry: &TableEntry) -> Result<FilterSpec> {
     match entry {
         TableEntry::Filter {
             pattern,
             output,
             priority,
-        } => Ok(FilterSpec::new(pattern.to_pattern()?, output, *priority)),
+        } => Ok(FilterSpec::new(pattern.clone(), output, *priority)),
         other => Err(other.foreign_to(TableKind::Filter)),
     }
 }

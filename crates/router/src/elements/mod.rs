@@ -23,7 +23,6 @@ mod route;
 mod sched;
 mod shaper;
 
-pub(crate) use classifier::filter_of;
 pub use classifier::{ClassifierEngine, ClassifierStats, DEFAULT_OUTPUT};
 pub use device::{FromDevice, FromDeviceStats, ToDevice, ToDeviceStats};
 pub use ip::{Ipv4Processor, Ipv6Processor};

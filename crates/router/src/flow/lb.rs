@@ -16,7 +16,7 @@ use netkit_packet::flow::{FlowKey, ParsedFlow};
 use netkit_packet::packet::Packet;
 use opencom::component::{Component, ComponentCore, Registrar};
 use opencom::counters;
-use opencom::error::{Error, Result};
+use opencom::error::Result;
 use opencom::ident::InterfaceId;
 use opencom::receptacle::Receptacle;
 use parking_lot::Mutex;
@@ -296,10 +296,7 @@ fn named_backend(entry: &TableEntry) -> Result<(Ipv4Addr, u16)> {
     let TableEntry::Backend { ip, port } = entry else {
         return Err(entry.foreign_to(TableKind::Backend));
     };
-    let ip = ip.parse().map_err(|_| Error::StaleReference {
-        what: format!("backend address `{ip}`"),
-    })?;
-    Ok((ip, *port))
+    Ok((*ip, *port))
 }
 
 /// A backend is found again by `(ip, port)`; a draining one is still
@@ -377,7 +374,7 @@ mod tests {
 
     fn backend(ip: &str) -> TableEntry {
         TableEntry::Backend {
-            ip: ip.into(),
+            ip: ip.parse().unwrap(),
             port: 8080,
         }
     }

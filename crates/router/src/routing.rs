@@ -7,6 +7,7 @@
 
 use std::fmt;
 use std::net::{IpAddr, Ipv4Addr, Ipv6Addr};
+use std::str::FromStr;
 
 /// A route's action: where the packet leaves and via whom.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -140,7 +141,7 @@ impl<T> fmt::Debug for PrefixTrie<T> {
     }
 }
 
-/// Why a textual prefix was rejected by [`RoutingTable::try_add`].
+/// Why a textual prefix was rejected by [`Prefix::from_str`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PrefixParseError {
     /// The offending prefix text.
@@ -157,30 +158,47 @@ impl fmt::Display for PrefixParseError {
 
 impl std::error::Error for PrefixParseError {}
 
-/// Parses `addr/len` into the row it keys: the address masked to its
-/// length, the length within its family's width. The one reading of a
-/// textual prefix — [`RoutingTable::try_add`], the route element's
-/// table and the description validator all read prefixes through it.
-pub(crate) fn parse_prefix(prefix: &str) -> Result<(IpAddr, u8), PrefixParseError> {
-    let bad = |reason: &str| PrefixParseError {
-        prefix: prefix.to_owned(),
-        reason: reason.to_owned(),
-    };
-    let (addr, len) = prefix
-        .split_once('/')
-        .ok_or_else(|| bad("expected `address/length`"))?;
-    let len: u8 = len
-        .parse()
-        .map_err(|_| bad("prefix length is not a number in 0..=255"))?;
-    // A `width`-bit mask of the top `len` bits, in the result's low bits.
-    let keep = |width: u32| u128::MAX.checked_shl(width - u32::from(len)).unwrap_or(0);
-    let net = match addr.parse().map_err(|_| bad("unparsable address"))? {
-        IpAddr::V4(_) if len > 32 => return Err(bad("IPv4 prefix length exceeds 32")),
-        IpAddr::V6(_) if len > 128 => return Err(bad("IPv6 prefix length exceeds 128")),
-        IpAddr::V4(a) => Ipv4Addr::from(u32::from(a) & keep(32) as u32).into(),
-        IpAddr::V6(a) => Ipv6Addr::from(u128::from(a) & keep(128)).into(),
-    };
-    Ok((net, len))
+/// The row a route keys: an address masked to its length, the length
+/// within its family's width. Parsing is the only way to make one, so
+/// two spellings of one prefix (`10.0.0.1/8`, `10.0.0.0/8`) are one
+/// value.
+#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
+pub struct Prefix {
+    pub(crate) net: IpAddr,
+    pub(crate) len: u8,
+}
+
+impl FromStr for Prefix {
+    type Err = PrefixParseError;
+
+    /// Parses `addr/len` — the one reading of a textual prefix.
+    fn from_str(prefix: &str) -> Result<Self, PrefixParseError> {
+        let bad = |reason: &str| PrefixParseError {
+            prefix: prefix.to_owned(),
+            reason: reason.to_owned(),
+        };
+        let (addr, len) = prefix
+            .split_once('/')
+            .ok_or_else(|| bad("expected `address/length`"))?;
+        let len: u8 = len
+            .parse()
+            .map_err(|_| bad("prefix length is not a number in 0..=255"))?;
+        // A `width`-bit mask of the top `len` bits, in the result's low bits.
+        let keep = |width: u32| u128::MAX.checked_shl(width - u32::from(len)).unwrap_or(0);
+        let net = match addr.parse().map_err(|_| bad("unparsable address"))? {
+            IpAddr::V4(_) if len > 32 => return Err(bad("IPv4 prefix length exceeds 32")),
+            IpAddr::V6(_) if len > 128 => return Err(bad("IPv6 prefix length exceeds 128")),
+            IpAddr::V4(a) => Ipv4Addr::from(u32::from(a) & keep(32) as u32).into(),
+            IpAddr::V6(a) => Ipv6Addr::from(u128::from(a) & keep(128)).into(),
+        };
+        Ok(Self { net, len })
+    }
+}
+
+impl fmt::Display for Prefix {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(f, "{}/{}", self.net, self.len)
+    }
 }
 
 fn v4_key(addr: Ipv4Addr) -> u128 {
@@ -226,10 +244,10 @@ impl RoutingTable {
     }
 
     /// Adds a route from a textual prefix (`"10.0.0.0/8"` or
-    /// `"2001:db8::/32"`), rejecting malformed input — the fallible
-    /// twin of [`Self::add`] for untrusted/route-protocol input (same
-    /// shape as `FilterPattern::try_src`/`try_dst`). Returns the
-    /// replaced entry, if the prefix was already present.
+    /// `"2001:db8::/32"`), read as a [`Prefix`] and so rejecting
+    /// malformed input — the fallible twin of [`Self::add`] for
+    /// untrusted/route-protocol input. Returns the replaced entry, if
+    /// the prefix was already present.
     ///
     /// # Errors
     ///
@@ -240,7 +258,7 @@ impl RoutingTable {
         prefix: &str,
         entry: RouteEntry,
     ) -> Result<Option<RouteEntry>, PrefixParseError> {
-        let (net, len) = parse_prefix(prefix)?;
+        let Prefix { net, len } = prefix.parse()?;
         Ok(self.insert(net, len, entry))
     }
 

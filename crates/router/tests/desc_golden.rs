@@ -13,7 +13,8 @@
 //!
 //! and commit the refreshed files.
 
-use netkit_router::desc::{diff, PatternDesc, PipelineDesc, TableEntry};
+use netkit_router::api::FilterPattern;
+use netkit_router::desc::{diff, PipelineDesc, TableEntry};
 
 /// Compares `actual` against `tests/testdata/<name>.golden`, or
 /// rewrites the file when `NETKIT_BLESS=1` is set.
@@ -77,14 +78,14 @@ fn edge_desc() -> PipelineDesc {
         .table(
             "lb",
             TableEntry::Backend {
-                ip: "10.1.0.1".to_owned(),
+                ip: "10.1.0.1".parse().unwrap(),
                 port: 8080,
             },
         )
         .table(
             "lb",
             TableEntry::Backend {
-                ip: "10.1.0.2".to_owned(),
+                ip: "10.1.0.2".parse().unwrap(),
                 port: 8080,
             },
         )
@@ -108,7 +109,7 @@ fn classified_desc(split: u16) -> PipelineDesc {
         .table(
             "cls",
             TableEntry::Filter {
-                pattern: PatternDesc::any().dst_port_range(0, split - 1),
+                pattern: FilterPattern::any().dst_port_range(0, split - 1),
                 output: "lo".to_owned(),
                 priority: 10,
             },
@@ -116,7 +117,7 @@ fn classified_desc(split: u16) -> PipelineDesc {
         .table(
             "cls",
             TableEntry::Filter {
-                pattern: PatternDesc::any(),
+                pattern: FilterPattern::any(),
                 output: "hi".to_owned(),
                 priority: 0,
             },
@@ -175,14 +176,14 @@ fn structural_patch_render_is_stable() {
         .table(
             "lb",
             TableEntry::Backend {
-                ip: "10.1.0.1".to_owned(),
+                ip: "10.1.0.1".parse().unwrap(),
                 port: 8080,
             },
         )
         .table(
             "lb",
             TableEntry::Backend {
-                ip: "10.1.0.3".to_owned(),
+                ip: "10.1.0.3".parse().unwrap(),
                 port: 8080,
             },
         )

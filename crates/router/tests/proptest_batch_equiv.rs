@@ -509,7 +509,7 @@ fn lanes() -> Lanes {
     let lb = L4LoadBalancer::new(VIP.parse().unwrap(), 80, 64, u64::MAX);
     for ip in BACKENDS {
         lb.put(&TableEntry::Backend {
-            ip: ip.into(),
+            ip: ip.parse().unwrap(),
             port: 8080,
         })
         .unwrap();

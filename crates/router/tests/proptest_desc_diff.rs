@@ -35,11 +35,9 @@ use netkit_kernel::shard::ShardSpec;
 use netkit_packet::batch::PacketBatch;
 use netkit_packet::packet::{Packet, PacketBuilder};
 use netkit_router::api::{
-    BatchResult, IClassifier, IPacketPush, PushResult, ICLASSIFIER, IPACKET_PUSH,
+    BatchResult, FilterPattern, IClassifier, IPacketPush, PushResult, ICLASSIFIER, IPACKET_PUSH,
 };
-use netkit_router::desc::{
-    diff, Compiler, DescBinding, ElementHandle, PatternDesc, PipelineDesc, TableEntry,
-};
+use netkit_router::desc::{diff, Compiler, DescBinding, ElementHandle, PipelineDesc, TableEntry};
 use netkit_router::shard::ShardedPipeline;
 use opencom::component::{Component, ComponentCore, ComponentDescriptor, Registrar};
 use opencom::ident::Version;
@@ -143,7 +141,7 @@ fn describe(s: &DescSpec) -> PipelineDesc {
         .table(
             "cls",
             TableEntry::Filter {
-                pattern: PatternDesc::any().dst_port_range(0, s.split - 1),
+                pattern: FilterPattern::any().dst_port_range(0, s.split - 1),
                 output: "lo".to_owned(),
                 priority: 10,
             },
@@ -151,7 +149,7 @@ fn describe(s: &DescSpec) -> PipelineDesc {
         .table(
             "cls",
             TableEntry::Filter {
-                pattern: PatternDesc::any(),
+                pattern: FilterPattern::any(),
                 output: "hi".to_owned(),
                 priority: 0,
             },

@@ -472,7 +472,10 @@ impl Genesis {
                     router
                         .classifier
                         .register_filter(FilterSpec::new(
-                            FilterPattern::any().dst(&vdst.to_string(), 32),
+                            FilterPattern {
+                                dst_prefix: Some((vdst.into(), 32)),
+                                ..FilterPattern::any()
+                            },
                             format!("port{port}"),
                             0,
                         ))

@@ -7,8 +7,9 @@
 //! callback, which keeps the behaviour decoupled from the event engine.
 //!
 //! Router nodes in the experiments adapt a Router-CF pipeline behind this
-//! trait; the built-in [`StaticForwarder`] and [`SinkBehaviour`] cover
-//! hosts and plain IP forwarding without pulling in the router crate.
+//! trait (see [`PipelineNode`](crate::pipeline::PipelineNode)); the
+//! built-in [`StaticForwarder`] and [`SinkBehaviour`] cover hosts and
+//! plain IP forwarding with no component graph at all.
 
 use std::collections::HashMap;
 use std::net::IpAddr;

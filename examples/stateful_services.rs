@@ -17,6 +17,7 @@
 //!
 //! Run with: `cargo run --example stateful_services`
 
+use std::net::Ipv4Addr;
 use std::sync::Arc;
 
 use netkit::kernel::shard::ShardSpec;
@@ -47,7 +48,7 @@ fn edge_desc(backends: u8) -> PipelineDesc {
         d = d.table(
             "lb",
             TableEntry::Backend {
-                ip: format!("10.1.0.{backend}"),
+                ip: Ipv4Addr::new(10, 1, 0, backend),
                 port: 8080,
             },
         );

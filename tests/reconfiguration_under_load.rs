@@ -244,14 +244,14 @@ fn described_balancer_keeps_its_backends_across_hot_swaps() {
             .table(
                 "lb",
                 TableEntry::Backend {
-                    ip: "10.1.0.1".into(),
+                    ip: "10.1.0.1".parse().unwrap(),
                     port: 8080,
                 },
             )
             .table(
                 "lb",
                 TableEntry::Backend {
-                    ip: "10.1.0.2".into(),
+                    ip: "10.1.0.2".parse().unwrap(),
                     port: 8080,
                 },
             )
